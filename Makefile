@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race test-race-all test-chaos test-wan test-obsv test-frontier cover-core service-smoke golden bench bench-record bench-smoke fuzz experiments experiments-md clean
+.PHONY: all check build vet test test-race test-race-all test-chaos test-wan test-obsv test-frontier cover-core service-smoke golden bench bench-record bench-smoke bench-quick fuzz experiments experiments-md clean
 
 all: check
 
@@ -101,9 +101,19 @@ bench-record:
 bench-smoke:
 	$(GO) run ./cmd/paperbench -exp bench -json -kernels=false -check BENCH_paperbench.json > /dev/null
 
+# The layered performance benchmark (benchmark/, a Go module of its own that
+# root `go build ./... && go test ./...` never compiles): vet it, run its
+# tests and one -quick pass of all five workloads, so an internal-API change
+# that breaks the performance gate fails here instead of silently.
+bench-quick:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	bash benchmark/run.sh -quick
+
 # Short fuzz passes over the input parsers, the checkpoint decoder, the
-# flat kernel tables (vs a map oracle), the wire-v2 varint codec and the
-# frontier active-set (vs a map+sort oracle).
+# flat kernel tables (vs a map oracle), the wire-v2 varint codec, the
+# frontier active-set (vs a map+sort oracle) and the counting-sort graph
+# assembly (vs the sort-based oracle).
 fuzz:
 	$(GO) test ./internal/gio -fuzz FuzzReadEdgeListText -fuzztime 30s
 	$(GO) test ./internal/gio -fuzz FuzzReadHeader -fuzztime 30s
@@ -113,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/flat -fuzz FuzzPairTable -fuzztime 30s
 	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime 30s
 	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime 30s
+	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime 30s
 
 # Regenerate every table and figure of the paper (text to stdout).
 experiments:

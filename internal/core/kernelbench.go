@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/graph"
@@ -21,10 +20,10 @@ import (
 // Sweep and CoarseArcs are read-only with respect to the community state:
 // repeated calls do identical work.
 type KernelBench struct {
-	world    *mpi.InprocWorld
-	st       *phaseState
-	oldToNew map[int64]int64
-	steps    StepTimes
+	world *mpi.InprocWorld
+	st    *phaseState
+	ren   *renumbering
+	steps StepTimes
 }
 
 // NewKernelBench builds the bench state for an n-vertex edge list.
@@ -53,7 +52,7 @@ func NewKernelBench(n int64, edges []graph.RawEdge, threads int, useRef bool) (*
 			world.Close()
 			return nil, fmt.Errorf("kernelbench warm-up: %w", err)
 		}
-		moves := st.sweep(it)
+		moves := kb.fullSweep(it)
 		if err := st.pushDeltas(st.stageMoves(moves), moves); err != nil {
 			world.Close()
 			return nil, fmt.Errorf("kernelbench warm-up: %w", err)
@@ -65,17 +64,7 @@ func NewKernelBench(n int64, edges []graph.RawEdge, threads int, useRef bool) (*
 	}
 	// Single-rank renumbering, exactly as rebuild Steps 1–3 produce it:
 	// surviving communities in ascending ID order, renumbered from 0.
-	survivors := make([]int64, 0, dg.LocalN)
-	for lc := int64(0); lc < dg.LocalN; lc++ {
-		if st.cSize[lc] > 0 {
-			survivors = append(survivors, dg.Base+lc)
-		}
-	}
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
-	kb.oldToNew = make(map[int64]int64, len(survivors))
-	for i, cid := range survivors {
-		kb.oldToNew[cid] = int64(i)
-	}
+	kb.ren, _ = st.renumberOwned()
 	if err := st.fetchCommunityInfo(); err != nil {
 		world.Close()
 		return nil, fmt.Errorf("kernelbench warm-up: %w", err)
@@ -83,19 +72,38 @@ func NewKernelBench(n int64, edges []graph.RawEdge, threads int, useRef bool) (*
 	return kb, nil
 }
 
+// fullSweep sweeps every local vertex: the frontier (empty between
+// iterations — the driver's buildFrontier fills it) is re-seeded with the
+// whole vertex set first.
+func (kb *KernelBench) fullSweep(iter int) []move {
+	if fr := kb.st.fr; fr != nil {
+		fr.cur.Fill()
+		fr.scanDense = fr.cur.Dense()
+	}
+	return kb.st.sweep(iter)
+}
+
 // Sweep runs one full ΔQ sweep over every local vertex without applying the
 // chosen moves, and returns how many moves were proposed.
 func (kb *KernelBench) Sweep() int {
-	return len(kb.st.sweep(1))
+	return len(kb.fullSweep(1))
 }
 
 // CoarseArcs runs the Step-5 coarse-arc aggregation over the current
 // community assignment and returns the number of distinct coarse arcs.
 func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.refKernels {
-		return len(kb.st.coarseArcsMap(kb.oldToNew))
+		return len(kb.st.coarseArcsMap(kb.ren))
 	}
-	return len(kb.st.coarseArcsFlat(kb.oldToNew))
+	newOfVertex := make([]int64, len(kb.st.comm))
+	if err := kb.ren.translate(newOfVertex, kb.st.comm); err != nil {
+		panic(err) // a single rank's vertices can only be in live owned communities
+	}
+	arcs, err := kb.st.coarseArcsFlat(newOfVertex, nil)
+	if err != nil {
+		panic(err) // a single rank has no ghosts to miss
+	}
+	return len(arcs)
 }
 
 // Close releases the in-process world.

@@ -64,18 +64,20 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mo
 	return move{lv: lv, from: cv, to: best}, true
 }
 
-// coarseArcsMap is the sequential map-based Step 5 aggregator. Emission is
-// sorted by (From, To) — same canonical order as the flat kernel — because
-// downstream BuildFromArcs merges parallel arcs with an unstable sort whose
-// float accumulation order follows input order. Per-pair sums accumulate in
-// CSR visit order, bit-identical to the single-threaded flat kernel.
-func (st *phaseState) coarseArcsMap(oldToNew map[int64]int64) []dgraph.Arc {
+// coarseArcsMap is the sequential map-based Step 5 aggregator: it resolves
+// every endpoint through commOf and the renumbering's lookup instead of the
+// flat kernel's dense per-vertex and per-ghost arrays. Emission is sorted by
+// (From, To) so hash-map range order never reaches the wire; each pair is
+// emitted once, so after the stable downstream assembly the sums equal the
+// single-threaded flat kernel's bit for bit. Per-pair sums accumulate in CSR
+// visit order.
+func (st *phaseState) coarseArcsMap(ren *renumbering) []dgraph.Arc {
 	type pair struct{ a, b int64 }
 	acc := make(map[pair]float64)
 	for lv := int64(0); lv < st.dg.LocalN; lv++ {
-		a := oldToNew[st.comm[lv]]
+		a := ren.newOf(st.comm[lv])
 		for _, e := range st.dg.Neighbors(lv) {
-			acc[pair{a, oldToNew[st.commOf(e.To)]}] += e.W
+			acc[pair{a, ren.newOf(st.commOf(e.To))}] += e.W
 		}
 	}
 	arcs := make([]dgraph.Arc, 0, len(acc))

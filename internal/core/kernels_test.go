@@ -188,6 +188,32 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestKernelBenchSweepTouchesEveryVertex is the vacuity guard for the sweep
+// benchmarks: between iterations the frontier is empty, so a KernelBench
+// that forgot to re-seed it would time a sweep over nothing (as it did from
+// the day the frontier became the default). Every call — the first and the
+// tenth alike — must evaluate all n vertices, and the warm-up must have
+// moved some, or CoarseArcs measures an identity renumbering.
+func TestKernelBenchSweepTouchesEveryVertex(t *testing.T) {
+	n, edges := gen.ErdosRenyi(500, 3000, 7)
+	for _, useRef := range []bool{false, true} {
+		kb, err := NewKernelBench(n, edges, 1, useRef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call <= 10; call++ {
+			kb.Sweep()
+			if got := kb.st.iterTouched; got < n {
+				t.Fatalf("ref=%v: Sweep call %d touched %d of %d vertices", useRef, call, got, n)
+			}
+		}
+		if coarse, fine := kb.CoarseArcs(), len(kb.st.dg.Edges); coarse >= fine {
+			t.Fatalf("ref=%v: %d coarse arcs from %d fine ones: the warm-up moved nothing", useRef, coarse, fine)
+		}
+		kb.Close()
+	}
+}
+
 func benchKernel(b *testing.B, useRef bool, op func(*KernelBench) int) {
 	n, edges := gen.ErdosRenyi(5000, 40000, 13)
 	kb, err := NewKernelBench(n, edges, 1, useRef)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"distlouvain/internal/dgraph"
@@ -13,11 +14,79 @@ import (
 	"distlouvain/internal/partition"
 )
 
+// renumbering is one rebuild's old→new community translation, held as dense
+// and sorted arrays rather than a hash map: owned communities index newOwned
+// directly, the non-owned ones this rank references sit in the sorted remote
+// list with their new IDs alongside.
+type renumbering struct {
+	base      int64   // first owned old ID
+	newOwned  []int64 // new ID of owned community base+lc; −1 when it died
+	remote    []int64 // sorted distinct non-owned old IDs referenced here
+	newRemote []int64 // new ID of remote[i]
+}
+
+// newOf translates one old community ID. It returns −1 for an owned
+// community that no longer has members and for a non-owned ID outside the
+// referenced set.
+func (r *renumbering) newOf(cid int64) int64 {
+	if lc := cid - r.base; lc >= 0 && lc < int64(len(r.newOwned)) {
+		return r.newOwned[lc]
+	}
+	if i, ok := slices.BinarySearch(r.remote, cid); ok {
+		return r.newRemote[i]
+	}
+	return -1
+}
+
+// translate fills dst[i] = newOf(src[i]), rejecting references to dead or
+// unresolved communities.
+func (r *renumbering) translate(dst, src []int64) error {
+	for i, cid := range src {
+		if dst[i] = r.newOf(cid); dst[i] < 0 {
+			return fmt.Errorf("core: referenced community %d is empty or was never resolved", cid)
+		}
+	}
+	return nil
+}
+
+// renumberOwned is Steps 1–2 of rebuild: the owned communities that still
+// have members (the community table is authoritative: size > 0 means some
+// vertex, anywhere, is assigned to it) numbered 0, 1, … in ID order, the
+// dead ones marked −1. It returns the count of survivors too.
+func (st *phaseState) renumberOwned() (*renumbering, int64) {
+	ren := &renumbering{base: st.dg.Base, newOwned: make([]int64, st.dg.LocalN)}
+	var survivors int64
+	for lc, size := range st.cSize {
+		ren.newOwned[lc] = -1
+		if size > 0 {
+			ren.newOwned[lc] = survivors
+			survivors++
+		}
+	}
+	return ren, survivors
+}
+
+// sortedRemote sorts and dedupes ids (none owned by this rank) in place and
+// cuts the result into per-owner request lists: ownership ranges are
+// contiguous, so each rank's share is one ascending run.
+func sortedRemote(part *partition.Partition, ids []int64) (all []int64, byOwner [][]int64) {
+	slices.Sort(ids)
+	all = slices.Compact(ids)
+	byOwner = make([][]int64, part.Size())
+	rest := all
+	for q := range byOwner {
+		_, hi := part.Range(q)
+		k, _ := slices.BinarySearch(rest, hi)
+		byOwner[q], rest = rest[:k], rest[k:]
+	}
+	return all, byOwner
+}
+
 // rebuild performs the distributed graph reconstruction of Fig. 1 at the
 // end of a phase. extraIDs lists additional old community IDs this rank
 // needs translated (the labels held in its slice of the original-vertex
-// assignment); the returned map covers every old community referenced by
-// local vertices, local neighbourhoods and extraIDs.
+// assignment); the returned renumbering covers every old community
+// referenced by local vertices, local neighbourhoods and extraIDs.
 //
 // Steps (numbering as in the paper):
 //  1. count surviving local communities and renumber them from 0;
@@ -27,7 +96,7 @@ import (
 //  5. build partial new edge lists from local adjacencies;
 //  6. redistribute so every rank owns an equal share of new vertices;
 //  7. rebuild CSR index/edge arrays.
-func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, map[int64]int64, error) {
+func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering, error) {
 	sp := st.tr().Begin(obsv.KindStep, "rebuild")
 	defer sp.End()
 	t0 := time.Now()
@@ -35,69 +104,44 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, map[int64]in
 	c := st.dg.Comm
 	p := c.Size()
 
-	// Steps 1–2: surviving owned communities, renumbered locally. The
-	// community table is authoritative: size > 0 means some vertex
-	// (anywhere) is assigned to it.
-	survivors := make([]int64, 0, 64)
-	for lc := int64(0); lc < st.dg.LocalN; lc++ {
-		if st.cSize[lc] > 0 {
-			survivors = append(survivors, st.dg.Base+lc)
-		}
-	}
-	localNew := make(map[int64]int64, len(survivors)) // old cid -> local index
-	for i, cid := range survivors {
-		localNew[cid] = int64(i)
-	}
+	// Steps 1–2: surviving owned communities, renumbered locally.
+	ren, survivors := st.renumberOwned()
 
 	// Step 3: global renumbering by exclusive prefix sum.
 	ta := time.Now()
-	myBase, err := c.ExscanInt64(int64(len(survivors)))
+	myBase, err := c.ExscanInt64(survivors)
 	if err != nil {
 		return nil, nil, err
 	}
-	totalNew, err := c.AllreduceInt64(int64(len(survivors)), mpi.OpSum)
+	totalNew, err := c.AllreduceInt64(survivors, mpi.OpSum)
 	st.steps.Allreduce += time.Since(ta)
 	if err != nil {
 		return nil, nil, err
 	}
+	for lc, n := range ren.newOwned {
+		if n >= 0 {
+			ren.newOwned[lc] = myBase + n
+		}
+	}
 
-	// Step 4: resolve old→new IDs for every referenced community.
-	needed := make(map[int64]struct{})
-	for _, cid := range st.comm {
-		needed[cid] = struct{}{}
-	}
-	for _, cid := range st.ghostComm {
-		needed[cid] = struct{}{}
-	}
-	for _, cid := range extraIDs {
-		needed[cid] = struct{}{}
-	}
-	oldToNew := make(map[int64]int64, len(needed))
-	reqByOwner := make([][]int64, p)
-	for cid := range needed {
-		if n, ok := localNew[cid]; ok {
-			oldToNew[cid] = myBase + n
-			continue
+	// Step 4: resolve old→new IDs for every referenced non-owned community.
+	refs := make([]int64, 0, len(st.comm)+len(st.ghostComm)+len(extraIDs))
+	for _, ids := range [][]int64{st.comm, st.ghostComm, extraIDs} {
+		for _, cid := range ids {
+			if !st.dg.IsLocal(cid) {
+				refs = append(refs, cid)
+			}
 		}
-		if st.dg.IsLocal(cid) {
-			return nil, nil, fmt.Errorf("core: referenced community %d is owned locally but empty", cid)
-		}
-		o := st.dg.Part.Owner(cid)
-		reqByOwner[o] = append(reqByOwner[o], cid)
 	}
-	for q := range reqByOwner {
-		sort.Slice(reqByOwner[q], func(i, j int) bool { return reqByOwner[q][i] < reqByOwner[q][j] })
-	}
-	// Both directions are ascending ID streams (requests are sorted above;
+	var reqByOwner [][]int64
+	ren.remote, reqByOwner = sortedRemote(st.dg.Part, refs)
+	ren.newRemote = make([]int64, 0, len(ren.remote))
+	// Both directions are ascending ID streams (requests are sorted;
 	// survivor renumbering is order-preserving, so replies to a sorted
 	// request are ascending too): under wire v2 they ship as delta varints.
 	send := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		if st.wireV2() {
-			send[q] = mpi.EncodeDeltaInt64s(reqByOwner[q])
-		} else {
-			send[q] = mpi.EncodeInt64s(reqByOwner[q])
-		}
+		send[q] = st.encodeIDs(reqByOwner[q])
 	}
 	reqs, err := c.Alltoall(send)
 	if err != nil {
@@ -105,66 +149,55 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, map[int64]in
 	}
 	resp := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		var ids []int64
-		var err error
-		if st.wireV2() {
-			ids, err = mpi.DecodeDeltaInt64s(reqs[q])
-		} else {
-			ids, err = mpi.DecodeInt64s(reqs[q])
-		}
+		ids, err := st.decodeIDs(reqs[q])
 		if err != nil {
 			return nil, nil, err
 		}
-		out := make([]int64, len(ids))
 		for i, cid := range ids {
-			n, ok := localNew[cid]
-			if !ok {
+			if !st.dg.IsLocal(cid) || ren.newOwned[cid-st.dg.Base] < 0 {
 				return nil, nil, fmt.Errorf("core: rank %d asked for empty community %d", q, cid)
 			}
-			out[i] = myBase + n
+			ids[i] = ren.newOwned[cid-st.dg.Base]
 		}
-		if st.wireV2() {
-			resp[q] = mpi.EncodeDeltaInt64s(out)
-		} else {
-			resp[q] = mpi.EncodeInt64s(out)
-		}
+		resp[q] = st.encodeIDs(ids)
 	}
 	answers, err := c.Alltoall(resp)
 	if err != nil {
 		return nil, nil, err
 	}
 	for q := 0; q < p; q++ {
-		var vals []int64
-		var err error
-		if st.wireV2() {
-			vals, err = mpi.DecodeDeltaInt64s(answers[q])
-		} else {
-			vals, err = mpi.DecodeInt64s(answers[q])
-		}
+		vals, err := st.decodeIDs(answers[q])
 		if err != nil {
 			return nil, nil, err
 		}
 		if len(vals) != len(reqByOwner[q]) {
 			return nil, nil, fmt.Errorf("core: renumber reply from rank %d has %d entries, want %d", q, len(vals), len(reqByOwner[q]))
 		}
-		for i, cid := range reqByOwner[q] {
-			oldToNew[cid] = vals[i]
-		}
+		ren.newRemote = append(ren.newRemote, vals...)
 	}
 
 	// Step 5: partial coarse edge lists. Every local fine arc v→u maps to
-	// the coarse arc new(comm(v))→new(comm(u)); parallel arcs merge.
+	// the coarse arc new(comm(v))→new(comm(u)); parallel arcs merge. The new
+	// community of every local vertex and of every ghost is resolved once
+	// here, so the per-arc work below touches two dense arrays and no map.
 	//
-	// Arcs MUST leave this step sorted by (From, To): BuildFromArcs merges
-	// parallel arcs with an unstable sort, so equal keys from different
-	// ranks sum in input order — emitting in hash-map range order here made
-	// float-weighted coarse graphs differ bit-wise run to run. Both kernels
-	// (flat and map reference) emit in canonical sorted order.
+	// Arcs may leave this step in any order: BuildFromArcs places them
+	// stably, so parallel arcs sum in (sender rank, emission order) — fixed
+	// by the graph and the thread count, never by hash layout. Both kernels
+	// emit each coarse pair at most once per worker in a deterministic order.
+	newOfVertex := make([]int64, len(st.comm))
+	if err := ren.translate(newOfVertex, st.comm); err != nil {
+		return nil, nil, err
+	}
+	newOfGhost := make([]int64, len(st.ghostComm))
+	if err := ren.translate(newOfGhost, st.ghostComm); err != nil {
+		return nil, nil, err
+	}
 	var arcs []dgraph.Arc
 	if st.cfg.refKernels {
-		arcs = st.coarseArcsMap(oldToNew)
-	} else {
-		arcs = st.coarseArcsFlat(oldToNew)
+		arcs = st.coarseArcsMap(ren)
+	} else if arcs, err = st.coarseArcsFlat(newOfVertex, newOfGhost); err != nil {
+		return nil, nil, err
 	}
 
 	// Steps 6–7: redistribute to an even vertex partition and rebuild the
@@ -174,78 +207,64 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, map[int64]in
 	if err != nil {
 		return nil, nil, err
 	}
-	return ndg, oldToNew, nil
+	return ndg, ren, nil
 }
 
 // coarseArcsFlat accumulates the partial coarse arcs of Step 5 in per-worker
-// flat (src,dst) tables, sorts each worker's partial independently (pairs
-// are unique within a table, so the unstable sort is deterministic), and
-// k-way merges the sorted partials, summing duplicate pairs in ascending
-// worker order. Within a worker, each pair's weight accumulates in CSR visit
-// order, so the final per-pair sums depend only on the graph and the thread
-// count — never on hash layout. At Threads=1 the sums are bit-identical to
-// the sequential map reference.
-func (st *phaseState) coarseArcsFlat(oldToNew map[int64]int64) []dgraph.Arc {
+// flat (src,dst) tables, each sized once from its share of the fine arcs, and
+// concatenates the workers' pairs in worker order, each in first-seen order.
+// A pair that straddles workers is emitted once per worker; the assembly sums
+// such duplicates in emission order, like it does duplicates across ranks.
+// Within a worker, each pair's weight accumulates in CSR visit order, so the
+// final per-pair sums depend only on the graph and the thread count — never
+// on hash layout. At Threads=1 the sums are bit-identical to the sequential
+// map reference.
+//
+// newOfVertex[lv] and newOfGhost[gi] are the new communities of the local
+// vertices and the ghosts. A row is target-sorted and so is dg.Ghosts, so a
+// row's ghost slots are found by searching only forward of the previous hit;
+// a non-owned target without a slot is an error.
+func (st *phaseState) coarseArcsFlat(newOfVertex, newOfGhost []int64) ([]dgraph.Arc, error) {
+	dg := st.dg
 	nw := st.cfg.Threads
-	parts := make([][]dgraph.Arc, nw)
-	par.For(int(st.dg.LocalN), nw, func(w, lo, hi int) {
-		tab := flat.NewPairTable(256)
-		for lvi := lo; lvi < hi; lvi++ {
-			lv := int64(lvi)
-			a := oldToNew[st.comm[lv]]
-			for _, e := range st.dg.Neighbors(lv) {
-				tab.Add(a, oldToNew[st.commOf(e.To)], e.W)
+	tabs := make([]*flat.PairTable, nw)
+	errs := make([]error, nw)
+	par.For(int(dg.LocalN), nw, func(w, lo, hi int) {
+		tab := flat.NewPairTable(int(dg.Index[hi] - dg.Index[lo]))
+		for lv := lo; lv < hi; lv++ {
+			a := newOfVertex[lv]
+			gi := 0 // ghost slots below gi are behind this row's cursor
+			for _, e := range dg.Neighbors(int64(lv)) {
+				if dg.IsLocal(e.To) {
+					tab.Add(a, newOfVertex[e.To-dg.Base], e.W)
+					continue
+				}
+				k, ok := slices.BinarySearch(dg.Ghosts[gi:], e.To)
+				if !ok {
+					errs[w] = fmt.Errorf("core: target %d of vertex %d has no ghost slot", e.To, dg.Global(int64(lv)))
+					return
+				}
+				gi += k
+				tab.Add(a, newOfGhost[gi], e.W)
+				gi++
 			}
 		}
-		arcs := make([]dgraph.Arc, tab.Len())
-		for i := range arcs {
-			a, b, wt := tab.At(i)
-			arcs[i] = dgraph.Arc{From: a, To: b, W: wt}
-		}
-		sort.Slice(arcs, func(i, j int) bool {
-			if arcs[i].From != arcs[j].From {
-				return arcs[i].From < arcs[j].From
-			}
-			return arcs[i].To < arcs[j].To
-		})
-		parts[w] = arcs
+		tabs[w] = tab
 	})
-	if nw == 1 {
-		return parts[0]
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
+	tabs = slices.DeleteFunc(tabs, func(t *flat.PairTable) bool { return t == nil }) // unspawned empty ranges
 	var total int
-	for _, p := range parts { // parts[w] is nil for unspawned empty ranges
-		total += len(p)
+	for _, tab := range tabs {
+		total += tab.Len()
 	}
-	out := make([]dgraph.Arc, 0, total)
-	heads := make([]int, nw)
-	for {
-		best := -1
-		for w := 0; w < nw; w++ {
-			if heads[w] >= len(parts[w]) {
-				continue
-			}
-			if best < 0 {
-				best = w
-				continue
-			}
-			a, b := parts[w][heads[w]], parts[best][heads[best]]
-			// Strict less: on equal pairs the lowest worker wins, so
-			// duplicates drain — and sum — in worker order.
-			if a.From < b.From || (a.From == b.From && a.To < b.To) {
-				best = w
-			}
+	arcs := make([]dgraph.Arc, 0, total)
+	for _, tab := range tabs {
+		for i := 0; i < tab.Len(); i++ {
+			a, b, wt := tab.At(i)
+			arcs = append(arcs, dgraph.Arc{From: a, To: b, W: wt})
 		}
-		if best < 0 {
-			break
-		}
-		arc := parts[best][heads[best]]
-		heads[best]++
-		if n := len(out); n > 0 && out[n-1].From == arc.From && out[n-1].To == arc.To {
-			out[n-1].W += arc.W
-			continue
-		}
-		out = append(out, arc)
 	}
-	return out
+	return arcs, nil
 }

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"distlouvain/internal/dgraph"
+	"distlouvain/internal/gen"
+	"distlouvain/internal/gio"
+	"distlouvain/internal/graph"
+	"distlouvain/internal/mpi"
+	"distlouvain/internal/partition"
+)
+
+func TestSortedRemoteCutsByOwner(t *testing.T) {
+	// Ranks own [0,4) [4,4) [4,9) [9,12): rank 1 is empty.
+	part := &partition.Partition{Bounds: []int64{0, 4, 4, 9, 12}}
+	all, byOwner := sortedRemote(part, []int64{11, 2, 9, 2, 0, 11, 3, 10})
+	if want := []int64{0, 2, 3, 9, 10, 11}; !slices.Equal(all, want) {
+		t.Fatalf("all = %v, want %v", all, want)
+	}
+	want := [][]int64{{0, 2, 3}, {}, {}, {9, 10, 11}}
+	for q := range want {
+		if !slices.Equal(byOwner[q], want[q]) {
+			t.Fatalf("byOwner[%d] = %v, want %v", q, byOwner[q], want[q])
+		}
+	}
+	if all, byOwner := sortedRemote(part, nil); len(all) != 0 || len(byOwner) != 4 {
+		t.Fatalf("empty input: %v %v", all, byOwner)
+	}
+}
+
+// TestRenumberingRejectsUnresolvedIDs: a non-owned ID that was never resolved
+// must fail the translation, not borrow its neighbour's new ID or index past
+// the table.
+func TestRenumberingRejectsUnresolvedIDs(t *testing.T) {
+	ren := &renumbering{base: 10, newOwned: []int64{4, -1, 5}, remote: []int64{2, 7, 20}, newRemote: []int64{0, 3, 9}}
+	for cid, want := range map[int64]int64{10: 4, 11: -1, 12: 5, 2: 0, 7: 3, 20: 9, 1: -1, 5: -1, 13: -1, 99: -1} {
+		if got := ren.newOf(cid); got != want {
+			t.Errorf("newOf(%d) = %d, want %d", cid, got, want)
+		}
+	}
+	dst := make([]int64, 2)
+	if err := ren.translate(dst, []int64{7, 99}); err == nil {
+		t.Fatalf("translate accepted an unresolved ID: %v", dst)
+	}
+}
+
+// TestCoarseArcsFlatRejectsMissingGhost: a non-owned target without a ghost
+// slot is an error on the flat path, like any other broken invariant.
+func TestCoarseArcsFlatRejectsMissingGhost(t *testing.T) {
+	n, edges := gen.BandedMesh(8, 1)
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), 2)
+		dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
+		if err != nil {
+			return err
+		}
+		cfg := Baseline()
+		cfg.fill()
+		st, err := newPhaseState(dg, &cfg, 0, &StepTimes{})
+		if err != nil {
+			return err
+		}
+		if _, err := st.coarseArcsFlat(st.comm, st.ghostComm); err != nil {
+			return fmt.Errorf("intact graph: %w", err)
+		}
+		dg.Ghosts = dg.Ghosts[:len(dg.Ghosts)-1]
+		if _, err := st.coarseArcsFlat(st.comm, st.ghostComm); err == nil {
+			return fmt.Errorf("rank %d: missing ghost slot went unnoticed", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRebuildIndependentOfThreads: with several workers, a coarse pair whose
+// source community straddles two workers' vertex ranges leaves Step 5 once
+// per worker; the assembly must fold those duplicates, so the coarse graph —
+// integer weights, hence no float-order caveat — is the single-threaded one,
+// flat and map kernels alike.
+func TestRebuildIndependentOfThreads(t *testing.T) {
+	n, edges, _ := gen.PlantedPartition(6, 25, 0.4, 0.02, 19)
+	const p = 2
+	type coarse struct {
+		index []int64
+		edges []graph.Edge
+		k     []float64
+	}
+	rebuildWith := func(threads int, ref bool) [p]coarse {
+		var out [p]coarse
+		var mu sync.Mutex
+		err := mpi.Run(p, func(c *mpi.Comm) error {
+			lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), p)
+			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
+			if err != nil {
+				return err
+			}
+			cfg := Baseline()
+			cfg.Threads = threads
+			cfg.refKernels = ref
+			cfg.fill()
+			st, err := newPhaseState(dg, &cfg, 0, &StepTimes{})
+			if err != nil {
+				return err
+			}
+			if _, err := st.iterate(cfg.Tau); err != nil {
+				return err
+			}
+			ndg, _, err := st.rebuild(nil)
+			if err != nil {
+				return err
+			}
+			if err := ndg.Validate(); err != nil {
+				return err
+			}
+			if ndg.GlobalN >= dg.GlobalN {
+				return fmt.Errorf("no compaction: %d -> %d", dg.GlobalN, ndg.GlobalN)
+			}
+			mu.Lock()
+			out[c.Rank()] = coarse{index: ndg.Index, edges: ndg.Edges, k: ndg.K}
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("threads=%d ref=%v: %v", threads, ref, err)
+		}
+		return out
+	}
+	want := rebuildWith(1, false)
+	for _, threads := range []int{1, 2, 3, 5} {
+		for _, ref := range []bool{false, true} {
+			got := rebuildWith(threads, ref)
+			for r := range want {
+				if !slices.Equal(got[r].index, want[r].index) || !slices.Equal(got[r].edges, want[r].edges) || !slices.Equal(got[r].k, want[r].k) {
+					t.Fatalf("threads=%d ref=%v: rank %d's coarse graph differs from the single-threaded flat one", threads, ref, r)
+				}
+			}
+		}
+	}
+}

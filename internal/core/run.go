@@ -120,19 +120,17 @@ func (rs *runState) runLoop() (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("phase %d assignment flattening: %w", phase, err)
 		}
-		for i, mv := range origComm {
-			origComm[i] = flat[mv]
-		}
+		copy(origComm, flat)
 		fsp.End()
 
 		// Rebuild unconditionally: it densifies labels and yields the
 		// exact final modularity even when this was the last phase.
-		ndg, oldToNew, err := st.rebuild(origComm)
+		ndg, ren, err := st.rebuild(origComm)
+		if err == nil {
+			err = ren.translate(origComm, origComm)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("phase %d rebuild: %w", phase, err)
-		}
-		for i, cid := range origComm {
-			origComm[i] = oldToNew[cid]
 		}
 		res.Communities = ndg.GlobalN
 		noCompaction := ndg.GlobalN == rs.cur.GlobalN

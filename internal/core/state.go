@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -164,13 +165,9 @@ func (st *phaseState) setupGhostLists() error {
 		for i, slot := range st.ghostSlots[q] {
 			ids[i] = st.dg.Ghosts[slot]
 		}
-		if st.wireV2() {
-			// dg.Ghosts is sorted ascending, so these per-owner ID lists
-			// are too: the delta stream is ~1 byte per entry.
-			send[q] = mpi.EncodeDeltaInt64s(ids)
-		} else {
-			send[q] = mpi.EncodeInt64s(ids)
-		}
+		// dg.Ghosts is sorted ascending, so these per-owner ID lists are
+		// too: under wire v2 the delta stream is ~1 byte per entry.
+		send[q] = st.encodeIDs(ids)
 	}
 	recv, err := c.Alltoall(send)
 	if err != nil {
@@ -179,13 +176,7 @@ func (st *phaseState) setupGhostLists() error {
 	st.pushList = make([][]int64, p)
 	st.lastSent = make([][]int64, p)
 	for q := 0; q < p; q++ {
-		var ids []int64
-		var err error
-		if st.wireV2() {
-			ids, err = mpi.DecodeDeltaInt64s(recv[q])
-		} else {
-			ids, err = mpi.DecodeInt64s(recv[q])
-		}
+		ids, err := st.decodeIDs(recv[q])
 		if err != nil {
 			return err
 		}
@@ -627,40 +618,42 @@ func (st *phaseState) fetchCommunityInfo() error {
 	return nil
 }
 
+// encodeIDs and decodeIDs carry an ascending ID list under the negotiated
+// wire format: ~1-byte delta varints under v2, fixed 8 bytes under v1.
+func (st *phaseState) encodeIDs(ids []int64) []byte {
+	if st.wireV2() {
+		return mpi.EncodeDeltaInt64s(ids)
+	}
+	return mpi.EncodeInt64s(ids)
+}
+
+func (st *phaseState) decodeIDs(buf []byte) ([]int64, error) {
+	if st.wireV2() {
+		return mpi.DecodeDeltaInt64s(buf)
+	}
+	return mpi.DecodeInt64s(buf)
+}
+
 // resolveVertexComms looks up the current community of arbitrary global
 // vertices of the current graph, fetching remotely-owned entries from their
 // owners. It is a collective: every rank must call it once per phase (the
 // driver uses it to flatten the original-vertex assignment through this
-// phase's meta-vertices). The result maps each queried ID to its community.
-func (st *phaseState) resolveVertexComms(ids []int64) (map[int64]int64, error) {
+// phase's meta-vertices). out[i] is the community of ids[i].
+func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
 	c := st.dg.Comm
 	p := c.Size()
-	out := make(map[int64]int64, len(ids))
-	reqByOwner := make([][]int64, p)
+	// Replies are matched back through the request lists, so the request
+	// order is free to choose: sorted, so v2's delta streams stay compact.
+	refs := make([]int64, 0, len(ids))
 	for _, g := range ids {
-		if _, done := out[g]; done {
-			continue
+		if !st.dg.IsLocal(g) {
+			refs = append(refs, g)
 		}
-		if st.dg.IsLocal(g) {
-			out[g] = st.comm[g-st.dg.Base]
-			continue
-		}
-		out[g] = -1 // placeholder marking "requested"
-		o := st.dg.Part.Owner(g)
-		reqByOwner[o] = append(reqByOwner[o], g)
 	}
-	// Replies are matched back through reqByOwner, so the request order is
-	// free to choose: sort it so v2's delta streams stay compact.
-	for q := range reqByOwner {
-		sort.Slice(reqByOwner[q], func(i, j int) bool { return reqByOwner[q][i] < reqByOwner[q][j] })
-	}
+	remote, reqByOwner := sortedRemote(st.dg.Part, refs)
 	send := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		if st.wireV2() {
-			send[q] = mpi.EncodeDeltaInt64s(reqByOwner[q])
-		} else {
-			send[q] = mpi.EncodeInt64s(reqByOwner[q])
-		}
+		send[q] = st.encodeIDs(reqByOwner[q])
 	}
 	reqs, err := c.Alltoall(send)
 	if err != nil {
@@ -668,13 +661,7 @@ func (st *phaseState) resolveVertexComms(ids []int64) (map[int64]int64, error) {
 	}
 	resp := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		var vs []int64
-		var err error
-		if st.wireV2() {
-			vs, err = mpi.DecodeDeltaInt64s(reqs[q])
-		} else {
-			vs, err = mpi.DecodeInt64s(reqs[q])
-		}
+		vs, err := st.decodeIDs(reqs[q])
 		if err != nil {
 			return nil, err
 		}
@@ -695,9 +682,10 @@ func (st *phaseState) resolveVertexComms(ids []int64) (map[int64]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	commOfRemote := make([]int64, 0, len(remote)) // parallel to remote
 	for q := 0; q < p; q++ {
 		d := mpi.NewDecoder(answers[q])
-		for _, g := range reqByOwner[q] {
+		for range reqByOwner[q] {
 			var v int64
 			var err error
 			if st.wireV2() {
@@ -708,10 +696,19 @@ func (st *phaseState) resolveVertexComms(ids []int64) (map[int64]int64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: comm-lookup reply from rank %d: %w", q, err)
 			}
-			out[g] = v
+			commOfRemote = append(commOfRemote, v)
 		}
 		if d.Remaining() != 0 {
 			return nil, fmt.Errorf("core: comm-lookup reply from rank %d has %d trailing bytes", q, d.Remaining())
+		}
+	}
+	out := make([]int64, len(ids))
+	for i, g := range ids {
+		if st.dg.IsLocal(g) {
+			out[i] = st.comm[g-st.dg.Base]
+		} else {
+			k, _ := slices.BinarySearch(remote, g)
+			out[i] = commOfRemote[k]
 		}
 	}
 	return out, nil

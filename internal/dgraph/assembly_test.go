@@ -1,0 +1,472 @@
+package dgraph
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"distlouvain/internal/gen"
+	"distlouvain/internal/graph"
+	"distlouvain/internal/mpi"
+	"distlouvain/internal/partition"
+)
+
+// againstOracle runs build on p in-process ranks and compares every rank's
+// result with the sort-based oracle fed sent[q], the arcs rank q emits.
+func againstOracle(p int, n int64, part *partition.Partition, sent [][]oracleArc, build func(c *mpi.Comm) (*DistGraph, error)) error {
+	if part == nil {
+		part = partition.ByVertexCount(n, p)
+	}
+	var total float64
+	want := make([]*oracleGraph, p)
+	for r := range want {
+		want[r] = oracleAssemble(part, r, sent)
+		total += want[r].LocalW
+	}
+	var mu sync.Mutex
+	m2 := make([]float64, p)
+	err := mpi.Run(p, func(c *mpi.Comm) error {
+		dg, err := build(c)
+		if err != nil {
+			return err
+		}
+		if err := dg.Validate(); err != nil {
+			return err
+		}
+		if dg.GlobalN != n {
+			return fmt.Errorf("GlobalN = %d, want %d", dg.GlobalN, n)
+		}
+		mu.Lock()
+		m2[c.Rank()] = dg.M2
+		mu.Unlock()
+		return want[c.Rank()].diff(dg)
+	})
+	if err != nil {
+		return err
+	}
+	for r := range m2 {
+		if math.Float64bits(m2[r]) != math.Float64bits(m2[0]) {
+			return fmt.Errorf("M2 differs across ranks: %v", m2)
+		}
+	}
+	if math.Abs(m2[0]-total) > 1e-9*math.Max(1, total) {
+		return fmt.Errorf("M2 = %g, oracle %g", m2[0], total)
+	}
+	return nil
+}
+
+func buildAgainstOracle(n int64, chunks [][]graph.RawEdge, part *partition.Partition) error {
+	sent := make([][]oracleArc, len(chunks))
+	for q, chunk := range chunks {
+		sent[q] = expandChunk(chunk)
+	}
+	return againstOracle(len(chunks), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
+		return Build(c, n, chunks[c.Rank()], part)
+	})
+}
+
+func arcsAgainstOracle(n int64, perRank [][]Arc, part *partition.Partition) error {
+	sent := make([][]oracleArc, len(perRank))
+	for q, arcs := range perRank {
+		for _, a := range arcs {
+			sent[q] = append(sent[q], oracleArc{a.From, a.To, a.W})
+		}
+	}
+	return againstOracle(len(perRank), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
+		return BuildFromArcs(c, n, part, perRank[c.Rank()])
+	})
+}
+
+// scatterings deals an edge list to p ranks in several ways: contiguous
+// file segments, round robin, a seeded shuffle cut at random points (ranks
+// may come up empty), and everything on the last rank.
+func scatterings(edges []graph.RawEdge, p int, seed int64) map[string][][]graph.RawEdge {
+	out := map[string][][]graph.RawEdge{}
+	seg := make([][]graph.RawEdge, p)
+	rr := make([][]graph.RawEdge, p)
+	last := make([][]graph.RawEdge, p)
+	for r := 0; r < p; r++ {
+		seg[r] = chunkEdges(edges, r, p)
+	}
+	for i, e := range edges {
+		rr[i%p] = append(rr[i%p], e)
+	}
+	last[p-1] = edges
+	rng := rand.New(rand.NewSource(seed))
+	shuffled := append([]graph.RawEdge(nil), edges...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	cuts := make([]int, p+1)
+	for r := 1; r < p; r++ {
+		cuts[r] = rng.Intn(len(shuffled) + 1)
+	}
+	cuts[p] = len(shuffled)
+	for r := 1; r <= p; r++ {
+		if cuts[r] < cuts[r-1] {
+			cuts[r] = cuts[r-1]
+		}
+	}
+	cut := make([][]graph.RawEdge, p)
+	for r := 0; r < p; r++ {
+		cut[r] = shuffled[cuts[r]:cuts[r+1]]
+	}
+	out["segments"], out["round-robin"], out["shuffled-cuts"], out["last-rank"] = seg, rr, cut, last
+	return out
+}
+
+// floatWeights replaces the weights with values whose sums depend on the
+// order of addition.
+func floatWeights(edges []graph.RawEdge) []graph.RawEdge {
+	out := make([]graph.RawEdge, len(edges))
+	for i, e := range edges {
+		e.W = 0.1 + 0.37*float64(i%13) + 1e-7*float64(i)
+		out[i] = e
+	}
+	return out
+}
+
+type graphCase struct {
+	name  string
+	n     int64
+	edges []graph.RawEdge
+}
+
+func differentialGraphs(t testing.TB) []graphCase {
+	var cases []graphCase
+	n, edges := gen.ErdosRenyi(60, 240, 17)
+	cases = append(cases, graphCase{"erdos-renyi", n, edges})
+	n, edges, err := gen.RMAT(7, 8, .57, .19, .19, .05, 3) // parallel edges, self loops, untouched vertices
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, graphCase{"rmat", n, edges})
+	cases = append(cases, graphCase{"rmat-float", n, floatWeights(edges)})
+	n, edges = gen.BandedMesh(50, 3)
+	cases = append(cases, graphCase{"band", n, edges})
+	n, edges, _ = gen.PlantedPartition(4, 12, 0.5, 0.05, 19)
+	cases = append(cases, graphCase{"planted-float", n, floatWeights(edges)})
+	// Hand-made: the edge 0–1 three times and 7–0 twice (different chunks
+	// and ranks under every scattering), self loops alone and repeated,
+	// vertices 5 and 6 of degree zero, a self loop on the last vertex.
+	cases = append(cases, graphCase{"hand-made", 9, []graph.RawEdge{
+		{U: 0, V: 1, W: 1}, {U: 2, V: 2, W: 4}, {U: 7, V: 0, W: 2}, {U: 1, V: 0, W: 8},
+		{U: 3, V: 4, W: 1}, {U: 2, V: 2, W: 16}, {U: 0, V: 7, W: 32}, {U: 8, V: 8, W: 64},
+		{U: 0, V: 1, W: 128}, {U: 4, V: 8, W: 256}, {U: 3, V: 1, W: 512},
+	}})
+	cases = append(cases, graphCase{"two-vertices", 2, []graph.RawEdge{{U: 0, V: 1, W: 1}, {U: 1, V: 1, W: 2}}})
+	cases = append(cases, graphCase{"no-edges", 5, nil})
+	return cases
+}
+
+// TestBuildMatchesSortOracle is the differential suite: the counting-sort
+// assembly must reproduce the sort-based oracle field by field — weights bit
+// for bit — for every graph, rank count, scattering of the chunks and
+// partition (even split, edge-balanced, and one with an empty middle rank).
+func TestBuildMatchesSortOracle(t *testing.T) {
+	for _, gc := range differentialGraphs(t) {
+		degrees := make([]int64, gc.n)
+		for _, e := range gc.edges {
+			degrees[e.U]++
+			degrees[e.V]++
+		}
+		for p := 1; p <= 4; p++ {
+			parts := map[string]*partition.Partition{"even": nil, "edge-balanced": partition.ByEdgeCount(degrees, p)}
+			if p == 3 {
+				parts["empty-middle"] = &partition.Partition{Bounds: []int64{0, gc.n / 2, gc.n / 2, gc.n}}
+			}
+			for pname, part := range parts {
+				for sname, chunks := range scatterings(gc.edges, p, int64(p)) {
+					if err := buildAgainstOracle(gc.n, chunks, part); err != nil {
+						t.Fatalf("%s p=%d partition=%s chunks=%s: %v", gc.name, p, pname, sname, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildFromArcsMatchesSortOracle feeds BuildFromArcs directed arcs in
+// shuffled order, dealt to ranks with no regard for ownership.
+func TestBuildFromArcsMatchesSortOracle(t *testing.T) {
+	for _, gc := range differentialGraphs(t) {
+		for p := 1; p <= 4; p++ {
+			rng := rand.New(rand.NewSource(int64(7 * p)))
+			all := expandChunk(gc.edges)
+			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			perRank := make([][]Arc, p)
+			for _, a := range all {
+				r := rng.Intn(p)
+				perRank[r] = append(perRank[r], Arc{From: a.from, To: a.to, W: a.w})
+			}
+			if err := arcsAgainstOracle(gc.n, perRank, nil); err != nil {
+				t.Fatalf("%s p=%d: %v", gc.name, p, err)
+			}
+		}
+	}
+}
+
+// TestParallelArcSummationOrder pins the documented order in which parallel
+// arcs are summed — sender rank ascending, then send order — against literal
+// float expressions, not just against the oracle: 0.1, 0.2 and 0.3 sum to
+// different bits left to right and right to left.
+func TestParallelArcSummationOrder(t *testing.T) {
+	a, b, c := 0.1, 0.2, 0.3
+	if (a+b)+c == (c+b)+a {
+		t.Fatal("the chosen weights do not distinguish summation orders")
+	}
+	edge := func(w float64) []graph.RawEdge { return []graph.RawEdge{{U: 0, V: 3, W: w}} }
+	cases := []struct {
+		name   string
+		chunks [][]graph.RawEdge
+		want   float64
+	}{
+		{"across ranks, ascending", [][]graph.RawEdge{edge(a), edge(b), edge(c)}, (a + b) + c},
+		{"across ranks, descending", [][]graph.RawEdge{edge(c), edge(b), edge(a)}, (c + b) + a},
+		{"within a chunk", [][]graph.RawEdge{nil, {{U: 0, V: 3, W: c}, {U: 3, V: 0, W: b}, {U: 0, V: 3, W: a}}, nil}, (c + b) + a},
+		{"chunk then later rank", [][]graph.RawEdge{nil, {{U: 0, V: 3, W: b}, {U: 0, V: 3, W: c}}, edge(a)}, (b + c) + a},
+	}
+	for _, tc := range cases {
+		err := mpi.Run(3, func(c *mpi.Comm) error {
+			dg, err := Build(c, 4, tc.chunks[c.Rank()], nil)
+			if err != nil {
+				return err
+			}
+			for lv := int64(0); lv < dg.LocalN; lv++ {
+				for _, e := range dg.Neighbors(lv) {
+					if math.Float64bits(e.W) != math.Float64bits(tc.want) {
+						return fmt.Errorf("arc (%d,%d) weighs %b, want %b", dg.Global(lv), e.To, e.W, tc.want)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := buildAgainstOracle(4, tc.chunks, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestSortRowIsStable holds the hand-written row sort to the standard
+// library's stable sort over row lengths on both sides of every run and
+// merge-width boundary, with few distinct targets so ties are everywhere
+// and the weights record arrival order.
+func TestSortRowIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	scratch := make([]graph.Edge, 1000)
+	for _, n := range []int{0, 1, 2, 23, 24, 25, 47, 48, 49, 96, 97, 200, 1000} {
+		for _, targets := range []int64{1, 3, 40, 1 << 40} {
+			row := make([]graph.Edge, n)
+			for i := range row {
+				row[i] = graph.Edge{To: rng.Int63n(targets), W: float64(i)}
+			}
+			want := slices.Clone(row)
+			slices.SortStableFunc(want, func(a, b graph.Edge) int { return cmp.Compare(a.To, b.To) })
+			sortRow(row, scratch)
+			if !slices.Equal(row, want) {
+				t.Fatalf("n=%d targets=%d: got %v, want %v", n, targets, row, want)
+			}
+			sortRow(row, nil) // already ascending: must not touch the scratch
+		}
+	}
+}
+
+// wire encodes arcs the way a sender would.
+func wire(arcs ...oracleArc) []byte {
+	buf := make([]byte, arcBytes*len(arcs))
+	for i, a := range arcs {
+		putArc(buf[arcBytes*i:], a.from, a.to, a.w)
+	}
+	return buf
+}
+
+// TestAssembleRejectsMalformedBuffers: a buffer that is not a whole number
+// of arcs, an arc whose source the rank does not own and a target outside
+// the vertex space all fail with ErrMalformedArcs — also when the bad arc is
+// the last one of the last buffer, after thousands of good ones, because
+// validation is a pass of its own ahead of the scatter.
+func TestAssembleRejectsMalformedBuffers(t *testing.T) {
+	good := make([]oracleArc, 3000)
+	for i := range good {
+		good[i] = oracleArc{int64(i % 4), int64((i + 1) % 4), 1}
+	}
+	cases := map[string][][]byte{
+		"truncated":           {wire(good...)[:arcBytes*len(good)-1]},
+		"one stray byte":      {{7}},
+		"unowned source":      {wire(good...), wire(oracleArc{4, 0, 1})},
+		"negative source":     {wire(oracleArc{-1, 0, 1})},
+		"target out of range": {wire(good...), wire(append(good[:10:10], oracleArc{0, 8, 1})...)},
+		"negative target":     {wire(oracleArc{0, -3, 1})},
+	}
+	for name, recv := range cases {
+		// Rank 0 of 2 owns [0,4) of 8 vertices; only it assembles, so the
+		// failure must come before the closing allreduce.
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			if c.Rank() != 0 {
+				return nil
+			}
+			for len(recv) < 2 {
+				recv = append(recv, nil)
+			}
+			_, err := assemble(c, 8, partition.ByVertexCount(8, 2), recv)
+			if !errors.Is(err, ErrMalformedArcs) {
+				return fmt.Errorf("got %v, want ErrMalformedArcs", err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestValidateCatchesBrokenInvariants corrupts a valid graph one invariant
+// at a time.
+func TestValidateCatchesBrokenInvariants(t *testing.T) {
+	edges := []graph.RawEdge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 2}, {U: 0, V: 3, W: 3}, {U: 1, V: 1, W: 5}, {U: 1, V: 2, W: 1}}
+	breaks := map[string]func(dg *DistGraph){
+		"row out of order":      func(dg *DistGraph) { dg.Edges[0], dg.Edges[1] = dg.Edges[1], dg.Edges[0] },
+		"duplicate target":      func(dg *DistGraph) { dg.Edges[1].To = dg.Edges[0].To },
+		"degree cache":          func(dg *DistGraph) { dg.K[0] += 1 },
+		"self-loop cache":       func(dg *DistGraph) { dg.SelfLoop[1] = 4 },
+		"phantom self loop":     func(dg *DistGraph) { dg.SelfLoop[0] = 1 },
+		"ghost index slot":      func(dg *DistGraph) { dg.GhostIndex[2], dg.GhostIndex[3] = dg.GhostIndex[3], dg.GhostIndex[2] },
+		"ghost index extra key": func(dg *DistGraph) { dg.GhostIndex[1] = 0 },
+		"missing ghost slot": func(dg *DistGraph) {
+			delete(dg.GhostIndex, 3)
+			dg.Ghosts, dg.GhostOwner = dg.Ghosts[:1], dg.GhostOwner[:1]
+		},
+		"ghost owner":    func(dg *DistGraph) { dg.GhostOwner[0] = 0 },
+		"index overruns": func(dg *DistGraph) { dg.Index[dg.LocalN]++ },
+		"short K":        func(dg *DistGraph) { dg.K = dg.K[:1] },
+	}
+	for name, breakIt := range breaks {
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			dg, err := Build(c, 4, chunkEdges(edges, c.Rank(), 2), nil)
+			if err != nil {
+				return err
+			}
+			if err := dg.Validate(); err != nil {
+				return err
+			}
+			if c.Rank() != 0 { // rank 0 owns {0,1}, ghosts {2,3}
+				return nil
+			}
+			breakIt(dg)
+			if dg.Validate() == nil {
+				return fmt.Errorf("Validate accepted the corrupted graph")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// FuzzBuildFromArcs decodes the input into a rank count, a vertex count and
+// a list of (rank, from, to, weight) arcs, and holds BuildFromArcs to the
+// oracle. Weights are quarter-integers up to 63.75 with varied magnitudes so
+// that merge order shows in the bits.
+func FuzzBuildFromArcs(f *testing.F) {
+	f.Add([]byte{2, 4, 0, 0, 1, 5, 1, 1, 0, 5, 0, 0, 1, 9, 1, 3, 3, 2})
+	f.Add([]byte{3, 1, 2, 0, 0, 255})
+	f.Add([]byte{0, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		p := int(data[0])%4 + 1
+		n := int64(data[1])%16 + 1
+		perRank := make([][]Arc, p)
+		for rest := data[2:]; len(rest) >= 4 && len(rest) <= 4*512; rest = rest[4:] {
+			r := int(rest[0]) % p
+			w := float64(rest[3]) / 4 * math.Pow(10, float64(rest[0]%5)-2)
+			perRank[r] = append(perRank[r], Arc{From: int64(rest[1]) % n, To: int64(rest[2]) % n, W: w})
+		}
+		if err := arcsAgainstOracle(n, perRank, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// rmat14 is the benchmark input: R-MAT scale 14, edge factor 8.
+func rmat14(tb testing.TB) (int64, []graph.RawEdge) {
+	n, edges, err := gen.RMAT(14, 8, .57, .19, .19, .05, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n, edges
+}
+
+func BenchmarkBuild(b *testing.B) {
+	n, edges := rmat14(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			_, err := Build(c, n, chunkEdges(edges, c.Rank(), 2), nil)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBuildFromArcs(b *testing.B) {
+	n, edges := rmat14(b)
+	perRank := make([][]Arc, 2)
+	for r := range perRank {
+		for _, a := range expandChunk(chunkEdges(edges, r, 2)) {
+			perRank[r] = append(perRank[r], Arc{From: a.from, To: a.to, W: a.w})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			_, err := BuildFromArcs(c, n, nil, perRank[c.Rank()])
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestBuildAllocationsIndependentOfEdgeCount is the allocation ceiling: one
+// Build allocates a fixed number of objects per rank pair — buffers, CSR
+// arrays, ghost tables, transport messages — however many arcs flow through
+// it. Both inputs span the same vertex set (so the ghost map, whose bucket
+// count follows the ghost count, is the same size); the second has eight
+// times the edges.
+func TestBuildAllocationsIndependentOfEdgeCount(t *testing.T) {
+	const p = 3
+	allocs := func(m int64) float64 {
+		n, edges := gen.ErdosRenyi(2000, m, 5)
+		return testing.AllocsPerRun(5, func() {
+			err := mpi.Run(p, func(c *mpi.Comm) error {
+				_, err := Build(c, n, chunkEdges(edges, c.Rank(), p), nil)
+				return err
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	small, large := allocs(20000), allocs(160000)
+	t.Logf("allocations per %d-rank Build: %.0f at m=20000, %.0f at m=160000", p, small, large)
+	if large > small+8 {
+		t.Fatalf("allocations grow with the edge count: %.0f at m=20000, %.0f at m=160000", small, large)
+	}
+	if small > 100*p*p {
+		t.Fatalf("%.0f allocations per Build is not O(p) for p=%d", small, p)
+	}
+}

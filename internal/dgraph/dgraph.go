@@ -9,11 +9,18 @@
 // happens to hold — and shuffles every directed arc to the rank owning its
 // source vertex via one personalized all-to-all exchange, exactly like the
 // input-loading step of the paper's implementation.
+//
+// Build and BuildFromArcs share one counting-sort pipeline — shuffle on the
+// sending side, assemble on the receiving one; DESIGN "graph construction
+// memory layout" has the contract. Allocations are O(p), whatever the arc count.
 package dgraph
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
@@ -36,7 +43,8 @@ type DistGraph struct {
 	LocalN int64
 
 	// Index/Edges form the local CSR: neighbours of local vertex lv are
-	// Edges[Index[lv]:Index[lv+1]], with global target IDs.
+	// Edges[Index[lv]:Index[lv+1]], with global target IDs. Every row is
+	// strictly ascending by target (sorted, parallel arcs merged).
 	Index []int64
 	Edges []graph.Edge
 
@@ -62,38 +70,27 @@ type Arc struct {
 	W        float64
 }
 
-// arc is the wire representation of one directed edge (24 bytes).
-type arc struct {
-	from, to int64
-	w        float64
+// arcBytes is the wire size of one directed edge: source, target and weight,
+// 8 little-endian bytes each.
+const arcBytes = 24
+
+// ErrMalformedArcs marks an arc buffer the assembly refuses: a length that is
+// not a whole number of arcs, a source the receiving rank does not own, or a
+// target outside the vertex space.
+var ErrMalformedArcs = errors.New("dgraph: malformed arc buffer")
+
+func putArc(b []byte, from, to int64, w float64) {
+	_ = b[arcBytes-1]
+	binary.LittleEndian.PutUint64(b, uint64(from))
+	binary.LittleEndian.PutUint64(b[8:], uint64(to))
+	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(w))
 }
 
-func encodeArcs(arcs []arc) []byte {
-	buf := make([]byte, 0, 24*len(arcs))
-	for _, a := range arcs {
-		buf = mpi.AppendInt64(buf, a.from)
-		buf = mpi.AppendInt64(buf, a.to)
-		buf = mpi.AppendFloat64(buf, a.w)
-	}
-	return buf
-}
-
-func decodeArcs(buf []byte) ([]arc, error) {
-	if len(buf)%24 != 0 {
-		return nil, fmt.Errorf("dgraph: arc buffer length %d not a multiple of 24", len(buf))
-	}
-	d := mpi.NewDecoder(buf)
-	out := make([]arc, len(buf)/24)
-	for i := range out {
-		f, _ := d.Int64()
-		t, _ := d.Int64()
-		w, err := d.Float64()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = arc{f, t, w}
-	}
-	return out, nil
+func getArc(b []byte) (from, to int64, w float64) {
+	_ = b[arcBytes-1]
+	return int64(binary.LittleEndian.Uint64(b)),
+		int64(binary.LittleEndian.Uint64(b[8:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
 }
 
 // EdgeBalancedPartition computes the paper's input decomposition: vertices
@@ -120,174 +117,278 @@ func EdgeBalancedPartition(c *mpi.Comm, n int64, localChunk []graph.RawEdge) (*p
 	return partition.ByEdgeCount(global, c.Size()), nil
 }
 
+// shuffle is the sending half of the construction pipeline. The caller walks
+// its input twice: count sizes one wire buffer per owner exactly, put then
+// encodes each arc at its owner's write cursor — no intermediate arc slices,
+// no append growth.
+type shuffle struct {
+	c    *mpi.Comm
+	n    int64
+	part *partition.Partition
+	send [][]byte // send[q]: the arcs rank q owns, in put order
+	fill []int    // arcs counted per owner, then bytes written per owner
+}
+
+// newShuffle checks the partition against the world (nil selects the even
+// vertex split).
+func newShuffle(c *mpi.Comm, n int64, part *partition.Partition) (*shuffle, error) {
+	p := c.Size()
+	if part == nil {
+		part = partition.ByVertexCount(n, p)
+	}
+	if part.N() != n || part.Size() != p {
+		return nil, fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
+			part.N(), part.Size(), n, p)
+	}
+	return &shuffle{c: c, n: n, part: part, send: make([][]byte, p), fill: make([]int, p)}, nil
+}
+
+func (s *shuffle) inRange(v int64) bool { return v >= 0 && v < s.n }
+
+func (s *shuffle) count(from int64) { s.fill[s.part.Owner(from)]++ }
+
+func (s *shuffle) alloc() {
+	for q, k := range s.fill {
+		s.send[q] = make([]byte, arcBytes*k)
+		s.fill[q] = 0
+	}
+}
+
+func (s *shuffle) put(from, to int64, w float64) {
+	q := s.part.Owner(from)
+	putArc(s.send[q][s.fill[q]:], from, to, w)
+	s.fill[q] += arcBytes
+}
+
+// exchange ships every buffer to its owner and assembles what arrives. The
+// self-owned share never enters the transport: it is handed to the assembly
+// as encoded, in this rank's slot of the receive order.
+func (s *shuffle) exchange() (*DistGraph, error) {
+	rank := s.c.Rank()
+	self := s.send[rank]
+	s.send[rank] = nil
+	recv, err := s.c.Alltoall(s.send)
+	if err != nil {
+		return nil, err
+	}
+	recv[rank] = self
+	return assemble(s.c, s.n, s.part, recv)
+}
+
 // Build assembles the distributed graph. Every rank passes the same global
 // vertex count n and its own arbitrary chunk of the undirected edge list
 // (chunks together must cover the whole input exactly once). The vertex
 // space is split with the given partition; passing nil selects the even
-// vertex split.
+// vertex split. Parallel edges — within a chunk or across chunks and ranks —
+// merge by weight, summed in (sender rank, chunk order).
 func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Partition) (*DistGraph, error) {
-	p := c.Size()
-	if part == nil {
-		part = partition.ByVertexCount(n, p)
-	}
-	if part.N() != n || part.Size() != p {
-		return nil, fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
-			part.N(), part.Size(), n, p)
-	}
-
-	// Expand the undirected chunk into directed arcs bucketed by the
-	// owner of the source vertex.
-	buckets := make([][]arc, p)
-	addArc := func(from, to int64, w float64) error {
-		if from < 0 || from >= n || to < 0 || to >= n {
-			return fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", from, to, n)
-		}
-		o := part.Owner(from)
-		buckets[o] = append(buckets[o], arc{from, to, w})
-		return nil
-	}
-	for _, e := range localChunk {
-		if err := addArc(e.U, e.V, e.W); err != nil {
-			return nil, err
-		}
-		if e.U != e.V {
-			if err := addArc(e.V, e.U, e.W); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	send := make([][]byte, p)
-	for q := 0; q < p; q++ {
-		send[q] = encodeArcs(buckets[q])
-	}
-	recv, err := c.Alltoall(send)
+	s, err := newShuffle(c, n, part)
 	if err != nil {
 		return nil, err
 	}
-	var mine []arc
-	for _, buf := range recv {
-		arcs, err := decodeArcs(buf)
-		if err != nil {
-			return nil, err
+	// Each undirected edge expands into its two directed arcs, routed to the
+	// owner of the source vertex; a self loop is a single arc.
+	for _, e := range localChunk {
+		if !s.inRange(e.U) || !s.inRange(e.V) {
+			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
-		mine = append(mine, arcs...)
+		s.count(e.U)
+		if e.U != e.V {
+			s.count(e.V)
+		}
 	}
-	return fromLocalArcs(c, n, part, mine)
+	s.alloc()
+	for _, e := range localChunk {
+		s.put(e.U, e.V, e.W)
+		if e.U != e.V {
+			s.put(e.V, e.U, e.W)
+		}
+	}
+	return s.exchange()
 }
 
 // BuildFromArcs assembles a distributed graph from directed arcs scattered
-// arbitrarily across ranks: every arc is routed to the owner of its source
-// vertex, parallel arcs are merged by weight, and the usual CSR + ghost
-// tables are built. The arc set must already be symmetric (for every a→b
-// some rank must hold b→a of equal total weight) — which the Louvain
-// coarsening guarantees by construction.
+// arbitrarily across ranks and in any order: every arc is routed to the
+// owner of its source vertex, parallel arcs are merged by weight (summed in
+// sender rank, then slice order), and the usual CSR + ghost tables are built.
+// The arc set must already be symmetric (for every a→b some rank must hold
+// b→a of equal total weight) — which the Louvain coarsening guarantees by
+// construction.
 func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) (*DistGraph, error) {
-	p := c.Size()
-	if part == nil {
-		part = partition.ByVertexCount(n, p)
-	}
-	if part.N() != n || part.Size() != p {
-		return nil, fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
-			part.N(), part.Size(), n, p)
-	}
-	buckets := make([][]arc, p)
-	for _, a := range arcs {
-		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
-			return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
-		}
-		o := part.Owner(a.From)
-		buckets[o] = append(buckets[o], arc{a.From, a.To, a.W})
-	}
-	send := make([][]byte, p)
-	for q := 0; q < p; q++ {
-		send[q] = encodeArcs(buckets[q])
-	}
-	recv, err := c.Alltoall(send)
+	s, err := newShuffle(c, n, part)
 	if err != nil {
 		return nil, err
 	}
-	var mine []arc
-	for _, buf := range recv {
-		got, err := decodeArcs(buf)
-		if err != nil {
-			return nil, err
+	for _, a := range arcs {
+		if !s.inRange(a.From) || !s.inRange(a.To) {
+			return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
 		}
-		mine = append(mine, got...)
+		s.count(a.From)
 	}
-	return fromLocalArcs(c, n, part, mine)
+	s.alloc()
+	for _, a := range arcs {
+		s.put(a.From, a.To, a.W)
+	}
+	return s.exchange()
 }
 
-// fromLocalArcs finishes construction once every arc whose source this rank
-// owns has arrived.
-func fromLocalArcs(c *mpi.Comm, n int64, part *partition.Partition, mine []arc) (*DistGraph, error) {
+// assemble is the receiving half of the pipeline: recv[q] holds the arcs rank
+// q routed here, in the order q encoded them. Pass 1 validates every buffer
+// and histograms the sources — nothing is written to the CSR until all of
+// them are known good; a prefix sum turns the histogram into Index; pass 2
+// scatters each arc into its row in (sender rank, send order). Rows are then
+// sorted by target (stably, and only when not already ascending), parallel
+// arcs are summed left to right — i.e. in that arrival order — and the CSR is
+// compacted in place.
+func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*DistGraph, error) {
 	rank := c.Rank()
 	base, hi := part.Range(rank)
 	localN := hi - base
-
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].from != mine[j].from {
-			return mine[i].from < mine[j].from
-		}
-		return mine[i].to < mine[j].to
-	})
-
 	dg := &DistGraph{
 		Comm: c, Part: part, GlobalN: n,
 		Base: base, LocalN: localN,
-		Index:      make([]int64, localN+1),
-		K:          make([]float64, localN),
-		SelfLoop:   make([]float64, localN),
-		GhostIndex: make(map[int64]int32),
+		Index:    make([]int64, localN+1),
+		K:        make([]float64, localN),
+		SelfLoop: make([]float64, localN),
 	}
 
-	// Merge parallel arcs and fill the CSR.
-	for i := 0; i < len(mine); {
-		j := i + 1
-		w := mine[i].w
-		for j < len(mine) && mine[j].from == mine[i].from && mine[j].to == mine[i].to {
-			w += mine[j].w
-			j++
+	remote := 0 // arcs to non-owned targets, before merging: bounds the ghost candidates
+	for q, buf := range recv {
+		if len(buf)%arcBytes != 0 {
+			return nil, fmt.Errorf("%w: %d bytes from rank %d is not a multiple of %d", ErrMalformedArcs, len(buf), q, arcBytes)
 		}
-		from, to := mine[i].from, mine[i].to
-		if !part.Owns(rank, from) {
-			return nil, fmt.Errorf("dgraph: rank %d received arc from unowned vertex %d", rank, from)
-		}
-		dg.Edges = append(dg.Edges, graph.Edge{To: to, W: w})
-		lv := from - base
-		dg.Index[lv+1]++
-		dg.K[lv] += w
-		if to == from {
-			dg.SelfLoop[lv] += w
-		}
-		if !part.Owns(rank, to) {
-			if _, seen := dg.GhostIndex[to]; !seen {
-				dg.GhostIndex[to] = -1 // slot assigned below
-				dg.Ghosts = append(dg.Ghosts, to)
+		for ; len(buf) > 0; buf = buf[arcBytes:] {
+			from, to, _ := getArc(buf)
+			if from < base || from >= hi {
+				return nil, fmt.Errorf("%w: rank %d received arc from unowned vertex %d (sender %d)", ErrMalformedArcs, rank, from, q)
+			}
+			if to < 0 || to >= n {
+				return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d targets outside [0,%d)", ErrMalformedArcs, from, to, q, n)
+			}
+			dg.Index[from-base+1]++
+			if to < base || to >= hi {
+				remote++
 			}
 		}
-		i = j
 	}
+	var longest int64 // row length before merging: sizes the sort scratch
 	for lv := int64(0); lv < localN; lv++ {
+		longest = max(longest, dg.Index[lv+1])
 		dg.Index[lv+1] += dg.Index[lv]
 	}
-	sort.Slice(dg.Ghosts, func(i, j int) bool { return dg.Ghosts[i] < dg.Ghosts[j] })
-	dg.GhostOwner = make([]int, len(dg.Ghosts))
-	for i, g := range dg.Ghosts {
-		dg.GhostIndex[g] = int32(i)
-		dg.GhostOwner[i] = part.Owner(g)
+	edges := make([]graph.Edge, dg.Index[localN])
+	end := make([]int64, localN) // write cursor per row; the row's end once scattered
+	copy(end, dg.Index)
+	for _, buf := range recv {
+		for ; len(buf) > 0; buf = buf[arcBytes:] {
+			from, to, w := getArc(buf)
+			lv := from - base
+			edges[end[lv]] = graph.Edge{To: to, W: w}
+			end[lv]++
+		}
 	}
 
+	// Sort, merge and compact row by row. The compacted row never starts
+	// past the scattered one, so writing through out cannot clobber arcs
+	// still to be read.
+	scratch := make([]graph.Edge, longest)
+	cand := make([]int64, 0, remote)
+	var out int64
 	var localW float64
-	for _, e := range dg.Edges {
-		localW += e.W
+	for lv := int64(0); lv < localN; lv++ {
+		row := edges[dg.Index[lv]:end[lv]]
+		sortRow(row, scratch)
+		dg.Index[lv] = out
+		for i := 0; i < len(row); {
+			to, w := row[i].To, row[i].W
+			for i++; i < len(row) && row[i].To == to; i++ {
+				w += row[i].W
+			}
+			edges[out] = graph.Edge{To: to, W: w}
+			out++
+			dg.K[lv] += w
+			localW += w
+			if to == base+lv {
+				dg.SelfLoop[lv] = w
+			} else if to < base || to >= hi {
+				cand = append(cand, to)
+			}
+		}
 	}
+	dg.Index[localN] = out
+	dg.Edges = edges[:out]
+	if out < int64(len(edges))/2 {
+		// Mostly parallel arcs: do not pin the scatter array for the graph's
+		// lifetime.
+		dg.Edges = slices.Clone(dg.Edges)
+	}
+
+	slices.Sort(cand)
+	dg.Ghosts = slices.Clone(slices.Compact(cand))
+	dg.GhostOwner = make([]int, len(dg.Ghosts))
+	dg.GhostIndex = make(map[int64]int32, len(dg.Ghosts))
+	for i, g := range dg.Ghosts {
+		dg.GhostOwner[i] = part.Owner(g)
+		dg.GhostIndex[g] = int32(i)
+	}
+
 	m2, err := c.AllreduceFloat64(localW, mpi.OpSum)
 	if err != nil {
 		return nil, err
 	}
 	dg.M2 = m2
 	return dg, nil
+}
+
+// sortRow sorts one scattered row by target, keeping arcs of equal target in
+// arrival order: a bottom-up merge sort through scratch (at least as long as
+// the row) over insertion-sorted runs. It earns its lines end to end: with
+// the in-place, comparator-driven slices.SortStableFunc here instead, wall_s
+// on the rmat-coarsen benchmark is 22 % higher (1.06 s against 0.87 s, ten of
+// ten paired runs; CHANGES.md, PR 12). A row that arrived ascending — a
+// checkpoint replay, a sorted input file — is left alone.
+func sortRow(row, scratch []graph.Edge) {
+	sorted := true
+	for i := 1; i < len(row) && sorted; i++ {
+		sorted = row[i-1].To <= row[i].To
+	}
+	if sorted {
+		return
+	}
+	const run = 24
+	n := len(row)
+	for lo := 0; lo < n; lo += run {
+		part := row[lo:min(lo+run, n)]
+		for i := 1; i < len(part); i++ {
+			e, j := part[i], i
+			for ; j > 0 && part[j-1].To > e.To; j-- {
+				part[j] = part[j-1]
+			}
+			part[j] = e
+		}
+	}
+	src, dst := row, scratch[:n]
+	for w := run; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mid, hi := min(lo+w, n), min(lo+2*w, n)
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if src[j].To < src[i].To { // strict: ties drain from the left run first
+					dst[k] = src[j]
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &row[0] {
+		copy(row, src)
+	}
 }
 
 // Neighbors returns the adjacency slice of local vertex lv (global targets).
@@ -306,36 +407,66 @@ func (dg *DistGraph) IsLocal(g int64) bool {
 // LocalArcs returns the number of stored directed slots on this rank.
 func (dg *DistGraph) LocalArcs() int64 { return int64(len(dg.Edges)) }
 
-// Validate checks local structural invariants plus the cheap global ones.
+// Validate checks the local structural invariants the assembly promises:
+// a well-formed CSR whose rows are strictly ascending by target (sorted,
+// parallel arcs merged), degree and self-loop caches that match the rows bit
+// for bit, and a ghost table that is sorted, correctly owned, exactly
+// inverted by GhostIndex and covers every non-owned target.
 func (dg *DistGraph) Validate() error {
-	if int64(len(dg.Index)) != dg.LocalN+1 {
-		return fmt.Errorf("dgraph: index length %d, want %d", len(dg.Index), dg.LocalN+1)
+	if int64(len(dg.Index)) != dg.LocalN+1 || int64(len(dg.K)) != dg.LocalN || int64(len(dg.SelfLoop)) != dg.LocalN {
+		return fmt.Errorf("dgraph: index/K/SelfLoop lengths %d/%d/%d, want %d/%d/%d",
+			len(dg.Index), len(dg.K), len(dg.SelfLoop), dg.LocalN+1, dg.LocalN, dg.LocalN)
+	}
+	if dg.Index[0] != 0 || dg.Index[dg.LocalN] != int64(len(dg.Edges)) {
+		return fmt.Errorf("dgraph: index spans [%d,%d], want [0,%d]", dg.Index[0], dg.Index[dg.LocalN], len(dg.Edges))
 	}
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		if dg.Index[lv+1] < dg.Index[lv] {
 			return fmt.Errorf("dgraph: index not monotone at %d", lv)
 		}
 	}
-	if dg.Index[dg.LocalN] != int64(len(dg.Edges)) {
-		return fmt.Errorf("dgraph: index end %d, want %d", dg.Index[dg.LocalN], len(dg.Edges))
-	}
-	for i, e := range dg.Edges {
-		if e.To < 0 || e.To >= dg.GlobalN {
-			return fmt.Errorf("dgraph: slot %d targets out-of-range vertex %d", i, e.To)
-		}
-		if e.W < 0 {
-			return fmt.Errorf("dgraph: slot %d has negative weight", i)
-		}
+	if len(dg.GhostOwner) != len(dg.Ghosts) || len(dg.GhostIndex) != len(dg.Ghosts) {
+		return fmt.Errorf("dgraph: %d ghosts but %d owners and %d index entries", len(dg.Ghosts), len(dg.GhostOwner), len(dg.GhostIndex))
 	}
 	for i, g := range dg.Ghosts {
-		if dg.IsLocal(g) {
-			return fmt.Errorf("dgraph: ghost %d is locally owned", g)
+		if g < 0 || g >= dg.GlobalN || dg.IsLocal(g) {
+			return fmt.Errorf("dgraph: ghost %d is locally owned or out of range", g)
 		}
 		if i > 0 && dg.Ghosts[i-1] >= g {
 			return fmt.Errorf("dgraph: ghosts not sorted/unique at %d", i)
 		}
 		if dg.GhostOwner[i] != dg.Part.Owner(g) {
 			return fmt.Errorf("dgraph: ghost %d has wrong owner", g)
+		}
+		if slot, ok := dg.GhostIndex[g]; !ok || int(slot) != i {
+			return fmt.Errorf("dgraph: GhostIndex[%d] = %d (present %v), want %d", g, slot, ok, i)
+		}
+	}
+	for lv := int64(0); lv < dg.LocalN; lv++ {
+		var k, self float64
+		row := dg.Neighbors(lv)
+		for i, e := range row {
+			if e.To < 0 || e.To >= dg.GlobalN {
+				return fmt.Errorf("dgraph: vertex %d targets out-of-range vertex %d", dg.Global(lv), e.To)
+			}
+			if e.W < 0 {
+				return fmt.Errorf("dgraph: arc (%d,%d) has negative weight", dg.Global(lv), e.To)
+			}
+			if i > 0 && row[i-1].To >= e.To {
+				return fmt.Errorf("dgraph: row of vertex %d not strictly ascending at target %d", dg.Global(lv), e.To)
+			}
+			k += e.W
+			if e.To == dg.Global(lv) {
+				self = e.W
+			} else if !dg.IsLocal(e.To) {
+				if _, ok := dg.GhostIndex[e.To]; !ok {
+					return fmt.Errorf("dgraph: non-owned target %d of vertex %d has no ghost slot", e.To, dg.Global(lv))
+				}
+			}
+		}
+		if dg.K[lv] != k || dg.SelfLoop[lv] != self {
+			return fmt.Errorf("dgraph: vertex %d caches K=%g self=%g, row says K=%g self=%g",
+				dg.Global(lv), dg.K[lv], dg.SelfLoop[lv], k, self)
 		}
 	}
 	return nil
@@ -345,32 +476,35 @@ func (dg *DistGraph) Validate() error {
 // for verification; other ranks return nil. Intended for tests and small
 // graphs only.
 func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
-	var local []arc
+	local := make([]byte, arcBytes*len(dg.Edges))
+	off := 0
 	for lv := int64(0); lv < dg.LocalN; lv++ {
-		g := dg.Global(lv)
 		for _, e := range dg.Neighbors(lv) {
-			local = append(local, arc{g, e.To, e.W})
+			putArc(local[off:], dg.Global(lv), e.To, e.W)
+			off += arcBytes
 		}
 	}
-	blocks, err := dg.Comm.Gatherv(0, encodeArcs(local))
+	blocks, err := dg.Comm.Gatherv(0, local)
 	if err != nil {
 		return nil, err
 	}
 	if dg.Comm.Rank() != 0 {
 		return nil, nil
 	}
+	// Every vertex has one owner and its row is target-sorted, so each
+	// adjacency list arrives complete and in order.
 	adj := make([][]graph.Edge, dg.GlobalN)
-	for _, b := range blocks {
-		arcs, err := decodeArcs(b)
-		if err != nil {
-			return nil, err
+	for q, b := range blocks {
+		if len(b)%arcBytes != 0 {
+			return nil, fmt.Errorf("%w: %d bytes gathered from rank %d", ErrMalformedArcs, len(b), q)
 		}
-		for _, a := range arcs {
-			adj[a.from] = append(adj[a.from], graph.Edge{To: a.to, W: a.w})
+		for ; len(b) > 0; b = b[arcBytes:] {
+			from, to, w := getArc(b)
+			if from < 0 || from >= dg.GlobalN {
+				return nil, fmt.Errorf("%w: gathered arc from vertex %d outside [0,%d)", ErrMalformedArcs, from, dg.GlobalN)
+			}
+			adj[from] = append(adj[from], graph.Edge{To: to, W: w})
 		}
-	}
-	for _, list := range adj {
-		sort.Slice(list, func(i, j int) bool { return list[i].To < list[j].To })
 	}
 	return graph.FromAdjacency(adj), nil
 }

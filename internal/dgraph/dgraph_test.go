@@ -3,6 +3,7 @@ package dgraph
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -128,6 +129,21 @@ func TestBuildMergesParallelChunkEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBuildReleasesScatterArray: when merging shrinks the arc array to under
+// half, the graph must not keep the pre-merge array alive behind its Edges.
+func TestBuildReleasesScatterArray(t *testing.T) {
+	var edges []graph.RawEdge
+	for i := 0; i < 40; i++ { // a 4-ring, every edge ten times over
+		edges = append(edges, graph.RawEdge{U: int64(i % 4), V: int64((i + 1) % 4), W: 1})
+	}
+	buildDistributed(t, 2, 4, edges, func(dg *DistGraph) error {
+		if len(dg.Edges) != 4 || cap(dg.Edges) >= 2*len(dg.Edges) {
+			return fmt.Errorf("rank %d: %d edges in an array of %d", dg.Comm.Rank(), len(dg.Edges), cap(dg.Edges))
+		}
+		return nil
+	})
 }
 
 func TestBuildRejectsOutOfRange(t *testing.T) {
@@ -328,4 +344,153 @@ func TestEdgeBalancedPartitionRejectsBadEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ---- The sort-based assembly, kept as the differential oracle ----
+//
+// This is the construction path the package shipped before the counting-sort
+// pipeline: gather every arc a rank owns, sort the lot by (from, to), merge
+// equal keys, collect ghosts through a map. It is sequential and needs no
+// communicator — the test knows what every rank sends — which makes it an
+// independent statement of what Build and BuildFromArcs must produce. The
+// one deliberate difference from the shipped original is sort.SliceStable in
+// place of sort.Slice: arrival order is (sender rank, send order), so a
+// stable sort makes the float summation order of parallel arcs the documented
+// one instead of whatever pdqsort left behind.
+
+type oracleArc struct {
+	from, to int64
+	w        float64
+}
+
+// oracleGraph is the oracle's idea of one rank's DistGraph.
+type oracleGraph struct {
+	Base, LocalN int64
+	Index        []int64
+	Edges        []graph.Edge
+	K, SelfLoop  []float64
+	Ghosts       []int64
+	GhostOwner   []int
+	GhostIndex   map[int64]int32
+	LocalW       float64
+}
+
+// expandChunk lists the directed arcs Build sends for an undirected chunk,
+// in send order.
+func expandChunk(chunk []graph.RawEdge) []oracleArc {
+	var out []oracleArc
+	for _, e := range chunk {
+		out = append(out, oracleArc{e.U, e.V, e.W})
+		if e.U != e.V {
+			out = append(out, oracleArc{e.V, e.U, e.W})
+		}
+	}
+	return out
+}
+
+// oracleAssemble builds rank's share from sent[q], the arcs rank q emits in
+// order (to whichever owner).
+func oracleAssemble(part *partition.Partition, rank int, sent [][]oracleArc) *oracleGraph {
+	var mine []oracleArc
+	for _, arcs := range sent {
+		for _, a := range arcs {
+			if part.Owner(a.from) == rank {
+				mine = append(mine, a)
+			}
+		}
+	}
+	sort.SliceStable(mine, func(i, j int) bool {
+		if mine[i].from != mine[j].from {
+			return mine[i].from < mine[j].from
+		}
+		return mine[i].to < mine[j].to
+	})
+	base, hi := part.Range(rank)
+	og := &oracleGraph{
+		Base: base, LocalN: hi - base,
+		Index:      make([]int64, hi-base+1),
+		K:          make([]float64, hi-base),
+		SelfLoop:   make([]float64, hi-base),
+		GhostIndex: make(map[int64]int32),
+	}
+	for i := 0; i < len(mine); {
+		j := i + 1
+		w := mine[i].w
+		for j < len(mine) && mine[j].from == mine[i].from && mine[j].to == mine[i].to {
+			w += mine[j].w
+			j++
+		}
+		from, to := mine[i].from, mine[i].to
+		og.Edges = append(og.Edges, graph.Edge{To: to, W: w})
+		lv := from - base
+		og.Index[lv+1]++
+		og.K[lv] += w
+		if to == from {
+			og.SelfLoop[lv] += w
+		}
+		if !part.Owns(rank, to) {
+			if _, seen := og.GhostIndex[to]; !seen {
+				og.GhostIndex[to] = -1
+				og.Ghosts = append(og.Ghosts, to)
+			}
+		}
+		i = j
+	}
+	for lv := int64(0); lv < og.LocalN; lv++ {
+		og.Index[lv+1] += og.Index[lv]
+	}
+	sort.Slice(og.Ghosts, func(i, j int) bool { return og.Ghosts[i] < og.Ghosts[j] })
+	og.GhostOwner = make([]int, len(og.Ghosts))
+	for i, g := range og.Ghosts {
+		og.GhostIndex[g] = int32(i)
+		og.GhostOwner[i] = part.Owner(g)
+	}
+	for _, e := range og.Edges {
+		og.LocalW += e.W
+	}
+	return og
+}
+
+// diff compares a built DistGraph with the oracle field by field, weights
+// bit for bit, and names the first entry that differs.
+func (og *oracleGraph) diff(dg *DistGraph) error {
+	if dg.Base != og.Base || dg.LocalN != og.LocalN {
+		return fmt.Errorf("range [%d,+%d), oracle [%d,+%d)", dg.Base, dg.LocalN, og.Base, og.LocalN)
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameEdge := func(a, b graph.Edge) bool { return a.To == b.To && sameBits(a.W, b.W) }
+	sameInt := func(a, b int64) bool { return a == b }
+	for _, err := range []error{
+		firstDiff("Index", dg.Index, og.Index, sameInt),
+		firstDiff("Edges", dg.Edges, og.Edges, sameEdge),
+		firstDiff("K", dg.K, og.K, sameBits),
+		firstDiff("SelfLoop", dg.SelfLoop, og.SelfLoop, sameBits),
+		firstDiff("Ghosts", dg.Ghosts, og.Ghosts, sameInt),
+		firstDiff("GhostOwner", dg.GhostOwner, og.GhostOwner, func(a, b int) bool { return a == b }),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if len(dg.GhostIndex) != len(og.GhostIndex) {
+		return fmt.Errorf("GhostIndex has %d entries, oracle %d", len(dg.GhostIndex), len(og.GhostIndex))
+	}
+	for g, slot := range og.GhostIndex {
+		if got, ok := dg.GhostIndex[g]; !ok || got != slot {
+			return fmt.Errorf("GhostIndex[%d] = %d (present %v), oracle %d", g, got, ok, slot)
+		}
+	}
+	return nil
+}
+
+func firstDiff[T any](field string, got, want []T, same func(a, b T) bool) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s has %d entries, oracle %d", field, len(got), len(want))
+	}
+	for i := range got {
+		if !same(got[i], want[i]) {
+			return fmt.Errorf("%s[%d] = %v, oracle %v", field, i, got[i], want[i])
+		}
+	}
+	return nil
 }

@@ -174,17 +174,24 @@ func TestFaultPartitionDeadline(t *testing.T) {
 		return c.Barrier()
 	}, WithCollectiveTimeout(300*time.Millisecond))
 	elapsed := time.Since(start)
-	failures := 0
-	for _, err := range errs {
-		if err != nil {
-			if !errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatalf("expected deadline error, got %v", err)
-			}
-			failures++
+	// The first rank whose collective deadline fires returns and tears its
+	// endpoint down; a rank still waiting then legitimately sees that peer
+	// vanish instead of its own deadline. So: at least one deadline error,
+	// and nothing but deadline or peer-lost errors.
+	deadlines := 0
+	for r, err := range errs {
+		var lost *ErrPeerLost
+		switch {
+		case err == nil:
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			deadlines++
+		case errors.As(err, &lost):
+		default:
+			t.Fatalf("rank %d: expected deadline or peer-lost error, got %v", r, err)
 		}
 	}
-	if failures == 0 {
-		t.Fatal("partitioned barrier succeeded")
+	if deadlines == 0 {
+		t.Fatalf("no rank hit the collective deadline: %v", errs)
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("partition took %v to surface", elapsed)
