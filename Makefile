@@ -111,9 +111,9 @@ bench-quick:
 	bash benchmark/run.sh -quick
 
 # Short fuzz passes over the input parsers, the checkpoint decoder, the
-# flat kernel tables (vs a map oracle), the wire-v2 varint codec, the
-# frontier active-set (vs a map+sort oracle) and the counting-sort graph
-# assembly (vs the sort-based oracle).
+# flat kernel tables (vs a map oracle), the varint codec, the ghost refresh
+# frame decoder, the frontier active-set (vs a map+sort oracle) and the
+# counting-sort graph assembly (vs the sort-based oracle).
 fuzz:
 	$(GO) test ./internal/gio -fuzz FuzzReadEdgeListText -fuzztime 30s
 	$(GO) test ./internal/gio -fuzz FuzzReadHeader -fuzztime 30s
@@ -122,6 +122,7 @@ fuzz:
 	$(GO) test ./internal/flat -fuzz FuzzFlatTable -fuzztime 30s
 	$(GO) test ./internal/flat -fuzz FuzzPairTable -fuzztime 30s
 	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzGhostFrame -fuzztime 30s
 	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime 30s
 	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime 30s
 

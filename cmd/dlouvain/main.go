@@ -86,11 +86,11 @@ import (
 
 func main() {
 	var (
-		np         = flag.Int("np", 4, "in-process rank count")
-		transport  = flag.String("transport", "inproc", "inproc, tcp, or tcp-local (self-spawning local processes)")
-		rank       = flag.Int("rank", 0, "tcp: this process's rank")
-		hosts      = flag.String("hosts", "", "tcp: comma-separated host:port per rank")
-		variant    = flag.String("variant", "baseline", "baseline, tc, et, etc, ettc")
+		np        = flag.Int("np", 4, "in-process rank count")
+		transport = flag.String("transport", "inproc", "inproc, tcp, or tcp-local (self-spawning local processes)")
+		rank      = flag.Int("rank", 0, "tcp: this process's rank")
+		hosts     = flag.String("hosts", "", "tcp: comma-separated host:port per rank")
+		variant   = flag.String("variant", "baseline", "baseline, tc, et, etc, ettc")
 
 		// Multi-host rendezvous and placement: -coord replaces -hosts (ranks
 		// discover each other through the coordinator under a job id and a
@@ -109,22 +109,18 @@ func main() {
 		remoteBin      = flag.String("remote-bin", "", "tcp-remote: dlouvain binary path on the agent hosts (default this executable's path)")
 		controlListen  = flag.String("control-listen", "", "tcp-remote: beacon control-channel listen address (default 127.0.0.1:0; must be reachable from agent hosts)")
 
-		alpha      = flag.Float64("alpha", 0.25, "early-termination decay (et, etc, ettc)")
-		tau        = flag.Float64("tau", 0, "convergence threshold (default 1e-6)")
-		threads    = flag.Int("threads", 1, "worker threads per rank")
-		seed       = flag.Uint64("seed", 1, "early-termination seed")
-		pruned     = flag.Bool("pruned-ghosts", false, "legacy fixed-width changed-only ghost updates (superseded by -ghost-delta)")
-		ghostDelta = flag.Bool("ghost-delta", true, "delta-encoded ghost refresh with dense/sparse switching (false forces full snapshots)")
-		sparseThr  = flag.Float64("ghost-sparse-threshold", 0.25, "changed fraction above which a ghost delta frame falls back to a dense snapshot")
-		frontier   = flag.String("frontier", "auto", "frontier-driven sweeps: auto (dense/sparse switching), dense, sparse, or off (full scan every iteration)")
-		frontThr   = flag.Float64("frontier-sparse-threshold", 0.25, "frontier fraction of the partition below which auto uses the sorted id list instead of the bitmap")
-		wireFmt    = flag.Int("wire-format", 0, "wire format to propose (0 = newest; 1 = fixed-width; world negotiates the minimum)")
-		edgeBal    = flag.Bool("edgebalance", false, "edge-balanced input partition instead of even vertex split")
-		neighbor   = flag.Bool("neighbor-coll", false, "use sparse neighborhood collectives for ghost exchange")
-		coloring   = flag.Bool("coloring", false, "sweep by distance-1 color classes (distributed Jones-Plassmann)")
-		outPath    = flag.String("o", "", "write detected communities (one label per line)")
-		truthPath  = flag.String("truth", "", "ground-truth file for quality scoring")
-		verbose    = flag.Bool("v", false, "per-phase progress output")
+		alpha     = flag.Float64("alpha", 0.25, "early-termination decay (et, etc, ettc)")
+		tau       = flag.Float64("tau", 0, "convergence threshold (default 1e-6)")
+		threads   = flag.Int("threads", 1, "worker threads per rank")
+		seed      = flag.Uint64("seed", 1, "early-termination seed")
+		frontier  = flag.String("frontier", "auto", "frontier-driven sweeps: auto (dense/sparse switching), dense, sparse, or off (full scan every iteration)")
+		frontThr  = flag.Float64("frontier-sparse-threshold", 0.25, "frontier fraction of the partition below which auto uses the sorted id list instead of the bitmap")
+		edgeBal   = flag.Bool("edgebalance", false, "edge-balanced input partition instead of even vertex split")
+		neighbor  = flag.Bool("neighbor-coll", false, "use sparse neighborhood collectives for ghost exchange")
+		coloring  = flag.Bool("coloring", false, "sweep by distance-1 color classes (distributed Jones-Plassmann)")
+		outPath   = flag.String("o", "", "write detected communities (one label per line)")
+		truthPath = flag.String("truth", "", "ground-truth file for quality scoring")
+		verbose   = flag.Bool("v", false, "per-phase progress output")
 
 		// Checkpoint/restart: with -ckpt-dir, every rank snapshots its
 		// state at phase boundaries; -resume continues from the latest
@@ -180,7 +176,7 @@ func main() {
 	if err := validateFlags(flagValues{
 		np: *np, threads: *threads, alpha: *alpha, tau: *tau,
 		frontier: *frontier, frontThr: *frontThr,
-		wireFmt: *wireFmt, ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
+		ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
 		supervise: *supervise, minRanks: *minRanks, maxRestarts: *maxRestarts,
 		transport: *transport, hosts: *hosts, rank: *rank,
 		coord: *coordAddr, coordEpoch: *coordEpoch,
@@ -216,14 +212,8 @@ func main() {
 	cfg.Tau = *tau
 	cfg.Threads = *threads
 	cfg.Seed = *seed
-	cfg.SendChangedOnly = *pruned
-	if !*ghostDelta {
-		cfg.GhostRefresh = core.GhostDense
-	}
-	cfg.GhostSparseThreshold = *sparseThr
 	cfg.Frontier, _ = core.ParseFrontier(*frontier) // spelling validated by validateFlags
 	cfg.FrontierSparseThreshold = *frontThr
-	cfg.WireFormat = *wireFmt
 	cfg.UseNeighborCollectives = *neighbor
 	cfg.UseColoring = *coloring
 	cfg.GatherOutput = true

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"distlouvain/internal/core"
-	"distlouvain/internal/mpi"
 )
 
 // flagValues carries the parsed flags validateFlags inspects. A struct (not
@@ -22,7 +21,6 @@ type flagValues struct {
 	tau         float64
 	frontier    string
 	frontThr    float64
-	wireFmt     int
 	ckptEvery   int
 	ckptKeep    int
 	supervise   bool
@@ -73,11 +71,6 @@ func validateFlags(v flagValues) error {
 	}
 	if v.frontThr <= 0 || v.frontThr > 1 {
 		return fmt.Errorf("-frontier-sparse-threshold must be in (0, 1] (got %g)", v.frontThr)
-	}
-	switch v.wireFmt {
-	case 0, mpi.WireV1, mpi.WireV2:
-	default:
-		return fmt.Errorf("-wire-format must be 0 (newest), %d or %d (got %d)", mpi.WireV1, mpi.WireV2, v.wireFmt)
 	}
 	if v.ckptEvery < 1 {
 		return fmt.Errorf("-ckpt-every must be >= 1 (got %d)", v.ckptEvery)

@@ -10,7 +10,7 @@ func valid() flagValues {
 	return flagValues{
 		np: 4, threads: 1, alpha: 0.25, tau: 0,
 		frontier: "auto", frontThr: 0.25,
-		wireFmt: 0, ckptEvery: 1, ckptKeep: 2,
+		ckptEvery: 1, ckptKeep: 2,
 		supervise: false, minRanks: 1, maxRestarts: 5,
 		transport: "inproc", coordEpoch: 1, agentSlots: 1,
 	}
@@ -36,8 +36,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"negative ckpt-every", func(v *flagValues) { v.ckptEvery = -1 }, "-ckpt-every"},
 		{"zero ckpt-every", func(v *flagValues) { v.ckptEvery = 0 }, "-ckpt-every"},
 		{"zero ckpt-keep", func(v *flagValues) { v.ckptKeep = 0 }, "-ckpt-keep"},
-		{"bad wire-format", func(v *flagValues) { v.wireFmt = 7 }, "-wire-format"},
-		{"negative wire-format", func(v *flagValues) { v.wireFmt = -1 }, "-wire-format"},
 		{"min-ranks over np", func(v *flagValues) { v.supervise = true; v.minRanks = 9; v.np = 4 }, "-min-ranks"},
 		{"zero min-ranks", func(v *flagValues) { v.supervise = true; v.minRanks = 0 }, "-min-ranks"},
 		{"zero np", func(v *flagValues) { v.np = 0 }, "-np"},

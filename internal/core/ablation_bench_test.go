@@ -11,35 +11,6 @@ import (
 	"distlouvain/internal/partition"
 )
 
-// Ablation: full ghost push vs changed-only push (DESIGN.md §6 — the
-// §IV-B "further sophistication"). Results are bit-identical; the
-// difference is traffic and time.
-func BenchmarkAblation_GhostProtocol(b *testing.B) {
-	n, edges, _, err := gen.LFR(gen.DefaultLFR(4000, 0.3, 9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pruned := range []bool{false, true} {
-		name := "full-push"
-		if pruned {
-			name = "changed-only"
-		}
-		b.Run(name, func(b *testing.B) {
-			var mb float64
-			for i := 0; i < b.N; i++ {
-				cfg := Baseline()
-				cfg.SendChangedOnly = pruned
-				res, err := RunOnEdges(4, n, edges, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mb = float64(res.Traffic.TotalBytes()) / 1e6
-			}
-			b.ReportMetric(mb, "MB-sent")
-		})
-	}
-}
-
 // Ablation: coarsening redistribution under vertex-balanced vs
 // edge-balanced input partitions (DESIGN.md §6). Edge balancing costs a
 // global degree census up front but evens the sweep work on skewed inputs.

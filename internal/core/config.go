@@ -64,40 +64,6 @@ type Config struct {
 	// seeds regardless of rank count or scheduling).
 	Seed uint64
 
-	// SendChangedOnly prunes the per-iteration ghost-vertex update to
-	// entries whose community actually changed — the "further
-	// sophistication" of §IV-B: inactive vertices stop generating
-	// traffic. Off in the paper's Baseline. Superseded by the GhostDelta
-	// refresh mode (which adds a dense fallback and varint frames) but kept
-	// as the original fixed-width wire path; an explicit GhostRefresh wins
-	// over this flag.
-	SendChangedOnly bool
-
-	// WireFormat selects the frame layout of the per-iteration exchanges:
-	// mpi.WireV1 (fixed-width), mpi.WireV2 (varint IDs/counts, delta-encoded
-	// sorted ID streams), or 0 to propose the newest supported version. The
-	// run negotiates the minimum proposal across ranks, so the setting is a
-	// cap, not a demand. Performance-only: every version carries identical
-	// values, so trajectories are bit-identical (excluded from Hash).
-	WireFormat int
-
-	// GhostRefresh selects how the per-iteration ghost community update is
-	// packaged: GhostAuto defers to SendChangedOnly for compatibility and
-	// otherwise uses GhostDelta; GhostDense always resends the full
-	// snapshot; GhostDelta sends only entries that changed since the last
-	// send, falling back to the dense snapshot for any peer whose changed
-	// fraction exceeds GhostSparseThreshold (ligra-style direction switch).
-	// Performance-only: the receiver reconstructs the same ghost table under
-	// every mode (excluded from Hash).
-	GhostRefresh int
-
-	// GhostSparseThreshold is the changed fraction of a peer's push list
-	// above which GhostDelta sends the dense snapshot instead of the sparse
-	// changed-entry list (≤0 selects 0.25). Sparse entries cost position +
-	// value rather than value alone, so past roughly this density the dense
-	// frame is both smaller and cheaper to decode.
-	GhostSparseThreshold float64
-
 	// Frontier selects the active-set mode of the ΔQ sweep: FrontierAuto
 	// (default) re-evaluates only vertices whose neighbourhood changed in
 	// the previous iteration, switching ligra-style between a sorted id
@@ -112,7 +78,7 @@ type Config struct {
 
 	// FrontierSparseThreshold is the frontier fraction of the partition
 	// above which FrontierAuto abandons the sorted id list for the bitmap
-	// scan (≤0 selects 0.25). Mirrors GhostSparseThreshold on the wire side.
+	// scan (≤0 selects 0.25). Mirrors ghostSparseThreshold on the wire side.
 	FrontierSparseThreshold float64
 
 	// UseNeighborCollectives routes the per-iteration ghost exchange
@@ -179,27 +145,7 @@ type Config struct {
 	// its fields explicitly) — and rightly so, since both kernel sets
 	// produce identical trajectories.
 	refKernels bool
-
-	// wire is the negotiated wire format version (mpi.WireV1/WireV2), set
-	// once per run by runLoop's world-wide agreement; 0 means "not yet
-	// negotiated" and resolves to the local proposal (single-rank harnesses
-	// like KernelBench never negotiate). Unexported and excluded from Hash
-	// like refKernels.
-	wire int
 }
-
-// Ghost refresh modes (Config.GhostRefresh).
-const (
-	// GhostAuto uses GhostDelta unless the legacy SendChangedOnly flag asks
-	// for the original fixed-width changed-pairs wire.
-	GhostAuto = iota
-	// GhostDense resends the full ghost snapshot every iteration (the
-	// paper's baseline wire behaviour).
-	GhostDense
-	// GhostDelta sends per-peer changed entries with a dense fallback past
-	// GhostSparseThreshold.
-	GhostDelta
-)
 
 // Frontier modes (Config.Frontier).
 const (
@@ -257,37 +203,10 @@ func (c *Config) fill() {
 	if c.CheckpointKeep <= 0 {
 		c.CheckpointKeep = 2
 	}
-	if c.GhostSparseThreshold <= 0 {
-		c.GhostSparseThreshold = 0.25
-	}
 	if c.FrontierSparseThreshold <= 0 {
 		c.FrontierSparseThreshold = 0.25
 	}
 }
-
-// proposeWire is the wire format version this rank offers in negotiation:
-// the configured version, or the newest supported one when unset.
-func (c *Config) proposeWire() int {
-	if c.WireFormat == mpi.WireV1 {
-		return mpi.WireV1
-	}
-	return mpi.WireV2
-}
-
-// ghostMode resolves GhostAuto against the legacy flag.
-func (c *Config) ghostMode() int {
-	if c.GhostRefresh != GhostAuto {
-		return c.GhostRefresh
-	}
-	if c.SendChangedOnly {
-		return ghostLegacy
-	}
-	return GhostDelta
-}
-
-// ghostLegacy is the internal resolution of GhostAuto+SendChangedOnly: the
-// original fixed-width (position, community) changed-pairs frames.
-const ghostLegacy = -1
 
 // progress invokes the Progress hook when one is installed.
 func (c *Config) progress(ev ProgressEvent) {

@@ -269,43 +269,6 @@ func TestQTrajectoryRecorded(t *testing.T) {
 	}
 }
 
-func TestSendChangedOnlySameResult(t *testing.T) {
-	// The pruned ghost protocol must be an exact optimization: identical
-	// assignment and modularity to the full push, variant by variant. Both
-	// sides pin GhostRefresh and wire v1 explicitly — the run defaults
-	// (GhostDelta, varint wire) undercut even the legacy pruned frames,
-	// which would invert the traffic assertion.
-	n, edges, _ := gen.PlantedPartition(6, 20, 0.5, 0.01, 55)
-	for _, base := range []Config{Baseline(), ET(0.5)} {
-		base.WireFormat = mpi.WireV1
-		base.GhostRefresh = GhostDense
-		pruned := base
-		pruned.GhostRefresh = GhostAuto
-		pruned.SendChangedOnly = true
-		a, err := RunOnEdges(3, n, edges, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunOnEdges(3, n, edges, pruned)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Modularity != b.Modularity || a.Communities != b.Communities {
-			t.Fatalf("%s: pruned run diverged: Q %.6f vs %.6f, comms %d vs %d",
-				base.VariantName(), a.Modularity, b.Modularity, a.Communities, b.Communities)
-		}
-		for v := range a.GlobalComm {
-			if a.GlobalComm[v] != b.GlobalComm[v] {
-				t.Fatalf("%s: assignment differs at %d", base.VariantName(), v)
-			}
-		}
-		if b.Traffic.SentBytes+b.Traffic.CollBytes > a.Traffic.SentBytes+a.Traffic.CollBytes {
-			t.Fatalf("%s: pruning did not reduce traffic (%d vs %d bytes)",
-				base.VariantName(), b.Traffic.TotalBytes(), a.Traffic.TotalBytes())
-		}
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	n, edges, _ := gen.PlantedPartition(5, 18, 0.5, 0.02, 31)
 	cfg := ET(0.5)

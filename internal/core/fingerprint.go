@@ -12,7 +12,7 @@ import (
 // characters. Two artifacts — an algorithm configuration and a graph input —
 // are fingerprinted with it, and the pair (graph, config) identifies a
 // Louvain result completely: the run is deterministic given both, regardless
-// of rank count, thread count or wire format.
+// of rank count or thread count.
 //
 // Fingerprints are persisted (checkpoint manifests, the service result
 // cache, job records), so their derivation is a compatibility contract:
@@ -27,8 +27,7 @@ type Fingerprint string
 // configuration produces, so the manifest records this digest and Resume
 // refuses a mismatch; the service result cache uses it (with the graph
 // fingerprint) as the cache key. Deliberately excluded: Threads,
-// SendChangedOnly, UseNeighborCollectives, WireFormat, GhostRefresh,
-// GhostSparseThreshold, Frontier, FrontierSparseThreshold, GatherOutput and
+// UseNeighborCollectives, Frontier, FrontierSparseThreshold, GatherOutput and
 // the checkpoint settings — they change performance or output plumbing,
 // never the result, so a resume (or a cache lookup) may alter them freely.
 func (c Config) Fingerprint() Fingerprint {

@@ -46,11 +46,7 @@ func TestFingerprintIgnoresPerformanceKnobs(t *testing.T) {
 	base := ETC(0.25)
 	perturbed := base
 	perturbed.Threads = 8
-	perturbed.SendChangedOnly = true
 	perturbed.UseNeighborCollectives = true
-	perturbed.WireFormat = 1
-	perturbed.GhostRefresh = GhostDense
-	perturbed.GhostSparseThreshold = 0.9
 	perturbed.GatherOutput = true
 	perturbed.CheckpointDir = "somewhere"
 	perturbed.CheckpointEvery = 3

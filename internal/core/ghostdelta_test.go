@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"distlouvain/internal/dgraph"
-	"distlouvain/internal/gen"
-	"distlouvain/internal/gio"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 )
@@ -26,170 +23,76 @@ func bipartiteBoundary(half int64) (int64, []graph.RawEdge) {
 	return n, edges
 }
 
-// TestGhostDeltaSwitchBothDirections drives the GhostDelta dense/sparse
+// TestGhostDeltaSwitchBothDirections drives the ghost refresh's dense/sparse
 // switch across the threshold in both directions within one phase state and
-// checks the reconstructed ghost table is bit-identical to an always-dense
-// state at every step:
+// checks the reconstructed ghost table against what each owner actually
+// holds. The mutations are deterministic (comm[g] = g + k·n), so every rank
+// can compute the world-wide expected table without a second exchange path:
 //
 //	round 1: every boundary vertex changes  -> dense snapshot frame
 //	round 2: exactly one vertex changes     -> sparse delta frame
 //	round 3: every boundary vertex changes  -> dense again
 func TestGhostDeltaSwitchBothDirections(t *testing.T) {
-	for _, wire := range []int{mpi.WireV1, mpi.WireV2} {
-		t.Run(fmt.Sprintf("wire%d", wire), func(t *testing.T) {
-			const half = 16
-			n, edges := bipartiteBoundary(half)
-			err := mpi.Run(2, func(c *mpi.Comm) error {
-				lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), 2)
-				dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
-				if err != nil {
-					return err
-				}
-				mkState := func(refresh int) (*phaseState, error) {
-					cfg := Baseline()
-					cfg.WireFormat = wire
-					cfg.GhostRefresh = refresh
-					cfg.fill()
-					return newPhaseState(dg, &cfg, 0, &StepTimes{})
-				}
-				// stD is the state under test; stX is the always-dense oracle.
-				stD, err := mkState(GhostDelta)
-				if err != nil {
-					return err
-				}
-				stX, err := mkState(GhostDense)
-				if err != nil {
-					return err
-				}
-
-				mutate := func(f func(comm []int64, base int64)) {
-					f(stD.comm, dg.Base)
-					f(stX.comm, dg.Base)
-				}
-				exchangeAndCompare := func(round string) error {
-					if err := stD.exchangeGhostComm(); err != nil {
-						return fmt.Errorf("%s delta exchange: %w", round, err)
-					}
-					if err := stX.exchangeGhostComm(); err != nil {
-						return fmt.Errorf("%s dense exchange: %w", round, err)
-					}
-					for i := range stD.ghostComm {
-						if stD.ghostComm[i] != stX.ghostComm[i] {
-							return fmt.Errorf("%s: ghost %d diverged: delta %d vs dense %d",
-								round, i, stD.ghostComm[i], stX.ghostComm[i])
-						}
-					}
-					return nil
-				}
-
-				// Round 1: every local vertex moves -> changed fraction 1.0,
-				// above any threshold, so the frame must fall back to dense.
-				mutate(func(comm []int64, base int64) {
-					for lv := range comm {
-						comm[lv] = base + int64(lv) + n
-					}
-				})
-				if err := exchangeAndCompare("round 1"); err != nil {
-					return err
-				}
-				if stD.ghostDenseFrames != 1 || stD.ghostSparseFrames != 0 {
-					return fmt.Errorf("round 1: frames dense=%d sparse=%d, want 1/0",
-						stD.ghostDenseFrames, stD.ghostSparseFrames)
-				}
-
-				// Round 2: one vertex changes -> 1/16 of the push list, well
-				// under the default 0.25 threshold -> sparse frame.
-				mutate(func(comm []int64, base int64) {
-					comm[3] = base + 3 + 2*n
-				})
-				if err := exchangeAndCompare("round 2"); err != nil {
-					return err
-				}
-				if stD.ghostSparseFrames != 1 {
-					return fmt.Errorf("round 2: frames dense=%d sparse=%d, want a sparse frame",
-						stD.ghostDenseFrames, stD.ghostSparseFrames)
-				}
-
-				// Round 3: everything changes again -> back across the
-				// threshold to dense (the switch is per exchange, not sticky).
-				mutate(func(comm []int64, base int64) {
-					for lv := range comm {
-						comm[lv] = base + int64(lv) + 3*n
-					}
-				})
-				if err := exchangeAndCompare("round 3"); err != nil {
-					return err
-				}
-				if stD.ghostDenseFrames != 2 || stD.ghostSparseFrames != 1 {
-					return fmt.Errorf("round 3: frames dense=%d sparse=%d, want 2/1",
-						stD.ghostDenseFrames, stD.ghostSparseFrames)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestGhostRefreshModesBitIdentical: the full algorithm must produce the
-// bit-identical trajectory and assignment whichever ghost-refresh mode and
-// wire format carries the updates — the diet changes bytes, never values.
-func TestGhostRefreshModesBitIdentical(t *testing.T) {
-	n, edges, _ := gen.PlantedPartition(6, 22, 0.5, 0.02, 77)
-	type variant struct {
-		name string
-		cfg  Config
-	}
-	mk := func(name string, wire, refresh int, legacy bool) variant {
-		cfg := Baseline()
-		cfg.WireFormat = wire
-		cfg.GhostRefresh = refresh
-		cfg.SendChangedOnly = legacy
-		return variant{name: name, cfg: cfg}
-	}
-	variants := []variant{
-		mk("delta-v2", 0, GhostAuto, false), // the run default
-		mk("dense-v2", 0, GhostDense, false),
-		mk("delta-v1", mpi.WireV1, GhostDelta, false),
-		mk("dense-v1", mpi.WireV1, GhostDense, false),
-		mk("legacy-v1", mpi.WireV1, GhostAuto, true),
-		mk("legacy-v2", 0, GhostAuto, true),
-	}
-	var ref *Result
-	for _, v := range variants {
-		res, err := RunOnEdges(3, n, edges, v.cfg)
+	const half = 16
+	n, edges := bipartiteBoundary(half)
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		st, err := baselinePhaseState(c, n, edges)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			return err
 		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Modularity != ref.Modularity || res.Communities != ref.Communities {
-			t.Fatalf("%s diverged: Q %v vs %v, comms %d vs %d",
-				v.name, res.Modularity, ref.Modularity, res.Communities, ref.Communities)
-		}
-		if len(res.Phases) != len(ref.Phases) {
-			t.Fatalf("%s: %d phases vs %d", v.name, len(res.Phases), len(ref.Phases))
-		}
-		for p := range res.Phases {
-			got, want := res.Phases[p].QTrajectory, ref.Phases[p].QTrajectory
-			if len(got) != len(want) {
-				t.Fatalf("%s phase %d: %d iterations vs %d", v.name, p, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s phase %d iter %d: Q %v vs %v (not bit-identical)",
-						v.name, p, i, got[i], want[i])
+		dg := st.dg
+		// want[g] is the community g's owner holds; round k moves every
+		// vertex whose owner-local index passes pick to g + k·n.
+		want := make([]int64, n)
+		round := func(k int64, pick func(lv int64) bool) error {
+			for g := int64(0); g < n; g++ {
+				if pick(dg.Part.ToLocal(dg.Part.Owner(g), g)) {
+					want[g] = g + k*n
 				}
 			}
-		}
-		for i := range ref.GlobalComm {
-			if res.GlobalComm[i] != ref.GlobalComm[i] {
-				t.Fatalf("%s: assignment differs at vertex %d", v.name, i)
+			copy(st.comm, want[dg.Base:dg.Base+dg.LocalN])
+			if err := st.exchangeGhostComm(); err != nil {
+				return fmt.Errorf("round %d exchange: %w", k, err)
 			}
+			for i, g := range dg.Ghosts {
+				if st.ghostComm[i] != want[g] {
+					return fmt.Errorf("round %d: ghost %d holds %d, owner holds %d", k, g, st.ghostComm[i], want[g])
+				}
+			}
+			return nil
 		}
+		all := func(int64) bool { return true }
+
+		// Round 1: every local vertex moves -> changed fraction 1.0, so the
+		// frame must fall back to dense.
+		if err := round(1, all); err != nil {
+			return err
+		}
+		if st.ghostDenseFrames != 1 || st.ghostSparseFrames != 0 {
+			return fmt.Errorf("round 1: frames dense=%d sparse=%d, want 1/0",
+				st.ghostDenseFrames, st.ghostSparseFrames)
+		}
+		// Round 2: one vertex changes -> 1/16 of the push list, well under
+		// ghostSparseThreshold -> sparse frame.
+		if err := round(2, func(lv int64) bool { return lv == 3 }); err != nil {
+			return err
+		}
+		if st.ghostDenseFrames != 1 || st.ghostSparseFrames != 1 {
+			return fmt.Errorf("round 2: frames dense=%d sparse=%d, want 1/1",
+				st.ghostDenseFrames, st.ghostSparseFrames)
+		}
+		// Round 3: everything changes again -> back across the threshold to
+		// dense (the switch is per exchange, not sticky).
+		if err := round(3, all); err != nil {
+			return err
+		}
+		if st.ghostDenseFrames != 2 || st.ghostSparseFrames != 1 {
+			return fmt.Errorf("round 3: frames dense=%d sparse=%d, want 2/1",
+				st.ghostDenseFrames, st.ghostSparseFrames)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -138,10 +138,10 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	ren.newRemote = make([]int64, 0, len(ren.remote))
 	// Both directions are ascending ID streams (requests are sorted;
 	// survivor renumbering is order-preserving, so replies to a sorted
-	// request are ascending too): under wire v2 they ship as delta varints.
+	// request are ascending too), so they ship as delta varints.
 	send := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		send[q] = st.encodeIDs(reqByOwner[q])
+		send[q] = mpi.EncodeDeltaInt64s(reqByOwner[q])
 	}
 	reqs, err := c.Alltoall(send)
 	if err != nil {
@@ -149,29 +149,29 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	}
 	resp := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		ids, err := st.decodeIDs(reqs[q])
+		ids, err := mpi.DecodeDeltaInt64s(reqs[q])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, malformed("renumber request", q, "%v", err)
 		}
 		for i, cid := range ids {
 			if !st.dg.IsLocal(cid) || ren.newOwned[cid-st.dg.Base] < 0 {
-				return nil, nil, fmt.Errorf("core: rank %d asked for empty community %d", q, cid)
+				return nil, nil, malformed("renumber request", q, "empty or non-owned community %d", cid)
 			}
 			ids[i] = ren.newOwned[cid-st.dg.Base]
 		}
-		resp[q] = st.encodeIDs(ids)
+		resp[q] = mpi.EncodeDeltaInt64s(ids)
 	}
 	answers, err := c.Alltoall(resp)
 	if err != nil {
 		return nil, nil, err
 	}
 	for q := 0; q < p; q++ {
-		vals, err := st.decodeIDs(answers[q])
+		vals, err := mpi.DecodeDeltaInt64s(answers[q])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, malformed("renumber reply", q, "%v", err)
 		}
 		if len(vals) != len(reqByOwner[q]) {
-			return nil, nil, fmt.Errorf("core: renumber reply from rank %d has %d entries, want %d", q, len(vals), len(reqByOwner[q]))
+			return nil, nil, malformed("renumber reply", q, "%d entries, want %d", len(vals), len(reqByOwner[q]))
 		}
 		ren.newRemote = append(ren.newRemote, vals...)
 	}

@@ -77,20 +77,6 @@ func (rs *runState) runLoop() (*Result, error) {
 	tr := cfg.Tracer
 	rsp := tr.Begin(obsv.KindRun, "run")
 
-	// Wire-format negotiation: every rank proposes the newest frame layout
-	// it accepts and the world settles on the minimum, so a rank capped at
-	// v1 (rolling upgrade, debugging) drags its peers down to frames it can
-	// decode. One scalar allreduce per run — Resume renegotiates through
-	// this same path, so a run may change wire format across restarts.
-	wire, err := c.AllreduceInt64(int64(cfg.proposeWire()), mpi.OpMin)
-	if err != nil {
-		return nil, fmt.Errorf("wire-format negotiation: %w", err)
-	}
-	if wire < mpi.WireV1 || wire > mpi.WireV2 {
-		return nil, fmt.Errorf("wire-format negotiation settled on unsupported version %d", wire)
-	}
-	cfg.wire = int(wire)
-
 	for ; rs.phase < cfg.MaxPhases; rs.phase++ {
 		phase := rs.phase
 		tau := finalTau

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -48,7 +49,7 @@ type phaseState struct {
 	// graph symmetry.
 	ghostPeers []int
 	// ghostDenseFrames / ghostSparseFrames count the non-empty refresh
-	// frames this rank encoded in each direction of the GhostDelta
+	// frames this rank encoded in each direction of the ghost refresh's
 	// dense/sparse switch (diagnostics and the switch tests).
 	ghostDenseFrames  int64
 	ghostSparseFrames int64
@@ -93,19 +94,22 @@ type phaseState struct {
 	steps *StepTimes
 }
 
+// ErrMalformedFrame marks a protocol frame a rank refuses to apply: truncated,
+// followed by trailing bytes, or naming a ghost position or ID the receiver
+// does not hold. The wrapped message names the frame kind and the sending
+// rank. All ranks of a world run the same binary, so this is corruption or a
+// bug, never a version skew.
+var ErrMalformedFrame = errors.New("core: malformed frame")
+
+func malformed(frame string, from int, format string, args ...any) error {
+	return fmt.Errorf("%w: %s from rank %d: %s", ErrMalformedFrame, frame, from, fmt.Sprintf(format, args...))
+}
+
 // tr returns the run's tracer (nil when tracing is off; obsv methods
 // no-op on nil).
 func (st *phaseState) tr() *obsv.Tracer { return st.cfg.Tracer }
 
-// wireV2 reports whether the run negotiated the varint wire format.
-func (st *phaseState) wireV2() bool { return st.cfg.wire == mpi.WireV2 }
-
 func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepTimes) (*phaseState, error) {
-	if cfg.wire == 0 {
-		// Single-rank harnesses (KernelBench, direct tests) construct phase
-		// state without runLoop's negotiation; the local proposal stands.
-		cfg.wire = cfg.proposeWire()
-	}
 	n := dg.LocalN
 	st := &phaseState{
 		dg: dg, cfg: cfg, phase: phaseIdx,
@@ -166,8 +170,8 @@ func (st *phaseState) setupGhostLists() error {
 			ids[i] = st.dg.Ghosts[slot]
 		}
 		// dg.Ghosts is sorted ascending, so these per-owner ID lists are
-		// too: under wire v2 the delta stream is ~1 byte per entry.
-		send[q] = st.encodeIDs(ids)
+		// too: the delta stream is ~1 byte per entry.
+		send[q] = mpi.EncodeDeltaInt64s(ids)
 	}
 	recv, err := c.Alltoall(send)
 	if err != nil {
@@ -176,15 +180,15 @@ func (st *phaseState) setupGhostLists() error {
 	st.pushList = make([][]int64, p)
 	st.lastSent = make([][]int64, p)
 	for q := 0; q < p; q++ {
-		ids, err := st.decodeIDs(recv[q])
+		ids, err := mpi.DecodeDeltaInt64s(recv[q])
 		if err != nil {
-			return err
+			return malformed("ghost list", q, "%v", err)
 		}
 		st.pushList[q] = make([]int64, len(ids))
 		st.lastSent[q] = make([]int64, len(ids))
 		for i, g := range ids {
 			if !st.dg.IsLocal(g) {
-				return fmt.Errorf("core: rank %d asked rank %d for non-owned vertex %d", q, c.Rank(), g)
+				return malformed("ghost list", q, "non-owned vertex %d", g)
 			}
 			st.pushList[q][i] = g - st.dg.Base
 			st.lastSent[q][i] = -1 // force first send
@@ -198,31 +202,34 @@ func (st *phaseState) setupGhostLists() error {
 	return nil
 }
 
-// Ghost refresh frame markers (first byte of a GhostDelta-mode frame).
+// Ghost refresh frame markers (first byte of a non-empty refresh frame).
 const (
 	ghostFrameDense  = 0 // full snapshot follows, one community per push-list entry
 	ghostFrameSparse = 1 // changed subset follows: positions + communities
 )
 
+// ghostSparseThreshold is the changed fraction of a peer's push list above
+// which the refresh sends the dense snapshot instead of the sparse
+// changed-entry list. Sparse entries cost position + value rather than value
+// alone, so past roughly this density the dense frame is both smaller and
+// cheaper to decode.
+const ghostSparseThreshold = 0.25
+
 // exchangeGhostComm is step (i) of Algorithm 3: owners push the latest
 // community assignment of every vertex some rank holds as a ghost.
 //
-// Under GhostDelta (the default), each peer frame carries only the entries
-// whose community changed since the last send to that peer, switching
-// ligra-style to the full snapshot when the changed fraction exceeds
-// GhostSparseThreshold — early iterations (everything moves) pay dense
-// prices once, converged tails pay per-change. The legacy SendChangedOnly
-// flag selects the original fixed-width changed-pairs frames; GhostDense
-// restores the paper's always-snapshot wire. With UseNeighborCollectives,
-// the exchange runs over the sparse ghost-neighbour topology instead of the
-// dense all-to-all. Every mode reconstructs the identical ghost table.
+// Each peer frame carries only the entries whose community changed since the
+// last send to that peer, switching ligra-style to the full snapshot when the
+// changed fraction exceeds ghostSparseThreshold — early iterations
+// (everything moves) pay dense prices once, converged tails pay per-change.
+// With UseNeighborCollectives, the exchange runs over the sparse
+// ghost-neighbour topology instead of the dense all-to-all.
 func (st *phaseState) exchangeGhostComm() error {
 	sp := st.tr().Begin(obsv.KindP2P, "ghost-exchange")
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { st.steps.GhostComm += time.Since(t0) }()
 	c := st.dg.Comm
-	mode := st.cfg.ghostMode()
 
 	// Encode buffers come from the per-phase arena: after the first
 	// iteration their capacities stabilize and this fast path allocates
@@ -231,79 +238,8 @@ func (st *phaseState) exchangeGhostComm() error {
 	st.arena.Reset()
 	encodeFor := func(q int) []byte {
 		bp := st.arena.Grab()
-		buf := *bp
-		switch mode {
-		case ghostLegacy:
-			for i, lv := range st.pushList[q] {
-				if v := st.comm[lv]; v != st.lastSent[q][i] {
-					buf = mpi.AppendInt64(buf, int64(i))
-					buf = mpi.AppendInt64(buf, v)
-					st.lastSent[q][i] = v
-				}
-			}
-		case GhostDelta:
-			buf = st.encodeGhostDelta(buf, q)
-		default: // GhostDense
-			if st.wireV2() {
-				for _, lv := range st.pushList[q] {
-					buf = mpi.AppendVarint(buf, st.comm[lv])
-				}
-			} else {
-				for _, lv := range st.pushList[q] {
-					buf = mpi.AppendInt64(buf, st.comm[lv])
-				}
-			}
-		}
-		*bp = buf
-		return buf
-	}
-	decodeFrom := func(q int, data []byte) error {
-		switch mode {
-		case ghostLegacy:
-			vals, err := mpi.DecodeInt64s(data)
-			if err != nil {
-				return err
-			}
-			if len(vals)%2 != 0 {
-				return fmt.Errorf("core: odd changed-only payload from rank %d", q)
-			}
-			for i := 0; i < len(vals); i += 2 {
-				pos := vals[i]
-				if pos < 0 || pos >= int64(len(st.ghostSlots[q])) {
-					return fmt.Errorf("core: ghost position %d out of range from rank %d", pos, q)
-				}
-				st.setGhost(st.ghostSlots[q][pos], vals[i+1])
-			}
-			return nil
-		case GhostDelta:
-			return st.decodeGhostDelta(q, data)
-		}
-		// GhostDense.
-		if st.wireV2() {
-			d := mpi.NewDecoder(data)
-			for _, slot := range st.ghostSlots[q] {
-				v, err := d.Varint()
-				if err != nil {
-					return fmt.Errorf("core: ghost reply from rank %d: %w", q, err)
-				}
-				st.setGhost(slot, v)
-			}
-			if d.Remaining() != 0 {
-				return fmt.Errorf("core: ghost reply from rank %d has %d trailing bytes", q, d.Remaining())
-			}
-			return nil
-		}
-		vals, err := mpi.DecodeInt64s(data)
-		if err != nil {
-			return err
-		}
-		if len(vals) != len(st.ghostSlots[q]) {
-			return fmt.Errorf("core: ghost reply from rank %d has %d entries, want %d", q, len(vals), len(st.ghostSlots[q]))
-		}
-		for i, v := range vals {
-			st.setGhost(st.ghostSlots[q][i], v)
-		}
-		return nil
+		*bp = st.encodeGhostDelta(*bp, q)
+		return *bp
 	}
 
 	if st.cfg.UseNeighborCollectives {
@@ -316,7 +252,7 @@ func (st *phaseState) exchangeGhostComm() error {
 			return fmt.Errorf("core: ghost exchange: %w", err)
 		}
 		for i, q := range st.ghostPeers {
-			if err := decodeFrom(q, recv[i]); err != nil {
+			if err := st.decodeGhostDelta(q, recv[i]); err != nil {
 				return err
 			}
 		}
@@ -333,17 +269,17 @@ func (st *phaseState) exchangeGhostComm() error {
 		return fmt.Errorf("core: ghost exchange: %w", err)
 	}
 	for q := 0; q < p; q++ {
-		if err := decodeFrom(q, recv[q]); err != nil {
+		if err := st.decodeGhostDelta(q, recv[q]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// encodeGhostDelta appends one GhostDelta refresh frame for peer q: a mode
-// byte, then either the full snapshot (dense fallback) or the changed subset
-// as (position, community) entries. The changed fraction against
-// GhostSparseThreshold picks the representation per peer per iteration, so a
+// encodeGhostDelta appends one refresh frame for peer q: a mode byte, then
+// either the full snapshot (dense fallback) or the changed subset as
+// (position, community) entries. The changed fraction against
+// ghostSparseThreshold picks the representation per peer per iteration, so a
 // rank whose frontier collapsed ships tiny sparse frames while a still-hot
 // peer frame stays dense. lastSent is updated under both representations —
 // the sparse test of the next iteration is always against what the peer
@@ -360,128 +296,80 @@ func (st *phaseState) encodeGhostDelta(buf []byte, q int) []byte {
 			changed++
 		}
 	}
-	if float64(changed) > st.cfg.GhostSparseThreshold*float64(len(push)) {
+	if float64(changed) > ghostSparseThreshold*float64(len(push)) {
 		st.ghostDenseFrames++
 		buf = append(buf, ghostFrameDense)
-		if st.wireV2() {
-			for i, lv := range push {
-				v := st.comm[lv]
-				buf = mpi.AppendVarint(buf, v)
-				last[i] = v
-			}
-		} else {
-			for i, lv := range push {
-				v := st.comm[lv]
-				buf = mpi.AppendInt64(buf, v)
-				last[i] = v
-			}
+		for i, lv := range push {
+			v := st.comm[lv]
+			buf = mpi.AppendVarint(buf, v)
+			last[i] = v
 		}
 		return buf
 	}
 	st.ghostSparseFrames++
 	buf = append(buf, ghostFrameSparse)
-	if st.wireV2() {
-		// Positions are strictly increasing, so they travel as uvarint gaps;
-		// communities as zigzag varints.
-		buf = mpi.AppendUvarint(buf, uint64(changed))
-		prev := int64(0)
-		for i, lv := range push {
-			if v := st.comm[lv]; v != last[i] {
-				buf = mpi.AppendUvarint(buf, uint64(int64(i)-prev))
-				buf = mpi.AppendVarint(buf, v)
-				prev = int64(i)
-				last[i] = v
-			}
-		}
-	} else {
-		for i, lv := range push {
-			if v := st.comm[lv]; v != last[i] {
-				buf = mpi.AppendInt64(buf, int64(i))
-				buf = mpi.AppendInt64(buf, v)
-				last[i] = v
-			}
+	// Positions are strictly increasing, so they travel as uvarint gaps;
+	// communities as zigzag varints.
+	buf = mpi.AppendUvarint(buf, uint64(changed))
+	prev := int64(0)
+	for i, lv := range push {
+		if v := st.comm[lv]; v != last[i] {
+			buf = mpi.AppendUvarint(buf, uint64(int64(i)-prev))
+			buf = mpi.AppendVarint(buf, v)
+			prev = int64(i)
+			last[i] = v
 		}
 	}
 	return buf
 }
 
-// decodeGhostDelta applies one GhostDelta refresh frame from peer q.
+// decodeGhostDelta applies one refresh frame from peer q.
 func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
 	slots := st.ghostSlots[q]
 	if len(data) == 0 {
 		if len(slots) != 0 {
-			return fmt.Errorf("core: empty ghost frame from rank %d, want %d entries", q, len(slots))
+			return malformed("ghost frame", q, "empty, want %d entries", len(slots))
 		}
 		return nil
 	}
 	d := mpi.NewDecoder(data[1:])
 	switch data[0] {
 	case ghostFrameDense:
-		if st.wireV2() {
-			for _, slot := range slots {
-				v, err := d.Varint()
-				if err != nil {
-					return fmt.Errorf("core: dense ghost frame from rank %d: %w", q, err)
-				}
-				st.setGhost(slot, v)
-			}
-		} else {
-			vals, err := d.Int64s(len(slots))
+		for _, slot := range slots {
+			v, err := d.Varint()
 			if err != nil {
-				return fmt.Errorf("core: dense ghost frame from rank %d: %w", q, err)
+				return malformed("ghost frame", q, "dense: %v", err)
 			}
-			for i, v := range vals {
-				st.setGhost(slots[i], v)
-			}
+			st.setGhost(slot, v)
 		}
-		if d.Remaining() != 0 {
-			return fmt.Errorf("core: dense ghost frame from rank %d has %d trailing bytes", q, d.Remaining())
-		}
-		return nil
 	case ghostFrameSparse:
-		if st.wireV2() {
-			n, err := d.Uvarint()
-			if err != nil {
-				return fmt.Errorf("core: sparse ghost frame from rank %d: %w", q, err)
-			}
-			pos := int64(0)
-			for k := uint64(0); k < n; k++ {
-				gap, err := d.Uvarint()
-				if err != nil {
-					return fmt.Errorf("core: sparse ghost frame from rank %d: %w", q, err)
-				}
-				pos += int64(gap)
-				v, err := d.Varint()
-				if err != nil {
-					return fmt.Errorf("core: sparse ghost frame from rank %d: %w", q, err)
-				}
-				if pos < 0 || pos >= int64(len(slots)) {
-					return fmt.Errorf("core: ghost position %d out of range from rank %d", pos, q)
-				}
-				st.setGhost(slots[pos], v)
-			}
-			if d.Remaining() != 0 {
-				return fmt.Errorf("core: sparse ghost frame from rank %d has %d trailing bytes", q, d.Remaining())
-			}
-			return nil
+		n, err := d.Uvarint()
+		if err != nil {
+			return malformed("ghost frame", q, "sparse: %v", err)
 		}
-		if d.Remaining()%16 != 0 {
-			return fmt.Errorf("core: odd sparse ghost payload from rank %d", q)
-		}
-		for d.Remaining() >= 16 {
-			pos, _ := d.Int64()
-			v, err := d.Int64()
+		pos := int64(0)
+		for k := uint64(0); k < n; k++ {
+			gap, err := d.Uvarint()
 			if err != nil {
-				return err
+				return malformed("ghost frame", q, "sparse: %v", err)
+			}
+			pos += int64(gap)
+			v, err := d.Varint()
+			if err != nil {
+				return malformed("ghost frame", q, "sparse: %v", err)
 			}
 			if pos < 0 || pos >= int64(len(slots)) {
-				return fmt.Errorf("core: ghost position %d out of range from rank %d", pos, q)
+				return malformed("ghost frame", q, "sparse: position %d outside [0,%d)", pos, len(slots))
 			}
 			st.setGhost(slots[pos], v)
 		}
-		return nil
+	default:
+		return malformed("ghost frame", q, "unknown mode %d", data[0])
 	}
-	return fmt.Errorf("core: unknown ghost frame mode %d from rank %d", data[0], q)
+	if d.Remaining() != 0 {
+		return malformed("ghost frame", q, "%d trailing bytes", d.Remaining())
+	}
+	return nil
 }
 
 // commOf resolves the community of a global vertex from local state (owned)
@@ -545,14 +433,10 @@ func (st *phaseState) fetchCommunityInfo() error {
 	st.arena.Reset()
 	send := make([][]byte, p)
 	for q := 0; q < p; q++ {
+		// reqByOwner[q] is sorted, so the request travels as ~1-byte
+		// varint gaps instead of 8-byte IDs.
 		bp := st.arena.Grab()
-		if st.wireV2() {
-			// reqByOwner[q] is sorted, so the request travels as ~1-byte
-			// varint gaps instead of 8-byte IDs.
-			*bp = mpi.AppendDeltaInt64s(*bp, reqByOwner[q])
-		} else {
-			*bp = mpi.AppendInt64s(*bp, reqByOwner[q])
-		}
+		*bp = mpi.AppendDeltaInt64s(*bp, reqByOwner[q])
 		send[q] = *bp
 	}
 	reqs, err := c.Alltoall(send)
@@ -560,33 +444,23 @@ func (st *phaseState) fetchCommunityInfo() error {
 		return fmt.Errorf("core: community-info request: %w", err)
 	}
 	// Answer requests: (A_c, size) per cid, in request order. A_c stays
-	// fixed64 under both wire formats; member counts are small, so v2 packs
-	// them as varints.
+	// fixed64 (varints cannot shorten a float and bit-exactness is
+	// non-negotiable); member counts are small, so they travel as varints.
 	resp := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		var ids []int64
-		var err error
-		if st.wireV2() {
-			ids, err = mpi.DecodeDeltaInt64s(reqs[q])
-		} else {
-			ids, err = mpi.DecodeInt64s(reqs[q])
-		}
+		ids, err := mpi.DecodeDeltaInt64s(reqs[q])
 		if err != nil {
-			return err
+			return malformed("community-info request", q, "%v", err)
 		}
 		bp := st.arena.Grab()
 		buf := *bp
 		for _, cid := range ids {
 			if !st.dg.IsLocal(cid) {
-				return fmt.Errorf("core: rank %d asked rank %d for non-owned community %d", q, c.Rank(), cid)
+				return malformed("community-info request", q, "non-owned community %d", cid)
 			}
 			lc := cid - st.dg.Base
 			buf = mpi.AppendFloat64(buf, st.cA[lc])
-			if st.wireV2() {
-				buf = mpi.AppendVarint(buf, st.cSize[lc])
-			} else {
-				buf = mpi.AppendInt64(buf, st.cSize[lc])
-			}
+			buf = mpi.AppendVarint(buf, st.cSize[lc])
 		}
 		*bp = buf
 		resp[q] = buf
@@ -601,37 +475,19 @@ func (st *phaseState) fetchCommunityInfo() error {
 		for _, cid := range reqByOwner[q] {
 			a, err := d.Float64()
 			if err != nil {
-				return err
+				return malformed("community-info reply", q, "%v", err)
 			}
-			var size int64
-			if st.wireV2() {
-				size, err = d.Varint()
-			} else {
-				size, err = d.Int64()
-			}
+			size, err := d.Varint()
 			if err != nil {
-				return err
+				return malformed("community-info reply", q, "%v", err)
 			}
 			st.remoteInfo[cid] = cinfo{a: a, size: size}
 		}
+		if d.Remaining() != 0 {
+			return malformed("community-info reply", q, "%d trailing bytes", d.Remaining())
+		}
 	}
 	return nil
-}
-
-// encodeIDs and decodeIDs carry an ascending ID list under the negotiated
-// wire format: ~1-byte delta varints under v2, fixed 8 bytes under v1.
-func (st *phaseState) encodeIDs(ids []int64) []byte {
-	if st.wireV2() {
-		return mpi.EncodeDeltaInt64s(ids)
-	}
-	return mpi.EncodeInt64s(ids)
-}
-
-func (st *phaseState) decodeIDs(buf []byte) ([]int64, error) {
-	if st.wireV2() {
-		return mpi.DecodeDeltaInt64s(buf)
-	}
-	return mpi.DecodeInt64s(buf)
 }
 
 // resolveVertexComms looks up the current community of arbitrary global
@@ -643,7 +499,7 @@ func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
 	c := st.dg.Comm
 	p := c.Size()
 	// Replies are matched back through the request lists, so the request
-	// order is free to choose: sorted, so v2's delta streams stay compact.
+	// order is free to choose: sorted, so the delta streams stay compact.
 	refs := make([]int64, 0, len(ids))
 	for _, g := range ids {
 		if !st.dg.IsLocal(g) {
@@ -653,7 +509,7 @@ func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
 	remote, reqByOwner := sortedRemote(st.dg.Part, refs)
 	send := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		send[q] = st.encodeIDs(reqByOwner[q])
+		send[q] = mpi.EncodeDeltaInt64s(reqByOwner[q])
 	}
 	reqs, err := c.Alltoall(send)
 	if err != nil {
@@ -661,20 +517,16 @@ func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
 	}
 	resp := make([][]byte, p)
 	for q := 0; q < p; q++ {
-		vs, err := st.decodeIDs(reqs[q])
+		vs, err := mpi.DecodeDeltaInt64s(reqs[q])
 		if err != nil {
-			return nil, err
+			return nil, malformed("comm-lookup request", q, "%v", err)
 		}
 		buf := make([]byte, 0, 8*len(vs))
 		for _, g := range vs {
 			if !st.dg.IsLocal(g) {
-				return nil, fmt.Errorf("core: rank %d asked rank %d for comm of non-owned vertex %d", q, c.Rank(), g)
+				return nil, malformed("comm-lookup request", q, "non-owned vertex %d", g)
 			}
-			if st.wireV2() {
-				buf = mpi.AppendVarint(buf, st.comm[g-st.dg.Base])
-			} else {
-				buf = mpi.AppendInt64(buf, st.comm[g-st.dg.Base])
-			}
+			buf = mpi.AppendVarint(buf, st.comm[g-st.dg.Base])
 		}
 		resp[q] = buf
 	}
@@ -686,20 +538,14 @@ func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
 	for q := 0; q < p; q++ {
 		d := mpi.NewDecoder(answers[q])
 		for range reqByOwner[q] {
-			var v int64
-			var err error
-			if st.wireV2() {
-				v, err = d.Varint()
-			} else {
-				v, err = d.Int64()
-			}
+			v, err := d.Varint()
 			if err != nil {
-				return nil, fmt.Errorf("core: comm-lookup reply from rank %d: %w", q, err)
+				return nil, malformed("comm-lookup reply", q, "%v", err)
 			}
 			commOfRemote = append(commOfRemote, v)
 		}
 		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("core: comm-lookup reply from rank %d has %d trailing bytes", q, d.Remaining())
+			return nil, malformed("comm-lookup reply", q, "%d trailing bytes", d.Remaining())
 		}
 	}
 	out := make([]int64, len(ids))
@@ -756,7 +602,7 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	st.arena.Reset()
 	send := make([][]byte, p)
 	bufs := make([]*[]byte, p)
-	// v2 entries: varint cid gap from the previous entry to the same owner
+	// Entries: varint cid gap from the previous entry to the same owner
 	// (ascending across the frame), fixed64 ΔA, varint Δsize.
 	prevCid := make([]int64, p)
 	for _, d := range deltas {
@@ -767,16 +613,10 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 		if bufs[o] == nil {
 			bufs[o] = st.arena.Grab()
 		}
-		if st.wireV2() {
-			*bufs[o] = mpi.AppendVarint(*bufs[o], d.cid-prevCid[o])
-			*bufs[o] = mpi.AppendFloat64(*bufs[o], d.a)
-			*bufs[o] = mpi.AppendVarint(*bufs[o], d.size)
-			prevCid[o] = d.cid
-		} else {
-			*bufs[o] = mpi.AppendInt64(*bufs[o], d.cid)
-			*bufs[o] = mpi.AppendFloat64(*bufs[o], d.a)
-			*bufs[o] = mpi.AppendInt64(*bufs[o], d.size)
-		}
+		*bufs[o] = mpi.AppendVarint(*bufs[o], d.cid-prevCid[o])
+		*bufs[o] = mpi.AppendFloat64(*bufs[o], d.a)
+		*bufs[o] = mpi.AppendVarint(*bufs[o], d.size)
+		prevCid[o] = d.cid
 	}
 	for o, bp := range bufs {
 		if bp != nil {
@@ -811,39 +651,24 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	}
 	for q := 0; q < p; q++ {
 		d := mpi.NewDecoder(recv[q])
-		if st.wireV2() {
-			prev := int64(0)
-			for d.Remaining() > 0 {
-				gap, err := d.Varint()
-				if err != nil {
-					return fmt.Errorf("core: delta frame from rank %d: %w", q, err)
-				}
-				cid := prev + gap
-				prev = cid
-				da, err := d.Float64()
-				if err != nil {
-					return fmt.Errorf("core: delta frame from rank %d: %w", q, err)
-				}
-				dsize, err := d.Varint()
-				if err != nil {
-					return fmt.Errorf("core: delta frame from rank %d: %w", q, err)
-				}
-				if !st.dg.IsLocal(cid) {
-					return fmt.Errorf("core: delta for non-owned community %d from rank %d", cid, q)
-				}
-				st.applyDelta(cid, delta{a: da, size: dsize})
-			}
-			continue
-		}
-		for d.Remaining() >= 24 {
-			cid, _ := d.Int64()
-			da, _ := d.Float64()
-			dsize, err := d.Int64()
+		prev := int64(0)
+		for d.Remaining() > 0 {
+			gap, err := d.Varint()
 			if err != nil {
-				return err
+				return malformed("delta frame", q, "%v", err)
+			}
+			cid := prev + gap
+			prev = cid
+			da, err := d.Float64()
+			if err != nil {
+				return malformed("delta frame", q, "%v", err)
+			}
+			dsize, err := d.Varint()
+			if err != nil {
+				return malformed("delta frame", q, "%v", err)
 			}
 			if !st.dg.IsLocal(cid) {
-				return fmt.Errorf("core: delta for non-owned community %d from rank %d", cid, q)
+				return malformed("delta frame", q, "non-owned community %d", cid)
 			}
 			st.applyDelta(cid, delta{a: da, size: dsize})
 		}

@@ -7,24 +7,14 @@ import (
 )
 
 // The codec helpers serialize the numeric slices the Louvain protocol
-// exchanges. The v1 helpers are little-endian and fixed-width, like the
-// binary graph format, so a TCP world can mix machines without byte-order
-// trouble. The v2 helpers add LEB128 varints with zigzag signing for IDs and
-// counts — vertex and community IDs are small relative to 8 bytes, and the
-// protocols' canonically sorted ID streams delta-encode into 1–2 byte gaps.
-// Float weights stay fixed64 under both versions: varints cannot shorten
-// them and bit-exactness is non-negotiable.
-
-// Wire format versions a world can negotiate. Every frame-producing protocol
-// step encodes according to the version all ranks agreed on, so a mixed
-// deployment degrades to the highest version every rank supports.
-const (
-	// WireV1 is the original fixed-width little-endian layout.
-	WireV1 = 1
-	// WireV2 packs IDs and counts as zigzag+LEB128 varints and sorted ID
-	// streams as delta-encoded varint gaps; floats remain fixed64.
-	WireV2 = 2
-)
+// exchanges. The fixed-width helpers are little-endian, like the binary graph
+// format, so a TCP world can mix machines without byte-order trouble; the
+// collectives and graph assembly use them. The per-iteration frames use the
+// LEB128 varint helpers with zigzag signing for IDs and counts — vertex and
+// community IDs are small relative to 8 bytes, and the protocols' canonically
+// sorted ID streams delta-encode into 1–2 byte gaps. Float weights stay
+// fixed64 everywhere: varints cannot shorten them and bit-exactness is
+// non-negotiable.
 
 // AppendUint64 appends v to buf.
 func AppendUint64(buf []byte, v uint64) []byte {

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// FuzzVarintCodec drives the wire-v2 varint decoders with arbitrary bytes.
+// FuzzVarintCodec drives the varint decoders with arbitrary bytes.
 // The decoders must never panic or over-allocate on corrupt input, and any
 // value stream they accept must re-encode and decode back to itself (the
 // codec is canonical in the value direction — every int64 has exactly one

@@ -92,9 +92,6 @@ type Options struct {
 	// MaxPhases and MaxIterations cap work (0 = defaults).
 	MaxPhases     int
 	MaxIterations int
-	// SendChangedOnly prunes per-iteration ghost updates to changed
-	// entries (a pure traffic optimization; results are identical).
-	SendChangedOnly bool
 	// UseNeighborCollectives routes ghost exchanges through sparse
 	// neighborhood collectives (MPI-3 style; the paper's §VI plan) —
 	// O(neighbours) messages per rank instead of O(Ranks). Results are
@@ -178,7 +175,6 @@ func (o Options) toConfig() (core.Config, error) {
 	cfg.Seed = o.Seed
 	cfg.MaxPhases = o.MaxPhases
 	cfg.MaxIterations = o.MaxIterations
-	cfg.SendChangedOnly = o.SendChangedOnly
 	cfg.UseNeighborCollectives = o.UseNeighborCollectives
 	cfg.UseColoring = o.UseColoring
 	return cfg, nil
