@@ -63,7 +63,9 @@ test-chaos:
 # graph × variant × rank-count × frontier-mode combination must reproduce
 # the full-scan oracle bit-for-bit (trajectories, modularity bits, final
 # assignment), including kill→resume, thread-count and coloring interplay,
-# plus the frontier.Set unit/property tests.
+# plus the frontier.Set unit/property tests and the slot / row-cache
+# differential (slots_test.go: reference kernels by global ID, every
+# iteration's Q against the gathered labels, two pinned trajectory digests).
 test-frontier:
 	$(GO) test -race -count=1 -run 'Frontier' ./internal/core/... ./internal/frontier/... ./internal/service/...
 

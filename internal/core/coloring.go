@@ -101,7 +101,8 @@ func DistColoring(dg *dgraph.DistGraph, seed uint64) ([]int32, int, error) {
 		if dg.IsLocal(g) {
 			return color[g-dg.Base]
 		}
-		return ghostColor[dg.GhostIndex[g]]
+		i, _ := dg.GhostSlot(g) // every non-owned target is a ghost
+		return ghostColor[i]
 	}
 
 	maxColor := int32(0)
@@ -246,7 +247,8 @@ func ValidateDistColoring(dg *dgraph.DistGraph, color []int32) (bool, error) {
 			if dg.IsLocal(e.To) {
 				nc = color[e.To-dg.Base]
 			} else {
-				nc = ghostColor[dg.GhostIndex[e.To]]
+				i, _ := dg.GhostSlot(e.To)
+				nc = ghostColor[i]
 			}
 			if nc == color[lv] {
 				ok = 0

@@ -49,18 +49,18 @@ type frontierState struct {
 	revOff []int64
 	revAdj []int64
 
-	// Rule-(d) watchers. changedOwned lists owned communities (local index)
-	// whose (A_c, size) changed since the last frontier build, deduplicated
-	// by an epoch stamp so applyDelta stays O(1). prevRemote holds the
-	// previous iteration's remote (A_c, size) cache for bitwise diffing.
-	changedOwned []int64
+	// Rule-(d) watchers. Owned community lc changed (A_c, size) since the
+	// last frontier build iff ownedStamp[lc] == ownedEpoch; ownedChanged
+	// counts them. prevRemote holds the previous iteration's remote
+	// (A_c, size) cache for bitwise diffing.
 	ownedStamp   []int32
 	ownedEpoch   int32
+	ownedChanged int
 	prevRemote   map[int64]cinfo
 
-	// changedComms is the per-build scratch set of community IDs whose
-	// (A_c, size) changed.
-	changedComms map[int64]struct{}
+	// changedRemote is the per-build scratch set of non-owned community IDs
+	// whose (A_c, size) changed.
+	changedRemote map[int64]struct{}
 }
 
 func newFrontierState(st *phaseState) *frontierState {
@@ -75,21 +75,20 @@ func newFrontierState(st *phaseState) *frontierState {
 		rep = frontier.RepAuto
 	}
 	fr := &frontierState{
-		cur:          frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
-		next:         frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
-		carryBufs:    make([][]int64, st.cfg.Threads),
-		ownedStamp:   make([]int32, n),
-		prevRemote:   make(map[int64]cinfo),
-		changedComms: make(map[int64]struct{}),
+		cur:           frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
+		next:          frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
+		carryBufs:     make([][]int64, st.cfg.Threads),
+		ownedStamp:    make([]int32, n),
+		ownedEpoch:    1, // the zeroed stamps mean "unchanged"
+		prevRemote:    make(map[int64]cinfo),
+		changedRemote: make(map[int64]struct{}),
 	}
 
-	// Reverse ghost adjacency by counting sort over the CSR rows.
+	// Reverse ghost adjacency by counting sort over the arcs' slots.
 	counts := make([]int64, len(st.dg.Ghosts)+1)
-	for lv := int64(0); lv < n; lv++ {
-		for _, e := range st.dg.Neighbors(lv) {
-			if !st.dg.IsLocal(e.To) {
-				counts[st.dg.GhostIndex[e.To]+1]++
-			}
+	for _, s := range st.dg.Slot {
+		if g := int64(s) - n; g >= 0 {
+			counts[g+1]++
 		}
 	}
 	for i := 1; i < len(counts); i++ {
@@ -99,15 +98,25 @@ func newFrontierState(st *phaseState) *frontierState {
 	fr.revAdj = make([]int64, counts[len(counts)-1])
 	fill := make([]int64, len(st.dg.Ghosts))
 	for lv := int64(0); lv < n; lv++ {
-		for _, e := range st.dg.Neighbors(lv) {
-			if !st.dg.IsLocal(e.To) {
-				slot := st.dg.GhostIndex[e.To]
-				fr.revAdj[fr.revOff[slot]+fill[slot]] = lv
-				fill[slot]++
+		for _, s := range st.dg.Slot[st.dg.Index[lv]:st.dg.Index[lv+1]] {
+			if g := int64(s) - n; g >= 0 {
+				fr.revAdj[fr.revOff[g]+fill[g]] = lv
+				fill[g]++
 			}
 		}
 	}
 	return fr
+}
+
+// markLocalAdj dirties lv and its local neighbours (rules a, b and d).
+func (st *phaseState) markLocalAdj(lv int64) {
+	next, n := st.fr.next, st.dg.LocalN
+	next.Mark(lv)
+	for _, s := range st.dg.Slot[st.dg.Index[lv]:st.dg.Index[lv+1]] {
+		if int64(s) < n {
+			next.Mark(int64(s))
+		}
+	}
 }
 
 // markGhostAdj dirties the locals adjacent to a ghost slot (rules c and d).
@@ -120,11 +129,10 @@ func (fr *frontierState) markGhostAdj(slot int32) {
 // noteOwnedChanged records that owned community lc's (A_c, size) changed
 // bitwise since the last frontier build (rule d, owned side).
 func (fr *frontierState) noteOwnedChanged(lc int64) {
-	if fr.ownedStamp[lc] == fr.ownedEpoch {
-		return
+	if fr.ownedStamp[lc] != fr.ownedEpoch {
+		fr.ownedStamp[lc] = fr.ownedEpoch
+		fr.ownedChanged++
 	}
-	fr.ownedStamp[lc] = fr.ownedEpoch
-	fr.changedOwned = append(fr.changedOwned, lc)
 }
 
 // markMoves dirties this iteration's movers and their local neighbours
@@ -132,14 +140,8 @@ func (fr *frontierState) noteOwnedChanged(lc int64) {
 // those ranks observe the move through their ghost table (rule c on their
 // side).
 func (st *phaseState) markMoves(moves []move) {
-	fr := st.fr
 	for _, mv := range moves {
-		fr.next.Mark(mv.lv)
-		for _, e := range st.dg.Neighbors(mv.lv) {
-			if st.dg.IsLocal(e.To) {
-				fr.next.Mark(e.To - st.dg.Base)
-			}
-		}
+		st.markLocalAdj(mv.lv)
 	}
 }
 
@@ -172,35 +174,36 @@ func (st *phaseState) buildFrontier(iter int) {
 	if iter == 1 {
 		fr.cur.Fill()
 	} else {
-		// Rule (d): communities whose (A_c, size) changed during iter−1.
-		changed := fr.changedComms
-		clear(changed)
-		for _, lc := range fr.changedOwned {
-			changed[st.dg.Base+lc] = struct{}{}
-		}
+		// Rule (d): communities whose (A_c, size) changed during iter−1 —
+		// owned ones by their stamp, the others through a set that only
+		// non-owned IDs ever probe.
+		remote := fr.changedRemote
+		clear(remote)
 		for cid, ci := range st.remoteInfo {
 			if prev, ok := fr.prevRemote[cid]; !ok || prev != ci {
-				changed[cid] = struct{}{}
+				remote[cid] = struct{}{}
 			}
 		}
-		if len(changed) > 0 {
+		if fr.ownedChanged > 0 || len(remote) > 0 {
+			base, n := st.dg.Base, st.dg.LocalN
+			changed := func(cid int64) bool {
+				if lc := cid - base; lc >= 0 && lc < n {
+					return fr.ownedStamp[lc] == fr.ownedEpoch
+				}
+				_, ok := remote[cid]
+				return ok
+			}
 			// Resolve "references a changed community" by membership: the
 			// referencing vertices are the members plus everything adjacent
 			// to a member (through the CSR rows for local members, through
 			// the reverse ghost adjacency for ghost members).
-			for lv := int64(0); lv < st.dg.LocalN; lv++ {
-				if _, ok := changed[st.comm[lv]]; !ok {
-					continue
-				}
-				fr.next.Mark(lv)
-				for _, e := range st.dg.Neighbors(lv) {
-					if st.dg.IsLocal(e.To) {
-						fr.next.Mark(e.To - st.dg.Base)
-					}
+			for lv, cid := range st.comm {
+				if changed(cid) {
+					st.markLocalAdj(int64(lv))
 				}
 			}
 			for slot, gc := range st.ghostComm {
-				if _, ok := changed[gc]; ok {
+				if changed(gc) {
 					fr.markGhostAdj(int32(slot))
 				}
 			}
@@ -210,7 +213,7 @@ func (st *phaseState) buildFrontier(iter int) {
 	}
 
 	// Reset the rule-(d) watchers for the iteration about to run.
-	fr.changedOwned = fr.changedOwned[:0]
+	fr.ownedChanged = 0
 	fr.ownedEpoch++
 	if fr.ownedEpoch == 0 { // int32 wrap: restamp
 		clear(fr.ownedStamp)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"distlouvain/internal/flat"
@@ -74,8 +75,9 @@ func (st *phaseState) isActive(lv int64, iter int) bool {
 // Algorithm 3). Returns false when lv should stay put.
 //
 // tab is the worker's flat neighbor-community accumulator (phase-lived,
-// epoch-reset per vertex). Neighbor weights accumulate per community in CSR
-// order — the same order the map reference kernel uses — so every e(v→C)
+// epoch-reset per vertex). A neighbor's community is st.all[Slot[i]] — one
+// load per arc, owned or ghost alike. Neighbor weights accumulate per
+// community in CSR order — the same order the map reference kernel uses — so every e(v→C)
 // sum is bit-identical to the reference, and the best-move selection below
 // is iteration-order independent (strict > on gains, smallest-cid
 // tie-break), so the chosen moves are identical too. evaluateVertexRef in
@@ -84,12 +86,13 @@ func (st *phaseState) evaluateVertex(lv int64, tab *flat.Table) (move, bool) {
 	m2 := st.dg.M2
 	cv := st.comm[lv]
 	tab.Reset()
-	g := st.dg.Global(lv)
-	for _, e := range st.dg.Neighbors(lv) {
-		if e.To == g {
+	lo, hi := st.dg.Index[lv], st.dg.Index[lv+1]
+	edges, slots := st.dg.Edges[lo:hi], st.dg.Slot[lo:hi]
+	for i, s := range slots {
+		if int64(s) == lv {
 			continue // self loop moves with the vertex
 		}
-		tab.Add(st.commOf(e.To), e.W)
+		tab.Add(st.all[s], edges[i].W)
 	}
 	if tab.Len() == 0 {
 		return move{}, false
@@ -315,7 +318,7 @@ func (st *phaseState) stageMoves(moves []move) []commDelta {
 		cid, a, size := tab.AtDelta(i)
 		out = append(out, commDelta{cid: cid, a: a, size: size})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].cid < out[j].cid })
+	slices.SortFunc(out, func(a, b commDelta) int { return cmp.Compare(a.cid, b.cid) })
 	st.deltaBuf = out
 	return out
 }
@@ -341,6 +344,7 @@ func (st *phaseState) snapshot(s *snapshot) {
 }
 
 func (st *phaseState) restore(s *snapshot) {
+	st.rowsStale = true // the reverted vertices are marked nowhere
 	copy(st.comm, s.comm)
 	copy(st.cA, s.cA)
 	copy(st.cSize, s.cSize)

@@ -95,15 +95,11 @@ func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.refKernels {
 		return len(kb.st.coarseArcsMap(kb.ren))
 	}
-	newOfVertex := make([]int64, len(kb.st.comm))
-	if err := kb.ren.translate(newOfVertex, kb.st.comm); err != nil {
+	newOf := make([]int64, len(kb.st.comm)) // a single rank has no ghosts
+	if err := kb.ren.translate(newOf, kb.st.comm); err != nil {
 		panic(err) // a single rank's vertices can only be in live owned communities
 	}
-	arcs, err := kb.st.coarseArcsFlat(newOfVertex, nil)
-	if err != nil {
-		panic(err) // a single rank has no ghosts to miss
-	}
-	return len(arcs)
+	return len(kb.st.coarseArcsFlat(newOf))
 }
 
 // Close releases the in-process world.

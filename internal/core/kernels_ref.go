@@ -12,6 +12,17 @@ import (
 // them). They must match the flat kernels move for move and — where the
 // flat kernel promises it — bit for bit; kernels_test.go enforces both.
 
+// commOf resolves the community of a global vertex without dg.Slot — an
+// ownership test, then a search of the ghost table — so a run through the
+// reference kernels also cross-checks the slots the flat kernels read.
+func (st *phaseState) commOf(g int64) int64 {
+	if st.dg.IsLocal(g) {
+		return st.comm[g-st.dg.Base]
+	}
+	i, _ := st.dg.GhostSlot(g)
+	return st.ghostComm[i]
+}
+
 // evaluateVertexRef is evaluateVertex with a map scratch accumulator. The
 // accumulation order over neighbors is identical (CSR order), and the
 // best-move scan is iteration-order independent, so the chosen move is

@@ -7,6 +7,7 @@ import (
 
 	"distlouvain/internal/gen"
 	"distlouvain/internal/graph"
+	"distlouvain/internal/mpi"
 )
 
 // floatWeights replaces the unit weights of an edge list with deterministic
@@ -169,11 +170,13 @@ func TestFloatWeightedResumeBitIdentical(t *testing.T) {
 	sameOutcome(t, "resume", resumeInproc(t, 3, dir, cfg), want)
 }
 
-// TestSweepSteadyStateAllocs pins the satellite claim that the hoisted
-// per-worker tables and move buffers stop the sweep from allocating per
-// vertex or per class: after warm-up, a single-threaded flat sweep performs
-// at most one constant allocation (the par.For body closure, which escapes
-// because the pool may hand it to goroutines) regardless of graph size.
+// TestSweepSteadyStateAllocs pins the claim that an iteration's compute stops
+// allocating once the phase-lived buffers have settled: a single-threaded flat
+// sweep performs at most one constant allocation (the par.For body closure,
+// which escapes because the pool may hand it to goroutines) regardless of
+// graph size, and the modularity step over cached rows adds nothing of its own
+// — what it does allocate is the transport's allreduce of a five-value vector,
+// measured here rather than assumed.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	n, edges := gen.ErdosRenyi(500, 3000, 7)
 	kb, err := NewKernelBench(n, edges, 1, false)
@@ -181,10 +184,29 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kb.Close()
+	st := kb.st
+	modularityStep := func() {
+		if _, _, err := st.modularityAndMoves(0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	kb.Sweep() // settle buffer capacities
-	allocs := testing.AllocsPerRun(20, func() { kb.Sweep() })
-	if allocs > 1 {
+	modularityStep()
+	if allocs := testing.AllocsPerRun(20, func() { kb.Sweep() }); allocs > 1 {
 		t.Fatalf("steady-state flat sweep allocates %.1f times per run, want <= 1", allocs)
+	}
+	allreduce := testing.AllocsPerRun(20, func() {
+		if _, err := st.dg.Comm.AllreduceFloat64s([]float64{1, 2, 3, 4, 5}, mpi.OpSum); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs := testing.AllocsPerRun(20, modularityStep); allocs > allreduce {
+		t.Fatalf("steady-state modularity step allocates %.1f times per run, its allreduce alone %.1f", allocs, allreduce)
+	}
+	for _, stale := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(20, func() { st.rowsStale = stale; st.intraWeight() }); allocs != 0 {
+			t.Fatalf("intraWeight (every row stale: %v) allocates %.1f times per run, want 0", stale, allocs)
+		}
 	}
 }
 
@@ -229,12 +251,45 @@ func benchKernel(b *testing.B, useRef bool, op func(*KernelBench) int) {
 	}
 }
 
+// BenchmarkSweepFlat is the shipped sweep: flat tables fed by all[Slot[i]].
+// BenchmarkSweepMap is the reference: a Go map fed by commOf's lookup by
+// global ID.
 func BenchmarkSweepFlat(b *testing.B) {
 	benchKernel(b, false, func(kb *KernelBench) int { return kb.Sweep() })
 }
 
 func BenchmarkSweepMap(b *testing.B) {
 	benchKernel(b, true, func(kb *KernelBench) int { return kb.Sweep() })
+}
+
+// benchModularityStep times step (iv) on a single rank, after prepare has
+// said which row subtotals are out of date.
+func benchModularityStep(b *testing.B, prepare func(st *phaseState)) {
+	benchKernel(b, false, func(kb *KernelBench) int {
+		prepare(kb.st)
+		if _, _, err := kb.st.modularityAndMoves(0); err != nil {
+			b.Fatal(err)
+		}
+		return 0
+	})
+}
+
+// BenchmarkModularityAllRows: every row recomputed — what a full scan, a
+// phase's first iteration, and every iteration before the row cache pay: O(m).
+func BenchmarkModularityAllRows(b *testing.B) {
+	benchModularityStep(b, func(st *phaseState) { st.rowsStale = true })
+}
+
+// BenchmarkModularityDirty1Pct: one row in a hundred is marked in the next
+// frontier, as on a converging phase: O(n) for the sum plus the dirty rows'
+// arcs.
+func BenchmarkModularityDirty1Pct(b *testing.B) {
+	benchModularityStep(b, func(st *phaseState) {
+		st.fr.next.Clear()
+		for lv := int64(0); lv < st.dg.LocalN; lv += 100 {
+			st.fr.next.Mark(lv)
+		}
+	})
 }
 
 func BenchmarkCoarseArcsFlat(b *testing.B) {

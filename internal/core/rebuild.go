@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -125,8 +124,8 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	}
 
 	// Step 4: resolve old→new IDs for every referenced non-owned community.
-	refs := make([]int64, 0, len(st.comm)+len(st.ghostComm)+len(extraIDs))
-	for _, ids := range [][]int64{st.comm, st.ghostComm, extraIDs} {
+	refs := make([]int64, 0, len(st.all)+len(extraIDs))
+	for _, ids := range [][]int64{st.all, extraIDs} {
 		for _, cid := range ids {
 			if !st.dg.IsLocal(cid) {
 				refs = append(refs, cid)
@@ -179,25 +178,21 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	// Step 5: partial coarse edge lists. Every local fine arc v→u maps to
 	// the coarse arc new(comm(v))→new(comm(u)); parallel arcs merge. The new
 	// community of every local vertex and of every ghost is resolved once
-	// here, so the per-arc work below touches two dense arrays and no map.
+	// here, so the per-arc work below reads one slot-addressed array.
 	//
 	// Arcs may leave this step in any order: BuildFromArcs places them
 	// stably, so parallel arcs sum in (sender rank, emission order) — fixed
 	// by the graph and the thread count, never by hash layout. Both kernels
 	// emit each coarse pair at most once per worker in a deterministic order.
-	newOfVertex := make([]int64, len(st.comm))
-	if err := ren.translate(newOfVertex, st.comm); err != nil {
-		return nil, nil, err
-	}
-	newOfGhost := make([]int64, len(st.ghostComm))
-	if err := ren.translate(newOfGhost, st.ghostComm); err != nil {
+	newOf := make([]int64, len(st.all))
+	if err := ren.translate(newOf, st.all); err != nil {
 		return nil, nil, err
 	}
 	var arcs []dgraph.Arc
 	if st.cfg.refKernels {
 		arcs = st.coarseArcsMap(ren)
-	} else if arcs, err = st.coarseArcsFlat(newOfVertex, newOfGhost); err != nil {
-		return nil, nil, err
+	} else {
+		arcs = st.coarseArcsFlat(newOf)
 	}
 
 	// Steps 6–7: redistribute to an even vertex partition and rebuild the
@@ -220,40 +215,22 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 // on hash layout. At Threads=1 the sums are bit-identical to the sequential
 // map reference.
 //
-// newOfVertex[lv] and newOfGhost[gi] are the new communities of the local
-// vertices and the ghosts. A row is target-sorted and so is dg.Ghosts, so a
-// row's ghost slots are found by searching only forward of the previous hit;
-// a non-owned target without a slot is an error.
-func (st *phaseState) coarseArcsFlat(newOfVertex, newOfGhost []int64) ([]dgraph.Arc, error) {
+// newOf is the new community of every arc endpoint, addressed by dg.Slot like
+// st.all.
+func (st *phaseState) coarseArcsFlat(newOf []int64) []dgraph.Arc {
 	dg := st.dg
 	nw := st.cfg.Threads
 	tabs := make([]*flat.PairTable, nw)
-	errs := make([]error, nw)
 	par.For(int(dg.LocalN), nw, func(w, lo, hi int) {
 		tab := flat.NewPairTable(int(dg.Index[hi] - dg.Index[lo]))
 		for lv := lo; lv < hi; lv++ {
-			a := newOfVertex[lv]
-			gi := 0 // ghost slots below gi are behind this row's cursor
-			for _, e := range dg.Neighbors(int64(lv)) {
-				if dg.IsLocal(e.To) {
-					tab.Add(a, newOfVertex[e.To-dg.Base], e.W)
-					continue
-				}
-				k, ok := slices.BinarySearch(dg.Ghosts[gi:], e.To)
-				if !ok {
-					errs[w] = fmt.Errorf("core: target %d of vertex %d has no ghost slot", e.To, dg.Global(int64(lv)))
-					return
-				}
-				gi += k
-				tab.Add(a, newOfGhost[gi], e.W)
-				gi++
+			a := newOf[lv]
+			for i := dg.Index[lv]; i < dg.Index[lv+1]; i++ {
+				tab.Add(a, newOf[dg.Slot[i]], dg.Edges[i].W)
 			}
 		}
 		tabs[w] = tab
 	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
 	tabs = slices.DeleteFunc(tabs, func(t *flat.PairTable) bool { return t == nil }) // unspawned empty ranges
 	var total int
 	for _, tab := range tabs {
@@ -266,5 +243,5 @@ func (st *phaseState) coarseArcsFlat(newOfVertex, newOfGhost []int64) ([]dgraph.
 			arcs = append(arcs, dgraph.Arc{From: a, To: b, W: wt})
 		}
 	}
-	return arcs, nil
+	return arcs
 }

@@ -48,9 +48,10 @@ func TestRenumberingRejectsUnresolvedIDs(t *testing.T) {
 	}
 }
 
-// TestCoarseArcsFlatRejectsMissingGhost: a non-owned target without a ghost
-// slot is an error on the flat path, like any other broken invariant.
-func TestCoarseArcsFlatRejectsMissingGhost(t *testing.T) {
+// TestValidateCatchesMissingGhostSlot: coarseArcsFlat reads dg.Slot on trust,
+// so a non-owned target without a ghost slot is dgraph.Validate's to report —
+// on the graph a phase starts from and on the one rebuild returns.
+func TestValidateCatchesMissingGhostSlot(t *testing.T) {
 	n, edges := gen.BandedMesh(8, 1)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), 2)
@@ -64,12 +65,18 @@ func TestCoarseArcsFlatRejectsMissingGhost(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := st.coarseArcsFlat(st.comm, st.ghostComm); err != nil {
-			return fmt.Errorf("intact graph: %w", err)
+		ndg, _, err := st.rebuild(nil)
+		if err != nil {
+			return err
 		}
-		dg.Ghosts = dg.Ghosts[:len(dg.Ghosts)-1]
-		if _, err := st.coarseArcsFlat(st.comm, st.ghostComm); err == nil {
-			return fmt.Errorf("rank %d: missing ghost slot went unnoticed", c.Rank())
+		for _, g := range []*dgraph.DistGraph{dg, ndg} {
+			if err := g.Validate(); err != nil {
+				return fmt.Errorf("intact graph: %w", err)
+			}
+			g.Ghosts = g.Ghosts[:len(g.Ghosts)-1]
+			if g.Validate() == nil {
+				return fmt.Errorf("rank %d: missing ghost slot went unnoticed", c.Rank())
+			}
 		}
 		return nil
 	})

@@ -1,0 +1,248 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"distlouvain/internal/dgraph"
+	"distlouvain/internal/gen"
+	"distlouvain/internal/gio"
+	"distlouvain/internal/graph"
+	"distlouvain/internal/mpi"
+	"distlouvain/internal/seq"
+)
+
+// The slot differential harness. Two things replaced per-arc work with reads
+// of stored state — dgraph.Slot for "which community is at the other end" and
+// rowIntra for "how much of this row is intra-community" — so both are held
+// to a path that stores neither: the reference kernels resolve every target
+// by global ID, and the full scan recomputes every row every iteration.
+
+// slotGraphs: the integer-weighted graph takes the rollback branch (asserted
+// below); the float weights make any change of summation order show in the
+// bits.
+type slotGraph struct {
+	name  string
+	n     int64
+	edges []graph.RawEdge
+	float bool
+}
+
+func slotGraphs() []slotGraph {
+	in, iEdges := gen.ErdosRenyi(300, 1500, 5)
+	fn, fEdges := gen.ErdosRenyi(250, 1200, 17)
+	return []slotGraph{
+		{"er-int", in, iEdges, false},
+		{"er-float", fn, floatWeights(fEdges), true},
+	}
+}
+
+// rolledBack reports whether some phase ended on an iteration that lowered Q,
+// i.e. took iterate's restore branch.
+func rolledBack(res *Result) bool {
+	for _, st := range res.Phases {
+		if k := len(st.QTrajectory); k >= 2 && st.QTrajectory[k-1] < st.QTrajectory[k-2] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFrontierSlotPathsAgree: frontier default (cached rows, slot reads), the
+// full scan (every row recomputed) and the reference kernels (targets resolved
+// by global ID, with and without a frontier) must retrace one another bit for
+// bit, for the baseline and the coloring-free ET and ETC variants, at 1/2/4
+// ranks × 1/2 threads. (One exemption, older than slots: the map coarse-arc
+// kernel sums a pair once, the flat one once per worker, so on float weights
+// the reference kernels are comparable at one thread only.)
+func TestFrontierSlotPathsAgree(t *testing.T) {
+	variants := []struct {
+		name string
+		cfg  Config
+	}{
+		{"baseline", Baseline()},
+		{"et", ET(0.25)},
+		{"etc", ETC(0.25)},
+	}
+	paths := []struct {
+		name     string
+		frontier int
+		ref      bool
+	}{
+		{"frontier", FrontierAuto, false},
+		{"ref-kernels", FrontierAuto, true},
+		{"ref-kernels-full-scan", FrontierOff, true},
+	}
+	for _, g := range slotGraphs() {
+		for _, v := range variants {
+			t.Run(g.name+"/"+v.name, func(t *testing.T) {
+				sawRollback := false
+				for _, ranks := range []int{1, 2, 4} {
+					for _, threads := range []int{1, 2} {
+						ref := v.cfg
+						ref.Threads = threads
+						ref.Frontier = FrontierOff
+						want, err := RunOnEdges(ranks, g.n, g.edges, ref)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sawRollback = sawRollback || rolledBack(want)
+						for _, p := range paths {
+							if p.ref && g.float && threads > 1 {
+								continue
+							}
+							cfg := v.cfg
+							cfg.Threads = threads
+							cfg.Frontier = p.frontier
+							cfg.refKernels = p.ref
+							got, err := RunOnEdges(ranks, g.n, g.edges, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sameTrajectory(t, fmt.Sprintf("ranks=%d threads=%d %s", ranks, threads, p.name), got, want)
+						}
+					}
+				}
+				if !g.float && v.name == "baseline" && !sawRollback {
+					t.Fatal("no phase took the rollback branch; pick a graph that does")
+				}
+			})
+		}
+	}
+}
+
+// trajectoryDigest folds everything sameTrajectory compares into one FNV-1a
+// value.
+func trajectoryDigest(res *Result) string {
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, st := range res.Phases {
+		put(uint64(len(st.QTrajectory)))
+		for i, q := range st.QTrajectory {
+			put(math.Float64bits(q))
+			put(uint64(st.MovesTrajectory[i]))
+		}
+	}
+	put(math.Float64bits(res.Modularity))
+	for _, c := range res.GlobalComm {
+		put(uint64(c))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestFrontierTrajectoryDigestsPinned: with integer weights every sum is
+// exact, so row subtotals and slot reads must reproduce the trajectories of
+// the commit before them (a4f76e8, one running sum over commOf lookups) to the
+// bit. The digests were recorded there.
+func TestFrontierTrajectoryDigestsPinned(t *testing.T) {
+	ern, erEdges := gen.ErdosRenyi(300, 1500, 5)
+	meshN, meshEdges := gen.BandedMesh(600, 4)
+	cases := []struct {
+		name  string
+		n     int64
+		edges []graph.RawEdge
+		ranks int
+		cfg   Config
+		want  string
+	}{
+		{"er baseline, 2 ranks", ern, erEdges, 2, Baseline(), "5334d1d8728420b8"},
+		{"band etc, 4 ranks", meshN, meshEdges, 4, ETC(0.25), "661ec1405ff2061c"},
+	}
+	for _, c := range cases {
+		res, err := RunOnEdges(c.ranks, c.n, c.edges, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := trajectoryDigest(res); got != c.want {
+			t.Errorf("%s: trajectory digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFrontierIterationQMatchesLabels drives the phases by hand so that every
+// iteration's reported Q — cached rows included, the rolled-back iteration
+// included — can be held to seq.Modularity of the labels the ranks hold at
+// that moment, on the graph the phase runs on.
+func TestFrontierIterationQMatchesLabels(t *testing.T) {
+	for _, g := range slotGraphs() {
+		for _, ranks := range []int{1, 2, 4} {
+			var checked, rollbacks int // rank 0's
+			err := mpi.Run(ranks, func(c *mpi.Comm) error {
+				lo, hi := gio.SegmentRange(int64(len(g.edges)), c.Rank(), ranks)
+				dg, err := dgraph.Build(c, g.n, g.edges[lo:hi], nil)
+				if err != nil {
+					return err
+				}
+				for phase := 0; phase < 4; phase++ {
+					whole, err := dg.GatherToRoot()
+					if err != nil {
+						return err
+					}
+					cfg := Baseline()
+					cfg.fill()
+					st, err := newPhaseState(dg, &cfg, phase, &StepTimes{})
+					if err != nil {
+						return err
+					}
+					var hookErr error
+					prevQ := math.Inf(-1)
+					cfg.Progress = func(ev ProgressEvent) {
+						if ev.Kind != ProgressIteration || hookErr != nil {
+							return
+						}
+						var blocks [][]byte
+						if blocks, hookErr = c.Gatherv(0, mpi.EncodeInt64s(st.comm)); hookErr != nil || c.Rank() != 0 {
+							return
+						}
+						var labels []int64 // ranks own ascending ranges
+						for _, b := range blocks {
+							part, err := mpi.DecodeInt64s(b)
+							if err != nil {
+								hookErr = err
+								return
+							}
+							labels = append(labels, part...)
+						}
+						checked++
+						if ev.Modularity < prevQ {
+							rollbacks++
+						}
+						prevQ = ev.Modularity
+						if exact := seq.Modularity(whole, labels); math.Abs(exact-ev.Modularity) > 1e-12 {
+							t.Errorf("%s ranks=%d phase %d iteration %d: reported Q %.17g, labels give %.17g",
+								g.name, ranks, phase, ev.Iteration, ev.Modularity, exact)
+						}
+					}
+					if _, err := st.iterate(cfg.Tau); err != nil {
+						return err
+					}
+					if hookErr != nil {
+						return hookErr
+					}
+					ndg, _, err := st.rebuild(nil)
+					if err != nil {
+						return err
+					}
+					if ndg.GlobalN == dg.GlobalN {
+						break
+					}
+					dg = ndg
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", g.name, ranks, err)
+			}
+			if checked == 0 || (!g.float && rollbacks == 0) {
+				t.Fatalf("%s ranks=%d: %d iterations checked, %d of them lowered Q", g.name, ranks, checked, rollbacks)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"distlouvain/internal/dgraph"
@@ -30,8 +29,17 @@ type phaseState struct {
 	cfg   *Config
 	phase int // phase index within the run (progress reporting)
 
-	comm      []int64 // community of each local vertex (global IDs)
-	ghostComm []int64 // community of each ghost vertex (parallel dg.Ghosts)
+	// all holds the community (a global ID) of every endpoint a local arc
+	// can have, addressed by dg.Slot; comm and ghostComm are views of it.
+	all       []int64
+	comm      []int64 // all[:LocalN]: community of each local vertex
+	ghostComm []int64 // all[LocalN:]: community of each ghost (parallel dg.Ghosts)
+
+	// rowIntra[lv] caches the intra-community weight of local row lv, summed
+	// in CSR order, for step (iv); rowsStale says no entry can be trusted
+	// (see intraWeight).
+	rowIntra  []float64
+	rowsStale bool
 
 	// Owned-community table, indexed by cid − Base.
 	cA    []float64
@@ -111,10 +119,14 @@ func (st *phaseState) tr() *obsv.Tracer { return st.cfg.Tracer }
 
 func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepTimes) (*phaseState, error) {
 	n := dg.LocalN
+	all := make([]int64, n+int64(len(dg.Ghosts)))
 	st := &phaseState{
 		dg: dg, cfg: cfg, phase: phaseIdx,
-		comm:       make([]int64, n),
-		ghostComm:  make([]int64, len(dg.Ghosts)),
+		all:        all,
+		comm:       all[:n:n],
+		ghostComm:  all[n:],
+		rowIntra:   make([]float64, n),
+		rowsStale:  true,
 		cA:         make([]float64, n),
 		cSize:      make([]int64, n),
 		remoteInfo: make(map[int64]cinfo),
@@ -372,15 +384,6 @@ func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
 	return nil
 }
 
-// commOf resolves the community of a global vertex from local state (owned)
-// or the ghost table.
-func (st *phaseState) commOf(g int64) int64 {
-	if st.dg.IsLocal(g) {
-		return st.comm[g-st.dg.Base]
-	}
-	return st.ghostComm[st.dg.GhostIndex[g]]
-}
-
 // infoOf resolves (A_c, size) of a community from the owned table or the
 // per-iteration remote cache.
 func (st *phaseState) infoOf(cid int64) (cinfo, bool) {
@@ -426,7 +429,7 @@ func (st *phaseState) fetchCommunityInfo() error {
 		reqByOwner[o] = append(reqByOwner[o], cid)
 	}
 	for q := range reqByOwner {
-		sort.Slice(reqByOwner[q], func(i, j int) bool { return reqByOwner[q][i] < reqByOwner[q][j] })
+		slices.Sort(reqByOwner[q])
 	}
 	// Both encode rounds draw from the per-phase arena; no Reset between
 	// them — the request buffers stay claimed until the replies are built.
@@ -694,6 +697,46 @@ func (st *phaseState) applyDelta(cid int64, d delta) {
 	}
 }
 
+// intraWeight returns the intra-community weight of this rank's arcs: the
+// sum, in ascending vertex order, of the per-row subtotals in rowIntra. A row's
+// subtotal depends on the communities of the vertex and of its neighbours,
+// local and ghost; every write to one of those since the previous call went
+// through markMoves or setGhost, which mark the row in fr.next (dirty rules
+// a–c; rule e's carry-overs ride along harmlessly, and rule d is folded in
+// only later, by buildFrontier). So only the rows in fr.next are recomputed —
+// every row when there is no frontier, on a phase's first call and after a
+// rollback. A cached subtotal is bit for bit what recomputing it would give,
+// which keeps frontier and full-scan runs identical on float weights too.
+func (st *phaseState) intraWeight() float64 {
+	if st.fr == nil || st.rowsStale {
+		for lv := int64(0); lv < st.dg.LocalN; lv++ {
+			st.recomputeRow(lv)
+		}
+		st.rowsStale = false
+	} else {
+		st.fr.next.Each(st.recomputeRow)
+	}
+	var sum float64
+	for _, w := range st.rowIntra {
+		sum += w
+	}
+	return sum
+}
+
+func (st *phaseState) recomputeRow(lv int64) {
+	dg := st.dg
+	lo, hi := dg.Index[lv], dg.Index[lv+1]
+	edges, slots := dg.Edges[lo:hi], dg.Slot[lo:hi]
+	cv := st.comm[lv]
+	var w float64
+	for i, s := range slots {
+		if st.all[s] == cv {
+			w += edges[i].W
+		}
+	}
+	st.rowIntra[lv] = w
+}
+
 // modularity is step (iv): every rank contributes the intra-community
 // weight of its local arcs (using current local and once-per-iteration
 // ghost information — the paper's "lag of community update") plus the
@@ -705,15 +748,7 @@ func (st *phaseState) applyDelta(cid int64, d delta) {
 func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, error) {
 	msp := st.tr().Begin(obsv.KindStep, "modularity-compute")
 	tc := time.Now()
-	var eSum float64
-	for lv := int64(0); lv < st.dg.LocalN; lv++ {
-		cv := st.comm[lv]
-		for _, e := range st.dg.Neighbors(lv) {
-			if st.commOf(e.To) == cv {
-				eSum += e.W
-			}
-		}
-	}
+	eSum := st.intraWeight()
 	var aSq float64
 	for lc := int64(0); lc < st.dg.LocalN; lc++ {
 		aSq += st.cA[lc] * st.cA[lc]

@@ -331,20 +331,21 @@ func TestAssembleRejectsMalformedBuffers(t *testing.T) {
 func TestValidateCatchesBrokenInvariants(t *testing.T) {
 	edges := []graph.RawEdge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 2}, {U: 0, V: 3, W: 3}, {U: 1, V: 1, W: 5}, {U: 1, V: 2, W: 1}}
 	breaks := map[string]func(dg *DistGraph){
-		"row out of order":      func(dg *DistGraph) { dg.Edges[0], dg.Edges[1] = dg.Edges[1], dg.Edges[0] },
-		"duplicate target":      func(dg *DistGraph) { dg.Edges[1].To = dg.Edges[0].To },
-		"degree cache":          func(dg *DistGraph) { dg.K[0] += 1 },
-		"self-loop cache":       func(dg *DistGraph) { dg.SelfLoop[1] = 4 },
-		"phantom self loop":     func(dg *DistGraph) { dg.SelfLoop[0] = 1 },
-		"ghost index slot":      func(dg *DistGraph) { dg.GhostIndex[2], dg.GhostIndex[3] = dg.GhostIndex[3], dg.GhostIndex[2] },
-		"ghost index extra key": func(dg *DistGraph) { dg.GhostIndex[1] = 0 },
-		"missing ghost slot": func(dg *DistGraph) {
-			delete(dg.GhostIndex, 3)
-			dg.Ghosts, dg.GhostOwner = dg.Ghosts[:1], dg.GhostOwner[:1]
-		},
-		"ghost owner":    func(dg *DistGraph) { dg.GhostOwner[0] = 0 },
-		"index overruns": func(dg *DistGraph) { dg.Index[dg.LocalN]++ },
-		"short K":        func(dg *DistGraph) { dg.K = dg.K[:1] },
+		"row out of order":  func(dg *DistGraph) { dg.Edges[0], dg.Edges[1] = dg.Edges[1], dg.Edges[0] },
+		"duplicate target":  func(dg *DistGraph) { dg.Edges[1].To = dg.Edges[0].To },
+		"degree cache":      func(dg *DistGraph) { dg.K[0] += 1 },
+		"self-loop cache":   func(dg *DistGraph) { dg.SelfLoop[1] = 4 },
+		"phantom self loop": func(dg *DistGraph) { dg.SelfLoop[0] = 1 },
+		// Rank 0's rows: 0 → {1, 2, 3}, 1 → {0, 1, 2}; slots 1 2 3 | 0 1 2.
+		"owned target's slot": func(dg *DistGraph) { dg.Slot[0] = 0 },
+		"ghost slots swapped": func(dg *DistGraph) { dg.Slot[1], dg.Slot[2] = dg.Slot[2], dg.Slot[1] },
+		"ghost slot on owned": func(dg *DistGraph) { dg.Slot[3] = 2 },
+		"slot past the table": func(dg *DistGraph) { dg.Slot[2] = 4 },
+		"short Slot":          func(dg *DistGraph) { dg.Slot = dg.Slot[:len(dg.Slot)-1] },
+		"missing ghost slot":  func(dg *DistGraph) { dg.Ghosts, dg.GhostOwner = dg.Ghosts[:1], dg.GhostOwner[:1] },
+		"ghost owner":         func(dg *DistGraph) { dg.GhostOwner[0] = 0 },
+		"index overruns":      func(dg *DistGraph) { dg.Index[dg.LocalN]++ },
+		"short K":             func(dg *DistGraph) { dg.K = dg.K[:1] },
 	}
 	for name, breakIt := range breaks {
 		err := mpi.Run(2, func(c *mpi.Comm) error {
@@ -367,6 +368,17 @@ func TestValidateCatchesBrokenInvariants(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestSlotSpaceIsChecked: a rank whose vertices and ghosts would not fit an
+// int32 slot fails typed instead of wrapping around.
+func TestSlotSpaceIsChecked(t *testing.T) {
+	if err := checkSlotSpace(math.MaxInt32-5, 5); err != nil {
+		t.Fatalf("exactly full slot space rejected: %v", err)
+	}
+	if err := checkSlotSpace(math.MaxInt32-5, 6); !errors.Is(err, ErrSlotSpace) {
+		t.Fatalf("got %v, want ErrSlotSpace", err)
 	}
 }
 
@@ -444,9 +456,8 @@ func BenchmarkBuildFromArcs(b *testing.B) {
 // TestBuildAllocationsIndependentOfEdgeCount is the allocation ceiling: one
 // Build allocates a fixed number of objects per rank pair — buffers, CSR
 // arrays, ghost tables, transport messages — however many arcs flow through
-// it. Both inputs span the same vertex set (so the ghost map, whose bucket
-// count follows the ghost count, is the same size); the second has eight
-// times the edges.
+// it. Both inputs span the same vertex set; the second has eight times the
+// edges.
 func TestBuildAllocationsIndependentOfEdgeCount(t *testing.T) {
 	const p = 3
 	allocs := func(m int64) float64 {

@@ -13,6 +13,13 @@
 // Build and BuildFromArcs share one counting-sort pipeline — shuffle on the
 // sending side, assemble on the receiving one; DESIGN "graph construction
 // memory layout" has the contract. Allocations are O(p), whatever the arc count.
+//
+// Every stored arc also carries a dense slot (DistGraph.Slot): the local
+// index of an owned target, LocalN + i for the ghost Ghosts[i]. State kept per
+// endpoint — a community, a color — lives in one array of LocalN + len(Ghosts)
+// entries and is read as state[Slot[i]]: one load per arc, no ownership branch
+// and no hash. There is no global-ID → ghost map; a caller holding only a
+// global ID binary-searches the sorted Ghosts (GhostSlot).
 package dgraph
 
 import (
@@ -20,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"distlouvain/internal/graph"
@@ -48,6 +56,10 @@ type DistGraph struct {
 	Index []int64
 	Edges []graph.Edge
 
+	// Slot is parallel to Edges: Slot[i] is Edges[i].To-Base when this rank
+	// owns the target, LocalN+g when the target is Ghosts[g].
+	Slot []int32
+
 	// K and SelfLoop cache per-local-vertex weighted degree and self-loop
 	// weight.
 	K        []float64
@@ -55,10 +67,9 @@ type DistGraph struct {
 
 	// Ghosts lists (sorted) the global IDs of vertices referenced by local
 	// edges but owned by other ranks; GhostOwner[i] is the owner of
-	// Ghosts[i]; GhostIndex inverts Ghosts.
+	// Ghosts[i].
 	Ghosts     []int64
 	GhostOwner []int
-	GhostIndex map[int64]int32
 }
 
 // Arc is one directed edge in transit between ranks. The coarsening step of
@@ -78,6 +89,17 @@ const arcBytes = 24
 // not a whole number of arcs, a source the receiving rank does not own, or a
 // target outside the vertex space.
 var ErrMalformedArcs = errors.New("dgraph: malformed arc buffer")
+
+// ErrSlotSpace marks a rank whose owned vertices plus ghosts do not fit the
+// int32 slot space; such a graph needs more ranks.
+var ErrSlotSpace = errors.New("dgraph: local vertices plus ghosts exceed the int32 slot space")
+
+func checkSlotSpace(localN int64, ghosts int) error {
+	if localN+int64(ghosts) > math.MaxInt32 {
+		return fmt.Errorf("%w: %d owned + %d ghosts", ErrSlotSpace, localN, ghosts)
+	}
+	return nil
+}
 
 func putArc(b []byte, from, to int64, w float64) {
 	_ = b[arcBytes-1]
@@ -239,7 +261,8 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 // scatters each arc into its row in (sender rank, send order). Rows are then
 // sorted by target (stably, and only when not already ascending), parallel
 // arcs are summed left to right — i.e. in that arrival order — and the CSR is
-// compacted in place.
+// compacted in place. Once the ghost table is known, one more pass over the
+// arcs fills Slot.
 func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*DistGraph, error) {
 	rank := c.Rank()
 	base, hi := part.Range(rank)
@@ -326,11 +349,13 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	slices.Sort(cand)
 	dg.Ghosts = slices.Clone(slices.Compact(cand))
 	dg.GhostOwner = make([]int, len(dg.Ghosts))
-	dg.GhostIndex = make(map[int64]int32, len(dg.Ghosts))
 	for i, g := range dg.Ghosts {
 		dg.GhostOwner[i] = part.Owner(g)
-		dg.GhostIndex[g] = int32(i)
 	}
+	if err := checkSlotSpace(localN, len(dg.Ghosts)); err != nil {
+		return nil, err
+	}
+	dg.fillSlots()
 
 	m2, err := c.AllreduceFloat64(localW, mpi.OpSum)
 	if err != nil {
@@ -338,6 +363,34 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	}
 	dg.M2 = m2
 	return dg, nil
+}
+
+// fillSlots computes Slot from Edges and Ghosts; every non-owned target is in
+// Ghosts by construction. Ghost IDs are bucketed by their high bits, about one
+// bucket per ghost, so an arc's search covers the bucket's few entries instead
+// of the whole table: with a binary search of Ghosts forward of the row's
+// previous hit here, BenchmarkBuild is 10–15 % slower, which is the whole
+// difference between Build paying for its slots and not (CHANGES.md, PR 14).
+func (dg *DistGraph) fillSlots() {
+	dg.Slot = make([]int32, len(dg.Edges))
+	ghosts := dg.Ghosts
+	shift := max(0, bits.Len64(uint64(dg.GlobalN))-bits.Len(uint(len(ghosts))))
+	first := make([]int32, dg.GlobalN>>shift+2) // first[b]: ghosts below b<<shift
+	for _, g := range ghosts {
+		first[g>>shift+1]++
+	}
+	for b := 1; b < len(first); b++ {
+		first[b] += first[b-1]
+	}
+	for i, e := range dg.Edges {
+		if dg.IsLocal(e.To) {
+			dg.Slot[i] = int32(e.To - dg.Base)
+			continue
+		}
+		b := e.To >> shift
+		k, _ := slices.BinarySearch(ghosts[first[b]:first[b+1]], e.To)
+		dg.Slot[i] = int32(dg.LocalN) + first[b] + int32(k)
+	}
 }
 
 // sortRow sorts one scattered row by target, keeping arcs of equal target in
@@ -404,14 +457,22 @@ func (dg *DistGraph) IsLocal(g int64) bool {
 	return g >= dg.Base && g < dg.Base+dg.LocalN
 }
 
+// GhostSlot returns the position of global vertex g in Ghosts, by binary
+// search. Per-arc code reads Slot instead; this is for the callers that hold
+// only a global ID.
+func (dg *DistGraph) GhostSlot(g int64) (int, bool) {
+	return slices.BinarySearch(dg.Ghosts, g)
+}
+
 // LocalArcs returns the number of stored directed slots on this rank.
 func (dg *DistGraph) LocalArcs() int64 { return int64(len(dg.Edges)) }
 
 // Validate checks the local structural invariants the assembly promises:
 // a well-formed CSR whose rows are strictly ascending by target (sorted,
 // parallel arcs merged), degree and self-loop caches that match the rows bit
-// for bit, and a ghost table that is sorted, correctly owned, exactly
-// inverted by GhostIndex and covers every non-owned target.
+// for bit, a ghost table that is sorted and correctly owned, and the slot
+// contract: Slot is parallel to Edges, an owned target's slot is its local
+// index, any other target's slot names its own entry in Ghosts.
 func (dg *DistGraph) Validate() error {
 	if int64(len(dg.Index)) != dg.LocalN+1 || int64(len(dg.K)) != dg.LocalN || int64(len(dg.SelfLoop)) != dg.LocalN {
 		return fmt.Errorf("dgraph: index/K/SelfLoop lengths %d/%d/%d, want %d/%d/%d",
@@ -425,8 +486,14 @@ func (dg *DistGraph) Validate() error {
 			return fmt.Errorf("dgraph: index not monotone at %d", lv)
 		}
 	}
-	if len(dg.GhostOwner) != len(dg.Ghosts) || len(dg.GhostIndex) != len(dg.Ghosts) {
-		return fmt.Errorf("dgraph: %d ghosts but %d owners and %d index entries", len(dg.Ghosts), len(dg.GhostOwner), len(dg.GhostIndex))
+	if len(dg.GhostOwner) != len(dg.Ghosts) {
+		return fmt.Errorf("dgraph: %d ghosts but %d owners", len(dg.Ghosts), len(dg.GhostOwner))
+	}
+	if len(dg.Slot) != len(dg.Edges) {
+		return fmt.Errorf("dgraph: %d slots for %d arcs", len(dg.Slot), len(dg.Edges))
+	}
+	if err := checkSlotSpace(dg.LocalN, len(dg.Ghosts)); err != nil {
+		return err
 	}
 	for i, g := range dg.Ghosts {
 		if g < 0 || g >= dg.GlobalN || dg.IsLocal(g) {
@@ -438,13 +505,11 @@ func (dg *DistGraph) Validate() error {
 		if dg.GhostOwner[i] != dg.Part.Owner(g) {
 			return fmt.Errorf("dgraph: ghost %d has wrong owner", g)
 		}
-		if slot, ok := dg.GhostIndex[g]; !ok || int(slot) != i {
-			return fmt.Errorf("dgraph: GhostIndex[%d] = %d (present %v), want %d", g, slot, ok, i)
-		}
 	}
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		var k, self float64
 		row := dg.Neighbors(lv)
+		slots := dg.Slot[dg.Index[lv]:dg.Index[lv+1]]
 		for i, e := range row {
 			if e.To < 0 || e.To >= dg.GlobalN {
 				return fmt.Errorf("dgraph: vertex %d targets out-of-range vertex %d", dg.Global(lv), e.To)
@@ -458,10 +523,13 @@ func (dg *DistGraph) Validate() error {
 			k += e.W
 			if e.To == dg.Global(lv) {
 				self = e.W
-			} else if !dg.IsLocal(e.To) {
-				if _, ok := dg.GhostIndex[e.To]; !ok {
-					return fmt.Errorf("dgraph: non-owned target %d of vertex %d has no ghost slot", e.To, dg.Global(lv))
+			}
+			if dg.IsLocal(e.To) {
+				if int64(slots[i]) != e.To-dg.Base {
+					return fmt.Errorf("dgraph: arc (%d,%d) has slot %d, want the local index %d", dg.Global(lv), e.To, slots[i], e.To-dg.Base)
 				}
+			} else if g := int64(slots[i]) - dg.LocalN; g < 0 || g >= int64(len(dg.Ghosts)) || dg.Ghosts[g] != e.To {
+				return fmt.Errorf("dgraph: arc (%d,%d) has slot %d, which is not the target's ghost slot", dg.Global(lv), e.To, slots[i])
 			}
 		}
 		if dg.K[lv] != k || dg.SelfLoop[lv] != self {

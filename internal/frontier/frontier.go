@@ -146,6 +146,23 @@ func (s *Set) Sorted() []int64 {
 	return s.ids
 }
 
+// Each calls fn once per member, in no particular order, without sorting or
+// copying the population. fn must not mutate the set.
+func (s *Set) Each(fn func(v int64)) {
+	if s.listOK {
+		for _, v := range s.ids {
+			fn(v)
+		}
+		return
+	}
+	for wi, w := range s.words {
+		base := int64(wi) << 6
+		for ; w != 0; w &= w - 1 {
+			fn(base + int64(bits.TrailingZeros64(w)))
+		}
+	}
+}
+
 // AppendAscending appends the population in ascending order to dst and
 // returns it. Unlike Sorted it works under both representations (bitmap
 // scan when dense), so oracles and diagnostics can enumerate any set.

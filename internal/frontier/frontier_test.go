@@ -198,6 +198,13 @@ func FuzzFrontierSet(f *testing.F) {
 					t.Fatalf("enumeration has non-member %d", v)
 				}
 			}
+			// Each visits the same population, in whatever order.
+			var each []int64
+			s.Each(func(v int64) { each = append(each, v) })
+			slices.Sort(each)
+			if !slices.Equal(each, got) {
+				t.Fatalf("Each visited %v, enumeration %v", each, got)
+			}
 		}
 	})
 }
