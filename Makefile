@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race test-race-all test-chaos test-wan test-obsv test-frontier cover-core service-smoke golden bench bench-record bench-smoke bench-quick fuzz experiments experiments-md clean
+.PHONY: all check build vet test test-race test-race-all test-chaos test-wan test-obsv test-frontier cover-core service-smoke golden bench bench-kernels profile bench-record bench-smoke bench-quick fuzz experiments experiments-md clean
 
 all: check
 
 # The full gate: compile, static analysis, tests, and a race-detector pass
 # over the packages that juggle rank goroutines, plus the multi-host WAN
 # chaos suite over real sockets.
-check: build vet test test-race service-smoke test-wan
+check: build vet test test-race bench-kernels service-smoke test-wan
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,20 @@ test-wan:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# One pass of the shipped sweep kernel and of its map oracle, so both
+# benchmarks keep compiling and running.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'BenchmarkSweep(Slots|Map)$$' -benchtime 1x ./internal/core
+
+# CPU profile of one whole run on a benchmark/ workload's input (W is
+# band8000, lfr100k or rmat17; see BenchmarkWorkload): the top of the
+# profile is what ROADMAP's "what a fresh profile says is next" quotes.
+# The test binary and the profile land in the repository root (ignored).
+W ?= band8000
+profile:
+	$(GO) test -run '^$$' -bench 'BenchmarkWorkload/$(W)$$' -benchtime 3x -cpuprofile cpu.prof .
+	$(GO) tool pprof -top -nodecount 40 distlouvain.test cpu.prof
 
 # Re-record the committed benchmark baseline: full testbed runs with the
 # per-phase timing breakdown plus the isolated hot-kernel measurements.

@@ -254,6 +254,46 @@ func BenchmarkProfile_Section5A(b *testing.B) {
 	b.ReportMetric(100*commFrac, "comm-%")
 }
 
+// BenchmarkWorkload runs one whole time to solution — dgraph.Build + core.Run,
+// baseline variant, 2 in-process ranks × 1 thread — on the inputs of the
+// benchmark/ workloads of the same families (same generators and parameters
+// as benchmark/workloads.go, seed 1), so that "what does a fresh profile say
+// is next" is `make profile W=band8000` rather than an ad-hoc harness.
+func BenchmarkWorkload(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		make func() (int64, []Edge, error)
+	}{
+		{"band8000", func() (int64, []Edge, error) {
+			n, edges := gen.BandedMesh(8000, 6)
+			return n, edges, nil
+		}},
+		{"lfr100k", func() (int64, []Edge, error) {
+			n, edges, _, err := gen.LFR(gen.DefaultLFR(100000, 0.3, 1))
+			return n, edges, err
+		}},
+		{"rmat17", func() (int64, []Edge, error) { return gen.RMAT(17, 8, .57, .19, .19, .05, 1) }},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			n, edges, err := w.make()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var iters int
+			for i := 0; i < b.N; i++ {
+				res, err := core.RunOnEdges(2, n, edges, core.Baseline())
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters = res.TotalIterations
+			}
+			b.ReportMetric(float64(iters), "louvain-iters")
+		})
+	}
+}
+
 // BenchmarkQuickstartAPI measures the public entry point end to end (small
 // input; dominated by fixed per-run costs).
 func BenchmarkQuickstartAPI(b *testing.B) {

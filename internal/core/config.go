@@ -139,8 +139,8 @@ type Config struct {
 	Interrupted func() bool
 
 	// refKernels routes the ΔQ sweep and coarse-arc accumulation through
-	// the map-based reference kernels (kernels_ref.go) instead of the flat
-	// tables. Unexported: only the in-package differential tests and
+	// the map-based reference kernels (kernels_ref.go) instead of the
+	// slot-addressed sweep and the flat pair table. Unexported: only the in-package differential tests and
 	// benchmarks set it. Excluded from Hash by construction (Hash lists
 	// its fields explicitly) — and rightly so, since both kernel sets
 	// produce identical trajectories.

@@ -210,13 +210,13 @@ func FuzzGhostFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for i := range recv.ghostComm {
-			recv.ghostComm[i] = untouched
+			recv.mustSetGhost(int32(i), untouched)
 		}
 		if err := recv.decodeGhostDelta(1, data); err != nil && !errors.Is(err, ErrMalformedFrame) {
 			t.Fatalf("untyped rejection: %v", err)
 		}
 		for _, slot := range recv.ghostSlots[2] {
-			if recv.ghostComm[slot] != untouched {
+			if recv.gidOf(recv.ghostComm[slot]) != untouched {
 				t.Fatalf("frame from rank 1 wrote rank 2's ghost slot %d", slot)
 			}
 		}
@@ -234,14 +234,17 @@ func FuzzGhostFrame(f *testing.F) {
 			if j := len(push) + i; j < len(data) {
 				now = int64(data[j])
 			}
-			sender.lastSent[0][i], recv.ghostComm[slots[i]], sender.comm[lv] = held, held, now
+			sender.setCommGID(lv, held)
+			sender.lastSent[0][i] = sender.comm[lv]
+			recv.mustSetGhost(slots[i], held)
+			sender.setCommGID(lv, now)
 		}
 		if err := recv.decodeGhostDelta(1, sender.encodeGhostDelta(nil, 0)); err != nil {
 			t.Fatalf("encoder output rejected: %v", err)
 		}
 		for i, lv := range push {
-			if recv.ghostComm[slots[i]] != sender.comm[lv] {
-				t.Fatalf("ghost %d holds %d, owner holds %d", i, recv.ghostComm[slots[i]], sender.comm[lv])
+			if got, want := recv.gidOf(recv.ghostComm[slots[i]]), sender.gidOf(sender.comm[lv]); got != want {
+				t.Fatalf("ghost %d holds %d, owner holds %d", i, got, want)
 			}
 		}
 	})

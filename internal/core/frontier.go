@@ -20,10 +20,12 @@ import (
 //	(c) a ghost neighbour's community value changed during the iteration-end
 //	    exchange (setGhost compare-before-write → reverse ghost adjacency);
 //	(d) a community in its neighbourhood changed (A_c, size) bitwise — owned
-//	    entries are watched by applyDelta, remote entries by diffing
-//	    consecutive fetchCommunityInfo results — where "its neighbourhood
-//	    references c" is resolved by scanning comm/ghostComm for members of
-//	    c and marking them plus their local/reverse-ghost adjacency;
+//	    entries are watched by applyDelta, remote entries by
+//	    fetchCommunityInfo comparing each reply with the value the previous
+//	    round left in the slot (a slot the previous round did not refresh
+//	    counts as changed) — where "its neighbourhood references c" is
+//	    resolved by scanning comm/ghostComm for members of c and marking them
+//	    plus their local/reverse-ghost adjacency;
 //	(e) the ET coin skipped it while it was in the frontier (the sweep
 //	    carries it over so a stale vertex is re-checked until actually
 //	    evaluated; permanently inactive vertices drop out — the full scan
@@ -49,18 +51,12 @@ type frontierState struct {
 	revOff []int64
 	revAdj []int64
 
-	// Rule-(d) watchers. Owned community lc changed (A_c, size) since the
-	// last frontier build iff ownedStamp[lc] == ownedEpoch; ownedChanged
-	// counts them. prevRemote holds the previous iteration's remote
-	// (A_c, size) cache for bitwise diffing.
-	ownedStamp   []int32
-	ownedEpoch   int32
-	ownedChanged int
-	prevRemote   map[int64]cinfo
-
-	// changedRemote is the per-build scratch set of non-owned community IDs
-	// whose (A_c, size) changed.
-	changedRemote map[int64]struct{}
+	// Rule-(d) watcher, per community slot, owned and remote alike: the
+	// slot's (A_c, size) changed since the last frontier build iff
+	// stamp[slot] == epoch; changed counts them.
+	stamp   []int32
+	epoch   int32
+	changed int
 }
 
 func newFrontierState(st *phaseState) *frontierState {
@@ -75,13 +71,11 @@ func newFrontierState(st *phaseState) *frontierState {
 		rep = frontier.RepAuto
 	}
 	fr := &frontierState{
-		cur:           frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
-		next:          frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
-		carryBufs:     make([][]int64, st.cfg.Threads),
-		ownedStamp:    make([]int32, n),
-		ownedEpoch:    1, // the zeroed stamps mean "unchanged"
-		prevRemote:    make(map[int64]cinfo),
-		changedRemote: make(map[int64]struct{}),
+		cur:       frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
+		next:      frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
+		carryBufs: make([][]int64, st.cfg.Threads),
+		stamp:     make([]int32, len(st.refs)),
+		epoch:     1, // the zeroed stamps mean "unchanged"
 	}
 
 	// Reverse ghost adjacency by counting sort over the arcs' slots.
@@ -119,19 +113,19 @@ func (st *phaseState) markLocalAdj(lv int64) {
 	}
 }
 
-// markGhostAdj dirties the locals adjacent to a ghost slot (rules c and d).
-func (fr *frontierState) markGhostAdj(slot int32) {
-	for _, lv := range fr.revAdj[fr.revOff[slot]:fr.revOff[slot+1]] {
+// markGhostAdj dirties the locals adjacent to ghost g (rules c and d).
+func (fr *frontierState) markGhostAdj(g int32) {
+	for _, lv := range fr.revAdj[fr.revOff[g]:fr.revOff[g+1]] {
 		fr.next.Mark(lv)
 	}
 }
 
-// noteOwnedChanged records that owned community lc's (A_c, size) changed
-// bitwise since the last frontier build (rule d, owned side).
-func (fr *frontierState) noteOwnedChanged(lc int64) {
-	if fr.ownedStamp[lc] != fr.ownedEpoch {
-		fr.ownedStamp[lc] = fr.ownedEpoch
-		fr.ownedChanged++
+// noteChanged records that the (A_c, size) of community slot c changed
+// bitwise since the last frontier build (rule d).
+func (fr *frontierState) noteChanged(c int32) {
+	if fr.stamp[c] != fr.epoch {
+		fr.stamp[c] = fr.epoch
+		fr.changed++
 	}
 }
 
@@ -145,21 +139,8 @@ func (st *phaseState) markMoves(moves []move) {
 	}
 }
 
-// setGhost writes one ghost-table entry, dirtying the slot's local
-// adjacency when the value actually changed (rule c). Every ghost-table
-// write after phase setup routes through here.
-func (st *phaseState) setGhost(slot int32, v int64) {
-	if st.ghostComm[slot] == v {
-		return
-	}
-	st.ghostComm[slot] = v
-	if st.fr != nil {
-		st.fr.markGhostAdj(slot)
-	}
-}
-
 // buildFrontier finalises the active set for iteration iter (1-based). It
-// runs after fetchCommunityInfo — the remote (A_c, size) cache is fresh —
+// runs after fetchCommunityInfo — the remote (A_c, size) values are fresh —
 // and before the sweep. Iteration 1 seeds the full vertex set; later
 // iterations fold in rule (d) and swap in the set rules a–c and e built
 // during iteration iter−1.
@@ -174,37 +155,20 @@ func (st *phaseState) buildFrontier(iter int) {
 	if iter == 1 {
 		fr.cur.Fill()
 	} else {
-		// Rule (d): communities whose (A_c, size) changed during iter−1 —
-		// owned ones by their stamp, the others through a set that only
-		// non-owned IDs ever probe.
-		remote := fr.changedRemote
-		clear(remote)
-		for cid, ci := range st.remoteInfo {
-			if prev, ok := fr.prevRemote[cid]; !ok || prev != ci {
-				remote[cid] = struct{}{}
-			}
-		}
-		if fr.ownedChanged > 0 || len(remote) > 0 {
-			base, n := st.dg.Base, st.dg.LocalN
-			changed := func(cid int64) bool {
-				if lc := cid - base; lc >= 0 && lc < n {
-					return fr.ownedStamp[lc] == fr.ownedEpoch
-				}
-				_, ok := remote[cid]
-				return ok
-			}
-			// Resolve "references a changed community" by membership: the
-			// referencing vertices are the members plus everything adjacent
-			// to a member (through the CSR rows for local members, through
-			// the reverse ghost adjacency for ghost members).
-			for lv, cid := range st.comm {
-				if changed(cid) {
+		// Rule (d): communities whose (A_c, size) changed during iter−1.
+		// Resolve "references a changed community" by membership: the
+		// referencing vertices are the members plus everything adjacent to
+		// a member (through the CSR rows for local members, through the
+		// reverse ghost adjacency for ghost members).
+		if fr.changed > 0 {
+			for lv, c := range st.comm {
+				if fr.stamp[c] == fr.epoch {
 					st.markLocalAdj(int64(lv))
 				}
 			}
-			for slot, gc := range st.ghostComm {
-				if changed(gc) {
-					fr.markGhostAdj(int32(slot))
+			for g, c := range st.ghostComm {
+				if fr.stamp[c] == fr.epoch {
+					fr.markGhostAdj(int32(g))
 				}
 			}
 		}
@@ -212,16 +176,12 @@ func (st *phaseState) buildFrontier(iter int) {
 		fr.next.Clear()
 	}
 
-	// Reset the rule-(d) watchers for the iteration about to run.
-	fr.ownedChanged = 0
-	fr.ownedEpoch++
-	if fr.ownedEpoch == 0 { // int32 wrap: restamp
-		clear(fr.ownedStamp)
-		fr.ownedEpoch = 1
-	}
-	clear(fr.prevRemote)
-	for cid, ci := range st.remoteInfo {
-		fr.prevRemote[cid] = ci
+	// Reset the rule-(d) watcher for the iteration about to run.
+	fr.changed = 0
+	fr.epoch++
+	if fr.epoch == 0 { // int32 wrap: restamp
+		clear(fr.stamp)
+		fr.epoch = 1
 	}
 
 	fr.scanDense = fr.cur.Dense()

@@ -50,13 +50,15 @@ func TestGhostDeltaSwitchBothDirections(t *testing.T) {
 					want[g] = g + k*n
 				}
 			}
-			copy(st.comm, want[dg.Base:dg.Base+dg.LocalN])
+			for lv := int64(0); lv < dg.LocalN; lv++ {
+				st.setCommGID(lv, want[dg.Base+lv])
+			}
 			if err := st.exchangeGhostComm(); err != nil {
 				return fmt.Errorf("round %d exchange: %w", k, err)
 			}
 			for i, g := range dg.Ghosts {
-				if st.ghostComm[i] != want[g] {
-					return fmt.Errorf("round %d: ghost %d holds %d, owner holds %d", k, g, st.ghostComm[i], want[g])
+				if got := st.gidOf(st.ghostComm[i]); got != want[g] {
+					return fmt.Errorf("round %d: ghost %d holds %d, owner holds %d", k, g, got, want[g])
 				}
 			}
 			return nil

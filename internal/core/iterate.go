@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"distlouvain/internal/flat"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/par"
@@ -16,7 +15,7 @@ import (
 // move is one vertex's decision within an iteration.
 type move struct {
 	lv       int64 // local vertex index
-	from, to int64 // community IDs
+	from, to int32 // community slots
 }
 
 // updateActivity applies the ET probability decay of Equation 3 before
@@ -74,53 +73,57 @@ func (st *phaseState) isActive(lv int64, iter int) bool {
 // local state plus this iteration's ghost/remote snapshots (lines 7–8 of
 // Algorithm 3). Returns false when lv should stay put.
 //
-// tab is the worker's flat neighbor-community accumulator (phase-lived,
-// epoch-reset per vertex). A neighbor's community is st.all[Slot[i]] — one
-// load per arc, owned or ghost alike. Neighbor weights accumulate per
-// community in CSR order — the same order the map reference kernel uses — so every e(v→C)
-// sum is bit-identical to the reference, and the best-move selection below
-// is iteration-order independent (strict > on gains, smallest-cid
-// tie-break), so the chosen moves are identical too. evaluateVertexRef in
-// kernels_ref.go is the map oracle the differential tests compare against.
-func (st *phaseState) evaluateVertex(lv int64, tab *flat.Table) (move, bool) {
+// acc is the worker's accumulator (phase-lived, epoch-reset per vertex),
+// direct-addressed by community slot. A neighbor's community slot is
+// st.ci[Slot[i]] and its (A_c, size) are st.cA/st.cSize at that slot — loads,
+// owned or not, with no hash and no ownership branch; every slot an arc can
+// name is live, so its cached values are this iteration's. Neighbor weights
+// accumulate per community in CSR order and the candidates are scanned in
+// first-seen order — what the map reference kernel and the flat table before
+// this did — so every e(v→C) sum is bit-identical to the reference, and the
+// best-move selection is iteration-order independent anyway (strict > on
+// gains, smallest global ID on ties), so the chosen moves are identical too.
+// evaluateVertexRef in kernels_ref.go is the map oracle, by global ID, the
+// differential tests compare against.
+func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
 	m2 := st.dg.M2
 	cv := st.comm[lv]
-	tab.Reset()
+	acc.next()
 	lo, hi := st.dg.Index[lv], st.dg.Index[lv+1]
 	edges, slots := st.dg.Edges[lo:hi], st.dg.Slot[lo:hi]
+	ci, w, stamp, epoch, keys := st.ci, acc.w, acc.stamp, acc.epoch, acc.keys
 	for i, s := range slots {
 		if int64(s) == lv {
 			continue // self loop moves with the vertex
 		}
-		tab.Add(st.all[s], edges[i].W)
+		c := ci[s]
+		if stamp[c] != epoch {
+			stamp[c] = epoch
+			w[c] = 0
+			keys = append(keys, c)
+		}
+		w[c] += edges[i].W
 	}
-	if tab.Len() == 0 {
+	acc.keys = keys
+	if len(keys) == 0 {
 		return move{}, false
 	}
-	eCur, _ := tab.Get(cv)
-	kv := st.dg.K[lv]
-	curInfo, ok := st.infoOf(cv)
-	if !ok {
-		return move{}, false // stale reference; skip this vertex for now
+	var eCur float64
+	if stamp[cv] == epoch {
+		eCur = w[cv]
 	}
-	aCur := curInfo.a - kv
+	kv := st.dg.K[lv]
+	aCur := st.cA[cv] - kv
 	best := cv
 	bestGain := 0.0
-	var bestInfo cinfo
-	for i := 0; i < tab.Len(); i++ {
-		cid, evc := tab.At(i)
-		if cid == cv {
+	for _, c := range keys {
+		if c == cv {
 			continue
 		}
-		ci, ok := st.infoOf(cid)
-		if !ok {
-			continue
-		}
-		gain := 2*(evc-eCur)/m2 - 2*kv*(ci.a-aCur)/(m2*m2)
-		if gain > bestGain || (gain == bestGain && gain > 0 && cid < best) {
+		gain := 2*(w[c]-eCur)/m2 - 2*kv*(st.cA[c]-aCur)/(m2*m2)
+		if gain > bestGain || (gain == bestGain && gain > 0 && st.gidOf(c) < st.gidOf(best)) {
 			bestGain = gain
-			best = cid
-			bestInfo = ci
+			best = c
 		}
 	}
 	if best == cv || bestGain <= 0 {
@@ -129,7 +132,7 @@ func (st *phaseState) evaluateVertex(lv int64, tab *flat.Table) (move, bool) {
 	// Minimum-label rule: a singleton only joins another singleton with a
 	// smaller label, killing synchronous swap cycles (same rule as the
 	// shared-memory comparator).
-	if curInfo.size == 1 && bestInfo.size == 1 && best > cv {
+	if st.cSize[cv] == 1 && st.cSize[best] == 1 && st.gidOf(best) > st.gidOf(cv) {
 		return move{}, false
 	}
 	return move{lv: lv, from: cv, to: best}, true
@@ -147,7 +150,7 @@ func (st *phaseState) evaluateVertex(lv int64, tab *flat.Table) (move, bool) {
 // gathered move list, and with it every float accumulation downstream, is
 // bit-identical across all frontier modes.
 //
-// Each worker reuses its phase-lived flat table and move buffer. Every
+// Each worker reuses its phase-lived accumulator and move buffer. Every
 // moveBuf is truncated BEFORE the parallel region: par.For does not spawn
 // workers whose chunk is empty, so a worker that ran last iteration but not
 // this one would otherwise leak stale moves into the gather below. (Carry
@@ -162,17 +165,15 @@ func (st *phaseState) sweep(iter int) []move {
 		st.moveBufs[w] = st.moveBufs[w][:0]
 	}
 	clear(st.touchedBufs)
+	st.fitAccs()
 	fr := st.fr
+	st.sweepIDs, st.sweepIter = nil, iter
+	count := int(st.dg.LocalN)
 	if fr != nil && !fr.scanDense {
-		ids := fr.cur.Sorted()
-		par.For(len(ids), nw, func(w, lo, hi int) {
-			st.sweepRange(w, lo, hi, func(i int64) int64 { return ids[i] }, iter)
-		})
-	} else {
-		par.For(int(st.dg.LocalN), nw, func(w, lo, hi int) {
-			st.sweepRange(w, lo, hi, func(lv int64) int64 { return lv }, iter)
-		})
+		st.sweepIDs = fr.cur.Sorted()
+		count = len(st.sweepIDs)
 	}
+	par.For(count, nw, st.sweepBody)
 	all := st.allMoves[:0]
 	for _, ms := range st.moveBufs {
 		all = append(all, ms...)
@@ -200,15 +201,23 @@ func (st *phaseState) sweep(iter int) []move {
 	return all
 }
 
-// sweepRange evaluates vertices vertexAt(lo..hi) on worker w, appending
-// chosen moves to the worker's buffer and counting evaluations into the
-// worker's touched counter (+=: sweepByClasses calls once per class). The
-// refKernels branch routes through the map-based reference kernel for
-// differential testing. Frontier members the ET coin skips are carried into
-// the next frontier — a stale vertex stays dirty until actually evaluated —
-// while permanently inactive vertices drop out, matching the full scan
-// (which never evaluates those again either).
-func (st *phaseState) sweepRange(w, lo, hi int, vertexAt func(int64) int64, iter int) {
+// fitAccs extends every worker's accumulator to the current slot space (the
+// tail only grows between sweeps, in setGhost).
+func (st *phaseState) fitAccs() {
+	for w := range st.accs {
+		st.accs[w].fit(len(st.refs))
+	}
+}
+
+// sweepRange evaluates vertices ids[lo:hi] — or lo..hi themselves when ids is
+// nil — on worker w, appending chosen moves to the worker's buffer and
+// counting evaluations into the worker's touched counter (+=: sweepByClasses
+// calls once per class). The refKernels branch routes through the map-based
+// reference kernel for differential testing. Frontier members the ET coin
+// skips are carried into the next frontier — a stale vertex stays dirty until
+// actually evaluated — while permanently inactive vertices drop out, matching
+// the full scan (which never evaluates those again either).
+func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	moves := st.moveBufs[w]
 	fr := st.fr
 	var carry []int64
@@ -217,14 +226,15 @@ func (st *phaseState) sweepRange(w, lo, hi int, vertexAt func(int64) int64, iter
 	}
 	var touched int64
 	var scratch map[int64]float64
-	var tab *flat.Table
 	if st.cfg.refKernels {
 		scratch = make(map[int64]float64, 64)
-	} else {
-		tab = st.sweepTabs[w]
 	}
+	acc := &st.accs[w]
 	for i := lo; i < hi; i++ {
-		lv := vertexAt(int64(i))
+		lv := int64(i)
+		if ids != nil {
+			lv = ids[i]
+		}
 		if fr != nil && fr.scanDense && !fr.cur.Has(lv) {
 			continue
 		}
@@ -240,7 +250,7 @@ func (st *phaseState) sweepRange(w, lo, hi int, vertexAt func(int64) int64, iter
 		if st.cfg.refKernels {
 			mv, ok = st.evaluateVertexRef(lv, scratch)
 		} else {
-			mv, ok = st.evaluateVertex(lv, tab)
+			mv, ok = st.evaluateVertex(lv, acc)
 		}
 		if ok {
 			moves = append(moves, mv)
@@ -267,18 +277,17 @@ func (st *phaseState) sweepByClasses(classes [][]int64, iter int) []move {
 	defer func() { st.steps.Compute += time.Since(t0) }()
 	nw := st.cfg.Threads
 	clear(st.touchedBufs)
+	st.fitAccs()
 	all := st.allMoves[:0]
 	for _, class := range classes {
 		for w := range st.moveBufs {
 			st.moveBufs[w] = st.moveBufs[w][:0]
 		}
-		par.For(len(class), nw, func(w, lo, hi int) {
-			st.sweepRange(w, lo, hi, func(i int64) int64 { return class[i] }, iter)
-		})
+		par.For(len(class), nw, func(w, lo, hi int) { st.sweepRange(w, lo, hi, class, iter) })
 		for _, ms := range st.moveBufs {
 			// Apply class moves immediately so later classes see them.
 			for _, mv := range ms {
-				st.comm[mv.lv] = mv.to
+				st.setComm(mv.lv, mv.to)
 			}
 			all = append(all, ms...)
 		}
@@ -297,8 +306,10 @@ func (st *phaseState) sweepByClasses(classes [][]int64, iter int) []move {
 // each source/destination community incurred (line 9 of Algorithm 3). It
 // deliberately does NOT touch st.comm — assignment updates happen inside
 // pushDeltas's compute/comm overlap window, after the delta frames are in
-// flight (sweepByClasses has already written st.comm for its classes; the
-// overlap window's re-assignment is idempotent there).
+// flight (sweepByClasses has already made them for its classes; the overlap
+// window's setComm finds nothing to do there). The moves name community
+// slots; the deltas leave here under global IDs, which is what the owners
+// and the wire order by.
 //
 // Accumulation runs in move order (so each community's ΔA float sum is
 // bit-identical to the old map implementation), but the deltas are emitted
@@ -310,8 +321,8 @@ func (st *phaseState) stageMoves(moves []move) []commDelta {
 	tab.Reset()
 	for _, mv := range moves {
 		kv := st.dg.K[mv.lv]
-		tab.AddDelta(mv.from, -kv, -1)
-		tab.AddDelta(mv.to, kv, 1)
+		tab.AddDelta(st.gidOf(mv.from), -kv, -1)
+		tab.AddDelta(st.gidOf(mv.to), kv, 1)
 	}
 	out := st.deltaBuf[:0]
 	for i := 0; i < tab.Len(); i++ {
@@ -327,19 +338,19 @@ func (st *phaseState) stageMoves(moves []move) []commDelta {
 // assignments and the owned community table. Ghost tables are not included
 // — they reflect prior iterations' (kept) moves.
 type snapshot struct {
-	comm  []int64
+	comm  []int32
 	cA    []float64
 	cSize []int64
 }
 
 func (st *phaseState) snapshot(s *snapshot) {
 	if s.comm == nil {
-		s.comm = make([]int64, len(st.comm))
-		s.cA = make([]float64, len(st.cA))
-		s.cSize = make([]int64, len(st.cSize))
+		s.comm = make([]int32, len(st.comm))
+		s.cA = make([]float64, len(st.comm))
+		s.cSize = make([]int64, len(st.comm))
 	}
 	copy(s.comm, st.comm)
-	copy(s.cA, st.cA)
+	copy(s.cA, st.cA) // the owned prefix: s.cA is LocalN long
 	copy(s.cSize, st.cSize)
 }
 
@@ -348,6 +359,7 @@ func (st *phaseState) restore(s *snapshot) {
 	copy(st.comm, s.comm)
 	copy(st.cA, s.cA)
 	copy(st.cSize, s.cSize)
+	st.recountRefs()
 }
 
 // iterate runs the Louvain iterations of one phase (the while-loop of
@@ -414,6 +426,11 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		// completed iteration ends with one.
 		if err := st.fetchCommunityInfo(); err != nil {
 			return stat, err
+		}
+		if st.afterFetch != nil {
+			if err := st.afterFetch(); err != nil {
+				return stat, err
+			}
 		}
 
 		// Finalise the active set for this iteration's sweep: rule (d)

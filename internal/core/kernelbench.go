@@ -12,7 +12,8 @@ import (
 // coarse-arc aggregation — in isolation on a single-rank in-process world,
 // so go-test benchmarks and the paperbench baseline can measure ns/op and
 // allocs/op without collective noise. useRef selects the map reference
-// kernels (kernels_ref.go); otherwise the flat-table kernels run.
+// kernels (kernels_ref.go); otherwise the shipped kernels run: the
+// slot-addressed sweep and the flat-table coarse-arc aggregation.
 //
 // Construction warms the state up with two full sweep+apply iterations so
 // the community structure is non-trivial (coarse arcs actually merge) and
@@ -95,8 +96,8 @@ func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.refKernels {
 		return len(kb.st.coarseArcsMap(kb.ren))
 	}
-	newOf := make([]int64, len(kb.st.comm)) // a single rank has no ghosts
-	if err := kb.ren.translate(newOf, kb.st.comm); err != nil {
+	newOf, err := kb.st.translateEndpoints(kb.ren)
+	if err != nil {
 		panic(err) // a single rank's vertices can only be in live owned communities
 	}
 	return len(kb.st.coarseArcsFlat(newOf))

@@ -9,27 +9,47 @@ import (
 // Reference kernels: the original map-based implementations of the ΔQ sweep
 // accumulator and the coarse-arc aggregator, kept as oracles for the
 // differential tests and benchmarks (Config.refKernels routes a run through
-// them). They must match the flat kernels move for move and — where the
-// flat kernel promises it — bit for bit; kernels_test.go enforces both.
+// them). They work on global IDs throughout — vertices and communities — and
+// must match the shipped kernels move for move and — where the shipped kernel
+// promises it — bit for bit; kernels_test.go enforces both.
 
-// commOf resolves the community of a global vertex without dg.Slot — an
-// ownership test, then a search of the ghost table — so a run through the
-// reference kernels also cross-checks the slots the flat kernels read.
+// cinfo is the per-community state a ΔQ evaluation reads: the community's
+// total incident weight A_c and its member count.
+type cinfo struct {
+	a    float64
+	size int64
+}
+
+// commOf resolves the community (a global ID) of a global vertex without
+// dg.Slot — an ownership test, then a search of the ghost table — so a run
+// through the reference kernels also cross-checks the slots the shipped
+// kernels read.
 func (st *phaseState) commOf(g int64) int64 {
 	if st.dg.IsLocal(g) {
-		return st.comm[g-st.dg.Base]
+		return st.gidOf(st.comm[g-st.dg.Base])
 	}
 	i, _ := st.dg.GhostSlot(g)
-	return st.ghostComm[i]
+	return st.gidOf(st.ghostComm[i])
+}
+
+// infoOf resolves (A_c, size) of a community by global ID: the owned table,
+// or what this iteration's fetch brought for a non-owned one — nothing when
+// the fetch did not cover it.
+func (st *phaseState) infoOf(cid int64) (cinfo, bool) {
+	c, ok := st.findSlot(cid)
+	if !ok || (int64(c) >= st.dg.LocalN && st.fetched[c] != st.fetchSeq) {
+		return cinfo{}, false
+	}
+	return cinfo{a: st.cA[c], size: st.cSize[c]}, true
 }
 
 // evaluateVertexRef is evaluateVertex with a map scratch accumulator. The
 // accumulation order over neighbors is identical (CSR order), and the
 // best-move scan is iteration-order independent, so the chosen move is
-// always identical to the flat kernel's.
+// always identical to the slot kernel's.
 func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (move, bool) {
 	m2 := st.dg.M2
-	cv := st.comm[lv]
+	cv := st.gidOf(st.comm[lv])
 	clear(scratch)
 	g := st.dg.Global(lv)
 	for _, e := range st.dg.Neighbors(lv) {
@@ -72,7 +92,8 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mo
 	if curInfo.size == 1 && bestInfo.size == 1 && best > cv {
 		return move{}, false
 	}
-	return move{lv: lv, from: cv, to: best}, true
+	to, _ := st.findSlot(best) // infoOf found it
+	return move{lv: lv, from: st.comm[lv], to: to}, true
 }
 
 // coarseArcsMap is the sequential map-based Step 5 aggregator: it resolves
@@ -86,7 +107,7 @@ func (st *phaseState) coarseArcsMap(ren *renumbering) []dgraph.Arc {
 	type pair struct{ a, b int64 }
 	acc := make(map[pair]float64)
 	for lv := int64(0); lv < st.dg.LocalN; lv++ {
-		a := ren.newOf(st.comm[lv])
+		a := ren.newOf(st.gidOf(st.comm[lv]))
 		for _, e := range st.dg.Neighbors(lv) {
 			acc[pair{a, ren.newOf(st.commOf(e.To))}] += e.W
 		}

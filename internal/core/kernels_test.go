@@ -171,12 +171,12 @@ func TestFloatWeightedResumeBitIdentical(t *testing.T) {
 }
 
 // TestSweepSteadyStateAllocs pins the claim that an iteration's compute stops
-// allocating once the phase-lived buffers have settled: a single-threaded flat
-// sweep performs at most one constant allocation (the par.For body closure,
-// which escapes because the pool may hand it to goroutines) regardless of
-// graph size, and the modularity step over cached rows adds nothing of its own
-// — what it does allocate is the transport's allreduce of a five-value vector,
-// measured here rather than assumed.
+// allocating once the phase-lived buffers have settled: a single-threaded
+// sweep allocates nothing (the par.For body is built once per phase), and the
+// modularity step over cached rows adds nothing of its own — what it does
+// allocate is the transport's allreduce of a five-value vector, measured here
+// rather than assumed. TestIterationSteadyStateAllocs covers the whole
+// iteration.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	n, edges := gen.ErdosRenyi(500, 3000, 7)
 	kb, err := NewKernelBench(n, edges, 1, false)
@@ -192,8 +192,8 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	}
 	kb.Sweep() // settle buffer capacities
 	modularityStep()
-	if allocs := testing.AllocsPerRun(20, func() { kb.Sweep() }); allocs > 1 {
-		t.Fatalf("steady-state flat sweep allocates %.1f times per run, want <= 1", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { kb.Sweep() }); allocs != 0 {
+		t.Fatalf("steady-state sweep allocates %.1f times per run, want 0", allocs)
 	}
 	allreduce := testing.AllocsPerRun(20, func() {
 		if _, err := st.dg.Comm.AllreduceFloat64s([]float64{1, 2, 3, 4, 5}, mpi.OpSum); err != nil {
@@ -251,10 +251,10 @@ func benchKernel(b *testing.B, useRef bool, op func(*KernelBench) int) {
 	}
 }
 
-// BenchmarkSweepFlat is the shipped sweep: flat tables fed by all[Slot[i]].
-// BenchmarkSweepMap is the reference: a Go map fed by commOf's lookup by
-// global ID.
-func BenchmarkSweepFlat(b *testing.B) {
+// BenchmarkSweepSlots is the shipped sweep: a per-worker array addressed by
+// the community slot ci[Slot[i]]. BenchmarkSweepMap is the reference: a Go map
+// keyed by global ID, fed by commOf's lookup by global ID.
+func BenchmarkSweepSlots(b *testing.B) {
 	benchKernel(b, false, func(kb *KernelBench) int { return kb.Sweep() })
 }
 

@@ -55,7 +55,7 @@ func (r *renumbering) translate(dst, src []int64) error {
 func (st *phaseState) renumberOwned() (*renumbering, int64) {
 	ren := &renumbering{base: st.dg.Base, newOwned: make([]int64, st.dg.LocalN)}
 	var survivors int64
-	for lc, size := range st.cSize {
+	for lc, size := range st.cSize[:st.dg.LocalN] {
 		ren.newOwned[lc] = -1
 		if size > 0 {
 			ren.newOwned[lc] = survivors
@@ -79,6 +79,28 @@ func sortedRemote(part *partition.Partition, ids []int64) (all []int64, byOwner 
 		byOwner[q], rest = rest[:k], rest[k:]
 	}
 	return all, byOwner
+}
+
+// translateEndpoints returns the new community of every arc endpoint,
+// addressed by dg.Slot like st.ci: each live community slot is translated
+// once, then every endpoint copies its slot's answer. It rejects references
+// to dead or unresolved communities.
+func (st *phaseState) translateEndpoints(ren *renumbering) ([]int64, error) {
+	bySlot := make([]int64, len(st.refs))
+	for s, r := range st.refs {
+		if r == 0 {
+			continue
+		}
+		cid := st.gidOf(int32(s))
+		if bySlot[s] = ren.newOf(cid); bySlot[s] < 0 {
+			return nil, fmt.Errorf("core: referenced community %d is empty or was never resolved", cid)
+		}
+	}
+	newOf := make([]int64, len(st.ci))
+	for e, c := range st.ci {
+		newOf[e] = bySlot[c]
+	}
+	return newOf, nil
 }
 
 // rebuild performs the distributed graph reconstruction of Fig. 1 at the
@@ -124,12 +146,14 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	}
 
 	// Step 4: resolve old→new IDs for every referenced non-owned community.
-	refs := make([]int64, 0, len(st.all)+len(extraIDs))
-	for _, ids := range [][]int64{st.all, extraIDs} {
-		for _, cid := range ids {
-			if !st.dg.IsLocal(cid) {
-				refs = append(refs, cid)
-			}
+	// What local vertices and ghosts reference is what the fetch asks for.
+	if st.reqStale {
+		st.rebuildRequests()
+	}
+	refs := slices.Concat(st.reqGIDs...)
+	for _, cid := range extraIDs {
+		if !st.dg.IsLocal(cid) {
+			refs = append(refs, cid)
 		}
 	}
 	var reqByOwner [][]int64
@@ -178,14 +202,15 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	// Step 5: partial coarse edge lists. Every local fine arc v→u maps to
 	// the coarse arc new(comm(v))→new(comm(u)); parallel arcs merge. The new
 	// community of every local vertex and of every ghost is resolved once
-	// here, so the per-arc work below reads one slot-addressed array.
+	// here (translateEndpoints), so the per-arc work below reads one
+	// slot-addressed array.
 	//
 	// Arcs may leave this step in any order: BuildFromArcs places them
 	// stably, so parallel arcs sum in (sender rank, emission order) — fixed
 	// by the graph and the thread count, never by hash layout. Both kernels
 	// emit each coarse pair at most once per worker in a deterministic order.
-	newOf := make([]int64, len(st.all))
-	if err := ren.translate(newOf, st.all); err != nil {
+	newOf, err := st.translateEndpoints(ren)
+	if err != nil {
 		return nil, nil, err
 	}
 	var arcs []dgraph.Arc
@@ -216,7 +241,7 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 // map reference.
 //
 // newOf is the new community of every arc endpoint, addressed by dg.Slot like
-// st.all.
+// st.ci.
 func (st *phaseState) coarseArcsFlat(newOf []int64) []dgraph.Arc {
 	dg := st.dg
 	nw := st.cfg.Threads

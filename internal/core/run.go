@@ -159,13 +159,24 @@ func (rs *runState) runLoop() (*Result, error) {
 				return nil, fmt.Errorf("phase %d interrupt poll: %w", phase, err)
 			}
 			if flagged != 0 {
+				saved := "no checkpoint directory configured"
 				if cfg.CheckpointDir != "" {
 					if err := rs.writeCheckpoint(); err != nil {
 						return nil, fmt.Errorf("phase %d final checkpoint: %w", phase, err)
 					}
-					return nil, fmt.Errorf("%w after phase %d (checkpoint committed)", ErrInterrupted, phase)
+					saved = "checkpoint committed"
 				}
-				return nil, fmt.Errorf("%w after phase %d (no checkpoint directory configured)", ErrInterrupted, phase)
+				// Returning ends this rank's part in the world, and a launcher
+				// may tear the world down as soon as one rank has returned
+				// (mpi.Run does). No rank leaves a barrier before every rank
+				// has entered it, i.e. has left the collectives above — so
+				// nobody's allreduce or commit fence can be cut short by a
+				// faster peer's exit. The barrier itself can be, by a peer
+				// that has already passed it, which changes nothing: the
+				// decision and the commit are both made. Its error is dropped
+				// for that reason.
+				_ = c.Barrier()
+				return nil, fmt.Errorf("%w after phase %d (%s)", ErrInterrupted, phase, saved)
 			}
 		}
 

@@ -198,7 +198,7 @@ func TestFrontierIterationQMatchesLabels(t *testing.T) {
 							return
 						}
 						var blocks [][]byte
-						if blocks, hookErr = c.Gatherv(0, mpi.EncodeInt64s(st.comm)); hookErr != nil || c.Rank() != 0 {
+						if blocks, hookErr = c.Gatherv(0, mpi.EncodeInt64s(st.commGIDs())); hookErr != nil || c.Rank() != 0 {
 							return
 						}
 						var labels []int64 // ranks own ascending ranges

@@ -13,13 +13,6 @@ import (
 	"distlouvain/internal/par"
 )
 
-// cinfo is the per-community state a rank needs to evaluate ΔQ against a
-// community: its total incident weight A_c and its member count.
-type cinfo struct {
-	a    float64
-	size int64
-}
-
 // phaseState holds one rank's working set for a single Louvain phase. The
 // community ID space coincides with the current graph's vertex ID space and
 // shares its partition: rank owner(c) maintains the authoritative (A_c,
@@ -29,11 +22,12 @@ type phaseState struct {
 	cfg   *Config
 	phase int // phase index within the run (progress reporting)
 
-	// all holds the community (a global ID) of every endpoint a local arc
-	// can have, addressed by dg.Slot; comm and ghostComm are views of it.
-	all       []int64
-	comm      []int64 // all[:LocalN]: community of each local vertex
-	ghostComm []int64 // all[LocalN:]: community of each ghost (parallel dg.Ghosts)
+	// ci holds the community of every endpoint a local arc can have,
+	// addressed by dg.Slot, as a community slot (slots.go); comm and ghostComm
+	// are views of it. After setup only setComm, setGhost and restore write it.
+	ci        []int32
+	comm      []int32 // ci[:LocalN]: community of each local vertex
+	ghostComm []int32 // ci[LocalN:]: community of each ghost (parallel dg.Ghosts)
 
 	// rowIntra[lv] caches the intra-community weight of local row lv, summed
 	// in CSR order, for step (iv); rowsStale says no entry can be trusted
@@ -41,9 +35,27 @@ type phaseState struct {
 	rowIntra  []float64
 	rowsStale bool
 
-	// Owned-community table, indexed by cid − Base.
-	cA    []float64
-	cSize []int64
+	// Per community slot. cA/cSize hold (A_c, size): authoritative for the
+	// owned slots [0, LocalN), the value of the last fetch for the others.
+	// refs counts the endpoints in ci holding the slot — it is live iff
+	// refs > 0 — and fetched is the fetch round that last refreshed a
+	// non-owned slot (0: never). tail names the slots past the ghosts.
+	cA      []float64
+	cSize   []int64
+	refs    []int32
+	fetched []int32
+	tail    flat.Index
+
+	// fetchSeq numbers the fetch rounds from 2, so that "refreshed by the
+	// previous round" (fetched == fetchSeq−1) is never true of a slot that was
+	// never fetched. reqGIDs[q]/reqSlots[q] are the live communities owned by
+	// rank q, ascending by global ID, and their slots; reqStale says some
+	// non-owned slot went live or dead since they were built.
+	fetchSeq int32
+	reqStale bool
+	reqGIDs  [][]int64
+	reqSlots [][]int32
+	liveBuf  []liveRef
 
 	// Ghost-exchange plumbing, built once per phase:
 	// pushList[q] lists local vertex indices whose community rank q wants
@@ -51,7 +63,7 @@ type phaseState struct {
 	// rank q's reply fills (same order as the request this rank sent).
 	pushList   [][]int64
 	ghostSlots [][]int32
-	lastSent   [][]int64 // per pushList entry, last transmitted community
+	lastSent   [][]int32 // per pushList entry, last transmitted community slot (−1: none)
 	// ghostPeers lists the ranks this rank exchanges ghosts with (the
 	// neighborhood of the sparse collective); symmetric across ranks by
 	// graph symmetry.
@@ -62,29 +74,37 @@ type phaseState struct {
 	ghostDenseFrames  int64
 	ghostSparseFrames int64
 
-	// remoteInfo caches (A_c, size) of non-owned communities for the
-	// current iteration.
-	remoteInfo map[int64]cinfo
-
 	// ET state per local vertex.
 	prob     []float64
 	inactive []bool
-	prevComm []int64
+	prevComm []int32
 	seed     uint64
 
 	// Phase-lived kernel scratch, allocated once per phase and reused
 	// every iteration (see DESIGN "kernel memory layout"):
-	// sweepTabs[w] is worker w's flat neighbor-community accumulator;
+	// accs[w] is worker w's slot-addressed neighbor-community accumulator;
 	// moveBufs[w] is worker w's move buffer; allMoves is the gathered
 	// per-iteration move list; deltaTab/deltaBuf accumulate and emit the
 	// per-iteration community deltas; arena backs the encode buffers of
-	// the per-iteration exchanges.
-	sweepTabs []*flat.Table
-	moveBufs  [][]move
-	allMoves  []move
-	deltaTab  *flat.Table
-	deltaBuf  []commDelta
-	arena     mpi.Arena
+	// the per-iteration exchanges, frames is the per-peer table handed to
+	// them (no collective keeps it past its call), and deltaFrames/prevCid
+	// are pushDeltas' per-owner encode state.
+	accs        []rowAcc
+	moveBufs    [][]move
+	allMoves    []move
+	deltaTab    *flat.Table
+	deltaBuf    []commDelta
+	arena       mpi.Arena
+	frames      [][]byte
+	deltaFrames []*[]byte
+	prevCid     []int64
+
+	// sweepBody is the par.For body of sweep, built once per phase so that a
+	// sweep allocates no closure; it reads sweepIDs (the frontier's sorted
+	// list, nil under the dense scan) and sweepIter.
+	sweepBody func(w, lo, hi int)
+	sweepIDs  []int64
+	sweepIter int
 
 	// Frontier-driven sweep state; nil when Config selects FrontierOff or
 	// coloring forces the full scan (see frontier.go).
@@ -100,6 +120,12 @@ type phaseState struct {
 	globalFrontier            int64
 
 	steps *StepTimes
+
+	// afterFetch, when set, runs in every iteration between the community
+	// fetch and the frontier build — the one moment the fetched values, the
+	// request lists and the rule-(d) marks are all current. The slot
+	// differential tests hang their oracles here; nothing else sets it.
+	afterFetch func() error
 }
 
 // ErrMalformedFrame marks a protocol frame a rank refuses to apply: truncated,
@@ -119,41 +145,50 @@ func (st *phaseState) tr() *obsv.Tracer { return st.cfg.Tracer }
 
 func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepTimes) (*phaseState, error) {
 	n := dg.LocalN
-	all := make([]int64, n+int64(len(dg.Ghosts)))
+	slots := int(n) + len(dg.Ghosts)
+	p := dg.Comm.Size()
+	ci := make([]int32, slots)
 	st := &phaseState{
 		dg: dg, cfg: cfg, phase: phaseIdx,
-		all:        all,
-		comm:       all[:n:n],
-		ghostComm:  all[n:],
-		rowIntra:   make([]float64, n),
-		rowsStale:  true,
-		cA:         make([]float64, n),
-		cSize:      make([]int64, n),
-		remoteInfo: make(map[int64]cinfo),
-		prob:       make([]float64, n),
-		inactive:   make([]bool, n),
-		prevComm:   make([]int64, n),
-		seed:       cfg.Seed ^ par.Mix64(uint64(phaseIdx)+0x5851f42d4c957f2d),
-		steps:      steps,
+		ci:          ci,
+		comm:        ci[:n:n],
+		ghostComm:   ci[n:],
+		rowIntra:    make([]float64, n),
+		rowsStale:   true,
+		cA:          make([]float64, slots),
+		cSize:       make([]int64, slots),
+		refs:        make([]int32, slots),
+		fetched:     make([]int32, slots),
+		fetchSeq:    1,
+		reqStale:    true,
+		reqGIDs:     make([][]int64, p),
+		reqSlots:    make([][]int32, p),
+		prob:        make([]float64, n),
+		inactive:    make([]bool, n),
+		prevComm:    make([]int32, n),
+		seed:        cfg.Seed ^ par.Mix64(uint64(phaseIdx)+0x5851f42d4c957f2d),
+		accs:        make([]rowAcc, cfg.Threads),
+		moveBufs:    make([][]move, cfg.Threads),
+		touchedBufs: make([]int64, cfg.Threads),
+		deltaTab:    flat.NewTable(256),
+		frames:      make([][]byte, p),
+		deltaFrames: make([]*[]byte, p),
+		prevCid:     make([]int64, p),
+		steps:       steps,
 	}
-	st.sweepTabs = make([]*flat.Table, cfg.Threads)
-	for w := range st.sweepTabs {
-		st.sweepTabs[w] = flat.NewTable(64)
+	st.sweepBody = func(w, lo, hi int) { st.sweepRange(w, lo, hi, st.sweepIDs, st.sweepIter) }
+	// Initially every vertex is its own community — the identity on slots —
+	// so ghost communities are derivable without communication (§IV-A).
+	for e := range ci {
+		ci[e] = int32(e)
+		st.refs[e] = 1
 	}
-	st.moveBufs = make([][]move, cfg.Threads)
-	st.touchedBufs = make([]int64, cfg.Threads)
-	st.deltaTab = flat.NewTable(256)
+	copy(st.prevComm, st.comm)
 	for lv := int64(0); lv < n; lv++ {
-		g := dg.Global(lv)
-		st.comm[lv] = g
-		st.prevComm[lv] = g
 		st.cA[lv] = dg.K[lv]
 		st.cSize[lv] = 1
 		st.prob[lv] = 1
 	}
-	// Initially every vertex is its own community, so ghost communities
-	// are derivable without communication (§IV-A).
-	copy(st.ghostComm, dg.Ghosts)
 	if cfg.frontierOn() {
 		st.fr = newFrontierState(st)
 	}
@@ -190,14 +225,14 @@ func (st *phaseState) setupGhostLists() error {
 		return fmt.Errorf("core: ghost-list setup: %w", err)
 	}
 	st.pushList = make([][]int64, p)
-	st.lastSent = make([][]int64, p)
+	st.lastSent = make([][]int32, p)
 	for q := 0; q < p; q++ {
 		ids, err := mpi.DecodeDeltaInt64s(recv[q])
 		if err != nil {
 			return malformed("ghost list", q, "%v", err)
 		}
 		st.pushList[q] = make([]int64, len(ids))
-		st.lastSent[q] = make([]int64, len(ids))
+		st.lastSent[q] = make([]int32, len(ids))
 		for i, g := range ids {
 			if !st.dg.IsLocal(g) {
 				return malformed("ghost list", q, "non-owned vertex %d", g)
@@ -255,7 +290,7 @@ func (st *phaseState) exchangeGhostComm() error {
 	}
 
 	if st.cfg.UseNeighborCollectives {
-		send := make([][]byte, len(st.ghostPeers))
+		send := st.frames[:len(st.ghostPeers)]
 		for i, q := range st.ghostPeers {
 			send[i] = encodeFor(q)
 		}
@@ -271,16 +306,15 @@ func (st *phaseState) exchangeGhostComm() error {
 		return nil
 	}
 
-	p := c.Size()
-	send := make([][]byte, p)
-	for q := 0; q < p; q++ {
+	send := st.frames
+	for q := range send {
 		send[q] = encodeFor(q)
 	}
 	recv, err := c.Alltoall(send)
 	if err != nil {
 		return fmt.Errorf("core: ghost exchange: %w", err)
 	}
-	for q := 0; q < p; q++ {
+	for q := range recv {
 		if err := st.decodeGhostDelta(q, recv[q]); err != nil {
 			return err
 		}
@@ -313,7 +347,7 @@ func (st *phaseState) encodeGhostDelta(buf []byte, q int) []byte {
 		buf = append(buf, ghostFrameDense)
 		for i, lv := range push {
 			v := st.comm[lv]
-			buf = mpi.AppendVarint(buf, v)
+			buf = mpi.AppendVarint(buf, st.gidOf(v))
 			last[i] = v
 		}
 		return buf
@@ -327,7 +361,7 @@ func (st *phaseState) encodeGhostDelta(buf []byte, q int) []byte {
 	for i, lv := range push {
 		if v := st.comm[lv]; v != last[i] {
 			buf = mpi.AppendUvarint(buf, uint64(int64(i)-prev))
-			buf = mpi.AppendVarint(buf, v)
+			buf = mpi.AppendVarint(buf, st.gidOf(v))
 			prev = int64(i)
 			last[i] = v
 		}
@@ -352,7 +386,9 @@ func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
 			if err != nil {
 				return malformed("ghost frame", q, "dense: %v", err)
 			}
-			st.setGhost(slot, v)
+			if err := st.setGhost(slot, v); err != nil {
+				return err
+			}
 		}
 	case ghostFrameSparse:
 		n, err := d.Uvarint()
@@ -373,7 +409,9 @@ func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
 			if pos < 0 || pos >= int64(len(slots)) {
 				return malformed("ghost frame", q, "sparse: position %d outside [0,%d)", pos, len(slots))
 			}
-			st.setGhost(slots[pos], v)
+			if err := st.setGhost(slots[pos], v); err != nil {
+				return err
+			}
 		}
 	default:
 		return malformed("ghost frame", q, "unknown mode %d", data[0])
@@ -384,73 +422,43 @@ func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
 	return nil
 }
 
-// infoOf resolves (A_c, size) of a community from the owned table or the
-// per-iteration remote cache.
-func (st *phaseState) infoOf(cid int64) (cinfo, bool) {
-	if st.dg.IsLocal(cid) {
-		lc := cid - st.dg.Base
-		return cinfo{a: st.cA[lc], size: st.cSize[lc]}, true
-	}
-	ci, ok := st.remoteInfo[cid]
-	return ci, ok
-}
-
 // fetchCommunityInfo implements the pull half of step (ii)'s preparation:
-// collect the communities referenced by local neighbourhoods, request the
-// (A_c, size) entries of the non-owned ones from their owners, and cache
-// the replies for this iteration.
+// request the (A_c, size) entries of the live non-owned communities — the
+// ones some local vertex or ghost is in, which covers every community a local
+// neighbourhood can reference — from their owners, and store the replies in
+// the slots' cA/cSize. The request lists are rebuilt only when the live set
+// changed. With a frontier, a reply marks its slot changed (rule d) when the
+// slot was not refreshed by the previous round or the values differ.
 func (st *phaseState) fetchCommunityInfo() error {
 	sp := st.tr().Begin(obsv.KindP2P, "community-fetch")
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { st.steps.CommunityComm += time.Since(t0) }()
 	c := st.dg.Comm
-	p := c.Size()
 
-	needed := make(map[int64]struct{})
-	for lv := int64(0); lv < st.dg.LocalN; lv++ {
-		if cv := st.comm[lv]; !st.dg.IsLocal(cv) {
-			needed[cv] = struct{}{}
-		}
+	if st.reqStale {
+		st.rebuildRequests()
 	}
-	for _, gc := range st.ghostComm {
-		if !st.dg.IsLocal(gc) {
-			needed[gc] = struct{}{}
-		}
-	}
-	// Local vertices' communities referenced through local neighbours are
-	// covered by the two loops above: a local neighbour's community is
-	// either owned (table lookup) or appears in st.comm; a remote
-	// neighbour's community appears in ghostComm.
-
-	reqByOwner := make([][]int64, p)
-	for cid := range needed {
-		o := st.dg.Part.Owner(cid)
-		reqByOwner[o] = append(reqByOwner[o], cid)
-	}
-	for q := range reqByOwner {
-		slices.Sort(reqByOwner[q])
-	}
+	st.fetchSeq++
 	// Both encode rounds draw from the per-phase arena; no Reset between
 	// them — the request buffers stay claimed until the replies are built.
 	st.arena.Reset()
-	send := make([][]byte, p)
-	for q := 0; q < p; q++ {
-		// reqByOwner[q] is sorted, so the request travels as ~1-byte
-		// varint gaps instead of 8-byte IDs.
+	frames := st.frames
+	for q := range frames {
+		// reqGIDs[q] is sorted, so the request travels as ~1-byte varint
+		// gaps instead of 8-byte IDs.
 		bp := st.arena.Grab()
-		*bp = mpi.AppendDeltaInt64s(*bp, reqByOwner[q])
-		send[q] = *bp
+		*bp = mpi.AppendDeltaInt64s(*bp, st.reqGIDs[q])
+		frames[q] = *bp
 	}
-	reqs, err := c.Alltoall(send)
+	reqs, err := c.Alltoall(frames)
 	if err != nil {
 		return fmt.Errorf("core: community-info request: %w", err)
 	}
 	// Answer requests: (A_c, size) per cid, in request order. A_c stays
 	// fixed64 (varints cannot shorten a float and bit-exactness is
 	// non-negotiable); member counts are small, so they travel as varints.
-	resp := make([][]byte, p)
-	for q := 0; q < p; q++ {
+	for q := range frames {
 		ids, err := mpi.DecodeDeltaInt64s(reqs[q])
 		if err != nil {
 			return malformed("community-info request", q, "%v", err)
@@ -466,16 +474,15 @@ func (st *phaseState) fetchCommunityInfo() error {
 			buf = mpi.AppendVarint(buf, st.cSize[lc])
 		}
 		*bp = buf
-		resp[q] = buf
+		frames[q] = buf
 	}
-	answers, err := c.Alltoall(resp)
+	answers, err := c.Alltoall(frames)
 	if err != nil {
 		return fmt.Errorf("core: community-info reply: %w", err)
 	}
-	clear(st.remoteInfo)
-	for q := 0; q < p; q++ {
+	for q := range answers {
 		d := mpi.NewDecoder(answers[q])
-		for _, cid := range reqByOwner[q] {
+		for _, s := range st.reqSlots[q] {
 			a, err := d.Float64()
 			if err != nil {
 				return malformed("community-info reply", q, "%v", err)
@@ -484,7 +491,10 @@ func (st *phaseState) fetchCommunityInfo() error {
 			if err != nil {
 				return malformed("community-info reply", q, "%v", err)
 			}
-			st.remoteInfo[cid] = cinfo{a: a, size: size}
+			if st.fr != nil && (st.fetched[s] != st.fetchSeq-1 || st.cA[s] != a || st.cSize[s] != size) {
+				st.fr.noteChanged(s)
+			}
+			st.cA[s], st.cSize[s], st.fetched[s] = a, size, st.fetchSeq
 		}
 		if d.Remaining() != 0 {
 			return malformed("community-info reply", q, "%d trailing bytes", d.Remaining())
@@ -529,7 +539,7 @@ func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
 			if !st.dg.IsLocal(g) {
 				return nil, malformed("comm-lookup request", q, "non-owned vertex %d", g)
 			}
-			buf = mpi.AppendVarint(buf, st.comm[g-st.dg.Base])
+			buf = mpi.AppendVarint(buf, st.gidOf(st.comm[g-st.dg.Base]))
 		}
 		resp[q] = buf
 	}
@@ -554,7 +564,7 @@ func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
 	out := make([]int64, len(ids))
 	for i, g := range ids {
 		if st.dg.IsLocal(g) {
-			out[i] = st.comm[g-st.dg.Base]
+			out[i] = st.gidOf(st.comm[g-st.dg.Base])
 		} else {
 			k, _ := slices.BinarySearch(remote, g)
 			out[i] = commOfRemote[k]
@@ -601,13 +611,13 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	t0 := time.Now()
 	defer func() { st.steps.CommunityComm += time.Since(t0) }()
 	c := st.dg.Comm
-	p := c.Size()
 	st.arena.Reset()
-	send := make([][]byte, p)
-	bufs := make([]*[]byte, p)
+	send, bufs, prevCid := st.frames, st.deltaFrames, st.prevCid
+	clear(send)
+	clear(bufs)
+	clear(prevCid)
 	// Entries: varint cid gap from the previous entry to the same owner
 	// (ascending across the frame), fixed64 ΔA, varint Δsize.
-	prevCid := make([]int64, p)
 	for _, d := range deltas {
 		if st.dg.IsLocal(d.cid) {
 			continue // folded in the overlap window below
@@ -634,10 +644,10 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	defer st.arena.Unpin()
 
 	// Overlap window: peers' frames are in flight; do the iteration's local
-	// tail work. (Under coloring, sweepByClasses already wrote st.comm; the
-	// re-assignment is idempotent.)
+	// tail work. (Under coloring, sweepByClasses already made these
+	// assignments; setComm of an unchanged slot does nothing.)
 	for _, mv := range moves {
-		st.comm[mv.lv] = mv.to
+		st.setComm(mv.lv, mv.to)
 	}
 	if st.fr != nil {
 		st.markMoves(moves)
@@ -652,7 +662,7 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	if err != nil {
 		return fmt.Errorf("core: community delta push: %w", err)
 	}
-	for q := 0; q < p; q++ {
+	for q := range recv {
 		d := mpi.NewDecoder(recv[q])
 		prev := int64(0)
 		for d.Remaining() > 0 {
@@ -693,7 +703,7 @@ func (st *phaseState) applyDelta(cid int64, d delta) {
 	if st.fr != nil && (st.cA[lc] != a0 || st.cSize[lc] != s0) {
 		// Frontier dirty rule (d), owned side: the values evaluators read
 		// changed, so everything referencing this community re-evaluates.
-		st.fr.noteOwnedChanged(lc)
+		st.fr.noteChanged(int32(lc))
 	}
 }
 
@@ -730,7 +740,7 @@ func (st *phaseState) recomputeRow(lv int64) {
 	cv := st.comm[lv]
 	var w float64
 	for i, s := range slots {
-		if st.all[s] == cv {
+		if st.ci[s] == cv {
 			w += edges[i].W
 		}
 	}

@@ -1,9 +1,13 @@
-// Package flat provides the flat open-addressing accumulation tables the
-// Louvain hot paths use in place of Go maps: the ΔQ inner loop's
-// neighbor-community weight accumulator and the coarsening step's
-// (src,dst)→weight aggregator. The design follows the hashing-kernel idea
-// of Forster's GPU Louvain (linear-probed power-of-two tables, no chaining)
-// adapted to per-worker CPU use:
+// Package flat provides the flat open-addressing tables the Louvain driver
+// uses in place of Go maps where a key space is too sparse to address
+// directly: the per-iteration community-delta batch, the coarsening step's
+// (src,dst)→weight aggregator, and the index that numbers the communities a
+// rank references but holds no vertex of. (The ΔQ inner loop used Table until
+// communities got dense per-phase slots; it now accumulates into a
+// slot-addressed array — DESIGN §12 — and Table remains the accumulator of the
+// map-free delta batch and of the reference kernels' benchmarks.) The design
+// follows the hashing-kernel idea of Forster's GPU Louvain (linear-probed
+// power-of-two tables, no chaining) adapted to per-worker CPU use:
 //
 //   - Reset is O(1): every slot carries an epoch stamp, and a table is
 //     emptied by bumping the table's epoch counter instead of clearing the
@@ -11,14 +15,13 @@
 //     The stamp arrays are cleared for real only when the 32-bit epoch
 //     wraps (once per ~4G resets).
 //   - Iteration is over an explicit slot list in insertion order, so a
-//     sweep that accumulates neighbor weights in CSR order observes its
-//     communities in a deterministic order — unlike Go map ranging, which
-//     is randomized per run. Determinism of every float sum downstream is
-//     what makes the distributed trajectory reproducible bit for bit.
+//     consumer observes its keys in a deterministic order — unlike Go map
+//     ranging, which is randomized per run. Determinism of every float sum
+//     downstream is what makes the distributed trajectory reproducible bit
+//     for bit.
 //   - Tables are meant to be per-worker and phase-lived: allocate once,
-//     Reset per vertex (or per use), grow on demand. None of the methods
-//     are safe for concurrent use of one table; distinct workers use
-//     distinct tables.
+//     Reset per use, grow on demand. None of the methods are safe for
+//     concurrent use of one table; distinct workers use distinct tables.
 package flat
 
 // maxLoadNum/maxLoadDen give the 0.75 load factor above which a table
@@ -51,8 +54,8 @@ func ceilPow2(n int) int {
 }
 
 // Table accumulates a float64 sum and an int64 count per int64 key. It is
-// the scratch structure of the ΔQ sweep (sum = Σ w(v→C), count unused) and
-// of the per-iteration community-delta batch (sum = ΔA_c, count = Δsize).
+// the scratch structure of the per-iteration community-delta batch
+// (sum = ΔA_c, count = Δsize).
 type Table struct {
 	keys  []int64
 	vals  []float64
@@ -301,4 +304,61 @@ func (t *PairTable) grow() {
 		t.vals[i] = old.vals[s]
 		t.slots = append(t.slots, int32(i))
 	}
+}
+
+// Index numbers distinct int64 keys 0, 1, 2, … in the order they are first
+// interned, and finds a key's number again: an append-only key ↔ dense-int
+// dictionary. The zero value is an empty index.
+type Index struct {
+	keys []int64 // by number
+	tab  []int32 // open-addressed: number+1 of the key hashed here, 0 when free
+	mask uint64
+}
+
+// Len returns how many keys have been interned.
+func (x *Index) Len() int { return len(x.keys) }
+
+// Key returns the key numbered i, 0 ≤ i < Len().
+func (x *Index) Key(i int) int64 { return x.keys[i] }
+
+// Find returns key's number, or (0, false) when it was never interned.
+func (x *Index) Find(key int64) (int, bool) {
+	if len(x.tab) == 0 {
+		return 0, false
+	}
+	for i := mix64(uint64(key)) & x.mask; ; i = (i + 1) & x.mask {
+		n := x.tab[i]
+		if n == 0 {
+			return 0, false
+		}
+		if x.keys[n-1] == key {
+			return int(n - 1), true
+		}
+	}
+}
+
+// Intern returns key's number, assigning the next one when key is new.
+func (x *Index) Intern(key int64) int {
+	if n, ok := x.Find(key); ok {
+		return n
+	}
+	if (len(x.keys)+1)*maxLoadDen > len(x.tab)*maxLoadNum {
+		x.tab = make([]int32, ceilPow2(2*len(x.tab)))
+		x.mask = uint64(len(x.tab) - 1)
+		for n, k := range x.keys {
+			x.place(k, int32(n+1))
+		}
+	}
+	x.keys = append(x.keys, key)
+	x.place(key, int32(len(x.keys)))
+	return len(x.keys) - 1
+}
+
+// place stores n at the first free probe position of key.
+func (x *Index) place(key int64, n int32) {
+	i := mix64(uint64(key)) & x.mask
+	for x.tab[i] != 0 {
+		i = (i + 1) & x.mask
+	}
+	x.tab[i] = n
 }

@@ -259,3 +259,44 @@ func FuzzPairTable(f *testing.F) {
 		}
 	})
 }
+
+// TestIndexAgainstMap: keys get the numbers 0, 1, 2, … in first-interned
+// order, re-interning is idempotent, Find misses what was never interned, and
+// all of it survives growth — against a map oracle, with keys dense and
+// correlated the way community IDs are, plus the negative and huge ones a
+// corrupt frame could name.
+func TestIndexAgainstMap(t *testing.T) {
+	var x Index
+	if _, ok := x.Find(7); ok || x.Len() != 0 {
+		t.Fatal("empty index finds a key")
+	}
+	oracle := make(map[int64]int)
+	keys := []int64{-7, 0, 1 << 62, -1 << 63}
+	for i := int64(0); i < 5000; i++ {
+		keys = append(keys, 1000+3*(i%1700)) // repeats from 1700 on
+	}
+	for _, k := range keys {
+		want, seen := oracle[k]
+		if !seen {
+			want = len(oracle)
+			oracle[k] = want
+		}
+		if _, ok := x.Find(k); ok != seen {
+			t.Fatalf("Find(%d) before interning = %v, want %v", k, ok, seen)
+		}
+		if got := x.Intern(k); got != want {
+			t.Fatalf("Intern(%d) = %d, want %d", k, got, want)
+		}
+	}
+	if x.Len() != len(oracle) {
+		t.Fatalf("Len = %d, oracle has %d", x.Len(), len(oracle))
+	}
+	for k, n := range oracle {
+		if got, ok := x.Find(k); !ok || got != n || x.Key(n) != k {
+			t.Fatalf("Find(%d) = %d,%v and Key(%d) = %d; want %d", k, got, ok, n, x.Key(n), n)
+		}
+	}
+	if _, ok := x.Find(1001); ok {
+		t.Fatal("Find hit a key that was never interned")
+	}
+}
