@@ -113,10 +113,7 @@ func main() {
 		tau       = flag.Float64("tau", 0, "convergence threshold (default 1e-6)")
 		threads   = flag.Int("threads", 1, "worker threads per rank")
 		seed      = flag.Uint64("seed", 1, "early-termination seed")
-		frontier  = flag.String("frontier", "auto", "frontier-driven sweeps: auto (dense/sparse switching), dense, sparse, or off (full scan every iteration)")
-		frontThr  = flag.Float64("frontier-sparse-threshold", 0.25, "frontier fraction of the partition below which auto uses the sorted id list instead of the bitmap")
 		edgeBal   = flag.Bool("edgebalance", false, "edge-balanced input partition instead of even vertex split")
-		neighbor  = flag.Bool("neighbor-coll", false, "use sparse neighborhood collectives for ghost exchange")
 		coloring  = flag.Bool("coloring", false, "sweep by distance-1 color classes (distributed Jones-Plassmann)")
 		outPath   = flag.String("o", "", "write detected communities (one label per line)")
 		truthPath = flag.String("truth", "", "ground-truth file for quality scoring")
@@ -175,7 +172,6 @@ func main() {
 	flag.Parse()
 	if err := validateFlags(flagValues{
 		np: *np, threads: *threads, alpha: *alpha, tau: *tau,
-		frontier: *frontier, frontThr: *frontThr,
 		ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
 		supervise: *supervise, minRanks: *minRanks, maxRestarts: *maxRestarts,
 		transport: *transport, hosts: *hosts, rank: *rank,
@@ -212,9 +208,6 @@ func main() {
 	cfg.Tau = *tau
 	cfg.Threads = *threads
 	cfg.Seed = *seed
-	cfg.Frontier, _ = core.ParseFrontier(*frontier) // spelling validated by validateFlags
-	cfg.FrontierSparseThreshold = *frontThr
-	cfg.UseNeighborCollectives = *neighbor
 	cfg.UseColoring = *coloring
 	cfg.GatherOutput = true
 	cfg.CheckpointDir = *ckptDir

@@ -13,11 +13,9 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"distlouvain/internal/ckpt"
 	"distlouvain/internal/core"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
@@ -70,41 +68,22 @@ func (o supOptions) supervisorOptions(cfg core.Config) supervisor.Options {
 		},
 		Poll:          o.poll,
 		Retryable:     retryableRunErr,
-		HasCheckpoint: func() bool { return hasCheckpoint(cfg.CheckpointDir) },
+		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dlouvain: "+format+"\n", args...)
 		},
 	}
 }
 
-// hasCheckpoint reports whether dir holds a committed checkpoint manifest.
-func hasCheckpoint(dir string) bool {
-	if dir == "" {
-		return false
-	}
-	_, err := ckpt.ReadManifest(dir)
-	return err == nil
-}
-
-// retryableRunErr classifies a world failure: true means transient (lost
-// peer, expired deadline, injected kill, graceful interrupt, or an
-// aggregated child failure that was itself retryable) and worth a relaunch
-// from the latest checkpoint.
+// retryableRunErr classifies a world failure: an aggregated child failure
+// carries its own verdict (derived from the exit codes); everything else is
+// supervisor.Retryable's call.
 func retryableRunErr(err error) bool {
-	var pl *mpi.ErrPeerLost
 	var ce *childrenError
-	var he *supervisor.HangError
-	switch {
-	case errors.As(err, &ce):
+	if errors.As(err, &ce) {
 		return ce.retryable
-	case errors.As(err, &he):
-		return true
-	default:
-		return errors.As(err, &pl) ||
-			errors.Is(err, mpi.ErrKilled) ||
-			errors.Is(err, os.ErrDeadlineExceeded) ||
-			errors.Is(err, core.ErrInterrupted)
 	}
+	return supervisor.Retryable(err)
 }
 
 // trapInterrupt installs the two-stage SIGTERM/SIGINT handler: the first
@@ -123,15 +102,11 @@ func trapInterrupt(onFirst func(sig os.Signal)) {
 }
 
 // ---------------------------------------------------------------------------
-// In-process supervised worlds: one goroutine per rank, beacons delivered by
-// direct function call, kill = closing the inproc world.
+// In-process supervised worlds: supervisor.InprocLauncher runs the ranks;
+// inprocObserver is what only the CLI adds to them — per-attempt tracers,
+// transport fault injection, communicator options and registry counters.
 
-type inprocLauncher struct {
-	path     string
-	hdr      gio.Header
-	cfg      core.Config
-	edgeBal  bool
-	verbose  bool
+type inprocObserver struct {
 	commOpts []mpi.CommOption
 	fault    mpi.FaultPlan // transport fault injection (see faultAll)
 	faultAll bool          // inject on every attempt, not just the first
@@ -139,97 +114,41 @@ type inprocLauncher struct {
 	reg      *obsv.Registry // generation-scoped metrics timeline (may be nil)
 
 	mu      sync.Mutex
-	result  *core.Result   // rank-0 result of the completed attempt
-	ranks   int            // world size of the completed attempt
 	tracers []*obsv.Tracer // current attempt's per-rank tracers (post-mortem source)
 }
 
-type inprocAttempt struct {
-	world     *mpi.InprocWorld
-	interrupt atomic.Bool
-	done      chan struct{}
-	err       error
-}
-
-func (a *inprocAttempt) Wait() error { <-a.done; return a.err }
-func (a *inprocAttempt) Kill()       { a.world.Close() }
-func (a *inprocAttempt) Interrupt()  { a.interrupt.Store(true) }
-
-func (l *inprocLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervisor.Beacon)) (supervisor.Attempt, error) {
-	world, err := mpi.NewInprocWorld(spec.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	a := &inprocAttempt{world: world, done: make(chan struct{})}
-	go l.run(a, spec, beacons)
-	return a, nil
-}
-
-func (l *inprocLauncher) run(a *inprocAttempt, spec supervisor.LaunchSpec, beacons func(supervisor.Beacon)) {
-	defer close(a.done)
-	defer a.world.Close()
-	// Fresh tracers per attempt: a relaunched world's trace must not carry
-	// its predecessor's spans. The previous attempt's tracers stay readable
-	// (PostMortem races the swap harmlessly — tracers are concurrency-safe).
-	tracers := make([]*obsv.Tracer, spec.Ranks)
-	for r := range tracers {
-		tracers[r] = l.obs.newTracer(r)
-	}
+// comm is the launcher's per-rank hook (supervisor.InprocLauncher.Comm).
+func (l *inprocObserver) comm(spec supervisor.LaunchSpec, r int, tp mpi.Transport) *mpi.Comm {
+	tr := l.obs.newTracer(r)
 	l.mu.Lock()
-	l.tracers = tracers
-	l.mu.Unlock()
-	errs := make([]error, spec.Ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < spec.Ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("rank %d panicked: %v", r, p)
-					a.world.Close()
-				}
-			}()
-			cfg := l.cfg
-			cfg.Tracer = tracers[r]
-			cfg.Progress = supervisor.CoreProgressTraced(r, 0, tracers[r], beacons)
-			cfg.Interrupted = a.interrupt.Load
-			beacons(supervisor.Beacon{Rank: r, Kind: supervisor.KindHello})
-			tp := a.world.Endpoint(r)
-			if (spec.Attempt == 0 || l.faultAll) && faultActive(l.fault) {
-				fp := l.fault
-				fp.Seed ^= uint64(r) * 0x9e3779b97f4a7c15
-				tp = mpi.NewFaultTransport(tp, fp)
-			}
-			c := mpi.NewComm(tp, l.commOpts...)
-			c.SetTracer(tracers[r])
-			if r == 0 {
-				// Each attempt gets a fresh Comm, so re-attaching replaces
-				// the dead generation's counter source with the live one.
-				l.reg.AttachCounters("mpi.rank0", func() map[string]int64 {
-					return c.Stats().Snapshot().Counters()
-				})
-			}
-			res, err := rankBody(l.path, l.hdr, cfg, l.edgeBal, spec.Resume, l.verbose)(c)
-			if err != nil {
-				errs[r] = err
-				a.world.Close()
-				return
-			}
-			if r == 0 {
-				l.mu.Lock()
-				l.result, l.ranks = res, spec.Ranks
-				l.mu.Unlock()
-			}
-		}(r)
+	if r == 0 {
+		// Fresh tracers per attempt: a relaunched world's trace must not
+		// carry its predecessor's spans. The previous attempt's tracers stay
+		// readable (postMortem races the swap harmlessly — tracers are
+		// concurrency-safe).
+		l.tracers = make([]*obsv.Tracer, spec.Ranks)
 	}
-	wg.Wait()
-	l.reg.RecordGenerationCounters()
-	a.err = pickWorldError(errs)
+	l.tracers[r] = tr
+	l.mu.Unlock()
+	if (spec.Attempt == 0 || l.faultAll) && faultActive(l.fault) {
+		fp := l.fault
+		fp.Seed ^= uint64(r) * 0x9e3779b97f4a7c15
+		tp = mpi.NewFaultTransport(tp, fp)
+	}
+	c := mpi.NewComm(tp, l.commOpts...)
+	c.SetTracer(tr)
+	if r == 0 {
+		// Each attempt gets a fresh Comm, so re-attaching replaces the dead
+		// generation's counter source with the live one.
+		l.reg.AttachCounters("mpi.rank0", func() map[string]int64 {
+			return c.Stats().Snapshot().Counters()
+		})
+	}
+	return c
 }
 
 // rankTracers returns the most recent attempt's per-rank tracers.
-func (l *inprocLauncher) rankTracers() []*obsv.Tracer {
+func (l *inprocObserver) rankTracers() []*obsv.Tracer {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.tracers
@@ -238,7 +157,7 @@ func (l *inprocLauncher) rankTracers() []*obsv.Tracer {
 // postMortem renders what a condemned rank's tracer last saw: the still-open
 // span chain (where it is stuck) and the most recently completed spans (what
 // it finished on the way there). Wired into supervisor.Options.PostMortem.
-func (l *inprocLauncher) postMortem(rank int) []string {
+func (l *inprocObserver) postMortem(rank int) []string {
 	var tr *obsv.Tracer
 	l.mu.Lock()
 	if rank >= 0 && rank < len(l.tracers) {
@@ -258,51 +177,26 @@ func (l *inprocLauncher) postMortem(rank int) []string {
 	return lines
 }
 
-// pickWorldError selects the most meaningful failure from a world's per-rank
-// errors: a fatal error wins over a retryable one, which wins over the
-// ErrClosed collateral that peers report after the world is torn down. This
-// keeps a deterministic bug from masquerading as retryable and looping away
-// the restart budget.
-func pickWorldError(errs []error) error {
-	var retry, collateral error
-	for r, e := range errs {
-		if e == nil {
-			continue
-		}
-		wrapped := fmt.Errorf("rank %d: %w", r, e)
-		switch {
-		case retryableRunErr(e):
-			if retry == nil {
-				retry = wrapped
-			}
-		case errors.Is(e, mpi.ErrClosed):
-			if collateral == nil {
-				collateral = wrapped
-			}
-		default:
-			return wrapped
-		}
-	}
-	if retry != nil {
-		return retry
-	}
-	return collateral
-}
-
 // superviseInproc runs the supervised in-process world and reports the
 // surviving attempt's result.
 func superviseInproc(path string, hdr gio.Header, np int, cfg core.Config, edgeBal, resume bool, outPath, truthPath string, commOpts []mpi.CommOption, fault mpi.FaultPlan, opts supOptions, oopts obsOptions) {
 	reg := obsv.NewRegistry(0)
 	startPprof(oopts.pprofAddr, reg)
-	l := &inprocLauncher{
-		path: path, hdr: hdr, cfg: cfg,
-		edgeBal: edgeBal, verbose: opts.verbose,
+	l := &inprocObserver{
 		commOpts: commOpts, fault: fault, faultAll: opts.chaos.everyAttempt,
 		obs: oopts, reg: reg,
+	}
+	launcher := &supervisor.InprocLauncher{
+		Config: cfg,
+		Body: func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error) {
+			return rankBody(path, hdr, cfg, edgeBal, resume, opts.verbose)(c)
+		},
+		Comm: l.comm,
 	}
 	sopts := opts.supervisorOptions(cfg)
 	sopts.PostMortem = l.postMortem
 	sopts.OnRestart = func(restarts, ranks int, resume bool, cause error) {
+		reg.RecordGenerationCounters() // the failed attempt's traffic
 		reg.BeginGeneration()
 		var res float64
 		if resume {
@@ -312,21 +206,20 @@ func superviseInproc(path string, hdr gio.Header, np int, cfg core.Config, edgeB
 			"restarts": float64(restarts), "ranks": float64(ranks), "resume": res,
 		})
 	}
-	sup := supervisor.New(l, sopts)
+	sup := supervisor.New(launcher, sopts)
 	trapInterrupt(func(os.Signal) {
 		fmt.Fprintln(os.Stderr, "dlouvain: interrupt: checkpointing at the next phase boundary")
 		sup.Interrupt()
 	})
 	err := sup.Run(np, resume)
+	reg.RecordGenerationCounters()
 	// Traces flush even when the supervisor gives up: the surviving files
 	// describe the last attempt, which is the one worth examining.
 	oopts.flushTraces(l.rankTracers()...)
 	if err != nil {
 		runFailf(err, "%v", err)
 	}
-	l.mu.Lock()
-	res, ranks := l.result, l.ranks
-	l.mu.Unlock()
+	res, ranks := launcher.Result()
 	recordRunMetrics(reg, res)
 	report(res, hdr, cfg, ranks, outPath, truthPath)
 	if trs := l.rankTracers(); len(trs) > 0 {

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-
-	"distlouvain/internal/core"
 )
 
 // flagValues carries the parsed flags validateFlags inspects. A struct (not
@@ -19,8 +17,6 @@ type flagValues struct {
 	threads     int
 	alpha       float64
 	tau         float64
-	frontier    string
-	frontThr    float64
 	ckptEvery   int
 	ckptKeep    int
 	supervise   bool
@@ -65,12 +61,6 @@ func validateFlags(v flagValues) error {
 	}
 	if v.tau < 0 {
 		return fmt.Errorf("-tau must be non-negative (got %g)", v.tau)
-	}
-	if _, err := core.ParseFrontier(v.frontier); err != nil {
-		return fmt.Errorf("-frontier: %v", err)
-	}
-	if v.frontThr <= 0 || v.frontThr > 1 {
-		return fmt.Errorf("-frontier-sparse-threshold must be in (0, 1] (got %g)", v.frontThr)
 	}
 	if v.ckptEvery < 1 {
 		return fmt.Errorf("-ckpt-every must be >= 1 (got %d)", v.ckptEvery)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -9,7 +11,6 @@ import (
 func valid() flagValues {
 	return flagValues{
 		np: 4, threads: 1, alpha: 0.25, tau: 0,
-		frontier: "auto", frontThr: 0.25,
 		ckptEvery: 1, ckptKeep: 2,
 		supervise: false, minRanks: 1, maxRestarts: 5,
 		transport: "inproc", coordEpoch: 1, agentSlots: 1,
@@ -42,9 +43,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"zero threads", func(v *flagValues) { v.threads = 0 }, "-threads"},
 		{"alpha above one", func(v *flagValues) { v.alpha = 1.5 }, "-alpha"},
 		{"negative tau", func(v *flagValues) { v.tau = -1e-6 }, "-tau"},
-		{"unknown frontier mode", func(v *flagValues) { v.frontier = "bitmapish" }, "-frontier"},
-		{"zero frontier threshold", func(v *flagValues) { v.frontThr = 0 }, "-frontier-sparse-threshold"},
-		{"frontier threshold above one", func(v *flagValues) { v.frontThr = 1.5 }, "-frontier-sparse-threshold"},
 		{"unknown transport", func(v *flagValues) { v.transport = "carrier-pigeon" }, "-transport"},
 
 		// Topology flags: -hosts hygiene, -rank bounds, -coord exclusivity.
@@ -160,5 +158,23 @@ func TestValidateFlagsMinRanksIgnoredWithoutSupervise(t *testing.T) {
 	v.minRanks = 100
 	if err := validateFlags(v); err != nil {
 		t.Fatalf("min-ranks should be ignored unsupervised: %v", err)
+	}
+}
+
+// The result-neutral switches are gone from the binary, not merely ignored:
+// a command line that still carries one fails as an unknown flag, exit 2.
+func TestRetiredFlagsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin, graphPath, _ := buildBinaryAndGraph(t)
+	for _, name := range []string{"frontier", "frontier-sparse-threshold", "neighbor-coll"} {
+		t.Run(name, func(t *testing.T) {
+			out, err := exec.Command(bin, "-"+name+"=1", graphPath).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
+				t.Fatalf("-%s: err %v, output:\n%s", name, err, out)
+			}
+		})
 	}
 }

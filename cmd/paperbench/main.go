@@ -9,7 +9,7 @@
 //	paperbench -exp all -markdown       # GitHub-markdown output
 //	paperbench -scale medium            # 4x larger inputs
 //	paperbench -exp bench -json        # machine-readable benchmark baseline
-//	paperbench -exp bench -json -kernels=false -check BENCH_paperbench.json
+//	paperbench -exp bench -json -check BENCH_paperbench.json
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7 fig2 fig3
 // fig4 fig5 fig6 profile bench all. ("all" covers the paper tables and
@@ -41,7 +41,6 @@ func main() {
 		checkF   = flag.String("check", "", "bench: compare against a recorded baseline file; non-zero exit on deviation")
 		tol      = flag.Float64("tol", 0.005, "bench: allowed absolute modularity deviation for -check")
 		byteTol  = flag.Float64("byte-tol", 0.05, "bench: allowed relative p2p/collective payload growth for -check")
-		kernels  = flag.Bool("kernels", true, "bench: include isolated kernel measurements (slow; disable for CI smoke)")
 	)
 	flag.Parse()
 
@@ -140,7 +139,7 @@ func main() {
 				}
 				ws = subset
 			}
-			rep, err := experiments.Bench(s, *p, *threads, ws, *kernels)
+			rep, err := experiments.Bench(s, *p, *threads, ws)
 			check(err)
 			if *checkF != "" {
 				base, err := experiments.LoadBenchReport(*checkF)

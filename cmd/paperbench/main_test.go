@@ -38,7 +38,7 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := experiments.Bench(experiments.Small, 2, 1, []experiments.Workload{w}, false)
+	rep, err := experiments.Bench(experiments.Small, 2, 1, []experiments.Workload{w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,7 @@ func TestCommittedBaselineLoads(t *testing.T) {
 			t.Fatalf("degenerate baseline row %s: %+v", w.Graph, w)
 		}
 	}
-	if len(rep.Kernels) == 0 {
-		t.Fatal("baseline has no kernel measurements")
-	}
-	for _, k := range rep.Kernels {
-		if k.NsPerOp <= 0 {
-			t.Fatalf("degenerate kernel row: %+v", k)
-		}
+	if len(rep.FrontierGate) == 0 {
+		t.Fatal("baseline has no frontier-gate rows")
 	}
 }

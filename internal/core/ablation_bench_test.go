@@ -112,33 +112,6 @@ func BenchmarkRebuild(b *testing.B) {
 	}
 }
 
-// Ablation: dense all-to-all vs sparse neighborhood-collective ghost
-// exchange (DESIGN.md §6 / the paper's §VI MPI-3 plan). Identical results;
-// the metric of interest is messages per run.
-func BenchmarkAblation_NeighborCollectives(b *testing.B) {
-	n, edges := gen.BandedMesh(3000, 3)
-	const p = 8
-	for _, neighbor := range []bool{false, true} {
-		name := "dense-alltoall"
-		if neighbor {
-			name = "neighborhood"
-		}
-		b.Run(name, func(b *testing.B) {
-			var msgs int64
-			for i := 0; i < b.N; i++ {
-				cfg := Baseline()
-				cfg.UseNeighborCollectives = neighbor
-				res, err := RunOnEdges(p, n, edges, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs = res.Traffic.CollMsgs
-			}
-			b.ReportMetric(float64(msgs), "coll-msgs")
-		})
-	}
-}
-
 // BenchmarkDistColoring isolates the distributed Jones–Plassmann coloring.
 func BenchmarkDistColoring(b *testing.B) {
 	n, edges := gen.Grid2D(60, 60, true)

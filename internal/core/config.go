@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"distlouvain/internal/frontier"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 )
@@ -45,10 +46,9 @@ type Config struct {
 	Alpha float64
 
 	// ETC adds the extra communication step that counts inactive vertices
-	// globally and exits the phase when the fraction reaches ETCExit.
+	// globally and exits the phase when the fraction reaches
+	// DefaultETCExit.
 	ETC bool
-	// ETCExit overrides DefaultETCExit when positive.
-	ETCExit float64
 
 	// Threads is the intra-rank worker team size (the OpenMP threads of
 	// the paper's MPI+OpenMP runs); ≤0 selects 1.
@@ -63,30 +63,6 @@ type Config struct {
 	// Seed drives the ET coin flips (identical results for identical
 	// seeds regardless of rank count or scheduling).
 	Seed uint64
-
-	// Frontier selects the active-set mode of the ΔQ sweep: FrontierAuto
-	// (default) re-evaluates only vertices whose neighbourhood changed in
-	// the previous iteration, switching ligra-style between a sorted id
-	// list and a bitmap scan at FrontierSparseThreshold; FrontierDense and
-	// FrontierSparse pin the representation; FrontierOff restores the full
-	// scan over every local vertex — the differential oracle the frontier
-	// modes are tested bit-identical against. Performance-only: the dirty
-	// rules mark a superset of the vertices whose decision could change, so
-	// every mode produces the identical trajectory (excluded from Hash).
-	// UseColoring forces the full scan (classes move mid-iteration).
-	Frontier int
-
-	// FrontierSparseThreshold is the frontier fraction of the partition
-	// above which FrontierAuto abandons the sorted id list for the bitmap
-	// scan (≤0 selects 0.25). Mirrors ghostSparseThreshold on the wire side.
-	FrontierSparseThreshold float64
-
-	// UseNeighborCollectives routes the per-iteration ghost exchange
-	// through sparse neighborhood collectives (the MPI-3 feature the
-	// paper's §VI plans to adopt) instead of the dense all-to-all:
-	// O(ghost-neighbours) messages per rank rather than O(p). Results are
-	// identical.
-	UseNeighborCollectives bool
 
 	// UseColoring sweeps local vertices one distance-1 color class at a
 	// time (computed by a distributed Jones–Plassmann coloring), so
@@ -138,50 +114,27 @@ type Config struct {
 	// ranks of a world set this hook or none — the poll is a collective.
 	Interrupted func() bool
 
-	// refKernels routes the ΔQ sweep and coarse-arc accumulation through
-	// the map-based reference kernels (kernels_ref.go) instead of the
-	// slot-addressed sweep and the flat pair table. Unexported: only the in-package differential tests and
-	// benchmarks set it. Excluded from Hash by construction (Hash lists
-	// its fields explicitly) — and rightly so, since both kernel sets
-	// produce identical trajectories.
-	refKernels bool
+	// oracle selects the differential oracles of the in-package tests and
+	// of KernelBench; nothing else assigns it, so every run a caller can
+	// request is frontier-driven, on the shipped kernels, with the set's
+	// representation chosen from its size. Excluded from Fingerprint by
+	// construction (Fingerprint lists its fields explicitly): every oracle
+	// reproduces the shipped trajectory bit for bit.
+	oracle oracle
 }
 
-// Frontier modes (Config.Frontier).
-const (
-	// FrontierAuto drives the sweep from the active set, switching between
-	// the sparse id list and the dense bitmap at FrontierSparseThreshold.
-	FrontierAuto = iota
-	// FrontierDense always scans the bitmap.
-	FrontierDense
-	// FrontierSparse always iterates the sorted id list.
-	FrontierSparse
-	// FrontierOff scans every local vertex each iteration (the paper's
-	// original sweep; the differential oracle).
-	FrontierOff
-)
-
-// ParseFrontier maps the CLI/service spelling of a frontier mode to its
-// Config.Frontier value. The empty string selects FrontierAuto.
-func ParseFrontier(s string) (int, error) {
-	switch s {
-	case "", "auto":
-		return FrontierAuto, nil
-	case "dense":
-		return FrontierDense, nil
-	case "sparse":
-		return FrontierSparse, nil
-	case "off":
-		return FrontierOff, nil
-	}
-	return 0, fmt.Errorf("unknown frontier mode %q (want auto, dense, sparse or off)", s)
+// oracle names the reference paths a test can route a run through.
+type oracle struct {
+	refKernels bool         // map-based ΔQ sweep and coarse-arc kernels (kernels_ref.go)
+	fullScan   bool         // offer every local vertex to every sweep: no frontier
+	rep        frontier.Rep // pin the frontier's representation (RepAuto: by size)
 }
 
 // frontierOn reports whether the sweep runs frontier-driven. Coloring
 // forces the full scan: sweepByClasses applies moves mid-iteration, which
 // the dirty rules do not model.
 func (c *Config) frontierOn() bool {
-	return c.Frontier != FrontierOff && !c.UseColoring
+	return !c.oracle.fullScan && !c.UseColoring
 }
 
 func (c *Config) fill() {
@@ -194,17 +147,11 @@ func (c *Config) fill() {
 	if c.MaxPhases <= 0 {
 		c.MaxPhases = 64
 	}
-	if c.ETCExit <= 0 {
-		c.ETCExit = DefaultETCExit
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
 	if c.CheckpointKeep <= 0 {
 		c.CheckpointKeep = 2
-	}
-	if c.FrontierSparseThreshold <= 0 {
-		c.FrontierSparseThreshold = 0.25
 	}
 }
 
@@ -308,7 +255,7 @@ type ExitReason string
 // Phase exit reasons.
 const (
 	ExitTau     ExitReason = "tau"     // modularity gain fell to τ
-	ExitETC     ExitReason = "etc"     // ≥ETCExit of vertices inactive
+	ExitETC     ExitReason = "etc"     // ≥DefaultETCExit of vertices inactive
 	ExitMaxIter ExitReason = "maxiter" // MaxIterations reached
 )
 
@@ -326,7 +273,7 @@ type PhaseStat struct {
 	MovesTrajectory []int64
 	// TouchedTrajectory records the global number of vertices the sweep
 	// actually evaluated in each iteration; FrontierTrajectory the global
-	// active-set size offered to the sweep (LocalN sums under FrontierOff).
+	// active-set size offered to the sweep (LocalN sums under the full scan).
 	// Their ratio per iteration is the work the frontier machinery saved on
 	// top of ET's probability gate.
 	TouchedTrajectory  []int64

@@ -108,56 +108,6 @@ func TestColoredVariantConsistency(t *testing.T) {
 	}
 }
 
-func TestNeighborCollectivesSameResult(t *testing.T) {
-	// Routing the ghost exchange through the sparse neighborhood
-	// collective must be a pure optimization: identical results.
-	n, edges, _ := gen.PlantedPartition(5, 24, 0.5, 0.02, 71)
-	for _, base := range []Config{Baseline(), ET(0.5), ETC(0.25)} {
-		nc := base
-		nc.UseNeighborCollectives = true
-		a, err := RunOnEdges(4, n, edges, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunOnEdges(4, n, edges, nc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Modularity != b.Modularity || a.Communities != b.Communities || a.TotalIterations != b.TotalIterations {
-			t.Fatalf("%s: neighbor-collective run diverged (Q %.6f/%.6f, comms %d/%d, iters %d/%d)",
-				base.VariantName(), a.Modularity, b.Modularity, a.Communities, b.Communities,
-				a.TotalIterations, b.TotalIterations)
-		}
-		for v := range a.GlobalComm {
-			if a.GlobalComm[v] != b.GlobalComm[v] {
-				t.Fatalf("%s: assignment differs at %d", base.VariantName(), v)
-			}
-		}
-	}
-}
-
-func TestNeighborCollectivesReduceMessages(t *testing.T) {
-	// On a banded graph split across many ranks, each rank shares ghosts
-	// with O(1) neighbours, so the sparse exchange must send far fewer
-	// messages than the dense all-to-all.
-	n, edges := gen.BandedMesh(2000, 3)
-	const p = 8
-	run := func(neighbor bool) mpi.Snapshot {
-		cfg := Baseline()
-		cfg.UseNeighborCollectives = neighbor
-		res, err := RunOnEdges(p, n, edges, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Traffic
-	}
-	dense := run(false)
-	sparse := run(true)
-	if sparse.CollMsgs >= dense.CollMsgs {
-		t.Fatalf("sparse exchange sent %d collective messages, dense %d", sparse.CollMsgs, dense.CollMsgs)
-	}
-}
-
 func TestEmptyRankColoring(t *testing.T) {
 	// Ranks without vertices must still participate in coloring rounds.
 	n, edges := gen.Grid2D(4, 4, false)

@@ -27,14 +27,18 @@ type Fingerprint string
 // configuration produces, so the manifest records this digest and Resume
 // refuses a mismatch; the service result cache uses it (with the graph
 // fingerprint) as the cache key. Deliberately excluded: Threads,
-// UseNeighborCollectives, Frontier, FrontierSparseThreshold, GatherOutput and
-// the checkpoint settings — they change performance or output plumbing,
-// never the result, so a resume (or a cache lookup) may alter them freely.
+// GatherOutput, the checkpoint settings and the Progress / Tracer /
+// Interrupted hooks — they change performance or output plumbing, never the
+// result, so a resume (or a cache lookup) may alter them freely;
+// TestConfigFieldsPinned holds both lists against the struct. The etcexit
+// position carries the constant DefaultETCExit: it was once a field no caller
+// set, and keeping its bytes keeps every stored digest, manifest and cache
+// key valid.
 func (c Config) Fingerprint() Fingerprint {
 	c.fill() // value receiver: canonicalize defaults without mutating the caller
 	h := fnv.New64a()
 	fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;coloring=%v",
-		c.Tau, c.TauSchedule, c.Alpha, c.ETC, c.ETCExit, c.MaxPhases, c.MaxIterations, c.Seed, c.UseColoring)
+		c.Tau, c.TauSchedule, c.Alpha, c.ETC, DefaultETCExit, c.MaxPhases, c.MaxIterations, c.Seed, c.UseColoring)
 	return Fingerprint(fmt.Sprintf("%016x", h.Sum64()))
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"distlouvain/internal/gen"
@@ -46,7 +48,6 @@ func TestFingerprintIgnoresPerformanceKnobs(t *testing.T) {
 	base := ETC(0.25)
 	perturbed := base
 	perturbed.Threads = 8
-	perturbed.UseNeighborCollectives = true
 	perturbed.GatherOutput = true
 	perturbed.CheckpointDir = "somewhere"
 	perturbed.CheckpointEvery = 3
@@ -58,6 +59,73 @@ func TestFingerprintIgnoresPerformanceKnobs(t *testing.T) {
 	traj.Seed = 99
 	if base.Fingerprint() == traj.Fingerprint() {
 		t.Fatal("a trajectory knob (Seed) did not change the config fingerprint")
+	}
+}
+
+// TestConfigFieldsPinned is the ratchet on Config: the exported fields are
+// pinned by name, and a field changes the fingerprint exactly when it is not
+// on the result-neutral list. A new trajectory-determining field that
+// Fingerprint forgets, a new switch between equivalent paths, and a retired
+// knob creeping back all fail here.
+func TestConfigFieldsPinned(t *testing.T) {
+	fields := []string{
+		"Tau", "TauSchedule", "Alpha", "ETC", "Threads", "MaxPhases", "MaxIterations", "Seed",
+		"UseColoring", "GatherOutput", "CheckpointDir", "CheckpointEvery", "CheckpointKeep",
+		"Progress", "Tracer", "Interrupted",
+	}
+	neutral := map[string]bool{
+		"Threads": true, "GatherOutput": true, "CheckpointDir": true, "CheckpointEvery": true,
+		"CheckpointKeep": true, "Progress": true, "Tracer": true, "Interrupted": true,
+	}
+	typ := reflect.TypeOf(Config{})
+	var exported, unexported []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			exported = append(exported, f.Name)
+		} else {
+			unexported = append(unexported, f.Name)
+		}
+	}
+	if !slices.Equal(exported, fields) {
+		t.Fatalf("Config's exported fields are\n%v, pinned\n%v", exported, fields)
+	}
+	if !slices.Equal(unexported, []string{"oracle"}) {
+		t.Fatalf("Config's unexported fields are %v, want only the test oracle", unexported)
+	}
+
+	base := Config{}.Fingerprint()
+	for _, name := range fields {
+		var cfg Config
+		f := reflect.ValueOf(&cfg).Elem().FieldByName(name)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(3)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]float64{1e-3}))
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Func:
+			f.Set(reflect.MakeFunc(f.Type(), func([]reflect.Value) []reflect.Value {
+				out := make([]reflect.Value, f.Type().NumOut())
+				for i := range out {
+					out[i] = reflect.Zero(f.Type().Out(i))
+				}
+				return out
+			}))
+		default:
+			t.Fatalf("%s: no non-zero value for kind %s; extend the test", name, f.Kind())
+		}
+		if changed := cfg.Fingerprint() != base; changed == neutral[name] {
+			t.Errorf("%s: changes the fingerprint = %v, listed result-neutral = %v", name, changed, neutral[name])
+		}
 	}
 }
 

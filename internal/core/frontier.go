@@ -61,18 +61,12 @@ type frontierState struct {
 
 func newFrontierState(st *phaseState) *frontierState {
 	n := st.dg.LocalN
-	var rep frontier.Rep
-	switch st.cfg.Frontier {
-	case FrontierDense:
-		rep = frontier.RepDense
-	case FrontierSparse:
-		rep = frontier.RepSparse
-	default:
-		rep = frontier.RepAuto
-	}
+	// The representation follows the set's size (frontier.RepAuto at
+	// frontier.DefaultSparseFraction) unless a test pins it.
+	rep := st.cfg.oracle.rep
 	fr := &frontierState{
-		cur:       frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
-		next:      frontier.New(n, rep, st.cfg.FrontierSparseThreshold),
+		cur:       frontier.New(n, rep, 0),
+		next:      frontier.New(n, rep, 0),
 		carryBufs: make([][]int64, st.cfg.Threads),
 		stamp:     make([]int32, len(st.refs)),
 		epoch:     1, // the zeroed stamps mean "unchanged"

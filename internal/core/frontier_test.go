@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"distlouvain/internal/frontier"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/graph"
 )
 
-// The frontier differential harness: the full scan (FrontierOff) is the
-// oracle, and every frontier mode must retrace it move-for-move and
-// bit-for-bit — the same proof standard the flat kernels and the wire diet
+// The frontier differential harness: the full scan (oracle.fullScan) is the
+// oracle, and the frontier under every representation must retrace it
+// move-for-move and bit-for-bit — the same proof standard the flat kernels and the wire diet
 // are held to. The matrix covers the paper variants whose activity
 // machinery interacts with the frontier (baseline, TC, ETC), rank counts
 // (ghost-delta marking across partitions), representation modes, thread
@@ -62,11 +63,11 @@ func frontierVariants() []struct {
 func TestFrontierMatchesFullScan(t *testing.T) {
 	modes := []struct {
 		name string
-		mode int
+		rep  frontier.Rep
 	}{
-		{"dense", FrontierDense},
-		{"sparse", FrontierSparse},
-		{"auto", FrontierAuto},
+		{"dense", frontier.RepDense},
+		{"sparse", frontier.RepSparse},
+		{"auto", frontier.RepAuto},
 	}
 	for _, g := range frontierGraphs() {
 		for _, v := range frontierVariants() {
@@ -74,7 +75,7 @@ func TestFrontierMatchesFullScan(t *testing.T) {
 				for _, ranks := range []int{1, 2, 4} {
 					ref := v.cfg
 					ref.Threads = 2
-					ref.Frontier = FrontierOff
+					ref.oracle.fullScan = true
 					want, err := RunOnEdges(ranks, g.n, g.edges, ref)
 					if err != nil {
 						t.Fatal(err)
@@ -82,7 +83,7 @@ func TestFrontierMatchesFullScan(t *testing.T) {
 					for _, m := range modes {
 						cfg := v.cfg
 						cfg.Threads = 2
-						cfg.Frontier = m.mode
+						cfg.oracle.rep = m.rep
 						got, err := RunOnEdges(ranks, g.n, g.edges, cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -103,7 +104,7 @@ func TestFrontierThreadInvariance(t *testing.T) {
 	n, edges := gen.ErdosRenyi(300, 1500, 5)
 	ref := ETC(0.25)
 	ref.Threads = 1
-	ref.Frontier = FrontierOff
+	ref.oracle.fullScan = true
 	want, err := RunOnEdges(2, n, edges, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestFrontierThreadInvariance(t *testing.T) {
 func TestFrontierKillResume(t *testing.T) {
 	n, edges := gen.ErdosRenyi(300, 1500, 5)
 	ref := Baseline()
-	ref.Frontier = FrontierOff
+	ref.oracle.fullScan = true
 	want, err := RunOnEdges(3, n, edges, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestFrontierKillResume(t *testing.T) {
 
 	dir := t.TempDir()
 	var stop atomic.Bool
-	cfg := Baseline() // Frontier defaults to FrontierAuto
+	cfg := Baseline()
 	cfg.CheckpointDir = dir
 	cfg.Interrupted = stop.Load
 	cfg.Progress = func(ev ProgressEvent) {
@@ -161,7 +162,7 @@ func TestFrontierFloatResumeBitIdentical(t *testing.T) {
 	edges = floatWeights(edges)
 	ref := Baseline()
 	ref.Threads = 2
-	ref.Frontier = FrontierOff
+	ref.oracle.fullScan = true
 	want, err := RunOnEdges(3, n, edges, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -192,13 +193,13 @@ func TestFrontierColoringForcesFullScan(t *testing.T) {
 	n, edges := gen.ErdosRenyi(300, 1500, 5)
 	off := Baseline()
 	off.UseColoring = true
-	off.Frontier = FrontierOff
+	off.oracle.fullScan = true
 	want, err := RunOnEdges(2, n, edges, off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	on := Baseline()
-	on.UseColoring = true // Frontier stays FrontierAuto
+	on.UseColoring = true
 	got, err := RunOnEdges(2, n, edges, on)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestFrontierCountersAndSwitch(t *testing.T) {
 	}
 
 	off := cfg
-	off.Frontier = FrontierOff
+	off.oracle.fullScan = true
 	ores, err := RunOnEdges(2, n, edges, off)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +280,7 @@ func TestFrontierReducesSweepOnMesh(t *testing.T) {
 	n, edges := gen.BandedMesh(2000, 6)
 	off := ET(0.25)
 	off.Threads = 2
-	off.Frontier = FrontierOff
+	off.oracle.fullScan = true
 	want, err := RunOnEdges(2, n, edges, off)
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
 // filtered by the bitmap. Both directions visit surviving vertices in
 // ascending local order — the same order as the full scan — so the
 // gathered move list, and with it every float accumulation downstream, is
-// bit-identical across all frontier modes.
+// bit-identical to the full scan's under either representation.
 //
 // Each worker reuses its phase-lived accumulator and move buffer. Every
 // moveBuf is truncated BEFORE the parallel region: par.For does not spawn
@@ -212,12 +212,16 @@ func (st *phaseState) fitAccs() {
 // sweepRange evaluates vertices ids[lo:hi] — or lo..hi themselves when ids is
 // nil — on worker w, appending chosen moves to the worker's buffer and
 // counting evaluations into the worker's touched counter (+=: sweepByClasses
-// calls once per class). The refKernels branch routes through the map-based
-// reference kernel for differential testing. Frontier members the ET coin
-// skips are carried into the next frontier — a stale vertex stays dirty until
-// actually evaluated — while permanently inactive vertices drop out, matching
-// the full scan (which never evaluates those again either).
+// calls once per class). Frontier members the ET coin skips are carried into
+// the next frontier — a stale vertex stays dirty until actually evaluated —
+// while permanently inactive vertices drop out, matching the full scan (which
+// never evaluates those again either). sweepRangeRef is the same loop over the
+// map reference kernel.
 func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
+	if st.cfg.oracle.refKernels {
+		st.sweepRangeRef(w, lo, hi, ids, iter)
+		return
+	}
 	moves := st.moveBufs[w]
 	fr := st.fr
 	var carry []int64
@@ -225,10 +229,6 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 		carry = fr.carryBufs[w]
 	}
 	var touched int64
-	var scratch map[int64]float64
-	if st.cfg.refKernels {
-		scratch = make(map[int64]float64, 64)
-	}
 	acc := &st.accs[w]
 	for i := lo; i < hi; i++ {
 		lv := int64(i)
@@ -245,14 +245,7 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 			continue
 		}
 		touched++
-		var mv move
-		var ok bool
-		if st.cfg.refKernels {
-			mv, ok = st.evaluateVertexRef(lv, scratch)
-		} else {
-			mv, ok = st.evaluateVertex(lv, acc)
-		}
-		if ok {
+		if mv, ok := st.evaluateVertex(lv, acc); ok {
 			moves = append(moves, mv)
 		}
 	}
@@ -399,7 +392,7 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		localInactive := st.updateActivity(stat.Iterations)
 		if st.cfg.ETC {
 			// The ETC variant's extra communication: a global count of
-			// inactive vertices; ≥ETCExit ends the phase.
+			// inactive vertices; ≥ DefaultETCExit ends the phase.
 			ta := time.Now()
 			globalInactive, err := st.dg.Comm.AllreduceInt64(localInactive, mpi.OpSum)
 			st.steps.Allreduce += time.Since(ta)
@@ -407,12 +400,12 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 				return stat, fmt.Errorf("core: ETC inactivity allreduce: %w", err)
 			}
 			if globalN > 0 {
-				// Guard the empty-graph case: 0/0 is NaN, and NaN >= ETCExit
-				// is false, which would silently disable the ETC exit and
-				// poison the reported fraction.
+				// Guard the empty-graph case: 0/0 is NaN, and NaN >= the exit
+				// fraction is false, which would silently disable the ETC exit
+				// and poison the reported fraction.
 				stat.InactiveFrac = float64(globalInactive) / float64(globalN)
 			}
-			if stat.InactiveFrac >= st.cfg.ETCExit {
+			if stat.InactiveFrac >= DefaultETCExit {
 				stat.Iterations-- // this iteration did not run
 				stat.Exit = ExitETC
 				isp.End()

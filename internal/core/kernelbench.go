@@ -40,7 +40,7 @@ func NewKernelBench(n int64, edges []graph.RawEdge, threads int, useRef bool) (*
 		world.Close()
 		return nil, err
 	}
-	cfg := &Config{Threads: threads, refKernels: useRef}
+	cfg := &Config{Threads: threads, oracle: oracle{refKernels: useRef}}
 	cfg.fill()
 	st, err := newPhaseState(dg, cfg, 0, &kb.steps)
 	if err != nil {
@@ -93,7 +93,7 @@ func (kb *KernelBench) Sweep() int {
 // CoarseArcs runs the Step-5 coarse-arc aggregation over the current
 // community assignment and returns the number of distinct coarse arcs.
 func (kb *KernelBench) CoarseArcs() int {
-	if kb.st.cfg.refKernels {
+	if kb.st.cfg.oracle.refKernels {
 		return len(kb.st.coarseArcsMap(kb.ren))
 	}
 	newOf, err := kb.st.translateEndpoints(kb.ren)

@@ -8,10 +8,10 @@ import (
 
 // Reference kernels: the original map-based implementations of the ΔQ sweep
 // accumulator and the coarse-arc aggregator, kept as oracles for the
-// differential tests and benchmarks (Config.refKernels routes a run through
-// them). They work on global IDs throughout — vertices and communities — and
-// must match the shipped kernels move for move and — where the shipped kernel
-// promises it — bit for bit; kernels_test.go enforces both.
+// differential tests and benchmarks (Config.oracle.refKernels routes a run
+// through them). They work on global IDs throughout — vertices and
+// communities — and must match the shipped kernels move for move and — where
+// the shipped kernel promises it — bit for bit; kernels_test.go enforces both.
 
 // cinfo is the per-community state a ΔQ evaluation reads: the community's
 // total incident weight A_c and its member count.
@@ -94,6 +94,32 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mo
 	}
 	to, _ := st.findSlot(best) // infoOf found it
 	return move{lv: lv, from: st.comm[lv], to: to}, true
+}
+
+// sweepRangeRef is sweepRange over evaluateVertexRef: the same vertices offered
+// in the same order, the same carry-over and touched accounting.
+func (st *phaseState) sweepRangeRef(w, lo, hi int, ids []int64, iter int) {
+	fr := st.fr
+	scratch := make(map[int64]float64, 64)
+	for i := lo; i < hi; i++ {
+		lv := int64(i)
+		if ids != nil {
+			lv = ids[i]
+		}
+		if fr != nil && fr.scanDense && !fr.cur.Has(lv) {
+			continue
+		}
+		if !st.isActive(lv, iter) {
+			if fr != nil && !st.inactive[lv] {
+				fr.carryBufs[w] = append(fr.carryBufs[w], lv)
+			}
+			continue
+		}
+		st.touchedBufs[w]++
+		if mv, ok := st.evaluateVertexRef(lv, scratch); ok {
+			st.moveBufs[w] = append(st.moveBufs[w], mv)
+		}
+	}
 }
 
 // coarseArcsMap is the sequential map-based Step 5 aggregator: it resolves

@@ -75,7 +75,7 @@ func TestFlatKernelsMatchMapReference(t *testing.T) {
 				flatCfg := tc.cfg
 				flatCfg.Threads = threads
 				refCfg := flatCfg
-				refCfg.refKernels = true
+				refCfg.oracle.refKernels = true
 				got, err := RunOnEdges(3, n, edges, flatCfg)
 				if err != nil {
 					t.Fatal(err)
@@ -101,7 +101,7 @@ func TestFlatKernelsMatchMapReferenceFloat(t *testing.T) {
 		cfg := Baseline()
 		cfg.Threads = 1
 		refCfg := cfg
-		refCfg.refKernels = true
+		refCfg.oracle.refKernels = true
 		got, err := RunOnEdges(p, n, edges, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -214,7 +214,7 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 		return nil, nil, err
 	}
 	var arcs []dgraph.Arc
-	if st.cfg.refKernels {
+	if st.cfg.oracle.refKernels {
 		arcs = st.coarseArcsMap(ren)
 	} else {
 		arcs = st.coarseArcsFlat(newOf)

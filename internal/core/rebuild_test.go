@@ -109,7 +109,7 @@ func TestRebuildIndependentOfThreads(t *testing.T) {
 			}
 			cfg := Baseline()
 			cfg.Threads = threads
-			cfg.refKernels = ref
+			cfg.oracle.refKernels = ref
 			cfg.fill()
 			st, err := newPhaseState(dg, &cfg, 0, &StepTimes{})
 			if err != nil {

@@ -16,8 +16,8 @@ import (
 // Resume continues a checkpointed run from the latest committed phase
 // boundary. Every rank of c calls Resume with the same directory and a
 // Config whose trajectory hash (Config.Hash) matches the one the checkpoint
-// was taken under; performance knobs (Threads, Frontier, …) may differ
-// freely.
+// was taken under; performance knobs (Threads, checkpoint cadence, …) may
+// differ freely.
 //
 // The world size may differ from the checkpointing run's ("elastic"
 // resume): snapshot files are split across the new ranks, the coarse graph

@@ -68,13 +68,12 @@ func TestFrontierSlotPathsAgree(t *testing.T) {
 		{"etc", ETC(0.25)},
 	}
 	paths := []struct {
-		name     string
-		frontier int
-		ref      bool
+		name string
+		o    oracle
 	}{
-		{"frontier", FrontierAuto, false},
-		{"ref-kernels", FrontierAuto, true},
-		{"ref-kernels-full-scan", FrontierOff, true},
+		{"frontier", oracle{}},
+		{"ref-kernels", oracle{refKernels: true}},
+		{"ref-kernels-full-scan", oracle{refKernels: true, fullScan: true}},
 	}
 	for _, g := range slotGraphs() {
 		for _, v := range variants {
@@ -84,20 +83,19 @@ func TestFrontierSlotPathsAgree(t *testing.T) {
 					for _, threads := range []int{1, 2} {
 						ref := v.cfg
 						ref.Threads = threads
-						ref.Frontier = FrontierOff
+						ref.oracle.fullScan = true
 						want, err := RunOnEdges(ranks, g.n, g.edges, ref)
 						if err != nil {
 							t.Fatal(err)
 						}
 						sawRollback = sawRollback || rolledBack(want)
 						for _, p := range paths {
-							if p.ref && g.float && threads > 1 {
+							if p.o.refKernels && g.float && threads > 1 {
 								continue
 							}
 							cfg := v.cfg
 							cfg.Threads = threads
-							cfg.Frontier = p.frontier
-							cfg.refKernels = p.ref
+							cfg.oracle = p.o
 							got, err := RunOnEdges(ranks, g.n, g.edges, cfg)
 							if err != nil {
 								t.Fatal(err)

@@ -64,10 +64,6 @@ type phaseState struct {
 	pushList   [][]int64
 	ghostSlots [][]int32
 	lastSent   [][]int32 // per pushList entry, last transmitted community slot (−1: none)
-	// ghostPeers lists the ranks this rank exchanges ghosts with (the
-	// neighborhood of the sparse collective); symmetric across ranks by
-	// graph symmetry.
-	ghostPeers []int
 	// ghostDenseFrames / ghostSparseFrames count the non-empty refresh
 	// frames this rank encoded in each direction of the ghost refresh's
 	// dense/sparse switch (diagnostics and the switch tests).
@@ -106,8 +102,8 @@ type phaseState struct {
 	sweepIDs  []int64
 	sweepIter int
 
-	// Frontier-driven sweep state; nil when Config selects FrontierOff or
-	// coloring forces the full scan (see frontier.go).
+	// Frontier-driven sweep state; nil under the full scan — the test oracle,
+	// and what coloring runs on (see frontier.go).
 	fr *frontierState
 
 	// Per-iteration sweep instrumentation: touchedBufs[w] counts worker
@@ -241,11 +237,6 @@ func (st *phaseState) setupGhostLists() error {
 			st.lastSent[q][i] = -1 // force first send
 		}
 	}
-	for q := 0; q < p; q++ {
-		if q != c.Rank() && (len(st.pushList[q]) > 0 || len(st.ghostSlots[q]) > 0) {
-			st.ghostPeers = append(st.ghostPeers, q)
-		}
-	}
 	return nil
 }
 
@@ -269,8 +260,6 @@ const ghostSparseThreshold = 0.25
 // last send to that peer, switching ligra-style to the full snapshot when the
 // changed fraction exceeds ghostSparseThreshold — early iterations
 // (everything moves) pay dense prices once, converged tails pay per-change.
-// With UseNeighborCollectives, the exchange runs over the sparse
-// ghost-neighbour topology instead of the dense all-to-all.
 func (st *phaseState) exchangeGhostComm() error {
 	sp := st.tr().Begin(obsv.KindP2P, "ghost-exchange")
 	defer sp.End()
@@ -283,32 +272,11 @@ func (st *phaseState) exchangeGhostComm() error {
 	// nothing. Handing them straight to the collective is safe because
 	// Transport.Send copies (see mpi.Arena).
 	st.arena.Reset()
-	encodeFor := func(q int) []byte {
-		bp := st.arena.Grab()
-		*bp = st.encodeGhostDelta(*bp, q)
-		return *bp
-	}
-
-	if st.cfg.UseNeighborCollectives {
-		send := st.frames[:len(st.ghostPeers)]
-		for i, q := range st.ghostPeers {
-			send[i] = encodeFor(q)
-		}
-		recv, err := c.NeighborAlltoall(st.ghostPeers, send)
-		if err != nil {
-			return fmt.Errorf("core: ghost exchange: %w", err)
-		}
-		for i, q := range st.ghostPeers {
-			if err := st.decodeGhostDelta(q, recv[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	send := st.frames
 	for q := range send {
-		send[q] = encodeFor(q)
+		bp := st.arena.Grab()
+		*bp = st.encodeGhostDelta(*bp, q)
+		send[q] = *bp
 	}
 	recv, err := c.Alltoall(send)
 	if err != nil {

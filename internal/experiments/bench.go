@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"testing"
 	"time"
 
 	"distlouvain/internal/core"
@@ -20,7 +19,7 @@ import (
 // BenchSchemaVersion identifies the BENCH_paperbench.json layout. Bump it
 // when a field changes meaning; CompareBench refuses mismatched versions so
 // a stale baseline fails loudly instead of comparing wrong columns.
-const BenchSchemaVersion = 3
+const BenchSchemaVersion = 4
 
 // BenchPhase is one phase row of a workload's rank-0 timing breakdown
 // (obsv.BuildReport categories, §V-A). The byte columns (schema v2) are the
@@ -30,7 +29,7 @@ const BenchSchemaVersion = 3
 // per-iteration vertex columns (schema v3) are the globally-allreduced
 // frontier trajectories of the run: touched is how many vertices the sweeps
 // actually evaluated, frontier how many the active set offered them (equal
-// to the phase's vertex count every iteration when the frontier is off).
+// to the phase's vertex count in a phase's first iteration).
 type BenchPhase struct {
 	Phase           int     `json:"phase"`
 	Iterations      int     `json:"iterations"`
@@ -59,23 +58,13 @@ type BenchWorkload struct {
 	Breakdown  []BenchPhase `json:"breakdown"`
 }
 
-// BenchKernel records one isolated hot-kernel measurement
-// (core.KernelBench via testing.Benchmark).
-type BenchKernel struct {
-	Name        string `json:"name"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-}
-
-// BenchFrontier records one frontier-gate measurement (schema v3): an
-// ET(0.25) run with the frontier on against the same run with the full
-// scan, on a mesh workload. SweepVisited sums the per-iteration active-set
-// sizes the frontier-driven sweeps walked; FullScanVisited is the same sum
-// for the full scan, which walks every local vertex each iteration just to
-// check the activity coin. Touched counts actual ΔQ evaluations on each
-// side. The two runs are required to be bit-identical in modularity, so the
-// columns measure pure sweep-loop savings.
+// BenchFrontier records one frontier-gate measurement: an ET(0.25) run on a
+// mesh workload. SweepVisited sums the per-iteration active-set sizes the
+// sweeps walked and Touched the ΔQ evaluations among them. FullScanVisited is
+// what a sweep over every local vertex — which walks them all each iteration
+// just to check the activity coin — would have visited over the same
+// trajectory: Σ phase vertices × iterations. That is exact, not an estimate:
+// the full scan retraces the frontier run bit for bit (make test-frontier).
 type BenchFrontier struct {
 	Graph           string  `json:"graph"`
 	Ranks           int     `json:"ranks"`
@@ -84,7 +73,6 @@ type BenchFrontier struct {
 	SweepVisited    int64   `json:"sweep_visited"`
 	FullScanVisited int64   `json:"full_scan_visited"`
 	Touched         int64   `json:"touched"`
-	FullScanTouched int64   `json:"full_scan_touched"`
 }
 
 // BenchReport is the JSON document `paperbench -exp bench -json` emits and
@@ -98,7 +86,6 @@ type BenchReport struct {
 	MaxProcs      int             `json:"gomaxprocs"`
 	Workloads     []BenchWorkload `json:"workloads"`
 	FrontierGate  []BenchFrontier `json:"frontier_gate,omitempty"`
-	Kernels       []BenchKernel   `json:"kernels,omitempty"`
 }
 
 // benchTracedRun is distRun with a tracer per rank; it returns rank 0's
@@ -138,10 +125,8 @@ func benchTracedRun(p, threads int, w Workload, cfg core.Config) (*core.Result, 
 }
 
 // Bench runs the benchmark baseline: one traced distributed run per
-// workload, plus (when kernels is true) the four isolated hot-kernel
-// measurements — flat and map-reference variants of the ΔQ sweep and the
-// coarse-arc aggregation.
-func Bench(s Scale, p, threads int, ws []Workload, kernels bool) (*BenchReport, error) {
+// workload, plus the frontier gate's mesh runs.
+func Bench(s Scale, p, threads int, ws []Workload) (*BenchReport, error) {
 	rep := &BenchReport{
 		SchemaVersion: BenchSchemaVersion,
 		Scale:         scaleName(s),
@@ -190,13 +175,6 @@ func Bench(s Scale, p, threads int, ws []Workload, kernels bool) (*BenchReport, 
 		return nil, err
 	}
 	rep.FrontierGate = fg
-	if kernels {
-		ks, err := benchKernels(threads)
-		if err != nil {
-			return nil, err
-		}
-		rep.Kernels = ks
-	}
 	return rep, nil
 }
 
@@ -211,89 +189,25 @@ func frontierGateWorkloads(s Scale) []Workload {
 	return []Workload{small, ChannelLike(s)}
 }
 
-// benchFrontierGate runs the schema-v3 frontier measurement: for each mesh
-// workload, one ET(0.25) run with the default frontier and one with the
-// full scan. The two must agree bitwise on modularity (the differential
-// suite's invariant, re-proven on the recorded inputs); CompareBench then
-// gates that the frontier's visited count stays ≥30% below the full scan's.
+// benchFrontierGate runs the frontier measurement: one ET(0.25) run per mesh
+// workload; CompareBench then gates that the sweeps' visited count stays ≥30%
+// below what the full scan would have visited.
 func benchFrontierGate(s Scale, p, threads int) ([]BenchFrontier, error) {
-	sums := func(res *core.Result) (visited, touched int64) {
-		for _, st := range res.Phases {
-			for i := range st.TouchedTrajectory {
-				touched += st.TouchedTrajectory[i]
-				visited += st.FrontierTrajectory[i]
-			}
-		}
-		return
-	}
 	var out []BenchFrontier
 	for _, w := range frontierGateWorkloads(s) {
-		on := core.ET(0.25)
-		fres, _, _, err := benchTracedRun(p, threads, w, on)
+		res, _, _, err := benchTracedRun(p, threads, w, core.ET(0.25))
 		if err != nil {
 			return nil, fmt.Errorf("bench frontier %s: %w", w.Name, err)
 		}
-		off := core.ET(0.25)
-		off.Frontier = core.FrontierOff
-		sres, _, _, err := benchTracedRun(p, threads, w, off)
-		if err != nil {
-			return nil, fmt.Errorf("bench frontier %s (full scan): %w", w.Name, err)
-		}
-		if fres.Modularity != sres.Modularity {
-			return nil, fmt.Errorf("bench frontier %s: frontier run modularity %v != full scan %v (bit-identity broken)",
-				w.Name, fres.Modularity, sres.Modularity)
-		}
-		fv, ft := sums(fres)
-		sv, st := sums(sres)
-		out = append(out, BenchFrontier{
-			Graph: w.Name, Ranks: p, Threads: threads,
-			Modularity:   fres.Modularity,
-			SweepVisited: fv, FullScanVisited: sv,
-			Touched: ft, FullScanTouched: st,
-		})
-	}
-	return out, nil
-}
-
-// benchKernels measures the hot kernels in isolation on a fixed synthetic
-// input (independent of Scale so kernel numbers stay comparable across
-// baselines recorded at different scales).
-func benchKernels(threads int) ([]BenchKernel, error) {
-	n, edges := gen.ErdosRenyi(5000, 40000, 13)
-	specs := []struct {
-		name   string
-		ref    bool
-		coarse bool
-	}{
-		{"sweep/flat", false, false},
-		{"sweep/map", true, false},
-		{"coarse-arcs/flat", false, true},
-		{"coarse-arcs/map", true, true},
-	}
-	out := make([]BenchKernel, 0, len(specs))
-	for _, spec := range specs {
-		kb, err := core.NewKernelBench(n, edges, threads, spec.ref)
-		if err != nil {
-			return nil, fmt.Errorf("bench kernel %s: %w", spec.name, err)
-		}
-		op := kb.Sweep
-		if spec.coarse {
-			op = kb.CoarseArcs
-		}
-		op() // settle steady-state capacities before timing
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op()
+		g := BenchFrontier{Graph: w.Name, Ranks: p, Threads: threads, Modularity: res.Modularity}
+		for _, st := range res.Phases {
+			g.FullScanVisited += st.Vertices * int64(st.Iterations)
+			for i := range st.TouchedTrajectory {
+				g.Touched += st.TouchedTrajectory[i]
+				g.SweepVisited += st.FrontierTrajectory[i]
 			}
-		})
-		out = append(out, BenchKernel{
-			Name:        spec.name,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-		kb.Close()
+		}
+		out = append(out, g)
 	}
 	return out, nil
 }
@@ -376,10 +290,10 @@ func CompareBench(cur, base *BenchReport, tol, byteTol float64) error {
 				want.Graph, gotColl, wantColl, 100*byteTol)
 		}
 	}
-	// Frontier gate (schema v3): on every recorded mesh workload the
-	// frontier must not regress modularity and its sweeps must visit ≥30%
-	// fewer vertices than the full scan. Both sides are deterministic, so
-	// the 30% floor is a property re-proven on each run, not a drift check.
+	// Frontier gate: on every recorded mesh workload the modularity must
+	// hold and the sweeps must visit ≥30% fewer vertices than the full scan
+	// would. Both sides are deterministic, so the 30% floor is a property
+	// re-proven on each run, not a drift check.
 	curFG := make(map[string]BenchFrontier, len(cur.FrontierGate))
 	for _, g := range cur.FrontierGate {
 		curFG[g.Graph] = g
@@ -446,14 +360,6 @@ func BenchTable(rep *BenchReport) *Table {
 			fmt.Sprintf("%.4f", g.Modularity),
 			"-", "-",
 			fmt.Sprintf("visited %.0f%% of full scan", 100*float64(g.SweepVisited)/float64(g.FullScanVisited)),
-		})
-	}
-	for _, k := range rep.Kernels {
-		t.Rows = append(t.Rows, []string{
-			"kernel:" + k.Name, "-", "-",
-			fmt.Sprintf("%dns/op", k.NsPerOp),
-			"-", "-",
-			fmt.Sprintf("%dallocs", k.AllocsPerOp),
 		})
 	}
 	return t

@@ -388,7 +388,7 @@ func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
 
 // AlltoallOp is a started personalized exchange whose receives are still
 // pending. Start issues every send (the transports' Send enqueues without
-// blocking on the peer, Isend-style); Wait drains the replies. Between the
+// blocking on the peer); Wait drains the replies. Between the
 // two the caller is free to compute — that window is the communication/
 // computation overlap of the per-iteration delta push.
 type AlltoallOp struct {
@@ -448,60 +448,6 @@ func (op *AlltoallOp) Wait() ([][]byte, error) {
 		op.recv[msg.From] = msg.Data
 	}
 	return op.recv, nil
-}
-
-// NeighborAlltoall is the sparse counterpart of Alltoall, modelled on the
-// MPI-3 neighborhood collectives the paper's §VI proposes adopting: each
-// rank exchanges buffers only with a fixed peer set instead of all p ranks.
-// peers must be symmetric across the world (if q lists r, r lists q) and
-// every rank must call the operation (possibly with an empty peer list) —
-// the usual SPMD rule. send[i] goes to peers[i]; recv[i] arrives from
-// peers[i].
-//
-// With g ghost-sharing neighbours per rank this costs O(g) messages per
-// rank instead of O(p), which is the entire point on large worlds where
-// the 1-D decomposition keeps most rank pairs unrelated.
-func (c *Comm) NeighborAlltoall(peers []int, send [][]byte) ([][]byte, error) {
-	if len(send) != len(peers) {
-		return nil, errLenMismatch("NeighborAlltoall", len(peers), len(send))
-	}
-	sp := c.span("neighbor-alltoall")
-	for _, b := range send {
-		sp.SetBytes(int64(len(b)))
-	}
-	defer sp.End()
-	tag := c.collTag()
-	recv := make([][]byte, len(peers))
-	index := make(map[int]int, len(peers))
-	for i, q := range peers {
-		if err := checkPeer(q, c.size, "NeighborAlltoall"); err != nil {
-			return nil, err
-		}
-		if q == c.rank {
-			return nil, fmt.Errorf("mpi: NeighborAlltoall: rank %d listed itself as a peer", q)
-		}
-		if _, dup := index[q]; dup {
-			return nil, fmt.Errorf("mpi: NeighborAlltoall: duplicate peer %d", q)
-		}
-		index[q] = i
-	}
-	for i, q := range peers {
-		if err := c.collSend(q, tag, send[i]); err != nil {
-			return nil, err
-		}
-	}
-	for range peers {
-		msg, err := c.collRecv(AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		i, ok := index[msg.From]
-		if !ok {
-			return nil, fmt.Errorf("mpi: NeighborAlltoall: message from non-peer rank %d (asymmetric peer lists?)", msg.From)
-		}
-		recv[i] = msg.Data
-	}
-	return recv, nil
 }
 
 type lenMismatchError struct {

@@ -720,195 +720,3 @@ func TestSnapshotArithmetic(t *testing.T) {
 		t.Fatalf("TotalBytes: %d", a.TotalBytes())
 	}
 }
-
-func TestNeighborAlltoallRing(t *testing.T) {
-	// Ring topology: each rank exchanges with its two neighbours.
-	const p = 5
-	err := Run(p, func(c *Comm) error {
-		left := (c.Rank() + p - 1) % p
-		right := (c.Rank() + 1) % p
-		peers := []int{left, right}
-		send := [][]byte{
-			[]byte(fmt.Sprintf("%d->%d", c.Rank(), left)),
-			[]byte(fmt.Sprintf("%d->%d", c.Rank(), right)),
-		}
-		recv, err := c.NeighborAlltoall(peers, send)
-		if err != nil {
-			return err
-		}
-		if string(recv[0]) != fmt.Sprintf("%d->%d", left, c.Rank()) {
-			return fmt.Errorf("bad frame from left: %q", recv[0])
-		}
-		if string(recv[1]) != fmt.Sprintf("%d->%d", right, c.Rank()) {
-			return fmt.Errorf("bad frame from right: %q", recv[1])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNeighborAlltoallEmptyPeers(t *testing.T) {
-	// A rank with no neighbours still participates legally.
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() == 2 {
-			_, err := c.NeighborAlltoall(nil, nil)
-			return err
-		}
-		other := 1 - c.Rank()
-		recv, err := c.NeighborAlltoall([]int{other}, [][]byte{{byte(c.Rank())}})
-		if err != nil {
-			return err
-		}
-		if recv[0][0] != byte(other) {
-			return fmt.Errorf("wrong payload")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNeighborAlltoallValidation(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if _, err := c.NeighborAlltoall([]int{c.Rank()}, [][]byte{nil}); err == nil {
-			return fmt.Errorf("expected self-peer error")
-		}
-		if _, err := c.NeighborAlltoall([]int{0}, nil); err == nil {
-			return fmt.Errorf("expected length-mismatch error")
-		}
-		other := 1 - c.Rank()
-		if _, err := c.NeighborAlltoall([]int{other, other}, [][]byte{nil, nil}); err == nil {
-			return fmt.Errorf("expected duplicate-peer error")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNeighborAlltoallInterleavedWithDense(t *testing.T) {
-	// Sparse and dense collectives must not steal each other's frames.
-	const p = 4
-	err := Run(p, func(c *Comm) error {
-		right := (c.Rank() + 1) % p
-		left := (c.Rank() + p - 1) % p
-		for i := 0; i < 10; i++ {
-			if _, err := c.NeighborAlltoall([]int{left, right}, [][]byte{{1}, {2}}); err != nil {
-				return err
-			}
-			sum, err := c.AllreduceInt64(1, OpSum)
-			if err != nil {
-				return err
-			}
-			if sum != p {
-				return fmt.Errorf("allreduce corrupted: %d", sum)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIsendIrecvBasic(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 5, []byte("nonblocking"))
-			_, err := req.Wait()
-			return err
-		}
-		req := c.Irecv(0, 5)
-		msg, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if string(msg.Data) != "nonblocking" {
-			return fmt.Errorf("got %q", msg.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIrecvPostedBeforeSend(t *testing.T) {
-	// The MPI shape: post the receive first, compute, then the send
-	// arrives and Wait completes.
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			req := c.Irecv(0, 9)
-			if _, _, done := req.Test(); done {
-				return fmt.Errorf("request complete before any send")
-			}
-			if err := c.SendInt64s(0, 1, []int64{1}); err != nil { // signal readiness
-				return err
-			}
-			msg, err := req.Wait()
-			if err != nil {
-				return err
-			}
-			if msg.Data[0] != 42 {
-				return fmt.Errorf("bad payload")
-			}
-			return nil
-		}
-		if _, err := c.Recv(1, 1); err != nil { // wait for the posted Irecv
-			return err
-		}
-		return c.Send(1, 9, []byte{42})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitall(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			reqs := make([]*Request, 5)
-			for i := range reqs {
-				reqs[i] = c.Isend(1, i, []byte{byte(i)})
-			}
-			return Waitall(reqs...)
-		}
-		reqs := make([]*Request, 5)
-		for i := range reqs {
-			reqs[i] = c.Irecv(0, i)
-		}
-		if err := Waitall(reqs...); err != nil {
-			return err
-		}
-		for i, r := range reqs {
-			msg, _, done := r.Test()
-			if !done || msg.Data[0] != byte(i) {
-				return fmt.Errorf("request %d: done=%v data=%v", i, done, msg.Data)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIsendErrorSurfacesThroughWait(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		req := c.Isend(9, 0, nil) // invalid peer
-		if _, err := req.Wait(); err == nil {
-			return fmt.Errorf("expected error from invalid peer")
-		}
-		if err := Waitall(c.Isend(9, 0, nil)); err == nil {
-			return fmt.Errorf("Waitall swallowed the error")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

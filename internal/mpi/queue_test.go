@@ -198,9 +198,12 @@ func TestTCPGoodbyeIsGracefulDeparture(t *testing.T) {
 }
 
 // TestWriterEnqueueFailsFastAfterDeath floods a writer whose connection is
-// already dead with more frames than its channel holds: every enqueue must
-// return the write error instead of blocking once the buffer fills (the
-// original tcp.go:92 hang).
+// already dead with more frames than its channel holds (the original
+// tcp.go:92 hang). No enqueue may block, and once the drain goroutine has met
+// the dead pipe every enqueue returns the write error. Until then an enqueue
+// may still succeed — the flood fits the writer's 64 KiB buffer, which is
+// flushed only when the channel runs empty — so the test waits for w.done
+// before it demands errors.
 func TestWriterEnqueueFailsFastAfterDeath(t *testing.T) {
 	client, server := net.Pipe()
 	server.Close() // writes fail immediately
@@ -208,22 +211,23 @@ func TestWriterEnqueueFailsFastAfterDeath(t *testing.T) {
 	defer client.Close()
 
 	frame := wireFrame(0, []byte("doomed"))
-	done := make(chan struct{})
+	finished := make(chan struct{})
 	go func() {
-		defer close(done)
-		sawError := false
+		defer close(finished)
 		for i := 0; i < 4096; i++ { // 4x the channel capacity
-			if err := w.enqueue(frame); err != nil {
-				sawError = true
-			}
+			w.enqueue(frame) //nolint:errcheck // may land before the first flush
 		}
-		if !sawError {
-			t.Error("no enqueue returned an error on a dead connection")
+		<-w.done
+		for i := 0; i < 4096; i++ {
+			if err := w.enqueue(frame); err == nil {
+				t.Errorf("enqueue %d succeeded on a writer that has failed", i)
+				return
+			}
 		}
 	}()
 	select {
-	case <-done:
+	case <-finished:
 	case <-time.After(10 * time.Second):
-		t.Fatal("enqueue blocked on dead writer")
+		t.Fatal("enqueue blocked on a dead writer, or the writer never noticed the dead connection")
 	}
 }

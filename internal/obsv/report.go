@@ -89,8 +89,8 @@ type PhaseBreakdown struct {
 	Bytes [numCategories]int64
 	// Touched sums the vertices this rank's sweeps evaluated across the
 	// phase (the Count of "sweep" spans); Frontier sums the active-set sizes
-	// offered to them (the Count of "frontier-build" spans; under
-	// FrontierOff no such spans exist and the column stays 0). Rank-local
+	// offered to them (the Count of "frontier-build" spans; a coloring run
+	// sweeps every vertex, has no such spans, and the column stays 0). Rank-local
 	// figures — the globally allreduced trajectory lives in
 	// core.PhaseStat.TouchedTrajectory.
 	Touched  int64

@@ -43,10 +43,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
+// maxSubmitBytes bounds a submission body. Inline graphs are for small
+// inputs; anything that does not fit travels by graph_path.
+const maxSubmitBytes = 8 << 20
+
 // writeErr maps service error kinds onto HTTP statuses.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadSpec):
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrNotFound):
@@ -63,10 +70,10 @@ func writeErr(w http.ResponseWriter, err error) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, fmt.Errorf("%w: body: %v", ErrBadSpec, err))
+		writeErr(w, fmt.Errorf("%w: body: %w", ErrBadSpec, err))
 		return
 	}
 	v, err := s.Submit(spec)

@@ -49,7 +49,9 @@ func (c *apiClient) holdBudget(n int) (release func()) {
 func (c *apiClient) do(method, path string, body any) (int, []byte) {
 	c.t.Helper()
 	var rd *bytes.Reader
-	if body != nil {
+	if raw, ok := body.([]byte); ok {
+		rd = bytes.NewReader(raw)
+	} else if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
 			c.t.Fatalf("marshal: %v", err)
@@ -170,13 +172,15 @@ func TestAPIErrors(t *testing.T) {
 		body         any
 		want         int
 	}{
-		{"POST", "/v1/jobs", map[string]any{"ranks": 1}, http.StatusBadRequest},           // no graph
-		{"POST", "/v1/jobs", map[string]any{"bogus_field": 1}, http.StatusBadRequest},     // unknown field
-		{"GET", "/v1/jobs/j-missing", nil, http.StatusNotFound},                           // unknown job
-		{"GET", "/v1/jobs/j-missing/result", nil, http.StatusNotFound},                    //
-		{"DELETE", "/v1/jobs/j-missing", nil, http.StatusNotFound},                        //
-		{"GET", "/v1/jobs/j-missing/events", nil, http.StatusNotFound},                    //
+		{"POST", "/v1/jobs", map[string]any{"ranks": 1}, http.StatusBadRequest},            // no graph
+		{"POST", "/v1/jobs", map[string]any{"bogus_field": 1}, http.StatusBadRequest},      // unknown field
+		{"GET", "/v1/jobs/j-missing", nil, http.StatusNotFound},                            // unknown job
+		{"GET", "/v1/jobs/j-missing/result", nil, http.StatusNotFound},                     //
+		{"DELETE", "/v1/jobs/j-missing", nil, http.StatusNotFound},                         //
+		{"GET", "/v1/jobs/j-missing/events", nil, http.StatusNotFound},                     //
 		{"POST", "/v1/jobs", map[string]any{"graph_path": "/nope"}, http.StatusBadRequest}, // unreadable graph
+		{"POST", "/v1/jobs", paddedSpec(maxSubmitBytes), http.StatusBadRequest},            // largest body read: bad path
+		{"POST", "/v1/jobs", paddedSpec(maxSubmitBytes + 1), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		status, body := c.do(tc.method, tc.path, tc.body)
@@ -211,6 +215,30 @@ func TestAPIErrors(t *testing.T) {
 	// A second abort of the now-terminal job conflicts.
 	if status, body = c.do("DELETE", "/v1/jobs/"+v.ID, nil); status != http.StatusConflict {
 		t.Errorf("double abort: %d %s (want 409)", status, body)
+	}
+}
+
+// paddedSpec is a well-formed submission of exactly n bytes, naming a graph
+// path no file system accepts.
+func paddedSpec(n int) []byte {
+	const head, tail = `{"graph_path":"`, `"}`
+	return []byte(head + strings.Repeat("x", n-len(head)-len(tail)) + tail)
+}
+
+// The retired frontier knobs are unknown keys now, so strict decoding answers
+// a typed 400 naming the key. (Stored job.json records that carry them still
+// load: TestServiceRecoveryAfterRestart.)
+func TestAPIRetiredKeysRejected(t *testing.T) {
+	c := newAPIClient(t, 2)
+	for key, val := range map[string]any{"frontier": "off", "frontier_sparse_threshold": 0.5} {
+		t.Run(key, func(t *testing.T) {
+			spec := trianglesSpec()
+			spec[key] = val
+			status, body := c.do("POST", "/v1/jobs", spec)
+			if status != http.StatusBadRequest || !json.Valid(body) || !strings.Contains(string(body), key) {
+				t.Fatalf("submit with %q: %d %s (want a 400 naming the key)", key, status, body)
+			}
+		})
 	}
 }
 

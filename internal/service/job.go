@@ -68,12 +68,6 @@ type JobSpec struct {
 	MaxPhases     int  `json:"max_phases,omitempty"`
 	MaxIterations int  `json:"max_iterations,omitempty"`
 	Coloring      bool `json:"coloring,omitempty"` // distance-1 color-class sweeps
-	// Frontier selects the sweep's active-set mode: "" or "auto" (default,
-	// dense/sparse switching), "dense", "sparse", "off" (full scan every
-	// iteration). FrontierSparseThreshold tunes the auto switch point
-	// (0 = library default 0.25).
-	Frontier                string  `json:"frontier,omitempty"`
-	FrontierSparseThreshold float64 `json:"frontier_sparse_threshold,omitempty"`
 
 	// Ranks is the world size the scheduler admits (default 2, capped by
 	// the daemon budget); MinRanks is the floor supervision may degrade to
@@ -115,12 +109,6 @@ func (sp JobSpec) config() (core.Config, error) {
 	cfg.MaxPhases = sp.MaxPhases
 	cfg.MaxIterations = sp.MaxIterations
 	cfg.UseColoring = sp.Coloring
-	front, err := core.ParseFrontier(sp.Frontier)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Frontier = front
-	cfg.FrontierSparseThreshold = sp.FrontierSparseThreshold
 	cfg.GatherOutput = true
 	return cfg, nil
 }

@@ -1,98 +1,15 @@
 package service
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"distlouvain/internal/ckpt"
 	"distlouvain/internal/core"
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/supervisor"
 )
-
-// worldLauncher launches one job's attempts as in-process goroutine worlds,
-// the service analogue of dlouvain's inproc launcher: every rank reads its
-// graph segment (or its checkpoint slice on resume), runs the distributed
-// Louvain method, and reports progress beacons to the supervisor.
-type worldLauncher struct {
-	graphPath string
-	vertices  int64
-	cfg       core.Config // per-rank base config; CheckpointDir already set
-
-	mu     sync.Mutex
-	result *core.Result // rank-0 result of the completed attempt
-	ranks  int          // world size of the completed attempt
-}
-
-type worldAttempt struct {
-	world     *mpi.InprocWorld
-	interrupt atomic.Bool
-	done      chan struct{}
-	err       error
-}
-
-func (a *worldAttempt) Wait() error { <-a.done; return a.err }
-func (a *worldAttempt) Kill()       { a.world.Close() }
-func (a *worldAttempt) Interrupt()  { a.interrupt.Store(true) }
-
-func (l *worldLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervisor.Beacon)) (supervisor.Attempt, error) {
-	world, err := mpi.NewInprocWorld(spec.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	a := &worldAttempt{world: world, done: make(chan struct{})}
-	go l.run(a, spec, beacons)
-	return a, nil
-}
-
-func (l *worldLauncher) run(a *worldAttempt, spec supervisor.LaunchSpec, beacons func(supervisor.Beacon)) {
-	defer close(a.done)
-	defer a.world.Close()
-	errs := make([]error, spec.Ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < spec.Ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("rank %d panicked: %v", r, p)
-					a.world.Close()
-				}
-			}()
-			cfg := l.cfg
-			cfg.Progress = supervisor.CoreProgress(r, 0, beacons)
-			cfg.Interrupted = a.interrupt.Load
-			beacons(supervisor.Beacon{Rank: r, Kind: supervisor.KindHello})
-			c := mpi.NewComm(a.world.Endpoint(r))
-			var res *core.Result
-			var err error
-			if spec.Resume {
-				res, err = core.Resume(c, cfg.CheckpointDir, cfg)
-			} else {
-				res, err = runFresh(c, l.graphPath, l.vertices, cfg)
-			}
-			if err != nil {
-				errs[r] = err
-				a.world.Close()
-				return
-			}
-			if r == 0 {
-				l.mu.Lock()
-				l.result, l.ranks = res, spec.Ranks
-				l.mu.Unlock()
-			}
-		}(r)
-	}
-	wg.Wait()
-	a.err = pickWorldError(errs)
-}
 
 // runFresh is one rank's cold-start body: segmented read, distributed build,
 // run.
@@ -108,62 +25,6 @@ func runFresh(c *mpi.Comm, path string, n int64, cfg core.Config) (*core.Result,
 	return core.Run(dg, cfg)
 }
 
-// lastResult returns the completed attempt's rank-0 result.
-func (l *worldLauncher) lastResult() (*core.Result, int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.result, l.ranks
-}
-
-// retryableWorldErr classifies a world failure: transient failures (lost
-// peer, expired deadline, kill, hang diagnosis, graceful interrupt) warrant
-// a relaunch from the latest checkpoint; anything else is a deterministic
-// bug and fails the job.
-func retryableWorldErr(err error) bool {
-	var pl *mpi.ErrPeerLost
-	var he *supervisor.HangError
-	return errors.As(err, &pl) ||
-		errors.As(err, &he) ||
-		errors.Is(err, mpi.ErrKilled) ||
-		errors.Is(err, os.ErrDeadlineExceeded) ||
-		errors.Is(err, core.ErrInterrupted)
-}
-
-// pickWorldError selects the most meaningful failure from a world's per-rank
-// errors: a fatal error wins over a retryable one, which wins over the
-// ErrClosed collateral peers report after teardown.
-func pickWorldError(errs []error) error {
-	var retry, collateral error
-	for r, e := range errs {
-		if e == nil {
-			continue
-		}
-		wrapped := fmt.Errorf("rank %d: %w", r, e)
-		switch {
-		case retryableWorldErr(e):
-			if retry == nil {
-				retry = wrapped
-			}
-		case errors.Is(e, mpi.ErrClosed):
-			if collateral == nil {
-				collateral = wrapped
-			}
-		default:
-			return wrapped
-		}
-	}
-	if retry != nil {
-		return retry
-	}
-	return collateral
-}
-
-// hasCheckpoint reports whether dir holds a committed checkpoint manifest.
-func hasCheckpoint(dir string) bool {
-	_, err := ckpt.ReadManifest(dir)
-	return err == nil
-}
-
 // runJob executes one admitted job under supervision and settles its
 // terminal state. It runs on its own goroutine; budget bookkeeping happens
 // through the scheduler callbacks.
@@ -175,7 +36,15 @@ func (s *Service) runJob(j *Job) {
 		return
 	}
 	cfg.CheckpointDir = j.ckptDir()
-	launcher := &worldLauncher{graphPath: j.graphPath, vertices: j.vertices, cfg: cfg}
+	launcher := &supervisor.InprocLauncher{
+		Config: cfg,
+		Body: func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error) {
+			if resume {
+				return core.Resume(c, cfg.CheckpointDir, cfg)
+			}
+			return runFresh(c, j.graphPath, j.vertices, cfg)
+		},
+	}
 
 	sopts := supervisor.Options{
 		Policy: supervisor.Policy{
@@ -186,8 +55,8 @@ func (s *Service) runJob(j *Job) {
 		},
 		Detector:      supervisor.DetectorConfig{MinWindow: s.opt.HangMin, MaxWindow: s.opt.HangMax},
 		Poll:          s.opt.Poll,
-		Retryable:     retryableWorldErr,
-		HasCheckpoint: func() bool { return hasCheckpoint(cfg.CheckpointDir) },
+		Retryable:     supervisor.Retryable,
+		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf: func(format string, args ...any) {
 			s.logf("job %s: "+format, append([]any{j.ID}, args...)...)
 		},
@@ -208,7 +77,7 @@ func (s *Service) runJob(j *Job) {
 	}
 	sup := supervisor.New(launcher, sopts)
 
-	resume := hasCheckpoint(cfg.CheckpointDir)
+	resume := supervisor.HasCheckpoint(cfg.CheckpointDir)
 	j.mu.Lock()
 	j.interrupt = sup.Interrupt
 	j.started = time.Now()
@@ -225,7 +94,7 @@ func (s *Service) runJob(j *Job) {
 		s.finishJob(j, nil, runErr)
 		return
 	}
-	res, ranks := launcher.lastResult()
+	res, ranks := launcher.Result()
 	if res == nil {
 		s.finishJob(j, nil, fmt.Errorf("world completed without a rank-0 result (%d ranks)", ranks))
 		return

@@ -20,6 +20,7 @@ import (
 	"distlouvain/internal/gio"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/obsv"
+	"distlouvain/internal/supervisor"
 )
 
 // API error kinds, for transport layers to map onto status codes.
@@ -193,6 +194,13 @@ func newJobID() string {
 	return "j-" + hex.EncodeToString(b[:])
 }
 
+// Ceilings on what a spec may ask the daemon to allocate: a few bytes of JSON
+// must not size per-vertex or per-thread arrays without limit.
+const (
+	maxInlineVertices = 1 << 22
+	maxSpecThreads    = 256
+)
+
 // normalize validates the spec, applies defaults in place, and returns the
 // core configuration it describes. All violations wrap ErrBadSpec.
 func (s *Service) normalize(spec *JobSpec) (core.Config, error) {
@@ -207,8 +215,8 @@ func (s *Service) normalize(spec *JobSpec) (core.Config, error) {
 		return bad("graph_path and inline vertices/edges are mutually exclusive")
 	}
 	if hasInline {
-		if spec.Vertices < 1 {
-			return bad("inline graph needs vertices >= 1")
+		if spec.Vertices < 1 || spec.Vertices > maxInlineVertices {
+			return bad("inline graph needs vertices in [1, %d]; submit larger graphs by graph_path", maxInlineVertices)
 		}
 		for i, e := range spec.Edges {
 			u, v, w := e[0], e[1], e[2]
@@ -244,11 +252,11 @@ func (s *Service) normalize(spec *JobSpec) (core.Config, error) {
 	if spec.Threads < 0 || spec.Tau < 0 || spec.MaxPhases < 0 || spec.MaxIterations < 0 {
 		return bad("threads, tau, max_phases and max_iterations must be non-negative")
 	}
+	if spec.Threads > maxSpecThreads {
+		return bad("threads %d exceeds the limit %d", spec.Threads, maxSpecThreads)
+	}
 	if spec.Alpha < 0 || spec.Alpha > 1 {
 		return bad("alpha must be in [0, 1]")
-	}
-	if spec.FrontierSparseThreshold < 0 || spec.FrontierSparseThreshold > 1 {
-		return bad("frontier_sparse_threshold must be in [0, 1] (0 selects the default)")
 	}
 	cfg, err := spec.config()
 	if err != nil {
@@ -409,7 +417,7 @@ func (s *Service) checkpointDonor(j *Job) string {
 		cand.mu.Lock()
 		eligible := (cand.state == StateAborted || cand.state == StateFailed)
 		cand.mu.Unlock()
-		if eligible && (donor == nil || cand.Seq > donor.Seq) && hasCheckpoint(cand.ckptDir()) {
+		if eligible && (donor == nil || cand.Seq > donor.Seq) && supervisor.HasCheckpoint(cand.ckptDir()) {
 			donor = cand
 		}
 	}
@@ -886,7 +894,7 @@ func (s *Service) recover() error {
 			j.events.publish(Event{Kind: "aborted", Msg: rec.Error})
 		default: // queued or running at crash time: re-enter the queue
 			j.state = StateQueued
-			resumable := hasCheckpoint(j.ckptDir())
+			resumable := supervisor.HasCheckpoint(j.ckptDir())
 			msg := "recovered after daemon restart"
 			if resumable {
 				msg += "; will resume from its committed checkpoint"

@@ -92,11 +92,6 @@ type Options struct {
 	// MaxPhases and MaxIterations cap work (0 = defaults).
 	MaxPhases     int
 	MaxIterations int
-	// UseNeighborCollectives routes ghost exchanges through sparse
-	// neighborhood collectives (MPI-3 style; the paper's §VI plan) —
-	// O(neighbours) messages per rank instead of O(Ranks). Results are
-	// identical.
-	UseNeighborCollectives bool
 	// UseColoring sweeps vertices one distance-1 color class at a time
 	// using a distributed Jones–Plassmann coloring (the paper's §VI
 	// faster-convergence extension).
@@ -175,7 +170,6 @@ func (o Options) toConfig() (core.Config, error) {
 	cfg.Seed = o.Seed
 	cfg.MaxPhases = o.MaxPhases
 	cfg.MaxIterations = o.MaxIterations
-	cfg.UseNeighborCollectives = o.UseNeighborCollectives
 	cfg.UseColoring = o.UseColoring
 	return cfg, nil
 }

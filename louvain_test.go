@@ -166,14 +166,6 @@ func TestDetectExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Neighborhood collectives: identical result.
-	nc, err := Detect(n, edges, Options{Ranks: 3, UseNeighborCollectives: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nc.Modularity != base.Modularity || nc.NumCommunities != base.NumCommunities {
-		t.Fatalf("neighbor collectives changed the result: %v vs %v", nc.Modularity, base.Modularity)
-	}
 	// Coloring: valid result of comparable quality.
 	col, err := Detect(n, edges, Options{Ranks: 3, UseColoring: true})
 	if err != nil {
