@@ -53,10 +53,12 @@ test-race-all:
 # The chaos suite under the race detector: supervised worlds with injected
 # crashes (SIGKILL / transport kill), hangs (SIGSTOP / blocked collectives)
 # and flapping, all required to converge bit-identical to an undisturbed
-# run. Kept out of `check` because process spawning and hang windows make
-# it slower than the fast gate.
+# run — plus the unsupervised tcp-local run and its kill → resume loop
+# (TestTCPLocalUnsupervised: one attempt of the same process launcher). Kept
+# out of `check` because process spawning and hang windows make it slower
+# than the fast gate.
 test-chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Supervisor|Supervise|Interrupt|Detector|Backoff|Beacon' \
+	$(GO) test -race -count=1 -run 'Chaos|Supervisor|Supervise|TCPLocal|Interrupt|Detector|Backoff|Beacon' \
 		./internal/supervisor/... ./internal/core/... ./cmd/dlouvain/...
 
 # The frontier differential suite under the race detector: the shipped sweep

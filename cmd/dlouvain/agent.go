@@ -2,7 +2,9 @@
 // process into a machine agent. It registers the machine's rank slots with
 // the coordinator, holds the lease with background pings, and executes the
 // rank processes a tcp-remote driver places here, reporting their exits back
-// over the control channel.
+// over the control channel. -transport tcp-local embeds the same agent in the
+// driver process (startEmbeddedAgent), so a single-host world is spawned,
+// signalled and reaped through exactly the path a multi-host one is.
 //
 // The agent deliberately does NOT kill its children when the coordinator
 // connection drops: a coordinator restart is survivable for running worlds
@@ -27,6 +29,14 @@ import (
 // hostAgentState tracks the live spawns and the current coordinator
 // registration so exit reports always go to the newest connection.
 type hostAgentState struct {
+	// ownGroup puts every spawned rank in a process group of its own. The
+	// embedded agent sets it so the driver stays the only signal distributor
+	// (a terminal Ctrl-C can't double-deliver to ranks); the standalone
+	// agent's ranks share its group on purpose — one SIGKILL of the group
+	// is a whole-host crash, which is exactly the failure the WAN chaos
+	// tests inject.
+	ownGroup bool
+
 	mu       sync.Mutex
 	agent    *coord.Agent // current registration; nil between connections
 	procs    map[string]*exec.Cmd
@@ -111,6 +121,22 @@ func runHostAgent(coordAddr, job, host string, slots int, advertise string) {
 	}
 }
 
+// startEmbeddedAgent registers this process with the (loopback) coordinator
+// as the host "local" offering slots rank slots and serves its commands in
+// the background. It returns once registered, so a controller attaching
+// afterwards finds the host in its membership snapshot. No re-registration
+// loop and no drain handler: coordinator, agent and driver are one process,
+// and the driver owns the signals.
+func startEmbeddedAgent(coordAddr, job string, slots int, logf func(string, ...any)) error {
+	a, err := coord.DialAgent(coord.AgentConfig{Coord: coordAddr, Job: job, Host: "local", Slots: slots})
+	if err != nil {
+		return err
+	}
+	st := &hostAgentState{ownGroup: true, agent: a, procs: make(map[string]*exec.Cmd)}
+	go serveAgentCommands(st, a, "", logf)
+	return nil
+}
+
 // serveAgentCommands executes commands from one coordinator connection until
 // it dies (Commands closes).
 func serveAgentCommands(st *hostAgentState, a *coord.Agent, advertise string, logf func(string, ...any)) {
@@ -141,11 +167,13 @@ func spawnRank(st *hostAgentState, cmd coord.Command, advertise string, logf fun
 	if advertise != "" {
 		c.Env = append(c.Env, envAdvertise+"="+advertise)
 	}
-	// Children share the agent's process group on purpose: one SIGKILL of
-	// the group is a whole-host crash, which is exactly the failure the WAN
-	// chaos tests inject. Their output lands in the host's agent log.
+	// Their output lands in the host's agent log (the embedded agent's is
+	// the driver's own stdout and stderr).
 	c.Stdout = os.Stdout
 	c.Stderr = os.Stderr
+	if st.ownGroup {
+		c.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	}
 	if err := c.Start(); err != nil {
 		logf("spawn %s: %v", cmd.ID, err)
 		st.reportExit(cmd.ID, -1, err.Error())

@@ -7,20 +7,17 @@
 //
 //	dlouvain -np 8 -variant etc -alpha 0.25 g.bin
 //
-// TCP (launch one process per rank, same flags everywhere):
-//
-//	dlouvain -transport tcp -rank 0 -hosts 127.0.0.1:7000,127.0.0.1:7001 g.bin &
-//	dlouvain -transport tcp -rank 1 -hosts 127.0.0.1:7000,127.0.0.1:7001 g.bin
-//
-// Or let the binary spawn one local OS process per rank itself:
+// One local OS process per rank, spawned by the binary itself (it brings its
+// own loopback coordinator and host agent, so this is the single-host case
+// of the multi-host path below):
 //
 //	dlouvain -transport tcp-local -np 4 g.bin
 //
-// Multi-host: instead of hand-writing -hosts lists, ranks can rendezvous
-// through a coordinator (cmd/dcoord). Each rank binds its own listener,
-// registers under a job id, and receives the sealed membership plus a
-// generation fencing token that keeps stale ranks from healed partitions out
-// of live worlds:
+// Multi-host: ranks rendezvous through a coordinator (cmd/dcoord). Each rank
+// binds its own listener, registers under a job id, and receives the sealed
+// membership plus a generation fencing token that keeps stale ranks from
+// healed partitions out of live worlds. Launched by hand, one command per
+// rank:
 //
 //	dcoord -listen 10.0.0.1:9470 &
 //	dlouvain -transport tcp -coord 10.0.0.1:9470 -coord-job j1 -np 2 -rank 0 g.bin &
@@ -34,6 +31,10 @@
 //	    -agent-advertise 10.0.0.2 &            # on every worker machine
 //	dlouvain -transport tcp-remote -coord 10.0.0.1:9470 -coord-job j1 \
 //	    -np 8 -ckpt-dir /shared/ck g.bin       # the driver, anywhere
+//
+// Every world is started the same way: a supervisor.Launcher (goroutines, or
+// processes spawned through the coordinator and a host agent) driven by one
+// function — a single attempt, or under -supervise the restart loop.
 //
 // Variants: baseline, tc (threshold cycling), et, etc, ettc (ET+TC); et,
 // etc and ettc require -alpha. Use -truth to score against a ground-truth
@@ -64,13 +65,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"distlouvain/internal/coord"
@@ -86,18 +82,17 @@ import (
 
 func main() {
 	var (
-		np        = flag.Int("np", 4, "in-process rank count")
-		transport = flag.String("transport", "inproc", "inproc, tcp, or tcp-local (self-spawning local processes)")
+		np        = flag.Int("np", 4, "rank count of the world")
+		transport = flag.String("transport", "inproc", "inproc, tcp (one rank of a -coord world), tcp-local (self-spawning local processes) or tcp-remote")
 		rank      = flag.Int("rank", 0, "tcp: this process's rank")
-		hosts     = flag.String("hosts", "", "tcp: comma-separated host:port per rank")
 		variant   = flag.String("variant", "baseline", "baseline, tc, et, etc, ettc")
 
-		// Multi-host rendezvous and placement: -coord replaces -hosts (ranks
-		// discover each other through the coordinator under a job id and a
-		// fencing generation), -host-agent turns this process into a machine
-		// agent executing placed ranks, and -transport tcp-remote runs the
+		// Multi-host rendezvous and placement: ranks discover each other
+		// through the -coord coordinator under a job id and a fencing
+		// generation, -host-agent turns this process into a machine agent
+		// executing placed ranks, and -transport tcp-remote runs the
 		// supervising driver that places ranks across registered hosts.
-		coordAddr      = flag.String("coord", "", "coordinator address (host:port); replaces -hosts for tcp, required for tcp-remote")
+		coordAddr      = flag.String("coord", "", "coordinator address (host:port); required for tcp and tcp-remote")
 		coordJob       = flag.String("coord-job", "dlouvain", "coordinator job id; every rank and agent of one world shares it")
 		coordEpoch     = flag.Int("coord-epoch", 1, "world incarnation under -coord; each relaunch must use a higher epoch")
 		listenAddr     = flag.String("listen", "", "coord rendezvous: mesh listen address (default 127.0.0.1:0; multi-host ranks need a routable interface)")
@@ -129,7 +124,7 @@ func main() {
 		ckptKeep  = flag.Int("ckpt-keep", 2, "committed phase snapshots to retain per rank")
 		resume    = flag.Bool("resume", false, "resume from the checkpoint in -ckpt-dir")
 
-		// Self-healing supervision (inproc and tcp-local): watch rank
+		// Self-healing supervision (every launched world): watch rank
 		// progress beacons, kill hung worlds, relaunch retryable failures
 		// from the latest checkpoint with backoff, degrade the rank count
 		// when a size keeps failing.
@@ -141,11 +136,11 @@ func main() {
 		hangMax     = flag.Duration("hang-max", 2*time.Minute, "supervise: cap (and bootstrap value) of the hang-detection window")
 		pollEvery   = flag.Duration("poll", 250*time.Millisecond, "supervise: failure-detector poll cadence")
 
-		// Chaos injection for supervised tcp-local runs (first attempt
-		// only): SIGKILL or SIGSTOP a rank once its beacons reach a phase.
-		chaosKillRank  = flag.Int("chaos-kill-rank", -1, "chaos: SIGKILL this rank (supervised tcp-local; -1 disables)")
+		// Chaos injection for process worlds (first attempt only): SIGKILL
+		// or SIGSTOP a rank once its beacons reach a phase.
+		chaosKillRank  = flag.Int("chaos-kill-rank", -1, "chaos: SIGKILL this rank (tcp-local, tcp-remote; -1 disables)")
 		chaosKillPhase = flag.Int("chaos-kill-phase", 0, "chaos: phase at which -chaos-kill-rank fires")
-		chaosStopRank  = flag.Int("chaos-stop-rank", -1, "chaos: SIGSTOP this rank (supervised tcp-local; -1 disables)")
+		chaosStopRank  = flag.Int("chaos-stop-rank", -1, "chaos: SIGSTOP this rank (tcp-local, tcp-remote; -1 disables)")
 		chaosStopPhase = flag.Int("chaos-stop-phase", 0, "chaos: phase at which -chaos-stop-rank fires")
 		chaosAll       = flag.Bool("chaos-all-attempts", false, "chaos: re-arm chaos and fault injection on every attempt (exercises budget exhaustion)")
 
@@ -160,21 +155,21 @@ func main() {
 
 		// Failure-semantics knobs: deadlines turn a dead or partitioned
 		// peer into an error instead of a hang; the fault-* flags inject
-		// transport faults for chaos testing (tcp transport only).
+		// transport faults into every rank of the first attempt.
 		recvTimeout = flag.Duration("recv-timeout", 0, "per-Recv deadline; 0 waits forever")
 		collTimeout = flag.Duration("coll-timeout", 0, "per-collective receive deadline; 0 waits forever")
 		faultSeed   = flag.Uint64("fault-seed", 0, "fault-injection RNG seed (with the other fault flags)")
 		faultDrop   = flag.Float64("fault-drop", 0, "probability an outgoing message is dropped")
 		faultDup    = flag.Float64("fault-dup", 0, "probability an outgoing message is duplicated")
 		faultDelay  = flag.Float64("fault-delay", 0, "probability an outgoing message is delayed")
-		faultKill   = flag.Int64("fault-kill-after", 0, "kill this rank's transport after N sends (tcp)")
+		faultKill   = flag.Int64("fault-kill-after", 0, "kill a rank's transport after it has sent N messages")
 	)
 	flag.Parse()
 	if err := validateFlags(flagValues{
 		np: *np, threads: *threads, alpha: *alpha, tau: *tau,
 		ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
 		supervise: *supervise, minRanks: *minRanks, maxRestarts: *maxRestarts,
-		transport: *transport, hosts: *hosts, rank: *rank,
+		transport: *transport, rank: *rank,
 		coord: *coordAddr, coordEpoch: *coordEpoch,
 		hostAgent: *hostAgent, agentSlots: *agentSlots,
 	}); err != nil {
@@ -253,154 +248,28 @@ func main() {
 		traceCap:  *traceCap,
 	}
 
+	supervised := *supervise || *transport == "tcp-remote"
 	switch *transport {
 	case "inproc":
-		if *supervise {
-			superviseInproc(path, hdr, *np, cfg, *edgeBal, *resume, *outPath, *truthPath, commOpts, fault, sopts, oopts)
-			return
-		}
-		runInproc(path, hdr, *np, cfg, *edgeBal, *resume, *outPath, *truthPath, *verbose, commOpts, oopts)
+		runInprocWorld(path, hdr, *np, cfg, *edgeBal, *resume, supervised, *outPath, *truthPath, commOpts, fault, sopts, oopts)
 	case "tcp":
-		var size int
-		var dial func() (mpi.Transport, error)
-		if *coordAddr != "" {
-			size = *np
-			adv := meshAdvertise(*advertiseSpec)
-			listen := meshListen(*listenAddr, adv)
-			dial = func() (mpi.Transport, error) {
-				return mpi.DialCoordWorld(mpi.CoordWorldConfig{
-					Coord: *coordAddr, Job: *coordJob, Epoch: *coordEpoch,
-					Rank: *rank, Size: size,
-					Listen: listen, Advertise: adv,
-				})
-			}
-		} else {
-			addrs := strings.Split(*hosts, ",")
-			size = len(addrs)
-			dial = func() (mpi.Transport, error) {
-				return mpi.DialTCPWorld(mpi.TCPWorldConfig{Rank: *rank, Addrs: addrs})
-			}
-		}
-		runTCP(path, hdr, *rank, size, dial, cfg, *edgeBal, *resume, *outPath, *truthPath, *verbose, commOpts, fault, oopts)
-	case "tcp-remote":
-		superviseRemoteTCP(*np, path, cfg, *resume, sopts, oopts, remoteOptions{
+		adv := meshAdvertise(*advertiseSpec)
+		runTCP(path, hdr, mpi.CoordWorldConfig{
+			Coord: *coordAddr, Job: *coordJob, Epoch: *coordEpoch,
+			Rank: *rank, Size: *np,
+			Listen: meshListen(*listenAddr, adv), Advertise: adv,
+		}, cfg, *edgeBal, *resume, *outPath, *truthPath, *verbose, commOpts, fault, oopts)
+	case "tcp-local", "tcp-remote":
+		runProcWorld(*np, path, cfg, *resume, supervised, *transport == "tcp-local", sopts, oopts, remoteOptions{
 			coord: *coordAddr, job: *coordJob,
 			bin: *remoteBin, controlListen: *controlListen,
 		})
-	case "tcp-local":
-		if *supervise {
-			superviseLocalTCP(*np, path, cfg, *resume, sopts, oopts)
-			return
-		}
-		launchLocalTCP(*np, oopts)
-	default:
-		fatalf("unknown transport %q", *transport)
 	}
 }
 
 // faultActive reports whether any fault-injection knob is set.
 func faultActive(p mpi.FaultPlan) bool {
 	return p.Drop > 0 || p.Duplicate > 0 || p.Delay > 0 || p.KillAfterSends > 0 || len(p.Partition) > 0
-}
-
-// launchLocalTCP re-executes this binary once per rank with -transport tcp
-// over freshly reserved loopback ports — a miniature single-host mpirun.
-func launchLocalTCP(np int, oopts obsOptions) {
-	if np <= 0 {
-		fatalf("tcp-local needs -np >= 1")
-	}
-	// The parent serves the debug endpoint; children can't share one address.
-	startPprof(oopts.pprofAddr, nil)
-	addrs := make([]string, np)
-	for r := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatalf("reserve port: %v", err)
-		}
-		addrs[r] = ln.Addr().String()
-		ln.Close()
-	}
-	hostList := strings.Join(addrs, ",")
-
-	// Rebuild the child argument vector: original flags minus the
-	// transport/np settings, plus per-rank tcp settings.
-	var passthrough []string
-	flag.Visit(func(f *flag.Flag) {
-		// -trace-dir and -report pass through (each rank writes its own
-		// trace file; rank 0's stdout carries the report); -pprof-addr must
-		// not — every child would race to bind the same address.
-		if f.Name == "transport" || f.Name == "np" || f.Name == "rank" ||
-			f.Name == "hosts" || f.Name == "pprof-addr" {
-			return
-		}
-		passthrough = append(passthrough, "-"+f.Name+"="+f.Value.String())
-	})
-	exe, err := os.Executable()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var (
-		mu   sync.Mutex
-		cmds = make([]*exec.Cmd, 0, np)
-	)
-	// Children run in their own process group, so this parent is the only
-	// signal distributor: SIGTERM/SIGINT forwards as one SIGTERM per rank
-	// (checkpoint and exit retryable); a second signal kills the world.
-	trapInterrupt(func(os.Signal) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, cmd := range cmds {
-			if cmd.Process != nil {
-				cmd.Process.Signal(syscall.SIGTERM)
-			}
-		}
-	})
-	for r := 0; r < np; r++ {
-		args := append([]string{"-transport", "tcp", "-rank", fmt.Sprint(r), "-hosts", hostList}, passthrough...)
-		args = append(args, flag.Args()...)
-		cmd := exec.Command(exe, args...)
-		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-		if r == 0 {
-			cmd.Stdout = os.Stdout
-			cmd.Stderr = os.Stderr
-		}
-		if err := cmd.Start(); err != nil {
-			fatalf("spawn rank %d: %v", r, err)
-		}
-		mu.Lock()
-		cmds = append(cmds, cmd)
-		mu.Unlock()
-	}
-	// Aggregate child statuses: when every failure is retryable (code 3),
-	// the whole world's failure is retryable — a wrapper may relaunch with
-	// -resume; any other failure is fatal.
-	failed, retryable := 0, 0
-	for r, cmd := range cmds {
-		if err := cmd.Wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "dlouvain: rank %d: %v\n", r, err)
-			failed++
-			var ee *exec.ExitError
-			if errors.As(err, &ee) && ee.ExitCode() == exitRetryable {
-				retryable++
-			}
-		}
-	}
-	os.Exit(aggregateExitCode(failed, retryable))
-}
-
-// aggregateExitCode folds per-rank child exit statuses into the parent's:
-// success only when every rank succeeded, retryable only when every failure
-// was retryable (so a wrapper may relaunch with -resume), fatal otherwise —
-// one deterministic bug among crash collateral must surface as fatal.
-func aggregateExitCode(failed, retryable int) int {
-	switch {
-	case failed == 0:
-		return 0
-	case retryable == failed:
-		return exitRetryable
-	default:
-		return 1
-	}
 }
 
 func buildConfig(variant string, alpha float64) (core.Config, error) {
@@ -465,50 +334,6 @@ func rankBody(path string, hdr gio.Header, cfg core.Config, edgeBal, resume, ver
 	}
 }
 
-func runInproc(path string, hdr gio.Header, np int, cfg core.Config, edgeBal, resume bool, outPath, truthPath string, verbose bool, commOpts []mpi.CommOption, oopts obsOptions) {
-	var interrupted atomic.Bool
-	cfg.Interrupted = interrupted.Load
-	trapInterrupt(func(os.Signal) {
-		fmt.Fprintln(os.Stderr, "dlouvain: interrupt: checkpointing at the next phase boundary")
-		interrupted.Store(true)
-	})
-	reg := obsv.NewRegistry(0)
-	startPprof(oopts.pprofAddr, reg)
-	tracers := make([]*obsv.Tracer, np)
-	for r := range tracers {
-		tracers[r] = oopts.newTracer(r)
-	}
-	var root *core.Result
-	err := mpi.Run(np, func(c *mpi.Comm) error {
-		tr := tracers[c.Rank()]
-		c.SetTracer(tr)
-		rcfg := cfg
-		rcfg.Tracer = tr
-		if c.Rank() == 0 {
-			reg.AttachCounters("mpi.rank0", func() map[string]int64 {
-				return c.Stats().Snapshot().Counters()
-			})
-		}
-		res, err := rankBody(path, hdr, rcfg, edgeBal, resume, verbose)(c)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			root = res
-		}
-		return nil
-	}, commOpts...)
-	// Flush traces even on failure: the ring tail of a failed rank is the
-	// post-mortem evidence the traces exist for.
-	oopts.flushTraces(tracers...)
-	if err != nil {
-		runFailf(err, "%v", err)
-	}
-	recordRunMetrics(reg, root)
-	report(root, hdr, cfg, np, outPath, truthPath)
-	oopts.printReport(tracers[0])
-}
-
 // envAdvertise is the advertise-address default a host agent installs for
 // the ranks it spawns: the agent — not the driver — knows which interface
 // peers can reach its machine on.
@@ -538,7 +363,11 @@ func meshListen(flagVal, advertise string) string {
 	return ""
 }
 
-func runTCP(path string, hdr gio.Header, rank, size int, dial func() (mpi.Transport, error), cfg core.Config, edgeBal, resume bool, outPath, truthPath string, verbose bool, commOpts []mpi.CommOption, fault mpi.FaultPlan, oopts obsOptions) {
+// runTCP is one rank of a coordinator-rendezvous world in this process: what
+// a hand-launched `-transport tcp` command runs, and what the process
+// launcher spawns once per rank.
+func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Config, edgeBal, resume bool, outPath, truthPath string, verbose bool, commOpts []mpi.CommOption, fault mpi.FaultPlan, oopts obsOptions) {
+	rank := world.Rank
 	var interrupted atomic.Bool
 	cfg.Interrupted = interrupted.Load
 	trapInterrupt(func(os.Signal) {
@@ -552,11 +381,11 @@ func runTCP(path string, hdr gio.Header, rank, size int, dial func() (mpi.Transp
 	reg := obsv.NewRegistry(rank)
 	startPprof(oopts.pprofAddr, reg)
 
-	// Under a supervising parent, report progress beacons over the control
+	// Under a launching parent, report progress beacons over the control
 	// channel, and treat a failed rendezvous as retryable: a sibling rank
 	// dying during startup must not burn the supervisor's fatal path.
-	supervised := supervisor.BeaconAddrFromEnv() != ""
-	if supervised {
+	launched := supervisor.BeaconAddrFromEnv() != ""
+	if launched {
 		if em, err := supervisor.DialBeacons(supervisor.BeaconAddrFromEnv()); err == nil {
 			defer em.Close()
 			cfg.Progress = supervisor.CoreProgressTraced(rank, 0, tr, em.Emit)
@@ -564,7 +393,7 @@ func runTCP(path string, hdr gio.Header, rank, size int, dial func() (mpi.Transp
 		}
 	}
 
-	tp, err := dial()
+	tp, err := mpi.DialCoordWorld(world)
 	if err != nil {
 		// Fencing is terminal even under supervision: this epoch's world no
 		// longer exists, so retrying the same incarnation can never succeed
@@ -575,7 +404,7 @@ func runTCP(path string, hdr gio.Header, rank, size int, dial func() (mpi.Transp
 		if errors.As(err, &cfe) || errors.As(err, &mfe) {
 			fatalf("rank %d: %v", rank, err)
 		}
-		if supervised {
+		if launched {
 			fmt.Fprintf(os.Stderr, "dlouvain: rank %d: rendezvous: %v\n", rank, err)
 			os.Exit(exitRetryable)
 		}
@@ -598,7 +427,7 @@ func runTCP(path string, hdr gio.Header, rank, size int, dial func() (mpi.Transp
 	}
 	recordRunMetrics(reg, res)
 	if rank == 0 {
-		report(res, hdr, cfg, size, outPath, truthPath)
+		report(res, hdr, cfg, world.Size, outPath, truthPath)
 		oopts.printReport(tr)
 	}
 }
@@ -658,13 +487,18 @@ func exitCodeFor(err error) int {
 	return 1
 }
 
+// logf prints one diagnostic line on stderr.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dlouvain: "+format+"\n", args...)
+}
+
 // runFailf reports a failed run and exits with its classified code.
 func runFailf(err error, format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "dlouvain: "+format+"\n", args...)
+	logf(format, args...)
 	os.Exit(exitCodeFor(err))
 }
 
 func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "dlouvain: "+format+"\n", args...)
+	logf(format, args...)
 	os.Exit(1)
 }

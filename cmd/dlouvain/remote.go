@@ -1,16 +1,19 @@
-// Multi-host supervision: -transport tcp-remote runs the supervising driver
-// of a coordinator-placed world. Each attempt places one rank process per
-// slot across the hosts currently registered with the coordinator, spawns
-// them through the coordinator's control channel, and watches their progress
-// beacons over the WAN control channel exactly like the tcp-local supervisor
-// watches local children. Rank death reaches the driver as an exit event;
-// host death reaches it when the coordinator's lease reaper condemns the
-// silent host and synthesizes exits for its orphaned spawns. Either way the
-// attempt fails retryably and the next attempt — at the NEXT epoch, so the
-// old world is fenced — re-places every rank on the hosts that survive.
+// Process worlds: one OS process per rank, spawned, signalled and reaped
+// through a coordinator's control channel and the host agents registered
+// with it. -transport tcp-remote uses the coordinator -coord names and
+// whatever agents the operator started; -transport tcp-local is the
+// single-host case of the same path — it starts a coordinator and one agent
+// with -np slots inside the driver process, on loopback. Each attempt places
+// one rank process per slot across the currently registered hosts and watches
+// the ranks' progress beacons over the TCP control channel. Rank death
+// reaches the driver as an exit event; host death reaches it when the
+// coordinator's lease reaper condemns the silent host and synthesizes exits
+// for its orphaned spawns. Either way the attempt fails retryably and the
+// next attempt — at the NEXT epoch, so the old world is fenced — re-places
+// every rank on the hosts that survive.
 //
-// The graph and -ckpt-dir must live on storage every host shares; the driver
-// does not ship files.
+// Across hosts the graph and -ckpt-dir must live on storage every host
+// shares; the driver does not ship files.
 package main
 
 import (
@@ -28,9 +31,9 @@ import (
 	"distlouvain/internal/supervisor"
 )
 
-// remoteOptions carries the tcp-remote flag values from main.
+// remoteOptions carries the process-world flag values from main.
 type remoteOptions struct {
-	coord         string // coordinator address
+	coord         string // coordinator address (tcp-local fills in its own)
 	job           string // job id shared with the host agents
 	bin           string // dlouvain binary path on the agent hosts
 	controlListen string // beacon listen address (must be host-reachable)
@@ -41,11 +44,14 @@ type remoteOptions struct {
 type remoteLauncher struct {
 	opts        remoteOptions
 	graph       string
-	dir         string // working directory sent with spawns
-	passthrough []string
-	faultArgs   []string
+	dir         string   // working directory sent with spawns
+	passthrough []string // shared child flags (variant, ckpt-dir, timeouts, ...)
+	faultArgs   []string // fault-* flags, forwarded on armed attempts only
 	chaos       chaosSpec
-	logf        func(format string, args ...any)
+	// placeLogf receives membership and placement lines (host joined or
+	// condemned, rank -> host). On a single embedded host they say nothing,
+	// so tcp-local shows them only under -v.
+	placeLogf func(format string, args ...any)
 
 	mu     sync.Mutex
 	ctrl   *coord.Controller
@@ -93,12 +99,12 @@ func (l *remoteLauncher) route(ctrl *coord.Controller, synced chan struct{}) {
 			l.mu.Lock()
 			l.hosts[ev.Host] = ev.Slots
 			l.mu.Unlock()
-			l.logf("host %q joined (%d slots)", ev.Host, ev.Slots)
+			l.placeLogf("host %q joined (%d slots)", ev.Host, ev.Slots)
 		case coord.EventHostLost:
 			l.mu.Lock()
 			delete(l.hosts, ev.Host)
 			l.mu.Unlock()
-			l.logf("coordinator condemned host %q: %s", ev.Host, ev.Err)
+			l.placeLogf("coordinator condemned host %q: %s", ev.Host, ev.Err)
 		case coord.EventSync:
 			select {
 			case <-synced:
@@ -156,7 +162,7 @@ func (l *remoteLauncher) placement(ranks int, deadline time.Duration) ([]string,
 		l.mu.Unlock()
 		if len(slots) > 0 {
 			if len(slots) < ranks {
-				l.logf("oversubscribing: %d ranks on %d slot(s) across %d host(s)", ranks, len(slots), len(names))
+				l.placeLogf("oversubscribing: %d ranks on %d slot(s) across %d host(s)", ranks, len(slots), len(names))
 			}
 			placed := make([]string, ranks)
 			for r := range placed {
@@ -225,7 +231,7 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 			args = append(args, "-resume")
 		}
 		args = append(args, l.graph)
-		l.logf("attempt %d: rank %d -> host %s (spawn %s)", spec.Attempt, r, placed[r], a.rankID[r])
+		l.placeLogf("attempt %d: rank %d -> host %s (spawn %s)", spec.Attempt, r, placed[r], a.rankID[r])
 		if err := ctrl.Spawn(placed[r], a.rankID[r], args, l.dir, env); err != nil {
 			a.fail(fmt.Sprintf("spawn rank %d on %s: %v", r, placed[r], err))
 			return a, nil
@@ -234,8 +240,10 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 	return a, nil
 }
 
-// maybeChaos mirrors procLauncher's beacon-driven fault injection, but the
-// signal travels through the coordinator to whichever host runs the rank.
+// maybeChaos fires the configured process-level fault when the target rank's
+// beacons reach the target phase. It runs on the beacon path, so injection
+// is deterministic in terms of run progress, not wall-clock; the signal
+// travels through the coordinator to whichever host runs the rank.
 func (a *remoteAttempt) maybeChaos(killOnce, stopOnce *sync.Once, b supervisor.Beacon) {
 	if b.Kind != supervisor.KindPhaseStart && b.Kind != supervisor.KindIteration {
 		return
@@ -243,13 +251,13 @@ func (a *remoteAttempt) maybeChaos(killOnce, stopOnce *sync.Once, b supervisor.B
 	l := a.l
 	if b.Rank == l.chaos.killRank && b.Phase >= l.chaos.killPhase {
 		killOnce.Do(func() {
-			l.logf("chaos: SIGKILL rank %d (spawn %s) at phase %d", b.Rank, a.rankID[b.Rank], b.Phase)
+			logf("chaos: SIGKILL rank %d (spawn %s) at phase %d", b.Rank, a.rankID[b.Rank], b.Phase)
 			a.signalRank(b.Rank, syscall.SIGKILL)
 		})
 	}
 	if b.Rank == l.chaos.stopRank && b.Phase >= l.chaos.stopPhase {
 		stopOnce.Do(func() {
-			l.logf("chaos: SIGSTOP rank %d (spawn %s) at phase %d", b.Rank, a.rankID[b.Rank], b.Phase)
+			logf("chaos: SIGSTOP rank %d (spawn %s) at phase %d", b.Rank, a.rankID[b.Rank], b.Phase)
 			a.signalRank(b.Rank, syscall.SIGSTOP)
 		})
 	}
@@ -344,6 +352,17 @@ func (a *remoteAttempt) finish() {
 	close(a.done)
 }
 
+// childrenError aggregates the failures of a process world's ranks with an
+// explicit retryability verdict derived from their exit codes: the one place
+// per-rank statuses fold into the driver's (exitCodeFor maps the verdict to
+// exit 3 or 1).
+type childrenError struct {
+	msg       string
+	retryable bool
+}
+
+func (e *childrenError) Error() string { return "world failed: " + e.msg }
+
 func (a *remoteAttempt) Wait() error { <-a.done; return a.err }
 
 func (a *remoteAttempt) signalRank(rank int, sig syscall.Signal) {
@@ -383,8 +402,10 @@ func (a *remoteAttempt) signalAll(sig syscall.Signal) {
 func (a *remoteAttempt) Kill()      { a.killOnce.Do(func() { a.signalAll(syscall.SIGKILL) }) }
 func (a *remoteAttempt) Interrupt() { a.intOnce.Do(func() { a.signalAll(syscall.SIGTERM) }) }
 
-// superviseRemoteTCP supervises a coordinator-placed multi-host world.
-func superviseRemoteTCP(np int, graph string, cfg core.Config, resume bool, opts supOptions, oopts obsOptions, ropts remoteOptions) {
+// runProcWorld drives a world of rank processes: on the operator's
+// coordinator and agents, or (local) on a loopback coordinator and an
+// embedded agent with np slots that live and die with this process.
+func runProcWorld(np int, graph string, cfg core.Config, resume, supervised, local bool, opts supOptions, oopts obsOptions, ropts remoteOptions) {
 	if ropts.bin == "" {
 		exe, err := os.Executable()
 		if err != nil {
@@ -396,55 +417,38 @@ func superviseRemoteTCP(np int, graph string, cfg core.Config, resume bool, opts
 	if err != nil {
 		fatalf("%v", err)
 	}
+	placeLogf := logf
+	if local {
+		if !opts.verbose {
+			placeLogf = func(string, ...any) {}
+		}
+		srv, err := coord.Serve("127.0.0.1:0", coord.ServerConfig{})
+		if err != nil {
+			fatalf("%v", err)
+		}
+		ropts.coord = srv.Addr()
+		if err := startEmbeddedAgent(ropts.coord, ropts.job, np, placeLogf); err != nil {
+			fatalf("%v", err)
+		}
+	}
 	reg := obsv.NewRegistry(0)
+	// The driver serves the debug endpoint; children can't share one address.
 	startPprof(oopts.pprofAddr, reg)
-	var passthrough, faultArgs []string
-	flagVisitChildArgs(func(name, val string) { passthrough = append(passthrough, "-"+name+"="+val) },
-		func(name, val string) { faultArgs = append(faultArgs, "-"+name+"="+val) })
-	sopts := opts.supervisorOptions(cfg)
-	sopts.OnRestart = func(restarts, ranks int, resume bool, cause error) {
-		reg.BeginGeneration()
-		var res float64
-		if resume {
-			res = 1
-		}
-		reg.RecordEvent("restart", "relaunch", map[string]float64{
-			"restarts": float64(restarts), "ranks": float64(ranks), "resume": res,
-		})
-	}
-	verbose := opts.verbose
-	sopts.OnBeacon = func(b supervisor.Beacon) {
-		reg.RecordEvent("beacon", string(b.Kind), map[string]float64{
-			"rank": float64(b.Rank), "phase": float64(b.Phase),
-			"iter": float64(b.Iteration), "q": b.Modularity,
-		})
-		if verbose {
-			fmt.Fprintf(os.Stderr, "dlouvain: beacon %+v\n", b)
-		}
-	}
-	l := &remoteLauncher{
-		opts: ropts, graph: graph, dir: dir,
-		passthrough: passthrough, faultArgs: faultArgs,
-		chaos: opts.chaos, logf: sopts.Logf,
-	}
-	sup := supervisor.New(l, sopts)
-	trapInterrupt(func(os.Signal) {
-		fmt.Fprintln(os.Stderr, "dlouvain: interrupt: checkpointing at the next phase boundary")
-		sup.Interrupt()
-	})
-	if err := sup.Run(np, resume); err != nil {
+	l := &remoteLauncher{opts: ropts, graph: graph, dir: dir, chaos: opts.chaos, placeLogf: placeLogf}
+	l.passthrough, l.faultArgs = childArgs()
+	if err := drive(l, np, resume, supervised, opts, cfg, reg, nil); err != nil {
 		runFailf(err, "%v", err)
 	}
-	os.Exit(0)
 }
 
-// flagVisitChildArgs walks the set flags and splits them into child
-// passthrough args and fault-injection args (forwarded on armed attempts
-// only), excluding everything that belongs to the driver itself.
-func flagVisitChildArgs(pass func(name, val string), fault func(name, val string)) {
+// childArgs walks the set flags and splits them into child passthrough args
+// and fault-injection args (forwarded on armed attempts only), excluding
+// everything that belongs to the driver itself.
+func childArgs() (passthrough, faultArgs []string) {
 	flag.Visit(func(f *flag.Flag) {
+		arg := "-" + f.Name + "=" + f.Value.String()
 		switch f.Name {
-		case "transport", "np", "rank", "hosts", "supervise", "resume",
+		case "transport", "np", "rank", "supervise", "resume",
 			"max-restarts", "backoff", "min-ranks", "hang-min", "hang-max", "poll",
 			"chaos-kill-rank", "chaos-kill-phase", "chaos-stop-rank", "chaos-stop-phase",
 			"chaos-all-attempts", "pprof-addr",
@@ -452,13 +456,17 @@ func flagVisitChildArgs(pass func(name, val string), fault func(name, val string
 			"host-agent", "agent-host", "slots", "agent-advertise",
 			"remote-bin", "control-listen":
 			// Driver-side flags: topology and supervision stay with the
-			// parent; -coord/-coord-job/-coord-epoch are re-issued per
-			// attempt with that attempt's epoch; -listen/-advertise are
-			// per-host decisions the agents make (-agent-advertise).
+			// parent, and so does -pprof-addr, which children cannot share;
+			// -coord/-coord-job/-coord-epoch are re-issued per attempt with
+			// that attempt's epoch; -listen/-advertise are per-host decisions
+			// the agents make (-agent-advertise). -trace-dir and -report
+			// pass through: each rank owns its trace file and rank 0's
+			// stdout carries the report.
 		case "fault-seed", "fault-drop", "fault-dup", "fault-delay", "fault-kill-after":
-			fault(f.Name, f.Value.String())
+			faultArgs = append(faultArgs, arg)
 		default:
-			pass(f.Name, f.Value.String())
+			passthrough = append(passthrough, arg)
 		}
 	})
+	return passthrough, faultArgs
 }

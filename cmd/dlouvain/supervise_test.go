@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"distlouvain/internal/coord"
 	"distlouvain/internal/core"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
@@ -17,22 +18,42 @@ import (
 	"distlouvain/internal/supervisor"
 )
 
+// TestAggregateExitCode folds per-rank exit statuses into the driver's, the
+// way a process world's attempt does: exit events → childrenError →
+// exitCodeFor. Success only when every rank succeeded, retryable only when
+// every failure was retryable (so a wrapper may relaunch with -resume), fatal
+// otherwise — one deterministic bug among crash collateral must surface as
+// fatal.
 func TestAggregateExitCode(t *testing.T) {
 	cases := []struct {
-		name              string
-		failed, retryable int
-		want              int
+		name  string
+		codes []int // one exit event per rank
+		want  int
 	}{
-		{"all ranks succeeded", 0, 0, 0},
-		{"all failures retryable", 3, 3, exitRetryable},
-		{"single retryable failure", 1, 1, exitRetryable},
-		{"mixed retryable and fatal", 3, 2, 1},
-		{"all fatal", 2, 0, 1},
+		{"all ranks succeeded", []int{0, 0, 0}, 0},
+		{"all failures retryable", []int{3, 3, 3}, exitRetryable},
+		{"single retryable failure", []int{0, 3, 0}, exitRetryable},
+		{"signal death is a lost peer", []int{0, -1, 3}, exitRetryable},
+		{"mixed retryable and fatal", []int{3, 1, 3}, 1},
+		{"all fatal", []int{1, 1}, 1},
 	}
 	for _, c := range cases {
-		if got := aggregateExitCode(c.failed, c.retryable); got != c.want {
-			t.Errorf("%s: aggregateExitCode(%d, %d) = %d, want %d",
-				c.name, c.failed, c.retryable, got, c.want)
+		srv, err := supervisor.ListenBeacons("", func(supervisor.Beacon) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &remoteAttempt{
+			l: &remoteLauncher{}, srv: srv, retryable: true,
+			live: make(map[string]int), done: make(chan struct{}),
+		}
+		for r := range c.codes {
+			a.live[fmt.Sprint("r", r)] = r
+		}
+		for r, code := range c.codes {
+			a.exit(coord.Event{Kind: coord.EventExit, Host: "local", ID: fmt.Sprint("r", r), Code: code})
+		}
+		if got := exitCodeFor(a.Wait()); got != c.want {
+			t.Errorf("%s: exit codes %v aggregate to %d, want %d", c.name, c.codes, got, c.want)
 		}
 	}
 }
@@ -206,4 +227,54 @@ func TestSuperviseInprocChaos(t *testing.T) {
 		t.Fatalf("fault injection never forced a restart:\n%s", outp)
 	}
 	sameFile(t, "inproc fault kill", out, refOut)
+}
+
+// TestTCPLocalUnsupervised covers -transport tcp-local without -supervise:
+// one attempt of the process launcher over its embedded coordinator and
+// agent. The clean run must write the in-process reference's file, and the
+// README's kill → resume loop must converge to it bit for bit.
+func TestTCPLocalUnsupervised(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	bin, graphPath, refOut := buildBinaryAndGraph(t)
+
+	t.Run("clean run matches inproc", func(t *testing.T) {
+		out := filepath.Join(t.TempDir(), "out")
+		outp, err := exec.Command(bin, "-transport", "tcp-local", "-np", "3", "-o", out, graphPath).CombinedOutput()
+		if err != nil {
+			t.Fatalf("tcp-local run failed: %v\n%s", err, outp)
+		}
+		sameFile(t, "tcp-local", out, refOut)
+	})
+
+	t.Run("kill then resume loop", func(t *testing.T) {
+		dir := t.TempDir()
+		ck, out := filepath.Join(dir, "ck"), filepath.Join(dir, "out")
+		run := func(extra ...string) ([]byte, error) {
+			args := []string{"-transport", "tcp-local", "-np", "3", "-ckpt-dir", ck, "-o", out}
+			if supervisor.HasCheckpoint(ck) {
+				args = append(args, "-resume")
+			}
+			args = append(append(args, extra...), graphPath)
+			return exec.Command(bin, args...).CombinedOutput()
+		}
+		// Every rank's transport dies after its 60th send — past the first
+		// phase boundary of this graph, so a checkpoint exists to resume from.
+		outp, err := run("-fault-kill-after", "60")
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != exitRetryable {
+			t.Fatalf("killed run: err = %v, want retryable exit %d\n%s", err, exitRetryable, outp)
+		}
+		if !strings.Contains(string(outp), "peer rank") || !strings.Contains(string(outp), "world failed: rank") {
+			t.Fatalf("killed run does not name the lost peer and the failed ranks:\n%s", outp)
+		}
+		if !supervisor.HasCheckpoint(ck) {
+			t.Fatalf("killed run left no checkpoint to resume from:\n%s", outp)
+		}
+		if outp, err = run(); err != nil {
+			t.Fatalf("resumed run: %v\n%s", err, outp)
+		}
+		sameFile(t, "kill then resume", out, refOut)
+	})
 }

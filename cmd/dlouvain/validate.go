@@ -6,8 +6,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"net"
-	"strings"
 )
 
 // flagValues carries the parsed flags validateFlags inspects. A struct (not
@@ -23,7 +21,6 @@ type flagValues struct {
 	minRanks    int
 	maxRestarts int
 	transport   string
-	hosts       string
 	rank        int
 	coord       string
 	coordEpoch  int
@@ -68,29 +65,16 @@ func validateFlags(v flagValues) error {
 	if v.ckptKeep < 1 {
 		return fmt.Errorf("-ckpt-keep must be >= 1 (got %d)", v.ckptKeep)
 	}
-	if v.coord != "" && v.hosts != "" {
-		return errors.New("-coord and -hosts are mutually exclusive: the coordinator discovers membership, a host list pins it")
-	}
 	switch v.transport {
 	case "tcp":
-		switch {
-		case v.coord != "":
-			if v.coordEpoch < 1 {
-				return fmt.Errorf("-coord-epoch must be >= 1 (got %d)", v.coordEpoch)
-			}
-			if v.rank < 0 || v.rank >= v.np {
-				return fmt.Errorf("-rank %d out of range [0,%d) of the -np world", v.rank, v.np)
-			}
-		case v.hosts != "":
-			addrs := strings.Split(v.hosts, ",")
-			if err := validateHostList(addrs); err != nil {
-				return err
-			}
-			if v.rank < 0 || v.rank >= len(addrs) {
-				return fmt.Errorf("-rank %d out of range [0,%d) of the -hosts list", v.rank, len(addrs))
-			}
-		default:
-			return errors.New("-transport tcp needs -hosts or -coord")
+		if v.coord == "" {
+			return errors.New("-transport tcp needs -coord: ranks rendezvous through a coordinator (cmd/dcoord); -transport tcp-local brings its own")
+		}
+		if v.coordEpoch < 1 {
+			return fmt.Errorf("-coord-epoch must be >= 1 (got %d)", v.coordEpoch)
+		}
+		if v.rank < 0 || v.rank >= v.np {
+			return fmt.Errorf("-rank %d out of range [0,%d) of the -np world", v.rank, v.np)
 		}
 	case "tcp-remote":
 		if v.coord == "" {
@@ -104,28 +88,9 @@ func validateFlags(v flagValues) error {
 		if v.minRanks > v.np {
 			return fmt.Errorf("-min-ranks %d exceeds -np %d: degradation can only shrink the world", v.minRanks, v.np)
 		}
-		if v.maxRestarts < 0 {
-			return errors.New("-max-restarts must be non-negative")
+		if v.maxRestarts < 1 {
+			return fmt.Errorf("-max-restarts must be >= 1 (got %d): omit -supervise for a run that never restarts", v.maxRestarts)
 		}
-	}
-	return nil
-}
-
-// validateHostList rejects -hosts entries that are not host:port or that
-// repeat an address: two ranks cannot share one listener, and a duplicate is
-// almost always a copy-paste error that would otherwise surface as a
-// baffling rendezvous hang.
-func validateHostList(addrs []string) error {
-	seen := make(map[string]struct{}, len(addrs))
-	for i, a := range addrs {
-		host, port, err := net.SplitHostPort(a)
-		if err != nil || host == "" || port == "" {
-			return fmt.Errorf("-hosts entry %d (%q) is not host:port", i, a)
-		}
-		if _, dup := seen[a]; dup {
-			return fmt.Errorf("-hosts entry %d (%q) duplicates an earlier entry: every rank needs its own listener", i, a)
-		}
-		seen[a] = struct{}{}
 	}
 	return nil
 }

@@ -45,33 +45,11 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"negative tau", func(v *flagValues) { v.tau = -1e-6 }, "-tau"},
 		{"unknown transport", func(v *flagValues) { v.transport = "carrier-pigeon" }, "-transport"},
 
-		// Topology flags: -hosts hygiene, -rank bounds, -coord exclusivity.
-		{"tcp without hosts or coord", func(v *flagValues) { v.transport = "tcp" }, "-hosts or -coord"},
-		{"coord with hosts", func(v *flagValues) {
-			v.transport = "tcp"
-			v.coord = "127.0.0.1:9470"
-			v.hosts = "127.0.0.1:7000,127.0.0.1:7001"
-		}, "mutually exclusive"},
-		{"hosts entry without port", func(v *flagValues) {
-			v.transport = "tcp"
-			v.hosts = "127.0.0.1:7000,127.0.0.1"
-		}, "not host:port"},
-		{"empty hosts entry", func(v *flagValues) {
-			v.transport = "tcp"
-			v.hosts = "127.0.0.1:7000,,127.0.0.1:7001"
-		}, "not host:port"},
-		{"duplicate hosts entry", func(v *flagValues) {
-			v.transport = "tcp"
-			v.hosts = "127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7000"
-		}, "duplicates"},
-		{"rank beyond hosts list", func(v *flagValues) {
-			v.transport = "tcp"
-			v.hosts = "127.0.0.1:7000,127.0.0.1:7001"
-			v.rank = 2
-		}, "-rank"},
+		// Topology flags: -coord where the transport needs one, -rank bounds.
+		{"tcp without coord", func(v *flagValues) { v.transport = "tcp" }, "-transport tcp needs -coord"},
 		{"negative rank", func(v *flagValues) {
 			v.transport = "tcp"
-			v.hosts = "127.0.0.1:7000,127.0.0.1:7001"
+			v.coord = "127.0.0.1:9470"
 			v.rank = -1
 		}, "-rank"},
 		{"rank beyond np under coord", func(v *flagValues) {
@@ -91,6 +69,9 @@ func TestValidateFlagsRejections(t *testing.T) {
 			v.coord = "127.0.0.1:9470"
 			v.minRanks = 9
 		}, "-min-ranks"},
+		// "Never restart" is spelled by omitting -supervise: Policy.fill would
+		// turn a zero budget into its default of five.
+		{"zero max-restarts", func(v *flagValues) { v.supervise = true; v.maxRestarts = 0 }, "omit -supervise"},
 		{"host-agent without coord", func(v *flagValues) { v.hostAgent = true }, "-coord"},
 		{"host-agent zero slots", func(v *flagValues) {
 			v.hostAgent = true
@@ -113,18 +94,16 @@ func TestValidateFlagsRejections(t *testing.T) {
 	}
 }
 
-// The topology combinations that must pass: a clean host list, a coord
+// The topology combinations that must pass, one row per way to start or
+// join a world: goroutine ranks, self-spawned local processes, a coord
 // rendezvous rank, a coord-placed driver, and a host agent.
 func TestValidateFlagsAcceptsTopologies(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*flagValues)
 	}{
-		{"tcp with hosts", func(v *flagValues) {
-			v.transport = "tcp"
-			v.hosts = "127.0.0.1:7000,127.0.0.1:7001,10.0.0.2:7000"
-			v.rank = 2
-		}},
+		{"inproc supervised", func(v *flagValues) { v.supervise = true }},
+		{"tcp-local", func(v *flagValues) { v.transport = "tcp-local" }},
 		{"tcp with coord", func(v *flagValues) {
 			v.transport = "tcp"
 			v.coord = "127.0.0.1:9470"
@@ -161,14 +140,15 @@ func TestValidateFlagsMinRanksIgnoredWithoutSupervise(t *testing.T) {
 	}
 }
 
-// The result-neutral switches are gone from the binary, not merely ignored:
-// a command line that still carries one fails as an unknown flag, exit 2.
+// The result-neutral switches and the static -hosts rendezvous are gone from
+// the binary, not merely ignored: a command line that still carries one
+// fails as an unknown flag, exit 2.
 func TestRetiredFlagsRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin, graphPath, _ := buildBinaryAndGraph(t)
-	for _, name := range []string{"frontier", "frontier-sparse-threshold", "neighbor-coll"} {
+	for _, name := range []string{"frontier", "frontier-sparse-threshold", "neighbor-coll", "hosts"} {
 		t.Run(name, func(t *testing.T) {
 			out, err := exec.Command(bin, "-"+name+"=1", graphPath).CombinedOutput()
 			var exit *exec.ExitError
@@ -176,5 +156,40 @@ func TestRetiredFlagsRejected(t *testing.T) {
 				t.Fatalf("-%s: err %v, output:\n%s", name, err, out)
 			}
 		})
+	}
+}
+
+// TestFlagSetPinned ratchets the CLI surface the way TestConfigFieldsPinned
+// ratchets core.Config: the built binary defines exactly these flags, so
+// adding one is a deliberate edit here (and a reason to ask which existing
+// flag it replaces).
+func TestFlagSetPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin, _, _ := buildBinaryAndGraph(t)
+	want := []string{
+		"advertise", "agent-advertise", "agent-host", "alpha", "backoff",
+		"chaos-all-attempts", "chaos-kill-phase", "chaos-kill-rank",
+		"chaos-stop-phase", "chaos-stop-rank", "ckpt-dir", "ckpt-every",
+		"ckpt-keep", "coll-timeout", "coloring", "control-listen", "coord",
+		"coord-epoch", "coord-job", "edgebalance", "fault-delay", "fault-drop",
+		"fault-dup", "fault-kill-after", "fault-seed", "hang-max", "hang-min",
+		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o", "poll",
+		"pprof-addr", "rank", "recv-timeout", "remote-bin", "report", "resume",
+		"seed", "slots", "supervise", "tau", "threads", "trace-cap",
+		"trace-dir", "transport", "truth", "v", "variant",
+	}
+	out, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits 0 or 2 by Go version
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		// flag.PrintDefaults: "  -name type" then a tab-indented usage line,
+		// already sorted by name.
+		if strings.HasPrefix(line, "  -") {
+			got = append(got, strings.Fields(line[3:])[0])
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("dlouvain defines %d flags, pinned %d:\n got  %v\n want %v", len(got), len(want), got, want)
 	}
 }

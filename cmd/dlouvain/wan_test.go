@@ -238,7 +238,7 @@ func TestWANAsymmetricPartitionHeal(t *testing.T) {
 	// Rank 1 dials rank 0 (rank i dials every j < i), so fronting rank 0's
 	// listener puts both directions of the only mesh link behind the proxy.
 	backend := reserveLoopbackAddr(t)
-	px, err := chaosnet.New("127.0.0.1:0", backend, chaosnet.Options{Fenced: true, Logf: t.Logf})
+	px, err := chaosnet.New("127.0.0.1:0", backend, chaosnet.Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestWANSlowLink(t *testing.T) {
 	defer srv.Close()
 
 	backend := reserveLoopbackAddr(t)
-	px, err := chaosnet.New("127.0.0.1:0", backend, chaosnet.Options{Fenced: true})
+	px, err := chaosnet.New("127.0.0.1:0", backend, chaosnet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func run() int {
 		maxQueue    = fs.Int("max-queue", 256, "maximum queued jobs before submissions are rejected")
 		cacheCap    = fs.Int("cache-cap", 128, "result cache capacity (entries)")
 		keepJobs    = fs.Int("keep-jobs", 64, "terminal job directories retained before GC")
-		maxRestarts = fs.Int("max-restarts", 5, "per-job supervision restart budget")
+		maxRestarts = fs.Int("max-restarts", 5, "per-job supervision restart budget (>= 1)")
 		backoff     = fs.Duration("backoff", 200*time.Millisecond, "base restart backoff")
 		hangMin     = fs.Duration("hang-min", 5*time.Second, "hang detector window floor")
 		hangMax     = fs.Duration("hang-max", 2*time.Minute, "hang detector window cap")
@@ -64,6 +64,13 @@ func run() int {
 	}
 	if *rankBudget < 0 || *maxQueue < 1 || *cacheCap < 1 || *keepJobs < 1 {
 		fmt.Fprintln(os.Stderr, "dlouvaind: -rank-budget must be >= 0; -max-queue, -cache-cap and -keep-jobs must be >= 1")
+		fs.Usage()
+		return 2
+	}
+	if *maxRestarts < 1 {
+		// service.Options treats a zero budget as "use the default of 5", so
+		// "never restart" cannot be spelled here; say so instead of restarting.
+		fmt.Fprintf(os.Stderr, "dlouvaind: -max-restarts must be >= 1 (got %d): every job runs supervised, so there is no never-restart mode\n", *maxRestarts)
 		fs.Usage()
 		return 2
 	}

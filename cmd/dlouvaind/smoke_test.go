@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -96,6 +97,23 @@ func startDaemon(t *testing.T, bin, dataDir, addr string) *exec.Cmd {
 	}
 	t.Fatalf("daemon never came up on %s; logs:\n%s", addr, logs.String())
 	return nil
+}
+
+// A zero restart budget would silently become service.Options' default of
+// five; the daemon refuses it as a usage error instead.
+func TestDaemonRejectsZeroMaxRestarts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	daemon := filepath.Join(t.TempDir(), "dlouvaind")
+	if out, err := exec.Command("go", "build", "-o", daemon, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build dlouvaind: %v\n%s", err, out)
+	}
+	out, err := exec.Command(daemon, "-data-dir", t.TempDir(), "-max-restarts", "0").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-max-restarts must be >= 1") {
+		t.Fatalf("-max-restarts 0: err %v, output:\n%s", err, out)
+	}
 }
 
 func TestDaemonSmoke(t *testing.T) {

@@ -5,9 +5,10 @@
 // granularity.
 //
 // Frame awareness is what separates this from a byte-level toxiproxy: the
-// proxy speaks the mpi wire protocol (rank/fence handshake, then
-// [tag int32][len uint32][payload] frames), so every injected fault lands on
-// a whole-message boundary and the surviving byte stream stays parseable.
+// proxy speaks the mpi wire protocol ([rank int32][fence uint64] handshake
+// answered by one ack byte, then [tag int32][len uint32][payload] frames),
+// so every injected fault lands on a whole-message boundary and the
+// surviving byte stream stays parseable.
 // A partition therefore looks to the victim exactly like silence (frames
 // vanish in flight), not like a corrupted stream — the same semantics
 // FaultTransport fakes in-process, now reproduced over real kernel sockets
@@ -54,6 +55,7 @@ func (d Direction) String() string {
 const AnyPeer = -1
 
 const (
+	handshakeSize   = 12 // [rank int32][fence uint64]
 	frameHeaderSize = 8
 	maxFrame        = 1 << 30
 	hsTimeout       = 10 * time.Second
@@ -62,10 +64,10 @@ const (
 // rule is the fault state of one (peer, direction) link half. Counters are
 // consumed per frame, so every injection is deterministic — no probabilities.
 type rule struct {
-	block   bool          // partition: discard frames while set
-	drop    int           // discard the next N frames
-	dup     int           // deliver the next N frames twice
-	delayN  int           // delay the next N frames by delay
+	block   bool // partition: discard frames while set
+	drop    int  // discard the next N frames
+	dup     int  // deliver the next N frames twice
+	delayN  int  // delay the next N frames by delay
 	delay   time.Duration
 	latency time.Duration // persistent per-frame delay (WAN RTT)
 	bps     int           // slow link: pace frames at this many bytes/second
@@ -78,10 +80,6 @@ type linkKey struct {
 
 // Options configures a Proxy.
 type Options struct {
-	// Fenced selects the 12-byte [rank][fence] handshake with the 1-byte
-	// accept ack (coordinator worlds); false selects the legacy 4-byte
-	// handshake (-hosts worlds).
-	Fenced bool
 	// Logf, when non-nil, traces injected faults.
 	Logf func(format string, args ...any)
 }
@@ -272,8 +270,8 @@ func (p *Proxy) handleConn(dialer net.Conn) {
 	// Retry the backend dial until the handshake deadline: the proxy may be
 	// up before its rank has bound the private listener (it usually is — the
 	// rank advertises the proxy, so the proxy exists first). Giving up on
-	// the first refused connection would silently strand the dialer, whose
-	// legacy handshake is fire-and-forget.
+	// the first refused connection would fail a dialer whose rank is merely
+	// a moment late.
 	deadline := time.Now().Add(hsTimeout)
 	var backend net.Conn
 	for {
@@ -295,33 +293,27 @@ func (p *Proxy) handleConn(dialer net.Conn) {
 	defer p.untrack(backend)
 	defer backend.Close()
 
-	hsLen := 4
-	if p.opts.Fenced {
-		hsLen = 12
-	}
-	hs := make([]byte, hsLen)
+	var hs [handshakeSize]byte
 	dialer.SetReadDeadline(time.Now().Add(hsTimeout))
-	if _, err := io.ReadFull(dialer, hs); err != nil {
+	if _, err := io.ReadFull(dialer, hs[:]); err != nil {
 		return
 	}
 	dialer.SetReadDeadline(time.Time{})
 	peer := int(int32(binary.LittleEndian.Uint32(hs[:4])))
-	if _, err := backend.Write(hs); err != nil {
+	if _, err := backend.Write(hs[:]); err != nil {
 		return
 	}
-	if p.opts.Fenced {
-		var ack [1]byte
-		backend.SetReadDeadline(time.Now().Add(hsTimeout))
-		if _, err := io.ReadFull(backend, ack[:]); err != nil {
-			return
-		}
-		backend.SetReadDeadline(time.Time{})
-		if _, err := dialer.Write(ack[:]); err != nil {
-			return
-		}
-		if ack[0] != 1 {
-			return // backend fenced the dialer; both sides are done
-		}
+	var ack [1]byte
+	backend.SetReadDeadline(time.Now().Add(hsTimeout))
+	if _, err := io.ReadFull(backend, ack[:]); err != nil {
+		return
+	}
+	backend.SetReadDeadline(time.Time{})
+	if _, err := dialer.Write(ack[:]); err != nil {
+		return
+	}
+	if ack[0] != 1 {
+		return // backend fenced the dialer; both sides are done
 	}
 	p.logf("chaosnet: link up: peer %d <-> %s", peer, p.backend)
 

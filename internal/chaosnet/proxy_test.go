@@ -24,7 +24,7 @@ func proxiedPair(t *testing.T, fence uint64) (tp0, tp1 mpi.Transport, px *Proxy)
 	backend := backendLn.Addr().String()
 	backendLn.Close()
 
-	px, err = New("127.0.0.1:0", backend, Options{Fenced: fence != 0})
+	px, err = New("127.0.0.1:0", backend, Options{})
 	if err != nil {
 		t.Fatalf("proxy: %v", err)
 	}

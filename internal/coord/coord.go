@@ -1,6 +1,7 @@
-// Package coord implements the rendezvous coordinator that replaces
-// hand-written -hosts lists for multi-host deployments. Ranks register under
-// a job id and block on a join barrier; when the expected world size has
+// Package coord implements the rendezvous coordinator through which every
+// world of rank processes forms (dlouvain -transport tcp-local runs one in
+// process, multi-host deployments run cmd/dcoord). Ranks register under a
+// job id and block on a join barrier; when the expected world size has
 // registered, the coordinator seals the membership and hands every rank the
 // full address map plus a monotonically increasing generation token.
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestCoordWorldCollectives(t *testing.T) {
 	}()
 
 	// Every rank bound its own listener on a distinct kernel-chosen port and
-	// learned the others' through the coordinator — no -hosts list anywhere.
+	// learned the others' through the coordinator — no address list anywhere.
 	var wg sync.WaitGroup
 	sums := make([]int64, size)
 	errs := make([]error, size)
@@ -160,55 +161,77 @@ func TestStaleRankFencedTypedNotHung(t *testing.T) {
 
 func TestMeshRejectsStaleFenceDialer(t *testing.T) {
 	// Data-plane fencing: an acceptor mid-rendezvous refuses a dialer whose
-	// token is stale — typed for the dialer, slot-neutral for the acceptor,
-	// so the real peer can still complete the world afterwards.
-	addrs := freeAddrs(t, 2)
+	// token differs from its own — typed for the dialer, slot-neutral for the
+	// acceptor, so the real peer can still complete the world afterwards.
+	// There is one handshake, so a static world (token 0) meeting a
+	// coordinator world is the same mismatch in either direction.
 	const gen = 5
+	cases := []struct {
+		name             string
+		acceptor, dialer uint64
+	}{
+		{"stale generation", gen, gen - 1},
+		{"static dialer, coordinator acceptor", gen, 0},
+		{"coordinator dialer, static acceptor", 0, gen},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := freeAddrs(t, 2)
+			type result struct {
+				tp  Transport
+				err error
+			}
+			r0 := make(chan result, 1)
+			go func() {
+				tp, err := DialTCPWorld(TCPWorldConfig{Rank: 0, Addrs: addrs, Fence: tc.acceptor, ConnectDeadline: 10 * time.Second})
+				r0 <- result{tp, err}
+			}()
 
-	type result struct {
-		tp  Transport
-		err error
-	}
-	r0 := make(chan result, 1)
-	go func() {
-		tp, err := DialTCPWorld(TCPWorldConfig{Rank: 0, Addrs: addrs, Fence: gen, ConnectDeadline: 10 * time.Second})
-		r0 <- result{tp, err}
-	}()
+			// The mismatched dialer must fail typed, and fast: a rejection is
+			// an answer, not a silence that runs out the connect deadline.
+			start := time.Now()
+			strayAddrs := []string{addrs[0], freeAddrs(t, 1)[0]}
+			_, err := DialTCPWorld(TCPWorldConfig{Rank: 1, Addrs: strayAddrs, Fence: tc.dialer, ConnectDeadline: 10 * time.Second})
+			var fe *ErrFenced
+			if !errors.As(err, &fe) {
+				t.Fatalf("mismatched dialer error = %v, want *ErrFenced", err)
+			}
+			if fe.Fence != tc.dialer {
+				t.Fatalf("fenced token = %d, want %d", fe.Fence, tc.dialer)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("rejection took %v of a 10s connect deadline", d)
+			}
 
-	// The stale dialer presents generation 4 and must fail fast and typed.
-	staleAddrs := []string{addrs[0], freeAddrs(t, 1)[0]}
-	_, err := DialTCPWorld(TCPWorldConfig{Rank: 1, Addrs: staleAddrs, Fence: gen - 1, ConnectDeadline: 10 * time.Second})
-	var fe *ErrFenced
-	if !errors.As(err, &fe) {
-		t.Fatalf("stale dialer error = %v, want *ErrFenced", err)
+			// The live world still forms: the rejection consumed no accept slot.
+			tp1, err := DialTCPWorld(TCPWorldConfig{Rank: 1, Addrs: addrs, Fence: tc.acceptor, ConnectDeadline: 10 * time.Second})
+			if err != nil {
+				t.Fatalf("real rank 1 after the rejection: %v", err)
+			}
+			res := <-r0
+			if res.err != nil {
+				t.Fatalf("rank 0: %v", res.err)
+			}
+			defer res.tp.Close()
+			defer tp1.Close()
+			// Nothing the stray wrote was parsed as a frame.
+			if msg, err := res.tp.RecvTimeout(AnySource, AnyTag, 50*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("acceptor's match queue is not empty: %+v, %v", msg, err)
+			}
+			if err := res.tp.Send(1, 3, []byte("ok")); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			if msg, err := tp1.Recv(0, 3); err != nil || string(msg.Data) != "ok" {
+				t.Fatalf("recv: %v %q", err, msg.Data)
+			}
+		})
 	}
-	if fe.Fence != gen-1 {
-		t.Fatalf("fenced token = %d, want %d", fe.Fence, gen-1)
-	}
-
-	// The live world still forms: the rejection consumed no accept slot.
-	tp1, err := DialTCPWorld(TCPWorldConfig{Rank: 1, Addrs: addrs, Fence: gen, ConnectDeadline: 10 * time.Second})
-	if err != nil {
-		t.Fatalf("real rank 1 after stale rejection: %v", err)
-	}
-	res := <-r0
-	if res.err != nil {
-		t.Fatalf("rank 0: %v", res.err)
-	}
-	if err := res.tp.Send(1, 3, []byte("ok")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if msg, err := tp1.Recv(0, 3); err != nil || string(msg.Data) != "ok" {
-		t.Fatalf("recv: %v %q", err, msg.Data)
-	}
-	res.tp.Close()
-	tp1.Close()
 }
 
 func TestGarbageDialerDoesNotCorruptRendezvous(t *testing.T) {
-	// Legacy (unfenced) worlds get the same accept-loop hardening: a stray
-	// connection with a bogus handshake used to consume an accept slot and
-	// poison the whole rendezvous; now it is dropped and the world forms.
+	// A stray connection with a bogus handshake — an out-of-range rank, then
+	// a hang-up before the fence — is dropped without consuming an accept
+	// slot, and the world forms.
 	addrs := freeAddrs(t, 2)
 	type result struct {
 		tp  Transport

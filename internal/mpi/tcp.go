@@ -13,9 +13,13 @@ import (
 )
 
 // tcpFrameHeader is [tag int32][length uint32]; the sender's rank is
-// established once per connection by a handshake frame, so it is not
-// repeated per message.
+// established once per connection by the handshake, so it is not repeated
+// per message.
 const tcpHeaderSize = 8
+
+// handshakeSize is the dialer's half of the one mesh handshake,
+// [rank int32][fence uint64]; the acceptor answers with one ack byte.
+const handshakeSize = 12
 
 // maxTCPFrame bounds a single message to guard against corrupt length
 // prefixes; 1 GiB is far above anything the Louvain exchanges produce.
@@ -39,14 +43,14 @@ type TCPWorldConfig struct {
 	// ConnectDeadline. Zero values select 2s and 30s respectively.
 	DialTimeout     time.Duration
 	ConnectDeadline time.Duration
-	// Fence, when non-zero, selects the fenced handshake: the dialer
-	// announces [rank int32][fence uint64] and the acceptor answers with one
-	// accept/reject byte. Both sides must present the same token — the
-	// coordinator's generation for this incarnation of the world — or the
-	// connection is refused: the acceptor drops it without consuming a
-	// rendezvous slot, and the dialer fails typed with *ErrFenced instead of
-	// joining (or hanging on) a world it no longer belongs to. Zero keeps
-	// the legacy 4-byte handshake for hand-written -hosts worlds.
+	// Fence is the token both ends of every mesh connection must present:
+	// the dialer announces [rank int32][fence uint64] and the acceptor
+	// answers with one accept/reject byte. A coordinator world presents the
+	// generation it was sealed with; a static address-list world presents 0
+	// on both sides. On a mismatch the connection is refused: the acceptor
+	// drops it without consuming a rendezvous slot, and the dialer fails
+	// typed with *ErrFenced instead of joining (or hanging on) a world it
+	// does not belong to.
 	Fence uint64
 }
 
@@ -201,34 +205,27 @@ func DialTCPWorld(cfg TCPWorldConfig) (Transport, error) {
 }
 
 // acceptHandshake validates one inbound connection. A rejected dialer — a
-// stale rank presenting a superseded fence, a rank id out of range, garbage
-// bytes, or a connection that never completes the handshake — is closed and
+// rank presenting another fence than this world's (stale, or of a different
+// world), a rank id out of range, garbage bytes, or a connection that never
+// completes the handshake — is closed and
 // reported as !ok WITHOUT failing the rendezvous: the caller keeps accepting,
 // so a stray connection cannot corrupt a live world's formation.
 func acceptHandshake(conn net.Conn, cfg TCPWorldConfig, hsTimeout time.Duration) (peer int, ok bool) {
 	conn.SetDeadline(time.Now().Add(hsTimeout))
-	n := 4
-	if cfg.Fence != 0 {
-		n = 12
-	}
-	hs := make([]byte, n)
-	if _, err := io.ReadFull(conn, hs); err != nil {
+	var hs [handshakeSize]byte
+	if _, err := io.ReadFull(conn, hs[:]); err != nil {
 		conn.Close()
 		return 0, false
 	}
 	peer = int(int32(binary.LittleEndian.Uint32(hs[:4])))
-	ok = peer > cfg.Rank && peer < len(cfg.Addrs)
-	if cfg.Fence != 0 {
-		if binary.LittleEndian.Uint64(hs[4:12]) != cfg.Fence {
-			ok = false
-		}
-		ack := byte(0)
-		if ok {
-			ack = 1
-		}
-		if _, err := conn.Write([]byte{ack}); err != nil {
-			ok = false
-		}
+	ok = peer > cfg.Rank && peer < len(cfg.Addrs) &&
+		binary.LittleEndian.Uint64(hs[4:]) == cfg.Fence
+	ack := byte(0)
+	if ok {
+		ack = 1
+	}
+	if _, err := conn.Write([]byte{ack}); err != nil {
+		ok = false
 	}
 	if !ok {
 		conn.Close()
@@ -239,22 +236,13 @@ func acceptHandshake(conn net.Conn, cfg TCPWorldConfig, hsTimeout time.Duration)
 }
 
 // dialHandshake announces this rank on an outbound connection. fenced
-// reports a definitive rejection (the acceptor answered the fenced handshake
-// with a reject byte): terminal, no point retrying.
+// reports a definitive rejection (the acceptor answered with a reject
+// byte): terminal, no point retrying.
 func dialHandshake(conn net.Conn, cfg TCPWorldConfig, end time.Time) (err error, fenced bool) {
 	conn.SetDeadline(end)
-	if cfg.Fence == 0 {
-		var hs [4]byte
-		binary.LittleEndian.PutUint32(hs[:], uint32(int32(cfg.Rank)))
-		if _, err := conn.Write(hs[:]); err != nil {
-			return err, false
-		}
-		conn.SetDeadline(time.Time{})
-		return nil, false
-	}
-	var hs [12]byte
+	var hs [handshakeSize]byte
 	binary.LittleEndian.PutUint32(hs[:4], uint32(int32(cfg.Rank)))
-	binary.LittleEndian.PutUint64(hs[4:12], cfg.Fence)
+	binary.LittleEndian.PutUint64(hs[4:], cfg.Fence)
 	if _, err := conn.Write(hs[:]); err != nil {
 		return err, false
 	}

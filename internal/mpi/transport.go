@@ -66,14 +66,17 @@ func (e *ErrPeerLost) Unwrap() error { return e.Cause }
 // ErrFenced is the terminal error of a rank whose generation token has been
 // superseded: a newer incarnation of its world sealed while it was
 // partitioned away or stalled. It surfaces in two places — a mesh dial whose
-// fenced handshake the acceptor rejected, and (on coordinator-rendezvous
-// worlds) every pending and future Recv after the heartbeat session learns
-// the token is stale. Either way the rank must exit, not retry: the world it
-// belonged to no longer exists, and the fencing is precisely what keeps it
-// from corrupting the one that replaced it. Use errors.As to detect it.
+// handshake the acceptor rejected because the two ends presented different
+// tokens (a static world's token is 0, so this also covers a static rank
+// dialing into a coordinator world or the reverse), and (on
+// coordinator-rendezvous worlds) every pending and future Recv after the
+// heartbeat session learns the token is stale. Either way the rank must
+// exit, not retry: the world it belonged to no longer exists, and the
+// fencing is precisely what keeps it from corrupting the one that replaced
+// it. Use errors.As to detect it.
 type ErrFenced struct {
 	Rank  int    // the fenced (stale) rank — this endpoint
-	Fence uint64 // the superseded generation token it presented
+	Fence uint64 // the rejected generation token it presented
 	Cause error  // coordinator-side detail when fenced via heartbeat; may be nil
 }
 

@@ -37,16 +37,16 @@ type InprocLauncher struct {
 	ranks  int          // world size of the completed attempt
 }
 
-type inprocAttempt struct {
+type worldAttempt struct {
 	world     *mpi.InprocWorld
 	interrupt atomic.Bool
 	done      chan struct{}
 	err       error
 }
 
-func (a *inprocAttempt) Wait() error { <-a.done; return a.err }
-func (a *inprocAttempt) Kill()       { a.world.Close() }
-func (a *inprocAttempt) Interrupt()  { a.interrupt.Store(true) }
+func (a *worldAttempt) Wait() error { <-a.done; return a.err }
+func (a *worldAttempt) Kill()       { a.world.Close() }
+func (a *worldAttempt) Interrupt()  { a.interrupt.Store(true) }
 
 // Launch implements Launcher.
 func (l *InprocLauncher) Launch(spec LaunchSpec, beacons func(Beacon)) (Attempt, error) {
@@ -62,12 +62,12 @@ func (l *InprocLauncher) Launch(spec LaunchSpec, beacons func(Beacon)) (Attempt,
 			comms[r] = mpi.NewComm(world.Endpoint(r))
 		}
 	}
-	a := &inprocAttempt{world: world, done: make(chan struct{})}
+	a := &worldAttempt{world: world, done: make(chan struct{})}
 	go l.run(a, spec, comms, beacons)
 	return a, nil
 }
 
-func (l *InprocLauncher) run(a *inprocAttempt, spec LaunchSpec, comms []*mpi.Comm, beacons func(Beacon)) {
+func (l *InprocLauncher) run(a *worldAttempt, spec LaunchSpec, comms []*mpi.Comm, beacons func(Beacon)) {
 	defer close(a.done)
 	defer a.world.Close()
 	errs := make([]error, spec.Ranks)

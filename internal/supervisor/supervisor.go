@@ -31,8 +31,9 @@ type Attempt interface {
 }
 
 // Launcher starts attempts of a world. Implementations exist for in-process
-// goroutine worlds and tcp-local child-process worlds; tests substitute
-// scripted fakes. The beacons sink must receive every rank beacon the
+// goroutine worlds (InprocLauncher) and for rank processes spawned through
+// a coordinator and host agents (cmd/dlouvain); tests substitute scripted
+// fakes. The beacons sink must receive every rank beacon the
 // attempt produces and is safe for concurrent use; the launcher must not
 // call it after Wait has returned.
 type Launcher interface {
