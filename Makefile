@@ -68,9 +68,11 @@ test-chaos:
 # final assignment), including kill→resume, thread-count and coloring
 # interplay, plus the frontier.Set unit/property tests and the slot /
 # row-cache differential (slots_test.go: reference kernels by global ID, every
-# iteration's Q against the gathered labels, two pinned trajectory digests).
+# iteration's Q against the gathered labels, two pinned trajectory digests),
+# and the Step-5 aggregator's differential (coarsen_test.go: the map oracle's
+# arcs at every thread count, each pair once per rank, allocation ceiling).
 test-frontier:
-	$(GO) test -race -count=1 -run 'Frontier' ./internal/core/... ./internal/frontier/...
+	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs' ./internal/core/... ./internal/frontier/...
 
 # go vet plus a race-mode coverage run over the algorithm core; prints the
 # per-function coverage table CI publishes as the job summary.
@@ -92,10 +94,11 @@ test-wan:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One pass of the shipped sweep kernel and of its map oracle, so both
-# benchmarks keep compiling and running.
+# One pass of each shipped kernel (sweep, Step-5 coarse arcs) and of its map
+# oracle, and of one whole rebuild, so the benchmarks keep compiling and
+# running. The benchmark names live in this one pattern.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweep(Slots|Map)$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'Benchmark((Sweep|CoarseArcs)(Slots|Map)|Rebuild)$$' -benchtime 1x ./internal/core
 
 # CPU profile of one whole run on a benchmark/ workload's input (W is
 # band8000, lfr100k or rmat17; see BenchmarkWorkload): the top of the

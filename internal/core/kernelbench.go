@@ -13,7 +13,8 @@ import (
 // so go-test benchmarks and the paperbench baseline can measure ns/op and
 // allocs/op without collective noise. useRef selects the map reference
 // kernels (kernels_ref.go); otherwise the shipped kernels run: the
-// slot-addressed sweep and the flat-table coarse-arc aggregation.
+// slot-addressed sweep and the coarse-arc aggregation grouped by source
+// community.
 //
 // Construction warms the state up with two full sweep+apply iterations so
 // the community structure is non-trivial (coarse arcs actually merge) and
@@ -96,11 +97,15 @@ func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.oracle.refKernels {
 		return len(kb.st.coarseArcsMap(kb.ren))
 	}
-	newOf, err := kb.st.translateEndpoints(kb.ren)
+	bySlot, err := kb.st.translateSlots(kb.ren)
 	if err != nil {
 		panic(err) // a single rank's vertices can only be in live owned communities
 	}
-	return len(kb.st.coarseArcsFlat(newOf))
+	var n int
+	for _, block := range kb.st.coarseArcs(bySlot) {
+		n += len(block)
+	}
+	return n
 }
 
 // Close releases the in-process world.

@@ -124,11 +124,11 @@ func (st *phaseState) sweepRangeRef(w, lo, hi int, ids []int64, iter int) {
 
 // coarseArcsMap is the sequential map-based Step 5 aggregator: it resolves
 // every endpoint through commOf and the renumbering's lookup instead of the
-// flat kernel's dense per-vertex and per-ghost arrays. Emission is sorted by
-// (From, To) so hash-map range order never reaches the wire; each pair is
-// emitted once, so after the stable downstream assembly the sums equal the
-// single-threaded flat kernel's bit for bit. Per-pair sums accumulate in CSR
-// visit order.
+// shipped kernel's community slots. Emission is sorted by (From, To) so
+// hash-map range order never reaches the wire; each pair is emitted once and
+// its sum accumulates in CSR visit order — ascending lv, then arc order — which
+// is the order coarseArcs sums it in at any thread count, so the two agree bit
+// for bit.
 func (st *phaseState) coarseArcsMap(ren *renumbering) []dgraph.Arc {
 	type pair struct{ a, b int64 }
 	acc := make(map[pair]float64)

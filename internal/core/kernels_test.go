@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -92,25 +93,28 @@ func TestFlatKernelsMatchMapReference(t *testing.T) {
 }
 
 // TestFlatKernelsMatchMapReferenceFloat is the float-weighted differential:
-// at Threads=1 both kernel sets accumulate every sum in the same order, so
-// even non-associative weights must reproduce bit for bit.
+// both kernel sets accumulate every sum in the same order at every thread
+// count (a sweep row and a coarse pair each belong to one worker), so even
+// non-associative weights must reproduce bit for bit.
 func TestFlatKernelsMatchMapReferenceFloat(t *testing.T) {
 	n, edges := gen.ErdosRenyi(350, 2100, 23)
 	edges = floatWeights(edges)
 	for _, p := range []int{1, 3} {
-		cfg := Baseline()
-		cfg.Threads = 1
-		refCfg := cfg
-		refCfg.oracle.refKernels = true
-		got, err := RunOnEdges(p, n, edges, cfg)
-		if err != nil {
-			t.Fatal(err)
+		for _, threads := range []int{1, 2, 3} {
+			cfg := Baseline()
+			cfg.Threads = threads
+			refCfg := cfg
+			refCfg.oracle.refKernels = true
+			got, err := RunOnEdges(p, n, edges, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunOnEdges(p, n, edges, refCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTrajectory(t, fmt.Sprintf("p=%d threads=%d", p, threads), got, want)
 		}
-		want, err := RunOnEdges(p, n, edges, refCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTrajectory(t, "p="+string(rune('0'+p)), got, want)
 	}
 }
 
@@ -292,7 +296,10 @@ func BenchmarkModularityDirty1Pct(b *testing.B) {
 	})
 }
 
-func BenchmarkCoarseArcsFlat(b *testing.B) {
+// BenchmarkCoarseArcsSlots is the shipped Step-5 aggregator, grouped by source
+// community over the worker's slot-addressed accumulator; BenchmarkCoarseArcsMap
+// the reference, a Go map keyed by the pair of new IDs.
+func BenchmarkCoarseArcsSlots(b *testing.B) {
 	benchKernel(b, false, func(kb *KernelBench) int { return kb.CoarseArcs() })
 }
 

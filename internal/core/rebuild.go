@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"distlouvain/internal/dgraph"
-	"distlouvain/internal/flat"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/par"
@@ -81,26 +80,36 @@ func sortedRemote(part *partition.Partition, ids []int64) (all []int64, byOwner 
 	return all, byOwner
 }
 
-// translateEndpoints returns the new community of every arc endpoint,
-// addressed by dg.Slot like st.ci: each live community slot is translated
-// once, then every endpoint copies its slot's answer. It rejects references
-// to dead or unresolved communities.
-func (st *phaseState) translateEndpoints(ren *renumbering) ([]int64, error) {
+// translateSlots returns the new community of every live community slot
+// (refs > 0), addressed like st.refs; a dead slot's entry is meaningless. The
+// owned slots copy ren.newOwned; the live non-owned ones are the request lists
+// (current: rebuild's Step 4 refreshed them), ascending by global ID owner
+// after owner, and ren.remote is their sorted superset, so one forward walk
+// over both resolves them without a search per slot. It rejects references to
+// dead or unresolved communities.
+func (st *phaseState) translateSlots(ren *renumbering) ([]int64, error) {
 	bySlot := make([]int64, len(st.refs))
+	rest := bySlot[copy(bySlot, ren.newOwned):]
+	for i := range rest {
+		rest[i] = -1
+	}
+	j := 0
+	for q, gids := range st.reqGIDs {
+		for i, gid := range gids {
+			for j < len(ren.remote) && ren.remote[j] < gid {
+				j++
+			}
+			if j < len(ren.remote) && ren.remote[j] == gid {
+				bySlot[st.reqSlots[q][i]] = ren.newRemote[j]
+			}
+		}
+	}
 	for s, r := range st.refs {
-		if r == 0 {
-			continue
-		}
-		cid := st.gidOf(int32(s))
-		if bySlot[s] = ren.newOf(cid); bySlot[s] < 0 {
-			return nil, fmt.Errorf("core: referenced community %d is empty or was never resolved", cid)
+		if r > 0 && bySlot[s] < 0 {
+			return nil, fmt.Errorf("core: referenced community %d is empty or was never resolved", st.gidOf(int32(s)))
 		}
 	}
-	newOf := make([]int64, len(st.ci))
-	for e, c := range st.ci {
-		newOf[e] = bySlot[c]
-	}
-	return newOf, nil
+	return bySlot, nil
 }
 
 // rebuild performs the distributed graph reconstruction of Fig. 1 at the
@@ -122,6 +131,42 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { st.steps.Rebuild += time.Since(t0) }()
+
+	ren, totalNew, err := st.renumber(extraIDs)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Step 5: partial coarse edge lists. Every local fine arc v→u maps to
+	// the coarse arc new(comm(v))→new(comm(u)); parallel arcs merge. Both
+	// kernels emit each coarse pair exactly once per rank, and BuildFromArcs
+	// places arcs stably, so a pair's parallel arcs sum in sender rank order:
+	// the coarse graph depends on the fine graph and the rank count, never on
+	// the thread count or the emission order within a rank.
+	var arcs [][]dgraph.Arc
+	if st.cfg.oracle.refKernels {
+		arcs = [][]dgraph.Arc{st.coarseArcsMap(ren)}
+	} else {
+		bySlot, err := st.translateSlots(ren)
+		if err != nil {
+			return nil, nil, err
+		}
+		arcs = st.coarseArcs(bySlot)
+	}
+
+	// Steps 6–7: redistribute to an even vertex partition and rebuild the
+	// CSR (BuildFromArcs routes each arc to the owner of its source).
+	c := st.dg.Comm
+	ndg, err := dgraph.BuildFromArcs(c, totalNew, partition.ByVertexCount(totalNew, c.Size()), arcs...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ndg, ren, nil
+}
+
+// renumber is Steps 1–4 of rebuild: the old→new community translation and the
+// number of new communities (collective).
+func (st *phaseState) renumber(extraIDs []int64) (*renumbering, int64, error) {
 	c := st.dg.Comm
 	p := c.Size()
 
@@ -132,12 +177,12 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	ta := time.Now()
 	myBase, err := c.ExscanInt64(survivors)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	totalNew, err := c.AllreduceInt64(survivors, mpi.OpSum)
 	st.steps.Allreduce += time.Since(ta)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	for lc, n := range ren.newOwned {
 		if n >= 0 {
@@ -168,17 +213,17 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	}
 	reqs, err := c.Alltoall(send)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	resp := make([][]byte, p)
 	for q := 0; q < p; q++ {
 		ids, err := mpi.DecodeDeltaInt64s(reqs[q])
 		if err != nil {
-			return nil, nil, malformed("renumber request", q, "%v", err)
+			return nil, 0, malformed("renumber request", q, "%v", err)
 		}
 		for i, cid := range ids {
 			if !st.dg.IsLocal(cid) || ren.newOwned[cid-st.dg.Base] < 0 {
-				return nil, nil, malformed("renumber request", q, "empty or non-owned community %d", cid)
+				return nil, 0, malformed("renumber request", q, "empty or non-owned community %d", cid)
 			}
 			ids[i] = ren.newOwned[cid-st.dg.Base]
 		}
@@ -186,87 +231,119 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	}
 	answers, err := c.Alltoall(resp)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	for q := 0; q < p; q++ {
 		vals, err := mpi.DecodeDeltaInt64s(answers[q])
 		if err != nil {
-			return nil, nil, malformed("renumber reply", q, "%v", err)
+			return nil, 0, malformed("renumber reply", q, "%v", err)
 		}
 		if len(vals) != len(reqByOwner[q]) {
-			return nil, nil, malformed("renumber reply", q, "%d entries, want %d", len(vals), len(reqByOwner[q]))
+			return nil, 0, malformed("renumber reply", q, "%d entries, want %d", len(vals), len(reqByOwner[q]))
 		}
 		ren.newRemote = append(ren.newRemote, vals...)
 	}
-
-	// Step 5: partial coarse edge lists. Every local fine arc v→u maps to
-	// the coarse arc new(comm(v))→new(comm(u)); parallel arcs merge. The new
-	// community of every local vertex and of every ghost is resolved once
-	// here (translateEndpoints), so the per-arc work below reads one
-	// slot-addressed array.
-	//
-	// Arcs may leave this step in any order: BuildFromArcs places them
-	// stably, so parallel arcs sum in (sender rank, emission order) — fixed
-	// by the graph and the thread count, never by hash layout. Both kernels
-	// emit each coarse pair at most once per worker in a deterministic order.
-	newOf, err := st.translateEndpoints(ren)
-	if err != nil {
-		return nil, nil, err
-	}
-	var arcs []dgraph.Arc
-	if st.cfg.oracle.refKernels {
-		arcs = st.coarseArcsMap(ren)
-	} else {
-		arcs = st.coarseArcsFlat(newOf)
-	}
-
-	// Steps 6–7: redistribute to an even vertex partition and rebuild the
-	// CSR (BuildFromArcs routes each arc to the owner of its source).
-	newPart := partition.ByVertexCount(totalNew, p)
-	ndg, err := dgraph.BuildFromArcs(c, totalNew, newPart, arcs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ndg, ren, nil
+	return ren, totalNew, nil
 }
 
-// coarseArcsFlat accumulates the partial coarse arcs of Step 5 in per-worker
-// flat (src,dst) tables, each sized once from its share of the fine arcs, and
-// concatenates the workers' pairs in worker order, each in first-seen order.
-// A pair that straddles workers is emitted once per worker; the assembly sums
-// such duplicates in emission order, like it does duplicates across ranks.
-// Within a worker, each pair's weight accumulates in CSR visit order, so the
-// final per-pair sums depend only on the graph and the thread count — never
-// on hash layout. At Threads=1 the sums are bit-identical to the sequential
-// map reference.
+// coarseArcs is Step 5 grouped by source community. One stable counting sort
+// lists the local vertices by the community slot they sit in (slots are dense,
+// so the histogram is an array; members stay in ascending lv). Then, source
+// community by source community, a worker walks the members' arcs and sums W
+// into its rowAcc at the target's community slot ci[Slot[i]] — the sweep's
+// accumulator, one epoch per source community — and emits (new(src), new(key),
+// w[key]) over the first-seen key list. No hash, no table sized by the fine
+// arcs, random access confined to one community's neighbourhood.
 //
-// newOf is the new community of every arc endpoint, addressed by dg.Slot like
-// st.ci.
-func (st *phaseState) coarseArcsFlat(newOf []int64) []dgraph.Arc {
+// Workers split the slot range, so a coarse pair belongs to exactly one of
+// them: it leaves the rank once, its weight accumulated over ascending lv and
+// then arc order whatever Threads is. The arcs come back in blocks whose
+// concatenation is in slot order. coarseArcsMap is the oracle.
+//
+// bySlot is translateSlots' table: the new community of every live slot.
+func (st *phaseState) coarseArcs(bySlot []int64) [][]dgraph.Arc {
 	dg := st.dg
+	slots := len(st.refs)
+	// Slot s's members are members[first[s]:first[s+1]].
+	first := make([]int32, slots+2)
+	for _, c := range st.comm {
+		first[c+2]++
+	}
+	for s := 2; s < len(first); s++ {
+		first[s] += first[s-1]
+	}
+	members := make([]int32, dg.LocalN)
+	for lv, c := range st.comm {
+		members[first[c+1]] = int32(lv) // first[s+1] is slot s's cursor until it reaches slot s+1's start
+		first[c+1]++
+	}
+
+	// Worker w takes slots cuts[w]..cuts[w+1], cut where the running member
+	// arc count passes w/nw of the total.
 	nw := st.cfg.Threads
-	tabs := make([]*flat.PairTable, nw)
-	par.For(int(dg.LocalN), nw, func(w, lo, hi int) {
-		tab := flat.NewPairTable(int(dg.Index[hi] - dg.Index[lo]))
-		for lv := lo; lv < hi; lv++ {
-			a := newOf[lv]
-			for i := dg.Index[lv]; i < dg.Index[lv+1]; i++ {
-				tab.Add(a, newOf[dg.Slot[i]], dg.Edges[i].W)
+	cuts := make([]int, nw+1)
+	for w, s, run := 1, 0, int64(0); w < nw; w++ {
+		for ; s < slots && run*int64(nw) < dg.Index[dg.LocalN]*int64(w); s++ {
+			for _, lv := range members[first[s]:first[s+1]] {
+				run += dg.Index[lv+1] - dg.Index[lv]
 			}
 		}
-		tabs[w] = tab
-	})
-	tabs = slices.DeleteFunc(tabs, func(t *flat.PairTable) bool { return t == nil }) // unspawned empty ranges
-	var total int
-	for _, tab := range tabs {
-		total += tab.Len()
+		cuts[w] = s
 	}
-	arcs := make([]dgraph.Arc, 0, total)
-	for _, tab := range tabs {
-		for i := 0; i < tab.Len(); i++ {
-			a, b, wt := tab.At(i)
-			arcs = append(arcs, dgraph.Arc{From: a, To: b, W: wt})
+	cuts[nw] = slots
+
+	st.fitAccs()
+	outs := make([][][]dgraph.Arc, nw)
+	par.For(nw, nw, func(_, lo, hi int) {
+		for w := lo; w < hi; w++ {
+			outs[w] = st.aggregateSlots(cuts[w], cuts[w+1], first, members, bySlot, &st.accs[w])
+		}
+	})
+	return slices.Concat(outs...)
+}
+
+// aggregateSlots is one worker's share of coarseArcs: the coarse arcs leaving
+// the source communities in slots [lo, hi), in blocks of arcBlockLen — so the
+// output grows without being copied and without a bound computed from the fine
+// arcs.
+func (st *phaseState) aggregateSlots(lo, hi int, first, members []int32, bySlot []int64, acc *rowAcc) [][]dgraph.Arc {
+	dg, ci := st.dg, st.ci
+	var blocks [][]dgraph.Arc
+	var block []dgraph.Arc
+	for s := lo; s < hi; s++ {
+		if first[s] == first[s+1] {
+			continue
+		}
+		acc.next()
+		w, stamp, epoch, keys := acc.w, acc.stamp, acc.epoch, acc.keys
+		for _, lv := range members[first[s]:first[s+1]] {
+			row := dg.Index[lv]
+			edges := dg.Edges[row:dg.Index[lv+1]]
+			for i, t := range dg.Slot[row:dg.Index[lv+1]] {
+				c := ci[t]
+				if stamp[c] != epoch {
+					stamp[c] = epoch
+					w[c] = 0
+					keys = append(keys, c)
+				}
+				w[c] += edges[i].W
+			}
+		}
+		acc.keys = keys
+		for _, c := range keys {
+			if len(block) == cap(block) {
+				if block != nil {
+					blocks = append(blocks, block)
+				}
+				block = make([]dgraph.Arc, 0, arcBlockLen)
+			}
+			block = append(block, dgraph.Arc{From: bySlot[s], To: bySlot[c], W: w[c]})
 		}
 	}
-	return arcs
+	if block != nil {
+		blocks = append(blocks, block)
+	}
+	return blocks
 }
+
+const arcBlockLen = 1 << 12

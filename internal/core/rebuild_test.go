@@ -48,7 +48,7 @@ func TestRenumberingRejectsUnresolvedIDs(t *testing.T) {
 	}
 }
 
-// TestValidateCatchesMissingGhostSlot: coarseArcsFlat reads dg.Slot on trust,
+// TestValidateCatchesMissingGhostSlot: coarseArcs reads dg.Slot on trust,
 // so a non-owned target without a ghost slot is dgraph.Validate's to report —
 // on the graph a phase starts from and on the one rebuild returns.
 func TestValidateCatchesMissingGhostSlot(t *testing.T) {
@@ -85,13 +85,13 @@ func TestValidateCatchesMissingGhostSlot(t *testing.T) {
 	}
 }
 
-// TestRebuildIndependentOfThreads: with several workers, a coarse pair whose
-// source community straddles two workers' vertex ranges leaves Step 5 once
-// per worker; the assembly must fold those duplicates, so the coarse graph —
-// integer weights, hence no float-order caveat — is the single-threaded one,
-// flat and map kernels alike.
+// TestRebuildIndependentOfThreads: workers split the source communities, not
+// the vertices, so a coarse pair leaves a rank once, summed in one order,
+// however many workers there are — the coarse graph is the single-threaded one
+// bit for bit even on float weights, shipped and map kernels alike.
 func TestRebuildIndependentOfThreads(t *testing.T) {
 	n, edges, _ := gen.PlantedPartition(6, 25, 0.4, 0.02, 19)
+	edges = floatWeights(edges)
 	const p = 2
 	type coarse struct {
 		index []int64
@@ -144,7 +144,7 @@ func TestRebuildIndependentOfThreads(t *testing.T) {
 			got := rebuildWith(threads, ref)
 			for r := range want {
 				if !slices.Equal(got[r].index, want[r].index) || !slices.Equal(got[r].edges, want[r].edges) || !slices.Equal(got[r].k, want[r].k) {
-					t.Fatalf("threads=%d ref=%v: rank %d's coarse graph differs from the single-threaded flat one", threads, ref, r)
+					t.Fatalf("threads=%d ref=%v: rank %d's coarse graph differs from the single-threaded one", threads, ref, r)
 				}
 			}
 		}

@@ -55,9 +55,7 @@ func rolledBack(res *Result) bool {
 // full scan (every row recomputed) and the reference kernels (targets resolved
 // by global ID, with and without a frontier) must retrace one another bit for
 // bit, for the baseline and the coloring-free ET and ETC variants, at 1/2/4
-// ranks × 1/2 threads. (One exemption, older than slots: the map coarse-arc
-// kernel sums a pair once, the flat one once per worker, so on float weights
-// the reference kernels are comparable at one thread only.)
+// ranks × 1/2 threads, integer and float weights alike.
 func TestFrontierSlotPathsAgree(t *testing.T) {
 	variants := []struct {
 		name string
@@ -90,9 +88,6 @@ func TestFrontierSlotPathsAgree(t *testing.T) {
 						}
 						sawRollback = sawRollback || rolledBack(want)
 						for _, p := range paths {
-							if p.o.refKernels && g.float && threads > 1 {
-								continue
-							}
 							cfg := v.cfg
 							cfg.Threads = threads
 							cfg.oracle = p.o

@@ -78,7 +78,10 @@ func arcsAgainstOracle(n int64, perRank [][]Arc, part *partition.Partition) erro
 		}
 	}
 	return againstOracle(len(perRank), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
-		return BuildFromArcs(c, n, part, perRank[c.Rank()])
+		// In three slices, the middle one empty: they count as their concatenation.
+		arcs := perRank[c.Rank()]
+		k := len(arcs) / 3
+		return BuildFromArcs(c, n, part, arcs[:k], nil, arcs[k:])
 	})
 }
 
@@ -157,6 +160,15 @@ func differentialGraphs(t testing.TB) []graphCase {
 		{U: 3, V: 4, W: 1}, {U: 2, V: 2, W: 16}, {U: 0, V: 7, W: 32}, {U: 8, V: 8, W: 64},
 		{U: 0, V: 1, W: 128}, {U: 4, V: 8, W: 256}, {U: 3, V: 1, W: 512},
 	}})
+	// A hub past radixMinRow arcs — parallel edges, float weights, targets on
+	// both sides of the 11-bit digit boundary — among 3000 vertices, so its
+	// row takes the radix sort and every other rank holds ghosts at both ends
+	// of the ID space.
+	hub := []graph.RawEdge{{U: 0, V: 2999, W: 1}}
+	for i := int64(0); i < 700; i++ {
+		hub = append(hub, graph.RawEdge{U: 1500, V: (i * 37) % 3000, W: 1}, graph.RawEdge{U: (i * 53) % 2500, V: 1500, W: 2})
+	}
+	cases = append(cases, graphCase{"hub-float", 3000, floatWeights(hub)})
 	cases = append(cases, graphCase{"two-vertices", 2, []graph.RawEdge{{U: 0, V: 1, W: 1}, {U: 1, V: 1, W: 2}}})
 	cases = append(cases, graphCase{"no-edges", 5, nil})
 	return cases
@@ -253,27 +265,101 @@ func TestParallelArcSummationOrder(t *testing.T) {
 	}
 }
 
-// TestSortRowIsStable holds the hand-written row sort to the standard
+// TestSortRowIsStable holds the hand-written row sorts to the standard
 // library's stable sort over row lengths on both sides of every run and
-// merge-width boundary, with few distinct targets so ties are everywhere
-// and the weights record arrival order.
+// merge-width boundary and of radixMinRow, with few distinct targets so ties
+// are everywhere and the weights record arrival order, and with ID spaces on
+// both sides of a radix digit boundary.
 func TestSortRowIsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	scratch := make([]graph.Edge, 1000)
-	for _, n := range []int{0, 1, 2, 23, 24, 25, 47, 48, 49, 96, 97, 200, 1000} {
-		for _, targets := range []int64{1, 3, 40, 1 << 40} {
+	scratch := make([]graph.Edge, 5000)
+	for _, n := range []int{0, 1, 2, 23, 24, 25, 47, 48, 49, 96, 97, 200, radixMinRow - 1, radixMinRow, radixMinRow + 1, 1000, 5000} {
+		for _, ids := range []int64{1, 3, 40, 2047, 2048, 2049, 1 << 22, 1<<22 + 1, 1 << 40, math.MaxInt64} {
 			row := make([]graph.Edge, n)
 			for i := range row {
-				row[i] = graph.Edge{To: rng.Int63n(targets), W: float64(i)}
+				row[i] = graph.Edge{To: rng.Int63n(ids), W: float64(i)}
+			}
+			if n >= 2 {
+				row[0].To, row[n-1].To = ids-1, 0 // the ends of the ID space, and never born sorted
 			}
 			want := slices.Clone(row)
 			slices.SortStableFunc(want, func(a, b graph.Edge) int { return cmp.Compare(a.To, b.To) })
-			sortRow(row, scratch)
+			sortRow(row, scratch, ids)
 			if !slices.Equal(row, want) {
-				t.Fatalf("n=%d targets=%d: got %v, want %v", n, targets, row, want)
+				t.Fatalf("n=%d ids=%d: got %v, want %v", n, ids, row, want)
 			}
-			sortRow(row, nil) // already ascending: must not touch the scratch
+			sortRow(row, nil, ids) // already ascending: must not touch the scratch
 		}
+	}
+}
+
+// TestSortIDsMatchesSortOracle holds the ghost table's radix sort to
+// slices.Sort on candidate sets from empty to thousands (there is no
+// small-input cutoff: one path at every size), with the IDs 0 and n−1
+// present, duplicates everywhere, and n on both sides of each digit boundary
+// a 64-bit ID space has.
+func TestSortIDsMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int64{1, 2, 2047, 2048, 2049, 1<<22 - 1, 1 << 22, 1<<22 + 1, 1 << 33, 1<<44 + 1, math.MaxInt64} {
+		for _, k := range []int{0, 1, 2, 3, 100, 4000} {
+			ids := make([]int64, k)
+			for i := range ids {
+				ids[i] = rng.Int63n(n)
+				if i%3 == 1 {
+					ids[i] = ids[i-1] // a ghost is a candidate once per arc that names it
+				}
+			}
+			if k >= 2 {
+				ids[0], ids[k-1] = n-1, 0
+			}
+			want := slices.Clone(ids)
+			slices.Sort(want)
+			got := sortIDs(ids, make([]int64, k), n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: got %v, want %v", n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestGhostTableCornerCases: zero ghosts (one rank; ranks with no edge between
+// them), rows whose every target is remote, and ghosts at the two ends of the
+// ID space, each validated and held to the oracle.
+func TestGhostTableCornerCases(t *testing.T) {
+	var allRemote, ends []graph.RawEdge
+	for i := int64(0); i < 40; i++ {
+		allRemote = append(allRemote, graph.RawEdge{U: i, V: 40 + (i*7)%40, W: 1}, graph.RawEdge{U: i, V: 40 + (i*11)%40, W: 2})
+	}
+	ends = append(ends, graph.RawEdge{U: 0, V: 79, W: 1}, graph.RawEdge{U: 39, V: 40, W: 1})
+	local := []graph.RawEdge{{U: 0, V: 1, W: 1}, {U: 41, V: 42, W: 1}}
+	for name, edges := range map[string][]graph.RawEdge{"all-remote rows": allRemote, "ends of the ID space": ends, "no cut edge": local} {
+		for _, p := range []int{1, 2, 4} {
+			chunks := make([][]graph.RawEdge, p)
+			for r := range chunks {
+				chunks[r] = chunkEdges(edges, r, p)
+			}
+			if err := buildAgainstOracle(80, chunks, nil); err != nil {
+				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+		}
+	}
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		dg, err := Build(c, 80, chunkEdges(allRemote, c.Rank(), 2), nil)
+		if err != nil {
+			return err
+		}
+		for i, e := range dg.Edges {
+			if dg.IsLocal(e.To) || int64(dg.Slot[i]) < dg.LocalN {
+				return fmt.Errorf("rank %d: arc to %d is not a ghost arc", c.Rank(), e.To)
+			}
+		}
+		if len(dg.Ghosts) == 0 {
+			return fmt.Errorf("rank %d holds no ghosts", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -385,22 +471,44 @@ func TestSlotSpaceIsChecked(t *testing.T) {
 // FuzzBuildFromArcs decodes the input into a rank count, a vertex count and
 // a list of (rank, from, to, weight) arcs, and holds BuildFromArcs to the
 // oracle. Weights are quarter-integers up to 63.75 with varied magnitudes so
-// that merge order shows in the bits.
+// that merge order shows in the bits. With the top bit of the first byte set
+// the vertex space is 160–2560 wide instead of 1–16 (IDs borrow three bits
+// each from the rank byte), so ghost candidates run into the thousands and
+// rows past radixMinRow; the last seed is such an input.
 func FuzzBuildFromArcs(f *testing.F) {
 	f.Add([]byte{2, 4, 0, 0, 1, 5, 1, 1, 0, 5, 0, 0, 1, 9, 1, 3, 3, 2})
 	f.Add([]byte{3, 1, 2, 0, 0, 255})
 	f.Add([]byte{0, 15})
+	// 4 ranks, 2560 vertices, 1800 arcs: a third of them leave vertex 8.
+	wide := []byte{0x83, 15}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1800; i++ {
+		from := byte(rng.Intn(256))
+		if i%3 == 0 {
+			from = 1
+		}
+		wide = append(wide, byte(rng.Intn(256))&^0x1c, from, byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		p := int(data[0])%4 + 1
 		n := int64(data[1])%16 + 1
+		wide := data[0]&0x80 != 0
+		if wide {
+			n *= 160
+		}
 		perRank := make([][]Arc, p)
-		for rest := data[2:]; len(rest) >= 4 && len(rest) <= 4*512; rest = rest[4:] {
+		for rest := data[2:]; len(rest) >= 4 && len(rest) <= 4*2048; rest = rest[4:] {
 			r := int(rest[0]) % p
 			w := float64(rest[3]) / 4 * math.Pow(10, float64(rest[0]%5)-2)
-			perRank[r] = append(perRank[r], Arc{From: int64(rest[1]) % n, To: int64(rest[2]) % n, W: w})
+			from, to := int64(rest[1]), int64(rest[2])
+			if wide {
+				from, to = from<<3|int64(rest[0]>>2&7), to<<3|int64(rest[0]>>5)
+			}
+			perRank[r] = append(perRank[r], Arc{From: from % n, To: to % n, W: w})
 		}
 		if err := arcsAgainstOracle(n, perRank, nil); err != nil {
 			t.Fatal(err)

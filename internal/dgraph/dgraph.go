@@ -233,23 +233,29 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 // arbitrarily across ranks and in any order: every arc is routed to the
 // owner of its source vertex, parallel arcs are merged by weight (summed in
 // sender rank, then slice order), and the usual CSR + ghost tables are built.
+// A rank's arcs may come in several slices — a producer that grows its output
+// block by block never has to join them — and count as their concatenation.
 // The arc set must already be symmetric (for every a→b some rank must hold
 // b→a of equal total weight) — which the Louvain coarsening guarantees by
 // construction.
-func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) (*DistGraph, error) {
+func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs ...[]Arc) (*DistGraph, error) {
 	s, err := newShuffle(c, n, part)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range arcs {
-		if !s.inRange(a.From) || !s.inRange(a.To) {
-			return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
+	for _, block := range arcs {
+		for _, a := range block {
+			if !s.inRange(a.From) || !s.inRange(a.To) {
+				return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
+			}
+			s.count(a.From)
 		}
-		s.count(a.From)
 	}
 	s.alloc()
-	for _, a := range arcs {
-		s.put(a.From, a.To, a.W)
+	for _, block := range arcs {
+		for _, a := range block {
+			s.put(a.From, a.To, a.W)
+		}
 	}
 	return s.exchange()
 }
@@ -320,7 +326,7 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	var localW float64
 	for lv := int64(0); lv < localN; lv++ {
 		row := edges[dg.Index[lv]:end[lv]]
-		sortRow(row, scratch)
+		sortRow(row, scratch, n)
 		dg.Index[lv] = out
 		for i := 0; i < len(row); {
 			to, w := row[i].To, row[i].W
@@ -346,8 +352,7 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 		dg.Edges = slices.Clone(dg.Edges)
 	}
 
-	slices.Sort(cand)
-	dg.Ghosts = slices.Clone(slices.Compact(cand))
+	dg.Ghosts = slices.Clone(slices.Compact(sortIDs(cand, make([]int64, len(cand)), n)))
 	dg.GhostOwner = make([]int, len(dg.Ghosts))
 	for i, g := range dg.Ghosts {
 		dg.GhostOwner[i] = part.Owner(g)
@@ -363,6 +368,40 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	}
 	dg.M2 = m2
 	return dg, nil
+}
+
+// The two radix sorts below take one stable counting pass per radixBits-wide
+// digit of the largest ID, least significant first. They are two functions and
+// not one generic over a key function: that one measured 1.5–2× slower on both
+// element types (CHANGES.md, PR 19).
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// sortIDs sorts ids, all in [0, n), ascending and returns them in ids or in tmp
+// (of the same length), whichever the last pass wrote — O(len(ids)) where the
+// comparison sort it replaces was the largest part of the ghost table's cost
+// (one candidate per merged remote arc; DESIGN §17).
+func sortIDs(ids, tmp []int64, n int64) []int64 {
+	var next [radixMask + 1]int
+	for shift := 0; shift < bits.Len64(uint64(n-1)); shift += radixBits {
+		clear(next[:])
+		for _, v := range ids {
+			next[v>>shift&radixMask]++
+		}
+		sum := 0
+		for d, k := range next {
+			next[d], sum = sum, sum+k
+		}
+		for _, v := range ids {
+			d := v >> shift & radixMask
+			tmp[next[d]] = v
+			next[d]++
+		}
+		ids, tmp = tmp, ids
+	}
+	return ids
 }
 
 // fillSlots computes Slot from Edges and Ghosts; every non-owned target is in
@@ -393,19 +432,25 @@ func (dg *DistGraph) fillSlots() {
 	}
 }
 
-// sortRow sorts one scattered row by target, keeping arcs of equal target in
-// arrival order: a bottom-up merge sort through scratch (at least as long as
-// the row) over insertion-sorted runs. It earns its lines end to end: with
-// the in-place, comparator-driven slices.SortStableFunc here instead, wall_s
-// on the rmat-coarsen benchmark is 22 % higher (1.06 s against 0.87 s, ten of
-// ten paired runs; CHANGES.md, PR 12). A row that arrived ascending — a
-// checkpoint replay, a sorted input file — is left alone.
-func sortRow(row, scratch []graph.Edge) {
+// sortRow sorts one scattered row by target (every target in [0, ids)),
+// keeping arcs of equal target in arrival order, through scratch (at least as
+// long as the row). A row that arrived ascending — a checkpoint replay, a sorted
+// input file — is left alone. Short rows take a bottom-up merge sort over
+// insertion-sorted runs; rows of radixMinRow arcs or more take radixSortRow.
+// The merge sort earns its lines end to end: with the in-place,
+// comparator-driven slices.SortStableFunc here instead, wall_s on the
+// rmat-coarsen benchmark is 22 % higher (1.06 s against 0.87 s, ten of ten
+// paired runs; CHANGES.md, PR 12).
+func sortRow(row, scratch []graph.Edge, ids int64) {
 	sorted := true
 	for i := 1; i < len(row) && sorted; i++ {
 		sorted = row[i-1].To <= row[i].To
 	}
 	if sorted {
+		return
+	}
+	if len(row) >= radixMinRow {
+		radixSortRow(row, scratch[:len(row)], ids)
 		return
 	}
 	const run = 24
@@ -436,6 +481,38 @@ func sortRow(row, scratch []graph.Edge) {
 			}
 			k += copy(dst[k:], src[i:mid])
 			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &row[0] {
+		copy(row, src)
+	}
+}
+
+// radixMinRow is the row length from which radixSortRow beats the merge sort
+// whatever the width of the ID space: at 256 arcs it costs 14 ns/arc against
+// 42 with 17-bit IDs and 30 against 44 with 40-bit ones; at 128 arcs the two
+// cross (CHANGES.md, PR 19).
+const radixMinRow = 256
+
+// radixSortRow is sortIDs over arcs keyed by target: stable, so arcs of equal
+// target stay in arrival order. tmp is as long as row.
+func radixSortRow(row, tmp []graph.Edge, n int64) {
+	var next [radixMask + 1]int
+	src, dst := row, tmp
+	for shift := 0; shift < bits.Len64(uint64(n-1)); shift += radixBits {
+		clear(next[:])
+		for i := range src {
+			next[src[i].To>>shift&radixMask]++
+		}
+		sum := 0
+		for d, k := range next {
+			next[d], sum = sum, sum+k
+		}
+		for i := range src {
+			d := src[i].To >> shift & radixMask
+			dst[next[d]] = src[i]
+			next[d]++
 		}
 		src, dst = dst, src
 	}

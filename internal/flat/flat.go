@@ -1,11 +1,11 @@
 // Package flat provides the flat open-addressing tables the Louvain driver
 // uses in place of Go maps where a key space is too sparse to address
-// directly: the per-iteration community-delta batch, the coarsening step's
-// (src,dst)→weight aggregator, and the index that numbers the communities a
-// rank references but holds no vertex of. (The ΔQ inner loop used Table until
-// communities got dense per-phase slots; it now accumulates into a
-// slot-addressed array — DESIGN §12 — and Table remains the accumulator of the
-// map-free delta batch and of the reference kernels' benchmarks.) The design
+// directly: the per-iteration community-delta batch and the index that numbers
+// the communities a rank references but holds no vertex of. (The ΔQ inner loop
+// used Table, and the coarsening step PairTable, until communities got dense
+// per-phase slots; both now accumulate into a slot-addressed array — DESIGN
+// §12 — and Table remains the accumulator of the map-free delta batch and of
+// the reference kernels' benchmarks, PairTable only what benchmark/ times.) The design
 // follows the hashing-kernel idea of Forster's GPU Louvain (linear-probed
 // power-of-two tables, no chaining) adapted to per-worker CPU use:
 //
@@ -194,9 +194,11 @@ func (t *Table) AtDelta(i int) (int64, float64, int64) {
 	return t.keys[s], t.vals[s], t.aux[s]
 }
 
-// PairTable accumulates a float64 sum per (a, b) int64 key pair — the
-// coarse-arc aggregator of the rebuild step, where a parallel fine arc
-// new(comm(v))→new(comm(u)) merges by weight addition.
+// PairTable accumulates a float64 sum per (a, b) int64 key pair. It was the
+// coarse-arc aggregator of the rebuild step until core.coarseArcs grouped the
+// arcs by source community (PR 19) and has no caller in the program any more:
+// it stays, untouched, because benchmark/micro.go times NewPairTable and Add
+// as flat.pair_add_ns and only a benchmark PR may change that (ROADMAP).
 type PairTable struct {
 	ka    []int64
 	kb    []int64

@@ -9,7 +9,11 @@ import (
 	"distlouvain/internal/seq"
 )
 
-// Run executes the multi-phase shared-memory Louvain method.
+// Run executes the multi-phase shared-memory Louvain method. A phase is applied
+// to the result only when it gains more than Tau over the previous one;
+// otherwise the run ends on the previous phase's assignment. Result.Phases
+// lists that last, discarded phase too, whose modularity may be lower than the
+// result's (TestDiscardedLastPhaseLosesNothing).
 func Run(g *graph.CSR, opt Options) *Result {
 	start := time.Now()
 	if opt.Threads <= 0 {

@@ -2,6 +2,7 @@ package shared
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -285,24 +286,74 @@ func TestQuickRunConsistency(t *testing.T) {
 	}
 }
 
-// Property: modularity is near-monotone phase over phase. Synchronous
-// parallel sweeps may jointly make a small negative step (the "negative
-// gain" scenario of Lu et al. that the paper cites), so a small tolerance
-// is allowed — but large regressions would indicate a bug.
+// phasesMonotone is the phase-over-phase invariant of Run. Every phase but the
+// last was applied, which takes a gain above τ, so their Q strictly increases.
+// The last phase was measured and then discarded (Run breaks before applying a
+// phase that gained τ or less), so it may sit anywhere below the previous Q + τ
+// — a coarse graph's first synchronous sweep can jointly lower Q, and a phase
+// has nothing to roll its first iteration back to — and the result is the last
+// applied phase's assignment: the final Q is that phase's Q and no phase beats
+// it by more than τ.
+func phasesMonotone(t *testing.T, res *Result) bool {
+	t.Helper()
+	ok := true
+	last := len(res.Phases) - 1
+	for i := 1; i < last; i++ {
+		if res.Phases[i].Modularity <= res.Phases[i-1].Modularity {
+			t.Errorf("applied phase %d has Q %.9f after %.9f", i, res.Phases[i].Modularity, res.Phases[i-1].Modularity)
+			ok = false
+		}
+	}
+	for i, p := range res.Phases {
+		if res.Modularity < p.Modularity-DefaultTau {
+			t.Errorf("final Q %.9f is below phase %d's %.9f", res.Modularity, i, p.Modularity)
+			ok = false
+		}
+	}
+	if last >= 1 && math.Abs(res.Modularity-res.Phases[last-1].Modularity) > 1e-9 && math.Abs(res.Modularity-res.Phases[last].Modularity) > 1e-9 {
+		t.Errorf("final Q %.9f is neither of the last two phases' (%.9f, %.9f)", res.Modularity, res.Phases[last-1].Modularity, res.Phases[last].Modularity)
+		ok = false
+	}
+	return ok
+}
+
+// Property: phasesMonotone on ER(120, 500) graphs. The generator is seeded, so
+// the same 15 graphs are drawn on every run.
 func TestQuickPhasesMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		n, edges := gen.ErdosRenyi(120, 500, seed)
+		return phasesMonotone(t, Run(gen.Build(n, edges), Options{Threads: 2, Seed: seed}))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiscardedLastPhaseLosesNothing pins the two graphs on which the
+// time-seeded version of the property above used to fail about one run in
+// seven (it demanded every phase's Q within 0.05 of the one before): the last
+// phase, on a 10-vertex coarse graph, ends 0.05–0.07 below the third. That
+// loss never reaches the result — Run had already kept the third phase's
+// assignment — so the finding is a reporting one: Phases lists a phase that
+// was not applied.
+func TestDiscardedLastPhaseLosesNothing(t *testing.T) {
+	for _, seed := range []uint64{0xbbf532fc84f8977a, 0x78629a0f5f3f164f} {
+		n, edges := gen.ErdosRenyi(120, 500, seed)
 		g := gen.Build(n, edges)
 		res := Run(g, Options{Threads: 2, Seed: seed})
-		for i := 1; i < len(res.Phases); i++ {
-			if res.Phases[i].Modularity < res.Phases[i-1].Modularity-0.05 {
-				return false
-			}
+		if !phasesMonotone(t, res) {
+			t.Fatalf("seed %#x", seed)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
+		last := len(res.Phases) - 1
+		if last < 1 || res.Phases[last].Modularity > res.Phases[last-1].Modularity-0.05 {
+			t.Fatalf("seed %#x: the last phase no longer loses modularity (%v); pick another graph", seed, res.Phases)
+		}
+		if math.Abs(res.Modularity-res.Phases[last-1].Modularity) > 1e-12 {
+			t.Fatalf("seed %#x: final Q %.12f, the last applied phase had %.12f", seed, res.Modularity, res.Phases[last-1].Modularity)
+		}
+		if q := seq.Modularity(g, res.Comm); math.Abs(q-res.Modularity) > 1e-12 {
+			t.Fatalf("seed %#x: reported Q %.12f, recomputed %.12f", seed, res.Modularity, q)
+		}
 	}
 }
 
