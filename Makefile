@@ -41,10 +41,12 @@ service-smoke:
 test-obsv:
 	$(GO) test -race -count=1 ./internal/obsv/...
 
-# Regenerate the golden trace-structure files from the current run. Review
-# the diff: it is the reviewable record of any control-flow or
-# instrumentation-point change.
-golden:
+# The one deliberate re-record: regenerate the golden trace-structure files
+# and BENCH_paperbench.json from the current run. A change of trajectory or
+# protocol has to refresh both, and the diff of the two is its reviewable
+# record: control flow and instrumentation points in the traces; modularity,
+# phase structure, payload bytes and visit counts in the baseline.
+golden: bench-record
 	$(GO) test ./internal/obsv -run TestGoldenTraces -update-golden -count=1
 
 test-race-all:
@@ -109,18 +111,19 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkWorkload/$(W)$$' -benchtime 3x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -nodecount 40 distlouvain.test cpu.prof
 
-# Re-record the committed benchmark baseline: full testbed runs with the
-# per-phase timing breakdown, plus the frontier gate's mesh runs. Commit the
-# resulting BENCH_paperbench.json; timing fields describe the recording
-# machine, the modularity, byte and visit columns are what CI gates on.
+# Re-record the committed regression baseline (`make golden` calls this):
+# one run per testbed graph plus the frontier gate's mesh runs. Every value in
+# BENCH_paperbench.json is deterministic, so on an unchanged tree the file
+# comes out byte for byte as committed.
 bench-record:
 	$(GO) run ./cmd/paperbench -exp bench -json > BENCH_paperbench.json
 	@echo "recorded BENCH_paperbench.json; review and commit it"
 
-# CI smoke gate: rerun the bench workloads, check the JSON schema and fail if
-# any modularity deviates from the committed baseline beyond tolerance.
+# Rerun the bench workloads and fail on any difference from the committed
+# baseline. cmd/paperbench's TestCommittedBaselineLoads does the same inside
+# `make test`; this is the by-hand form.
 bench-smoke:
-	$(GO) run ./cmd/paperbench -exp bench -json -check BENCH_paperbench.json > /dev/null
+	$(GO) run ./cmd/paperbench -exp bench -check BENCH_paperbench.json > /dev/null
 
 # The layered performance benchmark (benchmark/, a Go module of its own that
 # root `go build ./... && go test ./...` never compiles): vet it, run its

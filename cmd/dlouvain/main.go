@@ -151,7 +151,6 @@ func main() {
 		traceDir  = flag.String("trace-dir", "", "write per-rank span traces (NDJSON) into this directory")
 		reportOn  = flag.Bool("report", false, "print the per-phase timing breakdown (%p2p/%coll/%coarsen) after the run")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof and expvar metrics on this address")
-		traceCap  = flag.Int("trace-cap", obsv.DefaultCapacity, "per-rank span ring capacity (oldest spans overwritten beyond it)")
 
 		// Failure-semantics knobs: deadlines turn a dead or partitioned
 		// peer into an error instead of a hang; the fault-* flags inject
@@ -160,8 +159,6 @@ func main() {
 		collTimeout = flag.Duration("coll-timeout", 0, "per-collective receive deadline; 0 waits forever")
 		faultSeed   = flag.Uint64("fault-seed", 0, "fault-injection RNG seed (with the other fault flags)")
 		faultDrop   = flag.Float64("fault-drop", 0, "probability an outgoing message is dropped")
-		faultDup    = flag.Float64("fault-dup", 0, "probability an outgoing message is duplicated")
-		faultDelay  = flag.Float64("fault-delay", 0, "probability an outgoing message is delayed")
 		faultKill   = flag.Int64("fault-kill-after", 0, "kill a rank's transport after it has sent N messages")
 	)
 	flag.Parse()
@@ -221,18 +218,13 @@ func main() {
 	fault := mpi.FaultPlan{
 		Seed:           *faultSeed,
 		Drop:           *faultDrop,
-		Duplicate:      *faultDup,
-		Delay:          *faultDelay,
 		KillAfterSends: *faultKill,
 	}
 
 	sopts := supOptions{
-		maxRestarts: *maxRestarts,
-		backoff:     *backoff,
-		minRanks:    *minRanks,
-		hangMin:     *hangMin,
-		hangMax:     *hangMax,
-		poll:        *pollEvery,
+		policy:   supervisor.Policy{MaxRestarts: *maxRestarts, BaseBackoff: *backoff, MinRanks: *minRanks, Seed: cfg.Seed},
+		detector: supervisor.DetectorConfig{MinWindow: *hangMin, MaxWindow: *hangMax},
+		poll:     *pollEvery,
 		chaos: chaosSpec{
 			killRank: *chaosKillRank, killPhase: *chaosKillPhase,
 			stopRank: *chaosStopRank, stopPhase: *chaosStopPhase,
@@ -245,7 +237,6 @@ func main() {
 		traceDir:  *traceDir,
 		report:    *reportOn,
 		pprofAddr: *pprofAddr,
-		traceCap:  *traceCap,
 	}
 
 	supervised := *supervise || *transport == "tcp-remote"

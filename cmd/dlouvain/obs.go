@@ -20,7 +20,6 @@ type obsOptions struct {
 	traceDir  string // NDJSON span export directory ("" disables)
 	report    bool   // print the per-phase timing breakdown after the run
 	pprofAddr string // pprof/expvar listen address ("" disables)
-	traceCap  int    // span ring capacity per rank tracer
 }
 
 // tracingOn reports whether any feature needs spans recorded.
@@ -32,7 +31,7 @@ func (o obsOptions) newTracer(rank int) *obsv.Tracer {
 	if !o.tracingOn() {
 		return nil
 	}
-	return obsv.NewTracer(rank, o.traceCap)
+	return obsv.NewTracer(rank, obsv.DefaultCapacity)
 }
 
 // flushTraces writes each tracer's span ring under -trace-dir. Export
@@ -55,7 +54,7 @@ func (o obsOptions) printReport(tr *obsv.Tracer) {
 	}
 	obsv.BuildReport(tr.Snapshot()).Format(os.Stdout)
 	if d := tr.Dropped(); d > 0 {
-		fmt.Printf("note: %d spans overwritten (ring full; raise -trace-cap)\n", d)
+		fmt.Printf("note: %d spans overwritten (ring of %d full)\n", d, obsv.DefaultCapacity)
 	}
 }
 

@@ -462,7 +462,7 @@ func childArgs() (passthrough, faultArgs []string) {
 			// the agents make (-agent-advertise). -trace-dir and -report
 			// pass through: each rank owns its trace file and rank 0's
 			// stdout carries the report.
-		case "fault-seed", "fault-drop", "fault-dup", "fault-delay", "fault-kill-after":
+		case "fault-seed", "fault-drop", "fault-kill-after":
 			faultArgs = append(faultArgs, arg)
 		default:
 			passthrough = append(passthrough, arg)

@@ -22,16 +22,14 @@ import (
 	"distlouvain/internal/supervisor"
 )
 
-// supOptions carries the supervision flag values from main.
+// supOptions carries the supervision flag values from main, the tuning in
+// the supervisor's own types.
 type supOptions struct {
-	maxRestarts int
-	backoff     time.Duration
-	minRanks    int
-	hangMin     time.Duration
-	hangMax     time.Duration
-	poll        time.Duration
-	chaos       chaosSpec
-	verbose     bool
+	policy   supervisor.Policy
+	detector supervisor.DetectorConfig
+	poll     time.Duration
+	chaos    chaosSpec
+	verbose  bool
 }
 
 // chaosSpec configures first-attempt process-level fault injection in
@@ -55,16 +53,8 @@ func (c chaosSpec) armed(attempt int) bool {
 
 func (o supOptions) supervisorOptions(cfg core.Config) supervisor.Options {
 	return supervisor.Options{
-		Policy: supervisor.Policy{
-			MaxRestarts: o.maxRestarts,
-			BaseBackoff: o.backoff,
-			MinRanks:    o.minRanks,
-			Seed:        cfg.Seed,
-		},
-		Detector: supervisor.DetectorConfig{
-			MinWindow: o.hangMin,
-			MaxWindow: o.hangMax,
-		},
+		Policy:        o.policy,
+		Detector:      o.detector,
 		Poll:          o.poll,
 		Retryable:     retryableRunErr,
 		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },

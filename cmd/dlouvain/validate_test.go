@@ -173,11 +173,11 @@ func TestFlagSetPinned(t *testing.T) {
 		"chaos-all-attempts", "chaos-kill-phase", "chaos-kill-rank",
 		"chaos-stop-phase", "chaos-stop-rank", "ckpt-dir", "ckpt-every",
 		"ckpt-keep", "coll-timeout", "coloring", "control-listen", "coord",
-		"coord-epoch", "coord-job", "edgebalance", "fault-delay", "fault-drop",
-		"fault-dup", "fault-kill-after", "fault-seed", "hang-max", "hang-min",
+		"coord-epoch", "coord-job", "edgebalance", "fault-drop",
+		"fault-kill-after", "fault-seed", "hang-max", "hang-min",
 		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o", "poll",
 		"pprof-addr", "rank", "recv-timeout", "remote-bin", "report", "resume",
-		"seed", "slots", "supervise", "tau", "threads", "trace-cap",
+		"seed", "slots", "supervise", "tau", "threads",
 		"trace-dir", "transport", "truth", "v", "variant",
 	}
 	out, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits 0 or 2 by Go version

@@ -34,6 +34,7 @@ import (
 
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/service"
+	"distlouvain/internal/supervisor"
 )
 
 func main() {
@@ -68,7 +69,7 @@ func run() int {
 		return 2
 	}
 	if *maxRestarts < 1 {
-		// service.Options treats a zero budget as "use the default of 5", so
+		// supervisor.Policy treats a zero budget as "use the default of 5", so
 		// "never restart" cannot be spelled here; say so instead of restarting.
 		fmt.Fprintf(os.Stderr, "dlouvaind: -max-restarts must be >= 1 (got %d): every job runs supervised, so there is no never-restart mode\n", *maxRestarts)
 		fs.Usage()
@@ -83,17 +84,15 @@ func run() int {
 	expvar.Publish("dlouvaind", expvar.Func(func() any { return reg.ExpvarSnapshot() }))
 
 	svc, err := service.New(service.Options{
-		DataDir:     *dataDir,
-		RankBudget:  *rankBudget,
-		MaxQueue:    *maxQueue,
-		CacheCap:    *cacheCap,
-		KeepJobs:    *keepJobs,
-		MaxRestarts: *maxRestarts,
-		Backoff:     *backoff,
-		HangMin:     *hangMin,
-		HangMax:     *hangMax,
-		Logf:        logf,
-		Registry:    reg,
+		DataDir:    *dataDir,
+		RankBudget: *rankBudget,
+		MaxQueue:   *maxQueue,
+		CacheCap:   *cacheCap,
+		KeepJobs:   *keepJobs,
+		Policy:     supervisor.Policy{MaxRestarts: *maxRestarts, BaseBackoff: *backoff},
+		Detector:   supervisor.DetectorConfig{MinWindow: *hangMin, MaxWindow: *hangMax},
+		Logf:       logf,
+		Registry:   reg,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dlouvaind: %v\n", err)

@@ -8,12 +8,13 @@
 //	paperbench -exp fig3 -graphs mesh-channel,rmat-orkut -ranks 1,2,4
 //	paperbench -exp all -markdown       # GitHub-markdown output
 //	paperbench -scale medium            # 4x larger inputs
-//	paperbench -exp bench -json        # machine-readable benchmark baseline
-//	paperbench -exp bench -json -check BENCH_paperbench.json
+//	paperbench -exp bench -json         # the deterministic regression baseline
+//	paperbench -exp bench -check BENCH_paperbench.json
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7 fig2 fig3
 // fig4 fig5 fig6 profile bench all. ("all" covers the paper tables and
-// figures; "bench" is the separate baseline recorder.)
+// figures; "bench" records or replays BENCH_paperbench.json, which holds no
+// timing — time is measured by benchmark/ alone.)
 package main
 
 import (
@@ -30,17 +31,15 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1..table7, fig2..fig6, profile, all)")
+		exp      = flag.String("exp", "all", "experiment id (table1..table7, fig2..fig6, profile, bench, all)")
 		scale    = flag.String("scale", "small", "input scale: small or medium")
 		ranks    = flag.String("ranks", "1,2,4,8", "rank counts for scaling experiments")
-		graphs   = flag.String("graphs", "", "comma-separated workload subset for fig3 (default: all)")
+		graphs   = flag.String("graphs", "", "comma-separated workload subset for fig3 and bench (default: all)")
 		threads  = flag.Int("threads", 1, "worker threads per rank / shared-memory team size")
 		p        = flag.Int("p", 4, "rank count for fixed-p experiments (table4, table7, fig5/6, profile, bench)")
 		markdown = flag.Bool("markdown", false, "emit GitHub markdown instead of aligned text")
 		jsonOut  = flag.Bool("json", false, "bench: emit the report as JSON on stdout")
-		checkF   = flag.String("check", "", "bench: compare against a recorded baseline file; non-zero exit on deviation")
-		tol      = flag.Float64("tol", 0.005, "bench: allowed absolute modularity deviation for -check")
-		byteTol  = flag.Float64("byte-tol", 0.05, "bench: allowed relative p2p/collective payload growth for -check")
+		checkF   = flag.String("check", "", "bench: compare exactly against a recorded baseline file; non-zero exit on any difference")
 	)
 	flag.Parse()
 
@@ -99,16 +98,7 @@ func main() {
 		case "fig2":
 			emit(experiments.Fig2())
 		case "fig3":
-			ws := experiments.TestGraphs(s)
-			if *graphs != "" {
-				var subset []experiments.Workload
-				for _, name := range strings.Split(*graphs, ",") {
-					w, err := experiments.FindGraph(ws, strings.TrimSpace(name))
-					check(err)
-					subset = append(subset, w)
-				}
-				ws = subset
-			}
+			ws := selectGraphs(experiments.TestGraphs(s), *graphs)
 			t, err := experiments.Fig3(s, ws, rankList)
 			check(err)
 			emit(t)
@@ -129,23 +119,12 @@ func main() {
 			check(err)
 			emit(t)
 		case "bench":
-			ws := experiments.TestGraphs(s)
-			if *graphs != "" {
-				var subset []experiments.Workload
-				for _, name := range strings.Split(*graphs, ",") {
-					w, err := experiments.FindGraph(ws, strings.TrimSpace(name))
-					check(err)
-					subset = append(subset, w)
-				}
-				ws = subset
-			}
+			ws := selectGraphs(experiments.TestGraphs(s), *graphs)
 			rep, err := experiments.Bench(s, *p, *threads, ws)
 			check(err)
 			if *checkF != "" {
-				base, err := experiments.LoadBenchReport(*checkF)
-				check(err)
-				check(experiments.CompareBench(rep, base, *tol, *byteTol))
-				fmt.Fprintf(os.Stderr, "[bench check OK against %s, tol %g, byte-tol %g]\n", *checkF, *tol, *byteTol)
+				check(experiments.CheckBench(rep, *checkF))
+				fmt.Fprintf(os.Stderr, "[bench equals %s]\n", *checkF)
 			}
 			if *jsonOut {
 				enc := json.NewEncoder(os.Stdout)
@@ -168,6 +147,21 @@ func main() {
 		return
 	}
 	run(*exp)
+}
+
+// selectGraphs narrows ws to the comma-separated names, in the order given;
+// an empty list keeps them all.
+func selectGraphs(ws []experiments.Workload, names string) []experiments.Workload {
+	if names == "" {
+		return ws
+	}
+	var subset []experiments.Workload
+	for _, name := range strings.Split(names, ",") {
+		w, err := experiments.FindGraph(ws, strings.TrimSpace(name))
+		check(err)
+		subset = append(subset, w)
+	}
+	return subset
 }
 
 func parseInts(s string) ([]int, error) {

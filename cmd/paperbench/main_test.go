@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,9 +30,9 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-// TestBenchReportRoundTrip runs the bench experiment on one small workload
-// and pushes the report through the same write/load/compare cycle that
-// `make bench-record` and the CI smoke gate use.
+// TestBenchReportRoundTrip writes a fresh report the way `make bench-record`
+// does and holds that the exact gate accepts it and rejects four mutants of
+// it that differ in one value each, naming the workload and the field.
 func TestBenchReportRoundTrip(t *testing.T) {
 	ws := experiments.TestGraphs(experiments.Small)
 	w, err := experiments.FindGraph(ws, "smallworld-cnr")
@@ -42,85 +43,81 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Workloads) != 1 || rep.Workloads[0].Graph != "smallworld-cnr" {
-		t.Fatalf("unexpected workloads: %+v", rep.Workloads)
-	}
-	bw := rep.Workloads[0]
-	if bw.Modularity <= 0 || bw.Phases == 0 || bw.Iterations == 0 || len(bw.Breakdown) == 0 {
-		t.Fatalf("degenerate bench row: %+v", bw)
-	}
-
-	path := filepath.Join(t.TempDir(), "bench.json")
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base, err := experiments.LoadBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
+	if err := experiments.CheckBench(rep, path); err != nil {
+		t.Fatalf("a report differs from its own recording: %v", err)
 	}
-	if err := experiments.CompareBench(rep, base, 0, 0); err != nil {
-		t.Fatalf("self-comparison at zero tolerance: %v", err)
-	}
-
-	// A modularity deviation beyond tolerance must fail the gate.
-	drifted := *rep
-	drifted.Workloads = append([]experiments.BenchWorkload(nil), rep.Workloads...)
-	drifted.Workloads[0].Modularity += 0.01
-	if err := experiments.CompareBench(&drifted, base, 0.005, 0.05); err == nil {
-		t.Fatal("CompareBench accepted a 0.01 modularity drift at tol 0.005")
-	} else if !strings.Contains(err.Error(), "modularity") {
-		t.Fatalf("unexpected gate error: %v", err)
-	}
-
-	// A payload regression beyond byte-tol must fail the gate too. The bench
-	// row must actually carry byte columns for the gate to bite.
-	if p2p, _ := experiments.SumWorkloadBytes(rep.Workloads[0]); p2p == 0 {
+	if rep.Workloads[0].Breakdown[0].P2PBytes == 0 {
 		t.Fatal("bench row recorded zero p2p bytes; byte accounting broken")
 	}
-	bloated := *rep
-	bloated.Workloads = append([]experiments.BenchWorkload(nil), rep.Workloads...)
-	bloated.Workloads[0].Breakdown = append([]experiments.BenchPhase(nil), rep.Workloads[0].Breakdown...)
-	bloated.Workloads[0].Breakdown[0].P2PBytes *= 2
-	if err := experiments.CompareBench(&bloated, base, 0.005, 0.05); err == nil {
-		t.Fatal("CompareBench accepted a doubled p2p payload at byte-tol 0.05")
-	} else if !strings.Contains(err.Error(), "payload") {
-		t.Fatalf("unexpected gate error: %v", err)
+
+	// mutant decodes a deep copy of the report, so a mutation never reaches rep.
+	mutant := func() *experiments.BenchReport {
+		var m experiments.BenchReport
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return &m
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *experiments.BenchReport)
+		want   string
+	}{
+		{"last mantissa bit of a modularity", func(m *experiments.BenchReport) {
+			q := &m.Workloads[0].Modularity
+			*q = math.Float64frombits(math.Float64bits(*q) ^ 1)
+		}, "workloads[smallworld-cnr].modularity"},
+		{"one more p2p byte", func(m *experiments.BenchReport) {
+			m.Workloads[0].Breakdown[1].P2PBytes++
+		}, "workloads[smallworld-cnr].breakdown[1].p2p_bytes"},
+		{"one more frontier vertex", func(m *experiments.BenchReport) {
+			m.Workloads[0].Breakdown[0].FrontierPerIter[2]++
+		}, "workloads[smallworld-cnr].breakdown[0].frontier_per_iter[2]"},
+		{"an extra workload", func(m *experiments.BenchReport) {
+			extra := m.Workloads[0]
+			extra.Graph = "unrecorded"
+			m.Workloads = append(m.Workloads, extra)
+		}, "workloads[unrecorded] is not in the recorded file"},
+	} {
+		m := mutant()
+		tc.mutate(m)
+		if err := experiments.CheckBench(m, path); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
 	}
 
-	// Schema drift (unknown field) must fail the strict loader.
-	bad := strings.Replace(string(data), "\"schema_version\"", "\"bogus_field\": 1, \"schema_version\"", 1)
+	// A key the report type does not have must fail the strict decode.
+	bad := strings.Replace(string(data), "\"scale\"", "\"bogus_field\": 1, \"scale\"", 1)
 	badPath := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(badPath, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.LoadBenchReport(badPath); err == nil {
-		t.Fatal("LoadBenchReport accepted an unknown field")
+	if err := experiments.CheckBench(rep, badPath); err == nil || !strings.Contains(err.Error(), "bogus_field") {
+		t.Fatalf("unknown key in the recorded file: got %v", err)
 	}
 }
 
-// TestCommittedBaselineLoads guards the recorded BENCH_paperbench.json at
-// the repository root: it must stay schema-valid and non-degenerate.
+// TestCommittedBaselineLoads replays the committed BENCH_paperbench.json:
+// it reruns what `make bench-record` ran (paperbench's defaults: the small
+// testbed at p = 4, one thread) and requires the exact gate to accept it, so
+// tier-1 fails on any drift in modularity, phase structure, payload bytes or
+// visit counts.
 func TestCommittedBaselineLoads(t *testing.T) {
-	rep, err := experiments.LoadBenchReport(filepath.Join("..", "..", "BENCH_paperbench.json"))
+	rep, err := experiments.Bench(experiments.Small, 4, 1, experiments.TestGraphs(experiments.Small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaVersion != experiments.BenchSchemaVersion {
-		t.Fatalf("baseline schema %d, code expects %d", rep.SchemaVersion, experiments.BenchSchemaVersion)
-	}
-	if len(rep.Workloads) == 0 {
-		t.Fatal("baseline has no workloads")
-	}
-	for _, w := range rep.Workloads {
-		if w.Phases == 0 || w.Iterations == 0 {
-			t.Fatalf("degenerate baseline row %s: %+v", w.Graph, w)
-		}
-	}
-	if len(rep.FrontierGate) == 0 {
-		t.Fatal("baseline has no frontier-gate rows")
+	if err := experiments.CheckBench(rep, filepath.Join("..", "..", "BENCH_paperbench.json")); err != nil {
+		t.Fatal(err)
 	}
 }

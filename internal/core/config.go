@@ -101,10 +101,10 @@ type Config struct {
 	Progress func(ProgressEvent)
 
 	// Tracer, when set, records this rank's phase/iteration/step spans.
-	// Attach the same tracer to the rank's communicator (mpi.WithTracer /
-	// SetTracer) so collective spans nest under the driver's. nil disables
-	// tracing at zero cost. Like Progress, it never affects the trajectory
-	// and is excluded from Hash.
+	// Attach the same tracer to the rank's communicator (Comm.SetTracer) so
+	// collective spans nest under the driver's. nil disables tracing at zero
+	// cost. Like Progress, it never affects the trajectory and is excluded
+	// from Hash.
 	Tracer *obsv.Tracer
 
 	// Interrupted, when set, is polled at every phase boundary and its

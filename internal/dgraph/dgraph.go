@@ -541,9 +541,6 @@ func (dg *DistGraph) GhostSlot(g int64) (int, bool) {
 	return slices.BinarySearch(dg.Ghosts, g)
 }
 
-// LocalArcs returns the number of stored directed slots on this rank.
-func (dg *DistGraph) LocalArcs() int64 { return int64(len(dg.Edges)) }
-
 // Validate checks the local structural invariants the assembly promises:
 // a well-formed CSR whose rows are strictly ascending by target (sorted,
 // parallel arcs merged), degree and self-loop caches that match the rows bit

@@ -44,9 +44,6 @@ type CSR struct {
 	Edges []Edge
 }
 
-// NumVertices returns the vertex count.
-func (g *CSR) NumVertices() int64 { return g.N }
-
 // NumArcs returns the number of stored directed slots (≈ 2× undirected
 // edges plus self loops).
 func (g *CSR) NumArcs() int64 { return int64(len(g.Edges)) }

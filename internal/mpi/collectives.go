@@ -300,24 +300,6 @@ func (c *Comm) ExscanInt64(v int64) (int64, error) {
 	return result, nil
 }
 
-// AllgatherInt64 collects one int64 from each rank into a vector indexed by
-// rank, available at every rank.
-func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
-	blocks, err := c.Allgather(EncodeInt64s([]int64{v}))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, c.size)
-	for r, b := range blocks {
-		vals, err := DecodeInt64s(b)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = vals[0]
-	}
-	return out, nil
-}
-
 // Allgather collects each rank's buffer at every rank, indexed by rank.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	sp := c.span("allgather")

@@ -57,12 +57,6 @@ func WithCollectiveTimeout(d time.Duration) CommOption {
 	return func(c *Comm) { c.collTimeout = d }
 }
 
-// WithTracer attaches a span tracer; every collective operation then
-// records one obsv span (nested under whatever driver span is open).
-func WithTracer(t *obsv.Tracer) CommOption {
-	return func(c *Comm) { c.tracer = t }
-}
-
 // SetTracer attaches a span tracer after construction — needed when the
 // same options build every rank's communicator (mpi.Run) but tracers are
 // per rank. Call before the communicator is used, not concurrently with
@@ -115,34 +109,6 @@ func (c *Comm) Recv(from, tag int) (Message, error) {
 	c.stats.RecvMsgs.Add(1)
 	c.stats.RecvBytes.Add(int64(len(msg.Data)))
 	return msg, nil
-}
-
-// SendInt64s is a typed convenience around Send.
-func (c *Comm) SendInt64s(to, tag int, vs []int64) error {
-	return c.Send(to, tag, EncodeInt64s(vs))
-}
-
-// RecvInt64s is a typed convenience around Recv.
-func (c *Comm) RecvInt64s(from, tag int) ([]int64, error) {
-	msg, err := c.Recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeInt64s(msg.Data)
-}
-
-// SendFloat64s is a typed convenience around Send.
-func (c *Comm) SendFloat64s(to, tag int, vs []float64) error {
-	return c.Send(to, tag, EncodeFloat64s(vs))
-}
-
-// RecvFloat64s is a typed convenience around Recv.
-func (c *Comm) RecvFloat64s(from, tag int) ([]float64, error) {
-	msg, err := c.Recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFloat64s(msg.Data)
 }
 
 // collTag derives the reserved tag for the current collective operation.

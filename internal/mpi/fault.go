@@ -110,9 +110,6 @@ func (f *FaultTransport) Kill() {
 	}
 }
 
-// Killed reports whether the endpoint's simulated death has triggered.
-func (f *FaultTransport) Killed() bool { return f.killed.Load() }
-
 // Sends returns how many Send calls this endpoint has accepted. Chaos tests
 // use it to calibrate KillAfterSends schedules against a healthy run.
 func (f *FaultTransport) Sends() int64 { return f.sends.Load() }

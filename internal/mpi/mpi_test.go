@@ -82,24 +82,40 @@ func TestRecvTagMatching(t *testing.T) {
 	}
 }
 
+// recvInt64 receives one message holding a single encoded int64.
+func recvInt64(c *Comm, from, tag int) (int64, error) {
+	msg, err := c.Recv(from, tag)
+	if err != nil {
+		return 0, err
+	}
+	vals, err := DecodeInt64s(msg.Data)
+	if err != nil {
+		return 0, err
+	}
+	if len(vals) != 1 {
+		return 0, fmt.Errorf("message holds %d values, want 1", len(vals))
+	}
+	return vals[0], nil
+}
+
 func TestRecvOrderingSameTag(t *testing.T) {
 	const n = 100
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				if err := c.SendInt64s(1, 3, []int64{int64(i)}); err != nil {
+				if err := c.Send(1, 3, EncodeInt64s([]int64{int64(i)})); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			vals, err := c.RecvInt64s(0, 3)
+			got, err := recvInt64(c, 0, 3)
 			if err != nil {
 				return err
 			}
-			if vals[0] != int64(i) {
-				return fmt.Errorf("out-of-order delivery: got %d want %d", vals[0], i)
+			if got != int64(i) {
+				return fmt.Errorf("out-of-order delivery: got %d want %d", got, i)
 			}
 		}
 		return nil
@@ -112,7 +128,7 @@ func TestRecvOrderingSameTag(t *testing.T) {
 func TestRecvAnySource(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		if c.Rank() != 0 {
-			return c.SendInt64s(0, 5, []int64{int64(c.Rank())})
+			return c.Send(0, 5, EncodeInt64s([]int64{int64(c.Rank())}))
 		}
 		seen := map[int64]bool{}
 		for i := 0; i < 3; i++ {
@@ -370,18 +386,22 @@ func TestAllOK(t *testing.T) {
 	}
 }
 
-func TestAllgatherInt64(t *testing.T) {
+func TestAllgather(t *testing.T) {
 	const p = 6
-	results, err := RunCollect(p, func(c *Comm) ([]int64, error) {
-		return c.AllgatherInt64(int64(c.Rank() * c.Rank()))
+	results, err := RunCollect(p, func(c *Comm) ([][]byte, error) {
+		return c.Allgather(EncodeInt64s([]int64{int64(c.Rank() * c.Rank())}))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, got := range results {
-		for q := 0; q < p; q++ {
-			if got[q] != int64(q*q) {
-				t.Fatalf("rank %d: allgather[%d]=%d want %d", r, q, got[q], q*q)
+	for r, blocks := range results {
+		if len(blocks) != p {
+			t.Fatalf("rank %d: allgather returned %d blocks, want %d", r, len(blocks), p)
+		}
+		for q, b := range blocks {
+			got, err := DecodeInt64s(b)
+			if err != nil || len(got) != 1 || got[0] != int64(q*q) {
+				t.Fatalf("rank %d: allgather[%d]=%v (%v) want [%d]", r, q, got, err, q*q)
 			}
 		}
 	}
@@ -502,18 +522,18 @@ func TestCollectivesInterleavedWithP2P(t *testing.T) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() + p - 1) % p
 		for i := 0; i < 10; i++ {
-			if err := c.SendInt64s(next, 9, []int64{int64(i)}); err != nil {
+			if err := c.Send(next, 9, EncodeInt64s([]int64{int64(i)})); err != nil {
 				return err
 			}
 			if _, err := c.AllreduceInt64(1, OpSum); err != nil {
 				return err
 			}
-			vals, err := c.RecvInt64s(prev, 9)
+			got, err := recvInt64(c, prev, 9)
 			if err != nil {
 				return err
 			}
-			if vals[0] != int64(i) {
-				return fmt.Errorf("p2p corrupted by collective: got %d want %d", vals[0], i)
+			if got != int64(i) {
+				return fmt.Errorf("p2p corrupted by collective: got %d want %d", got, i)
 			}
 		}
 		return nil

@@ -24,26 +24,6 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestForChunkedCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 500} {
-		for _, w := range []int{1, 2, 4} {
-			for _, chunk := range []int{0, 1, 16, 1000} {
-				counts := make([]int32, n)
-				ForChunked(n, w, chunk, func(_, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&counts[i], 1)
-					}
-				})
-				for i, c := range counts {
-					if c != 1 {
-						t.Fatalf("n=%d w=%d chunk=%d: index %d visited %d times", n, w, chunk, i, c)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestForWorkerIDsDistinct(t *testing.T) {
 	const n, w = 100, 4
 	seen := make([]int32, w)
@@ -165,26 +145,6 @@ func TestXoshiroIntn(t *testing.T) {
 		}
 	}()
 	g.Intn(0)
-}
-
-func TestStreamForIndependence(t *testing.T) {
-	// Streams for different workers must differ; same worker must repeat.
-	a := StreamFor(11, 0)
-	b := StreamFor(11, 1)
-	a2 := StreamFor(11, 0)
-	diff := false
-	for i := 0; i < 50; i++ {
-		av := a.Next()
-		if av != a2.Next() {
-			t.Fatal("StreamFor not reproducible")
-		}
-		if av != b.Next() {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Fatal("worker streams identical")
-	}
 }
 
 // Property: For with any worker count computes the same reduction as serial.

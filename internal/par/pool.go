@@ -54,54 +54,6 @@ func For(n, nworkers int, body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// ForChunked is like For but uses dynamic chunk scheduling: workers pull
-// fixed-size chunks from a shared cursor. It suits irregular per-index work
-// such as sweeping vertices with skewed degree distributions
-// ("#pragma omp parallel for schedule(dynamic, chunk)").
-func ForChunked(n, nworkers, chunk int, body func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 64
-	}
-	if nworkers <= 1 || n <= chunk {
-		body(0, 0, n)
-		return
-	}
-	var mu sync.Mutex
-	next := 0
-	take := func() (int, int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n {
-			return 0, 0, false
-		}
-		lo := next
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		next = hi
-		return lo, hi, true
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo, hi, ok := take()
-				if !ok {
-					return
-				}
-				body(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // ReduceFloat64 computes the sum of per-worker partial results produced by
 // body over [0, n). Each worker accumulates privately; partials are summed
 // once at the end, so no atomics are involved in the hot loop.

@@ -94,33 +94,3 @@ func (x *Xoshiro256) Int63n(n int64) int64 {
 	}
 	return int64(x.Next() % uint64(n))
 }
-
-// Jump advances the generator by 2^128 steps, producing a stream that does
-// not overlap the original for 2^128 draws. Worker w of a team typically
-// uses a generator jumped w times.
-func (x *Xoshiro256) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := uint(0); b < 64; b++ {
-			if j&(1<<b) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
-			}
-			x.Next()
-		}
-	}
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
-}
-
-// StreamFor returns an independent generator for the given worker index,
-// derived from seed. Streams for distinct workers never overlap.
-func StreamFor(seed uint64, worker int) *Xoshiro256 {
-	g := NewXoshiro256(seed)
-	for i := 0; i < worker; i++ {
-		g.Jump()
-	}
-	return g
-}

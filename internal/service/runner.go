@@ -46,15 +46,12 @@ func (s *Service) runJob(j *Job) {
 		},
 	}
 
+	policy := s.opt.Policy
+	policy.MinRanks = j.Spec.MinRanks
+	policy.Seed = cfg.Seed
 	sopts := supervisor.Options{
-		Policy: supervisor.Policy{
-			MaxRestarts: s.opt.MaxRestarts,
-			BaseBackoff: s.opt.Backoff,
-			MinRanks:    j.Spec.MinRanks,
-			Seed:        cfg.Seed,
-		},
-		Detector:      supervisor.DetectorConfig{MinWindow: s.opt.HangMin, MaxWindow: s.opt.HangMax},
-		Poll:          s.opt.Poll,
+		Policy:        policy,
+		Detector:      s.opt.Detector,
 		Retryable:     supervisor.Retryable,
 		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf: func(format string, args ...any) {

@@ -52,12 +52,12 @@ type Options struct {
 	// alike (≤0 selects 64). Live jobs are never collected.
 	KeepJobs int
 
-	// Supervision knobs, applied to every job's world.
-	MaxRestarts int           // restart budget per job (≤0 selects 5)
-	Backoff     time.Duration // base restart backoff (≤0 selects 200ms)
-	HangMin     time.Duration // hang-detector window floor (≤0 selects 5s)
-	HangMax     time.Duration // hang-detector window cap (≤0 selects 2m)
-	Poll        time.Duration // detector poll cadence (≤0 selects 100ms)
+	// Supervision tuning applied to every job's world, in the supervisor's
+	// own types: zero values select its defaults, which are declared there
+	// and nowhere else. Policy.MinRanks and Policy.Seed come from each
+	// job's spec.
+	Policy   supervisor.Policy
+	Detector supervisor.DetectorConfig
 
 	// Logf receives service progress lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -78,21 +78,6 @@ func (o *Options) fill() {
 	}
 	if o.KeepJobs <= 0 {
 		o.KeepJobs = 64
-	}
-	if o.MaxRestarts <= 0 {
-		o.MaxRestarts = 5
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 200 * time.Millisecond
-	}
-	if o.HangMin <= 0 {
-		o.HangMin = 5 * time.Second
-	}
-	if o.HangMax <= 0 {
-		o.HangMax = 2 * time.Minute
-	}
-	if o.Poll <= 0 {
-		o.Poll = 100 * time.Millisecond
 	}
 }
 

@@ -51,15 +51,10 @@ type Beacon struct {
 	Span string `json:"span,omitempty"`
 }
 
-// CoreProgress adapts a beacon sink to core's Progress hook: install the
-// returned function as Config.Progress and every run milestone becomes a
-// beacon. pid may be 0 for in-process ranks.
-func CoreProgress(rank, pid int, emit func(Beacon)) func(core.ProgressEvent) {
-	return CoreProgressTraced(rank, pid, nil, emit)
-}
-
-// CoreProgressTraced is CoreProgress with span context: when tr is non-nil,
-// each beacon carries the rank's current open span path, so the supervisor
+// CoreProgressTraced adapts a beacon sink to core's Progress hook: install
+// the returned function as Config.Progress and every run milestone becomes a
+// beacon. pid may be 0 for in-process ranks. When tr is non-nil, each beacon
+// carries the rank's current open span path, so the supervisor
 // can report what a later-condemned rank was doing at its last sign of
 // life. tr should be the same tracer the rank runs with.
 func CoreProgressTraced(rank, pid int, tr *obsv.Tracer, emit func(Beacon)) func(core.ProgressEvent) {
