@@ -67,14 +67,16 @@ test-chaos:
 # (and, as pinned by the tests' oracle value, each representation of its
 # active set) must reproduce the full-scan oracle bit-for-bit on every
 # graph × variant × rank-count combination (trajectories, modularity bits,
-# final assignment), including kill→resume, thread-count and coloring
-# interplay, plus the frontier.Set unit/property tests and the slot /
+# final assignment), including kill→resume and thread-count interplay,
+# plus the frontier.Set unit/property tests and the slot /
 # row-cache differential (slots_test.go: reference kernels by global ID, every
 # iteration's Q against the gathered labels, two pinned trajectory digests),
 # and the Step-5 aggregator's differential (coarsen_test.go: the map oracle's
-# arcs at every thread count, each pair once per rank, allocation ceiling).
+# arcs at every thread count, each pair once per rank, allocation ceiling),
+# and the tie rule's properties (tierule_test.go: relabelling, rank / thread
+# independence, quality floor, ET on the mesh, shared vs core).
 test-frontier:
-	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs' ./internal/core/... ./internal/frontier/...
+	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule' ./internal/core/... ./internal/frontier/...
 
 # go vet plus a race-mode coverage run over the algorithm core; prints the
 # per-function coverage table CI publishes as the job summary.

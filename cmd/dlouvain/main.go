@@ -109,7 +109,6 @@ func main() {
 		threads   = flag.Int("threads", 1, "worker threads per rank")
 		seed      = flag.Uint64("seed", 1, "early-termination seed")
 		edgeBal   = flag.Bool("edgebalance", false, "edge-balanced input partition instead of even vertex split")
-		coloring  = flag.Bool("coloring", false, "sweep by distance-1 color classes (distributed Jones-Plassmann)")
 		outPath   = flag.String("o", "", "write detected communities (one label per line)")
 		truthPath = flag.String("truth", "", "ground-truth file for quality scoring")
 		verbose   = flag.Bool("v", false, "per-phase progress output")
@@ -200,7 +199,6 @@ func main() {
 	cfg.Tau = *tau
 	cfg.Threads = *threads
 	cfg.Seed = *seed
-	cfg.UseColoring = *coloring
 	cfg.GatherOutput = true
 	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointEvery = *ckptEvery

@@ -172,7 +172,7 @@ func TestFlagSetPinned(t *testing.T) {
 		"advertise", "agent-advertise", "agent-host", "alpha", "backoff",
 		"chaos-all-attempts", "chaos-kill-phase", "chaos-kill-rank",
 		"chaos-stop-phase", "chaos-stop-rank", "ckpt-dir", "ckpt-every",
-		"ckpt-keep", "coll-timeout", "coloring", "control-listen", "coord",
+		"ckpt-keep", "coll-timeout", "control-listen", "coord",
 		"coord-epoch", "coord-job", "edgebalance", "fault-drop",
 		"fault-kill-after", "fault-seed", "hang-max", "hang-min",
 		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o", "poll",

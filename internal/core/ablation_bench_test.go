@@ -111,23 +111,3 @@ func BenchmarkRebuild(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDistColoring isolates the distributed Jones–Plassmann coloring.
-func BenchmarkDistColoring(b *testing.B) {
-	n, edges := gen.Grid2D(60, 60, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := mpi.Run(4, func(c *mpi.Comm) error {
-			lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), 4)
-			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
-			if err != nil {
-				return err
-			}
-			_, _, err = DistColoring(dg, 7)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -246,7 +246,7 @@ func encodeHistory(phases []PhaseStat) ([]byte, error) {
 		buf = mpi.AppendInt64s(buf, ps.MovesTrajectory)
 		buf = mpi.AppendFloat64(buf, ps.InactiveFrac)
 		buf = mpi.AppendInt64(buf, code)
-		buf = mpi.AppendInt64(buf, int64(ps.Colors))
+		buf = mpi.AppendInt64(buf, 0) // reserved: once the phase's color count
 	}
 	return buf, nil
 }
@@ -309,11 +309,9 @@ func decodeHistory(data []byte) ([]PhaseStat, error) {
 			return nil, fmt.Errorf("unknown exit code %d", code)
 		}
 		ps.Exit = name
-		co, err := d.Int64()
-		if err != nil {
+		if _, err := d.Int64(); err != nil { // reserved word, see encodeHistory
 			return nil, err
 		}
-		ps.Colors = int(co)
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", d.Remaining())

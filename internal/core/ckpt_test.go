@@ -340,6 +340,26 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "config fingerprint") {
 		t.Fatalf("error = %v, want config fingerprint mismatch", err)
 	}
+
+	// A checkpoint written by cd63276 — equal-ΔQ ties towards the smallest
+	// community ID — carries that tree's digest of the same configuration
+	// (TestFingerprintRefusesSmallestIDTrajectories) and is refused the same
+	// way instead of being continued under the hashed rule.
+	man, err := ckpt.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.ConfigHash = "c9c770952769d5e3"
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(3, func(c *mpi.Comm) error {
+		_, err := Resume(c, dir, Baseline())
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "config fingerprint") {
+		t.Fatalf("parent-format manifest: error = %v, want config fingerprint mismatch", err)
+	}
 }
 
 func TestResumeNamesCorruptFile(t *testing.T) {

@@ -213,12 +213,10 @@ func (o *slotOracle) afterFetch() error {
 
 // TestFrontierCommunitySlotsMatchOracles drives whole phases with the oracle
 // hooked in after every fetch and after every ghost refresh: baseline / ET /
-// ETC / coloring × 1–4 ranks × 1–2 threads × an integer- and a float-weighted
+// ETC × 1–4 ranks × 1–2 threads × an integer- and a float-weighted
 // graph. The integer graph's baseline run takes the rollback branch, so the
 // recount after restore is exercised too (asserted).
 func TestFrontierCommunitySlotsMatchOracles(t *testing.T) {
-	coloring := Baseline()
-	coloring.UseColoring = true
 	variants := []struct {
 		name string
 		cfg  Config
@@ -226,7 +224,6 @@ func TestFrontierCommunitySlotsMatchOracles(t *testing.T) {
 		{"baseline", Baseline()},
 		{"et", ET(0.25)},
 		{"etc", ETC(0.25)},
-		{"coloring", coloring},
 	}
 	for _, g := range slotGraphs() {
 		for _, v := range variants {

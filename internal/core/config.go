@@ -64,13 +64,6 @@ type Config struct {
 	// seeds regardless of rank count or scheduling).
 	Seed uint64
 
-	// UseColoring sweeps local vertices one distance-1 color class at a
-	// time (computed by a distributed Jones–Plassmann coloring), so
-	// vertices processed concurrently are mutually non-adjacent and later
-	// classes observe earlier classes' local moves — the paper's §VI
-	// faster-convergence extension.
-	UseColoring bool
-
 	// GatherOutput assembles the full community assignment at rank 0
 	// (Result.GlobalComm), as the paper's quality-assessment mode does.
 	GatherOutput bool
@@ -128,13 +121,6 @@ type oracle struct {
 	refKernels bool         // map-based ΔQ sweep and coarse-arc kernels (kernels_ref.go)
 	fullScan   bool         // offer every local vertex to every sweep: no frontier
 	rep        frontier.Rep // pin the frontier's representation (RepAuto: by size)
-}
-
-// frontierOn reports whether the sweep runs frontier-driven. Coloring
-// forces the full scan: sweepByClasses applies moves mid-iteration, which
-// the dirty rules do not model.
-func (c *Config) frontierOn() bool {
-	return !c.oracle.fullScan && !c.UseColoring
 }
 
 func (c *Config) fill() {
@@ -280,7 +266,6 @@ type PhaseStat struct {
 	FrontierTrajectory []int64
 	InactiveFrac       float64    // global inactive fraction at phase end
 	Exit               ExitReason // why the phase ended
-	Colors             int        // distance-1 colors used (0 unless UseColoring)
 }
 
 // StepTimes aggregates where the run spent its time, mirroring the paper's

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,12 +26,12 @@ func TestFingerprintStability(t *testing.T) {
 		cfg  Config
 		want Fingerprint
 	}{
-		{"baseline defaults", Baseline(), "c9c770952769d5e3"},
-		{"etc 0.25", ETC(0.25), "f54eedebcbd45f1d"},
+		{"baseline defaults", Baseline(), "3fe5d2c9646e1c13"},
+		{"etc 0.25", ETC(0.25), "6db74814c6902ce5"},
 		{"custom trajectory knobs", Config{
 			Tau: 1e-4, TauSchedule: []float64{1e-3, 1e-4}, Alpha: 0.5,
-			Seed: 42, UseColoring: true, MaxIterations: 7,
-		}, "fd5547d33148c1e6"},
+			Seed: 42, MaxIterations: 7,
+		}, "0e82eecafb353689"},
 	}
 	for _, c := range cases {
 		if got := c.cfg.Fingerprint(); got != c.want {
@@ -37,6 +39,36 @@ func TestFingerprintStability(t *testing.T) {
 		}
 		if got := c.cfg.Hash(); got != string(c.want) {
 			t.Errorf("%s: Hash = %s, want the Fingerprint string %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFingerprintRefusesSmallestIDTrajectories: up to cd63276 equal-ΔQ ties
+// broke towards the smallest community ID, and the fingerprint ended in
+// "coloring=<bool>" where it now names the tie rule. A manifest or cache key
+// written then describes a trajectory this tree does not produce, so none of
+// that format's digests may equal today's for the same configuration — Resume
+// then refuses the checkpoint (TestResumeRejectsConfigMismatch) and the service
+// cache misses. The literals are what cd63276 computed.
+func TestFingerprintRefusesSmallestIDTrajectories(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		parent Fingerprint
+	}{
+		{"baseline defaults", Baseline(), "c9c770952769d5e3"},
+		{"etc 0.25", ETC(0.25), "f54eedebcbd45f1d"},
+	} {
+		// The literal is the old derivation's digest, not a typo of it.
+		c.cfg.fill()
+		h := fnv.New64a()
+		fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;coloring=%v",
+			c.cfg.Tau, c.cfg.TauSchedule, c.cfg.Alpha, c.cfg.ETC, DefaultETCExit, c.cfg.MaxPhases, c.cfg.MaxIterations, c.cfg.Seed, false)
+		if old := Fingerprint(fmt.Sprintf("%016x", h.Sum64())); old != c.parent {
+			t.Fatalf("%s: the smallest-ID format hashes to %s, recorded %s", c.name, old, c.parent)
+		}
+		if got := c.cfg.Fingerprint(); got == c.parent {
+			t.Errorf("%s: Fingerprint = %s, the digest cd63276 gave its smallest-ID trajectory", c.name, got)
 		}
 	}
 }
@@ -70,7 +102,7 @@ func TestFingerprintIgnoresPerformanceKnobs(t *testing.T) {
 func TestConfigFieldsPinned(t *testing.T) {
 	fields := []string{
 		"Tau", "TauSchedule", "Alpha", "ETC", "Threads", "MaxPhases", "MaxIterations", "Seed",
-		"UseColoring", "GatherOutput", "CheckpointDir", "CheckpointEvery", "CheckpointKeep",
+		"GatherOutput", "CheckpointDir", "CheckpointEvery", "CheckpointKeep",
 		"Progress", "Tracer", "Interrupted",
 	}
 	neutral := map[string]bool{

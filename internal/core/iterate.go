@@ -12,6 +12,18 @@ import (
 	"distlouvain/internal/par"
 )
 
+// tieBefore is the tie rule of the ΔQ arg-max: of two communities offering
+// exactly the same gain, the one whose global ID hashes smaller wins. The
+// conventional rule — smallest ID — makes a synchronous sweep chase labels on
+// a naturally numbered uniform mesh: every singleton i picks C(i−b), whose
+// only member has just left for C(i−2b), for thousands of iterations (DESIGN
+// §8). The hash is unseeded and taken on the global ID, never the slot, so the
+// choice is independent of Seed, partition, rank and thread count and restart
+// history; Mix64 is a bijection, so distinct communities never tie again.
+func tieBefore(a, b int64) bool {
+	return par.Mix64(uint64(a)) < par.Mix64(uint64(b))
+}
+
 // move is one vertex's decision within an iteration.
 type move struct {
 	lv       int64 // local vertex index
@@ -82,7 +94,7 @@ func (st *phaseState) isActive(lv int64, iter int) bool {
 // first-seen order — what the map reference kernel and the flat table before
 // this did — so every e(v→C) sum is bit-identical to the reference, and the
 // best-move selection is iteration-order independent anyway (strict > on
-// gains, smallest global ID on ties), so the chosen moves are identical too.
+// gains, tieBefore on ties), so the chosen moves are identical too.
 // evaluateVertexRef in kernels_ref.go is the map oracle, by global ID, the
 // differential tests compare against.
 func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
@@ -121,7 +133,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
 			continue
 		}
 		gain := 2*(w[c]-eCur)/m2 - 2*kv*(st.cA[c]-aCur)/(m2*m2)
-		if gain > bestGain || (gain == bestGain && gain > 0 && st.gidOf(c) < st.gidOf(best)) {
+		if gain > bestGain || (gain == bestGain && gain > 0 && tieBefore(st.gidOf(c), st.gidOf(best))) {
 			bestGain = gain
 			best = c
 		}
@@ -130,8 +142,10 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
 		return move{}, false
 	}
 	// Minimum-label rule: a singleton only joins another singleton with a
-	// smaller label, killing synchronous swap cycles (same rule as the
-	// shared-memory comparator).
+	// smaller label, killing synchronous swap cycles. Raw IDs on purpose:
+	// hashing this rule too costs LFR quality (DESIGN §8). Same rule as the
+	// shared-memory comparator; TestTieRuleSharedAndCoreAgree holds the two
+	// together.
 	if st.cSize[cv] == 1 && st.cSize[best] == 1 && st.gidOf(best) > st.gidOf(cv) {
 		return move{}, false
 	}
@@ -211,12 +225,11 @@ func (st *phaseState) fitAccs() {
 
 // sweepRange evaluates vertices ids[lo:hi] — or lo..hi themselves when ids is
 // nil — on worker w, appending chosen moves to the worker's buffer and
-// counting evaluations into the worker's touched counter (+=: sweepByClasses
-// calls once per class). Frontier members the ET coin skips are carried into
-// the next frontier — a stale vertex stays dirty until actually evaluated —
-// while permanently inactive vertices drop out, matching the full scan (which
-// never evaluates those again either). sweepRangeRef is the same loop over the
-// map reference kernel.
+// counting evaluations into the worker's touched counter. Frontier members the
+// ET coin skips are carried into the next frontier — a stale vertex stays dirty
+// until actually evaluated — while permanently inactive vertices drop out,
+// matching the full scan (which never evaluates those again either).
+// sweepRangeRef is the same loop over the map reference kernel.
 func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	if st.cfg.oracle.refKernels {
 		st.sweepRangeRef(w, lo, hi, ids, iter)
@@ -256,53 +269,12 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	}
 }
 
-// sweepByClasses processes local vertices one distance-1 color class at a
-// time (§VI extension): members of a class are mutually non-adjacent, so
-// their decisions are independent, and each class observes the local moves
-// of all earlier classes within the same iteration. Community (A_c, size)
-// values stay at their iteration-start snapshot — updating them mid-
-// iteration would be inconsistent with the remote communities that cannot
-// be refreshed until the delta push.
-func (st *phaseState) sweepByClasses(classes [][]int64, iter int) []move {
-	sp := st.tr().Begin(obsv.KindStep, "sweep")
-	defer sp.End()
-	t0 := time.Now()
-	defer func() { st.steps.Compute += time.Since(t0) }()
-	nw := st.cfg.Threads
-	clear(st.touchedBufs)
-	st.fitAccs()
-	all := st.allMoves[:0]
-	for _, class := range classes {
-		for w := range st.moveBufs {
-			st.moveBufs[w] = st.moveBufs[w][:0]
-		}
-		par.For(len(class), nw, func(w, lo, hi int) { st.sweepRange(w, lo, hi, class, iter) })
-		for _, ms := range st.moveBufs {
-			// Apply class moves immediately so later classes see them.
-			for _, mv := range ms {
-				st.setComm(mv.lv, mv.to)
-			}
-			all = append(all, ms...)
-		}
-	}
-	st.allMoves = all
-	st.iterTouched = 0
-	for _, c := range st.touchedBufs {
-		st.iterTouched += c
-	}
-	st.iterFrontier = st.dg.LocalN
-	sp.SetCount(st.iterTouched)
-	return all
-}
-
 // stageMoves is step (iii)'s local preparation: accumulate the (ΔA, Δsize)
 // each source/destination community incurred (line 9 of Algorithm 3). It
 // deliberately does NOT touch st.comm — assignment updates happen inside
 // pushDeltas's compute/comm overlap window, after the delta frames are in
-// flight (sweepByClasses has already made them for its classes; the overlap
-// window's setComm finds nothing to do there). The moves name community
-// slots; the deltas leave here under global IDs, which is what the owners
-// and the wire order by.
+// flight. The moves name community slots; the deltas leave here under global
+// IDs, which is what the owners and the wire order by.
 //
 // Accumulation runs in move order (so each community's ΔA float sum is
 // bit-identical to the old map implementation), but the deltas are emitted
@@ -364,18 +336,6 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 	var snap snapshot
 	globalN := st.dg.GlobalN
 
-	var classes [][]int64
-	if st.cfg.UseColoring {
-		csp := st.tr().Begin(obsv.KindStep, "coloring")
-		color, numColors, err := DistColoring(st.dg, st.cfg.Seed)
-		csp.End()
-		if err != nil {
-			return stat, err
-		}
-		classes = colorClasses(color, numColors)
-		stat.Colors = numColors
-	}
-
 	for {
 		if st.cfg.MaxIterations > 0 && stat.Iterations >= st.cfg.MaxIterations {
 			stat.Exit = ExitMaxIter
@@ -434,12 +394,7 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		st.snapshot(&snap)
 
 		// (ii) local ΔQ sweep; (iii) apply + push community updates.
-		var moves []move
-		if st.cfg.UseColoring {
-			moves = st.sweepByClasses(classes, stat.Iterations)
-		} else {
-			moves = st.sweep(stat.Iterations)
-		}
+		moves := st.sweep(stat.Iterations)
 		if err := st.pushDeltas(st.stageMoves(moves), moves); err != nil {
 			return stat, err
 		}

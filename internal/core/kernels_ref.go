@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"distlouvain/internal/dgraph"
+	"distlouvain/internal/par"
 )
 
 // Reference kernels: the original map-based implementations of the ΔQ sweep
@@ -45,8 +46,10 @@ func (st *phaseState) infoOf(cid int64) (cinfo, bool) {
 
 // evaluateVertexRef is evaluateVertex with a map scratch accumulator. The
 // accumulation order over neighbors is identical (CSR order), and the
-// best-move scan is iteration-order independent, so the chosen move is
-// always identical to the slot kernel's.
+// best-move scan is iteration-order independent (the tie rule is spelled out
+// here rather than shared with the slot kernel, so the differential tests
+// compare two statements of it), so the chosen move is always identical to
+// the slot kernel's.
 func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (move, bool) {
 	m2 := st.dg.M2
 	cv := st.gidOf(st.comm[lv])
@@ -80,7 +83,7 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mo
 			continue
 		}
 		gain := 2*(evc-eCur)/m2 - 2*kv*(ci.a-aCur)/(m2*m2)
-		if gain > bestGain || (gain == bestGain && gain > 0 && cid < best) {
+		if gain > bestGain || (gain == bestGain && gain > 0 && par.Mix64(uint64(cid)) < par.Mix64(uint64(best))) {
 			bestGain = gain
 			best = cid
 			bestInfo = ci

@@ -60,8 +60,6 @@ func sameTrajectory(t *testing.T, label string, got, want *Result) {
 // any thread count.
 func TestFlatKernelsMatchMapReference(t *testing.T) {
 	n, edges := gen.ErdosRenyi(400, 2400, 11)
-	coloring := Baseline()
-	coloring.UseColoring = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -69,7 +67,6 @@ func TestFlatKernelsMatchMapReference(t *testing.T) {
 		{"baseline", Baseline()},
 		{"et+tc", ETWithTC(0.25)},
 		{"etc", ETC(0.25)},
-		{"coloring", coloring},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, threads := range []int{1, 3} {

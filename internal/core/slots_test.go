@@ -54,7 +54,7 @@ func rolledBack(res *Result) bool {
 // TestFrontierSlotPathsAgree: frontier default (cached rows, slot reads), the
 // full scan (every row recomputed) and the reference kernels (targets resolved
 // by global ID, with and without a frontier) must retrace one another bit for
-// bit, for the baseline and the coloring-free ET and ETC variants, at 1/2/4
+// bit, for the baseline and the ET and ETC variants, at 1/2/4
 // ranks × 1/2 threads, integer and float weights alike.
 func TestFrontierSlotPathsAgree(t *testing.T) {
 	variants := []struct {
@@ -131,9 +131,11 @@ func trajectoryDigest(res *Result) string {
 }
 
 // TestFrontierTrajectoryDigestsPinned: with integer weights every sum is
-// exact, so row subtotals and slot reads must reproduce the trajectories of
-// the commit before them (a4f76e8, one running sum over commOf lookups) to the
-// bit. The digests were recorded there.
+// exact, so any change of kernel, table or frontier must reproduce these
+// trajectories to the bit. The digests were recorded once at a4f76e8 (one
+// running sum over commOf lookups) and held through every kernel rewrite up to
+// cd63276; they were re-recorded when equal-ΔQ ties stopped breaking towards
+// the smallest community ID (tieBefore), the one deliberate trajectory change.
 func TestFrontierTrajectoryDigestsPinned(t *testing.T) {
 	ern, erEdges := gen.ErdosRenyi(300, 1500, 5)
 	meshN, meshEdges := gen.BandedMesh(600, 4)
@@ -145,8 +147,8 @@ func TestFrontierTrajectoryDigestsPinned(t *testing.T) {
 		cfg   Config
 		want  string
 	}{
-		{"er baseline, 2 ranks", ern, erEdges, 2, Baseline(), "5334d1d8728420b8"},
-		{"band etc, 4 ranks", meshN, meshEdges, 4, ETC(0.25), "661ec1405ff2061c"},
+		{"er baseline, 2 ranks", ern, erEdges, 2, Baseline(), "8285c5bfacc17803"},
+		{"band etc, 4 ranks", meshN, meshEdges, 4, ETC(0.25), "b1b1cc3286a4581c"},
 	}
 	for _, c := range cases {
 		res, err := RunOnEdges(c.ranks, c.n, c.edges, c.cfg)

@@ -102,8 +102,8 @@ type phaseState struct {
 	sweepIDs  []int64
 	sweepIter int
 
-	// Frontier-driven sweep state; nil under the full scan — the test oracle,
-	// and what coloring runs on (see frontier.go).
+	// Frontier-driven sweep state; nil under the full scan, the test oracle
+	// (see frontier.go).
 	fr *frontierState
 
 	// Per-iteration sweep instrumentation: touchedBufs[w] counts worker
@@ -185,7 +185,7 @@ func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepT
 		st.cSize[lv] = 1
 		st.prob[lv] = 1
 	}
-	if cfg.frontierOn() {
+	if !cfg.oracle.fullScan {
 		st.fr = newFrontierState(st)
 	}
 	if err := st.setupGhostLists(); err != nil {
@@ -612,8 +612,7 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	defer st.arena.Unpin()
 
 	// Overlap window: peers' frames are in flight; do the iteration's local
-	// tail work. (Under coloring, sweepByClasses already made these
-	// assignments; setComm of an unchanged slot does nothing.)
+	// tail work.
 	for _, mv := range moves {
 		st.setComm(mv.lv, mv.to)
 	}

@@ -12,12 +12,14 @@ import (
 // Table1 reproduces the paper's Table I: the adaptive early-termination α
 // sweep on the shared-memory multithreaded implementation, over a
 // small-world (CNR-like) and a banded (Channel-like) input. Columns per
-// input: modularity, wall time, total iterations.
+// input: modularity, wall time, total iterations, and ΔQ evaluations (the
+// vertices the sweeps found active) — the work ET exists to save.
 //
 // Expected shape (paper): as α rises 0→1 iterations and time fall sharply —
 // mildly on the small-world input (paper: 5.42s→2.25s, ~2.4x) and
 // dramatically on the banded input (paper: 100.82s→1.73s, ~58x) — while
-// modularity stays flat to the second decimal.
+// modularity stays flat to the second decimal. Here the evaluations fall with
+// α on both inputs; iterations and time do not (see the table's last note).
 func Table1(s Scale, threads int) *Table {
 	cnr := CNRLike(s)
 	channel := ChannelLike(s)
@@ -27,18 +29,23 @@ func Table1(s Scale, threads int) *Table {
 	t := &Table{
 		ID:     "Table I",
 		Title:  "Early-termination α sweep (shared-memory implementation)",
-		Header: []string{"alpha", "CNR Q", "CNR time", "CNR iters", "Channel Q", "Channel time", "Channel iters"},
+		Header: []string{"alpha", "CNR Q", "CNR time", "CNR iters", "CNR evals", "Channel Q", "Channel time", "Channel iters", "Channel evals"},
 	}
 	alphas := []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0}
 	type row struct {
 		q     float64
 		dur   time.Duration
 		iters int
+		evals int64
 	}
 	runOne := func(g *graph.CSR, alpha float64) row {
 		start := time.Now()
 		res := shared.Run(g, shared.Options{Threads: threads, Alpha: alpha, Seed: 42})
-		return row{q: res.Modularity, dur: time.Since(start), iters: res.TotalIterations}
+		r := row{q: res.Modularity, dur: time.Since(start), iters: res.TotalIterations}
+		for _, ph := range res.Phases {
+			r.evals += ph.Touched
+		}
+		return r
 	}
 	var base0, base1 row
 	var top0, top1 row
@@ -53,8 +60,8 @@ func Table1(s Scale, threads int) *Table {
 		}
 		t.AddRow(
 			fmt.Sprintf("%.1f", a),
-			fmt.Sprintf("%.5f", r0.q), fmtDur(r0.dur), fmt.Sprintf("%d", r0.iters),
-			fmt.Sprintf("%.5f", r1.q), fmtDur(r1.dur), fmt.Sprintf("%d", r1.iters),
+			fmt.Sprintf("%.5f", r0.q), fmtDur(r0.dur), fmt.Sprintf("%d", r0.iters), fmt.Sprintf("%d", r0.evals),
+			fmt.Sprintf("%.5f", r1.q), fmtDur(r1.dur), fmt.Sprintf("%d", r1.iters), fmt.Sprintf("%d", r1.evals),
 		)
 	}
 	t.Notes = append(t.Notes,
@@ -64,9 +71,13 @@ func Table1(s Scale, threads int) *Table {
 		fmt.Sprintf("measured ΔQ α=0→1: CNR %+.5f (paper -0.00021), Channel %+.5f (paper -0.00055)",
 			top0.q-base0.q, top1.q-base1.q),
 		"paper ran 8 Xeon cores on 3.2M/42.7M-edge inputs; this run uses synthetic analogues on one host",
-		"expected shape: the banded input gains far more from ET than the small-world input; "+
-			"at laptop scale the CNR analogue converges in ~30 baseline iterations (paper: 63), "+
-			"leaving little for ET to save, so its measured speedup compresses toward 1x",
+		fmt.Sprintf("measured evaluations α=0→1: CNR %d→%d, Channel %d→%d", base0.evals, top0.evals, base1.evals, top1.evals),
+		"paper's shape: the banded input gains far more from ET than the small-world input. "+
+			"That long banded convergence no longer occurs here: until ΔQ ties were hashed (DESIGN §8) "+
+			"the Channel analogue's baseline took 3305 iterations (1.7 s) against 1690 at α=1 — a label chase "+
+			"caused by breaking ties towards the smallest ID on a naturally numbered mesh, and the Q=0.871 rows "+
+			"at α ≤ 0.6 were vertices frozen in mid-chase — and now takes 29. Both analogues converge in a few "+
+			"dozen baseline iterations (paper: 63 on CNR), so ET saves evaluations, not iterations or time",
 	)
 	return t
 }

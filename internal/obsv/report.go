@@ -13,8 +13,7 @@ import (
 type Category int
 
 const (
-	// CatCompute: local work — neighbor sweeps, modularity accumulation,
-	// coloring.
+	// CatCompute: local work — neighbor sweeps, modularity accumulation.
 	CatCompute Category = iota
 	// CatP2P: point-to-point style exchanges — ghost and community-info
 	// traffic (the paper's "communication within a phase", ~34%).
@@ -54,7 +53,6 @@ var stepCategory = map[string]Category{
 	"sweep":              CatCompute,
 	"frontier-build":     CatCompute,
 	"modularity-compute": CatCompute,
-	"coloring":           CatCompute,
 	"rebuild":            CatCoarsen,
 	"checkpoint":         CatCheckpoint,
 	"resume-load":        CatCheckpoint,
@@ -89,8 +87,7 @@ type PhaseBreakdown struct {
 	Bytes [numCategories]int64
 	// Touched sums the vertices this rank's sweeps evaluated across the
 	// phase (the Count of "sweep" spans); Frontier sums the active-set sizes
-	// offered to them (the Count of "frontier-build" spans; a coloring run
-	// sweeps every vertex, has no such spans, and the column stays 0). Rank-local
+	// offered to them (the Count of "frontier-build" spans). Rank-local
 	// figures — the globally allreduced trajectory lives in
 	// core.PhaseStat.TouchedTrajectory.
 	Touched  int64

@@ -174,6 +174,7 @@ func TestAPIErrors(t *testing.T) {
 	}{
 		{"POST", "/v1/jobs", map[string]any{"ranks": 1}, http.StatusBadRequest},            // no graph
 		{"POST", "/v1/jobs", map[string]any{"bogus_field": 1}, http.StatusBadRequest},      // unknown field
+		{"POST", "/v1/jobs", map[string]any{"coloring": true}, http.StatusBadRequest},      // retired field
 		{"GET", "/v1/jobs/j-missing", nil, http.StatusNotFound},                            // unknown job
 		{"GET", "/v1/jobs/j-missing/result", nil, http.StatusNotFound},                     //
 		{"DELETE", "/v1/jobs/j-missing", nil, http.StatusNotFound},                         //
@@ -225,12 +226,12 @@ func paddedSpec(n int) []byte {
 	return []byte(head + strings.Repeat("x", n-len(head)-len(tail)) + tail)
 }
 
-// The retired frontier knobs are unknown keys now, so strict decoding answers
-// a typed 400 naming the key. (Stored job.json records that carry them still
+// The retired frontier knobs and the retired "coloring" sweep switch are
+// unknown keys now, so strict decoding answers a typed 400 naming the key. (Stored job.json records that carry them still
 // load: TestServiceRecoveryAfterRestart.)
 func TestAPIRetiredKeysRejected(t *testing.T) {
 	c := newAPIClient(t, 2)
-	for key, val := range map[string]any{"frontier": "off", "frontier_sparse_threshold": 0.5} {
+	for key, val := range map[string]any{"frontier": "off", "frontier_sparse_threshold": 0.5, "coloring": true} {
 		t.Run(key, func(t *testing.T) {
 			spec := trianglesSpec()
 			spec[key] = val

@@ -65,9 +65,8 @@ type JobSpec struct {
 	Seed    uint64  `json:"seed,omitempty"`  // ET coin-flip seed
 	Threads int     `json:"threads,omitempty"`
 	// MaxPhases / MaxIterations cap the run (0 = library defaults).
-	MaxPhases     int  `json:"max_phases,omitempty"`
-	MaxIterations int  `json:"max_iterations,omitempty"`
-	Coloring      bool `json:"coloring,omitempty"` // distance-1 color-class sweeps
+	MaxPhases     int `json:"max_phases,omitempty"`
+	MaxIterations int `json:"max_iterations,omitempty"`
 
 	// Ranks is the world size the scheduler admits (default 2, capped by
 	// the daemon budget); MinRanks is the floor supervision may degrade to
@@ -108,7 +107,6 @@ func (sp JobSpec) config() (core.Config, error) {
 	cfg.Threads = sp.Threads
 	cfg.MaxPhases = sp.MaxPhases
 	cfg.MaxIterations = sp.MaxIterations
-	cfg.UseColoring = sp.Coloring
 	cfg.GatherOutput = true
 	return cfg, nil
 }

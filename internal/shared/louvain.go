@@ -84,8 +84,7 @@ func densify(comm []int64) {
 	}
 }
 
-// phaseState is the per-phase working set shared by the plain and colored
-// sweeps.
+// phaseState is the per-phase working set of the sweep.
 type phaseState struct {
 	g        *graph.CSR
 	opt      Options
@@ -206,7 +205,10 @@ func (st *phaseState) bestMove(v int64, commSnap []int64, aTotSnap []float64, sc
 			continue
 		}
 		gain := 2*(scratch.get(c)-eCur)/st.m2 - 2*kv*(aTotSnap[c]-aCur)/(st.m2*st.m2)
-		if gain > bestGain || (gain == bestGain && gain > 0 && c < best) {
+		// Ties go to the community whose ID hashes smaller — core's tieBefore,
+		// and for its reason: "smallest ID" chases labels down a naturally
+		// numbered uniform mesh (DESIGN §8).
+		if gain > bestGain || (gain == bestGain && gain > 0 && par.Mix64(uint64(c)) < par.Mix64(uint64(best))) {
 			bestGain = gain
 			best = c
 		}
@@ -216,7 +218,9 @@ func (st *phaseState) bestMove(v int64, commSnap []int64, aTotSnap []float64, sc
 	}
 	// Minimum-label rule (Lu et al.): when a singleton vertex wants to
 	// join another singleton, only the higher label moves. This breaks the
-	// two-cycle where synchronous sweeps endlessly swap a pair.
+	// two-cycle where synchronous sweeps endlessly swap a pair. Raw IDs, as
+	// in core's evaluateVertex; core's TestTieRuleSharedAndCoreAgree holds the
+	// two rules together.
 	if st.commSize[cv] == 1 && st.commSize[best] == 1 && best > cv {
 		return cv
 	}
@@ -288,13 +292,6 @@ func onePhase(g *graph.CSR, init []int64, opt Options, phaseSeed uint64) ([]int6
 		return st.comm, stat
 	}
 
-	var colors [][]int64
-	if opt.UseColoring {
-		var nc int
-		colors, nc = ColorClasses(g, opt.Threads)
-		stat.Colors = nc
-	}
-
 	newComm := make([]int64, st.n)
 	commBefore := make([]int64, st.n)
 	scratches := make([]*neighMap, opt.Threads)
@@ -311,11 +308,7 @@ func onePhase(g *graph.CSR, init []int64, opt Options, phaseSeed uint64) ([]int6
 		stat.InactiveAtEnd = st.updateActivity(stat.Iterations)
 		copy(commBefore, st.comm)
 
-		if opt.UseColoring {
-			st.sweepColored(colors, newComm, scratches, stat.Iterations)
-		} else {
-			st.sweepBuffered(newComm, scratches, stat.Iterations)
-		}
+		stat.Touched += st.sweepBuffered(newComm, scratches, stat.Iterations)
 
 		q := st.modularity()
 		if q-prevQ <= opt.Tau {
@@ -336,51 +329,25 @@ func onePhase(g *graph.CSR, init []int64, opt Options, phaseSeed uint64) ([]int6
 }
 
 // sweepBuffered is the double-buffered whole-graph sweep: all targets are
-// computed against the iteration-start snapshot, then applied at once.
-func (st *phaseState) sweepBuffered(newComm []int64, scratches []*neighMap, iter int) {
-	par.For(int(st.n), st.opt.Threads, func(w, lo, hi int) {
+// computed against the iteration-start snapshot, then applied at once. It
+// returns the number of vertices evaluated (the active ones).
+func (st *phaseState) sweepBuffered(newComm []int64, scratches []*neighMap, iter int) int64 {
+	touched := par.ReduceInt64(int(st.n), st.opt.Threads, func(w, lo, hi int) int64 {
 		scratch := scratches[w]
+		var evaluated int64
 		for v := lo; v < hi; v++ {
 			if !st.isActive(int64(v), iter) {
 				newComm[v] = st.comm[v]
 				continue
 			}
+			evaluated++
 			newComm[v] = st.bestMove(int64(v), st.comm, st.aTot, scratch)
 		}
+		return evaluated
 	})
 	copy(st.comm, newComm)
 	st.rebuildAggregates()
-}
-
-// sweepColored processes one independent color class at a time; classes see
-// the updates of all earlier classes within the same iteration, which is
-// what accelerates convergence relative to whole-graph buffering.
-func (st *phaseState) sweepColored(colors [][]int64, newComm []int64, scratches []*neighMap, iter int) {
-	for _, class := range colors {
-		par.For(len(class), st.opt.Threads, func(w, lo, hi int) {
-			scratch := scratches[w]
-			for i := lo; i < hi; i++ {
-				v := class[i]
-				if !st.isActive(v, iter) {
-					newComm[v] = st.comm[v]
-					continue
-				}
-				newComm[v] = st.bestMove(v, st.comm, st.aTot, scratch)
-			}
-		})
-		// Apply the class's moves (members are mutually non-adjacent, so
-		// their decisions did not depend on one another's comm values).
-		for _, v := range class {
-			if newComm[v] != st.comm[v] {
-				old := st.comm[v]
-				st.aTot[old] -= st.k[v]
-				st.aTot[newComm[v]] += st.k[v]
-				st.commSize[old]--
-				st.commSize[newComm[v]]++
-				st.comm[v] = newComm[v]
-			}
-		}
-	}
+	return touched
 }
 
 // neighMap mirrors the serial implementation's flat accumulation map; each

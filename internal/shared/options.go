@@ -5,8 +5,6 @@
 //
 //   - parallel vertex sweeps with double-buffered community state and the
 //     minimum-label rule that suppresses synchronous swap cycles;
-//   - optional distance-1 coloring, processing one independent color class
-//     at a time with immediate state updates;
 //   - optional vertex following, which pre-merges degree-1 vertices into
 //     their sole neighbour;
 //   - the adaptive Early Termination (ET) heuristic of the paper's §IV-B,
@@ -38,9 +36,6 @@ type Options struct {
 	// Alpha is the ET decay rate in [0,1]; 0 disables early termination
 	// (every vertex stays active, the paper's baseline row of Table I).
 	Alpha float64
-	// UseColoring processes vertices one distance-1 color class at a time
-	// with immediate updates, instead of whole-graph double buffering.
-	UseColoring bool
 	// VertexFollowing pre-merges degree-1 vertices into their neighbour
 	// before the first phase.
 	VertexFollowing bool
@@ -56,8 +51,10 @@ type PhaseStat struct {
 	// InactiveAtEnd counts vertices labelled inactive when the phase
 	// ended (always 0 when Alpha == 0).
 	InactiveAtEnd int64
-	// Colors is the number of color classes used (0 unless UseColoring).
-	Colors int
+	// Touched counts the ΔQ evaluations of the phase — the vertices its
+	// sweeps found active, summed over iterations. It is the work ET saves
+	// (core.PhaseStat.TouchedTrajectory, summed).
+	Touched int64
 }
 
 // Result is the outcome of a shared-memory Louvain run.

@@ -82,18 +82,32 @@ func TestRunMaxCaps(t *testing.T) {
 	}
 }
 
+// TestETAlphaOneReducesIterations keeps its name from when the baseline needed
+// hundreds of iterations to chase labels down this mesh and ET cut the chase
+// short (PR 22 ended the chase: baseline 19 iterations, ET(1.0) 38). What ET
+// reduces is work — vertices evaluated — at a small modularity loss (Table I),
+// here and on LFR alike, so that is what is asserted.
 func TestETAlphaOneReducesIterations(t *testing.T) {
-	// The core Table I claim: aggressive ET cuts iterations sharply with
-	// small modularity loss.
 	n, edges := gen.BandedMesh(3000, 6)
 	g := gen.Build(n, edges)
-	base := Run(g, Options{Threads: 2, Alpha: 0, Seed: 5})
-	aggr := Run(g, Options{Threads: 2, Alpha: 1.0, Seed: 5})
-	if aggr.TotalIterations >= base.TotalIterations {
-		t.Fatalf("ET(1.0) iterations %d >= baseline %d", aggr.TotalIterations, base.TotalIterations)
+	touched := func(r *Result) (sum int64) {
+		for _, ph := range r.Phases {
+			sum += ph.Touched
+		}
+		return sum
 	}
-	if aggr.Modularity < base.Modularity-0.05 {
-		t.Fatalf("ET(1.0) Q=%.4f, baseline Q=%.4f", aggr.Modularity, base.Modularity)
+	base := Run(g, Options{Threads: 2, Alpha: 0, Seed: 5})
+	if want := int64(base.Phases[0].Iterations) * n; base.Phases[0].Touched != want {
+		t.Fatalf("baseline phase 0 evaluated %d vertices, want every vertex every iteration = %d", base.Phases[0].Touched, want)
+	}
+	for _, alpha := range []float64{0.75, 1.0} {
+		et := Run(g, Options{Threads: 2, Alpha: alpha, Seed: 5})
+		if bt, at := touched(base), touched(et); at*10 > bt*8 {
+			t.Fatalf("ET(%g) evaluated %d vertices, baseline %d: want at least 20%% fewer", alpha, at, bt)
+		}
+		if et.Modularity < base.Modularity-0.05 {
+			t.Fatalf("ET(%g) Q=%.4f, baseline Q=%.4f", alpha, et.Modularity, base.Modularity)
+		}
 	}
 }
 
@@ -107,65 +121,6 @@ func TestETMarksVerticesInactive(t *testing.T) {
 	base := Run(g, Options{Threads: 2, Alpha: 0, MaxPhases: 1})
 	if base.Phases[0].InactiveAtEnd != 0 {
 		t.Fatal("baseline marked vertices inactive")
-	}
-}
-
-func TestColoringValid(t *testing.T) {
-	for _, mk := range []func() *graph.CSR{
-		twoCliques,
-		func() *graph.CSR { n, e := gen.BandedMesh(500, 5); return gen.Build(n, e) },
-		func() *graph.CSR { n, e := gen.ErdosRenyi(300, 2000, 3); return gen.Build(n, e) },
-	} {
-		g := mk()
-		color, nc := GreedyColoring(g)
-		if !ValidateColoring(g, color) {
-			t.Fatal("invalid coloring")
-		}
-		maxDeg := int64(0)
-		for v := int64(0); v < g.N; v++ {
-			if d := g.Degree(v); d > maxDeg {
-				maxDeg = d
-			}
-		}
-		if int64(nc) > maxDeg+1 {
-			t.Fatalf("%d colors for max degree %d", nc, maxDeg)
-		}
-	}
-}
-
-func TestColorClassesPartition(t *testing.T) {
-	n, e := gen.ErdosRenyi(200, 800, 8)
-	g := gen.Build(n, e)
-	classes, nc := ColorClasses(g, 2)
-	if len(classes) != nc {
-		t.Fatalf("classes=%d nc=%d", len(classes), nc)
-	}
-	seen := make([]bool, n)
-	for _, class := range classes {
-		for _, v := range class {
-			if seen[v] {
-				t.Fatalf("vertex %d in two classes", v)
-			}
-			seen[v] = true
-		}
-	}
-	for v, s := range seen {
-		if !s {
-			t.Fatalf("vertex %d in no class", v)
-		}
-	}
-}
-
-func TestColoringModeQuality(t *testing.T) {
-	n, edges, _ := gen.PlantedPartition(6, 30, 0.4, 0.005, 17)
-	g := gen.Build(n, edges)
-	plain := Run(g, Options{Threads: 2, Seed: 1})
-	colored := Run(g, Options{Threads: 2, Seed: 1, UseColoring: true})
-	if colored.Phases[0].Colors == 0 {
-		t.Fatal("coloring stats missing")
-	}
-	if colored.Modularity < plain.Modularity-0.03 {
-		t.Fatalf("colored Q=%.4f plain Q=%.4f", colored.Modularity, plain.Modularity)
 	}
 }
 
@@ -257,11 +212,10 @@ func TestQuickRunConsistency(t *testing.T) {
 	f := func(seed uint64, cfg uint8) bool {
 		threads := int(cfg%4) + 1
 		alpha := float64(cfg%3) * 0.4
-		coloring := cfg&8 != 0
 		vf := cfg&16 != 0
 		n, edges, _ := gen.PlantedPartition(5, 15, 0.5, 0.02, seed)
 		g := gen.Build(n, edges)
-		res := Run(g, Options{Threads: threads, Alpha: alpha, UseColoring: coloring, VertexFollowing: vf, Seed: seed})
+		res := Run(g, Options{Threads: threads, Alpha: alpha, VertexFollowing: vf, Seed: seed})
 		if int64(len(res.Comm)) != n {
 			return false
 		}
@@ -329,15 +283,17 @@ func TestQuickPhasesMonotone(t *testing.T) {
 	}
 }
 
-// TestDiscardedLastPhaseLosesNothing pins the two graphs on which the
-// time-seeded version of the property above used to fail about one run in
-// seven (it demanded every phase's Q within 0.05 of the one before): the last
-// phase, on a 10-vertex coarse graph, ends 0.05–0.07 below the third. That
-// loss never reaches the result — Run had already kept the third phase's
-// assignment — so the finding is a reporting one: Phases lists a phase that
-// was not applied.
+// TestDiscardedLastPhaseLosesNothing pins two graphs on which the time-seeded
+// version of the property above used to fail about one run in seven (it
+// demanded every phase's Q within 0.05 of the one before): the last phase, on
+// a 9-vertex coarse graph, ends 0.05–0.06 below the one before. That loss never
+// reaches the result — Run had already kept the previous phase's assignment —
+// so the finding is a reporting one: Phases lists a phase that was not applied.
+// Which graphs show it depends on the trajectory; these two are the first
+// seeds par.Mix64(i), i = 1, 2, …, that do under the hashed tie rule (i = 89,
+// 97; about one in sixty does).
 func TestDiscardedLastPhaseLosesNothing(t *testing.T) {
-	for _, seed := range []uint64{0xbbf532fc84f8977a, 0x78629a0f5f3f164f} {
+	for _, seed := range []uint64{0xd0f8252577628d86, 0x4f5da978776a9db1} {
 		n, edges := gen.ErdosRenyi(120, 500, seed)
 		g := gen.Build(n, edges)
 		res := Run(g, Options{Threads: 2, Seed: seed})

@@ -92,10 +92,6 @@ type Options struct {
 	// MaxPhases and MaxIterations cap work (0 = defaults).
 	MaxPhases     int
 	MaxIterations int
-	// UseColoring sweeps vertices one distance-1 color class at a time
-	// using a distributed Jones–Plassmann coloring (the paper's §VI
-	// faster-convergence extension).
-	UseColoring bool
 }
 
 // Phase describes one Louvain phase of a run.
@@ -170,7 +166,6 @@ func (o Options) toConfig() (core.Config, error) {
 	cfg.Seed = o.Seed
 	cfg.MaxPhases = o.MaxPhases
 	cfg.MaxIterations = o.MaxIterations
-	cfg.UseColoring = o.UseColoring
 	return cfg, nil
 }
 
@@ -243,7 +238,6 @@ type SharedOptions struct {
 	Threads         int
 	Tau             float64
 	Alpha           float64 // early-termination decay; 0 disables
-	UseColoring     bool    // distance-1 coloring sweep
 	VertexFollowing bool    // pre-merge degree-1 vertices
 	Seed            uint64
 	MaxPhases       int
@@ -257,8 +251,7 @@ func DetectShared(n int64, edges []Edge, opt SharedOptions) (*Result, error) {
 	}
 	g := graph.FromRawEdges(n, edges)
 	r := shared.Run(g, shared.Options{
-		Threads: opt.Threads, Tau: opt.Tau, Alpha: opt.Alpha,
-		UseColoring: opt.UseColoring, VertexFollowing: opt.VertexFollowing,
+		Threads: opt.Threads, Tau: opt.Tau, Alpha: opt.Alpha, VertexFollowing: opt.VertexFollowing,
 		Seed: opt.Seed, MaxPhases: opt.MaxPhases, MaxIterations: opt.MaxIterations,
 	})
 	out := &Result{

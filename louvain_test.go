@@ -156,25 +156,3 @@ func TestGraphFileRoundTrip(t *testing.T) {
 		t.Fatalf("detection on re-read graph: %d communities", res.NumCommunities)
 	}
 }
-
-func TestDetectExtensions(t *testing.T) {
-	n, edges, _, err := GenerateLFR(2000, 0.25, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Detect(n, edges, Options{Ranks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Coloring: valid result of comparable quality.
-	col, err := Detect(n, edges, Options{Ranks: 3, UseColoring: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Modularity < base.Modularity-0.05 {
-		t.Fatalf("coloring quality: %.4f vs %.4f", col.Modularity, base.Modularity)
-	}
-	if math.Abs(Modularity(n, edges, col.Communities)-col.Modularity) > 1e-9 {
-		t.Fatal("colored run reports wrong modularity")
-	}
-}
