@@ -186,23 +186,39 @@ func (o *slotOracle) afterFetch() error {
 		}
 	}
 
-	// (iii) Rule (d), remote half: the slots marked changed are the
-	// communities absent from the previous fetch or different in it.
+	// (iii) Rule (d), remote half: a slot is marked changed, with the direction
+	// of the change, when its community was absent from the previous fetch
+	// (both ways), when its size differs and is 0 or 1 on either side (both
+	// ways: the minimum-label rule reads "== 1", and membership and values
+	// change together there), or when its A rose (members) or fell
+	// (neighbours). A community whose size alone changed, away from {0, 1}, is
+	// NOT marked: no decision reads such a size, and its A — the only other
+	// thing a gain reads — kept its bits, because the weighted degrees that
+	// came and the ones that went cancel (exactly, on integer weights). The
+	// plain "differs from the previous fetch" this check used to state counts
+	// one such community on er-int at 2 ranks, fetch 3: 23 where the rule
+	// marks 22.
 	if st.fr != nil {
-		want := make(map[int64]struct{})
+		want := make(map[int64]changeDir)
 		for cid, info := range remote {
-			if prev, ok := o.prevRemote[cid]; !ok || prev != info {
-				want[cid] = struct{}{}
+			prev, ok := o.prevRemote[cid]
+			switch {
+			case !ok, prev != info && (prev.size <= 1 || info.size <= 1):
+				want[cid] = dirBoth
+			case info.a > prev.a:
+				want[cid] = dirMembers
+			case info.a < prev.a:
+				want[cid] = dirNeighbours
 			}
 		}
-		got := make(map[int64]struct{})
+		got := make(map[int64]changeDir)
 		for s := n; int(s) < len(st.refs); s++ {
 			if st.fr.stamp[s] == st.fr.epoch {
-				got[st.gidOf(s)] = struct{}{}
+				got[st.gidOf(s)] = st.fr.dir[s]
 			}
 		}
 		if !maps.Equal(got, want) {
-			return fmt.Errorf("%s: %d remote communities marked changed, the diff against the previous fetch gives %d", when, len(got), len(want))
+			return fmt.Errorf("%s: %d remote communities marked changed, the diff against the previous fetch gives %d (or their directions differ)", when, len(got), len(want))
 		}
 	}
 	o.prevRemote = remote

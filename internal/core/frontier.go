@@ -19,13 +19,19 @@ import (
 //	(b) a local neighbour moved (same window, via the CSR row);
 //	(c) a ghost neighbour's community value changed during the iteration-end
 //	    exchange (setGhost compare-before-write → reverse ghost adjacency);
-//	(d) a community in its neighbourhood changed (A_c, size) bitwise — owned
-//	    entries are watched by applyDelta, remote entries by
-//	    fetchCommunityInfo comparing each reply with the value the previous
-//	    round left in the slot (a slot the previous round did not refresh
-//	    counts as changed) — where "its neighbourhood references c" is
-//	    resolved by scanning comm/ghostComm for members of c and marking them
-//	    plus their local/reverse-ghost adjacency;
+//	(d) the (A_c, size) of a community c in its neighbourhood changed in the
+//	    direction that can raise one of its gains — owned entries are watched
+//	    by applyDelta, remote entries by fetchCommunityInfo comparing each
+//	    reply with the value the previous round left in the slot. ΔQ is
+//	    monotone in A_c, in floating point too (see changeDir): when A_c rose,
+//	    c's gain fell for every non-member and only c's members (whose
+//	    alternatives all gained) are marked; when A_c fell, only the
+//	    non-members adjacent to a member are; a size that changed without
+//	    touching 0 or 1 is read by no rule and marks nothing; a size at 0 or 1
+//	    before or after (the minimum-label rule reads it), or a slot the
+//	    previous round did not refresh, marks both ways. "Adjacent to a
+//	    member" is resolved by scanning comm/ghostComm for members of c and
+//	    walking their local/reverse-ghost adjacency;
 //	(e) the ET coin skipped it while it was in the frontier (the sweep
 //	    carries it over so a stale vertex is re-checked until actually
 //	    evaluated; permanently inactive vertices drop out — the full scan
@@ -33,7 +39,9 @@ import (
 //
 // Marking a superset is always safe: re-evaluating an unchanged vertex
 // reproduces its previous "stay put" decision. The rules never mark less
-// than the set whose decision can change, which is the bit-identity proof.
+// than the set whose decision can change, which is the bit-identity proof: a
+// vertex outside the frontier last decided "no gain is positive", every change
+// to what it reads since then either marked it or lowered its gains.
 type frontierState struct {
 	cur, next *frontier.Set
 
@@ -52,11 +60,46 @@ type frontierState struct {
 	revAdj []int64
 
 	// Rule-(d) watcher, per community slot, owned and remote alike: the
-	// slot's (A_c, size) changed since the last frontier build iff
-	// stamp[slot] == epoch; changed counts them.
+	// slot's (A_c, size) changed since the last frontier build, in a way some
+	// decision can read, iff stamp[slot] == epoch; dir[slot] then holds whom
+	// it concerns, OR-ed over the iteration's changes; changed counts them.
 	stamp   []int32
+	dir     []changeDir
 	epoch   int32
 	changed int
+}
+
+// changeDir says whose decision a change of a community's (A_c, size) can
+// alter (rule d).
+type changeDir uint8
+
+const (
+	dirMembers    changeDir = 1 << iota // A_c rose: every alternative of a member gained
+	dirNeighbours                       // A_c fell: c gained for the non-members next to it
+	dirBoth       = dirMembers | dirNeighbours
+)
+
+// dirOf classifies one change of a community from (a0, s0) to (a1, s1). The
+// gain of joining c, 2·(w−e)/m2 − 2·k·(A_c−aCur)/m2², never rises with A_c and
+// never falls with aCur = A_cur − k — each floating-point operation in it is
+// monotone — so a vertex all of whose gains were ≤ 0 can decide differently
+// only if A_c fell for a neighbouring c or A rose for its own community. Sizes
+// are read only by the minimum-label rule, as "== 1", and a community at size
+// 0 or 1 is where membership and (A_c, size) change together: those mark both
+// ways, as every change did before the rule had a direction.
+func dirOf(a0 float64, s0 int64, a1 float64, s1 int64) changeDir {
+	switch {
+	case s0 <= 1 || s1 <= 1:
+		if a0 != a1 || s0 != s1 {
+			return dirBoth
+		}
+		return 0
+	case a1 > a0:
+		return dirMembers
+	case a1 < a0:
+		return dirNeighbours
+	}
+	return 0
 }
 
 func newFrontierState(st *phaseState) *frontierState {
@@ -69,6 +112,7 @@ func newFrontierState(st *phaseState) *frontierState {
 		next:      frontier.New(n, rep, 0),
 		carryBufs: make([][]int64, st.cfg.Threads),
 		stamp:     make([]int32, len(st.refs)),
+		dir:       make([]changeDir, len(st.refs)),
 		epoch:     1, // the zeroed stamps mean "unchanged"
 	}
 
@@ -96,7 +140,7 @@ func newFrontierState(st *phaseState) *frontierState {
 	return fr
 }
 
-// markLocalAdj dirties lv and its local neighbours (rules a, b and d).
+// markLocalAdj dirties lv and its local neighbours (rules a and b).
 func (st *phaseState) markLocalAdj(lv int64) {
 	next, n := st.fr.next, st.dg.LocalN
 	next.Mark(lv)
@@ -107,20 +151,22 @@ func (st *phaseState) markLocalAdj(lv int64) {
 	}
 }
 
-// markGhostAdj dirties the locals adjacent to ghost g (rules c and d).
+// markGhostAdj dirties the locals adjacent to ghost g (rule c).
 func (fr *frontierState) markGhostAdj(g int32) {
 	for _, lv := range fr.revAdj[fr.revOff[g]:fr.revOff[g+1]] {
 		fr.next.Mark(lv)
 	}
 }
 
-// noteChanged records that the (A_c, size) of community slot c changed
-// bitwise since the last frontier build (rule d).
-func (fr *frontierState) noteChanged(c int32) {
+// noteChanged records that community slot c changed in direction d (non-zero)
+// since the last frontier build (rule d).
+func (fr *frontierState) noteChanged(c int32, d changeDir) {
 	if fr.stamp[c] != fr.epoch {
 		fr.stamp[c] = fr.epoch
+		fr.dir[c] = 0
 		fr.changed++
 	}
+	fr.dir[c] |= d
 }
 
 // markMoves dirties this iteration's movers and their local neighbours
@@ -150,19 +196,34 @@ func (st *phaseState) buildFrontier(iter int) {
 		fr.cur.Fill()
 	} else {
 		// Rule (d): communities whose (A_c, size) changed during iter−1.
-		// Resolve "references a changed community" by membership: the
-		// referencing vertices are the members plus everything adjacent to
-		// a member (through the CSR rows for local members, through the
-		// reverse ghost adjacency for ghost members).
+		// Resolve "references a changed community" by membership: a local
+		// member is marked itself when A_c rose; when it fell, the non-members
+		// adjacent to a member are, through the CSR rows for local members and
+		// the reverse ghost adjacency for ghost members.
 		if fr.changed > 0 {
+			n, next := st.dg.LocalN, fr.next
 			for lv, c := range st.comm {
-				if fr.stamp[c] == fr.epoch {
-					st.markLocalAdj(int64(lv))
+				if fr.stamp[c] != fr.epoch {
+					continue
+				}
+				if fr.dir[c]&dirMembers != 0 {
+					next.Mark(int64(lv))
+				}
+				if fr.dir[c]&dirNeighbours != 0 {
+					for _, s := range st.dg.Slot[st.dg.Index[lv]:st.dg.Index[lv+1]] {
+						if int64(s) < n && st.comm[s] != c {
+							next.Mark(int64(s))
+						}
+					}
 				}
 			}
 			for g, c := range st.ghostComm {
-				if fr.stamp[c] == fr.epoch {
-					fr.markGhostAdj(int32(g))
+				if fr.stamp[c] == fr.epoch && fr.dir[c]&dirNeighbours != 0 {
+					for _, lv := range fr.revAdj[fr.revOff[g]:fr.revOff[g+1]] {
+						if st.comm[lv] != c {
+							next.Mark(lv)
+						}
+					}
 				}
 			}
 		}

@@ -3,12 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"distlouvain/internal/dgraph"
 	"distlouvain/internal/frontier"
 	"distlouvain/internal/gen"
+	"distlouvain/internal/gio"
 	"distlouvain/internal/graph"
+	"distlouvain/internal/mpi"
 )
 
 // The frontier differential harness: the full scan (oracle.fullScan) is the
@@ -279,5 +283,190 @@ func TestFrontierReducesSweepOnMesh(t *testing.T) {
 	}
 	if frontier >= fullScan {
 		t.Fatalf("frontier visited %d vertices, the full scan %d", frontier, fullScan)
+	}
+}
+
+// lightVertexWeights is floatWeights with every fifth vertex made "light": its
+// edges weigh 10⁻¹⁷ of the others'. A light vertex has positive gains and moves
+// like any other, but its weighted degree is below half an ulp of any
+// community's A, so the community it joins or leaves changes size while A keeps
+// its bits.
+func lightVertexWeights(edges []graph.RawEdge) []graph.RawEdge {
+	out := floatWeights(edges)
+	for i, e := range out {
+		if e.U%5 == 0 || e.V%5 == 0 {
+			out[i].W *= 1e-17
+		}
+	}
+	return out
+}
+
+// TestFrontierDirectionalRuleOnSizeOnlyChanges: rule (d) marks by the sign of
+// ΔA_c and ignores a size that changes away from {0, 1}, so the input here is
+// one where sizes change and A does not all the time — float weights with a
+// fifth of the vertices too light to register in any A_c — and the run must
+// still retrace the full scan bit for bit under every representation. (An
+// Erdős–Rényi graph does not serve: its phases end after two iterations, every
+// community still at size ≤ 1, where the rule marks both ways as before; LFR's
+// planted communities keep phase 0 going.) The second half drives phase 0 by
+// hand and counts, on the owned tables, the changes the rule skips (size moved,
+// A did not) and the ones it marks one way only, so the case cannot quietly
+// stop covering what it is here for.
+func TestFrontierDirectionalRuleOnSizeOnlyChanges(t *testing.T) {
+	n, edges, _, err := gen.LFR(gen.DefaultLFR(1000, 0.3, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges = lightVertexWeights(edges)
+	for _, v := range frontierVariants() {
+		for _, ranks := range []int{1, 2, 4} {
+			ref := v.cfg
+			ref.Threads = 2
+			ref.oracle.fullScan = true
+			want, err := RunOnEdges(ranks, n, edges, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rep := range []frontier.Rep{frontier.RepDense, frontier.RepSparse, frontier.RepAuto} {
+				cfg := v.cfg
+				cfg.Threads = 2
+				cfg.oracle.rep = rep
+				got, err := RunOnEdges(ranks, n, edges, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTrajectory(t, fmt.Sprintf("%s ranks=%d rep=%d", v.name, ranks, rep), got, want)
+			}
+		}
+	}
+
+	type counts struct{ sizeOnly, oneWay, both int }
+	out, err := mpi.RunCollect(2, func(c *mpi.Comm) (counts, error) {
+		var k counts
+		st, err := baselinePhaseState(c, n, edges)
+		if err != nil {
+			return k, err
+		}
+		ln := st.dg.LocalN
+		prevA, prevSize := slices.Clone(st.cA[:ln]), slices.Clone(st.cSize[:ln])
+		st.afterFetch = func() error {
+			for lc := int64(0); lc < ln; lc++ {
+				a0, s0, a1, s1 := prevA[lc], prevSize[lc], st.cA[lc], st.cSize[lc]
+				switch {
+				case a0 == a1 && s0 == s1:
+				case s0 <= 1 || s1 <= 1:
+					k.both++
+				case a0 == a1:
+					k.sizeOnly++
+				default:
+					k.oneWay++
+				}
+			}
+			copy(prevA, st.cA[:ln])
+			copy(prevSize, st.cSize[:ln])
+			return nil
+		}
+		_, err = st.iterate(st.cfg.Tau)
+		return k, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k counts
+	for _, o := range out {
+		k.sizeOnly += o.sizeOnly
+		k.oneWay += o.oneWay
+		k.both += o.both
+	}
+	t.Logf("phase 0 at 2 ranks: %d size-only changes, %d one-way, %d both-ways", k.sizeOnly, k.oneWay, k.both)
+	if k.sizeOnly < 10 || k.oneWay < 100 {
+		t.Fatalf("%d size-only and %d one-way changes in phase 0; the input no longer exercises the directional rule", k.sizeOnly, k.oneWay)
+	}
+}
+
+// TestFrontierUnmarkedVerticesWouldStay checks the frontier's invariant where
+// it is stated rather than through its consequences: at the start of every
+// sweep, every vertex the frontier leaves out (and ET has not retired) is
+// evaluated anyway, and must decide to stay. Trajectory equality with the full
+// scan only notices a missed vertex whose move would have shown in a later Q;
+// this notices every one, which is what tells a rule (d) that marks the wrong
+// side of a change (members when A_c fell, neighbours when it rose) from the
+// right one.
+func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
+	type input struct {
+		name  string
+		n     int64
+		edges []graph.RawEdge
+	}
+	var inputs []input
+	n, edges := gen.Grid2D(18, 18, false)
+	inputs = append(inputs, input{"grid", n, edges})
+	n, edges = gen.BandedMesh(600, 4)
+	inputs = append(inputs, input{"band", n, edges})
+	n, edges, _, err := gen.LFR(gen.DefaultLFR(1000, 0.3, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"lfr", n, edges}, input{"lfr-light", n, lightVertexWeights(edges)})
+	for _, in := range inputs {
+		for _, v := range []Config{Baseline(), ETC(0.25)} {
+			for _, ranks := range []int{1, 2, 3} {
+				checked, err := mpi.RunCollect(ranks, func(c *mpi.Comm) (int, error) {
+					checked := 0
+					lo, hi := gio.SegmentRange(int64(len(in.edges)), c.Rank(), ranks)
+					dg, err := dgraph.Build(c, in.n, in.edges[lo:hi], nil)
+					if err != nil {
+						return 0, err
+					}
+					for phase := 0; phase < 4; phase++ {
+						cfg := v
+						cfg.Threads = 1
+						cfg.fill()
+						st, err := newPhaseState(dg, &cfg, phase, &StepTimes{})
+						if err != nil {
+							return 0, err
+						}
+						var acc rowAcc
+						var bad error
+						sweepBody := st.sweepBody
+						st.sweepBody = func(w, lo, hi int) {
+							acc.fit(len(st.refs))
+							for lv := int64(0); lv < st.dg.LocalN && bad == nil; lv++ {
+								if st.fr.cur.Has(lv) || st.inactive[lv] {
+									continue
+								}
+								checked++
+								if mv, ok := st.evaluateVertex(lv, &acc); ok {
+									bad = fmt.Errorf("phase %d iteration %d: vertex %d is outside the frontier and would move to community %d",
+										phase, st.sweepIter, st.dg.Global(lv), st.gidOf(mv.to))
+								}
+							}
+							sweepBody(w, lo, hi)
+						}
+						if _, err := st.iterate(cfg.Tau); err != nil {
+							return 0, err
+						}
+						if bad != nil {
+							return 0, bad
+						}
+						ndg, _, err := st.rebuild(nil)
+						if err != nil {
+							return 0, err
+						}
+						if ndg.GlobalN == dg.GlobalN {
+							break
+						}
+						dg = ndg
+					}
+					return checked, nil
+				})
+				if err != nil {
+					t.Fatalf("%s %s ranks=%d: %v", in.name, v.VariantName(), ranks, err)
+				}
+				if !slices.ContainsFunc(checked, func(k int) bool { return k > 0 }) {
+					t.Fatalf("%s %s ranks=%d: the frontier never left a vertex out", in.name, v.VariantName(), ranks)
+				}
+			}
+		}
 	}
 }

@@ -79,6 +79,7 @@ func (st *phaseState) slotOf(gid int64) (int32, error) {
 	st.fetched = append(st.fetched, 0)
 	if st.fr != nil {
 		st.fr.stamp = append(st.fr.stamp, 0)
+		st.fr.dir = append(st.fr.dir, 0)
 	}
 	return int32(len(st.refs) - 1), nil
 }

@@ -396,7 +396,8 @@ func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
 // neighbourhood can reference — from their owners, and store the replies in
 // the slots' cA/cSize. The request lists are rebuilt only when the live set
 // changed. With a frontier, a reply marks its slot changed (rule d) when the
-// slot was not refreshed by the previous round or the values differ.
+// slot was not refreshed by the previous round or the values differ in a way
+// dirOf says a decision can read.
 func (st *phaseState) fetchCommunityInfo() error {
 	sp := st.tr().Begin(obsv.KindP2P, "community-fetch")
 	defer sp.End()
@@ -459,8 +460,14 @@ func (st *phaseState) fetchCommunityInfo() error {
 			if err != nil {
 				return malformed("community-info reply", q, "%v", err)
 			}
-			if st.fr != nil && (st.fetched[s] != st.fetchSeq-1 || st.cA[s] != a || st.cSize[s] != size) {
-				st.fr.noteChanged(s)
+			if st.fr != nil {
+				d := dirBoth // not refreshed by the previous round: nothing to compare with
+				if st.fetched[s] == st.fetchSeq-1 {
+					d = dirOf(st.cA[s], st.cSize[s], a, size)
+				}
+				if d != 0 {
+					st.fr.noteChanged(s, d)
+				}
 			}
 			st.cA[s], st.cSize[s], st.fetched[s] = a, size, st.fetchSeq
 		}
@@ -667,10 +674,13 @@ func (st *phaseState) applyDelta(cid int64, d delta) {
 		st.cSize[lc] = 0
 		st.cA[lc] = 0
 	}
-	if st.fr != nil && (st.cA[lc] != a0 || st.cSize[lc] != s0) {
+	if st.fr != nil {
 		// Frontier dirty rule (d), owned side: the values evaluators read
-		// changed, so everything referencing this community re-evaluates.
-		st.fr.noteChanged(int32(lc))
+		// changed, so whoever the direction of the change can concern
+		// re-evaluates.
+		if d := dirOf(a0, s0, st.cA[lc], st.cSize[lc]); d != 0 {
+			st.fr.noteChanged(int32(lc), d)
+		}
 	}
 }
 
