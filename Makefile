@@ -74,9 +74,11 @@ test-chaos:
 # and the Step-5 aggregator's differential (coarsen_test.go: the map oracle's
 # arcs at every thread count, each pair once per rank, allocation ceiling),
 # and the tie rule's properties (tierule_test.go: relabelling, rank / thread
-# independence, quality floor, ET on the mesh, shared vs core).
+# independence, quality floor, ET on the mesh, shared vs core), and the return
+# rule's (oscillation_test.go: no plateau on LFR, the swap gadget, rank / thread
+# / restart independence).
 test-frontier:
-	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule' ./internal/core/... ./internal/frontier/...
+	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule|Oscillation' ./internal/core/... ./internal/frontier/...
 
 # go vet plus a race-mode coverage run over the algorithm core; prints the
 # per-function coverage table CI publishes as the job summary.

@@ -65,6 +65,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sync/atomic"
 	"time"
@@ -314,9 +315,28 @@ func rankBody(path string, hdr gio.Header, cfg core.Config, edgeBal, resume, ver
 			}
 		}
 		if c.Rank() == 0 && verbose {
+			kept := math.Inf(-1)
 			for i, ph := range res.Phases {
-				fmt.Fprintf(os.Stderr, "phase %d: |V|=%d iters=%d Q=%.6f tau=%.0e exit=%s\n",
-					i, ph.Vertices, ph.Iterations, ph.Modularity, ph.Tau, ph.Exit)
+				// core.Run discards a phase that ends below the one before.
+				note := ""
+				if ph.Modularity < kept {
+					note = " (discarded: ended below the phase before)"
+				} else {
+					kept = ph.Modularity
+				}
+				fmt.Fprintf(os.Stderr, "phase %d: |V|=%d iters=%d Q=%.6f tau=%.0e exit=%s%s\n",
+					i, ph.Vertices, ph.Iterations, ph.Modularity, ph.Tau, ph.Exit, note)
+				// Returns keeping pace with moves is a phase flip-flopping
+				// rather than converging; "damped from" is where the return
+				// rule stepped in. A resumed run's earlier phases have no
+				// return counts (the checkpoint does not carry them).
+				if len(ph.ReturnsTrajectory) > 0 {
+					damped := "never damped"
+					if ph.DampedFrom > 0 {
+						damped = fmt.Sprintf("damped from iteration %d", ph.DampedFrom)
+					}
+					fmt.Fprintf(os.Stderr, "  moves %v\n  returns %v, %s\n", ph.MovesTrajectory, ph.ReturnsTrajectory, damped)
+				}
 			}
 		}
 		return res, nil

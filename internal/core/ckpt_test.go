@@ -360,6 +360,20 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "config fingerprint") {
 		t.Fatalf("parent-format manifest: error = %v, want config fingerprint mismatch", err)
 	}
+
+	// And one written by ea93e17 — hashed ties, but returns undamped
+	// (TestFingerprintRefusesUndampedTrajectories).
+	man.ConfigHash = "3fe5d2c9646e1c13"
+	if err := ckpt.WriteManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(3, func(c *mpi.Comm) error {
+		_, err := Resume(c, dir, Baseline())
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "config fingerprint") {
+		t.Fatalf("undamped-format manifest: error = %v, want config fingerprint mismatch", err)
+	}
 }
 
 func TestResumeNamesCorruptFile(t *testing.T) {

@@ -32,6 +32,25 @@ func (st *phaseState) commGIDs() []int64 {
 	return out
 }
 
+// gatherLabels collects every rank's commGIDs at rank 0, in vertex order (ranks
+// own ascending ranges); other ranks get nil. A collective.
+func (st *phaseState) gatherLabels() ([]int64, error) {
+	c := st.dg.Comm
+	blocks, err := c.Gatherv(0, mpi.EncodeInt64s(st.commGIDs()))
+	if err != nil || c.Rank() != 0 {
+		return nil, err
+	}
+	var labels []int64
+	for _, b := range blocks {
+		part, err := mpi.DecodeInt64s(b)
+		if err != nil {
+			return nil, err
+		}
+		labels = append(labels, part...)
+	}
+	return labels, nil
+}
+
 // setCommGID moves local vertex lv into the community with global ID gid.
 func (st *phaseState) setCommGID(lv, gid int64) {
 	c, err := st.slotOf(gid)

@@ -257,6 +257,14 @@ type PhaseStat struct {
 	// community in each iteration — the quantity whose rapid decay
 	// motivates the ET heuristic (§IV-B).
 	MovesTrajectory []int64
+	// ReturnsTrajectory records how many of each iteration's moves put a
+	// vertex back into the community it had left one iteration earlier, and
+	// DampedFrom the first iteration (1-based; 0: none) the return rule
+	// applied to — the one after the first whose returns were at least half
+	// of its moves. A phase whose returns track its moves is flip-flopping,
+	// not converging (DESIGN §8). Like the two below, not checkpointed.
+	ReturnsTrajectory []int64
+	DampedFrom        int
 	// TouchedTrajectory records the global number of vertices the sweep
 	// actually evaluated in each iteration; FrontierTrajectory the global
 	// active-set size offered to the sweep (LocalN sums under the full scan).

@@ -33,15 +33,17 @@ type Fingerprint string
 // TestConfigFieldsPinned holds both lists against the struct. The etcexit
 // position carries the constant DefaultETCExit: it was once a field no caller
 // set, and keeping its bytes keeps every stored digest, manifest and cache
-// key valid. The last token names the ΔQ tie rule (tieBefore): it replaced
-// "coloring=<bool>" when ties stopped breaking towards the smallest community
-// ID, so a checkpoint or cached result of a smallest-ID trajectory never
-// matches and Resume refuses it with the typed mismatch instead of continuing
-// it under the other rule.
+// key valid. The last two tokens name the rules of the sweep that are not
+// configuration: the ΔQ tie rule (tieBefore; it replaced "coloring=<bool>"
+// when ties stopped breaking towards the smallest community ID) and the return
+// rule of a damped phase (evaluateVertex; appended when it was introduced). A
+// checkpoint or cached result of a trajectory under other rules therefore
+// never matches, and Resume refuses it with the typed mismatch instead of
+// continuing it under these.
 func (c Config) Fingerprint() Fingerprint {
 	c.fill() // value receiver: canonicalize defaults without mutating the caller
 	h := fnv.New64a()
-	fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;tie=mix64",
+	fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;tie=mix64;returns=damped",
 		c.Tau, c.TauSchedule, c.Alpha, c.ETC, DefaultETCExit, c.MaxPhases, c.MaxIterations, c.Seed)
 	return Fingerprint(fmt.Sprintf("%016x", h.Sum64()))
 }

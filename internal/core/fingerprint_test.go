@@ -26,12 +26,12 @@ func TestFingerprintStability(t *testing.T) {
 		cfg  Config
 		want Fingerprint
 	}{
-		{"baseline defaults", Baseline(), "3fe5d2c9646e1c13"},
-		{"etc 0.25", ETC(0.25), "6db74814c6902ce5"},
+		{"baseline defaults", Baseline(), "1adf270daedaccd1"},
+		{"etc 0.25", ETC(0.25), "db98d8c5cdbe2c23"},
 		{"custom trajectory knobs", Config{
 			Tau: 1e-4, TauSchedule: []float64{1e-3, 1e-4}, Alpha: 0.5,
 			Seed: 42, MaxIterations: 7,
-		}, "0e82eecafb353689"},
+		}, "3ef60d9f7d1321c7"},
 	}
 	for _, c := range cases {
 		if got := c.cfg.Fingerprint(); got != c.want {
@@ -69,6 +69,36 @@ func TestFingerprintRefusesSmallestIDTrajectories(t *testing.T) {
 		}
 		if got := c.cfg.Fingerprint(); got == c.parent {
 			t.Errorf("%s: Fingerprint = %s, the digest cd63276 gave its smallest-ID trajectory", c.name, got)
+		}
+	}
+}
+
+// TestFingerprintRefusesUndampedTrajectories: up to ea93e17 a vertex was free
+// to go back to the community it had just left, and the fingerprint ended at
+// "tie=mix64". A manifest or cache key written then describes a trajectory with
+// LFR's period-2 tail in it, so none of that format's digests may equal today's
+// for the same configuration — Resume refuses the checkpoint
+// (TestResumeRejectsConfigMismatch) and the dlouvaind cache, keyed by this
+// digest, misses (service.TestCacheKeyedByConfigFingerprint). The literals are
+// what ea93e17 computed, and pinned.
+func TestFingerprintRefusesUndampedTrajectories(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		parent Fingerprint
+	}{
+		{"baseline defaults", Baseline(), "3fe5d2c9646e1c13"},
+		{"etc 0.25", ETC(0.25), "6db74814c6902ce5"},
+	} {
+		c.cfg.fill()
+		h := fnv.New64a()
+		fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;tie=mix64",
+			c.cfg.Tau, c.cfg.TauSchedule, c.cfg.Alpha, c.cfg.ETC, DefaultETCExit, c.cfg.MaxPhases, c.cfg.MaxIterations, c.cfg.Seed)
+		if old := Fingerprint(fmt.Sprintf("%016x", h.Sum64())); old != c.parent {
+			t.Fatalf("%s: the undamped format hashes to %s, recorded %s", c.name, old, c.parent)
+		}
+		if got := c.cfg.Fingerprint(); got == c.parent {
+			t.Errorf("%s: Fingerprint = %s, the digest ea93e17 gave its undamped trajectory", c.name, got)
 		}
 	}
 }

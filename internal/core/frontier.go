@@ -35,13 +35,17 @@ import (
 //	(e) the ET coin skipped it while it was in the frontier (the sweep
 //	    carries it over so a stale vertex is re-checked until actually
 //	    evaluated; permanently inactive vertices drop out — the full scan
-//	    never evaluates those again either).
+//	    never evaluates those again either), or a rule refused the move it
+//	    chose (the minimum-label rule, the return rule of a damped phase): a
+//	    refusal rests on where the vertex was an iteration ago and on the
+//	    phase being damped, which change without any neighbour changing.
 //
 // Marking a superset is always safe: re-evaluating an unchanged vertex
 // reproduces its previous "stay put" decision. The rules never mark less
 // than the set whose decision can change, which is the bit-identity proof: a
-// vertex outside the frontier last decided "no gain is positive", every change
-// to what it reads since then either marked it or lowered its gains.
+// vertex outside the frontier last decided "no gain is positive" (one that
+// moved is in by rule a, one that was refused by rule e), and every change to
+// what it reads since then either marked it or lowered its gains.
 type frontierState struct {
 	cur, next *frontier.Set
 
@@ -50,8 +54,8 @@ type frontierState struct {
 	// under the list scan.
 	scanDense bool
 
-	// carryBufs[w] collects rule-(e) carry-overs per sweep worker; merged
-	// into next single-threaded after the parallel region.
+	// carryBufs[w] collects rule-(e) carry-overs (coin-skipped, refused) per
+	// sweep worker; merged into next single-threaded after the parallel region.
 	carryBufs [][]int64
 
 	// Reverse ghost adjacency, built once per phase: the local vertices

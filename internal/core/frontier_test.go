@@ -24,9 +24,11 @@ import (
 // counts, and kill→resume.
 
 // frontierGraphs are the differential inputs: an Erdős–Rényi graph, a
-// banded mesh (the workload class the frontier targets), and a
-// float-weighted graph so order-dependence in any frontier path shows up
-// bitwise.
+// banded mesh (the workload class the frontier targets), a float-weighted
+// graph so order-dependence in any frontier path shows up bitwise, and the
+// float-weighted LFR of lightVertexWeights, on which community sizes change
+// all the time without any A_c changing (rule d's directional marking;
+// TestFrontierDirectionalRuleHasCases counts them).
 func frontierGraphs() []struct {
 	name  string
 	n     int64
@@ -35,6 +37,7 @@ func frontierGraphs() []struct {
 	ern, erEdges := gen.ErdosRenyi(300, 1500, 5)
 	meshN, meshEdges := gen.Grid2D(18, 18, false)
 	fn, fEdges := gen.ErdosRenyi(250, 1200, 17)
+	ln, lEdges := lightLFR()
 	return []struct {
 		name  string
 		n     int64
@@ -43,6 +46,7 @@ func frontierGraphs() []struct {
 		{"er", ern, erEdges},
 		{"mesh", meshN, meshEdges},
 		{"er-float", fn, floatWeights(fEdges)},
+		{"lfr-light", ln, lEdges},
 	}
 }
 
@@ -301,45 +305,26 @@ func lightVertexWeights(edges []graph.RawEdge) []graph.RawEdge {
 	return out
 }
 
-// TestFrontierDirectionalRuleOnSizeOnlyChanges: rule (d) marks by the sign of
-// ΔA_c and ignores a size that changes away from {0, 1}, so the input here is
-// one where sizes change and A does not all the time — float weights with a
-// fifth of the vertices too light to register in any A_c — and the run must
-// still retrace the full scan bit for bit under every representation. (An
-// Erdős–Rényi graph does not serve: its phases end after two iterations, every
-// community still at size ≤ 1, where the rule marks both ways as before; LFR's
-// planted communities keep phase 0 going.) The second half drives phase 0 by
-// hand and counts, on the owned tables, the changes the rule skips (size moved,
-// A did not) and the ones it marks one way only, so the case cannot quietly
-// stop covering what it is here for.
-func TestFrontierDirectionalRuleOnSizeOnlyChanges(t *testing.T) {
+// lightLFR is LFR 1000 (μ = 0.3) under lightVertexWeights.
+func lightLFR() (int64, []graph.RawEdge) {
 	n, edges, _, err := gen.LFR(gen.DefaultLFR(1000, 0.3, 23))
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	edges = lightVertexWeights(edges)
-	for _, v := range frontierVariants() {
-		for _, ranks := range []int{1, 2, 4} {
-			ref := v.cfg
-			ref.Threads = 2
-			ref.oracle.fullScan = true
-			want, err := RunOnEdges(ranks, n, edges, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rep := range []frontier.Rep{frontier.RepDense, frontier.RepSparse, frontier.RepAuto} {
-				cfg := v.cfg
-				cfg.Threads = 2
-				cfg.oracle.rep = rep
-				got, err := RunOnEdges(ranks, n, edges, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTrajectory(t, fmt.Sprintf("%s ranks=%d rep=%d", v.name, ranks, rep), got, want)
-			}
-		}
-	}
+	return n, lightVertexWeights(edges)
+}
 
+// TestFrontierDirectionalRuleHasCases: rule (d) marks by the sign of ΔA_c and
+// ignores a size that changes away from {0, 1}; TestFrontierMatchesFullScan
+// holds it to the full scan on lightLFR, an input chosen because sizes change
+// there and A does not. (An Erdős–Rényi graph does not serve: its phases end
+// after two iterations, every community still at size ≤ 1, where the rule marks
+// both ways as before; LFR's planted communities keep phase 0 going.) This test
+// drives phase 0 of that input by hand and counts, on the owned tables, the
+// changes the rule skips (size moved, A did not) and the ones it marks one way
+// only, so the differential cannot quietly stop covering what it is there for.
+func TestFrontierDirectionalRuleHasCases(t *testing.T) {
+	n, edges := lightLFR()
 	type counts struct{ sizeOnly, oneWay, both int }
 	out, err := mpi.RunCollect(2, func(c *mpi.Comm) (counts, error) {
 		var k counts
@@ -436,9 +421,9 @@ func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 									continue
 								}
 								checked++
-								if mv, ok := st.evaluateVertex(lv, &acc); ok {
-									bad = fmt.Errorf("phase %d iteration %d: vertex %d is outside the frontier and would move to community %d",
-										phase, st.sweepIter, st.dg.Global(lv), st.gidOf(mv.to))
+								if mv, ok, refused := st.evaluateVertex(lv, &acc); ok || refused {
+									bad = fmt.Errorf("phase %d iteration %d: vertex %d is outside the frontier and would move to community %d (refused: %v)",
+										phase, st.sweepIter, st.dg.Global(lv), st.gidOf(mv.to), refused)
 								}
 							}
 							sweepBody(w, lo, hi)

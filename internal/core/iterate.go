@@ -24,6 +24,25 @@ func tieBefore(a, b int64) bool {
 	return par.Mix64(uint64(a)) < par.Mix64(uint64(b))
 }
 
+// dampedReturnShare: a phase is damped from the iteration after the first one
+// whose returns are at least this share of its moves, a return being a move
+// back into the community the vertex left one iteration earlier. A constant of
+// the method, like the paper's 2 % and 90 %, not a knob. Its measurement:
+// undamped, phase 0 of gen.LFR(DefaultLFR(100000, 0.3, 1)) at 2 ranks moves
+// [50153 64579 73811 68392 50588 34458 24295 18020 … 5883 5882] vertices in its
+// 26 iterations, of which [0 4565 23842 26150 22587 19720 16549 13976 … 5871
+// 5869] are returns — 7 % in iteration 2, 57 % in iteration 6, 78 % in
+// iteration 8, 99.8 % at the end: a period-2 flip-flop that only ΔQ < τ ends.
+// Half is crossed in iteration 6 there. R-MAT 17's phase 1 crosses it too
+// ([0 412 7665 16102] of [25770 22778 20543 20662]) but in its last iteration,
+// the one whose swaps make Q drop and end the phase — which is what keeps the
+// rule off the workload an always-on rule slows down (DESIGN §8 "returns").
+const dampedReturnShare = 0.5
+
+// refusedMark is what a refused vertex's prevComm entry is overwritten with: no
+// slot, so updateActivity sees "changed community" and keeps P(v) = 1.
+const refusedMark int32 = -1
+
 // move is one vertex's decision within an iteration.
 type move struct {
 	lv       int64 // local vertex index
@@ -32,7 +51,9 @@ type move struct {
 
 // updateActivity applies the ET probability decay of Equation 3 before
 // iteration iter (1-based) and returns the local inactive count. With
-// Alpha == 0 every vertex stays active.
+// Alpha == 0 every vertex stays active. A vertex a rule refused in the previous
+// iteration (refusedMark) wanted to move and was held back, which is not the
+// stability the decay rewards: it restarts at P = 1 like a vertex that moved.
 func (st *phaseState) updateActivity(iter int) int64 {
 	if st.cfg.Alpha <= 0 {
 		return 0
@@ -97,7 +118,7 @@ func (st *phaseState) isActive(lv int64, iter int) bool {
 // gains, tieBefore on ties), so the chosen moves are identical too.
 // evaluateVertexRef in kernels_ref.go is the map oracle, by global ID, the
 // differential tests compare against.
-func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
+func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refused bool) {
 	m2 := st.dg.M2
 	cv := st.comm[lv]
 	acc.next()
@@ -118,7 +139,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
 	}
 	acc.keys = keys
 	if len(keys) == 0 {
-		return move{}, false
+		return move{}, false, false
 	}
 	var eCur float64
 	if stamp[cv] == epoch {
@@ -139,7 +160,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
 		}
 	}
 	if best == cv || bestGain <= 0 {
-		return move{}, false
+		return move{}, false, false
 	}
 	// Minimum-label rule: a singleton only joins another singleton with a
 	// smaller label, killing synchronous swap cycles. Raw IDs on purpose:
@@ -147,9 +168,18 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (move, bool) {
 	// shared-memory comparator; TestTieRuleSharedAndCoreAgree holds the two
 	// together.
 	if st.cSize[cv] == 1 && st.cSize[best] == 1 && st.gidOf(best) > st.gidOf(cv) {
-		return move{}, false
+		return move{}, false, true
 	}
-	return move{lv: lv, from: cv, to: best}, true
+	// Return rule, the same direction for communities of any size: in a damped
+	// phase a vertex goes back to the community it left one iteration ago
+	// (st.snap.comm still holds where the previous iteration started) only
+	// towards the smaller label. Of two vertices swapping across a boundary for
+	// ever, each on the other's stale label, exactly one now moves and they end
+	// together; the other stays put rather than take its second-best.
+	if st.damped && best == st.snap.comm[lv] && st.gidOf(best) > st.gidOf(cv) {
+		return move{}, false, true
+	}
+	return move{lv: lv, from: cv, to: best}, true, false
 }
 
 // sweep is step (ii) of Algorithm 3: every active local vertex evaluates
@@ -179,6 +209,7 @@ func (st *phaseState) sweep(iter int) []move {
 		st.moveBufs[w] = st.moveBufs[w][:0]
 	}
 	clear(st.touchedBufs)
+	clear(st.returnsBufs)
 	st.fitAccs()
 	fr := st.fr
 	st.sweepIDs, st.sweepIter = nil, iter
@@ -193,14 +224,15 @@ func (st *phaseState) sweep(iter int) []move {
 		all = append(all, ms...)
 	}
 	st.allMoves = all
-	st.iterTouched = 0
-	for _, c := range st.touchedBufs {
+	st.iterTouched, st.iterReturns = 0, 0
+	for w, c := range st.touchedBufs {
 		st.iterTouched += c
+		st.iterReturns += st.returnsBufs[w]
 	}
 	if fr != nil {
-		// Merge the coin-skipped carry-overs (dirty rule e) into the next
-		// frontier single-threaded, draining each buffer so a worker idle
-		// next iteration cannot replay stale entries.
+		// Merge the coin-skipped and the refused carry-overs (dirty rule e)
+		// into the next frontier single-threaded, draining each buffer so a
+		// worker idle next iteration cannot replay stale entries.
 		for w := range fr.carryBufs {
 			for _, lv := range fr.carryBufs[w] {
 				fr.next.Mark(lv)
@@ -225,10 +257,13 @@ func (st *phaseState) fitAccs() {
 
 // sweepRange evaluates vertices ids[lo:hi] — or lo..hi themselves when ids is
 // nil — on worker w, appending chosen moves to the worker's buffer and
-// counting evaluations into the worker's touched counter. Frontier members the
-// ET coin skips are carried into the next frontier — a stale vertex stays dirty
-// until actually evaluated — while permanently inactive vertices drop out,
-// matching the full scan (which never evaluates those again either).
+// counting evaluations, and the moves that are returns, into the worker's
+// counters. Frontier members the ET coin skips are carried into the next
+// frontier — a stale vertex stays dirty until actually evaluated — while
+// permanently inactive vertices drop out, matching the full scan (which never
+// evaluates those again either). A vertex a rule refused is carried too — what
+// it was refused against (snap.comm, the phase being damped) changes without
+// any neighbour changing — and keeps P = 1 (refusedMark).
 // sweepRangeRef is the same loop over the map reference kernel.
 func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	if st.cfg.oracle.refKernels {
@@ -241,8 +276,8 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	if fr != nil {
 		carry = fr.carryBufs[w]
 	}
-	var touched int64
-	acc := &st.accs[w]
+	var touched, returns int64
+	acc, prev := &st.accs[w], st.snap.comm
 	for i := lo; i < hi; i++ {
 		lv := int64(i)
 		if ids != nil {
@@ -258,12 +293,23 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 			continue
 		}
 		touched++
-		if mv, ok := st.evaluateVertex(lv, acc); ok {
+		mv, ok, refused := st.evaluateVertex(lv, acc)
+		switch {
+		case ok:
 			moves = append(moves, mv)
+			if mv.to == prev[lv] {
+				returns++
+			}
+		case refused:
+			st.prevComm[lv] = refusedMark
+			if fr != nil {
+				carry = append(carry, lv)
+			}
 		}
 	}
 	st.moveBufs[w] = moves
 	st.touchedBufs[w] += touched
+	st.returnsBufs[w] += returns
 	if fr != nil {
 		fr.carryBufs[w] = carry
 	}
@@ -301,7 +347,10 @@ func (st *phaseState) stageMoves(moves []move) []commDelta {
 
 // snapshot captures the state an iteration may need to roll back: local
 // assignments and the owned community table. Ghost tables are not included
-// — they reflect prior iterations' (kept) moves.
+// — they reflect prior iterations' (kept) moves. It is taken after the sweep,
+// which writes none of it, so that during the sweep snap.comm is still where
+// the PREVIOUS iteration started: the community a vertex that moved then has
+// left, which is all the return rule needs to know.
 type snapshot struct {
 	comm  []int32
 	cA    []float64
@@ -333,7 +382,6 @@ func (st *phaseState) restore(s *snapshot) {
 func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 	stat := PhaseStat{Vertices: st.dg.GlobalN, Tau: tau}
 	prevQ := math.Inf(-1)
-	var snap snapshot
 	globalN := st.dg.GlobalN
 
 	for {
@@ -390,11 +438,15 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		// against the fresh community info, then swap in the set rules
 		// (a)–(c) and (e) accumulated during the previous iteration.
 		st.buildFrontier(stat.Iterations)
-
-		st.snapshot(&snap)
+		if st.damped && stat.DampedFrom == 0 {
+			stat.DampedFrom = stat.Iterations
+			dsp := st.tr().Begin(obsv.KindStep, "damped") // marks the iteration for the §V-A report
+			dsp.End()
+		}
 
 		// (ii) local ΔQ sweep; (iii) apply + push community updates.
 		moves := st.sweep(stat.Iterations)
+		st.snapshot(&st.snap)
 		if err := st.pushDeltas(st.stageMoves(moves), moves); err != nil {
 			return stat, err
 		}
@@ -417,6 +469,8 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		}
 		stat.QTrajectory = append(stat.QTrajectory, q)
 		stat.MovesTrajectory = append(stat.MovesTrajectory, globalMoves)
+		stat.ReturnsTrajectory = append(stat.ReturnsTrajectory, st.globalReturns)
+		isp.SetCount(st.globalReturns)
 		stat.TouchedTrajectory = append(stat.TouchedTrajectory, st.globalTouched)
 		stat.FrontierTrajectory = append(stat.FrontierTrajectory, st.globalFrontier)
 		st.cfg.progress(ProgressEvent{Kind: ProgressIteration, Phase: st.phase, Iteration: stat.Iterations, Modularity: q, Vertices: globalN})
@@ -427,7 +481,7 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 				// Joint moves decreased Q; every rank reverts this
 				// iteration (the decision derives from the allreduced q,
 				// so all ranks agree).
-				st.restore(&snap)
+				st.restore(&st.snap)
 			} else {
 				prevQ = q
 			}
@@ -436,6 +490,11 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 			break
 		}
 		prevQ = q
+		// Arm the return rule on evidence (allreduced counts, so every rank
+		// agrees, whatever the partition): most of what moved came back.
+		if globalMoves > 0 && float64(st.globalReturns) >= dampedReturnShare*float64(globalMoves) {
+			st.damped = true
+		}
 		isp.End()
 	}
 

@@ -46,11 +46,12 @@ func (st *phaseState) infoOf(cid int64) (cinfo, bool) {
 
 // evaluateVertexRef is evaluateVertex with a map scratch accumulator. The
 // accumulation order over neighbors is identical (CSR order), and the
-// best-move scan is iteration-order independent (the tie rule is spelled out
-// here rather than shared with the slot kernel, so the differential tests
-// compare two statements of it), so the chosen move is always identical to
-// the slot kernel's.
-func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (move, bool) {
+// best-move scan is iteration-order independent (the tie rule, the
+// minimum-label rule and the return rule are spelled out here, on global IDs,
+// rather than shared with the slot kernel, so the differential tests compare
+// two statements of each), so the verdict is always identical to the slot
+// kernel's.
+func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mv move, ok, refused bool) {
 	m2 := st.dg.M2
 	cv := st.gidOf(st.comm[lv])
 	clear(scratch)
@@ -62,13 +63,13 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mo
 		scratch[st.commOf(e.To)] += e.W
 	}
 	if len(scratch) == 0 {
-		return move{}, false
+		return move{}, false, false
 	}
 	eCur := scratch[cv]
 	kv := st.dg.K[lv]
-	curInfo, ok := st.infoOf(cv)
-	if !ok {
-		return move{}, false // stale reference; skip this vertex for now
+	curInfo, found := st.infoOf(cv)
+	if !found {
+		return move{}, false, false // stale reference; skip this vertex for now
 	}
 	aCur := curInfo.a - kv
 	best := cv
@@ -90,17 +91,22 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mo
 		}
 	}
 	if best == cv || bestGain <= 0 {
-		return move{}, false
+		return move{}, false, false
 	}
 	if curInfo.size == 1 && bestInfo.size == 1 && best > cv {
-		return move{}, false
+		return move{}, false, true
+	}
+	// Damped: no way back to the community left one iteration ago unless its
+	// label is the smaller one.
+	if left := st.gidOf(st.snap.comm[lv]); st.damped && best == left && best > cv {
+		return move{}, false, true
 	}
 	to, _ := st.findSlot(best) // infoOf found it
-	return move{lv: lv, from: st.comm[lv], to: to}, true
+	return move{lv: lv, from: st.comm[lv], to: to}, true, false
 }
 
 // sweepRangeRef is sweepRange over evaluateVertexRef: the same vertices offered
-// in the same order, the same carry-over and touched accounting.
+// in the same order, the same carry-overs and the same counters.
 func (st *phaseState) sweepRangeRef(w, lo, hi int, ids []int64, iter int) {
 	fr := st.fr
 	scratch := make(map[int64]float64, 64)
@@ -119,8 +125,18 @@ func (st *phaseState) sweepRangeRef(w, lo, hi int, ids []int64, iter int) {
 			continue
 		}
 		st.touchedBufs[w]++
-		if mv, ok := st.evaluateVertexRef(lv, scratch); ok {
+		mv, ok, refused := st.evaluateVertexRef(lv, scratch)
+		switch {
+		case ok:
 			st.moveBufs[w] = append(st.moveBufs[w], mv)
+			if st.gidOf(mv.to) == st.gidOf(st.snap.comm[lv]) {
+				st.returnsBufs[w]++
+			}
+		case refused:
+			st.prevComm[lv] = refusedMark
+			if fr != nil {
+				fr.carryBufs[w] = append(fr.carryBufs[w], lv)
+			}
 		}
 	}
 }

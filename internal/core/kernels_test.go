@@ -24,8 +24,9 @@ func floatWeights(edges []graph.RawEdge) []graph.RawEdge {
 }
 
 // sameTrajectory asserts two runs are move-for-move and bit-for-bit equal:
-// same phase count, same per-iteration modularity bits and move counts,
-// same final modularity bits, same assignment.
+// same phase count, same per-iteration modularity bits, move and return
+// counts, damped from the same iteration, same final modularity bits, same
+// assignment.
 func sameTrajectory(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Phases) != len(want.Phases) {
@@ -35,6 +36,9 @@ func sameTrajectory(t *testing.T, label string, got, want *Result) {
 		g, w := got.Phases[p], want.Phases[p]
 		if !slices.Equal(g.MovesTrajectory, w.MovesTrajectory) {
 			t.Fatalf("%s: phase %d moves %v vs %v", label, p, g.MovesTrajectory, w.MovesTrajectory)
+		}
+		if !slices.Equal(g.ReturnsTrajectory, w.ReturnsTrajectory) || g.DampedFrom != w.DampedFrom {
+			t.Fatalf("%s: phase %d returns %v damped from %d vs %v from %d", label, p, g.ReturnsTrajectory, g.DampedFrom, w.ReturnsTrajectory, w.DampedFrom)
 		}
 		if len(g.QTrajectory) != len(w.QTrajectory) {
 			t.Fatalf("%s: phase %d ran %d iterations vs %d", label, p, len(g.QTrajectory), len(w.QTrajectory))

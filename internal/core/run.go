@@ -98,32 +98,43 @@ func (rs *runState) runLoop() (*Result, error) {
 		res.Phases = append(res.Phases, stat)
 		res.TotalIterations += stat.Iterations
 
-		// Flatten: each original vertex currently tracks a meta-vertex of
-		// this phase's graph; advance it to that meta-vertex's final
-		// community (serial equivalent: comm[res.Comm[v]]).
-		fsp := tr.Begin(obsv.KindP2P, "flatten")
-		flat, err := st.resolveVertexComms(origComm)
-		if err != nil {
-			return nil, fmt.Errorf("phase %d assignment flattening: %w", phase, err)
-		}
-		copy(origComm, flat)
-		fsp.End()
-
-		// Rebuild unconditionally: it densifies labels and yields the
-		// exact final modularity even when this was the last phase.
-		ndg, ren, err := st.rebuild(origComm)
-		if err == nil {
-			err = ren.translate(origComm, origComm)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("phase %d rebuild: %w", phase, err)
-		}
-		res.Communities = ndg.GlobalN
-		noCompaction := ndg.GlobalN == rs.cur.GlobalN
-		rs.cur = ndg
-
+		// A phase that ends below the one before — a synchronous sweep's joint
+		// moves can lose on a small coarse graph — is discarded, as shared.Run
+		// discards it: no flatten, no rebuild, and the previous phase's
+		// assignment, graph and Q stand. Such a phase ends the run (or, under a
+		// cycled threshold, sends it into the forced final pass from the kept
+		// state); res.Phases still lists it. Phase 0 is never discarded
+		// (prevQ = −∞), and the decision derives from allreduced values, so
+		// every rank takes it together.
 		gain := stat.Modularity - rs.prevQ
-		rs.prevQ = stat.Modularity
+		noCompaction := false
+		if gain >= 0 {
+			// Flatten: each original vertex currently tracks a meta-vertex of
+			// this phase's graph; advance it to that meta-vertex's final
+			// community (serial equivalent: comm[res.Comm[v]]).
+			fsp := tr.Begin(obsv.KindP2P, "flatten")
+			flat, err := st.resolveVertexComms(origComm)
+			if err != nil {
+				return nil, fmt.Errorf("phase %d assignment flattening: %w", phase, err)
+			}
+			copy(origComm, flat)
+			fsp.End()
+
+			// Rebuild even when this is the last phase: it densifies labels
+			// and yields the exact final modularity.
+			ndg, ren, err := st.rebuild(origComm)
+			if err == nil {
+				err = ren.translate(origComm, origComm)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("phase %d rebuild: %w", phase, err)
+			}
+			res.Communities = ndg.GlobalN
+			noCompaction = ndg.GlobalN == rs.cur.GlobalN
+			rs.cur = ndg
+			rs.prevQ = stat.Modularity
+		}
+
 		stop := false
 		if gain <= finalTau {
 			if len(cfg.TauSchedule) > 0 && tau > finalTau && !rs.forcedFinal {

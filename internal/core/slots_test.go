@@ -121,7 +121,9 @@ func trajectoryDigest(res *Result) string {
 		for i, q := range st.QTrajectory {
 			put(math.Float64bits(q))
 			put(uint64(st.MovesTrajectory[i]))
+			put(uint64(st.ReturnsTrajectory[i]))
 		}
+		put(uint64(st.DampedFrom))
 	}
 	put(math.Float64bits(res.Modularity))
 	for _, c := range res.GlobalComm {
@@ -135,7 +137,10 @@ func trajectoryDigest(res *Result) string {
 // trajectories to the bit. The digests were recorded once at a4f76e8 (one
 // running sum over commOf lookups) and held through every kernel rewrite up to
 // cd63276; they were re-recorded when equal-ΔQ ties stopped breaking towards
-// the smallest community ID (tieBefore), the one deliberate trajectory change.
+// the smallest community ID (tieBefore), and again when phases began to damp
+// their returns (and the digest to fold the return counts in) — the two
+// deliberate trajectory changes. Between them, rule (d) taking a direction
+// reproduced both.
 func TestFrontierTrajectoryDigestsPinned(t *testing.T) {
 	ern, erEdges := gen.ErdosRenyi(300, 1500, 5)
 	meshN, meshEdges := gen.BandedMesh(600, 4)
@@ -147,8 +152,8 @@ func TestFrontierTrajectoryDigestsPinned(t *testing.T) {
 		cfg   Config
 		want  string
 	}{
-		{"er baseline, 2 ranks", ern, erEdges, 2, Baseline(), "8285c5bfacc17803"},
-		{"band etc, 4 ranks", meshN, meshEdges, 4, ETC(0.25), "b1b1cc3286a4581c"},
+		{"er baseline, 2 ranks", ern, erEdges, 2, Baseline(), "4db9a5bb41c67c97"},
+		{"band etc, 4 ranks", meshN, meshEdges, 4, ETC(0.25), "0f8b5d86b01b525a"},
 	}
 	for _, c := range cases {
 		res, err := RunOnEdges(c.ranks, c.n, c.edges, c.cfg)
@@ -192,18 +197,9 @@ func TestFrontierIterationQMatchesLabels(t *testing.T) {
 						if ev.Kind != ProgressIteration || hookErr != nil {
 							return
 						}
-						var blocks [][]byte
-						if blocks, hookErr = c.Gatherv(0, mpi.EncodeInt64s(st.commGIDs())); hookErr != nil || c.Rank() != 0 {
+						var labels []int64
+						if labels, hookErr = st.gatherLabels(); hookErr != nil || c.Rank() != 0 {
 							return
-						}
-						var labels []int64 // ranks own ascending ranges
-						for _, b := range blocks {
-							part, err := mpi.DecodeInt64s(b)
-							if err != nil {
-								hookErr = err
-								return
-							}
-							labels = append(labels, part...)
 						}
 						checked++
 						if ev.Modularity < prevQ {

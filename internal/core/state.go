@@ -106,14 +106,23 @@ type phaseState struct {
 	// (see frontier.go).
 	fr *frontierState
 
-	// Per-iteration sweep instrumentation: touchedBufs[w] counts worker
-	// w's ΔQ evaluations; iterTouched/iterFrontier are the rank-local sums
-	// that ride the modularity allreduce; globalTouched/globalFrontier hold
-	// the allreduced figures the phase trajectory records.
-	touchedBufs               []int64
-	iterTouched, iterFrontier int64
-	globalTouched             int64
-	globalFrontier            int64
+	// Per-iteration sweep counters: touchedBufs[w] counts worker w's ΔQ
+	// evaluations, returnsBufs[w] its moves back into the community the vertex
+	// left one iteration earlier; iterTouched/iterFrontier/iterReturns are the
+	// rank-local sums that ride the modularity allreduce;
+	// globalTouched/globalFrontier/globalReturns hold the allreduced figures
+	// the phase trajectory records.
+	touchedBufs, returnsBufs               []int64
+	iterTouched, iterFrontier, iterReturns int64
+	globalTouched                          int64
+	globalFrontier                         int64
+	globalReturns                          int64
+
+	// snap is the rollback snapshot, taken after each sweep; until the next one
+	// its comm is where the previous iteration started (see snapshot). damped
+	// says the return rule is in force for the rest of the phase (iterate).
+	snap   snapshot
+	damped bool
 
 	steps *StepTimes
 
@@ -166,6 +175,7 @@ func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepT
 		accs:        make([]rowAcc, cfg.Threads),
 		moveBufs:    make([][]move, cfg.Threads),
 		touchedBufs: make([]int64, cfg.Threads),
+		returnsBufs: make([]int64, cfg.Threads),
 		deltaTab:    flat.NewTable(256),
 		frames:      make([][]byte, p),
 		deltaFrames: make([]*[]byte, p),
@@ -185,6 +195,7 @@ func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepT
 		st.cSize[lv] = 1
 		st.prob[lv] = 1
 	}
+	st.snapshot(&st.snap) // the identity: nothing is a return in iteration 1
 	if !cfg.oracle.fullScan {
 		st.fr = newFrontierState(st)
 	}
@@ -730,7 +741,7 @@ func (st *phaseState) recomputeRow(lv int64) {
 // squared incident weights of its owned communities; one allreduce yields
 // the global Q. The local move count rides along in the same reduction so
 // the per-iteration migration rate costs no extra collective, and so do the
-// sweep's touched-vertex and frontier-size counters (stale outside the
+// sweep's touched-vertex, frontier-size and return counters (stale outside the
 // iteration loop, where the results are simply unread).
 func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, error) {
 	msp := st.tr().Begin(obsv.KindStep, "modularity-compute")
@@ -744,7 +755,7 @@ func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, erro
 	msp.End()
 
 	ta := time.Now()
-	out, err := st.dg.Comm.AllreduceFloat64s([]float64{eSum, aSq, float64(localMoves), float64(st.iterTouched), float64(st.iterFrontier)}, mpi.OpSum)
+	out, err := st.dg.Comm.AllreduceFloat64s([]float64{eSum, aSq, float64(localMoves), float64(st.iterTouched), float64(st.iterFrontier), float64(st.iterReturns)}, mpi.OpSum)
 	st.steps.Allreduce += time.Since(ta)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: modularity allreduce: %w", err)
@@ -752,6 +763,7 @@ func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, erro
 	moves := int64(out[2])
 	st.globalTouched = int64(out[3])
 	st.globalFrontier = int64(out[4])
+	st.globalReturns = int64(out[5])
 	m2 := st.dg.M2
 	if m2 == 0 {
 		return 0, moves, nil

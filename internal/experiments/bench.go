@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -28,6 +29,13 @@ type BenchPhase struct {
 	CollBytes       int64   `json:"coll_bytes"`
 	TouchedPerIter  []int64 `json:"touched_per_iter,omitempty"`
 	FrontierPerIter []int64 `json:"frontier_per_iter,omitempty"`
+	// MovesPerIter / ReturnsPerIter are core.PhaseStat's trajectories of the
+	// same names, DampedFrom the first iteration the return rule applied to
+	// (absent: never) — returns that keep pace with the moves are a phase
+	// flip-flopping rather than converging.
+	MovesPerIter   []int64 `json:"moves_per_iter,omitempty"`
+	ReturnsPerIter []int64 `json:"returns_per_iter,omitempty"`
+	DampedFrom     int     `json:"damped_from,omitempty"`
 }
 
 // BenchWorkload records one full distributed run of a testbed graph.
@@ -132,8 +140,9 @@ func Bench(s Scale, p, threads int, ws []Workload) (*BenchReport, error) {
 				CollBytes:  pb.Bytes[obsv.CatCollective],
 			}
 			if pb.Phase >= 0 && pb.Phase < len(res.Phases) {
-				bp.TouchedPerIter = res.Phases[pb.Phase].TouchedTrajectory
-				bp.FrontierPerIter = res.Phases[pb.Phase].FrontierTrajectory
+				st := res.Phases[pb.Phase]
+				bp.TouchedPerIter, bp.FrontierPerIter = st.TouchedTrajectory, st.FrontierTrajectory
+				bp.MovesPerIter, bp.ReturnsPerIter, bp.DampedFrom = st.MovesTrajectory, st.ReturnsTrajectory, st.DampedFrom
 			}
 			bw.Breakdown = append(bw.Breakdown, bp)
 		}
@@ -270,9 +279,20 @@ func BenchTable(rep *BenchReport) *Table {
 	t := &Table{
 		ID:     "Bench",
 		Title:  fmt.Sprintf("Regression baseline (scale %s)", rep.Scale),
-		Header: []string{"graph", "p", "threads", "Modularity", "phases", "iters", "frontier"},
+		Header: []string{"graph", "p", "threads", "Modularity", "phases", "iters", "returns / moves (damped from)", "frontier"},
 	}
 	for _, w := range rep.Workloads {
+		var moves, returns int64
+		var damped []string
+		for _, bp := range w.Breakdown {
+			for i := range bp.MovesPerIter {
+				moves += bp.MovesPerIter[i]
+				returns += bp.ReturnsPerIter[i]
+			}
+			if bp.DampedFrom > 0 {
+				damped = append(damped, fmt.Sprintf("phase %d: %d", bp.Phase, bp.DampedFrom))
+			}
+		}
 		t.Rows = append(t.Rows, []string{
 			w.Graph,
 			fmt.Sprintf("%d", w.Ranks),
@@ -280,6 +300,7 @@ func BenchTable(rep *BenchReport) *Table {
 			fmt.Sprintf("%.4f", w.Modularity),
 			fmt.Sprintf("%d", w.Phases),
 			fmt.Sprintf("%d", w.Iterations),
+			fmt.Sprintf("%d / %d (%s)", returns, moves, cmp.Or(strings.Join(damped, ", "), "never")),
 			"-",
 		})
 	}
@@ -289,7 +310,7 @@ func BenchTable(rep *BenchReport) *Table {
 			fmt.Sprintf("%d", g.Ranks),
 			fmt.Sprintf("%d", g.Threads),
 			fmt.Sprintf("%.4f", g.Modularity),
-			"-", "-",
+			"-", "-", "-",
 			fmt.Sprintf("visited %.0f%% of full scan", 100*float64(g.SweepVisited)/float64(g.FullScanVisited)),
 		})
 	}

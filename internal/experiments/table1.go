@@ -78,6 +78,11 @@ func Table1(s Scale, threads int) *Table {
 			"caused by breaking ties towards the smallest ID on a naturally numbered mesh, and the Q=0.871 rows "+
 			"at α ≤ 0.6 were vertices frozen in mid-chase — and now takes 29. Both analogues converge in a few "+
 			"dozen baseline iterations (paper: 63 on CNR), so ET saves evaluations, not iterations or time",
+		"what moved when phases began to damp their returns and a refused vertex to keep P = 1 (DESIGN §8 \"returns\"; "+
+			"before: α=1 CNR 0.85306 / 41 iters / 17034 evals, Channel 0.95738 / 50 / 31227; α=0 CNR 28 iters / 44940 evals, "+
+			"Channel 29 / 63054): the high-α rows gained modularity (CNR ΔQ α=0→1 −0.0056 → −0.0016) and lost iterations, because "+
+			"a vertex the minimum-label or the return rule holds back no longer decays to inactive as if it were stable; the α=0 "+
+			"rows run a few more, nearly idle, iterations per phase, which evals — vertices × iterations, shared has no frontier — counts in full",
 	)
 	return t
 }

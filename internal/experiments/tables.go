@@ -228,7 +228,10 @@ func Table6(s Scale) (*Table, error) {
 			fmt.Sprintf("%.3f", etd.Seconds()), fmt.Sprintf("%.3f", tcd.Seconds()),
 			fmt.Sprintf("%+.0f%%", gain), fmt.Sprintf("%+.4f", tc.Modularity-et.Modularity))
 	}
-	t.Notes = append(t.Notes, "paper (256–4096 procs): TC adds 10–12% at every scale")
+	t.Notes = append(t.Notes, "paper (256–4096 procs): TC adds 10–12% at every scale",
+		"what moved when phases began to damp their returns (DESIGN §8 \"returns\"; before: +3 / −12 / −24 / −1 %): ET's phase 0 now ends "+
+			"converged rather than on τ in mid-swap, and ΔQ stays 0; the gain column is still the noise of 60–95 ms runs (two regenerations "+
+			"of this table read +5 / −1 / +7 / +5 % and −10 / +1 / −2 / −1 %)")
 	return t, nil
 }
 

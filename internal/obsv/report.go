@@ -92,6 +92,14 @@ type PhaseBreakdown struct {
 	// core.PhaseStat.TouchedTrajectory.
 	Touched  int64
 	Frontier int64
+	// Returns sums the phase's moves back into the community the vertex had
+	// left one iteration earlier (the Count of "iteration" spans: the global,
+	// allreduced figure, the same on every rank), and DampedFrom is the
+	// iteration whose "damped" marker says the return rule applied from there
+	// on (0: never). Returns that keep pace with the moves mean the phase is
+	// flip-flopping, not converging (core.PhaseStat.ReturnsTrajectory).
+	Returns    int64
+	DampedFrom int
 }
 
 // Accounted sums the categorized time; the gap to Total is the row's
@@ -181,6 +189,12 @@ func BuildReport(spans []Span) *Report {
 			row(s.Phase).Total += time.Duration(s.Dur)
 		case KindIteration:
 			row(s.Phase).Iterations++
+			row(s.Phase).Returns += s.Count
+			rep.Overall.Returns += s.Count
+		}
+		if s.Name == "damped" {
+			row(s.Phase).DampedFrom = s.Iter
+			continue
 		}
 		c, direct := directCategory(s)
 		if !direct {
@@ -245,8 +259,8 @@ func BuildReport(spans []Span) *Report {
 // completed, so %other there includes inter-phase overheads.
 func (r *Report) Format(w io.Writer) {
 	fmt.Fprintf(w, "per-phase time breakdown (rank %d):\n", r.Rank)
-	fmt.Fprintf(w, "%7s %6s %12s %7s %7s %9s %9s %6s %7s %9s %9s %9s %9s\n",
-		"phase", "iters", "total", "%p2p", "%coll", "%coarsen", "%compute", "%ckpt", "%other", "p2pB", "collB", "touched", "frontier")
+	fmt.Fprintf(w, "%7s %6s %12s %7s %7s %9s %9s %6s %7s %9s %9s %9s %9s %9s %6s\n",
+		"phase", "iters", "total", "%p2p", "%coll", "%coarsen", "%compute", "%ckpt", "%other", "p2pB", "collB", "touched", "frontier", "returns", "damped")
 	writeRow := func(label string, pb PhaseBreakdown) {
 		total := pb.Total
 		if total <= 0 {
@@ -260,12 +274,16 @@ func (r *Report) Format(w io.Writer) {
 		if other < 0 {
 			other = 0
 		}
-		fmt.Fprintf(w, "%7s %6d %12s %7.1f %7.1f %9.1f %9.1f %6.1f %7.1f %9s %9s %9d %9d\n",
+		damped := "-"
+		if pb.DampedFrom > 0 {
+			damped = strconv.Itoa(pb.DampedFrom)
+		}
+		fmt.Fprintf(w, "%7s %6d %12s %7.1f %7.1f %9.1f %9.1f %6.1f %7.1f %9s %9s %9d %9d %9d %6s\n",
 			label, pb.Iterations, total.Round(time.Microsecond),
 			pct(pb.Cat[CatP2P]), pct(pb.Cat[CatCollective]), pct(pb.Cat[CatCoarsen]),
 			pct(pb.Cat[CatCompute]), pct(pb.Cat[CatCheckpoint]), pct(other),
 			formatBytes(pb.Bytes[CatP2P]), formatBytes(pb.Bytes[CatCollective]),
-			pb.Touched, pb.Frontier)
+			pb.Touched, pb.Frontier, pb.Returns, damped)
 	}
 	for _, pb := range r.Phases {
 		writeRow(strconv.Itoa(pb.Phase), pb)

@@ -498,6 +498,74 @@ func TestServiceRecoveryAfterRestart(t *testing.T) {
 	}
 }
 
+// TestCacheKeyedByConfigFingerprint: a done job recorded by a daemon built
+// from ea93e17 — before the return rule — carries that tree's digest of the
+// same configuration ("…;tie=mix64", core.TestFingerprintRefusesUndampedTrajectories
+// pins the literal). Its labels describe a trajectory this tree does not
+// produce, so after a restart the record is still served under its own job ID
+// but must not answer a new submission: the resubmission misses the cache,
+// launches a world and gets this tree's result.
+func TestCacheKeyedByConfigFingerprint(t *testing.T) {
+	path, n := writeGraph(t, 300, 1500, 19)
+	ref := refRun(t, path, n, core.Baseline())
+	dir := t.TempDir()
+	opt := Options{DataDir: dir, RankBudget: 2, Detector: quietDetector}
+
+	s1, err := New(opt)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	v1, err := s1.Submit(JobSpec{GraphPath: path, Ranks: 2})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s1, v1.ID, StateDone)
+	s1.Close()
+
+	const parentFP = "3fe5d2c9646e1c13"
+	recPath := filepath.Join(dir, "jobs", v1.ID, "job.json")
+	rec, err := os.ReadFile(recPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	today := []byte(core.Baseline().Fingerprint())
+	old := bytes.ReplaceAll(rec, today, []byte(parentFP))
+	if bytes.Equal(old, rec) {
+		t.Fatalf("job record does not carry today's config fingerprint %s: %s", today, rec)
+	}
+	if err := os.WriteFile(recPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(opt)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if gv, err := s2.Get(v1.ID); err != nil || gv.State != StateDone || gv.ConfigFP != parentFP {
+		t.Fatalf("parent-written job after restart: %+v, %v", gv, err)
+	}
+	launched := s2.Stats().WorldsLaunched
+	v2, err := s2.Submit(JobSpec{GraphPath: path, Ranks: 2})
+	if err != nil {
+		t.Fatalf("Submit after restart: %v", err)
+	}
+	if v2.CacheHit {
+		t.Fatalf("a submission was answered from a result cached under config fingerprint %s", parentFP)
+	}
+	waitState(t, s2, v2.ID, StateDone)
+	if got := s2.Stats().WorldsLaunched; got == launched {
+		t.Errorf("no world launched for the resubmission")
+	}
+	res, err := s2.Result(v2.ID, true)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if !equalAssignments(res.Assignment, ref.GlobalComm) {
+		t.Errorf("resubmission's assignment differs from this tree's reference run")
+	}
+}
+
 // Bad specs are rejected with ErrBadSpec before anything is created.
 func TestServiceSubmitValidation(t *testing.T) {
 	s := newTestService(t, 4, nil)

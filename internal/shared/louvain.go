@@ -98,9 +98,22 @@ type phaseState struct {
 	// ET bookkeeping.
 	prob     []float64
 	inactive []bool
-	prevComm []int64 // community at iteration k-1 entry (for the ET test)
+	prevComm []int64 // community at iteration k-1 entry (for the ET test); refusedMark after a refusal
 	seed     uint64
+
+	// Return rule (core's, DESIGN §8 "returns"): left is the assignment the
+	// previous iteration started from — during a sweep, so the community a
+	// vertex that moved then has left; between sweeps, what a rollback
+	// restores — and damped says returns go only towards the smaller label for
+	// the rest of the phase.
+	left   []int64
+	damped bool
 }
+
+// refusedMark overwrites the prevComm entry of a vertex a rule refused, so that
+// updateActivity keeps its P(v) at 1: it wanted to move, which is not the
+// stability ET's decay rewards (core does the same).
+const refusedMark int64 = -1
 
 func newPhaseState(g *graph.CSR, init []int64, opt Options, seed uint64) *phaseState {
 	n := g.N
@@ -114,9 +127,11 @@ func newPhaseState(g *graph.CSR, init []int64, opt Options, seed uint64) *phaseS
 		inactive: make([]bool, n),
 		prevComm: make([]int64, n),
 		seed:     seed,
+		left:     make([]int64, n),
 	}
 	copy(st.comm, init)
 	copy(st.prevComm, init)
+	copy(st.left, init)
 	par.For(int(n), opt.Threads, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			st.k[v] = g.WeightedDegree(int64(v))
@@ -184,9 +199,10 @@ func (st *phaseState) isActive(v int64, iter int) bool {
 
 // bestMove evaluates v's neighbouring communities against the provided
 // community/degree snapshot and returns the ΔQ-maximising target (or v's
-// current community when no strictly positive gain exists). scratch is the
-// caller's reusable accumulation map.
-func (st *phaseState) bestMove(v int64, commSnap []int64, aTotSnap []float64, scratch *neighMap) int64 {
+// current community when no strictly positive gain exists, or when a rule
+// refuses the move — refused is then true). scratch is the caller's reusable
+// accumulation map.
+func (st *phaseState) bestMove(v int64, commSnap []int64, aTotSnap []float64, scratch *neighMap) (target int64, refused bool) {
 	cv := commSnap[v]
 	scratch.reset()
 	for _, e := range st.g.Neighbors(v) {
@@ -214,7 +230,7 @@ func (st *phaseState) bestMove(v int64, commSnap []int64, aTotSnap []float64, sc
 		}
 	}
 	if bestGain <= 0 {
-		return cv
+		return cv, false
 	}
 	// Minimum-label rule (Lu et al.): when a singleton vertex wants to
 	// join another singleton, only the higher label moves. This breaks the
@@ -222,9 +238,15 @@ func (st *phaseState) bestMove(v int64, commSnap []int64, aTotSnap []float64, sc
 	// in core's evaluateVertex; core's TestTieRuleSharedAndCoreAgree holds the
 	// two rules together.
 	if st.commSize[cv] == 1 && st.commSize[best] == 1 && best > cv {
-		return cv
+		return cv, true
 	}
-	return best
+	// Return rule: the same direction for the two-cycle between communities of
+	// any size. Once the phase is damped, v goes back to the community it left
+	// one iteration ago only if that label is the smaller one.
+	if st.damped && best == st.left[v] && best > cv {
+		return cv, true
+	}
+	return best, false
 }
 
 // modularity computes Q from the current assignment and maintained A_c.
@@ -293,7 +315,6 @@ func onePhase(g *graph.CSR, init []int64, opt Options, phaseSeed uint64) ([]int6
 	}
 
 	newComm := make([]int64, st.n)
-	commBefore := make([]int64, st.n)
 	scratches := make([]*neighMap, opt.Threads)
 	for i := range scratches {
 		scratches[i] = newNeighMap(st.n)
@@ -306,7 +327,6 @@ func onePhase(g *graph.CSR, init []int64, opt Options, phaseSeed uint64) ([]int6
 		}
 		stat.Iterations++
 		stat.InactiveAtEnd = st.updateActivity(stat.Iterations)
-		copy(commBefore, st.comm)
 
 		stat.Touched += st.sweepBuffered(newComm, scratches, stat.Iterations)
 
@@ -315,7 +335,7 @@ func onePhase(g *graph.CSR, init []int64, opt Options, phaseSeed uint64) ([]int6
 			if !math.IsInf(prevQ, -1) && q < prevQ {
 				// A synchronous sweep can jointly decrease Q ("negative
 				// gain"); discard it and keep the pre-sweep assignment.
-				copy(st.comm, commBefore)
+				copy(st.comm, st.left)
 				st.rebuildAggregates()
 			} else {
 				prevQ = q
@@ -330,7 +350,9 @@ func onePhase(g *graph.CSR, init []int64, opt Options, phaseSeed uint64) ([]int6
 
 // sweepBuffered is the double-buffered whole-graph sweep: all targets are
 // computed against the iteration-start snapshot, then applied at once. It
-// returns the number of vertices evaluated (the active ones).
+// returns the number of vertices evaluated (the active ones). Once an
+// iteration's returns — moves back into st.left — are at least half of its
+// moves, the phase is damped (core's dampedReturnShare).
 func (st *phaseState) sweepBuffered(newComm []int64, scratches []*neighMap, iter int) int64 {
 	touched := par.ReduceInt64(int(st.n), st.opt.Threads, func(w, lo, hi int) int64 {
 		scratch := scratches[w]
@@ -341,10 +363,26 @@ func (st *phaseState) sweepBuffered(newComm []int64, scratches []*neighMap, iter
 				continue
 			}
 			evaluated++
-			newComm[v] = st.bestMove(int64(v), st.comm, st.aTot, scratch)
+			var refused bool
+			if newComm[v], refused = st.bestMove(int64(v), st.comm, st.aTot, scratch); refused {
+				st.prevComm[v] = refusedMark
+			}
 		}
 		return evaluated
 	})
+	var moves, returns int64
+	for v, c := range newComm {
+		if c != st.comm[v] {
+			moves++
+			if c == st.left[v] {
+				returns++
+			}
+		}
+	}
+	if moves > 0 && 2*returns >= moves {
+		st.damped = true
+	}
+	copy(st.left, st.comm)
 	copy(st.comm, newComm)
 	st.rebuildAggregates()
 	return touched

@@ -290,10 +290,11 @@ func TestQuickPhasesMonotone(t *testing.T) {
 // reaches the result — Run had already kept the previous phase's assignment —
 // so the finding is a reporting one: Phases lists a phase that was not applied.
 // Which graphs show it depends on the trajectory; these two are the first
-// seeds par.Mix64(i), i = 1, 2, …, that do under the hashed tie rule (i = 89,
-// 97; about one in sixty does).
+// seeds par.Mix64(i), i = 1, 2, …, that do under the hashed tie rule and the
+// return rule (i = 97, 180; about one in a hundred and thirty does. Before the
+// return rule i = 89 did too, whose last phase now loses 0.005).
 func TestDiscardedLastPhaseLosesNothing(t *testing.T) {
-	for _, seed := range []uint64{0xd0f8252577628d86, 0x4f5da978776a9db1} {
+	for _, seed := range []uint64{0x4f5da978776a9db1, 0xae6f10cfefb4ae24} {
 		n, edges := gen.ErdosRenyi(120, 500, seed)
 		g := gen.Build(n, edges)
 		res := Run(g, Options{Threads: 2, Seed: seed})
