@@ -14,8 +14,10 @@ check: build vet test test-race bench-kernels service-smoke test-wan
 build:
 	$(GO) build ./...
 
+# go vet, and gofmt as a gate: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -12,17 +11,17 @@ import (
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
+	"distlouvain/internal/partition"
 )
 
 // The Step-5 differential harness: coarseArcs (grouped by source community,
 // summed through the sweep's rowAcc) against coarseArcsMap (global IDs, Go
 // map), on the state real phases leave behind.
 
-// coarsenSeen is what one rank reports from one aggregation: the arcs in
-// emission order, the old IDs of the source communities that have members
-// here, and which of the aggregator's corner cases the state held.
+// coarsenSeen is what one rank reports from one aggregation: the old IDs of
+// the source communities that have members here, and which of the
+// aggregator's corner cases the state held.
 type coarsenSeen struct {
-	arcs    []dgraph.Arc
 	sources []int64
 	// tailSource: a local vertex sits in a tail slot. tailTarget: a ghost does.
 	// deadOwned: an owned community died. absentOwned: an owned community is
@@ -31,44 +30,62 @@ type coarsenSeen struct {
 	tailSource, tailTarget, deadOwned, absentOwned, allLeft bool
 }
 
-// sameCoarseArcs holds one rank's emitted arcs to the map oracle's (sorted by
-// pair): the same (From, To, W) set, W bit for bit, each pair once.
-func sameCoarseArcs(emitted, want []dgraph.Arc) error {
-	got := slices.Clone(emitted)
-	slices.SortFunc(got, func(a, b dgraph.Arc) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-	})
-	for i := 1; i < len(got); i++ {
-		if got[i].From == got[i-1].From && got[i].To == got[i-1].To {
-			return fmt.Errorf("coarse pair (%d,%d) left the rank twice", got[i].From, got[i].To)
-		}
+// sameCoarseGraph holds the coarse graph the shipped kernel's frames
+// assembled to the one BuildFromArcs makes of the map oracle's arcs: the same
+// rows, the same targets, weights bit for bit.
+func sameCoarseGraph(got, want *dgraph.DistGraph) error {
+	if got.Base != want.Base || !slices.Equal(got.Index, want.Index) {
+		return fmt.Errorf("rows from %d: index %v, the map oracle's graph has %v from %d", got.Base, got.Index, want.Index, want.Base)
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("%d coarse arcs, the map oracle has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].From != want[i].From || got[i].To != want[i].To || math.Float64bits(got[i].W) != math.Float64bits(want[i].W) {
-			return fmt.Errorf("coarse arc %d is (%d,%d,%b), the map oracle has (%d,%d,%b)",
-				i, got[i].From, got[i].To, got[i].W, want[i].From, want[i].To, want[i].W)
+	for i, e := range want.Edges {
+		if g := got.Edges[i]; g.To != e.To || math.Float64bits(g.W) != math.Float64bits(e.W) {
+			return fmt.Errorf("coarse arc %d is (→%d,%b), the map oracle's graph has (→%d,%b)", i, g.To, g.W, e.To, e.W)
 		}
 	}
 	return nil
+}
+
+// checkCoarseGraph runs the shipped Step-5 kernel on st into a shuffle over
+// the coarse graph's even partition and exchanges it, builds the map oracle's
+// arcs with BuildFromArcs over the same partition (both collective), and
+// holds the first graph to the second. The kernel must also count exactly the
+// oracle's arcs: each coarse pair leaves the rank once.
+func checkCoarseGraph(st *phaseState, ren *renumbering, coarseN int64) error {
+	bySlot, err := st.translateSlots(ren)
+	if err != nil {
+		return err
+	}
+	c := st.dg.Comm
+	part := partition.ByVertexCount(coarseN, c.Size())
+	sh, err := dgraph.NewShuffle(c, coarseN, part, st.cfg.Threads)
+	if err != nil {
+		return err
+	}
+	wrote := st.coarseArcs(bySlot, sh)
+	got, err := sh.Exchange()
+	if err != nil {
+		return err
+	}
+	oracle := st.coarseArcsMap(ren)
+	want, err := dgraph.BuildFromArcs(c, coarseN, part, oracle)
+	if err != nil {
+		return err
+	}
+	if wrote != len(oracle) {
+		return fmt.Errorf("the kernel wrote %d coarse arcs, the map oracle has %d", wrote, len(oracle))
+	}
+	return sameCoarseGraph(got, want)
 }
 
 // checkCoarseArcs runs both Step-5 kernels on st (collective: the renumbering
 // is) and holds the shipped one to the oracle.
 func checkCoarseArcs(st *phaseState) (coarsenSeen, error) {
 	var saw coarsenSeen
-	ren, _, err := st.renumber(nil)
+	ren, coarseN, err := st.renumber(nil)
 	if err != nil {
 		return saw, err
 	}
-	bySlot, err := st.translateSlots(ren)
-	if err != nil {
-		return saw, err
-	}
-	saw.arcs = slices.Concat(st.coarseArcs(bySlot)...)
-	if err := sameCoarseArcs(saw.arcs, st.coarseArcsMap(ren)); err != nil {
+	if err := checkCoarseGraph(st, ren, coarseN); err != nil {
 		return saw, err
 	}
 
@@ -97,10 +114,10 @@ func checkCoarseArcs(st *phaseState) (coarsenSeen, error) {
 // and float weights, and the matched cycle whose upper half all moves into
 // the lower half's communities, × 1–4 ranks × 1/2/3/5 threads × baseline / ET
 // / ETC, over the first phases of a run. After every phase's iterate the
-// shipped aggregator must emit the oracle's arcs — each pair once, weights to
-// the bit — and, at every thread count, the very sequence one thread emits.
-// The corner cases the aggregator has a branch or an index range for must have
-// come up (asserted at the end).
+// shipped aggregator's frames must assemble to the graph the oracle's arcs
+// make — each pair leaving a rank once, weights to the bit — so the coarse
+// graph is the same at every thread count. The corner cases the aggregator
+// has a branch or an index range for must have come up (asserted at the end).
 func TestCoarseArcsMatchMapOracle(t *testing.T) {
 	graphs := slotGraphs()
 	pn, pEdges, _ := gen.PlantedPartition(6, 25, 0.4, 0.02, 19)
@@ -121,7 +138,6 @@ func TestCoarseArcsMatchMapOracle(t *testing.T) {
 		for _, v := range variants {
 			t.Run(g.name+"/"+v.name, func(t *testing.T) {
 				for ranks := 1; ranks <= 4; ranks++ {
-					var oneThread [][][]dgraph.Arc // [rank][phase]: what Threads=1 emitted
 					for _, threads := range []int{1, 2, 3, 5} {
 						out, err := mpi.RunCollect(ranks, func(c *mpi.Comm) ([]coarsenSeen, error) {
 							lo, hi := gio.SegmentRange(int64(len(g.edges)), c.Rank(), ranks)
@@ -163,18 +179,10 @@ func TestCoarseArcsMatchMapOracle(t *testing.T) {
 						if err != nil {
 							t.Fatalf("ranks=%d threads=%d: %v", ranks, threads, err)
 						}
-						if threads == 1 {
-							oneThread = make([][][]dgraph.Arc, ranks)
-						}
 						for phase := range out[0] {
 							holders := map[int64]int{} // source community → ranks it has members on
-							for r, phases := range out {
+							for _, phases := range out {
 								seen := phases[phase]
-								if threads == 1 {
-									oneThread[r] = append(oneThread[r], seen.arcs)
-								} else if !slices.Equal(seen.arcs, oneThread[r][phase]) {
-									t.Fatalf("ranks=%d threads=%d: rank %d phase %d emits a different arc sequence than one thread does", ranks, threads, r, phase)
-								}
 								for _, cid := range seen.sources {
 									holders[cid]++
 									saw.splitSource = saw.splitSource || holders[cid] > 1
@@ -197,11 +205,13 @@ func TestCoarseArcsMatchMapOracle(t *testing.T) {
 }
 
 // TestCoarseArcsAllocationCeiling: one aggregation allocates the member list
-// and its offsets (4 bytes per local vertex and per slot), the emitted arcs in
-// blocks, and nothing that grows with the fine arcs: at eight times the edges
-// over the same vertices the same ceiling holds — one Arc's 24 bytes per local
-// vertex, slot and emitted arc, plus one block. (The table this replaced was
-// sized by the fine arcs and breaks it at either size.)
+// and its offsets (4 bytes per local vertex and per slot), the translated
+// slot table (8 per slot), the frames at 16 bytes per emitted arc, and nothing
+// that grows with the fine arcs: at eight times the edges over the same
+// vertices the same ceiling holds — 16 bytes per local vertex, slot and
+// emitted arc, plus a few hundred for the writers. (A table sized by the fine
+// arcs breaks it at either size, and so does a list of arcs kept beside the
+// frames.)
 func TestCoarseArcsAllocationCeiling(t *testing.T) {
 	for _, m := range []int64{6000, 48000} {
 		n, edges := gen.ErdosRenyi(2000, m, 9)
@@ -210,21 +220,13 @@ func TestCoarseArcsAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := kb.st
-		bySlot, err := st.translateSlots(kb.ren)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.coarseArcs(bySlot) // settles the accumulator's key list
+		kb.CoarseArcs() // settles the accumulator's key list
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		blocks := st.coarseArcs(bySlot)
+		emitted := kb.CoarseArcs()
 		runtime.ReadMemStats(&after)
-		emitted := 0
-		for _, b := range blocks {
-			emitted += len(b)
-		}
 		got := after.TotalAlloc - before.TotalAlloc
-		ceiling := uint64(24 * (int(st.dg.LocalN) + len(st.refs) + emitted + arcBlockLen))
+		ceiling := uint64(16*(int(st.dg.LocalN)+len(st.refs)+emitted) + 512)
 		t.Logf("m=%d: %d fine arcs, %d emitted, %d bytes allocated (ceiling %d)", m, len(st.dg.Edges), emitted, got, ceiling)
 		if emitted == 0 || emitted >= len(st.dg.Edges) {
 			t.Fatalf("m=%d: %d coarse arcs from %d fine ones: nothing merged", m, emitted, len(st.dg.Edges))
@@ -232,9 +234,10 @@ func TestCoarseArcsAllocationCeiling(t *testing.T) {
 		if got > ceiling {
 			t.Fatalf("m=%d: one aggregation allocated %d bytes, ceiling %d", m, got, ceiling)
 		}
-		// Several blocks' worth: the block seams lose and repeat nothing.
-		if err := sameCoarseArcs(slices.Concat(blocks...), st.coarseArcsMap(kb.ren)); err != nil || len(blocks) < 2 {
-			t.Fatalf("m=%d: %d blocks: %v", m, len(blocks), err)
+		// What was counted is the oracle's arc count, and the frames assemble
+		// to the oracle's graph.
+		if err := checkCoarseGraph(st, kb.ren, kb.coarseN); err != nil {
+			t.Fatalf("m=%d: %v", m, err)
 		}
 		kb.Close()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -64,7 +63,9 @@ func GraphFingerprint(path string) (Fingerprint, error) {
 	}
 	defer f.Close()
 	h := fnv.New64a()
-	if _, err := io.Copy(h, bufio.NewReaderSize(f, 1<<20)); err != nil {
+	// Through one small buffer: the daemon fingerprints every submitted graph,
+	// cache hits included.
+	if _, err := io.CopyBuffer(h, struct{ io.Reader }{f}, make([]byte, 32<<10)); err != nil {
 		return "", fmt.Errorf("core: fingerprint %s: %w", path, err)
 	}
 	return Fingerprint(fmt.Sprintf("%016x", h.Sum64())), nil

@@ -207,6 +207,20 @@ func TestGraphFingerprintStability(t *testing.T) {
 	if want := Fingerprint("861f1fa7eb8e9422"); fp != want {
 		t.Fatalf("GraphFingerprint = %s, want %s (cross-version stability broken)", fp, want)
 	}
+	// A file several times the read buffer, whose length is no multiple of it:
+	// the digest is over every byte, whatever the chunking.
+	n3, edges3 := gen.ErdosRenyi(3000, 7001, 5)
+	p3 := filepath.Join(dir, "g3.bin")
+	if err := gio.WriteBinary(p3, n3, edges3); err != nil {
+		t.Fatal(err)
+	}
+	fp3, err := GraphFingerprint(p3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Fingerprint("11c0c1608b5de714"); fp3 != want {
+		t.Fatalf("GraphFingerprint of a %d-edge file = %s, want %s (cross-version stability broken)", len(edges3), fp3, want)
+	}
 
 	// Same edges, one weight changed: a different input.
 	edges2 := append([]graph.RawEdge(nil), edges...)

@@ -59,7 +59,7 @@ type frontierState struct {
 	carryBufs [][]int64
 
 	// Reverse ghost adjacency, built once per phase: the local vertices
-	// adjacent to each ghost slot (revAdj[revOff[slot]:revOff[slot+1]]).
+	// adjacent to ghost g (revAdj[revOff[g]:revOff[g+1]]).
 	revOff []int64
 	revAdj []int64
 
@@ -106,38 +106,48 @@ func dirOf(a0 float64, s0 int64, a1 float64, s1 int64) changeDir {
 	return 0
 }
 
-func newFrontierState(st *phaseState) *frontierState {
-	n := st.dg.LocalN
+// newFrontierState builds the phase's frontier state, re-slicing the arrays of
+// old, the previous phase's (nil in a run's first phase).
+func newFrontierState(st *phaseState, old *frontierState) *frontierState {
+	if old == nil {
+		old = &frontierState{cur: &frontier.Set{}, next: &frontier.Set{}, carryBufs: make([][]int64, st.cfg.Threads)}
+	}
+	for w := range old.carryBufs {
+		old.carryBufs[w] = old.carryBufs[w][:0]
+	}
+	n, ghosts := st.dg.LocalN, len(st.dg.Ghosts)
 	// The representation follows the set's size (frontier.RepAuto at
 	// frontier.DefaultSparseFraction) unless a test pins it.
 	rep := st.cfg.oracle.rep
+	old.cur.Reset(n, rep, 0)
+	old.next.Reset(n, rep, 0)
 	fr := &frontierState{
-		cur:       frontier.New(n, rep, 0),
-		next:      frontier.New(n, rep, 0),
-		carryBufs: make([][]int64, st.cfg.Threads),
-		stamp:     make([]int32, len(st.refs)),
-		dir:       make([]changeDir, len(st.refs)),
+		cur:       old.cur,
+		next:      old.next,
+		carryBufs: old.carryBufs,
+		stamp:     reslice(old.stamp, len(st.refs)),
+		dir:       reslice(old.dir, len(st.refs)),
 		epoch:     1, // the zeroed stamps mean "unchanged"
 	}
 
-	// Reverse ghost adjacency by counting sort over the arcs' slots.
-	counts := make([]int64, len(st.dg.Ghosts)+1)
+	// Reverse ghost adjacency by counting sort over the arcs' slots: ghost g's
+	// locals are revAdj[revOff[g]:revOff[g+1]], revOff[g+1] serving as g's
+	// write cursor until it reaches g+1's start.
+	fr.revOff = reslice(old.revOff, ghosts+2)
 	for _, s := range st.dg.Slot {
 		if g := int64(s) - n; g >= 0 {
-			counts[g+1]++
+			fr.revOff[g+2]++
 		}
 	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
+	for i := 2; i < len(fr.revOff); i++ {
+		fr.revOff[i] += fr.revOff[i-1]
 	}
-	fr.revOff = counts
-	fr.revAdj = make([]int64, counts[len(counts)-1])
-	fill := make([]int64, len(st.dg.Ghosts))
+	fr.revAdj = reslice(old.revAdj, int(fr.revOff[ghosts+1]))
 	for lv := int64(0); lv < n; lv++ {
 		for _, s := range st.dg.Slot[st.dg.Index[lv]:st.dg.Index[lv+1]] {
 			if g := int64(s) - n; g >= 0 {
-				fr.revAdj[fr.revOff[g]+fill[g]] = lv
-				fill[g]++
+				fr.revAdj[fr.revOff[g+1]] = lv
+				fr.revOff[g+1]++
 			}
 		}
 	}

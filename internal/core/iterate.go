@@ -322,27 +322,72 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 // flight. The moves name community slots; the deltas leave here under global
 // IDs, which is what the owners and the wire order by.
 //
-// Accumulation runs in move order (so each community's ΔA float sum is
-// bit-identical to the old map implementation), but the deltas are emitted
-// sorted by community ID: pushDeltas then applies and encodes them in an
-// order independent of hash layout, which keeps owner-side float
-// accumulation reproducible run-to-run (see commDelta).
+// The sums are slot-addressed: ΔA in worker 0's rowAcc (the sweep is over, so
+// it is free), Δsize in deltaSize, one epoch per iteration, the touched slots
+// in its key list. Each community's ΔA is added up in move order, as any
+// accumulator keyed by community does it. The deltas are emitted sorted by
+// community ID, so pushDeltas applies and encodes them in an order independent
+// of accumulation order (see commDelta) — without a comparison sort over all of
+// them: the touched slots sorted by number are the owned run (IDs Base+slot),
+// the ghost run (ascending IDs, as dg.Ghosts is) and the tail, and only the
+// tail, numbered by first reference, needs sorting by ID before it is merged
+// into the ghost run and the owned run is put where its IDs belong.
 func (st *phaseState) stageMoves(moves []move) []commDelta {
-	tab := st.deltaTab
-	tab.Reset()
+	acc := &st.accs[0]
+	acc.next()
+	if k := len(st.refs) - len(st.deltaSize); k > 0 {
+		st.deltaSize = append(st.deltaSize, make([]int64, k)...)
+	}
+	da, ds := acc.w, st.deltaSize
+	add := func(c int32, a float64, size int64) {
+		if acc.stamp[c] != acc.epoch {
+			acc.stamp[c] = acc.epoch
+			da[c], ds[c] = 0, 0
+			acc.keys = append(acc.keys, c)
+		}
+		da[c] += a
+		ds[c] += size
+	}
 	for _, mv := range moves {
 		kv := st.dg.K[mv.lv]
-		tab.AddDelta(st.gidOf(mv.from), -kv, -1)
-		tab.AddDelta(st.gidOf(mv.to), kv, 1)
+		add(mv.from, -kv, -1)
+		add(mv.to, kv, 1)
 	}
-	out := st.deltaBuf[:0]
-	for i := 0; i < tab.Len(); i++ {
-		cid, a, size := tab.AtDelta(i)
-		out = append(out, commDelta{cid: cid, a: a, size: size})
+
+	keys := acc.keys
+	slices.Sort(keys)
+	n, held := int32(st.dg.LocalN), int32(st.dg.LocalN)+int32(len(st.dg.Ghosts))
+	owned, rest := splitAt(keys, n)
+	ghosts, tail := splitAt(rest, held)
+	slices.SortFunc(tail, func(a, b int32) int { return cmp.Compare(st.gidOf(a), st.gidOf(b)) })
+	out := slices.Grow(st.deltaBuf[:0], len(keys))
+	emit := func(c int32) { out = append(out, commDelta{cid: st.gidOf(c), a: da[c], size: ds[c]}) }
+	for len(ghosts) > 0 || len(tail) > 0 {
+		var c int32
+		if len(tail) == 0 || (len(ghosts) > 0 && st.gidOf(ghosts[0]) < st.gidOf(tail[0])) {
+			c, ghosts = ghosts[0], ghosts[1:]
+		} else {
+			c, tail = tail[0], tail[1:]
+		}
+		if len(owned) > 0 && st.gidOf(c) > st.dg.Base {
+			for _, o := range owned {
+				emit(o)
+			}
+			owned = nil
+		}
+		emit(c)
 	}
-	slices.SortFunc(out, func(a, b commDelta) int { return cmp.Compare(a.cid, b.cid) })
+	for _, o := range owned {
+		emit(o)
+	}
 	st.deltaBuf = out
 	return out
+}
+
+// splitAt cuts the ascending keys into those below k and the rest.
+func splitAt(keys []int32, k int32) ([]int32, []int32) {
+	i, _ := slices.BinarySearch(keys, k)
+	return keys[:i], keys[i:]
 }
 
 // snapshot captures the state an iteration may need to roll back: local
@@ -357,12 +402,8 @@ type snapshot struct {
 	cSize []int64
 }
 
+// snapshot copies the state into s; reset sizes st.snap's arrays.
 func (st *phaseState) snapshot(s *snapshot) {
-	if s.comm == nil {
-		s.comm = make([]int32, len(st.comm))
-		s.cA = make([]float64, len(st.comm))
-		s.cSize = make([]int64, len(st.comm))
-	}
 	copy(s.comm, st.comm)
 	copy(s.cA, st.cA) // the owned prefix: s.cA is LocalN long
 	copy(s.cSize, st.cSize)

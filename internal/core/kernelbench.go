@@ -6,6 +6,7 @@ import (
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
+	"distlouvain/internal/partition"
 )
 
 // KernelBench drives the two hot kernels — the ΔQ sweep and the Step-5
@@ -22,10 +23,12 @@ import (
 // Sweep and CoarseArcs are read-only with respect to the community state:
 // repeated calls do identical work.
 type KernelBench struct {
-	world *mpi.InprocWorld
-	st    *phaseState
-	ren   *renumbering
-	steps StepTimes
+	world      *mpi.InprocWorld
+	st         *phaseState
+	ren        *renumbering
+	coarseN    int64                // communities that survive: the coarse graph's vertex count
+	coarsePart *partition.Partition // the coarse graph's one-rank partition
+	steps      StepTimes
 }
 
 // NewKernelBench builds the bench state for an n-vertex edge list.
@@ -66,7 +69,8 @@ func NewKernelBench(n int64, edges []graph.RawEdge, threads int, useRef bool) (*
 	}
 	// Single-rank renumbering, exactly as rebuild Steps 1–3 produce it:
 	// surviving communities in ascending ID order, renumbered from 0.
-	kb.ren, _ = st.renumberOwned()
+	kb.ren, kb.coarseN = st.renumberOwned()
+	kb.coarsePart = partition.ByVertexCount(kb.coarseN, 1)
 	if err := st.fetchCommunityInfo(); err != nil {
 		world.Close()
 		return nil, fmt.Errorf("kernelbench warm-up: %w", err)
@@ -92,7 +96,8 @@ func (kb *KernelBench) Sweep() int {
 }
 
 // CoarseArcs runs the Step-5 coarse-arc aggregation over the current
-// community assignment and returns the number of distinct coarse arcs.
+// community assignment — into the frames of a shuffle that is never
+// exchanged — and returns the number of distinct coarse arcs.
 func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.oracle.refKernels {
 		return len(kb.st.coarseArcsMap(kb.ren))
@@ -101,11 +106,11 @@ func (kb *KernelBench) CoarseArcs() int {
 	if err != nil {
 		panic(err) // a single rank's vertices can only be in live owned communities
 	}
-	var n int
-	for _, block := range kb.st.coarseArcs(bySlot) {
-		n += len(block)
+	sh, err := dgraph.NewShuffle(kb.st.dg.Comm, kb.coarseN, kb.coarsePart, kb.st.cfg.Threads)
+	if err != nil {
+		panic(err)
 	}
-	return n
+	return kb.st.coarseArcs(bySlot, sh)
 }
 
 // Close releases the in-process world.

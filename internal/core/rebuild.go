@@ -137,27 +137,32 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 		return nil, nil, err
 	}
 
-	// Step 5: partial coarse edge lists. Every local fine arc v→u maps to
-	// the coarse arc new(comm(v))→new(comm(u)); parallel arcs merge. Both
-	// kernels emit each coarse pair exactly once per rank, and BuildFromArcs
-	// places arcs stably, so a pair's parallel arcs sum in sender rank order:
-	// the coarse graph depends on the fine graph and the rank count, never on
-	// the thread count or the emission order within a rank.
-	var arcs [][]dgraph.Arc
-	if st.cfg.oracle.refKernels {
-		arcs = [][]dgraph.Arc{st.coarseArcsMap(ren)}
-	} else {
-		bySlot, err := st.translateSlots(ren)
-		if err != nil {
-			return nil, nil, err
-		}
-		arcs = st.coarseArcs(bySlot)
-	}
-
-	// Steps 6–7: redistribute to an even vertex partition and rebuild the
-	// CSR (BuildFromArcs routes each arc to the owner of its source).
+	// Step 5: partial coarse edge lists, written straight into the frames of
+	// Step 6's shuffle. Every local fine arc v→u maps to the coarse arc
+	// new(comm(v))→new(comm(u)); parallel arcs merge. Both kernels emit each
+	// coarse pair exactly once per rank, and the assembly places arcs stably,
+	// so a pair's parallel arcs sum in sender rank order: the coarse graph
+	// depends on the fine graph and the rank count, never on the thread count
+	// or the emission order within a rank.
+	//
+	// Steps 6–7: redistribute to an even vertex partition and rebuild the CSR
+	// (the shuffle routes each arc to the owner of its source).
 	c := st.dg.Comm
-	ndg, err := dgraph.BuildFromArcs(c, totalNew, partition.ByVertexCount(totalNew, c.Size()), arcs...)
+	part := partition.ByVertexCount(totalNew, c.Size())
+	if st.cfg.oracle.refKernels {
+		ndg, err := dgraph.BuildFromArcs(c, totalNew, part, st.coarseArcsMap(ren))
+		return ndg, ren, err
+	}
+	bySlot, err := st.translateSlots(ren)
+	if err != nil {
+		return nil, nil, err
+	}
+	sh, err := dgraph.NewShuffle(c, totalNew, part, st.cfg.Threads)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.coarseArcs(bySlot, sh)
+	ndg, err := sh.Exchange()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -246,33 +251,38 @@ func (st *phaseState) renumber(extraIDs []int64) (*renumbering, int64, error) {
 	return ren, totalNew, nil
 }
 
-// coarseArcs is Step 5 grouped by source community. One stable counting sort
-// lists the local vertices by the community slot they sit in (slots are dense,
-// so the histogram is an array; members stay in ascending lv). Then, source
-// community by source community, a worker walks the members' arcs and sums W
-// into its rowAcc at the target's community slot ci[Slot[i]] — the sweep's
-// accumulator, one epoch per source community — and emits (new(src), new(key),
-// w[key]) over the first-seen key list. No hash, no table sized by the fine
-// arcs, random access confined to one community's neighbourhood.
+// coarseArcs is Step 5 grouped by source community, written into the frames
+// of sh. One stable counting sort lists the local vertices by the community
+// slot they sit in (slots are dense, so the histogram is an array; members
+// stay in ascending lv). Then, source community by source community, a worker
+// walks the members' arcs twice through its rowAcc at the target's community
+// slot ci[Slot[i]] — the sweep's accumulator, one epoch per source community:
+// the first walk counts the distinct targets, so that every frame is
+// allocated at its exact size before anything is written, and the second sums
+// W per target and puts (new(src), new(key), w[key]) over the first-seen key
+// list into the frame of new(src)'s owner. No hash, no table sized by the
+// fine arcs, no intermediate arc list, random access confined to one
+// community's neighbourhood.
 //
-// Workers split the slot range, so a coarse pair belongs to exactly one of
-// them: it leaves the rank once, its weight accumulated over ascending lv and
-// then arc order whatever Threads is. The arcs come back in blocks whose
-// concatenation is in slot order. coarseArcsMap is the oracle.
+// Workers split the slot range, and each writes its own range of every frame,
+// so a coarse pair belongs to exactly one of them: it leaves the rank once,
+// its weight accumulated over ascending lv and then arc order whatever Threads
+// is, and every frame holds its arcs in slot order. coarseArcsMap is the
+// oracle. It returns the number of coarse arcs.
 //
 // bySlot is translateSlots' table: the new community of every live slot.
-func (st *phaseState) coarseArcs(bySlot []int64) [][]dgraph.Arc {
-	dg := st.dg
+func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
+	dg, cs := st.dg, &st.coarse
 	slots := len(st.refs)
 	// Slot s's members are members[first[s]:first[s+1]].
-	first := make([]int32, slots+2)
+	first := reslice(cs.first, slots+2)
 	for _, c := range st.comm {
 		first[c+2]++
 	}
 	for s := 2; s < len(first); s++ {
 		first[s] += first[s-1]
 	}
-	members := make([]int32, dg.LocalN)
+	members := reslice(cs.members, int(dg.LocalN))
 	for lv, c := range st.comm {
 		members[first[c+1]] = int32(lv) // first[s+1] is slot s's cursor until it reaches slot s+1's start
 		first[c+1]++
@@ -281,7 +291,7 @@ func (st *phaseState) coarseArcs(bySlot []int64) [][]dgraph.Arc {
 	// Worker w takes slots cuts[w]..cuts[w+1], cut where the running member
 	// arc count passes w/nw of the total.
 	nw := st.cfg.Threads
-	cuts := make([]int, nw+1)
+	cuts := reslice(cs.cuts, nw+1)
 	for w, s, run := 1, 0, int64(0); w < nw; w++ {
 		for ; s < slots && run*int64(nw) < dg.Index[dg.LocalN]*int64(w); s++ {
 			for _, lv := range members[first[s]:first[s+1]] {
@@ -292,30 +302,78 @@ func (st *phaseState) coarseArcs(bySlot []int64) [][]dgraph.Arc {
 	}
 	cuts[nw] = slots
 
-	st.fitAccs()
-	outs := make([][][]dgraph.Arc, nw)
-	par.For(nw, nw, func(_, lo, hi int) {
-		for w := lo; w < hi; w++ {
-			outs[w] = st.aggregateSlots(cuts[w], cuts[w+1], first, members, bySlot, &st.accs[w])
+	cs.first, cs.members, cs.cuts, cs.bySlot, cs.sh = first, members, cuts, bySlot, sh
+	if cs.count == nil {
+		cs.count = func(_, lo, hi int) {
+			for w := lo; w < hi; w++ {
+				st.countSlots(w)
+			}
 		}
-	})
-	return slices.Concat(outs...)
+		cs.write = func(_, lo, hi int) {
+			for w := lo; w < hi; w++ {
+				st.aggregateSlots(w)
+			}
+		}
+	}
+	st.fitAccs()
+	par.For(nw, nw, cs.count)
+	sh.Alloc()
+	par.For(nw, nw, cs.write)
+	cs.bySlot, cs.sh = nil, nil
+	return sh.Len()
 }
 
-// aggregateSlots is one worker's share of coarseArcs: the coarse arcs leaving
-// the source communities in slots [lo, hi), in blocks of arcBlockLen — so the
-// output grows without being copied and without a bound computed from the fine
-// arcs.
-func (st *phaseState) aggregateSlots(lo, hi int, first, members []int32, bySlot []int64, acc *rowAcc) [][]dgraph.Arc {
-	dg, ci := st.dg, st.ci
-	var blocks [][]dgraph.Arc
-	var block []dgraph.Arc
-	for s := lo; s < hi; s++ {
+// coarsening is coarseArcs' state, kept for the run like the phase state:
+// the source communities' members and the workers' slot ranges, what the call
+// at hand reads (bySlot) and writes (sh), and the par.For bodies of its two
+// walks, built once so that an aggregation allocates no closure.
+type coarsening struct {
+	first, members []int32
+	cuts           []int
+	bySlot         []int64
+	sh             *dgraph.Shuffle
+	count, write   func(w, lo, hi int)
+}
+
+// countSlots is worker w's first walk over its source communities: it
+// reserves, in the frame of each one's owner, one arc per distinct target
+// community. The weights are not known yet, so the reservation is weighted.
+func (st *phaseState) countSlots(w int) {
+	dg, ci, cs := st.dg, st.ci, &st.coarse
+	acc, out := &st.accs[w], cs.sh.Writer(w)
+	first, members := cs.first, cs.members
+	for s := cs.cuts[w]; s < cs.cuts[w+1]; s++ {
 		if first[s] == first[s+1] {
 			continue
 		}
 		acc.next()
-		w, stamp, epoch, keys := acc.w, acc.stamp, acc.epoch, acc.keys
+		stamp, epoch := acc.stamp, acc.epoch
+		k := 0
+		for _, lv := range members[first[s]:first[s+1]] {
+			for _, t := range dg.Slot[dg.Index[lv]:dg.Index[lv+1]] {
+				if c := ci[t]; stamp[c] != epoch {
+					stamp[c] = epoch
+					k++
+				}
+			}
+		}
+		out.Reserve(cs.sh.Owner(cs.bySlot[s]), k, false)
+	}
+}
+
+// aggregateSlots is worker w's second walk over the same source communities:
+// it sums each one's arcs per target community and puts the coarse arcs in
+// first-seen target order.
+func (st *phaseState) aggregateSlots(w int) {
+	dg, ci, cs := st.dg, st.ci, &st.coarse
+	acc, out := &st.accs[w], cs.sh.Writer(w)
+	first, members, bySlot := cs.first, cs.members, cs.bySlot
+	for s := cs.cuts[w]; s < cs.cuts[w+1]; s++ {
+		if first[s] == first[s+1] {
+			continue
+		}
+		acc.next()
+		sum, stamp, epoch, keys := acc.w, acc.stamp, acc.epoch, acc.keys
 		for _, lv := range members[first[s]:first[s+1]] {
 			row := dg.Index[lv]
 			edges := dg.Edges[row:dg.Index[lv+1]]
@@ -323,27 +381,16 @@ func (st *phaseState) aggregateSlots(lo, hi int, first, members []int32, bySlot 
 				c := ci[t]
 				if stamp[c] != epoch {
 					stamp[c] = epoch
-					w[c] = 0
+					sum[c] = 0
 					keys = append(keys, c)
 				}
-				w[c] += edges[i].W
+				sum[c] += edges[i].W
 			}
 		}
 		acc.keys = keys
+		q, from := cs.sh.Owner(bySlot[s]), bySlot[s]
 		for _, c := range keys {
-			if len(block) == cap(block) {
-				if block != nil {
-					blocks = append(blocks, block)
-				}
-				block = make([]dgraph.Arc, 0, arcBlockLen)
-			}
-			block = append(block, dgraph.Arc{From: bySlot[s], To: bySlot[c], W: w[c]})
+			out.Put(q, from, bySlot[c], sum[c])
 		}
 	}
-	if block != nil {
-		blocks = append(blocks, block)
-	}
-	return blocks
 }
-
-const arcBlockLen = 1 << 12

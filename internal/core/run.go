@@ -77,6 +77,9 @@ func (rs *runState) runLoop() (*Result, error) {
 	tr := cfg.Tracer
 	rsp := tr.Begin(obsv.KindRun, "run")
 
+	// One phase state for the whole run: each phase re-slices the arrays the
+	// one before left (reset).
+	st := &phaseState{cfg: cfg, steps: rs.steps}
 	for ; rs.phase < cfg.MaxPhases; rs.phase++ {
 		phase := rs.phase
 		tau := finalTau
@@ -87,8 +90,7 @@ func (rs *runState) runLoop() (*Result, error) {
 		psp := tr.Begin(obsv.KindPhase, "phase")
 		cfg.progress(ProgressEvent{Kind: ProgressPhaseStart, Phase: phase, Modularity: rs.prevQ, Vertices: rs.cur.GlobalN})
 
-		st, err := newPhaseState(rs.cur, cfg, phase, rs.steps)
-		if err != nil {
+		if err := st.reset(rs.cur, phase); err != nil {
 			return nil, fmt.Errorf("phase %d setup: %w", phase, err)
 		}
 		stat, err := st.iterate(tau)

@@ -76,31 +76,34 @@ type phaseState struct {
 	prevComm []int32
 	seed     uint64
 
-	// Phase-lived kernel scratch, allocated once per phase and reused
-	// every iteration (see DESIGN "kernel memory layout"):
-	// accs[w] is worker w's slot-addressed neighbor-community accumulator;
-	// moveBufs[w] is worker w's move buffer; allMoves is the gathered
-	// per-iteration move list; deltaTab/deltaBuf accumulate and emit the
-	// per-iteration community deltas; arena backs the encode buffers of
-	// the per-iteration exchanges, frames is the per-peer table handed to
-	// them (no collective keeps it past its call), and deltaFrames/prevCid
-	// are pushDeltas' per-owner encode state.
+	// Kernel scratch, allocated once per run and reused every iteration of
+	// every phase (see DESIGN "kernel memory layout"): accs[w] is worker w's
+	// slot-addressed neighbor-community accumulator; moveBufs[w] is worker
+	// w's move buffer; allMoves is the gathered per-iteration move list;
+	// stageMoves sums the per-iteration community deltas in accs[0] (ΔA) and
+	// deltaSize (Δsize, per slot) and emits them into deltaBuf; arena backs the
+	// encode buffers of the per-iteration exchanges, frames is the per-peer
+	// table handed to them (no collective keeps it past its call), and
+	// deltaFrames/prevCid are pushDeltas' per-owner encode state.
 	accs        []rowAcc
 	moveBufs    [][]move
 	allMoves    []move
-	deltaTab    *flat.Table
+	deltaSize   []int64
 	deltaBuf    []commDelta
 	arena       mpi.Arena
 	frames      [][]byte
 	deltaFrames []*[]byte
 	prevCid     []int64
 
-	// sweepBody is the par.For body of sweep, built once per phase so that a
+	// sweepBody is the par.For body of sweep, built once per run so that a
 	// sweep allocates no closure; it reads sweepIDs (the frontier's sorted
 	// list, nil under the dense scan) and sweepIter.
 	sweepBody func(w, lo, hi int)
 	sweepIDs  []int64
 	sweepIter int
+
+	// coarse is Step 5's scratch (rebuild.go).
+	coarse coarsening
 
 	// Frontier-driven sweep state; nil under the full scan, the test oracle
 	// (see frontier.go).
@@ -149,40 +152,80 @@ func malformed(frame string, from int, format string, args ...any) error {
 func (st *phaseState) tr() *obsv.Tracer { return st.cfg.Tracer }
 
 func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepTimes) (*phaseState, error) {
+	st := &phaseState{cfg: cfg, steps: steps}
+	if err := st.reset(dg, phaseIdx); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// reset makes st the state phase phaseIdx starts from on graph dg. A run keeps
+// one phaseState: every slot-, vertex-, ghost- and peer-sized array of the
+// phase before is re-sliced for this one rather than allocated again, so a run
+// allocates its phase state about once, for its first and largest phase (DESIGN
+// §12 "one phase's buffers per run"). Every other field starts from its zero
+// value.
+func (st *phaseState) reset(dg *dgraph.DistGraph, phaseIdx int) error {
+	old := *st
+	cfg := old.cfg
 	n := dg.LocalN
 	slots := int(n) + len(dg.Ghosts)
 	p := dg.Comm.Size()
-	ci := make([]int32, slots)
-	st := &phaseState{
-		dg: dg, cfg: cfg, phase: phaseIdx,
+	ci := reslice(old.ci, slots)
+	*st = phaseState{
+		dg: dg, cfg: cfg, phase: phaseIdx, steps: old.steps,
 		ci:          ci,
 		comm:        ci[:n:n],
 		ghostComm:   ci[n:],
-		rowIntra:    make([]float64, n),
+		rowIntra:    reslice(old.rowIntra, int(n)),
 		rowsStale:   true,
-		cA:          make([]float64, slots),
-		cSize:       make([]int64, slots),
-		refs:        make([]int32, slots),
-		fetched:     make([]int32, slots),
+		cA:          reslice(old.cA, slots),
+		cSize:       reslice(old.cSize, slots),
+		refs:        reslice(old.refs, slots),
+		fetched:     reslice(old.fetched, slots),
+		tail:        old.tail,
 		fetchSeq:    1,
 		reqStale:    true,
-		reqGIDs:     make([][]int64, p),
-		reqSlots:    make([][]int32, p),
-		prob:        make([]float64, n),
-		inactive:    make([]bool, n),
-		prevComm:    make([]int32, n),
+		reqGIDs:     truncateEach(old.reqGIDs, p),
+		reqSlots:    truncateEach(old.reqSlots, p),
+		liveBuf:     old.liveBuf,
+		pushList:    truncateEach(old.pushList, p),
+		ghostSlots:  truncateEach(old.ghostSlots, p),
+		lastSent:    truncateEach(old.lastSent, p),
+		prob:        reslice(old.prob, int(n)),
+		inactive:    reslice(old.inactive, int(n)),
+		prevComm:    reslice(old.prevComm, int(n)),
 		seed:        cfg.Seed ^ par.Mix64(uint64(phaseIdx)+0x5851f42d4c957f2d),
-		accs:        make([]rowAcc, cfg.Threads),
-		moveBufs:    make([][]move, cfg.Threads),
-		touchedBufs: make([]int64, cfg.Threads),
-		returnsBufs: make([]int64, cfg.Threads),
-		deltaTab:    flat.NewTable(256),
-		frames:      make([][]byte, p),
-		deltaFrames: make([]*[]byte, p),
-		prevCid:     make([]int64, p),
-		steps:       steps,
+		accs:        old.accs,
+		moveBufs:    old.moveBufs,
+		allMoves:    old.allMoves,
+		deltaSize:   old.deltaSize,
+		deltaBuf:    old.deltaBuf,
+		arena:       old.arena,
+		frames:      old.frames,
+		deltaFrames: old.deltaFrames,
+		prevCid:     old.prevCid,
+		sweepBody:   old.sweepBody,
+		coarse:      old.coarse,
+		touchedBufs: old.touchedBufs,
+		returnsBufs: old.returnsBufs,
+		snap: snapshot{
+			comm:  reslice(old.snap.comm, int(n)),
+			cA:    reslice(old.snap.cA, int(n)),
+			cSize: reslice(old.snap.cSize, int(n)),
+		},
 	}
-	st.sweepBody = func(w, lo, hi int) { st.sweepRange(w, lo, hi, st.sweepIDs, st.sweepIter) }
+	st.tail.Reset()
+	if st.accs == nil {
+		st.accs = make([]rowAcc, cfg.Threads)
+		st.moveBufs = make([][]move, cfg.Threads)
+		st.touchedBufs = make([]int64, cfg.Threads)
+		st.returnsBufs = make([]int64, cfg.Threads)
+		st.frames = make([][]byte, p)
+		st.deltaFrames = make([]*[]byte, p)
+		st.prevCid = make([]int64, p)
+		st.sweepBody = func(w, lo, hi int) { st.sweepRange(w, lo, hi, st.sweepIDs, st.sweepIter) }
+	}
 	// Initially every vertex is its own community — the identity on slots —
 	// so ghost communities are derivable without communication (§IV-A).
 	for e := range ci {
@@ -197,12 +240,32 @@ func newPhaseState(dg *dgraph.DistGraph, cfg *Config, phaseIdx int, steps *StepT
 	}
 	st.snapshot(&st.snap) // the identity: nothing is a return in iteration 1
 	if !cfg.oracle.fullScan {
-		st.fr = newFrontierState(st)
+		st.fr = newFrontierState(st, old.fr)
 	}
-	if err := st.setupGhostLists(); err != nil {
-		return nil, err
+	return st.setupGhostLists()
+}
+
+// reslice returns buf cut to n entries, all zero, when its capacity allows,
+// and a new slice of n otherwise.
+func reslice[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return st, nil
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// truncateEach empties each of p per-peer lists, keeping its memory (p is fixed
+// for a run; lists is nil before the first phase).
+func truncateEach[T any](lists [][]T, p int) [][]T {
+	if len(lists) != p {
+		return make([][]T, p)
+	}
+	for q := range lists {
+		lists[q] = lists[q][:0]
+	}
+	return lists
 }
 
 // setupGhostLists performs the one-time-per-phase exchange of Algorithm 4:
@@ -212,40 +275,37 @@ func (st *phaseState) setupGhostLists() error {
 	defer sp.End()
 	c := st.dg.Comm
 	p := c.Size()
-	st.ghostSlots = make([][]int32, p)
 	for i := range st.dg.Ghosts {
 		o := st.dg.GhostOwner[i]
 		st.ghostSlots[o] = append(st.ghostSlots[o], int32(i))
 	}
-	send := make([][]byte, p)
+	send := st.frames
 	for q := 0; q < p; q++ {
+		// dg.Ghosts is sorted ascending, so these per-owner ID lists are
+		// too: the delta stream is ~1 byte per entry.
 		ids := make([]int64, len(st.ghostSlots[q]))
 		for i, slot := range st.ghostSlots[q] {
 			ids[i] = st.dg.Ghosts[slot]
 		}
-		// dg.Ghosts is sorted ascending, so these per-owner ID lists are
-		// too: the delta stream is ~1 byte per entry.
 		send[q] = mpi.EncodeDeltaInt64s(ids)
 	}
 	recv, err := c.Alltoall(send)
 	if err != nil {
 		return fmt.Errorf("core: ghost-list setup: %w", err)
 	}
-	st.pushList = make([][]int64, p)
-	st.lastSent = make([][]int32, p)
 	for q := 0; q < p; q++ {
 		ids, err := mpi.DecodeDeltaInt64s(recv[q])
 		if err != nil {
 			return malformed("ghost list", q, "%v", err)
 		}
-		st.pushList[q] = make([]int64, len(ids))
-		st.lastSent[q] = make([]int32, len(ids))
-		for i, g := range ids {
+		st.pushList[q] = slices.Grow(st.pushList[q], len(ids))
+		st.lastSent[q] = slices.Grow(st.lastSent[q], len(ids))
+		for _, g := range ids {
 			if !st.dg.IsLocal(g) {
 				return malformed("ghost list", q, "non-owned vertex %d", g)
 			}
-			st.pushList[q][i] = g - st.dg.Base
-			st.lastSent[q][i] = -1 // force first send
+			st.pushList[q] = append(st.pushList[q], g-st.dg.Base)
+			st.lastSent[q] = append(st.lastSent[q], -1) // force first send
 		}
 	}
 	return nil

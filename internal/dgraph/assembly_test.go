@@ -2,11 +2,13 @@ package dgraph
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -78,10 +80,7 @@ func arcsAgainstOracle(n int64, perRank [][]Arc, part *partition.Partition) erro
 		}
 	}
 	return againstOracle(len(perRank), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
-		// In three slices, the middle one empty: they count as their concatenation.
-		arcs := perRank[c.Rank()]
-		k := len(arcs) / 3
-		return BuildFromArcs(c, n, part, arcs[:k], nil, arcs[k:])
+		return BuildFromArcs(c, n, part, perRank[c.Rank()])
 	})
 }
 
@@ -363,52 +362,215 @@ func TestGhostTableCornerCases(t *testing.T) {
 	}
 }
 
-// wire encodes arcs the way a sender would.
-func wire(arcs ...oracleArc) []byte {
-	buf := make([]byte, arcBytes*len(arcs))
-	for i, a := range arcs {
-		putArc(buf[arcBytes*i:], a.from, a.to, a.w)
+// frame encodes arcs in the given layout, as a statement of the format
+// independent of ArcWriter: the layout byte, then per arc the source and the
+// target (uint32 each, int64 in the 64-bit layout) and, unless the layout is
+// unit-weight, the weight's bits.
+func frame(layout byte, arcs ...oracleArc) []byte {
+	f := []byte{layout}
+	for _, a := range arcs {
+		if layout == arcs64 {
+			f = binary.LittleEndian.AppendUint64(f, uint64(a.from))
+			f = binary.LittleEndian.AppendUint64(f, uint64(a.to))
+		} else {
+			f = binary.LittleEndian.AppendUint32(f, uint32(a.from))
+			f = binary.LittleEndian.AppendUint32(f, uint32(a.to))
+		}
+		if layout != arcsUnit32 {
+			f = binary.LittleEndian.AppendUint64(f, math.Float64bits(a.w))
+		}
 	}
-	return buf
+	return f
 }
 
-// TestAssembleRejectsMalformedBuffers: a buffer that is not a whole number
-// of arcs, an arc whose source the rank does not own and a target outside
-// the vertex space all fail with ErrMalformedArcs — also when the bad arc is
-// the last one of the last buffer, after thousands of good ones, because
-// validation is a pass of its own ahead of the scatter.
+// assembleAtRank0 hands recv to the assembly of rank 0 in a 2-rank world
+// split by part; rank 1 only joins the closing allreduce, so a frame rank 0
+// refuses fails the run before it.
+func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte) (*DistGraph, error) {
+	var dg *DistGraph
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		if c.Rank() == 1 {
+			c.AllreduceFloat64(0, mpi.OpSum) // fails with the world once rank 0 has
+			return nil
+		}
+		var err error
+		dg, err = assemble(c, n, part, recv)
+		return err
+	})
+	return dg, err
+}
+
+// TestAssembleRejectsMalformedBuffers: every frame a sender could not have
+// produced fails with ErrMalformedArcs naming the rank it came from — an
+// unknown layout byte, a body that is not a whole number of records, a layout
+// byte with no records, 32-bit records in a vertex space that needs 64 bits
+// (and 64-bit ones where 32 suffice), a source the receiving rank does not
+// own, a target outside the vertex space — also when the bad arc is the last
+// one of the last frame, after thousands of good ones, because validation is
+// a pass of its own ahead of the scatter: a scatter of the unowned source
+// would index past the rows instead of failing typed.
 func TestAssembleRejectsMalformedBuffers(t *testing.T) {
 	good := make([]oracleArc, 3000)
 	for i := range good {
 		good[i] = oracleArc{int64(i % 4), int64((i + 1) % 4), 1}
 	}
-	cases := map[string][][]byte{
-		"truncated":           {wire(good...)[:arcBytes*len(good)-1]},
-		"one stray byte":      {{7}},
-		"unowned source":      {wire(good...), wire(oracleArc{4, 0, 1})},
-		"negative source":     {wire(oracleArc{-1, 0, 1})},
-		"target out of range": {wire(good...), wire(append(good[:10:10], oracleArc{0, 8, 1})...)},
-		"negative target":     {wire(oracleArc{0, -3, 1})},
+	weighted := frame(arcsWeight32, good...)
+	const wide = 1<<33 + 5
+	cases := []struct {
+		name   string
+		n      int64 // rank 0 owns [0, 4) of it
+		recv   [][]byte
+		sender int
+	}{
+		{"truncated", 8, [][]byte{weighted[:len(weighted)-1]}, 0},
+		{"one stray byte", 8, [][]byte{{7}}, 0},
+		{"unknown layout byte", 8, [][]byte{frame(arcsUnit32, good...), append([]byte{9}, weighted[1:]...)}, 1},
+		{"layout byte zero", 8, [][]byte{nil, append([]byte{0}, weighted[1:]...)}, 1},
+		{"body not whole records", 8, [][]byte{frame(arcsUnit32, good...), frame(arcsUnit32, good[:5]...)[:37]}, 1},
+		{"header with no records", 8, [][]byte{weighted, {arcsUnit32}}, 1},
+		{"32-bit records past 2^32 vertices", wide, [][]byte{frame(arcs64, good...), frame(arcsWeight32, good[:1]...)}, 1},
+		{"unit records past 2^32 vertices", wide, [][]byte{nil, frame(arcsUnit32, good[:1]...)}, 1},
+		{"64-bit records in a small world", 8, [][]byte{weighted, frame(arcs64, good[:1]...)}, 1},
+		{"unowned source", 8, [][]byte{weighted, frame(arcsWeight32, oracleArc{4, 0, 1})}, 1},
+		{"unowned source, 64-bit", wide, [][]byte{frame(arcs64, good...), frame(arcs64, oracleArc{4, 0, 1})}, 1},
+		{"negative source", wide, [][]byte{frame(arcs64, oracleArc{-1, 0, 1})}, 0},
+		{"target out of range", 8, [][]byte{frame(arcsUnit32, append(good[:10:10], oracleArc{0, 8, 1})...)}, 0},
+		{"target out of range, last of many", 8, [][]byte{weighted, frame(arcsWeight32, append(good[:10:10], oracleArc{0, 8, 1})...)}, 1},
+		{"target at n = 2^32 − 1", 1<<32 - 1, [][]byte{nil, frame(arcsUnit32, oracleArc{0, 1<<32 - 2, 1}, oracleArc{1, 1<<32 - 1, 1})}, 1},
+		{"negative target", wide, [][]byte{frame(arcs64, oracleArc{0, -3, 1})}, 0},
+		{"target past 2^32 vertices", wide, [][]byte{nil, frame(arcs64, good[0], oracleArc{0, wide, 1})}, 1},
 	}
-	for name, recv := range cases {
-		// Rank 0 of 2 owns [0,4) of 8 vertices; only it assembles, so the
-		// failure must come before the closing allreduce.
+	for _, tc := range cases {
+		part := &partition.Partition{Bounds: []int64{0, 4, tc.n}}
+		_, err := assembleAtRank0(tc.n, part, tc.recv)
+		if !errors.Is(err, ErrMalformedArcs) {
+			t.Errorf("%s: got %v, want ErrMalformedArcs", tc.name, err)
+		} else if want := fmt.Sprintf("from rank %d", tc.sender); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %q does not say %q", tc.name, err, want)
+		}
+	}
+}
+
+// TestFrameLayouts holds ArcWriter to the format: two writers sharing the
+// frames of a 2-rank world produce, byte for byte, the frames encoded by
+// hand — unit-weight frames without weights, a frame with one weight that is
+// not 1.0 with all of them, 64-bit records past 2³² vertices, writer ranges in
+// writer order — and the assembly of each frame is the
+// oracle's.
+func TestFrameLayouts(t *testing.T) {
+	unit := []oracleArc{{0, 3, 1}, {1, 2, 1}, {5, 0, 1}, {1, 2, 1}}
+	mixed := []oracleArc{{6, 1, 1}, {2, 4, 0.5}, {4, 4, 1}}
+	for _, n := range []int64{8, 1<<32 - 1, 1 << 32, 1<<33 + 5} {
+		part := &partition.Partition{Bounds: []int64{0, 4, n}}
+		var frames [2][]byte
 		err := mpi.Run(2, func(c *mpi.Comm) error {
 			if c.Rank() != 0 {
 				return nil
 			}
-			for len(recv) < 2 {
-				recv = append(recv, nil)
+			s, err := NewShuffle(c, n, part, 2)
+			if err != nil {
+				return err
 			}
-			_, err := assemble(c, 8, partition.ByVertexCount(8, 2), recv)
-			if !errors.Is(err, ErrMalformedArcs) {
-				return fmt.Errorf("got %v, want ErrMalformedArcs", err)
+			ws := []*ArcWriter{s.Writer(0), s.Writer(1)}
+			for i, a := range append(unit, mixed...) {
+				ws[i%2].Reserve(s.Owner(a.from), 1, a.w == 1)
 			}
+			s.Alloc()
+			for i, a := range append(unit, mixed...) {
+				ws[i%2].Put(s.Owner(a.from), a.from, a.to, a.w)
+			}
+			frames[0], frames[1] = s.frames[0], s.frames[1]
 			return nil
 		})
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Fatal(err)
 		}
+		// Rank 0's frame holds the even-numbered arcs owned by rank 0, then
+		// the odd-numbered ones; rank 1's likewise.
+		var want [2][]oracleArc
+		for w := 0; w < 2; w++ {
+			for i, a := range append(unit, mixed...) {
+				if i%2 == w {
+					q := part.Owner(a.from)
+					want[q] = append(want[q], a)
+				}
+			}
+		}
+		layouts := [2]byte{arcsWeight32, arcsUnit32} // rank 0 owns the 0.5
+		if wideIDs(n) {
+			layouts = [2]byte{arcs64, arcs64}
+		}
+		for q := range frames {
+			if f := frame(layouts[q], want[q]...); !slices.Equal(frames[q], f) {
+				t.Fatalf("n=%d: frame for rank %d is %v, want %v", n, q, frames[q], f)
+			}
+		}
+		dg, err := assembleAtRank0(n, part, [][]byte{frames[0], nil})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := oracleAssemble(part, 0, [][]oracleArc{want[0]}).diff(dg); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
+// TestShuffleBytesPerArc pins what construction puts on the wire: an
+// unweighted input crosses the shuffle at 8 bytes per arc, plus one layout
+// byte per non-empty frame; float weights cost 16 bytes per arc. The byte
+// counter is the one mpi.Comm keeps for collectives; the closing allreduce is
+// measured apart and subtracted.
+func TestShuffleBytesPerArc(t *testing.T) {
+	n, edges := gen.ErdosRenyi(500, 3000, 4)
+	const p = 3
+	part := partition.ByVertexCount(n, p)
+	// wireBytes is what the frames of the chunks must weigh at width bytes
+	// per arc: every arc whose owner is not its sender's rank, plus one
+	// layout byte per non-empty frame.
+	wireBytes := func(width int64) int64 {
+		var total int64
+		for r := 0; r < p; r++ {
+			arcs := make([]int64, p)
+			for _, a := range expandChunk(chunkEdges(edges, r, p)) {
+				arcs[part.Owner(a.from)]++
+			}
+			for q, k := range arcs {
+				if q != r && k > 0 {
+					total += 1 + width*k
+				}
+			}
+		}
+		return total
+	}
+	measure := func(weights func([]graph.RawEdge) []graph.RawEdge) int64 {
+		var mu sync.Mutex
+		var total int64
+		err := mpi.Run(p, func(c *mpi.Comm) error {
+			before := c.Stats().Snapshot()
+			if _, err := c.AllreduceFloat64(0, mpi.OpSum); err != nil {
+				return err
+			}
+			mid := c.Stats().Snapshot()
+			if _, err := Build(c, n, weights(chunkEdges(edges, c.Rank(), p)), part); err != nil {
+				return err
+			}
+			after := c.Stats().Snapshot()
+			mu.Lock()
+			total += after.Sub(mid).CollBytes - mid.Sub(before).CollBytes
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return total
+	}
+	same := func(e []graph.RawEdge) []graph.RawEdge { return e }
+	if got, want := measure(same), wireBytes(8); got != want {
+		t.Errorf("unweighted Build sent %d bytes, want %d (8 per arc)", got, want)
+	}
+	if got, want := measure(floatWeights), wireBytes(16); got != want {
+		t.Errorf("float-weighted Build sent %d bytes, want %d (16 per arc)", got, want)
 	}
 }
 
@@ -468,13 +630,19 @@ func TestSlotSpaceIsChecked(t *testing.T) {
 	}
 }
 
-// FuzzBuildFromArcs decodes the input into a rank count, a vertex count and
-// a list of (rank, from, to, weight) arcs, and holds BuildFromArcs to the
-// oracle. Weights are quarter-integers up to 63.75 with varied magnitudes so
-// that merge order shows in the bits. With the top bit of the first byte set
-// the vertex space is 160–2560 wide instead of 1–16 (IDs borrow three bits
-// each from the rank byte), so ghost candidates run into the thousands and
-// rows past radixMinRow; the last seed is such an input.
+// FuzzBuildFromArcs has two modes. By default it decodes the input into a
+// rank count, a vertex count and a list of (rank, from, to, weight) arcs, and
+// holds BuildFromArcs to the oracle. Weights are quarter-integers up to 63.75
+// with varied magnitudes so that merge order shows in the bits — or, with bit
+// 0x20 of the first byte set, all 1.0, so the frames travel in the unit
+// layout. With the top bit of the first byte set the vertex space is 160–2560
+// wide instead of 1–16 (IDs borrow three bits each from the rank byte), so
+// ghost candidates run into the thousands and rows past radixMinRow; the
+// fourth seed is such an input. With bit 0x40 of the first byte set the rest
+// is one raw frame from rank 1 to rank 0 of a 2-rank world (over 2³³ + 1–127
+// vertices, rank 0 owning [0, 8), when the second byte's top bit is set): the
+// assembly must either refuse it with ErrMalformedArcs or agree with the
+// oracle fed the arcs the test's own decoder reads from it.
 func FuzzBuildFromArcs(f *testing.F) {
 	f.Add([]byte{2, 4, 0, 0, 1, 5, 1, 1, 0, 5, 0, 0, 1, 9, 1, 3, 3, 2})
 	f.Add([]byte{3, 1, 2, 0, 0, 255})
@@ -490,8 +658,19 @@ func FuzzBuildFromArcs(f *testing.F) {
 		wide = append(wide, byte(rng.Intn(256))&^0x1c, from, byte(rng.Intn(256)), byte(rng.Intn(256)))
 	}
 	f.Add(wide)
+	f.Add(append([]byte{0x22, 9}, wide[2:400]...))
+	f.Add(append([]byte{0x40, 12}, frame(arcsUnit32, oracleArc{0, 3, 1}, oracleArc{2, 9, 1}, oracleArc{0, 3, 1})...))
+	f.Add(append([]byte{0x40, 5}, frame(arcsWeight32, oracleArc{1, 0, 0.1}, oracleArc{1, 0, 0.2}, oracleArc{2, 2, 5})...))
+	f.Add(append([]byte{0x40, 0x83}, frame(arcs64, oracleArc{7, 1 << 33, 2}, oracleArc{0, 5, 0.5})...))
+	f.Add(append([]byte{0x40, 0x83}, frame(arcsWeight32, oracleArc{7, 6, 2})...))
+	f.Add([]byte{0x40, 3, arcsUnit32})
+	f.Add([]byte{0x40, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
+			return
+		}
+		if data[0]&0x40 != 0 {
+			fuzzRawFrame(t, data[1], data[2:])
 			return
 		}
 		p := int(data[0])%4 + 1
@@ -504,6 +683,9 @@ func FuzzBuildFromArcs(f *testing.F) {
 		for rest := data[2:]; len(rest) >= 4 && len(rest) <= 4*2048; rest = rest[4:] {
 			r := int(rest[0]) % p
 			w := float64(rest[3]) / 4 * math.Pow(10, float64(rest[0]%5)-2)
+			if data[0]&0x20 != 0 {
+				w = 1
+			}
 			from, to := int64(rest[1]), int64(rest[2])
 			if wide {
 				from, to = from<<3|int64(rest[0]>>2&7), to<<3|int64(rest[0]>>5)
@@ -514,6 +696,47 @@ func FuzzBuildFromArcs(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// fuzzRawFrame is FuzzBuildFromArcs' frame mode: f arrives at rank 0 from
+// rank 1.
+func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
+	n := int64(shape%16) + 1
+	part := partition.ByVertexCount(n, 2)
+	if shape&0x80 != 0 {
+		n = 1<<33 + int64(shape&0x7f)
+		part = &partition.Partition{Bounds: []int64{0, 8, n}}
+	}
+	if len(f) > 1+24*512 {
+		return
+	}
+	dg, err := assembleAtRank0(n, part, [][]byte{nil, f})
+	if err != nil {
+		if !errors.Is(err, ErrMalformedArcs) {
+			t.Fatalf("refused with %v, want ErrMalformedArcs", err)
+		}
+		return
+	}
+	// Accepted: read the records the way the format says and ask the oracle.
+	var arcs []oracleArc
+	for b := f[min(1, len(f)):]; len(b) > 0; {
+		var a oracleArc
+		switch f[0] {
+		case arcsUnit32:
+			a, b = oracleArc{int64(binary.LittleEndian.Uint32(b)), int64(binary.LittleEndian.Uint32(b[4:])), 1}, b[8:]
+		case arcsWeight32:
+			a, b = oracleArc{int64(binary.LittleEndian.Uint32(b)), int64(binary.LittleEndian.Uint32(b[4:])), math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))}, b[16:]
+		default:
+			a, b = oracleArc{int64(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:])), math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))}, b[24:]
+		}
+		if a.from < 0 || a.from >= 8 || a.from >= n || a.to < 0 || a.to >= n {
+			t.Fatalf("accepted arc (%d,%d) outside rank 0's sources or the vertex space of %d", a.from, a.to, n)
+		}
+		arcs = append(arcs, a)
+	}
+	if err := oracleAssemble(part, 0, [][]oracleArc{nil, arcs}).diff(dg); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // rmat14 is the benchmark input: R-MAT scale 14, edge factor 8.

@@ -10,9 +10,13 @@
 // source vertex via one personalized all-to-all exchange, exactly like the
 // input-loading step of the paper's implementation.
 //
-// Build and BuildFromArcs share one counting-sort pipeline — shuffle on the
-// sending side, assemble on the receiving one; DESIGN "graph construction
-// memory layout" has the contract. Allocations are O(p), whatever the arc count.
+// Build, BuildFromArcs and the coarsening of package core share one
+// counting-sort pipeline — a Shuffle on the sending side, assemble on the
+// receiving one; DESIGN "graph construction memory layout" has the contract.
+// Each rank sends one frame per owner, sized exactly before it is written: a
+// layout byte, then fixed-width records of 8 bytes (32-bit source and target)
+// when every weight in the frame is 1.0, 16 with the weight, 24 only in a
+// vertex space past 2³². Allocations are O(p), whatever the arc count.
 //
 // Every stored arc also carries a dense slot (DistGraph.Slot): the local
 // index of an owned target, LocalN + i for the ghost Ghosts[i]. State kept per
@@ -23,7 +27,6 @@
 package dgraph
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -72,23 +75,19 @@ type DistGraph struct {
 	GhostOwner []int
 }
 
-// Arc is one directed edge in transit between ranks. The coarsening step of
-// the Louvain driver produces directed arcs natively (each fine arc maps to
-// one coarse arc), which BuildFromArcs routes and assembles without the
+// Arc is one directed edge, as BuildFromArcs takes it: arcs that are already
+// directed (a checkpoint's CSR) are routed and assembled without the
 // undirected expansion Build performs.
 type Arc struct {
 	From, To int64
 	W        float64
 }
 
-// arcBytes is the wire size of one directed edge: source, target and weight,
-// 8 little-endian bytes each.
-const arcBytes = 24
-
-// ErrMalformedArcs marks an arc buffer the assembly refuses: a length that is
-// not a whole number of arcs, a source the receiving rank does not own, or a
+// ErrMalformedArcs marks an arc frame the assembly refuses: an unknown layout
+// byte or one the vertex space does not select, a body that is empty or not a
+// whole number of records, a source the receiving rank does not own, or a
 // target outside the vertex space.
-var ErrMalformedArcs = errors.New("dgraph: malformed arc buffer")
+var ErrMalformedArcs = errors.New("dgraph: malformed arc frame")
 
 // ErrSlotSpace marks a rank whose owned vertices plus ghosts do not fit the
 // int32 slot space; such a graph needs more ranks.
@@ -99,20 +98,6 @@ func checkSlotSpace(localN int64, ghosts int) error {
 		return fmt.Errorf("%w: %d owned + %d ghosts", ErrSlotSpace, localN, ghosts)
 	}
 	return nil
-}
-
-func putArc(b []byte, from, to int64, w float64) {
-	_ = b[arcBytes-1]
-	binary.LittleEndian.PutUint64(b, uint64(from))
-	binary.LittleEndian.PutUint64(b[8:], uint64(to))
-	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(w))
-}
-
-func getArc(b []byte) (from, to int64, w float64) {
-	_ = b[arcBytes-1]
-	return int64(binary.LittleEndian.Uint64(b)),
-		int64(binary.LittleEndian.Uint64(b[8:])),
-		math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
 }
 
 // EdgeBalancedPartition computes the paper's input decomposition: vertices
@@ -139,64 +124,6 @@ func EdgeBalancedPartition(c *mpi.Comm, n int64, localChunk []graph.RawEdge) (*p
 	return partition.ByEdgeCount(global, c.Size()), nil
 }
 
-// shuffle is the sending half of the construction pipeline. The caller walks
-// its input twice: count sizes one wire buffer per owner exactly, put then
-// encodes each arc at its owner's write cursor — no intermediate arc slices,
-// no append growth.
-type shuffle struct {
-	c    *mpi.Comm
-	n    int64
-	part *partition.Partition
-	send [][]byte // send[q]: the arcs rank q owns, in put order
-	fill []int    // arcs counted per owner, then bytes written per owner
-}
-
-// newShuffle checks the partition against the world (nil selects the even
-// vertex split).
-func newShuffle(c *mpi.Comm, n int64, part *partition.Partition) (*shuffle, error) {
-	p := c.Size()
-	if part == nil {
-		part = partition.ByVertexCount(n, p)
-	}
-	if part.N() != n || part.Size() != p {
-		return nil, fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
-			part.N(), part.Size(), n, p)
-	}
-	return &shuffle{c: c, n: n, part: part, send: make([][]byte, p), fill: make([]int, p)}, nil
-}
-
-func (s *shuffle) inRange(v int64) bool { return v >= 0 && v < s.n }
-
-func (s *shuffle) count(from int64) { s.fill[s.part.Owner(from)]++ }
-
-func (s *shuffle) alloc() {
-	for q, k := range s.fill {
-		s.send[q] = make([]byte, arcBytes*k)
-		s.fill[q] = 0
-	}
-}
-
-func (s *shuffle) put(from, to int64, w float64) {
-	q := s.part.Owner(from)
-	putArc(s.send[q][s.fill[q]:], from, to, w)
-	s.fill[q] += arcBytes
-}
-
-// exchange ships every buffer to its owner and assembles what arrives. The
-// self-owned share never enters the transport: it is handed to the assembly
-// as encoded, in this rank's slot of the receive order.
-func (s *shuffle) exchange() (*DistGraph, error) {
-	rank := s.c.Rank()
-	self := s.send[rank]
-	s.send[rank] = nil
-	recv, err := s.c.Alltoall(s.send)
-	if err != nil {
-		return nil, err
-	}
-	recv[rank] = self
-	return assemble(s.c, s.n, s.part, recv)
-}
-
 // Build assembles the distributed graph. Every rank passes the same global
 // vertex count n and its own arbitrary chunk of the undirected edge list
 // (chunks together must cover the whole input exactly once). The vertex
@@ -204,66 +131,61 @@ func (s *shuffle) exchange() (*DistGraph, error) {
 // vertex split. Parallel edges — within a chunk or across chunks and ranks —
 // merge by weight, summed in (sender rank, chunk order).
 func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Partition) (*DistGraph, error) {
-	s, err := newShuffle(c, n, part)
+	s, err := NewShuffle(c, n, part, 1)
 	if err != nil {
 		return nil, err
 	}
 	// Each undirected edge expands into its two directed arcs, routed to the
 	// owner of the source vertex; a self loop is a single arc.
+	w := s.Writer(0)
 	for _, e := range localChunk {
-		if !s.inRange(e.U) || !s.inRange(e.V) {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
-		s.count(e.U)
+		w.Reserve(s.Owner(e.U), 1, e.W == 1)
 		if e.U != e.V {
-			s.count(e.V)
+			w.Reserve(s.Owner(e.V), 1, e.W == 1)
 		}
 	}
-	s.alloc()
+	s.Alloc()
 	for _, e := range localChunk {
-		s.put(e.U, e.V, e.W)
+		w.Put(s.Owner(e.U), e.U, e.V, e.W)
 		if e.U != e.V {
-			s.put(e.V, e.U, e.W)
+			w.Put(s.Owner(e.V), e.V, e.U, e.W)
 		}
 	}
-	return s.exchange()
+	return s.Exchange()
 }
 
 // BuildFromArcs assembles a distributed graph from directed arcs scattered
 // arbitrarily across ranks and in any order: every arc is routed to the
 // owner of its source vertex, parallel arcs are merged by weight (summed in
 // sender rank, then slice order), and the usual CSR + ghost tables are built.
-// A rank's arcs may come in several slices — a producer that grows its output
-// block by block never has to join them — and count as their concatenation.
 // The arc set must already be symmetric (for every a→b some rank must hold
-// b→a of equal total weight) — which the Louvain coarsening guarantees by
-// construction.
-func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs ...[]Arc) (*DistGraph, error) {
-	s, err := newShuffle(c, n, part)
+// b→a of equal total weight), as a checkpointed coarse graph is.
+func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) (*DistGraph, error) {
+	s, err := NewShuffle(c, n, part, 1)
 	if err != nil {
 		return nil, err
 	}
-	for _, block := range arcs {
-		for _, a := range block {
-			if !s.inRange(a.From) || !s.inRange(a.To) {
-				return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
-			}
-			s.count(a.From)
+	w := s.Writer(0)
+	for _, a := range arcs {
+		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
+			return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
 		}
+		w.Reserve(s.Owner(a.From), 1, a.W == 1)
 	}
-	s.alloc()
-	for _, block := range arcs {
-		for _, a := range block {
-			s.put(a.From, a.To, a.W)
-		}
+	s.Alloc()
+	for _, a := range arcs {
+		w.Put(s.Owner(a.From), a.From, a.To, a.W)
 	}
-	return s.exchange()
+	return s.Exchange()
 }
 
-// assemble is the receiving half of the pipeline: recv[q] holds the arcs rank
-// q routed here, in the order q encoded them. Pass 1 validates every buffer
-// and histograms the sources — nothing is written to the CSR until all of
-// them are known good; a prefix sum turns the histogram into Index; pass 2
+// assemble is the receiving half of the pipeline: recv[q] is the frame rank q
+// routed here, its arcs in the order q encoded them. Pass 1 validates every
+// frame and histograms the sources — nothing is written to the CSR until all
+// of them are known good; a prefix sum turns the histogram into Index; pass 2
 // scatters each arc into its row in (sender rank, send order). Rows are then
 // sorted by target (stably, and only when not already ascending), parallel
 // arcs are summed left to right — i.e. in that arrival order — and the CSR is
@@ -281,24 +203,29 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 		SelfLoop: make([]float64, localN),
 	}
 
-	remote := 0 // arcs to non-owned targets, before merging: bounds the ghost candidates
-	for q, buf := range recv {
-		if len(buf)%arcBytes != 0 {
-			return nil, fmt.Errorf("%w: %d bytes from rank %d is not a multiple of %d", ErrMalformedArcs, len(buf), q, arcBytes)
+	pl := &placer{base: base, hi: hi, n: n, count: dg.Index}
+	for q, f := range recv {
+		if len(f) == 0 {
+			continue
 		}
-		for ; len(buf) > 0; buf = buf[arcBytes:] {
-			from, to, _ := getArc(buf)
-			if from < base || from >= hi {
-				return nil, fmt.Errorf("%w: rank %d received arc from unowned vertex %d (sender %d)", ErrMalformedArcs, rank, from, q)
-			}
-			if to < 0 || to >= n {
-				return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d targets outside [0,%d)", ErrMalformedArcs, from, to, q, n)
-			}
-			dg.Index[from-base+1]++
-			if to < base || to >= hi {
-				remote++
-			}
+		width, err := frameWidth(f, n)
+		if err != nil {
+			return nil, fmt.Errorf("%w: frame from rank %d: %v", ErrMalformedArcs, q, err)
 		}
+		var bad int
+		if width == 24 {
+			bad = pl.count64(f[1:])
+		} else {
+			bad = pl.count32(f[1:], width)
+		}
+		if bad < 0 {
+			continue
+		}
+		a := arcAt(f, bad)
+		if a.From < base || a.From >= hi {
+			return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d has a source rank %d does not own", ErrMalformedArcs, a.From, a.To, q, rank)
+		}
+		return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d targets outside [0,%d)", ErrMalformedArcs, a.From, a.To, q, n)
 	}
 	var longest int64 // row length before merging: sizes the sort scratch
 	for lv := int64(0); lv < localN; lv++ {
@@ -308,12 +235,18 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	edges := make([]graph.Edge, dg.Index[localN])
 	end := make([]int64, localN) // write cursor per row; the row's end once scattered
 	copy(end, dg.Index)
-	for _, buf := range recv {
-		for ; len(buf) > 0; buf = buf[arcBytes:] {
-			from, to, w := getArc(buf)
-			lv := from - base
-			edges[end[lv]] = graph.Edge{To: to, W: w}
-			end[lv]++
+	pl.end, pl.edges = end, edges
+	for _, f := range recv {
+		if len(f) == 0 {
+			continue
+		}
+		switch body := f[1:]; f[0] {
+		case arcsUnit32:
+			pl.placeUnit32(body)
+		case arcsWeight32:
+			pl.placeWeight32(body)
+		default:
+			pl.place64(body)
 		}
 	}
 
@@ -321,7 +254,7 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	// past the scattered one, so writing through out cannot clobber arcs
 	// still to be read.
 	scratch := make([]graph.Edge, longest)
-	cand := make([]int64, 0, remote)
+	cand := make([]int64, 0, pl.remote) // one per remote arc at most: bounds the ghost candidates
 	var out int64
 	var localW float64
 	for lv := int64(0); lv < localN; lv++ {
@@ -616,37 +549,31 @@ func (dg *DistGraph) Validate() error {
 
 // GatherToRoot reconstructs the whole graph at rank 0 (as an in-memory CSR)
 // for verification; other ranks return nil. Intended for tests and small
-// graphs only.
+// graphs only. It is a shuffle to a partition in which rank 0 owns every
+// vertex: each row arrives whole, from its one owner, already merged and
+// sorted, so the assembly reproduces it arc for arc.
 func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
-	local := make([]byte, arcBytes*len(dg.Edges))
-	off := 0
-	for lv := int64(0); lv < dg.LocalN; lv++ {
-		for _, e := range dg.Neighbors(lv) {
-			putArc(local[off:], dg.Global(lv), e.To, e.W)
-			off += arcBytes
-		}
+	bounds := make([]int64, dg.Comm.Size()+1)
+	for r := 1; r < len(bounds); r++ {
+		bounds[r] = dg.GlobalN
 	}
-	blocks, err := dg.Comm.Gatherv(0, local)
+	s, err := NewShuffle(dg.Comm, dg.GlobalN, &partition.Partition{Bounds: bounds}, 1)
 	if err != nil {
 		return nil, err
 	}
-	if dg.Comm.Rank() != 0 {
-		return nil, nil
+	w := s.Writer(0)
+	for _, e := range dg.Edges {
+		w.Reserve(0, 1, e.W == 1)
 	}
-	// Every vertex has one owner and its row is target-sorted, so each
-	// adjacency list arrives complete and in order.
-	adj := make([][]graph.Edge, dg.GlobalN)
-	for q, b := range blocks {
-		if len(b)%arcBytes != 0 {
-			return nil, fmt.Errorf("%w: %d bytes gathered from rank %d", ErrMalformedArcs, len(b), q)
-		}
-		for ; len(b) > 0; b = b[arcBytes:] {
-			from, to, w := getArc(b)
-			if from < 0 || from >= dg.GlobalN {
-				return nil, fmt.Errorf("%w: gathered arc from vertex %d outside [0,%d)", ErrMalformedArcs, from, dg.GlobalN)
-			}
-			adj[from] = append(adj[from], graph.Edge{To: to, W: w})
+	s.Alloc()
+	for lv := int64(0); lv < dg.LocalN; lv++ {
+		for _, e := range dg.Neighbors(lv) {
+			w.Put(0, dg.Global(lv), e.To, e.W)
 		}
 	}
-	return graph.FromAdjacency(adj), nil
+	all, err := s.Exchange()
+	if err != nil || dg.Comm.Rank() != 0 {
+		return nil, err
+	}
+	return &graph.CSR{N: all.GlobalN, Index: all.Index, Edges: all.Edges}, nil
 }

@@ -1,0 +1,304 @@
+package dgraph
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"distlouvain/internal/graph"
+	"distlouvain/internal/mpi"
+	"distlouvain/internal/partition"
+)
+
+// Arc record layouts. Every non-empty shuffle frame starts with one of these
+// bytes, naming the fixed width of the records that follow; the sender picks
+// the narrowest layout its writers' reservations allow. All fields are
+// little-endian.
+const (
+	arcsUnit32   = 1 // uint32 source, uint32 target: every weight in the frame is 1.0
+	arcsWeight32 = 2 // uint32 source, uint32 target, fixed64 weight
+	arcs64       = 3 // int64 source, int64 target, fixed64 weight: past 2³² vertices
+)
+
+// recordWidth is the size of one record in each layout.
+var recordWidth = [...]int{arcsUnit32: 8, arcsWeight32: 16, arcs64: 24}
+
+// wideIDs reports whether a vertex space of n needs 64-bit records.
+func wideIDs(n int64) bool { return n > 1<<32 }
+
+// A Shuffle routes directed arcs to the owners of their sources and assembles
+// what arrives: the whole construction pipeline of Build, BuildFromArcs and
+// the coarsening of core. The sender works in two passes over its own input,
+// both through ArcWriters: Reserve counts every owner's arcs, Alloc sizes one
+// frame per owner exactly, Put encodes each arc at its writer's cursor in its
+// owner's frame. Exchange ships the frames and assembles the rank's share.
+type Shuffle struct {
+	c       *mpi.Comm
+	n       int64
+	part    *partition.Partition
+	frames  [][]byte // frames[q]: a layout byte, then the records rank q owns; nil when none
+	writers []ArcWriter
+}
+
+// NewShuffle starts a shuffle over the vertex space [0, n) split by part (nil
+// selects the even vertex split), filled by the given number of writers.
+func NewShuffle(c *mpi.Comm, n int64, part *partition.Partition, writers int) (*Shuffle, error) {
+	p := c.Size()
+	if part == nil {
+		part = partition.ByVertexCount(n, p)
+	}
+	if part.N() != n || part.Size() != p {
+		return nil, fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
+			part.N(), part.Size(), n, p)
+	}
+	s := &Shuffle{c: c, n: n, part: part, frames: make([][]byte, p), writers: make([]ArcWriter, writers)}
+	shares := make([]share, writers*p)
+	for i := range shares {
+		shares[i].unit = true
+	}
+	for i := range s.writers {
+		s.writers[i] = ArcWriter{s: s, shares: shares[i*p : (i+1)*p : (i+1)*p]}
+	}
+	return s, nil
+}
+
+// Owner returns the rank an arc leaving v is routed to.
+func (s *Shuffle) Owner(v int64) int { return s.part.Owner(v) }
+
+// Writer returns writer i. Writers can fill one shuffle in parallel: each
+// owns one range of every frame — the arcs it reserved, which it alone puts —
+// and a frame holds the writers' ranges in writer order.
+func (s *Shuffle) Writer(i int) *ArcWriter { return &s.writers[i] }
+
+// Len returns the number of arcs reserved, by all writers for all owners.
+func (s *Shuffle) Len() int {
+	k := 0
+	for _, w := range s.writers {
+		for _, sh := range w.shares {
+			k += sh.reserved
+		}
+	}
+	return k
+}
+
+// An ArcWriter is one writer of a Shuffle.
+type ArcWriter struct {
+	s      *Shuffle
+	shares []share // per owner
+}
+
+// share is one writer's range of one owner's frame.
+type share struct {
+	reserved int  // arcs reserved
+	at, end  int  // write cursor and end of the range, once allocated
+	unit     bool // every weight reserved is 1.0
+}
+
+// Reserve counts k arcs for owner q. unit says every one of them weighs
+// exactly 1.0, so that the frame may travel without weights; a writer that
+// does not know its weights yet passes false, and the frame keeps them.
+func (w *ArcWriter) Reserve(q, k int, unit bool) {
+	sh := &w.shares[q]
+	sh.reserved += k
+	sh.unit = sh.unit && unit
+}
+
+// Alloc allocates every frame at its exact size — the layout byte and the
+// records all writers reserved — and hands each writer its range.
+func (s *Shuffle) Alloc() {
+	wide := wideIDs(s.n)
+	for q := range s.frames {
+		k, unit := 0, true
+		for _, w := range s.writers {
+			k += w.shares[q].reserved
+			unit = unit && w.shares[q].unit
+		}
+		if k == 0 {
+			continue
+		}
+		layout := byte(arcsWeight32)
+		switch {
+		case wide:
+			layout = arcs64
+		case unit:
+			layout = arcsUnit32
+		}
+		width := recordWidth[layout]
+		s.frames[q] = make([]byte, 1+width*k)
+		s.frames[q][0] = layout
+		at := 1
+		for _, w := range s.writers {
+			sh := &w.shares[q]
+			sh.at = at
+			at += width * sh.reserved
+			sh.end = at
+		}
+	}
+}
+
+// Put encodes the arc from→to of weight wt into owner q's frame, at this
+// writer's cursor. Into a frame reserved as unit-weight only arcs of weight
+// 1.0 may go.
+func (w *ArcWriter) Put(q int, from, to int64, wt float64) {
+	sh := &w.shares[q]
+	f, i := w.s.frames[q], sh.at
+	switch f[0] {
+	case arcsUnit32:
+		binary.LittleEndian.PutUint32(f[i:], uint32(from))
+		binary.LittleEndian.PutUint32(f[i+4:], uint32(to))
+		sh.at = i + 8
+	case arcsWeight32:
+		binary.LittleEndian.PutUint32(f[i:], uint32(from))
+		binary.LittleEndian.PutUint32(f[i+4:], uint32(to))
+		binary.LittleEndian.PutUint64(f[i+8:], math.Float64bits(wt))
+		sh.at = i + 16
+	default:
+		binary.LittleEndian.PutUint64(f[i:], uint64(from))
+		binary.LittleEndian.PutUint64(f[i+8:], uint64(to))
+		binary.LittleEndian.PutUint64(f[i+16:], math.Float64bits(wt))
+		sh.at = i + 24
+	}
+}
+
+// Exchange ships every frame to its owner and assembles what arrives: the
+// collective end of the shuffle. The self-owned frame never enters the
+// transport: it is handed to the assembly as encoded, in this rank's slot of
+// the receive order.
+func (s *Shuffle) Exchange() (*DistGraph, error) {
+	for q := range s.frames {
+		for _, w := range s.writers {
+			if sh := w.shares[q]; sh.at != sh.end {
+				return nil, fmt.Errorf("dgraph: a writer left %d bytes of its range for rank %d unwritten", sh.end-sh.at, q)
+			}
+		}
+	}
+	rank := s.c.Rank()
+	self := s.frames[rank]
+	s.frames[rank] = nil
+	recv, err := s.c.Alltoall(s.frames)
+	if err != nil {
+		return nil, err
+	}
+	recv[rank] = self
+	return assemble(s.c, s.n, s.part, recv)
+}
+
+// frameWidth validates a received frame's layout byte against the world's
+// vertex space and its length against the layout, and returns the record
+// width.
+func frameWidth(f []byte, n int64) (int, error) {
+	layout := f[0]
+	if layout < arcsUnit32 || layout > arcs64 {
+		return 0, fmt.Errorf("unknown layout byte %d", layout)
+	}
+	if (layout == arcs64) != wideIDs(n) {
+		return 0, fmt.Errorf("layout %d is not the one a vertex space of %d selects", layout, n)
+	}
+	width := recordWidth[layout]
+	if body := len(f) - 1; body == 0 || body%width != 0 {
+		return 0, fmt.Errorf("a %d-byte body is not a positive whole number of %d-byte records", body, width)
+	}
+	return width, nil
+}
+
+// arcAt decodes the record at offset i of frame f's body, whatever the
+// layout: the slow path, for error messages.
+func arcAt(f []byte, i int) Arc {
+	b := f[1+i:]
+	switch f[0] {
+	case arcsUnit32:
+		return Arc{From: int64(binary.LittleEndian.Uint32(b)), To: int64(binary.LittleEndian.Uint32(b[4:])), W: 1}
+	case arcsWeight32:
+		return Arc{From: int64(binary.LittleEndian.Uint32(b)), To: int64(binary.LittleEndian.Uint32(b[4:])),
+			W: math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))}
+	}
+	return Arc{From: int64(binary.LittleEndian.Uint64(b)), To: int64(binary.LittleEndian.Uint64(b[8:])),
+		W: math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))}
+}
+
+// placer is the receiving side's per-row state while assemble places arcs:
+// pass 1 validates each frame and histograms its sources into count (row lv
+// at lv+1), pass 2 scatters its arcs to the rows' write cursors. There is one
+// loop per record width in each pass, so no arc pays for a layout branch.
+type placer struct {
+	base, hi, n int64
+	count       []int64
+	remote      int // arcs to non-owned targets, before merging
+	end         []int64
+	edges       []graph.Edge
+}
+
+// count32 is pass 1 over a 32-bit frame body with the given record stride. It
+// returns the offset of the first record it refuses — a source not owned
+// here, a target outside the vertex space — or −1.
+func (p *placer) count32(body []byte, stride int) int {
+	base, hi, n, count := p.base, p.hi, p.n, p.count
+	remote := 0
+	for i := 0; i < len(body); i += stride {
+		from := int64(binary.LittleEndian.Uint32(body[i:]))
+		to := int64(binary.LittleEndian.Uint32(body[i+4:]))
+		if from < base || from >= hi || to >= n {
+			return i
+		}
+		count[from-base+1]++
+		if to < base || to >= hi {
+			remote++
+		}
+	}
+	p.remote += remote
+	return -1
+}
+
+// count64 is count32 for the 64-bit layout.
+func (p *placer) count64(body []byte) int {
+	base, hi, n, count := p.base, p.hi, p.n, p.count
+	remote := 0
+	for i := 0; i < len(body); i += 24 {
+		from := int64(binary.LittleEndian.Uint64(body[i:]))
+		to := int64(binary.LittleEndian.Uint64(body[i+8:]))
+		if from < base || from >= hi || to < 0 || to >= n {
+			return i
+		}
+		count[from-base+1]++
+		if to < base || to >= hi {
+			remote++
+		}
+	}
+	p.remote += remote
+	return -1
+}
+
+// placeUnit32, placeWeight32 and place64 are pass 2, one per layout, over
+// bodies pass 1 accepted.
+func (p *placer) placeUnit32(body []byte) {
+	base, end, edges := p.base, p.end, p.edges
+	for i := 0; i < len(body); i += 8 {
+		lv := int64(binary.LittleEndian.Uint32(body[i:])) - base
+		edges[end[lv]] = graph.Edge{To: int64(binary.LittleEndian.Uint32(body[i+4:])), W: 1}
+		end[lv]++
+	}
+}
+
+func (p *placer) placeWeight32(body []byte) {
+	base, end, edges := p.base, p.end, p.edges
+	for i := 0; i < len(body); i += 16 {
+		lv := int64(binary.LittleEndian.Uint32(body[i:])) - base
+		edges[end[lv]] = graph.Edge{
+			To: int64(binary.LittleEndian.Uint32(body[i+4:])),
+			W:  math.Float64frombits(binary.LittleEndian.Uint64(body[i+8:])),
+		}
+		end[lv]++
+	}
+}
+
+func (p *placer) place64(body []byte) {
+	base, end, edges := p.base, p.end, p.edges
+	for i := 0; i < len(body); i += 24 {
+		lv := int64(binary.LittleEndian.Uint64(body[i:])) - base
+		edges[end[lv]] = graph.Edge{
+			To: int64(binary.LittleEndian.Uint64(body[i+8:])),
+			W:  math.Float64frombits(binary.LittleEndian.Uint64(body[i+16:])),
+		}
+		end[lv]++
+	}
+}

@@ -1,11 +1,10 @@
 // Package flat provides the flat open-addressing tables the Louvain driver
 // uses in place of Go maps where a key space is too sparse to address
-// directly: the per-iteration community-delta batch and the index that numbers
-// the communities a rank references but holds no vertex of. (The ΔQ inner loop
+// directly: the index that numbers the communities a rank references but holds
+// no vertex of. (The ΔQ inner loop and the per-iteration community-delta batch
 // used Table, and the coarsening step PairTable, until communities got dense
-// per-phase slots; both now accumulate into a slot-addressed array — DESIGN
-// §12 — and Table remains the accumulator of the map-free delta batch and of
-// the reference kernels' benchmarks, PairTable only what benchmark/ times.) The design
+// per-phase slots; all three now accumulate into slot-addressed arrays — DESIGN
+// §12 — and Table and PairTable remain for what benchmark/ times.) The design
 // follows the hashing-kernel idea of Forster's GPU Louvain (linear-probed
 // power-of-two tables, no chaining) adapted to per-worker CPU use:
 //
@@ -319,6 +318,12 @@ type Index struct {
 
 // Len returns how many keys have been interned.
 func (x *Index) Len() int { return len(x.keys) }
+
+// Reset empties the index and keeps its memory for the keys to come.
+func (x *Index) Reset() {
+	x.keys = x.keys[:0]
+	clear(x.tab)
+}
 
 // Key returns the key numbered i, 0 ≤ i < Len().
 func (x *Index) Key(i int) int64 { return x.keys[i] }

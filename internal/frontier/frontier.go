@@ -52,13 +52,27 @@ type Set struct {
 // RepAuto switch point as a fraction of n (≤0 selects
 // DefaultSparseFraction); RepDense and RepSparse ignore it.
 func New(n int64, rep Rep, sparseFrac float64) *Set {
+	s := &Set{}
+	s.Reset(n, rep, sparseFrac)
+	return s
+}
+
+// Reset makes s the empty set New(n, rep, sparseFrac) returns, keeping its
+// memory where it is large enough: a run's later, smaller phases reuse the
+// first phase's sets.
+func (s *Set) Reset(n int64, rep Rep, sparseFrac float64) {
 	if n < 0 {
 		n = 0
 	}
 	if sparseFrac <= 0 {
 		sparseFrac = DefaultSparseFraction
 	}
-	s := &Set{n: n, words: make([]uint64, (n+63)/64)}
+	s.n = n
+	if words := int((n + 63) / 64); cap(s.words) >= words {
+		s.words = s.words[:words]
+	} else {
+		s.words = make([]uint64, words)
+	}
 	switch rep {
 	case RepDense:
 		s.limit = 0
@@ -68,7 +82,6 @@ func New(n int64, rep Rep, sparseFrac float64) *Set {
 		s.limit = int64(sparseFrac * float64(n))
 	}
 	s.Clear()
-	return s
 }
 
 // N returns the universe size.

@@ -163,22 +163,24 @@ func ReadSegment(path string, rank, size int) ([]graph.RawEdge, error) {
 	if _, err := f.Seek(int64(headerSize)+lo*recordSize, io.SeekStart); err != nil {
 		return nil, err
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
 	out := make([]graph.RawEdge, 0, hi-lo)
-	var rec [recordSize]byte
-	for i := lo; i < hi; i++ {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, fmt.Errorf("gio: %s: record %d: %w", path, i, err)
+	buf := make([]byte, 1024*recordSize) // a small fixed buffer: ranks read their segments concurrently
+	for i := lo; i < hi; {
+		chunk := buf[:min(hi-i, 1024)*recordSize]
+		if got, err := io.ReadFull(f, chunk); err != nil {
+			return nil, fmt.Errorf("gio: %s: record %d: %w", path, i+int64(got/recordSize), err)
 		}
-		e := graph.RawEdge{
-			U: int64(binary.LittleEndian.Uint64(rec[0:8])),
-			V: int64(binary.LittleEndian.Uint64(rec[8:16])),
-			W: math.Float64frombits(binary.LittleEndian.Uint64(rec[16:24])),
+		for rec := chunk; len(rec) > 0; rec, i = rec[recordSize:], i+1 {
+			e := graph.RawEdge{
+				U: int64(binary.LittleEndian.Uint64(rec[0:8])),
+				V: int64(binary.LittleEndian.Uint64(rec[8:16])),
+				W: math.Float64frombits(binary.LittleEndian.Uint64(rec[16:24])),
+			}
+			if e.U < 0 || e.U >= h.Vertices || e.V < 0 || e.V >= h.Vertices {
+				return nil, fmt.Errorf("gio: %s: record %d references vertex out of range", path, i)
+			}
+			out = append(out, e)
 		}
-		if e.U < 0 || e.U >= h.Vertices || e.V < 0 || e.V >= h.Vertices {
-			return nil, fmt.Errorf("gio: %s: record %d references vertex out of range", path, i)
-		}
-		out = append(out, e)
 	}
 	return out, nil
 }

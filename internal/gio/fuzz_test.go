@@ -1,8 +1,11 @@
 package gio
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -70,12 +73,17 @@ func FuzzReadHeader(f *testing.F) {
 	})
 }
 
-// FuzzGroundTruth feeds arbitrary bytes through the membership parser.
+// FuzzGroundTruth feeds arbitrary bytes through the membership parser, and
+// round-trips what it accepts: WriteGroundTruth writes one decimal label and a
+// newline per vertex — the bytes fmt's "%d\n" gives, which dlouvain -o files
+// and the daemon's result.labels are — and ReadGroundTruth reads the same
+// labels back.
 func FuzzGroundTruth(f *testing.F) {
 	f.Add([]byte("1\n2\n3\n"), int64(3))
 	f.Add([]byte("0 5\n1 5\n2 7\n"), int64(3))
 	f.Add([]byte(""), int64(0))
 	f.Add([]byte("x\n"), int64(1))
+	f.Add([]byte("0 9223372036854775807\n1 0\n"), int64(2))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte, n int64) {
 		if n < 0 || n > 1000 {
@@ -91,6 +99,21 @@ func FuzzGroundTruth(f *testing.F) {
 		}
 		if int64(len(comm)) != n {
 			t.Fatalf("length %d, want %d", len(comm), n)
+		}
+		out := filepath.Join(dir, "fuzz.out")
+		if err := WriteGroundTruth(out, comm); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		for _, c := range comm {
+			fmt.Fprintf(&want, "%d\n", c)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("WriteGroundTruth wrote %q (%v), want %q", got, err, want.Bytes())
+		}
+		back, err := ReadGroundTruth(out, n)
+		if err != nil || !slices.Equal(back, comm) {
+			t.Fatalf("round trip: %v (%v), want %v", back, err, comm)
 		}
 	})
 }

@@ -72,30 +72,35 @@ func TestSegmentRangesPartitionRecords(t *testing.T) {
 	}
 }
 
+// TestReadSegmentsReassemble: the segments of every rank count put the file
+// back together — at 37 records, and at 2500, where a segment spans several
+// of the reader's 1024-record chunks and ends inside one.
 func TestReadSegmentsReassemble(t *testing.T) {
-	path := tempPath(t, "g.bin")
-	var all []graph.RawEdge
-	for i := int64(0); i < 37; i++ {
-		all = append(all, graph.RawEdge{U: i % 10, V: (i * 3) % 10, W: float64(i)})
-	}
-	if err := WriteBinary(path, 10, all); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 3, 5, 8, 37, 50} {
-		var got []graph.RawEdge
-		for r := 0; r < p; r++ {
-			seg, err := ReadSegment(path, r, p)
-			if err != nil {
-				t.Fatal(err)
+	for _, m := range []int64{37, 2500} {
+		path := tempPath(t, "g.bin")
+		var all []graph.RawEdge
+		for i := int64(0); i < m; i++ {
+			all = append(all, graph.RawEdge{U: i % 10, V: (i * 3) % 10, W: float64(i)})
+		}
+		if err := WriteBinary(path, 10, all); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 3, 5, 8, 37, 50} {
+			var got []graph.RawEdge
+			for r := 0; r < p; r++ {
+				seg, err := ReadSegment(path, r, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, seg...)
 			}
-			got = append(got, seg...)
-		}
-		if len(got) != len(all) {
-			t.Fatalf("p=%d: got %d edges, want %d", p, len(got), len(all))
-		}
-		for i := range all {
-			if got[i] != all[i] {
-				t.Fatalf("p=%d edge %d: %+v != %+v", p, i, got[i], all[i])
+			if len(got) != len(all) {
+				t.Fatalf("m=%d p=%d: got %d edges, want %d", m, p, len(got), len(all))
+			}
+			for i := range all {
+				if got[i] != all[i] {
+					t.Fatalf("m=%d p=%d edge %d: %+v != %+v", m, p, i, got[i], all[i])
+				}
 			}
 		}
 	}

@@ -164,12 +164,17 @@ func WriteGroundTruth(path string, comm []int64) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
+	w := bufio.NewWriterSize(f, 32<<10)
+	var line [21]byte // the longest int64 and a newline
 	for _, c := range comm {
-		if _, err := fmt.Fprintf(w, "%d\n", c); err != nil {
+		if _, err := w.Write(append(strconv.AppendInt(line[:0], c, 10), '\n')); err != nil {
+			f.Close()
 			return err
 		}
 	}
-	return w.Flush()
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

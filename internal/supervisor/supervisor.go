@@ -142,7 +142,7 @@ type Supervisor struct {
 	cur      Attempt
 	gen      int // attempt generation; stale beacon sinks are ignored
 	stopping bool
-	aborting bool // hard abort: kill, don't wait for a checkpoint
+	aborting bool           // hard abort: kill, don't wait for a checkpoint
 	last     map[int]Beacon // latest beacon per rank, current attempt only
 }
 
