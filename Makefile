@@ -15,8 +15,11 @@ build:
 	$(GO) build ./...
 
 # go vet, and gofmt as a gate: any file gofmt would rewrite fails the target.
+# The benchmark/ module is a module of its own that ./... never reaches; vetting
+# it here compiles it, so an internal-API change that breaks it fails `check`.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 
 test:
@@ -76,7 +79,7 @@ test-chaos:
 # and the Step-5 aggregator's differential (coarsen_test.go: the map oracle's
 # arcs at every thread count, each pair once per rank, allocation ceiling),
 # and the tie rule's properties (tierule_test.go: relabelling, rank / thread
-# independence, quality floor, ET on the mesh, shared vs core), and the return
+# independence, quality floor, ET on the mesh), and the return
 # rule's (oscillation_test.go: no plateau on LFR, the swap gadget, rank / thread
 # / restart independence).
 test-frontier:

@@ -51,7 +51,10 @@ func BenchmarkTable1_ET_Alpha(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%.0f", alpha), func(b *testing.B) {
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res := shared.Run(g, shared.Options{Threads: 1, Alpha: alpha, Seed: 42})
+				res, err := shared.Run(g, shared.Options{Threads: 1, Alpha: alpha, Seed: 42})
+				if err != nil {
+					b.Fatal(err)
+				}
 				iters = res.TotalIterations
 			}
 			b.ReportMetric(float64(iters), "louvain-iters")
@@ -85,7 +88,8 @@ func BenchmarkTable2_Graphs(b *testing.B) {
 }
 
 // BenchmarkTable3_DistVsShared measures the distributed engine against the
-// shared-memory comparator at equal concurrency (the Table III overhead).
+// shared-memory comparator at equal concurrency (the Table III overhead):
+// 4 ranks × 1 thread against 1 rank × 4 threads.
 func BenchmarkTable3_DistVsShared(b *testing.B) {
 	initBenchInputs()
 	g := gen.Build(benchInputs.socialN, benchInputs.social)
@@ -98,7 +102,9 @@ func BenchmarkTable3_DistVsShared(b *testing.B) {
 	})
 	b.Run("shared-4threads", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			shared.Run(g, shared.Options{Threads: 4})
+			if _, err := shared.Run(g, shared.Options{Threads: 4}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -70,7 +70,9 @@ func main() {
 		start := time.Now()
 		switch id {
 		case "table1":
-			emit(experiments.Table1(s, *threads))
+			t, err := experiments.Table1(s, *threads)
+			check(err)
+			emit(t)
 		case "table2":
 			t, err := experiments.Table2(s)
 			check(err)

@@ -164,9 +164,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 	}
 	// Minimum-label rule: a singleton only joins another singleton with a
 	// smaller label, killing synchronous swap cycles. Raw IDs on purpose:
-	// hashing this rule too costs LFR quality (DESIGN §8). Same rule as the
-	// shared-memory comparator; TestTieRuleSharedAndCoreAgree holds the two
-	// together.
+	// hashing this rule too costs LFR quality (DESIGN §8).
 	if st.cSize[cv] == 1 && st.cSize[best] == 1 && st.gidOf(best) > st.gidOf(cv) {
 		return move{}, false, true
 	}

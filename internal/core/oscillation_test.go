@@ -266,10 +266,10 @@ func TestReturnRuleStaysOffRMAT(t *testing.T) {
 	}
 }
 
-// phasesLoseNothing is shared's phasesMonotone for core.Run: every kept phase
-// gains on the kept one before, a discarded phase — one that ended below — is
-// followed by nothing but another discarded one (the forced final pass of a
-// threshold cycle, which starts from the same kept state), and the final Q is
+// phasesLoseNothing is the phase-over-phase invariant of core.Run: every kept
+// phase gains on the kept one before, a discarded phase — one that ended below
+// — is followed by nothing but another discarded one (the forced final pass of
+// a threshold cycle, which starts from the same kept state), and the final Q is
 // the last kept phase's, so no listed phase ended above it. It returns how many
 // phases were discarded.
 func phasesLoseNothing(t *testing.T, label string, res *Result) (discarded int) {
@@ -291,15 +291,15 @@ func phasesLoseNothing(t *testing.T, label string, res *Result) (discarded int) 
 	return discarded
 }
 
-// TestDiscardedLastPhaseLosesNothing is shared's test of the same name for
-// core.Run, which used to apply every phase it ran: LFR 100k ended at 0.668596
-// after its third phase had reached 0.670179. A phase that ends below the one
-// before is now discarded — its labels never reach the result — at every rank
-// count, under a threshold cycle too (where the forced final pass then starts
-// from the kept state), and a resume from the last committed checkpoint, which
-// runs that phase again, discards it again. The LFR and R-MAT inputs are ones
-// whose last phase loses (asserted); no banded mesh of 96 tried has one, so the
-// band rows hold the property with nothing to discard.
+// TestDiscardedLastPhaseLosesNothing: core.Run used to apply every phase it
+// ran, and LFR 100k ended at 0.668596 after its third phase had reached
+// 0.670179. A phase that ends below the one before is now discarded — its
+// labels never reach the result — at every rank count, under a threshold cycle
+// too (where the forced final pass then starts from the kept state), and a
+// resume from the last committed checkpoint, which runs that phase again,
+// discards it again. The LFR and R-MAT inputs are ones whose last phase loses
+// (asserted); no banded mesh of 96 tried has one, so the band rows hold the
+// property with nothing to discard.
 func TestDiscardedLastPhaseLosesNothing(t *testing.T) {
 	type input struct {
 		name  string

@@ -101,13 +101,12 @@ func (rs *runState) runLoop() (*Result, error) {
 		res.TotalIterations += stat.Iterations
 
 		// A phase that ends below the one before — a synchronous sweep's joint
-		// moves can lose on a small coarse graph — is discarded, as shared.Run
-		// discards it: no flatten, no rebuild, and the previous phase's
-		// assignment, graph and Q stand. Such a phase ends the run (or, under a
-		// cycled threshold, sends it into the forced final pass from the kept
-		// state); res.Phases still lists it. Phase 0 is never discarded
-		// (prevQ = −∞), and the decision derives from allreduced values, so
-		// every rank takes it together.
+		// moves can lose on a small coarse graph — is discarded: no flatten, no
+		// rebuild, and the previous phase's assignment, graph and Q stand. Such
+		// a phase ends the run (or, under a cycled threshold, sends it into the
+		// forced final pass from the kept state); res.Phases still lists it.
+		// Phase 0 is never discarded (prevQ = −∞), and the decision derives
+		// from allreduced values, so every rank takes it together.
 		gain := stat.Modularity - rs.prevQ
 		noCompaction := false
 		if gain >= 0 {

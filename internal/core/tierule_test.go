@@ -8,7 +8,6 @@ import (
 	"distlouvain/internal/gen"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/par"
-	"distlouvain/internal/shared"
 )
 
 // The properties of the ΔQ tie rule (tieBefore, DESIGN §8). Ties used to break
@@ -181,41 +180,6 @@ func TestTieRuleETKeepsMeshQuality(t *testing.T) {
 		}
 		if math.Abs(res.Modularity-base.Modularity) > 0.005 {
 			t.Errorf("%s: Q=%.6f, baseline %.6f", cfg.VariantName(), res.Modularity, base.Modularity)
-		}
-	}
-}
-
-// TestTieRuleSharedAndCoreAgree: internal/shared decides moves the way
-// evaluateVertex does — same gain, same tie rule, same minimum-label rule — and
-// each says so in a comment. On uniform graphs, where nearly every decision is
-// a tie, one rank of core and shared.Run must therefore take the same number of
-// iterations in every phase and end at the same modularity, or the two rules
-// have drifted apart. (shared lists a last phase it then discards, core applies
-// every phase it runs, so core's phases are compared with shared's applied
-// ones and shared may list one more.)
-func TestTieRuleSharedAndCoreAgree(t *testing.T) {
-	bandN, bandEdges := gen.BandedMesh(2000, 6)
-	gridN, gridEdges := gen.Grid2D(40, 40, false)
-	for _, in := range []struct {
-		name  string
-		n     int64
-		edges []graph.RawEdge
-	}{{"band", bandN, bandEdges}, {"grid", gridN, gridEdges}} {
-		cres, err := RunOnEdges(1, in.n, in.edges, Baseline())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sres := shared.Run(gen.Build(in.n, in.edges), shared.Options{Threads: 2})
-		if math.Abs(cres.Modularity-sres.Modularity) > 1e-9 {
-			t.Errorf("%s: core Q=%.12f, shared Q=%.12f", in.name, cres.Modularity, sres.Modularity)
-		}
-		if d := len(sres.Phases) - len(cres.Phases); d < 0 || d > 1 {
-			t.Fatalf("%s: core ran %d phases, shared %d", in.name, len(cres.Phases), len(sres.Phases))
-		}
-		for p, ph := range cres.Phases {
-			if sp := sres.Phases[p]; sp.Iterations != ph.Iterations || sp.Vertices != ph.Vertices {
-				t.Errorf("%s phase %d: core %d iterations on %d vertices, shared %d on %d", in.name, p, ph.Iterations, ph.Vertices, sp.Iterations, sp.Vertices)
-			}
 		}
 	}
 }

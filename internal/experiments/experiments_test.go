@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -112,6 +114,47 @@ func TestFig3SingleCell(t *testing.T) {
 	// 6 variants × 2 rank counts.
 	if len(tb.Rows) != 12 {
 		t.Fatalf("fig3 rows: %d", len(tb.Rows))
+	}
+}
+
+// TestTable1Shape holds Table I to the shape the paper reports for ET: on both
+// inputs α = 1 evaluates fewer vertices than α = 0, at a modularity within
+// 0.005 of the baseline's.
+func TestTable1Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runner")
+	}
+	tb, err := Table1(Small, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(alpha string) []string {
+		for _, r := range tb.Rows {
+			if r[0] == alpha {
+				return r
+			}
+		}
+		t.Fatalf("no α = %s row in %v", alpha, tb.Rows)
+		return nil
+	}
+	num := func(cell string) float64 {
+		v, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	top, base := row("1.0"), row("0.0")
+	for _, in := range []struct {
+		name     string
+		q, evals int
+	}{{"CNR", 1, 4}, {"Channel", 5, 8}} {
+		if num(top[in.evals]) >= num(base[in.evals]) {
+			t.Errorf("%s: α = 1 evaluated %s vertices, α = 0 %s", in.name, top[in.evals], base[in.evals])
+		}
+		if dq := num(top[in.q]) - num(base[in.q]); math.Abs(dq) > 0.005 {
+			t.Errorf("%s: ΔQ(α=0→1) = %+.5f, want within 0.005", in.name, dq)
+		}
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"distlouvain/internal/graph"
 )
 
-// FollowVertices computes the vertex-following initial assignment of
-// Grappolo: every degree-1 vertex starts in the community of its sole
-// neighbour instead of its own singleton, which removes trivially decided
-// vertices from the first (and most expensive) phase.
+// FollowVertices computes the vertex following of Grappolo: every degree-1
+// vertex is assigned its sole neighbour, and Run merges it into that neighbour
+// before the first phase, which removes trivially decided vertices from the
+// first (and most expensive) phase.
 //
 // For an isolated degree-1 pair {u,v} (each other's sole neighbour), both
 // join min(u,v) so the pair agrees on one label. Vertices whose only slot
@@ -39,16 +39,4 @@ func FollowVertices(g *graph.CSR) []int64 {
 		comm[v] = u
 	}
 	return comm
-}
-
-// CountFollowed reports how many vertices the assignment moved out of their
-// own singleton.
-func CountFollowed(comm []int64) int64 {
-	var c int64
-	for v, cv := range comm {
-		if cv != int64(v) {
-			c++
-		}
-	}
-	return c
 }

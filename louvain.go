@@ -188,13 +188,19 @@ func Detect(n int64, edges []Edge, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := fromCore(res)
+	out.BytesCommunicated = res.Traffic.TotalBytes()
+	return out, nil
+}
+
+// fromCore converts a core result gathered at rank 0 into the public record.
+func fromCore(res *core.Result) *Result {
 	out := &Result{
-		Communities:       res.GlobalComm,
-		NumCommunities:    res.Communities,
-		Modularity:        res.Modularity,
-		TotalIterations:   res.TotalIterations,
-		Runtime:           res.Runtime,
-		BytesCommunicated: res.Traffic.TotalBytes(),
+		Communities:     res.GlobalComm,
+		NumCommunities:  res.Communities,
+		Modularity:      res.Modularity,
+		TotalIterations: res.TotalIterations,
+		Runtime:         res.Runtime,
 	}
 	for _, ph := range res.Phases {
 		out.Phases = append(out.Phases, Phase{
@@ -208,7 +214,7 @@ func Detect(n int64, edges []Edge, opt Options) (*Result, error) {
 			Exit:            string(ph.Exit),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // DetectSerial runs the reference serial Louvain method (Algorithm 1).
@@ -235,7 +241,7 @@ func DetectSerial(n int64, edges []Edge, tau float64) (*Result, error) {
 // SharedOptions configures DetectShared, the Grappolo-style shared-memory
 // comparator.
 type SharedOptions struct {
-	Threads         int
+	Threads         int // ≤0 selects GOMAXPROCS
 	Tau             float64
 	Alpha           float64 // early-termination decay; 0 disables
 	VertexFollowing bool    // pre-merge degree-1 vertices
@@ -244,27 +250,21 @@ type SharedOptions struct {
 	MaxIterations   int
 }
 
-// DetectShared runs the shared-memory multithreaded Louvain method.
+// DetectShared runs the shared-memory multithreaded Louvain method: the
+// distributed engine on one rank with a Threads-sized worker team, after an
+// optional vertex-following pre-merge. Its phases are reported as Detect's.
 func DetectShared(n int64, edges []Edge, opt SharedOptions) (*Result, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("distlouvain: negative vertex count")
 	}
-	g := graph.FromRawEdges(n, edges)
-	r := shared.Run(g, shared.Options{
+	res, err := shared.Run(graph.FromRawEdges(n, edges), shared.Options{
 		Threads: opt.Threads, Tau: opt.Tau, Alpha: opt.Alpha, VertexFollowing: opt.VertexFollowing,
 		Seed: opt.Seed, MaxPhases: opt.MaxPhases, MaxIterations: opt.MaxIterations,
 	})
-	out := &Result{
-		Communities:     r.Comm,
-		NumCommunities:  r.Communities,
-		Modularity:      r.Modularity,
-		TotalIterations: r.TotalIterations,
-		Runtime:         r.Runtime,
+	if err != nil {
+		return nil, err
 	}
-	for _, ph := range r.Phases {
-		out.Phases = append(out.Phases, Phase{Vertices: ph.Vertices, Iterations: ph.Iterations, Modularity: ph.Modularity})
-	}
-	return out, nil
+	return fromCore(res), nil
 }
 
 // Modularity computes the Newman modularity of an assignment over the

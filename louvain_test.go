@@ -3,6 +3,7 @@ package distlouvain
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -86,6 +87,36 @@ func TestDetectSerialAndShared(t *testing.T) {
 	}
 	if math.Abs(s.Modularity-sh.Modularity) > 1e-9 {
 		t.Fatalf("serial %g vs shared %g", s.Modularity, sh.Modularity)
+	}
+}
+
+// TestDetectSharedIsDetectAtOneRank: the shared-memory entry point is the
+// distributed engine at one rank, so with the same worker team it returns the
+// same labels and the same per-phase records as Detect.
+func TestDetectSharedIsDetectAtOneRank(t *testing.T) {
+	n, edges, _, err := GenerateLFR(3000, 0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Detect(n, edges, Options{Ranks: 1, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := DetectShared(n, edges, SharedOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sh.Communities, d.Communities) {
+		t.Fatal("DetectShared and Detect at one rank assign different labels")
+	}
+	if sh.Modularity != d.Modularity || sh.TotalIterations != d.TotalIterations {
+		t.Fatalf("shared Q=%.12f in %d iterations, Detect Q=%.12f in %d", sh.Modularity, sh.TotalIterations, d.Modularity, d.TotalIterations)
+	}
+	if len(sh.Phases) == 0 || len(sh.Phases[0].QTrajectory) == 0 || sh.Phases[0].Exit == "" {
+		t.Fatalf("shared phases carry no trajectory: %+v", sh.Phases)
+	}
+	if !reflect.DeepEqual(sh.Phases, d.Phases) {
+		t.Fatalf("phases differ:\nshared %+v\nDetect %+v", sh.Phases, d.Phases)
 	}
 }
 
