@@ -143,21 +143,26 @@ bench-quick:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh -quick
 
-# Short fuzz passes over the input parsers, the checkpoint decoder, the
-# flat kernel tables (vs a map oracle), the varint codec, the ghost refresh
-# frame decoder, the frontier active-set (vs a map+sort oracle) and the
-# counting-sort graph assembly (vs the sort-based oracle).
+# Short fuzz passes over the input parsers, the checkpoint container and its
+# section decoders, the flat kernel tables (vs a map oracle), the varint
+# codec, the ghost refresh frame decoder, the frontier active-set (vs a
+# map+sort oracle) and the counting-sort graph assembly (vs the sort-based
+# oracle). FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`,
+# so this list is the only one.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/gio -fuzz FuzzReadEdgeListText -fuzztime 30s
-	$(GO) test ./internal/gio -fuzz FuzzReadHeader -fuzztime 30s
-	$(GO) test ./internal/gio -fuzz FuzzGroundTruth -fuzztime 30s
-	$(GO) test ./internal/ckpt -fuzz FuzzReadSnapshot -fuzztime 30s
-	$(GO) test ./internal/flat -fuzz FuzzFlatTable -fuzztime 30s
-	$(GO) test ./internal/flat -fuzz FuzzPairTable -fuzztime 30s
-	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime 30s
-	$(GO) test ./internal/core -fuzz FuzzGhostFrame -fuzztime 30s
-	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime 30s
-	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime 30s
+	$(GO) test ./internal/gio -fuzz FuzzReadEdgeListText -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gio -fuzz FuzzReadHeader -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gio -fuzz FuzzGroundTruth -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gio -fuzz FuzzReadMETIS -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -fuzz FuzzReadSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -fuzz FuzzCheckpointSections -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/flat -fuzz FuzzFlatTable -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/flat -fuzz FuzzPairTable -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -fuzz FuzzGhostFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime $(FUZZTIME)
 
 # Regenerate every table and figure of the paper (text to stdout).
 experiments:

@@ -259,9 +259,11 @@ func TestTCPLocalUnsupervised(t *testing.T) {
 			args = append(append(args, extra...), graphPath)
 			return exec.Command(bin, args...).CombinedOutput()
 		}
-		// Every rank's transport dies after its 60th send — past the first
-		// phase boundary of this graph, so a checkpoint exists to resume from.
-		outp, err := run("-fault-kill-after", "60")
+		// Every rank's transport dies after its 270th send — in phase 2 of
+		// this graph, past the boundary that commits the phase-0 snapshot
+		// (a snapshot is committed one boundary after it is taken), so a
+		// checkpoint exists to resume from.
+		outp, err := run("-fault-kill-after", "270")
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != exitRetryable {
 			t.Fatalf("killed run: err = %v, want retryable exit %d\n%s", err, exitRetryable, outp)

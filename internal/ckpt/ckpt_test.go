@@ -43,8 +43,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("Section(%q) payload differs", s.Name)
 		}
 	}
-	if _, err := snap.Section("nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
-		t.Fatalf("missing section error = %v", err)
+	_, err = snap.Section("nope")
+	var se *SectionError
+	if !errors.As(err, &se) || se.Path != path || se.Section != "nope" || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("missing section error = %v, want a *SectionError naming file and section", err)
 	}
 }
 
@@ -99,6 +101,22 @@ func TestSnapshotErrorsCarryContext(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `"origcomm"`) {
 		t.Fatalf("error lacks file/section context: %v", err)
+	}
+}
+
+// TestEncodeSnapshotOneExactAllocation: the container is built in one
+// allocation of exactly its size — no growth, no copy of a body.
+func TestEncodeSnapshotOneExactAllocation(t *testing.T) {
+	secs := sampleSections()
+	data, err := EncodeSnapshot(secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(data) != len(data) {
+		t.Fatalf("container is %d bytes in a %d-byte allocation", len(data), cap(data))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { EncodeSnapshot(secs) }); allocs != 1 {
+		t.Fatalf("EncodeSnapshot allocates %v times, want 1", allocs)
 	}
 }
 
@@ -222,13 +240,17 @@ func TestPruneRank(t *testing.T) {
 	}
 	mk(RankFileName(1, 0))
 	mk(RankFileName(2, 0))
+	mk(RankFileName(1, 0) + ".tmp")
 	mk(RankFileName(2, 0) + ".tmp")
-	mk(RankFileName(2, 1)) // other rank: untouched
+	mk(RankFileName(3, 0) + ".tmp") // newer than the commit: a write in flight
+	mk(RankFileName(2, 1))          // other rank: untouched
 	PruneRank(dir, 0, 2, 1)
 	for name, want := range map[string]bool{
 		RankFileName(1, 0):          false,
 		RankFileName(2, 0):          true,
+		RankFileName(1, 0) + ".tmp": false,
 		RankFileName(2, 0) + ".tmp": false,
+		RankFileName(3, 0) + ".tmp": true,
 		RankFileName(2, 1):          true,
 	} {
 		_, err := os.Stat(filepath.Join(dir, name))
@@ -268,11 +290,13 @@ func TestPruneRankRetention(t *testing.T) {
 	})
 	t.Run("manifest phase outside window", func(t *testing.T) {
 		// A stale manifest phase (e.g. the newest snapshots landed but the
-		// commit died before the rename) must survive any quota.
+		// commit died before the rename) must survive any quota, and so must
+		// every newer phase: it may be a snapshot on its way to a commit.
+		// Only what is older than the commit and outside the quota goes.
 		dir := t.TempDir()
-		mkAll(t, dir, 2, 5, 6, 7)
+		mkAll(t, dir, 1, 2, 5, 6, 7)
 		PruneRank(dir, 0, 2, 2)
-		check(t, dir, map[int]bool{2: true, 5: false, 6: true, 7: true})
+		check(t, dir, map[int]bool{1: false, 2: true, 5: true, 6: true, 7: true})
 	})
 	t.Run("keep below one clamps", func(t *testing.T) {
 		dir := t.TempDir()

@@ -25,11 +25,14 @@
 //
 // Durability protocol: snapshots and the manifest are written to a
 // temporary sibling, fsynced, then renamed into place, so an interrupted
-// write can never shadow a previous valid file.
+// write can never shadow a previous valid file. WriteSnapshot is
+// EncodeSnapshot then WriteFile; a caller may run the two on different
+// goroutines, so the disk is not on its own critical path.
 package ckpt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -66,34 +69,53 @@ func (s *Snapshot) Path() string { return s.path }
 // Sections returns the sections in file order.
 func (s *Snapshot) Sections() []Section { return s.sections }
 
+// SectionError reports a section that is missing or whose payload failed to
+// decode, naming the file and the section.
+type SectionError struct {
+	Path    string
+	Section string
+	Err     error
+}
+
+func (e *SectionError) Error() string {
+	return fmt.Sprintf("ckpt: %s: section %q: %v", e.Path, e.Section, e.Err)
+}
+
+// Unwrap returns what was wrong with the section.
+func (e *SectionError) Unwrap() error { return e.Err }
+
 // Section returns the payload of the named section.
 func (s *Snapshot) Section(name string) ([]byte, error) {
 	i, ok := s.index[name]
 	if !ok {
-		return nil, fmt.Errorf("ckpt: %s: missing section %q", s.path, name)
+		return nil, &SectionError{Path: s.path, Section: name, Err: errors.New("missing")}
 	}
 	return s.sections[i].Data, nil
 }
 
-// EncodeSnapshot serializes sections into the container format.
+// EncodeSnapshot serializes sections into the container format, in one
+// allocation of exactly the container's size.
 func EncodeSnapshot(sections []Section) ([]byte, error) {
-	var body []byte
+	size := headerSize
 	for _, s := range sections {
 		if len(s.Name) == 0 || len(s.Name) > MaxNameLen {
 			return nil, fmt.Errorf("ckpt: section name %q out of bounds (1..%d bytes)", s.Name, MaxNameLen)
 		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(s.Name)))
-		body = append(body, s.Name...)
-		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(s.Data))
-		body = binary.LittleEndian.AppendUint64(body, uint64(len(s.Data)))
-		body = append(body, s.Data...)
+		size += 4 + len(s.Name) + 12 + len(s.Data)
 	}
-	hdr := make([]byte, 0, headerSize+len(body))
-	hdr = append(hdr, Magic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, FormatVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(sections)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(body))
-	return append(hdr, body...), nil
+	buf := make([]byte, headerSize, size)
+	copy(buf, Magic)
+	binary.LittleEndian.PutUint32(buf[4:], FormatVersion)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(sections)))
+	for _, s := range sections {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Name)))
+		buf = append(buf, s.Name...)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(s.Data))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.Data)))
+		buf = append(buf, s.Data...)
+	}
+	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[headerSize:]))
+	return buf, nil
 }
 
 // DecodeSnapshot parses and fully verifies a snapshot image. path is used
@@ -168,7 +190,7 @@ func WriteSnapshot(path string, sections []Section) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(path, data)
+	return WriteFile(path, data)
 }
 
 // ReadSnapshot reads and fully verifies the snapshot at path.
@@ -180,10 +202,11 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	return DecodeSnapshot(path, data)
 }
 
-// writeAtomic writes data to path via a fsynced temporary sibling and an
-// atomic rename, so readers only ever observe the previous complete file or
-// the new complete file.
-func writeAtomic(path string, data []byte) error {
+// WriteFile writes data — an encoded snapshot — to path via a fsynced
+// temporary sibling and an atomic rename, then fsyncs the directory, so
+// readers only ever observe the previous complete file or the new complete
+// file.
+func WriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

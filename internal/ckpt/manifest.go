@@ -73,7 +73,7 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: encode manifest: %w", err)
 	}
-	return writeAtomic(filepath.Join(dir, ManifestName), append(data, '\n'))
+	return WriteFile(filepath.Join(dir, ManifestName), append(data, '\n'))
 }
 
 // ReadManifest loads and validates the directory's manifest. A missing
@@ -98,13 +98,15 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // PruneRank garbage-collects this rank's snapshot files down to the `keep`
-// most recent phases (keep < 1 is treated as 1), plus any abandoned
-// temporaries. keepPhase — the phase the committed manifest references — is
-// always retained regardless of its position in the ordering, so a resume
-// can never lose its source files. It is called only after the keepPhase
-// manifest has been committed, so everything it removes is unreferenced.
-// Best-effort: removal errors are ignored (a leftover file is garbage, not a
-// hazard).
+// most recent phases (keep < 1 is treated as 1), plus the temporaries of
+// phases no newer than keepPhase, which are abandoned. keepPhase — the phase
+// the committed manifest references — is always retained regardless of its
+// position in the ordering, so a resume can never lose its source files, and
+// so is every newer phase, file or temporary: under a lagged commit it may be
+// a snapshot another rank is committing right now, or a write still in
+// flight. It is called only after the keepPhase manifest has been committed,
+// so everything it removes is unreferenced. Best-effort: removal errors are
+// ignored (a leftover file is garbage, not a hazard).
 func PruneRank(dir string, rank, keepPhase, keep int) {
 	if keep < 1 {
 		keep = 1
@@ -131,14 +133,19 @@ func PruneRank(dir string, rank, keepPhase, keep int) {
 			kept++
 		}
 		// The manifest-referenced phase survives even outside the quota —
-		// it is what a resume would read.
-		if inQuota || f.phase == keepPhase {
+		// it is what a resume would read — and so does every newer one: a
+		// snapshot on its way to a commit, or a dead run's leftover that the
+		// next write of its phase replaces.
+		if inQuota || f.phase >= keepPhase {
 			continue
 		}
 		os.Remove(f.path)
 	}
 	tmps, _ := filepath.Glob(filepath.Join(dir, pattern+".tmp"))
 	for _, p := range tmps {
-		os.Remove(p)
+		var ph, rk int
+		if _, err := fmt.Sscanf(filepath.Base(p), "phase-%d-rank-%d.ckpt.tmp", &ph, &rk); err == nil && rk == rank && ph <= keepPhase {
+			os.Remove(p)
+		}
 	}
 }

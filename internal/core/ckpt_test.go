@@ -231,6 +231,8 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	dir := t.TempDir()
 	killAt := afterBuild + 9*(total-afterBuild)/10
 	killCheckpointingRun(t, p, doomed, killAt, n, edges, cfg, dir)
+	// Every rank waited for its writer before returning, killed or not.
+	noTemps(t, dir)
 
 	man, err := ckpt.ReadManifest(dir)
 	if err != nil {

@@ -100,6 +100,7 @@ func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 	var segs []origSeg
 	var meta0 *ckptMeta // first file's meta (driver position is global state)
 	var savedGhosts []int64
+	var hist0 []byte // old rank 0's history section, kept from its load
 	for i := int64(0); i < maxLoads; i++ {
 		old := lo + i
 		if old >= hi {
@@ -109,19 +110,26 @@ func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 			continue
 		}
 		path := filepath.Join(dir, ckpt.RankFileName(completed, int(old)))
-		m, fileArcs, seg, ghosts, err := loadRankSnapshot(path, int(old), oldWorld, completed, origN, coarseN)
-		if err == nil && meta0 != nil && m.m2 != meta0.m2 {
-			err = fmt.Errorf("ckpt: %s: M2 %g disagrees with sibling snapshot's %g", path, m.m2, meta0.m2)
+		snap, err := loadRankSnapshot(path, int(old), oldWorld, completed, origN, coarseN)
+		if err == nil && meta0 != nil && snap.meta.m2 != meta0.m2 {
+			err = fmt.Errorf("ckpt: %s: M2 %g disagrees with sibling snapshot's %g", path, snap.meta.m2, meta0.m2)
 		}
 		if err2 := c.AllOK(err); err2 != nil {
 			return nil, err2
 		}
 		if meta0 == nil {
-			meta0 = m
+			meta0 = snap.meta
 		}
-		arcs = append(arcs, fileArcs...)
-		segs = append(segs, seg)
-		savedGhosts = ghosts
+		if old == 0 {
+			hist0 = snap.history
+		}
+		if arcs == nil {
+			arcs = snap.arcs
+		} else {
+			arcs = append(arcs, snap.arcs...)
+		}
+		segs = append(segs, snap.orig)
+		savedGhosts = snap.ghosts
 	}
 
 	// Driver position and history are global state; take rank 0's copy so
@@ -135,13 +143,7 @@ func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 		drv = mpi.AppendFloat64(nil, meta0.prevQ)
 		drv = mpi.AppendInt64(drv, ff)
 		drv = mpi.AppendInt64(drv, int64(meta0.totalIterations))
-		hist, err := readHistorySection(filepath.Join(dir, ckpt.RankFileName(completed, 0)))
-		if err = c.AllOK(err); err != nil {
-			return nil, err
-		}
-		drv = append(drv, hist...)
-	} else if err := c.AllOK(nil); err != nil {
-		return nil, err
+		drv = append(drv, hist0...)
 	}
 	drv, err = c.Bcast(0, drv)
 	if err != nil {
@@ -156,7 +158,7 @@ func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 	}
 	history, err := decodeHistory(drv[24:])
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: history section: %w", err)
+		return nil, &ckpt.SectionError{Path: filepath.Join(dir, ckpt.RankFileName(completed, 0)), Section: secHistory, Err: err}
 	}
 
 	// Replay the coarse graph through the arc shuffle onto the new world.
@@ -232,106 +234,84 @@ type origSeg struct {
 	vals []int64
 }
 
-// loadRankSnapshot reads and fully validates one old rank's snapshot,
-// returning its decoded meta, its coarse adjacency re-expanded to routable
-// arcs, its original-assignment segment and its saved ghost table.
-func loadRankSnapshot(path string, oldRank, oldWorld, completed int, origN, coarseN int64) (*ckptMeta, []dgraph.Arc, origSeg, []int64, error) {
-	fail := func(err error) (*ckptMeta, []dgraph.Arc, origSeg, []int64, error) {
-		return nil, nil, origSeg{}, nil, err
-	}
-	snap, err := ckpt.ReadSnapshot(path)
-	if err != nil {
-		return fail(err)
-	}
-	sec := func(name string) ([]byte, error) { return snap.Section(name) }
-
-	mb, err := sec(secMeta)
-	if err != nil {
-		return fail(err)
-	}
-	m, err := decodeMeta(mb)
-	if err != nil {
-		return fail(fmt.Errorf("ckpt: %s: section %q: %w", path, secMeta, err))
-	}
-	switch {
-	case m.rank != oldRank || m.worldSize != oldWorld:
-		return fail(fmt.Errorf("ckpt: %s: holds rank %d/%d, manifest expects rank %d/%d", path, m.rank, m.worldSize, oldRank, oldWorld))
-	case m.completed != completed:
-		return fail(fmt.Errorf("ckpt: %s: holds phase %d, manifest expects %d", path, m.completed, completed))
-	case m.origN != origN || m.coarseN != coarseN:
-		return fail(fmt.Errorf("ckpt: %s: graph shape (%d→%d) disagrees with manifest (%d→%d)", path, m.origN, m.coarseN, origN, coarseN))
-	case m.coarseBase+m.coarseLocalN > coarseN || m.origBase+m.origLocalN > origN:
-		return fail(fmt.Errorf("ckpt: %s: owned range exceeds graph size", path))
-	}
-
-	cb, err := sec(secCSR)
-	if err != nil {
-		return fail(err)
-	}
-	d := mpi.NewDecoder(cb)
-	index, err := d.Int64s(int(m.coarseLocalN) + 1)
-	if err != nil {
-		return fail(fmt.Errorf("ckpt: %s: section %q: %w", path, secCSR, err))
-	}
-	nArcs := index[m.coarseLocalN]
-	if index[0] != 0 || nArcs < 0 || d.Remaining() != int(16*nArcs) {
-		return fail(fmt.Errorf("ckpt: %s: section %q: index/payload mismatch (%d arcs, %d bytes left)", path, secCSR, nArcs, d.Remaining()))
-	}
-	arcs := make([]dgraph.Arc, 0, nArcs)
-	for lv := int64(0); lv < m.coarseLocalN; lv++ {
-		if index[lv+1] < index[lv] {
-			return fail(fmt.Errorf("ckpt: %s: section %q: index not monotone at %d", path, secCSR, lv))
-		}
-		from := m.coarseBase + lv
-		for k := index[lv]; k < index[lv+1]; k++ {
-			to, _ := d.Int64()
-			w, err := d.Float64()
-			if err != nil {
-				return fail(fmt.Errorf("ckpt: %s: section %q: %w", path, secCSR, err))
-			}
-			if to < 0 || to >= coarseN {
-				return fail(fmt.Errorf("ckpt: %s: section %q: arc target %d out of range [0,%d)", path, secCSR, to, coarseN))
-			}
-			arcs = append(arcs, dgraph.Arc{From: from, To: to, W: w})
-		}
-	}
-
-	ob, err := sec(secOrigComm)
-	if err != nil {
-		return fail(err)
-	}
-	vals, err := mpi.DecodeInt64s(ob)
-	if err != nil {
-		return fail(fmt.Errorf("ckpt: %s: section %q: %w", path, secOrigComm, err))
-	}
-	if int64(len(vals)) != m.origLocalN {
-		return fail(fmt.Errorf("ckpt: %s: section %q: %d labels, meta says %d", path, secOrigComm, len(vals), m.origLocalN))
-	}
-	for i, v := range vals {
-		if v < 0 || v >= coarseN {
-			return fail(fmt.Errorf("ckpt: %s: section %q: label %d of vertex %d out of range [0,%d)", path, secOrigComm, v, m.origBase+int64(i), coarseN))
-		}
-	}
-
-	gb, err := sec(secGhosts)
-	if err != nil {
-		return fail(err)
-	}
-	ghosts, err := mpi.DecodeInt64s(gb)
-	if err != nil {
-		return fail(fmt.Errorf("ckpt: %s: section %q: %w", path, secGhosts, err))
-	}
-
-	return m, arcs, origSeg{base: m.origBase, vals: vals}, ghosts, nil
+// rankSnapshot is one old rank's decoded snapshot.
+type rankSnapshot struct {
+	meta    *ckptMeta
+	arcs    []dgraph.Arc // its coarse adjacency, re-expanded to routable arcs
+	orig    origSeg      // its original-assignment segment
+	ghosts  []int64      // its saved ghost table
+	history []byte       // its raw history section; only old rank 0's is read
 }
 
-// readHistorySection pulls just the raw history bytes out of a snapshot.
-func readHistorySection(path string) ([]byte, error) {
+// loadRankSnapshot reads and fully validates one old rank's snapshot.
+func loadRankSnapshot(path string, oldRank, oldWorld, completed int, origN, coarseN int64) (*rankSnapshot, error) {
 	snap, err := ckpt.ReadSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
-	return snap.Section(secHistory)
+	return decodeRankSnapshot(snap, oldRank, oldWorld, completed, origN, coarseN)
+}
+
+// decodeRankSnapshot decodes a verified container's sections and checks
+// them against the shape the manifest declares. Every rejection is a
+// *ckpt.SectionError naming the file and the section.
+func decodeRankSnapshot(snap *ckpt.Snapshot, oldRank, oldWorld, completed int, origN, coarseN int64) (*rankSnapshot, error) {
+	section := func(name string, decode func([]byte) error) error {
+		data, err := snap.Section(name)
+		if err != nil {
+			return err // names the file and the section already
+		}
+		if err := decode(data); err != nil {
+			return &ckpt.SectionError{Path: snap.Path(), Section: name, Err: err}
+		}
+		return nil
+	}
+	out := &rankSnapshot{}
+	err := section(secMeta, func(data []byte) error {
+		m, err := decodeMeta(data)
+		if err != nil {
+			return err
+		}
+		switch {
+		case m.rank != oldRank || m.worldSize != oldWorld:
+			return fmt.Errorf("holds rank %d/%d, manifest expects rank %d/%d", m.rank, m.worldSize, oldRank, oldWorld)
+		case m.completed != completed:
+			return fmt.Errorf("holds phase %d, manifest expects %d", m.completed, completed)
+		case m.origN != origN || m.coarseN != coarseN:
+			return fmt.Errorf("graph shape (%d→%d) disagrees with manifest (%d→%d)", m.origN, m.coarseN, origN, coarseN)
+		case m.coarseLocalN > coarseN-m.coarseBase || m.origLocalN > origN-m.origBase:
+			return fmt.Errorf("owned range exceeds graph size")
+		}
+		out.meta = m
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	m := out.meta
+	out.orig.base = m.origBase
+	if err := section(secCSR, func(data []byte) (err error) {
+		out.arcs, err = decodeCSR(data, m.coarseBase, m.coarseLocalN, coarseN)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	if err := section(secOrigComm, func(data []byte) (err error) {
+		out.orig.vals, err = decodeLabels(data, m.origBase, m.origLocalN, coarseN)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	if err := section(secGhosts, func(data []byte) (err error) {
+		out.ghosts, err = decodeGhosts(data, coarseN)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	if out.history, err = snap.Section(secHistory); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // redistributeOrigComm routes contiguous assignment segments (in old-world

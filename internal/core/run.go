@@ -80,6 +80,8 @@ func (rs *runState) runLoop() (*Result, error) {
 	// One phase state for the whole run: each phase re-slices the arrays the
 	// one before left (reset).
 	st := &phaseState{cfg: cfg, steps: rs.steps}
+	ck := newCheckpointer(rs)
+	defer ck.close()
 	for ; rs.phase < cfg.MaxPhases; rs.phase++ {
 		phase := rs.phase
 		tau := finalTau
@@ -172,8 +174,8 @@ func (rs *runState) runLoop() (*Result, error) {
 			}
 			if flagged != 0 {
 				saved := "no checkpoint directory configured"
-				if cfg.CheckpointDir != "" {
-					if err := rs.writeCheckpoint(); err != nil {
+				if ck != nil {
+					if err := ck.commitNow(); err != nil {
 						return nil, fmt.Errorf("phase %d final checkpoint: %w", phase, err)
 					}
 					saved = "checkpoint committed"
@@ -194,13 +196,18 @@ func (rs *runState) runLoop() (*Result, error) {
 
 		// Phase-boundary snapshot: only while the run continues (a run
 		// about to terminate delivers its result instead) and only when
-		// another phase can actually execute.
-		if cfg.CheckpointDir != "" && (phase+1)%cfg.CheckpointEvery == 0 && phase+1 < cfg.MaxPhases {
-			if err := rs.writeCheckpoint(); err != nil {
+		// another phase can actually execute. The previous snapshot, if
+		// any, is committed here too.
+		if ck != nil && phase+1 < cfg.MaxPhases {
+			if err := ck.boundary((phase+1)%cfg.CheckpointEvery == 0); err != nil {
 				return nil, fmt.Errorf("phase %d checkpoint: %w", phase, err)
 			}
 		}
 		psp.End()
+	}
+	// The newest snapshot is committed before the run reports a result.
+	if err := ck.flush(); err != nil {
+		return nil, fmt.Errorf("final checkpoint commit: %w", err)
 	}
 
 	// Exact final modularity from the final coarse graph: with the

@@ -35,12 +35,12 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v compact: status polls and result fetches are read by
+// programs, and indenting every body costs the daemon and its clients alike.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
 // maxSubmitBytes bounds a submission body. Inline graphs are for small

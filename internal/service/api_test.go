@@ -132,6 +132,10 @@ func TestAPIJobLifecycle(t *testing.T) {
 	if len(res.Assignment) != 6 || res.Communities != 2 {
 		t.Fatalf("unexpected result: %s", body)
 	}
+	// Bodies are compact: one line, the encoder's trailing newline only.
+	if strings.Count(string(body), "\n") != 1 {
+		t.Fatalf("result body is not compact JSON: %q", body)
+	}
 	status, body = c.do("GET", "/v1/jobs/"+v.ID+"/result?assignment=0", nil)
 	if status != http.StatusOK || strings.Contains(string(body), "assignment") {
 		t.Fatalf("assignment=0 still carries labels: %d %s", status, body)

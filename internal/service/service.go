@@ -413,7 +413,9 @@ func (s *Service) checkpointDonor(j *Job) string {
 }
 
 // adoptCheckpoint copies a committed checkpoint (manifest last, so the copy
-// commits atomically in the same order the original did).
+// commits atomically in the same order the original did). Each copy is
+// fsynced before the manifest that names it is written: a power loss must
+// not leave a committed manifest over torn files.
 func adoptCheckpoint(src, dst string) error {
 	man, err := ckpt.ReadManifest(src)
 	if err != nil {
@@ -441,6 +443,10 @@ func copyFile(src, dst string) error {
 		return err
 	}
 	if _, err := io.Copy(out, in); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Sync(); err != nil {
 		out.Close()
 		return err
 	}

@@ -273,8 +273,10 @@ func identicalOutcome(t *testing.T, label string, got, want *core.Result) {
 	}
 }
 
-// chaosGraph returns a graph whose baseline run has at least 2 phases, so a
-// phase-boundary checkpoint exists for mid-run chaos to resume from.
+// chaosGraph returns a graph whose baseline run has at least 3 phases, so a
+// committed checkpoint exists for chaos in phase 2 to resume from: a
+// snapshot is committed one boundary after it is taken, so the phase-0
+// snapshot is committed once phase 1 ends.
 func chaosGraph(t *testing.T) (int64, []graph.RawEdge, *core.Result) {
 	t.Helper()
 	n, edges := gen.ErdosRenyi(300, 1500, 5)
@@ -282,14 +284,14 @@ func chaosGraph(t *testing.T) (int64, []graph.RawEdge, *core.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Phases) < 2 {
-		t.Fatalf("baseline converged in %d phase(s); chaos needs a phase boundary", len(want.Phases))
+	if len(want.Phases) < 3 {
+		t.Fatalf("baseline converged in %d phase(s); chaos needs a committed phase boundary", len(want.Phases))
 	}
 	return n, edges, want
 }
 
 // TestChaosKillMidPhase SIGKILL-equivalent: rank 1's transport dies at the
-// third iteration of phase 1 (after the phase-0 checkpoint committed). The
+// first iteration of phase 2 (after the phase-0 checkpoint committed). The
 // supervisor must resume from that checkpoint and converge identically.
 func TestChaosKillMidPhase(t *testing.T) {
 	n, edges, want := chaosGraph(t)
@@ -297,7 +299,7 @@ func TestChaosKillMidPhase(t *testing.T) {
 	cfg.CheckpointDir = t.TempDir()
 
 	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		if attempt == 0 && rank == 1 && ev.Kind == core.ProgressIteration && ev.Phase == 1 && ev.Iteration == 1 {
+		if attempt == 0 && rank == 1 && ev.Kind == core.ProgressIteration && ev.Phase == 2 && ev.Iteration == 1 {
 			return chaosKill
 		}
 		return chaosNone
@@ -311,7 +313,7 @@ func TestChaosKillMidPhase(t *testing.T) {
 	}
 }
 
-// TestChaosHangAtCollective: rank 2 freezes at the start of phase 1 — its
+// TestChaosHangAtCollective: rank 2 freezes at the start of phase 2 — its
 // peers block inside the phase's collectives, so no rank can make progress
 // and no error ever surfaces. Only the beacon-silence detector can notice;
 // it must kill the world and resume from the checkpoint.
@@ -322,7 +324,7 @@ func TestChaosHangAtCollective(t *testing.T) {
 
 	var hung atomic.Bool
 	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		if attempt == 0 && rank == 2 && ev.Kind == core.ProgressPhaseStart && ev.Phase == 1 {
+		if attempt == 0 && rank == 2 && ev.Kind == core.ProgressPhaseStart && ev.Phase == 2 {
 			hung.Store(true)
 			return chaosHang
 		}
@@ -337,8 +339,8 @@ func TestChaosHangAtCollective(t *testing.T) {
 	}
 }
 
-// TestChaosFlapping kill→restart→kill: the world dies on attempt 0 (phase 1)
-// and again on attempt 1 (phase 1, different rank), and must still converge
+// TestChaosFlapping kill→restart→kill: the world dies on attempt 0 (phase 2)
+// and again on attempt 1 (phase 2, different rank), and must still converge
 // identically on attempt 2 with no operator input.
 func TestChaosFlapping(t *testing.T) {
 	n, edges, want := chaosGraph(t)
@@ -346,7 +348,7 @@ func TestChaosFlapping(t *testing.T) {
 	cfg.CheckpointDir = t.TempDir()
 
 	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		if ev.Kind != core.ProgressIteration || ev.Phase != 1 {
+		if ev.Kind != core.ProgressIteration || ev.Phase != 2 {
 			return chaosNone
 		}
 		switch {
@@ -406,7 +408,7 @@ func TestChaosPostMortemNamesDeathSite(t *testing.T) {
 	l := &chaosLauncher{
 		n: n, edges: edges, cfg: cfg, traced: true, reg: reg,
 		inject: func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-			if attempt == 0 && rank == 2 && ev.Kind == core.ProgressPhaseStart && ev.Phase == 1 {
+			if attempt == 0 && rank == 2 && ev.Kind == core.ProgressPhaseStart && ev.Phase == 2 {
 				hung.Store(true)
 				return chaosHang
 			}
@@ -450,13 +452,13 @@ func TestChaosPostMortemNamesDeathSite(t *testing.T) {
 	logMu.Lock()
 	joined := strings.Join(logs, "\n")
 	logMu.Unlock()
-	// The rank hung inside phase 1's progress hook, so its open span chain
-	// is "run/phase[1]" — the dump must name the death site, not just say
+	// The rank hung inside phase 2's progress hook, so its open span chain
+	// is "run/phase[2]" — the dump must name the death site, not just say
 	// "rank 2 went silent".
 	if !strings.Contains(joined, "post-mortem rank 2") {
 		t.Fatalf("no post-mortem for the hung rank in supervisor logs:\n%s", joined)
 	}
-	if !strings.Contains(joined, "open: run/phase[1]") {
+	if !strings.Contains(joined, "open: run/phase[2]") {
 		t.Fatalf("post-mortem does not name the phase the rank died in:\n%s", joined)
 	}
 	// The hung rank's trace still holds completed phase-0 work in its tail.
@@ -515,9 +517,9 @@ func TestChaosDegradedResume(t *testing.T) {
 	cfg.CheckpointDir = t.TempDir()
 
 	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		// Kill every 3-rank attempt once it reaches phase 1 (the phase-0
+		// Kill every 3-rank attempt once it reaches phase 2 (the phase-0
 		// checkpoint has committed by then); 2-rank attempts run clean.
-		if rank == 2 && ev.Kind == core.ProgressIteration && ev.Phase == 1 && ev.Iteration == 1 {
+		if rank == 2 && ev.Kind == core.ProgressIteration && ev.Phase == 2 && ev.Iteration == 1 {
 			return chaosKill
 		}
 		return chaosNone
