@@ -61,12 +61,14 @@ test-race-all:
 # crashes (SIGKILL / transport kill), hangs (SIGSTOP / blocked collectives)
 # and flapping, all required to converge bit-identical to an undisturbed
 # run — plus the unsupervised tcp-local run and its kill → resume loop
-# (TestTCPLocalUnsupervised: one attempt of the same process launcher). Kept
-# out of `check` because process spawning and hang windows make it slower
-# than the fast gate.
+# (TestTCPLocalUnsupervised: one attempt of the same process launcher). The
+# whole supervisor package runs three times, so the hang windows it derives
+# from one number are exercised for flakes. Kept out of `check` because
+# process spawning and hang windows make it slower than the fast gate.
 test-chaos:
+	$(GO) test -race -count=3 ./internal/supervisor/...
 	$(GO) test -race -count=1 -run 'Chaos|Supervisor|Supervise|TCPLocal|Interrupt|Detector|Backoff|Beacon' \
-		./internal/supervisor/... ./internal/core/... ./cmd/dlouvain/...
+		./internal/core/... ./cmd/dlouvain/...
 
 # The frontier differential suite under the race detector: the shipped sweep
 # (and, as pinned by the tests' oracle value, each representation of its

@@ -132,17 +132,11 @@ func main() {
 		maxRestarts = flag.Int("max-restarts", 5, "supervise: relaunch budget before giving up")
 		backoff     = flag.Duration("backoff", 500*time.Millisecond, "supervise: base restart delay (doubles per consecutive failure)")
 		minRanks    = flag.Int("min-ranks", 1, "supervise: smallest world size degradation may reach")
-		hangMin     = flag.Duration("hang-min", 5*time.Second, "supervise: floor of the adaptive hang-detection window")
-		hangMax     = flag.Duration("hang-max", 2*time.Minute, "supervise: cap (and bootstrap value) of the hang-detection window")
-		pollEvery   = flag.Duration("poll", 250*time.Millisecond, "supervise: failure-detector poll cadence")
+		hang        = flag.Duration("hang", 5*time.Second, "supervise: beacon silence every rank is allowed before it may count as hung (the learned window is capped at 24x; the detector polls every 1/20)")
 
-		// Chaos injection for process worlds (first attempt only): SIGKILL
-		// or SIGSTOP a rank once its beacons reach a phase.
-		chaosKillRank  = flag.Int("chaos-kill-rank", -1, "chaos: SIGKILL this rank (tcp-local, tcp-remote; -1 disables)")
-		chaosKillPhase = flag.Int("chaos-kill-phase", 0, "chaos: phase at which -chaos-kill-rank fires")
-		chaosStopRank  = flag.Int("chaos-stop-rank", -1, "chaos: SIGSTOP this rank (tcp-local, tcp-remote; -1 disables)")
-		chaosStopPhase = flag.Int("chaos-stop-phase", 0, "chaos: phase at which -chaos-stop-rank fires")
-		chaosAll       = flag.Bool("chaos-all-attempts", false, "chaos: re-arm chaos and fault injection on every attempt (exercises budget exhaustion)")
+		// Test-only failure injection, fired by the world's launcher when a
+		// rank's beacons reach a phase.
+		chaosFlag = flag.String("chaos", "", "test-only: comma-separated kill=R@P (crash rank R once it reaches phase P), stop=R@P (freeze it; needs supervision), every (re-arm on every attempt, not just the first)")
 
 		// Rank-level observability: span tracing with NDJSON export, the
 		// paper-§V-A per-phase timing breakdown, and a pprof/expvar debug
@@ -152,14 +146,9 @@ func main() {
 		reportOn  = flag.Bool("report", false, "print the per-phase timing breakdown (%p2p/%coll/%coarsen) after the run")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof and expvar metrics on this address")
 
-		// Failure-semantics knobs: deadlines turn a dead or partitioned
-		// peer into an error instead of a hang; the fault-* flags inject
-		// transport faults into every rank of the first attempt.
-		recvTimeout = flag.Duration("recv-timeout", 0, "per-Recv deadline; 0 waits forever")
-		collTimeout = flag.Duration("coll-timeout", 0, "per-collective receive deadline; 0 waits forever")
-		faultSeed   = flag.Uint64("fault-seed", 0, "fault-injection RNG seed (with the other fault flags)")
-		faultDrop   = flag.Float64("fault-drop", 0, "probability an outgoing message is dropped")
-		faultKill   = flag.Int64("fault-kill-after", 0, "kill a rank's transport after it has sent N messages")
+		// Failure semantics: a deadline turns a dead or partitioned peer
+		// into an error instead of a hang.
+		timeout = flag.Duration("timeout", 0, "deadline of every receive, point-to-point and inside collectives; 0 waits forever")
 	)
 	flag.Parse()
 	if err := validateFlags(flagValues{
@@ -169,6 +158,7 @@ func main() {
 		transport: *transport, rank: *rank,
 		coord: *coordAddr, coordEpoch: *coordEpoch,
 		hostAgent: *hostAgent, agentSlots: *agentSlots,
+		chaos: *chaosFlag,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "dlouvain: %v\n", err)
 		fmt.Fprintln(os.Stderr, "usage: dlouvain [flags] <graph.bin>  (run with -h for the flag list)")
@@ -211,24 +201,15 @@ func main() {
 	}
 
 	commOpts := []mpi.CommOption{
-		mpi.WithRecvTimeout(*recvTimeout),
-		mpi.WithCollectiveTimeout(*collTimeout),
+		mpi.WithRecvTimeout(*timeout),
+		mpi.WithCollectiveTimeout(*timeout),
 	}
-	fault := mpi.FaultPlan{
-		Seed:           *faultSeed,
-		Drop:           *faultDrop,
-		KillAfterSends: *faultKill,
-	}
+	chaos, _ := parseChaos(*chaosFlag) // validateFlags accepted it
 
 	sopts := supOptions{
-		policy:   supervisor.Policy{MaxRestarts: *maxRestarts, BaseBackoff: *backoff, MinRanks: *minRanks, Seed: cfg.Seed},
-		detector: supervisor.DetectorConfig{MinWindow: *hangMin, MaxWindow: *hangMax},
-		poll:     *pollEvery,
-		chaos: chaosSpec{
-			killRank: *chaosKillRank, killPhase: *chaosKillPhase,
-			stopRank: *chaosStopRank, stopPhase: *chaosStopPhase,
-			everyAttempt: *chaosAll,
-		},
+		policy:  supervisor.Policy{MaxRestarts: *maxRestarts, BaseBackoff: *backoff, MinRanks: *minRanks, Seed: cfg.Seed},
+		hang:    *hang,
+		inject:  chaos.inject(),
 		verbose: *verbose,
 	}
 
@@ -241,25 +222,20 @@ func main() {
 	supervised := *supervise || *transport == "tcp-remote"
 	switch *transport {
 	case "inproc":
-		runInprocWorld(path, hdr, *np, cfg, *edgeBal, *resume, supervised, *outPath, *truthPath, commOpts, fault, sopts, oopts)
+		runInprocWorld(path, hdr, *np, cfg, *edgeBal, *resume, supervised, *outPath, *truthPath, commOpts, sopts, oopts)
 	case "tcp":
 		adv := meshAdvertise(*advertiseSpec)
 		runTCP(path, hdr, mpi.CoordWorldConfig{
 			Coord: *coordAddr, Job: *coordJob, Epoch: *coordEpoch,
 			Rank: *rank, Size: *np,
 			Listen: meshListen(*listenAddr, adv), Advertise: adv,
-		}, cfg, *edgeBal, *resume, *outPath, *truthPath, *verbose, commOpts, fault, oopts)
+		}, cfg, *edgeBal, *resume, *outPath, *truthPath, *verbose, commOpts, oopts)
 	case "tcp-local", "tcp-remote":
 		runProcWorld(*np, path, cfg, *resume, supervised, *transport == "tcp-local", sopts, oopts, remoteOptions{
 			coord: *coordAddr, job: *coordJob,
 			bin: *remoteBin, controlListen: *controlListen,
 		})
 	}
-}
-
-// faultActive reports whether any fault-injection knob is set.
-func faultActive(p mpi.FaultPlan) bool {
-	return p.Drop > 0 || p.Duplicate > 0 || p.Delay > 0 || p.KillAfterSends > 0 || len(p.Partition) > 0
 }
 
 func buildConfig(variant string, alpha float64) (core.Config, error) {
@@ -375,7 +351,7 @@ func meshListen(flagVal, advertise string) string {
 // runTCP is one rank of a coordinator-rendezvous world in this process: what
 // a hand-launched `-transport tcp` command runs, and what the process
 // launcher spawns once per rank.
-func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Config, edgeBal, resume bool, outPath, truthPath string, verbose bool, commOpts []mpi.CommOption, fault mpi.FaultPlan, oopts obsOptions) {
+func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Config, edgeBal, resume bool, outPath, truthPath string, verbose bool, commOpts []mpi.CommOption, oopts obsOptions) {
 	rank := world.Rank
 	var interrupted atomic.Bool
 	cfg.Interrupted = interrupted.Load
@@ -418,10 +394,6 @@ func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Co
 			os.Exit(exitRetryable)
 		}
 		fatalf("%v", err)
-	}
-	if faultActive(fault) {
-		fault.Seed ^= uint64(rank) * 0x9e3779b97f4a7c15 // per-rank schedule
-		tp = mpi.NewFaultTransport(tp, fault)
 	}
 	defer tp.Close()
 	c := mpi.NewComm(tp, commOpts...)

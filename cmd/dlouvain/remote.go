@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -44,10 +45,9 @@ type remoteOptions struct {
 type remoteLauncher struct {
 	opts        remoteOptions
 	graph       string
-	dir         string   // working directory sent with spawns
-	passthrough []string // shared child flags (variant, ckpt-dir, timeouts, ...)
-	faultArgs   []string // fault-* flags, forwarded on armed attempts only
-	chaos       chaosSpec
+	dir         string            // working directory sent with spawns
+	passthrough []string          // shared child flags (variant, ckpt-dir, timeout, ...)
+	inject      supervisor.Inject // the -chaos hook: FaultKill = SIGKILL, FaultHang = SIGSTOP
 	// placeLogf receives membership and placement lines (host joined or
 	// condemned, rank -> host). On a single embedded host they say nothing,
 	// so tcp-local shows them only under -v.
@@ -115,8 +115,7 @@ func (l *remoteLauncher) route(ctrl *coord.Controller, synced chan struct{}) {
 			// A synthetic host-lost exit precedes its EventHostLost on the
 			// wire; drop the host now so a relaunch that races the next
 			// event cannot place ranks on the corpse.
-			if ev.Code == -1 && ev.Host != "" && ev.Err != "" &&
-				len(ev.Err) >= 9 && ev.Err[:9] == "host lost" {
+			if ev.Code == -1 && ev.Host != "" && strings.HasPrefix(ev.Err, coord.HostLost) {
 				l.mu.Lock()
 				delete(l.hosts, ev.Host)
 				l.mu.Unlock()
@@ -201,10 +200,16 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 		a.rankID[r] = id
 	}
 	sink := beacons
-	if l.chaos.active() && l.chaos.armed(spec.Attempt) {
-		var killOnce, stopOnce sync.Once
+	if l.inject != nil {
+		// The fault travels through the coordinator to whichever host runs
+		// the rank.
 		sink = func(b supervisor.Beacon) {
-			a.maybeChaos(&killOnce, &stopOnce, b)
+			switch l.inject(spec.Attempt, b) {
+			case supervisor.FaultKill:
+				a.signalRank(b.Rank, syscall.SIGKILL)
+			case supervisor.FaultHang:
+				a.signalRank(b.Rank, syscall.SIGSTOP)
+			}
 			beacons(b)
 		}
 	}
@@ -224,9 +229,6 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 			"-coord-epoch", fmt.Sprint(epoch),
 			"-rank", fmt.Sprint(r), "-np", fmt.Sprint(spec.Ranks)}
 		args = append(args, l.passthrough...)
-		if l.chaos.armed(spec.Attempt) {
-			args = append(args, l.faultArgs...)
-		}
 		if spec.Resume {
 			args = append(args, "-resume")
 		}
@@ -238,29 +240,6 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 		}
 	}
 	return a, nil
-}
-
-// maybeChaos fires the configured process-level fault when the target rank's
-// beacons reach the target phase. It runs on the beacon path, so injection
-// is deterministic in terms of run progress, not wall-clock; the signal
-// travels through the coordinator to whichever host runs the rank.
-func (a *remoteAttempt) maybeChaos(killOnce, stopOnce *sync.Once, b supervisor.Beacon) {
-	if b.Kind != supervisor.KindPhaseStart && b.Kind != supervisor.KindIteration {
-		return
-	}
-	l := a.l
-	if b.Rank == l.chaos.killRank && b.Phase >= l.chaos.killPhase {
-		killOnce.Do(func() {
-			logf("chaos: SIGKILL rank %d (spawn %s) at phase %d", b.Rank, a.rankID[b.Rank], b.Phase)
-			a.signalRank(b.Rank, syscall.SIGKILL)
-		})
-	}
-	if b.Rank == l.chaos.stopRank && b.Phase >= l.chaos.stopPhase {
-		stopOnce.Do(func() {
-			logf("chaos: SIGSTOP rank %d (spawn %s) at phase %d", b.Rank, a.rankID[b.Rank], b.Phase)
-			a.signalRank(b.Rank, syscall.SIGSTOP)
-		})
-	}
 }
 
 // remoteAttempt is one placed world. Exits arrive via the launcher's event
@@ -434,39 +413,34 @@ func runProcWorld(np int, graph string, cfg core.Config, resume, supervised, loc
 	reg := obsv.NewRegistry(0)
 	// The driver serves the debug endpoint; children can't share one address.
 	startPprof(oopts.pprofAddr, reg)
-	l := &remoteLauncher{opts: ropts, graph: graph, dir: dir, chaos: opts.chaos, placeLogf: placeLogf}
-	l.passthrough, l.faultArgs = childArgs()
+	l := &remoteLauncher{opts: ropts, graph: graph, dir: dir, inject: opts.inject, placeLogf: placeLogf}
+	l.passthrough = childArgs()
 	if err := drive(l, np, resume, supervised, opts, cfg, reg, nil); err != nil {
 		runFailf(err, "%v", err)
 	}
 }
 
-// childArgs walks the set flags and splits them into child passthrough args
-// and fault-injection args (forwarded on armed attempts only), excluding
-// everything that belongs to the driver itself.
-func childArgs() (passthrough, faultArgs []string) {
+// childArgs walks the set flags and returns those the rank processes share,
+// excluding everything that belongs to the driver itself.
+func childArgs() []string {
+	var passthrough []string
 	flag.Visit(func(f *flag.Flag) {
-		arg := "-" + f.Name + "=" + f.Value.String()
 		switch f.Name {
 		case "transport", "np", "rank", "supervise", "resume",
-			"max-restarts", "backoff", "min-ranks", "hang-min", "hang-max", "poll",
-			"chaos-kill-rank", "chaos-kill-phase", "chaos-stop-rank", "chaos-stop-phase",
-			"chaos-all-attempts", "pprof-addr",
+			"max-restarts", "backoff", "min-ranks", "hang", "chaos", "pprof-addr",
 			"coord", "coord-job", "coord-epoch", "listen", "advertise",
 			"host-agent", "agent-host", "slots", "agent-advertise",
 			"remote-bin", "control-listen":
-			// Driver-side flags: topology and supervision stay with the
-			// parent, and so does -pprof-addr, which children cannot share;
-			// -coord/-coord-job/-coord-epoch are re-issued per attempt with
-			// that attempt's epoch; -listen/-advertise are per-host decisions
-			// the agents make (-agent-advertise). -trace-dir and -report
-			// pass through: each rank owns its trace file and rank 0's
-			// stdout carries the report.
-		case "fault-seed", "fault-drop", "fault-kill-after":
-			faultArgs = append(faultArgs, arg)
+			// Driver-side flags: topology, supervision and chaos stay with
+			// the parent, and so does -pprof-addr, which children cannot
+			// share; -coord/-coord-job/-coord-epoch are re-issued per attempt
+			// with that attempt's epoch; -listen/-advertise are per-host
+			// decisions the agents make (-agent-advertise). -trace-dir and
+			// -report pass through: each rank owns its trace file and rank
+			// 0's stdout carries the report.
 		default:
-			passthrough = append(passthrough, arg)
+			passthrough = append(passthrough, "-"+f.Name+"="+f.Value.String())
 		}
 	})
-	return passthrough, faultArgs
+	return passthrough
 }

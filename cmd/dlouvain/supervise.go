@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -25,37 +27,102 @@ import (
 // supOptions carries the supervision flag values from main, the tuning in
 // the supervisor's own types.
 type supOptions struct {
-	policy   supervisor.Policy
-	detector supervisor.DetectorConfig
-	poll     time.Duration
-	chaos    chaosSpec
-	verbose  bool
+	policy  supervisor.Policy
+	hang    time.Duration
+	inject  supervisor.Inject // the -chaos hook; nil injects nothing
+	verbose bool
 }
 
-// chaosSpec configures first-attempt process-level fault injection in
-// process worlds: when the target rank's beacons reach the target phase it
-// is SIGKILLed (crash) or SIGSTOPped (hang without connection loss). Rank -1
-// disables.
+// chaosPoint is one fault of a -chaos spec: rank fails once its beacons
+// reach phase.
+type chaosPoint struct {
+	item        string           // as written: kill=R@P or stop=R@P
+	fault       supervisor.Fault // FaultKill (kill) or FaultHang (stop)
+	rank, phase int
+}
+
+// chaosSpec is the parsed -chaos flag, a test-only failure the world's
+// launcher injects: kill=R@P crashes rank R once its beacons reach phase P,
+// stop=R@P freezes it there. Each fires on the first attempt only, so the
+// run self-heals, unless every re-arms it on each attempt, which exercises
+// the supervisor's give-up paths.
 type chaosSpec struct {
-	killRank, killPhase int
-	stopRank, stopPhase int
-	everyAttempt        bool // re-arm on every attempt (budget-exhaustion tests)
+	points []chaosPoint
+	every  bool
 }
 
-func (c chaosSpec) active() bool { return c.killRank >= 0 || c.stopRank >= 0 }
+// parseChaos parses a -chaos value: comma-separated kill=R@P, stop=R@P and
+// every. validateFlags checks R against -np.
+func parseChaos(s string) (chaosSpec, error) {
+	var c chaosSpec
+	if s == "" {
+		return c, nil
+	}
+	for _, item := range strings.Split(s, ",") {
+		if item == "every" {
+			c.every = true
+			continue
+		}
+		key, val, _ := strings.Cut(item, "=")
+		r, ph, ok := strings.Cut(val, "@")
+		rank, rerr := strconv.Atoi(r)
+		phase, perr := strconv.Atoi(ph)
+		p := chaosPoint{item: item, rank: rank, phase: phase}
+		switch key {
+		case "kill":
+			p.fault = supervisor.FaultKill
+		case "stop":
+			p.fault = supervisor.FaultHang
+		}
+		if p.fault == supervisor.FaultNone || !ok || rerr != nil || perr != nil || phase < 0 {
+			return chaosSpec{}, fmt.Errorf("-chaos %q: %q is not kill=R@P, stop=R@P or every", s, item)
+		}
+		c.points = append(c.points, p)
+	}
+	if len(c.points) == 0 {
+		return chaosSpec{}, fmt.Errorf("-chaos %q names no kill=R@P or stop=R@P", s)
+	}
+	return c, nil
+}
 
-// armed reports whether chaos (and fault-injection flags) fire on the given
-// attempt: normally the first one only, so the run self-heals; with
-// everyAttempt the failure recurs until the supervisor gives up.
-func (c chaosSpec) armed(attempt int) bool {
-	return attempt == 0 || c.everyAttempt
+// inject is the spec as a launcher's injection hook, nil when it names no
+// fault. A rank is struck at most once per attempt, by the first point it
+// reaches: on its first phase-start or iteration beacon at or past the
+// point's phase (a resumed attempt may start past it). Each strike is logged
+// on stderr.
+func (c chaosSpec) inject() supervisor.Inject {
+	if len(c.points) == 0 {
+		return nil
+	}
+	var mu sync.Mutex
+	fired := make(map[[2]int]bool) // (attempt, rank) already struck
+	return func(attempt int, b supervisor.Beacon) supervisor.Fault {
+		if (attempt > 0 && !c.every) || (b.Kind != supervisor.KindPhaseStart && b.Kind != supervisor.KindIteration) {
+			return supervisor.FaultNone
+		}
+		for _, p := range c.points {
+			if b.Rank != p.rank || b.Phase < p.phase {
+				continue
+			}
+			key := [2]int{attempt, b.Rank}
+			mu.Lock()
+			struck := fired[key]
+			fired[key] = true
+			mu.Unlock()
+			if struck {
+				return supervisor.FaultNone
+			}
+			logf("chaos: %s fires: rank %d at phase %d, attempt %d", p.item, b.Rank, b.Phase, attempt)
+			return p.fault
+		}
+		return supervisor.FaultNone
+	}
 }
 
 func (o supOptions) supervisorOptions(cfg core.Config) supervisor.Options {
 	return supervisor.Options{
 		Policy:        o.policy,
-		Detector:      o.detector,
-		Poll:          o.poll,
+		Hang:          o.hang,
 		Retryable:     retryableRunErr,
 		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf:          logf,
@@ -137,13 +204,11 @@ func trapInterrupt(onFirst func(sig os.Signal)) {
 
 // ---------------------------------------------------------------------------
 // In-process worlds: supervisor.InprocLauncher runs the ranks; inprocObserver
-// is what only the CLI adds to them — per-attempt tracers, transport fault
-// injection, communicator options and registry counters.
+// is what only the CLI adds to them — per-attempt tracers, communicator
+// options and registry counters.
 
 type inprocObserver struct {
 	commOpts []mpi.CommOption
-	fault    mpi.FaultPlan // transport fault injection (see faultAll)
-	faultAll bool          // inject on every attempt, not just the first
 	obs      obsOptions
 	reg      *obsv.Registry // generation-scoped metrics timeline (may be nil)
 
@@ -164,11 +229,6 @@ func (l *inprocObserver) comm(spec supervisor.LaunchSpec, r int, tp mpi.Transpor
 	}
 	l.tracers[r] = tr
 	l.mu.Unlock()
-	if (spec.Attempt == 0 || l.faultAll) && faultActive(l.fault) {
-		fp := l.fault
-		fp.Seed ^= uint64(r) * 0x9e3779b97f4a7c15
-		tp = mpi.NewFaultTransport(tp, fp)
-	}
 	c := mpi.NewComm(tp, l.commOpts...)
 	c.SetTracer(tr)
 	if r == 0 {
@@ -213,19 +273,17 @@ func (l *inprocObserver) postMortem(rank int) []string {
 
 // runInprocWorld runs the ranks as goroutines of this process and reports
 // the completed attempt's result.
-func runInprocWorld(path string, hdr gio.Header, np int, cfg core.Config, edgeBal, resume, supervised bool, outPath, truthPath string, commOpts []mpi.CommOption, fault mpi.FaultPlan, opts supOptions, oopts obsOptions) {
+func runInprocWorld(path string, hdr gio.Header, np int, cfg core.Config, edgeBal, resume, supervised bool, outPath, truthPath string, commOpts []mpi.CommOption, opts supOptions, oopts obsOptions) {
 	reg := obsv.NewRegistry(0)
 	startPprof(oopts.pprofAddr, reg)
-	l := &inprocObserver{
-		commOpts: commOpts, fault: fault, faultAll: opts.chaos.everyAttempt,
-		obs: oopts, reg: reg,
-	}
+	l := &inprocObserver{commOpts: commOpts, obs: oopts, reg: reg}
 	launcher := &supervisor.InprocLauncher{
 		Config: cfg,
 		Body: func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error) {
 			return rankBody(path, hdr, cfg, edgeBal, resume, opts.verbose)(c)
 		},
-		Comm: l.comm,
+		Comm:   l.comm,
+		Inject: opts.inject,
 	}
 	err := drive(launcher, np, resume, supervised, opts, cfg, reg, l.postMortem)
 	reg.RecordGenerationCounters()

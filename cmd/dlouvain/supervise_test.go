@@ -137,13 +137,13 @@ func TestSuperviseTCPLocalChaos(t *testing.T) {
 		cmd := exec.Command(bin,
 			"-transport", "tcp-local", "-np", "3", "-supervise",
 			"-ckpt-dir", filepath.Join(dir, "ck"), "-backoff", "20ms",
-			"-chaos-kill-rank", "1", "-chaos-kill-phase", "1",
+			"-chaos", "kill=1@1",
 			"-o", out, graphPath)
 		outp, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("supervised run failed: %v\n%s", err, outp)
 		}
-		if !strings.Contains(string(outp), "chaos: SIGKILL rank 1") {
+		if !strings.Contains(string(outp), "chaos: kill=1@1 fires") {
 			t.Fatalf("chaos injection never fired:\n%s", outp)
 		}
 		sameFile(t, "sigkill", out, refOut)
@@ -155,8 +155,7 @@ func TestSuperviseTCPLocalChaos(t *testing.T) {
 		cmd := exec.Command(bin,
 			"-transport", "tcp-local", "-np", "3", "-supervise",
 			"-ckpt-dir", filepath.Join(dir, "ck"), "-backoff", "20ms",
-			"-hang-min", "300ms", "-hang-max", "3s", "-poll", "50ms",
-			"-chaos-stop-rank", "2", "-chaos-stop-phase", "1",
+			"-hang", "300ms", "-chaos", "stop=2@1",
 			"-o", out, graphPath)
 		outp, err := cmd.CombinedOutput()
 		if err != nil {
@@ -174,7 +173,7 @@ func TestSuperviseTCPLocalChaos(t *testing.T) {
 			"-transport", "tcp-local", "-np", "3", "-supervise",
 			"-ckpt-dir", filepath.Join(dir, "ck"), "-backoff", "20ms",
 			"-max-restarts", "1",
-			"-chaos-kill-rank", "0", "-chaos-kill-phase", "0", "-chaos-all-attempts",
+			"-chaos", "kill=0@0,every",
 			graphPath)
 		outp, err := cmd.CombinedOutput()
 		var ee *exec.ExitError
@@ -192,7 +191,7 @@ func TestSuperviseTCPLocalChaos(t *testing.T) {
 			"-transport", "tcp-local", "-np", "3", "-supervise",
 			"-ckpt-dir", filepath.Join(dir, "ck"), "-backoff", "20ms",
 			"-min-ranks", "3",
-			"-chaos-kill-rank", "0", "-chaos-kill-phase", "0", "-chaos-all-attempts",
+			"-chaos", "kill=0@0,every",
 			graphPath)
 		outp, err := cmd.CombinedOutput()
 		var ee *exec.ExitError
@@ -206,27 +205,37 @@ func TestSuperviseTCPLocalChaos(t *testing.T) {
 }
 
 // TestSuperviseInprocChaos drives the supervised in-process path end to end
-// with transport-level fault injection on the first attempt.
+// under the same -chaos rule the process worlds obey: a killed transport
+// resumes from the phase-0 checkpoint, a frozen progress hook is diagnosed
+// as a hang, and both runs end on the undisturbed run's file.
 func TestSuperviseInprocChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
 	}
 	bin, graphPath, refOut := buildBinaryAndGraph(t)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out")
-	cmd := exec.Command(bin,
-		"-np", "3", "-supervise",
-		"-ckpt-dir", filepath.Join(dir, "ck"), "-backoff", "20ms",
-		"-fault-kill-after", "50", "-fault-seed", "5",
-		"-o", out, graphPath)
-	outp, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("supervised run failed: %v\n%s", err, outp)
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  string // in the output
+	}{
+		{"kill", []string{"-chaos", "kill=1@2"}, "restart 1/"},
+		{"stop", []string{"-hang", "300ms", "-chaos", "stop=2@1"}, "world hung"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out := filepath.Join(dir, "out")
+			args := append([]string{"-np", "3", "-supervise",
+				"-ckpt-dir", filepath.Join(dir, "ck"), "-backoff", "20ms", "-o", out}, tc.extra...)
+			outp, err := exec.Command(bin, append(args, graphPath)...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("supervised run failed: %v\n%s", err, outp)
+			}
+			if !strings.Contains(string(outp), tc.want) {
+				t.Fatalf("no %q in the output:\n%s", tc.want, outp)
+			}
+			sameFile(t, "inproc "+tc.name, out, refOut)
+		})
 	}
-	if !strings.Contains(string(outp), "restart 1/") {
-		t.Fatalf("fault injection never forced a restart:\n%s", outp)
-	}
-	sameFile(t, "inproc fault kill", out, refOut)
 }
 
 // TestTCPLocalUnsupervised covers -transport tcp-local without -supervise:
@@ -259,11 +268,11 @@ func TestTCPLocalUnsupervised(t *testing.T) {
 			args = append(append(args, extra...), graphPath)
 			return exec.Command(bin, args...).CombinedOutput()
 		}
-		// Every rank's transport dies after its 270th send — in phase 2 of
-		// this graph, past the boundary that commits the phase-0 snapshot
-		// (a snapshot is committed one boundary after it is taken), so a
-		// checkpoint exists to resume from.
-		outp, err := run("-fault-kill-after", "270")
+		// Rank 1 is SIGKILLed once it reaches phase 2, past the boundary
+		// that commits the phase-0 snapshot (a snapshot is committed one
+		// boundary after it is taken), so a checkpoint exists to resume
+		// from.
+		outp, err := run("-chaos", "kill=1@2")
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != exitRetryable {
 			t.Fatalf("killed run: err = %v, want retryable exit %d\n%s", err, exitRetryable, outp)

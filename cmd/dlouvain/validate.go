@@ -6,6 +6,8 @@ package main
 import (
 	"errors"
 	"fmt"
+
+	"distlouvain/internal/supervisor"
 )
 
 // flagValues carries the parsed flags validateFlags inspects. A struct (not
@@ -26,6 +28,7 @@ type flagValues struct {
 	coordEpoch  int
 	hostAgent   bool
 	agentSlots  int
+	chaos       string
 }
 
 // validateFlags rejects flag combinations that cannot describe a valid run.
@@ -81,7 +84,22 @@ func validateFlags(v flagValues) error {
 			return errors.New("-transport tcp-remote requires -coord: ranks are placed on coordinator-registered hosts")
 		}
 	}
-	if v.supervise || v.transport == "tcp-remote" {
+	supervised := v.supervise || v.transport == "tcp-remote"
+	chaos, err := parseChaos(v.chaos)
+	if err != nil {
+		return err
+	}
+	for _, p := range chaos.points {
+		switch {
+		case v.transport == "tcp":
+			return fmt.Errorf("-chaos %s needs a launcher to fire it, and a -transport tcp rank has none: use inproc, tcp-local or tcp-remote", p.item)
+		case p.rank < 0 || p.rank >= v.np:
+			return fmt.Errorf("-chaos %s: rank %d out of range [0,%d) of the -np world", p.item, p.rank, v.np)
+		case p.fault == supervisor.FaultHang && !supervised:
+			return fmt.Errorf("-chaos %s freezes a rank for good without -supervise: only the supervisor's hang detector ends it", p.item)
+		}
+	}
+	if supervised {
 		if v.minRanks < 1 {
 			return fmt.Errorf("-min-ranks must be >= 1 (got %d)", v.minRanks)
 		}

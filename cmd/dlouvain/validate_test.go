@@ -72,6 +72,16 @@ func TestValidateFlagsRejections(t *testing.T) {
 		// "Never restart" is spelled by omitting -supervise: Policy.fill would
 		// turn a zero budget into its default of five.
 		{"zero max-restarts", func(v *flagValues) { v.supervise = true; v.maxRestarts = 0 }, "omit -supervise"},
+		// -chaos: a well-formed spec, a rank inside the world, a launcher
+		// to fire it, and a supervisor to end a freeze.
+		{"malformed chaos", func(v *flagValues) { v.chaos = "kill=1" }, "-chaos"},
+		{"chaos rank beyond np", func(v *flagValues) { v.chaos = "kill=4@1" }, "out of range"},
+		{"chaos on tcp", func(v *flagValues) {
+			v.transport = "tcp"
+			v.coord = "127.0.0.1:9470"
+			v.chaos = "kill=0@1"
+		}, "-transport tcp"},
+		{"chaos stop unsupervised", func(v *flagValues) { v.chaos = "stop=1@1" }, "-supervise"},
 		{"host-agent without coord", func(v *flagValues) { v.hostAgent = true }, "-coord"},
 		{"host-agent zero slots", func(v *flagValues) {
 			v.hostAgent = true
@@ -104,6 +114,11 @@ func TestValidateFlagsAcceptsTopologies(t *testing.T) {
 	}{
 		{"inproc supervised", func(v *flagValues) { v.supervise = true }},
 		{"tcp-local", func(v *flagValues) { v.transport = "tcp-local" }},
+		{"tcp-local supervised chaos", func(v *flagValues) {
+			v.transport = "tcp-local"
+			v.supervise = true
+			v.chaos = "kill=0@0,stop=3@2,every"
+		}},
 		{"tcp with coord", func(v *flagValues) {
 			v.transport = "tcp"
 			v.coord = "127.0.0.1:9470"
@@ -170,14 +185,11 @@ func TestFlagSetPinned(t *testing.T) {
 	bin, _, _ := buildBinaryAndGraph(t)
 	want := []string{
 		"advertise", "agent-advertise", "agent-host", "alpha", "backoff",
-		"chaos-all-attempts", "chaos-kill-phase", "chaos-kill-rank",
-		"chaos-stop-phase", "chaos-stop-rank", "ckpt-dir", "ckpt-every",
-		"ckpt-keep", "coll-timeout", "control-listen", "coord",
-		"coord-epoch", "coord-job", "edgebalance", "fault-drop",
-		"fault-kill-after", "fault-seed", "hang-max", "hang-min",
-		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o", "poll",
-		"pprof-addr", "rank", "recv-timeout", "remote-bin", "report", "resume",
-		"seed", "slots", "supervise", "tau", "threads",
+		"chaos", "ckpt-dir", "ckpt-every", "ckpt-keep", "control-listen",
+		"coord", "coord-epoch", "coord-job", "edgebalance", "hang",
+		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o",
+		"pprof-addr", "rank", "remote-bin", "report", "resume",
+		"seed", "slots", "supervise", "tau", "threads", "timeout",
 		"trace-dir", "transport", "truth", "v", "variant",
 	}
 	out, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits 0 or 2 by Go version

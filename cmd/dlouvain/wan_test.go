@@ -249,7 +249,7 @@ func TestWANAsymmetricPartitionHeal(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out")
 	common := []string{"-ckpt-dir", filepath.Join(dir, "ck"),
-		"-recv-timeout", "1s", "-coll-timeout", "1s", "-o", out}
+		"-timeout", "1s", "-o", out}
 	rank0Extra := append(append([]string{}, common...), "-listen", backend, "-advertise", px.Addr())
 
 	launch := func(epoch int) (r0, r1 *exec.Cmd, log0, log1 *syncBuf) {

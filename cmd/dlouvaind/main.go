@@ -52,8 +52,7 @@ func run() int {
 		keepJobs    = fs.Int("keep-jobs", 64, "terminal job directories retained before GC")
 		maxRestarts = fs.Int("max-restarts", 5, "per-job supervision restart budget (>= 1)")
 		backoff     = fs.Duration("backoff", 200*time.Millisecond, "base restart backoff")
-		hangMin     = fs.Duration("hang-min", 5*time.Second, "hang detector window floor")
-		hangMax     = fs.Duration("hang-max", 2*time.Minute, "hang detector window cap")
+		hang        = fs.Duration("hang", 5*time.Second, "beacon silence every rank is allowed before it may count as hung (the learned window is capped at 24x)")
 		drainWait   = fs.Duration("drain-wait", time.Minute, "graceful shutdown budget before forcing exit")
 		quiet       = fs.Bool("q", false, "suppress progress logging")
 	)
@@ -90,7 +89,7 @@ func run() int {
 		CacheCap:   *cacheCap,
 		KeepJobs:   *keepJobs,
 		Policy:     supervisor.Policy{MaxRestarts: *maxRestarts, BaseBackoff: *backoff},
-		Detector:   supervisor.DetectorConfig{MinWindow: *hangMin, MaxWindow: *hangMax},
+		Hang:       *hang,
 		Logf:       logf,
 		Registry:   reg,
 	})

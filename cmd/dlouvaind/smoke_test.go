@@ -116,6 +116,34 @@ func TestDaemonRejectsZeroMaxRestarts(t *testing.T) {
 	}
 }
 
+// TestDaemonFlagSetPinned ratchets the daemon's CLI surface the way
+// dlouvain's TestFlagSetPinned does: adding a flag is a deliberate edit here.
+func TestDaemonFlagSetPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	daemon := filepath.Join(t.TempDir(), "dlouvaind")
+	if out, err := exec.Command("go", "build", "-o", daemon, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build dlouvaind: %v\n%s", err, out)
+	}
+	want := []string{
+		"addr", "backoff", "cache-cap", "data-dir", "drain-wait", "hang",
+		"keep-jobs", "max-queue", "max-restarts", "q", "rank-budget",
+	}
+	out, _ := exec.Command(daemon, "-h").CombinedOutput() // -h exits 0 or 2 by Go version
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		// FlagSet.PrintDefaults: "  -name type" then a tab-indented usage
+		// line, already sorted by name.
+		if strings.HasPrefix(line, "  -") {
+			got = append(got, strings.Fields(line[3:])[0])
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("dlouvaind defines %d flags, pinned %d:\n got  %v\n want %v", len(got), len(want), got, want)
+	}
+}
+
 func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")

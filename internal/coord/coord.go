@@ -128,3 +128,8 @@ const (
 	EventExit     = "exit"      // a spawned process exited (Code, Err)
 	EventPing     = "ping"      // agent lease renewal (not forwarded)
 )
+
+// HostLost begins the Err of the exit event the coordinator synthesizes for
+// each spawn of a host it condemns, so controllers can tell a lost host from
+// a rank's own death.
+const HostLost = "host lost"

@@ -478,7 +478,7 @@ func (s *Server) dropHost(jobName, host, why string) {
 	s.logf("coord: job %q host %q condemned: %s (%d orphaned spawns)", jobName, host, why, len(orphans))
 	if ctrl != nil {
 		for _, id := range orphans {
-			ctrl.send(event{Event: EventExit, Host: host, ID: id, Code: -1, Err: "host lost: " + why})
+			ctrl.send(event{Event: EventExit, Host: host, ID: id, Code: -1, Err: HostLost + ": " + why})
 		}
 		ctrl.send(event{Event: EventHostLost, Host: host, Err: why})
 	}

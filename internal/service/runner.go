@@ -51,7 +51,7 @@ func (s *Service) runJob(j *Job) {
 	policy.Seed = cfg.Seed
 	sopts := supervisor.Options{
 		Policy:        policy,
-		Detector:      s.opt.Detector,
+		Hang:          s.opt.Hang,
 		Retryable:     supervisor.Retryable,
 		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf: func(format string, args ...any) {

@@ -55,9 +55,9 @@ type Options struct {
 	// Supervision tuning applied to every job's world, in the supervisor's
 	// own types: zero values select its defaults, which are declared there
 	// and nowhere else. Policy.MinRanks and Policy.Seed come from each
-	// job's spec.
-	Policy   supervisor.Policy
-	Detector supervisor.DetectorConfig
+	// job's spec; Hang is supervisor.Options.Hang.
+	Policy supervisor.Policy
+	Hang   time.Duration
 
 	// Logf receives service progress lines; nil discards them.
 	Logf func(format string, args ...any)

@@ -71,15 +71,15 @@ func (lc *logCapture) admittedOrder() []string {
 	return ids
 }
 
-// quietDetector keeps hang detection off the tests' critical path.
-var quietDetector = supervisor.DetectorConfig{MinWindow: 30 * time.Second, MaxWindow: 5 * time.Minute}
+// quietHang keeps hang detection off the tests' critical path.
+const quietHang = 30 * time.Second
 
 func newTestService(t *testing.T, budget int, lc *logCapture) *Service {
 	t.Helper()
 	opt := Options{
 		DataDir:    t.TempDir(),
 		RankBudget: budget,
-		Detector:   quietDetector,
+		Hang:       quietHang,
 	}
 	if lc != nil {
 		opt.Logf = lc.logf
@@ -425,7 +425,7 @@ func TestServiceRecoveryAfterRestart(t *testing.T) {
 	path, n := writeGraph(t, 300, 1500, 19)
 	ref := refRun(t, path, n, core.Baseline())
 	dir := t.TempDir()
-	opt := Options{DataDir: dir, RankBudget: 2, Detector: quietDetector}
+	opt := Options{DataDir: dir, RankBudget: 2, Hang: quietHang}
 
 	s1, err := New(opt)
 	if err != nil {
@@ -509,7 +509,7 @@ func TestCacheKeyedByConfigFingerprint(t *testing.T) {
 	path, n := writeGraph(t, 300, 1500, 19)
 	ref := refRun(t, path, n, core.Baseline())
 	dir := t.TempDir()
-	opt := Options{DataDir: dir, RankBudget: 2, Detector: quietDetector}
+	opt := Options{DataDir: dir, RankBudget: 2, Hang: quietHang}
 
 	s1, err := New(opt)
 	if err != nil {
@@ -631,7 +631,7 @@ func TestServiceInlineGraph(t *testing.T) {
 // Terminal job directories beyond KeepJobs are garbage-collected.
 func TestServiceRetentionGC(t *testing.T) {
 	path, _ := writeGraph(t, 100, 400, 23)
-	opt := Options{DataDir: t.TempDir(), RankBudget: 2, KeepJobs: 2, Detector: quietDetector}
+	opt := Options{DataDir: t.TempDir(), RankBudget: 2, KeepJobs: 2, Hang: quietHang}
 	s, err := New(opt)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -1,15 +1,14 @@
 package supervisor_test
 
-// Chaos suite: drive the real distributed Louvain pipeline under a
-// Supervisor while injecting crashes and hangs at deterministic points in
-// the run (progress milestones, not wall-clock), and assert the supervised
-// run converges to the bit-identical result of an undisturbed one.
+// Chaos suite: drive the real distributed Louvain pipeline on the shipped
+// in-process launcher under a Supervisor, injecting crashes and hangs at
+// deterministic points in the run (beacons, not wall-clock) through the
+// launcher's Inject hook, and assert the supervised run converges to the
+// bit-identical result of an undisturbed one.
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -17,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"distlouvain/internal/ckpt"
 	"distlouvain/internal/core"
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
@@ -28,46 +26,120 @@ import (
 	"distlouvain/internal/supervisor"
 )
 
-// chaosAction is what the injection hook tells a rank to do at a milestone.
-type chaosAction int
-
-const (
-	chaosNone chaosAction = iota
-	chaosKill             // FaultTransport.Kill: abrupt simulated crash
-	chaosHang             // block inside the progress hook until the world dies
-)
-
-// chaosLauncher runs real core ranks on an in-process world, with an inject
-// hook consulted at every progress milestone. Injection is deterministic in
-// (attempt, rank, event) — no wall-clock calibration anywhere.
-type chaosLauncher struct {
-	n      int64
-	edges  []graph.RawEdge
-	cfg    core.Config
-	inject func(attempt, rank int, ev core.ProgressEvent) chaosAction
-	traced bool           // wire a span tracer per rank (post-mortem tests)
-	reg    *obsv.Registry // generation-scoped traffic registry (may be nil)
+// chaosRig is one supervised in-process world of the real pipeline: its
+// launcher, the specs the supervisor launched, the latest attempt's rank
+// tracers (when traced) and a generation-scoped traffic registry.
+type chaosRig struct {
+	l   *supervisor.InprocLauncher
+	reg *obsv.Registry
 
 	mu      sync.Mutex
-	result  *core.Result
 	specs   []supervisor.LaunchSpec
-	tracers []*obsv.Tracer // current attempt's tracers when traced
+	tracers []*obsv.Tracer
+}
+
+func newChaosRig(n int64, edges []graph.RawEdge, cfg core.Config, traced bool, inject supervisor.Inject) *chaosRig {
+	rig := &chaosRig{reg: obsv.NewRegistry(0)}
+	cfg.GatherOutput = true
+	rig.l = &supervisor.InprocLauncher{
+		Config: cfg,
+		Inject: inject,
+		Body: func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error) {
+			if resume {
+				return core.Resume(c, cfg.CheckpointDir, cfg)
+			}
+			lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), c.Size())
+			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
+			if err != nil {
+				return nil, err
+			}
+			return core.Run(dg, cfg)
+		},
+		Comm: func(spec supervisor.LaunchSpec, r int, ep mpi.Transport) *mpi.Comm {
+			c := mpi.NewComm(ep)
+			if traced {
+				tr := obsv.NewTracer(r, obsv.DefaultCapacity)
+				c.SetTracer(tr)
+				rig.mu.Lock()
+				if r == 0 {
+					rig.tracers = make([]*obsv.Tracer, spec.Ranks)
+				}
+				rig.tracers[r] = tr
+				rig.mu.Unlock()
+			}
+			if r == 0 {
+				rig.reg.AttachCounters("mpi.rank0", func() map[string]int64 {
+					return c.Stats().Snapshot().Counters()
+				})
+			}
+			return c
+		},
+	}
+	return rig
+}
+
+// options is the supervision every chaos test runs under. The graphs here
+// iterate in well under a millisecond, so even a 60ms hang floor is dozens
+// of missed beacons; it stays comfortably above a loaded machine's
+// checkpoint-write stall, because a false-positive condemnation inserts a
+// spurious generation and breaks the per-generation assertions below.
+func (rig *chaosRig) options(t *testing.T, cfg core.Config) supervisor.Options {
+	return supervisor.Options{
+		Policy: supervisor.Policy{
+			MaxRestarts: 5,
+			BaseBackoff: time.Millisecond,
+			MaxBackoff:  5 * time.Millisecond,
+			MinRanks:    1,
+		},
+		Hang:          60 * time.Millisecond,
+		Retryable:     supervisor.Retryable,
+		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
+		Logf:          t.Logf,
+		OnAttempt: func(spec supervisor.LaunchSpec) {
+			rig.mu.Lock()
+			rig.specs = append(rig.specs, spec)
+			rig.mu.Unlock()
+		},
+		// Each generation freezes its own traffic before the next begins.
+		OnRestart: func(int, int, bool, error) {
+			rig.reg.RecordGenerationCounters()
+			rig.reg.BeginGeneration()
+		},
+	}
+}
+
+// run supervises the world from p ranks to completion and returns rank 0's
+// result of the attempt that completed, plus the specs the supervisor
+// launched.
+func (rig *chaosRig) run(t *testing.T, p int, opt supervisor.Options) (*core.Result, []supervisor.LaunchSpec) {
+	t.Helper()
+	if err := supervisor.New(rig.l, opt).Run(p, false); err != nil {
+		t.Fatalf("supervised run failed: %v", err)
+	}
+	rig.reg.RecordGenerationCounters()
+	res, _ := rig.l.Result()
+	if res == nil {
+		t.Fatal("supervisor reported success but no rank-0 result was recorded")
+	}
+	rig.mu.Lock()
+	defer rig.mu.Unlock()
+	return res, slices.Clone(rig.specs)
 }
 
 // rankTracer returns the most recent attempt's tracer for one rank.
-func (l *chaosLauncher) rankTracer(rank int) *obsv.Tracer {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if rank < 0 || rank >= len(l.tracers) {
+func (rig *chaosRig) rankTracer(rank int) *obsv.Tracer {
+	rig.mu.Lock()
+	defer rig.mu.Unlock()
+	if rank < 0 || rank >= len(rig.tracers) {
 		return nil
 	}
-	return l.tracers[rank]
+	return rig.tracers[rank]
 }
 
-// postMortem mirrors the cmd/dlouvain in-process launcher: the condemned
+// postMortem mirrors the cmd/dlouvain in-process observer: the condemned
 // rank's open span chain plus its most recently completed spans.
-func (l *chaosLauncher) postMortem(rank int) []string {
-	tr := l.rankTracer(rank)
+func (rig *chaosRig) postMortem(rank int) []string {
+	tr := rig.rankTracer(rank)
 	if tr == nil {
 		return nil
 	}
@@ -81,181 +153,12 @@ func (l *chaosLauncher) postMortem(rank int) []string {
 	return lines
 }
 
-type chaosAttempt struct {
-	world     *mpi.InprocWorld
-	killCh    chan struct{} // closed on Kill: unblocks chaosHang hooks
-	interrupt atomic.Bool
-	done      chan struct{}
-	err       error
-	killOnce  sync.Once
-}
-
-func (a *chaosAttempt) Wait() error { <-a.done; return a.err }
-func (a *chaosAttempt) Kill() {
-	a.killOnce.Do(func() {
-		close(a.killCh)
-		a.world.Close()
-	})
-}
-func (a *chaosAttempt) Interrupt() { a.interrupt.Store(true) }
-
-func (l *chaosLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervisor.Beacon)) (supervisor.Attempt, error) {
-	world, err := mpi.NewInprocWorld(spec.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.specs = append(l.specs, spec)
-	l.mu.Unlock()
-	a := &chaosAttempt{world: world, killCh: make(chan struct{}), done: make(chan struct{})}
-	go l.run(a, spec, beacons)
-	return a, nil
-}
-
-func (l *chaosLauncher) run(a *chaosAttempt, spec supervisor.LaunchSpec, beacons func(supervisor.Beacon)) {
-	defer close(a.done)
-	defer a.world.Close()
-	p := spec.Ranks
-	var tracers []*obsv.Tracer
-	if l.traced {
-		tracers = make([]*obsv.Tracer, p)
-		for r := range tracers {
-			tracers[r] = obsv.NewTracer(r, obsv.DefaultCapacity)
-		}
-		l.mu.Lock()
-		l.tracers = tracers
-		l.mu.Unlock()
-	}
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ft := mpi.NewFaultTransport(a.world.Endpoint(r), mpi.FaultPlan{})
-			var tr *obsv.Tracer
-			if l.traced {
-				tr = tracers[r]
-			}
-			emit := supervisor.CoreProgressTraced(r, 0, tr, beacons)
-			cfg := l.cfg
-			cfg.GatherOutput = true
-			cfg.Interrupted = a.interrupt.Load
-			cfg.Tracer = tr
-			cfg.Progress = func(ev core.ProgressEvent) {
-				switch l.inject(spec.Attempt, r, ev) {
-				case chaosKill:
-					ft.Kill()
-				case chaosHang:
-					<-a.killCh // beacon-silent until the supervisor kills us
-				}
-				emit(ev)
-			}
-			c := mpi.NewComm(ft)
-			c.SetTracer(tr)
-			if r == 0 {
-				l.reg.AttachCounters("mpi.rank0", func() map[string]int64 {
-					return c.Stats().Snapshot().Counters()
-				})
-			}
-			var res *core.Result
-			var err error
-			if spec.Resume {
-				res, err = core.Resume(c, cfg.CheckpointDir, cfg)
-			} else {
-				lo, hi := gio.SegmentRange(int64(len(l.edges)), r, p)
-				var dg *dgraph.DistGraph
-				dg, err = dgraph.Build(c, l.n, l.edges[lo:hi], nil)
-				if err == nil {
-					res, err = core.Run(dg, cfg)
-				}
-			}
-			if err != nil {
-				errs[r] = err
-				a.world.Close()
-				return
-			}
-			if r == 0 {
-				l.mu.Lock()
-				l.result = res
-				l.mu.Unlock()
-			}
-		}(r)
-	}
-	wg.Wait()
-	l.reg.RecordGenerationCounters()
-	a.err = chaosWorldError(errs)
-}
-
-// chaosWorldError mirrors the launcher error selection in cmd/dlouvain:
-// fatal beats retryable beats ErrClosed teardown collateral.
-func chaosWorldError(errs []error) error {
-	var retry, collateral error
-	for r, e := range errs {
-		if e == nil {
-			continue
-		}
-		wrapped := fmt.Errorf("rank %d: %w", r, e)
-		switch {
-		case chaosRetryable(e):
-			if retry == nil {
-				retry = wrapped
-			}
-		case errors.Is(e, mpi.ErrClosed):
-			if collateral == nil {
-				collateral = wrapped
-			}
-		default:
-			return wrapped
-		}
-	}
-	if retry != nil {
-		return retry
-	}
-	return collateral
-}
-
-func chaosRetryable(err error) bool {
-	var pl *mpi.ErrPeerLost
-	return errors.As(err, &pl) ||
-		errors.Is(err, mpi.ErrKilled) ||
-		errors.Is(err, os.ErrDeadlineExceeded) ||
-		errors.Is(err, core.ErrInterrupted)
-}
-
-// superviseChaos runs the supervised world and returns rank 0's result from
-// the surviving attempt plus the launch specs the supervisor issued.
+// superviseChaos runs an untraced supervised world with the given hook.
 func superviseChaos(t *testing.T, p int, cfg core.Config, n int64, edges []graph.RawEdge,
-	inject func(attempt, rank int, ev core.ProgressEvent) chaosAction) (*core.Result, []supervisor.LaunchSpec) {
+	inject supervisor.Inject) (*core.Result, []supervisor.LaunchSpec) {
 	t.Helper()
-	l := &chaosLauncher{n: n, edges: edges, cfg: cfg, inject: inject}
-	sup := supervisor.New(l, supervisor.Options{
-		Policy: supervisor.Policy{
-			MaxRestarts: 5,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-			MinRanks:    1,
-		},
-		// The graphs here iterate in well under a millisecond, so even the
-		// clamped 60ms window is dozens of missed beacons. Keep the floor
-		// comfortably above a loaded machine's checkpoint-write stall: a
-		// false-positive condemnation inserts a spurious generation and
-		// breaks the per-generation assertions below.
-		Detector:      supervisor.DetectorConfig{MinWindow: 60 * time.Millisecond, MaxWindow: 200 * time.Millisecond},
-		Poll:          5 * time.Millisecond,
-		Retryable:     chaosRetryable,
-		HasCheckpoint: func() bool { _, err := ckpt.ReadManifest(cfg.CheckpointDir); return err == nil },
-		Logf:          t.Logf,
-	})
-	if err := sup.Run(p, false); err != nil {
-		t.Fatalf("supervised run failed: %v", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.result == nil {
-		t.Fatal("supervisor reported success but no rank-0 result was recorded")
-	}
-	return l.result, append([]supervisor.LaunchSpec(nil), l.specs...)
+	rig := newChaosRig(n, edges, cfg, false, inject)
+	return rig.run(t, p, rig.options(t, cfg))
 }
 
 // identicalOutcome asserts the supervised run retraced the undisturbed run
@@ -290,6 +193,11 @@ func chaosGraph(t *testing.T) (int64, []graph.RawEdge, *core.Result) {
 	return n, edges, want
 }
 
+// firstIteration reports whether b is rank's first iteration of phase.
+func firstIteration(b supervisor.Beacon, rank, phase int) bool {
+	return b.Rank == rank && b.Kind == supervisor.KindIteration && b.Phase == phase && b.Iteration == 1
+}
+
 // TestChaosKillMidPhase SIGKILL-equivalent: rank 1's transport dies at the
 // first iteration of phase 2 (after the phase-0 checkpoint committed). The
 // supervisor must resume from that checkpoint and converge identically.
@@ -298,11 +206,11 @@ func TestChaosKillMidPhase(t *testing.T) {
 	cfg := core.Baseline()
 	cfg.CheckpointDir = t.TempDir()
 
-	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		if attempt == 0 && rank == 1 && ev.Kind == core.ProgressIteration && ev.Phase == 2 && ev.Iteration == 1 {
-			return chaosKill
+	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
+		if attempt == 0 && firstIteration(b, 1, 2) {
+			return supervisor.FaultKill
 		}
-		return chaosNone
+		return supervisor.FaultNone
 	})
 	identicalOutcome(t, "kill mid-phase", got, want)
 	if len(specs) != 2 {
@@ -323,12 +231,12 @@ func TestChaosHangAtCollective(t *testing.T) {
 	cfg.CheckpointDir = t.TempDir()
 
 	var hung atomic.Bool
-	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		if attempt == 0 && rank == 2 && ev.Kind == core.ProgressPhaseStart && ev.Phase == 2 {
+	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
+		if attempt == 0 && b.Rank == 2 && b.Kind == supervisor.KindPhaseStart && b.Phase == 2 {
 			hung.Store(true)
-			return chaosHang
+			return supervisor.FaultHang
 		}
-		return chaosNone
+		return supervisor.FaultNone
 	})
 	identicalOutcome(t, "hang at collective", got, want)
 	if !hung.Load() {
@@ -347,17 +255,11 @@ func TestChaosFlapping(t *testing.T) {
 	cfg := core.Baseline()
 	cfg.CheckpointDir = t.TempDir()
 
-	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		if ev.Kind != core.ProgressIteration || ev.Phase != 2 {
-			return chaosNone
+	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
+		if attempt == 0 && firstIteration(b, 0, 2) || attempt == 1 && firstIteration(b, 2, 2) {
+			return supervisor.FaultKill
 		}
-		switch {
-		case attempt == 0 && rank == 0 && ev.Iteration == 1:
-			return chaosKill
-		case attempt == 1 && rank == 2 && ev.Iteration == 1:
-			return chaosKill
-		}
-		return chaosNone
+		return supervisor.FaultNone
 	})
 	identicalOutcome(t, "flapping", got, want)
 	if len(specs) != 3 {
@@ -376,11 +278,11 @@ func TestChaosKillBeforeFirstCheckpoint(t *testing.T) {
 	cfg := core.Baseline()
 	cfg.CheckpointDir = t.TempDir()
 
-	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-		if attempt == 0 && rank == 0 && ev.Kind == core.ProgressIteration && ev.Phase == 0 && ev.Iteration == 1 {
-			return chaosKill
+	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
+		if attempt == 0 && firstIteration(b, 0, 0) {
+			return supervisor.FaultKill
 		}
-		return chaosNone
+		return supervisor.FaultNone
 	})
 	identicalOutcome(t, "kill before first checkpoint", got, want)
 	if len(specs) != 2 {
@@ -403,50 +305,28 @@ func TestChaosPostMortemNamesDeathSite(t *testing.T) {
 	cfg := core.Baseline()
 	cfg.CheckpointDir = t.TempDir()
 
-	reg := obsv.NewRegistry(0)
 	var hung atomic.Bool
-	l := &chaosLauncher{
-		n: n, edges: edges, cfg: cfg, traced: true, reg: reg,
-		inject: func(attempt, rank int, ev core.ProgressEvent) chaosAction {
-			if attempt == 0 && rank == 2 && ev.Kind == core.ProgressPhaseStart && ev.Phase == 2 {
-				hung.Store(true)
-				return chaosHang
-			}
-			return chaosNone
-		},
-	}
+	rig := newChaosRig(n, edges, cfg, true, func(attempt int, b supervisor.Beacon) supervisor.Fault {
+		if attempt == 0 && b.Rank == 2 && b.Kind == supervisor.KindPhaseStart && b.Phase == 2 {
+			hung.Store(true)
+			return supervisor.FaultHang
+		}
+		return supervisor.FaultNone
+	})
+	opt := rig.options(t, cfg)
 	var logMu sync.Mutex
 	var logs []string
-	sup := supervisor.New(l, supervisor.Options{
-		Policy: supervisor.Policy{
-			MaxRestarts: 5,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-			MinRanks:    1,
-		},
-		// 60ms floor for the same false-positive margin as superviseChaos.
-		Detector:      supervisor.DetectorConfig{MinWindow: 60 * time.Millisecond, MaxWindow: 200 * time.Millisecond},
-		Poll:          5 * time.Millisecond,
-		Retryable:     chaosRetryable,
-		HasCheckpoint: func() bool { _, err := ckpt.ReadManifest(cfg.CheckpointDir); return err == nil },
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-			t.Logf(format, args...)
-		},
-		PostMortem: l.postMortem,
-		OnRestart:  func(restarts, ranks int, resume bool, cause error) { reg.BeginGeneration() },
-	})
-	if err := sup.Run(3, false); err != nil {
-		t.Fatalf("supervised run failed: %v", err)
+	opt.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+		t.Logf(format, args...)
 	}
+	opt.PostMortem = rig.postMortem
+	got, _ := rig.run(t, 3, opt)
 	if !hung.Load() {
 		t.Fatal("hang injection never fired")
 	}
-	l.mu.Lock()
-	got := l.result
-	l.mu.Unlock()
 	identicalOutcome(t, "post-mortem trace", got, want)
 
 	logMu.Lock()
@@ -468,7 +348,7 @@ func TestChaosPostMortemNamesDeathSite(t *testing.T) {
 
 	// The report survives restart-with-resume: the surviving attempt's
 	// rank-0 tracer covers resume-load plus the remaining phases.
-	rep := obsv.BuildReport(l.rankTracer(0).Snapshot())
+	rep := obsv.BuildReport(rig.rankTracer(0).Snapshot())
 	if rep.Total <= 0 {
 		t.Fatal("surviving attempt's run span did not complete")
 	}
@@ -494,7 +374,7 @@ func TestChaosPostMortemNamesDeathSite(t *testing.T) {
 	// generation 0's traffic (they'd be impossibly large: generation 0 ran
 	// phase 0 from scratch; generation 1 only resumed the cheap tail).
 	var perGen []float64
-	for _, rec := range reg.Records() {
+	for _, rec := range rig.reg.Records() {
 		if rec.Kind == "counters" && rec.Name == "mpi.rank0" {
 			perGen = append(perGen, rec.Fields["coll_bytes"])
 		}
@@ -516,13 +396,13 @@ func TestChaosDegradedResume(t *testing.T) {
 	cfg := core.Baseline()
 	cfg.CheckpointDir = t.TempDir()
 
-	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt, rank int, ev core.ProgressEvent) chaosAction {
+	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
 		// Kill every 3-rank attempt once it reaches phase 2 (the phase-0
 		// checkpoint has committed by then); 2-rank attempts run clean.
-		if rank == 2 && ev.Kind == core.ProgressIteration && ev.Phase == 2 && ev.Iteration == 1 {
-			return chaosKill
+		if firstIteration(b, 2, 2) {
+			return supervisor.FaultKill
 		}
-		return chaosNone
+		return supervisor.FaultNone
 	})
 	identicalOutcome(t, "degraded resume", got, want)
 	last := specs[len(specs)-1]

@@ -7,72 +7,16 @@ import (
 	"time"
 )
 
-// DetectorConfig tunes the accrual failure detector. The zero value selects
-// production defaults suitable for multi-second phases; tests shrink the
-// windows to keep chaos scenarios fast.
-type DetectorConfig struct {
-	// MinWindow floors the hang window: however fast the observed beacon
-	// cadence, a rank is never suspected before this much silence. It
-	// absorbs legitimate beacon-free stretches (graph rebuild, checkpoint
-	// I/O) that the iteration cadence underestimates. Default 5s.
-	MinWindow time.Duration
-	// MaxWindow caps the hang window and doubles as the bootstrap window
-	// while a rank has too few observations to model (a rank that emits
-	// nothing at all for MaxWindow is declared hung). Default 2m.
-	MaxWindow time.Duration
-	// Phi is the suspicion threshold in standard deviations of the
-	// observed inter-beacon gap: silence beyond mean + Phi·σ is a hang.
-	// Default 8 — the conventional phi-accrual "virtually no false
-	// positives" operating point.
-	Phi float64
-	// Samples is the sliding-window size of the per-rank gap model.
-	// Default 64: long enough to smooth one phase's cadence, short enough
-	// to re-adapt when coarsening makes iterations abruptly cheaper.
-	Samples int
-}
-
-func (c *DetectorConfig) fill() {
-	if c.MinWindow <= 0 {
-		c.MinWindow = 5 * time.Second
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = 2 * time.Minute
-	}
-	if c.MaxWindow < c.MinWindow {
-		c.MaxWindow = c.MinWindow
-	}
-	if c.Phi <= 0 {
-		c.Phi = 8
-	}
-	if c.Samples <= 0 {
-		c.Samples = 64
-	}
-}
-
-// State is the detector's verdict on one rank.
-type State int
-
-// Rank states, ordered by increasing suspicion.
+// The accrual model's fixed constants. φ = 8 standard deviations of the
+// observed inter-beacon gap is the conventional phi-accrual "virtually no
+// false positives" operating point; 64 gaps are long enough to smooth one
+// phase's cadence and short enough to re-adapt when coarsening makes
+// iterations abruptly cheaper; the cap (and bootstrap window) is 24 floors.
 const (
-	StateAlive   State = iota // beacons arriving within the expected cadence
-	StateSlow    State = iota // silent past half the hang window: lagging, not yet condemned
-	StateSuspect State = iota // silent past the hang window: presumed hung
-	StateDone    State = iota // emitted KindDone; exempt from suspicion forever
+	detectorPhi     = 8
+	detectorSamples = 64
+	capFloors       = 24
 )
-
-func (s State) String() string {
-	switch s {
-	case StateAlive:
-		return "alive"
-	case StateSlow:
-		return "slow"
-	case StateSuspect:
-		return "suspect"
-	case StateDone:
-		return "done"
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
 
 // Suspect describes one rank the detector has condemned.
 type Suspect struct {
@@ -94,17 +38,17 @@ func (s Suspect) String() string {
 }
 
 // rankTrack models one rank's inter-beacon gaps with a sliding window,
-// maintained incrementally so Suspects stays O(ranks).
+// maintained incrementally so Condemned stays O(ranks).
 type rankTrack struct {
 	last       time.Time
 	done       bool
-	gaps       []float64 // seconds; ring buffer
+	gaps       [detectorSamples]float64 // seconds; ring buffer
 	idx, n     int
 	sum, sumSq float64
 }
 
-func (r *rankTrack) push(gap float64, cap int) {
-	if r.n == cap {
+func (r *rankTrack) push(gap float64) {
+	if r.n == detectorSamples {
 		old := r.gaps[r.idx]
 		r.sum -= old
 		r.sumSq -= old * old
@@ -112,30 +56,33 @@ func (r *rankTrack) push(gap float64, cap int) {
 		r.n++
 	}
 	r.gaps[r.idx] = gap
-	r.idx = (r.idx + 1) % cap
+	r.idx = (r.idx + 1) % detectorSamples
 	r.sum += gap
 	r.sumSq += gap * gap
 }
 
 // Detector is a phi-style accrual failure detector over beacon arrivals: it
 // learns each rank's beacon cadence and condemns a rank whose silence is
-// statistically incompatible with it. Unlike a fixed timeout flag, the
-// window derives from the run's own observed iteration times, so the same
-// detector works for millisecond toy graphs and minute-long phases at scale.
+// statistically incompatible with it. Unlike a fixed timeout, the window
+// derives from the run's own observed iteration times, so the same detector
+// works for millisecond toy graphs and minute-long phases at scale.
 //
 // All methods are safe for concurrent use; Observe is called from beacon
-// readers while Suspects is polled by the supervision loop.
+// readers while Condemned is polled by the supervision loop.
 type Detector struct {
-	cfg DetectorConfig
+	floor, cap time.Duration
 
 	mu    sync.Mutex
 	ranks map[int]*rankTrack
 }
 
-// NewDetector builds a detector with the given tuning.
-func NewDetector(cfg DetectorConfig) *Detector {
-	cfg.fill()
-	return &Detector{cfg: cfg, ranks: make(map[int]*rankTrack)}
+// NewDetector builds a detector whose windows lie in [hang, 24·hang]. The
+// floor absorbs legitimate beacon-free stretches (graph rebuild, checkpoint
+// I/O) that the iteration cadence underestimates; the cap is also the
+// bootstrap window of a rank with too few beacons to model, so a rank that
+// emits nothing at all for 24·hang is declared hung.
+func NewDetector(hang time.Duration) *Detector {
+	return &Detector{floor: hang, cap: capFloors * hang, ranks: make(map[int]*rankTrack)}
 }
 
 // Observe records a beacon arrival from rank at time now.
@@ -144,10 +91,10 @@ func (d *Detector) Observe(rank int, now time.Time) {
 	defer d.mu.Unlock()
 	t := d.ranks[rank]
 	if t == nil {
-		t = &rankTrack{gaps: make([]float64, d.cfg.Samples)}
+		t = &rankTrack{}
 		d.ranks[rank] = t
 	} else if gap := now.Sub(t.last).Seconds(); gap > 0 {
-		t.push(gap, d.cfg.Samples)
+		t.push(gap)
 	}
 	if now.After(t.last) {
 		t.last = now
@@ -167,7 +114,7 @@ func (d *Detector) Done(rank int, now time.Time) {
 // window computes the rank's adaptive hang window; callers hold d.mu.
 func (d *Detector) window(t *rankTrack) time.Duration {
 	if t.n < 3 {
-		return d.cfg.MaxWindow // bootstrap: no cadence model yet
+		return d.cap // bootstrap: no cadence model yet
 	}
 	n := float64(t.n)
 	mean := t.sum / n
@@ -177,90 +124,41 @@ func (d *Detector) window(t *rankTrack) time.Duration {
 	// a perfectly regular cadence would otherwise produce a hair-trigger
 	// zero-variance window.
 	std = math.Max(std, math.Max(mean/4, 1e-3))
-	w := time.Duration((mean + d.cfg.Phi*std) * float64(time.Second))
-	return min(max(w, d.cfg.MinWindow), d.cfg.MaxWindow)
+	w := time.Duration((mean + detectorPhi*std) * float64(time.Second))
+	return min(max(w, d.floor), d.cap)
 }
 
-// Window exposes the current adaptive hang window of one rank (MaxWindow
-// until the rank has been observed enough to model).
-func (d *Detector) Window(rank int) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t := d.ranks[rank]
-	if t == nil {
-		return d.cfg.MaxWindow
-	}
-	return d.window(t)
-}
-
-// State classifies one rank at time now.
-func (d *Detector) State(rank int, now time.Time) State {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t := d.ranks[rank]
-	if t == nil {
-		return StateAlive // never observed: bootstrap grace
-	}
-	return d.state(t, now)
-}
-
-func (d *Detector) state(t *rankTrack, now time.Time) State {
-	if t.done {
-		return StateDone
-	}
-	silent := now.Sub(t.last)
-	w := d.window(t)
-	switch {
-	case silent > w:
-		return StateSuspect
-	case silent > w/2:
-		return StateSlow
-	default:
-		return StateAlive
-	}
-}
-
-// Suspects returns every rank condemned as hung at time now, longest-silent
-// first (the map iteration is sorted for deterministic diagnostics).
-func (d *Detector) Suspects(now time.Time) []Suspect {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []Suspect
-	for rank, t := range d.ranks {
-		if d.state(t, now) == StateSuspect {
-			out = append(out, Suspect{Rank: rank, Silent: now.Sub(t.last), Window: d.window(t)})
-		}
-	}
-	sortSuspects(out)
-	return out
+// suspect reports whether a live rank is silent past its window; callers
+// hold d.mu.
+func (d *Detector) suspect(t *rankTrack, now time.Time) bool {
+	return !t.done && now.Sub(t.last) > d.window(t)
 }
 
 // Condemned returns the set of ranks to blame for a hang at time now, or
-// nil when no rank has crossed its window yet. It is Suspects plus every
-// live rank whose silence both (a) reaches back to within one
-// suspect-window of the longest-silent suspect's last beacon and (b) is
-// anomalous against the rank's own cadence — it has no cadence model yet,
-// or it has been silent for more than twice its own mean beacon gap.
-// Ordered by silence descending.
+// nil when no rank has crossed its window yet. It is every rank silent past
+// its own window (a suspect) plus every live rank whose silence both (a)
+// reaches back to within one window of the longest-silent suspect's last
+// beacon and (b) is anomalous against the rank's own cadence — it has no
+// cadence model yet, or it has been silent for more than twice its own mean
+// beacon gap. Ordered by silence descending.
 //
-// The extra ranks are the fix for the post-mortem mis-attribution PR 5
-// observed: the rank that actually hangs often has a *wider* adaptive
-// window than its victims (its beacon cadence was irregular, or it was
-// still in bootstrap), so the peers it leaves blocked in a collective cross
-// into Suspect first. A pure silent >= maxSilent cut still missed one case:
-// a hanger that beaconed right before freezing while a victim sat mid-gap
-// is a hair *less* silent than that victim, yet it is the death site. The
-// victims starve within one beacon window of the freeze, so reaching back
-// one suspect-window from the longest silence covers the hanger; condition
-// (b) keeps ranks that were beaconing healthily until the freeze out of the
-// diagnosis.
+// The extra ranks are there because the rank that actually hangs often has
+// a *wider* adaptive window than its victims (its beacon cadence was
+// irregular, or it was still in bootstrap), so the peers it leaves blocked
+// in a collective become suspects first. A pure silent >= maxSilent cut
+// still misses one case: a hanger that beaconed right before freezing while
+// a victim sat mid-gap is a hair *less* silent than that victim, yet it is
+// the death site. The victims starve within one beacon window of the
+// freeze, so reaching back one suspect-window from the longest silence
+// covers the hanger; condition (b) keeps ranks that were beaconing healthily
+// until the freeze out of the diagnosis.
 func (d *Detector) Condemned(now time.Time) []Suspect {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var maxSilent, reach time.Duration
 	hung := false
 	for _, t := range d.ranks {
-		if d.state(t, now) == StateSuspect {
+		if d.suspect(t, now) {
 			hung = true
 			if s := now.Sub(t.last); s > maxSilent {
 				maxSilent = s
@@ -279,7 +177,7 @@ func (d *Detector) Condemned(now time.Time) []Suspect {
 		}
 		silent := now.Sub(t.last)
 		anomalous := t.n < 3 || silent.Seconds() > 2*t.sum/float64(t.n)
-		if d.state(t, now) == StateSuspect || (silent >= bar && anomalous) {
+		if d.suspect(t, now) || (silent >= bar && anomalous) {
 			out = append(out, Suspect{Rank: rank, Silent: silent, Window: d.window(t)})
 		}
 	}
@@ -291,9 +189,9 @@ func (d *Detector) Condemned(now time.Time) []Suspect {
 // window, longest-silent first. A hang kills the whole world, so the
 // post-mortem wants every rank that died with it — including the original
 // hanger, whose adaptive window may be wider than its blocked victims' and
-// so may not have crossed into Suspect yet when the world is condemned.
-// The silence ordering puts that original hanger (earliest last beacon)
-// ahead of the victims it starved, whatever their windows decided.
+// so may not have crossed it yet when the world is condemned. The silence
+// ordering puts that original hanger (earliest last beacon) ahead of the
+// victims it starved, whatever their windows decided.
 func (d *Detector) Live(now time.Time) []Suspect {
 	d.mu.Lock()
 	defer d.mu.Unlock()

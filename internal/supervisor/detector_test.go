@@ -1,33 +1,63 @@
 package supervisor
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
+// windowOf reads one rank's current adaptive window through Live.
+func windowOf(t *testing.T, d *Detector, rank int, now time.Time) time.Duration {
+	t.Helper()
+	for _, s := range d.Live(now) {
+		if s.Rank == rank {
+			return s.Window
+		}
+	}
+	t.Fatalf("rank %d is not live", rank)
+	return 0
+}
+
+// condemnedRanks lists the ranks Condemned blames at now, in its order.
+func condemnedRanks(d *Detector, now time.Time) []int {
+	var out []int
+	for _, s := range d.Condemned(now) {
+		out = append(out, s.Rank)
+	}
+	return out
+}
+
+// crossedOnly fails unless exactly the given rank is silent past its own
+// window at now: the scenario a Condemned test is built on.
+func crossedOnly(t *testing.T, d *Detector, rank int, now time.Time) {
+	t.Helper()
+	for _, s := range d.Live(now) {
+		if crossed := s.Silent > s.Window; crossed != (s.Rank == rank) {
+			t.Fatalf("rank %d silent %v against window %v; scenario broken", s.Rank, s.Silent, s.Window)
+		}
+	}
+}
+
 func TestDetectorBootstrapWindow(t *testing.T) {
-	d := NewDetector(DetectorConfig{MinWindow: 10 * time.Millisecond, MaxWindow: time.Second})
+	d := NewDetector(10 * time.Millisecond)
 	t0 := time.Unix(1000, 0)
 	d.Observe(0, t0)
 
-	// With no cadence model the rank gets the full bootstrap window.
-	if w := d.Window(0); w != time.Second {
-		t.Fatalf("bootstrap window = %v, want MaxWindow", w)
+	// With no cadence model the rank gets the full bootstrap window, the cap.
+	if w := windowOf(t, d, 0, t0); w != 240*time.Millisecond {
+		t.Fatalf("bootstrap window = %v, want 24 floors", w)
 	}
-	if st := d.State(0, t0.Add(900*time.Millisecond)); st != StateSlow {
-		t.Fatalf("state inside bootstrap window = %v, want slow", st)
+	if c := d.Condemned(t0.Add(230 * time.Millisecond)); len(c) != 0 {
+		t.Fatalf("condemned inside the bootstrap window: %v", c)
 	}
-	if st := d.State(0, t0.Add(1100*time.Millisecond)); st != StateSuspect {
-		t.Fatalf("state past bootstrap window = %v, want suspect", st)
-	}
-	// A rank never observed at all stays in bootstrap grace.
-	if st := d.State(9, t0.Add(time.Hour)); st != StateAlive {
-		t.Fatalf("unobserved rank state = %v, want alive", st)
+	// Past it the rank is condemned; a rank never observed at all never is.
+	if got := condemnedRanks(d, t0.Add(time.Hour)); !slices.Equal(got, []int{0}) {
+		t.Fatalf("condemned past the bootstrap window = %v, want [0]", got)
 	}
 }
 
 func TestDetectorAdaptiveWindow(t *testing.T) {
-	d := NewDetector(DetectorConfig{MinWindow: time.Millisecond, MaxWindow: time.Hour, Phi: 8})
+	d := NewDetector(20 * time.Millisecond)
 	t0 := time.Unix(1000, 0)
 	// A steady 100ms beacon cadence.
 	now := t0
@@ -35,70 +65,70 @@ func TestDetectorAdaptiveWindow(t *testing.T) {
 		d.Observe(0, now)
 		now = now.Add(100 * time.Millisecond)
 	}
-	w := d.Window(0)
+	last := now.Add(-100 * time.Millisecond) // time of the final Observe
 	// Zero-variance cadence: σ floors at mean/4, so w = mean + 8·mean/4 = 3·mean.
-	if want := 300 * time.Millisecond; w != want {
+	if w, want := windowOf(t, d, 0, last), 300*time.Millisecond; w != want {
 		t.Fatalf("adaptive window = %v, want %v", w, want)
 	}
-	last := now.Add(-100 * time.Millisecond) // time of the final Observe
-	if st := d.State(0, last.Add(200*time.Millisecond)); st != StateSlow {
-		t.Fatalf("state at 200ms silence = %v, want slow", st)
+	if c := d.Condemned(last.Add(299 * time.Millisecond)); len(c) != 0 {
+		t.Fatalf("condemned at 299ms silence: %v", c)
 	}
-	if st := d.State(0, last.Add(301*time.Millisecond)); st != StateSuspect {
-		t.Fatalf("state at 301ms silence = %v, want suspect", st)
+	if got := condemnedRanks(d, last.Add(301*time.Millisecond)); !slices.Equal(got, []int{0}) {
+		t.Fatalf("condemned at 301ms silence = %v, want [0]", got)
 	}
 
-	// The window clamps to MinWindow from below...
-	fast := NewDetector(DetectorConfig{MinWindow: time.Second, MaxWindow: time.Hour})
+	// The window clamps to the floor from below...
+	fast := NewDetector(time.Second)
 	now = t0
 	for i := 0; i < 20; i++ {
 		fast.Observe(0, now)
 		now = now.Add(time.Millisecond)
 	}
-	if w := fast.Window(0); w != time.Second {
-		t.Fatalf("fast cadence window = %v, want MinWindow clamp", w)
+	if w := windowOf(t, fast, 0, now); w != time.Second {
+		t.Fatalf("fast cadence window = %v, want the floor", w)
 	}
-	// ...and to MaxWindow from above.
-	slow := NewDetector(DetectorConfig{MinWindow: time.Millisecond, MaxWindow: 2 * time.Second})
+	// ...and to 24 floors from above.
+	slow := NewDetector(10 * time.Millisecond)
 	now = t0
 	for i := 0; i < 20; i++ {
 		slow.Observe(0, now)
 		now = now.Add(10 * time.Second)
 	}
-	if w := slow.Window(0); w != 2*time.Second {
-		t.Fatalf("slow cadence window = %v, want MaxWindow clamp", w)
+	if w := windowOf(t, slow, 0, now); w != 240*time.Millisecond {
+		t.Fatalf("slow cadence window = %v, want the cap", w)
 	}
 }
 
 func TestDetectorDoneExemption(t *testing.T) {
-	d := NewDetector(DetectorConfig{MinWindow: time.Millisecond, MaxWindow: 50 * time.Millisecond})
+	d := NewDetector(time.Millisecond)
 	t0 := time.Unix(1000, 0)
 	d.Observe(0, t0)
 	d.Done(1, t0)
 
 	late := t0.Add(time.Hour)
-	if st := d.State(1, late); st != StateDone {
-		t.Fatalf("done rank state = %v, want done", st)
+	if got := condemnedRanks(d, late); !slices.Equal(got, []int{0}) {
+		t.Fatalf("condemned = %v, want only rank 0", got)
 	}
-	sus := d.Suspects(late)
-	if len(sus) != 1 || sus[0].Rank != 0 {
-		t.Fatalf("suspects = %v, want only rank 0", sus)
+	for _, s := range d.Live(late) {
+		if s.Rank == 1 {
+			t.Fatalf("done rank still live: %v", s)
+		}
 	}
 }
 
 func TestDetectorSuspectsSortedAndReset(t *testing.T) {
-	d := NewDetector(DetectorConfig{MinWindow: time.Millisecond, MaxWindow: 10 * time.Millisecond})
+	d := NewDetector(time.Millisecond)
 	t0 := time.Unix(1000, 0)
 	for _, r := range []int{5, 1, 3} {
 		d.Observe(r, t0)
 	}
-	sus := d.Suspects(t0.Add(time.Minute))
+	sus := d.Condemned(t0.Add(time.Minute))
 	if len(sus) != 3 {
-		t.Fatalf("suspects = %v, want 3", sus)
+		t.Fatalf("condemned = %v, want 3", sus)
 	}
 	for i, want := range []int{1, 3, 5} {
 		if sus[i].Rank != want {
-			t.Fatalf("suspects order = %v, want ranks 1,3,5", sus)
+			t.Fatalf("condemned order = %v, want ranks 1,3,5", sus)
 		}
 		if sus[i].Silent < time.Minute || sus[i].Window <= 0 {
 			t.Fatalf("suspect diagnostics incomplete: %+v", sus[i])
@@ -106,21 +136,20 @@ func TestDetectorSuspectsSortedAndReset(t *testing.T) {
 	}
 
 	d.Reset()
-	if sus := d.Suspects(t0.Add(time.Hour)); len(sus) != 0 {
-		t.Fatalf("suspects after reset = %v, want none", sus)
+	if sus := d.Condemned(t0.Add(time.Hour)); len(sus) != 0 {
+		t.Fatalf("condemned after reset = %v, want none", sus)
 	}
 }
 
 func TestDetectorCondemnedIncludesEarlierSilentHanger(t *testing.T) {
 	// Regression for the post-mortem mis-attribution flake: rank 0 hangs
-	// while still in bootstrap (wide MaxWindow), so its blocked victim —
-	// rank 1, with a tight learned cadence — crosses into Suspect first.
-	// Suspects alone blames only the victim; Condemned must lead with the
-	// earlier-silent hanger.
-	d := NewDetector(DetectorConfig{MinWindow: time.Millisecond, MaxWindow: 10 * time.Second, Phi: 8})
+	// while still in bootstrap (the 6s cap), so its blocked victim — rank 1,
+	// with a tight learned cadence — crosses its window first. Condemned must
+	// lead with the earlier-silent hanger.
+	d := NewDetector(250 * time.Millisecond)
 	t0 := time.Unix(1000, 0)
 
-	// Rank 0: two beacons only — no cadence model, bootstrap window 10s.
+	// Rank 0: two beacons only — no cadence model, bootstrap window 6s.
 	d.Observe(0, t0)
 	d.Observe(0, t0.Add(100*time.Millisecond)) // last heard 100ms in
 
@@ -140,22 +169,16 @@ func TestDetectorCondemnedIncludesEarlierSilentHanger(t *testing.T) {
 	}
 	last2 := now.Add(-100 * time.Millisecond) // t0 + 2.9s
 
-	// No suspect yet: Condemned stays empty even though rank 0 has been
-	// silent for ages relative to the others.
+	// No rank past its window yet: Condemned stays empty even though rank 0
+	// has been silent for ages relative to the others.
 	if c := d.Condemned(last1.Add(100 * time.Millisecond)); len(c) != 0 {
-		t.Fatalf("condemned before any suspect = %v, want none", c)
+		t.Fatalf("condemned before any rank crossed its window = %v, want none", c)
 	}
 
 	probe := t0.Add(3 * time.Second)
-	// Sanity: at probe, rank 1 (silent 1.1s > 300ms) is Suspect, rank 0
-	// (silent 2.9s < 10s bootstrap) is not.
-	sus := d.Suspects(probe)
-	if len(sus) != 1 || sus[0].Rank != 1 {
-		t.Fatalf("suspects = %v, want only the victim rank 1", sus)
-	}
-	if st := d.State(0, probe); st == StateSuspect {
-		t.Fatalf("hanger unexpectedly crossed its own window; scenario broken")
-	}
+	// At probe only the victim (silent 1.1s > 300ms) has crossed its window;
+	// the hanger (silent 2.9s < 6s) has not.
+	crossedOnly(t, d, 1, probe)
 
 	con := d.Condemned(probe)
 	if len(con) != 2 || con[0].Rank != 0 || con[1].Rank != 1 {
@@ -184,9 +207,8 @@ func TestDetectorCondemnedIncludesMidGapHanger(t *testing.T) {
 	// right before freezing while its victim sits mid-gap, so the victim's
 	// silence is a hair *longer* — a silent >= maxSilent cut would omit the
 	// actual death site. The hanger's irregular cadence gives it a wide
-	// adaptive window, so it is not Suspect on its own when the victim
-	// crosses.
-	d := NewDetector(DetectorConfig{MinWindow: time.Millisecond, MaxWindow: 30 * time.Second, Phi: 8})
+	// adaptive window, so it has not crossed it when the victim does.
+	d := NewDetector(250 * time.Millisecond)
 	t0 := time.Unix(1000, 0)
 
 	// Rank 0 (hanger): alternating 100ms / 1s gaps — mean 550ms, high
@@ -224,15 +246,9 @@ func TestDetectorCondemnedIncludesMidGapHanger(t *testing.T) {
 		now = now.Add(100 * time.Millisecond)
 	}
 
-	// Sanity: only the victim has crossed its own window; the hanger is the
-	// *less* silent of the two dead ranks.
-	sus := d.Suspects(probe)
-	if len(sus) != 1 || sus[0].Rank != 1 {
-		t.Fatalf("suspects = %v, want only the victim rank 1", sus)
-	}
-	if st := d.State(0, probe); st == StateSuspect {
-		t.Fatalf("hanger crossed its own window; scenario broken")
-	}
+	// Only the victim has crossed its own window; the hanger is the *less*
+	// silent of the two dead ranks.
+	crossedOnly(t, d, 1, probe)
 
 	con := d.Condemned(probe)
 	if len(con) != 2 || con[0].Rank != 1 || con[1].Rank != 0 {
@@ -247,19 +263,19 @@ func TestDetectorCondemnedIncludesMidGapHanger(t *testing.T) {
 
 func TestDetectorWindowReadaptsAfterRegimeChange(t *testing.T) {
 	// A cadence that abruptly becomes 10x cheaper (coarsened graph) must
-	// shrink the window once the sliding window rolls over.
-	d := NewDetector(DetectorConfig{MinWindow: time.Millisecond, MaxWindow: time.Hour, Samples: 8})
+	// shrink the window once the 64-gap sliding window rolls over.
+	d := NewDetector(200 * time.Millisecond)
 	now := time.Unix(1000, 0)
 	for i := 0; i < 10; i++ {
 		d.Observe(0, now)
 		now = now.Add(time.Second)
 	}
-	wide := d.Window(0)
-	for i := 0; i < 10; i++ {
+	wide := windowOf(t, d, 0, now)
+	for i := 0; i < 70; i++ {
 		d.Observe(0, now)
 		now = now.Add(100 * time.Millisecond)
 	}
-	narrow := d.Window(0)
+	narrow := windowOf(t, d, 0, now)
 	if narrow >= wide {
 		t.Fatalf("window did not re-adapt: %v -> %v", wide, narrow)
 	}

@@ -26,11 +26,18 @@ type InprocLauncher struct {
 	// continuation from Config.CheckpointDir when resume is set.
 	Body func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error)
 	// Comm, when set, builds rank r's communicator over its endpoint of the
-	// attempt's world — the place to wrap the endpoint for fault injection,
-	// to pass communicator options and to attach a tracer or counters. It
-	// is called on the launching goroutine, in rank order, before any rank
-	// of the attempt starts. nil selects mpi.NewComm(ep).
+	// attempt's world (its FaultTransport when Inject is set) — the place to
+	// pass communicator options and to attach a tracer or counters. It is
+	// called on the launching goroutine, in rank order, before any rank of
+	// the attempt starts. nil selects mpi.NewComm(ep).
 	Comm func(spec LaunchSpec, r int, ep mpi.Transport) *mpi.Comm
+	// Inject, when set, is shown every beacon of every rank before the
+	// beacon is delivered, and each rank's endpoint is wrapped in an
+	// mpi.FaultTransport: FaultKill kills that transport (the rank's next
+	// send or receive fails with mpi.ErrKilled), FaultHang blocks the rank's
+	// progress hook until its attempt is killed or its world closes. nil
+	// wraps nothing.
+	Inject Inject
 
 	mu     sync.Mutex
 	result *core.Result // rank-0 result of the completed attempt
@@ -40,13 +47,24 @@ type InprocLauncher struct {
 type worldAttempt struct {
 	world     *mpi.InprocWorld
 	interrupt atomic.Bool
+	closed    chan struct{} // closed with the world: releases hung ranks
+	closeOnce sync.Once
 	done      chan struct{}
 	err       error
 }
 
 func (a *worldAttempt) Wait() error { <-a.done; return a.err }
-func (a *worldAttempt) Kill()       { a.world.Close() }
+func (a *worldAttempt) Kill()       { a.close() }
 func (a *worldAttempt) Interrupt()  { a.interrupt.Store(true) }
+
+// close tears the world down once: every blocked rank operation fails, and
+// every rank FaultHang froze wakes up to find it gone.
+func (a *worldAttempt) close() {
+	a.closeOnce.Do(func() {
+		a.world.Close()
+		close(a.closed)
+	})
+}
 
 // Launch implements Launcher.
 func (l *InprocLauncher) Launch(spec LaunchSpec, beacons func(Beacon)) (Attempt, error) {
@@ -54,22 +72,44 @@ func (l *InprocLauncher) Launch(spec LaunchSpec, beacons func(Beacon)) (Attempt,
 	if err != nil {
 		return nil, err
 	}
+	a := &worldAttempt{world: world, closed: make(chan struct{}), done: make(chan struct{})}
 	comms := make([]*mpi.Comm, spec.Ranks)
+	sinks := make([]func(Beacon), spec.Ranks)
 	for r := range comms {
+		ep, sink := world.Endpoint(r), beacons
+		if l.Inject != nil {
+			ft := mpi.NewFaultTransport(ep, mpi.FaultPlan{})
+			ep, sink = ft, a.injecting(l.Inject, spec.Attempt, ft, beacons)
+		}
+		sinks[r] = sink
 		if l.Comm != nil {
-			comms[r] = l.Comm(spec, r, world.Endpoint(r))
+			comms[r] = l.Comm(spec, r, ep)
 		} else {
-			comms[r] = mpi.NewComm(world.Endpoint(r))
+			comms[r] = mpi.NewComm(ep)
 		}
 	}
-	a := &worldAttempt{world: world, done: make(chan struct{})}
-	go l.run(a, spec, comms, beacons)
+	go l.run(a, spec, comms, sinks)
 	return a, nil
 }
 
-func (l *InprocLauncher) run(a *worldAttempt, spec LaunchSpec, comms []*mpi.Comm, beacons func(Beacon)) {
+// injecting puts the injection hook in front of one rank's beacon sink: the
+// fault strikes the rank that emitted the beacon, on that rank's goroutine,
+// before the beacon goes on.
+func (a *worldAttempt) injecting(inject Inject, attempt int, ft *mpi.FaultTransport, beacons func(Beacon)) func(Beacon) {
+	return func(b Beacon) {
+		switch inject(attempt, b) {
+		case FaultKill:
+			ft.Kill()
+		case FaultHang:
+			<-a.closed
+		}
+		beacons(b)
+	}
+}
+
+func (l *InprocLauncher) run(a *worldAttempt, spec LaunchSpec, comms []*mpi.Comm, sinks []func(Beacon)) {
 	defer close(a.done)
-	defer a.world.Close()
+	defer a.close()
 	errs := make([]error, spec.Ranks)
 	var wg sync.WaitGroup
 	for r := 0; r < spec.Ranks; r++ {
@@ -79,19 +119,19 @@ func (l *InprocLauncher) run(a *worldAttempt, spec LaunchSpec, comms []*mpi.Comm
 			defer func() {
 				if p := recover(); p != nil {
 					errs[r] = fmt.Errorf("rank %d panicked: %v", r, p)
-					a.world.Close()
+					a.close()
 				}
 			}()
 			c := comms[r]
 			cfg := l.Config
 			cfg.Tracer = c.Tracer()
-			cfg.Progress = CoreProgressTraced(r, 0, cfg.Tracer, beacons)
+			cfg.Progress = CoreProgressTraced(r, 0, cfg.Tracer, sinks[r])
 			cfg.Interrupted = a.interrupt.Load
-			beacons(Beacon{Rank: r, Kind: KindHello})
+			sinks[r](Beacon{Rank: r, Kind: KindHello})
 			res, err := l.Body(c, cfg, spec.Resume)
 			if err != nil {
 				errs[r] = err
-				a.world.Close()
+				a.close()
 				return
 			}
 			if r == 0 {
@@ -114,7 +154,7 @@ func (l *InprocLauncher) Result() (*core.Result, int) {
 }
 
 // Retryable classifies a world failure: transient failures (lost peer,
-// expired deadline, injected kill, hang diagnosis, graceful interrupt)
+// expired deadline, FaultKill, hang diagnosis, graceful interrupt)
 // warrant a relaunch from the latest checkpoint; anything else is a
 // deterministic bug.
 func Retryable(err error) bool {

@@ -11,10 +11,28 @@ import (
 type LaunchSpec struct {
 	Ranks  int  // world size of this attempt (may shrink across attempts)
 	Resume bool // continue from the latest committed checkpoint
-	// Attempt counts attempts from 0. Launchers use it to scope
-	// first-attempt-only behaviour (fault injection, chaos triggers).
+	// Attempt counts attempts from 0. Launchers hand it to their Inject
+	// hook, so a fault can be scoped to the first attempt.
 	Attempt int
 }
+
+// Fault is what an injection hook makes of the rank whose beacon it was
+// shown. Each launcher carries it out in its own medium.
+type Fault int
+
+// Faults an Inject hook can return.
+const (
+	FaultNone Fault = iota
+	FaultKill       // the rank crashes: its transport dies, or its process is SIGKILLed
+	FaultHang       // the rank freezes beacon-silent: its progress hook blocks, or its process is SIGSTOPped
+)
+
+// Inject is a launcher's failure-injection hook. It is consulted on every
+// beacon a rank of the given attempt emits, before the beacon is delivered,
+// and the fault it returns strikes that rank — so a failure is written in
+// run progress ("rank R reaches phase P") and fires by the same rule in
+// every world.
+type Inject func(attempt int, b Beacon) Fault
 
 // Attempt is one running world under supervision.
 type Attempt interface {
@@ -42,11 +60,13 @@ type Launcher interface {
 
 // Options tunes a Supervisor beyond its restart Policy.
 type Options struct {
-	Policy   Policy
-	Detector DetectorConfig
-	// Poll is the cadence at which the supervision loop consults the
-	// failure detector while an attempt runs. ≤0 selects 250ms.
-	Poll time.Duration
+	Policy Policy
+	// Hang is the one number of hang detection: no rank is condemned
+	// before Hang of beacon silence, the learned window is capped at
+	// 24·Hang (also the window of a rank with too few beacons to model),
+	// and the loop consults the detector every Hang/20, at least every
+	// millisecond. ≤0 selects 5s: a 5s floor, a 2m cap, a 250ms poll.
+	Hang time.Duration
 	// Retryable classifies attempt errors: true means the failure is
 	// transient (crashed peer, expired deadline, interrupt) and the world
 	// should relaunch from the latest checkpoint. nil treats every error
@@ -149,11 +169,10 @@ type Supervisor struct {
 // New builds a supervisor over the given launcher.
 func New(l Launcher, opt Options) *Supervisor {
 	opt.Policy.fill()
-	opt.Detector.fill()
-	if opt.Poll <= 0 {
-		opt.Poll = 250 * time.Millisecond
+	if opt.Hang <= 0 {
+		opt.Hang = 5 * time.Second
 	}
-	return &Supervisor{launcher: l, opt: opt, det: NewDetector(opt.Detector)}
+	return &Supervisor{launcher: l, opt: opt, det: NewDetector(opt.Hang)}
 }
 
 // Interrupt requests a graceful shutdown of the supervised run: the current
@@ -310,7 +329,7 @@ func (s *Supervisor) observe(gen int, b Beacon) {
 func (s *Supervisor) monitor(att Attempt) (error, bool) {
 	done := make(chan error, 1)
 	go func() { done <- att.Wait() }()
-	tick := time.NewTicker(s.opt.Poll)
+	tick := time.NewTicker(max(s.opt.Hang/20, time.Millisecond))
 	defer tick.Stop()
 	// pendingSince is when the current uninterrupted run of hang verdicts
 	// began; zero while the detector is happy.
@@ -320,10 +339,10 @@ func (s *Supervisor) monitor(att Attempt) (error, bool) {
 		case err := <-done:
 			return err, false
 		case <-tick.C:
-			// Condemned, not Suspects: the hang diagnosis must lead with the
-			// earliest-silent rank (the likely root cause) even when its
-			// adaptive window is wider than its blocked victims' and it has
-			// therefore not technically crossed into Suspect yet.
+			// Condemned leads the hang diagnosis with the earliest-silent
+			// rank (the likely root cause) even when its adaptive window is
+			// wider than its blocked victims' and it has therefore not
+			// crossed it yet.
 			now := time.Now()
 			sus := s.det.Condemned(now)
 			if len(sus) == 0 {
@@ -361,7 +380,7 @@ func (s *Supervisor) monitor(att Attempt) (error, bool) {
 			// every live rank, not just the condemned ones: the rank that
 			// caused the hang may have a wider adaptive window than the
 			// peers it left blocked in a collective, and then it is the
-			// victims — not the hanger — that cross into Suspect first.
+			// victims — not the hanger — that cross their windows first.
 			//
 			// Dump BEFORE Kill: the kill unblocks hung ranks (their blocking
 			// points watch the kill channel), and an unblocked rank mutates

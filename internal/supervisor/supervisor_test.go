@@ -89,8 +89,7 @@ func fastOptions() Options {
 			DegradeAfter: 2,
 			MinRanks:     1,
 		},
-		Detector:  DetectorConfig{MinWindow: time.Hour, MaxWindow: time.Hour},
-		Poll:      time.Millisecond,
+		Hang:      time.Hour,
 		Retryable: func(err error) bool { return errors.Is(err, errTransient) },
 	}
 }
@@ -196,9 +195,9 @@ func TestSupervisorKillsHungWorldAndRetries(t *testing.T) {
 	hung := &fakeAttempt{release: make(chan struct{}), killErr: collateral}
 	l := &fakeLauncher{attempts: []*fakeAttempt{hung, {}}}
 	opt := fastOptions()
-	// Tiny bootstrap window: the hung attempt never beacons, so the seed
-	// observations age out and the detector condemns every rank.
-	opt.Detector = DetectorConfig{MinWindow: time.Millisecond, MaxWindow: 20 * time.Millisecond}
+	// Tiny bootstrap window (24ms): the hung attempt never beacons, so the
+	// seed observations age out and the detector condemns every rank.
+	opt.Hang = time.Millisecond
 	if err := New(l, opt).Run(2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +213,16 @@ func TestSupervisorBeaconsKeepSlowWorldAlive(t *testing.T) {
 	slow := &fakeAttempt{release: make(chan struct{})}
 	l := &fakeLauncher{attempts: []*fakeAttempt{slow}}
 	opt := fastOptions()
-	opt.Detector = DetectorConfig{MinWindow: time.Millisecond, MaxWindow: 30 * time.Millisecond}
+	// Floor 1.25ms, bootstrap cap 30ms, poll 1ms: a world whose beacons
+	// never reached the detector would be condemned within 30ms, and the
+	// learned window (~15ms for beacons 5ms apart), not the floor, is the
+	// one in force.
+	opt.Hang = 1250 * time.Microsecond
 	sup := New(l, opt)
 
 	done := make(chan error, 1)
 	go func() { done <- sup.Run(1, false) }()
-	// Beacon steadily for 10 windows, then finish cleanly.
+	// Beacon steadily for 10 bootstrap windows, then finish cleanly.
 	for i := 0; i < 60; i++ {
 		time.Sleep(5 * time.Millisecond)
 		l.mu.Lock()
