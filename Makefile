@@ -147,7 +147,7 @@ bench-quick:
 
 # Short fuzz passes over the input parsers, the checkpoint container and its
 # section decoders, the flat kernel tables (vs a map oracle), the varint
-# codec, the ghost refresh frame decoder, the frontier active-set (vs a
+# codec, the ghost refresh frame decoder, the owner-request decoder, the frontier active-set (vs a
 # map+sort oracle) and the counting-sort graph assembly (vs the sort-based
 # oracle). FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`,
 # so this list is the only one.
@@ -163,6 +163,7 @@ fuzz:
 	$(GO) test ./internal/flat -fuzz FuzzPairTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzGhostFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -fuzz FuzzOwnerRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime $(FUZZTIME)
 

@@ -37,8 +37,8 @@
 // function — a single attempt, or under -supervise the restart loop.
 //
 // Variants: baseline, tc (threshold cycling), et, etc, ettc (ET+TC); et,
-// etc and ettc require -alpha. Use -truth to score against a ground-truth
-// community file and -o to write the detected assignment.
+// etc and ettc take -alpha in (0, 1]. Use -truth to score against a
+// ground-truth community file and -o to write the detected assignment.
 //
 // Checkpoint/restart: -ckpt-dir enables phase-boundary snapshots, -resume
 // continues from the latest committed checkpoint (the rank count may
@@ -185,7 +185,9 @@ func main() {
 
 	cfg, err := buildConfig(*variant, *alpha)
 	if err != nil {
-		fatalf("%v", err)
+		fmt.Fprintf(os.Stderr, "dlouvain: %v\n", err)
+		fmt.Fprintln(os.Stderr, "usage: dlouvain [flags] <graph.bin>  (run with -h for the flag list)")
+		os.Exit(2)
 	}
 	cfg.Tau = *tau
 	cfg.Threads = *threads
@@ -238,21 +240,13 @@ func main() {
 	}
 }
 
+// buildConfig is the configuration -variant and -alpha select.
 func buildConfig(variant string, alpha float64) (core.Config, error) {
-	switch variant {
-	case "baseline":
-		return core.Baseline(), nil
-	case "tc":
-		return core.ThresholdCycling(), nil
-	case "et":
-		return core.ET(alpha), nil
-	case "etc":
-		return core.ETC(alpha), nil
-	case "ettc":
-		return core.ETWithTC(alpha), nil
-	default:
-		return core.Config{}, fmt.Errorf("unknown variant %q", variant)
+	cfg, err := core.ParseVariant(variant, alpha)
+	if err != nil {
+		return core.Config{}, fmt.Errorf("-variant: %w", err)
 	}
+	return cfg, nil
 }
 
 func rankBody(path string, hdr gio.Header, cfg core.Config, edgeBal, resume, verbose bool) func(c *mpi.Comm) (*core.Result, error) {

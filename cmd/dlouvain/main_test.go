@@ -42,6 +42,8 @@ func TestBuildConfig(t *testing.T) {
 		{"et", 0.25, "ET(0.25)", false},
 		{"etc", 0.75, "ETC(0.75)", false},
 		{"ettc", 0.25, "ET(0.25)+TC", false},
+		{"et", 0, "", true},
+		{"ettc", 1.5, "", true},
 		{"bogus", 0, "", true},
 	}
 	for _, c := range cases {

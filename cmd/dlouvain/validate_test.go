@@ -174,6 +174,20 @@ func TestRetiredFlagsRejected(t *testing.T) {
 	}
 }
 
+// An early-termination variant without a decay is a usage error, exit 2 —
+// not a silent Baseline run.
+func TestVariantWithoutAlphaRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin, graphPath, _ := buildBinaryAndGraph(t)
+	out, err := exec.Command(bin, "-variant", "et", "-alpha", "0", graphPath).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "alpha") {
+		t.Fatalf("-variant et -alpha 0: err %v, output:\n%s", err, out)
+	}
+}
+
 // TestFlagSetPinned ratchets the CLI surface the way TestConfigFieldsPinned
 // ratchets core.Config: the built binary defines exactly these flags, so
 // adding one is a deliberate edit here (and a reason to ask which existing

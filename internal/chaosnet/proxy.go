@@ -10,8 +10,7 @@
 // so every injected fault lands on a whole-message boundary and the
 // surviving byte stream stays parseable.
 // A partition therefore looks to the victim exactly like silence (frames
-// vanish in flight), not like a corrupted stream — the same semantics
-// FaultTransport fakes in-process, now reproduced over real kernel sockets
+// vanish in flight), not like a corrupted stream, over real kernel sockets,
 // so the chaos suite exercises genuine TCP failure modes (half-open
 // connections, buffered writes racing a close, reset-versus-FIN).
 //

@@ -103,7 +103,7 @@ func BenchmarkRebuild(b *testing.B) {
 				b.StartTimer()
 				defer b.StopTimer()
 			}
-			_, _, err = st.rebuild(nil)
+			_, _, err = st.rebuild()
 			return err
 		})
 		if err != nil {

@@ -35,7 +35,7 @@ var (
 // fixturePayloads encodes the fixture's csr, ghosts and origcomm sections.
 func fixturePayloads() (csr, ghosts, labels []byte) {
 	form, _ := csrLayout(fixIndex, fixEdges)
-	return appendCSR(nil, fixIndex, fixEdges, form), mpi.EncodeDeltaInt64s(fixGhosts), appendLabels(nil, fixLabels)
+	return appendCSR(nil, fixIndex, fixEdges, form), mpi.AppendDeltaInt64s(nil, fixGhosts), appendLabels(nil, fixLabels)
 }
 
 // decodeFixture runs the given payloads, behind the fixture's meta and
@@ -148,8 +148,8 @@ func TestCheckpointSectionsRejectCorruption(t *testing.T) {
 		{"label past coarseN", secOrigComm, csr, ghosts, []byte{0, 1, fixCoarseN}, "out of range"},
 		{"truncated label", secOrigComm, csr, ghosts, []byte{0, 1, 0x80}, "truncated"},
 		{"labels trailing bytes", secOrigComm, csr, ghosts, with(labels, 0), "trailing"},
-		{"ghosts descending", secGhosts, csr, mpi.EncodeDeltaInt64s([]int64{3, 2}), labels, "ascending"},
-		{"ghost past coarseN", secGhosts, csr, mpi.EncodeDeltaInt64s([]int64{2, fixCoarseN}), labels, "ascending"},
+		{"ghosts descending", secGhosts, csr, mpi.AppendDeltaInt64s(nil, []int64{3, 2}), labels, "ascending"},
+		{"ghost past coarseN", secGhosts, csr, mpi.AppendDeltaInt64s(nil, []int64{2, fixCoarseN}), labels, "ascending"},
 		{"ghosts trailing bytes", secGhosts, csr, with(ghosts, 0), labels, "trailing"},
 	} {
 		_, err := decodeFixture(t, c.csr, c.ghosts, c.labels)
@@ -207,7 +207,7 @@ func FuzzCheckpointSections(f *testing.F) {
 		if err != nil || !slices.Equal(vals, got.orig.vals) {
 			t.Fatalf("labels round trip: %v, %v vs %v", err, vals, got.orig.vals)
 		}
-		gs, err := decodeGhosts(mpi.EncodeDeltaInt64s(got.ghosts), fixCoarseN)
+		gs, err := decodeGhosts(mpi.AppendDeltaInt64s(nil, got.ghosts), fixCoarseN)
 		if err != nil || !slices.Equal(gs, got.ghosts) {
 			t.Fatalf("ghosts round trip: %v, %v vs %v", err, gs, got.ghosts)
 		}

@@ -50,11 +50,7 @@ func sameCoarseGraph(got, want *dgraph.DistGraph) error {
 // arcs with BuildFromArcs over the same partition (both collective), and
 // holds the first graph to the second. The kernel must also count exactly the
 // oracle's arcs: each coarse pair leaves the rank once.
-func checkCoarseGraph(st *phaseState, ren *renumbering, coarseN int64) error {
-	bySlot, err := st.translateSlots(ren)
-	if err != nil {
-		return err
-	}
+func checkCoarseGraph(st *phaseState, bySlot []int64, coarseN int64) error {
 	c := st.dg.Comm
 	part := partition.ByVertexCount(coarseN, c.Size())
 	sh, err := dgraph.NewShuffle(c, coarseN, part, st.cfg.Threads)
@@ -66,7 +62,7 @@ func checkCoarseGraph(st *phaseState, ren *renumbering, coarseN int64) error {
 	if err != nil {
 		return err
 	}
-	oracle := st.coarseArcsMap(ren)
+	oracle := st.coarseArcsMap(bySlot)
 	want, err := dgraph.BuildFromArcs(c, coarseN, part, oracle)
 	if err != nil {
 		return err
@@ -81,11 +77,11 @@ func checkCoarseGraph(st *phaseState, ren *renumbering, coarseN int64) error {
 // is) and holds the shipped one to the oracle.
 func checkCoarseArcs(st *phaseState) (coarsenSeen, error) {
 	var saw coarsenSeen
-	ren, coarseN, err := st.renumber(nil)
+	bySlot, coarseN, err := st.renumber()
 	if err != nil {
 		return saw, err
 	}
-	if err := checkCoarseGraph(st, ren, coarseN); err != nil {
+	if err := checkCoarseGraph(st, bySlot, coarseN); err != nil {
 		return saw, err
 	}
 
@@ -103,7 +99,7 @@ func checkCoarseArcs(st *phaseState) (coarsenSeen, error) {
 	for _, c := range st.ghostComm {
 		saw.tailTarget = saw.tailTarget || c >= held
 	}
-	for s, nw := range ren.newOwned {
+	for s, nw := range bySlot[:n] {
 		saw.deadOwned = saw.deadOwned || nw < 0
 		saw.absentOwned = saw.absentOwned || (nw >= 0 && !local[s])
 	}
@@ -162,7 +158,7 @@ func TestCoarseArcsMatchMapOracle(t *testing.T) {
 									return nil, fmt.Errorf("phase %d: %w", phase, err)
 								}
 								phases = append(phases, seen)
-								ndg, _, err := st.rebuild(nil)
+								ndg, _, err := st.rebuild()
 								if err != nil {
 									return nil, err
 								}
@@ -236,7 +232,7 @@ func TestCoarseArcsAllocationCeiling(t *testing.T) {
 		}
 		// What was counted is the oracle's arc count, and the frames assemble
 		// to the oracle's graph.
-		if err := checkCoarseGraph(st, kb.ren, kb.coarseN); err != nil {
+		if err := checkCoarseGraph(st, kb.bySlot, kb.coarseN); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		kb.Close()

@@ -305,7 +305,7 @@ func TestFrontierCommunitySlotsMatchOracles(t *testing.T) {
 									saw.rollback = true
 								}
 								saw.tail = saw.tail || st.tail.Len() > 0
-								ndg, _, err := st.rebuild(nil)
+								ndg, _, err := st.rebuild()
 								if err != nil {
 									return saw, err
 								}

@@ -186,6 +186,31 @@ func ETWithTC(alpha float64) Config {
 	return Config{Alpha: alpha, TauSchedule: PaperTauSchedule()}
 }
 
+// ParseVariant is the configuration a variant name selects: baseline, tc
+// (Threshold Cycling), et, etc or ettc (ET+TC). The last three take the decay
+// alpha, which must lie in (0, 1]; the first two ignore it.
+func ParseVariant(name string, alpha float64) (Config, error) {
+	var cfg Config
+	switch name {
+	case "baseline":
+		return Baseline(), nil
+	case "tc":
+		return ThresholdCycling(), nil
+	case "et":
+		cfg = ET(alpha)
+	case "etc":
+		cfg = ETC(alpha)
+	case "ettc":
+		cfg = ETWithTC(alpha)
+	default:
+		return Config{}, fmt.Errorf("unknown variant %q (want baseline, tc, et, etc or ettc)", name)
+	}
+	if !(alpha > 0 && alpha <= 1) {
+		return Config{}, fmt.Errorf("variant %s needs 0 < alpha <= 1 (got %g)", name, alpha)
+	}
+	return cfg, nil
+}
+
 // VariantName renders the configuration in the paper's legend style.
 func (c Config) VariantName() string {
 	switch {

@@ -191,6 +191,38 @@ func TestVariantNames(t *testing.T) {
 			t.Fatalf("VariantName = %q, want %q", got, want)
 		}
 	}
+
+	// ParseVariant and VariantName agree, and a variant that takes the decay
+	// refuses one outside (0, 1].
+	parsed := []struct {
+		name  string
+		alpha float64
+		want  string // "" = rejected
+	}{
+		{"baseline", 0, "Baseline"},
+		{"baseline", 0.5, "Baseline"},
+		{"tc", 0, "Threshold Cycling"},
+		{"et", 0.25, "ET(0.25)"},
+		{"et", 1, "ET(1)"},
+		{"etc", 0.75, "ETC(0.75)"},
+		{"ettc", 0.25, "ET(0.25)+TC"},
+		{"et", 0, ""},
+		{"etc", -0.5, ""},
+		{"ettc", 1.5, ""},
+		{"ET", 0.25, ""},
+		{"", 0, ""},
+	}
+	for _, tc := range parsed {
+		cfg, err := ParseVariant(tc.name, tc.alpha)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("ParseVariant(%q, %g) = %s, want an error", tc.name, tc.alpha, cfg.VariantName())
+		case tc.want != "" && err != nil:
+			t.Errorf("ParseVariant(%q, %g): %v", tc.name, tc.alpha, err)
+		case tc.want != "" && cfg.VariantName() != tc.want:
+			t.Errorf("ParseVariant(%q, %g) is %s, want %s", tc.name, tc.alpha, cfg.VariantName(), tc.want)
+		}
+	}
 }
 
 func TestPaperTauSchedule(t *testing.T) {
@@ -376,7 +408,7 @@ func TestRebuildPreservesM2(t *testing.T) {
 		if _, err := st.iterate(cfg.Tau); err != nil {
 			return err
 		}
-		ndg, _, err := st.rebuild(nil)
+		ndg, _, err := st.rebuild()
 		if err != nil {
 			return err
 		}

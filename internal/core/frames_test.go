@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func baselinePhaseState(c *mpi.Comm, n int64, edges []graph.RawEdge) (*phaseStat
 func TestMalformedFramesRejected(t *testing.T) {
 	const half = 4
 	n, edges := bipartiteBoundary(half)
-	ids := func(vs ...int64) []byte { return mpi.EncodeDeltaInt64s(vs) }
+	ids := func(vs ...int64) []byte { return mpi.AppendDeltaInt64s(nil, vs) }
 	varints := func(vs ...int64) []byte {
 		var b []byte
 		for _, v := range vs {
@@ -55,8 +56,26 @@ func TestMalformedFramesRejected(t *testing.T) {
 		return mpi.AppendVarint(mpi.AppendFloat64(mpi.AppendVarint(nil, cid), 1), 1)
 	}
 
+	// The flatten asks for the new communities of vertices 4..7; the
+	// identity table stands in for rebuild's.
 	lookup := func(st *phaseState) error {
-		_, err := st.resolveVertexComms([]int64{4, 5, 6, 7})
+		bySlot := make([]int64, len(st.refs))
+		for s := range bySlot {
+			bySlot[s] = st.gidOf(int32(s))
+		}
+		return st.flatten(bySlot, []int64{4, 5, 6, 7})
+	}
+	renumber := func(st *phaseState) error {
+		_, _, err := st.renumber()
+		return err
+	}
+	// Step 3 of the rebuild, answered honestly: rank 1's four communities
+	// all survive, after rank 0's four.
+	renumberPrelude := func(c *mpi.Comm) error {
+		if _, err := c.ExscanInt64(half); err != nil {
+			return err
+		}
+		_, err := c.AllreduceInt64(half, mpi.OpSum)
 		return err
 	}
 
@@ -66,9 +85,10 @@ func TestMalformedFramesRejected(t *testing.T) {
 		rounds     [][]byte                // honest payloads rank 1 addresses to rank 0, one per all-to-all round
 		target     int                     // index of the round under test
 		outOfRange []byte                  // well-formed frame naming something rank 0 does not hold (nil: the kind carries only values)
+		prelude    func(*mpi.Comm) error   // the collectives rank 1 answers before the all-to-all rounds (nil: none)
 	}{
 		{
-			kind:       "ghost list",
+			kind:       "ghost-list request",
 			step:       (*phaseState).setupGhostLists,
 			rounds:     [][]byte{ids(0, 1, 2, 3)},
 			outOfRange: ids(0, 1, 2, 5),
@@ -110,6 +130,21 @@ func TestMalformedFramesRejected(t *testing.T) {
 			target: 1,
 		},
 		{
+			kind:       "renumber request",
+			step:       renumber,
+			rounds:     [][]byte{ids(0, 1, 2, 3), varints(4, 1, 1, 1)},
+			outOfRange: ids(0, 1, 2, 6),
+			prelude:    renumberPrelude,
+		},
+		{
+			kind:       "renumber reply",
+			step:       renumber,
+			rounds:     [][]byte{ids(), varints(4, 1, 1, 1)}, // new IDs 4..7 as gaps
+			target:     1,
+			outOfRange: varints(4, 1, 1, 2), // new ID 8 of 8
+			prelude:    renumberPrelude,
+		},
+		{
 			kind:       "delta frame",
 			step:       func(st *phaseState) error { return st.pushDeltas(nil, nil) },
 			rounds:     [][]byte{delta(2)},
@@ -118,7 +153,7 @@ func TestMalformedFramesRejected(t *testing.T) {
 	}
 
 	// play runs one script and returns rank 0's verdict.
-	play := func(step func(*phaseState) error, rounds [][]byte) error {
+	play := func(step func(*phaseState) error, prelude func(*mpi.Comm) error, rounds [][]byte) error {
 		return mpi.Run(2, func(c *mpi.Comm) error {
 			st, err := baselinePhaseState(c, n, edges)
 			if err != nil {
@@ -126,6 +161,11 @@ func TestMalformedFramesRejected(t *testing.T) {
 			}
 			if c.Rank() == 0 {
 				return step(st)
+			}
+			if prelude != nil {
+				if err := prelude(c); err != nil {
+					return err
+				}
 			}
 			for _, payload := range rounds {
 				// Once rank 0 rejects a frame the world closes under the
@@ -149,7 +189,7 @@ func TestMalformedFramesRejected(t *testing.T) {
 			{"out-of-range", tc.outOfRange},
 		}
 		t.Run(tc.kind, func(t *testing.T) {
-			if err := play(tc.step, tc.rounds); err != nil {
+			if err := play(tc.step, tc.prelude, tc.rounds); err != nil {
 				t.Fatalf("honest script rejected: %v", err)
 			}
 			for _, v := range variants {
@@ -158,7 +198,7 @@ func TestMalformedFramesRejected(t *testing.T) {
 				}
 				rounds := append([][]byte(nil), tc.rounds...)
 				rounds[tc.target] = v.frame
-				err := play(tc.step, rounds)
+				err := play(tc.step, tc.prelude, rounds)
 				if !errors.Is(err, ErrMalformedFrame) {
 					t.Errorf("%s: got %v, want ErrMalformedFrame", v.name, err)
 					continue
@@ -246,6 +286,56 @@ func FuzzGhostFrame(f *testing.F) {
 			if got, want := recv.gidOf(recv.ghostComm[slots[i]]), sender.gidOf(sender.comm[lv]); got != want {
 				t.Fatalf("ghost %d holds %d, owner holds %d", i, got, want)
 			}
+		}
+	})
+}
+
+// FuzzOwnerRequest drives decodeOwnerRequest, the one decoder of an owner
+// round trip's request, with arbitrary bytes on rank 0 of ghostFrameStates'
+// world (it owns 0..15 of 48): it must never panic, never accept an ID owned
+// elsewhere or out of order, and reject only with ErrMalformedFrame. The same
+// input then picks a subset of the owned IDs, and what the request encoder
+// writes for it must decode back to exactly that subset.
+func FuzzOwnerRequest(f *testing.F) {
+	st, _ := ghostFrameStates(f)
+	ids := func(vs ...int64) []byte { return mpi.AppendDeltaInt64s(nil, vs) }
+	f.Add(ids())
+	f.Add(ids(0, 1, 2, 15))
+	f.Add(ids(3, 3))   // repeated
+	f.Add(ids(5, 2))   // descending
+	f.Add(ids(14, 16)) // past the owned range
+	f.Add(ids(-1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lcs, err := st.decodeOwnerRequest(nil, "fuzz", 1, data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) || !strings.Contains(err.Error(), "fuzz request from rank 1") {
+				t.Fatalf("untyped or unnamed rejection: %v", err)
+			}
+		} else {
+			for i, lc := range lcs {
+				if lc < 0 || lc >= st.dg.LocalN {
+					t.Fatalf("accepted local index %d outside [0,%d)", lc, st.dg.LocalN)
+				}
+				if i > 0 && lc <= lcs[i-1] {
+					t.Fatalf("accepted %d after %d", lc, lcs[i-1])
+				}
+			}
+		}
+
+		var want []int64
+		for i := int64(0); i < st.dg.LocalN && i < int64(len(data)); i++ {
+			if data[i]&1 != 0 {
+				want = append(want, i)
+			}
+		}
+		req := make([]int64, len(want))
+		for i, lc := range want {
+			req[i] = st.dg.Base + lc
+		}
+		got, err := st.decodeOwnerRequest(nil, "fuzz", 1, mpi.AppendDeltaInt64s(nil, req))
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("round trip of %v: got %v, %v", want, got, err)
 		}
 	})
 }

@@ -15,8 +15,8 @@ import (
 // that neighbourhood — so a vertex is dirtied when any of those changed
 // during iteration i−1:
 //
-//	(a) it moved (pushDeltas overlap window);
-//	(b) a local neighbour moved (same window, via the CSR row);
+//	(a) it moved (pushDeltas, after the delta exchange);
+//	(b) a local neighbour moved (same place, via the CSR row);
 //	(c) a ghost neighbour's community value changed during the iteration-end
 //	    exchange (setGhost compare-before-write → reverse ghost adjacency);
 //	(d) the (A_c, size) of a community c in its neighbourhood changed in the

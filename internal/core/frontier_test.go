@@ -434,7 +434,7 @@ func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 						if bad != nil {
 							return 0, bad
 						}
-						ndg, _, err := st.rebuild(nil)
+						ndg, _, err := st.rebuild()
 						if err != nil {
 							return 0, err
 						}

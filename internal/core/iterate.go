@@ -315,9 +315,8 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 
 // stageMoves is step (iii)'s local preparation: accumulate the (ΔA, Δsize)
 // each source/destination community incurred (line 9 of Algorithm 3). It
-// deliberately does NOT touch st.comm — assignment updates happen inside
-// pushDeltas's compute/comm overlap window, after the delta frames are in
-// flight. The moves name community slots; the deltas leave here under global
+// deliberately does NOT touch st.comm — pushDeltas writes the assignment
+// updates once the delta frames are exchanged. The moves name community slots; the deltas leave here under global
 // IDs, which is what the owners and the wire order by.
 //
 // The sums are slot-addressed: ΔA in worker 0's rowAcc (the sweep is over, so

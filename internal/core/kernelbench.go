@@ -25,7 +25,7 @@ import (
 type KernelBench struct {
 	world      *mpi.InprocWorld
 	st         *phaseState
-	ren        *renumbering
+	bySlot     []int64              // the new community of every live slot, as renumber would give it
 	coarseN    int64                // communities that survive: the coarse graph's vertex count
 	coarsePart *partition.Partition // the coarse graph's one-rank partition
 	steps      StepTimes
@@ -67,9 +67,10 @@ func NewKernelBench(n int64, edges []graph.RawEdge, threads int, useRef bool) (*
 			return nil, fmt.Errorf("kernelbench warm-up: %w", err)
 		}
 	}
-	// Single-rank renumbering, exactly as rebuild Steps 1–3 produce it:
-	// surviving communities in ascending ID order, renumbered from 0.
-	kb.ren, kb.coarseN = st.renumberOwned()
+	// Single-rank renumbering, exactly as rebuild Steps 1–4 produce it: one
+	// rank has no non-owned community, so its surviving communities in
+	// ascending ID order, renumbered from 0, are all of it.
+	kb.bySlot, kb.coarseN = st.renumberOwned()
 	kb.coarsePart = partition.ByVertexCount(kb.coarseN, 1)
 	if err := st.fetchCommunityInfo(); err != nil {
 		world.Close()
@@ -100,17 +101,13 @@ func (kb *KernelBench) Sweep() int {
 // exchanged — and returns the number of distinct coarse arcs.
 func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.oracle.refKernels {
-		return len(kb.st.coarseArcsMap(kb.ren))
-	}
-	bySlot, err := kb.st.translateSlots(kb.ren)
-	if err != nil {
-		panic(err) // a single rank's vertices can only be in live owned communities
+		return len(kb.st.coarseArcsMap(kb.bySlot))
 	}
 	sh, err := dgraph.NewShuffle(kb.st.dg.Comm, kb.coarseN, kb.coarsePart, kb.st.cfg.Threads)
 	if err != nil {
 		panic(err)
 	}
-	return kb.st.coarseArcs(bySlot, sh)
+	return kb.st.coarseArcs(kb.bySlot, sh)
 }
 
 // Close releases the in-process world.

@@ -142,19 +142,23 @@ func (st *phaseState) sweepRangeRef(w, lo, hi int, ids []int64, iter int) {
 }
 
 // coarseArcsMap is the sequential map-based Step 5 aggregator: it resolves
-// every endpoint through commOf and the renumbering's lookup instead of the
-// shipped kernel's community slots. Emission is sorted by (From, To) so
-// hash-map range order never reaches the wire; each pair is emitted once and
-// its sum accumulates in CSR visit order — ascending lv, then arc order — which
-// is the order coarseArcs sums it in at any thread count, so the two agree bit
-// for bit.
-func (st *phaseState) coarseArcsMap(ren *renumbering) []dgraph.Arc {
+// every endpoint through commOf and findSlot, then reads bySlot (renumber's
+// table), instead of the shipped kernel's community slots. Emission is sorted
+// by (From, To) so hash-map range order never reaches the wire; each pair is
+// emitted once and its sum accumulates in CSR visit order — ascending lv, then
+// arc order — which is the order coarseArcs sums it in at any thread count, so
+// the two agree bit for bit.
+func (st *phaseState) coarseArcsMap(bySlot []int64) []dgraph.Arc {
 	type pair struct{ a, b int64 }
+	newOf := func(cid int64) int64 {
+		s, _ := st.findSlot(cid)
+		return bySlot[s]
+	}
 	acc := make(map[pair]float64)
 	for lv := int64(0); lv < st.dg.LocalN; lv++ {
-		a := ren.newOf(st.gidOf(st.comm[lv]))
+		a := newOf(st.gidOf(st.comm[lv]))
 		for _, e := range st.dg.Neighbors(lv) {
-			acc[pair{a, ren.newOf(st.commOf(e.To))}] += e.W
+			acc[pair{a, newOf(st.commOf(e.To))}] += e.W
 		}
 	}
 	arcs := make([]dgraph.Arc, 0, len(acc))

@@ -12,111 +12,28 @@ import (
 	"distlouvain/internal/partition"
 )
 
-// renumbering is one rebuild's old→new community translation, held as dense
-// and sorted arrays rather than a hash map: owned communities index newOwned
-// directly, the non-owned ones this rank references sit in the sorted remote
-// list with their new IDs alongside.
-type renumbering struct {
-	base      int64   // first owned old ID
-	newOwned  []int64 // new ID of owned community base+lc; −1 when it died
-	remote    []int64 // sorted distinct non-owned old IDs referenced here
-	newRemote []int64 // new ID of remote[i]
-}
-
-// newOf translates one old community ID. It returns −1 for an owned
-// community that no longer has members and for a non-owned ID outside the
-// referenced set.
-func (r *renumbering) newOf(cid int64) int64 {
-	if lc := cid - r.base; lc >= 0 && lc < int64(len(r.newOwned)) {
-		return r.newOwned[lc]
-	}
-	if i, ok := slices.BinarySearch(r.remote, cid); ok {
-		return r.newRemote[i]
-	}
-	return -1
-}
-
-// translate fills dst[i] = newOf(src[i]), rejecting references to dead or
-// unresolved communities.
-func (r *renumbering) translate(dst, src []int64) error {
-	for i, cid := range src {
-		if dst[i] = r.newOf(cid); dst[i] < 0 {
-			return fmt.Errorf("core: referenced community %d is empty or was never resolved", cid)
-		}
-	}
-	return nil
-}
-
-// renumberOwned is Steps 1–2 of rebuild: the owned communities that still
-// have members (the community table is authoritative: size > 0 means some
-// vertex, anywhere, is assigned to it) numbered 0, 1, … in ID order, the
-// dead ones marked −1. It returns the count of survivors too.
-func (st *phaseState) renumberOwned() (*renumbering, int64) {
-	ren := &renumbering{base: st.dg.Base, newOwned: make([]int64, st.dg.LocalN)}
+// renumberOwned is Steps 1–2 of rebuild: a table addressed like st.refs in
+// which the owned communities that still have members (the community table is
+// authoritative: size > 0 means some vertex, anywhere, is assigned to it) are
+// numbered 0, 1, … in ID order, and the dead ones and every non-owned slot
+// hold −1. It returns the count of survivors too.
+func (st *phaseState) renumberOwned() ([]int64, int64) {
+	bySlot := make([]int64, len(st.refs))
 	var survivors int64
-	for lc, size := range st.cSize[:st.dg.LocalN] {
-		ren.newOwned[lc] = -1
-		if size > 0 {
-			ren.newOwned[lc] = survivors
+	for s := range bySlot {
+		bySlot[s] = -1
+		if int64(s) < st.dg.LocalN && st.cSize[s] > 0 {
+			bySlot[s] = survivors
 			survivors++
 		}
 	}
-	return ren, survivors
-}
-
-// sortedRemote sorts and dedupes ids (none owned by this rank) in place and
-// cuts the result into per-owner request lists: ownership ranges are
-// contiguous, so each rank's share is one ascending run.
-func sortedRemote(part *partition.Partition, ids []int64) (all []int64, byOwner [][]int64) {
-	slices.Sort(ids)
-	all = slices.Compact(ids)
-	byOwner = make([][]int64, part.Size())
-	rest := all
-	for q := range byOwner {
-		_, hi := part.Range(q)
-		k, _ := slices.BinarySearch(rest, hi)
-		byOwner[q], rest = rest[:k], rest[k:]
-	}
-	return all, byOwner
-}
-
-// translateSlots returns the new community of every live community slot
-// (refs > 0), addressed like st.refs; a dead slot's entry is meaningless. The
-// owned slots copy ren.newOwned; the live non-owned ones are the request lists
-// (current: rebuild's Step 4 refreshed them), ascending by global ID owner
-// after owner, and ren.remote is their sorted superset, so one forward walk
-// over both resolves them without a search per slot. It rejects references to
-// dead or unresolved communities.
-func (st *phaseState) translateSlots(ren *renumbering) ([]int64, error) {
-	bySlot := make([]int64, len(st.refs))
-	rest := bySlot[copy(bySlot, ren.newOwned):]
-	for i := range rest {
-		rest[i] = -1
-	}
-	j := 0
-	for q, gids := range st.reqGIDs {
-		for i, gid := range gids {
-			for j < len(ren.remote) && ren.remote[j] < gid {
-				j++
-			}
-			if j < len(ren.remote) && ren.remote[j] == gid {
-				bySlot[st.reqSlots[q][i]] = ren.newRemote[j]
-			}
-		}
-	}
-	for s, r := range st.refs {
-		if r > 0 && bySlot[s] < 0 {
-			return nil, fmt.Errorf("core: referenced community %d is empty or was never resolved", st.gidOf(int32(s)))
-		}
-	}
-	return bySlot, nil
+	return bySlot, survivors
 }
 
 // rebuild performs the distributed graph reconstruction of Fig. 1 at the
-// end of a phase. extraIDs lists additional old community IDs this rank
-// needs translated (the labels held in its slice of the original-vertex
-// assignment); the returned renumbering covers every old community
-// referenced by local vertices, local neighbourhoods and extraIDs.
+// end of a phase. It returns the coarse graph and the new community of every
+// live community slot (bySlot, addressed like st.refs; a dead slot's entry is
+// meaningless), which flatten hands on to the original vertices.
 //
 // Steps (numbering as in the paper):
 //  1. count surviving local communities and renumber them from 0;
@@ -126,13 +43,13 @@ func (st *phaseState) translateSlots(ren *renumbering) ([]int64, error) {
 //  5. build partial new edge lists from local adjacencies;
 //  6. redistribute so every rank owns an equal share of new vertices;
 //  7. rebuild CSR index/edge arrays.
-func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering, error) {
+func (st *phaseState) rebuild() (*dgraph.DistGraph, []int64, error) {
 	sp := st.tr().Begin(obsv.KindStep, "rebuild")
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { st.steps.Rebuild += time.Since(t0) }()
 
-	ren, totalNew, err := st.renumber(extraIDs)
+	bySlot, totalNew, err := st.renumber()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -150,12 +67,8 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	c := st.dg.Comm
 	part := partition.ByVertexCount(totalNew, c.Size())
 	if st.cfg.oracle.refKernels {
-		ndg, err := dgraph.BuildFromArcs(c, totalNew, part, st.coarseArcsMap(ren))
-		return ndg, ren, err
-	}
-	bySlot, err := st.translateSlots(ren)
-	if err != nil {
-		return nil, nil, err
+		ndg, err := dgraph.BuildFromArcs(c, totalNew, part, st.coarseArcsMap(bySlot))
+		return ndg, bySlot, err
 	}
 	sh, err := dgraph.NewShuffle(c, totalNew, part, st.cfg.Threads)
 	if err != nil {
@@ -166,17 +79,17 @@ func (st *phaseState) rebuild(extraIDs []int64) (*dgraph.DistGraph, *renumbering
 	if err != nil {
 		return nil, nil, err
 	}
-	return ndg, ren, nil
+	return ndg, bySlot, nil
 }
 
-// renumber is Steps 1–4 of rebuild: the old→new community translation and the
-// number of new communities (collective).
-func (st *phaseState) renumber(extraIDs []int64) (*renumbering, int64, error) {
+// renumber is Steps 1–4 of rebuild: the new community of every live community
+// slot and the number of new communities (collective). It rejects a live slot
+// whose community is empty or was never resolved.
+func (st *phaseState) renumber() ([]int64, int64, error) {
 	c := st.dg.Comm
-	p := c.Size()
 
 	// Steps 1–2: surviving owned communities, renumbered locally.
-	ren, survivors := st.renumberOwned()
+	bySlot, survivors := st.renumberOwned()
 
 	// Step 3: global renumbering by exclusive prefix sum.
 	ta := time.Now()
@@ -189,66 +102,119 @@ func (st *phaseState) renumber(extraIDs []int64) (*renumbering, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	for lc, n := range ren.newOwned {
+	for s, n := range bySlot[:st.dg.LocalN] {
 		if n >= 0 {
-			ren.newOwned[lc] = myBase + n
+			bySlot[s] = myBase + n
 		}
 	}
 
-	// Step 4: resolve old→new IDs for every referenced non-owned community.
-	// What local vertices and ghosts reference is what the fetch asks for.
+	// Step 4: the new IDs of the live non-owned communities — what local
+	// vertices and ghosts reference, and what the fetch asks for. Survivor
+	// renumbering is order-preserving, so the reply to an ascending request is
+	// ascending too: it travels as varint gaps, one per requested ID.
 	if st.reqStale {
 		st.rebuildRequests()
 	}
-	refs := slices.Concat(st.reqGIDs...)
-	for _, cid := range extraIDs {
-		if !st.dg.IsLocal(cid) {
-			refs = append(refs, cid)
-		}
-	}
-	var reqByOwner [][]int64
-	ren.remote, reqByOwner = sortedRemote(st.dg.Part, refs)
-	ren.newRemote = make([]int64, 0, len(ren.remote))
-	// Both directions are ascending ID streams (requests are sorted;
-	// survivor renumbering is order-preserving, so replies to a sorted
-	// request are ascending too), so they ship as delta varints.
-	send := make([][]byte, p)
-	for q := 0; q < p; q++ {
-		send[q] = mpi.EncodeDeltaInt64s(reqByOwner[q])
-	}
-	reqs, err := c.Alltoall(send)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp := make([][]byte, p)
-	for q := 0; q < p; q++ {
-		ids, err := mpi.DecodeDeltaInt64s(reqs[q])
-		if err != nil {
-			return nil, 0, malformed("renumber request", q, "%v", err)
-		}
-		for i, cid := range ids {
-			if !st.dg.IsLocal(cid) || ren.newOwned[cid-st.dg.Base] < 0 {
-				return nil, 0, malformed("renumber request", q, "empty or non-owned community %d", cid)
+	replies, err := st.askOwners("renumber", st.reqGIDs, func(q int, lcs []int64, buf []byte) ([]byte, error) {
+		prev := int64(0)
+		for _, lc := range lcs {
+			n := bySlot[lc]
+			if n < 0 {
+				return buf, malformed("renumber request", q, "empty community %d", st.dg.Base+lc)
 			}
-			ids[i] = ren.newOwned[cid-st.dg.Base]
+			buf = mpi.AppendVarint(buf, n-prev)
+			prev = n
 		}
-		resp[q] = mpi.EncodeDeltaInt64s(ids)
-	}
-	answers, err := c.Alltoall(resp)
+		return buf, nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	for q := 0; q < p; q++ {
-		vals, err := mpi.DecodeDeltaInt64s(answers[q])
-		if err != nil {
-			return nil, 0, malformed("renumber reply", q, "%v", err)
+	for q, slots := range st.reqSlots {
+		d := mpi.NewDecoder(replies[q])
+		n := int64(0)
+		for _, s := range slots {
+			gap, err := d.Varint()
+			if err != nil {
+				return nil, 0, malformed("renumber reply", q, "%v", err)
+			}
+			if n += gap; n < 0 || n >= totalNew {
+				return nil, 0, malformed("renumber reply", q, "new ID %d outside [0,%d)", n, totalNew)
+			}
+			bySlot[s] = n
 		}
-		if len(vals) != len(reqByOwner[q]) {
-			return nil, 0, malformed("renumber reply", q, "%d entries, want %d", len(vals), len(reqByOwner[q]))
+		if d.Remaining() != 0 {
+			return nil, 0, malformed("renumber reply", q, "%d trailing bytes", d.Remaining())
 		}
-		ren.newRemote = append(ren.newRemote, vals...)
 	}
-	return ren, totalNew, nil
+	for s, r := range st.refs {
+		if r > 0 && bySlot[s] < 0 {
+			return nil, 0, fmt.Errorf("core: referenced community %d is empty or was never resolved", st.gidOf(int32(s)))
+		}
+	}
+	return bySlot, totalNew, nil
+}
+
+// flatten advances the original-vertex assignment one level (collective):
+// labels[i], a vertex of this phase's graph, becomes the new ID of that
+// vertex's community — bySlot, rebuild's table, at the vertex's owner, so the
+// label comes back final. Serial equivalent: labels[i] = new(comm[labels[i]]).
+func (st *phaseState) flatten(bySlot, labels []int64) error {
+	var refs []int64
+	for _, g := range labels {
+		if !st.dg.IsLocal(g) {
+			refs = append(refs, g)
+		}
+	}
+	remote, reqs := sortedRemote(st.dg.Part, refs)
+	replies, err := st.askOwners("comm-lookup", reqs, func(_ int, lcs []int64, buf []byte) ([]byte, error) {
+		for _, lc := range lcs {
+			buf = mpi.AppendVarint(buf, bySlot[st.comm[lc]])
+		}
+		return buf, nil
+	})
+	if err != nil {
+		return err
+	}
+	newOfRemote := make([]int64, 0, len(remote)) // parallel to remote
+	for q, req := range reqs {
+		d := mpi.NewDecoder(replies[q])
+		for range req {
+			v, err := d.Varint()
+			if err != nil {
+				return malformed("comm-lookup reply", q, "%v", err)
+			}
+			newOfRemote = append(newOfRemote, v)
+		}
+		if d.Remaining() != 0 {
+			return malformed("comm-lookup reply", q, "%d trailing bytes", d.Remaining())
+		}
+	}
+	for i, g := range labels {
+		if st.dg.IsLocal(g) {
+			labels[i] = bySlot[st.comm[g-st.dg.Base]]
+		} else {
+			k, _ := slices.BinarySearch(remote, g)
+			labels[i] = newOfRemote[k]
+		}
+	}
+	return nil
+}
+
+// sortedRemote sorts and dedupes ids (none owned by this rank) in place and
+// cuts the result into per-owner request lists: ownership ranges are
+// contiguous, so each rank's share is one ascending run.
+func sortedRemote(part *partition.Partition, ids []int64) (all []int64, byOwner [][]int64) {
+	slices.Sort(ids)
+	all = slices.Compact(ids)
+	byOwner = make([][]int64, part.Size())
+	rest := all
+	for q := range byOwner {
+		_, hi := part.Range(q)
+		k, _ := slices.BinarySearch(rest, hi)
+		byOwner[q], rest = rest[:k], rest[k:]
+	}
+	return all, byOwner
 }
 
 // coarseArcs is Step 5 grouped by source community, written into the frames
@@ -270,7 +236,7 @@ func (st *phaseState) renumber(extraIDs []int64) (*renumbering, int64, error) {
 // is, and every frame holds its arcs in slot order. coarseArcsMap is the
 // oracle. It returns the number of coarse arcs.
 //
-// bySlot is translateSlots' table: the new community of every live slot.
+// bySlot is renumber's table: the new community of every live slot.
 func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
 	dg, cs := st.dg, &st.coarse
 	slots := len(st.refs)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,19 +33,28 @@ func TestSortedRemoteCutsByOwner(t *testing.T) {
 	}
 }
 
-// TestRenumberingRejectsUnresolvedIDs: a non-owned ID that was never resolved
-// must fail the translation, not borrow its neighbour's new ID or index past
-// the table.
+// TestRenumberingRejectsUnresolvedIDs: a live community slot whose community
+// is empty must fail the renumbering, not borrow its neighbour's new ID or
+// leave −1 for the coarse-arc kernel to index with.
 func TestRenumberingRejectsUnresolvedIDs(t *testing.T) {
-	ren := &renumbering{base: 10, newOwned: []int64{4, -1, 5}, remote: []int64{2, 7, 20}, newRemote: []int64{0, 3, 9}}
-	for cid, want := range map[int64]int64{10: 4, 11: -1, 12: 5, 2: 0, 7: 3, 20: 9, 1: -1, 5: -1, 13: -1, 99: -1} {
-		if got := ren.newOf(cid); got != want {
-			t.Errorf("newOf(%d) = %d, want %d", cid, got, want)
+	n, edges := bipartiteBoundary(4)
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		st, err := baselinePhaseState(c, n, edges)
+		if err != nil {
+			return err
 		}
-	}
-	dst := make([]int64, 2)
-	if err := ren.translate(dst, []int64{7, 99}); err == nil {
-		t.Fatalf("translate accepted an unresolved ID: %v", dst)
+		st.cSize[1] = 0 // vertex 1 still sits in community 1
+		bySlot, _, err := st.renumber()
+		if err == nil {
+			return fmt.Errorf("renumber accepted an empty live community: %v", bySlot)
+		}
+		if !strings.Contains(err.Error(), "community 1 is empty") {
+			return fmt.Errorf("error %q does not name community 1", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -65,7 +75,7 @@ func TestValidateCatchesMissingGhostSlot(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ndg, _, err := st.rebuild(nil)
+		ndg, _, err := st.rebuild()
 		if err != nil {
 			return err
 		}
@@ -118,7 +128,7 @@ func TestRebuildIndependentOfThreads(t *testing.T) {
 			if _, err := st.iterate(cfg.Tau); err != nil {
 				return err
 			}
-			ndg, _, err := st.rebuild(nil)
+			ndg, _, err := st.rebuild()
 			if err != nil {
 				return err
 			}

@@ -112,26 +112,21 @@ func (rs *runState) runLoop() (*Result, error) {
 		gain := stat.Modularity - rs.prevQ
 		noCompaction := false
 		if gain >= 0 {
-			// Flatten: each original vertex currently tracks a meta-vertex of
-			// this phase's graph; advance it to that meta-vertex's final
-			// community (serial equivalent: comm[res.Comm[v]]).
-			fsp := tr.Begin(obsv.KindP2P, "flatten")
-			flat, err := st.resolveVertexComms(origComm)
-			if err != nil {
-				return nil, fmt.Errorf("phase %d assignment flattening: %w", phase, err)
-			}
-			copy(origComm, flat)
-			fsp.End()
-
 			// Rebuild even when this is the last phase: it densifies labels
 			// and yields the exact final modularity.
-			ndg, ren, err := st.rebuild(origComm)
-			if err == nil {
-				err = ren.translate(origComm, origComm)
-			}
+			ndg, bySlot, err := st.rebuild()
 			if err != nil {
 				return nil, fmt.Errorf("phase %d rebuild: %w", phase, err)
 			}
+			// Flatten: each original vertex currently tracks a meta-vertex of
+			// this phase's graph; advance it to the coarse vertex that
+			// meta-vertex's community became (serial equivalent:
+			// new(comm[res.Comm[v]])).
+			fsp := tr.Begin(obsv.KindP2P, "flatten")
+			if err := st.flatten(bySlot, origComm); err != nil {
+				return nil, fmt.Errorf("phase %d assignment flattening: %w", phase, err)
+			}
+			fsp.End()
 			res.Communities = ndg.GlobalN
 			noCompaction = ndg.GlobalN == rs.cur.GlobalN
 			rs.cur = ndg

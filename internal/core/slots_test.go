@@ -217,7 +217,7 @@ func TestFrontierIterationQMatchesLabels(t *testing.T) {
 					if hookErr != nil {
 						return hookErr
 					}
-					ndg, _, err := st.rebuild(nil)
+					ndg, _, err := st.rebuild()
 					if err != nil {
 						return err
 					}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"distlouvain/internal/dgraph"
@@ -56,6 +55,7 @@ type phaseState struct {
 	reqGIDs  [][]int64
 	reqSlots [][]int32
 	liveBuf  []liveRef
+	ownerLcs []int64 // tellOwners' decode scratch
 
 	// Ghost-exchange plumbing, built once per phase:
 	// pushList[q] lists local vertex indices whose community rank q wants
@@ -189,6 +189,7 @@ func (st *phaseState) reset(dg *dgraph.DistGraph, phaseIdx int) error {
 		reqGIDs:     truncateEach(old.reqGIDs, p),
 		reqSlots:    truncateEach(old.reqSlots, p),
 		liveBuf:     old.liveBuf,
+		ownerLcs:    old.ownerLcs,
 		pushList:    truncateEach(old.pushList, p),
 		ghostSlots:  truncateEach(old.ghostSlots, p),
 		lastSent:    truncateEach(old.lastSent, p),
@@ -273,42 +274,21 @@ func truncateEach[T any](lists [][]T, p int) [][]T {
 func (st *phaseState) setupGhostLists() error {
 	sp := st.tr().Begin(obsv.KindP2P, "ghost-setup")
 	defer sp.End()
-	c := st.dg.Comm
-	p := c.Size()
-	for i := range st.dg.Ghosts {
-		o := st.dg.GhostOwner[i]
+	// dg.Ghosts is sorted ascending and ownership ranges are contiguous, so
+	// each owner's ghosts are one run of it: its request is a window of
+	// dg.Ghosts ending at the ghost at hand.
+	reqs := make([][]int64, st.dg.Comm.Size())
+	for i, o := range st.dg.GhostOwner {
 		st.ghostSlots[o] = append(st.ghostSlots[o], int32(i))
+		reqs[o] = st.dg.Ghosts[i-len(reqs[o]) : i+1]
 	}
-	send := st.frames
-	for q := 0; q < p; q++ {
-		// dg.Ghosts is sorted ascending, so these per-owner ID lists are
-		// too: the delta stream is ~1 byte per entry.
-		ids := make([]int64, len(st.ghostSlots[q]))
-		for i, slot := range st.ghostSlots[q] {
-			ids[i] = st.dg.Ghosts[slot]
-		}
-		send[q] = mpi.EncodeDeltaInt64s(ids)
-	}
-	recv, err := c.Alltoall(send)
-	if err != nil {
-		return fmt.Errorf("core: ghost-list setup: %w", err)
-	}
-	for q := 0; q < p; q++ {
-		ids, err := mpi.DecodeDeltaInt64s(recv[q])
-		if err != nil {
-			return malformed("ghost list", q, "%v", err)
-		}
-		st.pushList[q] = slices.Grow(st.pushList[q], len(ids))
-		st.lastSent[q] = slices.Grow(st.lastSent[q], len(ids))
-		for _, g := range ids {
-			if !st.dg.IsLocal(g) {
-				return malformed("ghost list", q, "non-owned vertex %d", g)
-			}
-			st.pushList[q] = append(st.pushList[q], g-st.dg.Base)
+	return st.tellOwners("ghost-list", reqs, func(q int, lcs []int64) error {
+		st.pushList[q] = append(st.pushList[q], lcs...)
+		for range lcs {
 			st.lastSent[q] = append(st.lastSent[q], -1) // force first send
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Ghost refresh frame markers (first byte of a non-empty refresh frame).
@@ -474,51 +454,23 @@ func (st *phaseState) fetchCommunityInfo() error {
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { st.steps.CommunityComm += time.Since(t0) }()
-	c := st.dg.Comm
 
 	if st.reqStale {
 		st.rebuildRequests()
 	}
 	st.fetchSeq++
-	// Both encode rounds draw from the per-phase arena; no Reset between
-	// them — the request buffers stay claimed until the replies are built.
-	st.arena.Reset()
-	frames := st.frames
-	for q := range frames {
-		// reqGIDs[q] is sorted, so the request travels as ~1-byte varint
-		// gaps instead of 8-byte IDs.
-		bp := st.arena.Grab()
-		*bp = mpi.AppendDeltaInt64s(*bp, st.reqGIDs[q])
-		frames[q] = *bp
-	}
-	reqs, err := c.Alltoall(frames)
-	if err != nil {
-		return fmt.Errorf("core: community-info request: %w", err)
-	}
-	// Answer requests: (A_c, size) per cid, in request order. A_c stays
-	// fixed64 (varints cannot shorten a float and bit-exactness is
-	// non-negotiable); member counts are small, so they travel as varints.
-	for q := range frames {
-		ids, err := mpi.DecodeDeltaInt64s(reqs[q])
-		if err != nil {
-			return malformed("community-info request", q, "%v", err)
-		}
-		bp := st.arena.Grab()
-		buf := *bp
-		for _, cid := range ids {
-			if !st.dg.IsLocal(cid) {
-				return malformed("community-info request", q, "non-owned community %d", cid)
-			}
-			lc := cid - st.dg.Base
+	// Replies carry (A_c, size) per cid, in request order. A_c stays fixed64
+	// (varints cannot shorten a float and bit-exactness is non-negotiable);
+	// member counts are small, so they travel as varints.
+	answers, err := st.askOwners("community-info", st.reqGIDs, func(_ int, lcs []int64, buf []byte) ([]byte, error) {
+		for _, lc := range lcs {
 			buf = mpi.AppendFloat64(buf, st.cA[lc])
 			buf = mpi.AppendVarint(buf, st.cSize[lc])
 		}
-		*bp = buf
-		frames[q] = buf
-	}
-	answers, err := c.Alltoall(frames)
+		return buf, nil
+	})
 	if err != nil {
-		return fmt.Errorf("core: community-info reply: %w", err)
+		return err
 	}
 	for q := range answers {
 		d := mpi.NewDecoder(answers[q])
@@ -549,76 +501,6 @@ func (st *phaseState) fetchCommunityInfo() error {
 	return nil
 }
 
-// resolveVertexComms looks up the current community of arbitrary global
-// vertices of the current graph, fetching remotely-owned entries from their
-// owners. It is a collective: every rank must call it once per phase (the
-// driver uses it to flatten the original-vertex assignment through this
-// phase's meta-vertices). out[i] is the community of ids[i].
-func (st *phaseState) resolveVertexComms(ids []int64) ([]int64, error) {
-	c := st.dg.Comm
-	p := c.Size()
-	// Replies are matched back through the request lists, so the request
-	// order is free to choose: sorted, so the delta streams stay compact.
-	refs := make([]int64, 0, len(ids))
-	for _, g := range ids {
-		if !st.dg.IsLocal(g) {
-			refs = append(refs, g)
-		}
-	}
-	remote, reqByOwner := sortedRemote(st.dg.Part, refs)
-	send := make([][]byte, p)
-	for q := 0; q < p; q++ {
-		send[q] = mpi.EncodeDeltaInt64s(reqByOwner[q])
-	}
-	reqs, err := c.Alltoall(send)
-	if err != nil {
-		return nil, err
-	}
-	resp := make([][]byte, p)
-	for q := 0; q < p; q++ {
-		vs, err := mpi.DecodeDeltaInt64s(reqs[q])
-		if err != nil {
-			return nil, malformed("comm-lookup request", q, "%v", err)
-		}
-		buf := make([]byte, 0, 8*len(vs))
-		for _, g := range vs {
-			if !st.dg.IsLocal(g) {
-				return nil, malformed("comm-lookup request", q, "non-owned vertex %d", g)
-			}
-			buf = mpi.AppendVarint(buf, st.gidOf(st.comm[g-st.dg.Base]))
-		}
-		resp[q] = buf
-	}
-	answers, err := c.Alltoall(resp)
-	if err != nil {
-		return nil, err
-	}
-	commOfRemote := make([]int64, 0, len(remote)) // parallel to remote
-	for q := 0; q < p; q++ {
-		d := mpi.NewDecoder(answers[q])
-		for range reqByOwner[q] {
-			v, err := d.Varint()
-			if err != nil {
-				return nil, malformed("comm-lookup reply", q, "%v", err)
-			}
-			commOfRemote = append(commOfRemote, v)
-		}
-		if d.Remaining() != 0 {
-			return nil, malformed("comm-lookup reply", q, "%d trailing bytes", d.Remaining())
-		}
-	}
-	out := make([]int64, len(ids))
-	for i, g := range ids {
-		if st.dg.IsLocal(g) {
-			out[i] = st.gidOf(st.comm[g-st.dg.Base])
-		} else {
-			k, _ := slices.BinarySearch(remote, g)
-			out[i] = commOfRemote[k]
-		}
-	}
-	return out, nil
-}
-
 // delta is the (ΔA, Δsize) a community accumulated this iteration.
 type delta struct {
 	a    float64
@@ -640,23 +522,15 @@ type commDelta struct {
 // local communities. deltas must be sorted by community ID (stageMoves
 // guarantees it), so both the local applies and every rank's wire payload
 // are in canonical ascending-cid order: community-owner float accumulation
-// happens in the same order every run, giving float-weighted graphs the
-// same bit-identical trajectory guarantee integer weights get for free.
-//
-// The exchange is split-phase: the remote frames are encoded and launched
-// first (IalltoallStart), then the iteration's tail work — writing the
-// sweep's assignment updates and folding the locally-owned deltas — runs
-// while peers' frames are in flight, and only then does the rank block on
-// Wait. The arena buffers handed to the started exchange are pinned so the
-// overlap window cannot recycle them. Accumulation order is unchanged from
-// the blocking version (locals in ascending cid order, then remote folds in
-// rank order), preserving the bit-identical trajectory guarantee.
+// happens in the same order every run — the sweep's assignment updates, then
+// the locally owned deltas in ascending cid, then the remote frames in rank
+// order — giving float-weighted graphs the same bit-identical trajectory
+// guarantee integer weights get for free.
 func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	sp := st.tr().Begin(obsv.KindP2P, "community-push")
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { st.steps.CommunityComm += time.Since(t0) }()
-	c := st.dg.Comm
 	st.arena.Reset()
 	send, bufs, prevCid := st.frames, st.deltaFrames, st.prevCid
 	clear(send)
@@ -666,7 +540,7 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	// (ascending across the frame), fixed64 ΔA, varint Δsize.
 	for _, d := range deltas {
 		if st.dg.IsLocal(d.cid) {
-			continue // folded in the overlap window below
+			continue // folded below
 		}
 		o := st.dg.Part.Owner(d.cid)
 		if bufs[o] == nil {
@@ -682,15 +556,11 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 			send[o] = *bp
 		}
 	}
-	op, err := c.IalltoallStart(send)
+	recv, err := st.dg.Comm.Alltoall(send)
 	if err != nil {
 		return fmt.Errorf("core: community delta push: %w", err)
 	}
-	st.arena.Pin()
-	defer st.arena.Unpin()
 
-	// Overlap window: peers' frames are in flight; do the iteration's local
-	// tail work.
 	for _, mv := range moves {
 		st.setComm(mv.lv, mv.to)
 	}
@@ -701,11 +571,6 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 		if st.dg.IsLocal(d.cid) {
 			st.applyDelta(d.cid, delta{a: d.a, size: d.size})
 		}
-	}
-
-	recv, err := op.Wait()
-	if err != nil {
-		return fmt.Errorf("core: community delta push: %w", err)
 	}
 	for q := range recv {
 		d := mpi.NewDecoder(recv[q])

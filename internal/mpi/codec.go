@@ -201,24 +201,13 @@ func (d *Decoder) Float64s(n int) ([]float64, error) {
 // An Arena is not safe for concurrent use; keep one per rank (the encode
 // loops are single-threaded driver code).
 type Arena struct {
-	bufs   [][]byte
-	next   int
-	pinned int
+	bufs [][]byte
+	next int
 }
 
-// Reset makes every grabbed buffer above the pin watermark available again.
-// Buffers handed out before Reset must not be written afterwards — their
-// storage will be reissued.
-func (a *Arena) Reset() { a.next = a.pinned }
-
-// Pin marks every currently grabbed buffer as in flight: Reset will not
-// recycle them until Unpin. The split-phase collectives use this so encode
-// buffers handed to a started-but-unwaited exchange survive any arena use in
-// the compute that overlaps it.
-func (a *Arena) Pin() { a.pinned = a.next }
-
-// Unpin releases the in-flight buffers; the next Reset recycles everything.
-func (a *Arena) Unpin() { a.pinned = 0 }
+// Reset makes every grabbed buffer available again. Buffers handed out before
+// Reset must not be written afterwards — their storage will be reissued.
+func (a *Arena) Reset() { a.next = 0 }
 
 // Grab returns a pointer to a zero-length buffer slot. Append through the
 // pointer (*bp = AppendInt64(*bp, v)) so capacity growth is retained for
@@ -244,12 +233,6 @@ func DecodeInt64s(buf []byte) ([]int64, error) {
 		return nil, fmt.Errorf("mpi: int64 buffer length %d not a multiple of 8", len(buf))
 	}
 	return NewDecoder(buf).Int64s(len(buf) / 8)
-}
-
-// EncodeDeltaInt64s serializes vs as a delta varint stream into a fresh
-// buffer.
-func EncodeDeltaInt64s(vs []int64) []byte {
-	return AppendDeltaInt64s(make([]byte, 0, 1+2*len(vs)), vs)
 }
 
 // DecodeDeltaInt64s deserializes a buffer holding exactly one delta stream.

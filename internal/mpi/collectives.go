@@ -361,35 +361,8 @@ func (c *Comm) Gatherv(root int, data []byte) ([][]byte, error) {
 // exchange completed. This is the workhorse of the ghost-vertex and
 // community-update protocols (MPI_Alltoallv in the paper's implementation).
 func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
-	op, err := c.IalltoallStart(send)
-	if err != nil {
-		return nil, err
-	}
-	return op.Wait()
-}
-
-// AlltoallOp is a started personalized exchange whose receives are still
-// pending. Start issues every send (the transports' Send enqueues without
-// blocking on the peer); Wait drains the replies. Between the
-// two the caller is free to compute — that window is the communication/
-// computation overlap of the per-iteration delta push.
-type AlltoallOp struct {
-	c    *Comm
-	sp   obsv.SpanScope
-	tag  int
-	recv [][]byte
-	done bool
-}
-
-// IalltoallStart begins an Alltoall: all p−1 outgoing buffers are handed to
-// the transport (which copies them before returning, so the caller may reuse
-// the storage) and the self-addressed buffer is copied locally. The exchange
-// is not complete until Wait returns. Collectives on the same communicator
-// must not be issued between Start and Wait — the SPMD collective order
-// includes this operation at its Start point.
-func (c *Comm) IalltoallStart(send [][]byte) (*AlltoallOp, error) {
 	if len(send) != c.size {
-		return nil, errLenMismatch("IalltoallStart", c.size, len(send))
+		return nil, errLenMismatch("Alltoall", c.size, len(send))
 	}
 	sp := c.span("alltoall")
 	for r, b := range send {
@@ -397,39 +370,27 @@ func (c *Comm) IalltoallStart(send [][]byte) (*AlltoallOp, error) {
 			sp.SetBytes(int64(len(b)))
 		}
 	}
-	op := &AlltoallOp{c: c, sp: sp, tag: c.collTag(), recv: make([][]byte, c.size)}
-	cp := make([]byte, len(send[c.rank]))
-	copy(cp, send[c.rank])
-	op.recv[c.rank] = cp
+	defer sp.End()
+	tag := c.collTag()
+	recv := make([][]byte, c.size)
+	recv[c.rank] = make([]byte, len(send[c.rank]))
+	copy(recv[c.rank], send[c.rank])
 	for r := 0; r < c.size; r++ {
 		if r == c.rank {
 			continue
 		}
-		if err := c.collSend(r, op.tag, send[r]); err != nil {
-			op.sp.End()
-			op.done = true
+		if err := c.collSend(r, tag, send[r]); err != nil {
 			return nil, err
 		}
 	}
-	return op, nil
-}
-
-// Wait blocks until every peer's buffer has arrived and returns the per-rank
-// receive slice (recv[q] is what rank q sent here). Call exactly once.
-func (op *AlltoallOp) Wait() ([][]byte, error) {
-	if op.done {
-		return nil, fmt.Errorf("mpi: AlltoallOp.Wait called twice")
-	}
-	op.done = true
-	defer op.sp.End()
-	for i := 0; i < op.c.size-1; i++ {
-		msg, err := op.c.collRecv(AnySource, op.tag)
+	for i := 0; i < c.size-1; i++ {
+		msg, err := c.collRecv(AnySource, tag)
 		if err != nil {
 			return nil, err
 		}
-		op.recv[msg.From] = msg.Data
+		recv[msg.From] = msg.Data
 	}
-	return op.recv, nil
+	return recv, nil
 }
 
 type lenMismatchError struct {

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -12,38 +11,9 @@ import (
 // process death has been triggered (Kill or KillAfterSends).
 var ErrKilled = errors.New("mpi: fault injection: endpoint killed")
 
-// FaultPlan describes the deterministic fault schedule of one
-// FaultTransport. All probabilities are evaluated against a splitmix64
-// stream seeded with Seed, so runs with equal plans and message sequences
-// inject identical faults. The zero plan injects nothing.
+// FaultPlan describes the fault schedule of one FaultTransport. The zero
+// plan injects nothing until Kill is called.
 type FaultPlan struct {
-	// Seed initialises the fault RNG; ranks typically mix their rank in so
-	// schedules differ across the world but stay reproducible.
-	Seed uint64
-
-	// Drop is the probability an outgoing message is silently discarded —
-	// the receiver simply never sees it, as with a lost datagram or a peer
-	// whose NIC died mid-stream.
-	Drop float64
-
-	// Duplicate is the probability an outgoing message is delivered twice,
-	// modelling retransmission bugs.
-	Duplicate float64
-
-	// Delay is the probability an outgoing message is held back for a
-	// random duration in (0, MaxDelay] before delivery. Delayed delivery
-	// happens on a timer goroutine, so same-(source, tag) ordering is NOT
-	// preserved for delayed messages — exactly the reordering a real
-	// network exhibits. MaxDelay defaults to 10ms when Delay > 0.
-	Delay    float64
-	MaxDelay time.Duration
-
-	// Partition lists peer ranks to which traffic is blackholed in both
-	// directions: sends are discarded and received messages from them are
-	// dropped before matching. Connections stay "up", so only deadlines can
-	// detect this — the classic asymmetric-partition hang.
-	Partition []int
-
 	// KillAfterSends, when > 0, kills the endpoint after that many Send
 	// calls have been accepted: the underlying transport is closed abruptly
 	// and every later operation fails with ErrKilled. This is the
@@ -51,17 +21,12 @@ type FaultPlan struct {
 	KillAfterSends int64
 }
 
-// FaultTransport wraps a Transport with deterministic fault injection for
-// chaos testing: message drop, duplication, delay, peer partitions, and
-// scheduled or explicit process death. It implements Transport, so a Comm
-// built on it exercises the full collective stack under faults.
+// FaultTransport wraps a Transport with scheduled or explicit process death
+// for chaos testing. It implements Transport, so a Comm built on it
+// exercises the full collective stack under faults.
 type FaultTransport struct {
 	inner Transport
 	plan  FaultPlan
-
-	mu          sync.Mutex
-	rng         uint64
-	partitioned map[int]bool
 
 	sends  atomic.Int64
 	killed atomic.Bool
@@ -69,31 +34,7 @@ type FaultTransport struct {
 
 // NewFaultTransport wraps t with the given fault plan.
 func NewFaultTransport(t Transport, plan FaultPlan) *FaultTransport {
-	f := &FaultTransport{
-		inner:       t,
-		plan:        plan,
-		rng:         plan.Seed ^ 0x9e3779b97f4a7c15,
-		partitioned: make(map[int]bool, len(plan.Partition)),
-	}
-	if f.plan.Delay > 0 && f.plan.MaxDelay <= 0 {
-		f.plan.MaxDelay = 10 * time.Millisecond
-	}
-	for _, p := range plan.Partition {
-		f.partitioned[p] = true
-	}
-	return f
-}
-
-// next draws one uniform value in [0, 1) from the seeded splitmix64 stream.
-func (f *FaultTransport) next() float64 {
-	f.mu.Lock()
-	f.rng += 0x9e3779b97f4a7c15
-	z := f.rng
-	f.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	return &FaultTransport{inner: t, plan: plan}
 }
 
 // Kill simulates abrupt process death: the underlying transport is torn
@@ -125,30 +66,7 @@ func (f *FaultTransport) Send(to, tag int, data []byte) error {
 		f.Kill()
 		return ErrKilled
 	}
-	if f.partitioned[to] {
-		return nil // blackholed: reported as sent, never delivered
-	}
-	if f.plan.Drop > 0 && f.next() < f.plan.Drop {
-		return nil
-	}
-	if f.plan.Delay > 0 && f.next() < f.plan.Delay {
-		d := time.Duration(f.next() * float64(f.plan.MaxDelay))
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		time.AfterFunc(d, func() {
-			if !f.killed.Load() {
-				f.inner.Send(to, tag, cp)
-			}
-		})
-		return nil
-	}
-	if err := f.inner.Send(to, tag, data); err != nil {
-		return err
-	}
-	if f.plan.Duplicate > 0 && f.next() < f.plan.Duplicate {
-		return f.inner.Send(to, tag, data)
-	}
-	return nil
+	return f.inner.Send(to, tag, data)
 }
 
 func (f *FaultTransport) Recv(from, tag int) (Message, error) {
@@ -156,25 +74,14 @@ func (f *FaultTransport) Recv(from, tag int) (Message, error) {
 }
 
 func (f *FaultTransport) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
-	for {
-		if f.killed.Load() {
-			return Message{}, ErrKilled
-		}
-		msg, err := f.inner.RecvTimeout(from, tag, timeout)
-		if err != nil {
-			if f.killed.Load() {
-				return Message{}, fmt.Errorf("%w (%v)", ErrKilled, err)
-			}
-			return msg, err
-		}
-		// Inbound half of the partition: discard and wait for the next
-		// match, keeping the remaining timeout budget unmodelled — the
-		// simpler behaviour is fine for a fault injector.
-		if f.partitioned[msg.From] {
-			continue
-		}
-		return msg, nil
+	if f.killed.Load() {
+		return Message{}, ErrKilled
 	}
+	msg, err := f.inner.RecvTimeout(from, tag, timeout)
+	if err != nil && f.killed.Load() {
+		return Message{}, fmt.Errorf("%w (%v)", ErrKilled, err)
+	}
+	return msg, err
 }
 
 func (f *FaultTransport) Close() error {

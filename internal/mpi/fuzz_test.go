@@ -10,13 +10,13 @@ import (
 // codec is canonical in the value direction — every int64 has exactly one
 // round-trip image).
 func FuzzVarintCodec(f *testing.F) {
-	f.Add(EncodeDeltaInt64s(nil))
-	f.Add(EncodeDeltaInt64s([]int64{0}))
-	f.Add(EncodeDeltaInt64s([]int64{3, 5, 6, 100, 1 << 40}))
-	f.Add(EncodeDeltaInt64s([]int64{-9, -2, 7, 7, 3})) // unsorted and negative
+	f.Add(AppendDeltaInt64s(nil, nil))
+	f.Add(AppendDeltaInt64s(nil, []int64{0}))
+	f.Add(AppendDeltaInt64s(nil, []int64{3, 5, 6, 100, 1 << 40}))
+	f.Add(AppendDeltaInt64s(nil, []int64{-9, -2, 7, 7, 3})) // unsorted and negative
 	// Corrupt variants seed the rejection paths: truncated tail, an entry
 	// count far beyond the payload, an overlong varint.
-	big := EncodeDeltaInt64s([]int64{1, 2, 3, 4, 5, 6, 7, 8})
+	big := AppendDeltaInt64s(nil, []int64{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(big[:len(big)-2])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
@@ -28,7 +28,7 @@ func FuzzVarintCodec(f *testing.F) {
 			// kept the decoder from allocating past the input size.
 			return
 		}
-		re := EncodeDeltaInt64s(vs)
+		re := AppendDeltaInt64s(nil, vs)
 		back, err := DecodeDeltaInt64s(re)
 		if err != nil {
 			t.Fatalf("re-encoded stream rejected: %v", err)

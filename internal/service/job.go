@@ -83,24 +83,17 @@ type JobSpec struct {
 // config builds the core configuration the spec describes. Service jobs
 // always gather the full assignment at rank 0 — that is the product.
 func (sp JobSpec) config() (core.Config, error) {
-	alpha := sp.Alpha
+	// The spec's documented defaults: no variant is baseline, no alpha 0.25.
+	variant, alpha := sp.Variant, sp.Alpha
+	if variant == "" {
+		variant = "baseline"
+	}
 	if alpha == 0 {
 		alpha = 0.25
 	}
-	var cfg core.Config
-	switch sp.Variant {
-	case "", "baseline":
-		cfg = core.Baseline()
-	case "tc":
-		cfg = core.ThresholdCycling()
-	case "et":
-		cfg = core.ET(alpha)
-	case "etc":
-		cfg = core.ETC(alpha)
-	case "ettc":
-		cfg = core.ETWithTC(alpha)
-	default:
-		return core.Config{}, fmt.Errorf("unknown variant %q", sp.Variant)
+	cfg, err := core.ParseVariant(variant, alpha)
+	if err != nil {
+		return core.Config{}, err
 	}
 	cfg.Tau = sp.Tau
 	cfg.Seed = sp.Seed
