@@ -27,10 +27,11 @@ test:
 
 # The race detector multiplies runtime, so the default pass covers the
 # concurrency-heavy packages: the transport/collective layer, the
-# distributed algorithm driven on top of it, and the tracer that both emit
-# spans into from rank goroutines.
+# distributed algorithm driven on top of it, the graph assembly that every
+# rank goroutine runs into storage its caller hands back, and the tracer
+# that all of them emit spans into from rank goroutines.
 test-race:
-	$(GO) test -race ./internal/mpi/... ./internal/core/... ./internal/obsv/...
+	$(GO) test -race ./internal/mpi/... ./internal/core/... ./internal/dgraph/... ./internal/obsv/...
 
 # End-to-end daemon gate: the service package's acceptance suite (budget
 # scheduling, abort/resume bit-identity, cache hits, SSE) under the race

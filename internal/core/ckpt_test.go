@@ -200,7 +200,8 @@ func assertKilledWorld(t *testing.T, errs []error, doomed int) {
 // TestCheckpointResumeAfterKill is the acceptance scenario: kill one rank
 // mid-phase, resume from the surviving checkpoint, and land on the exact
 // final membership and modularity of the uninterrupted run — at the same
-// and at different rank counts.
+// and at different rank counts. The resumed run has phases left, so its
+// rebuilds assemble into the graph the resume replayed at the new rank count.
 func TestCheckpointResumeAfterKill(t *testing.T) {
 	const p, doomed = 3, 1
 	n, edges := gen.ErdosRenyi(300, 1500, 5)
@@ -238,8 +239,8 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no committed checkpoint survived the kill: %v", err)
 	}
-	if man.Phase < 1 {
-		t.Fatalf("manifest phase = %d, want ≥ 1", man.Phase)
+	if man.Phase < 1 || man.Phase >= len(want.Phases) {
+		t.Fatalf("manifest phase = %d, want 1 … %d", man.Phase, len(want.Phases)-1)
 	}
 
 	// Elastic resume: same world, shrunk world, grown world — all must

@@ -58,7 +58,7 @@ func checkCoarseGraph(st *phaseState, bySlot []int64, coarseN int64) error {
 		return err
 	}
 	wrote := st.coarseArcs(bySlot, sh)
-	got, err := sh.Exchange()
+	got, err := sh.Exchange(nil)
 	if err != nil {
 		return err
 	}

@@ -59,9 +59,10 @@ type frontierState struct {
 	carryBufs [][]int64
 
 	// Reverse ghost adjacency, built once per phase: the local vertices
-	// adjacent to ghost g (revAdj[revOff[g]:revOff[g+1]]).
+	// adjacent to ghost g (revAdj[revOff[g]:revOff[g+1]]), as int32 like the
+	// slots that bound them.
 	revOff []int64
-	revAdj []int64
+	revAdj []int32
 
 	// Rule-(d) watcher, per community slot, owned and remote alike: the
 	// slot's (A_c, size) changed since the last frontier build, in a way some
@@ -146,7 +147,7 @@ func newFrontierState(st *phaseState, old *frontierState) *frontierState {
 	for lv := int64(0); lv < n; lv++ {
 		for _, s := range st.dg.Slot[st.dg.Index[lv]:st.dg.Index[lv+1]] {
 			if g := int64(s) - n; g >= 0 {
-				fr.revAdj[fr.revOff[g+1]] = lv
+				fr.revAdj[fr.revOff[g+1]] = int32(lv)
 				fr.revOff[g+1]++
 			}
 		}
@@ -168,7 +169,7 @@ func (st *phaseState) markLocalAdj(lv int64) {
 // markGhostAdj dirties the locals adjacent to ghost g (rule c).
 func (fr *frontierState) markGhostAdj(g int32) {
 	for _, lv := range fr.revAdj[fr.revOff[g]:fr.revOff[g+1]] {
-		fr.next.Mark(lv)
+		fr.next.Mark(int64(lv))
 	}
 }
 
@@ -235,7 +236,7 @@ func (st *phaseState) buildFrontier(iter int) {
 				if fr.stamp[c] == fr.epoch && fr.dir[c]&dirNeighbours != 0 {
 					for _, lv := range fr.revAdj[fr.revOff[g]:fr.revOff[g+1]] {
 						if st.comm[lv] != c {
-							next.Mark(lv)
+							next.Mark(int64(lv))
 						}
 					}
 				}

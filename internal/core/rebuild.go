@@ -33,7 +33,10 @@ func (st *phaseState) renumberOwned() ([]int64, int64) {
 // rebuild performs the distributed graph reconstruction of Fig. 1 at the
 // end of a phase. It returns the coarse graph and the new community of every
 // live community slot (bySlot, addressed like st.refs; a dead slot's entry is
-// meaningless), which flatten hands on to the original vertices.
+// meaningless), which flatten hands on to the original vertices. Outside the
+// map oracle, the coarse graph is assembled into st.dg's arrays: on return
+// st.dg keeps only its partition and scalar fields, which is all flatten
+// reads of it.
 //
 // Steps (numbering as in the paper):
 //  1. count surviving local communities and renumber them from 0;
@@ -63,19 +66,29 @@ func (st *phaseState) rebuild() (*dgraph.DistGraph, []int64, error) {
 	// or the emission order within a rank.
 	//
 	// Steps 6–7: redistribute to an even vertex partition and rebuild the CSR
-	// (the shuffle routes each arc to the owner of its source).
+	// (the shuffle routes each arc to the owner of its source). Once Step 5
+	// has written its frames nothing reads the fine graph's arrays again —
+	// flatten reads only its partition and st.comm — so the coarse graph is
+	// assembled into them, and the shuffle is the one the previous rebuild
+	// used, frames and assembly scratch included.
 	c := st.dg.Comm
 	part := partition.ByVertexCount(totalNew, c.Size())
 	if st.cfg.oracle.refKernels {
 		ndg, err := dgraph.BuildFromArcs(c, totalNew, part, st.coarseArcsMap(bySlot))
 		return ndg, bySlot, err
 	}
-	sh, err := dgraph.NewShuffle(c, totalNew, part, st.cfg.Threads)
+	sh := st.coarse.shuffle
+	if sh == nil {
+		sh, err = dgraph.NewShuffle(c, totalNew, part, st.cfg.Threads)
+		st.coarse.shuffle = sh
+	} else {
+		err = sh.Reset(totalNew, part)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	st.coarseArcs(bySlot, sh)
-	ndg, err := sh.Exchange()
+	ndg, err := sh.Exchange(st.dg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -292,13 +305,16 @@ func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
 // coarsening is coarseArcs' state, kept for the run like the phase state:
 // the source communities' members and the workers' slot ranges, what the call
 // at hand reads (bySlot) and writes (sh), and the par.For bodies of its two
-// walks, built once so that an aggregation allocates no closure.
+// walks, built once so that an aggregation allocates no closure. shuffle is
+// rebuild's own, kept with its frames and assembly scratch and Reset for every
+// rebuild of the run; sh is whichever shuffle the call at hand writes.
 type coarsening struct {
 	first, members []int32
 	cuts           []int
 	bySlot         []int64
 	sh             *dgraph.Shuffle
 	count, write   func(w, lo, hi int)
+	shuffle        *dgraph.Shuffle
 }
 
 // countSlots is worker w's first walk over its source communities: it

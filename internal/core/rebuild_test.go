@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -60,13 +61,28 @@ func TestRenumberingRejectsUnresolvedIDs(t *testing.T) {
 
 // TestValidateCatchesMissingGhostSlot: coarseArcs reads dg.Slot on trust,
 // so a non-owned target without a ghost slot is dgraph.Validate's to report —
-// on the graph a phase starts from and on the one rebuild returns.
+// on the graph a phase starts from and on the one rebuild returns (checked
+// before the rebuild, which recycles the first graph's arrays).
 func TestValidateCatchesMissingGhostSlot(t *testing.T) {
 	n, edges := gen.BandedMesh(8, 1)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
+		check := func(g *dgraph.DistGraph) error {
+			if err := g.Validate(); err != nil {
+				return fmt.Errorf("intact graph: %w", err)
+			}
+			broken := *g
+			broken.Ghosts = broken.Ghosts[:len(broken.Ghosts)-1]
+			if broken.Validate() == nil {
+				return fmt.Errorf("rank %d: missing ghost slot went unnoticed", c.Rank())
+			}
+			return nil
+		}
 		lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), 2)
 		dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
 		if err != nil {
+			return err
+		}
+		if err := check(dg); err != nil {
 			return err
 		}
 		cfg := Baseline()
@@ -79,19 +95,98 @@ func TestValidateCatchesMissingGhostSlot(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, g := range []*dgraph.DistGraph{dg, ndg} {
-			if err := g.Validate(); err != nil {
-				return fmt.Errorf("intact graph: %w", err)
-			}
-			g.Ghosts = g.Ghosts[:len(g.Ghosts)-1]
-			if g.Validate() == nil {
-				return fmt.Errorf("rank %d: missing ghost slot went unnoticed", c.Rank())
-			}
-		}
-		return nil
+		return check(ndg)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuildRecyclesReplacedGraph: a coarse graph that fits in the arrays of
+// the graph it replaces is assembled into them — Index, Edges, Slot and K
+// start where the replaced graph's did — phase after phase, and the replaced
+// graph keeps its shape but no arrays. The coarse graphs are the ones the
+// map oracle's path, which recycles nothing, builds.
+func TestRebuildRecyclesReplacedGraph(t *testing.T) {
+	n, edges, _ := gen.PlantedPartition(8, 40, 0.3, 0.02, 7)
+	edges = floatWeights(edges)
+	const p = 2
+	var mu sync.Mutex
+	coarse := map[bool][][]*dgraph.DistGraph{} // by refKernels, then phase, then rank
+	for _, ref := range []bool{false, true} {
+		recycled := 0
+		err := mpi.Run(p, func(c *mpi.Comm) error {
+			lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), p)
+			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
+			if err != nil {
+				return err
+			}
+			cfg := Baseline()
+			cfg.oracle.refKernels = ref
+			cfg.fill()
+			st := &phaseState{cfg: &cfg, steps: &StepTimes{}}
+			for phase := 0; phase < 3; phase++ {
+				if err := st.reset(dg, phase); err != nil {
+					return err
+				}
+				if _, err := st.iterate(cfg.Tau); err != nil {
+					return err
+				}
+				had := *dg
+				ndg, _, err := st.rebuild()
+				if err != nil {
+					return err
+				}
+				if err := ndg.Validate(); err != nil {
+					return err
+				}
+				mu.Lock()
+				if len(coarse[ref]) <= phase {
+					coarse[ref] = append(coarse[ref], make([]*dgraph.DistGraph, p))
+				}
+				coarse[ref][phase][c.Rank()] = &dgraph.DistGraph{ // copied: the next rebuild recycles ndg
+					Index: slices.Clone(ndg.Index), Edges: slices.Clone(ndg.Edges), Slot: slices.Clone(ndg.Slot),
+					K: slices.Clone(ndg.K), Ghosts: slices.Clone(ndg.Ghosts),
+				}
+				mu.Unlock()
+				if !ref {
+					if dg.Index != nil || dg.Edges != nil || dg.Slot != nil || dg.K != nil || dg.Ghosts != nil {
+						return fmt.Errorf("phase %d: the replaced graph kept its arrays", phase)
+					}
+					if dg.Base != had.Base || dg.LocalN != had.LocalN || dg.Part != had.Part {
+						return fmt.Errorf("phase %d: the replaced graph lost its shape", phase)
+					}
+					if &ndg.Index[0] != &had.Index[0] || &ndg.Edges[0] != &had.Edges[0] || &ndg.Slot[0] != &had.Slot[0] || &ndg.K[0] != &had.K[0] {
+						return fmt.Errorf("phase %d rank %d: the coarse graph (%d arcs) did not reuse the arrays of the %d-arc graph it replaced", phase, c.Rank(), len(ndg.Edges), len(had.Edges))
+					}
+					if c.Rank() == 0 {
+						recycled++
+					}
+				}
+				if ndg.GlobalN == had.GlobalN {
+					break
+				}
+				dg = ndg
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("refKernels=%v: %v", ref, err)
+		}
+		if !ref && recycled < 2 {
+			t.Fatalf("only %d rebuilds ran", recycled)
+		}
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameEdgeBits := func(a, b graph.Edge) bool { return a.To == b.To && sameBits(a.W, b.W) }
+	for phase, ranks := range coarse[true] {
+		for r, want := range ranks {
+			got := coarse[false][phase][r]
+			if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Slot, want.Slot) || !slices.Equal(got.Ghosts, want.Ghosts) ||
+				!slices.EqualFunc(got.Edges, want.Edges, sameEdgeBits) || !slices.EqualFunc(got.K, want.K, sameBits) {
+				t.Fatalf("phase %d rank %d: the recycled coarse graph differs from the map oracle's", phase, r)
+			}
+		}
 	}
 }
 

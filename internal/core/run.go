@@ -35,6 +35,11 @@ type runState struct {
 // the rank's share of the distributed graph. Every rank of dg.Comm must
 // call Run with an identical Config.
 //
+// Run takes ownership of dg: each phase's coarse graph is assembled into the
+// arrays of the graph it replaces, the input's included, so once Run is
+// called the caller must not read dg's arrays (Index, Edges, Slot, K,
+// SelfLoop, Ghosts, GhostOwner) again. Its scalar fields stay as they were.
+//
 // The returned assignment labels are dense global community IDs in
 // [0, Communities); Result.LocalComm indexes them by original local vertex.
 func Run(dg *dgraph.DistGraph, cfg Config) (*Result, error) {
@@ -273,7 +278,8 @@ func gatherOutput(c *mpi.Comm, globalN int64, res *Result) error {
 // graph and runs the configured Louvain variant. It returns rank 0's Result
 // with GlobalComm populated (GatherOutput is forced on). Tests, examples
 // and benchmarks use it as the single-binary analogue of an mpirun
-// invocation.
+// invocation. The distributed graphs it builds are Run's to recycle and never
+// leave it; edges is only read.
 func RunOnEdges(p int, n int64, edges []graph.RawEdge, cfg Config) (*Result, error) {
 	cfg.GatherOutput = true
 	var root *Result

@@ -146,12 +146,21 @@ type liveRef struct {
 // the fetch puts on the wire and reqSlots where each reply entry lands.
 // Ownership ranges are contiguous, so each owner's share is one run of the
 // sorted list. An ID outside every range (only a corrupt ghost frame can name
-// one) goes to the first or last rank, which rejects the request.
+// one) goes to the first or last rank, which rejects the request. Every list
+// is sized before it is filled, from one count of the live slots.
 func (st *phaseState) rebuildRequests() {
-	live := st.liveBuf[:0]
-	for s := int(st.dg.LocalN); s < len(st.refs); s++ {
-		if st.refs[s] > 0 {
-			live = append(live, liveRef{gid: st.gidOf(int32(s)), slot: int32(s)})
+	nonOwned := st.refs[st.dg.LocalN:]
+	count := 0
+	for _, r := range nonOwned {
+		if r > 0 {
+			count++
+		}
+	}
+	live := slices.Grow(st.liveBuf[:0], count)
+	for i, r := range nonOwned {
+		if r > 0 {
+			s := int32(st.dg.LocalN) + int32(i)
+			live = append(live, liveRef{gid: st.gidOf(s), slot: s})
 		}
 	}
 	slices.SortFunc(live, func(a, b liveRef) int { return cmp.Compare(a.gid, b.gid) })
@@ -162,7 +171,7 @@ func (st *phaseState) rebuildRequests() {
 			_, hi := st.dg.Part.Range(q)
 			k, _ = slices.BinarySearchFunc(live, hi, func(r liveRef, hi int64) int { return cmp.Compare(r.gid, hi) })
 		}
-		gids, slots := st.reqGIDs[q][:0], st.reqSlots[q][:0]
+		gids, slots := slices.Grow(st.reqGIDs[q][:0], k), slices.Grow(st.reqSlots[q][:0], k)
 		for _, r := range live[:k] {
 			gids = append(gids, r.gid)
 			slots = append(slots, r.slot)

@@ -220,6 +220,182 @@ func TestBuildFromArcsMatchesSortOracle(t *testing.T) {
 	}
 }
 
+// TestAssembleIntoRecycledStorage: assembling into a recycled graph must give
+// the graph a fresh assembly gives, field for field and weights bit for bit,
+// whatever the recycled arrays held and however large they were — sentinel
+// garbage with room to spare (the arrays are re-sliced, and must be the
+// recycled ones), the same garbage in arrays too small by half (they are
+// reallocated), and the previous input's graph through a Shuffle kept and
+// Reset from one input to the next, as core's rebuilds do. The recycled graph
+// keeps its shape and loses its arrays.
+func TestAssembleIntoRecycledStorage(t *testing.T) {
+	cases := differentialGraphs(t)
+	for p := 1; p <= 4; p++ {
+		perRank := make([][][]Arc, len(cases)) // perRank[i][r]: case i's arcs held by rank r
+		for i, gc := range cases {
+			rng := rand.New(rand.NewSource(int64(p)))
+			perRank[i] = make([][]Arc, p)
+			for _, a := range expandChunk(gc.edges) {
+				r := rng.Intn(p)
+				perRank[i][r] = append(perRank[i][r], Arc{From: a.from, To: a.to, W: a.w})
+			}
+		}
+		err := mpi.Run(p, func(c *mpi.Comm) error {
+			kept, err := NewShuffle(c, 1, nil, 1)
+			if err != nil {
+				return err
+			}
+			var prev *DistGraph
+			for i, gc := range cases {
+				arcs := perRank[i][c.Rank()]
+				if err := recycledMatchesFresh(c, gc.n, arcs); err != nil {
+					return fmt.Errorf("%s: %w", gc.name, err)
+				}
+				fresh, err := BuildFromArcs(c, gc.n, nil, arcs)
+				if err != nil {
+					return err
+				}
+				got, err := shuffleInto(kept, gc.n, arcs, prev)
+				if err != nil {
+					return err
+				}
+				if err := sameGraph(got, fresh); err != nil {
+					return fmt.Errorf("%s into the previous graph: %w", gc.name, err)
+				}
+				prev = got
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// recycledMatchesFresh builds arcs fresh and then into sentinelSpare's two
+// graphs, with spare room and too small, and holds each result to the fresh
+// one (collective).
+func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
+	fresh, err := BuildFromArcs(c, n, nil, arcs)
+	if err != nil {
+		return err
+	}
+	if err := fresh.Validate(); err != nil {
+		return err
+	}
+	s, err := NewShuffle(c, n, nil, 1)
+	if err != nil {
+		return err
+	}
+	for _, short := range []bool{false, true} {
+		spare := sentinelSpare(fresh, short)
+		had := *spare
+		got, err := shuffleInto(s, n, arcs, spare)
+		if err != nil {
+			return err
+		}
+		if err := got.Validate(); err != nil {
+			return fmt.Errorf("short=%v: %w", short, err)
+		}
+		if err := sameGraph(got, fresh); err != nil {
+			return fmt.Errorf("short=%v: %w", short, err)
+		}
+		if spare.Index != nil || spare.Edges != nil || spare.Slot != nil || spare.K != nil || spare.SelfLoop != nil || spare.Ghosts != nil || spare.GhostOwner != nil {
+			return fmt.Errorf("short=%v: the recycled graph kept arrays", short)
+		}
+		if spare.Base != had.Base || spare.LocalN != had.LocalN || spare.GlobalN != had.GlobalN || spare.Part != had.Part {
+			return fmt.Errorf("short=%v: the recycled graph lost its shape", short)
+		}
+		if short {
+			continue
+		}
+		for _, same := range []struct {
+			name string
+			ok   bool
+		}{
+			{"Index", sameArray(got.Index, had.Index)},
+			{"K", sameArray(got.K, had.K)},
+			{"SelfLoop", sameArray(got.SelfLoop, had.SelfLoop)},
+			{"Slot", sameArray(got.Slot, had.Slot)},
+			{"Ghosts", sameArray(got.Ghosts, had.Ghosts)},
+			{"GhostOwner", sameArray(got.GhostOwner, had.GhostOwner)},
+		} {
+			if !same.ok {
+				return fmt.Errorf("%s was reallocated although the recycled one had room", same.name)
+			}
+		}
+	}
+	return nil
+}
+
+// shuffleInto is BuildFromArcs on a kept shuffle: s is Reset to [0, n),
+// filled with arcs and exchanged into recycle.
+func shuffleInto(s *Shuffle, n int64, arcs []Arc, recycle *DistGraph) (*DistGraph, error) {
+	if err := s.Reset(n, nil); err != nil {
+		return nil, err
+	}
+	w := s.Writer(0)
+	for _, a := range arcs {
+		w.Reserve(s.Owner(a.From), 1, a.W == 1)
+	}
+	s.Alloc()
+	for _, a := range arcs {
+		w.Put(s.Owner(a.From), a.From, a.To, a.W)
+	}
+	return s.Exchange(recycle)
+}
+
+// sentinelSpare returns a graph of g's shape for the assembly to recycle,
+// every array filled with sentinel garbage — NaN weights and degrees, −1
+// targets, slots, ghosts and owners, row offsets past any arc — and sized two
+// entries for each of g's plus seven, or, when short, half of g's (the
+// scatter array the assembly needs is at least as long as g's Edges).
+func sentinelSpare(g *DistGraph, short bool) *DistGraph {
+	size := func(k int) int {
+		if short {
+			return k / 2
+		}
+		return 2*k + 7
+	}
+	nan := math.NaN()
+	return &DistGraph{
+		Comm: g.Comm, Part: g.Part, GlobalN: g.GlobalN, M2: nan, Base: g.Base, LocalN: g.LocalN,
+		Index:      filled(size(len(g.Index)), int64(math.MaxInt64)),
+		Edges:      filled(size(len(g.Edges)), graph.Edge{To: -1, W: nan}),
+		Slot:       filled(size(len(g.Slot)), int32(-1)),
+		K:          filled(size(len(g.K)), nan),
+		SelfLoop:   filled(size(len(g.SelfLoop)), nan),
+		Ghosts:     filled(size(len(g.Ghosts)), int64(-1)),
+		GhostOwner: filled(size(len(g.GhostOwner)), -1),
+	}
+}
+
+func filled[T any](k int, v T) []T {
+	s := make([]T, k)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// sameArray reports whether got is empty or starts where recycled does.
+func sameArray[T any](got, recycled []T) bool {
+	return len(got) == 0 || (len(recycled) > 0 && &got[0] == &recycled[0])
+}
+
+// sameGraph compares two assemblies of one input field for field, weights
+// bit for bit.
+func sameGraph(got, want *DistGraph) error {
+	if got.GlobalN != want.GlobalN || math.Float64bits(got.M2) != math.Float64bits(want.M2) || !slices.Equal(got.Part.Bounds, want.Part.Bounds) {
+		return fmt.Errorf("GlobalN %d, M2 %v, bounds %v; want %d, %v, %v", got.GlobalN, got.M2, got.Part.Bounds, want.GlobalN, want.M2, want.Part.Bounds)
+	}
+	og := &oracleGraph{
+		Base: want.Base, LocalN: want.LocalN, Index: want.Index, Edges: want.Edges, K: want.K, SelfLoop: want.SelfLoop,
+		Ghosts: want.Ghosts, GhostOwner: want.GhostOwner, Slot: want.Slot,
+	}
+	return og.diff(got)
+}
+
 // TestParallelArcSummationOrder pins the documented order in which parallel
 // arcs are summed — sender rank ascending, then send order — against literal
 // float expressions, not just against the oracle: 0.1, 0.2 and 0.3 sum to
@@ -384,17 +560,23 @@ func frame(layout byte, arcs ...oracleArc) []byte {
 }
 
 // assembleAtRank0 hands recv to the assembly of rank 0 in a 2-rank world
-// split by part; rank 1 only joins the closing allreduce, so a frame rank 0
-// refuses fails the run before it.
-func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte) (*DistGraph, error) {
+// split by part, recycling spare (nil: nothing to recycle); rank 1 only joins
+// the closing allreduce, so a frame rank 0 refuses fails the run before it.
+func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *DistGraph) (*DistGraph, error) {
 	var dg *DistGraph
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			c.AllreduceFloat64(0, mpi.OpSum) // fails with the world once rank 0 has
 			return nil
 		}
-		var err error
-		dg, err = assemble(c, n, part, recv)
+		s, err := NewShuffle(c, n, part, 1)
+		if err != nil {
+			return err
+		}
+		if spare == nil {
+			spare = &DistGraph{}
+		}
+		dg, err = s.assemble(recv, spare)
 		return err
 	})
 	return dg, err
@@ -442,7 +624,7 @@ func TestAssembleRejectsMalformedBuffers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		part := &partition.Partition{Bounds: []int64{0, 4, tc.n}}
-		_, err := assembleAtRank0(tc.n, part, tc.recv)
+		_, err := assembleAtRank0(tc.n, part, tc.recv, nil)
 		if !errors.Is(err, ErrMalformedArcs) {
 			t.Errorf("%s: got %v, want ErrMalformedArcs", tc.name, err)
 		} else if want := fmt.Sprintf("from rank %d", tc.sender); !strings.Contains(err.Error(), want) {
@@ -505,7 +687,7 @@ func TestFrameLayouts(t *testing.T) {
 				t.Fatalf("n=%d: frame for rank %d is %v, want %v", n, q, frames[q], f)
 			}
 		}
-		dg, err := assembleAtRank0(n, part, [][]byte{frames[0], nil})
+		dg, err := assembleAtRank0(n, part, [][]byte{frames[0], nil}, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -642,7 +824,10 @@ func TestSlotSpaceIsChecked(t *testing.T) {
 // is one raw frame from rank 1 to rank 0 of a 2-rank world (over 2³³ + 1–127
 // vertices, rank 0 owning [0, 8), when the second byte's top bit is set): the
 // assembly must either refuse it with ErrMalformedArcs or agree with the
-// oracle fed the arcs the test's own decoder reads from it.
+// oracle fed the arcs the test's own decoder reads from it. In both modes an
+// accepted input is assembled again into recycled storage full of sentinel
+// garbage, with room to spare and too small (recycledMatchesFresh), and must
+// come out as the fresh assembly did.
 func FuzzBuildFromArcs(f *testing.F) {
 	f.Add([]byte{2, 4, 0, 0, 1, 5, 1, 1, 0, 5, 0, 0, 1, 9, 1, 3, 3, 2})
 	f.Add([]byte{3, 1, 2, 0, 0, 255})
@@ -695,6 +880,10 @@ func FuzzBuildFromArcs(f *testing.F) {
 		if err := arcsAgainstOracle(n, perRank, nil); err != nil {
 			t.Fatal(err)
 		}
+		err := mpi.Run(p, func(c *mpi.Comm) error { return recycledMatchesFresh(c, n, perRank[c.Rank()]) })
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -710,12 +899,21 @@ func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 	if len(f) > 1+24*512 {
 		return
 	}
-	dg, err := assembleAtRank0(n, part, [][]byte{nil, f})
+	dg, err := assembleAtRank0(n, part, [][]byte{nil, f}, nil)
 	if err != nil {
 		if !errors.Is(err, ErrMalformedArcs) {
 			t.Fatalf("refused with %v, want ErrMalformedArcs", err)
 		}
 		return
+	}
+	for _, short := range []bool{false, true} {
+		got, err := assembleAtRank0(n, part, [][]byte{nil, f}, sentinelSpare(dg, short))
+		if err == nil {
+			err = sameGraph(got, dg)
+		}
+		if err != nil {
+			t.Fatalf("into a recycled graph (short=%v): %v", short, err)
+		}
 	}
 	// Accepted: read the records the way the format says and ask the oracle.
 	var arcs []oracleArc

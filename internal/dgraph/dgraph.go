@@ -154,7 +154,7 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 			w.Put(s.Owner(e.V), e.V, e.U, e.W)
 		}
 	}
-	return s.Exchange()
+	return s.Exchange(nil)
 }
 
 // BuildFromArcs assembles a distributed graph from directed arcs scattered
@@ -179,7 +179,7 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 	for _, a := range arcs {
 		w.Put(s.Owner(a.From), a.From, a.To, a.W)
 	}
-	return s.Exchange()
+	return s.Exchange(nil)
 }
 
 // assemble is the receiving half of the pipeline: recv[q] is the frame rank q
@@ -191,17 +191,24 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 // arcs are summed left to right — i.e. in that arrival order — and the CSR is
 // compacted in place. Once the ghost table is known, one more pass over the
 // arcs fills Slot.
-func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*DistGraph, error) {
+//
+// The graph's arrays are spare's, re-sliced, wherever their capacity allows
+// (spare is the zero graph when there is nothing to recycle), and the row
+// cursors, sort scratch and ghost candidates are s's. Every array is written
+// in full before it is read, except the two histograms, which are cleared.
+func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) {
+	c, n, part, sc := s.c, s.n, s.part, &s.scratch
 	rank := c.Rank()
 	base, hi := part.Range(rank)
 	localN := hi - base
 	dg := &DistGraph{
 		Comm: c, Part: part, GlobalN: n,
 		Base: base, LocalN: localN,
-		Index:    make([]int64, localN+1),
-		K:        make([]float64, localN),
-		SelfLoop: make([]float64, localN),
+		Index:    resize(spare.Index, int(localN)+1),
+		K:        resize(spare.K, int(localN)),
+		SelfLoop: resize(spare.SelfLoop, int(localN)),
 	}
+	clear(dg.Index)
 
 	pl := &placer{base: base, hi: hi, n: n, count: dg.Index}
 	for q, f := range recv {
@@ -232,8 +239,9 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 		longest = max(longest, dg.Index[lv+1])
 		dg.Index[lv+1] += dg.Index[lv]
 	}
-	edges := make([]graph.Edge, dg.Index[localN])
-	end := make([]int64, localN) // write cursor per row; the row's end once scattered
+	edges := resize(spare.Edges, int(dg.Index[localN]))
+	sc.end = resize(sc.end, int(localN)) // write cursor per row; the row's end once scattered
+	end := sc.end
 	copy(end, dg.Index)
 	pl.end, pl.edges = end, edges
 	for _, f := range recv {
@@ -253,14 +261,15 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	// Sort, merge and compact row by row. The compacted row never starts
 	// past the scattered one, so writing through out cannot clobber arcs
 	// still to be read.
-	scratch := make([]graph.Edge, longest)
-	cand := make([]int64, 0, pl.remote) // one per remote arc at most: bounds the ghost candidates
+	sc.sort = resize(sc.sort, int(longest))
+	cand := slices.Grow(sc.cand[:0], pl.remote) // one per remote arc at most: bounds the ghost candidates
 	var out int64
 	var localW float64
 	for lv := int64(0); lv < localN; lv++ {
 		row := edges[dg.Index[lv]:end[lv]]
-		sortRow(row, scratch, n)
+		sortRow(row, sc.sort, n)
 		dg.Index[lv] = out
+		var k, self float64
 		for i := 0; i < len(row); {
 			to, w := row[i].To, row[i].W
 			for i++; i < len(row) && row[i].To == to; i++ {
@@ -268,14 +277,15 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 			}
 			edges[out] = graph.Edge{To: to, W: w}
 			out++
-			dg.K[lv] += w
+			k += w
 			localW += w
 			if to == base+lv {
-				dg.SelfLoop[lv] = w
+				self = w
 			} else if to < base || to >= hi {
 				cand = append(cand, to)
 			}
 		}
+		dg.K[lv], dg.SelfLoop[lv] = k, self
 	}
 	dg.Index[localN] = out
 	dg.Edges = edges[:out]
@@ -285,15 +295,19 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 		dg.Edges = slices.Clone(dg.Edges)
 	}
 
-	dg.Ghosts = slices.Clone(slices.Compact(sortIDs(cand, make([]int64, len(cand)), n)))
-	dg.GhostOwner = make([]int, len(dg.Ghosts))
+	sc.cand, sc.tmp = cand, resize(sc.tmp, len(cand))
+	ghosts := slices.Compact(sortIDs(cand, sc.tmp, n))
+	dg.Ghosts = resize(spare.Ghosts, len(ghosts))
+	copy(dg.Ghosts, ghosts)
+	dg.GhostOwner = resize(spare.GhostOwner, len(ghosts))
 	for i, g := range dg.Ghosts {
 		dg.GhostOwner[i] = part.Owner(g)
 	}
 	if err := checkSlotSpace(localN, len(dg.Ghosts)); err != nil {
 		return nil, err
 	}
-	dg.fillSlots()
+	dg.Slot = resize(spare.Slot, len(dg.Edges))
+	sc.first = dg.fillSlots(sc.first)
 
 	m2, err := c.AllreduceFloat64(localW, mpi.OpSum)
 	if err != nil {
@@ -301,6 +315,25 @@ func assemble(c *mpi.Comm, n int64, part *partition.Partition, recv [][]byte) (*
 	}
 	dg.M2 = m2
 	return dg, nil
+}
+
+// assembly is the receiving side's scratch, kept by its Shuffle: the row
+// cursors, the row sort's buffer, the ghost candidates and their radix
+// buffer, and fillSlots' buckets.
+type assembly struct {
+	end       []int64
+	sort      []graph.Edge
+	cand, tmp []int64
+	first     []int32
+}
+
+// resize returns buf cut to n entries when its capacity allows, and a new
+// slice of n otherwise. The entries are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // The two radix sorts below take one stable counting pass per radixBits-wide
@@ -343,11 +376,14 @@ func sortIDs(ids, tmp []int64, n int64) []int64 {
 // of the whole table: with a binary search of Ghosts forward of the row's
 // previous hit here, BenchmarkBuild is 10–15 % slower, which is the whole
 // difference between Build paying for its slots and not (CHANGES.md, PR 14).
-func (dg *DistGraph) fillSlots() {
-	dg.Slot = make([]int32, len(dg.Edges))
+//
+// Slot must already be as long as Edges. The buckets live in first,
+// re-sliced and returned.
+func (dg *DistGraph) fillSlots(first []int32) []int32 {
 	ghosts := dg.Ghosts
 	shift := max(0, bits.Len64(uint64(dg.GlobalN))-bits.Len(uint(len(ghosts))))
-	first := make([]int32, dg.GlobalN>>shift+2) // first[b]: ghosts below b<<shift
+	first = resize(first, int(dg.GlobalN>>shift)+2) // first[b]: ghosts below b<<shift
+	clear(first)
 	for _, g := range ghosts {
 		first[g>>shift+1]++
 	}
@@ -363,6 +399,7 @@ func (dg *DistGraph) fillSlots() {
 		k, _ := slices.BinarySearch(ghosts[first[b]:first[b+1]], e.To)
 		dg.Slot[i] = int32(dg.LocalN) + first[b] + int32(k)
 	}
+	return first
 }
 
 // sortRow sorts one scattered row by target (every target in [0, ids)),
@@ -571,7 +608,7 @@ func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
 			w.Put(0, dg.Global(lv), e.To, e.W)
 		}
 	}
-	all, err := s.Exchange()
+	all, err := s.Exchange(nil)
 	if err != nil || dg.Comm.Rank() != 0 {
 		return nil, err
 	}

@@ -32,34 +32,53 @@ func wideIDs(n int64) bool { return n > 1<<32 }
 // both through ArcWriters: Reserve counts every owner's arcs, Alloc sizes one
 // frame per owner exactly, Put encodes each arc at its writer's cursor in its
 // owner's frame. Exchange ships the frames and assembles the rank's share.
+//
+// A Shuffle can be used again after Reset: its frames and the assembly's
+// scratch keep their memory, so a caller that shuffles once per phase, as
+// core's coarsening does, allocates them for its largest phase only.
 type Shuffle struct {
 	c       *mpi.Comm
 	n       int64
 	part    *partition.Partition
-	frames  [][]byte // frames[q]: a layout byte, then the records rank q owns; nil when none
+	frames  [][]byte // frames[q]: a layout byte, then the records rank q owns; empty when none
 	writers []ArcWriter
+	scratch assembly
 }
 
 // NewShuffle starts a shuffle over the vertex space [0, n) split by part (nil
 // selects the even vertex split), filled by the given number of writers.
 func NewShuffle(c *mpi.Comm, n int64, part *partition.Partition, writers int) (*Shuffle, error) {
 	p := c.Size()
+	s := &Shuffle{c: c, frames: make([][]byte, p), writers: make([]ArcWriter, writers)}
+	shares := make([]share, writers*p)
+	for i := range s.writers {
+		s.writers[i] = ArcWriter{s: s, shares: shares[i*p : (i+1)*p : (i+1)*p]}
+	}
+	if err := s.Reset(n, part); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset starts the next shuffle on s, over the vertex space [0, n) split by
+// part (nil selects the even vertex split), with the same communicator and
+// writers. Nothing a previous Exchange returned refers to s's memory.
+func (s *Shuffle) Reset(n int64, part *partition.Partition) error {
+	p := s.c.Size()
 	if part == nil {
 		part = partition.ByVertexCount(n, p)
 	}
 	if part.N() != n || part.Size() != p {
-		return nil, fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
+		return fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
 			part.N(), part.Size(), n, p)
 	}
-	s := &Shuffle{c: c, n: n, part: part, frames: make([][]byte, p), writers: make([]ArcWriter, writers)}
-	shares := make([]share, writers*p)
-	for i := range shares {
-		shares[i].unit = true
+	s.n, s.part = n, part
+	for _, w := range s.writers {
+		for q := range w.shares {
+			w.shares[q] = share{unit: true}
+		}
 	}
-	for i := range s.writers {
-		s.writers[i] = ArcWriter{s: s, shares: shares[i*p : (i+1)*p : (i+1)*p]}
-	}
-	return s, nil
+	return nil
 }
 
 // Owner returns the rank an arc leaving v is routed to.
@@ -103,8 +122,9 @@ func (w *ArcWriter) Reserve(q, k int, unit bool) {
 	sh.unit = sh.unit && unit
 }
 
-// Alloc allocates every frame at its exact size — the layout byte and the
-// records all writers reserved — and hands each writer its range.
+// Alloc sizes every frame exactly — the layout byte and the records all
+// writers reserved — and hands each writer its range. A frame is allocated
+// only when the one it replaces is too small; Put overwrites every byte.
 func (s *Shuffle) Alloc() {
 	wide := wideIDs(s.n)
 	for q := range s.frames {
@@ -114,6 +134,7 @@ func (s *Shuffle) Alloc() {
 			unit = unit && w.shares[q].unit
 		}
 		if k == 0 {
+			s.frames[q] = s.frames[q][:0]
 			continue
 		}
 		layout := byte(arcsWeight32)
@@ -124,7 +145,7 @@ func (s *Shuffle) Alloc() {
 			layout = arcsUnit32
 		}
 		width := recordWidth[layout]
-		s.frames[q] = make([]byte, 1+width*k)
+		s.frames[q] = resize(s.frames[q], 1+width*k)
 		s.frames[q][0] = layout
 		at := 1
 		for _, w := range s.writers {
@@ -164,7 +185,18 @@ func (w *ArcWriter) Put(q int, from, to int64, wt float64) {
 // collective end of the shuffle. The self-owned frame never enters the
 // transport: it is handed to the assembly as encoded, in this rank's slot of
 // the receive order.
-func (s *Shuffle) Exchange() (*DistGraph, error) {
+//
+// recycle, when not nil, is a graph the caller gives up — in core, the graph
+// this one replaces. The assembly builds into its arrays wherever their
+// capacity allows and allocates only the ones that must grow. On return
+// recycle keeps its scalar fields (Comm, Part, GlobalN, M2, Base, LocalN) and
+// no arrays, whether or not Exchange succeeded.
+func (s *Shuffle) Exchange(recycle *DistGraph) (*DistGraph, error) {
+	var spare DistGraph
+	if recycle != nil {
+		spare = *recycle
+		*recycle = DistGraph{Comm: spare.Comm, Part: spare.Part, GlobalN: spare.GlobalN, M2: spare.M2, Base: spare.Base, LocalN: spare.LocalN}
+	}
 	for q := range s.frames {
 		for _, w := range s.writers {
 			if sh := w.shares[q]; sh.at != sh.end {
@@ -175,12 +207,13 @@ func (s *Shuffle) Exchange() (*DistGraph, error) {
 	rank := s.c.Rank()
 	self := s.frames[rank]
 	s.frames[rank] = nil
-	recv, err := s.c.Alltoall(s.frames)
+	recv, err := s.c.Alltoall(s.frames) // the transport copies what it sends
+	s.frames[rank] = self
 	if err != nil {
 		return nil, err
 	}
 	recv[rank] = self
-	return assemble(s.c, s.n, s.part, recv)
+	return s.assemble(recv, &spare)
 }
 
 // frameWidth validates a received frame's layout byte against the world's
