@@ -149,8 +149,9 @@ bench-quick:
 # Short fuzz passes over the input parsers, the checkpoint container and its
 # section decoders, the flat kernel tables (vs a map oracle), the varint
 # codec, the ghost refresh frame decoder, the owner-request decoder, the frontier active-set (vs a
-# map+sort oracle) and the counting-sort graph assembly (vs the sort-based
-# oracle). FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`,
+# map+sort oracle), the counting-sort graph assembly (vs the sort-based
+# oracle) and the coordinator's session lines (bounded, and unable to change
+# a job's membership or spawns). FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`,
 # so this list is the only one.
 FUZZTIME ?= 30s
 fuzz:
@@ -167,6 +168,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzOwnerRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/coord -fuzz FuzzCoordLine -fuzztime $(FUZZTIME)
 
 # Regenerate every table and figure of the paper (text to stdout).
 experiments:

@@ -24,7 +24,7 @@
 //	dlouvain -transport tcp -coord 10.0.0.1:9470 -coord-job j1 -np 2 -rank 1 g.bin
 //
 // Or run a host agent per machine and let a supervising driver place the
-// ranks, watch their beacons over the WAN control channel, and re-place the
+// ranks, watch their beacons (forwarded by the coordinator), and re-place the
 // ranks of hosts the coordinator condemns:
 //
 //	dlouvain -host-agent -coord 10.0.0.1:9470 -coord-job j1 -slots 4 \
@@ -62,6 +62,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -103,7 +104,6 @@ func main() {
 		agentSlots     = flag.Int("slots", 1, "host-agent: how many ranks this host offers")
 		agentAdvertise = flag.String("agent-advertise", "", "host-agent: address ranks spawned here advertise to peers (host or host:port)")
 		remoteBin      = flag.String("remote-bin", "", "tcp-remote: dlouvain binary path on the agent hosts (default this executable's path)")
-		controlListen  = flag.String("control-listen", "", "tcp-remote: beacon control-channel listen address (default 127.0.0.1:0; must be reachable from agent hosts)")
 
 		alpha     = flag.Float64("alpha", 0.25, "early-termination decay (et, etc, ettc)")
 		tau       = flag.Float64("tau", 0, "convergence threshold (default 1e-6)")
@@ -234,8 +234,7 @@ func main() {
 		}, cfg, *edgeBal, *resume, *outPath, *truthPath, *verbose, commOpts, oopts)
 	case "tcp-local", "tcp-remote":
 		runProcWorld(*np, path, cfg, *resume, supervised, *transport == "tcp-local", sopts, oopts, remoteOptions{
-			coord: *coordAddr, job: *coordJob,
-			bin: *remoteBin, controlListen: *controlListen,
+			coord: *coordAddr, job: *coordJob, bin: *remoteBin,
 		})
 	}
 }
@@ -318,6 +317,10 @@ func rankBody(path string, hdr gio.Header, cfg core.Config, edgeBal, resume, ver
 // peers can reach its machine on.
 const envAdvertise = "DLOUVAIN_ADVERTISE"
 
+// envLaunched is set, to any value, in the environment of every rank a
+// process launcher spawns: a launcher watches this rank.
+const envLaunched = "DLOUVAIN_LAUNCHED"
+
 // meshAdvertise resolves the address this rank publishes to its peers: the
 // -advertise flag, else the host agent's environment default, else empty
 // (publish the bound listener verbatim).
@@ -360,18 +363,9 @@ func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Co
 	reg := obsv.NewRegistry(rank)
 	startPprof(oopts.pprofAddr, reg)
 
-	// Under a launching parent, report progress beacons over the control
-	// channel, and treat a failed rendezvous as retryable: a sibling rank
+	// Under a launcher, a failed rendezvous is retryable: a sibling rank
 	// dying during startup must not burn the supervisor's fatal path.
-	launched := supervisor.BeaconAddrFromEnv() != ""
-	if launched {
-		if em, err := supervisor.DialBeacons(supervisor.BeaconAddrFromEnv()); err == nil {
-			defer em.Close()
-			cfg.Progress = supervisor.CoreProgressTraced(rank, 0, tr, em.Emit)
-			em.Emit(supervisor.Beacon{Rank: rank, Kind: supervisor.KindHello})
-		}
-	}
-
+	_, launched := os.LookupEnv(envLaunched)
 	tp, err := mpi.DialCoordWorld(world)
 	if err != nil {
 		// Fencing is terminal even under supervision: this epoch's world no
@@ -390,6 +384,17 @@ func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Co
 		fatalf("%v", err)
 	}
 	defer tp.Close()
+	if launched {
+		// Progress beacons ride the world's coordinator session to the
+		// launcher; the supervisor's bootstrap window covered the rendezvous.
+		emit := func(b supervisor.Beacon) {
+			if data, err := json.Marshal(b); err == nil {
+				tp.Beacon(data)
+			}
+		}
+		cfg.Progress = supervisor.CoreProgressTraced(rank, tr, emit)
+		emit(supervisor.Beacon{Rank: rank, Kind: supervisor.KindHello})
+	}
 	c := mpi.NewComm(tp, commOpts...)
 	c.SetTracer(tr)
 	reg.AttachCounters("mpi", func() map[string]int64 {

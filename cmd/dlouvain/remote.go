@@ -4,19 +4,21 @@
 // whatever agents the operator started; -transport tcp-local is the
 // single-host case of the same path — it starts a coordinator and one agent
 // with -np slots inside the driver process, on loopback. Each attempt places
-// one rank process per slot across the currently registered hosts and watches
-// the ranks' progress beacons over the TCP control channel. Rank death
-// reaches the driver as an exit event; host death reaches it when the
-// coordinator's lease reaper condemns the silent host and synthesizes exits
-// for its orphaned spawns. Either way the attempt fails retryably and the
-// next attempt — at the NEXT epoch, so the old world is fenced — re-places
-// every rank on the hosts that survive.
+// one rank process per slot across the currently registered hosts. The ranks'
+// progress beacons ride their coordinator heartbeat sessions and arrive on
+// the same controller connection as spawn exits, so the driver needs to reach
+// only the coordinator. Rank death reaches the driver as an exit event; host
+// death reaches it when the coordinator's lease reaper condemns the silent
+// host and synthesizes exits for its orphaned spawns. Either way the attempt
+// fails retryably and the next attempt — at the NEXT epoch, so the old world
+// is fenced — re-places every rank on the hosts that survive.
 //
 // Across hosts the graph and -ckpt-dir must live on storage every host
 // shares; the driver does not ship files.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,10 +36,9 @@ import (
 
 // remoteOptions carries the process-world flag values from main.
 type remoteOptions struct {
-	coord         string // coordinator address (tcp-local fills in its own)
-	job           string // job id shared with the host agents
-	bin           string // dlouvain binary path on the agent hosts
-	controlListen string // beacon listen address (must be host-reachable)
+	coord string // coordinator address (tcp-local fills in its own)
+	job   string // job id shared with the host agents
+	bin   string // dlouvain binary path on the agent hosts
 }
 
 // remoteLauncher implements supervisor.Launcher over the coordinator's
@@ -90,8 +91,10 @@ func (l *remoteLauncher) ensureController() error {
 }
 
 // route consumes one controller connection's event stream: membership
-// updates mutate the host map, exits go to the current attempt, and the
-// stream's death fails the attempt retryably (the next launch re-dials).
+// updates mutate the host map, exits go to the current attempt, beacons go
+// to it only when they come from its epoch — a rank of an earlier attempt
+// keeps beaconing until the new world's seal fences it — and the stream's
+// death fails the attempt retryably (the next launch re-dials).
 func (l *remoteLauncher) route(ctrl *coord.Controller, synced chan struct{}) {
 	for ev := range ctrl.Events {
 		switch ev.Kind {
@@ -125,6 +128,15 @@ func (l *remoteLauncher) route(ctrl *coord.Controller, synced chan struct{}) {
 			l.mu.Unlock()
 			if cur != nil {
 				cur.exit(ev)
+			}
+		case coord.EventBeacon:
+			l.mu.Lock()
+			cur := l.cur
+			l.mu.Unlock()
+			var b supervisor.Beacon
+			if cur != nil && ev.Epoch == cur.epoch && json.Unmarshal(ev.Beacon, &b) == nil {
+				b.Rank = ev.Rank
+				cur.beacon(b)
 			}
 		}
 	}
@@ -189,6 +201,8 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 	epoch := spec.Attempt + 1
 	a := &remoteAttempt{
 		l:         l,
+		epoch:     epoch,
+		beacons:   beacons,
 		live:      make(map[string]int, spec.Ranks),
 		rankID:    make(map[int]string, spec.Ranks),
 		retryable: true,
@@ -199,30 +213,11 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 		a.live[id] = r
 		a.rankID[r] = id
 	}
-	sink := beacons
-	if l.inject != nil {
-		// The fault travels through the coordinator to whichever host runs
-		// the rank.
-		sink = func(b supervisor.Beacon) {
-			switch l.inject(spec.Attempt, b) {
-			case supervisor.FaultKill:
-				a.signalRank(b.Rank, syscall.SIGKILL)
-			case supervisor.FaultHang:
-				a.signalRank(b.Rank, syscall.SIGSTOP)
-			}
-			beacons(b)
-		}
-	}
-	srv, err := supervisor.ListenBeacons(l.opts.controlListen, sink)
-	if err != nil {
-		return nil, err
-	}
-	a.srv = srv
 	l.mu.Lock()
 	l.cur = a
 	ctrl := l.ctrl
 	l.mu.Unlock()
-	env := []string{supervisor.EnvBeaconAddr + "=" + srv.Addr()}
+	env := []string{envLaunched + "=1"}
 	for r := 0; r < spec.Ranks; r++ {
 		args := []string{l.opts.bin, "-transport", "tcp",
 			"-coord", l.opts.coord, "-coord-job", l.opts.job,
@@ -247,8 +242,9 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 // wedged host cannot block Wait forever: its lease expires, the coordinator
 // synthesizes exits for its spawns, and the attempt completes.
 type remoteAttempt struct {
-	l   *remoteLauncher
-	srv *supervisor.BeaconServer
+	l       *remoteLauncher
+	epoch   int                     // the coordinator epoch its ranks join: attempt + 1
+	beacons func(supervisor.Beacon) // the supervisor's sink
 
 	mu        sync.Mutex
 	live      map[string]int // spawn id -> rank, pending only
@@ -260,6 +256,21 @@ type remoteAttempt struct {
 	done      chan struct{}
 
 	killOnce, intOnce sync.Once
+}
+
+// beacon shows one of the attempt's beacons to the -chaos hook, whose fault
+// travels through the coordinator to whichever host runs the rank, and then
+// hands it to the supervisor.
+func (a *remoteAttempt) beacon(b supervisor.Beacon) {
+	if a.l.inject != nil {
+		switch a.l.inject(a.epoch-1, b) {
+		case supervisor.FaultKill:
+			a.signalRank(b.Rank, syscall.SIGKILL)
+		case supervisor.FaultHang:
+			a.signalRank(b.Rank, syscall.SIGSTOP)
+		}
+	}
+	a.beacons(b)
 }
 
 func (a *remoteAttempt) exit(ev coord.Event) {
@@ -327,7 +338,6 @@ func (a *remoteAttempt) finish() {
 		a.l.cur = nil
 	}
 	a.l.mu.Unlock()
-	a.srv.Close()
 	close(a.done)
 }
 
@@ -430,7 +440,7 @@ func childArgs() []string {
 			"max-restarts", "backoff", "min-ranks", "hang", "chaos", "pprof-addr",
 			"coord", "coord-job", "coord-epoch", "listen", "advertise",
 			"host-agent", "agent-host", "slots", "agent-advertise",
-			"remote-bin", "control-listen":
+			"remote-bin":
 			// Driver-side flags: topology, supervision and chaos stay with
 			// the parent, and so does -pprof-addr, which children cannot
 			// share; -coord/-coord-job/-coord-epoch are re-issued per attempt

@@ -38,12 +38,8 @@ func TestAggregateExitCode(t *testing.T) {
 		{"all fatal", []int{1, 1}, 1},
 	}
 	for _, c := range cases {
-		srv, err := supervisor.ListenBeacons("", func(supervisor.Beacon) {})
-		if err != nil {
-			t.Fatal(err)
-		}
 		a := &remoteAttempt{
-			l: &remoteLauncher{}, srv: srv, retryable: true,
+			l: &remoteLauncher{}, retryable: true,
 			live: make(map[string]int), done: make(chan struct{}),
 		}
 		for r := range c.codes {

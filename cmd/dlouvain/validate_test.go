@@ -199,7 +199,7 @@ func TestFlagSetPinned(t *testing.T) {
 	bin, _, _ := buildBinaryAndGraph(t)
 	want := []string{
 		"advertise", "agent-advertise", "agent-host", "alpha", "backoff",
-		"chaos", "ckpt-dir", "ckpt-every", "ckpt-keep", "control-listen",
+		"chaos", "ckpt-dir", "ckpt-every", "ckpt-keep",
 		"coord", "coord-epoch", "coord-job", "edgebalance", "hang",
 		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o",
 		"pprof-addr", "rank", "remote-bin", "report", "resume",

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -57,7 +56,7 @@ func DialAgent(cfg AgentConfig) (*Agent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: agent dial %s: %w", cfg.Coord, err)
 	}
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	lr := newLineReader(conn)
 	a := &Agent{conn: conn, enc: json.NewEncoder(conn), stop: make(chan struct{}), done: make(chan struct{})}
 	conn.SetDeadline(time.Now().Add(cfg.DialTimeout * 2))
 	if err := a.send(request{Op: "agent", Job: cfg.Job, Host: cfg.Host, Slots: cfg.Slots}); err != nil {
@@ -65,7 +64,7 @@ func DialAgent(cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("coord: agent register: %w", err)
 	}
 	var resp response
-	if err := dec.Decode(&resp); err != nil {
+	if err := lr.decode(&resp); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("coord: agent register: %w", err)
 	}
@@ -105,7 +104,7 @@ func DialAgent(cfg AgentConfig) (*Agent, error) {
 		defer close(cmds)
 		for {
 			var cmd command
-			if err := dec.Decode(&cmd); err != nil {
+			if err := lr.decode(&cmd); err != nil {
 				return
 			}
 			select {
@@ -142,12 +141,17 @@ func (a *Agent) Close() {
 
 // Event is one notification the coordinator pushes to a controller.
 type Event struct {
-	Kind  string // EventHost, EventHostLost, EventSync, EventExit
+	Kind  string // EventHost, EventHostLost, EventSync, EventExit, EventBeacon
 	Host  string
 	Slots int
 	ID    string
 	Code  int
 	Err   string
+	// Rank, Epoch and Beacon describe an EventBeacon: the sending rank, its
+	// world's epoch and the payload exactly as the rank's Session sent it.
+	Rank   int
+	Epoch  int
+	Beacon []byte
 }
 
 // Controller is the supervising driver's attachment to a job: it observes
@@ -175,7 +179,7 @@ func DialController(coordAddr, jobName string, dialTimeout time.Duration) (*Cont
 	if err != nil {
 		return nil, fmt.Errorf("coord: controller dial %s: %w", coordAddr, err)
 	}
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	lr := newLineReader(conn)
 	c := &Controller{conn: conn, enc: json.NewEncoder(conn), stop: make(chan struct{}), done: make(chan struct{})}
 	conn.SetDeadline(time.Now().Add(dialTimeout * 2))
 	if err := c.send(request{Op: "control", Job: jobName}); err != nil {
@@ -183,7 +187,7 @@ func DialController(coordAddr, jobName string, dialTimeout time.Duration) (*Cont
 		return nil, fmt.Errorf("coord: controller attach: %w", err)
 	}
 	var resp response
-	if err := dec.Decode(&resp); err != nil {
+	if err := lr.decode(&resp); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("coord: controller attach: %w", err)
 	}
@@ -201,11 +205,12 @@ func DialController(coordAddr, jobName string, dialTimeout time.Duration) (*Cont
 		defer close(events)
 		for {
 			var ev event
-			if err := dec.Decode(&ev); err != nil {
+			if err := lr.decode(&ev); err != nil {
 				return
 			}
 			select {
-			case events <- Event{Kind: ev.Event, Host: ev.Host, Slots: ev.Slots, ID: ev.ID, Code: ev.Code, Err: ev.Err}:
+			case events <- Event{Kind: ev.Event, Host: ev.Host, Slots: ev.Slots, ID: ev.ID, Code: ev.Code, Err: ev.Err,
+				Rank: ev.Rank, Epoch: ev.Epoch, Beacon: ev.Beacon}:
 			case <-c.stop:
 				return
 			}

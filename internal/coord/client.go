@@ -1,12 +1,12 @@
 package coord
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"distlouvain/internal/backoff"
@@ -86,7 +86,7 @@ func joinOnce(cfg JoinConfig, dialTimeout time.Duration, end time.Time) (World, 
 		return World{}, &retryableError{err}
 	}
 	var resp response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
+	if err := newLineReader(conn).decode(&resp); err != nil {
 		return World{}, &retryableError{err}
 	}
 	return checkResponse(cfg, resp)
@@ -128,14 +128,16 @@ type SessionConfig struct {
 	Seed        uint64
 }
 
-// Session is a background heartbeat loop. It survives coordinator outages by
-// redialing with jittered backoff (the lease may lapse meanwhile — that is
-// the coordinator's signal, not the session's problem) and terminates itself
-// on fencing.
+// Session is a background heartbeat loop, and the rank's beacon channel to
+// the job's controller. It survives coordinator outages by redialing with
+// jittered backoff (the lease may lapse meanwhile — that is the coordinator's
+// signal, not the session's problem) and terminates itself on fencing.
 type Session struct {
-	cfg  SessionConfig
-	stop chan struct{}
-	done chan struct{}
+	cfg     SessionConfig
+	stop    chan struct{}
+	done    chan struct{}
+	beacons chan []byte
+	down    atomic.Bool // the last dial or connection failed; no redial has succeeded since
 
 	mu  sync.Mutex
 	err error // terminal fencing error, set before done closes
@@ -152,9 +154,25 @@ func StartSession(cfg SessionConfig) *Session {
 	if cfg.Seed == 0 {
 		cfg.Seed = (uint64(cfg.Rank)+0x9e37)*0x9e3779b97f4a7c15 | 1
 	}
-	s := &Session{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
+	// A rank beacons once per iteration and the session drains the queue
+	// between heartbeats; 64 rides out a heartbeat round trip on a slow link.
+	s := &Session{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{}), beacons: make(chan []byte, 64)}
 	go s.run()
 	return s
+}
+
+// Beacon queues one JSON payload for the coordinator to forward to the job's
+// controller, tagged with this rank and its world's epoch. It never blocks:
+// the payload is dropped when it is not one JSON value of at most 4 KiB, when
+// the queue is full, or while the session is between dials.
+func (s *Session) Beacon(payload []byte) {
+	if len(payload) > maxBeacon || s.down.Load() || !json.Valid(payload) {
+		return
+	}
+	select {
+	case s.beacons <- payload:
+	default:
+	}
 }
 
 // Err returns the terminal fencing error, or nil while the session is live
@@ -208,37 +226,58 @@ func (s *Session) run() {
 	}
 }
 
-// serve runs one connection worth of heartbeats. It returns a non-nil
-// *FencedError when the coordinator fences the generation, and whether a
-// connection was established at all (to reset the redial backoff).
+// serve runs one connection worth of heartbeats, sending queued beacons
+// between them. It returns a non-nil *FencedError when the coordinator fences
+// the generation, and whether a connection was established at all (to reset
+// the redial backoff). A fenced beacon's reply is read after the next
+// heartbeat; if the hang-up loses it, the redial's first heartbeat is fenced.
 func (s *Session) serve() (error, bool) {
 	conn, err := net.DialTimeout("tcp", s.cfg.Coord, s.cfg.DialTimeout)
+	s.down.Store(err != nil)
 	if err != nil {
 		return nil, false
 	}
 	defer conn.Close()
+	defer s.down.Store(true)
 	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	req := request{Op: "heartbeat", Job: s.cfg.Job, Gen: s.cfg.Gen, Rank: s.cfg.Rank}
+	lr := newLineReader(conn)
+	send := func(line request) error {
+		conn.SetWriteDeadline(time.Now().Add(s.cfg.Interval * 3))
+		return enc.Encode(line)
+	}
+	hb := request{Op: "heartbeat", Job: s.cfg.Job, Gen: s.cfg.Gen, Rank: s.cfg.Rank}
 	tick := time.NewTicker(s.cfg.Interval)
 	defer tick.Stop()
 	for {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.Interval * 3))
-		if err := enc.Encode(req); err != nil {
+		if send(hb) != nil {
 			return nil, true
 		}
 		conn.SetReadDeadline(time.Now().Add(s.cfg.Interval * 3))
 		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		if err := lr.decode(&resp); err != nil {
 			return nil, true
 		}
 		if resp.Code == codeFenced {
 			return &FencedError{Job: s.cfg.Job, Gen: s.cfg.Gen, Current: resp.Gen}, true
 		}
-		select {
-		case <-s.stop:
-			return nil, true
-		case <-tick.C:
+		for due := false; !due; {
+			line := hb
+			select {
+			case <-s.stop:
+				// Close flushes what the rank queued last (its done beacon).
+				for n := len(s.beacons); n > 0; n-- {
+					if line.Beacon = <-s.beacons; send(line) != nil {
+						break
+					}
+				}
+				return nil, true
+			case line.Beacon = <-s.beacons:
+				if send(line) != nil {
+					return nil, true
+				}
+			case <-tick.C:
+				due = true
+			}
 		}
 	}
 }

@@ -22,13 +22,23 @@
 // server-side — its registration is dropped and the controller is told, so
 // the driver can re-place the dead host's ranks on the survivors.
 //
-// All protocol traffic is newline-delimited JSON, mirroring the beacon wire
-// format in internal/supervisor: one request or event per line, human
-// readable, and trivially inspectable with nc.
+// The rank heartbeat session is also the ranks' progress channel: a session
+// line may carry an opaque beacon payload, which the coordinator checks
+// against the generation like a heartbeat and forwards to the job's
+// controller tagged with the rank and its world's epoch. A process world thus
+// has one control plane — ranks and the driver reach only the coordinator.
+//
+// All protocol traffic is newline-delimited JSON: one request or event per
+// line, human readable, and trivially inspectable with nc. Every line is read
+// through one bounded reader, so a peer that never sends a newline cannot
+// make either side buffer without limit.
 package coord
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -67,19 +77,53 @@ const (
 	codeRetry    = "retry"
 )
 
+// maxLine bounds one protocol line. The longest legitimate line is a spawn
+// command carrying a rank's argv and environment; anything longer is a
+// corrupt or hostile stream, and the reader ends the session instead of
+// buffering it.
+const maxLine = 1 << 20
+
+// maxBeacon bounds the beacon payload one heartbeat-session line may carry.
+const maxBeacon = 4096
+
+// lineReader decodes exactly one JSON value per newline-terminated line and
+// never buffers more than maxLine bytes.
+type lineReader struct{ sc *bufio.Scanner }
+
+func newLineReader(r io.Reader) *lineReader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), maxLine)
+	return &lineReader{sc}
+}
+
+// decode reads the next line into v. End of stream, a line longer than
+// maxLine and a line that is not one JSON value are all errors, and each ends
+// the session that reads it.
+func (l *lineReader) decode(v any) error {
+	if !l.sc.Scan() {
+		if err := l.sc.Err(); err != nil {
+			return err
+		}
+		return io.EOF
+	}
+	return json.Unmarshal(l.sc.Bytes(), v)
+}
+
 // request is the first line of every client connection; Op selects the
 // session kind ("join", "heartbeat", "agent", "control"). Heartbeat sessions
-// repeat the same shape on every subsequent line.
+// repeat the same shape on every subsequent line; a line with a Beacon is a
+// progress report for the controller and gets no reply unless it is fenced.
 type request struct {
-	Op    string `json:"op"`
-	Job   string `json:"job"`
-	Epoch int    `json:"epoch,omitempty"`
-	Rank  int    `json:"rank,omitempty"`
-	Size  int    `json:"size,omitempty"`
-	Addr  string `json:"addr,omitempty"`
-	Gen   uint64 `json:"gen,omitempty"`
-	Host  string `json:"host,omitempty"`
-	Slots int    `json:"slots,omitempty"`
+	Op     string          `json:"op"`
+	Job    string          `json:"job"`
+	Epoch  int             `json:"epoch,omitempty"`
+	Rank   int             `json:"rank,omitempty"`
+	Size   int             `json:"size,omitempty"`
+	Addr   string          `json:"addr,omitempty"`
+	Gen    uint64          `json:"gen,omitempty"`
+	Host   string          `json:"host,omitempty"`
+	Slots  int             `json:"slots,omitempty"`
+	Beacon json.RawMessage `json:"beacon,omitempty"`
 }
 
 // response answers a join or heartbeat line.
@@ -110,14 +154,17 @@ const (
 )
 
 // event flows agent → coordinator → controller (and coordinator → controller
-// for membership changes).
+// for membership changes and rank beacons).
 type event struct {
-	Event string `json:"event"`
-	Host  string `json:"host,omitempty"`
-	Slots int    `json:"slots,omitempty"`
-	ID    string `json:"id,omitempty"`
-	Code  int    `json:"code,omitempty"`
-	Err   string `json:"err,omitempty"`
+	Event  string          `json:"event"`
+	Host   string          `json:"host,omitempty"`
+	Slots  int             `json:"slots,omitempty"`
+	ID     string          `json:"id,omitempty"`
+	Code   int             `json:"code,omitempty"`
+	Err    string          `json:"err,omitempty"`
+	Rank   int             `json:"rank,omitempty"`
+	Epoch  int             `json:"epoch,omitempty"`
+	Beacon json.RawMessage `json:"beacon,omitempty"`
 }
 
 // Event kinds a Controller observes.
@@ -126,6 +173,7 @@ const (
 	EventHostLost = "host-lost" // a host's lease lapsed or its agent hung up
 	EventSync     = "sync"      // end of the registration snapshot on attach
 	EventExit     = "exit"      // a spawned process exited (Code, Err)
+	EventBeacon   = "beacon"    // a rank's progress payload (Rank, Epoch, Beacon)
 	EventPing     = "ping"      // agent lease renewal (not forwarded)
 )
 

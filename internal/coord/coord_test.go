@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-func serve(t *testing.T, cfg ServerConfig) *Server {
+func serve(t testing.TB, cfg ServerConfig) *Server {
 	t.Helper()
 	s, err := Serve("127.0.0.1:0", cfg)
 	if err != nil {
@@ -20,7 +20,7 @@ func serve(t *testing.T, cfg ServerConfig) *Server {
 }
 
 // joinAll runs size concurrent joins for one epoch and returns the worlds.
-func joinAll(t *testing.T, coordAddr, job string, epoch, size int) []World {
+func joinAll(t testing.TB, coordAddr, job string, epoch, size int) []World {
 	t.Helper()
 	worlds := make([]World, size)
 	errs := make([]error, size)

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -69,7 +68,6 @@ type worldState struct {
 	gen   uint64
 	epoch int
 	addrs []string
-	beat  []time.Time // last heartbeat per rank (diagnostics)
 }
 
 // barrier collects joiners for one (job, epoch) until size of them have
@@ -201,20 +199,20 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	lr := newLineReader(conn)
 	var req request
-	if err := dec.Decode(&req); err != nil {
+	if err := lr.decode(&req); err != nil {
 		return
 	}
 	switch req.Op {
 	case "join":
 		s.handleJoin(conn, req)
 	case "heartbeat":
-		s.handleBeats(conn, dec, req)
+		s.handleBeats(conn, lr, req)
 	case "agent":
-		s.handleAgent(conn, dec, req)
+		s.handleAgent(conn, lr, req)
 	case "control":
-		s.handleControl(conn, dec, req)
+		s.handleControl(conn, lr, req)
 	default:
 		writeLine(conn, response{Code: codeConflict, Error: fmt.Sprintf("unknown op %q", req.Op)})
 	}
@@ -328,12 +326,7 @@ func (s *Server) joinBarrier(req request) (*barrier, response) {
 	if b.joined == b.size {
 		s.gen++
 		b.gen = s.gen
-		now := time.Now()
-		beat := make([]time.Time, b.size)
-		for i := range beat {
-			beat[i] = now
-		}
-		j.world = &worldState{gen: b.gen, epoch: b.epoch, addrs: append([]string(nil), b.addrs...), beat: beat}
+		j.world = &worldState{gen: b.gen, epoch: b.epoch, addrs: append([]string(nil), b.addrs...)}
 		j.barrier = nil
 		b.timer.Stop()
 		close(b.done)
@@ -358,46 +351,55 @@ func (s *Server) expireBarrier(jobName string, b *barrier) {
 
 // --- heartbeats -------------------------------------------------------------
 
-func (s *Server) handleBeats(conn net.Conn, dec *json.Decoder, req request) {
-	for {
-		resp := s.beat(req)
-		if writeLine(conn, resp) != nil {
-			return
+// handleBeats serves one rank's heartbeat session. A heartbeat line is
+// answered; a beacon line is forwarded to the job's controller and answered
+// only when its generation is fenced. A fenced line of either kind is told
+// and then hung up on, and an oversize beacon ends the session unanswered.
+func (s *Server) handleBeats(conn net.Conn, lr *lineReader, req request) {
+	for len(req.Beacon) <= maxBeacon {
+		resp, epoch, ctrl := s.beat(req)
+		if req.Beacon == nil || resp.Code == codeFenced {
+			if writeLine(conn, resp) != nil || resp.Code == codeFenced {
+				return
+			}
+		} else if ctrl != nil {
+			ctrl.send(event{Event: EventBeacon, Rank: req.Rank, Epoch: epoch, Beacon: req.Beacon})
 		}
-		if resp.Code == codeFenced {
-			return // terminal: the session is dead, hang up after telling it
-		}
-		if err := dec.Decode(&req); err != nil {
+		req = request{}
+		if lr.decode(&req) != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) beat(req request) response {
+// beat checks one session line's generation and rank against the job's
+// sealed world. An OK response comes with the world's epoch and the attached
+// controller (nil when none), where the line's beacon goes.
+func (s *Server) beat(req request) (response, int, *ctrlConn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[req.Job]
 	if j == nil || j.world == nil {
 		// Coordinator restarted (or the job never sealed): the token cannot
 		// be validated. Retryable — the supervisor will rebuild the world.
-		return response{Code: codeRetry, Error: fmt.Sprintf("job %q has no sealed world", req.Job)}
+		return response{Code: codeRetry, Error: fmt.Sprintf("job %q has no sealed world", req.Job)}, 0, nil
 	}
 	w := j.world
 	if req.Gen < w.gen {
-		return response{Code: codeFenced, Gen: w.gen, Error: (&FencedError{Job: req.Job, Gen: req.Gen, Current: w.gen}).Error()}
+		return response{Code: codeFenced, Gen: w.gen, Error: (&FencedError{Job: req.Job, Gen: req.Gen, Current: w.gen}).Error()}, 0, nil
 	}
 	if req.Gen > w.gen {
-		return response{Code: codeConflict, Error: fmt.Sprintf("generation %d from the future (current %d)", req.Gen, w.gen)}
+		return response{Code: codeConflict, Error: fmt.Sprintf("generation %d from the future (current %d)", req.Gen, w.gen)}, 0, nil
 	}
-	if req.Rank >= 0 && req.Rank < len(w.beat) {
-		w.beat[req.Rank] = time.Now()
+	if req.Rank < 0 || req.Rank >= len(w.addrs) {
+		return response{Code: codeConflict, Error: fmt.Sprintf("rank %d out of range for size %d", req.Rank, len(w.addrs))}, 0, nil
 	}
-	return response{OK: true, Gen: w.gen}
+	return response{OK: true, Gen: w.gen}, w.epoch, j.ctrl
 }
 
 // --- host agents ------------------------------------------------------------
 
-func (s *Server) handleAgent(conn net.Conn, dec *json.Decoder, req request) {
+func (s *Server) handleAgent(conn net.Conn, lr *lineReader, req request) {
 	if req.Host == "" || req.Slots <= 0 {
 		writeLine(conn, response{Code: codeConflict, Error: "agent registration needs host name and positive slots"})
 		return
@@ -428,7 +430,7 @@ func (s *Server) handleAgent(conn net.Conn, dec *json.Decoder, req request) {
 
 	for {
 		var ev event
-		if err := dec.Decode(&ev); err != nil {
+		if err := lr.decode(&ev); err != nil {
 			s.dropHost(req.Job, req.Host, "agent connection lost")
 			return
 		}
@@ -439,7 +441,9 @@ func (s *Server) handleAgent(conn net.Conn, dec *json.Decoder, req request) {
 			s.mu.Unlock()
 		case EventExit:
 			s.mu.Lock()
-			delete(j.spawns, ev.ID)
+			if j.spawns[ev.ID] == req.Host {
+				delete(j.spawns, ev.ID) // an agent retires only its own spawns
+			}
 			ctrl := j.ctrl
 			s.mu.Unlock()
 			if ctrl != nil {
@@ -517,7 +521,7 @@ func (s *Server) reapLoop() {
 
 // --- controller -------------------------------------------------------------
 
-func (s *Server) handleControl(conn net.Conn, dec *json.Decoder, req request) {
+func (s *Server) handleControl(conn net.Conn, lr *lineReader, req request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -548,7 +552,7 @@ func (s *Server) handleControl(conn net.Conn, dec *json.Decoder, req request) {
 
 	for {
 		var cmd command
-		if err := dec.Decode(&cmd); err != nil {
+		if err := lr.decode(&cmd); err != nil {
 			s.detachControl(req.Job, c)
 			return
 		}

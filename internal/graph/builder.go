@@ -92,22 +92,3 @@ func FromRawEdges(n int64, raw []RawEdge) *CSR {
 	}
 	return &CSR{N: n, Index: index, Edges: edges}
 }
-
-// FromAdjacency builds a CSR from explicit adjacency lists. adj[v] lists
-// v's slots exactly as they should be stored (the caller is responsible for
-// symmetry). Mainly used by tests and generators that already produce
-// symmetric structures.
-func FromAdjacency(adj [][]Edge) *CSR {
-	n := int64(len(adj))
-	index := make([]int64, n+1)
-	total := 0
-	for v, list := range adj {
-		index[v+1] = index[v] + int64(len(list))
-		total += len(list)
-	}
-	edges := make([]Edge, 0, total)
-	for _, list := range adj {
-		edges = append(edges, list...)
-	}
-	return &CSR{N: n, Index: index, Edges: edges}
-}

@@ -195,19 +195,6 @@ func TestUndirectedEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromAdjacency(t *testing.T) {
-	g := FromAdjacency([][]Edge{
-		{{To: 1, W: 2}},
-		{{To: 0, W: 2}},
-	})
-	if err := g.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	if g.TotalWeight() != 4 {
-		t.Fatalf("m2 = %g", g.TotalWeight())
-	}
-}
-
 func TestStats(t *testing.T) {
 	g := triangle()
 	s := ComputeStats(g)

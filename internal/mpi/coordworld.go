@@ -36,38 +36,43 @@ type CoordWorldConfig struct {
 	HeartbeatInterval time.Duration
 }
 
-// coordWorld is a tcpEndpoint plus the heartbeat session holding its lease.
+// CoordWorld is a TCP endpoint plus the heartbeat session holding its lease.
 // When the coordinator fences the generation, the session poisons the match
 // queue with *ErrFenced: every rank goroutine blocked in a Recv — and hence
 // every collective — fails typed instead of hanging, which is what lets a
 // stale rank returning from a healed partition die loudly and promptly.
-type coordWorld struct {
+type CoordWorld struct {
 	*tcpEndpoint
 	session *coord.Session
 	gen     uint64
 }
 
 // Gen returns the generation token this world was sealed with.
-func (w *coordWorld) Gen() uint64 { return w.gen }
+func (w *CoordWorld) Gen() uint64 { return w.gen }
 
-func (w *coordWorld) Close() error {
+// Beacon hands one progress payload to the heartbeat session, which forwards
+// it through the coordinator to the job's controller. It never blocks; see
+// coord.Session.Beacon for when a payload is dropped.
+func (w *CoordWorld) Beacon(payload []byte) { w.session.Beacon(payload) }
+
+func (w *CoordWorld) Close() error {
 	w.session.Close()
 	return w.tcpEndpoint.Close()
 }
 
 // Abort closes without the goodbye handshake (crash semantics), still
 // releasing the heartbeat session.
-func (w *coordWorld) Abort() {
+func (w *CoordWorld) Abort() {
 	w.session.Close()
 	w.tcpEndpoint.Abort()
 }
 
 // DialCoordWorld joins a coordinator-rendezvous world and establishes the
-// fenced full mesh. The returned Transport fails every blocked operation
-// with *ErrFenced if the coordinator later supersedes this generation. A
-// rank joining with an already-superseded epoch gets *coord.FencedError
-// immediately instead of a transport.
-func DialCoordWorld(cfg CoordWorldConfig) (Transport, error) {
+// fenced full mesh. The returned world fails every blocked operation with
+// *ErrFenced if the coordinator later supersedes this generation. A rank
+// joining with an already-superseded epoch gets *coord.FencedError
+// immediately instead of a world.
+func DialCoordWorld(cfg CoordWorldConfig) (*CoordWorld, error) {
 	if err := checkPeer(cfg.Rank, cfg.Size, "DialCoordWorld"); err != nil {
 		return nil, err
 	}
@@ -122,7 +127,7 @@ func DialCoordWorld(cfg CoordWorldConfig) (Transport, error) {
 			ep.queue.fail(&ErrFenced{Rank: cfg.Rank, Fence: world.Gen, Cause: cause})
 		},
 	})
-	return &coordWorld{tcpEndpoint: ep, session: sess, gen: world.Gen}, nil
+	return &CoordWorld{tcpEndpoint: ep, session: sess, gen: world.Gen}, nil
 }
 
 // advertiseAddr resolves the address published to the coordinator from the

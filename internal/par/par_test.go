@@ -39,23 +39,6 @@ func TestForWorkerIDsDistinct(t *testing.T) {
 	}
 }
 
-func TestReduceFloat64(t *testing.T) {
-	const n = 1000
-	want := float64(n*(n-1)) / 2
-	for _, w := range []int{1, 3, 8} {
-		got := ReduceFloat64(n, w, func(_, lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += float64(i)
-			}
-			return s
-		})
-		if got != want {
-			t.Fatalf("w=%d: sum=%g want %g", w, got, want)
-		}
-	}
-}
-
 func TestReduceInt64(t *testing.T) {
 	got := ReduceInt64(100, 7, func(_, lo, hi int) int64 {
 		return int64(hi - lo)

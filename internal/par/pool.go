@@ -54,31 +54,9 @@ func For(n, nworkers int, body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// ReduceFloat64 computes the sum of per-worker partial results produced by
-// body over [0, n). Each worker accumulates privately; partials are summed
-// once at the end, so no atomics are involved in the hot loop.
-func ReduceFloat64(n, nworkers int, body func(worker, lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if nworkers <= 1 {
-		return body(0, 0, n)
-	}
-	if nworkers > n {
-		nworkers = n
-	}
-	partial := make([]float64, nworkers)
-	For(n, nworkers, func(w, lo, hi int) {
-		partial[w] = body(w, lo, hi)
-	})
-	var sum float64
-	for _, v := range partial {
-		sum += v
-	}
-	return sum
-}
-
-// ReduceInt64 is ReduceFloat64 for integer partials.
+// ReduceInt64 computes the sum of per-worker partial results produced by body
+// over [0, n). Each worker accumulates privately; partials are summed once at
+// the end, so no atomics are involved in the hot loop.
 func ReduceInt64(n, nworkers int, body func(worker, lo, hi int) int64) int64 {
 	if n <= 0 {
 		return 0

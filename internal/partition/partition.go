@@ -55,11 +55,6 @@ func (pt *Partition) ToLocal(rank int, v int64) int64 {
 	return v - pt.Bounds[rank]
 }
 
-// ToGlobal converts rank's local index to the global vertex ID.
-func (pt *Partition) ToGlobal(rank int, lv int64) int64 {
-	return pt.Bounds[rank] + lv
-}
-
 // Validate checks structural sanity.
 func (pt *Partition) Validate() error {
 	if len(pt.Bounds) < 2 {

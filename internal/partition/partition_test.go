@@ -40,13 +40,12 @@ func TestOwnerAndLocality(t *testing.T) {
 		if !pt.Owns(r, v) {
 			t.Fatalf("owner(%d)=%d but Owns is false", v, r)
 		}
-		lv := pt.ToLocal(r, v)
-		if got := pt.ToGlobal(r, lv); got != v {
-			t.Fatalf("round trip %d -> %d -> %d", v, lv, got)
-		}
 		lo, hi := pt.Range(r)
 		if v < lo || v >= hi {
 			t.Fatalf("v=%d outside range [%d,%d) of owner %d", v, lo, hi, r)
+		}
+		if lv := pt.ToLocal(r, v); lv != v-lo {
+			t.Fatalf("ToLocal(%d, %d) = %d, want %d", r, v, lv, v-lo)
 		}
 	}
 }

@@ -145,50 +145,3 @@ func ari(overlap map[pair]int64, dSize, tSize map[int64]int64, n int64) float64 
 	}
 	return (sumIJ - expected) / (maxIndex - expected)
 }
-
-// SizeDistribution summarizes community sizes of an assignment.
-type SizeDistribution struct {
-	Communities int64
-	Min, Max    int64
-	Mean        float64
-	Median      int64
-	Singletons  int64
-}
-
-// Sizes computes the distribution of community sizes.
-func Sizes(comm []int64) SizeDistribution {
-	counts := make(map[int64]int64)
-	for _, c := range comm {
-		counts[c]++
-	}
-	d := SizeDistribution{Communities: int64(len(counts))}
-	if len(counts) == 0 {
-		return d
-	}
-	all := make([]int64, 0, len(counts))
-	var sum int64
-	d.Min = math.MaxInt64
-	for _, s := range counts {
-		all = append(all, s)
-		sum += s
-		if s < d.Min {
-			d.Min = s
-		}
-		if s > d.Max {
-			d.Max = s
-		}
-		if s == 1 {
-			d.Singletons++
-		}
-	}
-	d.Mean = float64(sum) / float64(len(counts))
-	// Median via counting (sizes are small ints); simple insertion sort
-	// domain is fine for the expected community counts.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j-1] > all[j]; j-- {
-			all[j-1], all[j] = all[j], all[j-1]
-		}
-	}
-	d.Median = all[len(all)/2]
-	return d
-}

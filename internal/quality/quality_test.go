@@ -99,26 +99,6 @@ func TestNMISymmetricRange(t *testing.T) {
 	}
 }
 
-func TestSizes(t *testing.T) {
-	d := Sizes([]int64{0, 0, 0, 1, 1, 2})
-	if d.Communities != 3 || d.Min != 1 || d.Max != 3 || d.Singletons != 1 {
-		t.Fatalf("%+v", d)
-	}
-	if math.Abs(d.Mean-2) > 1e-12 {
-		t.Fatalf("mean = %g", d.Mean)
-	}
-	if d.Median != 2 {
-		t.Fatalf("median = %d", d.Median)
-	}
-}
-
-func TestSizesEmpty(t *testing.T) {
-	d := Sizes(nil)
-	if d.Communities != 0 {
-		t.Fatalf("%+v", d)
-	}
-}
-
 // Property: scores are within [0,1], F is the harmonic mean, and comparing
 // an assignment to itself is perfect.
 func TestQuickCompareBounds(t *testing.T) {

@@ -60,12 +60,3 @@ func CommunityCount(comm []int64) int64 {
 	}
 	return int64(len(seen))
 }
-
-// CommunitySizes returns a label → member-count map.
-func CommunitySizes(comm []int64) map[int64]int64 {
-	sizes := make(map[int64]int64)
-	for _, c := range comm {
-		sizes[c]++
-	}
-	return sizes
-}

@@ -1,23 +1,24 @@
 // Package supervisor implements the self-healing supervision layer: it owns
 // the lifetime of a world of Louvain ranks (in-process goroutine worlds and
-// tcp-local child processes alike) and drives them to completion without
-// operator intervention.
+// rank processes alike) and drives them to completion without operator
+// intervention.
 //
 // Ranks emit lightweight progress beacons (phase, iteration, modularity,
-// checkpoint committed) over a control channel. A phi-style accrual failure
-// detector distinguishes crashed ranks (process exit / connection loss,
-// observed by the launcher), hung ranks (beacon silence beyond an adaptive
-// window derived from the observed iteration cadence) and slow-but-alive
-// ranks. On a retryable failure the supervisor kills the remaining world,
-// picks the latest committed checkpoint and relaunches via core.Resume with
-// exponential backoff plus jitter under a configurable restart budget —
-// degrading to a smaller rank count (elastic resume) when the world
-// repeatedly fails to come back at its current size.
+// checkpoint committed), and a Launcher delivers them to the supervisor's
+// sink: an in-process rank calls it directly; a rank process sends each
+// beacon as a JSON payload over its coordinator heartbeat session, and the
+// coordinator forwards it to the driver's controller connection (see
+// internal/coord). A phi-style accrual failure detector distinguishes crashed
+// ranks (process exit / connection loss, observed by the launcher), hung
+// ranks (beacon silence beyond an adaptive window derived from the observed
+// iteration cadence) and slow-but-alive ranks. On a retryable failure the
+// supervisor kills the remaining world, picks the latest committed checkpoint
+// and relaunches via core.Resume with exponential backoff plus jitter under a
+// configurable restart budget — degrading to a smaller rank count (elastic
+// resume) when the world repeatedly fails to come back at its current size.
 package supervisor
 
 import (
-	"os"
-
 	"distlouvain/internal/core"
 	"distlouvain/internal/obsv"
 )
@@ -27,7 +28,7 @@ type Kind string
 
 // Beacon kinds, in the order a healthy rank emits them.
 const (
-	KindHello      Kind = "hello"       // control channel established; no progress yet
+	KindHello      Kind = "hello"       // the rank's world is up; no progress yet
 	KindPhaseStart Kind = "phase-start" // a phase's iteration loop is about to run
 	KindIteration  Kind = "iteration"   // one Louvain iteration completed
 	KindCheckpoint Kind = "checkpoint"  // a phase snapshot committed world-wide
@@ -35,11 +36,10 @@ const (
 )
 
 // Beacon is one lightweight progress report from a rank. Everything except
-// Rank/PID mirrors core.ProgressEvent; the struct is kept flat and small
-// because it crosses a process boundary as one JSON line per event.
+// Rank mirrors core.ProgressEvent; the struct is kept flat and small because
+// it crosses a process boundary as one JSON payload per event.
 type Beacon struct {
 	Rank       int     `json:"rank"`
-	PID        int     `json:"pid,omitempty"` // emitting process (0 for in-process ranks)
 	Kind       Kind    `json:"kind"`
 	Phase      int     `json:"phase"`
 	Iteration  int     `json:"iter,omitempty"`
@@ -53,11 +53,11 @@ type Beacon struct {
 
 // CoreProgressTraced adapts a beacon sink to core's Progress hook: install
 // the returned function as Config.Progress and every run milestone becomes a
-// beacon. pid may be 0 for in-process ranks. When tr is non-nil, each beacon
+// beacon. When tr is non-nil, each beacon
 // carries the rank's current open span path, so the supervisor
 // can report what a later-condemned rank was doing at its last sign of
 // life. tr should be the same tracer the rank runs with.
-func CoreProgressTraced(rank, pid int, tr *obsv.Tracer, emit func(Beacon)) func(core.ProgressEvent) {
+func CoreProgressTraced(rank int, tr *obsv.Tracer, emit func(Beacon)) func(core.ProgressEvent) {
 	return func(ev core.ProgressEvent) {
 		var k Kind
 		switch ev.Kind {
@@ -72,18 +72,10 @@ func CoreProgressTraced(rank, pid int, tr *obsv.Tracer, emit func(Beacon)) func(
 		default:
 			return // unknown milestone from a newer core: not a liveness signal
 		}
-		b := Beacon{Rank: rank, PID: pid, Kind: k, Phase: ev.Phase, Iteration: ev.Iteration, Modularity: ev.Modularity}
+		b := Beacon{Rank: rank, Kind: k, Phase: ev.Phase, Iteration: ev.Iteration, Modularity: ev.Modularity}
 		if tr != nil {
 			b.Span = tr.Path()
 		}
 		emit(b)
 	}
 }
-
-// EnvBeaconAddr names the environment variable through which a supervising
-// parent hands child rank processes the control-channel address.
-const EnvBeaconAddr = "DLOUVAIN_BEACON"
-
-// BeaconAddrFromEnv returns the control-channel address a supervising parent
-// installed, or "" when the process is unsupervised.
-func BeaconAddrFromEnv() string { return os.Getenv(EnvBeaconAddr) }

@@ -125,7 +125,7 @@ func (l *InprocLauncher) run(a *worldAttempt, spec LaunchSpec, comms []*mpi.Comm
 			c := comms[r]
 			cfg := l.Config
 			cfg.Tracer = c.Tracer()
-			cfg.Progress = CoreProgressTraced(r, 0, cfg.Tracer, sinks[r])
+			cfg.Progress = CoreProgressTraced(r, cfg.Tracer, sinks[r])
 			cfg.Interrupted = a.interrupt.Load
 			sinks[r](Beacon{Rank: r, Kind: KindHello})
 			res, err := l.Body(c, cfg, spec.Resume)
