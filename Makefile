@@ -147,7 +147,8 @@ bench-quick:
 	bash benchmark/run.sh -quick
 
 # Short fuzz passes over the input parsers, the checkpoint container and its
-# section decoders, the flat kernel tables (vs a map oracle), the varint
+# section decoders, the flat kernel tables and the flat.Index that numbers
+# every ghost and tail slot (each vs a map oracle), the varint
 # codec, the ghost refresh frame decoder, the owner-request decoder, the frontier active-set (vs a
 # map+sort oracle), the counting-sort graph assembly (vs the sort-based
 # oracle) and the coordinator's session lines (bounded, and unable to change
@@ -163,6 +164,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzCheckpointSections -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flat -fuzz FuzzFlatTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flat -fuzz FuzzPairTable -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/flat -fuzz FuzzIndex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzGhostFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzOwnerRequest -fuzztime $(FUZZTIME)

@@ -10,7 +10,6 @@ import (
 
 	"distlouvain/internal/ckpt"
 	"distlouvain/internal/dgraph"
-	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 )
@@ -273,7 +272,7 @@ func (rs *runState) encodeSections(buf []byte, completed int) ([]ckpt.Section, [
 		coarseLocalN:    dg.LocalN,
 		m2:              dg.M2,
 	}
-	form, csrBytes := csrLayout(dg.Index, dg.Edges)
+	form, csrBytes := csrLayout(dg)
 	bound := metaBytes + csrBytes +
 		uvarintLen(uint64(len(dg.Ghosts))) + len(dg.Ghosts)*uvarintLen(2*uint64(dg.GlobalN)) +
 		len(rs.res.LocalComm)*uvarintLen(uint64(dg.GlobalN)) +
@@ -284,7 +283,7 @@ func (rs *runState) encodeSections(buf []byte, completed int) ([]ckpt.Section, [
 	var ends [len(names)]int
 	buf = m.append(buf)
 	ends[0] = len(buf)
-	buf = appendCSR(buf, dg.Index, dg.Edges, form)
+	buf = appendCSR(buf, dg, form)
 	ends[1] = len(buf)
 	buf = mpi.AppendDeltaInt64s(buf, dg.Ghosts)
 	ends[2] = len(buf)
@@ -310,22 +309,23 @@ func uvarintWeight(w float64) bool {
 	return w >= 1 && w <= maxUvarintWeight && w == math.Trunc(w)
 }
 
-// csrLayout picks the csr section's weight form and returns its exact
-// encoded size.
-func csrLayout(index []int64, edges []graph.Edge) (form byte, size int) {
+// csrLayout picks the csr section's weight form for dg's rows and returns
+// its exact encoded size.
+func csrLayout(dg *dgraph.DistGraph) (form byte, size int) {
 	form = weightsUvarint
 	size = 1
 	wBytes := 0
-	for lv := 0; lv+1 < len(index); lv++ {
-		row := edges[index[lv]:index[lv+1]]
+	for lv := int64(0); lv < dg.LocalN; lv++ {
+		row, ws := dg.Row(lv)
 		size += uvarintLen(uint64(len(row)))
 		prev := int64(-1)
-		for _, e := range row {
-			size += uvarintLen(uint64(e.To - prev))
-			prev = e.To
+		for i, s := range row {
+			to := dg.Target(s)
+			size += uvarintLen(uint64(to - prev))
+			prev = to
 			if form == weightsUvarint {
-				if uvarintWeight(e.W) {
-					wBytes += uvarintLen(uint64(e.W))
+				if uvarintWeight(ws[i]) {
+					wBytes += uvarintLen(uint64(ws[i]))
 				} else {
 					form = weightsFixed64
 				}
@@ -333,29 +333,31 @@ func csrLayout(index []int64, edges []graph.Edge) (form byte, size int) {
 		}
 	}
 	if form == weightsFixed64 {
-		wBytes = 8 * len(edges)
+		wBytes = 8 * len(dg.W)
 	}
 	return form, size + wBytes
 }
 
-// appendCSR appends the csr section: the weight form byte, every owned row's
+// appendCSR appends dg's csr section: the weight form byte, every owned row's
 // length as a uvarint, then per arc the uvarint gap to the row's previous
 // target (the first from −1, so a gap is never 0 in a strictly ascending
 // row) and the weight in the given form.
-func appendCSR(buf []byte, index []int64, edges []graph.Edge, form byte) []byte {
+func appendCSR(buf []byte, dg *dgraph.DistGraph, form byte) []byte {
 	buf = append(buf, form)
-	for lv := 0; lv+1 < len(index); lv++ {
-		buf = mpi.AppendUvarint(buf, uint64(index[lv+1]-index[lv]))
+	for lv := int64(0); lv < dg.LocalN; lv++ {
+		buf = mpi.AppendUvarint(buf, uint64(dg.Index[lv+1]-dg.Index[lv]))
 	}
-	for lv := 0; lv+1 < len(index); lv++ {
+	for lv := int64(0); lv < dg.LocalN; lv++ {
 		prev := int64(-1)
-		for _, e := range edges[index[lv]:index[lv+1]] {
-			buf = mpi.AppendUvarint(buf, uint64(e.To-prev))
-			prev = e.To
+		row, ws := dg.Row(lv)
+		for i, s := range row {
+			to := dg.Target(s)
+			buf = mpi.AppendUvarint(buf, uint64(to-prev))
+			prev = to
 			if form == weightsUvarint {
-				buf = mpi.AppendUvarint(buf, uint64(e.W))
+				buf = mpi.AppendUvarint(buf, uint64(ws[i]))
 			} else {
-				buf = mpi.AppendFloat64(buf, e.W)
+				buf = mpi.AppendFloat64(buf, ws[i])
 			}
 		}
 	}

@@ -34,8 +34,31 @@ var (
 
 // fixturePayloads encodes the fixture's csr, ghosts and origcomm sections.
 func fixturePayloads() (csr, ghosts, labels []byte) {
-	form, _ := csrLayout(fixIndex, fixEdges)
-	return appendCSR(nil, fixIndex, fixEdges, form), mpi.AppendDeltaInt64s(nil, fixGhosts), appendLabels(nil, fixLabels)
+	dg := csrGraph(fixIndex, fixEdges)
+	form, _ := csrLayout(dg)
+	return appendCSR(nil, dg, form), mpi.AppendDeltaInt64s(nil, fixGhosts), appendLabels(nil, fixLabels)
+}
+
+// csrGraph is the slot CSR of the rows index and edges give by global
+// target, owned from vertex 0 on: every target past the rows is a ghost.
+func csrGraph(index []int64, edges []graph.Edge) *dgraph.DistGraph {
+	dg := &dgraph.DistGraph{LocalN: int64(len(index) - 1), Index: index}
+	for _, e := range edges {
+		if e.To >= dg.LocalN {
+			dg.Ghosts = append(dg.Ghosts, e.To)
+		}
+	}
+	slices.Sort(dg.Ghosts)
+	dg.Ghosts = slices.Compact(dg.Ghosts)
+	for _, e := range edges {
+		s := e.To
+		if e.To >= dg.LocalN {
+			g, _ := dg.GhostSlot(e.To)
+			s = dg.LocalN + int64(g)
+		}
+		dg.Slot, dg.W = append(dg.Slot, int32(s)), append(dg.W, e.W)
+	}
+	return dg
 }
 
 // decodeFixture runs the given payloads, behind the fixture's meta and
@@ -108,8 +131,9 @@ func TestCheckpointCSRWeightForms(t *testing.T) {
 	} {
 		index := []int64{0, 2, 3}
 		edges := []graph.Edge{{To: 0, W: 1}, {To: 5, W: c.w}, {To: 1, W: 9}}
-		form, size := csrLayout(index, edges)
-		data := appendCSR(nil, index, edges, form)
+		dg := csrGraph(index, edges)
+		form, size := csrLayout(dg)
+		data := appendCSR(nil, dg, form)
 		if form != c.form || len(data) != size {
 			t.Fatalf("weight %v: form %d, %d bytes (layout said %d); want form %d", c.w, form, len(data), size, c.form)
 		}
@@ -171,7 +195,7 @@ func TestCheckpointSectionsRejectCorruption(t *testing.T) {
 func FuzzCheckpointSections(f *testing.F) {
 	csr, ghosts, labels := fixturePayloads()
 	f.Add(csr, ghosts, labels)
-	f.Add(appendCSR(nil, fixIndex, fixEdges, weightsFixed64), ghosts, labels)
+	f.Add(appendCSR(nil, csrGraph(fixIndex, fixEdges), weightsFixed64), ghosts, labels)
 	f.Add([]byte{weightsUvarint, 1, 0, 0, 1}, []byte{2, 4, 1}, []byte{0, 1, 4})
 	f.Add([]byte{weightsUvarint, 9, 0, 1, 1}, ghosts, []byte{0, 1, 0x80})
 
@@ -194,8 +218,9 @@ func FuzzCheckpointSections(f *testing.F) {
 		for lv := 1; lv < len(index); lv++ {
 			index[lv] += index[lv-1]
 		}
-		form, size := csrLayout(index, edges)
-		re := appendCSR(nil, index, edges, form)
+		dg := csrGraph(index, edges)
+		form, size := csrLayout(dg)
+		re := appendCSR(nil, dg, form)
 		if len(re) != size {
 			t.Fatalf("csr re-encodes to %d bytes, layout said %d", len(re), size)
 		}

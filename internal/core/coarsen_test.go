@@ -37,9 +37,10 @@ func sameCoarseGraph(got, want *dgraph.DistGraph) error {
 	if got.Base != want.Base || !slices.Equal(got.Index, want.Index) {
 		return fmt.Errorf("rows from %d: index %v, the map oracle's graph has %v from %d", got.Base, got.Index, want.Index, want.Base)
 	}
-	for i, e := range want.Edges {
-		if g := got.Edges[i]; g.To != e.To || math.Float64bits(g.W) != math.Float64bits(e.W) {
-			return fmt.Errorf("coarse arc %d is (→%d,%b), the map oracle's graph has (→%d,%b)", i, g.To, g.W, e.To, e.W)
+	for i, s := range want.Slot {
+		to, w := got.Target(got.Slot[i]), got.W[i]
+		if wantTo, wantW := want.Target(s), want.W[i]; to != wantTo || math.Float64bits(w) != math.Float64bits(wantW) {
+			return fmt.Errorf("coarse arc %d is (→%d,%b), the map oracle's graph has (→%d,%b)", i, to, w, wantTo, wantW)
 		}
 	}
 	return nil
@@ -223,9 +224,9 @@ func TestCoarseArcsAllocationCeiling(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got := after.TotalAlloc - before.TotalAlloc
 		ceiling := uint64(16*(int(st.dg.LocalN)+len(st.refs)+emitted) + 512)
-		t.Logf("m=%d: %d fine arcs, %d emitted, %d bytes allocated (ceiling %d)", m, len(st.dg.Edges), emitted, got, ceiling)
-		if emitted == 0 || emitted >= len(st.dg.Edges) {
-			t.Fatalf("m=%d: %d coarse arcs from %d fine ones: nothing merged", m, emitted, len(st.dg.Edges))
+		t.Logf("m=%d: %d fine arcs, %d emitted, %d bytes allocated (ceiling %d)", m, len(st.dg.W), emitted, got, ceiling)
+		if emitted == 0 || emitted >= len(st.dg.W) {
+			t.Fatalf("m=%d: %d coarse arcs from %d fine ones: nothing merged", m, emitted, len(st.dg.W))
 		}
 		if got > ceiling {
 			t.Fatalf("m=%d: one aggregation allocated %d bytes, ceiling %d", m, got, ceiling)

@@ -122,8 +122,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 	m2 := st.dg.M2
 	cv := st.comm[lv]
 	acc.next()
-	lo, hi := st.dg.Index[lv], st.dg.Index[lv+1]
-	edges, slots := st.dg.Edges[lo:hi], st.dg.Slot[lo:hi]
+	slots, ws := st.dg.Row(lv)
 	ci, w, stamp, epoch, keys := st.ci, acc.w, acc.stamp, acc.epoch, acc.keys
 	for i, s := range slots {
 		if int64(s) == lv {
@@ -135,7 +134,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 			w[c] = 0
 			keys = append(keys, c)
 		}
-		w[c] += edges[i].W
+		w[c] += ws[i]
 	}
 	acc.keys = keys
 	if len(keys) == 0 {

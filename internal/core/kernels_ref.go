@@ -23,8 +23,8 @@ type cinfo struct {
 
 // commOf resolves the community (a global ID) of a global vertex without
 // dg.Slot — an ownership test, then a search of the ghost table — so a run
-// through the reference kernels also cross-checks the slots the shipped
-// kernels read.
+// through the reference kernels, which read their targets out of the slots
+// with Target, also cross-checks the slot space the shipped kernels index.
 func (st *phaseState) commOf(g int64) int64 {
 	if st.dg.IsLocal(g) {
 		return st.gidOf(st.comm[g-st.dg.Base])
@@ -56,11 +56,13 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mv
 	cv := st.gidOf(st.comm[lv])
 	clear(scratch)
 	g := st.dg.Global(lv)
-	for _, e := range st.dg.Neighbors(lv) {
-		if e.To == g {
+	row, ws := st.dg.Row(lv)
+	for i, s := range row {
+		to := st.dg.Target(s)
+		if to == g {
 			continue // self loop moves with the vertex
 		}
-		scratch[st.commOf(e.To)] += e.W
+		scratch[st.commOf(to)] += ws[i]
 	}
 	if len(scratch) == 0 {
 		return move{}, false, false
@@ -157,8 +159,9 @@ func (st *phaseState) coarseArcsMap(bySlot []int64) []dgraph.Arc {
 	acc := make(map[pair]float64)
 	for lv := int64(0); lv < st.dg.LocalN; lv++ {
 		a := newOf(st.gidOf(st.comm[lv]))
-		for _, e := range st.dg.Neighbors(lv) {
-			acc[pair{a, newOf(st.commOf(e.To))}] += e.W
+		row, ws := st.dg.Row(lv)
+		for i, s := range row {
+			acc[pair{a, newOf(st.commOf(st.dg.Target(s)))}] += ws[i]
 		}
 	}
 	arcs := make([]dgraph.Arc, 0, len(acc))

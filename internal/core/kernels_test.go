@@ -234,7 +234,7 @@ func TestKernelBenchSweepTouchesEveryVertex(t *testing.T) {
 				t.Fatalf("ref=%v: Sweep call %d touched %d of %d vertices", useRef, call, got, n)
 			}
 		}
-		if coarse, fine := kb.CoarseArcs(), len(kb.st.dg.Edges); coarse >= fine {
+		if coarse, fine := kb.CoarseArcs(), len(kb.st.dg.W); coarse >= fine {
 			t.Fatalf("ref=%v: %d coarse arcs from %d fine ones: the warm-up moved nothing", useRef, coarse, fine)
 		}
 		kb.Close()

@@ -357,16 +357,15 @@ func (st *phaseState) aggregateSlots(w int) {
 		acc.next()
 		sum, stamp, epoch, keys := acc.w, acc.stamp, acc.epoch, acc.keys
 		for _, lv := range members[first[s]:first[s+1]] {
-			row := dg.Index[lv]
-			edges := dg.Edges[row:dg.Index[lv+1]]
-			for i, t := range dg.Slot[row:dg.Index[lv+1]] {
+			row, ws := dg.Row(int64(lv))
+			for i, t := range row {
 				c := ci[t]
 				if stamp[c] != epoch {
 					stamp[c] = epoch
 					sum[c] = 0
 					keys = append(keys, c)
 				}
-				sum[c] += edges[i].W
+				sum[c] += ws[i]
 			}
 		}
 		acc.keys = keys

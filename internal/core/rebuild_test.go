@@ -11,7 +11,6 @@ import (
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
-	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/partition"
 )
@@ -145,19 +144,19 @@ func TestRebuildRecyclesReplacedGraph(t *testing.T) {
 					coarse[ref] = append(coarse[ref], make([]*dgraph.DistGraph, p))
 				}
 				coarse[ref][phase][c.Rank()] = &dgraph.DistGraph{ // copied: the next rebuild recycles ndg
-					Index: slices.Clone(ndg.Index), Edges: slices.Clone(ndg.Edges), Slot: slices.Clone(ndg.Slot),
+					Index: slices.Clone(ndg.Index), Slot: slices.Clone(ndg.Slot), W: slices.Clone(ndg.W),
 					K: slices.Clone(ndg.K), Ghosts: slices.Clone(ndg.Ghosts),
 				}
 				mu.Unlock()
 				if !ref {
-					if dg.Index != nil || dg.Edges != nil || dg.Slot != nil || dg.K != nil || dg.Ghosts != nil {
+					if dg.Index != nil || dg.Slot != nil || dg.W != nil || dg.K != nil || dg.Ghosts != nil {
 						return fmt.Errorf("phase %d: the replaced graph kept its arrays", phase)
 					}
 					if dg.Base != had.Base || dg.LocalN != had.LocalN || dg.Part != had.Part {
 						return fmt.Errorf("phase %d: the replaced graph lost its shape", phase)
 					}
-					if &ndg.Index[0] != &had.Index[0] || &ndg.Edges[0] != &had.Edges[0] || &ndg.Slot[0] != &had.Slot[0] || &ndg.K[0] != &had.K[0] {
-						return fmt.Errorf("phase %d rank %d: the coarse graph (%d arcs) did not reuse the arrays of the %d-arc graph it replaced", phase, c.Rank(), len(ndg.Edges), len(had.Edges))
+					if &ndg.Index[0] != &had.Index[0] || &ndg.Slot[0] != &had.Slot[0] || &ndg.W[0] != &had.W[0] || &ndg.K[0] != &had.K[0] {
+						return fmt.Errorf("phase %d rank %d: the coarse graph (%d arcs) did not reuse the arrays of the %d-arc graph it replaced", phase, c.Rank(), len(ndg.Slot), len(had.Slot))
 					}
 					if c.Rank() == 0 {
 						recycled++
@@ -178,12 +177,11 @@ func TestRebuildRecyclesReplacedGraph(t *testing.T) {
 		}
 	}
 	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	sameEdgeBits := func(a, b graph.Edge) bool { return a.To == b.To && sameBits(a.W, b.W) }
 	for phase, ranks := range coarse[true] {
 		for r, want := range ranks {
 			got := coarse[false][phase][r]
 			if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Slot, want.Slot) || !slices.Equal(got.Ghosts, want.Ghosts) ||
-				!slices.EqualFunc(got.Edges, want.Edges, sameEdgeBits) || !slices.EqualFunc(got.K, want.K, sameBits) {
+				!slices.EqualFunc(got.W, want.W, sameBits) || !slices.EqualFunc(got.K, want.K, sameBits) {
 				t.Fatalf("phase %d rank %d: the recycled coarse graph differs from the map oracle's", phase, r)
 			}
 		}
@@ -199,9 +197,9 @@ func TestRebuildIndependentOfThreads(t *testing.T) {
 	edges = floatWeights(edges)
 	const p = 2
 	type coarse struct {
-		index []int64
-		edges []graph.Edge
-		k     []float64
+		index, ghosts []int64
+		slot          []int32
+		w, k          []float64
 	}
 	rebuildWith := func(threads int, ref bool) [p]coarse {
 		var out [p]coarse
@@ -234,7 +232,7 @@ func TestRebuildIndependentOfThreads(t *testing.T) {
 				return fmt.Errorf("no compaction: %d -> %d", dg.GlobalN, ndg.GlobalN)
 			}
 			mu.Lock()
-			out[c.Rank()] = coarse{index: ndg.Index, edges: ndg.Edges, k: ndg.K}
+			out[c.Rank()] = coarse{index: ndg.Index, ghosts: ndg.Ghosts, slot: ndg.Slot, w: ndg.W, k: ndg.K}
 			mu.Unlock()
 			return nil
 		})
@@ -248,7 +246,8 @@ func TestRebuildIndependentOfThreads(t *testing.T) {
 		for _, ref := range []bool{false, true} {
 			got := rebuildWith(threads, ref)
 			for r := range want {
-				if !slices.Equal(got[r].index, want[r].index) || !slices.Equal(got[r].edges, want[r].edges) || !slices.Equal(got[r].k, want[r].k) {
+				if !slices.Equal(got[r].index, want[r].index) || !slices.Equal(got[r].ghosts, want[r].ghosts) || !slices.Equal(got[r].slot, want[r].slot) ||
+					!slices.Equal(got[r].w, want[r].w) || !slices.Equal(got[r].k, want[r].k) {
 					t.Fatalf("threads=%d ref=%v: rank %d's coarse graph differs from the single-threaded one", threads, ref, r)
 				}
 			}

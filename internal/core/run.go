@@ -245,9 +245,11 @@ func (rs *runState) runLoop() (*Result, error) {
 
 // gatherOutput assembles the complete assignment at rank 0 (the paper's
 // quality-assessment collectives). globalN is the original graph's vertex
-// count.
+// count. Each rank sends its first vertex and its labels, 8 bytes each; rank 0
+// decodes every block straight into the assignment.
 func gatherOutput(c *mpi.Comm, globalN int64, res *Result) error {
-	payload := mpi.AppendInt64(nil, res.LocalBase)
+	payload := make([]byte, 0, 8+8*len(res.LocalComm))
+	payload = mpi.AppendInt64(payload, res.LocalBase)
 	payload = mpi.AppendInt64s(payload, res.LocalComm)
 	blocks, err := c.Gatherv(0, payload)
 	if err != nil {
@@ -257,17 +259,20 @@ func gatherOutput(c *mpi.Comm, globalN int64, res *Result) error {
 		return nil
 	}
 	global := make([]int64, globalN)
-	for _, b := range blocks {
+	for q, b := range blocks {
 		d := mpi.NewDecoder(b)
 		base, err := d.Int64()
 		if err != nil {
-			return err
+			return fmt.Errorf("core: labels of rank %d: %w", q, err)
 		}
-		vals, err := d.Int64s(d.Remaining() / 8)
-		if err != nil {
-			return err
+		k := int64(d.Remaining() / 8)
+		if d.Remaining()%8 != 0 || base < 0 || base > globalN-k {
+			return fmt.Errorf("core: rank %d sent %d bytes of labels from vertex %d; the graph has %d vertices", q, d.Remaining(), base, globalN)
 		}
-		copy(global[base:], vals)
+		dst := global[base : base+k]
+		for i := range dst {
+			dst[i], _ = d.Int64() // cannot fail: the block holds 8 bytes per entry of dst
+		}
 	}
 	res.GlobalComm = global
 	return nil

@@ -648,13 +648,12 @@ func (st *phaseState) intraWeight() float64 {
 
 func (st *phaseState) recomputeRow(lv int64) {
 	dg := st.dg
-	lo, hi := dg.Index[lv], dg.Index[lv+1]
-	edges, slots := dg.Edges[lo:hi], dg.Slot[lo:hi]
+	slots, ws := dg.Row(lv)
 	cv := st.comm[lv]
 	var w float64
 	for i, s := range slots {
 		if st.ci[s] == cv {
-			w += edges[i].W
+			w += ws[i]
 		}
 	}
 	st.rowIntra[lv] = w

@@ -274,7 +274,8 @@ func TestAssembleIntoRecycledStorage(t *testing.T) {
 
 // recycledMatchesFresh builds arcs fresh and then into sentinelSpare's two
 // graphs, with spare room and too small, and holds each result to the fresh
-// one (collective).
+// one (collective). Slot and W must be the recycled arrays unless merging
+// left fewer than half of the arcs placed, when they are copied out.
 func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 	fresh, err := BuildFromArcs(c, n, nil, arcs)
 	if err != nil {
@@ -283,6 +284,15 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 	if err := fresh.Validate(); err != nil {
 		return err
 	}
+	sent := make([]int64, c.Size())
+	for _, a := range arcs {
+		sent[fresh.Part.Owner(a.From)]++
+	}
+	placed, err := c.AllreduceInt64s(sent, mpi.OpSum)
+	if err != nil {
+		return err
+	}
+	cloned := len(fresh.Slot) < int(placed[c.Rank()])/2
 	s, err := NewShuffle(c, n, nil, 1)
 	if err != nil {
 		return err
@@ -300,7 +310,7 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 		if err := sameGraph(got, fresh); err != nil {
 			return fmt.Errorf("short=%v: %w", short, err)
 		}
-		if spare.Index != nil || spare.Edges != nil || spare.Slot != nil || spare.K != nil || spare.SelfLoop != nil || spare.Ghosts != nil || spare.GhostOwner != nil {
+		if spare.Index != nil || spare.Slot != nil || spare.W != nil || spare.K != nil || spare.SelfLoop != nil || spare.Ghosts != nil || spare.GhostOwner != nil {
 			return fmt.Errorf("short=%v: the recycled graph kept arrays", short)
 		}
 		if spare.Base != had.Base || spare.LocalN != had.LocalN || spare.GlobalN != had.GlobalN || spare.Part != had.Part {
@@ -316,7 +326,8 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 			{"Index", sameArray(got.Index, had.Index)},
 			{"K", sameArray(got.K, had.K)},
 			{"SelfLoop", sameArray(got.SelfLoop, had.SelfLoop)},
-			{"Slot", sameArray(got.Slot, had.Slot)},
+			{"Slot", cloned || sameArray(got.Slot, had.Slot)},
+			{"W", cloned || sameArray(got.W, had.W)},
 			{"Ghosts", sameArray(got.Ghosts, had.Ghosts)},
 			{"GhostOwner", sameArray(got.GhostOwner, had.GhostOwner)},
 		} {
@@ -347,9 +358,9 @@ func shuffleInto(s *Shuffle, n int64, arcs []Arc, recycle *DistGraph) (*DistGrap
 
 // sentinelSpare returns a graph of g's shape for the assembly to recycle,
 // every array filled with sentinel garbage — NaN weights and degrees, −1
-// targets, slots, ghosts and owners, row offsets past any arc — and sized two
-// entries for each of g's plus seven, or, when short, half of g's (the
-// scatter array the assembly needs is at least as long as g's Edges).
+// slots, ghosts and owners, row offsets past any arc — and sized two entries
+// for each of g's plus seven, or, when short, half of g's (the placement
+// arrays the assembly needs are at least as long as g's Slot and W).
 func sentinelSpare(g *DistGraph, short bool) *DistGraph {
 	size := func(k int) int {
 		if short {
@@ -361,8 +372,8 @@ func sentinelSpare(g *DistGraph, short bool) *DistGraph {
 	return &DistGraph{
 		Comm: g.Comm, Part: g.Part, GlobalN: g.GlobalN, M2: nan, Base: g.Base, LocalN: g.LocalN,
 		Index:      filled(size(len(g.Index)), int64(math.MaxInt64)),
-		Edges:      filled(size(len(g.Edges)), graph.Edge{To: -1, W: nan}),
 		Slot:       filled(size(len(g.Slot)), int32(-1)),
+		W:          filled(size(len(g.W)), nan),
 		K:          filled(size(len(g.K)), nan),
 		SelfLoop:   filled(size(len(g.SelfLoop)), nan),
 		Ghosts:     filled(size(len(g.Ghosts)), int64(-1)),
@@ -390,10 +401,113 @@ func sameGraph(got, want *DistGraph) error {
 		return fmt.Errorf("GlobalN %d, M2 %v, bounds %v; want %d, %v, %v", got.GlobalN, got.M2, got.Part.Bounds, want.GlobalN, want.M2, want.Part.Bounds)
 	}
 	og := &oracleGraph{
-		Base: want.Base, LocalN: want.LocalN, Index: want.Index, Edges: want.Edges, K: want.K, SelfLoop: want.SelfLoop,
+		Base: want.Base, LocalN: want.LocalN, Index: want.Index, Edges: arcsOf(want), K: want.K, SelfLoop: want.SelfLoop,
 		Ghosts: want.Ghosts, GhostOwner: want.GhostOwner, Slot: want.Slot,
 	}
 	return og.diff(got)
+}
+
+// TestAssembleRowsInGlobalOrder: read through Target, every row of the slot
+// CSR is graph.FromRawEdges' row, targets ascending and weights bit for bit —
+// at 1 to 4 ranks, every rank but the first holding ghosts below its owned
+// range and every rank but the last ghosts above it, with integer weights and
+// with float ones (quarter-integers, whose sums are exact in any order), with
+// parallel arcs and self loops, assembled fresh and then twice into the
+// recycled previous graph through one kept shuffle. And a Build with no
+// parallel arcs keeps 12 bytes per arc: a 4-byte slot and an 8-byte weight.
+func TestAssembleRowsInGlobalOrder(t *testing.T) {
+	const n = 240
+	rng := rand.New(rand.NewSource(9))
+	var integer, quarter []graph.RawEdge
+	for i := 0; i < 1500; i++ {
+		integer = append(integer, graph.RawEdge{U: rng.Int63n(n), V: rng.Int63n(n), W: float64(1 + rng.Intn(4))})
+	}
+	for v := int64(0); v < n; v += 7 {
+		u := (13*v + 5) % n
+		integer = append(integer, graph.RawEdge{U: v, V: v, W: 3}, graph.RawEdge{U: v, V: u, W: 1}, graph.RawEdge{U: u, V: v, W: 2})
+	}
+	for _, e := range integer {
+		e.W = float64(1+rng.Intn(40)) / 4
+		quarter = append(quarter, e)
+	}
+	check := func(dg *DistGraph, want *graph.CSR) error {
+		if err := dg.Validate(); err != nil {
+			return err
+		}
+		for lv := int64(0); lv < dg.LocalN; lv++ {
+			row, ws := dg.Row(lv)
+			ref := want.Neighbors(dg.Global(lv))
+			if len(row) != len(ref) {
+				return fmt.Errorf("vertex %d has %d arcs, want %d", dg.Global(lv), len(row), len(ref))
+			}
+			for i, s := range row {
+				if dg.Target(s) != ref[i].To || math.Float64bits(ws[i]) != math.Float64bits(ref[i].W) {
+					return fmt.Errorf("arc %d of vertex %d is (%d, %v), want (%d, %v)", i, dg.Global(lv), dg.Target(s), ws[i], ref[i].To, ref[i].W)
+				}
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name  string
+		edges []graph.RawEdge
+	}{{"integer", integer}, {"float", quarter}} {
+		want := graph.FromRawEdges(n, tc.edges)
+		for p := 1; p <= 4; p++ {
+			err := mpi.Run(p, func(c *mpi.Comm) error {
+				chunk := chunkEdges(tc.edges, c.Rank(), p)
+				dg, err := Build(c, n, chunk, nil)
+				if err != nil {
+					return err
+				}
+				if err := check(dg, want); err != nil {
+					return fmt.Errorf("rank %d, fresh: %w", c.Rank(), err)
+				}
+				below, above := len(dg.Ghosts) > 0 && dg.Ghosts[0] < dg.Base, len(dg.Ghosts) > 0 && dg.Ghosts[len(dg.Ghosts)-1] >= dg.Base+dg.LocalN
+				if below != (c.Rank() > 0) || above != (c.Rank() < p-1) {
+					return fmt.Errorf("rank %d: ghosts below its range %v, above %v", c.Rank(), below, above)
+				}
+				var arcs []Arc
+				for _, a := range expandChunk(chunk) {
+					arcs = append(arcs, Arc{From: a.from, To: a.to, W: a.w})
+				}
+				kept, err := NewShuffle(c, n, nil, 1)
+				if err != nil {
+					return err
+				}
+				for round := 1; round <= 2; round++ {
+					if dg, err = shuffleInto(kept, n, arcs, dg); err != nil {
+						return err
+					}
+					if err := check(dg, want); err != nil {
+						return fmt.Errorf("rank %d, recycled %d: %w", c.Rank(), round, err)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", tc.name, p, err)
+			}
+		}
+	}
+
+	n2, mesh := gen.BandedMesh(50, 3)
+	if g := graph.FromRawEdges(n2, mesh); g.NumArcs() != int64(2*len(mesh)) {
+		t.Fatalf("the mesh has parallel edges or self loops: %d arcs from %d edges", g.NumArcs(), len(mesh))
+	}
+	err := mpi.Run(3, func(c *mpi.Comm) error {
+		dg, err := Build(c, n2, chunkEdges(mesh, c.Rank(), 3), nil)
+		if err != nil {
+			return err
+		}
+		if bytes := 4*cap(dg.Slot) + 8*cap(dg.W); bytes != 12*len(dg.Slot) {
+			return fmt.Errorf("rank %d: %d arcs hold %d bytes of slots and weights, want 12 per arc", c.Rank(), len(dg.Slot), bytes)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestParallelArcSummationOrder pins the documented order in which parallel
@@ -423,9 +537,10 @@ func TestParallelArcSummationOrder(t *testing.T) {
 				return err
 			}
 			for lv := int64(0); lv < dg.LocalN; lv++ {
-				for _, e := range dg.Neighbors(lv) {
-					if math.Float64bits(e.W) != math.Float64bits(tc.want) {
-						return fmt.Errorf("arc (%d,%d) weighs %b, want %b", dg.Global(lv), e.To, e.W, tc.want)
+				row, ws := dg.Row(lv)
+				for i, s := range row {
+					if math.Float64bits(ws[i]) != math.Float64bits(tc.want) {
+						return fmt.Errorf("arc (%d,%d) weighs %b, want %b", dg.Global(lv), dg.Target(s), ws[i], tc.want)
 					}
 				}
 			}
@@ -523,9 +638,9 @@ func TestGhostTableCornerCases(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i, e := range dg.Edges {
-			if dg.IsLocal(e.To) || int64(dg.Slot[i]) < dg.LocalN {
-				return fmt.Errorf("rank %d: arc to %d is not a ghost arc", c.Rank(), e.To)
+		for _, s := range dg.Slot {
+			if to := dg.Target(s); dg.IsLocal(to) || int64(s) < dg.LocalN {
+				return fmt.Errorf("rank %d: arc to %d is not a ghost arc", c.Rank(), to)
 			}
 		}
 		if len(dg.Ghosts) == 0 {
@@ -761,8 +876,8 @@ func TestShuffleBytesPerArc(t *testing.T) {
 func TestValidateCatchesBrokenInvariants(t *testing.T) {
 	edges := []graph.RawEdge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 2}, {U: 0, V: 3, W: 3}, {U: 1, V: 1, W: 5}, {U: 1, V: 2, W: 1}}
 	breaks := map[string]func(dg *DistGraph){
-		"row out of order":  func(dg *DistGraph) { dg.Edges[0], dg.Edges[1] = dg.Edges[1], dg.Edges[0] },
-		"duplicate target":  func(dg *DistGraph) { dg.Edges[1].To = dg.Edges[0].To },
+		"row out of order":  func(dg *DistGraph) { dg.Slot[0], dg.Slot[1] = dg.Slot[1], dg.Slot[0] },
+		"duplicate target":  func(dg *DistGraph) { dg.Slot[1] = dg.Slot[0] },
 		"degree cache":      func(dg *DistGraph) { dg.K[0] += 1 },
 		"self-loop cache":   func(dg *DistGraph) { dg.SelfLoop[1] = 4 },
 		"phantom self loop": func(dg *DistGraph) { dg.SelfLoop[0] = 1 },
@@ -772,6 +887,9 @@ func TestValidateCatchesBrokenInvariants(t *testing.T) {
 		"ghost slot on owned": func(dg *DistGraph) { dg.Slot[3] = 2 },
 		"slot past the table": func(dg *DistGraph) { dg.Slot[2] = 4 },
 		"short Slot":          func(dg *DistGraph) { dg.Slot = dg.Slot[:len(dg.Slot)-1] },
+		"short W":             func(dg *DistGraph) { dg.W = dg.W[:len(dg.W)-1] },
+		"negative slot":       func(dg *DistGraph) { dg.Slot[0] = -1 },
+		"negative weight":     func(dg *DistGraph) { dg.W[0] = -1 },
 		"missing ghost slot":  func(dg *DistGraph) { dg.Ghosts, dg.GhostOwner = dg.Ghosts[:1], dg.GhostOwner[:1] },
 		"ghost owner":         func(dg *DistGraph) { dg.GhostOwner[0] = 0 },
 		"index overruns":      func(dg *DistGraph) { dg.Index[dg.LocalN]++ },

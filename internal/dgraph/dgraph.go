@@ -1,8 +1,7 @@
 // Package dgraph implements the distributed graph representation of the
 // paper's §IV: a 1-D decomposition where each rank owns a contiguous range
-// of vertices and stores their adjacency lists in CSR form with *global*
-// target IDs, plus a table of ghost vertices (vertices referenced by local
-// edges but owned elsewhere).
+// of vertices and stores their adjacency lists in one CSR, plus a table of
+// ghost vertices (vertices referenced by local edges but owned elsewhere).
 //
 // Construction starts from arbitrarily scattered undirected edge chunks —
 // whatever portion of the input file (or generator output) each rank
@@ -18,12 +17,13 @@
 // when every weight in the frame is 1.0, 16 with the weight, 24 only in a
 // vertex space past 2³². Allocations are O(p), whatever the arc count.
 //
-// Every stored arc also carries a dense slot (DistGraph.Slot): the local
-// index of an owned target, LocalN + i for the ghost Ghosts[i]. State kept per
-// endpoint — a community, a color — lives in one array of LocalN + len(Ghosts)
-// entries and is read as state[Slot[i]]: one load per arc, no ownership branch
-// and no hash. There is no global-ID → ghost map; a caller holding only a
-// global ID binary-searches the sorted Ghosts (GhostSlot).
+// The CSR stores an arc as a dense slot (DistGraph.Slot) and a weight
+// (DistGraph.W), 12 bytes: the slot is the local index of an owned target,
+// LocalN + i for the ghost Ghosts[i]. State kept per endpoint — a community, a
+// color — lives in one array of LocalN + len(Ghosts) entries and is read as
+// state[Slot[i]]: one load per arc, no ownership branch and no hash. The
+// global ID of a target is Target(Slot[i]), computed on demand; a caller
+// holding only a global ID binary-searches the sorted Ghosts (GhostSlot).
 package dgraph
 
 import (
@@ -33,6 +33,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"distlouvain/internal/flat"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/partition"
@@ -53,15 +54,14 @@ type DistGraph struct {
 	Base   int64
 	LocalN int64
 
-	// Index/Edges form the local CSR: neighbours of local vertex lv are
-	// Edges[Index[lv]:Index[lv+1]], with global target IDs. Every row is
-	// strictly ascending by target (sorted, parallel arcs merged).
+	// Index, Slot and W form the local CSR: the arcs of local vertex lv are
+	// Index[lv] ≤ i < Index[lv+1] (Row), arc i leading to slot Slot[i] with
+	// weight W[i]. Slot s is the owned vertex Base+s when s < LocalN, the
+	// ghost Ghosts[s-LocalN] otherwise (Target). Every row is strictly
+	// ascending by target (sorted, parallel arcs merged).
 	Index []int64
-	Edges []graph.Edge
-
-	// Slot is parallel to Edges: Slot[i] is Edges[i].To-Base when this rank
-	// owns the target, LocalN+g when the target is Ghosts[g].
-	Slot []int32
+	Slot  []int32
+	W     []float64
 
 	// K and SelfLoop cache per-local-vertex weighted degree and self-loop
 	// weight.
@@ -184,18 +184,19 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 
 // assemble is the receiving half of the pipeline: recv[q] is the frame rank q
 // routed here, its arcs in the order q encoded them. Pass 1 validates every
-// frame and histograms the sources — nothing is written to the CSR until all
-// of them are known good; a prefix sum turns the histogram into Index; pass 2
-// scatters each arc into its row in (sender rank, send order). Rows are then
-// sorted by target (stably, and only when not already ascending), parallel
-// arcs are summed left to right — i.e. in that arrival order — and the CSR is
-// compacted in place. Once the ghost table is known, one more pass over the
-// arcs fills Slot.
+// frame, histograms the sources and interns every target this rank does not
+// own — nothing is written to the CSR until all of them are known good. The
+// interned targets, sorted, are Ghosts, and a prefix sum turns the histogram
+// into Index. Pass 2 places each arc in its row, in (sender rank, send
+// order), as its target's sort key (slotKeys) and its weight. Rows are then
+// sorted by key (stably, and only when not already ascending), parallel arcs
+// are summed left to right — i.e. in that arrival order — and the CSR is
+// compacted in place, every key turned into its slot.
 //
 // The graph's arrays are spare's, re-sliced, wherever their capacity allows
 // (spare is the zero graph when there is nothing to recycle), and the row
-// cursors, sort scratch and ghost candidates are s's. Every array is written
-// in full before it is read, except the two histograms, which are cleared.
+// cursors, sort scratch and ghost index are s's. Every array is written in
+// full before it is read, except the source histogram, which is cleared.
 func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) {
 	c, n, part, sc := s.c, s.n, s.part, &s.scratch
 	rank := c.Rank()
@@ -209,8 +210,9 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 		SelfLoop: resize(spare.SelfLoop, int(localN)),
 	}
 	clear(dg.Index)
+	sc.ghosts.Reset()
 
-	pl := &placer{base: base, hi: hi, n: n, count: dg.Index}
+	pl := &placer{base: base, hi: hi, n: n, count: dg.Index, ghosts: &sc.ghosts}
 	for q, f := range recv {
 		if len(f) == 0 {
 			continue
@@ -234,16 +236,22 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 		}
 		return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d targets outside [0,%d)", ErrMalformedArcs, a.From, a.To, q, n)
 	}
+	if err := checkSlotSpace(localN, sc.ghosts.Len()); err != nil {
+		return nil, err
+	}
+	pl.keys = dg.setGhosts(spare, sc)
+
 	var longest int64 // row length before merging: sizes the sort scratch
 	for lv := int64(0); lv < localN; lv++ {
 		longest = max(longest, dg.Index[lv+1])
 		dg.Index[lv+1] += dg.Index[lv]
 	}
-	edges := resize(spare.Edges, int(dg.Index[localN]))
-	sc.end = resize(sc.end, int(localN)) // write cursor per row; the row's end once scattered
+	slot := resize(spare.Slot, int(dg.Index[localN])) // keys until compacted
+	wts := resize(spare.W, len(slot))
+	sc.end = resize(sc.end, int(localN)) // write cursor per row; the row's end once placed
 	end := sc.end
 	copy(end, dg.Index)
-	pl.end, pl.edges = end, edges
+	pl.end, pl.slot, pl.w = end, slot, wts
 	for _, f := range recv {
 		if len(f) == 0 {
 			continue
@@ -259,55 +267,40 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 	}
 
 	// Sort, merge and compact row by row. The compacted row never starts
-	// past the scattered one, so writing through out cannot clobber arcs
-	// still to be read.
-	sc.sort = resize(sc.sort, int(longest))
-	cand := slices.Grow(sc.cand[:0], pl.remote) // one per remote arc at most: bounds the ghost candidates
+	// past the placed one, so writing through out cannot clobber arcs still
+	// to be read.
+	sc.row, sc.sort = resize(sc.row, int(longest)), resize(sc.sort, int(longest))
+	keys, span := pl.keys, localN+int64(len(dg.Ghosts))
 	var out int64
 	var localW float64
 	for lv := int64(0); lv < localN; lv++ {
-		row := edges[dg.Index[lv]:end[lv]]
-		sortRow(row, sc.sort, n)
+		rk, rw := slot[dg.Index[lv]:end[lv]], wts[dg.Index[lv]:end[lv]]
+		sc.sortPlaced(rk, rw, span)
 		dg.Index[lv] = out
+		selfKey := keys.owned(lv)
 		var k, self float64
-		for i := 0; i < len(row); {
-			to, w := row[i].To, row[i].W
-			for i++; i < len(row) && row[i].To == to; i++ {
-				w += row[i].W
+		for i := 0; i < len(rk); {
+			key, w := rk[i], rw[i]
+			for i++; i < len(rk) && rk[i] == key; i++ {
+				w += rw[i]
 			}
-			edges[out] = graph.Edge{To: to, W: w}
+			slot[out], wts[out] = keys.slot(key), w
 			out++
 			k += w
 			localW += w
-			if to == base+lv {
+			if key == selfKey {
 				self = w
-			} else if to < base || to >= hi {
-				cand = append(cand, to)
 			}
 		}
 		dg.K[lv], dg.SelfLoop[lv] = k, self
 	}
 	dg.Index[localN] = out
-	dg.Edges = edges[:out]
-	if out < int64(len(edges))/2 {
-		// Mostly parallel arcs: do not pin the scatter array for the graph's
-		// lifetime.
-		dg.Edges = slices.Clone(dg.Edges)
+	dg.Slot, dg.W = slot[:out], wts[:out]
+	if out < int64(len(slot))/2 {
+		// Mostly parallel arcs: do not pin the placement arrays for the
+		// graph's lifetime.
+		dg.Slot, dg.W = slices.Clone(dg.Slot), slices.Clone(dg.W)
 	}
-
-	sc.cand, sc.tmp = cand, resize(sc.tmp, len(cand))
-	ghosts := slices.Compact(sortIDs(cand, sc.tmp, n))
-	dg.Ghosts = resize(spare.Ghosts, len(ghosts))
-	copy(dg.Ghosts, ghosts)
-	dg.GhostOwner = resize(spare.GhostOwner, len(ghosts))
-	for i, g := range dg.Ghosts {
-		dg.GhostOwner[i] = part.Owner(g)
-	}
-	if err := checkSlotSpace(localN, len(dg.Ghosts)); err != nil {
-		return nil, err
-	}
-	dg.Slot = resize(spare.Slot, len(dg.Edges))
-	sc.first = dg.fillSlots(sc.first)
 
 	m2, err := c.AllreduceFloat64(localW, mpi.OpSum)
 	if err != nil {
@@ -317,14 +310,59 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 	return dg, nil
 }
 
-// assembly is the receiving side's scratch, kept by its Shuffle: the row
-// cursors, the row sort's buffer, the ghost candidates and their radix
-// buffer, and fillSlots' buckets.
+// setGhosts fills Ghosts and GhostOwner from the targets pass 1 interned in
+// sc.ghosts, which it leaves numbering every ghost by its position in Ghosts,
+// and returns the key map of the slot space.
+func (dg *DistGraph) setGhosts(spare *DistGraph, sc *assembly) slotKeys {
+	x := &sc.ghosts
+	dg.Ghosts = resize(spare.Ghosts, x.Len())
+	for i := range dg.Ghosts {
+		dg.Ghosts[i] = x.Key(i)
+	}
+	sc.tmp = resize(sc.tmp, len(dg.Ghosts))
+	copy(dg.Ghosts, sortIDs(dg.Ghosts, sc.tmp, dg.GlobalN))
+	x.Reset()
+	for _, g := range dg.Ghosts {
+		x.Intern(g)
+	}
+	dg.GhostOwner = resize(spare.GhostOwner, len(dg.Ghosts))
+	for i, g := range dg.Ghosts {
+		dg.GhostOwner[i] = dg.Part.Owner(g)
+	}
+	nLow, _ := slices.BinarySearch(dg.Ghosts, dg.Base)
+	return slotKeys{nLow: int32(nLow), localN: int32(dg.LocalN)}
+}
+
+// slotKeys numbers a rank's slot space in global-ID order, so that a row
+// sorted by key is sorted by target: the nLow ghosts below Base first (key g
+// for Ghosts[g]), then the owned vertices (nLow+lv for local vertex lv), then
+// the ghosts above the owned range (g+LocalN, which is their slot).
+type slotKeys struct {
+	nLow, localN int32
+}
+
+// owned returns the key of local vertex lv.
+func (k slotKeys) owned(lv int64) int32 { return k.nLow + int32(lv) }
+
+// slot returns the slot the key names.
+func (k slotKeys) slot(key int32) int32 {
+	switch {
+	case key < k.nLow:
+		return k.localN + key
+	case key < k.nLow+k.localN:
+		return key - k.nLow
+	}
+	return key
+}
+
+// assembly is the receiving side's scratch, kept by its Shuffle: the ghost
+// index, the ghost table's radix buffer, the row cursors, and the row sort's
+// two buffers.
 type assembly struct {
+	ghosts    flat.Index
+	tmp       []int64
 	end       []int64
-	sort      []graph.Edge
-	cand, tmp []int64
-	first     []int32
+	row, sort []graph.Edge
 }
 
 // resize returns buf cut to n entries when its capacity allows, and a new
@@ -346,9 +384,8 @@ const (
 )
 
 // sortIDs sorts ids, all in [0, n), ascending and returns them in ids or in tmp
-// (of the same length), whichever the last pass wrote — O(len(ids)) where the
-// comparison sort it replaces was the largest part of the ghost table's cost
-// (one candidate per merged remote arc; DESIGN §17).
+// (of the same length), whichever the last pass wrote: the ghost table, one
+// entry per distinct non-owned target, in O(len(ids)) (DESIGN §17).
 func sortIDs(ids, tmp []int64, n int64) []int64 {
 	var next [radixMask + 1]int
 	for shift := 0; shift < bits.Len64(uint64(n-1)); shift += radixBits {
@@ -370,42 +407,28 @@ func sortIDs(ids, tmp []int64, n int64) []int64 {
 	return ids
 }
 
-// fillSlots computes Slot from Edges and Ghosts; every non-owned target is in
-// Ghosts by construction. Ghost IDs are bucketed by their high bits, about one
-// bucket per ghost, so an arc's search covers the bucket's few entries instead
-// of the whole table: with a binary search of Ghosts forward of the row's
-// previous hit here, BenchmarkBuild is 10–15 % slower, which is the whole
-// difference between Build paying for its slots and not (CHANGES.md, PR 14).
-//
-// Slot must already be as long as Edges. The buckets live in first,
-// re-sliced and returned.
-func (dg *DistGraph) fillSlots(first []int32) []int32 {
-	ghosts := dg.Ghosts
-	shift := max(0, bits.Len64(uint64(dg.GlobalN))-bits.Len(uint(len(ghosts))))
-	first = resize(first, int(dg.GlobalN>>shift)+2) // first[b]: ghosts below b<<shift
-	clear(first)
-	for _, g := range ghosts {
-		first[g>>shift+1]++
+// sortPlaced sorts one placed row — keys, every one in [0, span), and their
+// weights — by key, keeping equal keys in arrival order. A row that arrived
+// ascending (a checkpoint replay, a sorted input file) is left alone; any
+// other goes through sc.row, as arcs keyed by To, for sortRow.
+func (sc *assembly) sortPlaced(keys []int32, w []float64, span int64) {
+	if slices.IsSorted(keys) {
+		return
 	}
-	for b := 1; b < len(first); b++ {
-		first[b] += first[b-1]
+	row := sc.row[:len(keys)]
+	for i, k := range keys {
+		row[i] = graph.Edge{To: int64(k), W: w[i]}
 	}
-	for i, e := range dg.Edges {
-		if dg.IsLocal(e.To) {
-			dg.Slot[i] = int32(e.To - dg.Base)
-			continue
-		}
-		b := e.To >> shift
-		k, _ := slices.BinarySearch(ghosts[first[b]:first[b+1]], e.To)
-		dg.Slot[i] = int32(dg.LocalN) + first[b] + int32(k)
+	sortRow(row, sc.sort, span)
+	for i, e := range row {
+		keys[i], w[i] = int32(e.To), e.W
 	}
-	return first
 }
 
-// sortRow sorts one scattered row by target (every target in [0, ids)),
-// keeping arcs of equal target in arrival order, through scratch (at least as
-// long as the row). A row that arrived ascending — a checkpoint replay, a sorted
-// input file — is left alone. Short rows take a bottom-up merge sort over
+// sortRow sorts one row of arcs by To (every To in [0, ids)), keeping arcs of
+// equal To in arrival order, through scratch (at least as long as the row); a
+// row already ascending is left alone. assemble hands it rows whose To is the
+// slotKeys key of the target. Short rows take a bottom-up merge sort over
 // insertion-sorted runs; rows of radixMinRow arcs or more take radixSortRow.
 // The merge sort earns its lines end to end: with the in-place,
 // comparator-driven slices.SortStableFunc here instead, wall_s on the
@@ -491,9 +514,20 @@ func radixSortRow(row, tmp []graph.Edge, n int64) {
 	}
 }
 
-// Neighbors returns the adjacency slice of local vertex lv (global targets).
-func (dg *DistGraph) Neighbors(lv int64) []graph.Edge {
-	return dg.Edges[dg.Index[lv]:dg.Index[lv+1]]
+// Row returns the arcs of local vertex lv: their slots and, parallel, their
+// weights.
+func (dg *DistGraph) Row(lv int64) ([]int32, []float64) {
+	lo, hi := dg.Index[lv], dg.Index[lv+1]
+	return dg.Slot[lo:hi], dg.W[lo:hi]
+}
+
+// Target returns the global ID of slot s: Base+s for an owned vertex, the
+// ghost's ID for LocalN+g.
+func (dg *DistGraph) Target(s int32) int64 {
+	if int64(s) < dg.LocalN {
+		return dg.Base + int64(s)
+	}
+	return dg.Ghosts[int64(s)-dg.LocalN]
 }
 
 // Global converts a local vertex index to its global ID.
@@ -512,18 +546,20 @@ func (dg *DistGraph) GhostSlot(g int64) (int, bool) {
 }
 
 // Validate checks the local structural invariants the assembly promises:
-// a well-formed CSR whose rows are strictly ascending by target (sorted,
-// parallel arcs merged), degree and self-loop caches that match the rows bit
-// for bit, a ghost table that is sorted and correctly owned, and the slot
-// contract: Slot is parallel to Edges, an owned target's slot is its local
-// index, any other target's slot names its own entry in Ghosts.
+// a well-formed CSR with Slot and W parallel, every slot inside the slot
+// space, rows strictly ascending by target (sorted, parallel arcs merged),
+// degree and self-loop caches that match the rows bit for bit, and a ghost
+// table that is sorted, owned elsewhere and correctly attributed.
 func (dg *DistGraph) Validate() error {
 	if int64(len(dg.Index)) != dg.LocalN+1 || int64(len(dg.K)) != dg.LocalN || int64(len(dg.SelfLoop)) != dg.LocalN {
 		return fmt.Errorf("dgraph: index/K/SelfLoop lengths %d/%d/%d, want %d/%d/%d",
 			len(dg.Index), len(dg.K), len(dg.SelfLoop), dg.LocalN+1, dg.LocalN, dg.LocalN)
 	}
-	if dg.Index[0] != 0 || dg.Index[dg.LocalN] != int64(len(dg.Edges)) {
-		return fmt.Errorf("dgraph: index spans [%d,%d], want [0,%d]", dg.Index[0], dg.Index[dg.LocalN], len(dg.Edges))
+	if len(dg.W) != len(dg.Slot) {
+		return fmt.Errorf("dgraph: %d weights for %d slots", len(dg.W), len(dg.Slot))
+	}
+	if dg.Index[0] != 0 || dg.Index[dg.LocalN] != int64(len(dg.Slot)) {
+		return fmt.Errorf("dgraph: index spans [%d,%d], want [0,%d]", dg.Index[0], dg.Index[dg.LocalN], len(dg.Slot))
 	}
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		if dg.Index[lv+1] < dg.Index[lv] {
@@ -532,9 +568,6 @@ func (dg *DistGraph) Validate() error {
 	}
 	if len(dg.GhostOwner) != len(dg.Ghosts) {
 		return fmt.Errorf("dgraph: %d ghosts but %d owners", len(dg.Ghosts), len(dg.GhostOwner))
-	}
-	if len(dg.Slot) != len(dg.Edges) {
-		return fmt.Errorf("dgraph: %d slots for %d arcs", len(dg.Slot), len(dg.Edges))
 	}
 	if err := checkSlotSpace(dg.LocalN, len(dg.Ghosts)); err != nil {
 		return err
@@ -550,30 +583,26 @@ func (dg *DistGraph) Validate() error {
 			return fmt.Errorf("dgraph: ghost %d has wrong owner", g)
 		}
 	}
+	slots := dg.LocalN + int64(len(dg.Ghosts))
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		var k, self float64
-		row := dg.Neighbors(lv)
-		slots := dg.Slot[dg.Index[lv]:dg.Index[lv+1]]
-		for i, e := range row {
-			if e.To < 0 || e.To >= dg.GlobalN {
-				return fmt.Errorf("dgraph: vertex %d targets out-of-range vertex %d", dg.Global(lv), e.To)
+		prev := int64(-1)
+		row, ws := dg.Row(lv)
+		for i, s := range row {
+			if s < 0 || int64(s) >= slots {
+				return fmt.Errorf("dgraph: an arc of vertex %d has slot %d outside [0,%d)", dg.Global(lv), s, slots)
 			}
-			if e.W < 0 {
-				return fmt.Errorf("dgraph: arc (%d,%d) has negative weight", dg.Global(lv), e.To)
+			to, w := dg.Target(s), ws[i]
+			if w < 0 {
+				return fmt.Errorf("dgraph: arc (%d,%d) has negative weight", dg.Global(lv), to)
 			}
-			if i > 0 && row[i-1].To >= e.To {
-				return fmt.Errorf("dgraph: row of vertex %d not strictly ascending at target %d", dg.Global(lv), e.To)
+			if to <= prev {
+				return fmt.Errorf("dgraph: row of vertex %d not strictly ascending at target %d", dg.Global(lv), to)
 			}
-			k += e.W
-			if e.To == dg.Global(lv) {
-				self = e.W
-			}
-			if dg.IsLocal(e.To) {
-				if int64(slots[i]) != e.To-dg.Base {
-					return fmt.Errorf("dgraph: arc (%d,%d) has slot %d, want the local index %d", dg.Global(lv), e.To, slots[i], e.To-dg.Base)
-				}
-			} else if g := int64(slots[i]) - dg.LocalN; g < 0 || g >= int64(len(dg.Ghosts)) || dg.Ghosts[g] != e.To {
-				return fmt.Errorf("dgraph: arc (%d,%d) has slot %d, which is not the target's ghost slot", dg.Global(lv), e.To, slots[i])
+			prev = to
+			k += w
+			if to == dg.Global(lv) {
+				self = w
 			}
 		}
 		if dg.K[lv] != k || dg.SelfLoop[lv] != self {
@@ -599,18 +628,24 @@ func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
 		return nil, err
 	}
 	w := s.Writer(0)
-	for _, e := range dg.Edges {
-		w.Reserve(0, 1, e.W == 1)
+	for _, wt := range dg.W {
+		w.Reserve(0, 1, wt == 1)
 	}
 	s.Alloc()
 	for lv := int64(0); lv < dg.LocalN; lv++ {
-		for _, e := range dg.Neighbors(lv) {
-			w.Put(0, dg.Global(lv), e.To, e.W)
+		row, ws := dg.Row(lv)
+		for i, t := range row {
+			w.Put(0, dg.Global(lv), dg.Target(t), ws[i])
 		}
 	}
 	all, err := s.Exchange(nil)
 	if err != nil || dg.Comm.Rank() != 0 {
 		return nil, err
 	}
-	return &graph.CSR{N: all.GlobalN, Index: all.Index, Edges: all.Edges}, nil
+	// Rank 0 owns every vertex of the gathered graph: a slot is a global ID.
+	edges := make([]graph.Edge, len(all.Slot))
+	for i, t := range all.Slot {
+		edges[i] = graph.Edge{To: int64(t), W: all.W[i]}
+	}
+	return &graph.CSR{N: all.GlobalN, Index: all.Index, Edges: edges}, nil
 }

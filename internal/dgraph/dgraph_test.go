@@ -60,13 +60,13 @@ func TestBuildMatchesSharedCSR(t *testing.T) {
 				if math.Abs(dg.SelfLoop[lv]-ref.SelfLoopWeight(g)) > 1e-9 {
 					return fmt.Errorf("selfloop mismatch at %d", g)
 				}
-				nbrs := dg.Neighbors(lv)
+				row, ws := dg.Row(lv)
 				refN := ref.Neighbors(g)
-				if len(nbrs) != len(refN) {
-					return fmt.Errorf("degree(%d) = %d, want %d", g, len(nbrs), len(refN))
+				if len(row) != len(refN) {
+					return fmt.Errorf("degree(%d) = %d, want %d", g, len(row), len(refN))
 				}
-				for i := range nbrs {
-					if nbrs[i] != refN[i] {
+				for i, s := range row {
+					if (graph.Edge{To: dg.Target(s), W: ws[i]}) != refN[i] {
 						return fmt.Errorf("neighbour %d of %d differs", i, g)
 					}
 				}
@@ -120,8 +120,8 @@ func TestBuildMergesParallelChunkEdges(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			if len(dg.Edges) != 1 || dg.Edges[0].W != 3 {
-				return fmt.Errorf("edges not merged: %+v", dg.Edges)
+			if len(dg.W) != 1 || dg.W[0] != 3 {
+				return fmt.Errorf("edges not merged: slots %v weights %v", dg.Slot, dg.W)
 			}
 		}
 		return nil
@@ -131,16 +131,16 @@ func TestBuildMergesParallelChunkEdges(t *testing.T) {
 	}
 }
 
-// TestBuildReleasesScatterArray: when merging shrinks the arc array to under
-// half, the graph must not keep the pre-merge array alive behind its Edges.
+// TestBuildReleasesScatterArray: when merging shrinks the arcs to under half,
+// the graph must not keep the pre-merge arrays alive behind its Slot and W.
 func TestBuildReleasesScatterArray(t *testing.T) {
 	var edges []graph.RawEdge
 	for i := 0; i < 40; i++ { // a 4-ring, every edge ten times over
 		edges = append(edges, graph.RawEdge{U: int64(i % 4), V: int64((i + 1) % 4), W: 1})
 	}
 	buildDistributed(t, 2, 4, edges, func(dg *DistGraph) error {
-		if len(dg.Edges) != 4 || cap(dg.Edges) >= 2*len(dg.Edges) {
-			return fmt.Errorf("rank %d: %d edges in an array of %d", dg.Comm.Rank(), len(dg.Edges), cap(dg.Edges))
+		if len(dg.Slot) != 4 || cap(dg.Slot) >= 2*len(dg.Slot) || cap(dg.W) >= 2*len(dg.W) {
+			return fmt.Errorf("rank %d: %d arcs in arrays of %d slots and %d weights", dg.Comm.Rank(), len(dg.Slot), cap(dg.Slot), cap(dg.W))
 		}
 		return nil
 	})
@@ -468,7 +468,7 @@ func (og *oracleGraph) diff(dg *DistGraph) error {
 	sameInt := func(a, b int64) bool { return a == b }
 	for _, err := range []error{
 		firstDiff("Index", dg.Index, og.Index, sameInt),
-		firstDiff("Edges", dg.Edges, og.Edges, sameEdge),
+		firstDiff("arcs", arcsOf(dg), og.Edges, sameEdge),
 		firstDiff("K", dg.K, og.K, sameBits),
 		firstDiff("SelfLoop", dg.SelfLoop, og.SelfLoop, sameBits),
 		firstDiff("Ghosts", dg.Ghosts, og.Ghosts, sameInt),
@@ -480,6 +480,15 @@ func (og *oracleGraph) diff(dg *DistGraph) error {
 		}
 	}
 	return nil
+}
+
+// arcsOf lists dg's arcs in CSR order as (global target, weight).
+func arcsOf(dg *DistGraph) []graph.Edge {
+	out := make([]graph.Edge, len(dg.Slot))
+	for i, s := range dg.Slot {
+		out[i] = graph.Edge{To: dg.Target(s), W: dg.W[i]}
+	}
+	return out
 }
 
 func firstDiff[T any](field string, got, want []T, same func(a, b T) bool) error {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"distlouvain/internal/graph"
+	"distlouvain/internal/flat"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/partition"
 )
@@ -250,23 +250,26 @@ func arcAt(f []byte, i int) Arc {
 }
 
 // placer is the receiving side's per-row state while assemble places arcs:
-// pass 1 validates each frame and histograms its sources into count (row lv
-// at lv+1), pass 2 scatters its arcs to the rows' write cursors. There is one
-// loop per record width in each pass, so no arc pays for a layout branch.
+// pass 1 validates each frame, histograms its sources into count (row lv at
+// lv+1) and interns every non-owned target into ghosts; pass 2 places its
+// arcs at the rows' write cursors, each as its target's key and its weight.
+// There is one loop per record width in each pass, so no arc pays for a
+// layout branch.
 type placer struct {
 	base, hi, n int64
 	count       []int64
-	remote      int // arcs to non-owned targets, before merging
+	ghosts      *flat.Index
+	keys        slotKeys
 	end         []int64
-	edges       []graph.Edge
+	slot        []int32 // the key, until assemble compacts the row
+	w           []float64
 }
 
 // count32 is pass 1 over a 32-bit frame body with the given record stride. It
 // returns the offset of the first record it refuses — a source not owned
 // here, a target outside the vertex space — or −1.
 func (p *placer) count32(body []byte, stride int) int {
-	base, hi, n, count := p.base, p.hi, p.n, p.count
-	remote := 0
+	base, hi, n, count, ghosts := p.base, p.hi, p.n, p.count, p.ghosts
 	for i := 0; i < len(body); i += stride {
 		from := int64(binary.LittleEndian.Uint32(body[i:]))
 		to := int64(binary.LittleEndian.Uint32(body[i+4:]))
@@ -275,17 +278,15 @@ func (p *placer) count32(body []byte, stride int) int {
 		}
 		count[from-base+1]++
 		if to < base || to >= hi {
-			remote++
+			ghosts.Intern(to)
 		}
 	}
-	p.remote += remote
 	return -1
 }
 
 // count64 is count32 for the 64-bit layout.
 func (p *placer) count64(body []byte) int {
-	base, hi, n, count := p.base, p.hi, p.n, p.count
-	remote := 0
+	base, hi, n, count, ghosts := p.base, p.hi, p.n, p.count, p.ghosts
 	for i := 0; i < len(body); i += 24 {
 		from := int64(binary.LittleEndian.Uint64(body[i:]))
 		to := int64(binary.LittleEndian.Uint64(body[i+8:]))
@@ -294,44 +295,55 @@ func (p *placer) count64(body []byte) int {
 		}
 		count[from-base+1]++
 		if to < base || to >= hi {
-			remote++
+			ghosts.Intern(to)
 		}
 	}
-	p.remote += remote
 	return -1
+}
+
+// key returns the slotKeys key of target to, which pass 1 interned if this
+// rank does not own it.
+func (p *placer) key(to int64) int32 {
+	if to >= p.base && to < p.hi {
+		return p.keys.owned(to - p.base)
+	}
+	g, _ := p.ghosts.Find(to)
+	if to < p.base {
+		return int32(g)
+	}
+	return int32(g) + p.keys.localN
 }
 
 // placeUnit32, placeWeight32 and place64 are pass 2, one per layout, over
 // bodies pass 1 accepted.
 func (p *placer) placeUnit32(body []byte) {
-	base, end, edges := p.base, p.end, p.edges
+	base, end, slot, w := p.base, p.end, p.slot, p.w
 	for i := 0; i < len(body); i += 8 {
 		lv := int64(binary.LittleEndian.Uint32(body[i:])) - base
-		edges[end[lv]] = graph.Edge{To: int64(binary.LittleEndian.Uint32(body[i+4:])), W: 1}
-		end[lv]++
+		j := end[lv]
+		slot[j], w[j] = p.key(int64(binary.LittleEndian.Uint32(body[i+4:]))), 1
+		end[lv] = j + 1
 	}
 }
 
 func (p *placer) placeWeight32(body []byte) {
-	base, end, edges := p.base, p.end, p.edges
+	base, end, slot, w := p.base, p.end, p.slot, p.w
 	for i := 0; i < len(body); i += 16 {
 		lv := int64(binary.LittleEndian.Uint32(body[i:])) - base
-		edges[end[lv]] = graph.Edge{
-			To: int64(binary.LittleEndian.Uint32(body[i+4:])),
-			W:  math.Float64frombits(binary.LittleEndian.Uint64(body[i+8:])),
-		}
-		end[lv]++
+		j := end[lv]
+		slot[j] = p.key(int64(binary.LittleEndian.Uint32(body[i+4:])))
+		w[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[i+8:]))
+		end[lv] = j + 1
 	}
 }
 
 func (p *placer) place64(body []byte) {
-	base, end, edges := p.base, p.end, p.edges
+	base, end, slot, w := p.base, p.end, p.slot, p.w
 	for i := 0; i < len(body); i += 24 {
 		lv := int64(binary.LittleEndian.Uint64(body[i:])) - base
-		edges[end[lv]] = graph.Edge{
-			To: int64(binary.LittleEndian.Uint64(body[i+8:])),
-			W:  math.Float64frombits(binary.LittleEndian.Uint64(body[i+16:])),
-		}
-		end[lv]++
+		j := end[lv]
+		slot[j] = p.key(int64(binary.LittleEndian.Uint64(body[i+8:])))
+		w[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[i+16:]))
+		end[lv] = j + 1
 	}
 }

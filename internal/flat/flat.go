@@ -1,10 +1,11 @@
 // Package flat provides the flat open-addressing tables the Louvain driver
 // uses in place of Go maps where a key space is too sparse to address
-// directly: the index that numbers the communities a rank references but holds
-// no vertex of. (The ΔQ inner loop and the per-iteration community-delta batch
-// used Table, and the coarsening step PairTable, until communities got dense
-// per-phase slots; all three now accumulate into slot-addressed arrays — DESIGN
-// §12 — and Table and PairTable remain for what benchmark/ times.) The design
+// directly: Index, which numbers the communities a rank references but holds
+// no vertex of (core) and the ghost vertices its arcs name (dgraph). (The ΔQ
+// inner loop and the per-iteration community-delta batch used Table, and the
+// coarsening step PairTable, until communities got dense per-phase slots; all
+// three now accumulate into slot-addressed arrays — DESIGN §12 — and Table and
+// PairTable remain for what benchmark/ times.) The design
 // follows the hashing-kernel idea of Forster's GPU Louvain (linear-probed
 // power-of-two tables, no chaining) adapted to per-worker CPU use:
 //

@@ -300,3 +300,71 @@ func TestIndexAgainstMap(t *testing.T) {
 		t.Fatal("Find hit a key that was never interned")
 	}
 }
+
+// FuzzIndex holds Index to a map oracle over random sequences of Intern, Find
+// and Reset. Each op takes one byte and then a key: with the byte's top bit
+// set, one of 64 keys whose mix64 hashes agree in their low 10 bits, so every
+// table up to 1024 slots probes them from one start; otherwise 8 raw bytes
+// (any int64, negative and huge ones included) or, short of 8, one byte.
+func FuzzIndex(f *testing.F) {
+	var colliding []int64
+	for k := int64(0); len(colliding) < 64; k++ {
+		if mix64(uint64(k))&1023 == 0 {
+			colliding = append(colliding, k)
+		}
+	}
+	f.Add([]byte{0x82, 0x83, 0x84, 0x81, 0x82, 0x80, 0x81, 0x85, 0x83})
+	f.Add([]byte{2, 1, 2, 2, 3, 0, 0, 5, 1, 7, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var x Index
+		oracle := make(map[int64]int)
+		var order []int64
+		for len(data) >= 2 {
+			op := data[0]
+			var key int64
+			switch {
+			case op&0x80 != 0:
+				key, data = colliding[int(data[1])%len(colliding)], data[2:]
+			case len(data) >= 9:
+				key, data = int64(binary.LittleEndian.Uint64(data[1:9])), data[9:]
+			default:
+				key, data = int64(data[1]), data[2:]
+			}
+			want, seen := oracle[key]
+			switch op % 4 {
+			case 0:
+				x.Reset()
+				clear(oracle)
+				order = order[:0]
+			case 1:
+				if got, ok := x.Find(key); ok != seen || (ok && got != want) {
+					t.Fatalf("Find(%d) = %d, %v; oracle %d, %v", key, got, ok, want, seen)
+				}
+			default:
+				if !seen {
+					want = len(order)
+					oracle[key] = want
+					order = append(order, key)
+				}
+				if got := x.Intern(key); got != want {
+					t.Fatalf("Intern(%d) = %d, oracle %d", key, got, want)
+				}
+			}
+			if x.Len() != len(order) {
+				t.Fatalf("Len = %d, oracle has %d", x.Len(), len(order))
+			}
+		}
+		for n, k := range order {
+			if got, ok := x.Find(k); !ok || got != n || x.Key(n) != k {
+				t.Fatalf("Find(%d) = %d, %v and Key(%d) = %d; oracle numbers it %d", k, got, ok, n, x.Key(n), n)
+			}
+		}
+		for _, k := range colliding {
+			if _, seen := oracle[k]; !seen {
+				if _, ok := x.Find(k); ok {
+					t.Fatalf("Find(%d) hit a key never interned since the last Reset", k)
+				}
+			}
+		}
+	})
+}

@@ -89,7 +89,14 @@ func ReadMETIS(path string) (int64, []graph.RawEdge, error) {
 		}
 	}
 
-	edges := make([]graph.RawEdge, 0, m)
+	st, err := f.Stat()
+	if err != nil {
+		return 0, nil, err
+	}
+	// An edge takes at least two bytes of the file (a digit and a separator),
+	// so a header count past half the file's size is one the count check
+	// below rejects; it must not size an allocation first.
+	edges := make([]graph.RawEdge, 0, min(m, st.Size()/2))
 	for v := int64(1); v <= n; v++ {
 		fields, ok := nextLine()
 		if !ok {
