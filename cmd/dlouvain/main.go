@@ -132,7 +132,7 @@ func main() {
 		maxRestarts = flag.Int("max-restarts", 5, "supervise: relaunch budget before giving up")
 		backoff     = flag.Duration("backoff", 500*time.Millisecond, "supervise: base restart delay (doubles per consecutive failure)")
 		minRanks    = flag.Int("min-ranks", 1, "supervise: smallest world size degradation may reach")
-		hang        = flag.Duration("hang", 5*time.Second, "supervise: beacon silence every rank is allowed before it may count as hung (the learned window is capped at 24x; the detector polls every 1/20)")
+		hang        = flag.Duration("hang", 5*time.Second, "supervise: beacon silence of the whole world allowed before it may count as hung (the learned window is capped at 24x; the detector polls every 1/20)")
 
 		// Test-only failure injection, fired by the world's launcher when a
 		// rank's beacons reach a phase.
@@ -202,10 +202,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	commOpts := []mpi.CommOption{
-		mpi.WithRecvTimeout(*timeout),
-		mpi.WithCollectiveTimeout(*timeout),
-	}
+	commOpts := []mpi.CommOption{mpi.WithTimeout(*timeout)}
 	chaos, _ := parseChaos(*chaosFlag) // validateFlags accepted it
 
 	sopts := supOptions{
@@ -461,7 +458,7 @@ func exitCodeFor(err error) int {
 	if errors.As(err, &ex) || errors.As(err, &mr) {
 		return 1
 	}
-	if retryableRunErr(err) {
+	if supervisor.Retryable(err) {
 		return exitRetryable
 	}
 	return 1

@@ -343,14 +343,15 @@ func (a *remoteAttempt) finish() {
 
 // childrenError aggregates the failures of a process world's ranks with an
 // explicit retryability verdict derived from their exit codes: the one place
-// per-rank statuses fold into the driver's (exitCodeFor maps the verdict to
-// exit 3 or 1).
+// per-rank statuses fold into the driver's. It states the verdict itself, so
+// supervisor.Retryable (and through it exitCodeFor's exit 3 or 1) honours it.
 type childrenError struct {
 	msg       string
 	retryable bool
 }
 
-func (e *childrenError) Error() string { return "world failed: " + e.msg }
+func (e *childrenError) Error() string   { return "world failed: " + e.msg }
+func (e *childrenError) Retryable() bool { return e.retryable }
 
 func (a *remoteAttempt) Wait() error { <-a.done; return a.err }
 

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"os/signal"
@@ -123,7 +122,6 @@ func (o supOptions) supervisorOptions(cfg core.Config) supervisor.Options {
 	return supervisor.Options{
 		Policy:        o.policy,
 		Hang:          o.hang,
-		Retryable:     retryableRunErr,
 		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf:          logf,
 	}
@@ -174,17 +172,6 @@ func drive(l supervisor.Launcher, np int, resume, supervised bool, opts supOptio
 	sup := supervisor.New(l, sopts)
 	go func() { <-stop; sup.Interrupt() }()
 	return sup.Run(np, resume)
-}
-
-// retryableRunErr classifies a world failure: a process world's aggregated
-// child failure carries its own verdict (derived from the exit codes, see
-// remoteAttempt.exit); everything else is supervisor.Retryable's call.
-func retryableRunErr(err error) bool {
-	var ce *childrenError
-	if errors.As(err, &ce) {
-		return ce.retryable
-	}
-	return supervisor.Retryable(err)
 }
 
 // trapInterrupt installs the two-stage SIGTERM/SIGINT handler: the first
@@ -248,9 +235,10 @@ func (l *inprocObserver) rankTracers() []*obsv.Tracer {
 	return l.tracers
 }
 
-// postMortem renders what a condemned rank's tracer last saw: the still-open
-// span chain (where it is stuck) and the most recently completed spans (what
-// it finished on the way there). Wired into supervisor.Options.PostMortem.
+// postMortem renders what a hung world's rank last saw in its tracer: the
+// still-open span chain (where it is stuck) and the most recently completed
+// spans (what it finished on the way there). Wired into
+// supervisor.Options.PostMortem.
 func (l *inprocObserver) postMortem(rank int) []string {
 	var tr *obsv.Tracer
 	l.mu.Lock()

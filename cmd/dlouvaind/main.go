@@ -52,7 +52,7 @@ func run() int {
 		keepJobs    = fs.Int("keep-jobs", 64, "terminal job directories retained before GC")
 		maxRestarts = fs.Int("max-restarts", 5, "per-job supervision restart budget (>= 1)")
 		backoff     = fs.Duration("backoff", 200*time.Millisecond, "base restart backoff")
-		hang        = fs.Duration("hang", 5*time.Second, "beacon silence every rank is allowed before it may count as hung (the learned window is capped at 24x)")
+		hang        = fs.Duration("hang", 5*time.Second, "beacon silence of a job's whole world allowed before it may count as hung (the learned window is capped at 24x)")
 		drainWait   = fs.Duration("drain-wait", time.Minute, "graceful shutdown budget before forcing exit")
 		quiet       = fs.Bool("q", false, "suppress progress logging")
 	)

@@ -135,7 +135,7 @@ func runCkptChaosTCP(t *testing.T, p, doomed int, plan mpi.FaultPlan, dir string
 			}
 			ft := mpi.NewFaultTransport(tp, rankPlan)
 			defer ft.Close()
-			c := mpi.NewComm(ft, mpi.WithCollectiveTimeout(10*time.Second))
+			c := mpi.NewComm(ft, mpi.WithTimeout(10*time.Second))
 			out, err := Resume(c, dir, cfg)
 			errs[r] = err
 			if r == 0 && err == nil {

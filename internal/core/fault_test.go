@@ -64,7 +64,7 @@ func runChaosTCP(t *testing.T, p, doomed int, plan mpi.FaultPlan, n int64, edges
 			}
 			ft := mpi.NewFaultTransport(tp, rankPlan)
 			defer ft.Close()
-			c := mpi.NewComm(ft, mpi.WithCollectiveTimeout(10*time.Second))
+			c := mpi.NewComm(ft, mpi.WithTimeout(10*time.Second))
 			lo, hi := gio.SegmentRange(int64(len(edges)), r, p)
 			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
 			if err != nil {
@@ -180,7 +180,7 @@ func TestChaosInprocDeadlineMidRun(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c := mpi.NewComm(world.Endpoint(r), mpi.WithCollectiveTimeout(500*time.Millisecond))
+			c := mpi.NewComm(world.Endpoint(r), mpi.WithTimeout(500*time.Millisecond))
 			lo, hi := gio.SegmentRange(int64(len(edges)), r, p)
 			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
 			if err != nil {

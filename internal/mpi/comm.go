@@ -19,14 +19,12 @@ type Comm struct {
 	size  int
 	stats Stats
 
-	// recvTimeout / collTimeout bound each blocking receive of user Recv
-	// calls and of collective internals respectively. Zero (the default)
-	// means wait forever, matching MPI semantics; setting them makes a
-	// world whose transport cannot detect peer death (e.g. the in-process
-	// one, or a network partition that keeps connections open) fail fast
-	// instead of hanging.
-	recvTimeout time.Duration
-	collTimeout time.Duration
+	// timeout bounds each blocking receive, of user Recv calls and of
+	// collective internals alike. Zero (the default) means wait forever,
+	// matching MPI semantics; setting it makes a world whose transport
+	// cannot detect peer death (e.g. the in-process one, or a network
+	// partition that keeps connections open) fail fast instead of hanging.
+	timeout time.Duration
 
 	// collSeq numbers collective operations. Because every rank executes
 	// the same collective sequence (SPMD), equal sequence numbers identify
@@ -42,19 +40,14 @@ type Comm struct {
 // CommOption configures a communicator at construction.
 type CommOption func(*Comm)
 
-// WithRecvTimeout bounds every application Recv: if no matching message
-// arrives within d, Recv fails with an error wrapping
-// os.ErrDeadlineExceeded. d <= 0 disables the bound (the default).
-func WithRecvTimeout(d time.Duration) CommOption {
-	return func(c *Comm) { c.recvTimeout = d }
-}
-
-// WithCollectiveTimeout bounds each internal receive of the collective
-// operations (Barrier, Bcast, Allreduce, …): a peer that never sends its
-// round message makes the collective fail within d instead of deadlocking
-// the world. d <= 0 disables the bound (the default).
-func WithCollectiveTimeout(d time.Duration) CommOption {
-	return func(c *Comm) { c.collTimeout = d }
+// WithTimeout bounds every receive: an application Recv, and each internal
+// receive of the collective operations (Barrier, Bcast, Allreduce, …). If no
+// matching message arrives within d, the operation fails with an error
+// wrapping os.ErrDeadlineExceeded, so a peer that never sends its round
+// message fails the world instead of deadlocking it. d <= 0 disables the
+// bound (the default).
+func WithTimeout(d time.Duration) CommOption {
+	return func(c *Comm) { c.timeout = d }
 }
 
 // SetTracer attaches a span tracer after construction — needed when the
@@ -99,10 +92,10 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 }
 
 // Recv blocks for a message matching (from, tag); from may be AnySource,
-// tag may be AnyTag (application tags only). With WithRecvTimeout set, the
+// tag may be AnyTag (application tags only). With WithTimeout set, the
 // wait is bounded.
 func (c *Comm) Recv(from, tag int) (Message, error) {
-	msg, err := c.t.RecvTimeout(from, tag, c.recvTimeout)
+	msg, err := c.t.RecvTimeout(from, tag, c.timeout)
 	if err != nil {
 		return msg, err
 	}
@@ -127,5 +120,5 @@ func (c *Comm) collSend(to, tag int, data []byte) error {
 }
 
 func (c *Comm) collRecv(from, tag int) (Message, error) {
-	return c.t.RecvTimeout(from, tag, c.collTimeout)
+	return c.t.RecvTimeout(from, tag, c.timeout)
 }

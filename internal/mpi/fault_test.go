@@ -187,7 +187,7 @@ func TestFaultPartitionDeadline(t *testing.T) {
 			return nil
 		}
 		return c.Barrier()
-	}, WithCollectiveTimeout(300*time.Millisecond))
+	}, WithTimeout(300*time.Millisecond))
 	elapsed := time.Since(start)
 	for r, err := range errs {
 		if r != doomed && !errors.Is(err, os.ErrDeadlineExceeded) {
@@ -214,7 +214,7 @@ func TestInprocDeadline(t *testing.T) {
 			return nil // silently stops participating
 		}
 		return c.Barrier()
-	}, WithCollectiveTimeout(200*time.Millisecond))
+	}, WithTimeout(200*time.Millisecond))
 	if err == nil {
 		t.Fatal("barrier with absent rank succeeded")
 	}
@@ -318,7 +318,7 @@ func TestFaultDropDeadline(t *testing.T) {
 		}
 		_, err := c.Recv(0, 5)
 		return err
-	}, WithRecvTimeout(200*time.Millisecond))
+	}, WithTimeout(200*time.Millisecond))
 	if errs[doomed] != nil {
 		t.Fatalf("sender: %v", errs[doomed])
 	}

@@ -12,8 +12,7 @@ import (
 //
 // This is the single-binary analogue of "mpirun -np size": tests, examples
 // and benchmarks drive the distributed algorithm through it. opts (e.g.
-// WithRecvTimeout, WithCollectiveTimeout) apply to every rank's
-// communicator.
+// WithTimeout) apply to every rank's communicator.
 func Run(size int, body func(c *Comm) error, opts ...CommOption) error {
 	world, err := NewInprocWorld(size)
 	if err != nil {

@@ -52,7 +52,6 @@ func (s *Service) runJob(j *Job) {
 	sopts := supervisor.Options{
 		Policy:        policy,
 		Hang:          s.opt.Hang,
-		Retryable:     supervisor.Retryable,
 		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf: func(format string, args ...any) {
 			s.logf("job %s: "+format, append([]any{j.ID}, args...)...)

@@ -55,7 +55,8 @@ type Options struct {
 	// Supervision tuning applied to every job's world, in the supervisor's
 	// own types: zero values select its defaults, which are declared there
 	// and nowhere else. Policy.MinRanks and Policy.Seed come from each
-	// job's spec; Hang is supervisor.Options.Hang.
+	// job's spec; Hang is supervisor.Options.Hang, the beacon silence of a
+	// job's whole world allowed before it may count as hung.
 	Policy supervisor.Policy
 	Hang   time.Duration
 

@@ -8,14 +8,16 @@
 // sink: an in-process rank calls it directly; a rank process sends each
 // beacon as a JSON payload over its coordinator heartbeat session, and the
 // coordinator forwards it to the driver's controller connection (see
-// internal/coord). A phi-style accrual failure detector distinguishes crashed
-// ranks (process exit / connection loss, observed by the launcher), hung
-// ranks (beacon silence beyond an adaptive window derived from the observed
-// iteration cadence) and slow-but-alive ranks. On a retryable failure the
-// supervisor kills the remaining world, picks the latest committed checkpoint
-// and relaunches via core.Resume with exponential backoff plus jitter under a
-// configurable restart budget — degrading to a smaller rank count (elastic
-// resume) when the world repeatedly fails to come back at its current size.
+// internal/coord). Every iteration ends in collectives, so the ranks move in
+// lock-step and the supervisor judges the world, not each rank: a crashed
+// world surfaces through the launcher (process exit, connection loss), a hung
+// one through a phi-style accrual detector (no live rank beaconed within a
+// window learned from the world's cadence), and a slow one keeps beaconing.
+// On a failure Retryable calls transient the supervisor kills the remaining
+// world, picks the latest committed checkpoint and relaunches via core.Resume
+// with jittered exponential backoff under a restart budget — degrading to a
+// smaller rank count (elastic resume) when the world repeatedly fails to come
+// back at its current size.
 package supervisor
 
 import (
@@ -53,10 +55,10 @@ type Beacon struct {
 
 // CoreProgressTraced adapts a beacon sink to core's Progress hook: install
 // the returned function as Config.Progress and every run milestone becomes a
-// beacon. When tr is non-nil, each beacon
-// carries the rank's current open span path, so the supervisor
-// can report what a later-condemned rank was doing at its last sign of
-// life. tr should be the same tracer the rank runs with.
+// beacon. When tr is non-nil, each beacon carries the rank's current open
+// span path, so the supervisor can report what each rank of a world later
+// found hung was doing at its last sign of life. tr should be the same tracer
+// the rank runs with.
 func CoreProgressTraced(rank int, tr *obsv.Tracer, emit func(Beacon)) func(core.ProgressEvent) {
 	return func(ev core.ProgressEvent) {
 		var k Kind

@@ -85,14 +85,8 @@ func newChaosRig(n int64, edges []graph.RawEdge, cfg core.Config, traced bool, i
 // spurious generation and breaks the per-generation assertions below.
 func (rig *chaosRig) options(t *testing.T, cfg core.Config) supervisor.Options {
 	return supervisor.Options{
-		Policy: supervisor.Policy{
-			MaxRestarts: 5,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-			MinRanks:    1,
-		},
+		Policy:        supervisor.Policy{MaxRestarts: 5, BaseBackoff: time.Millisecond, MinRanks: 1},
 		Hang:          60 * time.Millisecond,
-		Retryable:     supervisor.Retryable,
 		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
 		Logf:          t.Logf,
 		OnAttempt: func(spec supervisor.LaunchSpec) {
@@ -136,7 +130,7 @@ func (rig *chaosRig) rankTracer(rank int) *obsv.Tracer {
 	return rig.tracers[rank]
 }
 
-// postMortem mirrors the cmd/dlouvain in-process observer: the condemned
+// postMortem mirrors the cmd/dlouvain in-process observer: a hung world's
 // rank's open span chain plus its most recently completed spans.
 func (rig *chaosRig) postMortem(rank int) []string {
 	tr := rig.rankTracer(rank)

@@ -153,15 +153,17 @@ func (l *InprocLauncher) Result() (*core.Result, int) {
 	return l.result, l.ranks
 }
 
-// Retryable classifies a world failure: transient failures (lost peer,
-// expired deadline, FaultKill, hang diagnosis, graceful interrupt)
-// warrant a relaunch from the latest checkpoint; anything else is a
-// deterministic bug.
+// Retryable is the one verdict on a world failure. An error with a
+// Retryable() bool method in its chain states its own (HangError does).
+// Otherwise a lost peer, expired deadline, FaultKill or graceful interrupt
+// warrants a relaunch from the latest checkpoint; anything else is a bug.
 func Retryable(err error) bool {
+	var v interface{ Retryable() bool }
+	if errors.As(err, &v) {
+		return v.Retryable()
+	}
 	var pl *mpi.ErrPeerLost
-	var he *HangError
 	return errors.As(err, &pl) ||
-		errors.As(err, &he) ||
 		errors.Is(err, mpi.ErrKilled) ||
 		errors.Is(err, os.ErrDeadlineExceeded) ||
 		errors.Is(err, core.ErrInterrupted)

@@ -6,24 +6,27 @@ import (
 	"distlouvain/internal/backoff"
 )
 
+// The restart knobs no caller varies. Backoff doubles up to maxBackoff; after
+// degradeAfter consecutive failures at one rank count the supervisor
+// concludes the world cannot come back at that size and shrinks it by one
+// rank (elastic resume re-splits the checkpoint).
+const (
+	maxBackoff   = 30 * time.Second
+	degradeAfter = 2
+)
+
 // Policy governs how the supervisor restarts a failed world: how many times,
-// how long to wait between attempts, and when to give up on the current rank
-// count and degrade to a smaller world.
+// how long to wait between attempts, and how small a world it may degrade
+// to.
 type Policy struct {
 	// MaxRestarts is the relaunch budget for the whole run; exceeding it
 	// fails the run with an ExhaustedError. ≤0 selects 5.
 	MaxRestarts int
 	// BaseBackoff is the first restart delay; each further consecutive
-	// failure doubles it up to MaxBackoff, with uniform jitter in
-	// [d/2, d) so relaunching ranks don't stampede shared infrastructure.
-	// ≤0 selects 500ms (and 30s for MaxBackoff).
+	// failure doubles it up to 30s (or BaseBackoff, if larger), with
+	// uniform jitter in [d/2, d) so relaunching ranks don't stampede
+	// shared infrastructure. ≤0 selects 500ms.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// DegradeAfter is the number of consecutive failures at one rank count
-	// after which the supervisor concludes the world cannot come back at
-	// that size and shrinks it by one rank (elastic resume re-splits the
-	// checkpoint). ≤0 selects 2.
-	DegradeAfter int
 	// MinRanks floors the degradation; needing to shrink below it fails
 	// the run with a MinRanksError. ≤0 selects 1.
 	MinRanks int
@@ -39,15 +42,6 @@ func (p *Policy) fill() {
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = 500 * time.Millisecond
 	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 30 * time.Second
-	}
-	if p.MaxBackoff < p.BaseBackoff {
-		p.MaxBackoff = p.BaseBackoff
-	}
-	if p.DegradeAfter <= 0 {
-		p.DegradeAfter = 2
-	}
 	if p.MinRanks <= 0 {
 		p.MinRanks = 1
 	}
@@ -58,10 +52,10 @@ func (p *Policy) fill() {
 
 // Backoff returns the jittered delay before restart number `restart`
 // (1-based), counted over consecutive failures: BaseBackoff doubling per
-// restart, capped at MaxBackoff, jittered uniformly into [d/2, d). The
+// restart, capped at 30s, jittered uniformly into [d/2, d). The
 // value is deterministic in (Seed, restart); the schedule itself lives in
 // the shared internal/backoff package.
 func (p Policy) Backoff(restart int) time.Duration {
 	p.fill()
-	return backoff.Policy{Base: p.BaseBackoff, Max: p.MaxBackoff, Seed: p.Seed}.Delay(restart)
+	return backoff.Policy{Base: p.BaseBackoff, Max: maxBackoff, Seed: p.Seed}.Delay(restart)
 }

@@ -61,17 +61,13 @@ type Launcher interface {
 // Options tunes a Supervisor beyond its restart Policy.
 type Options struct {
 	Policy Policy
-	// Hang is the one number of hang detection: no rank is condemned
-	// before Hang of beacon silence, the learned window is capped at
-	// 24·Hang (also the window of a rank with too few beacons to model),
-	// and the loop consults the detector every Hang/20, at least every
-	// millisecond. ≤0 selects 5s: a 5s floor, a 2m cap, a 250ms poll.
+	// Hang is the one number of hang detection: no world is found hung
+	// before every live rank has been beacon-silent for Hang, the world's
+	// learned window is capped at 24·Hang (also its window before it has
+	// beaconed enough to model), and the loop consults the detector every
+	// Hang/20, at least every millisecond. ≤0 selects 5s: a 5s floor, a 2m
+	// cap, a 250ms poll.
 	Hang time.Duration
-	// Retryable classifies attempt errors: true means the failure is
-	// transient (crashed peer, expired deadline, interrupt) and the world
-	// should relaunch from the latest checkpoint. nil treats every error
-	// as fatal. Supervisor-ordered kills are always retryable regardless.
-	Retryable func(error) bool
 	// HasCheckpoint reports whether a committed checkpoint exists; it
 	// decides whether a relaunch resumes or restarts from scratch. nil
 	// means restart from scratch.
@@ -81,8 +77,8 @@ type Options struct {
 	// OnBeacon observes every beacon after the detector has (verbose
 	// progress displays); nil disables.
 	OnBeacon func(Beacon)
-	// PostMortem, when set, is asked for a condemned rank's last recorded
-	// activity (e.g. its tracer's span tail) right after a hang kill; each
+	// PostMortem, when set, is asked for each live rank's last recorded
+	// activity (e.g. its tracer's span tail) right before a hang kill; each
 	// returned line is logged. In-process launchers that hold the ranks'
 	// tracers wire this up; nil disables.
 	PostMortem func(rank int) []string
@@ -100,9 +96,11 @@ type Options struct {
 }
 
 // HangError reports a world the supervisor killed because its beacons went
-// silent: the detector's condemned ranks plus whatever error the teardown
-// surfaced. It is always retryable.
+// silent: the window no live rank beaconed within, every live rank
+// longest-silent first, and what the teardown surfaced. It is retryable
+// whatever that was: a world the supervisor killed is worth relaunching.
 type HangError struct {
+	Window   time.Duration
 	Suspects []Suspect
 	Cause    error // world error observed after the kill, if any
 }
@@ -112,14 +110,15 @@ func (e *HangError) Error() string {
 	for i, s := range e.Suspects {
 		parts[i] = s.String()
 	}
-	msg := "supervisor: world hung: " + strings.Join(parts, "; ")
+	msg := fmt.Sprintf("supervisor: world hung (window %v): %s", e.Window.Round(time.Millisecond), strings.Join(parts, "; "))
 	if e.Cause != nil {
 		msg += fmt.Sprintf(" (world reported after kill: %v)", e.Cause)
 	}
 	return msg
 }
 
-func (e *HangError) Unwrap() error { return e.Cause }
+func (e *HangError) Unwrap() error   { return e.Cause }
+func (e *HangError) Retryable() bool { return true }
 
 // ExhaustedError reports a run that failed more times than the restart
 // budget allows. It is fatal: an operator must look at the recurring cause.
@@ -235,7 +234,7 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 		now := time.Now()
 		for r := 0; r < ranks; r++ {
 			// Bootstrap observation: a world that never beacons at all is
-			// condemned once the bootstrap window expires.
+			// hung once the bootstrap window expires.
 			s.det.Observe(r, now)
 		}
 		s.logf("supervisor: attempt %d: launching %d ranks (resume=%v)", spec.Attempt, ranks, resume)
@@ -244,7 +243,6 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 		}
 		att, err := s.launcher.Launch(spec, func(b Beacon) { s.observe(gen, b) })
 		var aerr error
-		var hung bool
 		if err != nil {
 			aerr = fmt.Errorf("supervisor: launch: %w", err)
 		} else {
@@ -257,7 +255,7 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 			} else if stopping {
 				att.Interrupt() // interrupt raced the launch; re-deliver
 			}
-			aerr, hung = s.monitor(att)
+			aerr = s.monitor(att)
 			s.mu.Lock()
 			s.cur = nil
 			s.mu.Unlock()
@@ -273,7 +271,7 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 			s.logf("supervisor: stopped by interrupt: %v", aerr)
 			return aerr
 		}
-		if !hung && (s.opt.Retryable == nil || !s.opt.Retryable(aerr)) {
+		if !Retryable(aerr) {
 			s.logf("supervisor: fatal failure, not restarting: %v", aerr)
 			return aerr
 		}
@@ -282,13 +280,13 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 		}
 		restarts++
 		consec++
-		if consec >= pol.DegradeAfter {
+		if consec >= degradeAfter {
 			if ranks-1 < pol.MinRanks {
 				return &MinRanksError{Ranks: ranks, MinRanks: pol.MinRanks, Last: aerr}
 			}
 			ranks--
 			consec = 0
-			s.logf("supervisor: world failed %d times in a row at this size; degrading to %d ranks", pol.DegradeAfter, ranks)
+			s.logf("supervisor: world failed %d times in a row at this size; degrading to %d ranks", degradeAfter, ranks)
 		}
 		d := pol.Backoff(consec + 1)
 		s.logf("supervisor: restart %d/%d in %v (cause: %v)", restarts, pol.MaxRestarts, d.Round(time.Millisecond), aerr)
@@ -304,14 +302,12 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 // a previous attempt's world that arrive after its teardown.
 func (s *Supervisor) observe(gen int, b Beacon) {
 	s.mu.Lock()
-	stale := gen != s.gen
-	if !stale {
-		s.last[b.Rank] = b
-	}
-	s.mu.Unlock()
-	if stale {
+	if gen != s.gen {
+		s.mu.Unlock()
 		return
 	}
+	s.last[b.Rank] = b
+	s.mu.Unlock()
 	now := time.Now()
 	if b.Kind == KindDone {
 		s.det.Done(b.Rank, now)
@@ -323,10 +319,9 @@ func (s *Supervisor) observe(gen int, b Beacon) {
 	}
 }
 
-// monitor waits for the attempt while polling the failure detector; a
-// condemned rank gets the whole world killed and the failure reported as a
-// (retryable) HangError.
-func (s *Supervisor) monitor(att Attempt) (error, bool) {
+// monitor waits for the attempt while polling the failure detector; a hung
+// world is killed and the failure reported as a HangError.
+func (s *Supervisor) monitor(att Attempt) error {
 	done := make(chan error, 1)
 	go func() { done <- att.Wait() }()
 	tick := time.NewTicker(max(s.opt.Hang/20, time.Millisecond))
@@ -337,88 +332,55 @@ func (s *Supervisor) monitor(att Attempt) (error, bool) {
 	for {
 		select {
 		case err := <-done:
-			return err, false
+			return err
 		case <-tick.C:
-			// Condemned leads the hang diagnosis with the earliest-silent
-			// rank (the likely root cause) even when its adaptive window is
-			// wider than its blocked victims' and it has therefore not
-			// crossed it yet.
 			now := time.Now()
-			sus := s.det.Condemned(now)
+			sus, window := s.det.Hung(now)
 			if len(sus) == 0 {
 				pendingSince = time.Time{}
 				continue
 			}
-			// Confirmation grace: a hang verdict must survive continued
-			// polling for half the narrowest condemned window before the
-			// kill. A world that stalls past a window and then recovers (a
-			// slow checkpoint fence, an I/O hiccup, scheduler pressure on a
-			// loaded machine) beacons during the grace, the verdict clears,
-			// and nothing is killed — a real hang only gets its kill ~1.5
-			// windows after the last beacon instead of 1.
+			// Confirmation grace: a verdict must hold for half the window
+			// before the kill. A world that stalls and recovers (a slow
+			// checkpoint fence, an I/O hiccup, a loaded machine) beacons
+			// during the grace and is spared; a real hang is killed ~1.5
+			// windows after its last beacon instead of 1.
 			if pendingSince.IsZero() {
 				pendingSince = now
+			}
+			if now.Sub(pendingSince) < window/2 {
 				continue
 			}
-			grace := sus[0].Window
-			for _, u := range sus[1:] {
-				if u.Window < grace {
-					grace = u.Window
-				}
-			}
-			if now.Sub(pendingSince) < grace/2 {
-				continue
-			}
+			s.mu.Lock()
 			for i := range sus {
-				if b, ok := s.lastBeacon(sus[i].Rank); ok {
-					sus[i].LastSpan = b.Span
-				}
+				sus[i].LastSpan = s.last[sus[i].Rank].Span
 			}
-			he := &HangError{Suspects: sus}
+			s.mu.Unlock()
+			he := &HangError{Window: window, Suspects: sus}
 			s.logf("%v; killing the world", he)
-			// The kill takes the whole world, so the post-mortem covers
-			// every live rank, not just the condemned ones: the rank that
-			// caused the hang may have a wider adaptive window than the
-			// peers it left blocked in a collective, and then it is the
-			// victims — not the hanger — that cross their windows first.
-			//
 			// Dump BEFORE Kill: the kill unblocks hung ranks (their blocking
 			// points watch the kill channel), and an unblocked rank mutates
 			// its tracer on the way out — dumping first reads each rank's
 			// activity record while it is still frozen at the death site.
-			live := s.det.Live(time.Now())
-			for i := range live {
-				if b, ok := s.lastBeacon(live[i].Rank); ok {
-					live[i].LastSpan = b.Span
-				}
-			}
-			s.postMortem(live)
+			s.postMortem(sus)
 			att.Kill()
-			if err := <-done; err != nil {
-				he.Cause = err
-			} else {
-				// The world completed in the kill race; its result stands.
-				return nil, false
+			if he.Cause = <-done; he.Cause == nil {
+				return nil // the world completed in the kill race; its result stands
 			}
-			return he, true
+			return he
 		}
 	}
 }
 
-// lastBeacon returns the latest beacon the current attempt's rank emitted.
-func (s *Supervisor) lastBeacon(rank int) (Beacon, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.last[rank]
-	return b, ok
-}
-
-// postMortem logs what each condemned rank was last known to be doing: its
-// final beacon, plus whatever activity record the launcher can produce (for
-// in-process worlds, the rank tracer's span tail).
+// postMortem logs what each live rank of a hung world was last known to be
+// doing: its final beacon, plus whatever activity record the launcher can
+// produce (for in-process worlds, the rank tracer's span tail).
 func (s *Supervisor) postMortem(sus []Suspect) {
 	for _, u := range sus {
-		if b, ok := s.lastBeacon(u.Rank); ok {
+		s.mu.Lock()
+		b, ok := s.last[u.Rank]
+		s.mu.Unlock()
+		if ok {
 			s.logf("supervisor: post-mortem rank %d: last beacon kind=%s phase=%d iter=%d span=%q",
 				u.Rank, b.Kind, b.Phase, b.Iteration, b.Span)
 		}

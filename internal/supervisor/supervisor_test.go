@@ -3,22 +3,38 @@ package supervisor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// errTransient marks scripted failures the test classifier calls retryable.
-var errTransient = errors.New("transient world failure")
+// transientError states its own verdict, so supervisor.Retryable retries
+// the scripted failures it marks.
+type transientError struct{}
+
+func (transientError) Error() string   { return "transient world failure" }
+func (transientError) Retryable() bool { return true }
+
+var errTransient error = transientError{}
 
 // fakeAttempt is a scripted Attempt for supervision-loop tests.
 type fakeAttempt struct {
 	err         error
 	release     chan struct{} // Wait blocks until closed; nil returns at once
+	releaseOnce sync.Once
 	killed      atomic.Bool
 	interrupted atomic.Bool
 	killErr     error // error to report when killed mid-wait
+}
+
+// open lets Wait return; safe to call any number of times, from the test
+// and from Kill or Interrupt alike.
+func (a *fakeAttempt) open() {
+	if a.release != nil {
+		a.releaseOnce.Do(func() { close(a.release) })
+	}
 }
 
 func (a *fakeAttempt) Wait() error {
@@ -33,24 +49,12 @@ func (a *fakeAttempt) Wait() error {
 
 func (a *fakeAttempt) Kill() {
 	a.killed.Store(true)
-	if a.release != nil {
-		select {
-		case <-a.release:
-		default:
-			close(a.release)
-		}
-	}
+	a.open()
 }
 
 func (a *fakeAttempt) Interrupt() {
 	a.interrupted.Store(true)
-	if a.release != nil {
-		select {
-		case <-a.release:
-		default:
-			close(a.release)
-		}
-	}
+	a.open()
 }
 
 // fakeLauncher hands out scripted attempts in order and records the specs it
@@ -82,15 +86,8 @@ func (l *fakeLauncher) launched() []LaunchSpec {
 
 func fastOptions() Options {
 	return Options{
-		Policy: Policy{
-			MaxRestarts:  3,
-			BaseBackoff:  time.Millisecond,
-			MaxBackoff:   2 * time.Millisecond,
-			DegradeAfter: 2,
-			MinRanks:     1,
-		},
-		Hang:      time.Hour,
-		Retryable: func(err error) bool { return errors.Is(err, errTransient) },
+		Policy: Policy{MaxRestarts: 3, BaseBackoff: time.Millisecond, MinRanks: 1},
+		Hang:   time.Hour,
 	}
 }
 
@@ -143,13 +140,12 @@ func TestSupervisorFatalErrorStops(t *testing.T) {
 }
 
 func TestSupervisorBudgetExhaustion(t *testing.T) {
-	// MaxRestarts 3 and DegradeAfter large: 4 attempts total, all failing.
+	// MaxRestarts 3: 4 attempts total, all failing. Two failures at 4 ranks
+	// degrade the world to 3, where the budget runs out before the floor.
 	l := &fakeLauncher{attempts: []*fakeAttempt{
 		{err: errTransient}, {err: errTransient}, {err: errTransient}, {err: errTransient},
 	}}
-	opt := fastOptions()
-	opt.Policy.DegradeAfter = 100
-	err := New(l, opt).Run(4, false)
+	err := New(l, fastOptions()).Run(4, false)
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *ExhaustedError", err)
@@ -157,8 +153,12 @@ func TestSupervisorBudgetExhaustion(t *testing.T) {
 	if ex.Restarts != 3 || !errors.Is(ex, errTransient) {
 		t.Fatalf("exhausted = %+v", ex)
 	}
-	if n := len(l.launched()); n != 4 {
-		t.Fatalf("launches = %d, want 4", n)
+	var ranks []int
+	for _, spec := range l.launched() {
+		ranks = append(ranks, spec.Ranks)
+	}
+	if !slices.Equal(ranks, []int{4, 4, 3, 3}) {
+		t.Fatalf("launched rank counts = %v, want [4 4 3 3]", ranks)
 	}
 }
 
@@ -170,7 +170,6 @@ func TestSupervisorDegradesThenHitsFloor(t *testing.T) {
 	l := &fakeLauncher{attempts: fails}
 	opt := fastOptions()
 	opt.Policy.MaxRestarts = 100
-	opt.Policy.DegradeAfter = 2
 	opt.Policy.MinRanks = 3
 	err := New(l, opt).Run(4, false)
 	var mr *MinRanksError
@@ -191,12 +190,12 @@ func TestSupervisorDegradesThenHitsFloor(t *testing.T) {
 }
 
 func TestSupervisorKillsHungWorldAndRetries(t *testing.T) {
-	collateral := errors.New("torn down") // NOT retryable by the classifier
+	collateral := errors.New("torn down") // NOT retryable by Retryable
 	hung := &fakeAttempt{release: make(chan struct{}), killErr: collateral}
 	l := &fakeLauncher{attempts: []*fakeAttempt{hung, {}}}
 	opt := fastOptions()
 	// Tiny bootstrap window (24ms): the hung attempt never beacons, so the
-	// seed observations age out and the detector condemns every rank.
+	// seed observations age out and the detector finds the world hung.
 	opt.Hang = time.Millisecond
 	if err := New(l, opt).Run(2, false); err != nil {
 		t.Fatal(err)
@@ -231,12 +230,91 @@ func TestSupervisorBeaconsKeepSlowWorldAlive(t *testing.T) {
 		}
 		l.mu.Unlock()
 	}
-	close(slow.release)
+	slow.open()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if slow.killed.Load() {
 		t.Fatal("beaconing world was killed as hung")
+	}
+	if n := len(l.launched()); n != 1 {
+		t.Fatalf("launches = %d, want 1", n)
+	}
+}
+
+func TestSupervisorLostBeaconsKeepWorldAlive(t *testing.T) {
+	// Beacon delivery is best-effort: rank 1's beacons stop arriving from
+	// iteration 5 while ranks 0 and 2 keep beaconing every 5ms. The ranks of
+	// a world move in lock-step, so its peers' progress proves rank 1 alive:
+	// nothing may be killed. Same timing as the slow-world test above: a
+	// ~15ms learned window, ~10 bootstrap windows of beacons.
+	alive := &fakeAttempt{release: make(chan struct{})}
+	l := &fakeLauncher{attempts: []*fakeAttempt{alive}}
+	opt := fastOptions()
+	opt.Hang = 1250 * time.Microsecond
+	sup := New(l, opt)
+
+	done := make(chan error, 1)
+	go func() { done <- sup.Run(3, false) }()
+	for i := 0; i < 60; i++ {
+		time.Sleep(5 * time.Millisecond)
+		l.mu.Lock()
+		if len(l.sinks) > 0 {
+			for r := 0; r < 3; r++ {
+				if r != 1 || i < 5 {
+					l.sinks[0](Beacon{Rank: r, Kind: KindIteration, Iteration: i})
+				}
+			}
+		}
+		l.mu.Unlock()
+	}
+	alive.open() // a hang kill may already have released it
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if alive.killed.Load() {
+		t.Fatal("world whose peers kept beaconing was killed as hung")
+	}
+	if n := len(l.launched()); n != 1 {
+		t.Fatalf("launches = %d, want 1", n)
+	}
+}
+
+func TestSupervisorSlowStartKeepsWorldAlive(t *testing.T) {
+	// Each rank says hello right after launch, then stays silent while it
+	// reads its share and builds its graph (or resumes) before its first
+	// phase beacon. That start is 10 floors long, inside the 24-floor
+	// bootstrap cap, so it must not be taken for a hang.
+	start := &fakeAttempt{release: make(chan struct{})}
+	l := &fakeLauncher{attempts: []*fakeAttempt{start}}
+	opt := fastOptions()
+	opt.Hang = 5 * time.Millisecond // cap 120ms
+	sup := New(l, opt)
+
+	done := make(chan error, 1)
+	go func() { done <- sup.Run(3, false) }()
+	beacon := func(kind Kind, i int) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for r := 0; r < 3 && len(l.sinks) > 0; r++ {
+			l.sinks[0](Beacon{Rank: r, Kind: kind, Iteration: i})
+		}
+	}
+	for len(l.launched()) == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	beacon(KindHello, 0)
+	time.Sleep(10 * opt.Hang)
+	for i := 0; i < 10; i++ {
+		beacon(KindIteration, i)
+		time.Sleep(5 * time.Millisecond)
+	}
+	start.open() // a hang kill may already have released it
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if start.killed.Load() {
+		t.Fatal("world killed as hung during its slow start")
 	}
 	if n := len(l.launched()); n != 1 {
 		t.Fatalf("launches = %d, want 1", n)
@@ -352,8 +430,6 @@ func (l *gatedLauncher) Launch(spec LaunchSpec, beacons func(Beacon)) (Attempt, 
 func TestSupervisorOnAttemptObservesEveryLaunch(t *testing.T) {
 	l := &fakeLauncher{attempts: []*fakeAttempt{{err: errTransient}, {err: errTransient}, {}}}
 	opt := fastOptions()
-	opt.Policy.DegradeAfter = 2
-	opt.Policy.MinRanks = 1
 	opt.HasCheckpoint = func() bool { return true }
 	var mu sync.Mutex
 	var seen []LaunchSpec
