@@ -41,6 +41,21 @@ func main() {
 	os.Exit(run())
 }
 
+// The HTTP server's timeouts. A client gets readHeaderTimeout to send its
+// request headers and a keep-alive connection is closed after idleTimeout
+// without a request, so a slow or silent peer cannot hold a connection open
+// forever. There is no write timeout: GET /v1/jobs/{id}/events is an SSE
+// stream that lasts as long as its job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the daemon's HTTP server around h.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func run() int {
 	fs := flag.NewFlagSet("dlouvaind", flag.ExitOnError)
 	var (
@@ -103,7 +118,7 @@ func run() int {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", svc.Handler())
 	mux.Handle("/debug/", http.DefaultServeMux)
-	srv := &http.Server{Handler: mux}
+	srv := newServer(mux)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dlouvaind: listen: %v\n", err)

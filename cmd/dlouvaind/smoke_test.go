@@ -116,6 +116,26 @@ func TestDaemonRejectsZeroMaxRestarts(t *testing.T) {
 	}
 }
 
+// TestServerTimeouts: the daemon's server bounds how long a client may take
+// over its request headers and how long an idle keep-alive connection
+// stays open, and sets no write timeout, which would cut SSE streams off.
+func TestServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newServer(h)
+	if srv.Handler != h {
+		t.Fatal("the server does not serve the given handler")
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v: it would cut the SSE event stream off", srv.WriteTimeout)
+	}
+}
+
 // TestDaemonFlagSetPinned ratchets the daemon's CLI surface the way
 // dlouvain's TestFlagSetPinned does: adding a flag is a deliberate edit here.
 func TestDaemonFlagSetPinned(t *testing.T) {

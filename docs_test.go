@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,10 @@ var (
 	codeSpan = regexp.MustCompile("`([^`]+)`")
 	// citation is pkg.Name, optionally followed by .Member.
 	citation = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	// flagSpan is a code span that starts with a flag; flagName is every
+	// flag in it, at its start or after a space.
+	flagSpan = regexp.MustCompile(`^-[a-zA-Z]`)
+	flagName = regexp.MustCompile(`(?:^|\s)-([a-zA-Z][\w-]*)`)
 )
 
 // pkgIndex is what a package's non-test files declare: top-level names,
@@ -188,4 +193,104 @@ func TestDocReferencesResolve(t *testing.T) {
 		t.Fatal("no pkg.Name citations found; the scan is broken")
 	}
 	t.Logf("%d citations checked", checked)
+}
+
+// goToolFlags are flags of the go command and of test binaries that the
+// documents cite in passing; no main package here defines them.
+var goToolFlags = map[string]bool{
+	"race": true, "count": true, "run": true, "bench": true, "benchtime": true,
+	"benchmem": true, "memprofilerate": true,
+}
+
+// flagDefiners are the flag package's defining functions and FlagSet
+// methods, by the position of the flag's name among their arguments.
+var flagDefiners = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "String": 0,
+	"Float64": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1,
+	"StringVar": 1, "Float64Var": 1, "DurationVar": 1, "Var": 1, "TextVar": 1,
+}
+
+// definedFlags returns every flag name a flag-defining call in a main
+// package under cmd/ or in benchmark/ spells out as a string literal.
+func definedFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join("cmd", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range append(dirs, "benchmark") {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Name.Name != "main" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				at, ok := flagDefiners[sel.Sel.Name]
+				if !ok || len(call.Args) <= at {
+					return true
+				}
+				if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						flags[name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return flags
+}
+
+// TestDocFlagsResolve is the flag half of the doc check: every flag in a
+// code span of DESIGN.md or README.md that starts with one (`-np 3`,
+// `-transport tcp -coord …`) must be defined by some command's flag set, or
+// be one of the go tool's.
+func TestDocFlagsResolve(t *testing.T) {
+	defined := definedFlags(t)
+	if len(defined) == 0 {
+		t.Fatal("no flag definitions found; the scan is broken")
+	}
+	checked := 0
+	for _, doc := range docFiles {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllStringSubmatch(stripFences(string(raw)), -1) {
+			if !flagSpan.MatchString(span[1]) {
+				continue
+			}
+			for _, m := range flagName.FindAllStringSubmatch(span[1], -1) {
+				checked++
+				if !defined[m[1]] && !goToolFlags[m[1]] {
+					t.Errorf("%s: `-%s` (in `%s`) is not a flag any command defines", doc, m[1], span[1])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -flag citations found; the scan is broken")
+	}
+	t.Logf("%d flag citations checked against %d defined flags", checked, len(defined))
 }

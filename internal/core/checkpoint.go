@@ -333,7 +333,7 @@ func csrLayout(dg *dgraph.DistGraph) (form byte, size int) {
 		}
 	}
 	if form == weightsFixed64 {
-		wBytes = 8 * len(dg.W)
+		wBytes = 8 * len(dg.Slot)
 	}
 	return form, size + wBytes
 }

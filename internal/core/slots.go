@@ -135,7 +135,7 @@ func (st *phaseState) recountRefs() {
 	st.reqStale = true
 }
 
-// liveRef is one live non-owned community in rebuildRequests' sort.
+// liveRef is one live non-owned community in rebuildRequests' list.
 type liveRef struct {
 	gid  int64
 	slot int32
@@ -143,27 +143,46 @@ type liveRef struct {
 
 // rebuildRequests recomputes, per owner, the non-owned communities some
 // endpoint currently holds (refs > 0), ascending by global ID: reqGIDs is what
-// the fetch puts on the wire and reqSlots where each reply entry lands.
-// Ownership ranges are contiguous, so each owner's share is one run of the
-// sorted list. An ID outside every range (only a corrupt ghost frame can name
-// one) goes to the first or last rank, which rejects the request. Every list
-// is sized before it is filled, from one count of the live slots.
+// the fetch puts on the wire and reqSlots where each reply entry lands. The
+// ghost slots come in global-ID order already (Ghosts is sorted) and the tail
+// slots in order of first reference, so only the live tail is sorted, then
+// merged into the live ghosts. Ownership ranges are contiguous, so each
+// owner's share is one run of the merged list. An ID outside every range
+// (only a corrupt ghost frame can name one) goes to the first or last rank,
+// which rejects the request. Every list is sized before it is filled, from
+// one count of the live slots.
 func (st *phaseState) rebuildRequests() {
-	nonOwned := st.refs[st.dg.LocalN:]
-	count := 0
-	for _, r := range nonOwned {
+	n := st.dg.LocalN
+	held := n + int64(len(st.dg.Ghosts))
+	ghosts := st.refs[n:held]
+	tail := st.tailBuf[:0]
+	for i, r := range st.refs[held:] {
+		if r > 0 {
+			s := int32(held) + int32(i)
+			tail = append(tail, liveRef{gid: st.gidOf(s), slot: s})
+		}
+	}
+	slices.SortFunc(tail, func(a, b liveRef) int { return cmp.Compare(a.gid, b.gid) })
+	st.tailBuf = tail
+	count := len(tail)
+	for _, r := range ghosts {
 		if r > 0 {
 			count++
 		}
 	}
 	live := slices.Grow(st.liveBuf[:0], count)
-	for i, r := range nonOwned {
-		if r > 0 {
-			s := int32(st.dg.LocalN) + int32(i)
-			live = append(live, liveRef{gid: st.gidOf(s), slot: s})
+	j := 0
+	for i, r := range ghosts {
+		if r == 0 {
+			continue
 		}
+		g := st.dg.Ghosts[i]
+		for ; j < len(tail) && tail[j].gid < g; j++ {
+			live = append(live, tail[j])
+		}
+		live = append(live, liveRef{gid: g, slot: int32(n) + int32(i)})
 	}
-	slices.SortFunc(live, func(a, b liveRef) int { return cmp.Compare(a.gid, b.gid) })
+	live = append(live, tail[j:]...)
 	st.liveBuf = live
 	for q := range st.reqGIDs {
 		k := len(live)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"distlouvain/internal/dgraph"
@@ -236,4 +238,95 @@ func TestFrontierIterationQMatchesLabels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRebuildRequestsMatchFullSort holds rebuildRequests' merge of the sorted
+// live ghosts with the sorted live tail to a full sort of every live
+// non-owned slot, split by owner, after every fetch of whole runs at 2–4
+// ranks — among them fetches that ask for tail communities (asserted), so the
+// merge has two inputs to interleave.
+func TestRebuildRequestsMatchFullSort(t *testing.T) {
+	tailFetches := 0
+	for _, g := range slotGraphs() {
+		for ranks := 2; ranks <= 4; ranks++ {
+			tails, err := mpi.RunCollect(ranks, func(c *mpi.Comm) (int, error) {
+				lo, hi := gio.SegmentRange(int64(len(g.edges)), c.Rank(), ranks)
+				dg, err := dgraph.Build(c, g.n, g.edges[lo:hi], nil)
+				if err != nil {
+					return 0, err
+				}
+				tails := 0
+				for phase := 0; phase < 4; phase++ {
+					cfg := Baseline()
+					cfg.fill()
+					st, err := newPhaseState(dg, &cfg, phase, &StepTimes{})
+					if err != nil {
+						return 0, err
+					}
+					fetches := 0
+					st.afterFetch = func() error {
+						fetches++
+						if err := requestsMatchFullSort(st); err != nil {
+							return fmt.Errorf("phase %d fetch %d: %w", phase, fetches, err)
+						}
+						for _, r := range st.refs[st.dg.LocalN+int64(len(st.dg.Ghosts)):] {
+							if r > 0 {
+								tails++
+								break
+							}
+						}
+						return nil
+					}
+					if _, err := st.iterate(cfg.Tau); err != nil {
+						return 0, err
+					}
+					ndg, _, err := st.rebuild()
+					if err != nil {
+						return 0, err
+					}
+					if ndg.GlobalN == dg.GlobalN {
+						break
+					}
+					dg = ndg
+				}
+				return tails, nil
+			})
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", g.name, ranks, err)
+			}
+			for _, k := range tails {
+				tailFetches += k
+			}
+		}
+	}
+	if tailFetches == 0 {
+		t.Fatal("no fetch asked for a tail community")
+	}
+	t.Logf("%d fetches asked for a tail community", tailFetches)
+}
+
+// requestsMatchFullSort compares st's request lists with the live non-owned
+// slots sorted by global ID and cut by owner.
+func requestsMatchFullSort(st *phaseState) error {
+	var live []liveRef
+	for s := int32(st.dg.LocalN); int(s) < len(st.refs); s++ {
+		if st.refs[s] > 0 {
+			live = append(live, liveRef{gid: st.gidOf(s), slot: s})
+		}
+	}
+	slices.SortFunc(live, func(a, b liveRef) int { return cmp.Compare(a.gid, b.gid) })
+	wantGIDs := make([][]int64, len(st.reqGIDs))
+	wantSlots := make([][]int32, len(st.reqGIDs))
+	for _, r := range live {
+		q := st.dg.Part.Owner(r.gid)
+		wantGIDs[q] = append(wantGIDs[q], r.gid)
+		wantSlots[q] = append(wantSlots[q], r.slot)
+	}
+	for q := range st.reqGIDs {
+		if !slices.Equal(st.reqGIDs[q], wantGIDs[q]) || !slices.Equal(st.reqSlots[q], wantSlots[q]) {
+			return fmt.Errorf("rank %d's request list is %v at slots %v, a full sort gives %v at %v",
+				q, st.reqGIDs[q], st.reqSlots[q], wantGIDs[q], wantSlots[q])
+		}
+	}
+	return nil
 }

@@ -55,7 +55,8 @@ type phaseState struct {
 	reqGIDs  [][]int64
 	reqSlots [][]int32
 	liveBuf  []liveRef
-	ownerLcs []int64 // tellOwners' decode scratch
+	tailBuf  []liveRef // rebuildRequests' live tail slots, sorted before the merge
+	ownerLcs []int64   // tellOwners' decode scratch
 
 	// Ghost-exchange plumbing, built once per phase:
 	// pushList[q] lists local vertex indices whose community rank q wants
@@ -189,6 +190,7 @@ func (st *phaseState) reset(dg *dgraph.DistGraph, phaseIdx int) error {
 		reqGIDs:     truncateEach(old.reqGIDs, p),
 		reqSlots:    truncateEach(old.reqSlots, p),
 		liveBuf:     old.liveBuf,
+		tailBuf:     old.tailBuf,
 		ownerLcs:    old.ownerLcs,
 		pushList:    truncateEach(old.pushList, p),
 		ghostSlots:  truncateEach(old.ghostSlots, p),

@@ -413,8 +413,8 @@ func sameGraph(got, want *DistGraph) error {
 // range and every rank but the last ghosts above it, with integer weights and
 // with float ones (quarter-integers, whose sums are exact in any order), with
 // parallel arcs and self loops, assembled fresh and then twice into the
-// recycled previous graph through one kept shuffle. And a Build with no
-// parallel arcs keeps 12 bytes per arc: a 4-byte slot and an 8-byte weight.
+// recycled previous graph through one kept shuffle. And an unweighted Build
+// with no parallel arcs keeps 4 bytes per arc: the slot, and no W.
 func TestAssembleRowsInGlobalOrder(t *testing.T) {
 	const n = 240
 	rng := rand.New(rand.NewSource(9))
@@ -500,8 +500,8 @@ func TestAssembleRowsInGlobalOrder(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if bytes := 4*cap(dg.Slot) + 8*cap(dg.W); bytes != 12*len(dg.Slot) {
-			return fmt.Errorf("rank %d: %d arcs hold %d bytes of slots and weights, want 12 per arc", c.Rank(), len(dg.Slot), bytes)
+		if bytes := 4*cap(dg.Slot) + 8*cap(dg.W); dg.W != nil || bytes != 4*len(dg.Slot) {
+			return fmt.Errorf("rank %d: %d arcs hold %d bytes of slots and weights, want 4 per arc and no W", c.Rank(), len(dg.Slot), bytes)
 		}
 		return nil
 	})
@@ -556,29 +556,32 @@ func TestParallelArcSummationOrder(t *testing.T) {
 }
 
 // TestSortRowIsStable holds the hand-written row sorts to the standard
-// library's stable sort over row lengths on both sides of every run and
-// merge-width boundary and of radixMinRow, with few distinct targets so ties
-// are everywhere and the weights record arrival order, and with ID spaces on
-// both sides of a radix digit boundary.
+// library's stable sort by key over row lengths on both sides of every run
+// and merge-width boundary and of radixMinRow, with few distinct keys so ties
+// are everywhere, and with key spaces on both sides of a radix digit boundary
+// up to the whole int32 slot space. A word's low half is its arrival.
 func TestSortRowIsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	scratch := make([]graph.Edge, 5000)
+	scratch := make([]uint64, 5000)
 	for _, n := range []int{0, 1, 2, 23, 24, 25, 47, 48, 49, 96, 97, 200, radixMinRow - 1, radixMinRow, radixMinRow + 1, 1000, 5000} {
-		for _, ids := range []int64{1, 3, 40, 2047, 2048, 2049, 1 << 22, 1<<22 + 1, 1 << 40, math.MaxInt64} {
-			row := make([]graph.Edge, n)
-			for i := range row {
-				row[i] = graph.Edge{To: rng.Int63n(ids), W: float64(i)}
+		for _, ids := range []int64{1, 3, 40, 2047, 2048, 2049, 1 << 22, 1<<22 + 1, math.MaxInt32} {
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = rng.Int63n(ids)
 			}
 			if n >= 2 {
-				row[0].To, row[n-1].To = ids-1, 0 // the ends of the ID space, and never born sorted
+				keys[0], keys[n-1] = ids-1, 0 // the ends of the key space, and never born sorted
+			}
+			row := make([]uint64, n)
+			for i, k := range keys {
+				row[i] = uint64(k)<<32 | uint64(i)
 			}
 			want := slices.Clone(row)
-			slices.SortStableFunc(want, func(a, b graph.Edge) int { return cmp.Compare(a.To, b.To) })
+			slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(a>>32, b>>32) })
 			sortRow(row, scratch, ids)
 			if !slices.Equal(row, want) {
 				t.Fatalf("n=%d ids=%d: got %v, want %v", n, ids, row, want)
 			}
-			sortRow(row, nil, ids) // already ascending: must not touch the scratch
 		}
 	}
 }
@@ -674,10 +677,15 @@ func frame(layout byte, arcs ...oracleArc) []byte {
 	return f
 }
 
-// assembleAtRank0 hands recv to the assembly of rank 0 in a 2-rank world
-// split by part, recycling spare (nil: nothing to recycle); rank 1 only joins
-// the closing allreduce, so a frame rank 0 refuses fails the run before it.
+// assembleAtRank0 hands a copy of recv (the assembly consumes its frames) to
+// the assembly of rank 0 in a 2-rank world split by part, recycling spare
+// (nil: nothing to recycle); rank 1 only joins the closing allreduce, so a
+// frame rank 0 refuses fails the run before it.
 func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *DistGraph) (*DistGraph, error) {
+	recv = slices.Clone(recv)
+	for q, f := range recv {
+		recv[q] = slices.Clone(f)
+	}
 	var dg *DistGraph
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
@@ -894,8 +902,18 @@ func TestValidateCatchesBrokenInvariants(t *testing.T) {
 		"ghost owner":         func(dg *DistGraph) { dg.GhostOwner[0] = 0 },
 		"index overruns":      func(dg *DistGraph) { dg.Index[dg.LocalN]++ },
 		"short K":             func(dg *DistGraph) { dg.K = dg.K[:1] },
+		// A unit graph: the same arcs, every weight 1, so W is nil.
+		"unit: too few 1s":    func(dg *DistGraph) { dg.ones = dg.ones[:2] },
+		"unit: a 1 that is 2": func(dg *DistGraph) { dg.ones[0] = 2 },
 	}
 	for name, breakIt := range breaks {
+		edges := edges
+		if strings.HasPrefix(name, "unit: ") {
+			edges = slices.Clone(edges)
+			for i := range edges {
+				edges[i].W = 1
+			}
+		}
 		err := mpi.Run(2, func(c *mpi.Comm) error {
 			dg, err := Build(c, 4, chunkEdges(edges, c.Rank(), 2), nil)
 			if err != nil {
@@ -966,6 +984,10 @@ func FuzzBuildFromArcs(f *testing.F) {
 	f.Add(append([]byte{0x40, 5}, frame(arcsWeight32, oracleArc{1, 0, 0.1}, oracleArc{1, 0, 0.2}, oracleArc{2, 2, 5})...))
 	f.Add(append([]byte{0x40, 0x83}, frame(arcs64, oracleArc{7, 1 << 33, 2}, oracleArc{0, 5, 0.5})...))
 	f.Add(append([]byte{0x40, 0x83}, frame(arcsWeight32, oracleArc{7, 6, 2})...))
+	// Unit weights, 3 ranks over 16 vertices: the middle rank's rows name
+	// ghosts at both ends of the ID space, every arc twice, from two senders.
+	f.Add([]byte{0x22, 15, 0, 7, 0, 0, 1, 7, 15, 0, 2, 7, 0, 0, 0, 7, 15, 0, 1, 8, 8, 0, 2, 8, 8, 0, 0, 0, 7, 0, 1, 15, 7, 0, 2, 6, 11, 0, 0, 6, 11, 0})
+	f.Add(append([]byte{0x40, 15}, frame(arcsUnit32, oracleArc{0, 15, 1}, oracleArc{7, 8, 1}, oracleArc{0, 15, 1}, oracleArc{3, 3, 1}, oracleArc{3, 3, 1}, oracleArc{7, 8, 1})...))
 	f.Add([]byte{0x40, 3, arcsUnit32})
 	f.Add([]byte{0x40, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -17,13 +17,23 @@
 // when every weight in the frame is 1.0, 16 with the weight, 24 only in a
 // vertex space past 2³². Allocations are O(p), whatever the arc count.
 //
+// The receiver consumes its frames: pass 1 validates them, histograms the
+// sources, interns each non-owned target — the one hash probe a ghost arc
+// costs — and rewrites every record in place as its local row and its
+// target's local index or ghost number; pass 2 places the rewritten records
+// in their rows with no lookup. Unit-weight frames are placed, sorted and
+// merged as bare keys, parallel arcs counted.
+//
 // The CSR stores an arc as a dense slot (DistGraph.Slot) and a weight
-// (DistGraph.W), 12 bytes: the slot is the local index of an owned target,
-// LocalN + i for the ghost Ghosts[i]. State kept per endpoint — a community, a
-// color — lives in one array of LocalN + len(Ghosts) entries and is read as
-// state[Slot[i]]: one load per arc, no ownership branch and no hash. The
-// global ID of a target is Target(Slot[i]), computed on demand; a caller
-// holding only a global ID binary-searches the sorted Ghosts (GhostSlot).
+// (DistGraph.W), 12 bytes — or, when every merged arc weighs 1 (an unweighted
+// simple input), the slot alone, 4 bytes: W is then nil and Row reads the
+// weights from one read-only row of 1s. The slot is the local index of an
+// owned target, LocalN + i for the ghost Ghosts[i]. State kept per endpoint —
+// a community, a color — lives in one array of LocalN + len(Ghosts) entries
+// and is read as state[Slot[i]]: one load per arc, no ownership branch and no
+// hash. The global ID of a target is Target(Slot[i]), computed on demand; a
+// caller holding only a global ID binary-searches the sorted Ghosts
+// (GhostSlot).
 package dgraph
 
 import (
@@ -58,10 +68,15 @@ type DistGraph struct {
 	// Index[lv] ≤ i < Index[lv+1] (Row), arc i leading to slot Slot[i] with
 	// weight W[i]. Slot s is the owned vertex Base+s when s < LocalN, the
 	// ghost Ghosts[s-LocalN] otherwise (Target). Every row is strictly
-	// ascending by target (sorted, parallel arcs merged).
+	// ascending by target (sorted, parallel arcs merged). W is nil when every
+	// arc weighs 1; Row then reads the weights from ones.
 	Index []int64
 	Slot  []int32
 	W     []float64
+
+	// ones is a unit graph's weights: read-only 1s, as many as its longest
+	// row has arcs.
+	ones []float64
 
 	// K and SelfLoop cache per-local-vertex weighted degree and self-loop
 	// weight.
@@ -183,15 +198,20 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 }
 
 // assemble is the receiving half of the pipeline: recv[q] is the frame rank q
-// routed here, its arcs in the order q encoded them. Pass 1 validates every
-// frame, histograms the sources and interns every target this rank does not
-// own — nothing is written to the CSR until all of them are known good. The
-// interned targets, sorted, are Ghosts, and a prefix sum turns the histogram
-// into Index. Pass 2 places each arc in its row, in (sender rank, send
-// order), as its target's sort key (slotKeys) and its weight. Rows are then
+// routed here, its arcs in the order q encoded them. It consumes the frames:
+// pass 1 validates every frame, histograms the sources, interns every target
+// this rank does not own and rewrites each record in place as its row and
+// its target's local index or ghost number (placer) — nothing is written to
+// the CSR until all of them are known good. The interned targets, sorted, are
+// Ghosts, and a prefix sum turns the histogram into Index. Pass 2 places each
+// arc in its row, in (sender rank, send order), as its target's sort key
+// (slotKeys) and, unless every frame is unit-weight, its weight. Rows are then
 // sorted by key (stably, and only when not already ascending), parallel arcs
-// are summed left to right — i.e. in that arrival order — and the CSR is
-// compacted in place, every key turned into its slot.
+// are summed left to right — i.e. in that arrival order — or, without placed
+// weights, counted, and the CSR is compacted in place, every key turned into
+// its slot. A graph whose merged arcs all weigh 1 keeps W nil; the first
+// parallel arc of a unit-weight input gives it W, 1 for every arc written
+// before it.
 //
 // The graph's arrays are spare's, re-sliced, wherever their capacity allows
 // (spare is the zero graph when there is nothing to recycle), and the row
@@ -202,6 +222,9 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 	rank := c.Rank()
 	base, hi := part.Range(rank)
 	localN := hi - base
+	if err := checkSlotSpace(localN, 0); err != nil {
+		return nil, err
+	}
 	dg := &DistGraph{
 		Comm: c, Part: part, GlobalN: n,
 		Base: base, LocalN: localN,
@@ -213,6 +236,7 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 	sc.ghosts.Reset()
 
 	pl := &placer{base: base, hi: hi, n: n, count: dg.Index, ghosts: &sc.ghosts}
+	var unitFrames, weightFrames bool
 	for q, f := range recv {
 		if len(f) == 0 {
 			continue
@@ -221,6 +245,8 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 		if err != nil {
 			return nil, fmt.Errorf("%w: frame from rank %d: %v", ErrMalformedArcs, q, err)
 		}
+		unitFrames = unitFrames || f[0] == arcsUnit32
+		weightFrames = weightFrames || f[0] != arcsUnit32
 		var bad int
 		if width == 24 {
 			bad = pl.count64(f[1:])
@@ -239,7 +265,8 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 	if err := checkSlotSpace(localN, sc.ghosts.Len()); err != nil {
 		return nil, err
 	}
-	pl.keys = dg.setGhosts(spare, sc)
+	keys := dg.setGhosts(spare, sc)
+	pl.nLow, pl.ghostKey = keys.nLow, sc.ghostKey
 
 	var longest int64 // row length before merging: sizes the sort scratch
 	for lv := int64(0); lv < localN; lv++ {
@@ -247,7 +274,15 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 		dg.Index[lv+1] += dg.Index[lv]
 	}
 	slot := resize(spare.Slot, int(dg.Index[localN])) // keys until compacted
-	wts := resize(spare.W, len(slot))
+	var wts []float64                                 // placed weights: none when every frame is unit-weight
+	if weightFrames {
+		wts = resize(spare.W, len(slot))
+		if unitFrames {
+			for i := range wts { // the unit frames' arcs, which pass 2 places without a weight
+				wts[i] = 1
+			}
+		}
+	}
 	sc.end = resize(sc.end, int(localN)) // write cursor per row; the row's end once placed
 	end := sc.end
 	copy(end, dg.Index)
@@ -270,22 +305,49 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 	// past the placed one, so writing through out cannot clobber arcs still
 	// to be read.
 	sc.row, sc.sort = resize(sc.row, int(longest)), resize(sc.sort, int(longest))
-	keys, span := pl.keys, localN+int64(len(dg.Ghosts))
-	var out int64
+	if wts != nil {
+		sc.w = resize(sc.w, int(longest))
+	}
+	span := localN + int64(len(dg.Ghosts))
+	merged := wts // the merged weights, written at out; nil while every one is 1
+	var out, widest int64
 	var localW float64
 	for lv := int64(0); lv < localN; lv++ {
-		rk, rw := slot[dg.Index[lv]:end[lv]], wts[dg.Index[lv]:end[lv]]
+		lo := dg.Index[lv]
+		rk, rw := slot[lo:end[lv]], []float64(nil)
+		if wts != nil {
+			rw = wts[lo:end[lv]]
+		}
 		sc.sortPlaced(rk, rw, span)
 		dg.Index[lv] = out
 		selfKey := keys.owned(lv)
 		var k, self float64
 		for i := 0; i < len(rk); {
-			key, w := rk[i], rw[i]
-			for i++; i < len(rk) && rk[i] == key; i++ {
-				w += rw[i]
+			key, j := rk[i], i+1
+			for j < len(rk) && rk[j] == key {
+				j++
 			}
-			slot[out], wts[out] = keys.slot(key), w
+			var w float64
+			if wts != nil {
+				w = rw[i]
+				for _, x := range rw[i+1 : j] {
+					w += x
+				}
+			} else {
+				w = float64(j - i)
+				if j > i+1 && merged == nil {
+					merged = resize(spare.W, len(slot))
+					for t := range merged[:out] {
+						merged[t] = 1
+					}
+				}
+			}
+			slot[out] = keys.slot(key)
+			if merged != nil {
+				merged[out] = w
+			}
 			out++
+			i = j
 			k += w
 			localW += w
 			if key == selfKey {
@@ -293,13 +355,25 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 			}
 		}
 		dg.K[lv], dg.SelfLoop[lv] = k, self
+		widest = max(widest, out-dg.Index[lv])
 	}
 	dg.Index[localN] = out
-	dg.Slot, dg.W = slot[:out], wts[:out]
+	dg.Slot = slot[:out]
+	if merged != nil {
+		dg.W = merged[:out]
+	} else {
+		dg.ones = make([]float64, widest)
+		for i := range dg.ones {
+			dg.ones[i] = 1
+		}
+	}
 	if out < int64(len(slot))/2 {
 		// Mostly parallel arcs: do not pin the placement arrays for the
 		// graph's lifetime.
-		dg.Slot, dg.W = slices.Clone(dg.Slot), slices.Clone(dg.W)
+		dg.Slot = slices.Clone(dg.Slot)
+		if dg.W != nil {
+			dg.W = slices.Clone(dg.W)
+		}
 	}
 
 	m2, err := c.AllreduceFloat64(localW, mpi.OpSum)
@@ -311,8 +385,8 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 }
 
 // setGhosts fills Ghosts and GhostOwner from the targets pass 1 interned in
-// sc.ghosts, which it leaves numbering every ghost by its position in Ghosts,
-// and returns the key map of the slot space.
+// sc.ghosts, maps each ghost's first-interned number to its key in
+// sc.ghostKey, and returns the key map of the slot space.
 func (dg *DistGraph) setGhosts(spare *DistGraph, sc *assembly) slotKeys {
 	x := &sc.ghosts
 	dg.Ghosts = resize(spare.Ghosts, x.Len())
@@ -321,16 +395,16 @@ func (dg *DistGraph) setGhosts(spare *DistGraph, sc *assembly) slotKeys {
 	}
 	sc.tmp = resize(sc.tmp, len(dg.Ghosts))
 	copy(dg.Ghosts, sortIDs(dg.Ghosts, sc.tmp, dg.GlobalN))
-	x.Reset()
-	for _, g := range dg.Ghosts {
-		x.Intern(g)
-	}
+	nLow, _ := slices.BinarySearch(dg.Ghosts, dg.Base)
+	keys := slotKeys{nLow: int32(nLow), localN: int32(dg.LocalN)}
+	sc.ghostKey = resize(sc.ghostKey, len(dg.Ghosts))
 	dg.GhostOwner = resize(spare.GhostOwner, len(dg.Ghosts))
 	for i, g := range dg.Ghosts {
+		num, _ := x.Find(g)
+		sc.ghostKey[num] = keys.ghost(i)
 		dg.GhostOwner[i] = dg.Part.Owner(g)
 	}
-	nLow, _ := slices.BinarySearch(dg.Ghosts, dg.Base)
-	return slotKeys{nLow: int32(nLow), localN: int32(dg.LocalN)}
+	return keys
 }
 
 // slotKeys numbers a rank's slot space in global-ID order, so that a row
@@ -344,6 +418,14 @@ type slotKeys struct {
 // owned returns the key of local vertex lv.
 func (k slotKeys) owned(lv int64) int32 { return k.nLow + int32(lv) }
 
+// ghost returns the key of Ghosts[g].
+func (k slotKeys) ghost(g int) int32 {
+	if int32(g) < k.nLow {
+		return int32(g)
+	}
+	return int32(g) + k.localN
+}
+
 // slot returns the slot the key names.
 func (k slotKeys) slot(key int32) int32 {
 	switch {
@@ -356,13 +438,15 @@ func (k slotKeys) slot(key int32) int32 {
 }
 
 // assembly is the receiving side's scratch, kept by its Shuffle: the ghost
-// index, the ghost table's radix buffer, the row cursors, and the row sort's
-// two buffers.
+// index and the key of each ghost by its number there, the ghost table's
+// radix buffer, the row cursors, and the row sort's buffers.
 type assembly struct {
 	ghosts    flat.Index
+	ghostKey  []int32
 	tmp       []int64
 	end       []int64
-	row, sort []graph.Edge
+	row, sort []uint64
+	w         []float64
 }
 
 // resize returns buf cut to n entries when its capacity allows, and a new
@@ -407,41 +491,43 @@ func sortIDs(ids, tmp []int64, n int64) []int64 {
 	return ids
 }
 
-// sortPlaced sorts one placed row — keys, every one in [0, span), and their
-// weights — by key, keeping equal keys in arrival order. A row that arrived
-// ascending (a checkpoint replay, a sorted input file) is left alone; any
-// other goes through sc.row, as arcs keyed by To, for sortRow.
+// sortPlaced sorts one placed row — keys, every one in [0, span), and, when w
+// is not nil, their weights — by key, keeping equal keys in arrival order. A
+// row that arrived ascending (a checkpoint replay, a sorted input file) is
+// left alone; any other goes through sc.row as (key, arrival) words for
+// sortRow, and its weights are gathered by arrival afterwards.
 func (sc *assembly) sortPlaced(keys []int32, w []float64, span int64) {
 	if slices.IsSorted(keys) {
 		return
 	}
 	row := sc.row[:len(keys)]
 	for i, k := range keys {
-		row[i] = graph.Edge{To: int64(k), W: w[i]}
+		row[i] = uint64(k)<<32 | uint64(i)
 	}
 	sortRow(row, sc.sort, span)
-	for i, e := range row {
-		keys[i], w[i] = int32(e.To), e.W
+	for i, x := range row {
+		keys[i] = int32(x >> 32)
+	}
+	if w != nil {
+		tmp := sc.w[:len(w)]
+		for i, x := range row {
+			tmp[i] = w[uint32(x)]
+		}
+		copy(w, tmp)
 	}
 }
 
-// sortRow sorts one row of arcs by To (every To in [0, ids)), keeping arcs of
-// equal To in arrival order, through scratch (at least as long as the row); a
-// row already ascending is left alone. assemble hands it rows whose To is the
-// slotKeys key of the target. Short rows take a bottom-up merge sort over
-// insertion-sorted runs; rows of radixMinRow arcs or more take radixSortRow.
-// The merge sort earns its lines end to end: with the in-place,
-// comparator-driven slices.SortStableFunc here instead, wall_s on the
-// rmat-coarsen benchmark is 22 % higher (1.06 s against 0.87 s, ten of ten
-// paired runs; CHANGES.md, PR 12).
-func sortRow(row, scratch []graph.Edge, ids int64) {
-	sorted := true
-	for i := 1; i < len(row) && sorted; i++ {
-		sorted = row[i-1].To <= row[i].To
-	}
-	if sorted {
-		return
-	}
+// sortRow sorts one row of (key, arrival) words — a key in [0, ids) in the
+// high 32 bits, the word's position in arrival order in the low 32 — through
+// scratch (at least as long as the row). Arrivals are distinct, so sorting
+// whole words keeps words of equal key in arrival order. assemble hands it
+// rows whose key is the slotKeys key of the target. Short rows take a
+// bottom-up merge sort over insertion-sorted runs; rows of radixMinRow words
+// or more take radixSortRow. The merge sort earns its lines end to end: with
+// the in-place, comparator-driven slices.SortStableFunc here instead, wall_s
+// on the rmat-coarsen benchmark is 22 % higher (1.06 s against 0.87 s, ten of
+// ten paired runs, recorded in CHANGES.md).
+func sortRow(row, scratch []uint64, ids int64) {
 	if len(row) >= radixMinRow {
 		radixSortRow(row, scratch[:len(row)], ids)
 		return
@@ -451,11 +537,11 @@ func sortRow(row, scratch []graph.Edge, ids int64) {
 	for lo := 0; lo < n; lo += run {
 		part := row[lo:min(lo+run, n)]
 		for i := 1; i < len(part); i++ {
-			e, j := part[i], i
-			for ; j > 0 && part[j-1].To > e.To; j-- {
+			x, j := part[i], i
+			for ; j > 0 && part[j-1] > x; j-- {
 				part[j] = part[j-1]
 			}
-			part[j] = e
+			part[j] = x
 		}
 	}
 	src, dst := row, scratch[:n]
@@ -464,7 +550,7 @@ func sortRow(row, scratch []graph.Edge, ids int64) {
 			mid, hi := min(lo+w, n), min(lo+2*w, n)
 			i, j, k := lo, mid, lo
 			for ; i < mid && j < hi; k++ {
-				if src[j].To < src[i].To { // strict: ties drain from the left run first
+				if src[j] < src[i] {
 					dst[k] = src[j]
 					j++
 				} else {
@@ -477,7 +563,7 @@ func sortRow(row, scratch []graph.Edge, ids int64) {
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &row[0] {
+	if n > 0 && &src[0] != &row[0] {
 		copy(row, src)
 	}
 }
@@ -488,23 +574,23 @@ func sortRow(row, scratch []graph.Edge, ids int64) {
 // cross (CHANGES.md, PR 19).
 const radixMinRow = 256
 
-// radixSortRow is sortIDs over arcs keyed by target: stable, so arcs of equal
-// target stay in arrival order. tmp is as long as row.
-func radixSortRow(row, tmp []graph.Edge, n int64) {
+// radixSortRow is sortIDs over the keys of (key, arrival) words: stable, so
+// words of equal key stay in arrival order. tmp is as long as row.
+func radixSortRow(row, tmp []uint64, n int64) {
 	var next [radixMask + 1]int
 	src, dst := row, tmp
-	for shift := 0; shift < bits.Len64(uint64(n-1)); shift += radixBits {
+	for shift := 32; shift < 32+bits.Len64(uint64(n-1)); shift += radixBits {
 		clear(next[:])
-		for i := range src {
-			next[src[i].To>>shift&radixMask]++
+		for _, x := range src {
+			next[x>>shift&radixMask]++
 		}
 		sum := 0
 		for d, k := range next {
 			next[d], sum = sum, sum+k
 		}
-		for i := range src {
-			d := src[i].To >> shift & radixMask
-			dst[next[d]] = src[i]
+		for _, x := range src {
+			d := x >> shift & radixMask
+			dst[next[d]] = x
 			next[d]++
 		}
 		src, dst = dst, src
@@ -515,9 +601,12 @@ func radixSortRow(row, tmp []graph.Edge, n int64) {
 }
 
 // Row returns the arcs of local vertex lv: their slots and, parallel, their
-// weights.
+// weights. The weights are read-only.
 func (dg *DistGraph) Row(lv int64) ([]int32, []float64) {
 	lo, hi := dg.Index[lv], dg.Index[lv+1]
+	if dg.W == nil {
+		return dg.Slot[lo:hi], dg.ones[:hi-lo]
+	}
 	return dg.Slot[lo:hi], dg.W[lo:hi]
 }
 
@@ -546,7 +635,8 @@ func (dg *DistGraph) GhostSlot(g int64) (int, bool) {
 }
 
 // Validate checks the local structural invariants the assembly promises:
-// a well-formed CSR with Slot and W parallel, every slot inside the slot
+// a well-formed CSR with Slot and W parallel (or, without W, 1s enough for
+// the longest row), every slot inside the slot
 // space, rows strictly ascending by target (sorted, parallel arcs merged),
 // degree and self-loop caches that match the rows bit for bit, and a ghost
 // table that is sorted, owned elsewhere and correctly attributed.
@@ -555,7 +645,7 @@ func (dg *DistGraph) Validate() error {
 		return fmt.Errorf("dgraph: index/K/SelfLoop lengths %d/%d/%d, want %d/%d/%d",
 			len(dg.Index), len(dg.K), len(dg.SelfLoop), dg.LocalN+1, dg.LocalN, dg.LocalN)
 	}
-	if len(dg.W) != len(dg.Slot) {
+	if dg.W != nil && len(dg.W) != len(dg.Slot) {
 		return fmt.Errorf("dgraph: %d weights for %d slots", len(dg.W), len(dg.Slot))
 	}
 	if dg.Index[0] != 0 || dg.Index[dg.LocalN] != int64(len(dg.Slot)) {
@@ -565,6 +655,12 @@ func (dg *DistGraph) Validate() error {
 		if dg.Index[lv+1] < dg.Index[lv] {
 			return fmt.Errorf("dgraph: index not monotone at %d", lv)
 		}
+		if dg.W == nil && dg.Index[lv+1]-dg.Index[lv] > int64(len(dg.ones)) {
+			return fmt.Errorf("dgraph: vertex %d has %d unit arcs, more than its graph's %d 1s", dg.Global(lv), dg.Index[lv+1]-dg.Index[lv], len(dg.ones))
+		}
+	}
+	if dg.W == nil && slices.ContainsFunc(dg.ones, func(w float64) bool { return w != 1 }) {
+		return fmt.Errorf("dgraph: a unit graph's weights are not all 1")
 	}
 	if len(dg.GhostOwner) != len(dg.Ghosts) {
 		return fmt.Errorf("dgraph: %d ghosts but %d owners", len(dg.Ghosts), len(dg.GhostOwner))
@@ -628,8 +724,9 @@ func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
 		return nil, err
 	}
 	w := s.Writer(0)
-	for _, wt := range dg.W {
-		w.Reserve(0, 1, wt == 1)
+	for lv := int64(0); lv < dg.LocalN; lv++ {
+		row, ws := dg.Row(lv)
+		w.Reserve(0, len(row), !slices.ContainsFunc(ws, func(wt float64) bool { return wt != 1 }))
 	}
 	s.Alloc()
 	for lv := int64(0); lv < dg.LocalN; lv++ {
@@ -643,9 +740,12 @@ func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
 		return nil, err
 	}
 	// Rank 0 owns every vertex of the gathered graph: a slot is a global ID.
-	edges := make([]graph.Edge, len(all.Slot))
-	for i, t := range all.Slot {
-		edges[i] = graph.Edge{To: int64(t), W: all.W[i]}
+	edges := make([]graph.Edge, 0, len(all.Slot))
+	for v := int64(0); v < all.LocalN; v++ {
+		row, ws := all.Row(v)
+		for i, t := range row {
+			edges = append(edges, graph.Edge{To: int64(t), W: ws[i]})
+		}
 	}
 	return &graph.CSR{N: all.GlobalN, Index: all.Index, Edges: edges}, nil
 }

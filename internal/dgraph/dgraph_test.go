@@ -120,8 +120,8 @@ func TestBuildMergesParallelChunkEdges(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			if len(dg.W) != 1 || dg.W[0] != 3 {
-				return fmt.Errorf("edges not merged: slots %v weights %v", dg.Slot, dg.W)
+			if _, ws := dg.Row(0); len(dg.Slot) != 1 || ws[0] != 3 {
+				return fmt.Errorf("edges not merged: slots %v weights %v", dg.Slot, ws)
 			}
 		}
 		return nil
@@ -482,11 +482,15 @@ func (og *oracleGraph) diff(dg *DistGraph) error {
 	return nil
 }
 
-// arcsOf lists dg's arcs in CSR order as (global target, weight).
+// arcsOf lists dg's arcs in CSR order as (global target, weight), the
+// weights read through Row.
 func arcsOf(dg *DistGraph) []graph.Edge {
-	out := make([]graph.Edge, len(dg.Slot))
-	for i, s := range dg.Slot {
-		out[i] = graph.Edge{To: dg.Target(s), W: dg.W[i]}
+	out := make([]graph.Edge, 0, len(dg.Slot))
+	for lv := int64(0); lv < dg.LocalN; lv++ {
+		row, ws := dg.Row(lv)
+		for i, s := range row {
+			out = append(out, graph.Edge{To: dg.Target(s), W: ws[i]})
+		}
 	}
 	return out
 }

@@ -186,6 +186,10 @@ func (w *ArcWriter) Put(q int, from, to int64, wt float64) {
 // transport: it is handed to the assembly as encoded, in this rank's slot of
 // the receive order.
 //
+// The assembly consumes the frames it is handed: it rewrites their records in
+// place. The received frames are this rank's (mpi.Message.Data belongs to the
+// receiver); the self frame is the shuffle's own, and the next Put rewrites it.
+//
 // recycle, when not nil, is a graph the caller gives up — in core, the graph
 // this one replaces. The assembly builds into its arrays wherever their
 // capacity allows and allocates only the ones that must grow. On return
@@ -249,25 +253,37 @@ func arcAt(f []byte, i int) Arc {
 		W: math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))}
 }
 
-// placer is the receiving side's per-row state while assemble places arcs:
-// pass 1 validates each frame, histograms its sources into count (row lv at
-// lv+1) and interns every non-owned target into ghosts; pass 2 places its
-// arcs at the rows' write cursors, each as its target's key and its weight.
-// There is one loop per record width in each pass, so no arc pays for a
-// layout branch.
+// placer is the receiving side's per-row state while assemble places arcs.
+// Pass 1 (count32, count64) validates each frame, histograms its sources into
+// count (row lv at lv+1), interns every non-owned target into ghosts and
+// rewrites each record it accepts in place: the source word becomes the local
+// row, the target word the owned target's local index or — with ghostFlag set
+// in the source word — the ghost's number in first-interned order. Pass 2
+// (placeUnit32, placeWeight32, place64) reads the rewritten records and
+// places each arc at its row's write cursor as its target's key, through
+// ghostKey for a ghost, with its weight unless the frame is unit-weight: one
+// hash probe per ghost arc in all, in pass 1. There is one loop per record
+// width in each pass, so no arc pays for a layout branch.
 type placer struct {
 	base, hi, n int64
 	count       []int64
 	ghosts      *flat.Index
-	keys        slotKeys
+	nLow        int32   // the key of local vertex 0 (slotKeys)
+	ghostKey    []int32 // by first-interned number: the ghost's key
 	end         []int64
 	slot        []int32 // the key, until assemble compacts the row
 	w           []float64
 }
 
+// ghostFlag marks, in the source word of a record pass 1 rewrote, a target
+// that is a ghost. A local row index is below 2³¹ (assemble checks LocalN
+// against the slot space first), so the bit is free in every layout.
+const ghostFlag = 1 << 31
+
 // count32 is pass 1 over a 32-bit frame body with the given record stride. It
 // returns the offset of the first record it refuses — a source not owned
-// here, a target outside the vertex space — or −1.
+// here, a target outside the vertex space — or −1; every record before that
+// one has been rewritten.
 func (p *placer) count32(body []byte, stride int) int {
 	base, hi, n, count, ghosts := p.base, p.hi, p.n, p.count, p.ghosts
 	for i := 0; i < len(body); i += stride {
@@ -276,9 +292,14 @@ func (p *placer) count32(body []byte, stride int) int {
 		if from < base || from >= hi || to >= n {
 			return i
 		}
-		count[from-base+1]++
-		if to < base || to >= hi {
-			ghosts.Intern(to)
+		lv := from - base
+		count[lv+1]++
+		if to >= base && to < hi {
+			binary.LittleEndian.PutUint32(body[i:], uint32(lv))
+			binary.LittleEndian.PutUint32(body[i+4:], uint32(to-base))
+		} else {
+			binary.LittleEndian.PutUint32(body[i:], uint32(lv)|ghostFlag)
+			binary.LittleEndian.PutUint32(body[i+4:], uint32(ghosts.Intern(to)))
 		}
 	}
 	return -1
@@ -293,56 +314,58 @@ func (p *placer) count64(body []byte) int {
 		if from < base || from >= hi || to < 0 || to >= n {
 			return i
 		}
-		count[from-base+1]++
-		if to < base || to >= hi {
-			ghosts.Intern(to)
+		lv := from - base
+		count[lv+1]++
+		if to >= base && to < hi {
+			binary.LittleEndian.PutUint64(body[i:], uint64(lv))
+			binary.LittleEndian.PutUint64(body[i+8:], uint64(to-base))
+		} else {
+			binary.LittleEndian.PutUint64(body[i:], uint64(lv)|ghostFlag)
+			binary.LittleEndian.PutUint64(body[i+8:], uint64(ghosts.Intern(to)))
 		}
 	}
 	return -1
 }
 
-// key returns the slotKeys key of target to, which pass 1 interned if this
-// rank does not own it.
-func (p *placer) key(to int64) int32 {
-	if to >= p.base && to < p.hi {
-		return p.keys.owned(to - p.base)
+// at decodes the source and target words of a record pass 1 rewrote into the
+// arc's row and its target's key. Both words fit 32 bits in every layout once
+// the slot space is checked.
+func (p *placer) at(src, t uint32) (int64, int32) {
+	if src&ghostFlag != 0 {
+		return int64(src &^ ghostFlag), p.ghostKey[t]
 	}
-	g, _ := p.ghosts.Find(to)
-	if to < p.base {
-		return int32(g)
-	}
-	return int32(g) + p.keys.localN
+	return int64(src), p.nLow + int32(t)
 }
 
 // placeUnit32, placeWeight32 and place64 are pass 2, one per layout, over
-// bodies pass 1 accepted.
+// bodies pass 1 rewrote. A unit-weight record places its key alone.
 func (p *placer) placeUnit32(body []byte) {
-	base, end, slot, w := p.base, p.end, p.slot, p.w
+	end, slot := p.end, p.slot
 	for i := 0; i < len(body); i += 8 {
-		lv := int64(binary.LittleEndian.Uint32(body[i:])) - base
+		lv, key := p.at(binary.LittleEndian.Uint32(body[i:]), binary.LittleEndian.Uint32(body[i+4:]))
 		j := end[lv]
-		slot[j], w[j] = p.key(int64(binary.LittleEndian.Uint32(body[i+4:]))), 1
+		slot[j] = key
 		end[lv] = j + 1
 	}
 }
 
 func (p *placer) placeWeight32(body []byte) {
-	base, end, slot, w := p.base, p.end, p.slot, p.w
+	end, slot, w := p.end, p.slot, p.w
 	for i := 0; i < len(body); i += 16 {
-		lv := int64(binary.LittleEndian.Uint32(body[i:])) - base
+		lv, key := p.at(binary.LittleEndian.Uint32(body[i:]), binary.LittleEndian.Uint32(body[i+4:]))
 		j := end[lv]
-		slot[j] = p.key(int64(binary.LittleEndian.Uint32(body[i+4:])))
+		slot[j] = key
 		w[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[i+8:]))
 		end[lv] = j + 1
 	}
 }
 
 func (p *placer) place64(body []byte) {
-	base, end, slot, w := p.base, p.end, p.slot, p.w
+	end, slot, w := p.end, p.slot, p.w
 	for i := 0; i < len(body); i += 24 {
-		lv := int64(binary.LittleEndian.Uint64(body[i:])) - base
+		lv, key := p.at(uint32(binary.LittleEndian.Uint64(body[i:])), uint32(binary.LittleEndian.Uint64(body[i+8:])))
 		j := end[lv]
-		slot[j] = p.key(int64(binary.LittleEndian.Uint64(body[i+8:])))
+		slot[j] = key
 		w[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[i+16:]))
 		end[lv] = j + 1
 	}
