@@ -148,12 +148,14 @@ bench-quick:
 
 # Short fuzz passes over the input parsers, the checkpoint container and its
 # section decoders, the flat kernel tables and the flat.Index that numbers
-# every ghost and tail slot (each vs a map oracle), the varint codec, the
-# ghost refresh frame decoder, the owner-request decoder, the frontier
+# every ghost and tail slot (each vs a map oracle), the varint codec, the TCP
+# reader filling pooled buffers from a peer's raw stream, the ghost refresh
+# frame decoder, the owner-request decoder, the frontier
 # active-set (vs a map+sort oracle), the counting-sort graph assembly (vs the
 # sort-based oracle), the coordinator's session lines (bounded, and unable
 # to change a job's membership or spawns) and the supervisor's hang detector
-# (random worlds with dropped beacons and a frozen rank, vs the world rule).
+# (random worlds with dropped beacons and a frozen rank, vs the world rule)
+# and the daemon's job JSON (a 4xx or a spec inside every bound).
 # FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`, so this
 # list is the only one.
 FUZZTIME ?= 30s
@@ -168,12 +170,14 @@ fuzz:
 	$(GO) test ./internal/flat -fuzz FuzzPairTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flat -fuzz FuzzIndex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mpi -fuzz FuzzTCPFrames -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzGhostFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzOwnerRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/coord -fuzz FuzzCoordLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/supervisor -fuzz FuzzDetector -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 
 # Regenerate every table and figure of the paper (text to stdout).
 experiments:

@@ -32,6 +32,7 @@ func (st *phaseState) tellOwners(kind string, reqs [][]int64, take func(q int, l
 	if err != nil {
 		return fmt.Errorf("core: %s request: %w", kind, err)
 	}
+	defer st.dg.Comm.Release(recv...)
 	for q, data := range recv {
 		lcs, err := st.decodeOwnerRequest(st.ownerLcs[:0], kind, q, data)
 		st.ownerLcs = lcs
@@ -47,8 +48,9 @@ func (st *phaseState) tellOwners(kind string, reqs [][]int64, take func(q int, l
 
 // askOwners is tellOwners with an answer: answer(q, lcs, buf) appends this
 // rank's reply to peer q's request to buf, and askOwners returns the replies
-// to this rank's own requests, indexed by owner. The request and reply
-// buffers come from the per-phase arena. Collective.
+// to this rank's own requests, indexed by owner; the caller releases them
+// (mpi.Comm.Release) once decoded. The request and reply buffers come from
+// the per-phase arena. Collective.
 func (st *phaseState) askOwners(kind string, reqs [][]int64, answer func(q int, lcs []int64, buf []byte) ([]byte, error)) ([][]byte, error) {
 	frames := st.frames
 	err := st.tellOwners(kind, reqs, func(q int, lcs []int64) error {

@@ -69,21 +69,16 @@ func (st *phaseState) rebuild() (*dgraph.DistGraph, []int64, error) {
 	// (the shuffle routes each arc to the owner of its source). Once Step 5
 	// has written its frames nothing reads the fine graph's arrays again —
 	// flatten reads only its partition and st.comm — so the coarse graph is
-	// assembled into them, and the shuffle is the one the previous rebuild
-	// used, frames and assembly scratch included.
+	// assembled into them, and the shuffle is the one that assembled the
+	// fine graph — dgraph.Build's, BuildFromArcs' or the previous rebuild's —
+	// frames and assembly scratch included.
 	c := st.dg.Comm
 	part := partition.ByVertexCount(totalNew, c.Size())
 	if st.cfg.oracle.refKernels {
 		ndg, err := dgraph.BuildFromArcs(c, totalNew, part, st.coarseArcsMap(bySlot))
 		return ndg, bySlot, err
 	}
-	sh := st.coarse.shuffle
-	if sh == nil {
-		sh, err = dgraph.NewShuffle(c, totalNew, part, st.cfg.Threads)
-		st.coarse.shuffle = sh
-	} else {
-		err = sh.Reset(totalNew, part)
-	}
+	sh, err := st.dg.Reshuffle(totalNew, part, st.cfg.Threads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,6 +138,7 @@ func (st *phaseState) renumber() ([]int64, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	defer c.Release(replies...)
 	for q, slots := range st.reqSlots {
 		d := mpi.NewDecoder(replies[q])
 		n := int64(0)
@@ -189,6 +185,7 @@ func (st *phaseState) flatten(bySlot, labels []int64) error {
 	if err != nil {
 		return err
 	}
+	defer st.dg.Comm.Release(replies...)
 	newOfRemote := make([]int64, 0, len(remote)) // parallel to remote
 	for q, req := range reqs {
 		d := mpi.NewDecoder(replies[q])
@@ -305,16 +302,13 @@ func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
 // coarsening is coarseArcs' state, kept for the run like the phase state:
 // the source communities' members and the workers' slot ranges, what the call
 // at hand reads (bySlot) and writes (sh), and the par.For bodies of its two
-// walks, built once so that an aggregation allocates no closure. shuffle is
-// rebuild's own, kept with its frames and assembly scratch and Reset for every
-// rebuild of the run; sh is whichever shuffle the call at hand writes.
+// walks, built once so that an aggregation allocates no closure.
 type coarsening struct {
 	first, members []int32
 	cuts           []int
 	bySlot         []int64
 	sh             *dgraph.Shuffle
 	count, write   func(w, lo, hi int)
-	shuffle        *dgraph.Shuffle
 }
 
 // countSlots is worker w's first walk over its source communities: it

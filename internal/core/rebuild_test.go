@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -252,5 +253,70 @@ func TestRebuildIndependentOfThreads(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFirstRebuildKeepsBuildsShuffle: a run whose graph dgraph.Build assembled
+// reaches its first rebuild with Build's shuffle — no dgraph.NewShuffle, and
+// none of the frame and assembly scratch a new one allocates: the rebuild
+// allocates at least the coarse frame's bytes less than the same rebuild of a
+// graph that kept no shuffle, and the coarse graph keeps Build's shuffle.
+func TestFirstRebuildKeepsBuildsShuffle(t *testing.T) {
+	n, edges, _, err := gen.LFR(gen.DefaultLFR(2000, 0.3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges = floatWeights(edges) // W is set, so a copy of the exported fields is a whole graph
+	firstRebuild := func(keep bool) (allocated uint64, frame int, kept bool) {
+		err := mpi.Run(1, func(c *mpi.Comm) error {
+			dg, err := dgraph.Build(c, n, edges, nil)
+			if err != nil {
+				return err
+			}
+			built, err := dg.Reshuffle(n, dg.Part, 1)
+			if err != nil {
+				return err
+			}
+			if !keep {
+				dg = &dgraph.DistGraph{Comm: dg.Comm, Part: dg.Part, GlobalN: dg.GlobalN, M2: dg.M2, Base: dg.Base, LocalN: dg.LocalN,
+					Index: dg.Index, Slot: dg.Slot, W: dg.W, K: dg.K, SelfLoop: dg.SelfLoop, Ghosts: dg.Ghosts, GhostOwner: dg.GhostOwner}
+			}
+			cfg := Baseline()
+			cfg.Threads = 2
+			cfg.fill()
+			st, err := newPhaseState(dg, &cfg, 0, &StepTimes{})
+			if err != nil {
+				return err
+			}
+			if _, err := st.iterate(cfg.Tau); err != nil {
+				return err
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			ndg, _, err := st.rebuild()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				return err
+			}
+			allocated = after.TotalAlloc - before.TotalAlloc
+			frame = 1 + 16*len(ndg.Slot) // one rank: every coarse pair is reserved once, weighted
+			again, err := ndg.Reshuffle(ndg.GlobalN, ndg.Part, 1)
+			kept = again == built
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocated, frame, kept
+	}
+	withShuffle, frame, kept := firstRebuild(true)
+	without, _, _ := firstRebuild(false)
+	t.Logf("first rebuild allocates %d bytes with Build's shuffle, %d without; the coarse frame is %d", withShuffle, without, frame)
+	if !kept {
+		t.Fatal("the coarse graph does not keep Build's shuffle")
+	}
+	if withShuffle+uint64(frame) > without {
+		t.Fatalf("the first rebuild allocates %d bytes with Build's shuffle and %d without: the %d-byte frame was allocated", withShuffle, without, frame)
 	}
 }

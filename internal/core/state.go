@@ -323,7 +323,9 @@ func (st *phaseState) exchangeGhostComm() error {
 	// Encode buffers come from the per-phase arena: after the first
 	// iteration their capacities stabilize and this fast path allocates
 	// nothing. Handing them straight to the collective is safe because
-	// Transport.Send copies (see mpi.Arena).
+	// Transport.Send copies before it returns (see mpi.Arena); the copies
+	// land in frames this rank released after decoding the last exchange,
+	// as the ones received here are released once applied.
 	st.arena.Reset()
 	send := st.frames
 	for q := range send {
@@ -335,6 +337,7 @@ func (st *phaseState) exchangeGhostComm() error {
 	if err != nil {
 		return fmt.Errorf("core: ghost exchange: %w", err)
 	}
+	defer c.Release(recv...)
 	for q := range recv {
 		if err := st.decodeGhostDelta(q, recv[q]); err != nil {
 			return err
@@ -474,6 +477,7 @@ func (st *phaseState) fetchCommunityInfo() error {
 	if err != nil {
 		return err
 	}
+	defer st.dg.Comm.Release(answers...)
 	for q := range answers {
 		d := mpi.NewDecoder(answers[q])
 		for _, s := range st.reqSlots[q] {
@@ -562,6 +566,7 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	if err != nil {
 		return fmt.Errorf("core: community delta push: %w", err)
 	}
+	defer st.dg.Comm.Release(recv...)
 
 	for _, mv := range moves {
 		st.setComm(mv.lv, mv.to)

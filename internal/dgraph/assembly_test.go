@@ -342,7 +342,7 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 // shuffleInto is BuildFromArcs on a kept shuffle: s is Reset to [0, n),
 // filled with arcs and exchanged into recycle.
 func shuffleInto(s *Shuffle, n int64, arcs []Arc, recycle *DistGraph) (*DistGraph, error) {
-	if err := s.Reset(n, nil); err != nil {
+	if err := s.Reset(n, nil, 1); err != nil {
 		return nil, err
 	}
 	w := s.Writer(0)

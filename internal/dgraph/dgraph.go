@@ -15,7 +15,10 @@
 // Each rank sends one frame per owner, sized exactly before it is written: a
 // layout byte, then fixed-width records of 8 bytes (32-bit source and target)
 // when every weight in the frame is 1.0, 16 with the weight, 24 only in a
-// vertex space past 2³². Allocations are O(p), whatever the arc count.
+// vertex space past 2³². Allocations are O(p), whatever the arc count. A
+// graph keeps the Shuffle that assembled it, frames and scratch included,
+// and Reshuffle hands it to the next shuffle: core's first coarsening writes
+// into the frames Build filled.
 //
 // The receiver consumes its frames: pass 1 validates them, histograms the
 // sources, interns each non-owned target — the one hash probe a ghost arc
@@ -88,6 +91,10 @@ type DistGraph struct {
 	// Ghosts[i].
 	Ghosts     []int64
 	GhostOwner []int
+
+	// shuffle is the Shuffle that assembled the graph, its frames and
+	// scratch kept for the next one (Reshuffle).
+	shuffle *Shuffle
 }
 
 // Arc is one directed edge, as BuildFromArcs takes it: arcs that are already

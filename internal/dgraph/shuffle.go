@@ -35,7 +35,10 @@ func wideIDs(n int64) bool { return n > 1<<32 }
 //
 // A Shuffle can be used again after Reset: its frames and the assembly's
 // scratch keep their memory, so a caller that shuffles once per phase, as
-// core's coarsening does, allocates them for its largest phase only.
+// core's coarsening does, allocates them for its largest phase only. The
+// graph an Exchange assembles keeps its shuffle, and Reshuffle hands it on:
+// the frames Build or BuildFromArcs filled are the ones core's first
+// coarsening writes.
 type Shuffle struct {
 	c       *mpi.Comm
 	n       int64
@@ -48,22 +51,30 @@ type Shuffle struct {
 // NewShuffle starts a shuffle over the vertex space [0, n) split by part (nil
 // selects the even vertex split), filled by the given number of writers.
 func NewShuffle(c *mpi.Comm, n int64, part *partition.Partition, writers int) (*Shuffle, error) {
-	p := c.Size()
-	s := &Shuffle{c: c, frames: make([][]byte, p), writers: make([]ArcWriter, writers)}
-	shares := make([]share, writers*p)
-	for i := range s.writers {
-		s.writers[i] = ArcWriter{s: s, shares: shares[i*p : (i+1)*p : (i+1)*p]}
-	}
-	if err := s.Reset(n, part); err != nil {
+	s := &Shuffle{c: c, frames: make([][]byte, c.Size())}
+	if err := s.Reset(n, part, writers); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
+// Reshuffle returns the shuffle that assembled dg, Reset over [0, n) split by
+// part with the given number of writers, or a new shuffle when dg has none
+// (a graph not built by Exchange). The graph's arrays are not the shuffle's,
+// so dg stays intact until an Exchange recycles it.
+func (dg *DistGraph) Reshuffle(n int64, part *partition.Partition, writers int) (*Shuffle, error) {
+	if dg.shuffle == nil {
+		return NewShuffle(dg.Comm, n, part, writers)
+	}
+	return dg.shuffle, dg.shuffle.Reset(n, part, writers)
+}
+
 // Reset starts the next shuffle on s, over the vertex space [0, n) split by
-// part (nil selects the even vertex split), with the same communicator and
-// writers. Nothing a previous Exchange returned refers to s's memory.
-func (s *Shuffle) Reset(n int64, part *partition.Partition) error {
+// part (nil selects the even vertex split), with the same communicator, for
+// the given number of writers. The frames and the assembly's scratch keep
+// their memory whatever the writer count; no graph an Exchange returned
+// refers to it.
+func (s *Shuffle) Reset(n int64, part *partition.Partition, writers int) error {
 	p := s.c.Size()
 	if part == nil {
 		part = partition.ByVertexCount(n, p)
@@ -73,6 +84,13 @@ func (s *Shuffle) Reset(n int64, part *partition.Partition) error {
 			part.N(), part.Size(), n, p)
 	}
 	s.n, s.part = n, part
+	if writers != len(s.writers) {
+		s.writers = make([]ArcWriter, writers)
+		shares := make([]share, writers*p)
+		for i := range s.writers {
+			s.writers[i] = ArcWriter{s: s, shares: shares[i*p : (i+1)*p : (i+1)*p]}
+		}
+	}
 	for _, w := range s.writers {
 		for q := range w.shares {
 			w.shares[q] = share{unit: true}
@@ -188,13 +206,15 @@ func (w *ArcWriter) Put(q int, from, to int64, wt float64) {
 //
 // The assembly consumes the frames it is handed: it rewrites their records in
 // place. The received frames are this rank's (mpi.Message.Data belongs to the
-// receiver); the self frame is the shuffle's own, and the next Put rewrites it.
+// receiver), and Exchange releases them to the transport once assembled; the
+// self frame is the shuffle's own, and the next Put rewrites it. The graph
+// returned keeps s (Reshuffle).
 //
 // recycle, when not nil, is a graph the caller gives up — in core, the graph
 // this one replaces. The assembly builds into its arrays wherever their
 // capacity allows and allocates only the ones that must grow. On return
 // recycle keeps its scalar fields (Comm, Part, GlobalN, M2, Base, LocalN) and
-// no arrays, whether or not Exchange succeeded.
+// no arrays and no shuffle, whether or not Exchange succeeded.
 func (s *Shuffle) Exchange(recycle *DistGraph) (*DistGraph, error) {
 	var spare DistGraph
 	if recycle != nil {
@@ -211,13 +231,20 @@ func (s *Shuffle) Exchange(recycle *DistGraph) (*DistGraph, error) {
 	rank := s.c.Rank()
 	self := s.frames[rank]
 	s.frames[rank] = nil
-	recv, err := s.c.Alltoall(s.frames) // the transport copies what it sends
+	recv, err := s.c.Alltoall(s.frames) // copied before it returns: the frames stay s's
 	s.frames[rank] = self
 	if err != nil {
 		return nil, err
 	}
 	recv[rank] = self
-	return s.assemble(recv, &spare)
+	dg, err := s.assemble(recv, &spare)
+	recv[rank] = nil
+	s.c.Release(recv...)
+	if err != nil {
+		return nil, err
+	}
+	dg.shuffle = s
+	return dg, nil
 }
 
 // frameWidth validates a received frame's layout byte against the world's

@@ -192,11 +192,13 @@ func (d *Decoder) Float64s(n int) ([]float64, error) {
 // steady-state capacities and the encode paths stop allocating entirely.
 //
 // Reusing a buffer that was passed to a collective is safe once the call
-// has returned: Transport.Send contractually takes its own copy of the
-// payload (both the in-process and the TCP transport copy into their frame
-// before returning), so the arena's buffers never escape into the
-// transport. That contract is what lets the encode path go "zero-copy" —
-// the only copy left is the transport's own framing copy.
+// has returned: Transport.Send contractually copies the payload before it
+// returns (in process into a buffer the receiving rank released, over TCP
+// into a frame of the sender's pool), so the arena's buffers never escape
+// into the transport. That contract is what lets the encode path go
+// "zero-copy" — the only copy left is the transport's own. The receive side
+// is the arena's mirror image: a rank releases each frame it has decoded
+// (Comm.Release), and the next message to it is copied into that storage.
 //
 // An Arena is not safe for concurrent use; keep one per rank (the encode
 // loops are single-threaded driver code).

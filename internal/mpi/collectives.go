@@ -360,6 +360,8 @@ func (c *Comm) Gatherv(root int, data []byte) ([][]byte, error) {
 // (including nil) buffers are exchanged too, so every rank always knows the
 // exchange completed. This is the workhorse of the ghost-vertex and
 // community-update protocols (MPI_Alltoallv in the paper's implementation).
+// Every recv[q], this rank's own copy included, belongs to the caller, who
+// may hand it back with Release once decoded.
 func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
 	if len(send) != c.size {
 		return nil, errLenMismatch("Alltoall", c.size, len(send))
@@ -373,7 +375,7 @@ func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
 	defer sp.End()
 	tag := c.collTag()
 	recv := make([][]byte, c.size)
-	recv[c.rank] = make([]byte, len(send[c.rank]))
+	recv[c.rank] = acquire(c.t, len(send[c.rank]))
 	copy(recv[c.rank], send[c.rank])
 	for r := 0; r < c.size; r++ {
 		if r == c.rank {

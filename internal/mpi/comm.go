@@ -104,6 +104,25 @@ func (c *Comm) Recv(from, tag int) (Message, error) {
 	return msg, nil
 }
 
+// Release hands the storage of received payloads back to the transport
+// (Transport.Release): a later message to this rank may be delivered in it.
+// Every collective result and Recv payload belongs to the caller, so any may
+// be released once decoded; none may be touched after.
+func (c *Comm) Release(bufs ...[]byte) {
+	for _, b := range bufs {
+		c.t.Release(b)
+	}
+}
+
+// acquire returns a buffer of n bytes from t's pool of released buffers, or a
+// new one when t keeps none.
+func acquire(t Transport, n int) []byte {
+	if p, ok := t.(interface{ acquire(int) []byte }); ok {
+		return p.acquire(n)
+	}
+	return make([]byte, n)
+}
+
 // collTag derives the reserved tag for the current collective operation.
 // The sequence wraps far before colliding with in-flight operations.
 func (c *Comm) collTag() int {

@@ -84,6 +84,10 @@ func (f *FaultTransport) RecvTimeout(from, tag int, timeout time.Duration) (Mess
 	return msg, err
 }
 
+func (f *FaultTransport) Release(data []byte) { f.inner.Release(data) }
+
+func (f *FaultTransport) acquire(n int) []byte { return acquire(f.inner, n) }
+
 func (f *FaultTransport) Close() error {
 	if f.killed.Load() {
 		return nil

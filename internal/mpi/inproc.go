@@ -55,14 +55,20 @@ func (e *inprocEndpoint) Send(to, tag int, data []byte) error {
 	}
 	// Deep copy: the receiving rank must never alias the sender's memory.
 	// This is what makes the in-process world an honest stand-in for a
-	// distributed-memory machine.
+	// distributed-memory machine. The copy goes into a buffer the receiver
+	// released, which nothing else holds.
+	q := e.world.queues[to]
 	var cp []byte
 	if len(data) > 0 {
-		cp = make([]byte, len(data))
+		cp = q.acquire(len(data))
 		copy(cp, data)
 	}
-	return e.world.queues[to].push(Message{From: e.rank, Tag: tag, Data: cp})
+	return q.push(Message{From: e.rank, Tag: tag, Data: cp})
 }
+
+func (e *inprocEndpoint) Release(data []byte) { e.world.queues[e.rank].release(data) }
+
+func (e *inprocEndpoint) acquire(n int) []byte { return e.world.queues[e.rank].acquire(n) }
 
 func (e *inprocEndpoint) Recv(from, tag int) (Message, error) {
 	return e.RecvTimeout(from, tag, 0)

@@ -20,6 +20,10 @@ import (
 // shutdown (goodbye frame) has, by TCP ordering, already delivered all of
 // its messages, so only receives that target that peer specifically — which
 // can never be satisfied again — fail; receives from other sources proceed.
+//
+// The queue also keeps the receiving rank's pool of free buffers (acquire,
+// release): payloads the rank released after decoding them, which the next
+// message to it is copied or read into instead of a new allocation.
 type matchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -27,7 +31,18 @@ type matchQueue struct {
 	err    error         // terminal failure; nil while healthy
 	gone   map[int]error // peers that departed gracefully
 	closed bool
+	free   [][]byte // released buffers, full capacity; at most poolBuffers
 }
+
+// The receive pool's bounds. A payload shorter than poolMinBytes bypasses the
+// pool both ways: allocating it costs less than a search, and a small message
+// the receiver never releases (an allreduce's, a barrier's) must not carry
+// off a large pooled buffer. At most poolBuffers buffers wait in one rank's
+// pool; a release beyond that replaces the smallest one if it is larger.
+const (
+	poolMinBytes = 1 << 10
+	poolBuffers  = 32
+)
 
 func newMatchQueue() *matchQueue {
 	q := &matchQueue{}
@@ -134,6 +149,64 @@ func (q *matchQueue) close() {
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
+}
+
+// acquire returns a buffer of n bytes whose contents are undefined: the
+// smallest pooled buffer that holds n, or a new one. The caller owns it.
+func (q *matchQueue) acquire(n int) []byte {
+	if n < poolMinBytes {
+		return make([]byte, n)
+	}
+	q.mu.Lock()
+	best := -1
+	for i, b := range q.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(q.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		q.mu.Unlock()
+		return make([]byte, n)
+	}
+	b := q.free[best]
+	last := len(q.free) - 1
+	q.free[best], q.free[last] = q.free[last], nil
+	q.free = q.free[:last]
+	q.mu.Unlock()
+	return b[:n]
+}
+
+// release returns b's storage to the pool; the caller must not touch it
+// again. A buffer already in the pool is not added twice, so a double release
+// is harmless as long as no acquire came between the two.
+func (q *matchQueue) release(b []byte) {
+	b = b[:cap(b)]
+	if poisonReleased {
+		for i := range b {
+			b[i] = 0xa5
+		}
+	}
+	if len(b) < poolMinBytes {
+		return
+	}
+	end := &b[len(b)-1] // identifies the storage whatever slice of it b is
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	smallest := -1
+	for i, f := range q.free {
+		if &f[len(f)-1] == end {
+			return
+		}
+		if smallest < 0 || cap(f) < cap(q.free[smallest]) {
+			smallest = i
+		}
+	}
+	switch {
+	case len(q.free) < poolBuffers:
+		q.free = append(q.free, b)
+	case cap(b) > cap(q.free[smallest]):
+		q.free[smallest] = b
+	}
 }
 
 // pending returns the number of undelivered messages (for tests/stats).

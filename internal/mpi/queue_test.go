@@ -207,7 +207,7 @@ func TestTCPGoodbyeIsGracefulDeparture(t *testing.T) {
 func TestWriterEnqueueFailsFastAfterDeath(t *testing.T) {
 	client, server := net.Pipe()
 	server.Close() // writes fail immediately
-	w := newTCPWriter(client, nil)
+	w := newTCPWriter(client, nil, nil)
 	defer client.Close()
 
 	frame := wireFrame(0, []byte("doomed"))

@@ -72,7 +72,9 @@ type tcpEndpoint struct {
 // dedicated goroutine, keeping Send non-blocking as the Transport contract
 // requires. When the goroutine dies on a write error it records the cause
 // and closes done, so enqueue fails fast instead of filling the channel and
-// blocking the sender forever.
+// blocking the sender forever. Each frame written is handed to pool (when
+// not nil) as soon as the buffered writer has copied it, for the next Send
+// or receive of the rank to fill: a frame enqueued is the writer's alone.
 type tcpWriter struct {
 	conn net.Conn
 	ch   chan []byte   // fully framed messages; never closed (see below)
@@ -90,7 +92,7 @@ type tcpWriter struct {
 // close with a send. Shutdown is signalled through stop instead, and the
 // goroutine drains whatever is already buffered before exiting so a
 // goodbye frame enqueued just before close() still reaches the wire.
-func newTCPWriter(conn net.Conn, onError func(error)) *tcpWriter {
+func newTCPWriter(conn net.Conn, pool *matchQueue, onError func(error)) *tcpWriter {
 	w := &tcpWriter{
 		conn: conn,
 		ch:   make(chan []byte, 1024),
@@ -103,6 +105,9 @@ func newTCPWriter(conn net.Conn, onError func(error)) *tcpWriter {
 			if _, err := bw.Write(frame); err != nil {
 				w.fail(err, onError)
 				return false
+			}
+			if pool != nil {
+				pool.release(frame)
 			}
 			return true
 		}
@@ -398,7 +403,7 @@ func dialMesh(cfg TCPWorldConfig, ln net.Listener) (*tcpEndpoint, error) {
 			tc.SetNoDelay(true)
 		}
 		peer := d.peer
-		ep.writers[peer] = newTCPWriter(d.conn, func(err error) {
+		ep.writers[peer] = newTCPWriter(d.conn, ep.queue, func(err error) {
 			ep.peerLost(peer, err)
 		})
 		ep.wg.Add(1)
@@ -459,7 +464,7 @@ func (e *tcpEndpoint) readLoop(peer int, conn net.Conn) {
 		}
 		var data []byte
 		if n > 0 {
-			data = make([]byte, n)
+			data = e.queue.acquire(int(n))
 			if got, err := io.ReadFull(br, data); err != nil {
 				e.peerLost(peer, fmt.Errorf("truncated frame (%d of %d payload bytes): %w", got, n, err))
 				return
@@ -482,7 +487,7 @@ func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
 		return err
 	}
 	if to == e.rank {
-		cp := make([]byte, len(data))
+		cp := e.queue.acquire(len(data))
 		copy(cp, data)
 		return e.queue.push(Message{From: e.rank, Tag: tag, Data: cp})
 	}
@@ -493,12 +498,16 @@ func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
 	if closed || w == nil {
 		return ErrClosed
 	}
-	frame := make([]byte, tcpHeaderSize+len(data))
+	frame := e.queue.acquire(tcpHeaderSize + len(data))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(int32(tag)))
 	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(data)))
 	copy(frame[tcpHeaderSize:], data)
 	return w.enqueue(frame)
 }
+
+func (e *tcpEndpoint) Release(data []byte) { e.queue.release(data) }
+
+func (e *tcpEndpoint) acquire(n int) []byte { return e.queue.acquire(n) }
 
 func (e *tcpEndpoint) Recv(from, tag int) (Message, error) {
 	return e.RecvTimeout(from, tag, 0)
@@ -533,12 +542,13 @@ func (e *tcpEndpoint) shutdown(goodbye bool) error {
 	writers := e.writers
 	e.mu.Unlock()
 	if goodbye {
-		var frame [tcpHeaderSize]byte
 		tag := int32(goodbyeTag)
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(tag))
 		for _, w := range writers {
 			if w != nil {
-				w.enqueue(frame[:]) // best-effort; dead writers just error
+				// One frame each: a writer recycles what it has written.
+				frame := make([]byte, tcpHeaderSize)
+				binary.LittleEndian.PutUint32(frame[0:4], uint32(tag))
+				w.enqueue(frame) // best-effort; dead writers just error
 			}
 		}
 	}

@@ -10,7 +10,9 @@
 //     goroutine and messages are deep-copied byte slices. Copying is
 //     deliberate: it enforces the distributed-memory discipline — ranks can
 //     never observe each other's mutations except through messages — so the
-//     algorithm code is honest about what would cross a network.
+//     algorithm code is honest about what would cross a network. The copy
+//     lands in a buffer the receiver released (Transport.Release) when one
+//     fits, as an MPI receive lands in a buffer the caller posts.
 //
 //   - the TCP transport (DialTCPWorld), where each rank is an OS process and
 //     messages travel over a full mesh of TCP connections with
@@ -101,7 +103,7 @@ func errTimeout(op string, from, tag int, d time.Duration) error {
 type Message struct {
 	From int    // sending rank
 	Tag  int    // application tag
-	Data []byte // payload; owned by the receiver
+	Data []byte // payload; owned by the receiver until it releases it
 }
 
 // Transport is the byte-level rank-to-rank messaging substrate. Send must be
@@ -114,7 +116,10 @@ type Transport interface {
 	// Size returns the number of ranks in the world.
 	Size() int
 	// Send enqueues data for delivery to rank `to` with the given tag.
-	// The transport takes its own copy; the caller may reuse data.
+	// The transport copies data before Send returns — in process into a
+	// buffer the receiving rank released, over TCP into a frame from the
+	// sending rank's own pool, when one fits — so the caller may reuse data
+	// at once, and no receiver ever holds bytes a sender can still write.
 	Send(to, tag int, data []byte) error
 	// Recv blocks until a message matching (from, tag) is available and
 	// returns it. from may be AnySource and tag may be AnyTag. Messages
@@ -124,6 +129,12 @@ type Transport interface {
 	// message arrives within timeout it returns an error wrapping
 	// os.ErrDeadlineExceeded. timeout <= 0 means no deadline (plain Recv).
 	RecvTimeout(from, tag int, timeout time.Duration) (Message, error)
+	// Release hands back the storage of a received Message.Data the caller
+	// has finished with: a later message to this rank may be delivered in
+	// it. The caller must not read or write data, or any slice of it, after
+	// the call. Releasing is optional; a buffer never released is garbage
+	// collected as usual.
+	Release(data []byte)
 	// Close shuts the endpoint down. Blocked and future calls fail with
 	// ErrClosed.
 	Close() error

@@ -68,12 +68,22 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// readSpec decodes a submission body: one JobSpec of at most maxSubmitBytes,
+// with no field JobSpec does not have.
+func readSpec(w http.ResponseWriter, r *http.Request) (JobSpec, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, fmt.Errorf("%w: body: %w", ErrBadSpec, err))
+		return spec, fmt.Errorf("%w: body: %w", ErrBadSpec, err)
+	}
+	return spec, nil
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := readSpec(w, r)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	v, err := s.Submit(spec)

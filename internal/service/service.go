@@ -122,8 +122,9 @@ type Service struct {
 	seq     int64
 	closed  bool
 
-	cache *resultCache
-	wg    sync.WaitGroup // one entry per running job goroutine
+	cache   *resultCache
+	digests digestMemo     // graph fingerprints by file version
+	wg      sync.WaitGroup // one entry per running job goroutine
 }
 
 // New opens (or creates) a service over DataDir and recovers every
@@ -316,7 +317,7 @@ func (s *Service) Submit(spec JobSpec) (View, error) {
 		j.vertices = spec.Vertices
 	}
 
-	gfp, err := core.GraphFingerprint(j.graphPath)
+	gfp, err := s.digests.fingerprint(j.graphPath)
 	if err != nil {
 		os.RemoveAll(dir)
 		return View{}, err
