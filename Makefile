@@ -149,7 +149,8 @@ bench-quick:
 # Short fuzz passes over the input parsers, the checkpoint container and its
 # section decoders, the flat kernel tables and the flat.Index that numbers
 # every ghost and tail slot (each vs a map oracle), the varint codec, the TCP
-# reader filling pooled buffers from a peer's raw stream, the ghost refresh
+# reader filling pooled buffers from a peer's raw stream, the mesh handshake's
+# acceptor (accept iff rank and fence are right, closed otherwise), the ghost refresh
 # frame decoder, the owner-request decoder, the frontier
 # active-set (vs a map+sort oracle), the counting-sort graph assembly (vs the
 # sort-based oracle), the coordinator's session lines (bounded, and unable
@@ -171,6 +172,7 @@ fuzz:
 	$(GO) test ./internal/flat -fuzz FuzzIndex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -fuzz FuzzVarintCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -fuzz FuzzTCPFrames -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mpi -fuzz FuzzMeshHandshake -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzGhostFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzOwnerRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime $(FUZZTIME)

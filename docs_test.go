@@ -60,13 +60,17 @@ func typeName(e ast.Expr) string {
 	return ""
 }
 
+func newPkgIndex() *pkgIndex {
+	return &pkgIndex{decls: map[string]bool{}, members: map[string]map[string]bool{}, anywhere: map[string]bool{}}
+}
+
 func indexPackage(t *testing.T, dir string) *pkgIndex {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := &pkgIndex{decls: map[string]bool{}, members: map[string]map[string]bool{}, anywhere: map[string]bool{}}
+	ix := newPkgIndex()
 	fset := token.NewFileSet()
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
@@ -76,30 +80,35 @@ func indexPackage(t *testing.T, dir string) *pkgIndex {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv != nil && len(d.Recv.List) == 1 {
-					ix.addMember(typeName(d.Recv.List[0].Type), d.Name.Name)
-				} else {
-					ix.decls[d.Name.Name] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							ix.decls[n.Name] = true
-						}
-					case *ast.TypeSpec:
-						ix.decls[s.Name.Name] = true
-						ix.indexType(s.Name.Name, s.Type)
+		ix.addFile(f)
+	}
+	return ix
+}
+
+// addFile records what one file declares.
+func (ix *pkgIndex) addFile(f *ast.File) {
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil && len(d.Recv.List) == 1 {
+				ix.addMember(typeName(d.Recv.List[0].Type), d.Name.Name)
+			} else {
+				ix.decls[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						ix.decls[n.Name] = true
 					}
+				case *ast.TypeSpec:
+					ix.decls[s.Name.Name] = true
+					ix.indexType(s.Name.Name, s.Type)
 				}
 			}
 		}
 	}
-	return ix
 }
 
 // indexType records the fields (embedded ones by type name) and interface
@@ -145,8 +154,9 @@ func stripFences(doc string) string {
 // TestDocReferencesResolve keeps the documents honest about the code: every
 // pkg.Name inside a backtick span of DESIGN.md or README.md, where pkg is a
 // directory under internal/ or cmd/, must be declared in that package's
-// non-test files (as a top-level name, a method or a struct field), and a
-// cited pkg.Type.Member must be a field or method of that type.
+// non-test files (as a top-level name, a method or a struct field), a cited
+// pkg.Type.Member must be a field or method of that type, and a span that is
+// a bare mixed-case identifier must resolve too (checkBareIdentifiers).
 func TestDocReferencesResolve(t *testing.T) {
 	dirs := map[string]string{}
 	for _, root := range []string{"internal", "cmd"} {
@@ -161,13 +171,16 @@ func TestDocReferencesResolve(t *testing.T) {
 		}
 	}
 	indexes := map[string]*pkgIndex{}
-	checked := 0
+	tree, tests := indexTree(t)
+	checked, bare := 0, 0
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, span := range codeSpan.FindAllStringSubmatch(stripFences(string(raw)), -1) {
+		spans := codeSpan.FindAllStringSubmatch(stripFences(string(raw)), -1)
+		bare += checkBareIdentifiers(t, doc, spans, tree, tests)
+		for _, span := range spans {
 			for _, m := range citation.FindAllStringSubmatch(span[1], -1) {
 				pkg, name, member := m[1], m[2], m[3]
 				dir, ok := dirs[pkg]
@@ -189,10 +202,103 @@ func TestDocReferencesResolve(t *testing.T) {
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no pkg.Name citations found; the scan is broken")
+	if checked == 0 || bare == 0 {
+		t.Fatalf("%d pkg.Name citations and %d bare identifiers found; the scan is broken", checked, bare)
 	}
-	t.Logf("%d citations checked", checked)
+	t.Logf("%d citations and %d bare identifiers checked", checked, bare)
+}
+
+// bareIdent is a code span that is one identifier, optionally called
+// (`setGhost`, `GhostSlot()`); mixedCase says it has both an upper- and a
+// lower-case letter, which sets a Go name apart from a word or an acronym.
+var (
+	bareIdent = regexp.MustCompile(`^([A-Za-z_]\w*)(?:\(\))?$`)
+	mixedCase = regexp.MustCompile(`[a-z].*[A-Z]|[A-Z].*[a-z]`)
+	testFunc  = regexp.MustCompile(`^(Test|Benchmark|Fuzz|Example)[A-Z_]`)
+)
+
+// notGoNames are the mixed-case words the documents put in code spans that
+// name nothing declared in the tree, each with what it is instead.
+var notGoNames = map[string]string{
+	"A_c":          "the paper's notation for a community's incident weight",
+	"aCur":         "a local variable of evaluateVertex",
+	"p2pB":         "a column heading of obsv's phase report",
+	"collB":        "a column heading of obsv's phase report",
+	"Oscillation":  "a -run pattern of make test-frontier",
+	"Setpgid":      "a field of the standard library's syscall.SysProcAttr",
+	"AllocsPerRun": "a function of the standard library's testing package",
+	"prevRemote":   "a map the community slot tables replaced, now the slot oracle's",
+	"remoteInfo":   "a map the community slot tables replaced",
+}
+
+// indexTree indexes what the tree's non-test Go files declare, every package
+// in one index, and returns it with the set of tests, benchmarks, fuzz
+// targets and examples the test files declare.
+func indexTree(t *testing.T) (*pkgIndex, map[string]bool) {
+	t.Helper()
+	ix, tests := newPkgIndex(), map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			ix.addFile(f)
+			return nil
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
+				tests[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, tests
+}
+
+// checkBareIdentifiers is the second half of TestDocReferencesResolve: a code
+// span that is one bare mixed-case identifier (`setGhost`, `GhostSlot`,
+// `renumberOwned`) must name something the tree declares — a non-test
+// top-level name, field or method of any package, or, for a
+// Test/Benchmark/Fuzz/Example name, a function of a test file — or be one of
+// notGoNames. It returns how many it checked.
+func checkBareIdentifiers(t *testing.T, doc string, spans [][]string, ix *pkgIndex, tests map[string]bool) int {
+	t.Helper()
+	checked := 0
+	for _, span := range spans {
+		m := bareIdent.FindStringSubmatch(span[1])
+		if m == nil || !mixedCase.MatchString(m[1]) {
+			continue
+		}
+		name := m[1]
+		checked++
+		switch {
+		case notGoNames[name] != "":
+		case testFunc.MatchString(name):
+			if !tests[name] {
+				t.Errorf("%s: `%s` is not a test, benchmark, fuzz target or example of any test file", doc, span[1])
+			}
+		case !ix.decls[name] && !ix.anywhere[name]:
+			t.Errorf("%s: `%s` is declared nowhere in the tree", doc, span[1])
+		}
+	}
+	return checked
 }
 
 // goToolFlags are flags of the go command and of test binaries that the

@@ -112,6 +112,9 @@ func dirOf(a0 float64, s0 int64, a1 float64, s1 int64) changeDir {
 func newFrontierState(st *phaseState, old *frontierState) *frontierState {
 	if old == nil {
 		old = &frontierState{cur: &frontier.Set{}, next: &frontier.Set{}, carryBufs: make([][]int64, st.cfg.Threads)}
+		for w := range old.carryBufs {
+			old.carryBufs[w] = make([]int64, 0, st.workerShare())
+		}
 	}
 	for w := range old.carryBufs {
 		old.carryBufs[w] = old.carryBufs[w][:0]
@@ -126,8 +129,8 @@ func newFrontierState(st *phaseState, old *frontierState) *frontierState {
 		cur:       old.cur,
 		next:      old.next,
 		carryBufs: old.carryBufs,
-		stamp:     reslice(old.stamp, len(st.refs)),
-		dir:       reslice(old.dir, len(st.refs)),
+		stamp:     resliceSlots(old.stamp, len(st.refs)),
+		dir:       resliceSlots(old.dir, len(st.refs)),
 		epoch:     1, // the zeroed stamps mean "unchanged"
 	}
 

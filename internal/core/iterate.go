@@ -191,19 +191,25 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 // gathered move list, and with it every float accumulation downstream, is
 // bit-identical to the full scan's under either representation.
 //
-// Each worker reuses its phase-lived accumulator and move buffer. Every
-// moveBuf is truncated BEFORE the parallel region: par.For does not spawn
-// workers whose chunk is empty, so a worker that ran last iteration but not
-// this one would otherwise leak stale moves into the gather below. (Carry
-// buffers avoid the same hazard by being drained after every merge.)
+// Each worker reuses its run-lived accumulator and move buffer, the latter
+// made on first use at the most its chunk of LocalN can move. Every moveBuf is
+// truncated BEFORE the parallel region: par.For does not spawn workers whose
+// chunk is empty, so a worker that ran last iteration but not this one would
+// otherwise leak stale moves into the gather below. (Carry buffers avoid the
+// same hazard by being drained after every merge.) With one worker there is
+// nothing to gather: the returned list is worker 0's buffer itself, valid
+// until the next sweep.
 func (st *phaseState) sweep(iter int) []move {
 	sp := st.tr().Begin(obsv.KindStep, "sweep")
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { st.steps.Compute += time.Since(t0) }()
 	nw := st.cfg.Threads
-	for w := range st.moveBufs {
-		st.moveBufs[w] = st.moveBufs[w][:0]
+	for w, ms := range st.moveBufs {
+		if ms == nil {
+			ms = make([]move, 0, st.workerShare())
+		}
+		st.moveBufs[w] = ms[:0]
 	}
 	clear(st.touchedBufs)
 	clear(st.returnsBufs)
@@ -216,11 +222,18 @@ func (st *phaseState) sweep(iter int) []move {
 		count = len(st.sweepIDs)
 	}
 	par.For(count, nw, st.sweepBody)
-	all := st.allMoves[:0]
-	for _, ms := range st.moveBufs {
-		all = append(all, ms...)
+	all := st.moveBufs[0]
+	if nw > 1 {
+		total := 0
+		for _, ms := range st.moveBufs {
+			total += len(ms)
+		}
+		all = slices.Grow(st.allMoves[:0], total)
+		for _, ms := range st.moveBufs {
+			all = append(all, ms...)
+		}
+		st.allMoves = all
 	}
-	st.allMoves = all
 	st.iterTouched, st.iterReturns = 0, 0
 	for w, c := range st.touchedBufs {
 		st.iterTouched += c
@@ -242,6 +255,13 @@ func (st *phaseState) sweep(iter int) []move {
 	}
 	sp.SetCount(st.iterTouched)
 	return all
+}
+
+// workerShare is the most vertices one sweep worker's chunk can hold: what its
+// move and carry-over buffers are made for.
+func (st *phaseState) workerShare() int {
+	nw := st.cfg.Threads
+	return (int(st.dg.LocalN) + nw - 1) / nw
 }
 
 // fitAccs extends every worker's accumulator to the current slot space (the
@@ -331,9 +351,9 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 func (st *phaseState) stageMoves(moves []move) []commDelta {
 	acc := &st.accs[0]
 	acc.next()
-	if k := len(st.refs) - len(st.deltaSize); k > 0 {
-		st.deltaSize = append(st.deltaSize, make([]int64, k)...)
-	}
+	bound := min(2*len(moves), len(st.refs)) // distinct slots the moves can touch
+	acc.keys = slices.Grow(acc.keys, bound)
+	st.deltaSize = fitSlots(st.deltaSize, len(st.refs))
 	da, ds := acc.w, st.deltaSize
 	add := func(c int32, a float64, size int64) {
 		if acc.stamp[c] != acc.epoch {
@@ -492,9 +512,11 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		// the same post-previous-iteration view it always had, but lets the
 		// modularity below see consistent (post-move) assignments on BOTH
 		// endpoints of cross-rank edges. That makes Q exact — and, for
-		// integer edge weights, independent of the vertex partition, which
-		// is what lets a checkpoint resumed on a different rank count
-		// retrace the original trajectory bit for bit.
+		// integer edge weights, independent of the vertex partition as long
+		// as every sum stays exact (the binding one is Σ A_c² < 2⁵³, i.e.
+		// 2m below about 9.5·10⁷), which is what lets a checkpoint resumed
+		// on a different rank count retrace the original trajectory bit for
+		// bit.
 		if err := st.exchangeGhostComm(); err != nil {
 			return stat, err
 		}

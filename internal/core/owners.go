@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"distlouvain/internal/mpi"
 )
@@ -83,10 +84,12 @@ func (st *phaseState) decodeOwnerRequest(dst []int64, kind string, q int, data [
 		return dst, malformed(kind+" request", q, "%v", err)
 	}
 	// Every entry costs at least one byte: a count beyond the bytes left is
-	// corrupt, and is rejected before anything is appended.
+	// corrupt, and is rejected before anything is appended. Past that check
+	// the count bounds what dst has to hold, so it grows once.
 	if n > uint64(d.Remaining()) {
 		return dst, malformed(kind+" request", q, "%d entries in %d bytes", n, d.Remaining())
 	}
+	dst = slices.Grow(dst, int(n))
 	g := int64(0)
 	for i := uint64(0); i < n; i++ {
 		gap, err := d.Varint()

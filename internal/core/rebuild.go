@@ -16,9 +16,11 @@ import (
 // which the owned communities that still have members (the community table is
 // authoritative: size > 0 means some vertex, anywhere, is assigned to it) are
 // numbered 0, 1, … in ID order, and the dead ones and every non-owned slot
-// hold −1. It returns the count of survivors too.
+// hold −1. It returns the count of survivors too. The table is the run's
+// (coarsening.renumbered), valid until the next rebuild.
 func (st *phaseState) renumberOwned() ([]int64, int64) {
-	bySlot := make([]int64, len(st.refs))
+	bySlot := reslice(st.coarse.renumbered, len(st.refs))
+	st.coarse.renumbered = bySlot
 	var survivors int64
 	for s := range bySlot {
 		bySlot[s] = -1
@@ -169,13 +171,23 @@ func (st *phaseState) renumber() ([]int64, int64, error) {
 // vertex's community — bySlot, rebuild's table, at the vertex's owner, so the
 // label comes back final. Serial equivalent: labels[i] = new(comm[labels[i]]).
 func (st *phaseState) flatten(bySlot, labels []int64) error {
-	var refs []int64
+	cs := &st.coarse
+	k := 0 // the remote labels, counted so that their list grows once
+	for _, g := range labels {
+		if !st.dg.IsLocal(g) {
+			k++
+		}
+	}
+	refs := slices.Grow(cs.remote[:0], k)
 	for _, g := range labels {
 		if !st.dg.IsLocal(g) {
 			refs = append(refs, g)
 		}
 	}
-	remote, reqs := sortedRemote(st.dg.Part, refs)
+	cs.remote = refs
+	reqs := truncateEach(cs.byOwner, st.dg.Comm.Size())
+	cs.byOwner = reqs
+	remote := sortedRemote(st.dg.Part, refs, reqs)
 	replies, err := st.askOwners("comm-lookup", reqs, func(_ int, lcs []int64, buf []byte) ([]byte, error) {
 		for _, lc := range lcs {
 			buf = mpi.AppendVarint(buf, bySlot[st.comm[lc]])
@@ -186,7 +198,7 @@ func (st *phaseState) flatten(bySlot, labels []int64) error {
 		return err
 	}
 	defer st.dg.Comm.Release(replies...)
-	newOfRemote := make([]int64, 0, len(remote)) // parallel to remote
+	newOfRemote := slices.Grow(cs.newOfRemote[:0], len(remote)) // parallel to remote
 	for q, req := range reqs {
 		d := mpi.NewDecoder(replies[q])
 		for range req {
@@ -200,6 +212,7 @@ func (st *phaseState) flatten(bySlot, labels []int64) error {
 			return malformed("comm-lookup reply", q, "%d trailing bytes", d.Remaining())
 		}
 	}
+	cs.newOfRemote = newOfRemote
 	for i, g := range labels {
 		if st.dg.IsLocal(g) {
 			labels[i] = bySlot[st.comm[g-st.dg.Base]]
@@ -212,19 +225,19 @@ func (st *phaseState) flatten(bySlot, labels []int64) error {
 }
 
 // sortedRemote sorts and dedupes ids (none owned by this rank) in place and
-// cuts the result into per-owner request lists: ownership ranges are
-// contiguous, so each rank's share is one ascending run.
-func sortedRemote(part *partition.Partition, ids []int64) (all []int64, byOwner [][]int64) {
+// cuts the result into per-owner request lists, written into byOwner (one
+// entry per rank): ownership ranges are contiguous, so each rank's share is
+// one ascending run.
+func sortedRemote(part *partition.Partition, ids []int64, byOwner [][]int64) []int64 {
 	slices.Sort(ids)
-	all = slices.Compact(ids)
-	byOwner = make([][]int64, part.Size())
+	all := slices.Compact(ids)
 	rest := all
 	for q := range byOwner {
 		_, hi := part.Range(q)
 		k, _ := slices.BinarySearch(rest, hi)
 		byOwner[q], rest = rest[:k], rest[k:]
 	}
-	return all, byOwner
+	return all
 }
 
 // coarseArcs is Step 5 grouped by source community, written into the frames
@@ -299,16 +312,21 @@ func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
 	return sh.Len()
 }
 
-// coarsening is coarseArcs' state, kept for the run like the phase state:
-// the source communities' members and the workers' slot ranges, what the call
+// coarsening is the rebuild's state, kept for the run like the phase state
+// and re-sliced by every rebuild: renumberOwned's table (renumbered);
+// flatten's remote labels, their new IDs and its per-owner request lists;
+// coarseArcs' source-community members and worker slot ranges, what the call
 // at hand reads (bySlot) and writes (sh), and the par.For bodies of its two
 // walks, built once so that an aggregation allocates no closure.
 type coarsening struct {
-	first, members []int32
-	cuts           []int
-	bySlot         []int64
-	sh             *dgraph.Shuffle
-	count, write   func(w, lo, hi int)
+	renumbered          []int64
+	remote, newOfRemote []int64
+	byOwner             [][]int64
+	first, members      []int32
+	cuts                []int
+	bySlot              []int64
+	sh                  *dgraph.Shuffle
+	count, write        func(w, lo, hi int)
 }
 
 // countSlots is worker w's first walk over its source communities: it

@@ -19,7 +19,8 @@ import (
 func TestSortedRemoteCutsByOwner(t *testing.T) {
 	// Ranks own [0,4) [4,4) [4,9) [9,12): rank 1 is empty.
 	part := &partition.Partition{Bounds: []int64{0, 4, 4, 9, 12}}
-	all, byOwner := sortedRemote(part, []int64{11, 2, 9, 2, 0, 11, 3, 10})
+	byOwner := make([][]int64, part.Size())
+	all := sortedRemote(part, []int64{11, 2, 9, 2, 0, 11, 3, 10}, byOwner)
 	if want := []int64{0, 2, 3, 9, 10, 11}; !slices.Equal(all, want) {
 		t.Fatalf("all = %v, want %v", all, want)
 	}
@@ -29,7 +30,7 @@ func TestSortedRemoteCutsByOwner(t *testing.T) {
 			t.Fatalf("byOwner[%d] = %v, want %v", q, byOwner[q], want[q])
 		}
 	}
-	if all, byOwner := sortedRemote(part, nil); len(all) != 0 || len(byOwner) != 4 {
+	if all := sortedRemote(part, nil, byOwner); len(all) != 0 || slices.ContainsFunc(byOwner, func(l []int64) bool { return len(l) != 0 }) {
 		t.Fatalf("empty input: %v %v", all, byOwner)
 	}
 }

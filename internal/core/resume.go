@@ -24,9 +24,10 @@ import (
 // is rebuilt by replaying each file's CSR through the arc shuffle, and the
 // original-vertex assignment is redistributed to the new ownership ranges.
 // Because every phase-boundary quantity is an exact (order-independent for
-// integer weights) global value and the per-phase randomness hashes global
-// vertex IDs, the resumed run retraces the uninterrupted run's trajectory
-// regardless of the new rank count.
+// integer weights, as long as every sum stays exact: Σ A_c² < 2⁵³, i.e. 2m
+// below about 9.5·10⁷, is the binding one) global value and the per-phase
+// randomness hashes global vertex IDs, the resumed run retraces the
+// uninterrupted run's trajectory regardless of the new rank count.
 func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 	cfg.fill()
 	p := c.Size()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"distlouvain/internal/dgraph"
@@ -80,7 +81,8 @@ type phaseState struct {
 	// Kernel scratch, allocated once per run and reused every iteration of
 	// every phase (see DESIGN "kernel memory layout"): accs[w] is worker w's
 	// slot-addressed neighbor-community accumulator; moveBufs[w] is worker
-	// w's move buffer; allMoves is the gathered per-iteration move list;
+	// w's move buffer; allMoves is the per-iteration move list gathered from
+	// them when there is more than one;
 	// stageMoves sums the per-iteration community deltas in accs[0] (ΔA) and
 	// deltaSize (Δsize, per slot) and emits them into deltaBuf; arena backs the
 	// encode buffers of the per-iteration exchanges, frames is the per-peer
@@ -180,10 +182,10 @@ func (st *phaseState) reset(dg *dgraph.DistGraph, phaseIdx int) error {
 		ghostComm:   ci[n:],
 		rowIntra:    reslice(old.rowIntra, int(n)),
 		rowsStale:   true,
-		cA:          reslice(old.cA, slots),
-		cSize:       reslice(old.cSize, slots),
-		refs:        reslice(old.refs, slots),
-		fetched:     reslice(old.fetched, slots),
+		cA:          resliceSlots(old.cA, slots),
+		cSize:       resliceSlots(old.cSize, slots),
+		refs:        resliceSlots(old.refs, slots),
+		fetched:     resliceSlots(old.fetched, slots),
 		tail:        old.tail,
 		fetchSeq:    1,
 		reqStale:    true,
@@ -278,17 +280,25 @@ func (st *phaseState) setupGhostLists() error {
 	defer sp.End()
 	// dg.Ghosts is sorted ascending and ownership ranges are contiguous, so
 	// each owner's ghosts are one run of it: its request is a window of
-	// dg.Ghosts ending at the ghost at hand.
+	// dg.Ghosts ending at the ghost at hand. Every list below is sized from
+	// the request it mirrors before it is filled.
 	reqs := make([][]int64, st.dg.Comm.Size())
 	for i, o := range st.dg.GhostOwner {
-		st.ghostSlots[o] = append(st.ghostSlots[o], int32(i))
 		reqs[o] = st.dg.Ghosts[i-len(reqs[o]) : i+1]
+	}
+	for o, req := range reqs {
+		st.ghostSlots[o] = slices.Grow(st.ghostSlots[o], len(req))
+	}
+	for i, o := range st.dg.GhostOwner {
+		st.ghostSlots[o] = append(st.ghostSlots[o], int32(i))
 	}
 	return st.tellOwners("ghost-list", reqs, func(q int, lcs []int64) error {
 		st.pushList[q] = append(st.pushList[q], lcs...)
+		last := slices.Grow(st.lastSent[q], len(lcs))
 		for range lcs {
-			st.lastSent[q] = append(st.lastSent[q], -1) // force first send
+			last = append(last, -1) // force first send
 		}
+		st.lastSent[q] = last
 		return nil
 	})
 }
@@ -531,7 +541,8 @@ type commDelta struct {
 // happens in the same order every run — the sweep's assignment updates, then
 // the locally owned deltas in ascending cid, then the remote frames in rank
 // order — giving float-weighted graphs the same bit-identical trajectory
-// guarantee integer weights get for free.
+// guarantee integer weights get for free, as long as every sum stays exact
+// (Σ A_c² < 2⁵³, i.e. 2m below about 9.5·10⁷, is the binding one).
 func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	sp := st.tr().Begin(obsv.KindP2P, "community-push")
 	defer sp.End()

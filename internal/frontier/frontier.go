@@ -81,6 +81,9 @@ func (s *Set) Reset(n int64, rep Rep, sparseFrac float64) {
 	default:
 		s.limit = int64(sparseFrac * float64(n))
 	}
+	if cap(s.ids) < int(s.limit) {
+		s.ids = make([]int64, 0, s.limit) // the most the list holds before it is abandoned
+	}
 	s.Clear()
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -162,6 +164,83 @@ func FuzzTCPFrames(f *testing.F) {
 		// recorded; a receive in between sees the departure.
 		if gone := errors.Is(err, errDeparted); (departed && !lost && !gone) || (!departed && gone) {
 			t.Fatalf("after the stream: %v; goodbye seen: %v, stream broken: %v", err, departed, lost)
+		}
+	})
+}
+
+// FuzzMeshHandshake feeds arbitrary dialer bytes to acceptHandshake over a
+// net.Pipe, for an acceptor of any rank in a world of up to 8 with any fence.
+// The dialer sends the first handshakeSize bytes — all of them when there are
+// fewer, then hangs up — and reads the ack. A connection is accepted if and
+// only if its 12 bytes name a rank above the acceptor's and below the world
+// size and carry the world's fence; the ack byte is 1 exactly then; a rejected
+// connection, short, garbage or fenced, comes back !ok and closed; an accepted
+// one stays open. Nothing panics.
+func FuzzMeshHandshake(f *testing.F) {
+	hs := func(rank int32, fence uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(rank))
+		return binary.LittleEndian.AppendUint64(b, fence)
+	}
+	f.Add(uint8(0), uint8(3), uint64(7), hs(2, 7))                  // accepted
+	f.Add(uint8(1), uint8(3), uint64(7), hs(1, 7))                  // own rank
+	f.Add(uint8(1), uint8(3), uint64(7), hs(0, 7))                  // a rank this one dials
+	f.Add(uint8(0), uint8(3), uint64(7), hs(3, 7))                  // past the world
+	f.Add(uint8(0), uint8(3), uint64(7), hs(-1, 7))                 // negative
+	f.Add(uint8(0), uint8(3), uint64(7), hs(2, 6))                  // stale fence
+	f.Add(uint8(0), uint8(2), uint64(0), hs(1, 0)[:7])              // short
+	f.Add(uint8(0), uint8(2), uint64(0), append(hs(1, 0), 1, 2, 3)) // data behind it
+	f.Add(uint8(0), uint8(2), uint64(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, own, size uint8, fence uint64, dial []byte) {
+		size = size%8 + 1
+		own %= size
+		cfg := TCPWorldConfig{Rank: int(own), Addrs: make([]string, size), Fence: fence}
+		want := false
+		if len(dial) >= handshakeSize {
+			peer := int32(binary.LittleEndian.Uint32(dial))
+			want = peer > int32(own) && peer < int32(size) && binary.LittleEndian.Uint64(dial[4:]) == fence
+		}
+
+		server, client := net.Pipe()
+		defer client.Close()
+		acks := make(chan []byte, 1)
+		go func() {
+			if len(dial) < handshakeSize {
+				client.Write(dial) //nolint:errcheck // the acceptor may have hung up first
+				client.Close()
+				acks <- nil
+				return
+			}
+			if _, err := client.Write(dial[:handshakeSize]); err != nil {
+				acks <- nil
+				return
+			}
+			ack, _ := io.ReadAll(io.LimitReader(client, 1))
+			acks <- ack
+		}()
+		peer, ok := acceptHandshake(server, cfg, 5*time.Second)
+		ack := <-acks
+
+		if ok != want {
+			t.Fatalf("rank %d of %d, fence %d: handshake %x accepted = %v, want %v", own, size, fence, dial, ok, want)
+		}
+		switch {
+		case len(dial) < handshakeSize && ack != nil:
+			t.Fatalf("short handshake %x answered %x", dial, ack)
+		case len(dial) >= handshakeSize && (len(ack) != 1 || (ack[0] == 1) != want):
+			t.Fatalf("handshake %x (accepted = %v) answered %x", dial, want, ack)
+		}
+		open := server.SetDeadline(time.Time{}) == nil // net.Pipe refuses deadlines once closed
+		if ok {
+			if peer != int(int32(binary.LittleEndian.Uint32(dial))) {
+				t.Fatalf("accepted as peer %d, the handshake names %x", peer, dial[:4])
+			}
+			if !open {
+				t.Fatal("an accepted connection was closed")
+			}
+			server.Close()
+		} else if open {
+			t.Fatalf("rejected handshake %x left the connection open", dial)
 		}
 	})
 }
