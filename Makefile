@@ -81,12 +81,13 @@ test-chaos:
 # iteration's Q against the gathered labels, two pinned trajectory digests),
 # and the Step-5 aggregator's differential (coarsen_test.go: the map oracle's
 # arcs at every thread count, each pair once per rank, allocation ceiling),
-# and the tie rule's properties (tierule_test.go: relabelling, rank / thread
-# independence, quality floor, ET on the mesh), and the return
-# rule's (oscillation_test.go: no plateau on LFR, the swap gadget, rank / thread
-# / restart independence).
+# and the tie rule's properties (tierule_test.go: relabelling, quality floor,
+# ET on the mesh), and the return rule's (oscillation_test.go: no plateau on
+# LFR, the swap gadget), and the property suite (property_test.go: rank /
+# thread / transport / restart independence, exact sums and the reported Q on
+# graphs from every generator — the race detector's smaller corpus).
 test-frontier:
-	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule|Oscillation' ./internal/core/... ./internal/frontier/...
+	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule|Oscillation|Propert' ./internal/core/... ./internal/frontier/...
 
 # go vet plus a race-mode coverage run over the algorithm core; prints the
 # per-function coverage table CI publishes as the job summary.
@@ -155,8 +156,9 @@ bench-quick:
 # active-set (vs a map+sort oracle), the counting-sort graph assembly (vs the
 # sort-based oracle), the coordinator's session lines (bounded, and unable
 # to change a job's membership or spawns) and the supervisor's hang detector
-# (random worlds with dropped beacons and a frozen rank, vs the world rule)
-# and the daemon's job JSON (a 4xx or a spec inside every bound).
+# (random worlds with dropped beacons and a frozen rank, vs the world rule),
+# the daemon's job JSON (a 4xx or a spec inside every bound) and whole runs
+# on drawn graphs (core's property suite, in-process ranks only).
 # FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`, so this
 # list is the only one.
 FUZZTIME ?= 30s
@@ -180,6 +182,7 @@ fuzz:
 	$(GO) test ./internal/coord -fuzz FuzzCoordLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/supervisor -fuzz FuzzDetector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -fuzz FuzzRunProperties -fuzztime $(FUZZTIME)
 
 # Regenerate every table and figure of the paper (text to stdout).
 experiments:

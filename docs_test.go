@@ -1,6 +1,7 @@
 package distlouvain
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -399,4 +400,93 @@ func TestDocFlagsResolve(t *testing.T) {
 		t.Fatal("no -flag citations found; the scan is broken")
 	}
 	t.Logf("%d flag citations checked against %d defined flags", checked, len(defined))
+}
+
+// TestFuzzTargetsListed keeps `make fuzz` the one list of fuzz targets: every
+// func Fuzz* of a test file needs a `$(GO) test ./<its package> -fuzz <Name>`
+// line in the Makefile, and every such line must name a target that exists.
+func TestFuzzTargetsListed(t *testing.T) {
+	raw, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\t\$\(GO\) test \./(\S+) -fuzz (\w+) `).FindAllStringSubmatch(string(raw), -1) {
+		listed[m[1]+" "+m[2]] = true
+	}
+	found := map[string]bool{}
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`)
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			found[filepath.ToSlash(filepath.Dir(path))+" "+m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) == 0 {
+		t.Fatal("no fuzz targets found; the scan is broken")
+	}
+	for target := range found {
+		if !listed[target] {
+			dir, name, _ := strings.Cut(target, " ")
+			t.Errorf("%s/%s is not in make fuzz: add `$(GO) test ./%s -fuzz %s -fuzztime $(FUZZTIME)`", dir, name, dir, name)
+		}
+	}
+	for target := range listed {
+		if !found[target] {
+			t.Errorf("make fuzz lists %q, which no test file declares", target)
+		}
+	}
+}
+
+// designCeiling is DESIGN.md's size in bytes: it may shrink, never grow. A PR
+// that shrinks the document lowers the ceiling to the new size.
+const designCeiling = 135186
+
+// changesEntryCap bounds each CHANGES.md entry after changesCapFrom, in bytes:
+// an entry says what changed and where, and the design goes in DESIGN.md.
+const (
+	changesEntryCap = 1536
+	changesCapFrom  = 40
+)
+
+// TestDocsRatchet holds the size ceilings: DESIGN.md under designCeiling, each
+// CHANGES.md entry ("PR N…" up to the next entry) after PR changesCapFrom
+// under changesEntryCap.
+func TestDocsRatchet(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(design) > designCeiling {
+		t.Errorf("DESIGN.md is %d bytes, over its ceiling of %d", len(design), designCeiling)
+	}
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := regexp.MustCompile(`(?m)^PR (\d+)\b`)
+	starts := entry.FindAllSubmatchIndex(changes, -1)
+	if len(starts) == 0 {
+		t.Fatal("no CHANGES.md entries found; the scan is broken")
+	}
+	for i, m := range starts {
+		end := len(changes)
+		if i+1 < len(starts) {
+			end = starts[i+1][0]
+		}
+		pr, _ := strconv.Atoi(string(changes[m[2]:m[3]]))
+		if size := len(bytes.TrimSpace(changes[m[0]:end])); pr > changesCapFrom && size > changesEntryCap {
+			t.Errorf("CHANGES.md entry of PR %d is %d bytes, over the cap of %d", pr, size, changesEntryCap)
+		}
+	}
 }

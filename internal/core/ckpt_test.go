@@ -7,10 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"distlouvain/internal/ckpt"
 	"distlouvain/internal/gen"
@@ -115,39 +112,9 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 func runCkptChaosTCP(t *testing.T, p, doomed int, plan mpi.FaultPlan, dir string, cfg Config) (errs []error, root *Result, total int64) {
 	t.Helper()
 	cfg.GatherOutput = true
-	addrs := chaosFreeAddrs(t, p)
-	errs = make([]error, p)
-	var tot atomic.Int64
-	var res atomic.Pointer[Result]
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			tp, err := mpi.DialTCPWorld(mpi.TCPWorldConfig{Rank: r, Addrs: addrs})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			rankPlan := mpi.FaultPlan{}
-			if r == doomed {
-				rankPlan = plan
-			}
-			ft := mpi.NewFaultTransport(tp, rankPlan)
-			defer ft.Close()
-			c := mpi.NewComm(ft, mpi.WithTimeout(10*time.Second))
-			out, err := Resume(c, dir, cfg)
-			errs[r] = err
-			if r == 0 && err == nil {
-				res.Store(out)
-			}
-			if r == doomed {
-				tot.Store(ft.Sends())
-			}
-		}(r)
-	}
-	wg.Wait()
-	return errs, res.Load(), tot.Load()
+	return runTCPRanks(t, p, doomed, plan, func(c *mpi.Comm, _ *mpi.FaultTransport) (*Result, error) {
+		return Resume(c, dir, cfg)
+	})
 }
 
 // copyDir clones a flat checkpoint directory, so a chaos pass can consume a
@@ -177,7 +144,7 @@ func copyDir(t *testing.T, src string) string {
 func killCheckpointingRun(t *testing.T, p, doomed int, killAt int64, n int64, edges []graph.RawEdge, cfg Config, dir string) {
 	t.Helper()
 	cfg.CheckpointDir = dir
-	errs, _, _ := runChaosTCP(t, p, doomed, mpi.FaultPlan{KillAfterSends: killAt}, n, edges, cfg)
+	errs, _, _, _ := runChaosTCP(t, p, doomed, mpi.FaultPlan{KillAfterSends: killAt}, n, edges, cfg)
 	assertKilledWorld(t, errs, doomed)
 }
 
@@ -221,7 +188,7 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	// replays identically in the chaos pass.
 	calCfg := cfg
 	calCfg.CheckpointDir = t.TempDir()
-	errs, afterBuild, total := runChaosTCP(t, p, doomed, mpi.FaultPlan{}, n, edges, calCfg)
+	errs, _, afterBuild, total := runChaosTCP(t, p, doomed, mpi.FaultPlan{}, n, edges, calCfg)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("calibration rank %d: %v", r, err)
@@ -268,7 +235,7 @@ func TestCheckpointRepeatedFailureResume(t *testing.T) {
 	// the surviving checkpoint).
 	calCfg := cfg
 	calCfg.CheckpointDir = t.TempDir()
-	errs, afterBuild, total := runChaosTCP(t, p, doomed, mpi.FaultPlan{}, n, edges, calCfg)
+	errs, _, afterBuild, total := runChaosTCP(t, p, doomed, mpi.FaultPlan{}, n, edges, calCfg)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("run calibration rank %d: %v", r, err)

@@ -121,6 +121,9 @@ type oracle struct {
 	refKernels bool         // map-based ΔQ sweep and coarse-arc kernels (kernels_ref.go)
 	fullScan   bool         // offer every local vertex to every sweep: no frontier
 	rep        frontier.Rep // pin the frontier's representation (RepAuto: by size)
+	// afterFetch, when set, is installed by Run as every phase's
+	// phaseState.afterFetch: the property suite's per-iteration probe.
+	afterFetch func(*phaseState) error
 }
 
 func (c *Config) fill() {

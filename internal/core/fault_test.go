@@ -38,20 +38,18 @@ func chaosFreeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-// runChaosTCP runs the full distributed Louvain pipeline (Build + Run) on p
-// TCP ranks, wrapping the doomed rank's transport in a FaultTransport with
-// the given plan. It returns each rank's error and, for the doomed rank,
-// the send counts observed right after Build and at exit — the calibration
-// data the kill schedule needs.
-func runChaosTCP(t *testing.T, p, doomed int, plan mpi.FaultPlan, n int64, edges []graph.RawEdge, cfg Config) (errs []error, afterBuild, total int64) {
+// runTCPRanks runs body on every rank of a p-rank static-address loopback TCP
+// world, the doomed rank's transport on the given fault plan (pass doomed = −1
+// for none). It returns each rank's error, rank 0's result and the doomed
+// rank's send count at exit.
+func runTCPRanks(t *testing.T, p, doomed int, plan mpi.FaultPlan, body func(c *mpi.Comm, ft *mpi.FaultTransport) (*Result, error)) (errs []error, root *Result, total int64) {
 	t.Helper()
 	addrs := chaosFreeAddrs(t, p)
 	errs = make([]error, p)
-	var ab, tot atomic.Int64
 	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
+	for r := range p {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
 			tp, err := mpi.DialTCPWorld(mpi.TCPWorldConfig{Rank: r, Addrs: addrs})
 			if err != nil {
@@ -64,25 +62,40 @@ func runChaosTCP(t *testing.T, p, doomed int, plan mpi.FaultPlan, n int64, edges
 			}
 			ft := mpi.NewFaultTransport(tp, rankPlan)
 			defer ft.Close()
-			c := mpi.NewComm(ft, mpi.WithTimeout(10*time.Second))
-			lo, hi := gio.SegmentRange(int64(len(edges)), r, p)
-			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			if r == doomed {
-				ab.Store(ft.Sends())
-			}
-			_, err = Run(dg, cfg)
+			res, err := body(mpi.NewComm(ft, mpi.WithTimeout(10*time.Second)), ft)
 			errs[r] = err
-			if r == doomed {
-				tot.Store(ft.Sends())
+			if r == 0 {
+				root = res
 			}
-		}(r)
+			if r == doomed {
+				total = ft.Sends()
+			}
+		}()
 	}
 	wg.Wait()
-	return errs, ab.Load(), tot.Load()
+	return errs, root, total
+}
+
+// runChaosTCP runs the full distributed Louvain pipeline (Build + Run) on p
+// TCP ranks, the doomed rank's transport on the given plan. It returns each
+// rank's error, rank 0's result and, for the doomed rank, the send counts
+// observed right after Build and at exit — the calibration data the kill
+// schedule needs.
+func runChaosTCP(t *testing.T, p, doomed int, plan mpi.FaultPlan, n int64, edges []graph.RawEdge, cfg Config) (errs []error, root *Result, afterBuild, total int64) {
+	t.Helper()
+	var ab atomic.Int64
+	errs, root, total = runTCPRanks(t, p, doomed, plan, func(c *mpi.Comm, ft *mpi.FaultTransport) (*Result, error) {
+		lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), p)
+		dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
+		if err != nil {
+			return nil, err
+		}
+		if c.Rank() == doomed {
+			ab.Store(ft.Sends())
+		}
+		return Run(dg, cfg)
+	})
+	return errs, root, ab.Load(), total
 }
 
 // TestChaosKillMidRunTCP is the acceptance scenario: one rank's transport
@@ -97,7 +110,7 @@ func TestChaosKillMidRunTCP(t *testing.T) {
 	// Calibration pass: a healthy run measuring the doomed rank's send
 	// counts after Build and at completion. The pipeline is deterministic
 	// (fixed seeds, one thread), so the same schedule replays identically.
-	errs, afterBuild, total := runChaosTCP(t, p, doomed, mpi.FaultPlan{}, n, edges, cfg)
+	errs, _, afterBuild, total := runChaosTCP(t, p, doomed, mpi.FaultPlan{}, n, edges, cfg)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("calibration rank %d: %v", r, err)
@@ -113,7 +126,7 @@ func TestChaosKillMidRunTCP(t *testing.T) {
 		killAt = afterBuild + 1
 	}
 	start := time.Now()
-	errs, _, _ = runChaosTCP(t, p, doomed, mpi.FaultPlan{KillAfterSends: killAt}, n, edges, cfg)
+	errs, _, _, _ = runChaosTCP(t, p, doomed, mpi.FaultPlan{KillAfterSends: killAt}, n, edges, cfg)
 	elapsed := time.Since(start)
 	if elapsed > 60*time.Second {
 		t.Fatalf("world took %v to fail; fail-fast broken", elapsed)

@@ -23,6 +23,27 @@ func floatWeights(edges []graph.RawEdge) []graph.RawEdge {
 	return out
 }
 
+// samePhase asserts phase p of two runs is move-for-move and bit-for-bit
+// equal: per-iteration modularity bits, move and return counts, damped from
+// the same iteration.
+func samePhase(t *testing.T, label string, p int, g, w PhaseStat) {
+	t.Helper()
+	if !slices.Equal(g.MovesTrajectory, w.MovesTrajectory) {
+		t.Fatalf("%s: phase %d moves %v vs %v", label, p, g.MovesTrajectory, w.MovesTrajectory)
+	}
+	if !slices.Equal(g.ReturnsTrajectory, w.ReturnsTrajectory) || g.DampedFrom != w.DampedFrom {
+		t.Fatalf("%s: phase %d returns %v damped from %d vs %v from %d", label, p, g.ReturnsTrajectory, g.DampedFrom, w.ReturnsTrajectory, w.DampedFrom)
+	}
+	if len(g.QTrajectory) != len(w.QTrajectory) {
+		t.Fatalf("%s: phase %d ran %d iterations vs %d", label, p, len(g.QTrajectory), len(w.QTrajectory))
+	}
+	for i := range w.QTrajectory {
+		if math.Float64bits(g.QTrajectory[i]) != math.Float64bits(w.QTrajectory[i]) {
+			t.Fatalf("%s: phase %d iter %d Q %.17g vs %.17g", label, p, i, g.QTrajectory[i], w.QTrajectory[i])
+		}
+	}
+}
+
 // sameTrajectory asserts two runs are move-for-move and bit-for-bit equal:
 // same phase count, same per-iteration modularity bits, move and return
 // counts, damped from the same iteration, same final modularity bits, same
@@ -33,21 +54,7 @@ func sameTrajectory(t *testing.T, label string, got, want *Result) {
 		t.Fatalf("%s: %d phases vs %d", label, len(got.Phases), len(want.Phases))
 	}
 	for p := range want.Phases {
-		g, w := got.Phases[p], want.Phases[p]
-		if !slices.Equal(g.MovesTrajectory, w.MovesTrajectory) {
-			t.Fatalf("%s: phase %d moves %v vs %v", label, p, g.MovesTrajectory, w.MovesTrajectory)
-		}
-		if !slices.Equal(g.ReturnsTrajectory, w.ReturnsTrajectory) || g.DampedFrom != w.DampedFrom {
-			t.Fatalf("%s: phase %d returns %v damped from %d vs %v from %d", label, p, g.ReturnsTrajectory, g.DampedFrom, w.ReturnsTrajectory, w.DampedFrom)
-		}
-		if len(g.QTrajectory) != len(w.QTrajectory) {
-			t.Fatalf("%s: phase %d ran %d iterations vs %d", label, p, len(g.QTrajectory), len(w.QTrajectory))
-		}
-		for i := range w.QTrajectory {
-			if math.Float64bits(g.QTrajectory[i]) != math.Float64bits(w.QTrajectory[i]) {
-				t.Fatalf("%s: phase %d iter %d Q %.17g vs %.17g", label, p, i, g.QTrajectory[i], w.QTrajectory[i])
-			}
-		}
+		samePhase(t, label, p, got.Phases[p], want.Phases[p])
 	}
 	if math.Float64bits(got.Modularity) != math.Float64bits(want.Modularity) {
 		t.Fatalf("%s: modularity %.17g vs %.17g", label, got.Modularity, want.Modularity)

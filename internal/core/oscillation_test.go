@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"distlouvain/internal/dgraph"
@@ -20,10 +19,10 @@ import (
 // other's stale label, trade places for ever: phase 0 of an LFR graph ended
 // with 2–10 % of its vertices still moving, 99 % of them back to where they had
 // been one iteration earlier, and was coarsened in that state. The first two
-// tests fail on that tree; the third holds the rule to what every other part of
-// the sweep is held to — a result independent of how the graph is split and of
-// restarts; the fourth keeps the rule off the workload an always-on rule slows
-// down.
+// tests fail on that tree; the third keeps the rule off the workload an
+// always-on rule slows down. The rule is held to what every other part of the
+// sweep is held to — a result independent of how the graph is split and of
+// restarts — by TestRunProperties, whose corpus must contain damped phases.
 
 // TestOscillationNoPlateau: phase 0 of LFR 4000 / 20000 at μ = 0.1, 0.3, 0.5
 // ends with under 1 % of the vertices moving (ea93e17: 3.3 / 7.0 / 5.6 % and
@@ -158,80 +157,6 @@ func TestOscillationSwapGadget(t *testing.T) {
 			if split[i] != 0 {
 				t.Errorf("ranks=%d: %d cliques still split after iteration %d, damped since %d: %v", ranks, split[i], i+1, d, split)
 				break
-			}
-		}
-	}
-}
-
-// TestOscillationIndependence: the rule is armed by allreduced counts and
-// decides on global IDs and on the assignment one iteration back, so — like the
-// tie rule — it cannot depend on where rank boundaries fall, on how many
-// workers sweep or on a restart: Q bits, per-iteration moves and returns, the
-// damped-from iteration and the final labels are identical at 1 / 2 / 4 ranks ×
-// 1 / 2 threads, and a run killed after phase 0 and resumed at another rank
-// count ends on the same bits (its phases run after the resume are compared
-// return for return; the checkpoint does not carry the earlier ones' counts).
-func TestOscillationIndependence(t *testing.T) {
-	type input struct {
-		name  string
-		n     int64
-		edges []graph.RawEdge
-	}
-	var inputs []input
-	n, edges, _, err := gen.LFR(gen.DefaultLFR(4000, 0.3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs = append(inputs, input{"lfr", n, edges})
-	n, edges, err = gen.RMAT(12, 8, 0.57, 0.19, 0.19, 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs = append(inputs, input{"rmat", n, edges})
-	for _, in := range inputs {
-		var want *Result
-		for _, ranks := range []int{1, 2, 4} {
-			for _, threads := range []int{1, 2} {
-				cfg := Baseline()
-				cfg.Threads = threads
-				got, err := RunOnEdges(ranks, in.n, in.edges, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-					continue
-				}
-				sameTrajectory(t, fmt.Sprintf("%s ranks=%d threads=%d", in.name, ranks, threads), got, want)
-			}
-		}
-		if in.name == "lfr" && want.Phases[0].DampedFrom == 0 {
-			t.Fatalf("%s: phase 0 was never damped; the test compares nothing the rule decided", in.name)
-		}
-		if len(want.Phases) < 2 {
-			t.Fatalf("%s: %d phase(s); nothing left to resume", in.name, len(want.Phases))
-		}
-
-		dir := t.TempDir()
-		var stop atomic.Bool
-		cfg := Baseline()
-		cfg.CheckpointDir = dir
-		cfg.Interrupted = stop.Load
-		cfg.Progress = func(ev ProgressEvent) {
-			if ev.Kind == ProgressIteration && ev.Phase == 0 {
-				stop.Store(true)
-			}
-		}
-		if _, err := RunOnEdges(2, in.n, in.edges, cfg); !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("%s: err = %v, want ErrInterrupted", in.name, err)
-		}
-		got := resumeInproc(t, 3, dir, Baseline())
-		sameOutcome(t, in.name+" kill → resume", got, want)
-		for p := 1; p < len(want.Phases); p++ {
-			g, w := got.Phases[p], want.Phases[p]
-			if !slices.Equal(g.MovesTrajectory, w.MovesTrajectory) || !slices.Equal(g.ReturnsTrajectory, w.ReturnsTrajectory) || g.DampedFrom != w.DampedFrom {
-				t.Fatalf("%s resumed phase %d: moves %v returns %v damped from %d, uninterrupted %v %v %d",
-					in.name, p, g.MovesTrajectory, g.ReturnsTrajectory, g.DampedFrom, w.MovesTrajectory, w.ReturnsTrajectory, w.DampedFrom)
 			}
 		}
 	}

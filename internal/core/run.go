@@ -100,6 +100,9 @@ func (rs *runState) runLoop() (*Result, error) {
 		if err := st.reset(rs.cur, phase); err != nil {
 			return nil, fmt.Errorf("phase %d setup: %w", phase, err)
 		}
+		if probe := cfg.oracle.afterFetch; probe != nil {
+			st.afterFetch = func() error { return probe(st) }
+		}
 		stat, err := st.iterate(tau)
 		if err != nil {
 			return nil, fmt.Errorf("phase %d: %w", phase, err)

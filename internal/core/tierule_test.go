@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -14,8 +13,9 @@ import (
 // towards the smallest community ID; on a naturally numbered uniform mesh that
 // made every synchronous sweep chase labels (BandedMesh(8000, 6): 3305
 // iterations). The first and the last test below fail on that rule; the middle
-// two hold the new one to what the old one also gave — a result independent of
-// how the graph is split, at no loss of modularity.
+// one holds the new one to what the old one also gave: no loss of modularity.
+// That the result does not depend on how the graph is split — the rule hashes
+// global community IDs, never slots — is property 2 of TestRunProperties.
 
 // relabel renames the vertices of a graph by a seeded random permutation.
 func relabel(n int64, edges []graph.RawEdge, seed uint64) []graph.RawEdge {
@@ -63,52 +63,6 @@ func TestTieRuleRelabelling(t *testing.T) {
 			}
 			if math.Abs(qs[i]-qs[j]) > 0.01 {
 				t.Errorf("numbering %d ends at Q=%.6f, numbering %d at %.6f", i, qs[i], j, qs[j])
-			}
-		}
-	}
-}
-
-// TestTieRuleRankThreadIndependence: the rule hashes the global community ID,
-// never a slot, so which of two tied communities wins cannot depend on where
-// the rank boundaries fall or how many workers sweep: every per-iteration
-// modularity bit, every per-phase iteration and move count and every final
-// label is the same at 1 / 2 / 4 ranks × 1 / 2 threads.
-func TestTieRuleRankThreadIndependence(t *testing.T) {
-	type input struct {
-		name  string
-		n     int64
-		edges []graph.RawEdge
-	}
-	var inputs []input
-	n, edges := gen.BandedMesh(2000, 6)
-	inputs = append(inputs, input{"band", n, edges})
-	n, edges, _, err := gen.LFR(gen.DefaultLFR(4000, 0.3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs = append(inputs, input{"lfr", n, edges})
-	n, edges, err = gen.RMAT(12, 8, 0.57, 0.19, 0.19, 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs = append(inputs, input{"rmat", n, edges})
-	for _, in := range inputs {
-		for _, v := range []Config{Baseline(), ETC(0.25)} {
-			var want *Result
-			for _, ranks := range []int{1, 2, 4} {
-				for _, threads := range []int{1, 2} {
-					cfg := v
-					cfg.Threads = threads
-					got, err := RunOnEdges(ranks, in.n, in.edges, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = got
-						continue
-					}
-					sameTrajectory(t, fmt.Sprintf("%s %s ranks=%d threads=%d", in.name, v.VariantName(), ranks, threads), got, want)
-				}
 			}
 		}
 	}

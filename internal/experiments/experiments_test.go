@@ -180,3 +180,66 @@ func TestTable5AndFig4(t *testing.T) {
 		}
 	}
 }
+
+// TestTable7Shape holds Table VII's deterministic half: recall 1.0000 in every
+// row (each detected community lies inside one LFR community), and precision
+// and F-score at 5 000 vertices above those at 80 000. Precision falls overall,
+// not monotonically (0.7409 at 20 000, 0.7966 at 40 000).
+func TestTable7Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runner")
+	}
+	tb, err := Table7(Small, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 5 {
+		t.Fatalf("%d rows", len(tb.Rows))
+	}
+	for _, r := range tb.Rows {
+		if r[3] != "1.0000" {
+			t.Errorf("|V| = %s: recall %s", r[0], r[3])
+		}
+	}
+	first, last := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
+	for _, col := range []struct {
+		name string
+		i    int
+	}{{"precision", 2}, {"F-score", 4}} {
+		if first[col.i] <= last[col.i] {
+			t.Errorf("%s at |V| = %s is %s, at %s %s: want it to fall with size", col.name, first[0], first[col.i], last[0], last[col.i])
+		}
+	}
+}
+
+// TestFig5And6Shape holds Figs. 5–6's phase counts: on the mesh ET(0.25) takes
+// fewer phases than ET(0.75), as in the paper; on both inputs ETC(0.25) and
+// ETC(0.75) are within one phase of each other. The paper's converse on the
+// web graph does not hold here (ET(0.25) 5 phases, ET(0.75) 6), so it is not
+// asserted.
+func TestFig5And6Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runner")
+	}
+	t5, t6, err := Fig5and6(Small, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := func(tb *Table) map[string]int {
+		n := map[string]int{}
+		for _, r := range tb.Rows {
+			n[r[0]]++
+		}
+		return n
+	}
+	mesh := phases(t5)
+	if mesh["ET(0.25)"] >= mesh["ET(0.75)"] {
+		t.Errorf("mesh: ET(0.25) takes %d phases, ET(0.75) %d", mesh["ET(0.25)"], mesh["ET(0.75)"])
+	}
+	for name, n := range map[string]map[string]int{"mesh": mesh, "web": phases(t6)} {
+		if d := n["ETC(0.25)"] - n["ETC(0.75)"]; d < -1 || d > 1 || n["ETC(0.25)"] == 0 {
+			t.Errorf("%s: ETC(0.25) takes %d phases, ETC(0.75) %d", name, n["ETC(0.25)"], n["ETC(0.75)"])
+		}
+	}
+	t.Logf("phases: mesh %v, web %v", mesh, phases(t6))
+}
