@@ -264,9 +264,9 @@ func TestTCPLocalUnsupervised(t *testing.T) {
 			args = append(append(args, extra...), graphPath)
 			return exec.Command(bin, args...).CombinedOutput()
 		}
-		// Rank 1 is SIGKILLed once it reaches phase 2, past the boundary
-		// that commits the phase-0 snapshot (a snapshot is committed one
-		// boundary after it is taken), so a checkpoint exists to resume
+		// Rank 1 is SIGKILLed once it reaches phase 2, past the boundaries
+		// that commit the snapshots after phases 0 and 1 (each is committed
+		// before the next phase starts), so a checkpoint exists to resume
 		// from.
 		outp, err := run("-chaos", "kill=1@2")
 		var ee *exec.ExitError

@@ -63,13 +63,12 @@ const (
 // rule is the fault state of one (peer, direction) link half. Counters are
 // consumed per frame, so every injection is deterministic — no probabilities.
 type rule struct {
-	block   bool // partition: discard frames while set
-	drop    int  // discard the next N frames
-	dup     int  // deliver the next N frames twice
-	delayN  int  // delay the next N frames by delay
-	delay   time.Duration
-	latency time.Duration // persistent per-frame delay (WAN RTT)
-	bps     int           // slow link: pace frames at this many bytes/second
+	block  bool // partition: discard frames while set
+	drop   int  // discard the next N frames
+	dup    int  // deliver the next N frames twice
+	delayN int  // delay the next N frames by delay
+	delay  time.Duration
+	bps    int // slow link: pace frames at this many bytes/second
 }
 
 type linkKey struct {
@@ -172,14 +171,6 @@ func (p *Proxy) Delay(peer int, dir Direction, d time.Duration, n int) {
 	r.delayN += n
 	p.mu.Unlock()
 	p.logf("chaosnet: delay peer=%d dir=%s d=%v n=%d", peer, dir, d, n)
-}
-
-// Latency adds a persistent per-frame delay on the link half (zero clears).
-func (p *Proxy) Latency(peer int, dir Direction, d time.Duration) {
-	p.mu.Lock()
-	p.rule(peer, dir).latency = d
-	p.mu.Unlock()
-	p.logf("chaosnet: latency peer=%d dir=%s d=%v", peer, dir, d)
 }
 
 // SlowLink paces the link half at bytesPerSec (zero clears): each frame is
@@ -350,7 +341,6 @@ func (p *Proxy) decide(peer int, dir Direction, frameLen int) (drop bool, wait t
 		r.delayN--
 		wait += r.delay
 	}
-	wait += r.latency
 	if r.bps > 0 {
 		wait += time.Duration(float64(frameLen) / float64(r.bps) * float64(time.Second))
 	}

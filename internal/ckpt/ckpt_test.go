@@ -242,7 +242,7 @@ func TestPruneRank(t *testing.T) {
 	mk(RankFileName(2, 0))
 	mk(RankFileName(1, 0) + ".tmp")
 	mk(RankFileName(2, 0) + ".tmp")
-	mk(RankFileName(3, 0) + ".tmp") // newer than the commit: a write in flight
+	mk(RankFileName(3, 0) + ".tmp") // newer than the commit: an earlier run's leftover
 	mk(RankFileName(2, 1))          // other rank: untouched
 	PruneRank(dir, 0, 2, 1)
 	for name, want := range map[string]bool{
@@ -291,7 +291,7 @@ func TestPruneRankRetention(t *testing.T) {
 	t.Run("manifest phase outside window", func(t *testing.T) {
 		// A stale manifest phase (e.g. the newest snapshots landed but the
 		// commit died before the rename) must survive any quota, and so must
-		// every newer phase: it may be a snapshot on its way to a commit.
+		// every newer phase: in a reused directory it is an earlier run's.
 		// Only what is older than the commit and outside the quota goes.
 		dir := t.TempDir()
 		mkAll(t, dir, 1, 2, 5, 6, 7)

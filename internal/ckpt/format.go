@@ -26,8 +26,7 @@
 // Durability protocol: snapshots and the manifest are written to a
 // temporary sibling, fsynced, then renamed into place, so an interrupted
 // write can never shadow a previous valid file. WriteSnapshot is
-// EncodeSnapshot then WriteFile; a caller may run the two on different
-// goroutines, so the disk is not on its own critical path.
+// EncodeSnapshot then WriteFile.
 package ckpt
 
 import (
@@ -202,10 +201,10 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	return DecodeSnapshot(path, data)
 }
 
-// WriteFile writes data — an encoded snapshot — to path via a fsynced
-// temporary sibling and an atomic rename, then fsyncs the directory, so
-// readers only ever observe the previous complete file or the new complete
-// file.
+// WriteFile writes data — an encoded snapshot, a manifest, or any file a
+// crash must not tear — to path via a fsynced temporary sibling and an
+// atomic rename, then fsyncs the directory, so readers only ever observe the
+// previous complete file or the new complete file.
 func WriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

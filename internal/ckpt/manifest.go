@@ -102,11 +102,12 @@ func ReadManifest(dir string) (*Manifest, error) {
 // phases no newer than keepPhase, which are abandoned. keepPhase — the phase
 // the committed manifest references — is always retained regardless of its
 // position in the ordering, so a resume can never lose its source files, and
-// so is every newer phase, file or temporary: under a lagged commit it may be
-// a snapshot another rank is committing right now, or a write still in
-// flight. It is called only after the keepPhase manifest has been committed,
-// so everything it removes is unreferenced. Best-effort: removal errors are
-// ignored (a leftover file is garbage, not a hazard).
+// so is every newer phase, file or temporary: in a reused directory it is an
+// earlier run's leftover, which the next write of its phase replaces, and a
+// quota that counted it would evict the commit. It is called only after the
+// keepPhase manifest has been committed, so everything it removes is
+// unreferenced. Best-effort: removal errors are ignored (a leftover file is
+// garbage, not a hazard).
 func PruneRank(dir string, rank, keepPhase, keep int) {
 	if keep < 1 {
 		keep = 1
@@ -134,8 +135,7 @@ func PruneRank(dir string, rank, keepPhase, keep int) {
 		}
 		// The manifest-referenced phase survives even outside the quota —
 		// it is what a resume would read — and so does every newer one: a
-		// snapshot on its way to a commit, or a dead run's leftover that the
-		// next write of its phase replaces.
+		// dead run's leftover that the next write of its phase replaces.
 		if inQuota || f.phase >= keepPhase {
 			continue
 		}

@@ -42,213 +42,92 @@ const (
 // metaBytes is the size of the meta section: fourteen fixed64 words.
 const metaBytes = 14 * 8
 
-// checkpointer takes a run's phase-boundary snapshots off the ranks'
-// critical path. At a boundary a rank encodes its snapshot, hands the bytes
-// to a writer goroutine (temp + fsync + rename + directory fsync) and goes on
-// computing. The snapshot is committed at the next boundary, or when the run
-// ends: one AllOK there says every rank's file has landed, and rank 0's next
-// writer job renames the manifest that names them into place before it
-// writes anything else. A crash before that rename resumes from the previous
-// manifest, whose files are complete.
+// checkpointer commits a run's phase-boundary snapshots. Each commit is
+// synchronous and tolerates a crash at any point without ever shadowing the
+// previous valid checkpoint:
 //
-// At most one writer job is in flight per rank, and every way out of the run
-// waits for it (close), so no writer outlives Run or Resume.
+//  1. every rank encodes its snapshot and writes it atomically under a
+//     per-phase name (temp + fsync + rename + directory fsync),
+//  2. AllOK fences: every rank's file has landed (or all abort),
+//  3. rank 0 atomically renames the new manifest into place,
+//  4. AllOK fences again: the commit is durable everywhere; each rank
+//     reports it and prunes behind it.
+//
+// A failure before step 3 leaves the previous manifest and its files
+// intact; a failure after it leaves the new checkpoint complete. Either
+// way no rank starts the next phase before the commit, so a crash in phase
+// k + 1 resumes from k.
 type checkpointer struct {
 	rs      *runState
 	scratch []byte // section encode buffer, reused across boundaries
-
-	job       chan error // the in-flight writer job's outcome; nil when idle
-	landing   *snapMark  // the snapshot the in-flight job writes
-	listing   *snapMark  // the snapshot whose manifest the in-flight job commits (rank 0 writes it)
-	committed int        // newest phase every rank knows has a durable manifest
-}
-
-// snapMark is one snapshot on its way to a commit.
-type snapMark struct {
-	phase int            // completed phases it captures
-	event ProgressEvent  // reported once its manifest is durable
-	man   *ckpt.Manifest // the manifest naming it; rank 0 only
 }
 
 // newCheckpointer returns the run's checkpointer, nil when the run takes no
-// snapshots. A resumed run starts from the manifest it was loaded from.
+// snapshots.
 func newCheckpointer(rs *runState) *checkpointer {
 	if rs.cfg.CheckpointDir == "" {
 		return nil
 	}
-	return &checkpointer{rs: rs, committed: rs.phase}
+	return &checkpointer{rs: rs}
 }
 
-// boundary runs at a phase boundary the run continues past: it encodes this
-// boundary's snapshot when one is due and moves the commit pipeline on.
-func (ck *checkpointer) boundary(due bool) error {
-	if !due && ck.job == nil {
-		return nil
-	}
-	sp := ck.rs.cfg.Tracer.Begin(obsv.KindCheckpoint, "checkpoint")
-	defer sp.End()
-	var next *snapMark
-	var data []byte
-	var err error
-	if due {
-		next, data, err = ck.encode()
-	}
-	return ck.step(next, data, err)
-}
-
-// commitNow snapshots the phase just completed and returns once its manifest
-// is durable and every rank knows it: the interrupt path, after which the
-// run ends.
-func (ck *checkpointer) commitNow() error {
-	if err := ck.boundary(true); err != nil {
-		return err
-	}
-	return ck.flush()
-}
-
-// flush drives the pipeline until no job is in flight: on return the newest
-// snapshot's manifest is durable and every rank knows it.
-func (ck *checkpointer) flush() error {
-	if ck == nil || ck.job == nil {
-		return nil
-	}
-	sp := ck.rs.cfg.Tracer.Begin(obsv.KindCheckpoint, "checkpoint")
-	defer sp.End()
-	for ck.job != nil {
-		if err := ck.step(nil, nil, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// close waits for the in-flight writer job, if any, and drops its outcome:
-// the way out of a run that failed.
-func (ck *checkpointer) close() {
-	if ck != nil && ck.job != nil {
-		<-ck.job
-		ck.job = nil
-	}
-}
-
-// step moves the pipeline one fence on and hands the writer its next job.
-// The fence runs only while a job is in flight — state every rank shares, so
-// every rank fences at the same boundaries — and its success means that job
-// succeeded everywhere: its snapshot landed on every rank and rank 0 renamed
-// its manifest into place. The next job commits the snapshot that just
-// landed (rank 0), prunes behind the newest known commit, and writes next
-// (nil for none); err, an encode failure, travels with it to the next fence.
-func (ck *checkpointer) step(next *snapMark, data []byte, err error) error {
-	rs := ck.rs
-	var landed *snapMark
-	if ck.job != nil {
-		if jobErr := <-ck.job; err == nil {
-			err = jobErr
-		}
-		ck.job = nil
-		if err = rs.comm.AllOK(err); err != nil {
-			return err
-		}
-		if ck.listing != nil {
-			ck.committed = ck.listing.phase
-			rs.cfg.progress(ck.listing.event)
-		}
-		landed = ck.landing
-		ck.listing, ck.landing = nil, nil
-	}
-	w := writeJob{
-		dir:       rs.cfg.CheckpointDir,
-		rank:      rs.comm.Rank(),
-		keep:      rs.cfg.CheckpointKeep,
-		keepPhase: ck.committed,
-		data:      data,
-		err:       err,
-	}
-	if landed == nil && next == nil {
-		// The end of a flush: nothing is left to commit or write, only the
-		// prune behind the commit the fence just confirmed.
-		ckpt.PruneRank(w.dir, w.rank, w.keepPhase, w.keep)
-		return nil
-	}
-	if landed != nil {
-		w.man = landed.man
-	}
-	if next != nil {
-		w.path = filepath.Join(w.dir, ckpt.RankFileName(next.phase, w.rank))
-	}
-	ck.listing, ck.landing = landed, next
-	job := make(chan error, 1)
-	ck.job = job
-	go func() { job <- w.run() }()
-	return nil
-}
-
-// writeJob is what a writer goroutine does for one boundary, in order:
-// commit a manifest (rank 0), prune behind the newest known commit, land a
-// snapshot.
-type writeJob struct {
-	dir        string
-	rank, keep int
-	keepPhase  int            // newest phase known committed: PruneRank keeps it
-	man        *ckpt.Manifest // to commit first; nil for none
-	path       string         // where data lands; "" for no snapshot
-	data       []byte
-	err        error // an encode failure, reported instead of writing
-}
-
-func (w writeJob) run() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := os.MkdirAll(w.dir, 0o755); err != nil {
-		return err
-	}
-	if w.man != nil {
-		if err := ckpt.WriteManifest(w.dir, w.man); err != nil {
-			return err
-		}
-	}
-	// The snapshot rank 0 may be committing right now is newer than
-	// keepPhase, so the prune spares it whatever the quota.
-	ckpt.PruneRank(w.dir, w.rank, w.keepPhase, w.keep)
-	if w.path == "" {
-		return nil
-	}
-	return ckpt.WriteFile(w.path, w.data)
-}
-
-// encode snapshots this rank's share of the run after the phase rs.phase
-// just completed: sections into the reused scratch buffer, the container
-// into one exact-size allocation that the writer then owns.
-func (ck *checkpointer) encode() (*snapMark, []byte, error) {
+// commit snapshots the phase rs.phase just completed and returns once its
+// manifest is durable and every rank knows it.
+func (ck *checkpointer) commit() error {
 	rs := ck.rs
 	c := rs.comm
+	dir := rs.cfg.CheckpointDir
 	completed := rs.phase + 1
-	mark := &snapMark{
-		phase: completed,
-		event: ProgressEvent{Kind: ProgressCheckpoint, Phase: completed, Modularity: rs.prevQ, Vertices: rs.cur.GlobalN},
+	sp := rs.cfg.Tracer.Begin(obsv.KindCheckpoint, "checkpoint")
+	defer sp.End()
+
+	if err := c.AllOK(ck.write(completed)); err != nil {
+		return err
 	}
+	var err error
 	if c.Rank() == 0 {
-		mark.man = &ckpt.Manifest{
-			Version:    ckpt.ManifestVersion,
-			WorldSize:  c.Size(),
-			ConfigHash: string(rs.cfg.Fingerprint()),
-			Phase:      completed,
-			OrigN:      rs.origN,
-			CoarseN:    rs.cur.GlobalN,
-			Files:      make([]string, c.Size()),
-		}
-		for r := range mark.man.Files {
-			mark.man.Files[r] = ckpt.RankFileName(completed, r)
-		}
+		err = ckpt.WriteManifest(dir, rs.manifest(completed))
+	}
+	if err = c.AllOK(err); err != nil {
+		return err
+	}
+	rs.cfg.progress(ProgressEvent{Kind: ProgressCheckpoint, Phase: completed, Modularity: rs.prevQ, Vertices: rs.cur.GlobalN})
+	ckpt.PruneRank(dir, c.Rank(), completed, rs.cfg.CheckpointKeep)
+	return nil
+}
+
+// write lands this rank's snapshot after completed phases under its
+// per-phase name, the sections encoded into the reused scratch buffer.
+func (ck *checkpointer) write(completed int) error {
+	rs := ck.rs
+	dir := rs.cfg.CheckpointDir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
 	secs, scratch, err := rs.encodeSections(ck.scratch, completed)
 	ck.scratch = scratch
 	if err != nil {
-		return mark, nil, err
+		return err
 	}
-	data, err := ckpt.EncodeSnapshot(secs)
-	return mark, data, err
+	return ckpt.WriteSnapshot(filepath.Join(dir, ckpt.RankFileName(completed, rs.comm.Rank())), secs)
+}
+
+// manifest is the manifest that commits the snapshots after completed phases.
+func (rs *runState) manifest(completed int) *ckpt.Manifest {
+	size := rs.comm.Size()
+	m := &ckpt.Manifest{
+		Version:    ckpt.ManifestVersion,
+		WorldSize:  size,
+		ConfigHash: string(rs.cfg.Fingerprint()),
+		Phase:      completed,
+		OrigN:      rs.origN,
+		CoarseN:    rs.cur.GlobalN,
+		Files:      make([]string, size),
+	}
+	for r := range m.Files {
+		m.Files[r] = ckpt.RankFileName(completed, r)
+	}
+	return m
 }
 
 // encodeSections serializes this rank's share of the run state into buf,

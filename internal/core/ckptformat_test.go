@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -239,8 +241,8 @@ func FuzzCheckpointSections(f *testing.F) {
 	})
 }
 
-// noTemps fails if a snapshot or manifest temporary is left in dir: a run
-// returns only after its writer has finished.
+// noTemps fails if a snapshot or manifest temporary is left in dir: every
+// write has renamed its temporary into place by the time a run returns.
 func noTemps(t *testing.T, dir string) {
 	t.Helper()
 	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
@@ -249,8 +251,8 @@ func noTemps(t *testing.T, dir string) {
 	}
 }
 
-// TestCheckpointCommittedOnReturn pins the lagged commit's end state: when
-// Run returns, every continuing boundary left one snapshot per rank, the
+// TestCheckpointCommittedOnReturn pins the commit's end state: when Run
+// returns, every continuing boundary left one snapshot per rank, the
 // manifest names the newest of them, and no temporary is left.
 func TestCheckpointCommittedOnReturn(t *testing.T) {
 	const p = 3
@@ -265,7 +267,7 @@ func TestCheckpointCommittedOnReturn(t *testing.T) {
 	}
 	boundaries := len(res.Phases) - 1
 	if boundaries < 2 {
-		t.Fatalf("%d phases: no boundary whose commit lags behind another", len(res.Phases))
+		t.Fatalf("%d phases: fewer than two continuing boundaries", len(res.Phases))
 	}
 	man, err := ckpt.ReadManifest(dir)
 	if err != nil {
@@ -284,6 +286,52 @@ func TestCheckpointCommittedOnReturn(t *testing.T) {
 		}
 	}
 	noTemps(t, dir)
+}
+
+// TestCheckpointCommittedBeforeNextPhase pins the commit point: whenever a
+// rank starts phase k ≥ 1, the manifest on disk commits phase k and every
+// file it lists exists, so a crash anywhere in phase k resumes from k.
+func TestCheckpointCommittedBeforeNextPhase(t *testing.T) {
+	n, edges := gen.ErdosRenyi(300, 1500, 5)
+	dir := t.TempDir()
+	cfg := Baseline()
+	cfg.CheckpointDir = dir
+	var mu sync.Mutex
+	var checked int
+	var errs []string
+	cfg.Progress = func(ev ProgressEvent) {
+		if ev.Kind != ProgressPhaseStart || ev.Phase == 0 {
+			return
+		}
+		problem := ""
+		if man, err := ckpt.ReadManifest(dir); err != nil {
+			problem = err.Error()
+		} else if man.Phase != ev.Phase {
+			problem = fmt.Sprintf("manifest commits phase %d", man.Phase)
+		} else {
+			for _, f := range man.Files {
+				if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+					problem = err.Error()
+				}
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		checked++
+		if problem != "" {
+			errs = append(errs, fmt.Sprintf("phase %d start: %s", ev.Phase, problem))
+		}
+	}
+	res, err := RunOnEdges(3, n, edges, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) > 0 {
+		t.Fatal(strings.Join(errs, "\n"))
+	}
+	if want := 3 * (len(res.Phases) - 1); checked != want || checked < 6 {
+		t.Fatalf("checked %d phase starts over %d phases on 3 ranks, want %d (at least 6)", checked, len(res.Phases), want)
+	}
 }
 
 // TestCheckpointReusedDirectory: a run in a directory an earlier run left

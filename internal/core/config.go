@@ -90,14 +90,14 @@ type Config struct {
 	// committed checkpoint, and run completion. Supervisors use it to emit
 	// liveness beacons; a hook that blocks stalls the rank (the chaos
 	// tests exploit exactly that). It never affects the trajectory and is
-	// excluded from Hash.
+	// excluded from Fingerprint.
 	Progress func(ProgressEvent)
 
 	// Tracer, when set, records this rank's phase/iteration/step spans.
 	// Attach the same tracer to the rank's communicator (Comm.SetTracer) so
 	// collective spans nest under the driver's. nil disables tracing at zero
 	// cost. Like Progress, it never affects the trajectory and is excluded
-	// from Hash.
+	// from Fingerprint.
 	Tracer *obsv.Tracer
 
 	// Interrupted, when set, is polled at every phase boundary and its

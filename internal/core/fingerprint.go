@@ -47,10 +47,6 @@ func (c Config) Fingerprint() Fingerprint {
 	return Fingerprint(fmt.Sprintf("%016x", h.Sum64()))
 }
 
-// Hash is the string form of Fingerprint, kept for existing callers (the
-// checkpoint manifest schema stores it as a plain string).
-func (c Config) Hash() string { return string(c.Fingerprint()) }
-
 // GraphFingerprint digests a graph input file byte-for-byte (header and
 // records alike), so any change to vertex count, edge set, weights or edge
 // order re-keys it. Edge order matters on purpose: the segmented parallel

@@ -37,9 +37,6 @@ func TestFingerprintStability(t *testing.T) {
 		if got := c.cfg.Fingerprint(); got != c.want {
 			t.Errorf("%s: Fingerprint = %s, want %s (cross-version stability broken)", c.name, got, c.want)
 		}
-		if got := c.cfg.Hash(); got != string(c.want) {
-			t.Errorf("%s: Hash = %s, want the Fingerprint string %s", c.name, got, c.want)
-		}
 	}
 }
 

@@ -86,7 +86,6 @@ func (rs *runState) runLoop() (*Result, error) {
 	// one before left (reset).
 	st := &phaseState{cfg: cfg, steps: rs.steps}
 	ck := newCheckpointer(rs)
-	defer ck.close()
 	for ; rs.phase < cfg.MaxPhases; rs.phase++ {
 		phase := rs.phase
 		tau := finalTau
@@ -178,7 +177,7 @@ func (rs *runState) runLoop() (*Result, error) {
 			if flagged != 0 {
 				saved := "no checkpoint directory configured"
 				if ck != nil {
-					if err := ck.commitNow(); err != nil {
+					if err := ck.commit(); err != nil {
 						return nil, fmt.Errorf("phase %d final checkpoint: %w", phase, err)
 					}
 					saved = "checkpoint committed"
@@ -199,18 +198,13 @@ func (rs *runState) runLoop() (*Result, error) {
 
 		// Phase-boundary snapshot: only while the run continues (a run
 		// about to terminate delivers its result instead) and only when
-		// another phase can actually execute. The previous snapshot, if
-		// any, is committed here too.
-		if ck != nil && phase+1 < cfg.MaxPhases {
-			if err := ck.boundary((phase+1)%cfg.CheckpointEvery == 0); err != nil {
+		// another phase can actually execute.
+		if ck != nil && (phase+1)%cfg.CheckpointEvery == 0 && phase+1 < cfg.MaxPhases {
+			if err := ck.commit(); err != nil {
 				return nil, fmt.Errorf("phase %d checkpoint: %w", phase, err)
 			}
 		}
 		psp.End()
-	}
-	// The newest snapshot is committed before the run reports a result.
-	if err := ck.flush(); err != nil {
-		return nil, fmt.Errorf("final checkpoint commit: %w", err)
 	}
 
 	// Exact final modularity from the final coarse graph: with the

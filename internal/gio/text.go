@@ -158,23 +158,15 @@ func ReadGroundTruth(path string, n int64) ([]int64, error) {
 	return comm, nil
 }
 
+// AppendGroundTruth appends one community ID per line, vertex order, to buf.
+func AppendGroundTruth(buf []byte, comm []int64) []byte {
+	for _, c := range comm {
+		buf = append(strconv.AppendInt(buf, c, 10), '\n')
+	}
+	return buf
+}
+
 // WriteGroundTruth writes one community ID per line, vertex order.
 func WriteGroundTruth(path string, comm []int64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 32<<10)
-	var line [21]byte // the longest int64 and a newline
-	for _, c := range comm {
-		if _, err := w.Write(append(strconv.AppendInt(line[:0], c, 10), '\n')); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, AppendGroundTruth(nil, comm), 0o644)
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"distlouvain/internal/ckpt"
 	"distlouvain/internal/core"
 )
 
@@ -239,8 +240,9 @@ type jobRecord struct {
 // jobRecordVersion is the current job.json schema version.
 const jobRecordVersion = 1
 
-// persist writes the job's durable record atomically (write + rename), so a
-// daemon crash mid-write can never corrupt a recoverable job.
+// persist writes the job's durable record atomically (temp + fsync + rename
+// + directory fsync), so a crash mid-write can never corrupt a recoverable
+// job.
 func (j *Job) persist() error {
 	j.mu.Lock()
 	rec := jobRecord{
@@ -270,12 +272,7 @@ func (j *Job) persist() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(j.dir, "job.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return ckpt.WriteFile(filepath.Join(j.dir, "job.json"), append(data, '\n'))
 }
 
 // loadJobRecord reads one persisted job record.

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -416,7 +415,7 @@ func (s *Service) checkpointDonor(j *Job) string {
 
 // adoptCheckpoint copies a committed checkpoint (manifest last, so the copy
 // commits atomically in the same order the original did). Each copy is
-// fsynced before the manifest that names it is written: a power loss must
+// durable before the manifest that names it is written: a power loss must
 // not leave a committed manifest over torn files.
 func adoptCheckpoint(src, dst string) error {
 	man, err := ckpt.ReadManifest(src)
@@ -427,32 +426,15 @@ func adoptCheckpoint(src, dst string) error {
 		return err
 	}
 	for _, f := range man.Files {
-		if err := copyFile(filepath.Join(src, f), filepath.Join(dst, f)); err != nil {
+		data, err := os.ReadFile(filepath.Join(src, f))
+		if err != nil {
+			return err
+		}
+		if err := ckpt.WriteFile(filepath.Join(dst, f), data); err != nil {
 			return err
 		}
 	}
 	return ckpt.WriteManifest(dst, man)
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }
 
 // registerJob adds the job to the registry maps.
@@ -548,7 +530,7 @@ func (s *Service) finishJob(j *Job, res *core.Result, runErr error) {
 		// Publish the cache entry and the labels file BEFORE the job turns
 		// done: a client that polls this job to completion and instantly
 		// resubmits must find the cache populated.
-		if err := gio.WriteGroundTruth(filepath.Join(j.dir, "result.labels"), assignment); err != nil {
+		if err := ckpt.WriteFile(filepath.Join(j.dir, "result.labels"), gio.AppendGroundTruth(nil, assignment)); err != nil {
 			s.logf("job %s: persist assignment: %v", j.ID, err)
 		}
 		s.cache.put(s.cacheKey(j), &cachedResult{

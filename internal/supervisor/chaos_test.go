@@ -170,10 +170,9 @@ func identicalOutcome(t *testing.T, label string, got, want *core.Result) {
 	}
 }
 
-// chaosGraph returns a graph whose baseline run has at least 3 phases, so a
-// committed checkpoint exists for chaos in phase 2 to resume from: a
-// snapshot is committed one boundary after it is taken, so the phase-0
-// snapshot is committed once phase 1 ends.
+// chaosGraph returns a graph whose baseline run has at least 3 phases, so
+// chaos in phase 2 lands after two committed checkpoints: each snapshot is
+// committed at the boundary that takes it, before the next phase starts.
 func chaosGraph(t *testing.T) (int64, []graph.RawEdge, *core.Result) {
 	t.Helper()
 	n, edges := gen.ErdosRenyi(300, 1500, 5)
@@ -192,26 +191,37 @@ func firstIteration(b supervisor.Beacon, rank, phase int) bool {
 	return b.Rank == rank && b.Kind == supervisor.KindIteration && b.Phase == phase && b.Iteration == 1
 }
 
-// TestChaosKillMidPhase SIGKILL-equivalent: rank 1's transport dies at the
-// first iteration of phase 2 (after the phase-0 checkpoint committed). The
-// supervisor must resume from that checkpoint and converge identically.
+// TestChaosKillMidPhase SIGKILL-equivalent: one rank's transport dies at a
+// phase's first iteration, after the previous boundary committed its
+// checkpoint. The supervisor must resume from that checkpoint and converge
+// identically. Rank 0, which writes the manifest, killed in phase 1 still
+// leaves the phase-1 checkpoint: it committed before phase 1 started.
 func TestChaosKillMidPhase(t *testing.T) {
 	n, edges, want := chaosGraph(t)
-	cfg := core.Baseline()
-	cfg.CheckpointDir = t.TempDir()
-
-	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
-		if attempt == 0 && firstIteration(b, 1, 2) {
-			return supervisor.FaultKill
-		}
-		return supervisor.FaultNone
-	})
-	identicalOutcome(t, "kill mid-phase", got, want)
-	if len(specs) != 2 {
-		t.Fatalf("attempts = %d, want 2", len(specs))
-	}
-	if !specs[1].Resume {
-		t.Fatal("relaunch after the phase-0 checkpoint must resume, not restart")
+	for _, tc := range []struct {
+		name        string
+		rank, phase int
+	}{
+		{"rank1-phase2", 1, 2},
+		{"rank0-phase1", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.Baseline()
+			cfg.CheckpointDir = t.TempDir()
+			got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
+				if attempt == 0 && firstIteration(b, tc.rank, tc.phase) {
+					return supervisor.FaultKill
+				}
+				return supervisor.FaultNone
+			})
+			identicalOutcome(t, "kill mid-phase", got, want)
+			if len(specs) != 2 {
+				t.Fatalf("attempts = %d, want 2", len(specs))
+			}
+			if !specs[1].Resume {
+				t.Fatalf("relaunch after the phase-%d checkpoint must resume, not restart", tc.phase)
+			}
+		})
 	}
 }
 
