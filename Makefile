@@ -63,15 +63,17 @@ test-race-all:
 # and flapping, all required to converge bit-identical to an undisturbed
 # run — plus the unsupervised tcp-local run and its kill → resume loop
 # (TestTCPLocalUnsupervised: one attempt of the same process launcher),
-# and core's checkpoint tests, which pin the commit point the kills rely
-# on: every snapshot is committed before any rank starts the next phase.
+# core's checkpoint tests, which pin the commit point the kills rely on
+# (every snapshot is committed before any rank starts the next phase), and
+# the one resume decision: core.Start on 1–3 ranks and the CLI's -resume
+# consent (TestStartDecidesResume, TestResumeConsent).
 # The whole supervisor package runs three times, so the hang windows it
 # derives from one number are exercised for flakes. Kept out of `check`
 # because process spawning and hang windows make it slower than the fast
 # gate.
 test-chaos:
 	$(GO) test -race -count=3 ./internal/supervisor/...
-	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Supervisor|Supervise|TCPLocal|Interrupt|Detector|Backoff|Beacon' \
+	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Supervisor|Supervise|TCPLocal|Interrupt|Detector|Backoff|Beacon|StartDecides|ResumeConsent' \
 		./internal/core/... ./cmd/dlouvain/...
 
 # The frontier differential suite under the race detector: the shipped sweep

@@ -28,7 +28,7 @@
 // ranks of hosts the coordinator condemns:
 //
 //	dlouvain -host-agent -coord 10.0.0.1:9470 -coord-job j1 -slots 4 \
-//	    -agent-advertise 10.0.0.2 &            # on every worker machine
+//	    -advertise 10.0.0.2 &                  # on every worker machine
 //	dlouvain -transport tcp-remote -coord 10.0.0.1:9470 -coord-job j1 \
 //	    -np 8 -ckpt-dir /shared/ck g.bin       # the driver, anywhere
 //
@@ -40,10 +40,10 @@
 // etc and ettc take -alpha in (0, 1]. Use -truth to score against a
 // ground-truth community file and -o to write the detected assignment.
 //
-// Checkpoint/restart: -ckpt-dir enables phase-boundary snapshots, -resume
-// continues from the latest committed checkpoint (the rank count may
-// differ), and a run that ends in a retryable failure (lost peer, expired
-// deadline) exits with code 3:
+// Checkpoint/restart: -ckpt-dir snapshots every phase boundary, -resume
+// consents to continuing its latest commit (at any rank count; without it a
+// committed checkpoint is refused), and a run that ends in a retryable
+// failure (lost peer, expired deadline) exits with code 3:
 //
 //	until dlouvain -np 8 -ckpt-dir ck -resume g.bin; do
 //	    [ $? -eq 3 ] || break
@@ -71,13 +71,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"distlouvain/internal/ckpt"
 	"distlouvain/internal/coord"
 	"distlouvain/internal/core"
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
-	"distlouvain/internal/partition"
 	"distlouvain/internal/quality"
 	"distlouvain/internal/supervisor"
 )
@@ -94,35 +94,28 @@ func main() {
 		// generation, -host-agent turns this process into a machine agent
 		// executing placed ranks, and -transport tcp-remote runs the
 		// supervising driver that places ranks across registered hosts.
-		coordAddr      = flag.String("coord", "", "coordinator address (host:port); required for tcp and tcp-remote")
-		coordJob       = flag.String("coord-job", "dlouvain", "coordinator job id; every rank and agent of one world shares it")
-		coordEpoch     = flag.Int("coord-epoch", 1, "world incarnation under -coord; each relaunch must use a higher epoch")
-		listenAddr     = flag.String("listen", "", "coord rendezvous: mesh listen address (default 127.0.0.1:0; multi-host ranks need a routable interface)")
-		advertiseSpec  = flag.String("advertise", "", "coord rendezvous: address peers dial for this rank (host or host:port; default the bound listener)")
-		hostAgent      = flag.Bool("host-agent", false, "run as a host agent: register -slots with -coord and execute ranks placed here (no graph argument)")
-		agentHost      = flag.String("agent-host", "", "host-agent: unique host name within the job (default the OS hostname)")
-		agentSlots     = flag.Int("slots", 1, "host-agent: how many ranks this host offers")
-		agentAdvertise = flag.String("agent-advertise", "", "host-agent: address ranks spawned here advertise to peers (host or host:port)")
-		remoteBin      = flag.String("remote-bin", "", "tcp-remote: dlouvain binary path on the agent hosts (default this executable's path)")
+		coordAddr     = flag.String("coord", "", "coordinator address (host:port); required for tcp and tcp-remote")
+		coordJob      = flag.String("coord-job", "dlouvain", "coordinator job id; every rank and agent of one world shares it")
+		coordEpoch    = flag.Int("coord-epoch", 1, "world incarnation under -coord; each relaunch must use a higher epoch")
+		listenAddr    = flag.String("listen", "", "coord rendezvous: mesh listen address (default 127.0.0.1:0; multi-host ranks need a routable interface)")
+		advertiseSpec = flag.String("advertise", "", "coord rendezvous: address peers dial for this rank (host or host:port; default the bound listener); host-agent: the address the ranks spawned here publish")
+		hostAgent     = flag.Bool("host-agent", false, "run as a host agent: register -slots with -coord and execute ranks placed here (no graph argument)")
+		agentHost     = flag.String("agent-host", "", "host-agent: unique host name within the job (default the OS hostname)")
+		agentSlots    = flag.Int("slots", 1, "host-agent: how many ranks this host offers")
+		remoteBin     = flag.String("remote-bin", "", "tcp-remote: dlouvain binary path on the agent hosts (default this executable's path)")
 
 		alpha     = flag.Float64("alpha", 0.25, "early-termination decay (et, etc, ettc)")
 		tau       = flag.Float64("tau", 0, "convergence threshold (default 1e-6)")
 		threads   = flag.Int("threads", 1, "worker threads per rank")
 		seed      = flag.Uint64("seed", 1, "early-termination seed")
-		edgeBal   = flag.Bool("edgebalance", false, "edge-balanced input partition instead of even vertex split")
 		outPath   = flag.String("o", "", "write detected communities (one label per line)")
 		truthPath = flag.String("truth", "", "ground-truth file for quality scoring")
 		verbose   = flag.Bool("v", false, "per-phase progress output")
 
-		// Checkpoint/restart: with -ckpt-dir, every rank snapshots its
-		// state at phase boundaries; -resume continues from the latest
-		// committed checkpoint (possibly at a different -np). A run that
-		// ends in a retryable failure exits with code 3, so a wrapper can
-		// loop `dlouvain -resume` until success.
-		ckptDir   = flag.String("ckpt-dir", "", "checkpoint directory (enables phase-boundary snapshots)")
-		ckptEvery = flag.Int("ckpt-every", 1, "snapshot after every k-th completed phase")
-		ckptKeep  = flag.Int("ckpt-keep", 2, "committed phase snapshots to retain per rank")
-		resume    = flag.Bool("resume", false, "resume from the checkpoint in -ckpt-dir")
+		// Checkpoint/restart (see the package comment).
+		ckptDir  = flag.String("ckpt-dir", "", "checkpoint directory (enables phase-boundary snapshots)")
+		ckptKeep = flag.Int("ckpt-keep", 2, "committed phase snapshots to retain per rank")
+		resume   = flag.Bool("resume", false, "continue the checkpoint in -ckpt-dir if there is one (without it, a committed checkpoint there is refused)")
 
 		// Self-healing supervision (every launched world): watch rank
 		// progress beacons, kill hung worlds, relaunch retryable failures
@@ -153,7 +146,7 @@ func main() {
 	flag.Parse()
 	if err := validateFlags(flagValues{
 		np: *np, threads: *threads, alpha: *alpha, tau: *tau,
-		ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
+		ckptKeep:  *ckptKeep,
 		supervise: *supervise, minRanks: *minRanks, maxRestarts: *maxRestarts,
 		transport: *transport, rank: *rank,
 		coord: *coordAddr, coordEpoch: *coordEpoch,
@@ -169,7 +162,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: dlouvain -host-agent -coord host:port [flags]  (no graph argument: the driver supplies it)")
 			os.Exit(2)
 		}
-		runHostAgent(*coordAddr, *coordJob, *agentHost, *agentSlots, *agentAdvertise)
+		runHostAgent(*coordAddr, *coordJob, *agentHost, *agentSlots, *advertiseSpec)
 		return
 	}
 	if flag.NArg() != 1 {
@@ -180,6 +173,15 @@ func main() {
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "dlouvain: -resume requires -ckpt-dir")
 		os.Exit(2)
+	}
+	// -resume is consent; core.Start decides. Without it a manifest in
+	// -ckpt-dir is refused, so a relaunch only finds this run's. A rank a
+	// launcher spawned was covered by its driver's check.
+	if _, spawned := os.LookupEnv(envLaunched); *ckptDir != "" && !*resume && !spawned {
+		if _, err := ckpt.ReadManifest(*ckptDir); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+			fmt.Fprintf(os.Stderr, "dlouvain: -ckpt-dir %s already holds a checkpoint: pass -resume to continue it, or use an empty directory\n", *ckptDir)
+			os.Exit(2)
+		}
 	}
 	path := flag.Arg(0)
 
@@ -194,7 +196,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.GatherOutput = true
 	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointEvery = *ckptEvery
 	cfg.CheckpointKeep = *ckptKeep
 
 	hdr, err := gio.ReadHeader(path)
@@ -221,16 +222,16 @@ func main() {
 	supervised := *supervise || *transport == "tcp-remote"
 	switch *transport {
 	case "inproc":
-		runInprocWorld(path, hdr, *np, cfg, *edgeBal, *resume, supervised, *outPath, *truthPath, commOpts, sopts, oopts)
+		runInprocWorld(path, hdr, *np, cfg, supervised, *outPath, *truthPath, commOpts, sopts, oopts)
 	case "tcp":
 		adv := meshAdvertise(*advertiseSpec)
 		runTCP(path, hdr, mpi.CoordWorldConfig{
 			Coord: *coordAddr, Job: *coordJob, Epoch: *coordEpoch,
 			Rank: *rank, Size: *np,
 			Listen: meshListen(*listenAddr, adv), Advertise: adv,
-		}, cfg, *edgeBal, *resume, *outPath, *truthPath, *verbose, commOpts, oopts)
+		}, cfg, *outPath, *truthPath, *verbose, commOpts, oopts)
 	case "tcp-local", "tcp-remote":
-		runProcWorld(*np, path, cfg, *resume, supervised, *transport == "tcp-local", sopts, oopts, remoteOptions{
+		runProcWorld(*np, path, supervised, *transport == "tcp-local", sopts, oopts, remoteOptions{
 			coord: *coordAddr, job: *coordJob, bin: *remoteBin,
 		})
 	}
@@ -245,73 +246,25 @@ func buildConfig(variant string, alpha float64) (core.Config, error) {
 	return cfg, nil
 }
 
-func rankBody(path string, hdr gio.Header, cfg core.Config, edgeBal, resume, verbose bool) func(c *mpi.Comm) (*core.Result, error) {
-	return func(c *mpi.Comm) (*core.Result, error) {
-		var res *core.Result
-		if resume {
-			var err error
-			res, err = core.Resume(c, cfg.CheckpointDir, cfg)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			ioStart := time.Now()
-			chunk, err := gio.ReadSegment(path, c.Rank(), c.Size())
-			if err != nil {
-				return nil, err
-			}
-			ioDur := time.Since(ioStart)
-			var part *partition.Partition
-			if edgeBal {
-				part, err = dgraph.EdgeBalancedPartition(c, hdr.Vertices, chunk)
-				if err != nil {
-					return nil, err
-				}
-			}
-			dg, err := dgraph.Build(c, hdr.Vertices, chunk, part)
-			if err != nil {
-				return nil, err
-			}
-			if c.Rank() == 0 && verbose {
-				fmt.Fprintf(os.Stderr, "rank 0: read %d edges in %v\n", len(chunk), ioDur)
-			}
-			res, err = core.Run(dg, cfg)
-			if err != nil {
-				return nil, err
-			}
+// buildGraph is a rank's cold start on the input at path: its segment of
+// the edge list, shuffled into the distributed graph.
+func buildGraph(path string, n int64, verbose bool) func(c *mpi.Comm) (*dgraph.DistGraph, error) {
+	return func(c *mpi.Comm) (*dgraph.DistGraph, error) {
+		ioStart := time.Now()
+		chunk, err := gio.ReadSegment(path, c.Rank(), c.Size())
+		if err != nil {
+			return nil, err
 		}
 		if c.Rank() == 0 && verbose {
-			kept := math.Inf(-1)
-			for i, ph := range res.Phases {
-				// core.Run discards a phase that ends below the one before.
-				note := ""
-				if ph.Modularity < kept {
-					note = " (discarded: ended below the phase before)"
-				} else {
-					kept = ph.Modularity
-				}
-				fmt.Fprintf(os.Stderr, "phase %d: |V|=%d iters=%d Q=%.6f tau=%.0e exit=%s%s\n",
-					i, ph.Vertices, ph.Iterations, ph.Modularity, ph.Tau, ph.Exit, note)
-				// Returns keeping pace with moves is a phase flip-flopping
-				// rather than converging; "damped from" is where the return
-				// rule stepped in. A resumed run's earlier phases have no
-				// return counts (the checkpoint does not carry them).
-				if len(ph.ReturnsTrajectory) > 0 {
-					damped := "never damped"
-					if ph.DampedFrom > 0 {
-						damped = fmt.Sprintf("damped from iteration %d", ph.DampedFrom)
-					}
-					fmt.Fprintf(os.Stderr, "  moves %v\n  returns %v, %s\n", ph.MovesTrajectory, ph.ReturnsTrajectory, damped)
-				}
-			}
+			fmt.Fprintf(os.Stderr, "rank 0: read %d edges in %v\n", len(chunk), time.Since(ioStart))
 		}
-		return res, nil
+		return dgraph.Build(c, n, chunk, nil)
 	}
 }
 
 // envAdvertise is the advertise-address default a host agent installs for
-// the ranks it spawns: the agent — not the driver — knows which interface
-// peers can reach its machine on.
+// the ranks it spawns (its own -advertise): the agent — not the driver —
+// knows which interface peers can reach its machine on.
 const envAdvertise = "DLOUVAIN_ADVERTISE"
 
 // envLaunched is set, to any value, in the environment of every rank a
@@ -345,7 +298,7 @@ func meshListen(flagVal, advertise string) string {
 // runTCP is one rank of a coordinator-rendezvous world in this process: what
 // a hand-launched `-transport tcp` command runs, and what the process
 // launcher spawns once per rank.
-func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Config, edgeBal, resume bool, outPath, truthPath string, verbose bool, commOpts []mpi.CommOption, oopts obsOptions) {
+func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Config, outPath, truthPath string, verbose bool, commOpts []mpi.CommOption, oopts obsOptions) {
 	rank := world.Rank
 	var interrupted atomic.Bool
 	cfg.Interrupted = interrupted.Load
@@ -397,19 +350,46 @@ func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Co
 	reg.AttachCounters("mpi", func() map[string]int64 {
 		return c.Stats().Snapshot().Counters()
 	})
-	res, err := rankBody(path, hdr, cfg, edgeBal, resume, verbose)(c)
+	res, err := core.Start(c, hdr.Vertices, cfg, buildGraph(path, hdr.Vertices, verbose))
 	oopts.flushTraces(tr)
 	if err != nil {
 		runFailf(err, "rank %d: %v", rank, err)
 	}
 	recordRunMetrics(reg, res)
 	if rank == 0 {
-		report(res, hdr, cfg, world.Size, outPath, truthPath)
+		report(res, hdr, cfg, world.Size, outPath, truthPath, verbose)
 		oopts.printReport(tr)
 	}
 }
 
-func report(res *core.Result, hdr gio.Header, cfg core.Config, np int, outPath, truthPath string) {
+// report prints rank 0's result on stdout, and with verbose the per-phase
+// block on stderr first.
+func report(res *core.Result, hdr gio.Header, cfg core.Config, np int, outPath, truthPath string, verbose bool) {
+	if verbose {
+		kept := math.Inf(-1)
+		for i, ph := range res.Phases {
+			// core.Run discards a phase that ends below the one before.
+			note := ""
+			if ph.Modularity < kept {
+				note = " (discarded: ended below the phase before)"
+			} else {
+				kept = ph.Modularity
+			}
+			fmt.Fprintf(os.Stderr, "phase %d: |V|=%d iters=%d Q=%.6f tau=%.0e exit=%s%s\n",
+				i, ph.Vertices, ph.Iterations, ph.Modularity, ph.Tau, ph.Exit, note)
+			// Returns keeping pace with moves is a phase flip-flopping
+			// rather than converging; "damped from" is where the return
+			// rule stepped in. A resumed run's earlier phases have no
+			// return counts (the checkpoint does not carry them).
+			if len(ph.ReturnsTrajectory) > 0 {
+				damped := "never damped"
+				if ph.DampedFrom > 0 {
+					damped = fmt.Sprintf("damped from iteration %d", ph.DampedFrom)
+				}
+				fmt.Fprintf(os.Stderr, "  moves %v\n  returns %v, %s\n", ph.MovesTrajectory, ph.ReturnsTrajectory, damped)
+			}
+		}
+	}
 	fmt.Printf("variant=%s ranks=%d threads=%d\n", cfg.VariantName(), np, cfg.Threads)
 	fmt.Printf("graph: %d vertices, %d edges\n", hdr.Vertices, hdr.Edges)
 	fmt.Printf("communities=%d modularity=%.6f phases=%d iterations=%d time=%.3fs\n",

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"distlouvain/internal/coord"
-	"distlouvain/internal/core"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/supervisor"
 )
@@ -224,9 +223,6 @@ func (l *remoteLauncher) Launch(spec supervisor.LaunchSpec, beacons func(supervi
 			"-coord-epoch", fmt.Sprint(epoch),
 			"-rank", fmt.Sprint(r), "-np", fmt.Sprint(spec.Ranks)}
 		args = append(args, l.passthrough...)
-		if spec.Resume {
-			args = append(args, "-resume")
-		}
 		args = append(args, l.graph)
 		l.placeLogf("attempt %d: rank %d -> host %s (spawn %s)", spec.Attempt, r, placed[r], a.rankID[r])
 		if err := ctrl.Spawn(placed[r], a.rankID[r], args, l.dir, env); err != nil {
@@ -395,7 +391,7 @@ func (a *remoteAttempt) Interrupt() { a.intOnce.Do(func() { a.signalAll(syscall.
 // runProcWorld drives a world of rank processes: on the operator's
 // coordinator and agents, or (local) on a loopback coordinator and an
 // embedded agent with np slots that live and die with this process.
-func runProcWorld(np int, graph string, cfg core.Config, resume, supervised, local bool, opts supOptions, oopts obsOptions, ropts remoteOptions) {
+func runProcWorld(np int, graph string, supervised, local bool, opts supOptions, oopts obsOptions, ropts remoteOptions) {
 	if ropts.bin == "" {
 		exe, err := os.Executable()
 		if err != nil {
@@ -426,7 +422,7 @@ func runProcWorld(np int, graph string, cfg core.Config, resume, supervised, loc
 	startPprof(oopts.pprofAddr, reg)
 	l := &remoteLauncher{opts: ropts, graph: graph, dir: dir, inject: opts.inject, placeLogf: placeLogf}
 	l.passthrough = childArgs()
-	if err := drive(l, np, resume, supervised, opts, cfg, reg, nil); err != nil {
+	if err := drive(l, np, supervised, opts, reg, nil); err != nil {
 		runFailf(err, "%v", err)
 	}
 }
@@ -440,15 +436,14 @@ func childArgs() []string {
 		case "transport", "np", "rank", "supervise", "resume",
 			"max-restarts", "backoff", "min-ranks", "hang", "chaos", "pprof-addr",
 			"coord", "coord-job", "coord-epoch", "listen", "advertise",
-			"host-agent", "agent-host", "slots", "agent-advertise",
-			"remote-bin":
-			// Driver-side flags: topology, supervision and chaos stay with
-			// the parent, and so does -pprof-addr, which children cannot
-			// share; -coord/-coord-job/-coord-epoch are re-issued per attempt
-			// with that attempt's epoch; -listen/-advertise are per-host
-			// decisions the agents make (-agent-advertise). -trace-dir and
-			// -report pass through: each rank owns its trace file and rank
-			// 0's stdout carries the report.
+			"host-agent", "agent-host", "slots", "remote-bin":
+			// Driver-side flags: topology, supervision, chaos and -resume
+			// (the driver's consent; core.Start decides) stay with the
+			// parent, and so does -pprof-addr, which children cannot share;
+			// -coord/-coord-job/-coord-epoch are re-issued per attempt with
+			// that attempt's epoch; -listen/-advertise are per-host decisions
+			// the agents make. -trace-dir and -report pass through: each rank
+			// owns its trace file and rank 0's stdout carries the report.
 		default:
 			passthrough = append(passthrough, "-"+f.Name+"="+f.Value.String())
 		}

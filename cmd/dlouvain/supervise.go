@@ -118,49 +118,47 @@ func (c chaosSpec) inject() supervisor.Inject {
 	}
 }
 
-func (o supOptions) supervisorOptions(cfg core.Config) supervisor.Options {
-	return supervisor.Options{
-		Policy:        o.policy,
-		Hang:          o.hang,
-		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
-		Logf:          logf,
-	}
-}
-
 // drive runs the world l launches to completion and returns its error. A run
 // without supervision is exactly one attempt — no detector, no restart;
 // under supervision the same launcher sits inside the supervisor's loop.
 // This is the only place signals, restart bookkeeping and the beacon display
 // are wired: SIGTERM/SIGINT asks the running attempt to checkpoint at the
 // next phase boundary and stop (a second signal aborts, see trapInterrupt).
-func drive(l supervisor.Launcher, np int, resume, supervised bool, opts supOptions, cfg core.Config, reg *obsv.Registry, postMortem func(rank int) []string) error {
+func drive(l supervisor.Launcher, np int, supervised bool, opts supOptions, reg *obsv.Registry, postMortem func(rank int) []string) error {
 	stop := make(chan struct{})
 	trapInterrupt(func(os.Signal) {
 		logf("interrupt: checkpointing at the next phase boundary")
 		close(stop)
 	})
 	if !supervised {
-		att, err := l.Launch(supervisor.LaunchSpec{Ranks: np, Resume: resume}, func(supervisor.Beacon) {})
+		att, err := l.Launch(supervisor.LaunchSpec{Ranks: np}, func(supervisor.Beacon) {})
 		if err != nil {
 			return err
 		}
 		go func() { <-stop; att.Interrupt() }()
 		return att.Wait()
 	}
-	sopts := opts.supervisorOptions(cfg)
-	sopts.PostMortem = postMortem
-	sopts.OnRestart = func(restarts, ranks int, resume bool, cause error) {
+	// A relaunch's restart event waits for the attempt's first phase-start:
+	// its ranks decided whether to resume (core.Start), and a phase past 0
+	// says they did.
+	var mu sync.Mutex
+	var relaunch map[string]float64
+	sopts := supervisor.Options{Policy: opts.policy, Hang: opts.hang, Logf: logf, PostMortem: postMortem}
+	sopts.OnRestart = func(restarts, ranks int, cause error) {
 		reg.RecordGenerationCounters() // the failed attempt's traffic
 		reg.BeginGeneration()
-		var res float64
-		if resume {
-			res = 1
-		}
-		reg.RecordEvent("restart", "relaunch", map[string]float64{
-			"restarts": float64(restarts), "ranks": float64(ranks), "resume": res,
-		})
+		mu.Lock()
+		relaunch = map[string]float64{"restarts": float64(restarts), "ranks": float64(ranks)}
+		mu.Unlock()
 	}
 	sopts.OnBeacon = func(b supervisor.Beacon) {
+		mu.Lock()
+		if relaunch != nil && b.Rank == 0 && b.Kind == supervisor.KindPhaseStart {
+			relaunch["resume"] = float64(min(b.Phase, 1))
+			reg.RecordEvent("restart", "relaunch", relaunch)
+			relaunch = nil
+		}
+		mu.Unlock()
 		reg.RecordEvent("beacon", string(b.Kind), map[string]float64{
 			"rank": float64(b.Rank), "phase": float64(b.Phase),
 			"iter": float64(b.Iteration), "q": b.Modularity,
@@ -171,7 +169,7 @@ func drive(l supervisor.Launcher, np int, resume, supervised bool, opts supOptio
 	}
 	sup := supervisor.New(l, sopts)
 	go func() { <-stop; sup.Interrupt() }()
-	return sup.Run(np, resume)
+	return sup.Run(np)
 }
 
 // trapInterrupt installs the two-stage SIGTERM/SIGINT handler: the first
@@ -261,19 +259,18 @@ func (l *inprocObserver) postMortem(rank int) []string {
 
 // runInprocWorld runs the ranks as goroutines of this process and reports
 // the completed attempt's result.
-func runInprocWorld(path string, hdr gio.Header, np int, cfg core.Config, edgeBal, resume, supervised bool, outPath, truthPath string, commOpts []mpi.CommOption, opts supOptions, oopts obsOptions) {
+func runInprocWorld(path string, hdr gio.Header, np int, cfg core.Config, supervised bool, outPath, truthPath string, commOpts []mpi.CommOption, opts supOptions, oopts obsOptions) {
 	reg := obsv.NewRegistry(0)
 	startPprof(oopts.pprofAddr, reg)
 	l := &inprocObserver{commOpts: commOpts, obs: oopts, reg: reg}
 	launcher := &supervisor.InprocLauncher{
-		Config: cfg,
-		Body: func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error) {
-			return rankBody(path, hdr, cfg, edgeBal, resume, opts.verbose)(c)
-		},
-		Comm:   l.comm,
-		Inject: opts.inject,
+		Config:   cfg,
+		Vertices: hdr.Vertices,
+		Build:    buildGraph(path, hdr.Vertices, opts.verbose),
+		Comm:     l.comm,
+		Inject:   opts.inject,
 	}
-	err := drive(launcher, np, resume, supervised, opts, cfg, reg, l.postMortem)
+	err := drive(launcher, np, supervised, opts, reg, l.postMortem)
 	reg.RecordGenerationCounters()
 	// Traces flush even on failure: the surviving files describe the last
 	// attempt, and a failed rank's ring tail is the post-mortem evidence the
@@ -284,7 +281,7 @@ func runInprocWorld(path string, hdr gio.Header, np int, cfg core.Config, edgeBa
 	}
 	res, ranks := launcher.Result()
 	recordRunMetrics(reg, res)
-	report(res, hdr, cfg, ranks, outPath, truthPath)
+	report(res, hdr, cfg, ranks, outPath, truthPath, opts.verbose)
 	if trs := l.rankTracers(); len(trs) > 0 {
 		oopts.printReport(trs[0])
 	}

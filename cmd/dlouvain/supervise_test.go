@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"distlouvain/internal/ckpt"
 	"distlouvain/internal/coord"
 	"distlouvain/internal/core"
 	"distlouvain/internal/gen"
@@ -256,11 +257,10 @@ func TestTCPLocalUnsupervised(t *testing.T) {
 	t.Run("kill then resume loop", func(t *testing.T) {
 		dir := t.TempDir()
 		ck, out := filepath.Join(dir, "ck"), filepath.Join(dir, "out")
+		// As in the README's until-loop: every pass consents to resuming,
+		// the first one included (an empty directory starts cold).
 		run := func(extra ...string) ([]byte, error) {
-			args := []string{"-transport", "tcp-local", "-np", "3", "-ckpt-dir", ck, "-o", out}
-			if supervisor.HasCheckpoint(ck) {
-				args = append(args, "-resume")
-			}
+			args := []string{"-transport", "tcp-local", "-np", "3", "-ckpt-dir", ck, "-resume", "-o", out}
 			args = append(append(args, extra...), graphPath)
 			return exec.Command(bin, args...).CombinedOutput()
 		}
@@ -276,12 +276,73 @@ func TestTCPLocalUnsupervised(t *testing.T) {
 		if !strings.Contains(string(outp), "peer rank") || !strings.Contains(string(outp), "world failed: rank") {
 			t.Fatalf("killed run does not name the lost peer and the failed ranks:\n%s", outp)
 		}
-		if !supervisor.HasCheckpoint(ck) {
+		if _, err := ckpt.ReadManifest(ck); err != nil {
 			t.Fatalf("killed run left no checkpoint to resume from:\n%s", outp)
 		}
 		if outp, err = run(); err != nil {
 			t.Fatalf("resumed run: %v\n%s", err, outp)
 		}
 		sameFile(t, "kill then resume", out, refOut)
+	})
+}
+
+// TestResumeConsent pins -resume as consent. A checkpoint another graph left
+// in -ckpt-dir is refused without -resume (exit 2, no output) even when a
+// supervised relaunch would otherwise have continued it, and refused with
+// -resume when its vertex count is not the input's. An empty directory
+// under -resume starts cold and lands on the undisturbed run's file.
+func TestResumeConsent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	bin, graphA, refOut := buildBinaryAndGraph(t)
+	dir := t.TempDir()
+	nB, edgesB := gen.ErdosRenyi(200, 1000, 9)
+	graphB := filepath.Join(dir, "b.bin")
+	if err := gio.WriteBinary(graphB, nB, edgesB); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("stale checkpoint refused", func(t *testing.T) {
+		ck := filepath.Join(t.TempDir(), "ck")
+		if outp, err := exec.Command(bin, "-np", "3", "-ckpt-dir", ck, graphA).CombinedOutput(); err != nil {
+			t.Fatalf("graph A run: %v\n%s", err, outp)
+		}
+		if _, err := ckpt.ReadManifest(ck); err != nil {
+			t.Fatalf("graph A left no checkpoint: %v", err)
+		}
+		for _, tc := range []struct {
+			name   string
+			resume []string
+			code   int
+		}{
+			{"without -resume", nil, 2},
+			{"with -resume", []string{"-resume"}, 1},
+		} {
+			out := filepath.Join(t.TempDir(), "b.out")
+			args := append([]string{"-np", "2", "-supervise", "-chaos", "kill=1@0", "-backoff", "20ms",
+				"-ckpt-dir", ck, "-o", out}, tc.resume...)
+			outp, err := exec.Command(bin, append(args, graphB)...).CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != tc.code {
+				t.Fatalf("%s: err = %v, want exit %d\n%s", tc.name, err, tc.code, outp)
+			}
+			if strings.Contains(string(outp), "communities=") {
+				t.Fatalf("%s: graph B printed a result:\n%s", tc.name, outp)
+			}
+			if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s: wrote %s (stat: %v)", tc.name, out, err)
+			}
+		}
+	})
+
+	t.Run("resume on an empty directory starts cold", func(t *testing.T) {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "out")
+		outp, err := exec.Command(bin, "-np", "3", "-ckpt-dir", filepath.Join(dir, "ck"), "-resume", "-o", out, graphA).CombinedOutput()
+		if err != nil {
+			t.Fatalf("-resume on an empty directory: %v\n%s", err, outp)
+		}
+		sameFile(t, "cold -resume", out, refOut)
 	})
 }

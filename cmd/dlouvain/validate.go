@@ -17,7 +17,6 @@ type flagValues struct {
 	threads     int
 	alpha       float64
 	tau         float64
-	ckptEvery   int
 	ckptKeep    int
 	supervise   bool
 	minRanks    int
@@ -61,9 +60,6 @@ func validateFlags(v flagValues) error {
 	}
 	if v.tau < 0 {
 		return fmt.Errorf("-tau must be non-negative (got %g)", v.tau)
-	}
-	if v.ckptEvery < 1 {
-		return fmt.Errorf("-ckpt-every must be >= 1 (got %d)", v.ckptEvery)
 	}
 	if v.ckptKeep < 1 {
 		return fmt.Errorf("-ckpt-keep must be >= 1 (got %d)", v.ckptKeep)

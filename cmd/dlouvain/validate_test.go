@@ -11,7 +11,7 @@ import (
 func valid() flagValues {
 	return flagValues{
 		np: 4, threads: 1, alpha: 0.25, tau: 0,
-		ckptEvery: 1, ckptKeep: 2,
+		ckptKeep:  2,
 		supervise: false, minRanks: 1, maxRestarts: 5,
 		transport: "inproc", coordEpoch: 1, agentSlots: 1,
 	}
@@ -34,8 +34,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		mut  func(*flagValues)
 		want string // substring of the complaint
 	}{
-		{"negative ckpt-every", func(v *flagValues) { v.ckptEvery = -1 }, "-ckpt-every"},
-		{"zero ckpt-every", func(v *flagValues) { v.ckptEvery = 0 }, "-ckpt-every"},
 		{"zero ckpt-keep", func(v *flagValues) { v.ckptKeep = 0 }, "-ckpt-keep"},
 		{"min-ranks over np", func(v *flagValues) { v.supervise = true; v.minRanks = 9; v.np = 4 }, "-min-ranks"},
 		{"zero min-ranks", func(v *flagValues) { v.supervise = true; v.minRanks = 0 }, "-min-ranks"},
@@ -198,9 +196,9 @@ func TestFlagSetPinned(t *testing.T) {
 	}
 	bin, _, _ := buildBinaryAndGraph(t)
 	want := []string{
-		"advertise", "agent-advertise", "agent-host", "alpha", "backoff",
-		"chaos", "ckpt-dir", "ckpt-every", "ckpt-keep",
-		"coord", "coord-epoch", "coord-job", "edgebalance", "hang",
+		"advertise", "agent-host", "alpha", "backoff",
+		"chaos", "ckpt-dir", "ckpt-keep",
+		"coord", "coord-epoch", "coord-job", "hang",
 		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o",
 		"pprof-addr", "rank", "remote-bin", "report", "resume",
 		"seed", "slots", "supervise", "tau", "threads", "timeout",

@@ -6,48 +6,8 @@ import (
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
-	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 )
-
-// Ablation: coarsening redistribution under vertex-balanced vs
-// edge-balanced input partitions (DESIGN.md §6). Edge balancing costs a
-// global degree census up front but evens the sweep work on skewed inputs.
-func BenchmarkAblation_Rebalance(b *testing.B) {
-	n, edges, err := gen.RMAT(11, 12, 0.57, 0.19, 0.19, 0.05, 31)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := graph.FromRawEdges(n, edges)
-	degrees := make([]int64, n)
-	for v := int64(0); v < n; v++ {
-		degrees[v] = g.Degree(v)
-	}
-	const p = 4
-	parts := map[string]*partition.Partition{
-		"vertex-balanced": partition.ByVertexCount(n, p),
-		"edge-balanced":   partition.ByEdgeCount(degrees, p),
-	}
-	for name, part := range parts {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				err := mpi.Run(p, func(c *mpi.Comm) error {
-					lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), p)
-					dg, err := dgraph.Build(c, n, edges[lo:hi], part)
-					if err != nil {
-						return err
-					}
-					_, err = Run(dg, Baseline())
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkDistributedVariants tracks each variant end to end on a common
 // input.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -13,11 +14,36 @@ import (
 	"distlouvain/internal/partition"
 )
 
+// Start is how every rank of a run on an n-vertex input begins, and the one
+// place that decides whether it continues a checkpoint: rank 0 reads
+// cfg.CheckpointDir's manifest once and every rank acts on its broadcast
+// verdict. No manifest (or no directory) is build followed by Run; a
+// committed one is continued as Resume continues it; one of another
+// Config.Fingerprint, or not of n vertices, fails on every rank.
+func Start(c *mpi.Comm, n int64, cfg Config, build func(*mpi.Comm) (*dgraph.DistGraph, error)) (*Result, error) {
+	if cfg.CheckpointDir != "" {
+		cfg.fill()
+		man, err := loadManifest(c, cfg.CheckpointDir, &cfg, n)
+		if err != nil {
+			return nil, err
+		}
+		if man != nil {
+			return resume(c, cfg.CheckpointDir, cfg, man, cfg.Tracer.Begin(obsv.KindCheckpoint, "resume-load"))
+		}
+	}
+	dg, err := build(c)
+	if err != nil {
+		return nil, err
+	}
+	return Run(dg, cfg)
+}
+
 // Resume continues a checkpointed run from the latest committed phase
 // boundary. Every rank of c calls Resume with the same directory and a
 // Config whose trajectory hash (Config.Fingerprint) matches the one the
 // checkpoint was taken under; performance knobs (Threads, checkpoint
-// cadence, …) may differ freely.
+// cadence, …) may differ freely. A directory without a manifest fails with
+// ckpt.ErrNoCheckpoint; Start starts such a run cold instead.
 //
 // The world size may differ from the checkpointing run's ("elastic"
 // resume): snapshot files are split across the new ranks, the coarse graph
@@ -30,23 +56,34 @@ import (
 // uninterrupted run's trajectory regardless of the new rank count.
 func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 	cfg.fill()
-	p := c.Size()
-	rank := c.Rank()
-
 	// The load span closes just before control enters the shared run loop;
 	// an error while loading leaves it open (visible via Tracer.Path).
 	lsp := cfg.Tracer.Begin(obsv.KindCheckpoint, "resume-load")
+	man, err := loadManifest(c, dir, &cfg, 0)
+	if err == nil && man == nil {
+		err = fmt.Errorf("%w in %s", ckpt.ErrNoCheckpoint, dir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return resume(c, dir, cfg, man, lsp)
+}
 
-	// Rank 0 reads and validates the manifest; a status byte leads the
-	// broadcast so a root-side failure aborts every rank instead of
-	// deadlocking the world.
+// loadManifest has rank 0 read and validate dir's manifest (against an
+// n-vertex input, unless n is 0) and broadcasts the outcome behind a status
+// byte — 0 committed, 1 failed, 2 none — so a root-side failure aborts every
+// rank instead of deadlocking the world. No manifest returns nil everywhere.
+func loadManifest(c *mpi.Comm, dir string, cfg *Config, n int64) (*ckpt.Manifest, error) {
 	var payload []byte
 	var rootErr error
-	if rank == 0 {
+	if c.Rank() == 0 {
 		var man *ckpt.Manifest
 		man, rootErr = ckpt.ReadManifest(dir)
 		if rootErr == nil && man.ConfigHash != string(cfg.Fingerprint()) {
 			rootErr = fmt.Errorf("ckpt: config fingerprint %s does not match checkpoint's %s: the snapshot encodes a trajectory this configuration would not produce", cfg.Fingerprint(), man.ConfigHash)
+		}
+		if rootErr == nil && n != 0 && man.OrigN != n {
+			rootErr = fmt.Errorf("ckpt: the checkpoint in %s is of a %d-vertex graph, the input has %d", dir, man.OrigN, n)
 		}
 		if rootErr == nil {
 			for r, f := range man.Files {
@@ -56,19 +93,25 @@ func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 				}
 			}
 		}
-		if rootErr == nil {
+		switch {
+		case rootErr == nil:
 			payload = []byte{0}
 			payload = mpi.AppendInt64(payload, int64(man.WorldSize))
 			payload = mpi.AppendInt64(payload, int64(man.Phase))
 			payload = mpi.AppendInt64(payload, man.OrigN)
 			payload = mpi.AppendInt64(payload, man.CoarseN)
-		} else {
+		case errors.Is(rootErr, ckpt.ErrNoCheckpoint):
+			payload = []byte{2}
+		default:
 			payload = []byte{1}
 		}
 	}
 	got, err := c.Bcast(0, payload)
 	if err != nil {
 		return nil, err
+	}
+	if len(got) == 1 && got[0] == 2 {
+		return nil, nil
 	}
 	if len(got) < 1 || got[0] != 0 {
 		if rootErr != nil {
@@ -84,7 +127,16 @@ func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	oldWorld, completed := int(ws), int(ph)
+	return &ckpt.Manifest{WorldSize: int(ws), Phase: int(ph), OrigN: origN, CoarseN: coarseN}, nil
+}
+
+// resume loads the checkpoint man describes onto c's world and runs the
+// remaining phases. lsp is the open load span.
+func resume(c *mpi.Comm, dir string, cfg Config, man *ckpt.Manifest, lsp obsv.SpanScope) (*Result, error) {
+	p := c.Size()
+	rank := c.Rank()
+	oldWorld, completed := man.WorldSize, man.Phase
+	origN, coarseN := man.OrigN, man.CoarseN
 
 	// Each new rank loads a contiguous run of the old ranks' files. The
 	// per-file AllOK fence turns any rank's decode failure into a
@@ -146,7 +198,7 @@ func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 		drv = mpi.AppendInt64(drv, int64(meta0.totalIterations))
 		drv = append(drv, hist0...)
 	}
-	drv, err = c.Bcast(0, drv)
+	drv, err := c.Bcast(0, drv)
 	if err != nil {
 		return nil, err
 	}

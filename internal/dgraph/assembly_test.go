@@ -176,16 +176,11 @@ func differentialGraphs(t testing.TB) []graphCase {
 // TestBuildMatchesSortOracle is the differential suite: the counting-sort
 // assembly must reproduce the sort-based oracle field by field — weights bit
 // for bit — for every graph, rank count, scattering of the chunks and
-// partition (even split, edge-balanced, and one with an empty middle rank).
+// partition (even split, skewed, and one with an empty middle rank).
 func TestBuildMatchesSortOracle(t *testing.T) {
 	for _, gc := range differentialGraphs(t) {
-		degrees := make([]int64, gc.n)
-		for _, e := range gc.edges {
-			degrees[e.U]++
-			degrees[e.V]++
-		}
 		for p := 1; p <= 4; p++ {
-			parts := map[string]*partition.Partition{"even": nil, "edge-balanced": partition.ByEdgeCount(degrees, p)}
+			parts := map[string]*partition.Partition{"even": nil, "skewed": skewedPartition(gc.n, p)}
 			if p == 3 {
 				parts["empty-middle"] = &partition.Partition{Bounds: []int64{0, gc.n / 2, gc.n / 2, gc.n}}
 			}

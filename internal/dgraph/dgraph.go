@@ -122,30 +122,6 @@ func checkSlotSpace(localN int64, ghosts int) error {
 	return nil
 }
 
-// EdgeBalancedPartition computes the paper's input decomposition: vertices
-// are split into contiguous ranges so that "each process receives roughly
-// the same number of edges". Every rank contributes the degree counts of
-// its raw edge chunk; one allreduce yields the global degree vector, from
-// which all ranks derive the same partition. O(n) memory per rank — the
-// same cost the paper pays for its static ownership tables.
-func EdgeBalancedPartition(c *mpi.Comm, n int64, localChunk []graph.RawEdge) (*partition.Partition, error) {
-	degrees := make([]int64, n)
-	for _, e := range localChunk {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
-		}
-		degrees[e.U]++
-		if e.V != e.U {
-			degrees[e.V]++
-		}
-	}
-	global, err := c.AllreduceInt64s(degrees, mpi.OpSum)
-	if err != nil {
-		return nil, err
-	}
-	return partition.ByEdgeCount(global, c.Size()), nil
-}
-
 // Build assembles the distributed graph. Every rank passes the same global
 // vertex count n and its own arbitrary chunk of the undirected edge list
 // (chunks together must cover the whole input exactly once). The vertex

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"testing"
 
 	"distlouvain/internal/gen"
@@ -168,15 +167,20 @@ func TestBuildRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// skewedPartition splits [0, n) into p contiguous ranges of growing size
+// (quadratic bounds): an uneven split for the tests that need one.
+func skewedPartition(n int64, p int) *partition.Partition {
+	bounds := make([]int64, p+1)
+	for r := range bounds {
+		bounds[r] = n * int64(r*r) / int64(p*p)
+	}
+	return &partition.Partition{Bounds: bounds}
+}
+
 func TestBuildWithCustomPartition(t *testing.T) {
 	n, edges := gen.ErdosRenyi(60, 200, 3)
-	ref := gen.Build(n, edges)
-	degrees := make([]int64, n)
-	for v := int64(0); v < n; v++ {
-		degrees[v] = ref.Degree(v)
-	}
 	p := 3
-	part := partition.ByEdgeCount(degrees, p)
+	part := skewedPartition(n, p)
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		dg, err := Build(c, n, chunkEdges(edges, c.Rank(), p), part)
 		if err != nil {
@@ -281,65 +285,6 @@ func TestBuildFromBinaryFileSegments(t *testing.T) {
 			return fmt.Errorf("M2 mismatch")
 		}
 		return dg.Validate()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEdgeBalancedPartition(t *testing.T) {
-	// A star graph: the hub carries nearly all slots, so the hub's range
-	// should be small and the partition must agree across ranks.
-	n := int64(100)
-	var edges []graph.RawEdge
-	for v := int64(1); v < n; v++ {
-		edges = append(edges, graph.RawEdge{U: 0, V: v, W: 1})
-	}
-	const p = 4
-	var bounds [][]int64
-	var mu sync.Mutex
-	err := mpi.Run(p, func(c *mpi.Comm) error {
-		part, err := EdgeBalancedPartition(c, n, chunkEdges(edges, c.Rank(), p))
-		if err != nil {
-			return err
-		}
-		if err := part.Validate(); err != nil {
-			return err
-		}
-		mu.Lock()
-		bounds = append(bounds, append([]int64(nil), part.Bounds...))
-		mu.Unlock()
-		// Build with it to prove it's usable end to end.
-		dg, err := Build(c, n, chunkEdges(edges, c.Rank(), p), part)
-		if err != nil {
-			return err
-		}
-		return dg.Validate()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(bounds); i++ {
-		for j := range bounds[0] {
-			if bounds[i][j] != bounds[0][j] {
-				t.Fatalf("ranks computed different partitions: %v vs %v", bounds[i], bounds[0])
-			}
-		}
-	}
-	// The hub (vertex 0, degree 99 of 198 slots) should sit alone or
-	// nearly alone in rank 0's range.
-	if bounds[0][1] > 5 {
-		t.Fatalf("rank 0 owns too many vertices for a star: bounds %v", bounds[0])
-	}
-}
-
-func TestEdgeBalancedPartitionRejectsBadEdges(t *testing.T) {
-	err := mpi.Run(1, func(c *mpi.Comm) error {
-		_, err := EdgeBalancedPartition(c, 3, []graph.RawEdge{{U: 0, V: 9, W: 1}})
-		if err == nil {
-			return fmt.Errorf("expected range error")
-		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -89,34 +89,3 @@ func ByVertexCount(n int64, p int) *Partition {
 	}
 	return &Partition{Bounds: bounds}
 }
-
-// ByEdgeCount splits [0, n) so each rank holds roughly the same number of
-// adjacency slots, given per-vertex degrees. Contiguity is preserved (1-D),
-// so ranks sweep dense ID ranges; a vertex is never split.
-func ByEdgeCount(degrees []int64, p int) *Partition {
-	n := int64(len(degrees))
-	if p <= 0 {
-		panic("partition: non-positive rank count")
-	}
-	var total int64
-	for _, d := range degrees {
-		total += d
-	}
-	bounds := make([]int64, p+1)
-	target := func(r int) int64 {
-		// Ideal cumulative slot count after rank r's range.
-		return (total * int64(r+1)) / int64(p)
-	}
-	var cum int64
-	v := int64(0)
-	for r := 0; r < p; r++ {
-		want := target(r)
-		for v < n && (cum < want || r == p-1) {
-			cum += degrees[v]
-			v++
-		}
-		bounds[r+1] = v
-	}
-	bounds[p] = n
-	return &Partition{Bounds: bounds}
-}

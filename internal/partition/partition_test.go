@@ -60,43 +60,6 @@ func TestOwnerPanicsOutOfRange(t *testing.T) {
 	pt.Owner(10)
 }
 
-func TestByEdgeCountBalances(t *testing.T) {
-	// One heavy vertex at the front: it should get its own range.
-	degrees := make([]int64, 10)
-	degrees[0] = 90
-	for i := 1; i < 10; i++ {
-		degrees[i] = 10
-	}
-	pt := ByEdgeCount(degrees, 2)
-	if err := pt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if pt.N() != 10 {
-		t.Fatalf("N = %d", pt.N())
-	}
-	// Rank 0 should own just vertex 0 (90 slots ≈ half of 180).
-	if pt.Count(0) != 1 {
-		t.Fatalf("rank 0 owns %d vertices, want 1 (bounds %v)", pt.Count(0), pt.Bounds)
-	}
-}
-
-func TestByEdgeCountZeroDegrees(t *testing.T) {
-	pt := ByEdgeCount(make([]int64, 12), 4)
-	if err := pt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if pt.N() != 12 {
-		t.Fatalf("N = %d", pt.N())
-	}
-	var total int64
-	for r := 0; r < 4; r++ {
-		total += pt.Count(r)
-	}
-	if total != 12 {
-		t.Fatalf("total = %d", total)
-	}
-}
-
 func TestValidateCatchesBrokenBounds(t *testing.T) {
 	bad := &Partition{Bounds: []int64{0, 5, 3, 10}}
 	if err := bad.Validate(); err == nil {
@@ -112,81 +75,32 @@ func TestValidateCatchesBrokenBounds(t *testing.T) {
 	}
 }
 
-// Property: both partitioners cover [0,n) exactly once, and Owner agrees
+// Property: the partitioner covers [0,n) exactly once, and Owner agrees
 // with the ranges, for arbitrary sizes.
 func TestQuickPartitionCoverage(t *testing.T) {
-	f := func(nRaw uint16, pRaw uint8, degSeed int64) bool {
+	f := func(nRaw uint16, pRaw uint8) bool {
 		n := int64(nRaw % 500)
 		p := int(pRaw%16) + 1
-		degrees := make([]int64, n)
-		s := degSeed
-		for i := range degrees {
-			s = s*6364136223846793005 + 1442695040888963407
-			degrees[i] = (s >> 33) % 20
-			if degrees[i] < 0 {
-				degrees[i] = -degrees[i]
-			}
+		pt := ByVertexCount(n, p)
+		if pt.Validate() != nil || pt.N() != n || pt.Size() != p {
+			return false
 		}
-		for _, pt := range []*Partition{ByVertexCount(n, p), ByEdgeCount(degrees, p)} {
-			if pt.Validate() != nil {
+		var total int64
+		for r := 0; r < p; r++ {
+			total += pt.Count(r)
+		}
+		if total != n {
+			return false
+		}
+		step := n/97 + 1
+		for v := int64(0); v < n; v += step {
+			if !pt.Owns(pt.Owner(v), v) {
 				return false
-			}
-			if pt.N() != n || pt.Size() != p {
-				return false
-			}
-			var total int64
-			for r := 0; r < p; r++ {
-				total += pt.Count(r)
-			}
-			if total != n {
-				return false
-			}
-			step := n/97 + 1
-			for v := int64(0); v < n; v += step {
-				if !pt.Owns(pt.Owner(v), v) {
-					return false
-				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: edge-balanced partitioning is never worse than 2x the ideal
-// per-rank load plus the heaviest single vertex (contiguity bound).
-func TestQuickEdgeBalanceQuality(t *testing.T) {
-	f := func(pRaw uint8, seed int64) bool {
-		p := int(pRaw%8) + 1
-		n := int64(200)
-		degrees := make([]int64, n)
-		var total, maxDeg int64
-		s := seed
-		for i := range degrees {
-			s = s*2862933555777941757 + 3037000493
-			degrees[i] = (s >> 40) & 63
-			total += degrees[i]
-			if degrees[i] > maxDeg {
-				maxDeg = degrees[i]
-			}
-		}
-		pt := ByEdgeCount(degrees, p)
-		ideal := total / int64(p)
-		for r := 0; r < p; r++ {
-			lo, hi := pt.Range(r)
-			var load int64
-			for v := lo; v < hi; v++ {
-				load += degrees[v]
-			}
-			if load > ideal+maxDeg+1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -146,6 +146,7 @@ type Job struct {
 	ranks     int // current world size while running (may shrink on degrade)
 	restarts  int
 	resumed   bool
+	phaseSeen bool // the current attempt's first phase-start has arrived
 	cacheHit  bool
 	aborting  bool
 	progress  Progress

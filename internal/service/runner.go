@@ -4,26 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"distlouvain/internal/core"
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/supervisor"
 )
-
-// runFresh is one rank's cold-start body: segmented read, distributed build,
-// run.
-func runFresh(c *mpi.Comm, path string, n int64, cfg core.Config) (*core.Result, error) {
-	chunk, err := gio.ReadSegment(path, c.Rank(), c.Size())
-	if err != nil {
-		return nil, err
-	}
-	dg, err := dgraph.Build(c, n, chunk, nil)
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(dg, cfg)
-}
 
 // runJob executes one admitted job under supervision and settles its
 // terminal state. It runs on its own goroutine; budget bookkeeping happens
@@ -37,12 +22,14 @@ func (s *Service) runJob(j *Job) {
 	}
 	cfg.CheckpointDir = j.ckptDir()
 	launcher := &supervisor.InprocLauncher{
-		Config: cfg,
-		Body: func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error) {
-			if resume {
-				return core.Resume(c, cfg.CheckpointDir, cfg)
+		Config:   cfg,
+		Vertices: j.vertices,
+		Build: func(c *mpi.Comm) (*dgraph.DistGraph, error) {
+			chunk, err := gio.ReadSegment(j.graphPath, c.Rank(), c.Size())
+			if err != nil {
+				return nil, err
 			}
-			return runFresh(c, j.graphPath, j.vertices, cfg)
+			return dgraph.Build(c, j.vertices, chunk, nil)
 		},
 	}
 
@@ -50,39 +37,36 @@ func (s *Service) runJob(j *Job) {
 	policy.MinRanks = j.Spec.MinRanks
 	policy.Seed = cfg.Seed
 	sopts := supervisor.Options{
-		Policy:        policy,
-		Hang:          s.opt.Hang,
-		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
+		Policy: policy,
+		Hang:   s.opt.Hang,
 		Logf: func(format string, args ...any) {
 			s.logf("job %s: "+format, append([]any{j.ID}, args...)...)
 		},
 		OnBeacon: func(b supervisor.Beacon) { s.onBeacon(j, b) },
-		OnRestart: func(restarts, ranks int, resume bool, cause error) {
+		OnRestart: func(restarts, ranks int, cause error) {
 			j.mu.Lock()
 			j.restarts = restarts
-			if resume {
-				j.resumed = true
-			}
 			j.mu.Unlock()
 			s.counters.restarts.Add(1)
 			j.events.publish(Event{Kind: "restart", Ranks: ranks, Restarts: restarts, Msg: fmt.Sprint(cause)})
 		},
 		// Degradation shrinks the world below the admitted size; the freed
 		// ranks go back to the shared budget so a queued job can take them.
-		OnAttempt: func(spec supervisor.LaunchSpec) { s.resizeJob(j, spec.Ranks) },
+		OnAttempt: func(spec supervisor.LaunchSpec) {
+			j.mu.Lock()
+			j.phaseSeen = false
+			j.mu.Unlock()
+			s.resizeJob(j, spec.Ranks)
+		},
 	}
 	sup := supervisor.New(launcher, sopts)
 
-	resume := supervisor.HasCheckpoint(cfg.CheckpointDir)
 	j.mu.Lock()
 	j.interrupt = sup.Interrupt
 	j.started = time.Now()
-	if resume {
-		j.resumed = true
-	}
 	j.mu.Unlock()
 
-	runErr := sup.Run(j.Spec.Ranks, resume)
+	runErr := sup.Run(j.Spec.Ranks)
 	j.mu.Lock()
 	j.interrupt = nil
 	j.mu.Unlock()
@@ -100,13 +84,18 @@ func (s *Service) runJob(j *Job) {
 
 // onBeacon turns rank 0's supervisor beacons into job progress events; other
 // ranks' beacons carry the same globally agreed milestones and would only
-// duplicate the stream.
+// duplicate the stream. An attempt whose first phase is not phase 0
+// continued a committed checkpoint: that marks the job resumed.
 func (s *Service) onBeacon(j *Job, b supervisor.Beacon) {
 	if b.Rank != 0 {
 		return
 	}
 	switch b.Kind {
 	case supervisor.KindPhaseStart:
+		j.mu.Lock()
+		j.resumed = j.resumed || !j.phaseSeen && b.Phase > 0
+		j.phaseSeen = true
+		j.mu.Unlock()
 		j.setProgress(b.Phase, 0, b.Modularity)
 		j.events.publish(Event{Kind: "phase-start", Phase: b.Phase, Modularity: b.Modularity})
 	case supervisor.KindIteration:

@@ -403,8 +403,10 @@ func (s *Service) checkpointDonor(j *Job) string {
 		cand.mu.Lock()
 		eligible := (cand.state == StateAborted || cand.state == StateFailed)
 		cand.mu.Unlock()
-		if eligible && (donor == nil || cand.Seq > donor.Seq) && supervisor.HasCheckpoint(cand.ckptDir()) {
-			donor = cand
+		if eligible && (donor == nil || cand.Seq > donor.Seq) {
+			if _, err := ckpt.ReadManifest(cand.ckptDir()); err == nil {
+				donor = cand
+			}
 		}
 	}
 	if donor == nil {
@@ -869,14 +871,9 @@ func (s *Service) recover() error {
 			j.events.publish(Event{Kind: "aborted", Msg: rec.Error})
 		default: // queued or running at crash time: re-enter the queue
 			j.state = StateQueued
-			resumable := supervisor.HasCheckpoint(j.ckptDir())
-			msg := "recovered after daemon restart"
-			if resumable {
-				msg += "; will resume from its committed checkpoint"
-			}
-			j.events.publish(Event{Kind: "queued", Msg: msg, Ranks: j.Spec.Ranks})
+			j.events.publish(Event{Kind: "queued", Msg: "recovered after daemon restart", Ranks: j.Spec.Ranks})
 			s.queue.push(j)
-			s.logf("recovery: job %s re-queued (resumable=%v)", j.ID, resumable)
+			s.logf("recovery: job %s re-queued", j.ID)
 		}
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j)

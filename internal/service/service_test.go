@@ -11,11 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"distlouvain/internal/ckpt"
 	"distlouvain/internal/core"
+	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/supervisor"
 )
 
 // writeGraph materializes a deterministic Erdős–Rényi graph for tests.
@@ -39,7 +40,16 @@ func refRun(t *testing.T, path string, n int64, cfg core.Config) *core.Result {
 		t.Fatalf("world: %v", err)
 	}
 	defer world.Close()
-	res, err := runFresh(mpi.NewComm(world.Endpoint(0)), path, n, cfg)
+	c := mpi.NewComm(world.Endpoint(0))
+	chunk, err := gio.ReadSegment(path, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := dgraph.Build(c, n, chunk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(dg, cfg)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -308,7 +318,7 @@ waitIter:
 	s.mu.Lock()
 	aborted := s.jobs[v1.ID]
 	s.mu.Unlock()
-	if !supervisor.HasCheckpoint(aborted.ckptDir()) {
+	if _, err := ckpt.ReadManifest(aborted.ckptDir()); err != nil {
 		t.Fatalf("abort left no committed checkpoint in %s", aborted.ckptDir())
 	}
 

@@ -14,10 +14,11 @@
 // one through a phi-style accrual detector (no live rank beaconed within a
 // window learned from the world's cadence), and a slow one keeps beaconing.
 // On a failure Retryable calls transient the supervisor kills the remaining
-// world, picks the latest committed checkpoint and relaunches via core.Resume
-// with jittered exponential backoff under a restart budget — degrading to a
-// smaller rank count (elastic resume) when the world repeatedly fails to come
-// back at its current size.
+// world and relaunches it with jittered exponential backoff under a restart
+// budget — degrading to a smaller rank count (elastic resume) when the world
+// repeatedly fails to come back at its current size. The relaunched ranks
+// decide for themselves (core.Start) whether a committed checkpoint is there
+// to continue; the supervisor never looks at the directory.
 package supervisor
 
 import (

@@ -27,33 +27,38 @@ import (
 )
 
 // chaosRig is one supervised in-process world of the real pipeline: its
-// launcher, the specs the supervisor launched, the latest attempt's rank
+// launcher, the attempts the supervisor launched, the latest attempt's rank
 // tracers (when traced) and a generation-scoped traffic registry.
 type chaosRig struct {
 	l   *supervisor.InprocLauncher
 	reg *obsv.Registry
 
-	mu      sync.Mutex
-	specs   []supervisor.LaunchSpec
-	tracers []*obsv.Tracer
+	mu       sync.Mutex
+	attempts []attempt
+	tracers  []*obsv.Tracer
 }
+
+// attempt is what the rig saw of one launch: its spec, and the phase rank 0
+// started it from (-1 before its first phase-start beacon). The ranks decide
+// whether to continue a checkpoint, so a first phase past 0 is how a
+// resumed attempt shows.
+type attempt struct {
+	supervisor.LaunchSpec
+	firstPhase int
+}
+
+func (a attempt) resumed() bool { return a.firstPhase > 0 }
 
 func newChaosRig(n int64, edges []graph.RawEdge, cfg core.Config, traced bool, inject supervisor.Inject) *chaosRig {
 	rig := &chaosRig{reg: obsv.NewRegistry(0)}
 	cfg.GatherOutput = true
 	rig.l = &supervisor.InprocLauncher{
-		Config: cfg,
-		Inject: inject,
-		Body: func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error) {
-			if resume {
-				return core.Resume(c, cfg.CheckpointDir, cfg)
-			}
+		Config:   cfg,
+		Inject:   inject,
+		Vertices: n,
+		Build: func(c *mpi.Comm) (*dgraph.DistGraph, error) {
 			lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), c.Size())
-			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
-			if err != nil {
-				return nil, err
-			}
-			return core.Run(dg, cfg)
+			return dgraph.Build(c, n, edges[lo:hi], nil)
 		},
 		Comm: func(spec supervisor.LaunchSpec, r int, ep mpi.Transport) *mpi.Comm {
 			c := mpi.NewComm(ep)
@@ -83,19 +88,28 @@ func newChaosRig(n int64, edges []graph.RawEdge, cfg core.Config, traced bool, i
 // of missed beacons; it stays comfortably above a loaded machine's
 // checkpoint-write stall, because a false-positive condemnation inserts a
 // spurious generation and breaks the per-generation assertions below.
-func (rig *chaosRig) options(t *testing.T, cfg core.Config) supervisor.Options {
+func (rig *chaosRig) options(t *testing.T) supervisor.Options {
 	return supervisor.Options{
-		Policy:        supervisor.Policy{MaxRestarts: 5, BaseBackoff: time.Millisecond, MinRanks: 1},
-		Hang:          60 * time.Millisecond,
-		HasCheckpoint: func() bool { return supervisor.HasCheckpoint(cfg.CheckpointDir) },
-		Logf:          t.Logf,
+		Policy: supervisor.Policy{MaxRestarts: 5, BaseBackoff: time.Millisecond, MinRanks: 1},
+		Hang:   60 * time.Millisecond,
+		Logf:   t.Logf,
 		OnAttempt: func(spec supervisor.LaunchSpec) {
 			rig.mu.Lock()
-			rig.specs = append(rig.specs, spec)
+			rig.attempts = append(rig.attempts, attempt{LaunchSpec: spec, firstPhase: -1})
+			rig.mu.Unlock()
+		},
+		OnBeacon: func(b supervisor.Beacon) {
+			if b.Rank != 0 || b.Kind != supervisor.KindPhaseStart {
+				return
+			}
+			rig.mu.Lock()
+			if a := &rig.attempts[len(rig.attempts)-1]; a.firstPhase < 0 {
+				a.firstPhase = b.Phase
+			}
 			rig.mu.Unlock()
 		},
 		// Each generation freezes its own traffic before the next begins.
-		OnRestart: func(int, int, bool, error) {
+		OnRestart: func(int, int, error) {
 			rig.reg.RecordGenerationCounters()
 			rig.reg.BeginGeneration()
 		},
@@ -103,11 +117,11 @@ func (rig *chaosRig) options(t *testing.T, cfg core.Config) supervisor.Options {
 }
 
 // run supervises the world from p ranks to completion and returns rank 0's
-// result of the attempt that completed, plus the specs the supervisor
+// result of the attempt that completed, plus the attempts the supervisor
 // launched.
-func (rig *chaosRig) run(t *testing.T, p int, opt supervisor.Options) (*core.Result, []supervisor.LaunchSpec) {
+func (rig *chaosRig) run(t *testing.T, p int, opt supervisor.Options) (*core.Result, []attempt) {
 	t.Helper()
-	if err := supervisor.New(rig.l, opt).Run(p, false); err != nil {
+	if err := supervisor.New(rig.l, opt).Run(p); err != nil {
 		t.Fatalf("supervised run failed: %v", err)
 	}
 	rig.reg.RecordGenerationCounters()
@@ -117,7 +131,7 @@ func (rig *chaosRig) run(t *testing.T, p int, opt supervisor.Options) (*core.Res
 	}
 	rig.mu.Lock()
 	defer rig.mu.Unlock()
-	return res, slices.Clone(rig.specs)
+	return res, slices.Clone(rig.attempts)
 }
 
 // rankTracer returns the most recent attempt's tracer for one rank.
@@ -149,10 +163,10 @@ func (rig *chaosRig) postMortem(rank int) []string {
 
 // superviseChaos runs an untraced supervised world with the given hook.
 func superviseChaos(t *testing.T, p int, cfg core.Config, n int64, edges []graph.RawEdge,
-	inject supervisor.Inject) (*core.Result, []supervisor.LaunchSpec) {
+	inject supervisor.Inject) (*core.Result, []attempt) {
 	t.Helper()
 	rig := newChaosRig(n, edges, cfg, false, inject)
-	return rig.run(t, p, rig.options(t, cfg))
+	return rig.run(t, p, rig.options(t))
 }
 
 // identicalOutcome asserts the supervised run retraced the undisturbed run
@@ -218,7 +232,7 @@ func TestChaosKillMidPhase(t *testing.T) {
 			if len(specs) != 2 {
 				t.Fatalf("attempts = %d, want 2", len(specs))
 			}
-			if !specs[1].Resume {
+			if !specs[1].resumed() {
 				t.Fatalf("relaunch after the phase-%d checkpoint must resume, not restart", tc.phase)
 			}
 		})
@@ -246,7 +260,7 @@ func TestChaosHangAtCollective(t *testing.T) {
 	if !hung.Load() {
 		t.Fatal("hang injection never fired")
 	}
-	if len(specs) != 2 || !specs[1].Resume {
+	if len(specs) != 2 || !specs[1].resumed() {
 		t.Fatalf("specs = %+v, want a single resuming relaunch", specs)
 	}
 }
@@ -269,7 +283,7 @@ func TestChaosFlapping(t *testing.T) {
 	if len(specs) != 3 {
 		t.Fatalf("attempts = %d, want 3 (kill, kill again, converge)", len(specs))
 	}
-	if !specs[1].Resume || !specs[2].Resume {
+	if !specs[1].resumed() || !specs[2].resumed() {
 		t.Fatalf("specs = %+v, want both relaunches to resume", specs)
 	}
 }
@@ -292,7 +306,7 @@ func TestChaosKillBeforeFirstCheckpoint(t *testing.T) {
 	if len(specs) != 2 {
 		t.Fatalf("attempts = %d, want 2", len(specs))
 	}
-	if specs[1].Resume {
+	if specs[1].resumed() {
 		t.Fatal("no checkpoint existed; the relaunch must restart from scratch")
 	}
 }
@@ -317,7 +331,7 @@ func TestChaosPostMortemNamesDeathSite(t *testing.T) {
 		}
 		return supervisor.FaultNone
 	})
-	opt := rig.options(t, cfg)
+	opt := rig.options(t)
 	var logMu sync.Mutex
 	var logs []string
 	opt.Logf = func(format string, args ...any) {
@@ -410,7 +424,7 @@ func TestChaosDegradedResume(t *testing.T) {
 	})
 	identicalOutcome(t, "degraded resume", got, want)
 	last := specs[len(specs)-1]
-	if last.Ranks != 2 || !last.Resume {
+	if last.Ranks != 2 || !last.resumed() {
 		t.Fatalf("final spec = %+v, want an elastic resume at 2 ranks", last)
 	}
 }

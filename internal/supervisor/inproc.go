@@ -7,8 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"distlouvain/internal/ckpt"
 	"distlouvain/internal/core"
+	"distlouvain/internal/dgraph"
 	"distlouvain/internal/mpi"
 )
 
@@ -22,9 +22,11 @@ type InprocLauncher struct {
 	// per-rank Progress (beacons) and Interrupted hooks, and the Tracer of
 	// the rank's communicator.
 	Config core.Config
-	// Body runs one rank of an attempt to completion: a cold start, or a
-	// continuation from Config.CheckpointDir when resume is set.
-	Body func(c *mpi.Comm, cfg core.Config, resume bool) (*core.Result, error)
+	// Every rank starts through core.Start on the Vertices-vertex input:
+	// it continues Config.CheckpointDir's committed checkpoint if there is
+	// one, and otherwise builds its share of the input with Build.
+	Vertices int64
+	Build    func(c *mpi.Comm) (*dgraph.DistGraph, error)
 	// Comm, when set, builds rank r's communicator over its endpoint of the
 	// attempt's world (its FaultTransport when Inject is set) — the place to
 	// pass communicator options and to attach a tracer or counters. It is
@@ -128,7 +130,7 @@ func (l *InprocLauncher) run(a *worldAttempt, spec LaunchSpec, comms []*mpi.Comm
 			cfg.Progress = CoreProgressTraced(r, cfg.Tracer, sinks[r])
 			cfg.Interrupted = a.interrupt.Load
 			sinks[r](Beacon{Rank: r, Kind: KindHello})
-			res, err := l.Body(c, cfg, spec.Resume)
+			res, err := core.Start(c, l.Vertices, cfg, l.Build)
 			if err != nil {
 				errs[r] = err
 				a.close()
@@ -198,13 +200,4 @@ func pickWorldError(errs []error) error {
 		return retry
 	}
 	return collateral
-}
-
-// HasCheckpoint reports whether dir holds a committed checkpoint manifest.
-func HasCheckpoint(dir string) bool {
-	if dir == "" {
-		return false
-	}
-	_, err := ckpt.ReadManifest(dir)
-	return err == nil
 }

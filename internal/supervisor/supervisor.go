@@ -9,8 +9,7 @@ import (
 
 // LaunchSpec describes one attempt the supervisor asks a Launcher to start.
 type LaunchSpec struct {
-	Ranks  int  // world size of this attempt (may shrink across attempts)
-	Resume bool // continue from the latest committed checkpoint
+	Ranks int // world size of this attempt (may shrink across attempts)
 	// Attempt counts attempts from 0. Launchers hand it to their Inject
 	// hook, so a fault can be scoped to the first attempt.
 	Attempt int
@@ -68,10 +67,6 @@ type Options struct {
 	// Hang/20, at least every millisecond. ≤0 selects 5s: a 5s floor, a 2m
 	// cap, a 250ms poll.
 	Hang time.Duration
-	// HasCheckpoint reports whether a committed checkpoint exists; it
-	// decides whether a relaunch resumes or restarts from scratch. nil
-	// means restart from scratch.
-	HasCheckpoint func() bool
 	// Logf receives supervision progress lines; nil discards them.
 	Logf func(format string, args ...any)
 	// OnBeacon observes every beacon after the detector has (verbose
@@ -83,10 +78,11 @@ type Options struct {
 	// tracers wire this up; nil disables.
 	PostMortem func(rank int) []string
 	// OnRestart observes every relaunch decision before its backoff sleep:
-	// restarts consumed so far, the next attempt's rank count, whether it
-	// will resume from a checkpoint, and the failure that caused it. nil
-	// disables. Metrics registries use it to mark generation boundaries.
-	OnRestart func(restarts, ranks int, resume bool, cause error)
+	// restarts consumed so far, the next attempt's rank count, and the
+	// failure that caused it (whether it resumes is its ranks' decision,
+	// core.Start). nil disables. Metrics registries use it to mark
+	// generation boundaries.
+	OnRestart func(restarts, ranks int, cause error)
 	// OnAttempt observes every attempt right before its launch, including
 	// the first. Schedulers that admit supervised worlds against a shared
 	// rank budget use it to track the ACTUAL world size of each attempt —
@@ -214,18 +210,17 @@ func (s *Supervisor) logf(format string, args ...any) {
 	}
 }
 
-// Run supervises the world to completion, starting at `ranks` ranks, with
-// the first attempt resuming iff resume is set. It returns nil once an
+// Run supervises the world to completion, starting at `ranks` ranks. It returns nil once an
 // attempt completes, the attempt's error when it is fatal or an interrupt
 // stopped the run, an *ExhaustedError when the restart budget runs out, or
 // a *MinRanksError when degradation hits the rank floor.
-func (s *Supervisor) Run(ranks int, resume bool) error {
+func (s *Supervisor) Run(ranks int) error {
 	pol := s.opt.Policy
 	restarts := 0 // total relaunches consumed (budget)
 	consec := 0   // consecutive failures at the current rank count
 	for {
 		s.det.Reset()
-		spec := LaunchSpec{Ranks: ranks, Resume: resume, Attempt: restarts + 0}
+		spec := LaunchSpec{Ranks: ranks, Attempt: restarts}
 		s.mu.Lock()
 		s.gen++
 		gen := s.gen
@@ -237,7 +232,7 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 			// hung once the bootstrap window expires.
 			s.det.Observe(r, now)
 		}
-		s.logf("supervisor: attempt %d: launching %d ranks (resume=%v)", spec.Attempt, ranks, resume)
+		s.logf("supervisor: attempt %d: launching %d ranks", spec.Attempt, ranks)
 		if s.opt.OnAttempt != nil {
 			s.opt.OnAttempt(spec)
 		}
@@ -290,9 +285,8 @@ func (s *Supervisor) Run(ranks int, resume bool) error {
 		}
 		d := pol.Backoff(consec + 1)
 		s.logf("supervisor: restart %d/%d in %v (cause: %v)", restarts, pol.MaxRestarts, d.Round(time.Millisecond), aerr)
-		resume = s.opt.HasCheckpoint != nil && s.opt.HasCheckpoint()
 		if s.opt.OnRestart != nil {
-			s.opt.OnRestart(restarts, ranks, resume, aerr)
+			s.opt.OnRestart(restarts, ranks, aerr)
 		}
 		time.Sleep(d)
 	}

@@ -93,31 +93,26 @@ func fastOptions() Options {
 
 func TestSupervisorFirstAttemptSucceeds(t *testing.T) {
 	l := &fakeLauncher{attempts: []*fakeAttempt{{}}}
-	if err := New(l, fastOptions()).Run(4, false); err != nil {
+	if err := New(l, fastOptions()).Run(4); err != nil {
 		t.Fatal(err)
 	}
 	specs := l.launched()
-	if len(specs) != 1 || specs[0].Ranks != 4 || specs[0].Resume || specs[0].Attempt != 0 {
+	if len(specs) != 1 || specs[0].Ranks != 4 || specs[0].Attempt != 0 {
 		t.Fatalf("specs = %+v", specs)
 	}
 }
 
+// A retryable failure relaunches the world at its size. Whether the relaunch
+// resumes is its ranks' decision (core.Start); the chaos suite checks that.
 func TestSupervisorRetriesThenResumes(t *testing.T) {
 	l := &fakeLauncher{attempts: []*fakeAttempt{{err: errTransient}, {}}}
 	opt := fastOptions()
-	opt.HasCheckpoint = func() bool { return true }
-	if err := New(l, opt).Run(4, false); err != nil {
+	if err := New(l, opt).Run(4); err != nil {
 		t.Fatal(err)
 	}
 	specs := l.launched()
 	if len(specs) != 2 {
 		t.Fatalf("launches = %d, want 2", len(specs))
-	}
-	if specs[0].Resume {
-		t.Fatal("first attempt should not resume")
-	}
-	if !specs[1].Resume {
-		t.Fatal("relaunch after failure must resume from the checkpoint")
 	}
 	if specs[1].Ranks != 4 {
 		t.Fatalf("one failure must not degrade: ranks = %d", specs[1].Ranks)
@@ -130,7 +125,7 @@ func TestSupervisorRetriesThenResumes(t *testing.T) {
 func TestSupervisorFatalErrorStops(t *testing.T) {
 	bug := errors.New("deterministic bug")
 	l := &fakeLauncher{attempts: []*fakeAttempt{{err: bug}}}
-	err := New(l, fastOptions()).Run(4, false)
+	err := New(l, fastOptions()).Run(4)
 	if !errors.Is(err, bug) {
 		t.Fatalf("err = %v, want the fatal cause", err)
 	}
@@ -145,7 +140,7 @@ func TestSupervisorBudgetExhaustion(t *testing.T) {
 	l := &fakeLauncher{attempts: []*fakeAttempt{
 		{err: errTransient}, {err: errTransient}, {err: errTransient}, {err: errTransient},
 	}}
-	err := New(l, fastOptions()).Run(4, false)
+	err := New(l, fastOptions()).Run(4)
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *ExhaustedError", err)
@@ -171,7 +166,7 @@ func TestSupervisorDegradesThenHitsFloor(t *testing.T) {
 	opt := fastOptions()
 	opt.Policy.MaxRestarts = 100
 	opt.Policy.MinRanks = 3
-	err := New(l, opt).Run(4, false)
+	err := New(l, opt).Run(4)
 	var mr *MinRanksError
 	if !errors.As(err, &mr) {
 		t.Fatalf("err = %v, want *MinRanksError", err)
@@ -197,7 +192,7 @@ func TestSupervisorKillsHungWorldAndRetries(t *testing.T) {
 	// Tiny bootstrap window (24ms): the hung attempt never beacons, so the
 	// seed observations age out and the detector finds the world hung.
 	opt.Hang = time.Millisecond
-	if err := New(l, opt).Run(2, false); err != nil {
+	if err := New(l, opt).Run(2); err != nil {
 		t.Fatal(err)
 	}
 	if !hung.killed.Load() {
@@ -220,7 +215,7 @@ func TestSupervisorBeaconsKeepSlowWorldAlive(t *testing.T) {
 	sup := New(l, opt)
 
 	done := make(chan error, 1)
-	go func() { done <- sup.Run(1, false) }()
+	go func() { done <- sup.Run(1) }()
 	// Beacon steadily for 10 bootstrap windows, then finish cleanly.
 	for i := 0; i < 60; i++ {
 		time.Sleep(5 * time.Millisecond)
@@ -255,7 +250,7 @@ func TestSupervisorLostBeaconsKeepWorldAlive(t *testing.T) {
 	sup := New(l, opt)
 
 	done := make(chan error, 1)
-	go func() { done <- sup.Run(3, false) }()
+	go func() { done <- sup.Run(3) }()
 	for i := 0; i < 60; i++ {
 		time.Sleep(5 * time.Millisecond)
 		l.mu.Lock()
@@ -292,7 +287,7 @@ func TestSupervisorSlowStartKeepsWorldAlive(t *testing.T) {
 	sup := New(l, opt)
 
 	done := make(chan error, 1)
-	go func() { done <- sup.Run(3, false) }()
+	go func() { done <- sup.Run(3) }()
 	beacon := func(kind Kind, i int) {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -327,11 +322,10 @@ func TestSupervisorInterruptStopsRestarting(t *testing.T) {
 	att := &fakeAttempt{release: make(chan struct{}), err: errTransient}
 	l := &fakeLauncher{attempts: []*fakeAttempt{att}}
 	opt := fastOptions()
-	opt.HasCheckpoint = func() bool { return true }
 	sup := New(l, opt)
 
 	done := make(chan error, 1)
-	go func() { done <- sup.Run(2, false) }()
+	go func() { done <- sup.Run(2) }()
 	for {
 		l.mu.Lock()
 		n := len(l.specs)
@@ -360,11 +354,10 @@ func TestSupervisorAbortKillsAndStopsRestarting(t *testing.T) {
 	att := &fakeAttempt{release: make(chan struct{}), killErr: errTransient}
 	l := &fakeLauncher{attempts: []*fakeAttempt{att}}
 	opt := fastOptions()
-	opt.HasCheckpoint = func() bool { return true }
 	sup := New(l, opt)
 
 	done := make(chan error, 1)
-	go func() { done <- sup.Run(2, false) }()
+	go func() { done <- sup.Run(2) }()
 	for {
 		l.mu.Lock()
 		n := len(l.specs)
@@ -400,7 +393,7 @@ func TestSupervisorAbortBeforeLaunchKillsOnArrival(t *testing.T) {
 	sup := New(l, fastOptions())
 
 	done := make(chan error, 1)
-	go func() { done <- sup.Run(2, false) }()
+	go func() { done <- sup.Run(2) }()
 	<-launchStarted
 	sup.Abort() // current attempt is still nil; only the flag is set
 	close(launchGate)
@@ -430,7 +423,6 @@ func (l *gatedLauncher) Launch(spec LaunchSpec, beacons func(Beacon)) (Attempt, 
 func TestSupervisorOnAttemptObservesEveryLaunch(t *testing.T) {
 	l := &fakeLauncher{attempts: []*fakeAttempt{{err: errTransient}, {err: errTransient}, {}}}
 	opt := fastOptions()
-	opt.HasCheckpoint = func() bool { return true }
 	var mu sync.Mutex
 	var seen []LaunchSpec
 	opt.OnAttempt = func(spec LaunchSpec) {
@@ -438,7 +430,7 @@ func TestSupervisorOnAttemptObservesEveryLaunch(t *testing.T) {
 		seen = append(seen, spec)
 		mu.Unlock()
 	}
-	if err := New(l, opt).Run(3, false); err != nil {
+	if err := New(l, opt).Run(3); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -451,7 +443,7 @@ func TestSupervisorOnAttemptObservesEveryLaunch(t *testing.T) {
 	}
 	// Two consecutive failures at 3 ranks degrade the third attempt — the
 	// budget observer must see the shrunken world.
-	if seen[2].Ranks != 2 || !seen[2].Resume {
+	if seen[2].Ranks != 2 {
 		t.Fatalf("degraded attempt not observed: %+v", seen[2])
 	}
 }
