@@ -162,8 +162,9 @@ bench-quick:
 # sort-based oracle), the coordinator's session lines (bounded, and unable
 # to change a job's membership or spawns) and the supervisor's hang detector
 # (random worlds with dropped beacons and a frozen rank, vs the world rule),
-# the daemon's job JSON (a 4xx or a spec inside every bound) and whole runs
-# on drawn graphs (core's property suite, in-process ranks only).
+# the daemon's job JSON (a 4xx or a spec inside every bound), whole runs
+# on drawn graphs (core's property suite, in-process ranks only) and the
+# result certificate (typed errors, and Q bits unchanged by renamed labels).
 # FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`, so this
 # list is the only one.
 FUZZTIME ?= 30s
@@ -188,6 +189,7 @@ fuzz:
 	$(GO) test ./internal/supervisor -fuzz FuzzDetector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzRunProperties -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/seq -fuzz FuzzCertify -fuzztime $(FUZZTIME)
 
 # Regenerate every table and figure of the paper (text to stdout).
 experiments:

@@ -79,6 +79,7 @@ import (
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/quality"
+	"distlouvain/internal/seq"
 	"distlouvain/internal/supervisor"
 )
 
@@ -357,14 +358,20 @@ func runTCP(path string, hdr gio.Header, world mpi.CoordWorldConfig, cfg core.Co
 	}
 	recordRunMetrics(reg, res)
 	if rank == 0 {
-		report(res, hdr, cfg, world.Size, outPath, truthPath, verbose)
+		report(res, path, hdr, cfg, world.Size, outPath, truthPath, verbose)
 		oopts.printReport(tr)
 	}
 }
 
 // report prints rank 0's result on stdout, and with verbose the per-phase
-// block on stderr first.
-func report(res *core.Result, hdr gio.Header, cfg core.Config, np int, outPath, truthPath string, verbose bool) {
+// block on stderr first. It certifies the gathered labels against the input
+// at path first: a result they do not certify to exits 1 — a rerun would
+// reproduce it — and writes no -o file.
+func report(res *core.Result, path string, hdr gio.Header, cfg core.Config, np int, outPath, truthPath string, verbose bool) {
+	cert, err := seq.Check(hdr.Vertices, gio.Stream(path), res.GlobalComm, res.Modularity, res.Communities)
+	if err != nil {
+		fatalf("certificate: %v", err)
+	}
 	if verbose {
 		kept := math.Inf(-1)
 		for i, ph := range res.Phases {
@@ -394,6 +401,7 @@ func report(res *core.Result, hdr gio.Header, cfg core.Config, np int, outPath, 
 	fmt.Printf("graph: %d vertices, %d edges\n", hdr.Vertices, hdr.Edges)
 	fmt.Printf("communities=%d modularity=%.6f phases=%d iterations=%d time=%.3fs\n",
 		res.Communities, res.Modularity, len(res.Phases), res.TotalIterations, res.Runtime.Seconds())
+	fmt.Printf("certified: Q=%.6f exact=%v disconnected=%d\n", cert.Q, cert.Exact, cert.Disconnected)
 	fmt.Printf("time split: ghost=%.3fs community=%.3fs compute=%.3fs allreduce=%.3fs rebuild=%.3fs\n",
 		res.Steps.GhostComm.Seconds(), res.Steps.CommunityComm.Seconds(),
 		res.Steps.Compute.Seconds(), res.Steps.Allreduce.Seconds(), res.Steps.Rebuild.Seconds())

@@ -4,9 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"distlouvain/internal/core"
+	"distlouvain/internal/gen"
+	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
+	"distlouvain/internal/seq"
 )
 
 func TestExitCodeFor(t *testing.T) {
@@ -60,5 +67,68 @@ func TestBuildConfig(t *testing.T) {
 		if got := cfg.VariantName(); got != c.want {
 			t.Fatalf("%s: VariantName = %q, want %q", c.variant, got, c.want)
 		}
+	}
+}
+
+// TestReportRefusesUncertified: report certifies the gathered labels before it
+// prints or writes anything. With one label moved after the run, the process
+// exits 1 naming the reported and the certified Q, and writes no -o file; the
+// untouched result certifies. The moved-label report runs in a child copy of
+// this test binary, so that its exit is the real one.
+func TestReportRefusesUncertified(t *testing.T) {
+	dir := os.Getenv("DLOUVAIN_REPORT_CHILD")
+	child := dir != ""
+	if !child {
+		dir = t.TempDir()
+	}
+	path, outPath := filepath.Join(dir, "g.bin"), filepath.Join(dir, "labels.out")
+	n, edges, _ := gen.PlantedPartition(4, 20, 0.5, 0.05, 3)
+	if !child {
+		if err := gio.WriteBinary(path, n, edges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hdr, err := gio.ReadHeader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunOnEdges(2, n, edges, core.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seq.Check(hdr.Vertices, gio.Stream(path), res.GlobalComm, res.Modularity, res.Communities); err != nil {
+		t.Fatalf("the run's own result: %v", err)
+	}
+	// Move vertex 0 into vertex 1's community, or the other way: both stay
+	// in use, so only Q can tell.
+	reported := res.Modularity
+	if res.GlobalComm[0] == res.GlobalComm[1] {
+		res.GlobalComm[0] = (res.GlobalComm[1] + 1) % res.Communities
+	} else {
+		res.GlobalComm[0] = res.GlobalComm[1]
+	}
+	if child {
+		report(res, path, hdr, core.Baseline(), 2, outPath, "", false)
+		os.Exit(0) // report exits 1 on its own
+	}
+	cert, err := seq.Check(hdr.Vertices, gio.Stream(path), res.GlobalComm, res.Modularity, res.Communities)
+	if !errors.Is(err, seq.ErrMismatch) {
+		t.Fatalf("moved label: %v, want seq.ErrMismatch", err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestReportRefusesUncertified$")
+	cmd.Env = append(os.Environ(), "DLOUVAIN_REPORT_CHILD="+dir)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("report of a moved label: %v, want exit status 1\n%s", err, out)
+	}
+	for _, q := range []float64{reported, cert.Q} {
+		if s := fmt.Sprintf("%.17g", q); !strings.Contains(string(out), s) {
+			t.Errorf("output does not name Q %s:\n%s", s, out)
+		}
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Errorf("-o file written for an uncertified result (%v)", err)
 	}
 }

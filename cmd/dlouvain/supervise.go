@@ -281,7 +281,7 @@ func runInprocWorld(path string, hdr gio.Header, np int, cfg core.Config, superv
 	}
 	res, ranks := launcher.Result()
 	recordRunMetrics(reg, res)
-	report(res, hdr, cfg, ranks, outPath, truthPath, opts.verbose)
+	report(res, path, hdr, cfg, ranks, outPath, truthPath, opts.verbose)
 	if trs := l.rankTracers(); len(trs) > 0 {
 		oopts.printReport(trs[0])
 	}

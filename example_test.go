@@ -53,10 +53,13 @@ func ExampleCompareToGroundTruth() {
 	// precision=1.0 recall=1.0 f=1.0
 }
 
-func ExampleModularity() {
+func ExampleCertify() {
 	n, edges := twoTriangles()
-	q := distlouvain.Modularity(n, edges, []int64{0, 0, 0, 1, 1, 1})
-	fmt.Printf("%.3f\n", q)
+	cert, err := distlouvain.Certify(n, edges, []int64{0, 0, 0, 1, 1, 1})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("Q=%.3f exact=%v communities=%d disconnected=%d\n", cert.Q, cert.Exact, cert.Communities, cert.Disconnected)
 	// Output:
-	// 0.484
+	// Q=0.484 exact=false communities=2 disconnected=0
 }

@@ -38,7 +38,11 @@ func main() {
 		fmt.Printf("  vertex %d -> community %d\n", v, c)
 	}
 
-	// The reported modularity always matches an independent recomputation.
-	check := distlouvain.Modularity(8, edges, res.Communities)
-	fmt.Printf("independent modularity check: %.4f\n", check)
+	// The labels certify to the reported modularity: on integer weights,
+	// bit for bit.
+	cert, err := distlouvain.Check(8, edges, res)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("certified: Q %.4f, exact %v, %d disconnected communities\n", cert.Q, cert.Exact, cert.Disconnected)
 }

@@ -1,8 +1,7 @@
 // Package chaosnet provides a real-socket chaos proxy for the mpi TCP
 // transport: a frame-aware TCP man-in-the-middle that sits in front of one
-// rank's mesh listener and injects network faults — drop, delay, duplicate,
-// asymmetric partition, abrupt kill, slow link — at message-frame
-// granularity.
+// rank's mesh listener and injects network faults — asymmetric partitions
+// and slow links — at message-frame granularity.
 //
 // Frame awareness is what separates this from a byte-level toxiproxy: the
 // proxy speaks the mpi wire protocol ([rank int32][fence uint64] handshake
@@ -60,15 +59,11 @@ const (
 	hsTimeout       = 10 * time.Second
 )
 
-// rule is the fault state of one (peer, direction) link half. Counters are
-// consumed per frame, so every injection is deterministic — no probabilities.
+// rule is the fault state of one (peer, direction) link half: deterministic,
+// no probabilities.
 type rule struct {
-	block  bool // partition: discard frames while set
-	drop   int  // discard the next N frames
-	dup    int  // deliver the next N frames twice
-	delayN int  // delay the next N frames by delay
-	delay  time.Duration
-	bps    int // slow link: pace frames at this many bytes/second
+	block bool // partition: discard frames while set
+	bps   int  // slow link: pace frames at this many bytes/second
 }
 
 type linkKey struct {
@@ -145,34 +140,6 @@ func (p *Proxy) Partition(peer int, dir Direction, on bool) {
 	p.logf("chaosnet: partition peer=%d dir=%s on=%v", peer, dir, on)
 }
 
-// Drop discards the next n frames on the link half.
-func (p *Proxy) Drop(peer int, dir Direction, n int) {
-	p.mu.Lock()
-	p.rule(peer, dir).drop += n
-	p.mu.Unlock()
-	p.logf("chaosnet: drop peer=%d dir=%s n=%d", peer, dir, n)
-}
-
-// Dup delivers the next n frames on the link half twice.
-func (p *Proxy) Dup(peer int, dir Direction, n int) {
-	p.mu.Lock()
-	p.rule(peer, dir).dup += n
-	p.mu.Unlock()
-	p.logf("chaosnet: dup peer=%d dir=%s n=%d", peer, dir, n)
-}
-
-// Delay holds each of the next n frames on the link half for d before
-// forwarding. Delivery order is preserved (later frames queue behind the
-// held one, as they would behind a congested router).
-func (p *Proxy) Delay(peer int, dir Direction, d time.Duration, n int) {
-	p.mu.Lock()
-	r := p.rule(peer, dir)
-	r.delay = d
-	r.delayN += n
-	p.mu.Unlock()
-	p.logf("chaosnet: delay peer=%d dir=%s d=%v n=%d", peer, dir, d, n)
-}
-
 // SlowLink paces the link half at bytesPerSec (zero clears): each frame is
 // held for len/rate before forwarding, modelling a thin WAN pipe.
 func (p *Proxy) SlowLink(peer int, dir Direction, bytesPerSec int) {
@@ -180,23 +147,6 @@ func (p *Proxy) SlowLink(peer int, dir Direction, bytesPerSec int) {
 	p.rule(peer, dir).bps = bytesPerSec
 	p.mu.Unlock()
 	p.logf("chaosnet: slow-link peer=%d dir=%s bps=%d", peer, dir, bytesPerSec)
-}
-
-// Kill abruptly closes every connection through the proxy — no goodbye
-// frames, no FIN ordering guarantees — so peers observe the proxied rank as
-// crashed (ErrPeerLost). The listener keeps accepting: a relaunched world
-// can rendezvous through the same proxy address.
-func (p *Proxy) Kill() {
-	p.mu.Lock()
-	for c := range p.conns {
-		if tc, ok := c.(*net.TCPConn); ok {
-			tc.SetLinger(0) // RST, not graceful FIN: crash semantics
-		}
-		c.Close()
-	}
-	p.conns = make(map[net.Conn]struct{})
-	p.mu.Unlock()
-	p.logf("chaosnet: killed all connections")
 }
 
 // Close shuts the proxy down, severing every connection.
@@ -316,39 +266,25 @@ func (p *Proxy) handleConn(dialer net.Conn) {
 		p.pump(backend, dialer, peer, DirOut)
 		done <- struct{}{}
 	}()
-	// Either pump ending (EOF, reset, Kill) tears the whole link down, so a
+	// Either pump ending (EOF, reset, Close) tears the whole link down, so a
 	// half-dead connection cannot linger as a phantom peer.
 	<-done
 }
 
-// decide consumes fault state for one frame and returns what to do with it.
-func (p *Proxy) decide(peer int, dir Direction, frameLen int) (drop bool, wait time.Duration, dup bool) {
+// decide returns what to do with one frame: drop it (a partition), or hold
+// it for wait before forwarding (a slow link).
+func (p *Proxy) decide(peer int, dir Direction, frameLen int) (drop bool, wait time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r := p.rules[linkKey{peer, dir}]
 	any := p.rules[linkKey{AnyPeer, dir}]
 	if (r != nil && r.block) || (any != nil && any.block) {
-		return true, 0, false
+		return true, 0
 	}
-	if r == nil {
-		return false, 0, false
+	if r != nil && r.bps > 0 {
+		wait = time.Duration(float64(frameLen) / float64(r.bps) * float64(time.Second))
 	}
-	if r.drop > 0 {
-		r.drop--
-		return true, 0, false
-	}
-	if r.delayN > 0 {
-		r.delayN--
-		wait += r.delay
-	}
-	if r.bps > 0 {
-		wait += time.Duration(float64(frameLen) / float64(r.bps) * float64(time.Second))
-	}
-	if r.dup > 0 {
-		r.dup--
-		dup = true
-	}
-	return false, wait, dup
+	return false, wait
 }
 
 // pump forwards whole frames src → dst, applying the link's fault rules.
@@ -370,7 +306,7 @@ func (p *Proxy) pump(src, dst net.Conn, peer int, dir Direction) {
 				return
 			}
 		}
-		drop, wait, dup := p.decide(peer, dir, len(frame))
+		drop, wait := p.decide(peer, dir, len(frame))
 		if drop {
 			p.logf("chaosnet: dropped frame peer=%d dir=%s tag=%d len=%d", peer, dir, int32(binary.LittleEndian.Uint32(hdr[:4])), n)
 			continue
@@ -380,11 +316,6 @@ func (p *Proxy) pump(src, dst net.Conn, peer int, dir Direction) {
 		}
 		if _, err := dst.Write(frame); err != nil {
 			return
-		}
-		if dup {
-			if _, err := dst.Write(frame); err != nil {
-				return
-			}
 		}
 	}
 }

@@ -126,46 +126,6 @@ func TestAsymmetricPartitionAndHeal(t *testing.T) {
 	}
 }
 
-func TestDropDelayDupCounters(t *testing.T) {
-	tp0, tp1, px := proxiedPair(t, 0)
-
-	// Drop exactly one frame: the first send vanishes, the second arrives.
-	px.Drop(1, DirIn, 1)
-	tp1.Send(0, 1, []byte("a"))
-	tp1.Send(0, 1, []byte("b"))
-	msg, err := tp0.Recv(1, 1)
-	if err != nil || string(msg.Data) != "b" {
-		t.Fatalf("after drop: %v %q, want \"b\"", err, msg.Data)
-	}
-
-	// Delay one frame: it arrives intact but late, and a frame behind it
-	// queues in order rather than overtaking.
-	px.Delay(1, DirIn, 250*time.Millisecond, 1)
-	start := time.Now()
-	tp1.Send(0, 2, []byte("slow"))
-	tp1.Send(0, 2, []byte("after"))
-	msg, err = tp0.Recv(1, 2)
-	if err != nil || string(msg.Data) != "slow" {
-		t.Fatalf("delayed frame: %v %q", err, msg.Data)
-	}
-	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
-		t.Fatalf("delayed frame arrived after only %v", elapsed)
-	}
-	if msg, err = tp0.Recv(1, 2); err != nil || string(msg.Data) != "after" {
-		t.Fatalf("frame ordering across delay: %v %q", err, msg.Data)
-	}
-
-	// Duplicate one frame: the receiver sees it twice (network duplication
-	// happens below the transport's exactly-once assumption).
-	px.Dup(1, DirIn, 1)
-	tp1.Send(0, 3, []byte("twin"))
-	for i := 0; i < 2; i++ {
-		if msg, err := tp0.Recv(1, 3); err != nil || string(msg.Data) != "twin" {
-			t.Fatalf("dup copy %d: %v %q", i, err, msg.Data)
-		}
-	}
-}
-
 func TestSlowLinkPacesFrames(t *testing.T) {
 	tp0, tp1, px := proxiedPair(t, 0)
 	// 10 KiB/s: a ~2 KiB frame should take ~200ms.
@@ -187,26 +147,5 @@ func TestSlowLinkPacesFrames(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("clearing slow link left pacing in place (%v)", elapsed)
-	}
-}
-
-func TestKillLooksLikeCrash(t *testing.T) {
-	tp0, tp1, px := proxiedPair(t, 0)
-	// Confirm the link is live, then kill it mid-flight.
-	tp1.Send(0, 1, []byte("pre"))
-	if _, err := tp0.Recv(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	px.Kill()
-	// Both sides must observe a peer loss — no goodbye, crash semantics —
-	// rather than blocking forever.
-	_, err := tp0.RecvTimeout(1, 2, 5*time.Second)
-	var lost *mpi.ErrPeerLost
-	if !errors.As(err, &lost) || lost.Peer != 1 {
-		t.Fatalf("rank 0 after kill: %v, want ErrPeerLost{Peer:1}", err)
-	}
-	_, err = tp1.RecvTimeout(0, 2, 5*time.Second)
-	if !errors.As(err, &lost) || lost.Peer != 0 {
-		t.Fatalf("rank 1 after kill: %v, want ErrPeerLost{Peer:0}", err)
 	}
 }

@@ -56,23 +56,6 @@ func TestDistributedTwoCliques(t *testing.T) {
 	}
 }
 
-func TestDistributedModularityExact(t *testing.T) {
-	// The reported modularity must match the serial recomputation of the
-	// returned assignment, for every rank count and variant.
-	n, edges, _ := gen.PlantedPartition(6, 20, 0.5, 0.01, 41)
-	g := gen.Build(n, edges)
-	for _, p := range []int{1, 2, 4} {
-		for _, cfg := range []Config{Baseline(), ThresholdCycling(), ET(0.25), ETC(0.75)} {
-			label := fmt.Sprintf("p=%d %s", p, cfg.VariantName())
-			res, err := RunOnEdges(p, n, edges, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			checkResult(t, label, g, res)
-		}
-	}
-}
-
 func TestDistributedMatchesSerialQuality(t *testing.T) {
 	n, edges, _ := gen.PlantedPartition(8, 25, 0.4, 0.005, 77)
 	g := gen.Build(n, edges)
@@ -103,15 +86,6 @@ func TestDistributedSingleRankNearSerial(t *testing.T) {
 	if math.Abs(res.Modularity-serial.Modularity) > 0.05 {
 		t.Fatalf("1-rank Q=%.4f vs serial %.4f", res.Modularity, serial.Modularity)
 	}
-}
-
-func TestDistributedLabelsDense(t *testing.T) {
-	n, edges, _ := gen.PlantedPartition(5, 16, 0.5, 0.02, 9)
-	res, err := RunOnEdges(3, n, edges, Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, "p=3", gen.Build(n, edges), res)
 }
 
 func TestDistributedEmptyRanks(t *testing.T) {

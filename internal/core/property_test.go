@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -197,38 +196,29 @@ func checkSums(t *testing.T, label string, d propDraw, m2 float64, sums [][]fetc
 	}
 }
 
-// checkResult is properties 1 and 6 on one result. The labels are the dense
-// renumbering of the last kept phase's communities, and the reported Q is
-// computed from the final coarse graph, whose self loops and degrees are those
-// communities' E_c and A_c, so it must be the Q of the labels (to 10⁻⁹: the
-// two sums associate differently). A phase that ends below the kept one is
+// checkResult is properties 1 and 6 on one result, and returns the labels'
+// certificate. The labels are the dense renumbering of the last kept phase's
+// communities, and the reported Q is computed from the final coarse graph,
+// whose self loops and degrees are those communities' E_c and A_c, so it is
+// the Q of the labels: bit for bit when the certificate is exact (integer
+// weights: every sum is an exact integer, whatever its order), to 10⁻⁹
+// otherwise (seq.Check). A phase that ends below the kept one is
 // discarded, so no recorded phase — kept or discarded — ends above the
 // reported Q (to 10⁻¹², Q ∈ [−½, 1]: a phase's Q and the final one are the
 // same quantity summed in different orders). That is the precise form of "kept
 // phases never lose": a discarded phase stays listed with its lower Q.
-func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) {
+func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) seq.Certificate {
 	t.Helper()
-	if int64(len(res.GlobalComm)) != g.N {
-		t.Fatalf("%s: %d labels for %d vertices", label, len(res.GlobalComm), g.N)
-	}
-	used := make([]bool, max(res.Communities, 0))
-	for v, c := range res.GlobalComm {
-		if c < 0 || c >= res.Communities {
-			t.Fatalf("%s: vertex %d has label %d outside [0, %d)", label, v, c, res.Communities)
-		}
-		used[c] = true
-	}
-	if c := slices.Index(used, false); c >= 0 {
-		t.Fatalf("%s: no vertex has label %d of %d", label, c, res.Communities)
-	}
-	if exact := seq.Modularity(g, res.GlobalComm); math.Abs(exact-res.Modularity) > 1e-9 {
-		t.Fatalf("%s: reported Q = %.12f, the labels' Q = %.12f", label, res.Modularity, exact)
+	cert, err := seq.Check(g.N, g.Stream(), res.GlobalComm, res.Modularity, res.Communities)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	for i, ph := range res.Phases {
 		if ph.Modularity > res.Modularity+1e-12 {
 			t.Fatalf("%s: phase %d ended at Q = %.17g, above the reported %.17g", label, i, ph.Modularity, res.Modularity)
 		}
 	}
+	return cert
 }
 
 // checkQuality is property 7, on planted-partition draws, whose structure is
@@ -238,8 +228,12 @@ func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) {
 // 0.95 of serial is the typical case, not a promise.
 func checkQuality(t *testing.T, label string, g *graph.CSR, truth []int64, res *Result) {
 	t.Helper()
-	if planted := seq.Modularity(g, truth); res.Modularity < planted-0.05 {
-		t.Fatalf("%s: Q = %.4f, the planted partition %.4f", label, res.Modularity, planted)
+	planted, err := seq.Certify(g.N, g.Stream(), truth)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if res.Modularity < planted.Q-0.05 {
+		t.Fatalf("%s: Q = %.4f, the planted partition %.4f", label, res.Modularity, planted.Q)
 	}
 	if serial := seq.Run(g, seq.Options{}).Modularity; res.Modularity < 0.9*serial {
 		t.Fatalf("%s: Q = %.4f, serial Louvain %.4f", label, res.Modularity, serial)
@@ -263,10 +257,19 @@ func (r *drawRun) run(label string, p, threads int, mod func(*Config)) (*Result,
 	}
 	res, err := RunOnEdges(p, r.d.n, r.d.edges, cfg)
 	if err == nil {
-		checkResult(r.t, label, r.g, res)
+		r.check(label, res)
 		checkSums(r.t, label, r.d, r.g.TotalWeight(), sums, r.cov)
 	}
 	return res, err
+}
+
+// check is checkResult on a result of the draw. Every weight of an integer
+// draw is an integer and its sums are far below 2⁵³, so its certificate must
+// be exact and its Q held bit for bit; a float draw's cannot be.
+func (r *drawRun) check(label string, res *Result) {
+	if cert := checkResult(r.t, label, r.g, res); cert.Exact != r.d.integer {
+		r.t.Fatalf("%s: certificate exact = %v on a draw with integer weights = %v", label, cert.Exact, r.d.integer)
+	}
 }
 
 func (r *drawRun) mustRun(label string, p, threads int, mod func(*Config)) *Result {
@@ -338,7 +341,7 @@ func checkDraw(t *testing.T, d propDraw, tcp bool, cov *propCoverage) {
 		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		checkResult(t, label, r.g, res)
+		r.check(label, res)
 		sameTrajectory(t, label, res, want)
 	}
 	r.checkRestart(want, pa, ta, tb)
@@ -363,7 +366,7 @@ func (r *drawRun) checkRestart(want *Result, pa, ta, tb int) {
 	resume := func(label, dir string) *Result {
 		cfg, _ := probed(d, pr, tb)
 		res := resumeInproc(t, pr, dir, cfg)
-		checkResult(t, label, r.g, res)
+		r.check(label, res)
 		sameOutcome(t, label, res, want)
 		return res
 	}

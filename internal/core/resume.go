@@ -101,12 +101,18 @@ func loadManifest(c *mpi.Comm, dir string, cfg *Config, n int64) (*ckpt.Manifest
 			payload = mpi.AppendInt64(payload, man.OrigN)
 			payload = mpi.AppendInt64(payload, man.CoarseN)
 		case errors.Is(rootErr, ckpt.ErrNoCheckpoint):
-			payload = []byte{2}
+			payload, rootErr = []byte{2}, nil
 		default:
 			payload = []byte{1}
 		}
 	}
 	got, err := c.Bcast(0, payload)
+	if rootErr != nil {
+		// A peer that got the failure may close the world before the
+		// broadcast reaches every rank: rank 0 reports its own error, not
+		// the closed transport.
+		return nil, rootErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -114,9 +120,6 @@ func loadManifest(c *mpi.Comm, dir string, cfg *Config, n int64) (*ckpt.Manifest
 		return nil, nil
 	}
 	if len(got) < 1 || got[0] != 0 {
-		if rootErr != nil {
-			return nil, rootErr
-		}
 		return nil, fmt.Errorf("ckpt: rank 0 failed to load the manifest in %s", dir)
 	}
 	d := mpi.NewDecoder(got[1:])

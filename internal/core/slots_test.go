@@ -170,8 +170,9 @@ func TestFrontierTrajectoryDigestsPinned(t *testing.T) {
 
 // TestFrontierIterationQMatchesLabels drives the phases by hand so that every
 // iteration's reported Q — cached rows included, the rolled-back iteration
-// included — can be held to seq.Modularity of the labels the ranks hold at
-// that moment, on the graph the phase runs on.
+// included — can be held to the certified Q (seq.Certify) of the labels the
+// ranks hold at that moment, on the graph the phase runs on: bit for bit when
+// the certificate is exact, to 10⁻¹² otherwise.
 func TestFrontierIterationQMatchesLabels(t *testing.T) {
 	for _, g := range slotGraphs() {
 		for _, ranks := range []int{1, 2, 4} {
@@ -208,9 +209,10 @@ func TestFrontierIterationQMatchesLabels(t *testing.T) {
 							rollbacks++
 						}
 						prevQ = ev.Modularity
-						if exact := seq.Modularity(whole, labels); math.Abs(exact-ev.Modularity) > 1e-12 {
-							t.Errorf("%s ranks=%d phase %d iteration %d: reported Q %.17g, labels give %.17g",
-								g.name, ranks, phase, ev.Iteration, ev.Modularity, exact)
+						cert, err := seq.Certify(whole.N, whole.Stream(), labels)
+						if err != nil || cert.Exact && cert.Q != ev.Modularity || math.Abs(cert.Q-ev.Modularity) > 1e-12 {
+							t.Errorf("%s ranks=%d phase %d iteration %d: reported Q %.17g, labels give %.17g (%v)",
+								g.name, ranks, phase, ev.Iteration, ev.Modularity, cert.Q, err)
 						}
 					}
 					if _, err := st.iterate(cfg.Tau); err != nil {

@@ -111,6 +111,14 @@ type Arc struct {
 // target outside the vertex space.
 var ErrMalformedArcs = errors.New("dgraph: malformed arc frame")
 
+// ErrWeight marks an input edge or arc whose weight is not finite and ≥ 0.
+// The sweep's gains and Q assume such weights: on a NaN or an infinite one no
+// iteration ever converges, and a negative one drives Q to 0.
+var ErrWeight = errors.New("dgraph: weight is not finite and non-negative")
+
+// validWeight reports whether w is finite and ≥ 0 (false for NaN).
+func validWeight(w float64) bool { return w >= 0 && w <= math.MaxFloat64 }
+
 // ErrSlotSpace marks a rank whose owned vertices plus ghosts do not fit the
 // int32 slot space; such a graph needs more ranks.
 var ErrSlotSpace = errors.New("dgraph: local vertices plus ghosts exceed the int32 slot space")
@@ -124,10 +132,11 @@ func checkSlotSpace(localN int64, ghosts int) error {
 
 // Build assembles the distributed graph. Every rank passes the same global
 // vertex count n and its own arbitrary chunk of the undirected edge list
-// (chunks together must cover the whole input exactly once). The vertex
-// space is split with the given partition; passing nil selects the even
-// vertex split. Parallel edges — within a chunk or across chunks and ranks —
-// merge by weight, summed in (sender rank, chunk order).
+// (chunks together must cover the whole input exactly once), each weight
+// finite and ≥ 0 (ErrWeight otherwise). The vertex space is split with the
+// given partition; passing nil selects the even vertex split. Parallel edges
+// — within a chunk or across chunks and ranks — merge by weight, summed in
+// (sender rank, chunk order).
 func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Partition) (*DistGraph, error) {
 	s, err := NewShuffle(c, n, part, 1)
 	if err != nil {
@@ -139,6 +148,9 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 	for _, e := range localChunk {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+		}
+		if !validWeight(e.W) {
+			return nil, fmt.Errorf("%w: edge (%d,%d) weighs %g", ErrWeight, e.U, e.V, e.W)
 		}
 		w.Reserve(s.Owner(e.U), 1, e.W == 1)
 		if e.U != e.V {
@@ -160,7 +172,8 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 // owner of its source vertex, parallel arcs are merged by weight (summed in
 // sender rank, then slice order), and the usual CSR + ghost tables are built.
 // The arc set must already be symmetric (for every a→b some rank must hold
-// b→a of equal total weight), as a checkpointed coarse graph is.
+// b→a of equal total weight), as a checkpointed coarse graph is, and its
+// weights are held to Build's rule (ErrWeight).
 func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) (*DistGraph, error) {
 	s, err := NewShuffle(c, n, part, 1)
 	if err != nil {
@@ -170,6 +183,9 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 	for _, a := range arcs {
 		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
 			return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
+		}
+		if !validWeight(a.W) {
+			return nil, fmt.Errorf("%w: arc (%d,%d) weighs %g", ErrWeight, a.From, a.To, a.W)
 		}
 		w.Reserve(s.Owner(a.From), 1, a.W == 1)
 	}

@@ -1,10 +1,12 @@
 package dgraph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
@@ -164,6 +166,47 @@ func TestBuildRejectsOutOfRange(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected the run to report rank 0's abort")
+	}
+}
+
+// TestBuildRejectsBadWeights: a NaN, infinite or negative weight on rank 0's
+// chunk fails Build and BuildFromArcs typed there, and the world's close fails
+// the other rank, waiting in the exchange rank 0 never entered — no rank
+// hangs. Unchecked, a NaN or infinite weight made the sweep never converge.
+func TestBuildRejectsBadWeights(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), -1} {
+		for _, fromArcs := range []bool{false, true} {
+			errs := make([]error, 2)
+			done := make(chan error, 1)
+			go func() {
+				done <- mpi.Run(2, func(c *mpi.Comm) error {
+					bad := []graph.RawEdge{{U: 0, V: 1, W: 1}}
+					if c.Rank() == 0 {
+						bad = append(bad, graph.RawEdge{U: 1, V: 2, W: w})
+					}
+					var err error
+					if fromArcs {
+						arcs := make([]Arc, len(bad))
+						for i, e := range bad {
+							arcs[i] = Arc{From: e.U, To: e.V, W: e.W}
+						}
+						_, err = BuildFromArcs(c, 4, nil, arcs)
+					} else {
+						_, err = Build(c, 4, bad, nil)
+					}
+					errs[c.Rank()] = err
+					return err
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("weight %g (arcs %v): the world hung", w, fromArcs)
+			}
+			if !errors.Is(errs[0], ErrWeight) || errs[1] == nil {
+				t.Fatalf("weight %g (arcs %v): rank errors %v, want ErrWeight at rank 0 and an error at rank 1", w, fromArcs, errs)
+			}
+		}
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
+	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
+	"distlouvain/internal/seq"
 )
 
 // BenchPhase is one phase row of a workload: the iteration count, rank 0's
@@ -80,13 +82,17 @@ type BenchReport struct {
 }
 
 // benchTracedRun is distRun with a tracer per rank; it returns rank 0's
-// result and rank 0's report, read here for its payload byte counts.
+// result and rank 0's report, read here for its payload byte counts. The
+// gathered labels must certify to the reported result, Q bit for bit: every
+// recorded workload has integer weights, so its certificate is exact (the
+// gather runs after the last phase, outside every recorded phase row).
 func benchTracedRun(p, threads int, w Workload, cfg core.Config) (*core.Result, *obsv.Report, error) {
 	tracers := make([]*obsv.Tracer, p)
 	for r := range tracers {
 		tracers[r] = obsv.NewTracer(r, obsv.DefaultCapacity)
 	}
 	cfg.Threads = threads
+	cfg.GatherOutput = true
 	var root *core.Result
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		tr := tracers[c.Rank()]
@@ -109,6 +115,13 @@ func benchTracedRun(p, threads int, w Workload, cfg core.Config) (*core.Result, 
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	cert, err := seq.Check(w.N, graph.Edges(w.Edges), root.GlobalComm, root.Modularity, root.Communities)
+	if err == nil && !cert.Exact {
+		err = fmt.Errorf("certificate not exact: a recorded workload has a weight that is not an integer")
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	return root, obsv.BuildReport(tracers[0].Snapshot()), nil
 }

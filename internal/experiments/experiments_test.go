@@ -10,7 +10,7 @@ import (
 func TestTableRendering(t *testing.T) {
 	tb := &Table{ID: "T", Title: "demo", Header: []string{"a", "bb"}}
 	tb.AddRow("1", "2")
-	tb.AddRowf(3.14159, "x")
+	tb.AddRow("3.1416", "x")
 	tb.Notes = append(tb.Notes, "a note")
 	txt := tb.Text()
 	if !strings.Contains(txt, "demo") || !strings.Contains(txt, "3.1416") || !strings.Contains(txt, "note: a note") {

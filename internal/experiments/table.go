@@ -22,21 +22,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row formatting each value with %v (floats pre-formatted
-// by the caller).
-func (t *Table) AddRowf(values ...interface{}) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf("%.4f", x)
-		default:
-			cells[i] = fmt.Sprintf("%v", x)
-		}
-	}
-	t.Rows = append(t.Rows, cells)
-}
-
 // Text renders the table with aligned columns.
 func (t *Table) Text() string {
 	var b strings.Builder

@@ -53,13 +53,10 @@ func ceilPow2(n int) int {
 	return c
 }
 
-// Table accumulates a float64 sum and an int64 count per int64 key. It is
-// the scratch structure of the per-iteration community-delta batch
-// (sum = ΔA_c, count = Δsize).
+// Table accumulates a float64 sum per int64 key.
 type Table struct {
 	keys  []int64
 	vals  []float64
-	aux   []int64
 	stamp []uint32
 	slots []int32 // live slot indices in insertion order
 	epoch uint32
@@ -73,7 +70,6 @@ func NewTable(capHint int) *Table {
 	return &Table{
 		keys:  make([]int64, c),
 		vals:  make([]float64, c),
-		aux:   make([]int64, c),
 		stamp: make([]uint32, c),
 		slots: make([]int32, 0, capHint),
 		epoch: 1,
@@ -103,7 +99,6 @@ func (t *Table) slot(key int64) int32 {
 			t.stamp[i] = t.epoch
 			t.keys[i] = key
 			t.vals[i] = 0
-			t.aux[i] = 0
 			t.slots = append(t.slots, int32(i))
 			if len(t.slots)*maxLoadDen > len(t.keys)*maxLoadNum {
 				t.grow()
@@ -136,7 +131,6 @@ func (t *Table) grow() {
 	c := len(old.keys) * 2
 	t.keys = make([]int64, c)
 	t.vals = make([]float64, c)
-	t.aux = make([]int64, c)
 	t.stamp = make([]uint32, c)
 	t.slots = make([]int32, 0, len(old.slots)*2)
 	t.mask = uint64(c - 1)
@@ -150,7 +144,6 @@ func (t *Table) grow() {
 		t.stamp[i] = t.epoch
 		t.keys[i] = key
 		t.vals[i] = old.vals[s]
-		t.aux[i] = old.aux[s]
 		t.slots = append(t.slots, int32(i))
 	}
 }
@@ -159,13 +152,6 @@ func (t *Table) grow() {
 func (t *Table) Add(key int64, w float64) {
 	s := t.slot(key)
 	t.vals[s] += w
-}
-
-// AddDelta accumulates (dv, dn) into key's (sum, count).
-func (t *Table) AddDelta(key int64, dv float64, dn int64) {
-	s := t.slot(key)
-	t.vals[s] += dv
-	t.aux[s] += dn
 }
 
 // Get returns key's sum, or (0, false) when the key is absent.
@@ -186,12 +172,6 @@ func (t *Table) Get(key int64) (float64, bool) {
 func (t *Table) At(i int) (int64, float64) {
 	s := t.slots[i]
 	return t.keys[s], t.vals[s]
-}
-
-// AtDelta returns the i-th live (key, sum, count) in insertion order.
-func (t *Table) AtDelta(i int) (int64, float64, int64) {
-	s := t.slots[i]
-	return t.keys[s], t.vals[s], t.aux[s]
 }
 
 // PairTable accumulates a float64 sum per (a, b) int64 key pair. It was the

@@ -75,15 +75,15 @@ func TestTableGrowthPreservesOrder(t *testing.T) {
 	tab := NewTable(2)
 	const n = 10000
 	for i := 0; i < n; i++ {
-		tab.AddDelta(int64(i*7), float64(i), int64(-i))
+		tab.Add(int64(i*7), float64(i))
 	}
 	if tab.Len() != n {
 		t.Fatalf("Len = %d, want %d", tab.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		k, v, a := tab.AtDelta(i)
-		if k != int64(i*7) || v != float64(i) || a != int64(-i) {
-			t.Fatalf("entry %d = (%d, %v, %d)", i, k, v, a)
+		k, v := tab.At(i)
+		if k != int64(i*7) || v != float64(i) {
+			t.Fatalf("entry %d = (%d, %v)", i, k, v)
 		}
 	}
 }

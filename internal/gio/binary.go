@@ -144,32 +144,62 @@ func SegmentRange(edges int64, rank, size int) (lo, hi int64) {
 // file independently and seeks to its range, mirroring the collective MPI
 // I/O read in the paper.
 func ReadSegment(path string, rank, size int) ([]graph.RawEdge, error) {
+	var out []graph.RawEdge
+	err := scanSegment(path, rank, size, func(n int64, chunk []graph.RawEdge) error {
+		if out == nil {
+			out = make([]graph.RawEdge, 0, n)
+		}
+		out = append(out, chunk...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Stream is the whole file as an edge stream: each call reads it again, in
+// file order, through one fixed 1024-record buffer, so memory stays constant
+// whatever the file's size.
+func Stream(path string) graph.EdgeStream {
+	return func(visit func([]graph.RawEdge) error) error {
+		return scanSegment(path, 0, 1, func(_ int64, chunk []graph.RawEdge) error { return visit(chunk) })
+	}
+}
+
+// scanSegment is the record loop ReadSegment and Stream share: it hands rank's
+// record range to visit in chunks of up to 1024 decoded records, with the
+// range's record count n, and returns the first error of the read or of
+// visit. The chunk is reused between calls.
+func scanSegment(path string, rank, size int, visit func(n int64, chunk []graph.RawEdge) error) error {
 	if rank < 0 || size <= 0 || rank >= size {
-		return nil, fmt.Errorf("gio: invalid segment rank %d of %d", rank, size)
+		return fmt.Errorf("gio: invalid segment rank %d of %d", rank, size)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	h, err := readHeader(f, path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lo, hi := SegmentRange(h.Edges, rank, size)
 	if lo == hi {
-		return nil, nil
+		return nil
 	}
 	if _, err := f.Seek(int64(headerSize)+lo*recordSize, io.SeekStart); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]graph.RawEdge, 0, hi-lo)
-	buf := make([]byte, 1024*recordSize) // a small fixed buffer: ranks read their segments concurrently
+	const batch = 1024 // a small fixed buffer: ranks read their segments concurrently
+	buf := make([]byte, min(hi-lo, batch)*recordSize)
+	edges := make([]graph.RawEdge, 0, min(hi-lo, batch))
 	for i := lo; i < hi; {
-		chunk := buf[:min(hi-i, 1024)*recordSize]
+		chunk := buf[:min(hi-i, batch)*recordSize]
 		if got, err := io.ReadFull(f, chunk); err != nil {
-			return nil, fmt.Errorf("gio: %s: record %d: %w", path, i+int64(got/recordSize), err)
+			return fmt.Errorf("gio: %s: record %d: %w", path, i+int64(got/recordSize), err)
 		}
+		edges = edges[:0]
 		for rec := chunk; len(rec) > 0; rec, i = rec[recordSize:], i+1 {
 			e := graph.RawEdge{
 				U: int64(binary.LittleEndian.Uint64(rec[0:8])),
@@ -177,10 +207,13 @@ func ReadSegment(path string, rank, size int) ([]graph.RawEdge, error) {
 				W: math.Float64frombits(binary.LittleEndian.Uint64(rec[16:24])),
 			}
 			if e.U < 0 || e.U >= h.Vertices || e.V < 0 || e.V >= h.Vertices {
-				return nil, fmt.Errorf("gio: %s: record %d references vertex out of range", path, i)
+				return fmt.Errorf("gio: %s: record %d references vertex out of range", path, i)
 			}
-			out = append(out, e)
+			edges = append(edges, e)
+		}
+		if err := visit(hi-lo, edges); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }

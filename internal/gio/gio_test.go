@@ -1,6 +1,7 @@
 package gio
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,6 +47,41 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if edges[i] != e {
 			t.Fatalf("edge %d: %+v != %+v", i, edges[i], e)
 		}
+	}
+}
+
+// TestStreamMatchesReadBinary: Stream yields the file's records in order, in
+// chunks of at most 1024 that it reuses, and stops at the first error visit
+// returns.
+func TestStreamMatchesReadBinary(t *testing.T) {
+	path := tempPath(t, "g.bin")
+	var want []graph.RawEdge
+	for i := int64(0); i < 2500; i++ {
+		want = append(want, graph.RawEdge{U: i % 50, V: (i * 7) % 50, W: float64(i)})
+	}
+	if err := WriteBinary(path, 50, want); err != nil {
+		t.Fatal(err)
+	}
+	var got []graph.RawEdge
+	err := Stream(path)(func(chunk []graph.RawEdge) error {
+		if len(chunk) == 0 || len(chunk) > 1024 {
+			t.Fatalf("chunk of %d records", len(chunk))
+		}
+		got = append(got, chunk...)
+		return nil
+	})
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("streamed %d of %d records: %v", len(got), len(want), err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := Stream(path)(func([]graph.RawEdge) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("visit error: %v after %d calls, want stop after 1", err, calls)
 	}
 }
 

@@ -35,6 +35,16 @@ type RawEdge struct {
 	W    float64
 }
 
+// EdgeStream hands an undirected edge list to visit in chunks, in order, and
+// returns the first error of the source or of visit. A chunk is valid only
+// during the call that receives it; a stream may be run more than once.
+type EdgeStream func(visit func(chunk []RawEdge) error) error
+
+// Edges is the edge list as one chunk.
+func Edges(edges []RawEdge) EdgeStream {
+	return func(visit func([]RawEdge) error) error { return visit(edges) }
+}
+
 // CSR is a compressed-sparse-row adjacency structure over vertices
 // [0, N). Index has length N+1; the neighbours of v occupy
 // Edges[Index[v]:Index[v+1]].
@@ -164,17 +174,35 @@ func (g *CSR) Clone() *CSR {
 	return &CSR{N: g.N, Index: idx, Edges: edges}
 }
 
-// UndirectedEdges converts the CSR back to a deduplicated undirected edge
-// list (u <= v), halving no weights: the weight reported for {u,v} is the
-// stored weight of the u→v arc. Useful for round-trip tests and I/O.
-func (g *CSR) UndirectedEdges() []RawEdge {
-	var out []RawEdge
-	for u := int64(0); u < g.N; u++ {
-		for _, e := range g.Neighbors(u) {
-			if u <= e.To {
-				out = append(out, RawEdge{U: u, V: e.To, W: e.W})
+// Stream is the CSR as the undirected edge list it stores, one row at a time:
+// each arc u→v with u ≤ v once, at its stored weight, so a stored pair and a
+// self loop each come back as one edge.
+func (g *CSR) Stream() EdgeStream {
+	return func(visit func([]RawEdge) error) error {
+		var row []RawEdge
+		for u := int64(0); u < g.N; u++ {
+			row = row[:0]
+			for _, e := range g.Neighbors(u) {
+				if u <= e.To {
+					row = append(row, RawEdge{U: u, V: e.To, W: e.W})
+				}
+			}
+			if err := visit(row); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
+}
+
+// UndirectedEdges is the CSR's Stream as one slice: a deduplicated
+// undirected edge list (u <= v), each weight the stored weight of the u→v
+// arc. Useful for round-trip tests and I/O.
+func (g *CSR) UndirectedEdges() []RawEdge {
+	var out []RawEdge
+	_ = g.Stream()(func(row []RawEdge) error { // a CSR's stream fails only when visit does
+		out = append(out, row...)
+		return nil
+	})
 	return out
 }

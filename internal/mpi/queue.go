@@ -208,10 +208,3 @@ func (q *matchQueue) release(b []byte) {
 		q.free[smallest] = b
 	}
 }
-
-// pending returns the number of undelivered messages (for tests/stats).
-func (q *matchQueue) pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.msgs)
-}

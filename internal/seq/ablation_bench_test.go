@@ -99,13 +99,15 @@ func BenchmarkSerialLouvain(b *testing.B) {
 	}
 }
 
-// BenchmarkModularity tracks the exact-modularity audit.
-func BenchmarkModularity(b *testing.B) {
+// BenchmarkCertify tracks the certificate: one pass, Q, pieces.
+func BenchmarkCertify(b *testing.B) {
 	n, edges, truth := gen.PlantedPartition(20, 100, 0.3, 0.005, 7)
 	g := gen.Build(n, edges)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Modularity(g, truth)
+		if _, err := Certify(g.N, g.Stream(), truth); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

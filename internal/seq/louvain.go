@@ -90,8 +90,11 @@ func Run(g *graph.CSR, opt Options) *Result {
 	for v := range res.Comm {
 		res.Comm[v] = renumber[res.Comm[v]]
 	}
-	res.Communities = CommunityCount(res.Comm)
-	res.Modularity = Modularity(g, res.Comm)
+	cert, err := Certify(g.N, g.Stream(), res.Comm)
+	if err != nil {
+		panic(err) // dense labels of g's vertices, by construction
+	}
+	res.Communities, res.Modularity = cert.Communities, cert.Q
 	return res
 }
 
@@ -189,8 +192,8 @@ func moveVertex(g *graph.CSR, v int64, comm []int64, k, aTot, selfLoop []float64
 }
 
 // modularityFromState computes Q using the maintained A_c array and a fresh
-// scan for E_c. This matches the Modularity function but avoids rebuilding
-// the A_c map every iteration.
+// scan for E_c. This is the Q Certify gives the labels, without a union-find
+// or a second degree pass every iteration.
 func modularityFromState(g *graph.CSR, comm []int64, aTot []float64, m2 float64) float64 {
 	var eSum float64
 	for v := int64(0); v < g.N; v++ {

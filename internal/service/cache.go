@@ -19,15 +19,11 @@ type resultKey struct {
 	Config core.Fingerprint
 }
 
-// cachedResult is one completed assignment retained for duplicate
-// submissions.
+// cachedResult is one completed result, assignment and certificate
+// included, retained for duplicate submissions.
 type cachedResult struct {
-	Assignment  []int64
-	Modularity  float64
-	Communities int64
-	Phases      int
-	Iterations  int
-	SourceJob   string // job that computed it (reported on cache hits)
+	Result
+	SourceJob string // job that computed it (reported on cache hits)
 }
 
 // resultCache is a bounded LRU of completed results. Entries hold full

@@ -22,6 +22,7 @@ import (
 
 	"distlouvain/internal/ckpt"
 	"distlouvain/internal/core"
+	"distlouvain/internal/seq"
 )
 
 // State is a job's lifecycle position. Transitions are monotone:
@@ -113,16 +114,19 @@ type Progress struct {
 }
 
 // Result is a completed job's outcome. Assignment maps every original
-// vertex to its final community label.
+// vertex to its final community label; Certificate is what the assignment
+// was certified to, against the graph file, before the job turned done (nil
+// on a job recorded before results carried one).
 type Result struct {
-	Modularity  float64 `json:"modularity"`
-	Communities int64   `json:"communities"`
-	Phases      int     `json:"phases"`
-	Iterations  int     `json:"iterations"`
-	RuntimeMS   int64   `json:"runtime_ms"`
-	CacheHit    bool    `json:"cache_hit"`
-	Resumed     bool    `json:"resumed"` // continued from a committed checkpoint
-	Assignment  []int64 `json:"assignment,omitempty"`
+	Modularity  float64          `json:"modularity"`
+	Communities int64            `json:"communities"`
+	Phases      int              `json:"phases"`
+	Iterations  int              `json:"iterations"`
+	RuntimeMS   int64            `json:"runtime_ms"`
+	CacheHit    bool             `json:"cache_hit"`
+	Resumed     bool             `json:"resumed"` // continued from a committed checkpoint
+	Certificate *seq.Certificate `json:"certificate,omitempty"`
+	Assignment  []int64          `json:"assignment,omitempty"`
 }
 
 // Job is one submission's full server-side record.
@@ -177,6 +181,7 @@ type View struct {
 	Progress    Progress         `json:"progress"`
 	Modularity  float64          `json:"modularity,omitempty"`
 	Communities int64            `json:"communities,omitempty"`
+	Certificate *seq.Certificate `json:"certificate,omitempty"`
 	CreatedMS   int64            `json:"created_unix_ms,omitempty"`
 	StartedMS   int64            `json:"started_unix_ms,omitempty"`
 	FinishedMS  int64            `json:"finished_unix_ms,omitempty"`
@@ -204,6 +209,7 @@ func (j *Job) view() View {
 	if j.result != nil {
 		v.Modularity = sanitizeFloat(j.result.Modularity)
 		v.Communities = j.result.Communities
+		v.Certificate = j.result.Certificate
 	}
 	v.CreatedMS = unixMS(j.created)
 	v.StartedMS = unixMS(j.started)

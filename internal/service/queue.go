@@ -55,13 +55,3 @@ func (q *jobQueue) remove(id string) bool {
 
 // len reports the queued-job count.
 func (q *jobQueue) len() int { return len(q.items) }
-
-// position returns the 1-based queue position of the job, or 0 if absent.
-func (q *jobQueue) position(id string) int {
-	for i, it := range q.items {
-		if it.ID == id {
-			return i + 1
-		}
-	}
-	return 0
-}

@@ -19,6 +19,7 @@ import (
 	"distlouvain/internal/gio"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/obsv"
+	"distlouvain/internal/seq"
 	"distlouvain/internal/supervisor"
 )
 
@@ -30,6 +31,9 @@ var (
 	ErrNotFound    = errors.New("service: no such job")
 	ErrNotDone     = errors.New("service: job has no result yet")
 	ErrJobTerminal = errors.New("service: job already finished")
+	// ErrUncertified fails a job whose assignment does not certify to the
+	// result its run reported (seq.Check).
+	ErrUncertified = errors.New("service: result failed its certificate")
 )
 
 // Options tunes the service.
@@ -363,22 +367,19 @@ func (s *Service) cacheKey(j *Job) resultKey {
 	return resultKey{Graph: j.GraphFP, Config: j.ConfigFP}
 }
 
-// settleFromCache completes a job instantly from a cached result.
+// settleFromCache completes a job instantly from a cached result: the
+// computing job's result, certificate included, with this job's own
+// bookkeeping.
 func (s *Service) settleFromCache(j *Job, hit *cachedResult) {
 	now := time.Now()
+	res := hit.Result
+	res.RuntimeMS, res.CacheHit, res.Resumed = 0, true, false
 	j.mu.Lock()
 	j.state = StateDone
 	j.cacheHit = true
 	j.started, j.finished = now, now
-	j.result = &Result{
-		Modularity:  hit.Modularity,
-		Communities: hit.Communities,
-		Phases:      hit.Phases,
-		Iterations:  hit.Iterations,
-		CacheHit:    true,
-		Assignment:  hit.Assignment,
-	}
-	j.progress = Progress{Phase: hit.Phases, Modularity: sanitizeFloat(hit.Modularity)}
+	j.result = &res
+	j.progress = Progress{Phase: hit.Phases, Modularity: hit.Modularity}
 	j.mu.Unlock()
 	s.counters.cacheHits.Add(1)
 	s.record("job", "cache-hit", map[string]float64{"seq": float64(j.Seq)})
@@ -521,49 +522,53 @@ func (s *Service) releaseJob(j *Job) {
 // finishJob settles a job after its supervised run returned: done on
 // success; aborted when a client abort interrupted it; back to queued when a
 // daemon drain interrupted it (the checkpoint makes it resumable on the next
-// start); failed otherwise. It releases the budget first — the world is gone
-// either way, and a queued job should take the ranks immediately.
+// start); failed otherwise, or when the assignment does not certify to the
+// reported result (ErrUncertified: a rerun would reproduce it). It releases
+// the budget first — the world is gone either way, and a queued job should
+// take the ranks immediately.
 func (s *Service) finishJob(j *Job, res *core.Result, runErr error) {
 	s.releaseJob(j)
 	now := time.Now()
 
+	var cert seq.Certificate
 	if runErr == nil {
-		assignment := res.GlobalComm
-		// Publish the cache entry and the labels file BEFORE the job turns
-		// done: a client that polls this job to completion and instantly
-		// resubmits must find the cache populated.
-		if err := ckpt.WriteFile(filepath.Join(j.dir, "result.labels"), gio.AppendGroundTruth(nil, assignment)); err != nil {
-			s.logf("job %s: persist assignment: %v", j.ID, err)
+		var err error
+		if cert, err = seq.Check(j.vertices, gio.Stream(j.graphPath), res.GlobalComm, res.Modularity, res.Communities); err != nil {
+			runErr = fmt.Errorf("%w: %w", ErrUncertified, err)
 		}
-		s.cache.put(s.cacheKey(j), &cachedResult{
-			Assignment:  assignment,
-			Modularity:  sanitizeFloat(res.Modularity),
-			Communities: res.Communities,
-			Phases:      len(res.Phases),
-			Iterations:  res.TotalIterations,
-			SourceJob:   j.ID,
-		})
-		j.mu.Lock()
-		j.state = StateDone
-		j.finished = now
-		j.result = &Result{
-			Modularity:  sanitizeFloat(res.Modularity),
+	}
+	if runErr == nil {
+		result := &Result{
+			Modularity:  res.Modularity,
 			Communities: res.Communities,
 			Phases:      len(res.Phases),
 			Iterations:  res.TotalIterations,
 			RuntimeMS:   res.Runtime.Milliseconds(),
-			Resumed:     j.resumed,
-			Assignment:  assignment,
+			Certificate: &cert,
+			Assignment:  res.GlobalComm,
 		}
-		resumed := j.resumed
+		j.mu.Lock()
+		result.Resumed = j.resumed
+		j.mu.Unlock()
+		// Publish the cache entry and the labels file BEFORE the job turns
+		// done: a client that polls this job to completion and instantly
+		// resubmits must find the cache populated.
+		if err := ckpt.WriteFile(filepath.Join(j.dir, "result.labels"), gio.AppendGroundTruth(nil, result.Assignment)); err != nil {
+			s.logf("job %s: persist assignment: %v", j.ID, err)
+		}
+		s.cache.put(s.cacheKey(j), &cachedResult{Result: *result, SourceJob: j.ID})
+		j.mu.Lock()
+		j.state = StateDone
+		j.finished = now
+		j.result = result
 		j.mu.Unlock()
 		s.counters.completed.Add(1)
 		s.record("job", "done", map[string]float64{
-			"seq": float64(j.Seq), "modularity": sanitizeFloat(res.Modularity),
-			"communities": float64(res.Communities), "resumed": b2f(resumed),
+			"seq": float64(j.Seq), "modularity": res.Modularity,
+			"communities": float64(res.Communities), "resumed": b2f(result.Resumed),
 		})
 		j.events.publish(Event{Kind: "done", Modularity: res.Modularity, Communities: res.Communities, Phase: len(res.Phases)})
-		s.logf("job %s: done: Q=%.6f communities=%d phases=%d", j.ID, res.Modularity, res.Communities, len(res.Phases))
+		s.logf("job %s: done: Q=%.6f communities=%d phases=%d disconnected=%d", j.ID, res.Modularity, res.Communities, len(res.Phases), cert.Disconnected)
 	} else {
 		drainedStop := s.draining() && errors.Is(runErr, core.ErrInterrupted)
 		j.mu.Lock()
@@ -853,16 +858,14 @@ func (s *Service) recover() error {
 				j.result = &Result{}
 			}
 			// Re-warm the cache from the persisted assignment so duplicates
-			// keep short-circuiting across daemon restarts.
-			if labels, err := gio.ReadGroundTruth(filepath.Join(l.dir, "result.labels"), rec.Vertices); err == nil {
-				s.cache.put(resultKey{Graph: rec.GraphFP, Config: rec.ConfigFP}, &cachedResult{
-					Assignment:  labels,
-					Modularity:  j.result.Modularity,
-					Communities: j.result.Communities,
-					Phases:      j.result.Phases,
-					Iterations:  j.result.Iterations,
-					SourceJob:   rec.ID,
-				})
+			// keep short-circuiting across daemon restarts — a certified one
+			// only: a duplicate of a result stored without its certificate
+			// runs again and is certified.
+			labels, err := gio.ReadGroundTruth(filepath.Join(l.dir, "result.labels"), rec.Vertices)
+			if err == nil && j.result.Certificate != nil {
+				hit := &cachedResult{Result: *j.result, SourceJob: rec.ID}
+				hit.Assignment = labels
+				s.cache.put(resultKey{Graph: rec.GraphFP, Config: rec.ConfigFP}, hit)
 			}
 			j.events.publish(Event{Kind: "done", Modularity: j.result.Modularity, Communities: j.result.Communities, Phase: j.result.Phases})
 		case StateFailed:

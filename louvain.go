@@ -267,10 +267,23 @@ func DetectShared(n int64, edges []Edge, opt SharedOptions) (*Result, error) {
 	return fromCore(res), nil
 }
 
-// Modularity computes the Newman modularity of an assignment over the
-// given graph (Equation 2 of the paper).
-func Modularity(n int64, edges []Edge, comm []int64) float64 {
-	return seq.Modularity(graph.FromRawEdges(n, edges), comm)
+// Certificate is what Certify establishes about an assignment: its Newman
+// modularity (Equation 2 of the paper), whether that Q is exact, the
+// community count, whether the labels are dense, and how many communities
+// fall apart into pieces.
+type Certificate = seq.Certificate
+
+// Certify checks an assignment over the given graph in one pass over the
+// edges and O(n) memory.
+func Certify(n int64, edges []Edge, comm []int64) (Certificate, error) {
+	return seq.Certify(n, graph.Edges(edges), comm)
+}
+
+// Check certifies res's labels over the graph it was detected on and fails
+// unless they are dense, as many as res reports, and give its Modularity —
+// bit for bit on integer weights, to 10⁻⁹ otherwise.
+func Check(n int64, edges []Edge, res *Result) (Certificate, error) {
+	return seq.Check(n, graph.Edges(edges), res.Communities, res.Modularity, res.NumCommunities)
 }
 
 // Score is the ground-truth comparison result: precision, recall, F-score

@@ -31,8 +31,8 @@ func TestDetectQuickstart(t *testing.T) {
 	if res.NumCommunities != 2 {
 		t.Fatalf("%d communities", res.NumCommunities)
 	}
-	if math.Abs(res.Modularity-Modularity(n, edges, res.Communities)) > 1e-9 {
-		t.Fatal("modularity mismatch")
+	if _, err := Check(n, edges, res); err != nil {
+		t.Fatal(err)
 	}
 	if res.Runtime <= 0 || res.TotalIterations == 0 || len(res.Phases) == 0 {
 		t.Fatalf("missing run metadata: %+v", res)
