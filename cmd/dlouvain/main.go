@@ -114,9 +114,8 @@ func main() {
 		verbose   = flag.Bool("v", false, "per-phase progress output")
 
 		// Checkpoint/restart (see the package comment).
-		ckptDir  = flag.String("ckpt-dir", "", "checkpoint directory (enables phase-boundary snapshots)")
-		ckptKeep = flag.Int("ckpt-keep", 2, "committed phase snapshots to retain per rank")
-		resume   = flag.Bool("resume", false, "continue the checkpoint in -ckpt-dir if there is one (without it, a committed checkpoint there is refused)")
+		ckptDir = flag.String("ckpt-dir", "", "checkpoint directory (enables phase-boundary snapshots)")
+		resume  = flag.Bool("resume", false, "continue the checkpoint in -ckpt-dir if there is one (without it, a committed checkpoint there is refused)")
 
 		// Self-healing supervision (every launched world): watch rank
 		// progress beacons, kill hung worlds, relaunch retryable failures
@@ -147,7 +146,6 @@ func main() {
 	flag.Parse()
 	if err := validateFlags(flagValues{
 		np: *np, threads: *threads, alpha: *alpha, tau: *tau,
-		ckptKeep:  *ckptKeep,
 		supervise: *supervise, minRanks: *minRanks, maxRestarts: *maxRestarts,
 		transport: *transport, rank: *rank,
 		coord: *coordAddr, coordEpoch: *coordEpoch,
@@ -197,7 +195,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.GatherOutput = true
 	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointKeep = *ckptKeep
 
 	hdr, err := gio.ReadHeader(path)
 	if err != nil {

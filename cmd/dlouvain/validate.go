@@ -17,7 +17,6 @@ type flagValues struct {
 	threads     int
 	alpha       float64
 	tau         float64
-	ckptKeep    int
 	supervise   bool
 	minRanks    int
 	maxRestarts int
@@ -60,9 +59,6 @@ func validateFlags(v flagValues) error {
 	}
 	if v.tau < 0 {
 		return fmt.Errorf("-tau must be non-negative (got %g)", v.tau)
-	}
-	if v.ckptKeep < 1 {
-		return fmt.Errorf("-ckpt-keep must be >= 1 (got %d)", v.ckptKeep)
 	}
 	switch v.transport {
 	case "tcp":

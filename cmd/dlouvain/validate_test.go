@@ -11,7 +11,6 @@ import (
 func valid() flagValues {
 	return flagValues{
 		np: 4, threads: 1, alpha: 0.25, tau: 0,
-		ckptKeep:  2,
 		supervise: false, minRanks: 1, maxRestarts: 5,
 		transport: "inproc", coordEpoch: 1, agentSlots: 1,
 	}
@@ -34,7 +33,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		mut  func(*flagValues)
 		want string // substring of the complaint
 	}{
-		{"zero ckpt-keep", func(v *flagValues) { v.ckptKeep = 0 }, "-ckpt-keep"},
 		{"min-ranks over np", func(v *flagValues) { v.supervise = true; v.minRanks = 9; v.np = 4 }, "-min-ranks"},
 		{"zero min-ranks", func(v *flagValues) { v.supervise = true; v.minRanks = 0 }, "-min-ranks"},
 		{"zero np", func(v *flagValues) { v.np = 0 }, "-np"},
@@ -197,7 +195,7 @@ func TestFlagSetPinned(t *testing.T) {
 	bin, _, _ := buildBinaryAndGraph(t)
 	want := []string{
 		"advertise", "agent-host", "alpha", "backoff",
-		"chaos", "ckpt-dir", "ckpt-keep",
+		"chaos", "ckpt-dir",
 		"coord", "coord-epoch", "coord-job", "hang",
 		"host-agent", "listen", "max-restarts", "min-ranks", "np", "o",
 		"pprof-addr", "rank", "remote-bin", "report", "resume",

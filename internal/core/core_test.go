@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
@@ -290,21 +289,6 @@ func TestQTrajectoryRecorded(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossRuns(t *testing.T) {
-	n, edges, _ := gen.PlantedPartition(5, 18, 0.5, 0.02, 31)
-	cfg := ET(0.5)
-	cfg.Seed = 99
-	a, err := RunOnEdges(3, n, edges, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOnEdges(3, n, edges, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTrajectory(t, "same-seed rerun", b, a)
-}
-
 func TestIntraRankThreads(t *testing.T) {
 	// MPI+OpenMP: multiple worker goroutines per rank must not change
 	// correctness invariants.
@@ -427,28 +411,6 @@ func TestCommunitySizesConsistentAtOwners(t *testing.T) {
 	}
 }
 
-// Property: for random planted graphs, any rank count and any variant, the
-// distributed result is internally consistent (exact modularity, dense
-// labels, every vertex labelled).
-func TestQuickDistributedConsistency(t *testing.T) {
-	variants := []Config{Baseline(), ThresholdCycling(), ET(0.25), ET(0.75), ETC(0.25), ETWithTC(0.25)}
-	f := func(seed uint64, pRaw, vRaw uint8) bool {
-		p := int(pRaw%4) + 1
-		cfg := variants[int(vRaw)%len(variants)]
-		cfg.Seed = seed
-		n, edges, _ := gen.PlantedPartition(4, 15, 0.5, 0.02, seed)
-		res, err := RunOnEdges(p, n, edges, cfg)
-		if err != nil {
-			return false
-		}
-		checkResult(t, fmt.Sprintf("seed=%d p=%d %s", seed, p, cfg.VariantName()), gen.Build(n, edges), res)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStarAcrossRanks(t *testing.T) {
 	// A star whose hub lives on rank 0 and whose leaves are spread across
 	// all other ranks: every leaf must converge into the hub's community,
@@ -527,25 +489,6 @@ func TestDisconnectedComponents(t *testing.T) {
 	if math.Abs(res.Modularity-want) > 1e-9 {
 		t.Fatalf("Q = %g, want %g", res.Modularity, want)
 	}
-}
-
-func TestETCWeightedConsistency(t *testing.T) {
-	// ETC on a weighted LFR graph keeps the exactness invariant.
-	n, edges, _, err := gen.LFR(gen.DefaultLFR(1500, 0.3, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scale some weights to exercise float paths.
-	for i := range edges {
-		if i%3 == 0 {
-			edges[i].W = 2.5
-		}
-	}
-	res, err := RunOnEdges(3, n, edges, ETC(0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, "weighted ETC", gen.Build(n, edges), res)
 }
 
 func TestMovesTrajectoryDecays(t *testing.T) {

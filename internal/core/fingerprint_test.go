@@ -26,12 +26,12 @@ func TestFingerprintStability(t *testing.T) {
 		cfg  Config
 		want Fingerprint
 	}{
-		{"baseline defaults", Baseline(), "1adf270daedaccd1"},
-		{"etc 0.25", ETC(0.25), "db98d8c5cdbe2c23"},
+		{"baseline defaults", Baseline(), "f63a698b7fdb378e"},
+		{"etc 0.25", ETC(0.25), "0c5a8804a5f5efd4"},
 		{"custom trajectory knobs", Config{
 			Tau: 1e-4, TauSchedule: []float64{1e-3, 1e-4}, Alpha: 0.5,
 			Seed: 42, MaxIterations: 7,
-		}, "3ef60d9f7d1321c7"},
+		}, "19715453613d38a8"},
 	}
 	for _, c := range cases {
 		if got := c.cfg.Fingerprint(); got != c.want {
@@ -70,32 +70,38 @@ func TestFingerprintRefusesSmallestIDTrajectories(t *testing.T) {
 	}
 }
 
-// TestFingerprintRefusesUndampedTrajectories: up to ea93e17 a vertex was free
-// to go back to the community it had just left, and the fingerprint ended at
-// "tie=mix64". A manifest or cache key written then describes a trajectory with
-// LFR's period-2 tail in it, so none of that format's digests may equal today's
-// for the same configuration — Resume refuses the checkpoint
-// (TestResumeRejectsConfigMismatch) and the dlouvaind cache, keyed by this
-// digest, misses (service.TestCacheKeyedByConfigFingerprint). The literals are
-// what ea93e17 computed, and pinned.
+// TestFingerprintRefusesUndampedTrajectories, and the damped ones whose gains
+// rounded: each rule of the sweep that is not configuration was appended to the
+// fingerprint as a token when it changed the trajectory, so a manifest or cache
+// key written under the rules before it describes a trajectory this tree does
+// not produce. Up to ea93e17 a vertex was free to go back to the community it
+// had just left, and the fingerprint ended at "tie=mix64" (LFR's period-2
+// tail); up to 7455fd9 gains were compared after two rounding divisions, and it
+// ended at "returns=damped" (an exact tie could lose to rounding). None of
+// those digests may equal today's for the same configuration — Resume refuses
+// the checkpoint (TestResumeRejectsConfigMismatch) and the dlouvaind cache,
+// keyed by this digest, misses (service.TestCacheKeyedByConfigFingerprint).
+// The literals are what those commits computed, and pinned.
 func TestFingerprintRefusesUndampedTrajectories(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		cfg    Config
-		parent Fingerprint
+		name, rules string
+		cfg         Config
+		parent      Fingerprint
 	}{
-		{"baseline defaults", Baseline(), "3fe5d2c9646e1c13"},
-		{"etc 0.25", ETC(0.25), "6db74814c6902ce5"},
+		{"undamped baseline", "tie=mix64", Baseline(), "3fe5d2c9646e1c13"},
+		{"undamped etc 0.25", "tie=mix64", ETC(0.25), "6db74814c6902ce5"},
+		{"rounded-gain baseline", "tie=mix64;returns=damped", Baseline(), "1adf270daedaccd1"},
+		{"rounded-gain etc 0.25", "tie=mix64;returns=damped", ETC(0.25), "db98d8c5cdbe2c23"},
 	} {
 		c.cfg.fill()
 		h := fnv.New64a()
-		fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;tie=mix64",
-			c.cfg.Tau, c.cfg.TauSchedule, c.cfg.Alpha, c.cfg.ETC, DefaultETCExit, c.cfg.MaxPhases, c.cfg.MaxIterations, c.cfg.Seed)
+		fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;%s",
+			c.cfg.Tau, c.cfg.TauSchedule, c.cfg.Alpha, c.cfg.ETC, DefaultETCExit, c.cfg.MaxPhases, c.cfg.MaxIterations, c.cfg.Seed, c.rules)
 		if old := Fingerprint(fmt.Sprintf("%016x", h.Sum64())); old != c.parent {
-			t.Fatalf("%s: the undamped format hashes to %s, recorded %s", c.name, old, c.parent)
+			t.Fatalf("%s: the format ending %q hashes to %s, recorded %s", c.name, c.rules, old, c.parent)
 		}
 		if got := c.cfg.Fingerprint(); got == c.parent {
-			t.Errorf("%s: Fingerprint = %s, the digest ea93e17 gave its undamped trajectory", c.name, got)
+			t.Errorf("%s: Fingerprint = %s, the digest of the rules ending %q", c.name, got, c.rules)
 		}
 	}
 }

@@ -85,10 +85,11 @@ const (
 )
 
 // dirOf classifies one change of a community from (a0, s0) to (a1, s1). The
-// gain of joining c, 2·(w−e)/m2 − 2·k·(A_c−aCur)/m2², never rises with A_c and
-// never falls with aCur = A_cur − k — each floating-point operation in it is
-// monotone — so a vertex all of whose gains were ≤ 0 can decide differently
-// only if A_c fell for a neighbouring c or A rose for its own community. Sizes
+// gain of joining c, seq.Gain's m2·(w−e) − k·(A_c−aCur), never rises with A_c
+// and never falls with aCur = A_cur − k — k ≥ 0 and each floating-point
+// operation in it is monotone, exact or not — so a vertex all of whose gains
+// were ≤ 0 can decide differently only if A_c fell for a neighbouring c or A
+// rose for its own community. Sizes
 // are read only by the minimum-label rule, as "== 1", and a community at size
 // 0 or 1 is where membership and (A_c, size) change together: those mark both
 // ways, as every change did before the rule had a direction.

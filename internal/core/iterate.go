@@ -10,6 +10,7 @@ import (
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/par"
+	"distlouvain/internal/seq"
 )
 
 // tieBefore is the tie rule of the ΔQ arg-max: of two communities offering
@@ -104,7 +105,9 @@ func (st *phaseState) isActive(lv int64, iter int) bool {
 
 // evaluateVertex computes lv's ΔQ-maximising move against the current
 // local state plus this iteration's ghost/remote snapshots (lines 7–8 of
-// Algorithm 3). Returns false when lv should stay put.
+// Algorithm 3). Returns false when lv should stay put. Candidates are ranked
+// by seq.Gain, ΔQ scaled by m2²/2: an exact integer under integer weights and
+// m2² ≤ 2⁵³, so equal gains are real ties and the tie rule decides them.
 //
 // acc is the worker's accumulator (phase-lived, epoch-reset per vertex),
 // direct-addressed by community slot. A neighbor's community slot is
@@ -152,7 +155,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 		if c == cv {
 			continue
 		}
-		gain := 2*(w[c]-eCur)/m2 - 2*kv*(st.cA[c]-aCur)/(m2*m2)
+		gain := seq.Gain(m2, w[c]-eCur, kv, st.cA[c]-aCur)
 		if gain > bestGain || (gain == bestGain && gain > 0 && tieBefore(st.gidOf(c), st.gidOf(best))) {
 			bestGain = gain
 			best = c

@@ -5,6 +5,7 @@ import (
 
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/par"
+	"distlouvain/internal/seq"
 )
 
 // Reference kernels: the original map-based implementations of the ΔQ sweep
@@ -50,7 +51,8 @@ func (st *phaseState) infoOf(cid int64) (cinfo, bool) {
 // minimum-label rule and the return rule are spelled out here, on global IDs,
 // rather than shared with the slot kernel, so the differential tests compare
 // two statements of each), so the verdict is always identical to the slot
-// kernel's.
+// kernel's. The gain is the one formula both kernels and internal/seq rank by,
+// seq.Gain.
 func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mv move, ok, refused bool) {
 	m2 := st.dg.M2
 	cv := st.gidOf(st.comm[lv])
@@ -85,7 +87,7 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mv
 		if !ok {
 			continue
 		}
-		gain := 2*(evc-eCur)/m2 - 2*kv*(ci.a-aCur)/(m2*m2)
+		gain := seq.Gain(m2, evc-eCur, kv, ci.a-aCur)
 		if gain > bestGain || (gain == bestGain && gain > 0 && par.Mix64(uint64(cid)) < par.Mix64(uint64(best))) {
 			bestGain = gain
 			best = cid

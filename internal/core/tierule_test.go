@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"distlouvain/internal/gen"
@@ -12,8 +14,9 @@ import (
 // The properties of the ΔQ tie rule (tieBefore, DESIGN §8). Ties used to break
 // towards the smallest community ID; on a naturally numbered uniform mesh that
 // made every synchronous sweep chase labels (BandedMesh(8000, 6): 3305
-// iterations). The first and the last test below fail on that rule; the middle
-// one holds the new one to what the old one also gave: no loss of modularity.
+// iterations). The first and the third test below fail on that rule; the second
+// holds the new one to what the old one also gave: no loss of modularity. The
+// last one fails where equal gains are not computed equal.
 // That the result does not depend on how the graph is split — the rule hashes
 // global community IDs, never slots — is property 2 of TestRunProperties.
 
@@ -134,6 +137,31 @@ func TestTieRuleETKeepsMeshQuality(t *testing.T) {
 		}
 		if math.Abs(res.Modularity-base.Modularity) > 0.005 {
 			t.Errorf("%s: Q=%.6f, baseline %.6f", cfg.VariantName(), res.Modularity, base.Modularity)
+		}
+	}
+}
+
+// TestTieRuleExactTie: on 3–2 (w 1), 3–1 (w 2), 1–0 (w 3), m2 = 12, vertex 3
+// gains exactly 9·2/m2² towards {1} and towards {2}, and tieBefore(1, 2) picks
+// {1}. Vertex 1 leaves for {0} in the same sweep, so 3 ends alone in community
+// 1: labels [0 0 2 1]. Gains formed with two rounding divisions scored the
+// two 0.12499999999999997 and 0.125 and took {2} — [0 0 1 1] — at every p
+// and T.
+func TestTieRuleExactTie(t *testing.T) {
+	edges := []graph.RawEdge{{U: 3, V: 2, W: 1}, {U: 3, V: 1, W: 2}, {U: 1, V: 0, W: 3}}
+	for _, p := range []int{1, 2, 4} {
+		for _, threads := range []int{1, 2} {
+			t.Run(fmt.Sprintf("p%d-T%d", p, threads), func(t *testing.T) {
+				cfg := Baseline()
+				cfg.MaxIterations, cfg.MaxPhases, cfg.Threads = 1, 1, threads
+				res, err := RunOnEdges(p, 4, edges, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := []int64{0, 0, 2, 1}; !slices.Equal(res.GlobalComm, want) {
+					t.Errorf("labels %v, want %v: vertex 3 joins {1}, tieBefore's pick of the exact tie", res.GlobalComm, want)
+				}
+			})
 		}
 	}
 }

@@ -1,58 +1,12 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Builder accumulates undirected edges and produces a CSR. Parallel edges
-// are merged by summing weights; each non-loop edge is symmetrized into two
-// arcs. The builder is not safe for concurrent use.
-type Builder struct {
-	n     int64
-	edges []RawEdge
-}
-
-// NewBuilder creates a builder for a graph on n vertices.
-func NewBuilder(n int64) *Builder {
-	return &Builder{n: n}
-}
-
-// AddEdge records the undirected edge {u,v} with weight w. Self loops are
-// allowed. Weight must be non-negative.
-func (b *Builder) AddEdge(u, v int64, w float64) error {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
-	}
-	if w < 0 {
-		return fmt.Errorf("graph: edge (%d,%d) has negative weight %g", u, v, w)
-	}
-	b.edges = append(b.edges, RawEdge{U: u, V: v, W: w})
-	return nil
-}
-
-// AddAll records a batch of edges.
-func (b *Builder) AddAll(edges []RawEdge) error {
-	for _, e := range edges {
-		if err := b.AddEdge(e.U, e.V, e.W); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NumPending returns the number of raw edges recorded so far.
-func (b *Builder) NumPending() int { return len(b.edges) }
-
-// Build produces the CSR: arcs are symmetrized, parallel arcs merged, and
-// each adjacency list sorted by target. The builder may be reused afterwards
-// (it keeps its edges).
-func (b *Builder) Build() *CSR {
-	return FromRawEdges(b.n, b.edges)
-}
-
-// FromRawEdges builds a CSR directly from an undirected edge list,
-// symmetrizing and merging parallel edges. Inputs are not modified.
+// FromRawEdges builds a CSR from an undirected edge list: each non-loop edge
+// becomes two arcs, parallel arcs are merged by summing weights, and each
+// adjacency list is sorted by target. Inputs are not modified, nor checked:
+// edges from outside the program are validated where they enter, in
+// dgraph.Build.
 func FromRawEdges(n int64, raw []RawEdge) *CSR {
 	// Expand to directed arcs.
 	type arc struct {

@@ -8,18 +8,7 @@ import (
 
 // triangle returns the weighted triangle 0-1-2 with an extra self loop at 2.
 func triangle() *CSR {
-	b := NewBuilder(3)
-	must(b.AddEdge(0, 1, 1))
-	must(b.AddEdge(1, 2, 2))
-	must(b.AddEdge(0, 2, 3))
-	must(b.AddEdge(2, 2, 5))
-	return b.Build()
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
+	return FromRawEdges(3, []RawEdge{{0, 1, 1}, {1, 2, 2}, {0, 2, 3}, {2, 2, 5}})
 }
 
 func TestBuilderBasicCSR(t *testing.T) {
@@ -52,11 +41,7 @@ func TestBuilderBasicCSR(t *testing.T) {
 }
 
 func TestBuilderMergesParallelEdges(t *testing.T) {
-	b := NewBuilder(2)
-	must(b.AddEdge(0, 1, 1))
-	must(b.AddEdge(1, 0, 2.5))
-	must(b.AddEdge(0, 1, 0.5))
-	g := b.Build()
+	g := FromRawEdges(2, []RawEdge{{0, 1, 1}, {1, 0, 2.5}, {0, 1, 0.5}})
 	if g.NumArcs() != 2 {
 		t.Fatalf("arcs = %d, want 2 (merged)", g.NumArcs())
 	}
@@ -68,39 +53,8 @@ func TestBuilderMergesParallelEdges(t *testing.T) {
 	}
 }
 
-func TestBuilderRejectsBadEdges(t *testing.T) {
-	b := NewBuilder(2)
-	if err := b.AddEdge(0, 2, 1); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	if err := b.AddEdge(-1, 0, 1); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	if err := b.AddEdge(0, 1, -1); err == nil {
-		t.Fatal("expected negative-weight error")
-	}
-}
-
-func TestBuilderAddAll(t *testing.T) {
-	b := NewBuilder(3)
-	if err := b.AddAll([]RawEdge{{0, 1, 1}, {1, 2, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if b.NumPending() != 2 {
-		t.Fatalf("pending = %d", b.NumPending())
-	}
-	if err := b.AddAll([]RawEdge{{0, 9, 1}}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestAdjacencySorted(t *testing.T) {
-	b := NewBuilder(5)
-	must(b.AddEdge(0, 4, 1))
-	must(b.AddEdge(0, 2, 1))
-	must(b.AddEdge(0, 3, 1))
-	must(b.AddEdge(0, 1, 1))
-	g := b.Build()
+	g := FromRawEdges(5, []RawEdge{{0, 4, 1}, {0, 2, 1}, {0, 3, 1}, {0, 1, 1}})
 	nbrs := g.Neighbors(0)
 	for i := 1; i < len(nbrs); i++ {
 		if nbrs[i-1].To >= nbrs[i].To {
@@ -110,7 +64,7 @@ func TestAdjacencySorted(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := NewBuilder(0).Build()
+	g := FromRawEdges(0, nil)
 	if err := g.Validate(true); err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +78,7 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestIsolatedVertices(t *testing.T) {
-	b := NewBuilder(10)
-	must(b.AddEdge(0, 1, 1))
-	g := b.Build()
+	g := FromRawEdges(10, []RawEdge{{0, 1, 1}})
 	if err := g.Validate(true); err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +171,8 @@ func TestStats(t *testing.T) {
 }
 
 func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(6)
 	// degrees: v0: 4, v1..v4: 1, v5: 0
-	for v := int64(1); v <= 4; v++ {
-		must(b.AddEdge(0, v, 1))
-	}
-	g := b.Build()
+	g := FromRawEdges(6, []RawEdge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}})
 	h := DegreeHistogram(g)
 	if h[0] != 1 { // one isolated
 		t.Fatalf("bucket0 = %d", h[0])
@@ -282,15 +230,15 @@ func TestQuickDegreeSumEqualsM2(t *testing.T) {
 		if n < 2 {
 			n = 2
 		}
-		b := NewBuilder(n)
+		var raw []RawEdge
 		s := seed
 		for i := int64(0); i < 3*n; i++ {
 			s = s*2862933555777941757 + 3037000493
 			u := ((s >> 32) & 0x7fffffff) % n
 			v := ((s >> 12) & 0x7fffffff) % n
-			_ = b.AddEdge(u, v, 1)
+			raw = append(raw, RawEdge{U: u, V: v, W: 1})
 		}
-		g := b.Build()
+		g := FromRawEdges(n, raw)
 		var sum float64
 		for v := int64(0); v < n; v++ {
 			sum += g.WeightedDegree(v)

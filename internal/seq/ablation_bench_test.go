@@ -31,7 +31,7 @@ func mapMoveVertex(g *graph.CSR, v int64, comm []int64, k, aTot []float64, m2 fl
 		if c == cv {
 			continue
 		}
-		gain := 2*(evc-eCur)/m2 - 2*kv*(aTot[c]-aCur)/(m2*m2)
+		gain := Gain(m2, evc-eCur, kv, aTot[c]-aCur)
 		if gain > bestGain || (gain == bestGain && gain > 0 && c < best) {
 			bestGain = gain
 			best = c

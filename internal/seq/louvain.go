@@ -152,7 +152,8 @@ func onePhase(g *graph.CSR, opt Options) ([]int64, float64, int) {
 }
 
 // moveVertex evaluates all neighbouring communities of v and applies the
-// ΔQ-maximising move (lines 4–8 of Algorithm 1). Returns true if v moved.
+// ΔQ-maximising move (lines 4–8 of Algorithm 1), ranked by Gain, ties to the
+// smaller label. Returns true if v moved.
 func moveVertex(g *graph.CSR, v int64, comm []int64, k, aTot, selfLoop []float64, m2 float64, scratch *neighMap) bool {
 	cv := comm[v]
 	scratch.reset()
@@ -174,9 +175,7 @@ func moveVertex(g *graph.CSR, v int64, comm []int64, k, aTot, selfLoop []float64
 		if c == cv {
 			continue
 		}
-		// ΔQ(v: a→b) = 2(e_vb − e_va')/m2 − 2·k_v·(A_b − A_a')/m2²
-		// with A_b excluding v (v ∉ b) and A_a' = A_a − k_v.
-		gain := 2*(scratch.get(c)-eCur)/m2 - 2*kv*(aTot[c]-aCur)/(m2*m2)
+		gain := Gain(m2, scratch.get(c)-eCur, kv, aTot[c]-aCur)
 		if gain > bestGain || (gain == bestGain && gain > 0 && c < best) {
 			bestGain = gain
 			best = c
@@ -189,6 +188,20 @@ func moveVertex(g *graph.CSR, v int64, comm []int64, k, aTot, selfLoop []float64
 		return true
 	}
 	return false
+}
+
+// Gain is the ΔQ of moving a vertex of weighted degree kv from its community
+// a into c ≠ a, scaled by m2²/2: m2·dw − kv·da, with dw = e_vc − e_va' (its
+// edge weight into c minus that into a without it) and da = A_c − A_a' (A_a' =
+// A_a − kv). A positive scale keeps the order of the candidates and the sign,
+// and drops the two divisions that round: with integer weights and m2² ≤ 2⁵³
+// every factor is an integer, |dw| ≤ kv and |da| ≤ m2 − kv, so both
+// products and their difference are integers of magnitude at most m2², exact
+// in float64. Equal gains then compare equal, and the tie rule picks between
+// them, not rounding. Converting each product rounds it, so no platform fuses
+// them into a multiply-add and decides differently past that condition.
+func Gain(m2, dw, kv, da float64) float64 {
+	return float64(m2*dw) - float64(kv*da)
 }
 
 // modularityFromState computes Q using the maintained A_c array and a fresh

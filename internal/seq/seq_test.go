@@ -12,22 +12,18 @@ import (
 // twoCliques builds two 4-cliques joined by one bridge edge — the canonical
 // community-detection smoke test.
 func twoCliques() *graph.CSR {
-	b := graph.NewBuilder(8)
+	var edges []graph.RawEdge
 	clique := func(vs []int64) {
 		for i := range vs {
 			for j := i + 1; j < len(vs); j++ {
-				if err := b.AddEdge(vs[i], vs[j], 1); err != nil {
-					panic(err)
-				}
+				edges = append(edges, graph.RawEdge{U: vs[i], V: vs[j], W: 1})
 			}
 		}
 	}
 	clique([]int64{0, 1, 2, 3})
 	clique([]int64{4, 5, 6, 7})
-	if err := b.AddEdge(3, 4, 1); err != nil {
-		panic(err)
-	}
-	return b.Build()
+	edges = append(edges, graph.RawEdge{U: 3, V: 4, W: 1})
+	return graph.FromRawEdges(8, edges)
 }
 
 func TestRunRecoversTwoCliques(t *testing.T) {
@@ -57,28 +53,24 @@ func TestRunRecoversTwoCliques(t *testing.T) {
 }
 
 func TestRunEmptyAndTinyGraphs(t *testing.T) {
-	res := Run(graph.NewBuilder(0).Build(), Options{})
+	res := Run(graph.FromRawEdges(0, nil), Options{})
 	if len(res.Comm) != 0 {
 		t.Fatal("empty graph result not empty")
 	}
 	// Single vertex.
-	res = Run(graph.NewBuilder(1).Build(), Options{})
+	res = Run(graph.FromRawEdges(1, nil), Options{})
 	if len(res.Comm) != 1 {
 		t.Fatal("singleton graph")
 	}
 	// Two isolated vertices: no edges, Q stays 0, one community each.
-	res = Run(graph.NewBuilder(2).Build(), Options{})
+	res = Run(graph.FromRawEdges(2, nil), Options{})
 	if res.Comm[0] == res.Comm[1] {
 		t.Fatal("isolated vertices merged")
 	}
 }
 
 func TestRunSingleEdge(t *testing.T) {
-	b := graph.NewBuilder(2)
-	if err := b.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	res := Run(b.Build(), Options{})
+	res := Run(graph.FromRawEdges(2, []graph.RawEdge{{U: 0, V: 1, W: 1}}), Options{})
 	if res.Comm[0] != res.Comm[1] {
 		t.Fatalf("endpoints of the only edge should merge: %v", res.Comm)
 	}
@@ -182,11 +174,7 @@ func TestCoarsenIdentityPartition(t *testing.T) {
 func TestCoarsenSelfLoopAccumulation(t *testing.T) {
 	// Coarsening both endpoints of a weight-3 edge into one community must
 	// yield a self loop of weight 6 (both stored arcs).
-	b := graph.NewBuilder(2)
-	if err := b.AddEdge(0, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	coarse, _ := Coarsen(b.Build(), []int64{0, 0})
+	coarse, _ := Coarsen(graph.FromRawEdges(2, []graph.RawEdge{{U: 0, V: 1, W: 3}}), []int64{0, 0})
 	if coarse.N != 1 {
 		t.Fatalf("N = %d", coarse.N)
 	}

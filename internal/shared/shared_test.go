@@ -22,22 +22,18 @@ func run(t *testing.T, g *graph.CSR, opt Options) *core.Result {
 }
 
 func twoCliques() *graph.CSR {
-	b := graph.NewBuilder(8)
+	var edges []graph.RawEdge
 	clique := func(vs []int64) {
 		for i := range vs {
 			for j := i + 1; j < len(vs); j++ {
-				if err := b.AddEdge(vs[i], vs[j], 1); err != nil {
-					panic(err)
-				}
+				edges = append(edges, graph.RawEdge{U: vs[i], V: vs[j], W: 1})
 			}
 		}
 	}
 	clique([]int64{0, 1, 2, 3})
 	clique([]int64{4, 5, 6, 7})
-	if err := b.AddEdge(3, 4, 1); err != nil {
-		panic(err)
-	}
-	return b.Build()
+	edges = append(edges, graph.RawEdge{U: 3, V: 4, W: 1})
+	return graph.FromRawEdges(8, edges)
 }
 
 func TestRunTwoCliques(t *testing.T) {
@@ -70,14 +66,14 @@ func TestRunMatchesSerialQuality(t *testing.T) {
 }
 
 func TestRunEmptyGraph(t *testing.T) {
-	res := run(t, graph.NewBuilder(0).Build(), Options{})
+	res := run(t, graph.FromRawEdges(0, nil), Options{})
 	if len(res.GlobalComm) != 0 || res.Modularity != 0 {
 		t.Fatalf("%+v", res)
 	}
 }
 
 func TestRunNoEdges(t *testing.T) {
-	res := run(t, graph.NewBuilder(5).Build(), Options{Threads: 2})
+	res := run(t, graph.FromRawEdges(5, nil), Options{Threads: 2})
 	if res.Communities != 5 {
 		t.Fatalf("isolated vertices merged: %v", res.GlobalComm)
 	}
@@ -135,13 +131,11 @@ func TestETMarksVerticesInactive(t *testing.T) {
 
 func TestVertexFollowing(t *testing.T) {
 	// Star with pendant vertices: all leaves should follow the hub.
-	b := graph.NewBuilder(6)
+	var edges []graph.RawEdge
 	for v := int64(1); v < 6; v++ {
-		if err := b.AddEdge(0, v, 1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.RawEdge{U: 0, V: v, W: 1})
 	}
-	g := b.Build()
+	g := graph.FromRawEdges(6, edges)
 	init := FollowVertices(g)
 	for v := 1; v < 6; v++ {
 		if init[v] != 0 {
@@ -163,11 +157,7 @@ func TestVertexFollowing(t *testing.T) {
 }
 
 func TestVertexFollowingIsolatedPair(t *testing.T) {
-	b := graph.NewBuilder(4)
-	if err := b.AddEdge(2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	init := FollowVertices(b.Build())
+	init := FollowVertices(graph.FromRawEdges(4, []graph.RawEdge{{U: 2, V: 3, W: 1}}))
 	if init[2] != 2 || init[3] != 2 {
 		t.Fatalf("pair should anchor at 2: %v", init)
 	}
@@ -177,11 +167,7 @@ func TestVertexFollowingIsolatedPair(t *testing.T) {
 }
 
 func TestVertexFollowingSelfLoopOnly(t *testing.T) {
-	b := graph.NewBuilder(2)
-	if err := b.AddEdge(0, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	init := FollowVertices(b.Build())
+	init := FollowVertices(graph.FromRawEdges(2, []graph.RawEdge{{U: 0, V: 0, W: 2}}))
 	if init[0] != 0 {
 		t.Fatalf("self-loop vertex moved: %v", init)
 	}
@@ -227,16 +213,10 @@ func TestVertexFollowingEndToEnd(t *testing.T) {
 	// A planted-partition core with pendants hanging off vertex 0.
 	n, edges, _ := gen.PlantedPartition(4, 20, 0.5, 0.01, 33)
 	total := n + 10
-	b := graph.NewBuilder(total)
-	if err := b.AddAll(edges); err != nil {
-		t.Fatal(err)
-	}
 	for i := int64(0); i < 10; i++ {
-		if err := b.AddEdge(n+i, 0, 1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.RawEdge{U: n + i, V: 0, W: 1})
 	}
-	g := b.Build()
+	g := graph.FromRawEdges(total, edges)
 	withVF := run(t, g, Options{Threads: 2, VertexFollowing: true})
 	without := run(t, g, Options{Threads: 2})
 	if withVF.Modularity < without.Modularity-0.03 {
