@@ -115,10 +115,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One pass of each shipped kernel (sweep, Step-5 coarse arcs) and of its map
-# oracle, and of one whole rebuild, so the benchmarks keep compiling and
-# running. The benchmark names live in this one pattern.
+# oracle, of one whole rebuild, and of dgraph.Build and BuildFromArcs (the
+# one-pass shuffle sender), so the benchmarks keep compiling and running. The
+# benchmark names live in these two patterns.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Benchmark((Sweep|CoarseArcs)(Slots|Map)|Rebuild)$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild(FromArcs)?$$' -benchtime 1x ./internal/dgraph
 
 # CPU profile of one whole run on a benchmark/ workload's input (W is
 # band8000, lfr100k or rmat17; see BenchmarkWorkload): the top of the

@@ -450,7 +450,7 @@ func TestFuzzTargetsListed(t *testing.T) {
 
 // designCeiling is DESIGN.md's size in bytes: it may shrink, never grow. A PR
 // that shrinks the document lowers the ceiling to the new size.
-const designCeiling = 134720
+const designCeiling = 134664
 
 // changesEntryCap bounds each CHANGES.md entry after changesCapFrom, in bytes:
 // an entry says what changed and where, and the design goes in DESIGN.md.

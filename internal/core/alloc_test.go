@@ -66,3 +66,49 @@ func TestRunAllocationCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildsCutFromHeldSegments: the shuffle a run carries from Build to its
+// last rebuild cuts every frame's segments from the buffers it holds,
+// whatever owner they were cut for before, so once phase 0's coarse frames
+// fit — at 2 ranks on R-MAT 12, Build's buffers already hold them — no later
+// rebuild allocates a segment byte. Each phase's graph is the last rebuild's
+// (Build's for phase 0), and its shuffle's Allocated is read at the phase's
+// first iteration.
+func TestRebuildsCutFromHeldSegments(t *testing.T) {
+	n, edges, err := gen.RMAT(12, 8, .57, .19, .19, .05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 2
+	held := make([][]int, p) // [rank][phase]
+	cfg := Baseline()
+	cfg.oracle.afterFetch = func(st *phaseState) error {
+		r := st.dg.Comm.Rank()
+		if len(held[r]) > st.phase {
+			return nil
+		}
+		sh, err := st.dg.Reshuffle(st.dg.GlobalN, st.dg.Part, 1, true)
+		if err != nil {
+			return err
+		}
+		held[r] = append(held[r], sh.Allocated())
+		return nil
+	}
+	if _, err := RunOnEdges(p, n, edges, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for r, h := range held {
+		t.Logf("rank %d: segment bytes held by the shuffle at the start of each phase: %v", r, h)
+		if len(h) < 3 {
+			t.Fatalf("rank %d: %d phases, want at least 3", r, len(h))
+		}
+		for k := 2; k < len(h); k++ {
+			if h[k] != h[1] {
+				t.Errorf("rank %d: the rebuild after phase %d took the shuffle from %d to %d segment bytes", r, k-1, h[1], h[k])
+			}
+		}
+		if h[1] != h[0] {
+			t.Errorf("rank %d: phase 0's rebuild took the shuffle from Build's %d to %d segment bytes", r, h[0], h[1])
+		}
+	}
+}

@@ -54,7 +54,7 @@ func sameCoarseGraph(got, want *dgraph.DistGraph) error {
 func checkCoarseGraph(st *phaseState, bySlot []int64, coarseN int64) error {
 	c := st.dg.Comm
 	part := partition.ByVertexCount(coarseN, c.Size())
-	sh, err := dgraph.NewShuffle(c, coarseN, part, st.cfg.Threads)
+	sh, err := dgraph.NewShuffle(c, coarseN, part, st.cfg.Threads, true)
 	if err != nil {
 		return err
 	}

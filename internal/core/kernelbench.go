@@ -103,7 +103,7 @@ func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.oracle.refKernels {
 		return len(kb.st.coarseArcsMap(kb.bySlot))
 	}
-	sh, err := dgraph.NewShuffle(kb.st.dg.Comm, kb.coarseN, kb.coarsePart, kb.st.cfg.Threads)
+	sh, err := dgraph.NewShuffle(kb.st.dg.Comm, kb.coarseN, kb.coarsePart, kb.st.cfg.Threads, true)
 	if err != nil {
 		panic(err)
 	}

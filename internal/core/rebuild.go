@@ -73,14 +73,14 @@ func (st *phaseState) rebuild() (*dgraph.DistGraph, []int64, error) {
 	// flatten reads only its partition and st.comm — so the coarse graph is
 	// assembled into them, and the shuffle is the one that assembled the
 	// fine graph — dgraph.Build's, BuildFromArcs' or the previous rebuild's —
-	// frames and assembly scratch included.
+	// segment buffers and assembly scratch included.
 	c := st.dg.Comm
 	part := partition.ByVertexCount(totalNew, c.Size())
 	if st.cfg.oracle.refKernels {
 		ndg, err := dgraph.BuildFromArcs(c, totalNew, part, st.coarseArcsMap(bySlot))
 		return ndg, bySlot, err
 	}
-	sh, err := st.dg.Reshuffle(totalNew, part, st.cfg.Threads)
+	sh, err := st.dg.Reshuffle(totalNew, part, st.cfg.Threads, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,20 +244,19 @@ func sortedRemote(part *partition.Partition, ids []int64, byOwner [][]int64) []i
 // of sh. One stable counting sort lists the local vertices by the community
 // slot they sit in (slots are dense, so the histogram is an array; members
 // stay in ascending lv). Then, source community by source community, a worker
-// walks the members' arcs twice through its rowAcc at the target's community
-// slot ci[Slot[i]] — the sweep's accumulator, one epoch per source community:
-// the first walk counts the distinct targets, so that every frame is
-// allocated at its exact size before anything is written, and the second sums
-// W per target and puts (new(src), new(key), w[key]) over the first-seen key
-// list into the frame of new(src)'s owner. No hash, no table sized by the
+// walks the members' arcs once through its rowAcc at the target's community
+// slot ci[Slot[i]] — the sweep's accumulator, one epoch per source community —
+// summing W per target, and puts (new(src), new(key), w[key]) over the
+// first-seen key list to the owner of new(src). No hash, no table sized by the
 // fine arcs, no intermediate arc list, random access confined to one
 // community's neighbourhood.
 //
-// Workers split the slot range, and each writes its own range of every frame,
-// so a coarse pair belongs to exactly one of them: it leaves the rank once,
-// its weight accumulated over ascending lv and then arc order whatever Threads
-// is, and every frame holds its arcs in slot order. coarseArcsMap is the
-// oracle. It returns the number of coarse arcs.
+// Workers split the slot range, and each writes segments of its own to every
+// owner, so a coarse pair belongs to exactly one of them: it leaves the rank
+// once, its weight accumulated over ascending lv and then arc order whatever
+// Threads is, and every frame, its writers' segments in worker order, holds
+// its arcs in slot order. coarseArcsMap is the oracle. It returns the number
+// of coarse arcs.
 //
 // bySlot is renumber's table: the new community of every live slot.
 func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
@@ -292,12 +291,7 @@ func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
 	cuts[nw] = slots
 
 	cs.first, cs.members, cs.cuts, cs.bySlot, cs.sh = first, members, cuts, bySlot, sh
-	if cs.count == nil {
-		cs.count = func(_, lo, hi int) {
-			for w := lo; w < hi; w++ {
-				st.countSlots(w)
-			}
-		}
+	if cs.write == nil {
 		cs.write = func(_, lo, hi int) {
 			for w := lo; w < hi; w++ {
 				st.aggregateSlots(w)
@@ -305,8 +299,6 @@ func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
 		}
 	}
 	st.fitAccs()
-	par.For(nw, nw, cs.count)
-	sh.Alloc()
 	par.For(nw, nw, cs.write)
 	cs.bySlot, cs.sh = nil, nil
 	return sh.Len()
@@ -316,8 +308,8 @@ func (st *phaseState) coarseArcs(bySlot []int64, sh *dgraph.Shuffle) int {
 // and re-sliced by every rebuild: renumberOwned's table (renumbered);
 // flatten's remote labels, their new IDs and its per-owner request lists;
 // coarseArcs' source-community members and worker slot ranges, what the call
-// at hand reads (bySlot) and writes (sh), and the par.For bodies of its two
-// walks, built once so that an aggregation allocates no closure.
+// at hand reads (bySlot) and writes (sh), and the par.For body of its walk,
+// built once so that an aggregation allocates no closure.
 type coarsening struct {
 	renumbered          []int64
 	remote, newOfRemote []int64
@@ -326,38 +318,12 @@ type coarsening struct {
 	cuts                []int
 	bySlot              []int64
 	sh                  *dgraph.Shuffle
-	count, write        func(w, lo, hi int)
+	write               func(w, lo, hi int)
 }
 
-// countSlots is worker w's first walk over its source communities: it
-// reserves, in the frame of each one's owner, one arc per distinct target
-// community. The weights are not known yet, so the reservation is weighted.
-func (st *phaseState) countSlots(w int) {
-	dg, ci, cs := st.dg, st.ci, &st.coarse
-	acc, out := &st.accs[w], cs.sh.Writer(w)
-	first, members := cs.first, cs.members
-	for s := cs.cuts[w]; s < cs.cuts[w+1]; s++ {
-		if first[s] == first[s+1] {
-			continue
-		}
-		acc.next()
-		stamp, epoch := acc.stamp, acc.epoch
-		k := 0
-		for _, lv := range members[first[s]:first[s+1]] {
-			for _, t := range dg.Slot[dg.Index[lv]:dg.Index[lv+1]] {
-				if c := ci[t]; stamp[c] != epoch {
-					stamp[c] = epoch
-					k++
-				}
-			}
-		}
-		out.Reserve(cs.sh.Owner(cs.bySlot[s]), k, false)
-	}
-}
-
-// aggregateSlots is worker w's second walk over the same source communities:
-// it sums each one's arcs per target community and puts the coarse arcs in
-// first-seen target order.
+// aggregateSlots is worker w's walk over its source communities: it sums each
+// one's arcs per target community and puts the coarse arcs in first-seen
+// target order.
 func (st *phaseState) aggregateSlots(w int) {
 	dg, ci, cs := st.dg, st.ci, &st.coarse
 	acc, out := &st.accs[w], cs.sh.Writer(w)

@@ -274,7 +274,7 @@ func TestFirstRebuildKeepsBuildsShuffle(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			built, err := dg.Reshuffle(n, dg.Part, 1)
+			built, err := dg.Reshuffle(n, dg.Part, 1, true)
 			if err != nil {
 				return err
 			}
@@ -301,8 +301,8 @@ func TestFirstRebuildKeepsBuildsShuffle(t *testing.T) {
 				return err
 			}
 			allocated = after.TotalAlloc - before.TotalAlloc
-			frame = 1 + 16*len(ndg.Slot) // one rank: every coarse pair is reserved once, weighted
-			again, err := ndg.Reshuffle(ndg.GlobalN, ndg.Part, 1)
+			frame = 1 + 16*len(ndg.Slot) // one rank: every coarse pair is put once, weighted
+			again, err := ndg.Reshuffle(ndg.GlobalN, ndg.Part, 1, true)
 			kept = again == built
 			return err
 		})

@@ -11,22 +11,15 @@ import (
 	"distlouvain/internal/mpi"
 )
 
-// buildWeightedFrames is dgraph.Build through frames reserved as weighted,
-// so every arc travels with its weight and the graph keeps W even when every
-// weight is 1.
+// buildWeightedFrames is dgraph.Build through a weighted shuffle, so every
+// arc travels with its weight and the graph keeps W even when every weight is
+// 1.
 func buildWeightedFrames(c *mpi.Comm, n int64, chunk []graph.RawEdge) (*dgraph.DistGraph, error) {
-	s, err := dgraph.NewShuffle(c, n, nil, 1)
+	s, err := dgraph.NewShuffle(c, n, nil, 1, true)
 	if err != nil {
 		return nil, err
 	}
 	w := s.Writer(0)
-	for _, e := range chunk {
-		w.Reserve(s.Owner(e.U), 1, false)
-		if e.U != e.V {
-			w.Reserve(s.Owner(e.V), 1, false)
-		}
-	}
-	s.Alloc()
 	for _, e := range chunk {
 		w.Put(s.Owner(e.U), e.U, e.V, e.W)
 		if e.U != e.V {

@@ -1,6 +1,7 @@
 package dgraph
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -236,7 +237,7 @@ func TestAssembleIntoRecycledStorage(t *testing.T) {
 			}
 		}
 		err := mpi.Run(p, func(c *mpi.Comm) error {
-			kept, err := NewShuffle(c, 1, nil, 1)
+			kept, err := NewShuffle(c, 1, nil, 1, false)
 			if err != nil {
 				return err
 			}
@@ -288,7 +289,7 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 		return err
 	}
 	cloned := len(fresh.Slot) < int(placed[c.Rank()])/2
-	s, err := NewShuffle(c, n, nil, 1)
+	s, err := NewShuffle(c, n, nil, 1, false)
 	if err != nil {
 		return err
 	}
@@ -337,14 +338,10 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 // shuffleInto is BuildFromArcs on a kept shuffle: s is Reset to [0, n),
 // filled with arcs and exchanged into recycle.
 func shuffleInto(s *Shuffle, n int64, arcs []Arc, recycle *DistGraph) (*DistGraph, error) {
-	if err := s.Reset(n, nil, 1); err != nil {
+	if err := s.Reset(n, nil, 1, false); err != nil {
 		return nil, err
 	}
 	w := s.Writer(0)
-	for _, a := range arcs {
-		w.Reserve(s.Owner(a.From), 1, a.W == 1)
-	}
-	s.Alloc()
 	for _, a := range arcs {
 		w.Put(s.Owner(a.From), a.From, a.To, a.W)
 	}
@@ -466,7 +463,7 @@ func TestAssembleRowsInGlobalOrder(t *testing.T) {
 				for _, a := range expandChunk(chunk) {
 					arcs = append(arcs, Arc{From: a.from, To: a.to, W: a.w})
 				}
-				kept, err := NewShuffle(c, n, nil, 1)
+				kept, err := NewShuffle(c, n, nil, 1, false)
 				if err != nil {
 					return err
 				}
@@ -687,14 +684,18 @@ func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *D
 			c.AllreduceFloat64(0, mpi.OpSum) // fails with the world once rank 0 has
 			return nil
 		}
-		s, err := NewShuffle(c, n, part, 1)
+		s, err := NewShuffle(c, n, part, 1, false)
 		if err != nil {
 			return err
 		}
 		if spare == nil {
 			spare = &DistGraph{}
 		}
-		dg, err = s.assemble(recv, spare)
+		frames := make([][][]byte, len(recv))
+		for q := range recv {
+			frames[q] = recv[q : q+1]
+		}
+		dg, err = s.assemble(frames, spare)
 		return err
 	})
 	return dg, err
@@ -754,9 +755,9 @@ func TestAssembleRejectsMalformedBuffers(t *testing.T) {
 // TestFrameLayouts holds ArcWriter to the format: two writers sharing the
 // frames of a 2-rank world produce, byte for byte, the frames encoded by
 // hand — unit-weight frames without weights, a frame with one weight that is
-// not 1.0 with all of them, 64-bit records past 2³² vertices, writer ranges in
-// writer order — and the assembly of each frame is the
-// oracle's.
+// not 1.0 with all of them (the other writer's unit records widened), 64-bit
+// records past 2³² vertices, writer segments in writer order — and the
+// assembly of each frame is the oracle's.
 func TestFrameLayouts(t *testing.T) {
 	unit := []oracleArc{{0, 3, 1}, {1, 2, 1}, {5, 0, 1}, {1, 2, 1}}
 	mixed := []oracleArc{{6, 1, 1}, {2, 4, 0.5}, {4, 4, 1}}
@@ -767,19 +768,17 @@ func TestFrameLayouts(t *testing.T) {
 			if c.Rank() != 0 {
 				return nil
 			}
-			s, err := NewShuffle(c, n, part, 2)
+			s, err := NewShuffle(c, n, part, 2, false)
 			if err != nil {
 				return err
 			}
 			ws := []*ArcWriter{s.Writer(0), s.Writer(1)}
 			for i, a := range append(unit, mixed...) {
-				ws[i%2].Reserve(s.Owner(a.from), 1, a.w == 1)
-			}
-			s.Alloc()
-			for i, a := range append(unit, mixed...) {
 				ws[i%2].Put(s.Owner(a.from), a.from, a.to, a.w)
 			}
-			frames[0], frames[1] = s.frames[0], s.frames[1]
+			for q, segs := range s.frames() {
+				frames[q] = slices.Concat(segs...)
+			}
 			return nil
 		})
 		if err != nil {
@@ -817,17 +816,20 @@ func TestFrameLayouts(t *testing.T) {
 
 // TestShuffleBytesPerArc pins what construction puts on the wire: an
 // unweighted input crosses the shuffle at 8 bytes per arc, plus one layout
-// byte per non-empty frame; float weights cost 16 bytes per arc. The byte
-// counter is the one mpi.Comm keeps for collectives; the closing allreduce is
-// measured apart and subtracted.
+// byte per non-empty frame; float weights cost 16 bytes per arc. The width is
+// the frame's: when only the edges inside the last rank's range weigh 2.5,
+// the frames to the other ranks, all of whose arcs weigh 1.0, still travel
+// at 8 bytes per arc, and the last rank's at 16 — its unit records widened
+// when the first 2.5 reaches them. The byte counter is the one mpi.Comm keeps
+// for collectives; the closing allreduce is measured apart and subtracted.
 func TestShuffleBytesPerArc(t *testing.T) {
 	n, edges := gen.ErdosRenyi(500, 3000, 4)
 	const p = 3
 	part := partition.ByVertexCount(n, p)
-	// wireBytes is what the frames of the chunks must weigh at width bytes
-	// per arc: every arc whose owner is not its sender's rank, plus one
-	// layout byte per non-empty frame.
-	wireBytes := func(width int64) int64 {
+	// wireBytes is what the frames of the chunks must weigh at width(q) bytes
+	// per arc for owner q: every arc whose owner is not its sender's rank,
+	// plus one layout byte per non-empty frame.
+	wireBytes := func(width func(q int) int64) int64 {
 		var total int64
 		for r := 0; r < p; r++ {
 			arcs := make([]int64, p)
@@ -836,7 +838,7 @@ func TestShuffleBytesPerArc(t *testing.T) {
 			}
 			for q, k := range arcs {
 				if q != r && k > 0 {
-					total += 1 + width*k
+					total += 1 + width(q)*k
 				}
 			}
 		}
@@ -866,11 +868,29 @@ func TestShuffleBytesPerArc(t *testing.T) {
 		return total
 	}
 	same := func(e []graph.RawEdge) []graph.RawEdge { return e }
-	if got, want := measure(same), wireBytes(8); got != want {
+	if got, want := measure(same), wireBytes(func(int) int64 { return 8 }); got != want {
 		t.Errorf("unweighted Build sent %d bytes, want %d (8 per arc)", got, want)
 	}
-	if got, want := measure(floatWeights), wireBytes(16); got != want {
+	if got, want := measure(floatWeights), wireBytes(func(int) int64 { return 16 }); got != want {
 		t.Errorf("float-weighted Build sent %d bytes, want %d (16 per arc)", got, want)
+	}
+	lastRange := func(chunk []graph.RawEdge) []graph.RawEdge {
+		out := slices.Clone(chunk)
+		for i, e := range out {
+			if part.Owner(e.U) == p-1 && part.Owner(e.V) == p-1 {
+				out[i].W = 2.5
+			}
+		}
+		return out
+	}
+	byOwner := func(q int) int64 {
+		if q == p-1 {
+			return 16
+		}
+		return 8
+	}
+	if got, want := measure(lastRange), wireBytes(byOwner); got != want {
+		t.Errorf("Build with weights in the last rank's range sent %d bytes, want %d (16 per arc to rank %d, 8 to the others)", got, want, p-1)
 	}
 }
 
@@ -948,7 +968,10 @@ func TestSlotSpaceIsChecked(t *testing.T) {
 // holds BuildFromArcs to the oracle. Weights are quarter-integers up to 63.75
 // with varied magnitudes so that merge order shows in the bits — or, with bit
 // 0x20 of the first byte set, all 1.0, so the frames travel in the unit
-// layout. With the top bit of the first byte set the vertex space is 160–2560
+// layout, or, with bit 0x10 set, 1.0 but for the arcs whose weight byte is
+// 0xc0 or more, so that unit records are widened mid-frame. The same arcs
+// are also put through a two-writer shuffle in segments the input picks
+// (segmentedMatchesWhole). With the top bit of the first byte set the vertex space is 160–2560
 // wide instead of 1–16 (IDs borrow three bits each from the rank byte), so
 // ghost candidates run into the thousands and rows past radixMinRow; the
 // fourth seed is such an input. With bit 0x40 of the first byte set the rest
@@ -975,6 +998,7 @@ func FuzzBuildFromArcs(f *testing.F) {
 	}
 	f.Add(wide)
 	f.Add(append([]byte{0x22, 9}, wide[2:400]...))
+	f.Add(append([]byte{0x10, 0x6b}, wide[2:1200]...)) // one rank, mostly unit weights: long frames, widened mid-frame
 	f.Add(append([]byte{0x40, 12}, frame(arcsUnit32, oracleArc{0, 3, 1}, oracleArc{2, 9, 1}, oracleArc{0, 3, 1})...))
 	f.Add(append([]byte{0x40, 5}, frame(arcsWeight32, oracleArc{1, 0, 0.1}, oracleArc{1, 0, 0.2}, oracleArc{2, 2, 5})...))
 	f.Add(append([]byte{0x40, 0x83}, frame(arcs64, oracleArc{7, 1 << 33, 2}, oracleArc{0, 5, 0.5})...))
@@ -1000,12 +1024,14 @@ func FuzzBuildFromArcs(f *testing.F) {
 			n *= 160
 		}
 		perRank := make([][]Arc, p)
+		picks := make([][]byte, p)
 		for rest := data[2:]; len(rest) >= 4 && len(rest) <= 4*2048; rest = rest[4:] {
 			r := int(rest[0]) % p
 			w := float64(rest[3]) / 4 * math.Pow(10, float64(rest[0]%5)-2)
-			if data[0]&0x20 != 0 {
+			if data[0]&0x20 != 0 || data[0]&0x10 != 0 && rest[3] < 0xc0 {
 				w = 1
 			}
+			picks[r] = append(picks[r], rest[0]^rest[3]^data[1]>>4*0x35)
 			from, to := int64(rest[1]), int64(rest[2])
 			if wide {
 				from, to = from<<3|int64(rest[0]>>2&7), to<<3|int64(rest[0]>>5)
@@ -1019,7 +1045,82 @@ func FuzzBuildFromArcs(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		err = mpi.Run(p, func(c *mpi.Comm) error { return segmentedMatchesWhole(c, n, perRank[c.Rank()], picks[c.Rank()]) })
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+// segmentedMatchesWhole puts arcs through two writers of one shuffle, arc i by
+// writer pick[i]&1, and ends the writer's segment for the arc's owner after
+// it when pick[i]&6 is 0 — twice, leaving an empty segment, when pick[i]&0x18
+// is 0 too (collective). Every frame must come out as the bytes of one
+// segment encoded by hand — the layout byte its arcs select, then writer 0's
+// arcs for that owner and writer 1's, in put order — and the graph Exchange
+// assembles must be the one those one-segment frames assemble to, field for
+// field.
+func segmentedMatchesWhole(c *mpi.Comm, n int64, arcs []Arc, pick []byte) error {
+	s, err := NewShuffle(c, n, nil, 2, false)
+	if err != nil {
+		return err
+	}
+	var byWriter [2][][]oracleArc // [writer][owner]
+	for i := range byWriter {
+		byWriter[i] = make([][]oracleArc, c.Size())
+	}
+	for i, a := range arcs {
+		w, q := s.Writer(int(pick[i]&1)), s.Owner(a.From)
+		w.Put(q, a.From, a.To, a.W)
+		byWriter[pick[i]&1][q] = append(byWriter[pick[i]&1][q], oracleArc{a.From, a.To, a.W})
+		if pick[i]&6 == 0 {
+			w.nextSegment(&w.streams[q])
+			if pick[i]&0x18 == 0 {
+				w.nextSegment(&w.streams[q])
+			}
+		}
+	}
+	whole := make([][]byte, c.Size())
+	for q := range whole {
+		want := append(slices.Clone(byWriter[0][q]), byWriter[1][q]...)
+		if len(want) == 0 {
+			continue
+		}
+		layout := byte(arcsUnit32)
+		switch {
+		case wideIDs(n):
+			layout = arcs64
+		case slices.ContainsFunc(want, func(a oracleArc) bool { return a.w != 1 }):
+			layout = arcsWeight32
+		}
+		whole[q] = frame(layout, want...)
+	}
+	for q, segs := range s.frames() {
+		if got := slices.Concat(segs...); !bytes.Equal(got, whole[q]) {
+			return fmt.Errorf("rank %d: the frame for rank %d is %d bytes in %d segments, want the %d of one", c.Rank(), q, len(got), len(segs), len(whole[q]))
+		}
+	}
+	got, err := s.Exchange(nil)
+	if err != nil {
+		return err
+	}
+	recv, err := c.Alltoall(whole)
+	if err != nil {
+		return err
+	}
+	frames := make([][][]byte, len(recv))
+	for q := range recv {
+		frames[q] = recv[q : q+1]
+	}
+	one, err := NewShuffle(c, n, nil, 1, false)
+	if err != nil {
+		return err
+	}
+	want, err := one.assemble(frames, &DistGraph{})
+	if err != nil {
+		return err
+	}
+	return sameGraph(got, want)
 }
 
 // fuzzRawFrame is FuzzBuildFromArcs' frame mode: f arrives at rank 0 from

@@ -12,13 +12,18 @@
 // Build, BuildFromArcs and the coarsening of package core share one
 // counting-sort pipeline — a Shuffle on the sending side, assemble on the
 // receiving one; DESIGN "graph construction memory layout" has the contract.
-// Each rank sends one frame per owner, sized exactly before it is written: a
-// layout byte, then fixed-width records of 8 bytes (32-bit source and target)
-// when every weight in the frame is 1.0, 16 with the weight, 24 only in a
-// vertex space past 2³². Allocations are O(p), whatever the arc count. A
-// graph keeps the Shuffle that assembled it, frames and scratch included,
-// and Reshuffle hands it to the next shuffle: core's first coarsening writes
-// into the frames Build filled.
+// Each rank sends one frame per owner: a layout byte, then fixed-width
+// records of 8 bytes (32-bit source and target) when every weight in the
+// frame is 1.0, 16 with the weight, 24 only in a vertex space past 2³². The
+// sender reads its input once, appending each arc to its writer's segments
+// for the arc's owner — 8-byte records, re-encoded once at 16 when a weight
+// other than 1.0 reaches them, unless the caller asks for weights from the
+// start — and a frame, its writers' segments in writer order, leaves as one
+// message. Segments are cut from buffers the Shuffle keeps, whatever owner
+// they are for; a graph keeps the Shuffle that assembled it, buffers and
+// scratch included, and Reshuffle hands it to the next shuffle, so core's
+// coarsenings cut their segments from the buffers Build filled and allocate
+// only past them. Allocations are O(p), whatever the arc count.
 //
 // The receiver consumes its frames: pass 1 validates them, histograms the
 // sources, interns each non-owned target — the one hash probe a ghost arc
@@ -92,7 +97,7 @@ type DistGraph struct {
 	Ghosts     []int64
 	GhostOwner []int
 
-	// shuffle is the Shuffle that assembled the graph, its frames and
+	// shuffle is the Shuffle that assembled the graph, its buffers and
 	// scratch kept for the next one (Reshuffle).
 	shuffle *Shuffle
 }
@@ -138,12 +143,14 @@ func checkSlotSpace(localN int64, ghosts int) error {
 // — within a chunk or across chunks and ranks — merge by weight, summed in
 // (sender rank, chunk order).
 func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Partition) (*DistGraph, error) {
-	s, err := NewShuffle(c, n, part, 1)
+	s, err := NewShuffle(c, n, part, 1, false)
 	if err != nil {
 		return nil, err
 	}
 	// Each undirected edge expands into its two directed arcs, routed to the
-	// owner of the source vertex; a self loop is a single arc.
+	// owner of the source vertex; a self loop is a single arc. Two 8-byte
+	// records per edge hold a unit-weight chunk's frames in one buffer.
+	s.buffers.grow(16 * len(localChunk))
 	w := s.Writer(0)
 	for _, e := range localChunk {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
@@ -152,13 +159,6 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 		if !validWeight(e.W) {
 			return nil, fmt.Errorf("%w: edge (%d,%d) weighs %g", ErrWeight, e.U, e.V, e.W)
 		}
-		w.Reserve(s.Owner(e.U), 1, e.W == 1)
-		if e.U != e.V {
-			w.Reserve(s.Owner(e.V), 1, e.W == 1)
-		}
-	}
-	s.Alloc()
-	for _, e := range localChunk {
 		w.Put(s.Owner(e.U), e.U, e.V, e.W)
 		if e.U != e.V {
 			w.Put(s.Owner(e.V), e.V, e.U, e.W)
@@ -175,10 +175,11 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 // b→a of equal total weight), as a checkpointed coarse graph is, and its
 // weights are held to Build's rule (ErrWeight).
 func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) (*DistGraph, error) {
-	s, err := NewShuffle(c, n, part, 1)
+	s, err := NewShuffle(c, n, part, 1, false)
 	if err != nil {
 		return nil, err
 	}
+	s.buffers.grow(8 * len(arcs))
 	w := s.Writer(0)
 	for _, a := range arcs {
 		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
@@ -187,17 +188,14 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 		if !validWeight(a.W) {
 			return nil, fmt.Errorf("%w: arc (%d,%d) weighs %g", ErrWeight, a.From, a.To, a.W)
 		}
-		w.Reserve(s.Owner(a.From), 1, a.W == 1)
-	}
-	s.Alloc()
-	for _, a := range arcs {
 		w.Put(s.Owner(a.From), a.From, a.To, a.W)
 	}
 	return s.Exchange(nil)
 }
 
-// assemble is the receiving half of the pipeline: recv[q] is the frame rank q
-// routed here, its arcs in the order q encoded them. It consumes the frames:
+// assemble is the receiving half of the pipeline: frames[q] is the frame rank
+// q routed here, as segments — its layout byte first, then whole records in
+// each — its arcs in the order q put them. It consumes the frames:
 // pass 1 validates every frame, histograms the sources, interns every target
 // this rank does not own and rewrites each record in place as its row and
 // its target's local index or ghost number (placer) — nothing is written to
@@ -216,7 +214,7 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 // (spare is the zero graph when there is nothing to recycle), and the row
 // cursors, sort scratch and ghost index are s's. Every array is written in
 // full before it is read, except the source histogram, which is cleared.
-func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) {
+func (s *Shuffle) assemble(frames [][][]byte, spare *DistGraph) (*DistGraph, error) {
 	c, n, part, sc := s.c, s.n, s.part, &s.scratch
 	rank := c.Rank()
 	base, hi := part.Range(rank)
@@ -236,30 +234,32 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 
 	pl := &placer{base: base, hi: hi, n: n, count: dg.Index, ghosts: &sc.ghosts}
 	var unitFrames, weightFrames bool
-	for q, f := range recv {
-		if len(f) == 0 {
-			continue
-		}
-		width, err := frameWidth(f, n)
+	for q, f := range frames {
+		layout, width, err := frameLayout(f, n)
 		if err != nil {
 			return nil, fmt.Errorf("%w: frame from rank %d: %v", ErrMalformedArcs, q, err)
 		}
-		unitFrames = unitFrames || f[0] == arcsUnit32
-		weightFrames = weightFrames || f[0] != arcsUnit32
-		var bad int
-		if width == 24 {
-			bad = pl.count64(f[1:])
-		} else {
-			bad = pl.count32(f[1:], width)
-		}
-		if bad < 0 {
+		if layout == 0 {
 			continue
 		}
-		a := arcAt(f, bad)
-		if a.From < base || a.From >= hi {
-			return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d has a source rank %d does not own", ErrMalformedArcs, a.From, a.To, q, rank)
+		unitFrames = unitFrames || layout == arcsUnit32
+		weightFrames = weightFrames || layout != arcsUnit32
+		for i := range f {
+			b, bad := body(f, i), 0
+			if layout == arcs64 {
+				bad = pl.count64(b)
+			} else {
+				bad = pl.count32(b, width)
+			}
+			if bad < 0 {
+				continue
+			}
+			a := arcAt(layout, b, bad)
+			if a.From < base || a.From >= hi {
+				return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d has a source rank %d does not own", ErrMalformedArcs, a.From, a.To, q, rank)
+			}
+			return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d targets outside [0,%d)", ErrMalformedArcs, a.From, a.To, q, n)
 		}
-		return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d targets outside [0,%d)", ErrMalformedArcs, a.From, a.To, q, n)
 	}
 	if err := checkSlotSpace(localN, sc.ghosts.Len()); err != nil {
 		return nil, err
@@ -286,17 +286,19 @@ func (s *Shuffle) assemble(recv [][]byte, spare *DistGraph) (*DistGraph, error) 
 	end := sc.end
 	copy(end, dg.Index)
 	pl.end, pl.slot, pl.w = end, slot, wts
-	for _, f := range recv {
-		if len(f) == 0 {
+	for _, f := range frames {
+		if len(f) == 0 || len(f[0]) == 0 {
 			continue
 		}
-		switch body := f[1:]; f[0] {
-		case arcsUnit32:
-			pl.placeUnit32(body)
-		case arcsWeight32:
-			pl.placeWeight32(body)
-		default:
-			pl.place64(body)
+		for i := range f {
+			switch b := body(f, i); f[0][0] {
+			case arcsUnit32:
+				pl.placeUnit32(b)
+			case arcsWeight32:
+				pl.placeWeight32(b)
+			default:
+				pl.place64(b)
+			}
 		}
 	}
 
@@ -718,16 +720,12 @@ func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
 	for r := 1; r < len(bounds); r++ {
 		bounds[r] = dg.GlobalN
 	}
-	s, err := NewShuffle(dg.Comm, dg.GlobalN, &partition.Partition{Bounds: bounds}, 1)
+	s, err := NewShuffle(dg.Comm, dg.GlobalN, &partition.Partition{Bounds: bounds}, 1, false)
 	if err != nil {
 		return nil, err
 	}
+	s.buffers.grow(8 * len(dg.Slot))
 	w := s.Writer(0)
-	for lv := int64(0); lv < dg.LocalN; lv++ {
-		row, ws := dg.Row(lv)
-		w.Reserve(0, len(row), !slices.ContainsFunc(ws, func(wt float64) bool { return wt != 1 }))
-	}
-	s.Alloc()
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		row, ws := dg.Row(lv)
 		for i, t := range row {

@@ -11,10 +11,10 @@ import (
 
 // TestBuildHandsOnItsShuffle: the graph Build assembles keeps the shuffle that
 // assembled it, and Reshuffle resets that one — for two writers where Build
-// had one — so a following shuffle no larger than Build's fills Build's frames
-// and row cursors without allocating them again, and its graph, assembled
-// into the one it replaces, takes the shuffle on. The result is the graph a
-// fresh Build of the same edges makes.
+// had one — so a following shuffle no larger than Build's cuts its segments
+// from Build's buffers and fills Build's row cursors without allocating
+// either again, and its graph, assembled into the one it replaces, takes the
+// shuffle on. The result is the graph a fresh Build of the same edges makes.
 func TestBuildHandsOnItsShuffle(t *testing.T) {
 	n, edges := gen.ErdosRenyi(400, 2400, 5)
 	const p = 3
@@ -28,7 +28,7 @@ func TestBuildHandsOnItsShuffle(t *testing.T) {
 		if s == nil {
 			return fmt.Errorf("Build's graph keeps no shuffle")
 		}
-		frames := append([][]byte(nil), s.frames...)
+		held := s.Allocated()
 		end := s.scratch.end
 
 		// Every other edge of the chunk, split between two writers.
@@ -38,36 +38,22 @@ func TestBuildHandsOnItsShuffle(t *testing.T) {
 				half = append(half, e)
 			}
 		}
-		sh, err := dg.Reshuffle(n, dg.Part, 2)
+		sh, err := dg.Reshuffle(n, dg.Part, 2, false)
 		if err != nil {
 			return err
 		}
 		if sh != s {
 			return fmt.Errorf("Reshuffle made a new shuffle although the graph kept one")
 		}
-		put := func(reserve bool) {
-			for i, e := range half {
-				w := sh.Writer(i % 2)
-				arcs := [][2]int64{{e.U, e.V}, {e.V, e.U}}
-				if e.U == e.V {
-					arcs = arcs[:1] // a self loop is one arc
-				}
-				for _, a := range arcs {
-					if reserve {
-						w.Reserve(sh.Owner(a[0]), 1, e.W == 1)
-					} else {
-						w.Put(sh.Owner(a[0]), a[0], a[1], e.W)
-					}
-				}
+		for i, e := range half {
+			w := sh.Writer(i % 2)
+			w.Put(sh.Owner(e.U), e.U, e.V, e.W)
+			if e.U != e.V {
+				w.Put(sh.Owner(e.V), e.V, e.U, e.W)
 			}
 		}
-		put(true)
-		sh.Alloc()
-		put(false)
-		for q, f := range sh.frames {
-			if !sameArray(f, frames[q]) {
-				return fmt.Errorf("rank %d: the %d-byte frame for rank %d was allocated again; Build's had %d", c.Rank(), len(f), q, len(frames[q]))
-			}
+		if got := sh.Allocated(); got != held {
+			return fmt.Errorf("rank %d: the shuffle holds %d bytes of buffers after Build's %d", c.Rank(), got, held)
 		}
 		got, err := sh.Exchange(dg)
 		if err != nil {

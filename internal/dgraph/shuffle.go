@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"distlouvain/internal/flat"
 	"distlouvain/internal/mpi"
@@ -11,9 +13,10 @@ import (
 )
 
 // Arc record layouts. Every non-empty shuffle frame starts with one of these
-// bytes, naming the fixed width of the records that follow; the sender picks
-// the narrowest layout its writers' reservations allow. All fields are
-// little-endian.
+// bytes, naming the fixed width of the records that follow. A writer starts
+// each owner's records in the narrowest layout the shuffle allows and widens
+// them once, when a weight other than 1.0 reaches them; a frame takes the
+// widest of its writers' layouts. All fields are little-endian.
 const (
 	arcsUnit32   = 1 // uint32 source, uint32 target: every weight in the frame is 1.0
 	arcsWeight32 = 2 // uint32 source, uint32 target, fixed64 weight
@@ -23,36 +26,57 @@ const (
 // recordWidth is the size of one record in each layout.
 var recordWidth = [...]int{arcsUnit32: 8, arcsWeight32: 16, arcs64: 24}
 
+// layoutBytes holds each layout byte, for a frame's first segment.
+var layoutBytes = [...]byte{arcsUnit32: arcsUnit32, arcsWeight32: arcsWeight32, arcs64: arcs64}
+
 // wideIDs reports whether a vertex space of n needs 64-bit records.
 func wideIDs(n int64) bool { return n > 1<<32 }
 
+// A writer cuts its segments for one owner from the shuffle's buffers, each
+// as long as the writer's records for that owner so far, at least minSegment
+// bytes, and at most the larger of minSegmentCap and the buffers' bytes over
+// segmentShare times the number of open segments: a short frame wastes
+// little, and the unused ends of the open segments keep about 1/segmentShare
+// of the buffers from being cut, however many owners and writers share them.
+const (
+	minSegment    = 256
+	minSegmentCap = 4 << 10
+	segmentShare  = 64
+)
+
 // A Shuffle routes directed arcs to the owners of their sources and assembles
 // what arrives: the whole construction pipeline of Build, BuildFromArcs and
-// the coarsening of core. The sender works in two passes over its own input,
-// both through ArcWriters: Reserve counts every owner's arcs, Alloc sizes one
-// frame per owner exactly, Put encodes each arc at its writer's cursor in its
-// owner's frame. Exchange ships the frames and assembles the rank's share.
+// the coarsening of core. The sender makes one pass over its own input: Put
+// appends each arc to its writer's segments for the arc's owner. Exchange
+// ships every owner its frame — the layout byte, then writer 0's segments,
+// writer 1's, …, each in write order — and assembles the rank's share.
 //
-// A Shuffle can be used again after Reset: its frames and the assembly's
-// scratch keep their memory, so a caller that shuffles once per phase, as
-// core's coarsening does, allocates them for its largest phase only. The
-// graph an Exchange assembles keeps its shuffle, and Reshuffle hands it on:
-// the frames Build or BuildFromArcs filled are the ones core's first
-// coarsening writes.
+// A Shuffle can be used again after Reset: the buffers its segments are cut
+// from, and the assembly's scratch, keep their memory, and every segment is
+// cut again from the start of them whatever owner it is for, so a caller that
+// shuffles once per phase, as core's coarsening does, allocates only where a
+// phase needs more bytes than any before it. The graph an Exchange assembles
+// keeps its shuffle, and Reshuffle hands it on: the buffers Build or
+// BuildFromArcs filled are the ones core's first coarsening writes.
 type Shuffle struct {
 	c       *mpi.Comm
 	n       int64
 	part    *partition.Partition
-	frames  [][]byte // frames[q]: a layout byte, then the records rank q owns; empty when none
 	writers []ArcWriter
+	out     [][][]byte // out[q]: the frame for rank q, as segments (frames)
+	in      [][][]byte // in[q]: the frame from rank q, as segments (Exchange)
+	buffers buffers
 	scratch assembly
 }
 
 // NewShuffle starts a shuffle over the vertex space [0, n) split by part (nil
 // selects the even vertex split), filled by the given number of writers.
-func NewShuffle(c *mpi.Comm, n int64, part *partition.Partition, writers int) (*Shuffle, error) {
-	s := &Shuffle{c: c, frames: make([][]byte, c.Size())}
-	if err := s.Reset(n, part, writers); err != nil {
+// weighted says that every record is to carry its weight from the start, as
+// core's coarse arcs do, whose weights are rarely 1.0; otherwise the records
+// travel without weights until a weight other than 1.0 reaches them.
+func NewShuffle(c *mpi.Comm, n int64, part *partition.Partition, writers int, weighted bool) (*Shuffle, error) {
+	s := &Shuffle{c: c, out: make([][][]byte, c.Size()), in: make([][][]byte, c.Size())}
+	if err := s.Reset(n, part, writers, weighted); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -62,19 +86,19 @@ func NewShuffle(c *mpi.Comm, n int64, part *partition.Partition, writers int) (*
 // part with the given number of writers, or a new shuffle when dg has none
 // (a graph not built by Exchange). The graph's arrays are not the shuffle's,
 // so dg stays intact until an Exchange recycles it.
-func (dg *DistGraph) Reshuffle(n int64, part *partition.Partition, writers int) (*Shuffle, error) {
+func (dg *DistGraph) Reshuffle(n int64, part *partition.Partition, writers int, weighted bool) (*Shuffle, error) {
 	if dg.shuffle == nil {
-		return NewShuffle(dg.Comm, n, part, writers)
+		return NewShuffle(dg.Comm, n, part, writers, weighted)
 	}
-	return dg.shuffle, dg.shuffle.Reset(n, part, writers)
+	return dg.shuffle, dg.shuffle.Reset(n, part, writers, weighted)
 }
 
 // Reset starts the next shuffle on s, over the vertex space [0, n) split by
 // part (nil selects the even vertex split), with the same communicator, for
-// the given number of writers. The frames and the assembly's scratch keep
-// their memory whatever the writer count; no graph an Exchange returned
-// refers to it.
-func (s *Shuffle) Reset(n int64, part *partition.Partition, writers int) error {
+// the given number of writers, weighted as NewShuffle says. The buffers and
+// the assembly's scratch keep their memory whatever the writer count; no
+// graph an Exchange returned refers to it.
+func (s *Shuffle) Reset(n int64, part *partition.Partition, writers int, weighted bool) error {
 	p := s.c.Size()
 	if part == nil {
 		part = partition.ByVertexCount(n, p)
@@ -84,18 +108,28 @@ func (s *Shuffle) Reset(n int64, part *partition.Partition, writers int) error {
 			part.N(), part.Size(), n, p)
 	}
 	s.n, s.part = n, part
-	if writers != len(s.writers) {
-		s.writers = make([]ArcWriter, writers)
-		shares := make([]share, writers*p)
-		for i := range s.writers {
-			s.writers[i] = ArcWriter{s: s, shares: shares[i*p : (i+1)*p : (i+1)*p]}
+	start := byte(arcsUnit32) // the layout every writer's records start in
+	switch {
+	case wideIDs(n):
+		start = arcs64
+	case weighted:
+		start = arcsWeight32
+	}
+	if writers > cap(s.writers) {
+		s.writers = append(s.writers[:cap(s.writers)], make([]ArcWriter, writers-cap(s.writers))...)
+	}
+	s.writers = s.writers[:writers]
+	for i := range s.writers {
+		w := &s.writers[i]
+		if w.streams == nil {
+			w.s, w.streams = s, make([]stream, p)
+		}
+		for q := range w.streams {
+			st := &w.streams[q]
+			st.layout, st.segs, st.cur, st.full = start, st.segs[:0], nil, 0
 		}
 	}
-	for _, w := range s.writers {
-		for q := range w.shares {
-			w.shares[q] = share{unit: true}
-		}
-	}
+	s.buffers.next, s.buffers.off, s.buffers.open = 0, 0, writers*p
 	return nil
 }
 
@@ -103,112 +137,194 @@ func (s *Shuffle) Reset(n int64, part *partition.Partition, writers int) error {
 func (s *Shuffle) Owner(v int64) int { return s.part.Owner(v) }
 
 // Writer returns writer i. Writers can fill one shuffle in parallel: each
-// owns one range of every frame — the arcs it reserved, which it alone puts —
-// and a frame holds the writers' ranges in writer order.
+// appends to segments of its own, and a frame holds the writers' segments in
+// writer order.
 func (s *Shuffle) Writer(i int) *ArcWriter { return &s.writers[i] }
 
-// Len returns the number of arcs reserved, by all writers for all owners.
+// Len returns the number of arcs put, by all writers for all owners.
 func (s *Shuffle) Len() int {
 	k := 0
-	for _, w := range s.writers {
-		for _, sh := range w.shares {
-			k += sh.reserved
+	for i := range s.writers {
+		for _, st := range s.writers[i].streams {
+			k += st.len() / recordWidth[st.layout]
 		}
 	}
 	return k
 }
 
+// Allocated returns the bytes s has allocated for segments since it was
+// made. It keeps them: every later shuffle on s cuts its segments from them
+// first.
+func (s *Shuffle) Allocated() int { return s.buffers.held }
+
 // An ArcWriter is one writer of a Shuffle.
 type ArcWriter struct {
-	s      *Shuffle
-	shares []share // per owner
+	s       *Shuffle
+	streams []stream // per owner
+	spare   [][]byte // widen's list of the segments it re-encodes
 }
 
-// share is one writer's range of one owner's frame.
-type share struct {
-	reserved int  // arcs reserved
-	at, end  int  // write cursor and end of the range, once allocated
-	unit     bool // every weight reserved is 1.0
+// stream is one writer's records for one owner: full segments, then the one
+// being written.
+type stream struct {
+	layout byte
+	segs   [][]byte
+	cur    []byte // its records, with room to the segment's end
+	full   int    // bytes in segs
 }
 
-// Reserve counts k arcs for owner q. unit says every one of them weighs
-// exactly 1.0, so that the frame may travel without weights; a writer that
-// does not know its weights yet passes false, and the frame keeps them.
-func (w *ArcWriter) Reserve(q, k int, unit bool) {
-	sh := &w.shares[q]
-	sh.reserved += k
-	sh.unit = sh.unit && unit
-}
+func (st *stream) len() int { return st.full + len(st.cur) }
 
-// Alloc sizes every frame exactly — the layout byte and the records all
-// writers reserved — and hands each writer its range. A frame is allocated
-// only when the one it replaces is too small; Put overwrites every byte.
-func (s *Shuffle) Alloc() {
-	wide := wideIDs(s.n)
-	for q := range s.frames {
-		k, unit := 0, true
-		for _, w := range s.writers {
-			k += w.shares[q].reserved
-			unit = unit && w.shares[q].unit
-		}
-		if k == 0 {
-			s.frames[q] = s.frames[q][:0]
-			continue
-		}
-		layout := byte(arcsWeight32)
-		switch {
-		case wide:
-			layout = arcs64
-		case unit:
-			layout = arcsUnit32
-		}
-		width := recordWidth[layout]
-		s.frames[q] = resize(s.frames[q], 1+width*k)
-		s.frames[q][0] = layout
-		at := 1
-		for _, w := range s.writers {
-			sh := &w.shares[q]
-			sh.at = at
-			at += width * sh.reserved
-			sh.end = at
-		}
+// Put appends the arc from→to of weight wt to this writer's records for owner
+// q.
+func (w *ArcWriter) Put(q int, from, to int64, wt float64) { w.put(&w.streams[q], from, to, wt) }
+
+func (w *ArcWriter) put(st *stream, from, to int64, wt float64) {
+	if wt != 1 && st.layout == arcsUnit32 {
+		w.widen(st)
 	}
-}
-
-// Put encodes the arc from→to of weight wt into owner q's frame, at this
-// writer's cursor. Into a frame reserved as unit-weight only arcs of weight
-// 1.0 may go.
-func (w *ArcWriter) Put(q int, from, to int64, wt float64) {
-	sh := &w.shares[q]
-	f, i := w.s.frames[q], sh.at
-	switch f[0] {
+	width := recordWidth[st.layout]
+	i := len(st.cur)
+	if i+width > cap(st.cur) {
+		w.nextSegment(st)
+		i = 0
+	}
+	st.cur = st.cur[:i+width]
+	b := st.cur[i:]
+	switch st.layout {
 	case arcsUnit32:
-		binary.LittleEndian.PutUint32(f[i:], uint32(from))
-		binary.LittleEndian.PutUint32(f[i+4:], uint32(to))
-		sh.at = i + 8
+		binary.LittleEndian.PutUint32(b, uint32(from))
+		binary.LittleEndian.PutUint32(b[4:], uint32(to))
 	case arcsWeight32:
-		binary.LittleEndian.PutUint32(f[i:], uint32(from))
-		binary.LittleEndian.PutUint32(f[i+4:], uint32(to))
-		binary.LittleEndian.PutUint64(f[i+8:], math.Float64bits(wt))
-		sh.at = i + 16
+		binary.LittleEndian.PutUint32(b, uint32(from))
+		binary.LittleEndian.PutUint32(b[4:], uint32(to))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(wt))
 	default:
-		binary.LittleEndian.PutUint64(f[i:], uint64(from))
-		binary.LittleEndian.PutUint64(f[i+8:], uint64(to))
-		binary.LittleEndian.PutUint64(f[i+16:], math.Float64bits(wt))
-		sh.at = i + 24
+		binary.LittleEndian.PutUint64(b, uint64(from))
+		binary.LittleEndian.PutUint64(b[8:], uint64(to))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(wt))
 	}
+}
+
+// nextSegment closes st's segment, when it has one, and cuts the next.
+func (w *ArcWriter) nextSegment(st *stream) {
+	if cap(st.cur) > 0 {
+		if st.segs == nil {
+			st.segs = make([][]byte, 0, 2*segmentShare) // a stream's share of the buffers, twice
+		}
+		st.segs = append(st.segs, st.cur)
+		st.full += len(st.cur)
+	}
+	st.cur = w.s.buffers.cut(st.full)
+}
+
+// widen re-encodes st's unit records with their weight, 1.0, into segments
+// cut anew: the stream's layout becomes arcsWeight32. The segments it leaves
+// are not cut again before the next Reset.
+func (w *ArcWriter) widen(st *stream) {
+	old := append(append(w.spare[:0], st.segs...), st.cur)
+	st.layout, st.segs, st.cur, st.full = arcsWeight32, st.segs[:0], nil, 0
+	for _, seg := range old {
+		for i := 0; i < len(seg); i += 8 {
+			w.put(st, int64(binary.LittleEndian.Uint32(seg[i:])), int64(binary.LittleEndian.Uint32(seg[i+4:])), 1)
+		}
+	}
+	w.spare = old
+}
+
+// buffers is the memory a Shuffle cuts segments from, kept from one shuffle
+// to the next: cuts run through the buffers in order, and only past the end
+// of the last is a new one allocated, one segment cap long.
+type buffers struct {
+	mu        sync.Mutex // writers cut in parallel
+	all       [][]byte
+	next, off int // the next cut starts at all[next][off:]
+	held      int // bytes in all
+	open      int // streams: writers × owners
+}
+
+// cut returns an empty segment for a stream that holds full bytes: room for
+// as many again within the bounds the constants set, or for fewer, at least
+// minSegment, where a buffer ends.
+func (b *buffers) cut(full int) []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	most := max(minSegmentCap, b.held/(segmentShare*b.open))
+	want := min(max(full, minSegment), most)
+	for {
+		if b.next == len(b.all) {
+			b.grow(most)
+		}
+		buf := b.all[b.next]
+		if rest := len(buf) - b.off; rest >= minSegment {
+			k := min(want, rest)
+			seg := buf[b.off : b.off : b.off+k]
+			b.off += k
+			return seg
+		}
+		b.next, b.off = b.next+1, 0
+	}
+}
+
+// grow adds a buffer of k bytes, rounded up to a multiple of 8 KiB — a size
+// Go's allocator hands out whole: a size class up to 32 KiB, whole pages past
+// it — after the last and makes it the next to cut. Build and its kin call it
+// before their one pass with a size their input gives, so that a unit-weight
+// input's frames take one allocation.
+func (b *buffers) grow(k int) {
+	k = (k + 8<<10 - 1) &^ (8<<10 - 1)
+	b.all = append(b.all, make([]byte, k))
+	b.held += k
+	b.next, b.off = len(b.all)-1, 0
+}
+
+// frames closes the writers' records into one frame per owner, s.out[q]: the
+// layout byte, then writer 0's segments for q, writer 1's, …; none at all
+// when no writer put an arc for q. A frame takes the widest layout of its
+// writers', and a writer whose records are narrower widens them.
+func (s *Shuffle) frames() [][][]byte {
+	for q := range s.out {
+		var layout byte
+		for i := range s.writers {
+			if st := &s.writers[i].streams[q]; st.len() > 0 {
+				layout = max(layout, st.layout)
+			}
+		}
+		segs := 1
+		for i := range s.writers {
+			w := &s.writers[i]
+			if st := &w.streams[q]; st.len() > 0 {
+				if st.layout != layout {
+					w.widen(st)
+				}
+				segs += len(st.segs) + 1
+			}
+		}
+		out := s.out[q][:0]
+		if layout != 0 {
+			out = append(slices.Grow(out, segs), layoutBytes[layout:layout+1:layout+1])
+			for i := range s.writers {
+				if st := &s.writers[i].streams[q]; st.len() > 0 {
+					out = append(append(out, st.segs...), st.cur)
+				}
+			}
+		}
+		s.out[q] = out
+	}
+	return s.out
 }
 
 // Exchange ships every frame to its owner and assembles what arrives: the
-// collective end of the shuffle. The self-owned frame never enters the
-// transport: it is handed to the assembly as encoded, in this rank's slot of
-// the receive order.
+// collective end of the shuffle. Each frame leaves as one message, copied by
+// the transport from the segments where they lie (mpi.AlltoallSegments); the
+// self-owned frame never enters the transport: the assembly reads its
+// segments in place, in this rank's slot of the receive order.
 //
 // The assembly consumes the frames it is handed: it rewrites their records in
 // place. The received frames are this rank's (mpi.Message.Data belongs to the
 // receiver), and Exchange releases them to the transport once assembled; the
-// self frame is the shuffle's own, and the next Put rewrites it. The graph
-// returned keeps s (Reshuffle).
+// self frame's segments are the shuffle's own, and the next shuffle on it
+// cuts them again. The graph returned keeps s (Reshuffle).
 //
 // recycle, when not nil, is a graph the caller gives up — in core, the graph
 // this one replaces. The assembly builds into its arrays wherever their
@@ -221,24 +337,20 @@ func (s *Shuffle) Exchange(recycle *DistGraph) (*DistGraph, error) {
 		spare = *recycle
 		*recycle = DistGraph{Comm: spare.Comm, Part: spare.Part, GlobalN: spare.GlobalN, M2: spare.M2, Base: spare.Base, LocalN: spare.LocalN}
 	}
-	for q := range s.frames {
-		for _, w := range s.writers {
-			if sh := w.shares[q]; sh.at != sh.end {
-				return nil, fmt.Errorf("dgraph: a writer left %d bytes of its range for rank %d unwritten", sh.end-sh.at, q)
-			}
-		}
-	}
 	rank := s.c.Rank()
-	self := s.frames[rank]
-	s.frames[rank] = nil
-	recv, err := s.c.Alltoall(s.frames) // copied before it returns: the frames stay s's
-	s.frames[rank] = self
+	out := s.frames()
+	self := out[rank]
+	out[rank] = nil
+	recv, err := s.c.AlltoallSegments(out)
+	out[rank] = self
 	if err != nil {
 		return nil, err
 	}
-	recv[rank] = self
-	dg, err := s.assemble(recv, &spare)
-	recv[rank] = nil
+	for q := range s.in {
+		s.in[q] = recv[q : q+1]
+	}
+	s.in[rank] = self
+	dg, err := s.assemble(s.in, &spare)
 	s.c.Release(recv...)
 	if err != nil {
 		return nil, err
@@ -247,29 +359,46 @@ func (s *Shuffle) Exchange(recycle *DistGraph) (*DistGraph, error) {
 	return dg, nil
 }
 
-// frameWidth validates a received frame's layout byte against the world's
-// vertex space and its length against the layout, and returns the record
-// width.
-func frameWidth(f []byte, n int64) (int, error) {
-	layout := f[0]
+// frameLayout validates a frame — its segments, the layout byte first — and
+// returns its layout, 0 for an empty frame, and the record width: the layout
+// byte must be one the world's vertex space selects, and the body a positive
+// whole number of records. A received frame is one segment; the self frame's
+// later segments hold whole records, as its writers cut them.
+func frameLayout(f [][]byte, n int64) (byte, int, error) {
+	total := 0
+	for _, seg := range f {
+		total += len(seg)
+	}
+	if total == 0 {
+		return 0, 0, nil
+	}
+	layout := f[0][0]
 	if layout < arcsUnit32 || layout > arcs64 {
-		return 0, fmt.Errorf("unknown layout byte %d", layout)
+		return 0, 0, fmt.Errorf("unknown layout byte %d", layout)
 	}
 	if (layout == arcs64) != wideIDs(n) {
-		return 0, fmt.Errorf("layout %d is not the one a vertex space of %d selects", layout, n)
+		return 0, 0, fmt.Errorf("layout %d is not the one a vertex space of %d selects", layout, n)
 	}
 	width := recordWidth[layout]
-	if body := len(f) - 1; body == 0 || body%width != 0 {
-		return 0, fmt.Errorf("a %d-byte body is not a positive whole number of %d-byte records", body, width)
+	if body := total - 1; body == 0 || body%width != 0 {
+		return 0, 0, fmt.Errorf("a %d-byte body is not a positive whole number of %d-byte records", body, width)
 	}
-	return width, nil
+	return layout, width, nil
 }
 
-// arcAt decodes the record at offset i of frame f's body, whatever the
-// layout: the slow path, for error messages.
-func arcAt(f []byte, i int) Arc {
-	b := f[1+i:]
-	switch f[0] {
+// body returns segment i of frame f without the layout byte.
+func body(f [][]byte, i int) []byte {
+	if i == 0 {
+		return f[0][1:]
+	}
+	return f[i]
+}
+
+// arcAt decodes the record at offset i of a body in the given layout: the
+// slow path, for error messages.
+func arcAt(layout byte, b []byte, i int) Arc {
+	b = b[i:]
+	switch layout {
 	case arcsUnit32:
 		return Arc{From: int64(binary.LittleEndian.Uint32(b)), To: int64(binary.LittleEndian.Uint32(b[4:])), W: 1}
 	case arcsWeight32:

@@ -10,22 +10,15 @@ import (
 	"distlouvain/internal/mpi"
 )
 
-// buildWeighted is Build through frames reserved as weighted whatever the
-// weights are: every arc travels with its weight, 1.0 included, so the
-// assembly places weights and the graph keeps W.
+// buildWeighted is Build through a weighted shuffle whatever the weights are:
+// every arc travels with its weight, 1.0 included, so the assembly places
+// weights and the graph keeps W.
 func buildWeighted(c *mpi.Comm, n int64, chunk []graph.RawEdge) (*DistGraph, error) {
-	s, err := NewShuffle(c, n, nil, 1)
+	s, err := NewShuffle(c, n, nil, 1, true)
 	if err != nil {
 		return nil, err
 	}
 	w := s.Writer(0)
-	for _, e := range chunk {
-		w.Reserve(s.Owner(e.U), 1, false)
-		if e.U != e.V {
-			w.Reserve(s.Owner(e.V), 1, false)
-		}
-	}
-	s.Alloc()
 	for _, e := range chunk {
 		w.Put(s.Owner(e.U), e.U, e.V, e.W)
 		if e.U != e.V {

@@ -366,22 +366,38 @@ func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
 	if len(send) != c.size {
 		return nil, errLenMismatch("Alltoall", c.size, len(send))
 	}
+	return c.alltoall(func(r int) [][]byte { return send[r : r+1] })
+}
+
+// AlltoallSegments is Alltoall of payloads given as segments: rank q receives
+// the concatenation of send[q] as the one message Alltoall would deliver for
+// it — same messages, same bytes, same counters — copied from the segments
+// where they lie (Transport.SendSegments), so a sender that writes its
+// payload in pieces never joins them.
+func (c *Comm) AlltoallSegments(send [][][]byte) ([][]byte, error) {
+	if len(send) != c.size {
+		return nil, errLenMismatch("AlltoallSegments", c.size, len(send))
+	}
+	return c.alltoall(func(r int) [][]byte { return send[r] })
+}
+
+// alltoall is the exchange of both: segs(q) is the payload for rank q.
+func (c *Comm) alltoall(segs func(q int) [][]byte) ([][]byte, error) {
 	sp := c.span("alltoall")
-	for r, b := range send {
+	for r := 0; r < c.size; r++ {
 		if r != c.rank {
-			sp.SetBytes(int64(len(b)))
+			sp.SetBytes(int64(segmentsLen(segs(r))))
 		}
 	}
 	defer sp.End()
 	tag := c.collTag()
 	recv := make([][]byte, c.size)
-	recv[c.rank] = acquire(c.t, len(send[c.rank]))
-	copy(recv[c.rank], send[c.rank])
+	recv[c.rank] = concat(acquire(c.t, segmentsLen(segs(c.rank))), segs(c.rank))
 	for r := 0; r < c.size; r++ {
 		if r == c.rank {
 			continue
 		}
-		if err := c.collSend(r, tag, send[r]); err != nil {
+		if err := c.collSendSegments(r, tag, segs(r)); err != nil {
 			return nil, err
 		}
 	}

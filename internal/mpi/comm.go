@@ -138,6 +138,32 @@ func (c *Comm) collSend(to, tag int, data []byte) error {
 	return c.t.Send(to, tag, data)
 }
 
+// collSendSegments is collSend of the concatenation of segs, as one message.
+func (c *Comm) collSendSegments(to, tag int, segs [][]byte) error {
+	c.stats.CollMsgs.Add(1)
+	c.stats.CollBytes.Add(int64(segmentsLen(segs)))
+	return c.t.SendSegments(to, tag, segs)
+}
+
+// segmentsLen is the length of the concatenation of segs.
+func segmentsLen(segs [][]byte) int {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	return n
+}
+
+// concat copies segs one after another into dst, which is exactly as long as
+// they are together, and returns it.
+func concat(dst []byte, segs [][]byte) []byte {
+	at := 0
+	for _, s := range segs {
+		at += copy(dst[at:], s)
+	}
+	return dst
+}
+
 func (c *Comm) collRecv(from, tag int) (Message, error) {
 	return c.t.RecvTimeout(from, tag, c.timeout)
 }

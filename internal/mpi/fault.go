@@ -59,6 +59,22 @@ func (f *FaultTransport) Rank() int { return f.inner.Rank() }
 func (f *FaultTransport) Size() int { return f.inner.Size() }
 
 func (f *FaultTransport) Send(to, tag int, data []byte) error {
+	if err := f.countSend(); err != nil {
+		return err
+	}
+	return f.inner.Send(to, tag, data)
+}
+
+func (f *FaultTransport) SendSegments(to, tag int, segs [][]byte) error {
+	if err := f.countSend(); err != nil {
+		return err
+	}
+	return f.inner.SendSegments(to, tag, segs)
+}
+
+// countSend accepts one more send, or fails it: the endpoint is dead, or this
+// is the send its plan kills it at.
+func (f *FaultTransport) countSend() error {
 	if f.killed.Load() {
 		return ErrKilled
 	}
@@ -66,7 +82,7 @@ func (f *FaultTransport) Send(to, tag int, data []byte) error {
 		f.Kill()
 		return ErrKilled
 	}
-	return f.inner.Send(to, tag, data)
+	return nil
 }
 
 func (f *FaultTransport) Recv(from, tag int) (Message, error) {

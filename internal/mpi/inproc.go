@@ -50,6 +50,10 @@ func (e *inprocEndpoint) Rank() int { return e.rank }
 func (e *inprocEndpoint) Size() int { return e.world.size }
 
 func (e *inprocEndpoint) Send(to, tag int, data []byte) error {
+	return e.SendSegments(to, tag, [][]byte{data})
+}
+
+func (e *inprocEndpoint) SendSegments(to, tag int, segs [][]byte) error {
 	if err := checkPeer(to, e.world.size, "Send"); err != nil {
 		return err
 	}
@@ -59,9 +63,8 @@ func (e *inprocEndpoint) Send(to, tag int, data []byte) error {
 	// released, which nothing else holds.
 	q := e.world.queues[to]
 	var cp []byte
-	if len(data) > 0 {
-		cp = q.acquire(len(data))
-		copy(cp, data)
+	if n := segmentsLen(segs); n > 0 {
+		cp = concat(q.acquire(n), segs)
 	}
 	return q.push(Message{From: e.rank, Tag: tag, Data: cp})
 }

@@ -184,3 +184,89 @@ func TestReleasedBufferNeverShared(t *testing.T) {
 		})
 	}
 }
+
+// TestAlltoallSegments: a payload sent as segments — none, only empty ones,
+// one, or many of uneven length with empty ones between them — arrives as the
+// one message its concatenation would, byte for byte, over every transport,
+// and the exchange counts the messages and bytes the whole-buffer Alltoall
+// counts.
+func TestAlltoallSegments(t *testing.T) {
+	const p = 3
+	payload := func(from, to int) []byte {
+		b := make([]byte, 5000+1000*from+7*to)
+		for i := range b {
+			b[i] = byte(i*31 + from*7 + to)
+		}
+		return b
+	}
+	cases := []struct {
+		name  string
+		split func(b []byte) [][]byte
+	}{
+		{"no segments", func([]byte) [][]byte { return nil }},
+		{"empty segments", func([]byte) [][]byte { return [][]byte{{}, nil, {}} }},
+		{"one segment", func(b []byte) [][]byte { return [][]byte{b} }},
+		{"many segments", func(b []byte) [][]byte {
+			var segs [][]byte
+			for k := 1; len(b) > 0; k = k*3%97 + 1 {
+				k := min(k, len(b))
+				segs = append(segs, b[:k], nil)
+				b = b[k:]
+			}
+			return segs
+		}},
+	}
+	for _, transport := range []string{"inproc", "tcp", "fault"} {
+		t.Run(transport, func(t *testing.T) {
+			eps := openEndpoints(t, transport == "tcp", p)
+			defer closeEndpoints(eps)
+			if transport == "fault" {
+				for r, ep := range eps {
+					eps[r] = NewFaultTransport(ep, FaultPlan{})
+				}
+			}
+			errs := make(chan error, p)
+			for r := range eps {
+				go func(c *Comm) {
+					errs <- func() error {
+						for _, tc := range cases {
+							whole, segs := make([][]byte, p), make([][][]byte, p)
+							for q := range segs {
+								segs[q] = tc.split(payload(c.Rank(), q))
+								for _, s := range segs[q] {
+									whole[q] = append(whole[q], s...)
+								}
+							}
+							before := c.Stats().Snapshot()
+							want, err := c.Alltoall(whole)
+							if err != nil {
+								return err
+							}
+							mid := c.Stats().Snapshot()
+							got, err := c.AlltoallSegments(segs)
+							if err != nil {
+								return err
+							}
+							after := c.Stats().Snapshot()
+							for q := range got {
+								if !bytes.Equal(got[q], want[q]) {
+									return fmt.Errorf("%s: rank %d got %d bytes from rank %d, want the %d of the concatenation", tc.name, c.Rank(), len(got[q]), q, len(want[q]))
+								}
+							}
+							ws, gs := mid.Sub(before), after.Sub(mid)
+							if gs.CollMsgs != ws.CollMsgs || gs.CollBytes != ws.CollBytes {
+								return fmt.Errorf("%s: rank %d counted %d messages of %d bytes, the whole buffers %d of %d", tc.name, c.Rank(), gs.CollMsgs, gs.CollBytes, ws.CollMsgs, ws.CollBytes)
+							}
+						}
+						return nil
+					}()
+				}(NewComm(eps[r]))
+			}
+			for range eps {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+}

@@ -483,13 +483,16 @@ func (e *tcpEndpoint) Rank() int { return e.rank }
 func (e *tcpEndpoint) Size() int { return e.size }
 
 func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
+	return e.SendSegments(to, tag, [][]byte{data})
+}
+
+func (e *tcpEndpoint) SendSegments(to, tag int, segs [][]byte) error {
 	if err := checkPeer(to, e.size, "Send"); err != nil {
 		return err
 	}
+	n := segmentsLen(segs)
 	if to == e.rank {
-		cp := e.queue.acquire(len(data))
-		copy(cp, data)
-		return e.queue.push(Message{From: e.rank, Tag: tag, Data: cp})
+		return e.queue.push(Message{From: e.rank, Tag: tag, Data: concat(e.queue.acquire(n), segs)})
 	}
 	e.mu.Lock()
 	w := e.writers[to]
@@ -498,10 +501,10 @@ func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
 	if closed || w == nil {
 		return ErrClosed
 	}
-	frame := e.queue.acquire(tcpHeaderSize + len(data))
+	frame := e.queue.acquire(tcpHeaderSize + n)
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(data)))
-	copy(frame[tcpHeaderSize:], data)
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(n))
+	concat(frame[tcpHeaderSize:], segs)
 	return w.enqueue(frame)
 }
 

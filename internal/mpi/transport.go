@@ -121,6 +121,10 @@ type Transport interface {
 	// sending rank's own pool, when one fits — so the caller may reuse data
 	// at once, and no receiver ever holds bytes a sender can still write.
 	Send(to, tag int, data []byte) error
+	// SendSegments is Send of the concatenation of segs, copied segment by
+	// segment into the one message Send would deliver: the receiver cannot
+	// tell the two apart.
+	SendSegments(to, tag int, segs [][]byte) error
 	// Recv blocks until a message matching (from, tag) is available and
 	// returns it. from may be AnySource and tag may be AnyTag. Messages
 	// from the same sender with the same tag are delivered in send order.
