@@ -151,9 +151,9 @@ func TestValidateFlagsMinRanksIgnoredWithoutSupervise(t *testing.T) {
 	}
 }
 
-// The result-neutral switches and the static -hosts rendezvous are gone from
-// the binary, not merely ignored: a command line that still carries one
-// fails as an unknown flag, exit 2.
+// The result-neutral switches and the static -hosts rendezvous are not flags
+// of the binary, not even ignored ones: a command line that carries one fails
+// as an unknown flag, exit 2.
 func TestRetiredFlagsRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")

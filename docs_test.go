@@ -449,8 +449,14 @@ func TestFuzzTargetsListed(t *testing.T) {
 }
 
 // designCeiling is DESIGN.md's size in bytes: it may shrink, never grow. A PR
-// that shrinks the document lowers the ceiling to the new size.
-const designCeiling = 134664
+// that shrinks the document lowers the ceiling to the new size. No "## "
+// section of it may pass sectionCeiling, and README.md may not pass
+// readmeCeiling, so text cut from DESIGN.md cannot move there instead.
+const (
+	designCeiling  = 49866
+	sectionCeiling = 6144
+	readmeCeiling  = 26728
+)
 
 // changesEntryCap bounds each CHANGES.md entry after changesCapFrom, in bytes:
 // an entry says what changed and where, and the design goes in DESIGN.md.
@@ -459,9 +465,10 @@ const (
 	changesCapFrom  = 40
 )
 
-// TestDocsRatchet holds the size ceilings: DESIGN.md under designCeiling, each
-// CHANGES.md entry ("PR N…" up to the next entry) after PR changesCapFrom
-// under changesEntryCap.
+// TestDocsRatchet holds the size ceilings: DESIGN.md under designCeiling and
+// each of its sections under sectionCeiling, README.md under readmeCeiling,
+// each CHANGES.md entry ("PR N…" up to the next entry) after PR
+// changesCapFrom under changesEntryCap.
 func TestDocsRatchet(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -469,6 +476,22 @@ func TestDocsRatchet(t *testing.T) {
 	}
 	if len(design) > designCeiling {
 		t.Errorf("DESIGN.md is %d bytes, over its ceiling of %d", len(design), designCeiling)
+	}
+	sections := designSections(string(design))
+	if len(sections) == 0 {
+		t.Fatal("no DESIGN.md sections found; the scan is broken")
+	}
+	for _, sec := range sections {
+		if len(sec.text) > sectionCeiling {
+			t.Errorf("DESIGN.md %q is %d bytes, over the section ceiling of %d", sec.heading, len(sec.text), sectionCeiling)
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(readme) > readmeCeiling {
+		t.Errorf("README.md is %d bytes, over its ceiling of %d", len(readme), readmeCeiling)
 	}
 	changes, err := os.ReadFile("CHANGES.md")
 	if err != nil {
@@ -489,4 +512,107 @@ func TestDocsRatchet(t *testing.T) {
 			t.Errorf("CHANGES.md entry of PR %d is %d bytes, over the cap of %d", pr, size, changesEntryCap)
 		}
 	}
+}
+
+// designSection is one "## " section of DESIGN.md: its heading line, its
+// number when the heading is "## N. …" (else 0), and its text from the
+// heading up to the next "## " heading.
+type designSection struct {
+	heading string
+	number  int
+	text    string
+}
+
+var sectionNumber = regexp.MustCompile(`^## (\d+)\. `)
+
+func designSections(doc string) []designSection {
+	var out []designSection
+	lines := strings.SplitAfter(doc, "\n")
+	for i := 0; i < len(lines); i++ {
+		if !strings.HasPrefix(lines[i], "## ") {
+			continue
+		}
+		sec := designSection{heading: strings.TrimSpace(lines[i])}
+		if m := sectionNumber.FindStringSubmatch(lines[i]); m != nil {
+			sec.number, _ = strconv.Atoi(m[1])
+		}
+		var b strings.Builder
+		b.WriteString(lines[i])
+		for i+1 < len(lines) && !strings.HasPrefix(lines[i+1], "## ") {
+			i++
+			b.WriteString(lines[i])
+		}
+		sec.text = b.String()
+		out = append(out, sec)
+	}
+	return out
+}
+
+// designCitation is `DESIGN §N`, `DESIGN.md §N` or a bare `DESIGN`, then
+// optionally a quoted title (escaped inside a Go string literal).
+var designCitation = regexp.MustCompile(`DESIGN(?:\.md)?(?: §(\d+))?(?:,? \\?"([^"\\]+)\\?")?`)
+
+// TestDesignCitationsResolve keeps the pointers into DESIGN.md pointing at
+// something: every DESIGN §N in a Go file (test files included), ROADMAP.md or
+// README.md must name a "## N." heading of DESIGN.md, and a quoted title after
+// it must occur, in any case, in that section — or anywhere in DESIGN.md when
+// no section is named (DESIGN "kernel memory layout"). CHANGES.md is history
+// and is not checked.
+func TestDesignCitationsResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[int]string{}
+	for _, sec := range designSections(string(design)) {
+		if sec.number > 0 {
+			sections[sec.number] = strings.ToLower(sec.text)
+		}
+	}
+	whole := strings.ToLower(string(design))
+	files := []string{"ROADMAP.md", "README.md"}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range designCitation.FindAllStringSubmatch(string(src), -1) {
+			within := whole
+			if m[1] != "" {
+				n, _ := strconv.Atoi(m[1])
+				var ok bool
+				if within, ok = sections[n]; !ok {
+					t.Errorf("%s: %q names no \"## %d.\" section of DESIGN.md", path, m[0], n)
+					continue
+				}
+			}
+			if m[1] == "" && m[2] == "" {
+				continue
+			}
+			checked++
+			if m[2] != "" && !strings.Contains(within, strings.ToLower(m[2])) {
+				t.Errorf("%s: %q: DESIGN.md has no %q there", path, m[0], m[2])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no DESIGN citations found; the scan is broken")
+	}
+	t.Logf("%d DESIGN citations checked", checked)
 }

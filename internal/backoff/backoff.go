@@ -1,6 +1,5 @@
 // Package backoff is the repository's single implementation of jittered
-// exponential backoff. Every retry loop that used to carry its own copy —
-// the tcp rendezvous dial, the supervisor's restart policy, the coordinator
+// exponential backoff. Every retry loop — the tcp rendezvous dial, the supervisor's restart policy, the coordinator
 // client's re-registration — delegates here, so the growth curve, the jitter
 // distribution and the determinism contract are stated exactly once.
 //

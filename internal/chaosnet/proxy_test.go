@@ -64,7 +64,7 @@ func freeAddr(t *testing.T) string {
 func TestProxyIsTransparent(t *testing.T) {
 	tp0, tp1, _ := proxiedPair(t, 0)
 	for i := 0; i < 50; i++ {
-		if err := tp1.Send(0, i, []byte{byte(i)}); err != nil {
+		if err := tp1.SendSegments(0, i, [][]byte{{byte(i)}}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestProxyIsTransparent(t *testing.T) {
 		}
 	}
 	// And the reverse direction.
-	if err := tp0.Send(1, 99, []byte("pong")); err != nil {
+	if err := tp0.SendSegments(1, 99, [][]byte{[]byte("pong")}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := tp1.Recv(0, 99); err != nil || string(msg.Data) != "pong" {
@@ -85,7 +85,7 @@ func TestProxyIsTransparent(t *testing.T) {
 
 func TestProxyFencedHandshakePassesThrough(t *testing.T) {
 	tp0, tp1, _ := proxiedPair(t, 42)
-	if err := tp1.Send(0, 1, []byte("fenced world")); err != nil {
+	if err := tp1.SendSegments(0, 1, [][]byte{[]byte("fenced world")}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := tp0.Recv(1, 1); err != nil || string(msg.Data) != "fenced world" {
@@ -98,14 +98,14 @@ func TestAsymmetricPartitionAndHeal(t *testing.T) {
 
 	// Partition only DirIn: rank 0 goes deaf to rank 1 but can still talk.
 	px.Partition(1, DirIn, true)
-	if err := tp1.Send(0, 5, []byte("lost")); err != nil {
+	if err := tp1.SendSegments(0, 5, [][]byte{[]byte("lost")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tp0.RecvTimeout(1, 5, 300*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("recv during partition = %v, want deadline exceeded", err)
 	}
 	// The healthy direction still flows — the asymmetry is real.
-	if err := tp0.Send(1, 6, []byte("still talking")); err != nil {
+	if err := tp0.SendSegments(1, 6, [][]byte{[]byte("still talking")}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := tp1.Recv(0, 6); err != nil || string(msg.Data) != "still talking" {
@@ -118,7 +118,7 @@ func TestAsymmetricPartitionAndHeal(t *testing.T) {
 	if _, err := tp0.RecvTimeout(1, 5, 200*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("partition buffered instead of dropping: %v", err)
 	}
-	if err := tp1.Send(0, 7, []byte("healed")); err != nil {
+	if err := tp1.SendSegments(0, 7, [][]byte{[]byte("healed")}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := tp0.Recv(1, 7); err != nil || string(msg.Data) != "healed" {
@@ -132,7 +132,7 @@ func TestSlowLinkPacesFrames(t *testing.T) {
 	px.SlowLink(1, DirIn, 10*1024)
 	payload := make([]byte, 2048)
 	start := time.Now()
-	tp1.Send(0, 1, payload)
+	tp1.SendSegments(0, 1, [][]byte{payload})
 	if msg, err := tp0.Recv(1, 1); err != nil || len(msg.Data) != len(payload) {
 		t.Fatalf("slow-link recv: %v len=%d", err, len(msg.Data))
 	}
@@ -141,7 +141,7 @@ func TestSlowLinkPacesFrames(t *testing.T) {
 	}
 	px.SlowLink(1, DirIn, 0)
 	start = time.Now()
-	tp1.Send(0, 2, payload)
+	tp1.SendSegments(0, 2, [][]byte{payload})
 	if _, err := tp0.Recv(1, 2); err != nil {
 		t.Fatal(err)
 	}

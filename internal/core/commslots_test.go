@@ -14,11 +14,10 @@ import (
 	"distlouvain/internal/mpi"
 )
 
-// The community-slot differential harness. The slot tables replaced four maps
-// that were rebuilt from the endpoint array every iteration (needed,
-// remoteInfo, prevRemote, changedRemote); the rebuilds live on here as the
-// oracles the incrementally maintained tables are held to, iteration by
-// iteration. The sweep itself is held to evaluateVertexRef (global IDs, Go
+// The community-slot differential harness. The incrementally maintained slot
+// tables are held, iteration by iteration, to four maps rebuilt from the
+// endpoint array every iteration (needed, remoteInfo, prevRemote,
+// changedRemote), the oracles below. The sweep itself is held to evaluateVertexRef (global IDs, Go
 // map) by slots_test.go and kernels_test.go.
 
 // Scripting helpers for tests that set communities by global ID.
@@ -80,7 +79,7 @@ func newSlotOracle(st *phaseState) *slotOracle {
 	return &slotOracle{st: st, prevRemote: map[int64]cinfo{}, ever: map[int64]struct{}{}}
 }
 
-// needed is the old map scan: every non-owned community some local vertex or
+// needed is the map scan: every non-owned community some local vertex or
 // ghost is in.
 func (o *slotOracle) needed() map[int64]struct{} {
 	st := o.st
@@ -213,10 +212,9 @@ func (o *slotOracle) afterFetch() error {
 	// (neighbours). A community whose size alone changed, away from {0, 1}, is
 	// NOT marked: no decision reads such a size, and its A — the only other
 	// thing a gain reads — kept its bits, because the weighted degrees that
-	// came and the ones that went cancel (exactly, on integer weights). The
-	// plain "differs from the previous fetch" this check used to state counts
-	// one such community on er-int at 2 ranks, fetch 3: 23 where the rule
-	// marks 22.
+	// came and the ones that went cancel (exactly, on integer weights). A
+	// plain "differs from the previous fetch" rule counts one such community
+	// on er-int at 2 ranks, fetch 3: 23 where the rule marks 22.
 	if st.fr != nil {
 		want := make(map[int64]changeDir)
 		for cid, info := range remote {

@@ -30,14 +30,12 @@ type Fingerprint string
 // Interrupted hooks — they change performance or output plumbing, never the
 // result, so a resume (or a cache lookup) may alter them freely;
 // TestConfigFieldsPinned holds both lists against the struct. The etcexit
-// position carries the constant DefaultETCExit: it was once a field no caller
-// set, and keeping its bytes keeps every stored digest, manifest and cache
-// key valid. The last three tokens name the rules of the sweep that are not
-// configuration: the ΔQ tie rule (tieBefore; it replaced "coloring=<bool>"
-// when ties stopped breaking towards the smallest community ID), the return
-// rule of a damped phase (evaluateVertex; appended when it was introduced) and
-// the exact gain the candidates are ranked by (seq.Gain; appended when equal
-// gains stopped being told apart by rounding). A checkpoint or cached result
+// position carries the constant DefaultETCExit, in the bytes a field there
+// would give, so stored digests, manifests and cache keys keep matching. The
+// last three tokens name the rules of the sweep that are not configuration:
+// the ΔQ tie rule (tieBefore), the return rule of a damped phase
+// (evaluateVertex) and the exact gain the candidates are ranked by
+// (seq.Gain). A checkpoint or cached result
 // of a trajectory under other rules therefore never matches, and Resume
 // refuses it with the typed mismatch instead of continuing it under these.
 func (c Config) Fingerprint() Fingerprint {

@@ -166,7 +166,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 	}
 	// Minimum-label rule: a singleton only joins another singleton with a
 	// smaller label, killing synchronous swap cycles. Raw IDs on purpose:
-	// hashing this rule too costs LFR quality (DESIGN §8).
+	// hashing this rule too costs LFR quality (DESIGN §8 "hashed ties").
 	if st.cSize[cv] == 1 && st.cSize[best] == 1 && st.gidOf(best) > st.gidOf(cv) {
 		return move{}, false, true
 	}
@@ -174,7 +174,7 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 	// phase a vertex goes back to the community it left one iteration ago
 	// (st.snap.comm still holds where the previous iteration started) only
 	// towards the smaller label. Of two vertices swapping across a boundary for
-	// ever, each on the other's stale label, exactly one now moves and they end
+	// ever, each on the other's stale label, exactly one moves and they end
 	// together; the other stays put rather than take its second-best.
 	if st.damped && best == st.snap.comm[lv] && st.gidOf(best) > st.gidOf(cv) {
 		return move{}, false, true

@@ -126,62 +126,6 @@ func TestFlatKernelsMatchMapReferenceFloat(t *testing.T) {
 	}
 }
 
-// TestFloatWeightedRunReproducible is the regression for the coarsening
-// nondeterminism this package shipped with: rebuild emitted coarse arcs in
-// Go map range order, BuildFromArcs merged parallel arcs with an unstable
-// sort, and the resulting float coarse weights differed bit-wise from run
-// to run. With canonical sorted arc emission, the same float-weighted input
-// must retrace the identical trajectory every time — including multi-thread
-// sweeps and multi-rank coarsening.
-func TestFloatWeightedRunReproducible(t *testing.T) {
-	n, edges := gen.ErdosRenyi(400, 2800, 37)
-	edges = floatWeights(edges)
-	cfg := Baseline()
-	cfg.Threads = 3
-	want, err := RunOnEdges(3, n, edges, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Phases) < 2 {
-		t.Fatalf("run converged in %d phase(s); coarsening path not exercised", len(want.Phases))
-	}
-	for run := 0; run < 3; run++ {
-		got, err := RunOnEdges(3, n, edges, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTrajectory(t, "rerun", got, want)
-	}
-}
-
-// TestFloatWeightedResumeBitIdentical extends the checkpoint equivalence
-// guarantee to float-weighted graphs: resuming a committed snapshot at the
-// same rank count retraces the uninterrupted trajectory bit for bit. (Rank
-// counts may not vary here — float summation order legitimately depends on
-// the vertex partition.)
-func TestFloatWeightedResumeBitIdentical(t *testing.T) {
-	n, edges := gen.ErdosRenyi(300, 1800, 41)
-	edges = floatWeights(edges)
-	cfg := Baseline()
-	cfg.Threads = 2
-	want, err := RunOnEdges(3, n, edges, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Phases) < 2 {
-		t.Fatalf("run converged in %d phase(s); no phase boundary to checkpoint", len(want.Phases))
-	}
-	dir := t.TempDir()
-	ckptCfg := cfg
-	ckptCfg.CheckpointDir = dir
-	got, err := RunOnEdges(3, n, edges, ckptCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameOutcome(t, "checkpointing run", got, want)
-	sameOutcome(t, "resume", resumeInproc(t, 3, dir, cfg), want)
-}
-
 // TestSweepSteadyStateAllocs pins the claim that an iteration's compute stops
 // allocating once the phase-lived buffers have settled: a single-threaded
 // sweep allocates nothing (the par.For body is built once per phase), and the

@@ -14,13 +14,13 @@ import (
 	"distlouvain/internal/mpi"
 )
 
-// The properties of the return rule (evaluateVertex, DESIGN §8 "returns"). Up
-// to ea93e17 a synchronous sweep let two boundary vertices, each acting on the
-// other's stale label, trade places for ever: phase 0 of an LFR graph ended
-// with 2–10 % of its vertices still moving, 99 % of them back to where they had
-// been one iteration earlier, and was coarsened in that state. The first two
-// tests fail on that tree; the third keeps the rule off the workload an
-// always-on rule slows down. The rule is held to what every other part of the
+// The properties of the return rule (evaluateVertex, DESIGN §8 "returns").
+// Without it a synchronous sweep lets two boundary vertices, each acting on the
+// other's stale label, trade places for ever: phase 0 of an LFR graph ends with
+// 2–10 % of its vertices still moving, 99 % of them back to where they were one
+// iteration earlier, and is coarsened in that state. The first two tests fail
+// without the rule (ea93e17 is the tree before it); the third keeps the rule off
+// the workload an always-on rule slows down. The rule is held to what every other part of the
 // sweep is held to — a result independent of how the graph is split and of
 // restarts — by TestRunProperties, whose corpus must contain damped phases.
 
@@ -166,7 +166,7 @@ func TestOscillationSwapGadget(t *testing.T) {
 // ends phases 0 and 1 after 2 and 4 iterations because the swaps make Q drop
 // there, before returns reach half of the moves; a rule that is always on runs
 // phase 0 for 18 iterations of 55–75 k evaluations (Q 0.092 → 0.112, wall
-// +30–58 %: DESIGN §8). The iteration counts of those two phases are ea93e17's,
+// +30–58 %: DESIGN §8 "returns"). The iteration counts of those two phases are ea93e17's,
 // on seeds 1–3, so arming the rule earlier by accident fails here rather than
 // in the benchmark. (Not named Oscillation: three scale-17 graphs are too slow
 // for the race job's pattern.)
@@ -216,10 +216,9 @@ func phasesLoseNothing(t *testing.T, label string, res *Result) (discarded int) 
 	return discarded
 }
 
-// TestDiscardedLastPhaseLosesNothing: core.Run used to apply every phase it
-// ran, and LFR 100k ended at 0.668596 after its third phase had reached
-// 0.670179. A phase that ends below the one before is now discarded — its
-// labels never reach the result — at every rank count, under a threshold cycle
+// TestDiscardedLastPhaseLosesNothing: a phase that ends below the one before is
+// discarded — its labels never reach the result (applied, they would end LFR
+// 100k at 0.668596 after its third phase reached 0.670179) — at every rank count, under a threshold cycle
 // too (where the forced final pass then starts from the kept state), and a
 // resume from the last committed checkpoint, which runs that phase again,
 // discards it again. The LFR and R-MAT inputs are ones whose last phase loses

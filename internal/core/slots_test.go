@@ -17,8 +17,8 @@ import (
 	"distlouvain/internal/seq"
 )
 
-// The slot differential harness. Two things replaced per-arc work with reads
-// of stored state — dgraph.Slot for "which community is at the other end" and
+// The slot differential harness. Two reads of stored state stand in for
+// per-arc work — dgraph.Slot for "which community is at the other end" and
 // rowIntra for "how much of this row is intra-community" — so both are held
 // to a path that stores neither: the reference kernels resolve every target
 // by global ID, and the full scan recomputes every row every iteration.

@@ -333,8 +333,8 @@ func (st *phaseState) exchangeGhostComm() error {
 	// Encode buffers come from the per-phase arena: after the first
 	// iteration their capacities stabilize and this fast path allocates
 	// nothing. Handing them straight to the collective is safe because
-	// Transport.Send copies before it returns (see mpi.Arena); the copies
-	// land in frames this rank released after decoding the last exchange,
+	// Transport.SendSegments copies before it returns (see mpi.Arena); the
+	// copies land in frames this rank released after decoding the last exchange,
 	// as the ones received here are released once applied.
 	st.arena.Reset()
 	send := st.frames

@@ -11,12 +11,13 @@ import (
 	"distlouvain/internal/par"
 )
 
-// The properties of the ΔQ tie rule (tieBefore, DESIGN §8). Ties used to break
-// towards the smallest community ID; on a naturally numbered uniform mesh that
-// made every synchronous sweep chase labels (BandedMesh(8000, 6): 3305
-// iterations). The first and the third test below fail on that rule; the second
-// holds the new one to what the old one also gave: no loss of modularity. The
-// last one fails where equal gains are not computed equal.
+// The properties of the ΔQ tie rule (tieBefore, DESIGN §8 "hashed ties").
+// Under a rule that breaks ties towards the smallest community ID, every
+// synchronous sweep of a naturally numbered uniform mesh chases labels
+// (BandedMesh(8000, 6): 3305 iterations). The first and the third test below
+// fail under that rule; the second holds the hashed rule to what that one also
+// gives: no loss of modularity. The last one fails where equal gains are not
+// computed equal.
 // That the result does not depend on how the graph is split — the rule hashes
 // global community IDs, never slots — is property 2 of TestRunProperties.
 

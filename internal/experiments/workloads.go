@@ -126,8 +126,9 @@ func CNRLike(s Scale) Workload {
 // ChannelLike is the banded Table I input ("Channel has a banded
 // structure"): a naturally numbered 1-D band, on which nearly every ΔQ
 // decision is a tie. It converges in tens of iterations under every variant
-// (DESIGN §8: the thousands it once took were a label chase, not the paper's
-// 58x Channel effect), so what ET saves on it is evaluations, not iterations.
+// (DESIGN §8 "hashed ties": the thousands a smallest-ID tie rule takes are a
+// label chase, not the paper's 58x Channel effect), so what ET saves on it is
+// evaluations, not iterations.
 func ChannelLike(s Scale) Workload {
 	n, e := gen.BandedMesh(8000*s.factor(), 6)
 	return Workload{Name: "channel-like", PaperGraph: "Channel (4.8M vertices, 42.7M edges)", Character: "banded", N: n, Edges: e}

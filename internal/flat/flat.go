@@ -1,11 +1,10 @@
 // Package flat provides the flat open-addressing tables the Louvain driver
 // uses in place of Go maps where a key space is too sparse to address
 // directly: Index, which numbers the communities a rank references but holds
-// no vertex of (core) and the ghost vertices its arcs name (dgraph). (The ΔQ
-// inner loop and the per-iteration community-delta batch used Table, and the
-// coarsening step PairTable, until communities got dense per-phase slots; all
-// three now accumulate into slot-addressed arrays — DESIGN §12 — and Table and
-// PairTable remain for what benchmark/ times.) The design
+// no vertex of (core) and the ghost vertices its arcs name (dgraph). Table and
+// PairTable have no caller in the program — the ΔQ scan, the community-delta
+// batch and the coarse-arc aggregation accumulate into arrays addressed by
+// community slot (DESIGN §12) — and remain for what benchmark/ times. The design
 // follows the hashing-kernel idea of Forster's GPU Louvain (linear-probed
 // power-of-two tables, no chaining) adapted to per-worker CPU use:
 //
@@ -174,11 +173,10 @@ func (t *Table) At(i int) (int64, float64) {
 	return t.keys[s], t.vals[s]
 }
 
-// PairTable accumulates a float64 sum per (a, b) int64 key pair. It was the
-// coarse-arc aggregator of the rebuild step until core.coarseArcs grouped the
-// arcs by source community (PR 19) and has no caller in the program any more:
-// it stays, untouched, because benchmark/micro.go times NewPairTable and Add
-// as flat.pair_add_ns and only a benchmark PR may change that (ROADMAP).
+// PairTable accumulates a float64 sum per (a, b) int64 key pair. It has no
+// caller in the program (core.coarseArcs groups coarse arcs by source
+// community slot) and stays because benchmark/micro.go times NewPairTable and
+// Add as flat.pair_add_ns; retiring it is a change to benchmark/ (ROADMAP).
 type PairTable struct {
 	ka    []int64
 	kb    []int64

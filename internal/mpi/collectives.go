@@ -108,7 +108,7 @@ func (c *Comm) bcast(root, tag int, data []byte) ([]byte, error) {
 	for mask > 0 {
 		if vr+mask < c.size {
 			dst := (c.rank + mask) % c.size
-			if err := c.collSend(dst, tag, data); err != nil {
+			if err := c.collSend(dst, tag, c.whole(data)); err != nil {
 				return nil, err
 			}
 		}
@@ -137,7 +137,7 @@ func (c *Comm) reduceBytes(root, tag int, acc []byte, combine func(acc, in []byt
 			}
 		} else {
 			dst := ((vr &^ mask) + root) % c.size
-			if err := c.collSend(dst, tag, acc); err != nil {
+			if err := c.collSend(dst, tag, c.whole(acc)); err != nil {
 				return nil, err
 			}
 			break
@@ -280,7 +280,7 @@ func (c *Comm) ExscanInt64(v int64) (int64, error) {
 	var result int64
 	for k := 1; k < c.size; k <<= 1 {
 		if c.rank+k < c.size {
-			if err := c.collSend(c.rank+k, tag, EncodeInt64s([]int64{acc})); err != nil {
+			if err := c.collSend(c.rank+k, tag, c.whole(EncodeInt64s([]int64{acc}))); err != nil {
 				return 0, err
 			}
 		}
@@ -314,7 +314,7 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 		if r == c.rank {
 			continue
 		}
-		if err := c.collSend(r, tag, data); err != nil {
+		if err := c.collSend(r, tag, c.whole(data)); err != nil {
 			return nil, err
 		}
 	}
@@ -339,7 +339,7 @@ func (c *Comm) Gatherv(root int, data []byte) ([][]byte, error) {
 	defer sp.End()
 	tag := c.collTag()
 	if c.rank != root {
-		return nil, c.collSend(root, tag, data)
+		return nil, c.collSend(root, tag, c.whole(data))
 	}
 	out := make([][]byte, c.size)
 	cp := make([]byte, len(data))
@@ -397,7 +397,7 @@ func (c *Comm) alltoall(segs func(q int) [][]byte) ([][]byte, error) {
 		if r == c.rank {
 			continue
 		}
-		if err := c.collSendSegments(r, tag, segs(r)); err != nil {
+		if err := c.collSend(r, tag, segs(r)); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"distlouvain/internal/obsv"
@@ -35,7 +36,18 @@ type Comm struct {
 	// tracer receives one span per collective operation. nil (the default)
 	// disables tracing at zero cost; obsv methods no-op on a nil receiver.
 	tracer *obsv.Tracer
+
+	// collSeg holds a collective's whole payload as the one segment
+	// Transport.SendSegments takes (see oneSegment); collectives run one at
+	// a time.
+	collSeg [1][]byte
 }
+
+// oneSegment holds the one-segment lists Send hands Transport.SendSegments:
+// a [][]byte made per message escapes through the interface call, one
+// allocation per message, and Send may run concurrently, so each call takes a
+// list of its own.
+var oneSegment = sync.Pool{New: func() any { return new([1][]byte) }}
 
 // CommOption configures a communicator at construction.
 type CommOption func(*Comm)
@@ -88,7 +100,12 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 	}
 	c.stats.SentMsgs.Add(1)
 	c.stats.SentBytes.Add(int64(len(data)))
-	return c.t.Send(to, tag, data)
+	seg := oneSegment.Get().(*[1][]byte)
+	seg[0] = data
+	err := c.t.SendSegments(to, tag, seg[:])
+	seg[0] = nil
+	oneSegment.Put(seg)
+	return err
 }
 
 // Recv blocks for a message matching (from, tag); from may be AnySource,
@@ -131,18 +148,19 @@ func (c *Comm) collTag() int {
 	return MaxUserTag + 1 + int(c.collSeq%(1<<20))
 }
 
-// collSend is Send without user-tag validation, for collective internals.
-func (c *Comm) collSend(to, tag int, data []byte) error {
-	c.stats.CollMsgs.Add(1)
-	c.stats.CollBytes.Add(int64(len(data)))
-	return c.t.Send(to, tag, data)
-}
-
-// collSendSegments is collSend of the concatenation of segs, as one message.
-func (c *Comm) collSendSegments(to, tag int, segs [][]byte) error {
+// collSend sends the concatenation of segs as one message, for collective
+// internals: Send without user-tag validation.
+func (c *Comm) collSend(to, tag int, segs [][]byte) error {
 	c.stats.CollMsgs.Add(1)
 	c.stats.CollBytes.Add(int64(segmentsLen(segs)))
 	return c.t.SendSegments(to, tag, segs)
+}
+
+// whole is data as one segment, in storage the communicator owns until its
+// next collective send.
+func (c *Comm) whole(data []byte) [][]byte {
+	c.collSeg[0] = data
+	return c.collSeg[:]
 }
 
 // segmentsLen is the length of the concatenation of segs.

@@ -218,7 +218,7 @@ func TestMeshRejectsStaleFenceDialer(t *testing.T) {
 			if msg, err := res.tp.RecvTimeout(AnySource, AnyTag, 50*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("acceptor's match queue is not empty: %+v, %v", msg, err)
 			}
-			if err := res.tp.Send(1, 3, []byte("ok")); err != nil {
+			if err := res.tp.SendSegments(1, 3, [][]byte{[]byte("ok")}); err != nil {
 				t.Fatalf("send: %v", err)
 			}
 			if msg, err := tp1.Recv(0, 3); err != nil || string(msg.Data) != "ok" {
@@ -270,7 +270,7 @@ func TestGarbageDialerDoesNotCorruptRendezvous(t *testing.T) {
 	if res.err != nil {
 		t.Fatalf("rank 0 corrupted by garbage dialer: %v", res.err)
 	}
-	if err := res.tp.Send(1, 1, []byte("x")); err != nil {
+	if err := res.tp.SendSegments(1, 1, [][]byte{[]byte("x")}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	if _, err := tp1.Recv(0, 1); err != nil {

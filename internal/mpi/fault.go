@@ -14,8 +14,8 @@ var ErrKilled = errors.New("mpi: fault injection: endpoint killed")
 // FaultPlan describes the fault schedule of one FaultTransport. The zero
 // plan injects nothing until Kill is called.
 type FaultPlan struct {
-	// KillAfterSends, when > 0, kills the endpoint after that many Send
-	// calls have been accepted: the underlying transport is closed abruptly
+	// KillAfterSends, when > 0, kills the endpoint after that many sends
+	// have been accepted: the underlying transport is closed abruptly
 	// and every later operation fails with ErrKilled. This is the
 	// "process dies mid-collective" schedule used by the chaos tests.
 	KillAfterSends int64
@@ -51,30 +51,16 @@ func (f *FaultTransport) Kill() {
 	}
 }
 
-// Sends returns how many Send calls this endpoint has accepted. Chaos tests
+// Sends returns how many sends this endpoint has accepted. Chaos tests
 // use it to calibrate KillAfterSends schedules against a healthy run.
 func (f *FaultTransport) Sends() int64 { return f.sends.Load() }
 
 func (f *FaultTransport) Rank() int { return f.inner.Rank() }
 func (f *FaultTransport) Size() int { return f.inner.Size() }
 
-func (f *FaultTransport) Send(to, tag int, data []byte) error {
-	if err := f.countSend(); err != nil {
-		return err
-	}
-	return f.inner.Send(to, tag, data)
-}
-
+// SendSegments accepts one more send, or fails it: the endpoint is dead, or
+// this is the send its plan kills it at.
 func (f *FaultTransport) SendSegments(to, tag int, segs [][]byte) error {
-	if err := f.countSend(); err != nil {
-		return err
-	}
-	return f.inner.SendSegments(to, tag, segs)
-}
-
-// countSend accepts one more send, or fails it: the endpoint is dead, or this
-// is the send its plan kills it at.
-func (f *FaultTransport) countSend() error {
 	if f.killed.Load() {
 		return ErrKilled
 	}
@@ -82,7 +68,7 @@ func (f *FaultTransport) countSend() error {
 		f.Kill()
 		return ErrKilled
 	}
-	return nil
+	return f.inner.SendSegments(to, tag, segs)
 }
 
 func (f *FaultTransport) Recv(from, tag int) (Message, error) {

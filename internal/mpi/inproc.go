@@ -49,10 +49,6 @@ type inprocEndpoint struct {
 func (e *inprocEndpoint) Rank() int { return e.rank }
 func (e *inprocEndpoint) Size() int { return e.world.size }
 
-func (e *inprocEndpoint) Send(to, tag int, data []byte) error {
-	return e.SendSegments(to, tag, [][]byte{data})
-}
-
 func (e *inprocEndpoint) SendSegments(to, tag int, segs [][]byte) error {
 	if err := checkPeer(to, e.world.size, "Send"); err != nil {
 		return err

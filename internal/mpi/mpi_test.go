@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -46,6 +47,44 @@ func TestInprocSendCopiesData(t *testing.T) {
 		}
 		if msg.Data[0] != 1 {
 			return fmt.Errorf("receiver observed sender mutation: %v", msg.Data)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSends: Send may be called from several goroutines of one
+// rank at once, each message arriving whole under its own tag.
+func TestConcurrentSends(t *testing.T) {
+	const senders, msgs = 4, 50
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			var wg sync.WaitGroup
+			errs := make([]error, senders)
+			for g := 0; g < senders; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < msgs && errs[g] == nil; i++ {
+						errs[g] = c.Send(1, g, bytes.Repeat([]byte{byte(g)}, 1+i))
+					}
+				}(g)
+			}
+			wg.Wait()
+			return errors.Join(errs...)
+		}
+		for g := 0; g < senders; g++ {
+			for i := 0; i < msgs; i++ {
+				msg, err := c.Recv(0, g)
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(msg.Data, bytes.Repeat([]byte{byte(g)}, 1+i)) {
+					return fmt.Errorf("sender %d message %d arrived as %v", g, i, msg.Data)
+				}
+			}
 		}
 		return nil
 	})

@@ -270,3 +270,81 @@ func TestAlltoallSegments(t *testing.T) {
 		})
 	}
 }
+
+// TestCollectivesSteadyStateAllocs pins what a steady p = 2 round of each
+// collective allocates, all ranks together, on both transports: the messages
+// go through Transport.SendSegments, and routing a whole payload there must
+// not cost an allocation per message. What remains is the allreduce's
+// encoded vectors and small received payloads, and the alltoall's recv
+// tables.
+func TestCollectivesSteadyStateAllocs(t *testing.T) {
+	const p = 2
+	ops := []struct {
+		name string
+		op   func(c *Comm, send [][]byte) error
+		want map[string]float64 // by transport
+	}{
+		{"allreduce", func(c *Comm, _ [][]byte) error {
+			_, err := c.AllreduceFloat64s([]float64{1, 2, 3, 4}, OpSum)
+			return err
+		}, map[string]float64{"inproc": 9, "tcp": 11}},
+		{"alltoall", func(c *Comm, send [][]byte) error {
+			recv, err := c.Alltoall(send)
+			c.Release(recv...)
+			return err
+		}, map[string]float64{"inproc": 2, "tcp": 2}},
+		{"send", func(c *Comm, send [][]byte) error {
+			peer := 1 - c.Rank()
+			if err := c.Send(peer, 7, send[peer]); err != nil {
+				return err
+			}
+			msg, err := c.Recv(peer, 7)
+			c.Release(msg.Data)
+			return err
+		}, map[string]float64{"inproc": 0, "tcp": 0}},
+	}
+	for _, tcp := range []bool{false, true} {
+		for _, o := range ops {
+			t.Run(transportName(tcp)+"/"+o.name, func(t *testing.T) {
+				eps := openEndpoints(t, tcp, p)
+				defer closeEndpoints(eps)
+				start := make([]chan bool, p) // true: run a round; false: stop
+				done := make(chan error, p)
+				for r := range eps {
+					start[r] = make(chan bool)
+					go func(c *Comm) {
+						send := make([][]byte, p)
+						for q := range send {
+							send[q] = bytes.Repeat([]byte{byte(c.Rank())}, 2<<10)
+						}
+						for <-start[c.Rank()] {
+							done <- o.op(c, send)
+						}
+					}(NewComm(eps[r]))
+				}
+				defer func() {
+					for _, ch := range start {
+						ch <- false
+					}
+				}()
+				round := func() {
+					for _, ch := range start {
+						ch <- true
+					}
+					for range start {
+						if err := <-done; err != nil {
+							t.Error(err)
+						}
+					}
+				}
+				for i := 0; i < 5; i++ {
+					round()
+				}
+				allocs := testing.AllocsPerRun(200, round)
+				if want := o.want[transportName(tcp)]; allocs > want {
+					t.Errorf("a steady round allocates %.2f times, want at most %.0f", allocs, want)
+				}
+			})
+		}
+	}
+}

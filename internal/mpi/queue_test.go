@@ -189,7 +189,7 @@ func TestTCPGoodbyeIsGracefulDeparture(t *testing.T) {
 		t.Fatalf("err = %v, want departed ErrPeerLost{0}", err)
 	}
 	// ...but the endpoint is not poisoned: a self-send still flows.
-	if err := ep.Send(1, 9, []byte("alive")); err != nil {
+	if err := ep.SendSegments(1, 9, [][]byte{[]byte("alive")}); err != nil {
 		t.Fatalf("endpoint poisoned by graceful departure: %v", err)
 	}
 	if msg, err := ep.RecvTimeout(1, 9, 2*time.Second); err != nil || string(msg.Data) != "alive" {

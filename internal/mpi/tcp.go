@@ -165,8 +165,8 @@ func (w *tcpWriter) failure() error {
 }
 
 // enqueue hands a frame to the drain goroutine. It never blocks on a dead
-// writer: once the goroutine has exited, every call — including ones that
-// would previously have parked on a full channel — returns the write error.
+// writer: once the goroutine has exited, every call — including one that
+// finds the channel full — returns the write error.
 func (w *tcpWriter) enqueue(frame []byte) error {
 	select {
 	case <-w.done:
@@ -481,10 +481,6 @@ var errDeparted = fmt.Errorf("peer endpoint closed (finished or shut down)")
 
 func (e *tcpEndpoint) Rank() int { return e.rank }
 func (e *tcpEndpoint) Size() int { return e.size }
-
-func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
-	return e.SendSegments(to, tag, [][]byte{data})
-}
 
 func (e *tcpEndpoint) SendSegments(to, tag int, segs [][]byte) error {
 	if err := checkPeer(to, e.size, "Send"); err != nil {

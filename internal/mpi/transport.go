@@ -115,15 +115,12 @@ type Transport interface {
 	Rank() int
 	// Size returns the number of ranks in the world.
 	Size() int
-	// Send enqueues data for delivery to rank `to` with the given tag.
-	// The transport copies data before Send returns — in process into a
-	// buffer the receiving rank released, over TCP into a frame from the
-	// sending rank's own pool, when one fits — so the caller may reuse data
-	// at once, and no receiver ever holds bytes a sender can still write.
-	Send(to, tag int, data []byte) error
-	// SendSegments is Send of the concatenation of segs, copied segment by
-	// segment into the one message Send would deliver: the receiver cannot
-	// tell the two apart.
+	// SendSegments enqueues the concatenation of segs for delivery to rank
+	// `to` with the given tag, as one message. The transport copies the
+	// segments before it returns — in process into a buffer the receiving
+	// rank released, over TCP into a frame from the sending rank's own
+	// pool, when one fits — so the caller may reuse them at once, and no
+	// receiver ever holds bytes a sender can still write.
 	SendSegments(to, tag int, segs [][]byte) error
 	// Recv blocks until a message matching (from, tag) is available and
 	// returns it. from may be AnySource and tag may be AnyTag. Messages

@@ -231,7 +231,7 @@ func paddedSpec(n int) []byte {
 }
 
 // The retired frontier knobs and the retired "coloring" sweep switch are
-// unknown keys now, so strict decoding answers a typed 400 naming the key. (Stored job.json records that carry them still
+// unknown keys, so strict decoding answers a typed 400 naming the key. (Stored job.json records that carry them still
 // load: TestServiceRecoveryAfterRestart.)
 func TestAPIRetiredKeysRejected(t *testing.T) {
 	c := newAPIClient(t, 2)

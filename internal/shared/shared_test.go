@@ -88,11 +88,10 @@ func TestRunMaxCaps(t *testing.T) {
 	}
 }
 
-// TestETAlphaOneReducesIterations keeps its name from when the baseline needed
-// hundreds of iterations to chase labels down this mesh and ET cut the chase
-// short (PR 22 ended the chase: baseline 19 iterations, ET(1.0) 38). What ET
-// reduces is work — vertices evaluated — at a small modularity loss (Table I),
-// here and on LFR alike, so that is what is asserted.
+// TestETAlphaOneReducesIterations: whatever the name says, what ET reduces on
+// this mesh is work — vertices evaluated — at a small modularity loss
+// (Table I), as on LFR, not iterations: under hashed ties the baseline
+// converges in tens of them. So work is what is asserted.
 func TestETAlphaOneReducesIterations(t *testing.T) {
 	n, edges := gen.BandedMesh(3000, 6)
 	g := gen.Build(n, edges)
