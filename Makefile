@@ -90,9 +90,11 @@ test-chaos:
 # ET on the mesh), and the return rule's (oscillation_test.go: no plateau on
 # LFR, the swap gadget), and the property suite (property_test.go: rank /
 # thread / transport / restart independence, exact sums and the reported Q on
-# graphs from every generator — the race detector's smaller corpus).
+# graphs from every generator — the race detector's smaller corpus), and the
+# settle test's margin at a zero bound (TestSettle…) and the frontier.Set unit
+# tests (TestSet…, NextAbsent among them: rule (d)'s pull walk).
 test-frontier:
-	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule|Oscillation|Propert' ./internal/core/... ./internal/frontier/...
+	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule|Oscillation|Propert|Settle|^TestSet' ./internal/core/... ./internal/frontier/...
 
 # go vet plus a race-mode coverage run over the algorithm core; prints the
 # per-function coverage table CI publishes as the job summary.
@@ -115,11 +117,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One pass of each shipped kernel (sweep, Step-5 coarse arcs) and of its map
-# oracle, of one whole rebuild, and of dgraph.Build and BuildFromArcs (the
+# oracle, of a mid-phase sweep with the settle test on, of rule (d) walked each
+# way, of one whole rebuild, and of dgraph.Build and BuildFromArcs (the
 # one-pass shuffle sender), so the benchmarks keep compiling and running. The
 # benchmark names live in these two patterns.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Benchmark((Sweep|CoarseArcs)(Slots|Map)|Rebuild)$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'Benchmark((Sweep|CoarseArcs)(Slots|Map)|SweepSettle|RuleD(Push|Pull)|Rebuild)$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild(FromArcs)?$$' -benchtime 1x ./internal/dgraph
 
 # CPU profile of one whole run on a benchmark/ workload's input (W is

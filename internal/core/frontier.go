@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
+	"time"
+
 	"distlouvain/internal/frontier"
 	"distlouvain/internal/obsv"
-	"time"
 )
 
 // frontierState drives the ligra-style active-set sweep of a phase. The
@@ -29,9 +31,8 @@ import (
 //	    non-members adjacent to a member are; a size that changed without
 //	    touching 0 or 1 is read by no rule and marks nothing; a size at 0 or 1
 //	    before or after (the minimum-label rule reads it), or a slot the
-//	    previous round did not refresh, marks both ways. "Adjacent to a
-//	    member" is resolved by scanning comm/ghostComm for members of c and
-//	    walking their local/reverse-ghost adjacency;
+//	    previous round did not refresh, marks both ways. markChanged resolves
+//	    "adjacent to a member" in whichever direction reads fewer arcs;
 //	(e) the ET coin skipped it while it was in the frontier (the sweep
 //	    carries it over so a stale vertex is re-checked until actually
 //	    evaluated; permanently inactive vertices drop out — the full scan
@@ -198,6 +199,100 @@ func (st *phaseState) markMoves(moves []move) {
 	}
 }
 
+// walk is a direction of rule (d)'s marking walk (markChanged).
+type walk uint8
+
+const (
+	walkByCost walk = iota // the direction that reads fewer arcs
+	walkPush               // from the changed communities' members
+	walkPull               // from the vertices not yet marked
+)
+
+// markChanged folds rule (d) into next: it marks every local member of a
+// community whose A_c rose, and every local non-member of a community c whose
+// A_c fell that is adjacent to a member of c. Push reaches the second kind from
+// c's members: their CSR rows for local members, the reverse ghost adjacency
+// for ghost ones. Pull (pullChanged) asks each vertex not yet in next whether
+// its own row holds such a c; adjacency is symmetric, so it marks exactly what
+// push marks, as the differential tests pin. Push reads the arcs of the falling
+// communities' members, pull the arcs of the unmarked vertices, and walkByCost
+// reads whichever is fewer (Beamer et al., "Direction-optimizing breadth-first
+// search", SC 2012): after an iteration that moved much, rules a–c have marked
+// nearly every vertex and pull reads a few rows; late in a phase the falling
+// communities are few and push reads theirs. Pull's arcs are counted first, in
+// one pass over the unmarked vertices; push then runs until its arcs would
+// pass that count, and hands over to pull if they do. What push marked by then
+// is part of what pull would mark, so the hand-over changes nothing in next.
+func (st *phaseState) markChanged(w walk) {
+	fr, n, next := st.fr, st.dg.LocalN, st.fr.next
+	index := st.dg.Index
+	budget := int64(math.MaxInt64) // the arcs push may read before pull is cheaper
+	switch w {
+	case walkPull:
+		st.pullChanged()
+		return
+	case walkByCost:
+		budget = 0
+		for lv := next.NextAbsent(0); lv < n; lv = next.NextAbsent(lv + 1) {
+			budget += index[lv+1] - index[lv]
+		}
+	}
+	for lv, c := range st.comm {
+		if fr.stamp[c] != fr.epoch {
+			continue
+		}
+		if fr.dir[c]&dirMembers != 0 {
+			next.Mark(int64(lv))
+		}
+		if fr.dir[c]&dirNeighbours != 0 {
+			row := st.dg.Slot[index[lv]:index[lv+1]]
+			if budget -= int64(len(row)); budget < 0 {
+				st.pullChanged()
+				return
+			}
+			for _, s := range row {
+				if int64(s) < n && st.comm[s] != c {
+					next.Mark(int64(s))
+				}
+			}
+		}
+	}
+	for g, c := range st.ghostComm {
+		if fr.stamp[c] == fr.epoch && fr.dir[c]&dirNeighbours != 0 {
+			adj := fr.revAdj[fr.revOff[g]:fr.revOff[g+1]]
+			if budget -= int64(len(adj)); budget < 0 {
+				st.pullChanged()
+				return
+			}
+			for _, lv := range adj {
+				if st.comm[lv] != c {
+					next.Mark(int64(lv))
+				}
+			}
+		}
+	}
+}
+
+// pullChanged is rule (d) by pull: each vertex not yet in next is marked when
+// A rose for its own community, or fell for another one a slot of its row
+// holds. Words of next that are all ones are passed over 64 vertices at a time.
+func (st *phaseState) pullChanged() {
+	fr, n, next := st.fr, st.dg.LocalN, st.fr.next
+	for lv := next.NextAbsent(0); lv < n; lv = next.NextAbsent(lv + 1) {
+		c := st.comm[lv]
+		if fr.stamp[c] == fr.epoch && fr.dir[c]&dirMembers != 0 {
+			next.Mark(lv)
+			continue
+		}
+		for _, s := range st.dg.Slot[st.dg.Index[lv]:st.dg.Index[lv+1]] {
+			if d := st.ci[s]; d != c && fr.stamp[d] == fr.epoch && fr.dir[d]&dirNeighbours != 0 {
+				next.Mark(lv)
+				break
+			}
+		}
+	}
+}
+
 // buildFrontier finalises the active set for iteration iter (1-based). It
 // runs after fetchCommunityInfo — the remote (A_c, size) values are fresh —
 // and before the sweep. Iteration 1 seeds the full vertex set; later
@@ -214,37 +309,8 @@ func (st *phaseState) buildFrontier(iter int) {
 	if iter == 1 {
 		fr.cur.Fill()
 	} else {
-		// Rule (d): communities whose (A_c, size) changed during iter−1.
-		// Resolve "references a changed community" by membership: a local
-		// member is marked itself when A_c rose; when it fell, the non-members
-		// adjacent to a member are, through the CSR rows for local members and
-		// the reverse ghost adjacency for ghost members.
 		if fr.changed > 0 {
-			n, next := st.dg.LocalN, fr.next
-			for lv, c := range st.comm {
-				if fr.stamp[c] != fr.epoch {
-					continue
-				}
-				if fr.dir[c]&dirMembers != 0 {
-					next.Mark(int64(lv))
-				}
-				if fr.dir[c]&dirNeighbours != 0 {
-					for _, s := range st.dg.Slot[st.dg.Index[lv]:st.dg.Index[lv+1]] {
-						if int64(s) < n && st.comm[s] != c {
-							next.Mark(int64(s))
-						}
-					}
-				}
-			}
-			for g, c := range st.ghostComm {
-				if fr.stamp[c] == fr.epoch && fr.dir[c]&dirNeighbours != 0 {
-					for _, lv := range fr.revAdj[fr.revOff[g]:fr.revOff[g+1]] {
-						if st.comm[lv] != c {
-							next.Mark(int64(lv))
-						}
-					}
-				}
-			}
+			st.markChanged(walkByCost)
 		}
 		fr.cur, fr.next = fr.next, fr.cur
 		fr.next.Clear()

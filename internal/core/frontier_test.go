@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 	"slices"
+	"sync"
 	"testing"
 
 	"distlouvain/internal/dgraph"
@@ -308,7 +310,9 @@ func TestFrontierDirectionalRuleHasCases(t *testing.T) {
 // scan only notices a missed vertex whose move would have shown in a later Q;
 // this notices every one, which is what tells a rule (d) that marks the wrong
 // side of a change (members when A_c fell, neighbours when it rose) from the
-// right one.
+// right one. It holds the settle test to the same standard: every vertex the
+// sweep would settle without its row scan is evaluated too, and must stay
+// without being refused.
 func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 	type input struct {
 		name  string
@@ -328,12 +332,13 @@ func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 	for _, in := range inputs {
 		for _, v := range []Config{Baseline(), ETC(0.25)} {
 			for _, ranks := range []int{1, 2, 3} {
-				checked, err := mpi.RunCollect(ranks, func(c *mpi.Comm) (int, error) {
-					checked := 0
+				type counts struct{ checked, settled int }
+				out, err := mpi.RunCollect(ranks, func(c *mpi.Comm) (counts, error) {
+					var k counts
 					lo, hi := gio.SegmentRange(int64(len(in.edges)), c.Rank(), ranks)
 					dg, err := dgraph.Build(c, in.n, in.edges[lo:hi], nil)
 					if err != nil {
-						return 0, err
+						return k, err
 					}
 					for phase := 0; phase < 4; phase++ {
 						cfg := v
@@ -341,7 +346,7 @@ func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 						cfg.fill()
 						st, err := newPhaseState(dg, &cfg, phase, &StepTimes{})
 						if err != nil {
-							return 0, err
+							return k, err
 						}
 						var acc rowAcc
 						var bad error
@@ -349,41 +354,168 @@ func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 						st.sweepBody = func(w, lo, hi int) {
 							acc.fit(len(st.refs))
 							for lv := int64(0); lv < st.dg.LocalN && bad == nil; lv++ {
-								if st.fr.cur.Has(lv) || st.inactive[lv] {
+								if st.inactive[lv] {
 									continue
 								}
-								checked++
+								out := !st.fr.cur.Has(lv)
+								settled := !st.rowsStale && st.settled(lv)
+								if !out && !settled {
+									continue
+								}
+								if out {
+									k.checked++
+								}
+								if settled {
+									k.settled++
+								}
 								if mv, ok, refused := st.evaluateVertex(lv, &acc); ok || refused {
-									bad = fmt.Errorf("phase %d iteration %d: vertex %d is outside the frontier and would move to community %d (refused: %v)",
-										phase, st.sweepIter, st.dg.Global(lv), st.gidOf(mv.to), refused)
+									bad = fmt.Errorf("phase %d iteration %d: vertex %d (outside the frontier: %v, settled: %v) would move to community %d (refused: %v)",
+										phase, st.sweepIter, st.dg.Global(lv), out, settled, st.gidOf(mv.to), refused)
 								}
 							}
 							sweepBody(w, lo, hi)
 						}
 						if _, err := st.iterate(cfg.Tau); err != nil {
-							return 0, err
+							return k, err
 						}
 						if bad != nil {
-							return 0, bad
+							return k, bad
 						}
 						ndg, _, err := st.rebuild()
 						if err != nil {
-							return 0, err
+							return k, err
 						}
 						if ndg.GlobalN == dg.GlobalN {
 							break
 						}
 						dg = ndg
 					}
-					return checked, nil
+					return k, nil
 				})
 				if err != nil {
 					t.Fatalf("%s %s ranks=%d: %v", in.name, v.VariantName(), ranks, err)
 				}
-				if !slices.ContainsFunc(checked, func(k int) bool { return k > 0 }) {
+				if !slices.ContainsFunc(out, func(k counts) bool { return k.checked > 0 }) {
 					t.Fatalf("%s %s ranks=%d: the frontier never left a vertex out", in.name, v.VariantName(), ranks)
+				}
+				if !slices.ContainsFunc(out, func(k counts) bool { return k.settled > 0 }) {
+					t.Fatalf("%s %s ranks=%d: the settle test never held", in.name, v.VariantName(), ranks)
 				}
 			}
 		}
+	}
+}
+
+// TestFrontierPullMarksWhatPushMarks: rule (d) by pull marks exactly the
+// vertices push marks. At every iteration of runs over the differential
+// graphs, variants and 1, 2 and 4 ranks, the probe applies markChanged pinned
+// to push, then pinned to pull, each to its own copy of next as the previous
+// iteration left it, and the by-cost choice to a third; the three sets must be
+// equal, and rule (d) must have marked something in some iteration. By cost,
+// push must have run to its end somewhere and handed over to pull somewhere.
+func TestFrontierPullMarksWhatPushMarks(t *testing.T) {
+	var mu sync.Mutex
+	var pushed, handed int
+	for _, g := range frontierGraphs() {
+		for _, v := range frontierVariants() {
+			for _, ranks := range []int{1, 2, 4} {
+				marked := 0
+				cfg := v.cfg
+				cfg.oracle.afterFetch = func(st *phaseState) error {
+					fr := st.fr
+					if fr.changed == 0 {
+						return nil
+					}
+					next := fr.next
+					base := next.AppendAscending(nil)
+					var sets [3][]int64
+					for i, w := range []walk{walkPush, walkPull, walkByCost} {
+						fr.next = frontier.New(st.dg.LocalN, frontier.RepDense, 0)
+						for _, lv := range base {
+							fr.next.Mark(lv)
+						}
+						st.markChanged(w)
+						sets[i] = fr.next.AppendAscending(nil)
+					}
+					fr.next = next
+					if !slices.Equal(sets[0], sets[1]) || !slices.Equal(sets[0], sets[2]) {
+						return fmt.Errorf("rule (d) marks %d vertices by push, %d by pull, %d by cost", len(sets[0]), len(sets[1]), len(sets[2]))
+					}
+					push, pull := int64(0), int64(0)
+					index := st.dg.Index
+					for lv, c := range st.comm {
+						if !next.Has(int64(lv)) {
+							pull += index[lv+1] - index[lv]
+						}
+						if fr.stamp[c] == fr.epoch && fr.dir[c]&dirNeighbours != 0 {
+							push += index[lv+1] - index[lv]
+						}
+					}
+					for g, c := range st.ghostComm {
+						if fr.stamp[c] == fr.epoch && fr.dir[c]&dirNeighbours != 0 {
+							push += fr.revOff[g+1] - fr.revOff[g]
+						}
+					}
+					mu.Lock()
+					marked += len(sets[0]) - len(base)
+					if push > pull {
+						handed++
+					} else if push > 0 {
+						pushed++
+					}
+					mu.Unlock()
+					return nil
+				}
+				if _, err := RunOnEdges(ranks, g.n, g.edges, cfg); err != nil {
+					t.Fatalf("%s/%s ranks=%d: %v", g.name, v.name, ranks, err)
+				}
+				if marked == 0 {
+					t.Fatalf("%s/%s ranks=%d: rule (d) never marked a vertex", g.name, v.name, ranks)
+				}
+			}
+		}
+	}
+	if pushed == 0 || handed == 0 {
+		t.Fatalf("by cost, push ran to its end %d times and handed over to pull %d times", pushed, handed)
+	}
+}
+
+// TestSettleMarginHoldsAtZeroBound: a float-weighted vertex whose bound is 0
+// in exact arithmetic, which rounding puts below 0, is not settled: the margin
+// holds it. The vertex has a self loop of 0.10000000000000014, an arc of 3.7
+// into its own community, whose other members' degrees sum to 32, and arcs of
+// 0.2 and 1 into another community; 2m is 64. Its exact bound is
+// 64·(0.2 + 1 − 3.7) + 5·32 = 0.
+func TestSettleMarginHoldsAtZeroBound(t *testing.T) {
+	self, a, b1, b2, m2, others := 0.10000000000000014, 3.7, 0.2, 1.0, 64.0, 32.0
+	rat := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+	total := new(big.Rat).Add(rat(self), rat(a))
+	total.Add(total, rat(b1)).Add(total, rat(b2))
+	exact := new(big.Rat).Sub(total, rat(self))
+	exact.Sub(exact, new(big.Rat).Mul(rat(2), rat(a)))
+	exact.Mul(exact, rat(m2)).Add(exact, new(big.Rat).Mul(total, rat(others)))
+	if exact.Sign() != 0 {
+		t.Fatalf("the gadget's exact bound is %v, want 0", exact.FloatString(20))
+	}
+	k := self + a + b1 + b2 // in row order, as Build sums the degree
+	st := &phaseState{
+		dg:       &dgraph.DistGraph{M2: m2, K: []float64{k}, SelfLoop: []float64{self}, Index: []int64{0, 4}},
+		rowIntra: []float64{self + a}, // the self loop and the arc into its own community, as recomputeRow sums them
+		cA:       []float64{k + others},
+		comm:     []int32{0},
+	}
+	bound, margin := st.settleBound(0)
+	if bound >= 0 {
+		t.Fatalf("the gadget's computed bound is %g: rounding no longer takes it below 0", bound)
+	}
+	if st.settled(0) {
+		t.Fatalf("settled at bound %g with margin %g: the margin does not cover rounding", bound, margin)
+	}
+	// The same vertex a hair further from its community settles: the margin
+	// is a rounding allowance, not a cut-off.
+	st.cA[0] = k + others - 1e-9
+	if !st.settled(0) {
+		bound, margin = st.settleBound(0)
+		t.Fatalf("not settled at bound %g with margin %g", bound, margin)
 	}
 }

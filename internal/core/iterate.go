@@ -182,6 +182,47 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 	return move{lv: lv, from: cv, to: best}, true, false
 }
 
+// settled reports, in O(1) and without reading lv's row, that evaluateVertex
+// would decide "stay, not refused": every candidate's seq.Gain is ≤ 0, so none
+// beats the initial bestGain of 0 and no rule gets a move to refuse. The caller
+// guarantees rowIntra[lv] is current (a sweep that follows a modularity step,
+// no rollback since).
+//
+// With k = K[lv], self = SelfLoop[lv], e = rowIntra[lv] − self (lv's weight
+// into its own community, self loop excluded) and aCur = A_cur − k as the
+// kernel computes it, every other community X has w_X ≤ k − self − e (its arcs
+// are among lv's external ones) and A_X ≥ aFloor (0 but for float residue), so
+//
+//	seq.Gain(m2, w_X − e, k, A_X − aCur) ≤ m2·(k − self − 2e) + k·(aCur − aFloor) = bound.
+//
+// The kernel and this test sum the same n row weights in different orders and
+// round their products, so the inequality holds of the computed values only up
+// to rounding. Every sum involved has at most n non-negative terms and errs by
+// at most γ_n·T, γ_n ≈ n·2⁻⁵³ and T the row's exact weight: the kernel's w_X
+// and e together by γ_n·T, k and rowIntra (counted twice) here by 3γ_n·T. With
+// a few single roundings of each product and difference, the computed gain
+// exceeds the computed bound by less than (4n + 24)·2⁻⁵³·(m2·k + k·(|aCur| −
+// aFloor)). margin is (n + 8)·2⁻⁴⁸ times the same, over eight times that, which
+// also absorbs T > k by γ_n·T. The margin is conservative: a larger one only
+// settles fewer vertices. With integer weights every term is exact, and while
+// (n + 8)·(m2·k + k·|aCur|) < 2⁴⁸ the margin is below 1, so bound < 0 settles.
+func (st *phaseState) settled(lv int64) bool {
+	bound, margin := st.settleBound(lv)
+	return bound+margin <= 0
+}
+
+// settleBound returns settled's bound and margin for lv.
+func (st *phaseState) settleBound(lv int64) (bound, margin float64) {
+	dg := st.dg
+	m2, k, self := dg.M2, dg.K[lv], dg.SelfLoop[lv]
+	e := st.rowIntra[lv] - self
+	aCur := st.cA[st.comm[lv]] - k
+	arcs := float64(dg.Index[lv+1] - dg.Index[lv])
+	bound = m2*(k-self-2*e) + k*(aCur-st.aFloor)
+	margin = (arcs + 8) * 0x1p-48 * (m2*k + k*(math.Abs(aCur)-st.aFloor))
+	return bound, margin
+}
+
 // sweep is step (ii) of Algorithm 3: every active local vertex evaluates
 // its best move, double-buffered across the whole sweep. It returns the
 // chosen moves without applying them.
@@ -283,8 +324,12 @@ func (st *phaseState) fitAccs() {
 // permanently inactive vertices drop out, matching the full scan (which never
 // evaluates those again either). A vertex a rule refused is carried too — what
 // it was refused against (snap.comm, the phase being damped) changes without
-// any neighbour changing — and keeps P = 1 (refusedMark).
-// sweepRangeRef is the same loop over the map reference kernel.
+// any neighbour changing — and keeps P = 1 (refusedMark). A vertex the O(1)
+// test proves stuck (settled) is decided without its row scan; it counts as
+// touched all the same, since the sweep decided it. The test reads rowIntra,
+// so it runs only while every row's entry is current, and never under the
+// full-scan oracle. sweepRangeRef is the same loop over the map reference
+// kernel, without the test.
 func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	if st.cfg.oracle.refKernels {
 		st.sweepRangeRef(w, lo, hi, ids, iter)
@@ -296,6 +341,7 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	if fr != nil {
 		carry = fr.carryBufs[w]
 	}
+	settle := fr != nil && !st.rowsStale
 	var touched, returns int64
 	acc, prev := &st.accs[w], st.snap.comm
 	for i := lo; i < hi; i++ {
@@ -313,6 +359,9 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 			continue
 		}
 		touched++
+		if settle && st.settled(lv) {
+			continue
+		}
 		mv, ok, refused := st.evaluateVertex(lv, acc)
 		switch {
 		case ok:

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
@@ -217,6 +218,94 @@ func BenchmarkSweepSlots(b *testing.B) {
 func BenchmarkSweepMap(b *testing.B) {
 	benchKernel(b, true, func(kb *KernelBench) int { return kb.Sweep() })
 }
+
+// midPhase is the mid-phase benchmarks' state: phase 0 of LFR 4000 on one
+// rank, stopped after its sixth iteration. Every row's intra weight is current,
+// so the settle test is on; next holds the rule a–c marks of that iteration and
+// the rule-(d) watcher its changed communities, as between two iterations.
+func midPhase(b *testing.B) *phaseState {
+	n, edges, _, err := gen.LFR(gen.DefaultLFR(4000, 0.3, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	world, err := mpi.NewInprocWorld(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { world.Close() })
+	dg, err := dgraph.Build(mpi.NewComm(world.Endpoint(0)), n, edges, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Baseline()
+	cfg.MaxIterations = 6
+	cfg.fill()
+	st, err := newPhaseState(dg, &cfg, 0, &StepTimes{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stat, err := st.iterate(cfg.Tau)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if stat.Exit != ExitMaxIter || st.rowsStale || st.fr.changed == 0 {
+		b.Fatalf("phase 0 ended (%v) before its sixth iteration did", stat.Exit)
+	}
+	return st
+}
+
+// BenchmarkSweepSettle is a mid-phase sweep with the settle test on, offered
+// every vertex; it reports how many of them the test decides without a row
+// scan.
+func BenchmarkSweepSettle(b *testing.B) {
+	st := midPhase(b)
+	settled := 0
+	for lv := int64(0); lv < st.dg.LocalN; lv++ {
+		if st.settled(lv) {
+			settled++
+		}
+	}
+	sweep := func() {
+		st.fr.cur.Fill()
+		st.fr.scanDense = st.fr.cur.Dense()
+		st.sweep(7)
+	}
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.ReportMetric(float64(settled), "settled/op")
+	b.ReportMetric(float64(st.dg.LocalN), "vertices/op")
+}
+
+// benchRuleD times rule (d) walked in direction w from the mid-phase state,
+// next restored to the iteration's marks before every call, off the clock.
+func benchRuleD(b *testing.B, w walk) {
+	st := midPhase(b)
+	base := st.fr.next.AppendAscending(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st.fr.next.Clear()
+		for _, lv := range base {
+			st.fr.next.Mark(lv)
+		}
+		b.StartTimer()
+		st.markChanged(w)
+	}
+	b.ReportMetric(float64(len(base)), "marked/op")
+	b.ReportMetric(float64(st.dg.LocalN), "vertices/op")
+}
+
+// BenchmarkRuleDPush walks from the changed communities' members,
+// BenchmarkRuleDPull from the vertices rules a–c left unmarked; both mark the
+// same set (TestFrontierPullMarksWhatPushMarks).
+func BenchmarkRuleDPush(b *testing.B) { benchRuleD(b, walkPush) }
+
+func BenchmarkRuleDPull(b *testing.B) { benchRuleD(b, walkPull) }
 
 // benchModularityStep times step (iv) on a single rank, after prepare has
 // said which row subtotals are out of date.

@@ -46,6 +46,11 @@ type phaseState struct {
 	fetched []int32
 	tail    flat.Index
 
+	// aFloor is the least A_c any slot has held this phase: 0 unless float
+	// residue left one below it. It bounds every A_X from below in the settle
+	// test (settled).
+	aFloor float64
+
 	// fetchSeq numbers the fetch rounds from 2, so that "refreshed by the
 	// previous round" (fetched == fetchSeq−1) is never true of a slot that was
 	// never fetched. reqGIDs[q]/reqSlots[q] are the live communities owned by
@@ -123,6 +128,9 @@ type phaseState struct {
 	globalTouched                          int64
 	globalFrontier                         int64
 	globalReturns                          int64
+
+	// lanes is the vector step (iv)'s allreduce carries (modularityAndMoves).
+	lanes [6]float64
 
 	// snap is the rollback snapshot, taken after each sweep; until the next one
 	// its comm is where the previous iteration started (see snapshot). damped
@@ -509,6 +517,7 @@ func (st *phaseState) fetchCommunityInfo() error {
 				}
 			}
 			st.cA[s], st.cSize[s], st.fetched[s] = a, size, st.fetchSeq
+			st.aFloor = min(st.aFloor, a)
 		}
 		if d.Remaining() != 0 {
 			return malformed("community-info reply", q, "%d trailing bytes", d.Remaining())
@@ -628,6 +637,7 @@ func (st *phaseState) applyDelta(cid int64, d delta) {
 		st.cSize[lc] = 0
 		st.cA[lc] = 0
 	}
+	st.aFloor = min(st.aFloor, st.cA[lc])
 	if st.fr != nil {
 		// Frontier dirty rule (d), owned side: the values evaluators read
 		// changed, so whoever the direction of the change can concern
@@ -697,7 +707,8 @@ func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, erro
 	msp.End()
 
 	ta := time.Now()
-	out, err := st.dg.Comm.AllreduceFloat64s([]float64{eSum, aSq, float64(localMoves), float64(st.iterTouched), float64(st.iterFrontier), float64(st.iterReturns)}, mpi.OpSum)
+	st.lanes = [6]float64{eSum, aSq, float64(localMoves), float64(st.iterTouched), float64(st.iterFrontier), float64(st.iterReturns)}
+	out, err := st.dg.Comm.AllreduceFloat64s(st.lanes[:], mpi.OpSum)
 	st.steps.Allreduce += time.Since(ta)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: modularity allreduce: %w", err)

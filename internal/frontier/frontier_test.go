@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -207,4 +208,44 @@ func FuzzFrontierSet(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSetNextAbsent holds NextAbsent to a scan of Has from every start, on
+// universes that end inside a word and on a word boundary, for an empty set, a
+// full one, one with whole words full and random ones in both representations.
+func TestSetNextAbsent(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int64{0, 1, 63, 64, 65, 200, 256} {
+		for fill := 0; fill < 6; fill++ {
+			for _, rep := range []Rep{RepDense, RepSparse} {
+				s := New(n, rep, 0)
+				switch fill {
+				case 0: // empty
+				case 1:
+					s.Fill()
+				case 2: // whole words full, one gap
+					for v := int64(0); v < n; v++ {
+						if v != n/2 {
+							s.Mark(v)
+						}
+					}
+				default:
+					for v := int64(0); v < n; v++ {
+						if r.Intn(fill) != 0 {
+							s.Mark(v)
+						}
+					}
+				}
+				for v := int64(0); v <= n; v++ {
+					want := v
+					for want < n && s.Has(want) {
+						want++
+					}
+					if got := s.NextAbsent(v); got != want {
+						t.Fatalf("n=%d fill=%d rep=%d: NextAbsent(%d) = %d, want %d", n, fill, rep, v, got, want)
+					}
+				}
+			}
+		}
+	}
 }

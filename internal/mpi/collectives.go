@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"distlouvain/internal/obsv"
 )
@@ -149,44 +151,30 @@ func (c *Comm) reduceBytes(root, tag int, acc []byte, combine func(acc, in []byt
 
 // AllreduceFloat64s reduces vs element-wise across all ranks and returns the
 // combined vector at every rank. All ranks must pass vectors of equal
-// length. The input is not modified.
+// length. The input is not modified; the returned vector is the one
+// allocation a call makes of its own.
 func (c *Comm) AllreduceFloat64s(vs []float64, op Op) ([]float64, error) {
 	sp := c.span("allreduce")
 	sp.SetBytes(int64(8 * len(vs)))
 	defer sp.End()
-	tag := c.collTag()
-	acc := EncodeFloat64s(vs)
-	combine := func(acc, in []byte) error {
-		inVals, err := DecodeFloat64s(in)
-		if err != nil {
-			return err
+	c.reduceBuf = AppendFloat64s(c.reduceBuf[:0], vs)
+	out, err := c.allreduce(c.reduceBuf, func(acc, in []byte) error {
+		if len(in) != len(acc) {
+			return errLenMismatch("AllreduceFloat64s", len(acc)/8, len(in)/8)
 		}
-		return foldFloat64s(acc, inVals, op)
-	}
-	acc, err := c.reduceBytes(0, tag, acc, combine)
+		for i := 0; i < len(acc); i += 8 {
+			a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
+			b := math.Float64frombits(binary.LittleEndian.Uint64(in[i:]))
+			binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(combineFloat64(op, a, b)))
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.bcast(0, tag, acc)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFloat64s(out)
-}
-
-func foldFloat64s(acc []byte, in []float64, op Op) error {
-	cur, err := DecodeFloat64s(acc)
-	if err != nil {
-		return err
-	}
-	if len(cur) != len(in) {
-		return errLenMismatch("AllreduceFloat64s", len(cur), len(in))
-	}
-	for i := range cur {
-		cur[i] = combineFloat64(op, cur[i], in[i])
-	}
-	copy(acc, EncodeFloat64s(cur))
-	return nil
+	res, err := DecodeFloat64s(out)
+	c.releaseReduced(out)
+	return res, err
 }
 
 // AllreduceInt64s is AllreduceFloat64s for int64 vectors.
@@ -194,35 +182,50 @@ func (c *Comm) AllreduceInt64s(vs []int64, op Op) ([]int64, error) {
 	sp := c.span("allreduce")
 	sp.SetBytes(int64(8 * len(vs)))
 	defer sp.End()
-	tag := c.collTag()
-	acc := EncodeInt64s(vs)
-	combine := func(acc, in []byte) error {
-		inVals, err := DecodeInt64s(in)
-		if err != nil {
-			return err
+	c.reduceBuf = AppendInt64s(c.reduceBuf[:0], vs)
+	out, err := c.allreduce(c.reduceBuf, func(acc, in []byte) error {
+		if len(in) != len(acc) {
+			return errLenMismatch("AllreduceInt64s", len(acc)/8, len(in)/8)
 		}
-		cur, err := DecodeInt64s(acc)
-		if err != nil {
-			return err
+		for i := 0; i < len(acc); i += 8 {
+			a := int64(binary.LittleEndian.Uint64(acc[i:]))
+			b := int64(binary.LittleEndian.Uint64(in[i:]))
+			binary.LittleEndian.PutUint64(acc[i:], uint64(combineInt64(op, a, b)))
 		}
-		if len(cur) != len(inVals) {
-			return errLenMismatch("AllreduceInt64s", len(cur), len(inVals))
-		}
-		for i := range cur {
-			cur[i] = combineInt64(op, cur[i], inVals[i])
-		}
-		copy(acc, EncodeInt64s(cur))
 		return nil
-	}
-	acc, err := c.reduceBytes(0, tag, acc, combine)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.bcast(0, tag, acc)
+	res, err := DecodeInt64s(out)
+	c.releaseReduced(out)
+	return res, err
+}
+
+// allreduce reduces the encoded vector acc to rank 0 along a binomial tree,
+// fold combining each child's vector into acc in place, and broadcasts the
+// result. It returns acc itself at rank 0 and the received copy elsewhere,
+// which the caller hands to releaseReduced once decoded. Each child's
+// vector is released as soon as it is folded.
+func (c *Comm) allreduce(acc []byte, fold func(acc, in []byte) error) ([]byte, error) {
+	tag := c.collTag()
+	acc, err := c.reduceBytes(0, tag, acc, func(acc, in []byte) error {
+		err := fold(acc, in)
+		c.Release(in)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return DecodeInt64s(out)
+	return c.bcast(0, tag, acc)
+}
+
+// releaseReduced returns allreduce's result to the transport unless it is the
+// communicator's own accumulator.
+func (c *Comm) releaseReduced(out []byte) {
+	if c.rank != 0 {
+		c.Release(out)
+	}
 }
 
 // AllreduceFloat64 reduces one scalar.

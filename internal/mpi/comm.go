@@ -41,6 +41,10 @@ type Comm struct {
 	// Transport.SendSegments takes (see oneSegment); collectives run one at
 	// a time.
 	collSeg [1][]byte
+
+	// reduceBuf is the allreduces' accumulator: the local vector, encoded,
+	// into which each child's vector is folded in place.
+	reduceBuf []byte
 }
 
 // oneSegment holds the one-segment lists Send hands Transport.SendSegments:
