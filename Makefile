@@ -158,18 +158,21 @@ bench-quick:
 	bash benchmark/run.sh -quick
 
 # Short fuzz passes over the input parsers, the checkpoint container and its
-# section decoders, the flat kernel tables and the flat.Index that numbers
+# section decoders (seeded with the csr section's one weight form at 0, 2⁵³
+# and the refused 2⁵³ + 1), the flat kernel tables and the flat.Index that numbers
 # every ghost and tail slot (each vs a map oracle), the varint codec, the TCP
 # reader filling pooled buffers from a peer's raw stream, the mesh handshake's
 # acceptor (accept iff rank and fence are right, closed otherwise), the ghost refresh
 # frame decoder, the owner-request decoder, the frontier
 # active-set (vs a map+sort oracle), the counting-sort graph assembly (vs the
-# sort-based oracle), the coordinator's session lines (bounded, and unable
+# sort-based oracle; arc weights that are not integers take Build's scale
+# rule, in both), the coordinator's session lines (bounded, and unable
 # to change a job's membership or spawns) and the supervisor's hang detector
 # (random worlds with dropped beacons and a frozen rank, vs the world rule),
 # the daemon's job JSON (a 4xx or a spec inside every bound), whole runs
 # on drawn graphs (core's property suite, in-process ranks only) and the
-# result certificate (typed errors, and Q bits unchanged by renamed labels).
+# result certificate (typed errors; on integer and float weights alike, the
+# scale and the Q bits unchanged by a shuffled edge order and renamed labels).
 # FUZZTIME is each pass's length; CI runs `make fuzz FUZZTIME=10s`, so this
 # list is the only one.
 FUZZTIME ?= 30s

@@ -398,7 +398,7 @@ func report(res *core.Result, path string, hdr gio.Header, cfg core.Config, np i
 	fmt.Printf("graph: %d vertices, %d edges\n", hdr.Vertices, hdr.Edges)
 	fmt.Printf("communities=%d modularity=%.6f phases=%d iterations=%d time=%.3fs\n",
 		res.Communities, res.Modularity, len(res.Phases), res.TotalIterations, res.Runtime.Seconds())
-	fmt.Printf("certified: Q=%.6f exact=%v disconnected=%d\n", cert.Q, cert.Exact, cert.Disconnected)
+	fmt.Printf("certified: Q=%.6f scale=%d disconnected=%d\n", cert.Q, cert.Scale, cert.Disconnected)
 	fmt.Printf("time split: ghost=%.3fs community=%.3fs compute=%.3fs allreduce=%.3fs rebuild=%.3fs\n",
 		res.Steps.GhostComm.Seconds(), res.Steps.CommunityComm.Seconds(),
 		res.Steps.Compute.Seconds(), res.Steps.Allreduce.Seconds(), res.Steps.Rebuild.Seconds())

@@ -49,9 +49,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "graphinfo: %v\n", err)
 		os.Exit(1)
 	}
-	g := graph.FromRawEdges(n, edges)
+	g, scale, err := graph.FromRawEdgesScaled(n, edges)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "graphinfo: %v\n", err)
+		os.Exit(1)
+	}
 	st := graph.ComputeStats(g)
-	fmt.Printf("%s\n%s\n", path, st)
+	// The weights are those every run sums: the input's, scaled by 2^scale.
+	fmt.Printf("%s (weights scaled by 2^%d)\n%s\n", path, scale, st)
 	if *hist {
 		fmt.Println("degree histogram (log2 buckets):")
 		for i, c := range graph.DegreeHistogram(g) {

@@ -453,9 +453,9 @@ func TestFuzzTargetsListed(t *testing.T) {
 // section of it may pass sectionCeiling, and README.md may not pass
 // readmeCeiling, so text cut from DESIGN.md cannot move there instead.
 const (
-	designCeiling  = 49785
+	designCeiling  = 49782
 	sectionCeiling = 6144
-	readmeCeiling  = 26728
+	readmeCeiling  = 26649
 )
 
 // changesEntryCap bounds each CHANGES.md entry after changesCapFrom, in bytes:

@@ -59,7 +59,7 @@ func ExampleCertify() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("Q=%.3f exact=%v communities=%d disconnected=%d\n", cert.Q, cert.Exact, cert.Communities, cert.Disconnected)
+	fmt.Printf("Q=%.3f scale=%d communities=%d disconnected=%d\n", cert.Q, cert.Scale, cert.Communities, cert.Disconnected)
 	// Output:
-	// Q=0.484 exact=false communities=2 disconnected=0
+	// Q=0.484 scale=48 communities=2 disconnected=0
 }

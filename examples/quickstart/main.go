@@ -38,11 +38,12 @@ func main() {
 		fmt.Printf("  vertex %d -> community %d\n", v, c)
 	}
 
-	// The labels certify to the reported modularity: on integer weights,
-	// bit for bit.
+	// The labels certify to the reported modularity, bit for bit; Scale is
+	// the exponent by which the weights were scaled before they were rounded
+	// to integers (0 here: they are integers, and keep their values).
 	cert, err := distlouvain.Check(8, edges, res)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("certified: Q %.4f, exact %v, %d disconnected communities\n", cert.Q, cert.Exact, cert.Disconnected)
+	fmt.Printf("certified: Q %.4f, scale %d, %d disconnected communities\n", cert.Q, cert.Scale, cert.Disconnected)
 }

@@ -16,28 +16,25 @@ import (
 
 // ckptStateVersion versions the *contents* of the Louvain sections inside a
 // snapshot (the container format has its own version in internal/ckpt).
-// Version 2 varint-codes the CSR, ghost and label sections.
-const ckptStateVersion = 2
+// Version 2 varint-codes the CSR, ghost and label sections; version 3 has
+// one weight form, a uvarint, for graphs whose weights are all integers.
+const ckptStateVersion = 3
 
 // Snapshot section names. A rank snapshot carries the coarse graph in
 // routable form (CSR re-expanded to arcs on resume), the cumulative
 // original-vertex assignment, and the driver position.
 const (
 	secMeta     = "meta"     // driver position + shape/consistency fields
-	secCSR      = "csr"      // coarse local CSR: weight form, row lengths, (target gap, weight) per arc
+	secCSR      = "csr"      // coarse local CSR: row lengths, then (target gap, weight) per arc
 	secGhosts   = "ghosts"   // sorted ghost vertex IDs as one delta stream (cross-check only)
 	secOrigComm = "origcomm" // original-vertex → community, this rank's range, a uvarint each
 	secHistory  = "history"  // []PhaseStat accumulated so far
 )
 
-// The csr section's first byte says how its weights travel. Both forms are
-// bit-exact: every integer in [1, 2⁵³] converts to uint64 and back unchanged.
-const (
-	weightsFixed64 byte = 0 // IEEE-754 bits, 8 bytes each
-	weightsUvarint byte = 1 // every weight on the rank is an integer in [1, 2⁵³]
-
-	maxUvarintWeight = 1 << 53
-)
+// maxWeight bounds a csr weight: every weight is an integer (the scale rule,
+// graph.Weights.Scale) in [0, 2⁵³], which converts to uint64 and back
+// unchanged. 0 is one: a tiny input weight can round to it.
+const maxWeight = 1 << 53
 
 // metaBytes is the size of the meta section: fourteen fixed64 words.
 const metaBytes = 14 * 8
@@ -151,7 +148,10 @@ func (rs *runState) encodeSections(buf []byte, completed int) ([]ckpt.Section, [
 		coarseLocalN:    dg.LocalN,
 		m2:              dg.M2,
 	}
-	form, csrBytes := csrLayout(dg)
+	csrBytes, err := csrSize(dg)
+	if err != nil {
+		return nil, buf, err
+	}
 	bound := metaBytes + csrBytes +
 		uvarintLen(uint64(len(dg.Ghosts))) + len(dg.Ghosts)*uvarintLen(2*uint64(dg.GlobalN)) +
 		len(rs.res.LocalComm)*uvarintLen(uint64(dg.GlobalN)) +
@@ -162,13 +162,13 @@ func (rs *runState) encodeSections(buf []byte, completed int) ([]ckpt.Section, [
 	var ends [len(names)]int
 	buf = m.append(buf)
 	ends[0] = len(buf)
-	buf = appendCSR(buf, dg, form)
+	buf = appendCSR(buf, dg)
 	ends[1] = len(buf)
 	buf = mpi.AppendDeltaInt64s(buf, dg.Ghosts)
 	ends[2] = len(buf)
 	buf = appendLabels(buf, rs.res.LocalComm)
 	ends[3] = len(buf)
-	buf, err := appendHistory(buf, rs.res.Phases)
+	buf, err = appendHistory(buf, rs.res.Phases)
 	ends[4] = len(buf)
 
 	secs := make([]ckpt.Section, len(names))
@@ -183,46 +183,31 @@ func (rs *runState) encodeSections(buf []byte, completed int) ([]ckpt.Section, [
 // uvarintLen is the LEB128 length of v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// uvarintWeight reports whether w may travel as a uvarint.
-func uvarintWeight(w float64) bool {
-	return w >= 1 && w <= maxUvarintWeight && w == math.Trunc(w)
-}
-
-// csrLayout picks the csr section's weight form for dg's rows and returns
-// its exact encoded size.
-func csrLayout(dg *dgraph.DistGraph) (form byte, size int) {
-	form = weightsUvarint
-	size = 1
-	wBytes := 0
+// csrSize returns the exact encoded size of dg's csr section, and an error
+// for a weight that is not an integer in [0, 2⁵³], which no graph holds.
+func csrSize(dg *dgraph.DistGraph) (int, error) {
+	size := 0
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		row, ws := dg.Row(lv)
 		size += uvarintLen(uint64(len(row)))
 		prev := int64(-1)
 		for i, s := range row {
-			to := dg.Target(s)
-			size += uvarintLen(uint64(to - prev))
-			prev = to
-			if form == weightsUvarint {
-				if uvarintWeight(ws[i]) {
-					wBytes += uvarintLen(uint64(ws[i]))
-				} else {
-					form = weightsFixed64
-				}
+			to, w := dg.Target(s), ws[i]
+			if !(w >= 0 && w <= maxWeight && w == math.Trunc(w)) {
+				return 0, fmt.Errorf("ckpt: arc (%d,%d) weighs %g, not an integer in [0, 2^53]", dg.Global(lv), to, w)
 			}
+			size += uvarintLen(uint64(to-prev)) + uvarintLen(uint64(w))
+			prev = to
 		}
 	}
-	if form == weightsFixed64 {
-		wBytes = 8 * len(dg.Slot)
-	}
-	return form, size + wBytes
+	return size, nil
 }
 
-// appendCSR appends dg's csr section: the weight form byte, every owned row's
-// length as a uvarint, then per arc the uvarint gap to the row's previous
-// target (the first from −1, so a gap is never 0 in a strictly ascending
-// row) and the weight in the given form.
-func appendCSR(buf []byte, dg *dgraph.DistGraph, form byte) []byte {
-	buf = append(buf, form)
+// appendCSR appends dg's csr section: every owned row's length as a uvarint,
+// then per arc the uvarint gap to the row's previous target (the first from
+// −1, so a gap is never 0 in a strictly ascending row) and the weight as a
+// uvarint.
+func appendCSR(buf []byte, dg *dgraph.DistGraph) []byte {
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		buf = mpi.AppendUvarint(buf, uint64(dg.Index[lv+1]-dg.Index[lv]))
 	}
@@ -232,12 +217,8 @@ func appendCSR(buf []byte, dg *dgraph.DistGraph, form byte) []byte {
 		for i, s := range row {
 			to := dg.Target(s)
 			buf = mpi.AppendUvarint(buf, uint64(to-prev))
+			buf = mpi.AppendUvarint(buf, uint64(ws[i]))
 			prev = to
-			if form == weightsUvarint {
-				buf = mpi.AppendUvarint(buf, uint64(ws[i]))
-			} else {
-				buf = mpi.AppendFloat64(buf, ws[i])
-			}
 		}
 	}
 	return buf
@@ -246,21 +227,13 @@ func appendCSR(buf []byte, dg *dgraph.DistGraph, form byte) []byte {
 // decodeCSR re-expands a csr section into routable arcs for the localN rows
 // from global vertex base on, in a coarseN-vertex graph.
 func decodeCSR(data []byte, base, localN, coarseN int64) ([]dgraph.Arc, error) {
-	if len(data) == 0 {
+	if len(data) == 0 && localN > 0 {
 		return nil, fmt.Errorf("empty section")
 	}
-	form := data[0]
-	minArc := uint64(2) // a gap byte and a weight byte
-	switch form {
-	case weightsUvarint:
-	case weightsFixed64:
-		minArc = 9
-	default:
-		return nil, fmt.Errorf("unknown weight form %d", form)
-	}
+	const minArc = 2 // a gap byte and a weight byte
 	// Row lengths first: their sum sizes the arcs exactly, and a sum the
 	// payload cannot hold is refused before anything is allocated for it.
-	rows := mpi.NewDecoder(data[1:])
+	rows := mpi.NewDecoder(data)
 	if localN > int64(rows.Remaining()) {
 		return nil, fmt.Errorf("%d rows cannot fit %d bytes", localN, rows.Remaining())
 	}
@@ -276,7 +249,7 @@ func decodeCSR(data []byte, base, localN, coarseN int64) ([]dgraph.Arc, error) {
 		nArcs += n
 	}
 	arcsAt := len(data) - rows.Remaining()
-	rows = mpi.NewDecoder(data[1:arcsAt])
+	rows = mpi.NewDecoder(data[:arcsAt])
 	d := mpi.NewDecoder(data[arcsAt:])
 	arcs := make([]dgraph.Arc, 0, nArcs)
 	for lv := int64(0); lv < localN; lv++ {
@@ -294,20 +267,14 @@ func decodeCSR(data []byte, base, localN, coarseN int64) ([]dgraph.Arc, error) {
 				return nil, fmt.Errorf("row %d: arc target past the last vertex %d", lv, coarseN-1)
 			}
 			prev += int64(gap)
-			var w float64
-			if form == weightsUvarint {
-				u, err := d.Uvarint()
-				if err != nil {
-					return nil, fmt.Errorf("row %d weight: %w", lv, err)
-				}
-				if u == 0 || u > maxUvarintWeight {
-					return nil, fmt.Errorf("row %d: weight %d outside [1, 2^53]", lv, u)
-				}
-				w = float64(u)
-			} else if w, err = d.Float64(); err != nil {
+			w, err := d.Uvarint()
+			if err != nil {
 				return nil, fmt.Errorf("row %d weight: %w", lv, err)
 			}
-			arcs = append(arcs, dgraph.Arc{From: base + lv, To: prev, W: w})
+			if w > maxWeight {
+				return nil, fmt.Errorf("row %d: weight %d outside [0, 2^53]", lv, w)
+			}
+			arcs = append(arcs, dgraph.Arc{From: base + lv, To: prev, W: float64(w)})
 		}
 	}
 	if d.Remaining() != 0 {

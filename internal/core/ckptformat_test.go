@@ -36,9 +36,7 @@ var (
 
 // fixturePayloads encodes the fixture's csr, ghosts and origcomm sections.
 func fixturePayloads() (csr, ghosts, labels []byte) {
-	dg := csrGraph(fixIndex, fixEdges)
-	form, _ := csrLayout(dg)
-	return appendCSR(nil, dg, form), mpi.AppendDeltaInt64s(nil, fixGhosts), appendLabels(nil, fixLabels)
+	return appendCSR(nil, csrGraph(fixIndex, fixEdges)), mpi.AppendDeltaInt64s(nil, fixGhosts), appendLabels(nil, fixLabels)
 }
 
 // csrGraph is the slot CSR of the rows index and edges give by global
@@ -107,45 +105,26 @@ func TestCheckpointSectionsRoundTrip(t *testing.T) {
 	if !slices.Equal(got.orig.vals, fixLabels) || !slices.Equal(got.ghosts, fixGhosts) {
 		t.Fatalf("labels %v ghosts %v, want %v %v", got.orig.vals, got.ghosts, fixLabels, fixGhosts)
 	}
-	// Nine bytes of CSR for three arcs where version 1 spent 72.
-	if len(csr) != 9 {
-		t.Fatalf("csr section is %d bytes, want 9", len(csr))
+	// Eight bytes of CSR for three arcs where version 1 spent 72.
+	if size, err := csrSize(csrGraph(fixIndex, fixEdges)); len(csr) != 8 || size != len(csr) || err != nil {
+		t.Fatalf("csr section is %d bytes (csrSize %d, %v), want 8", len(csr), size, err)
 	}
-}
-
-// TestCheckpointCSRWeightForms: integer weights in [1, 2⁵³] travel as
-// uvarints, anything else puts the rank's whole section in fixed64, both
-// decode to the same bits, and csrLayout's size is exact.
-func TestCheckpointCSRWeightForms(t *testing.T) {
-	for _, c := range []struct {
-		w    float64
-		form byte
-	}{
-		{3, weightsUvarint},
-		{1 << 53, weightsUvarint},
-		{1<<53 + 2, weightsFixed64},
-		{0.5, weightsFixed64},
-		{0, weightsFixed64},
-		{math.Copysign(0, -1), weightsFixed64},
-		{-4, weightsFixed64},
-		{math.Inf(1), weightsFixed64},
-		{math.NaN(), weightsFixed64},
-	} {
-		index := []int64{0, 2, 3}
-		edges := []graph.Edge{{To: 0, W: 1}, {To: 5, W: c.w}, {To: 1, W: 9}}
-		dg := csrGraph(index, edges)
-		form, size := csrLayout(dg)
-		data := appendCSR(nil, dg, form)
-		if form != c.form || len(data) != size {
-			t.Fatalf("weight %v: form %d, %d bytes (layout said %d); want form %d", c.w, form, len(data), size, c.form)
+	// The one weight form's ends: 0, which a tiny input weight rounds to, and
+	// 2⁵³ travel; 2⁵³ + 1 is refused (TestCheckpointSectionsRejectCorruption),
+	// and so is a weight no graph holds.
+	for _, w := range []float64{0, 1 << 53, 1<<53 + 2, 0.5} {
+		dg := csrGraph([]int64{0, 1}, []graph.Edge{{To: 3, W: w}})
+		size, err := csrSize(dg)
+		if w > 1<<53 || w != math.Trunc(w) {
+			if err == nil {
+				t.Fatalf("weight %v: csrSize accepts it", w)
+			}
+			continue
 		}
-		got, err := decodeCSR(data, 0, 2, 6)
-		if err != nil {
-			t.Fatalf("weight %v: %v", c.w, err)
-		}
-		want := []dgraph.Arc{{From: 0, To: 0, W: 1}, {From: 0, To: 5, W: c.w}, {From: 1, To: 1, W: 9}}
-		if !sameArcs(got, want) {
-			t.Fatalf("weight %v: decoded %v, want %v", c.w, got, want)
+		data := appendCSR(nil, dg)
+		got, derr := decodeCSR(data, 0, 1, 4)
+		if err != nil || derr != nil || len(data) != size || !sameArcs(got, []dgraph.Arc{{From: 0, To: 3, W: w}}) {
+			t.Fatalf("weight %v: %d bytes (csrSize %d, %v) decode to %v (%v)", w, len(data), size, err, got, derr)
 		}
 	}
 }
@@ -156,19 +135,17 @@ func TestCheckpointCSRWeightForms(t *testing.T) {
 func TestCheckpointSectionsRejectCorruption(t *testing.T) {
 	csr, ghosts, labels := fixturePayloads()
 	with := func(b []byte, extra ...byte) []byte { return append(slices.Clone(b), extra...) }
-	u := weightsUvarint
 	for _, c := range []struct {
 		name, section       string
 		csr, ghosts, labels []byte
 		want                string
 	}{
-		{"truncated row length", secCSR, []byte{u, 0x80, 0x80}, ghosts, labels, "truncated"},
-		{"truncated target", secCSR, []byte{u, 1, 0, 0x82, 0x80}, ghosts, labels, "truncated"},
-		{"zero gap", secCSR, []byte{u, 1, 0, 0, 1}, ghosts, labels, "zero target gap"},
-		{"target past coarseN", secCSR, []byte{u, 1, 0, 5, 1}, ghosts, labels, "past the last vertex"},
-		{"rows past the payload", secCSR, []byte{u, 9, 0, 1, 1}, ghosts, labels, "claim 9 arcs"},
-		{"bad weight form", secCSR, []byte{7, 1, 0, 1, 1}, ghosts, labels, "unknown weight form 7"},
-		{"zero weight", secCSR, []byte{u, 1, 0, 1, 0}, ghosts, labels, "outside [1, 2^53]"},
+		{"truncated row length", secCSR, []byte{0x80, 0x80}, ghosts, labels, "truncated"},
+		{"truncated target", secCSR, []byte{1, 0, 0x82, 0x80}, ghosts, labels, "truncated"},
+		{"zero gap", secCSR, []byte{1, 0, 0, 1}, ghosts, labels, "zero target gap"},
+		{"target past coarseN", secCSR, []byte{1, 0, 5, 1}, ghosts, labels, "past the last vertex"},
+		{"rows past the payload", secCSR, []byte{9, 0, 1, 1}, ghosts, labels, "claim 9 arcs"},
+		{"weight past 2^53", secCSR, mpi.AppendUvarint([]byte{1, 0, 1}, 1<<53+1), ghosts, labels, "outside [0, 2^53]"},
 		{"empty csr", secCSR, nil, ghosts, labels, "empty"},
 		{"csr trailing bytes", secCSR, with(csr, 0), ghosts, labels, "trailing"},
 		{"label past coarseN", secOrigComm, csr, ghosts, []byte{0, 1, fixCoarseN}, "out of range"},
@@ -197,9 +174,13 @@ func TestCheckpointSectionsRejectCorruption(t *testing.T) {
 func FuzzCheckpointSections(f *testing.F) {
 	csr, ghosts, labels := fixturePayloads()
 	f.Add(csr, ghosts, labels)
-	f.Add(appendCSR(nil, csrGraph(fixIndex, fixEdges), weightsFixed64), ghosts, labels)
-	f.Add([]byte{weightsUvarint, 1, 0, 0, 1}, []byte{2, 4, 1}, []byte{0, 1, 4})
-	f.Add([]byte{weightsUvarint, 9, 0, 1, 1}, ghosts, []byte{0, 1, 0x80})
+	f.Add([]byte{1, 0, 0, 1}, []byte{2, 4, 1}, []byte{0, 1, 4})
+	f.Add([]byte{9, 0, 1, 1}, ghosts, []byte{0, 1, 0x80})
+	// The one weight form at its ends: 0, which a tiny input weight rounds
+	// to, 2⁵³, and 2⁵³ + 1, which is refused.
+	for _, w := range []uint64{0, 1 << 53, 1<<53 + 1} {
+		f.Add(mpi.AppendUvarint([]byte{1, 1, 1, 1, 2}, w), ghosts, labels)
+	}
 
 	f.Fuzz(func(t *testing.T, csr, ghosts, labels []byte) {
 		got, err := decodeFixture(t, csr, ghosts, labels)
@@ -221,10 +202,10 @@ func FuzzCheckpointSections(f *testing.F) {
 			index[lv] += index[lv-1]
 		}
 		dg := csrGraph(index, edges)
-		form, size := csrLayout(dg)
-		re := appendCSR(nil, dg, form)
-		if len(re) != size {
-			t.Fatalf("csr re-encodes to %d bytes, layout said %d", len(re), size)
+		size, err := csrSize(dg)
+		re := appendCSR(nil, dg)
+		if len(re) != size || err != nil {
+			t.Fatalf("csr re-encodes to %d bytes, csrSize said %d (%v)", len(re), size, err)
 		}
 		arcs, err := decodeCSR(re, 0, int64(len(index)-1), fixCoarseN)
 		if err != nil || !sameArcs(arcs, got.arcs) {

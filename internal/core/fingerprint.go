@@ -32,16 +32,17 @@ type Fingerprint string
 // TestConfigFieldsPinned holds both lists against the struct. The etcexit
 // position carries the constant DefaultETCExit, in the bytes a field there
 // would give, so stored digests, manifests and cache keys keep matching. The
-// last three tokens name the rules of the sweep that are not configuration:
+// last four tokens name the rules of the run that are not configuration:
 // the ΔQ tie rule (tieBefore), the return rule of a damped phase
-// (evaluateVertex) and the exact gain the candidates are ranked by
-// (seq.Gain). A checkpoint or cached result
-// of a trajectory under other rules therefore never matches, and Resume
-// refuses it with the typed mismatch instead of continuing it under these.
+// (evaluateVertex), the exact gain the candidates are ranked by (seq.Gain)
+// and the integer weights the scale rule gives an input
+// (graph.Weights.Scale). A checkpoint or cached result of a trajectory under
+// other rules therefore never matches, and Resume refuses it with the typed
+// mismatch instead of continuing it under these.
 func (c Config) Fingerprint() Fingerprint {
 	c.fill() // value receiver: canonicalize defaults without mutating the caller
 	h := fnv.New64a()
-	fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;tie=mix64;returns=damped;gain=scaled",
+	fmt.Fprintf(h, "tau=%v;sched=%v;alpha=%v;etc=%v;etcexit=%v;maxphases=%d;maxiter=%d;seed=%d;tie=mix64;returns=damped;gain=scaled;weights=integer",
 		c.Tau, c.TauSchedule, c.Alpha, c.ETC, DefaultETCExit, c.MaxPhases, c.MaxIterations, c.Seed)
 	return Fingerprint(fmt.Sprintf("%016x", h.Sum64()))
 }

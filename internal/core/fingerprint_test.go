@@ -26,12 +26,12 @@ func TestFingerprintStability(t *testing.T) {
 		cfg  Config
 		want Fingerprint
 	}{
-		{"baseline defaults", Baseline(), "f63a698b7fdb378e"},
-		{"etc 0.25", ETC(0.25), "0c5a8804a5f5efd4"},
+		{"baseline defaults", Baseline(), "a7d7b06f3f19413f"},
+		{"etc 0.25", ETC(0.25), "be9b74c4300821f1"},
 		{"custom trajectory knobs", Config{
 			Tau: 1e-4, TauSchedule: []float64{1e-3, 1e-4}, Alpha: 0.5,
 			Seed: 42, MaxIterations: 7,
-		}, "19715453613d38a8"},
+		}, "c11a460d3d28ae75"},
 	}
 	for _, c := range cases {
 		if got := c.cfg.Fingerprint(); got != c.want {
@@ -77,7 +77,9 @@ func TestFingerprintRefusesSmallestIDTrajectories(t *testing.T) {
 // not produce. Up to ea93e17 a vertex was free to go back to the community it
 // had just left, and the fingerprint ended at "tie=mix64" (LFR's period-2
 // tail); up to 7455fd9 gains were compared after two rounding divisions, and it
-// ended at "returns=damped" (an exact tie could lose to rounding). None of
+// ended at "returns=damped" (an exact tie could lose to rounding); up to
+// f398c2f float weights were summed as given, and it ended at "gain=scaled"
+// (a float input's Q bits depended on the rank count). None of
 // those digests may equal today's for the same configuration — Resume refuses
 // the checkpoint (TestResumeRejectsConfigMismatch) and the dlouvaind cache,
 // keyed by this digest, misses (service.TestCacheKeyedByConfigFingerprint).
@@ -92,6 +94,8 @@ func TestFingerprintRefusesUndampedTrajectories(t *testing.T) {
 		{"undamped etc 0.25", "tie=mix64", ETC(0.25), "6db74814c6902ce5"},
 		{"rounded-gain baseline", "tie=mix64;returns=damped", Baseline(), "1adf270daedaccd1"},
 		{"rounded-gain etc 0.25", "tie=mix64;returns=damped", ETC(0.25), "db98d8c5cdbe2c23"},
+		{"float-weight baseline", "tie=mix64;returns=damped;gain=scaled", Baseline(), "f63a698b7fdb378e"},
+		{"float-weight etc 0.25", "tie=mix64;returns=damped;gain=scaled", ETC(0.25), "0c5a8804a5f5efd4"},
 	} {
 		c.cfg.fill()
 		h := fnv.New64a()

@@ -25,10 +25,10 @@ import (
 
 // frontierGraphs are the differential inputs: an Erdős–Rényi graph, a
 // banded mesh (the workload class the frontier targets), a float-weighted
-// graph so order-dependence in any frontier path shows up bitwise, and the
-// float-weighted LFR of lightVertexWeights, on which community sizes change
-// all the time without any A_c changing (rule d's directional marking;
-// TestFrontierDirectionalRuleHasCases counts them).
+// graph, which Build scales to integers, the LFR of lightVertexWeights, whose
+// light vertices have weight 0, and sizeOnlyGadget, on which rule (d) marks
+// one way and, every copy twice, not at all
+// (TestFrontierDirectionalRuleHasCases counts them).
 func frontierGraphs() []struct {
 	name  string
 	n     int64
@@ -38,6 +38,7 @@ func frontierGraphs() []struct {
 	meshN, meshEdges := gen.Grid2D(18, 18, false)
 	fn, fEdges := gen.ErdosRenyi(250, 1200, 17)
 	ln, lEdges := lightLFR()
+	gn, gEdges := sizeOnlyGadget()
 	return []struct {
 		name  string
 		n     int64
@@ -47,6 +48,7 @@ func frontierGraphs() []struct {
 		{"mesh", meshN, meshEdges},
 		{"er-float", fn, floatWeights(fEdges)},
 		{"lfr-light", ln, lEdges},
+		{"gadget", gn, gEdges},
 	}
 }
 
@@ -64,10 +66,9 @@ func frontierVariants() []struct {
 	}
 }
 
-// TestFrontierMatchesFullScan is the core differential: 3 graphs × 3
+// TestFrontierMatchesFullScan is the core differential: 5 graphs × 3
 // variants × {1,2,4} ranks × {dense, sparse, auto} against the full-scan
-// oracle at the same rank count (float summation order legitimately depends
-// on the partition, so oracles are per rank count).
+// oracle at the same rank count.
 func TestFrontierMatchesFullScan(t *testing.T) {
 	modes := []struct {
 		name string
@@ -225,10 +226,9 @@ func TestFrontierReducesSweepOnMesh(t *testing.T) {
 }
 
 // lightVertexWeights is floatWeights with every fifth vertex made "light": its
-// edges weigh 10⁻¹⁷ of the others'. A light vertex has positive gains and moves
-// like any other, but its weighted degree is below half an ulp of any
-// community's A, so the community it joins or leaves changes size while A keeps
-// its bits.
+// edges weigh 10⁻¹⁷ of the others', which the scale rule rounds to 0. A light
+// vertex has weight 0: it is offered no positive gain and never moves, while
+// its arcs still run through every kernel and the frontier.
 func lightVertexWeights(edges []graph.RawEdge) []graph.RawEdge {
 	out := floatWeights(edges)
 	for i, e := range out {
@@ -248,17 +248,44 @@ func lightLFR() (int64, []graph.RawEdge) {
 	return n, lightVertexWeights(edges)
 }
 
+// sizeOnlyGadget is 16 copies of one 14-vertex graph, weights 1 and 2, on
+// which integer weights cancel: in phase 0, vertex 1 (weighted degree 8)
+// leaves a 3-member community just as vertices 9 and 10 (6 and 2) join it, and
+// one iteration later the same three swap with a second community, so each
+// community's A keeps its value while its size goes 3 → 4. That is two
+// size-only changes a copy (not with one copy alone, whose m2 is too small
+// for these moves), 32 in all.
+func sizeOnlyGadget() (int64, []graph.RawEdge) {
+	const copies, size = 16, 14
+	one := [][3]int64{
+		{0, 1, 2}, {0, 2, 1}, {0, 3, 2}, {0, 4, 1}, {0, 5, 2}, {0, 7, 1}, {0, 9, 1}, {0, 10, 1},
+		{0, 11, 1}, {1, 4, 1}, {1, 6, 1}, {1, 9, 1}, {1, 10, 1}, {1, 11, 1}, {1, 13, 1}, {2, 3, 1},
+		{2, 4, 1}, {2, 12, 1}, {2, 13, 1}, {3, 4, 1}, {3, 13, 2}, {4, 6, 1}, {4, 9, 1}, {4, 12, 1},
+		{5, 12, 1}, {6, 7, 1}, {6, 9, 1}, {7, 8, 2}, {7, 9, 1}, {7, 11, 2}, {7, 12, 1}, {9, 12, 1},
+	}
+	var edges []graph.RawEdge
+	for c := int64(0); c < copies; c++ {
+		for _, e := range one {
+			edges = append(edges, graph.RawEdge{U: c*size + e[0], V: c*size + e[1], W: float64(e[2])})
+		}
+	}
+	return copies * size, edges
+}
+
 // TestFrontierDirectionalRuleHasCases: rule (d) marks by the sign of ΔA_c and
 // ignores a size that changes away from {0, 1}; TestFrontierMatchesFullScan
-// holds it to the full scan on lightLFR, an input chosen because sizes change
-// there and A does not. (An Erdős–Rényi graph does not serve: its phases end
-// after two iterations, every community still at size ≤ 1, where the rule marks
-// both ways as before; LFR's planted communities keep phase 0 going.) This test
-// drives phase 0 of that input by hand and counts, on the owned tables, the
-// changes the rule skips (size moved, A did not) and the ones it marks one way
-// only, so the differential cannot quietly stop covering what it is there for.
+// holds it to the full scan on sizeOnlyGadget. (An Erdős–Rényi graph does not
+// serve: its phases end after two iterations, every community still at size
+// ≤ 1, where the rule marks both ways as before.) Every weight is an integer,
+// so A stays put while the size moves only when the weights moving in and out
+// cancel exactly: 0–10 times in phase 0 of LFR 1000–3000, Erdős–Rényi,
+// Watts–Strogatz and grid inputs, which is why the gadget is built for it.
+// This test drives phase 0 of the gadget by hand and counts, on the owned
+// tables, the changes the rule marks one way only and the ones it skips (size
+// moved, A did not), so the differential cannot quietly stop covering what it
+// is there for.
 func TestFrontierDirectionalRuleHasCases(t *testing.T) {
-	n, edges := lightLFR()
+	n, edges := sizeOnlyGadget()
 	type counts struct{ sizeOnly, oneWay, both int }
 	out, err := mpi.RunCollect(2, func(c *mpi.Comm) (counts, error) {
 		var k counts

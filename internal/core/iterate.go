@@ -106,8 +106,9 @@ func (st *phaseState) isActive(lv int64, iter int) bool {
 // evaluateVertex computes lv's ΔQ-maximising move against the current
 // local state plus this iteration's ghost/remote snapshots (lines 7–8 of
 // Algorithm 3). Returns false when lv should stay put. Candidates are ranked
-// by seq.Gain, ΔQ scaled by m2²/2: an exact integer under integer weights and
-// m2² ≤ 2⁵³, so equal gains are real ties and the tie rule decides them.
+// by seq.Gain, ΔQ scaled by m2²/2: an exact integer while m2² ≤ 2⁵³, so equal
+// gains are real ties and the tie rule decides them, and beyond that the same
+// rounding of the same exact operands on every rank.
 //
 // acc is the worker's accumulator (phase-lived, epoch-reset per vertex),
 // direct-addressed by community slot. A neighbor's community slot is
@@ -191,21 +192,16 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 // With k = K[lv], self = SelfLoop[lv], e = rowIntra[lv] − self (lv's weight
 // into its own community, self loop excluded) and aCur = A_cur − k as the
 // kernel computes it, every other community X has w_X ≤ k − self − e (its arcs
-// are among lv's external ones) and A_X ≥ aFloor (0 but for float residue), so
+// are among lv's external ones) and A_X ≥ 0, so
 //
-//	seq.Gain(m2, w_X − e, k, A_X − aCur) ≤ m2·(k − self − 2e) + k·(aCur − aFloor) = bound.
+//	seq.Gain(m2, w_X − e, k, A_X − aCur) ≤ m2·(k − self − 2e) + k·aCur = bound.
 //
-// The kernel and this test sum the same n row weights in different orders and
-// round their products, so the inequality holds of the computed values only up
-// to rounding. Every sum involved has at most n non-negative terms and errs by
-// at most γ_n·T, γ_n ≈ n·2⁻⁵³ and T the row's exact weight: the kernel's w_X
-// and e together by γ_n·T, k and rowIntra (counted twice) here by 3γ_n·T. With
-// a few single roundings of each product and difference, the computed gain
-// exceeds the computed bound by less than (4n + 24)·2⁻⁵³·(m2·k + k·(|aCur| −
-// aFloor)). margin is (n + 8)·2⁻⁴⁸ times the same, over eight times that, which
-// also absorbs T > k by γ_n·T. The margin is conservative: a larger one only
-// settles fewer vertices. With integer weights every term is exact, and while
-// (n + 8)·(m2·k + k·|aCur|) < 2⁴⁸ the margin is below 1, so bound < 0 settles.
+// Every weight is an integer and every sum of them exact (DESIGN §8), so the
+// inequality holds of the computed values up to the rounding of the products
+// and differences alone: a few roundings, each within 2⁻⁵³ of m2·k + k·|aCur|.
+// margin is (n + 8)·2⁻⁴⁸ times that, for n arcs: far more than they need. The
+// margin is conservative: a larger one only settles fewer vertices. While
+// (n + 8)·(m2·k + k·|aCur|) < 2⁴⁸ it is below 1, and then bound < 0 settles.
 func (st *phaseState) settled(lv int64) bool {
 	bound, margin := st.settleBound(lv)
 	return bound+margin <= 0
@@ -218,8 +214,8 @@ func (st *phaseState) settleBound(lv int64) (bound, margin float64) {
 	e := st.rowIntra[lv] - self
 	aCur := st.cA[st.comm[lv]] - k
 	arcs := float64(dg.Index[lv+1] - dg.Index[lv])
-	bound = m2*(k-self-2*e) + k*(aCur-st.aFloor)
-	margin = (arcs + 8) * 0x1p-48 * (m2*k + k*(math.Abs(aCur)-st.aFloor))
+	bound = m2*(k-self-2*e) + k*aCur
+	margin = (arcs + 8) * 0x1p-48 * (m2*k + k*math.Abs(aCur))
 	return bound, margin
 }
 
@@ -563,12 +559,10 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		// Exchanging here instead of at the loop top gives the next sweep
 		// the same post-previous-iteration view it always had, but lets the
 		// modularity below see consistent (post-move) assignments on BOTH
-		// endpoints of cross-rank edges. That makes Q exact — and, for
-		// integer edge weights, independent of the vertex partition as long
-		// as every sum stays exact (the binding one is Σ A_c² < 2⁵³, i.e.
-		// 2m below about 9.5·10⁷), which is what lets a checkpoint resumed
-		// on a different rank count retrace the original trajectory bit for
-		// bit.
+		// endpoints of cross-rank edges. That makes Q exact — every sum is
+		// one of integers, Σ A_c² in 128 bits — and so independent of the
+		// vertex partition, which is what lets a checkpoint resumed on a
+		// different rank count retrace the original trajectory bit for bit.
 		if err := st.exchangeGhostComm(); err != nil {
 			return stat, err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -98,32 +97,6 @@ func TestFlatKernelsMatchMapReference(t *testing.T) {
 				sameTrajectory(t, label, got, want)
 			}
 		})
-	}
-}
-
-// TestFlatKernelsMatchMapReferenceFloat is the float-weighted differential:
-// both kernel sets accumulate every sum in the same order at every thread
-// count (a sweep row and a coarse pair each belong to one worker), so even
-// non-associative weights must reproduce bit for bit.
-func TestFlatKernelsMatchMapReferenceFloat(t *testing.T) {
-	n, edges := gen.ErdosRenyi(350, 2100, 23)
-	edges = floatWeights(edges)
-	for _, p := range []int{1, 3} {
-		for _, threads := range []int{1, 2, 3} {
-			cfg := Baseline()
-			cfg.Threads = threads
-			refCfg := cfg
-			refCfg.oracle.refKernels = true
-			got, err := RunOnEdges(p, n, edges, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := RunOnEdges(p, n, edges, refCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameTrajectory(t, fmt.Sprintf("p=%d threads=%d", p, threads), got, want)
-		}
 	}
 }
 

@@ -19,20 +19,21 @@ import (
 // from every internal/gen generator with unit, small-integer and float weights
 // under every paper variant (DESIGN §8 "What a result promises" lists them).
 // Each promise lives in one helper whose comment says why it holds: 1, a valid
-// result, and 6, the reported Q is the best recorded phase (checkResult); 2
-// and 3, bit-identity for integer and float weights (checkDraw); 4, restart
-// (checkRestart); 5, exact sums (checkSums); 7, a quality floor
-// (checkQuality). TestRunProperties runs a fixed corpus and fails when it stops
-// exercising what the properties are about; FuzzRunProperties draws more.
+// result, and 4, the reported Q is the best recorded phase (checkResult); 2,
+// bit-identity across rank and thread counts, scans and transports (checkDraw)
+// and restarts (checkRestart), for every input, its weights made integers as
+// they enter (graph.Weights.Scale); 3, exact sums (checkSums); 5, a quality
+// floor (checkQuality). TestRunProperties runs a fixed corpus and fails when
+// it stops exercising what the properties are about; FuzzRunProperties draws
+// more.
 
 // propDraw is one input of the suite and the variant it runs.
 type propDraw struct {
-	name    string
-	n       int64
-	edges   []graph.RawEdge
-	truth   []int64 // the planted partition; nil for the other generators
-	integer bool    // every weight an integer, so every sum is exact
-	cfg     Config
+	name  string
+	n     int64
+	edges []graph.RawEdge
+	truth []int64 // the planted partition; nil for the other generators
+	cfg   Config
 }
 
 // propFamilies is the number of generators a draw picks from.
@@ -45,7 +46,7 @@ const propFamilies = 8
 func newPropDraw(family, weights, variant uint8, seed uint64) (propDraw, error) {
 	rng := par.NewXoshiro256(seed)
 	size := func(lo, hi int64) int64 { return lo + rng.Int63n(hi-lo+1) }
-	d := propDraw{integer: weights%3 != 2}
+	var d propDraw
 	var err error
 	switch family % propFamilies {
 	case 0:
@@ -54,7 +55,7 @@ func newPropDraw(family, weights, variant uint8, seed uint64) (propDraw, error) 
 		d.n, d.edges = gen.ErdosRenyi(n, n*size(3, 6), seed)
 	case 1:
 		// 120–240 vertices at any k: k ≤ 3 gives the 4-rank runs a last phase
-		// with a rank that owns no vertex, and property 7 does not hold for
+		// with a rank that owns no vertex, and property 5 does not hold for
 		// 2–3 communities of 15 vertices (0.887 of serial Louvain).
 		k := size(2, 8)
 		d.name = "planted"
@@ -158,15 +159,15 @@ func probed(d propDraw, p, threads int) (Config, [][]fetchSums) {
 	return cfg, sums
 }
 
-// checkSums is property 5. Every move takes a vertex's degree and its count
+// checkSums is property 3. Every move takes a vertex's degree and its count
 // out of one community and into another, and a rollback restores both sides,
 // so the owners' tables always account for every unit of weight and every
 // vertex of the phase graph, whose total weight coarsening preserves: Σ A_c =
 // 2m of the input and Σ size = the phase graph's vertex count. Each rank
 // recorded its partial sums, added here in rank order, so the check adds no
-// collective; with integer weights every partial sum is exact, so the total is
-// too, while float weights reassociate it (relative tolerance 10⁻⁹).
-func checkSums(t *testing.T, label string, d propDraw, m2 float64, sums [][]fetchSums, cov *propCoverage) {
+// collective; every weight is an integer, so every partial sum is exact, and
+// so is the total.
+func checkSums(t *testing.T, label string, m2 float64, sums [][]fetchSums, cov *propCoverage) {
 	t.Helper()
 	for r := range sums {
 		if len(sums[r]) != len(sums[0]) || len(sums[r]) == 0 {
@@ -190,23 +191,22 @@ func checkSums(t *testing.T, label string, d propDraw, m2 float64, sums [][]fetc
 		if want := sums[0][k].globalN; size != want {
 			t.Fatalf("%s: phase %d probe %d: Σ size = %d, the phase graph has %d vertices", label, sums[0][k].phase, k, size, want)
 		}
-		if d.integer && a != m2 || math.Abs(a-m2) > 1e-9*m2 {
+		if a != m2 {
 			t.Fatalf("%s: phase %d probe %d: Σ A_c = %.17g, 2m = %.17g", label, sums[0][k].phase, k, a, m2)
 		}
 	}
 }
 
-// checkResult is properties 1 and 6 on one result, and returns the labels'
+// checkResult is properties 1 and 4 on one result, and returns the labels'
 // certificate. The labels are the dense renumbering of the last kept phase's
 // communities, and the reported Q is computed from the final coarse graph,
 // whose self loops and degrees are those communities' E_c and A_c, so it is
-// the Q of the labels: bit for bit when the certificate is exact (integer
-// weights: every sum is an exact integer, whatever its order), to 10⁻⁹
-// otherwise (seq.Check). A phase that ends below the kept one is
-// discarded, so no recorded phase — kept or discarded — ends above the
-// reported Q (to 10⁻¹², Q ∈ [−½, 1]: a phase's Q and the final one are the
-// same quantity summed in different orders). That is the precise form of "kept
-// phases never lose": a discarded phase stays listed with its lower Q.
+// the Q of the labels bit for bit (seq.Check): every sum is an exact integer,
+// whatever its order. A phase that ends below the kept one is discarded, so
+// no recorded phase — kept or discarded — ends above the reported Q: the kept
+// phase's Q and the final one are the same exact sums, formed alike
+// (seq.ModularityOf). That is the precise form of "kept phases never lose": a
+// discarded phase stays listed with its lower Q.
 func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) seq.Certificate {
 	t.Helper()
 	cert, err := seq.Check(g.N, g.Stream(), res.GlobalComm, res.Modularity, res.Communities)
@@ -214,14 +214,14 @@ func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) seq.Cert
 		t.Fatalf("%s: %v", label, err)
 	}
 	for i, ph := range res.Phases {
-		if ph.Modularity > res.Modularity+1e-12 {
+		if ph.Modularity > res.Modularity {
 			t.Fatalf("%s: phase %d ended at Q = %.17g, above the reported %.17g", label, i, ph.Modularity, res.Modularity)
 		}
 	}
 	return cert
 }
 
-// checkQuality is property 7, on planted-partition draws, whose structure is
+// checkQuality is property 5, on planted-partition draws, whose structure is
 // clear enough that the distributed heuristic must not lose it: Q within 0.05
 // of the planted partition's and at least 0.9 of serial Louvain's. Over 600
 // planted draws × every variant the worst were −0.036 and 0.922 (one draw);
@@ -240,7 +240,7 @@ func checkQuality(t *testing.T, label string, g *graph.CSR, truth []int64, res *
 	}
 }
 
-// drawRun runs one draw, checking properties 1, 5 and 6 of every result.
+// drawRun runs one draw, checking properties 1, 3 and 4 of every result.
 type drawRun struct {
 	t   *testing.T
 	d   propDraw
@@ -257,19 +257,10 @@ func (r *drawRun) run(label string, p, threads int, mod func(*Config)) (*Result,
 	}
 	res, err := RunOnEdges(p, r.d.n, r.d.edges, cfg)
 	if err == nil {
-		r.check(label, res)
-		checkSums(r.t, label, r.d, r.g.TotalWeight(), sums, r.cov)
+		checkResult(r.t, label, r.g, res)
+		checkSums(r.t, label, r.g.TotalWeight(), sums, r.cov)
 	}
 	return res, err
-}
-
-// check is checkResult on a result of the draw. Every weight of an integer
-// draw is an integer and its sums are far below 2⁵³, so its certificate must
-// be exact and its Q held bit for bit; a float draw's cannot be.
-func (r *drawRun) check(label string, res *Result) {
-	if cert := checkResult(r.t, label, r.g, res); cert.Exact != r.d.integer {
-		r.t.Fatalf("%s: certificate exact = %v on a draw with integer weights = %v", label, cert.Exact, r.d.integer)
-	}
 }
 
 func (r *drawRun) mustRun(label string, p, threads int, mod func(*Config)) *Result {
@@ -283,20 +274,16 @@ func (r *drawRun) mustRun(label string, p, threads int, mod func(*Config)) *Resu
 // checkDraw runs d at every rank count 1..4 × thread count 1..3 (a diagonal of
 // it under the race detector), under the full scan, with checkpoints and
 // through an interrupt and a resume, and over a static-address TCP world when
-// tcp is set, and asserts properties 1–7 of every result. Integer weights
-// make every sum exact and every decision depend on global IDs and allreduced
-// values only (the ET coin and the tie hash key on global IDs, remote deltas
-// and Step-5 partials add up to the same integers in any order), so every run
-// of an integer draw must retrace the 1-rank run bit for bit. Float weights
-// keep every sum in one order at any thread count (a row and a coarse pair
-// each belong to one worker; worker buffers are gathered in worker order), but
-// remote folds and the Σ A_c² allreduce associate by rank: on the 288 draws
-// this suite was calibrated on, 864 of 1 056 cross-rank comparisons differed
-// in Q bits with identical labels, so across rank counts only property 1 is
-// promised. cov, when non-nil, accumulates what the draw exercised.
+// tcp is set, and asserts properties 1–5 of every result. Every weight is an
+// integer once Build has scaled it, so every sum is exact and every decision
+// depends on global IDs and allreduced values only (the ET coin and the tie
+// hash key on global IDs, remote deltas and Step-5 partials add up to the
+// same integers in any order, Σ A_c² crosses ranks as exact limbs): every
+// run must retrace the 1-rank run bit for bit, float draws included. cov,
+// when non-nil, accumulates what the draw exercised.
 func checkDraw(t *testing.T, d propDraw, tcp bool, cov *propCoverage) {
 	r := &drawRun{t: t, d: d, g: gen.Build(d.n, d.edges), cov: cov}
-	byP := make([]*Result, 5) // each rank count's first run
+	var want *Result // the first run, which every other retraces
 	for p := 1; p <= 4; p++ {
 		for threads := 1; threads <= 3; threads++ {
 			if raceEnabled && threads != 1+p%3 {
@@ -304,35 +291,25 @@ func checkDraw(t *testing.T, d propDraw, tcp bool, cov *propCoverage) {
 			}
 			label := fmt.Sprintf("%s p=%d T=%d", d.name, p, threads)
 			res := r.mustRun(label, p, threads, nil)
-			switch {
-			case byP[p] != nil:
-				sameTrajectory(t, label, res, byP[p])
-			case d.integer && p > 1:
-				sameTrajectory(t, label, res, byP[1])
-				byP[p] = res
-			default:
-				byP[p] = res
-				if cov != nil {
-					cov.observe(d.cfg, res)
-				}
+			if want != nil {
+				sameTrajectory(t, label, res, want)
+				continue
+			}
+			want = res
+			if cov != nil {
+				cov.observe(d.cfg, res)
 			}
 		}
 	}
 
-	// want is what every later run at pa ranks must retrace.
 	seed := d.cfg.Seed
 	pa, ta, tb := 1+int(seed%4), 1+int(seed%3), 1+int((seed+1)%3)
-	want := byP[pa]
 	label := fmt.Sprintf("%s p=%d T=%d full scan", d.name, pa, tb)
 	sameTrajectory(t, label, r.mustRun(label, pa, tb, func(c *Config) { c.oracle.fullScan = true }), want)
 	if d.truth != nil {
 		checkQuality(t, d.name, r.g, d.truth, want)
 	}
-	if !d.integer {
-		label := fmt.Sprintf("%s p=%d T=%d rerun", d.name, pa, ta)
-		sameTrajectory(t, label, r.mustRun(label, pa, ta, nil), want)
-	}
-	if tcp && d.integer {
+	if tcp {
 		p := 2 + int(seed%3)
 		label := fmt.Sprintf("%s p=%d T=%d tcp", d.name, p, ta)
 		cfg, _ := probed(d, p, ta)
@@ -341,32 +318,28 @@ func checkDraw(t *testing.T, d propDraw, tcp bool, cov *propCoverage) {
 		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		r.check(label, res)
+		checkResult(t, label, r.g, res)
 		sameTrajectory(t, label, res, want)
 	}
 	r.checkRestart(want, pa, ta, tb)
 }
 
-// checkRestart is property 4. A snapshot holds the coarse graph, the labels and
+// checkRestart is the restart half of property 2. A snapshot holds the coarse graph, the labels and
 // the driver position at a phase boundary, and the frontier and the ET state
 // start afresh at every phase, so a run resumed from a snapshot continues the
-// very trajectory the snapshot was cut from: with integer weights at any rank
-// count (the resume here moves to another), with float weights at the rank
-// count that wrote it. A run that checkpoints retraces the plain one (want, at
-// pa ranks); resuming its last snapshot and resuming an interrupted run both
-// end on want's bits, and the phases run after the resume match it move for
-// move and return for return (the snapshot does not carry the earlier phases'
-// counts).
+// very trajectory the snapshot was cut from, at any rank count (the resume
+// here moves to another). A run that checkpoints at pa ranks retraces the
+// plain one (want); resuming its last snapshot and resuming an interrupted
+// run both end on want's bits, and the phases run after the resume match it
+// move for move and return for return (the snapshot does not carry the
+// earlier phases' counts).
 func (r *drawRun) checkRestart(want *Result, pa, ta, tb int) {
 	t, d := r.t, r.d
-	pr := pa // the rank count a resume runs at
-	if d.integer {
-		pr = 1 + pa%4
-	}
+	pr := 1 + pa%4 // the rank count a resume runs at
 	resume := func(label, dir string) *Result {
 		cfg, _ := probed(d, pr, tb)
 		res := resumeInproc(t, pr, dir, cfg)
-		r.check(label, res)
+		checkResult(t, label, r.g, res)
 		sameOutcome(t, label, res, want)
 		return res
 	}
@@ -413,7 +386,7 @@ func (r *drawRun) checkRestart(want *Result, pa, ta, tb int) {
 	}
 }
 
-// TestRunProperties checks properties 1–7 on a fixed corpus: every generator ×
+// TestRunProperties checks properties 1–5 on a fixed corpus: every generator ×
 // weight kind, two seeds each (the first under the race detector), the variant
 // cycling through the five. It then requires the corpus to have exercised every
 // case below at least once, so that no property passes on nothing.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 
 	"distlouvain/internal/ckpt"
@@ -49,11 +48,10 @@ func Start(c *mpi.Comm, n int64, cfg Config, build func(*mpi.Comm) (*dgraph.Dist
 // resume): snapshot files are split across the new ranks, the coarse graph
 // is rebuilt by replaying each file's CSR through the arc shuffle, and the
 // original-vertex assignment is redistributed to the new ownership ranges.
-// Because every phase-boundary quantity is an exact (order-independent for
-// integer weights, as long as every sum stays exact: Σ A_c² < 2⁵³, i.e. 2m
-// below about 9.5·10⁷, is the binding one) global value and the per-phase
-// randomness hashes global vertex IDs, the resumed run retraces the
-// uninterrupted run's trajectory regardless of the new rank count.
+// Because every phase-boundary quantity is an exact global value — every
+// weight is an integer and every sum of them exact in any order — and the
+// per-phase randomness hashes global vertex IDs, the resumed run retraces
+// the uninterrupted run's trajectory regardless of the new rank count.
 func Resume(c *mpi.Comm, dir string, cfg Config) (*Result, error) {
 	cfg.fill()
 	// The load span closes just before control enters the shared run loop;
@@ -233,7 +231,7 @@ func resume(c *mpi.Comm, dir string, cfg Config, man *ckpt.Manifest, lsp obsv.Sp
 	if err != nil {
 		return nil, err
 	}
-	if diff := math.Abs(ndg.M2 - savedM2); diff > 1e-9*math.Max(1, savedM2) {
+	if ndg.M2 != savedM2 {
 		return nil, fmt.Errorf("ckpt: rebuilt graph weight 2m=%g disagrees with snapshot's %g", ndg.M2, savedM2)
 	}
 	if p == oldWorld && savedGhosts != nil {

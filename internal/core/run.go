@@ -10,6 +10,7 @@ import (
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
+	"distlouvain/internal/seq"
 )
 
 // runState is the complete driver position of a multi-phase run between
@@ -209,18 +210,18 @@ func (rs *runState) runLoop() (*Result, error) {
 
 	// Exact final modularity from the final coarse graph: with the
 	// identity partition, E_c is vertex c's self loop and A_c its degree.
-	var eLocal, aSqLocal float64
+	var sums [1 + seq.SquareLimbs]float64
+	var aSq seq.SquareSum
 	for lv := int64(0); lv < rs.cur.LocalN; lv++ {
-		eLocal += rs.cur.SelfLoop[lv]
-		aSqLocal += rs.cur.K[lv] * rs.cur.K[lv]
+		sums[0] += rs.cur.SelfLoop[lv]
+		aSq.Add(rs.cur.K[lv])
 	}
-	sums, err := c.AllreduceFloat64s([]float64{eLocal, aSqLocal}, mpi.OpSum)
+	aSq.Limbs(sums[1:])
+	out, err := c.AllreduceFloat64s(sums[:], mpi.OpSum)
 	if err != nil {
 		return nil, fmt.Errorf("final modularity allreduce: %w", err)
 	}
-	if rs.cur.M2 > 0 {
-		res.Modularity = sums[0]/rs.cur.M2 - sums[1]/(rs.cur.M2*rs.cur.M2)
-	}
+	res.Modularity = seq.ModularityOf(out[0], rs.cur.M2, seq.SquareSumOfLimbs(out[1:]))
 
 	if cfg.GatherOutput {
 		gsp := tr.Begin(obsv.KindP2P, "gather-output")

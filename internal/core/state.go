@@ -11,6 +11,7 @@ import (
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/par"
+	"distlouvain/internal/seq"
 )
 
 // phaseState holds one rank's working set for a single Louvain phase. The
@@ -45,11 +46,6 @@ type phaseState struct {
 	refs    []int32
 	fetched []int32
 	tail    flat.Index
-
-	// aFloor is the least A_c any slot has held this phase: 0 unless float
-	// residue left one below it. It bounds every A_X from below in the settle
-	// test (settled).
-	aFloor float64
 
 	// fetchSeq numbers the fetch rounds from 2, so that "refreshed by the
 	// previous round" (fetched == fetchSeq−1) is never true of a slot that was
@@ -130,7 +126,7 @@ type phaseState struct {
 	globalReturns                          int64
 
 	// lanes is the vector step (iv)'s allreduce carries (modularityAndMoves).
-	lanes [6]float64
+	lanes [5 + seq.SquareLimbs]float64
 
 	// snap is the rollback snapshot, taken after each sweep; until the next one
 	// its comm is where the previous iteration started (see snapshot). damped
@@ -517,7 +513,6 @@ func (st *phaseState) fetchCommunityInfo() error {
 				}
 			}
 			st.cA[s], st.cSize[s], st.fetched[s] = a, size, st.fetchSeq
-			st.aFloor = min(st.aFloor, a)
 		}
 		if d.Remaining() != 0 {
 			return malformed("community-info reply", q, "%d trailing bytes", d.Remaining())
@@ -545,13 +540,11 @@ type commDelta struct {
 // pushDeltas is step (iii) of Algorithm 3: updated information on ghost
 // communities travels to their owners; owners fold in the deltas for their
 // local communities. deltas must be sorted by community ID (stageMoves
-// guarantees it), so both the local applies and every rank's wire payload
-// are in canonical ascending-cid order: community-owner float accumulation
-// happens in the same order every run — the sweep's assignment updates, then
-// the locally owned deltas in ascending cid, then the remote frames in rank
-// order — giving float-weighted graphs the same bit-identical trajectory
-// guarantee integer weights get for free, as long as every sum stays exact
-// (Σ A_c² < 2⁵³, i.e. 2m below about 9.5·10⁷, is the binding one).
+// guarantees it), so every rank's wire payload is in canonical ascending-cid
+// order, byte for byte the same every run. The order the owners fold them in
+// — the sweep's assignment updates, then the locally owned deltas, then the
+// remote frames in rank order — reaches no A_c: every weight is an integer,
+// so every fold is exact.
 func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 	sp := st.tr().Begin(obsv.KindP2P, "community-push")
 	defer sp.End()
@@ -631,13 +624,6 @@ func (st *phaseState) applyDelta(cid int64, d delta) {
 	a0, s0 := st.cA[lc], st.cSize[lc]
 	st.cA[lc] += d.a
 	st.cSize[lc] += d.size
-	if st.cSize[lc] <= 0 {
-		// An emptied community's incident weight is exactly zero; clear
-		// float residue so modularity and rebuild see a clean table.
-		st.cSize[lc] = 0
-		st.cA[lc] = 0
-	}
-	st.aFloor = min(st.aFloor, st.cA[lc])
 	if st.fr != nil {
 		// Frontier dirty rule (d), owned side: the values evaluators read
 		// changed, so whoever the direction of the change can concern
@@ -691,37 +677,35 @@ func (st *phaseState) recomputeRow(lv int64) {
 // weight of its local arcs (using current local and once-per-iteration
 // ghost information — the paper's "lag of community update") plus the
 // squared incident weights of its owned communities; one allreduce yields
-// the global Q. The local move count rides along in the same reduction so
-// the per-iteration migration rate costs no extra collective, and so do the
-// sweep's touched-vertex, frontier-size and return counters (stale outside the
-// iteration loop, where the results are simply unread).
+// the global Q. Every lane is an integer sum, exact in any order: E, the
+// limbs of the 128-bit Σ A_c² (seq.SquareSum), and — so that the
+// per-iteration migration rate costs no extra collective — the local move
+// count and the sweep's touched-vertex, frontier-size and return counters
+// (stale outside the iteration loop, where the results are simply unread).
 func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, error) {
 	msp := st.tr().Begin(obsv.KindStep, "modularity-compute")
 	tc := time.Now()
 	eSum := st.intraWeight()
-	var aSq float64
+	var aSq seq.SquareSum
 	for lc := int64(0); lc < st.dg.LocalN; lc++ {
-		aSq += st.cA[lc] * st.cA[lc]
+		aSq.Add(st.cA[lc])
 	}
 	st.steps.Compute += time.Since(tc)
 	msp.End()
 
 	ta := time.Now()
-	st.lanes = [6]float64{eSum, aSq, float64(localMoves), float64(st.iterTouched), float64(st.iterFrontier), float64(st.iterReturns)}
+	st.lanes = [len(st.lanes)]float64{eSum, float64(localMoves), float64(st.iterTouched), float64(st.iterFrontier), float64(st.iterReturns)}
+	aSq.Limbs(st.lanes[5:])
 	out, err := st.dg.Comm.AllreduceFloat64s(st.lanes[:], mpi.OpSum)
 	st.steps.Allreduce += time.Since(ta)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: modularity allreduce: %w", err)
 	}
-	moves := int64(out[2])
-	st.globalTouched = int64(out[3])
-	st.globalFrontier = int64(out[4])
-	st.globalReturns = int64(out[5])
-	m2 := st.dg.M2
-	if m2 == 0 {
-		return 0, moves, nil
-	}
-	return out[0]/m2 - out[1]/(m2*m2), moves, nil
+	moves := int64(out[1])
+	st.globalTouched = int64(out[2])
+	st.globalFrontier = int64(out[3])
+	st.globalReturns = int64(out[4])
+	return seq.ModularityOf(out[0], st.dg.M2, seq.SquareSumOfLimbs(out[5:])), moves, nil
 }
 
 // modularity is modularityAndMoves without a move count (used outside the

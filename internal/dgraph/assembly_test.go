@@ -57,27 +57,56 @@ func againstOracle(p int, n int64, part *partition.Partition, sent [][]oracleArc
 			return fmt.Errorf("M2 differs across ranks: %v", m2)
 		}
 	}
-	if math.Abs(m2[0]-total) > 1e-9*math.Max(1, total) {
+	if m2[0] != total {
 		return fmt.Errorf("M2 = %g, oracle %g", m2[0], total)
 	}
 	return nil
 }
 
+// buildAgainstOracle is againstOracle for Build over the chunks, whose weights
+// the oracle scales by the rule (graph.Weights.Scale) first.
 func buildAgainstOracle(n int64, chunks [][]graph.RawEdge, part *partition.Partition) error {
+	var f graph.Weights
+	for _, chunk := range chunks {
+		for _, e := range chunk {
+			f.AddEdge(e)
+		}
+	}
+	s, err := f.Scale()
+	if err != nil {
+		return err
+	}
 	sent := make([][]oracleArc, len(chunks))
 	for q, chunk := range chunks {
 		sent[q] = expandChunk(chunk)
+		for i := range sent[q] {
+			if f.Fractional > 0 {
+				sent[q][i].w = graph.Quantize(sent[q][i].w, s)
+			}
+		}
 	}
 	return againstOracle(len(chunks), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
 		return Build(c, n, chunks[c.Rank()], part)
 	})
 }
 
+// arcsAgainstOracle is againstOracle for BuildFromArcs over the arcs, whose
+// weights the oracle scales by the rule (graph.Weights.Scale) first.
 func arcsAgainstOracle(n int64, perRank [][]Arc, part *partition.Partition) error {
+	var f graph.Weights
+	for _, arcs := range perRank {
+		for _, a := range arcs {
+			f.Add(a.W, 1)
+		}
+	}
+	s, err := f.Scale()
+	if err != nil {
+		return err
+	}
 	sent := make([][]oracleArc, len(perRank))
 	for q, arcs := range perRank {
 		for _, a := range arcs {
-			sent[q] = append(sent[q], oracleArc{a.From, a.To, a.W})
+			sent[q] = append(sent[q], oracleArc{a.From, a.To, graph.Quantize(a.W, s)})
 		}
 	}
 	return againstOracle(len(perRank), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
@@ -118,6 +147,20 @@ func scatterings(edges []graph.RawEdge, p int, seed int64) map[string][][]graph.
 		cut[r] = shuffled[cuts[r]:cuts[r+1]]
 	}
 	out["segments"], out["round-robin"], out["shuffled-cuts"], out["last-rank"] = seg, rr, cut, last
+	return out
+}
+
+// quantized is edges with the weights the scale rule gives them, as Build holds
+// them: the input BuildFromArcs takes.
+func quantized(edges []graph.RawEdge) []graph.RawEdge {
+	s, err := graph.ScaleOf(graph.Edges(edges))
+	if err != nil {
+		panic(err)
+	}
+	out := slices.Clone(edges)
+	for i := range out {
+		out[i].W = graph.Quantize(out[i].W, s)
+	}
 	return out
 }
 
@@ -202,7 +245,7 @@ func TestBuildFromArcsMatchesSortOracle(t *testing.T) {
 	for _, gc := range differentialGraphs(t) {
 		for p := 1; p <= 4; p++ {
 			rng := rand.New(rand.NewSource(int64(7 * p)))
-			all := expandChunk(gc.edges)
+			all := expandChunk(quantized(gc.edges))
 			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 			perRank := make([][]Arc, p)
 			for _, a := range all {
@@ -231,7 +274,7 @@ func TestAssembleIntoRecycledStorage(t *testing.T) {
 		for i, gc := range cases {
 			rng := rand.New(rand.NewSource(int64(p)))
 			perRank[i] = make([][]Arc, p)
-			for _, a := range expandChunk(gc.edges) {
+			for _, a := range expandChunk(quantized(gc.edges)) {
 				r := rng.Intn(p)
 				perRank[i][r] = append(perRank[i][r], Arc{From: a.from, To: a.to, W: a.w})
 			}
@@ -403,9 +446,10 @@ func sameGraph(got, want *DistGraph) error {
 // CSR is graph.FromRawEdges' row, targets ascending and weights bit for bit —
 // at 1 to 4 ranks, every rank but the first holding ghosts below its owned
 // range and every rank but the last ghosts above it, with integer weights and
-// with float ones (quarter-integers, whose sums are exact in any order), with
-// parallel arcs and self loops, assembled fresh and then twice into the
-// recycled previous graph through one kept shuffle. And an unweighted Build
+// with float ones (quarter-integers, which Build scales to integers as
+// FromRawEdges does), with parallel arcs and self loops, assembled fresh and
+// then, at the weights Build gave them, twice into the recycled previous graph
+// through one kept shuffle. And an unweighted Build
 // with no parallel arcs keeps 4 bytes per arc: the slot, and no W.
 func TestAssembleRowsInGlobalOrder(t *testing.T) {
 	const n = 240
@@ -460,7 +504,7 @@ func TestAssembleRowsInGlobalOrder(t *testing.T) {
 					return fmt.Errorf("rank %d: ghosts below its range %v, above %v", c.Rank(), below, above)
 				}
 				var arcs []Arc
-				for _, a := range expandChunk(chunk) {
+				for _, a := range expandChunk(chunkEdges(quantized(tc.edges), c.Rank(), p)) {
 					arcs = append(arcs, Arc{From: a.from, To: a.to, W: a.w})
 				}
 				kept, err := NewShuffle(c, n, nil, 1, false)
@@ -502,25 +546,27 @@ func TestAssembleRowsInGlobalOrder(t *testing.T) {
 	}
 }
 
-// TestParallelArcSummationOrder pins the documented order in which parallel
-// arcs are summed — sender rank ascending, then send order — against literal
-// float expressions, not just against the oracle: 0.1, 0.2 and 0.3 sum to
-// different bits left to right and right to left.
+// TestParallelArcSummationOrder: parallel arcs sum to the same bits in every
+// order — across ranks either way, within a chunk, a chunk then a later rank —
+// although 0.1, 0.2 and 0.3 sum to different bits left to right and right to
+// left: Build scales each arc's weight to an integer first (s = 51 here: six
+// arcs, Σ⌈w⌉ = 6, the largest 0.3), and a sum of integers is exact.
 func TestParallelArcSummationOrder(t *testing.T) {
 	a, b, c := 0.1, 0.2, 0.3
 	if (a+b)+c == (c+b)+a {
 		t.Fatal("the chosen weights do not distinguish summation orders")
 	}
+	want := graph.Quantize(a, 51) + graph.Quantize(b, 51) + graph.Quantize(c, 51)
 	edge := func(w float64) []graph.RawEdge { return []graph.RawEdge{{U: 0, V: 3, W: w}} }
 	cases := []struct {
 		name   string
 		chunks [][]graph.RawEdge
 		want   float64
 	}{
-		{"across ranks, ascending", [][]graph.RawEdge{edge(a), edge(b), edge(c)}, (a + b) + c},
-		{"across ranks, descending", [][]graph.RawEdge{edge(c), edge(b), edge(a)}, (c + b) + a},
-		{"within a chunk", [][]graph.RawEdge{nil, {{U: 0, V: 3, W: c}, {U: 3, V: 0, W: b}, {U: 0, V: 3, W: a}}, nil}, (c + b) + a},
-		{"chunk then later rank", [][]graph.RawEdge{nil, {{U: 0, V: 3, W: b}, {U: 0, V: 3, W: c}}, edge(a)}, (b + c) + a},
+		{"across ranks, ascending", [][]graph.RawEdge{edge(a), edge(b), edge(c)}, want},
+		{"across ranks, descending", [][]graph.RawEdge{edge(c), edge(b), edge(a)}, want},
+		{"within a chunk", [][]graph.RawEdge{nil, {{U: 0, V: 3, W: c}, {U: 3, V: 0, W: b}, {U: 0, V: 3, W: a}}, nil}, want},
+		{"chunk then later rank", [][]graph.RawEdge{nil, {{U: 0, V: 3, W: b}, {U: 0, V: 3, W: c}}, edge(a)}, want},
 	}
 	for _, tc := range cases {
 		err := mpi.Run(3, func(c *mpi.Comm) error {
@@ -671,8 +717,9 @@ func frame(layout byte, arcs ...oracleArc) []byte {
 
 // assembleAtRank0 hands a copy of recv (the assembly consumes its frames) to
 // the assembly of rank 0 in a 2-rank world split by part, recycling spare
-// (nil: nothing to recycle); rank 1 only joins the closing allreduce, so a
-// frame rank 0 refuses fails the run before it.
+// (nil: nothing to recycle); rank 1 holds no arcs and only joins rank 0's
+// allreduces — M2's and, when its lanes call for the scale rule, scaleOf's
+// and the merged M2's — so a frame rank 0 refuses fails the run in them.
 func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *DistGraph) (*DistGraph, error) {
 	recv = slices.Clone(recv)
 	for q, f := range recv {
@@ -681,7 +728,21 @@ func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *D
 	var dg *DistGraph
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
-			c.AllreduceFloat64(0, mpi.OpSum) // fails with the world once rank 0 has
+			lanes, err := c.AllreduceFloat64s(make([]float64, 2), mpi.OpSum)
+			if err != nil || lanes[1] == 0 && lanes[0] < 1<<53 {
+				return nil
+			}
+			v, err := c.AllreduceFloat64s(make([]float64, 2), mpi.OpSum)
+			if err != nil {
+				return nil
+			}
+			wmax, err := c.AllreduceFloat64(0, mpi.OpMax)
+			if err != nil {
+				return nil
+			}
+			if _, err := (graph.Weights{Arcs: v[0], Sum: lanes[0], CeilSum: v[1], Max: wmax, Fractional: lanes[1]}).Scale(); err == nil {
+				c.AllreduceFloat64(0, mpi.OpSum)
+			}
 			return nil
 		}
 		s, err := NewShuffle(c, n, part, 1, false)
@@ -760,7 +821,7 @@ func TestAssembleRejectsMalformedBuffers(t *testing.T) {
 // assembly of each frame is the oracle's.
 func TestFrameLayouts(t *testing.T) {
 	unit := []oracleArc{{0, 3, 1}, {1, 2, 1}, {5, 0, 1}, {1, 2, 1}}
-	mixed := []oracleArc{{6, 1, 1}, {2, 4, 0.5}, {4, 4, 1}}
+	mixed := []oracleArc{{6, 1, 1}, {2, 4, 3}, {4, 4, 1}}
 	for _, n := range []int64{8, 1<<32 - 1, 1 << 32, 1<<33 + 5} {
 		part := &partition.Partition{Bounds: []int64{0, 4, n}}
 		var frames [2][]byte
@@ -795,7 +856,7 @@ func TestFrameLayouts(t *testing.T) {
 				}
 			}
 		}
-		layouts := [2]byte{arcsWeight32, arcsUnit32} // rank 0 owns the 0.5
+		layouts := [2]byte{arcsWeight32, arcsUnit32} // rank 0 owns the 3
 		if wideIDs(n) {
 			layouts = [2]byte{arcs64, arcs64}
 		}
@@ -821,7 +882,9 @@ func TestFrameLayouts(t *testing.T) {
 // the frames to the other ranks, all of whose arcs weigh 1.0, still travel
 // at 8 bytes per arc, and the last rank's at 16 — its unit records widened
 // when the first 2.5 reaches them. The byte counter is the one mpi.Comm keeps
-// for collectives; the closing allreduce is measured apart and subtracted.
+// for collectives; the allreduces Build makes — M2 and the fractional count,
+// then, for weights that are not integers, the scale rule's two and M2 once
+// scaled — are measured apart and subtracted.
 func TestShuffleBytesPerArc(t *testing.T) {
 	n, edges := gen.ErdosRenyi(500, 3000, 4)
 	const p = 3
@@ -847,10 +910,16 @@ func TestShuffleBytesPerArc(t *testing.T) {
 	measure := func(weights func([]graph.RawEdge) []graph.RawEdge) int64 {
 		var mu sync.Mutex
 		var total int64
+		lanes := []int{2}
+		if w := weights(edges); slices.ContainsFunc(w, func(e graph.RawEdge) bool { return e.W != math.Trunc(e.W) }) {
+			lanes = append(lanes, 2, 1, 1)
+		}
 		err := mpi.Run(p, func(c *mpi.Comm) error {
 			before := c.Stats().Snapshot()
-			if _, err := c.AllreduceFloat64(0, mpi.OpSum); err != nil {
-				return err
+			for _, k := range lanes {
+				if _, err := c.AllreduceFloat64s(make([]float64, k), mpi.OpSum); err != nil {
+					return err
+				}
 			}
 			mid := c.Stats().Snapshot()
 			if _, err := Build(c, n, weights(chunkEdges(edges, c.Rank(), p)), part); err != nil {
@@ -965,11 +1034,13 @@ func TestSlotSpaceIsChecked(t *testing.T) {
 
 // FuzzBuildFromArcs has two modes. By default it decodes the input into a
 // rank count, a vertex count and a list of (rank, from, to, weight) arcs, and
-// holds BuildFromArcs to the oracle. Weights are quarter-integers up to 63.75
-// with varied magnitudes so that merge order shows in the bits — or, with bit
-// 0x20 of the first byte set, all 1.0, so the frames travel in the unit
-// layout, or, with bit 0x10 set, 1.0 but for the arcs whose weight byte is
-// 0xc0 or more, so that unit records are widened mid-frame. The same arcs
+// holds BuildFromArcs to the oracle. Weights are integers up to 2.55·10⁶ —
+// or, with bit 0x08 of the first byte set, quarter-integers from 0.0025 on,
+// which BuildFromArcs scales to integers by the rule, as the oracle does; with
+// bit 0x20 set, all 1.0, so the frames
+// travel in the unit layout, or, with bit 0x10 set, 1.0 but for the arcs
+// whose weight byte is 0xc0 or more, so that unit records are widened
+// mid-frame. The same arcs
 // are also put through a two-writer shuffle in segments the input picks
 // (segmentedMatchesWhole). With the top bit of the first byte set the vertex space is 160–2560
 // wide instead of 1–16 (IDs borrow three bits each from the rank byte), so
@@ -977,9 +1048,10 @@ func TestSlotSpaceIsChecked(t *testing.T) {
 // fourth seed is such an input. With bit 0x40 of the first byte set the rest
 // is one raw frame from rank 1 to rank 0 of a 2-rank world (over 2³³ + 1–127
 // vertices, rank 0 owning [0, 8), when the second byte's top bit is set): the
-// assembly must either refuse it with ErrMalformedArcs or agree with the
-// oracle fed the arcs the test's own decoder reads from it. In both modes an
-// accepted input is assembled again into recycled storage full of sentinel
+// assembly must either refuse it with ErrMalformedArcs or ErrWeight, or agree
+// with the oracle fed the arcs the test's own decoder reads from it, their
+// weights made integers by the scale rule (graph.Weights.Scale over those
+// arcs). In both modes an accepted input is assembled again into recycled storage full of sentinel
 // garbage, with room to spare and too small (recycledMatchesFresh), and must
 // come out as the fresh assembly did.
 func FuzzBuildFromArcs(f *testing.F) {
@@ -1001,7 +1073,10 @@ func FuzzBuildFromArcs(f *testing.F) {
 	f.Add(append([]byte{0x10, 0x6b}, wide[2:1200]...)) // one rank, mostly unit weights: long frames, widened mid-frame
 	f.Add(append([]byte{0x40, 12}, frame(arcsUnit32, oracleArc{0, 3, 1}, oracleArc{2, 9, 1}, oracleArc{0, 3, 1})...))
 	f.Add(append([]byte{0x40, 5}, frame(arcsWeight32, oracleArc{1, 0, 0.1}, oracleArc{1, 0, 0.2}, oracleArc{2, 2, 5})...))
+	f.Add(append([]byte{0x40, 5}, frame(arcsWeight32, oracleArc{1, 0, 3}, oracleArc{1, 0, 0}, oracleArc{2, 2, 5})...))
 	f.Add(append([]byte{0x40, 0x83}, frame(arcs64, oracleArc{7, 1 << 33, 2}, oracleArc{0, 5, 0.5})...))
+	f.Add(append([]byte{0x40, 0x83}, frame(arcs64, oracleArc{7, 1 << 33, 2}, oracleArc{0, 5, 1 << 40})...))
+	f.Add(append([]byte{0x08 | 2, 4}, wide[2:40]...)) // weights that are not all integers
 	f.Add(append([]byte{0x40, 0x83}, frame(arcsWeight32, oracleArc{7, 6, 2})...))
 	// Unit weights, 3 ranks over 16 vertices: the middle rank's rows name
 	// ghosts at both ends of the ID space, every arc twice, from two senders.
@@ -1027,7 +1102,10 @@ func FuzzBuildFromArcs(f *testing.F) {
 		picks := make([][]byte, p)
 		for rest := data[2:]; len(rest) >= 4 && len(rest) <= 4*2048; rest = rest[4:] {
 			r := int(rest[0]) % p
-			w := float64(rest[3]) / 4 * math.Pow(10, float64(rest[0]%5)-2)
+			w := float64(rest[3]) * math.Pow(10, float64(rest[0]%5))
+			if data[0]&0x08 != 0 {
+				w = float64(rest[3]) / 4 * math.Pow(10, float64(rest[0]%5)-2)
+			}
 			if data[0]&0x20 != 0 || data[0]&0x10 != 0 && rest[3] < 0xc0 {
 				w = 1
 			}
@@ -1038,10 +1116,11 @@ func FuzzBuildFromArcs(f *testing.F) {
 			}
 			perRank[r] = append(perRank[r], Arc{From: from % n, To: to % n, W: w})
 		}
-		if err := arcsAgainstOracle(n, perRank, nil); err != nil {
+		err := arcsAgainstOracle(n, perRank, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		err := mpi.Run(p, func(c *mpi.Comm) error { return recycledMatchesFresh(c, n, perRank[c.Rank()]) })
+		err = mpi.Run(p, func(c *mpi.Comm) error { return recycledMatchesFresh(c, n, perRank[c.Rank()]) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1137,8 +1216,8 @@ func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 	}
 	dg, err := assembleAtRank0(n, part, [][]byte{nil, f}, nil)
 	if err != nil {
-		if !errors.Is(err, ErrMalformedArcs) {
-			t.Fatalf("refused with %v, want ErrMalformedArcs", err)
+		if !errors.Is(err, ErrMalformedArcs) && !errors.Is(err, ErrWeight) {
+			t.Fatalf("refused with %v, want ErrMalformedArcs or ErrWeight", err)
 		}
 		return
 	}
@@ -1151,8 +1230,10 @@ func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 			t.Fatalf("into a recycled graph (short=%v): %v", short, err)
 		}
 	}
-	// Accepted: read the records the way the format says and ask the oracle.
+	// Accepted: read the records the way the format says, apply the scale
+	// rule to them and ask the oracle.
 	var arcs []oracleArc
+	var weights graph.Weights
 	for b := f[min(1, len(f)):]; len(b) > 0; {
 		var a oracleArc
 		switch f[0] {
@@ -1166,7 +1247,15 @@ func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 		if a.from < 0 || a.from >= 8 || a.from >= n || a.to < 0 || a.to >= n {
 			t.Fatalf("accepted arc (%d,%d) outside rank 0's sources or the vertex space of %d", a.from, a.to, n)
 		}
+		weights.Add(a.w, 1)
 		arcs = append(arcs, a)
+	}
+	s, err := weights.Scale()
+	if err != nil || dg.M2 >= 1<<53 {
+		t.Fatalf("accepted arcs the scale rule refuses (%v), or 2m = %v, not below 2^53", err, dg.M2)
+	}
+	for i := range arcs {
+		arcs[i].w = graph.Quantize(arcs[i].w, s)
 	}
 	if err := oracleAssemble(part, 0, [][]oracleArc{nil, arcs}).diff(dg); err != nil {
 		t.Fatal(err)

@@ -45,6 +45,7 @@
 package dgraph
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -116,13 +117,12 @@ type Arc struct {
 // target outside the vertex space.
 var ErrMalformedArcs = errors.New("dgraph: malformed arc frame")
 
-// ErrWeight marks an input edge or arc whose weight is not finite and ≥ 0.
-// The sweep's gains and Q assume such weights: on a NaN or an infinite one no
-// iteration ever converges, and a negative one drives Q to 0.
-var ErrWeight = errors.New("dgraph: weight is not finite and non-negative")
-
-// validWeight reports whether w is finite and ≥ 0 (false for NaN).
-func validWeight(w float64) bool { return w >= 0 && w <= math.MaxFloat64 }
+// ErrWeight marks an input without an exact integer form (graph.ErrWeight):
+// an edge or arc whose weight is not finite and ≥ 0 — on a NaN or an
+// infinite one no iteration ever converges, and a negative one drives Q to 0
+// — weights too heavy for the scale rule, or, past Build, an arc weight that
+// is not an integer.
+var ErrWeight = graph.ErrWeight
 
 // ErrSlotSpace marks a rank whose owned vertices plus ghosts do not fit the
 // int32 slot space; such a graph needs more ranks.
@@ -138,10 +138,13 @@ func checkSlotSpace(localN int64, ghosts int) error {
 // Build assembles the distributed graph. Every rank passes the same global
 // vertex count n and its own arbitrary chunk of the undirected edge list
 // (chunks together must cover the whole input exactly once), each weight
-// finite and ≥ 0 (ErrWeight otherwise). The vertex space is split with the
-// given partition; passing nil selects the even vertex split. Parallel edges
-// — within a chunk or across chunks and ranks — merge by weight, summed in
-// (sender rank, chunk order).
+// finite and ≥ 0 (ErrWeight otherwise). The weights are made integers by the
+// scale rule (graph.Weights.Scale), each arc's before parallel arcs merge,
+// so every weight sum of the graph — K, SelfLoop, M2 — is an exact integer
+// below 2⁵³; an input the rule refuses fails with ErrWeight on every rank.
+// The vertex space is split with the given partition; passing nil selects
+// the even vertex split. Parallel edges — within a chunk or across chunks and
+// ranks — merge by weight.
 func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Partition) (*DistGraph, error) {
 	s, err := NewShuffle(c, n, part, 1, false)
 	if err != nil {
@@ -156,7 +159,7 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
-		if !validWeight(e.W) {
+		if !graph.ValidWeight(e.W) {
 			return nil, fmt.Errorf("%w: edge (%d,%d) weighs %g", ErrWeight, e.U, e.V, e.W)
 		}
 		w.Put(s.Owner(e.U), e.U, e.V, e.W)
@@ -169,11 +172,13 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 
 // BuildFromArcs assembles a distributed graph from directed arcs scattered
 // arbitrarily across ranks and in any order: every arc is routed to the
-// owner of its source vertex, parallel arcs are merged by weight (summed in
-// sender rank, then slice order), and the usual CSR + ghost tables are built.
-// The arc set must already be symmetric (for every a→b some rank must hold
-// b→a of equal total weight), as a checkpointed coarse graph is, and its
-// weights are held to Build's rule (ErrWeight).
+// owner of its source vertex, parallel arcs are merged by weight, and the
+// usual CSR + ghost tables are built. The arc set must already be symmetric
+// (for every a→b some rank must hold b→a of equal total weight), as a
+// checkpointed coarse graph is, each weight finite and ≥ 0 (ErrWeight
+// otherwise). Its weights take Build's scale rule, which leaves them as they
+// are when they are integers with 2m below 2⁵³, as Build made them; an input
+// the rule refuses fails with ErrWeight on every rank.
 func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) (*DistGraph, error) {
 	s, err := NewShuffle(c, n, part, 1, false)
 	if err != nil {
@@ -185,7 +190,7 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 		if a.From < 0 || a.From >= n || a.To < 0 || a.To >= n {
 			return nil, fmt.Errorf("dgraph: arc (%d,%d) out of range [0,%d)", a.From, a.To, n)
 		}
-		if !validWeight(a.W) {
+		if !graph.ValidWeight(a.W) {
 			return nil, fmt.Errorf("%w: arc (%d,%d) weighs %g", ErrWeight, a.From, a.To, a.W)
 		}
 		w.Put(s.Owner(a.From), a.From, a.To, a.W)
@@ -209,6 +214,14 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 // its slot. A graph whose merged arcs all weigh 1 keeps W nil; the first
 // parallel arc of a unit-weight input gives it W, 1 for every arc written
 // before it.
+//
+// Pass 1 also sums the arcs' weights and counts those that are not integers,
+// and one allreduce of the two, between the passes, is the graph's M2: a sum
+// of integers is exact in any order, so merging cannot change it. Weights that
+// are not all integers, or a 2m at or past 2⁵³, take the scale rule
+// (scaleOf): pass 2 places every weight scaled and rounded, and M2 is summed
+// again once merged. Arcs that Build or a coarsening made need none of it:
+// their weights are integers already, with 2m below 2⁵³.
 //
 // The graph's arrays are spare's, re-sliced, wherever their capacity allows
 // (spare is the zero graph when there is nothing to recycle), and the row
@@ -264,6 +277,18 @@ func (s *Shuffle) assemble(frames [][][]byte, spare *DistGraph) (*DistGraph, err
 	if err := checkSlotSpace(localN, sc.ghosts.Len()); err != nil {
 		return nil, err
 	}
+	lanes, err := c.AllreduceFloat64s([]float64{pl.sum, pl.fractional}, mpi.OpSum)
+	if err != nil {
+		return nil, err
+	}
+	dg.M2 = lanes[0]
+	scale, scaled := 0, lanes[1] > 0 || lanes[0] >= 1<<53
+	if scaled {
+		if scale, err = s.scaleOf(frames, lanes[0], lanes[1]); err != nil {
+			return nil, err
+		}
+		weightFrames = true
+	}
 	keys := dg.setGhosts(spare, sc)
 	pl.nLow, pl.ghostKey = keys.nLow, sc.ghostKey
 
@@ -299,6 +324,11 @@ func (s *Shuffle) assemble(frames [][][]byte, spare *DistGraph) (*DistGraph, err
 			default:
 				pl.place64(b)
 			}
+		}
+	}
+	if scaled {
+		for i, w := range wts {
+			wts[i] = graph.Quantize(w, scale)
 		}
 	}
 
@@ -377,12 +407,47 @@ func (s *Shuffle) assemble(frames [][][]byte, spare *DistGraph) (*DistGraph, err
 		}
 	}
 
-	m2, err := c.AllreduceFloat64(localW, mpi.OpSum)
-	if err != nil {
-		return nil, err
+	if scaled {
+		if dg.M2, err = c.AllreduceFloat64(localW, mpi.OpSum); err != nil {
+			return nil, err
+		}
 	}
-	dg.M2 = m2
 	return dg, nil
+}
+
+// scaleOf is the scale rule over the arcs pass 1 accepted, for an input whose
+// weights are not all integers or 2m (sum) is at or past 2⁵³: the arc count
+// and the sum of ceilings cross ranks in one more allreduce, the largest
+// weight in another (the senders refused every weight that is not finite and
+// ≥ 0). Every rank gets the same exponent, or ErrWeight.
+func (s *Shuffle) scaleOf(frames [][][]byte, sum, fractional float64) (int, error) {
+	var local graph.Weights
+	for _, f := range frames {
+		if len(f) == 0 || len(f[0]) == 0 {
+			continue
+		}
+		layout := f[0][0]
+		width := recordWidth[layout]
+		for i := range f {
+			b := body(f, i)
+			if layout == arcsUnit32 {
+				local.Add(1, float64(len(b)/width))
+				continue
+			}
+			for j := width - 8; j < len(b); j += width {
+				local.Add(math.Float64frombits(binary.LittleEndian.Uint64(b[j:])), 1)
+			}
+		}
+	}
+	v, err := s.c.AllreduceFloat64s([]float64{local.Arcs, local.CeilSum}, mpi.OpSum)
+	if err != nil {
+		return 0, err
+	}
+	wmax, err := s.c.AllreduceFloat64(local.Max, mpi.OpMax)
+	if err != nil {
+		return 0, err
+	}
+	return graph.Weights{Arcs: v[0], Sum: sum, CeilSum: v[1], Max: wmax, Fractional: fractional}.Scale()
 }
 
 // setGhosts fills Ghosts and GhostOwner from the targets pass 1 interned in

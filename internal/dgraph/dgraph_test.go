@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/partition"
+	"distlouvain/internal/seq"
 )
 
 // chunkEdges splits an edge list into p contiguous chunks (how ranks would
@@ -49,16 +51,16 @@ func TestBuildMatchesSharedCSR(t *testing.T) {
 			if dg.GlobalN != n {
 				return fmt.Errorf("GlobalN = %d", dg.GlobalN)
 			}
-			if math.Abs(dg.M2-ref.TotalWeight()) > 1e-9 {
+			if dg.M2 != ref.TotalWeight() {
 				return fmt.Errorf("M2 = %g, want %g", dg.M2, ref.TotalWeight())
 			}
 			// Per-vertex data must match the shared-memory reference.
 			for lv := int64(0); lv < dg.LocalN; lv++ {
 				g := dg.Global(lv)
-				if math.Abs(dg.K[lv]-ref.WeightedDegree(g)) > 1e-9 {
+				if dg.K[lv] != ref.WeightedDegree(g) {
 					return fmt.Errorf("K[%d] = %g, want %g", g, dg.K[lv], ref.WeightedDegree(g))
 				}
-				if math.Abs(dg.SelfLoop[lv]-ref.SelfLoopWeight(g)) > 1e-9 {
+				if dg.SelfLoop[lv] != ref.SelfLoopWeight(g) {
 					return fmt.Errorf("selfloop mismatch at %d", g)
 				}
 				row, ws := dg.Row(lv)
@@ -210,6 +212,97 @@ func TestBuildRejectsBadWeights(t *testing.T) {
 	}
 }
 
+// TestScaleRule is the scale rule (graph.Weights.Scale) as its three users
+// apply it: graph.ScaleOf, seq.Certify and Build at 1 to 3 ranks, with the
+// edges in order and reversed. Each picks the same exponent s, or fails with
+// ErrWeight — Build on every rank (TestBuildRejectsBadWeights has the weights
+// that are not finite and ≥ 0). Build's graph, gathered, is
+// graph.FromRawEdges' arc for arc, weights bit for bit.
+func TestScaleRule(t *testing.T) {
+	path := func(ws ...float64) []graph.RawEdge {
+		var out []graph.RawEdge
+		for i, w := range ws {
+			out = append(out, graph.RawEdge{U: int64(i), V: int64(i + 1), W: w})
+		}
+		return out
+	}
+	// TestHeavyWeightsAcrossRanks' chain: 78 arcs, Σ⌈w⌉ = 40 000 038 < 2²⁶.
+	var chain []float64
+	for v := 0; v < 39; v++ {
+		chain = append(chain, [2]float64{1e6, 1e-3}[v%2])
+	}
+	for _, c := range []struct {
+		name  string
+		edges []graph.RawEdge
+		scale int // −1: ErrWeight
+	}{
+		{"integer", append(path(1, 7, 3, 2), graph.RawEdge{U: 2, V: 2, W: 5}), 0},
+		{"zero and integer", path(0, 4, 0), 0},
+		// 8 arcs, Σ⌈w⌉ = 8, the largest 1: 2⁴⁹·8 = 2⁵².
+		{"in (0, 1]", path(1, 0.5, 0.3, 1e-3), 49},
+		{"heavy chain", path(chain...), 26},
+		{"integer past 2^53", path(1 << 52), -1},
+		// Σ⌈w⌉ = 2⁵² + 2 and 4·2⁵¹ > 2⁵² even at s = 0.
+		{"float past 2^52", path(1<<51, 0.5), -1},
+	} {
+		n := int64(len(c.edges) + 1)
+		s, err := graph.ScaleOf(graph.Edges(c.edges))
+		if c.scale < 0 {
+			if !errors.Is(err, ErrWeight) {
+				t.Fatalf("%s: ScaleOf gives %d, %v; want ErrWeight", c.name, s, err)
+			}
+		} else if s != c.scale || err != nil {
+			t.Fatalf("%s: ScaleOf gives %d, %v; want %d", c.name, s, err, c.scale)
+		}
+		labels := make([]int64, n)
+		cert, err := seq.Certify(n, graph.Edges(c.edges), labels)
+		if c.scale < 0 && !errors.Is(err, ErrWeight) || c.scale >= 0 && (err != nil || cert.Scale != c.scale) {
+			t.Fatalf("%s: Certify gives scale %d, %v", c.name, cert.Scale, err)
+		}
+		var want *graph.CSR
+		if c.scale >= 0 {
+			want = graph.FromRawEdges(n, c.edges)
+			for _, e := range want.Edges {
+				if e.W == 0 && c.name != "zero and integer" {
+					t.Fatalf("%s: a weight rounds to 0", c.name)
+				}
+			}
+		}
+		reversed := slices.Clone(c.edges)
+		slices.Reverse(reversed)
+		for p := 1; p <= 3; p++ {
+			for _, edges := range [][]graph.RawEdge{c.edges, reversed} {
+				errs := make([]error, p)
+				var got *graph.CSR
+				_ = mpi.Run(p, func(comm *mpi.Comm) error {
+					dg, err := Build(comm, n, chunkEdges(edges, comm.Rank(), p), nil)
+					if err == nil {
+						var g *graph.CSR
+						if g, err = dg.GatherToRoot(); comm.Rank() == 0 {
+							got = g
+						}
+					}
+					errs[comm.Rank()] = err
+					return err
+				})
+				for r, err := range errs {
+					if c.scale < 0 && !errors.Is(err, ErrWeight) || c.scale >= 0 && err != nil {
+						t.Fatalf("%s p=%d: rank %d: %v", c.name, p, r, err)
+					}
+				}
+				if c.scale < 0 {
+					continue
+				}
+				if !slices.Equal(got.Index, want.Index) || !slices.EqualFunc(got.Edges, want.Edges, func(a, b graph.Edge) bool {
+					return a.To == b.To && math.Float64bits(a.W) == math.Float64bits(b.W)
+				}) {
+					t.Fatalf("%s p=%d: Build's graph %v, FromRawEdges' %v", c.name, p, got.Edges, want.Edges)
+				}
+			}
+		}
+	}
+}
+
 // skewedPartition splits [0, n) into p contiguous ranges of growing size
 // (quadratic bounds): an uneven split for the tests that need one.
 func skewedPartition(n int64, p int) *partition.Partition {
@@ -324,7 +417,7 @@ func TestBuildFromBinaryFileSegments(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if math.Abs(dg.M2-ref.TotalWeight()) > 1e-9 {
+		if dg.M2 != ref.TotalWeight() {
 			return fmt.Errorf("M2 mismatch")
 		}
 		return dg.Validate()
@@ -342,9 +435,9 @@ func TestBuildFromBinaryFileSegments(t *testing.T) {
 // communicator — the test knows what every rank sends — which makes it an
 // independent statement of what Build and BuildFromArcs must produce. The
 // one deliberate difference from the shipped original is sort.SliceStable in
-// place of sort.Slice: arrival order is (sender rank, send order), so a
-// stable sort makes the float summation order of parallel arcs the documented
-// one instead of whatever pdqsort left behind.
+// place of sort.Slice: arrival order is (sender rank, send order), and a
+// stable sort sums parallel arcs in it — which, weights being integers, any
+// order would match bit for bit.
 
 type oracleArc struct {
 	from, to int64

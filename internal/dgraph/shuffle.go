@@ -424,6 +424,8 @@ type placer struct {
 	base, hi, n int64
 	count       []int64
 	ghosts      *flat.Index
+	sum         float64 // pass 1: Σ weight of the records accepted
+	fractional  float64 // pass 1: how many of them weigh a fraction
 	nLow        int32   // the key of local vertex 0 (slotKeys)
 	ghostKey    []int32 // by first-interned number: the ghost's key
 	end         []int64
@@ -439,14 +441,25 @@ const ghostFlag = 1 << 31
 // count32 is pass 1 over a 32-bit frame body with the given record stride. It
 // returns the offset of the first record it refuses — a source not owned
 // here, a target outside the vertex space — or −1; every record before that
-// one has been rewritten.
+// one has been rewritten, and counted into sum and fractional.
 func (p *placer) count32(body []byte, stride int) int {
 	base, hi, n, count, ghosts := p.base, p.hi, p.n, p.count, p.ghosts
+	var sum, fractional float64
+	if stride == 8 {
+		sum = float64(len(body) / 8) // unit weights
+	}
 	for i := 0; i < len(body); i += stride {
 		from := int64(binary.LittleEndian.Uint32(body[i:]))
 		to := int64(binary.LittleEndian.Uint32(body[i+4:]))
 		if from < base || from >= hi || to >= n {
 			return i
+		}
+		if stride == 16 {
+			w := math.Float64frombits(binary.LittleEndian.Uint64(body[i+8:]))
+			sum += w
+			if w != math.Trunc(w) {
+				fractional++
+			}
 		}
 		lv := from - base
 		count[lv+1]++
@@ -458,17 +471,25 @@ func (p *placer) count32(body []byte, stride int) int {
 			binary.LittleEndian.PutUint32(body[i+4:], uint32(ghosts.Intern(to)))
 		}
 	}
+	p.sum += sum
+	p.fractional += fractional
 	return -1
 }
 
 // count64 is count32 for the 64-bit layout.
 func (p *placer) count64(body []byte) int {
 	base, hi, n, count, ghosts := p.base, p.hi, p.n, p.count, p.ghosts
+	var sum, fractional float64
 	for i := 0; i < len(body); i += 24 {
 		from := int64(binary.LittleEndian.Uint64(body[i:]))
 		to := int64(binary.LittleEndian.Uint64(body[i+8:]))
 		if from < base || from >= hi || to < 0 || to >= n {
 			return i
+		}
+		w := math.Float64frombits(binary.LittleEndian.Uint64(body[i+16:]))
+		sum += w
+		if w != math.Trunc(w) {
+			fractional++
 		}
 		lv := from - base
 		count[lv+1]++
@@ -480,6 +501,8 @@ func (p *placer) count64(body []byte) int {
 			binary.LittleEndian.PutUint64(body[i+8:], uint64(ghosts.Intern(to)))
 		}
 	}
+	p.sum += sum
+	p.fractional += fractional
 	return -1
 }
 

@@ -83,8 +83,7 @@ type BenchReport struct {
 
 // benchTracedRun is distRun with a tracer per rank; it returns rank 0's
 // result and rank 0's report, read here for its payload byte counts. The
-// gathered labels must certify to the reported result, Q bit for bit: every
-// recorded workload has integer weights, so its certificate is exact (the
+// gathered labels must certify to the reported result, Q bit for bit (the
 // gather runs after the last phase, outside every recorded phase row).
 func benchTracedRun(p, threads int, w Workload, cfg core.Config) (*core.Result, *obsv.Report, error) {
 	tracers := make([]*obsv.Tracer, p)
@@ -116,11 +115,7 @@ func benchTracedRun(p, threads int, w Workload, cfg core.Config) (*core.Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-	cert, err := seq.Check(w.N, graph.Edges(w.Edges), root.GlobalComm, root.Modularity, root.Communities)
-	if err == nil && !cert.Exact {
-		err = fmt.Errorf("certificate not exact: a recorded workload has a weight that is not an integer")
-	}
-	if err != nil {
+	if _, err := seq.Check(w.N, graph.Edges(w.Edges), root.GlobalComm, root.Modularity, root.Communities); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	return root, obsv.BuildReport(tracers[0].Snapshot()), nil

@@ -2,12 +2,27 @@ package graph
 
 import "sort"
 
-// FromRawEdges builds a CSR from an undirected edge list: each non-loop edge
+// FromRawEdges builds a CSR from an undirected edge list: every weight is
+// first made an integer by the scale rule (Weights.Scale), each non-loop edge
 // becomes two arcs, parallel arcs are merged by summing weights, and each
-// adjacency list is sorted by target. Inputs are not modified, nor checked:
-// edges from outside the program are validated where they enter, in
-// dgraph.Build.
+// adjacency list is sorted by target. The input is not modified. It panics
+// on an input the rule refuses (ErrWeight); FromRawEdgesScaled returns the
+// refusal instead.
 func FromRawEdges(n int64, raw []RawEdge) *CSR {
+	g, _, err := FromRawEdgesScaled(n, raw)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// FromRawEdgesScaled is FromRawEdges for edges from outside the program: it
+// also returns the scale rule's exponent s, or the rule's ErrWeight.
+func FromRawEdgesScaled(n int64, raw []RawEdge) (*CSR, int, error) {
+	s, err := ScaleOf(Edges(raw))
+	if err != nil {
+		return nil, 0, err
+	}
 	// Expand to directed arcs.
 	type arc struct {
 		from, to int64
@@ -15,6 +30,7 @@ func FromRawEdges(n int64, raw []RawEdge) *CSR {
 	}
 	arcs := make([]arc, 0, 2*len(raw))
 	for _, e := range raw {
+		e.W = Quantize(e.W, s)
 		if e.U == e.V {
 			arcs = append(arcs, arc{e.U, e.V, e.W})
 		} else {
@@ -44,5 +60,5 @@ func FromRawEdges(n int64, raw []RawEdge) *CSR {
 	for v := int64(0); v < n; v++ {
 		index[v+1] += index[v]
 	}
-	return &CSR{N: n, Index: index, Edges: edges}
+	return &CSR{N: n, Index: index, Edges: edges}, s, nil
 }

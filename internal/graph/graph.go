@@ -18,10 +18,7 @@
 // and coarse degrees sum the member degrees.
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Edge is one CSR adjacency slot: a target vertex and the edge weight.
 type Edge struct {
@@ -133,8 +130,8 @@ func (g *CSR) Validate(checkSymmetry bool) error {
 func (g *CSR) validateSymmetry() error {
 	// Sum of weights u→v must equal v→u for every pair. Aggregate per
 	// unordered pair through a map keyed on (min,max). The comparison is
-	// tolerant: merged parallel edges may have been summed in different
-	// orders for the two directions.
+	// exact: weights are integers (Weights.Scale), so the two directions'
+	// sums are exact in any order.
 	type pair struct{ a, b int64 }
 	acc := make(map[pair][2]float64)
 	for u := int64(0); u < g.N; u++ {
@@ -156,9 +153,7 @@ func (g *CSR) validateSymmetry() error {
 		}
 	}
 	for p, w := range acc {
-		diff := math.Abs(w[0] - w[1])
-		scale := math.Max(1, math.Max(math.Abs(w[0]), math.Abs(w[1])))
-		if diff > 1e-9*scale {
+		if w[0] != w[1] {
 			return fmt.Errorf("graph: asymmetric weight between %d and %d (%g vs %g)", p.a, p.b, w[0], w[1])
 		}
 	}

@@ -45,8 +45,9 @@ func TestBuilderMergesParallelEdges(t *testing.T) {
 	if g.NumArcs() != 2 {
 		t.Fatalf("arcs = %d, want 2 (merged)", g.NumArcs())
 	}
-	if w := g.Neighbors(0)[0].W; w != 4 {
-		t.Fatalf("merged weight = %g, want 4", w)
+	// 6 arcs, Σ⌈w⌉ = 10: the scale rule's s = 48 (2⁴⁸·10 ≤ 2⁵²).
+	if w := g.Neighbors(0)[0].W; w != 4<<48 {
+		t.Fatalf("merged weight = %g, want 4·2^48", w)
 	}
 	if err := g.Validate(true); err != nil {
 		t.Fatal(err)
@@ -187,7 +188,8 @@ func TestDegreeHistogram(t *testing.T) {
 }
 
 // Property: for any random edge list, the built CSR validates, is symmetric,
-// and preserves total weight (m2 = 2·Σw for non-loops + Σw for loops).
+// and preserves total weight exactly (m2 = 2·Σw for non-loops + Σw for loops,
+// each w scaled by the rule).
 func TestQuickBuilderInvariants(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int64(nRaw%20) + 1
@@ -201,12 +203,17 @@ func TestQuickBuilderInvariants(t *testing.T) {
 			return v
 		}
 		var raw []RawEdge
-		var wantM2 float64
 		for i := 0; i < int(nRaw); i++ {
 			u, v := next()%n, next()%n
-			w := float64(next()%100) / 10
-			raw = append(raw, RawEdge{U: u, V: v, W: w})
-			if u == v {
+			raw = append(raw, RawEdge{U: u, V: v, W: float64(next()%100) / 10})
+		}
+		s, err := ScaleOf(Edges(raw))
+		if err != nil {
+			return false
+		}
+		var wantM2 float64
+		for _, e := range raw {
+			if w := Quantize(e.W, s); e.U == e.V {
 				wantM2 += w
 			} else {
 				wantM2 += 2 * w
@@ -216,7 +223,7 @@ func TestQuickBuilderInvariants(t *testing.T) {
 		if err := g.Validate(true); err != nil {
 			return false
 		}
-		return math.Abs(g.TotalWeight()-wantM2) < 1e-9
+		return g.TotalWeight() == wantM2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -243,7 +250,7 @@ func TestQuickDegreeSumEqualsM2(t *testing.T) {
 		for v := int64(0); v < n; v++ {
 			sum += g.WeightedDegree(v)
 		}
-		return math.Abs(sum-g.TotalWeight()) < 1e-9
+		return sum == g.TotalWeight()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -194,10 +194,11 @@ func moveVertex(g *graph.CSR, v int64, comm []int64, k, aTot, selfLoop []float64
 // a into c ≠ a, scaled by m2²/2: m2·dw − kv·da, with dw = e_vc − e_va' (its
 // edge weight into c minus that into a without it) and da = A_c − A_a' (A_a' =
 // A_a − kv). A positive scale keeps the order of the candidates and the sign,
-// and drops the two divisions that round: with integer weights and m2² ≤ 2⁵³
-// every factor is an integer, |dw| ≤ kv and |da| ≤ m2 − kv, so both
-// products and their difference are integers of magnitude at most m2², exact
-// in float64. Equal gains then compare equal, and the tie rule picks between
+// and drops the two divisions that round: every weight is an integer
+// (graph.Weights.Scale), so every factor is one, |dw| ≤ kv and |da| ≤ m2 − kv,
+// and while m2² ≤ 2⁵³ both products and their difference are integers of
+// magnitude at most m2², exact in float64. Equal gains then compare equal, and
+// the tie rule picks between
 // them, not rounding. Converting each product rounds it, so no platform fuses
 // them into a multiply-add and decides differently past that condition.
 func Gain(m2, dw, kv, da float64) float64 {
@@ -217,11 +218,11 @@ func modularityFromState(g *graph.CSR, comm []int64, aTot []float64, m2 float64)
 			}
 		}
 	}
-	var aSq float64
+	var aSq SquareSum
 	for _, a := range aTot {
-		aSq += a * a
+		aSq.Add(a)
 	}
-	return eSum/m2 - aSq/(m2*m2)
+	return ModularityOf(eSum, m2, aSq)
 }
 
 // neighMap is a flat-array "hash map" from community label (a vertex ID of

@@ -41,7 +41,7 @@ func TestCertificateTravelsWithResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !want.Exact || res.Certificate == nil || *res.Certificate != want || math.Float64bits(want.Q) != math.Float64bits(res.Modularity) {
+	if res.Certificate == nil || *res.Certificate != want || math.Float64bits(want.Q) != math.Float64bits(res.Modularity) {
 		t.Fatalf("result %+v carries certificate %+v, the labels certify to %+v", res, res.Certificate, want)
 	}
 	hit, err := s1.Submit(JobSpec{GraphPath: path, Ranks: 1})

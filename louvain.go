@@ -171,7 +171,10 @@ func (o Options) toConfig() (core.Config, error) {
 
 // Detect runs the distributed Louvain method over n vertices and the given
 // undirected edges. Duplicate edges merge by weight; self loops are
-// allowed. Vertex IDs must lie in [0, n).
+// allowed. Vertex IDs must lie in [0, n). Weights must be finite and ≥ 0;
+// unless they are integers whose total 2m is below 2⁵³, they are scaled by a
+// power of two and rounded (Certificate.Scale), which leaves Q and every
+// decision as they are up to that rounding.
 func Detect(n int64, edges []Edge, opt Options) (*Result, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("distlouvain: negative vertex count")
@@ -223,7 +226,10 @@ func DetectSerial(n int64, edges []Edge, tau float64) (*Result, error) {
 		return nil, fmt.Errorf("distlouvain: negative vertex count")
 	}
 	start := time.Now()
-	g := graph.FromRawEdges(n, edges)
+	g, _, err := graph.FromRawEdgesScaled(n, edges)
+	if err != nil {
+		return nil, err
+	}
 	r := seq.Run(g, seq.Options{Tau: tau})
 	out := &Result{
 		Communities:     r.Comm,
@@ -257,7 +263,11 @@ func DetectShared(n int64, edges []Edge, opt SharedOptions) (*Result, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("distlouvain: negative vertex count")
 	}
-	res, err := shared.Run(graph.FromRawEdges(n, edges), shared.Options{
+	g, _, err := graph.FromRawEdgesScaled(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	res, err := shared.Run(g, shared.Options{
 		Threads: opt.Threads, Tau: opt.Tau, Alpha: opt.Alpha, VertexFollowing: opt.VertexFollowing,
 		Seed: opt.Seed, MaxPhases: opt.MaxPhases, MaxIterations: opt.MaxIterations,
 	})
@@ -268,20 +278,23 @@ func DetectShared(n int64, edges []Edge, opt SharedOptions) (*Result, error) {
 }
 
 // Certificate is what Certify establishes about an assignment: its Newman
-// modularity (Equation 2 of the paper), whether that Q is exact, the
-// community count, whether the labels are dense, and how many communities
-// fall apart into pieces.
+// modularity (Equation 2 of the paper), the exponent s by which the weights
+// were scaled before they were rounded to integers and summed exactly (0: not
+// scaled), the community count,
+// whether the labels are dense, and how many communities fall apart into
+// pieces.
 type Certificate = seq.Certificate
 
-// Certify checks an assignment over the given graph in one pass over the
-// edges and O(n) memory.
+// Certify checks an assignment over the given graph in O(n) memory: one pass
+// over the edges when their weights are integers, two otherwise.
 func Certify(n int64, edges []Edge, comm []int64) (Certificate, error) {
 	return seq.Certify(n, graph.Edges(edges), comm)
 }
 
 // Check certifies res's labels over the graph it was detected on and fails
-// unless they are dense, as many as res reports, and give its Modularity —
-// bit for bit on integer weights, to 10⁻⁹ otherwise.
+// unless they are dense, as many as res reports, and give its Modularity bit
+// for bit: every input's weights are made integers as they enter (the same
+// scale 2^s for Detect and Check), so both sum them exactly.
 func Check(n int64, edges []Edge, res *Result) (Certificate, error) {
 	return seq.Check(n, graph.Edges(edges), res.Communities, res.Modularity, res.NumCommunities)
 }

@@ -39,6 +39,35 @@ func TestDetectQuickstart(t *testing.T) {
 	}
 }
 
+// TestCheckFloatDetect: a float-weighted input is scaled to integers as it
+// enters, so Check holds Detect's labels and Q bit for bit at every rank count,
+// and every rank count gives the same labels and Q bits.
+func TestCheckFloatDetect(t *testing.T) {
+	n, edges, _, err := GenerateLFR(600, 0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range edges {
+		edges[i].W = 0.05 + float64((7*i)%23)/9
+	}
+	var first *Result
+	for _, ranks := range []int{1, 2, 4} {
+		res, err := Detect(n, edges, Options{Ranks: ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := Check(n, edges, res)
+		if err != nil || cert.Scale == 0 {
+			t.Fatalf("ranks=%d: certificate %+v, %v", ranks, cert, err)
+		}
+		if first == nil {
+			first = res
+		} else if math.Float64bits(res.Modularity) != math.Float64bits(first.Modularity) || !reflect.DeepEqual(res.Communities, first.Communities) {
+			t.Fatalf("ranks=%d: Q %.17g, 1 rank %.17g (or other labels)", ranks, res.Modularity, first.Modularity)
+		}
+	}
+}
+
 func TestDetectAllVariants(t *testing.T) {
 	n, edges, _, err := GenerateLFR(1500, 0.2, 7)
 	if err != nil {
