@@ -118,12 +118,12 @@ bench:
 
 # One pass of each shipped kernel (sweep, Step-5 coarse arcs) and of its map
 # oracle, of a mid-phase sweep with the settle test on, of rule (d) walked each
-# way, of one whole rebuild, and of dgraph.Build and BuildFromArcs (the
-# one-pass shuffle sender), so the benchmarks keep compiling and running. The
-# benchmark names live in these two patterns.
+# way, of one whole rebuild, and of dgraph.Build, BuildFromArcs and Build from
+# a file segment (the one-pass shuffle sender), so the benchmarks keep
+# compiling and running. The benchmark names live in these two patterns.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Benchmark((Sweep|CoarseArcs)(Slots|Map)|SweepSettle|RuleD(Push|Pull)|Rebuild)$$' -benchtime 1x ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild(FromArcs)?$$' -benchtime 1x ./internal/dgraph
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild(FromArcs|Segment)?$$' -benchtime 1x ./internal/dgraph
 
 # CPU profile of one whole run on a benchmark/ workload's input (W is
 # band8000, lfr100k or rmat17; see BenchmarkWorkload): the top of the
@@ -166,7 +166,8 @@ bench-quick:
 # frame decoder, the owner-request decoder, the frontier
 # active-set (vs a map+sort oracle), the counting-sort graph assembly (vs the
 # sort-based oracle; arc weights that are not integers take Build's scale
-# rule, in both), the coordinator's session lines (bounded, and unable
+# rule, in both), Build from a stream cut into random pieces (vs Build from
+# the slice), the coordinator's session lines (bounded, and unable
 # to change a job's membership or spawns) and the supervisor's hang detector
 # (random worlds with dropped beacons and a frozen rank, vs the world rule),
 # the daemon's job JSON (a 4xx or a spec inside every bound), whole runs
@@ -193,6 +194,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzOwnerRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontier -fuzz FuzzFrontierSet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dgraph -fuzz FuzzBuildFromArcs -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dgraph -fuzz FuzzBuildStream -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/coord -fuzz FuzzCoordLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/supervisor -fuzz FuzzDetector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)

@@ -245,18 +245,19 @@ func buildConfig(variant string, alpha float64) (core.Config, error) {
 }
 
 // buildGraph is a rank's cold start on the input at path: its segment of
-// the edge list, shuffled into the distributed graph.
+// the edge list, streamed into the shuffle that builds the distributed graph.
 func buildGraph(path string, n int64, verbose bool) func(c *mpi.Comm) (*dgraph.DistGraph, error) {
 	return func(c *mpi.Comm) (*dgraph.DistGraph, error) {
-		ioStart := time.Now()
-		chunk, err := gio.ReadSegment(path, c.Rank(), c.Size())
+		start := time.Now()
+		m, edges, err := gio.Segment(path, c.Rank(), c.Size())
 		if err != nil {
 			return nil, err
 		}
-		if c.Rank() == 0 && verbose {
-			fmt.Fprintf(os.Stderr, "rank 0: read %d edges in %v\n", len(chunk), time.Since(ioStart))
+		dg, err := dgraph.BuildStream(c, n, m, edges, nil)
+		if err == nil && c.Rank() == 0 && verbose {
+			fmt.Fprintf(os.Stderr, "rank 0: read and built %d edges in %v\n", m, time.Since(start))
 		}
-		return dgraph.Build(c, n, chunk, nil)
+		return dg, err
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"distlouvain/internal/core"
 	"distlouvain/internal/gen"
@@ -130,5 +132,31 @@ func TestReportRefusesUncertified(t *testing.T) {
 	}
 	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
 		t.Errorf("-o file written for an uncertified result (%v)", err)
+	}
+}
+
+// TestBadSegmentFailsRun: a record naming a vertex past the header's count, in
+// the second 1024-record piece of rank 1's segment, fails a 2-rank run with
+// gio's typed error once rank 1 has put arcs and rank 0 waits in the exchange.
+// The process exits 1 (a rerun would fail the same way) and names the error,
+// so every rank returned: the launcher waits for all of them.
+func TestBadSegmentFailsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin, _, _ := buildBinaryAndGraph(t)
+	n, edges := gen.ErdosRenyi(300, 3000, 7)
+	lo, _ := gio.SegmentRange(int64(len(edges)), 1, 2)
+	edges[lo+1100].V = n + 3
+	path := filepath.Join(t.TempDir(), "bad.bin")
+	if err := gio.WriteBinary(path, n, edges); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-np", "2", path).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), gio.ErrVertexRange.Error()) {
+		t.Fatalf("-np 2 on a bad segment: err %v, output:\n%s", err, out)
 	}
 }

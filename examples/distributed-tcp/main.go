@@ -70,11 +70,11 @@ func main() {
 				}
 				defer tp.Close()
 				c := mpi.NewComm(tp)
-				chunk, err := gio.ReadSegment(path, r, ranks)
+				m, edges, err := gio.Segment(path, r, ranks)
 				if err != nil {
 					return err
 				}
-				dg, err := dgraph.Build(c, n, chunk, nil)
+				dg, err := dgraph.BuildStream(c, n, m, edges, nil)
 				if err != nil {
 					return err
 				}

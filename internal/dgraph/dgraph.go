@@ -146,6 +146,15 @@ func checkSlotSpace(localN int64, ghosts int) error {
 // the even vertex split. Parallel edges — within a chunk or across chunks and
 // ranks — merge by weight.
 func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Partition) (*DistGraph, error) {
+	return BuildStream(c, n, int64(len(localChunk)), graph.Edges(localChunk), part)
+}
+
+// BuildStream is Build over the rank's chunk as a stream of m edges — a file
+// segment (gio.Segment) read in small pieces — put on the shuffle as each
+// piece arrives, so the rank never holds its chunk whole. m sizes the
+// shuffle's buffers. An error of the stream, or an edge Build refuses, fails
+// the rank before the exchange; its peers return once its world closes.
+func BuildStream(c *mpi.Comm, n, m int64, edges graph.EdgeStream, part *partition.Partition) (*DistGraph, error) {
 	s, err := NewShuffle(c, n, part, 1, false)
 	if err != nil {
 		return nil, err
@@ -153,19 +162,25 @@ func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Par
 	// Each undirected edge expands into its two directed arcs, routed to the
 	// owner of the source vertex; a self loop is a single arc. Two 8-byte
 	// records per edge hold a unit-weight chunk's frames in one buffer.
-	s.buffers.grow(16 * len(localChunk))
+	s.buffers.grow(int(16 * m))
 	w := s.Writer(0)
-	for _, e := range localChunk {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+	err = edges(func(chunk []graph.RawEdge) error {
+		for _, e := range chunk {
+			if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+				return fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+			}
+			if !graph.ValidWeight(e.W) {
+				return fmt.Errorf("%w: edge (%d,%d) weighs %g", ErrWeight, e.U, e.V, e.W)
+			}
+			w.Put(s.Owner(e.U), e.U, e.V, e.W)
+			if e.U != e.V {
+				w.Put(s.Owner(e.V), e.V, e.U, e.W)
+			}
 		}
-		if !graph.ValidWeight(e.W) {
-			return nil, fmt.Errorf("%w: edge (%d,%d) weighs %g", ErrWeight, e.U, e.V, e.W)
-		}
-		w.Put(s.Owner(e.U), e.U, e.V, e.W)
-		if e.U != e.V {
-			w.Put(s.Owner(e.V), e.V, e.U, e.W)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s.Exchange(nil)
 }

@@ -398,8 +398,8 @@ func TestBuildEmptyRank(t *testing.T) {
 }
 
 func TestBuildFromBinaryFileSegments(t *testing.T) {
-	// End-to-end: write a binary file, each rank reads its segment and
-	// builds; the result must match the all-in-one build.
+	// End-to-end: write a binary file, each rank streams its segment into
+	// the build; the result must match the all-in-one build.
 	n, edges := gen.ErdosRenyi(80, 300, 23)
 	dir := t.TempDir()
 	path := dir + "/g.bin"
@@ -409,11 +409,11 @@ func TestBuildFromBinaryFileSegments(t *testing.T) {
 	ref := gen.Build(n, edges)
 	const p = 4
 	err := mpi.Run(p, func(c *mpi.Comm) error {
-		chunk, err := gio.ReadSegment(path, c.Rank(), p)
+		m, edges, err := gio.Segment(path, c.Rank(), p)
 		if err != nil {
 			return err
 		}
-		dg, err := Build(c, n, chunk, nil)
+		dg, err := BuildStream(c, n, m, edges, nil)
 		if err != nil {
 			return err
 		}

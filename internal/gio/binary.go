@@ -19,6 +19,7 @@ package gio
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -35,6 +36,10 @@ const Version = 1
 
 const headerSize = 24
 const recordSize = 24
+
+// ErrVertexRange marks a record naming a vertex outside the header's vertex
+// count.
+var ErrVertexRange = errors.New("gio: record names a vertex out of range")
 
 // Header describes a binary edge-list file.
 type Header struct {
@@ -113,13 +118,17 @@ func readHeader(f *os.File, path string) (Header, error) {
 	return h, nil
 }
 
-// ReadBinary reads the whole file.
+// ReadBinary reads the whole file into one edge list, in file order.
 func ReadBinary(path string) (int64, []graph.RawEdge, error) {
 	h, err := ReadHeader(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	edges, err := ReadSegment(path, 0, 1)
+	edges := make([]graph.RawEdge, 0, h.Edges)
+	err = Stream(path)(func(chunk []graph.RawEdge) error {
+		edges = append(edges, chunk...)
+		return nil
+	})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -140,22 +149,23 @@ func SegmentRange(edges int64, rank, size int) (lo, hi int64) {
 	return lo, hi
 }
 
-// ReadSegment reads rank's record range of the file. Every rank opens the
-// file independently and seeks to its range, mirroring the collective MPI
-// I/O read in the paper.
-func ReadSegment(path string, rank, size int) ([]graph.RawEdge, error) {
-	var out []graph.RawEdge
-	err := scanSegment(path, rank, size, func(n int64, chunk []graph.RawEdge) error {
-		if out == nil {
-			out = make([]graph.RawEdge, 0, n)
-		}
-		out = append(out, chunk...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// Segment is rank's record range of the file: its record count, and its
+// records as a stream that reads them, on each run, through the fixed buffer
+// Stream uses. Every rank opens the file independently and seeks to its
+// range, mirroring the collective MPI I/O read in the paper; no rank holds
+// its segment whole. The header is validated here and again on each run.
+func Segment(path string, rank, size int) (int64, graph.EdgeStream, error) {
+	if rank < 0 || size <= 0 || rank >= size {
+		return 0, nil, fmt.Errorf("gio: invalid segment rank %d of %d", rank, size)
 	}
-	return out, nil
+	h, err := ReadHeader(path)
+	if err != nil {
+		return 0, nil, err
+	}
+	lo, hi := SegmentRange(h.Edges, rank, size)
+	return hi - lo, func(visit func([]graph.RawEdge) error) error {
+		return scanSegment(path, rank, size, visit)
+	}, nil
 }
 
 // Stream is the whole file as an edge stream: each call reads it again, in
@@ -163,18 +173,14 @@ func ReadSegment(path string, rank, size int) ([]graph.RawEdge, error) {
 // whatever the file's size.
 func Stream(path string) graph.EdgeStream {
 	return func(visit func([]graph.RawEdge) error) error {
-		return scanSegment(path, 0, 1, func(_ int64, chunk []graph.RawEdge) error { return visit(chunk) })
+		return scanSegment(path, 0, 1, visit)
 	}
 }
 
-// scanSegment is the record loop ReadSegment and Stream share: it hands rank's
-// record range to visit in chunks of up to 1024 decoded records, with the
-// range's record count n, and returns the first error of the read or of
-// visit. The chunk is reused between calls.
-func scanSegment(path string, rank, size int, visit func(n int64, chunk []graph.RawEdge) error) error {
-	if rank < 0 || size <= 0 || rank >= size {
-		return fmt.Errorf("gio: invalid segment rank %d of %d", rank, size)
-	}
+// scanSegment is the record loop Segment and Stream share: it hands rank's
+// record range to visit in chunks of up to 1024 decoded records, and returns
+// the first error of the read or of visit. The chunk is reused between calls.
+func scanSegment(path string, rank, size int, visit func(chunk []graph.RawEdge) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -207,11 +213,11 @@ func scanSegment(path string, rank, size int, visit func(n int64, chunk []graph.
 				W: math.Float64frombits(binary.LittleEndian.Uint64(rec[16:24])),
 			}
 			if e.U < 0 || e.U >= h.Vertices || e.V < 0 || e.V >= h.Vertices {
-				return fmt.Errorf("gio: %s: record %d references vertex out of range", path, i)
+				return fmt.Errorf("%w: %s: record %d names (%d,%d), not in [0,%d)", ErrVertexRange, path, i, e.U, e.V, h.Vertices)
 			}
 			edges = append(edges, e)
 		}
-		if err := visit(hi-lo, edges); err != nil {
+		if err := visit(edges); err != nil {
 			return err
 		}
 	}

@@ -2,8 +2,10 @@ package gio
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,7 +112,8 @@ func TestSegmentRangesPartitionRecords(t *testing.T) {
 
 // TestReadSegmentsReassemble: the segments of every rank count put the file
 // back together — at 37 records, and at 2500, where a segment spans several
-// of the reader's 1024-record chunks and ends inside one.
+// of the reader's 1024-record chunks and ends inside one — each segment's
+// stream yielding as many records as Segment counts, however often it is run.
 func TestReadSegmentsReassemble(t *testing.T) {
 	for _, m := range []int64{37, 2500} {
 		path := tempPath(t, "g.bin")
@@ -124,9 +127,13 @@ func TestReadSegmentsReassemble(t *testing.T) {
 		for _, p := range []int{1, 2, 3, 5, 8, 37, 50} {
 			var got []graph.RawEdge
 			for r := 0; r < p; r++ {
-				seg, err := ReadSegment(path, r, p)
+				seg, err := readSegment(path, r, p)
 				if err != nil {
 					t.Fatal(err)
+				}
+				again, err := readSegment(path, r, p)
+				if err != nil || !slices.Equal(again, seg) {
+					t.Fatalf("m=%d p=%d rank %d: a second run read %d records (%v), the first %d", m, p, r, len(again), err, len(seg))
 				}
 				got = append(got, seg...)
 			}
@@ -142,16 +149,37 @@ func TestReadSegmentsReassemble(t *testing.T) {
 	}
 }
 
+// readSegment collects rank's segment from its stream, and checks that the
+// stream yields the count Segment returns.
+func readSegment(path string, rank, size int) ([]graph.RawEdge, error) {
+	m, edges, err := Segment(path, rank, size)
+	if err != nil {
+		return nil, err
+	}
+	var out []graph.RawEdge
+	err = edges(func(chunk []graph.RawEdge) error {
+		out = append(out, chunk...)
+		return nil
+	})
+	if err == nil && int64(len(out)) != m {
+		err = fmt.Errorf("segment %d of %d: streamed %d records, counted %d", rank, size, len(out), m)
+	}
+	return out, err
+}
+
 func TestReadSegmentValidation(t *testing.T) {
 	path := tempPath(t, "g.bin")
 	if err := WriteBinary(path, 2, []graph.RawEdge{{U: 0, V: 1, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSegment(path, -1, 2); err == nil {
+	if _, _, err := Segment(path, -1, 2); err == nil {
 		t.Fatal("expected error for negative rank")
 	}
-	if _, err := ReadSegment(path, 2, 2); err == nil {
+	if _, _, err := Segment(path, 2, 2); err == nil {
 		t.Fatal("expected error for rank >= size")
+	}
+	if _, _, err := Segment(tempPath(t, "missing.bin"), 0, 1); err == nil {
+		t.Fatal("expected error for a missing file")
 	}
 }
 
@@ -185,8 +213,8 @@ func TestBinaryRejectsCorruptFiles(t *testing.T) {
 	if err := WriteBinary(badVertex, 2, []graph.RawEdge{{U: 0, V: 5, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSegment(badVertex, 0, 1); err == nil {
-		t.Fatal("expected out-of-range vertex error")
+	if _, _, err := ReadBinary(badVertex); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("out-of-range vertex: %v, want ErrVertexRange", err)
 	}
 }
 

@@ -241,6 +241,18 @@ func TestRunPropagatesError(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
+	// Peers that return the ErrClosed rank 1's failure left them are
+	// collateral: Run names rank 1's error, not rank 0's.
+	err = Run(3, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return sentinel
+		}
+		_, err := c.Recv(AnySource, AnyTag)
+		return err
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("Run returned %v, want rank 1's error", err)
+	}
 }
 
 func TestRunRecoversPanic(t *testing.T) {

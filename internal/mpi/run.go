@@ -1,14 +1,16 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
 
 // Run executes body as an SPMD program on size in-process ranks, one
-// goroutine per rank, each with its own communicator. It returns the first
-// non-nil error from any rank (closing the world so the remaining ranks
-// unblock) or nil when every rank succeeds.
+// goroutine per rank, each with its own communicator. A rank's error closes
+// the world so the remaining ranks unblock; Run returns the lowest rank's
+// error that is not the ErrClosed such a close leaves its peers, else the
+// lowest rank's, or nil when every rank succeeds.
 //
 // This is the single-binary analogue of "mpirun -np size": tests, examples
 // and benchmarks drive the distributed algorithm through it. opts (e.g.
@@ -41,12 +43,17 @@ func Run(size int, body func(c *Comm) error, opts ...CommOption) error {
 	}
 	wg.Wait()
 
+	var collateral error
 	for r, e := range errs {
-		if e != nil {
+		switch {
+		case e == nil:
+		case !errors.Is(e, ErrClosed):
 			return fmt.Errorf("rank %d: %w", r, e)
+		case collateral == nil:
+			collateral = fmt.Errorf("rank %d: %w", r, e)
 		}
 	}
-	return nil
+	return collateral
 }
 
 // RunCollect is Run for programs that produce a per-rank result. results[r]

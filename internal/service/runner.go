@@ -25,11 +25,11 @@ func (s *Service) runJob(j *Job) {
 		Config:   cfg,
 		Vertices: j.vertices,
 		Build: func(c *mpi.Comm) (*dgraph.DistGraph, error) {
-			chunk, err := gio.ReadSegment(j.graphPath, c.Rank(), c.Size())
+			m, edges, err := gio.Segment(j.graphPath, c.Rank(), c.Size())
 			if err != nil {
 				return nil, err
 			}
-			return dgraph.Build(c, j.vertices, chunk, nil)
+			return dgraph.BuildStream(c, j.vertices, m, edges, nil)
 		},
 	}
 

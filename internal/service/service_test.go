@@ -41,11 +41,11 @@ func refRun(t *testing.T, path string, n int64, cfg core.Config) *core.Result {
 	}
 	defer world.Close()
 	c := mpi.NewComm(world.Endpoint(0))
-	chunk, err := gio.ReadSegment(path, 0, 1)
+	m, edges, err := gio.Segment(path, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := dgraph.Build(c, n, chunk, nil)
+	dg, err := dgraph.BuildStream(c, n, m, edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,6 +605,47 @@ func TestServiceSubmitValidation(t *testing.T) {
 	if st := s.Stats(); st.Jobs != 0 {
 		t.Errorf("%d jobs registered from rejected specs", st.Jobs)
 	}
+}
+
+// A graph file with a record naming a vertex past its header's count, in the
+// second 1024-record piece of rank 1's segment, fails its job with gio's typed
+// error once rank 1 has put arcs and rank 0 waits in the exchange: the job
+// settles failed without a restart, and a job on a good graph then takes the
+// whole rank budget, so every rank of the failed world returned its share.
+func TestServiceJobFailsOnBadSegment(t *testing.T) {
+	nv, edges := gen.ErdosRenyi(300, 3000, 7)
+	lo, _ := gio.SegmentRange(int64(len(edges)), 1, 2)
+	edges[lo+1100].U = nv + 3
+	path := filepath.Join(t.TempDir(), "bad.bin")
+	if err := gio.WriteBinary(path, nv, edges); err != nil {
+		t.Fatal(err)
+	}
+	lc := &logCapture{}
+	s := newTestService(t, 2, lc)
+	v, err := s.Submit(JobSpec{GraphPath: path, Ranks: 2})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	failed := waitState(t, s, v.ID, StateFailed)
+	if !strings.Contains(failed.Error, gio.ErrVertexRange.Error()) {
+		t.Errorf("job failed with %q, want gio.ErrVertexRange", failed.Error)
+	}
+	if failed.Restarts != 0 {
+		t.Errorf("job restarted %d times on a malformed input", failed.Restarts)
+	}
+	lc.mu.Lock()
+	for _, l := range lc.lines {
+		if strings.Contains(l, "supervisor: restart") {
+			t.Errorf("the supervisor restarted the world: %s", l)
+		}
+	}
+	lc.mu.Unlock()
+	good, _ := writeGraph(t, 300, 1500, 5)
+	v, err = s.Submit(JobSpec{GraphPath: good, Ranks: 2})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, v.ID, StateDone)
 }
 
 // An inline-edge submission materializes the graph and runs like any other.
