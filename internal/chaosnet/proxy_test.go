@@ -69,7 +69,7 @@ func TestProxyIsTransparent(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		msg, err := tp0.Recv(1, i)
+		msg, err := tp0.RecvTimeout(1, i, 0)
 		if err != nil || len(msg.Data) != 1 || msg.Data[0] != byte(i) {
 			t.Fatalf("recv %d: %v %v", i, err, msg.Data)
 		}
@@ -78,7 +78,7 @@ func TestProxyIsTransparent(t *testing.T) {
 	if err := tp0.SendSegments(1, 99, [][]byte{[]byte("pong")}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := tp1.Recv(0, 99); err != nil || string(msg.Data) != "pong" {
+	if msg, err := tp1.RecvTimeout(0, 99, 0); err != nil || string(msg.Data) != "pong" {
 		t.Fatalf("reverse recv: %v %q", err, msg.Data)
 	}
 }
@@ -88,7 +88,7 @@ func TestProxyFencedHandshakePassesThrough(t *testing.T) {
 	if err := tp1.SendSegments(0, 1, [][]byte{[]byte("fenced world")}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := tp0.Recv(1, 1); err != nil || string(msg.Data) != "fenced world" {
+	if msg, err := tp0.RecvTimeout(1, 1, 0); err != nil || string(msg.Data) != "fenced world" {
 		t.Fatalf("recv: %v %q", err, msg.Data)
 	}
 }
@@ -108,7 +108,7 @@ func TestAsymmetricPartitionAndHeal(t *testing.T) {
 	if err := tp0.SendSegments(1, 6, [][]byte{[]byte("still talking")}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := tp1.Recv(0, 6); err != nil || string(msg.Data) != "still talking" {
+	if msg, err := tp1.RecvTimeout(0, 6, 0); err != nil || string(msg.Data) != "still talking" {
 		t.Fatalf("healthy direction: %v %q", err, msg.Data)
 	}
 
@@ -121,7 +121,7 @@ func TestAsymmetricPartitionAndHeal(t *testing.T) {
 	if err := tp1.SendSegments(0, 7, [][]byte{[]byte("healed")}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := tp0.Recv(1, 7); err != nil || string(msg.Data) != "healed" {
+	if msg, err := tp0.RecvTimeout(1, 7, 0); err != nil || string(msg.Data) != "healed" {
 		t.Fatalf("post-heal recv: %v %q", err, msg.Data)
 	}
 }
@@ -133,7 +133,7 @@ func TestSlowLinkPacesFrames(t *testing.T) {
 	payload := make([]byte, 2048)
 	start := time.Now()
 	tp1.SendSegments(0, 1, [][]byte{payload})
-	if msg, err := tp0.Recv(1, 1); err != nil || len(msg.Data) != len(payload) {
+	if msg, err := tp0.RecvTimeout(1, 1, 0); err != nil || len(msg.Data) != len(payload) {
 		t.Fatalf("slow-link recv: %v len=%d", err, len(msg.Data))
 	}
 	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
@@ -142,7 +142,7 @@ func TestSlowLinkPacesFrames(t *testing.T) {
 	px.SlowLink(1, DirIn, 0)
 	start = time.Now()
 	tp1.SendSegments(0, 2, [][]byte{payload})
-	if _, err := tp0.Recv(1, 2); err != nil {
+	if _, err := tp0.RecvTimeout(1, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {

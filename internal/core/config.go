@@ -45,9 +45,9 @@ type Config struct {
 	// Alpha is the ET decay rate in [0,1]; 0 disables early termination.
 	Alpha float64
 
-	// ETC adds the extra communication step that counts inactive vertices
-	// globally and exits the phase when the fraction reaches
-	// DefaultETCExit.
+	// ETC exits the phase when the global inactive fraction an iteration
+	// starts with reaches DefaultETCExit. The count rides the modularity
+	// allreduce of the iteration before, so ETC adds no communication.
 	ETC bool
 
 	// Threads is the intra-rank worker team size (the OpenMP threads of
@@ -300,8 +300,11 @@ type PhaseStat struct {
 	// top of ET's probability gate.
 	TouchedTrajectory  []int64
 	FrontierTrajectory []int64
-	InactiveFrac       float64    // global inactive fraction at phase end
-	Exit               ExitReason // why the phase ended
+	// InactiveFrac is the global inactive fraction the phase's last
+	// iteration started with, under ET and ETC alike; when ETC's exit ends
+	// the phase, that is the iteration the exit skipped. 0 without ET.
+	InactiveFrac float64
+	Exit         ExitReason // why the phase ended
 }
 
 // StepTimes aggregates where the run spent its time, mirroring the paper's

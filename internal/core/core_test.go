@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"distlouvain/internal/dgraph"
@@ -264,6 +265,119 @@ func TestETCExitsPhases(t *testing.T) {
 	}
 	if !foundETCExit {
 		t.Log("note: no phase ended via ETC on this input (allowed, but unexpected)")
+	}
+}
+
+// TestInactiveFracIsLastIterationsStart pins InactiveFrac under ET and ETC:
+// the inactive fraction the phase's last iteration started with, which a
+// probe counts at that iteration's fetch, the same bits at every rank count.
+// A phase ETC ends skips the iteration whose start reached DefaultETCExit, so
+// the last one it ran started below that.
+func TestInactiveFracIsLastIterationsStart(t *testing.T) {
+	n, edges := gen.BandedMesh(2000, 3)
+	for _, variant := range []Config{ET(0.75), ETC(0.75)} {
+		var want []PhaseStat
+		for _, p := range []int{1, 2, 4} {
+			label := fmt.Sprintf("%s p=%d", variant.VariantName(), p)
+			cfg := variant
+			cfg.Seed = 7 // its ET coins end the first two phases by ETC's exit
+			// counts[r][ph] is rank r's inactive count at phase ph's latest fetch.
+			counts := make([][]int64, p)
+			cfg.oracle.afterFetch = func(st *phaseState) error {
+				r := st.dg.Comm.Rank()
+				if len(counts[r]) == st.phase {
+					counts[r] = append(counts[r], 0)
+				}
+				var c int64
+				for _, in := range st.inactive {
+					if in {
+						c++
+					}
+				}
+				counts[r][st.phase] = c
+				return nil
+			}
+			res, err := RunOnEdges(p, n, edges, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := false // an inactive vertex under ET, an ETC exit under ETC
+			for ph, stat := range res.Phases {
+				var c int64
+				for r := range counts {
+					c += counts[r][ph]
+				}
+				probe := float64(c) / float64(stat.Vertices)
+				switch {
+				case stat.Exit == ExitETC:
+					if !(probe < DefaultETCExit && stat.InactiveFrac >= DefaultETCExit) {
+						t.Fatalf("%s phase %d: ETC exit at InactiveFrac %v after an iteration that started at %v", label, ph, stat.InactiveFrac, probe)
+					}
+					seen = true
+				case math.Float64bits(stat.InactiveFrac) != math.Float64bits(probe):
+					t.Fatalf("%s phase %d: InactiveFrac %v, the last iteration started with %d of %d inactive", label, ph, stat.InactiveFrac, c, stat.Vertices)
+				case !cfg.ETC && c > 0:
+					seen = true
+				}
+			}
+			if !seen {
+				t.Fatalf("%s: the run exercised nothing (%+v)", label, res.Phases)
+			}
+			if want == nil {
+				want = res.Phases
+				continue
+			}
+			for ph := range want {
+				if g, w := res.Phases[ph].InactiveFrac, want[ph].InactiveFrac; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s phase %d: InactiveFrac %v, %v at p=1", label, ph, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestETCIterationRunsBaselinesCollectives pins the per-iteration protocol:
+// ETC's inactive count rides the modularity allreduce, so its iterations enter
+// exactly as many collectives as Baseline's.
+func TestETCIterationRunsBaselinesCollectives(t *testing.T) {
+	n, edges := gen.BandedMesh(2000, 5)
+	const p = 3
+	perIteration := func(cfg Config) []int64 {
+		ops := make([][]int64, p)
+		err := mpi.Run(p, func(c *mpi.Comm) error {
+			lo, hi := gio.SegmentRange(int64(len(edges)), c.Rank(), p)
+			dg, err := dgraph.Build(c, n, edges[lo:hi], nil)
+			if err != nil {
+				return err
+			}
+			rcfg := cfg
+			last, at := ProgressEvent{Phase: -1}, int64(0)
+			rcfg.Progress = func(ev ProgressEvent) {
+				if ev.Kind != ProgressIteration {
+					return
+				}
+				now := c.Stats().CollectiveOps.Load()
+				if ev.Phase == last.Phase && ev.Iteration == last.Iteration+1 {
+					ops[c.Rank()] = append(ops[c.Rank()], now-at)
+				}
+				last, at = ev, now
+			}
+			_, err = Run(dg, rcfg)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Concat(ops...)
+	}
+	base, etc := perIteration(Baseline()), perIteration(ETC(0.25))
+	if len(base) == 0 || len(etc) == 0 {
+		t.Fatalf("too few iterations: %d baseline, %d ETC", len(base), len(etc))
+	}
+	for _, ops := range slices.Concat(base, etc) {
+		if ops != base[0] {
+			t.Fatalf("collective ops per iteration: baseline %v, ETC %v", base, etc)
+		}
 	}
 }
 

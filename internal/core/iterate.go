@@ -2,12 +2,10 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"time"
 
-	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/par"
 	"distlouvain/internal/seq"
@@ -50,34 +48,33 @@ type move struct {
 	from, to int32 // community slots
 }
 
-// updateActivity applies the ET probability decay of Equation 3 before
-// iteration iter (1-based) and returns the local inactive count. With
-// Alpha == 0 every vertex stays active. A vertex a rule refused in the previous
-// iteration (refusedMark) wanted to move and was held back, which is not the
-// stability the decay rewards: it restarts at P = 1 like a vertex that moved.
-func (st *phaseState) updateActivity(iter int) int64 {
+// updateActivity applies the ET probability decay of Equation 3 at the end of
+// an iteration, for the next one, and leaves the local inactive count in
+// iterInactive. With Alpha == 0 every vertex stays active. A vertex a rule
+// refused in this iteration (refusedMark) wanted to move and was held back,
+// which is not the stability the decay rewards: it restarts at P = 1 like a
+// vertex that moved.
+func (st *phaseState) updateActivity() {
 	if st.cfg.Alpha <= 0 {
-		return 0
+		return
 	}
-	if iter >= 2 {
-		par.For(int(st.dg.LocalN), st.cfg.Threads, func(_, lo, hi int) {
-			for lv := lo; lv < hi; lv++ {
-				if st.inactive[lv] {
-					continue
-				}
-				if st.comm[lv] == st.prevComm[lv] {
-					st.prob[lv] *= 1 - st.cfg.Alpha
-					if st.prob[lv] < InactiveCutoff {
-						st.inactive[lv] = true
-					}
-				} else {
-					st.prob[lv] = 1
-				}
+	par.For(int(st.dg.LocalN), st.cfg.Threads, func(_, lo, hi int) {
+		for lv := lo; lv < hi; lv++ {
+			if st.inactive[lv] {
+				continue
 			}
-		})
-	}
+			if st.comm[lv] == st.prevComm[lv] {
+				st.prob[lv] *= 1 - st.cfg.Alpha
+				if st.prob[lv] < InactiveCutoff {
+					st.inactive[lv] = true
+				}
+			} else {
+				st.prob[lv] = 1
+			}
+		}
+	})
 	copy(st.prevComm, st.comm)
-	return par.ReduceInt64(int(st.dg.LocalN), st.cfg.Threads, func(_, lo, hi int) int64 {
+	st.iterInactive = par.ReduceInt64(int(st.dg.LocalN), st.cfg.Threads, func(_, lo, hi int) int64 {
 		var c int64
 		for lv := lo; lv < hi; lv++ {
 			if st.inactive[lv] {
@@ -173,11 +170,11 @@ func (st *phaseState) evaluateVertex(lv int64, acc *rowAcc) (mv move, ok, refuse
 	}
 	// Return rule, the same direction for communities of any size: in a damped
 	// phase a vertex goes back to the community it left one iteration ago
-	// (st.snap.comm still holds where the previous iteration started) only
+	// (st.snap.ci still holds where the previous iteration started) only
 	// towards the smaller label. Of two vertices swapping across a boundary for
 	// ever, each on the other's stale label, exactly one moves and they end
 	// together; the other stays put rather than take its second-best.
-	if st.damped && best == st.snap.comm[lv] && st.gidOf(best) > st.gidOf(cv) {
+	if st.damped && best == st.snap.ci[lv] && st.gidOf(best) > st.gidOf(cv) {
 		return move{}, false, true
 	}
 	return move{lv: lv, from: cv, to: best}, true, false
@@ -319,7 +316,7 @@ func (st *phaseState) fitAccs() {
 // frontier — a stale vertex stays dirty until actually evaluated — while
 // permanently inactive vertices drop out, matching the full scan (which never
 // evaluates those again either). A vertex a rule refused is carried too — what
-// it was refused against (snap.comm, the phase being damped) changes without
+// it was refused against (snap.ci, the phase being damped) changes without
 // any neighbour changing — and keeps P = 1 (refusedMark). A vertex the O(1)
 // test proves stuck (settled) is decided without its row scan; it counts as
 // touched all the same, since the sweep decided it. The test reads rowIntra,
@@ -339,7 +336,7 @@ func (st *phaseState) sweepRange(w, lo, hi int, ids []int64, iter int) {
 	}
 	settle := fr != nil && !st.rowsStale
 	var touched, returns int64
-	acc, prev := &st.accs[w], st.snap.comm
+	acc, prev := &st.accs[w], st.snap.ci
 	for i := lo; i < hi; i++ {
 		lv := int64(i)
 		if ids != nil {
@@ -454,28 +451,31 @@ func splitAt(keys []int32, k int32) ([]int32, []int32) {
 	return keys[:i], keys[i:]
 }
 
-// snapshot captures the state an iteration may need to roll back: local
-// assignments and the owned community table. Ghost tables are not included
-// — they reflect prior iterations' (kept) moves. It is taken after the sweep,
-// which writes none of it, so that during the sweep snap.comm is still where
-// the PREVIOUS iteration started: the community a vertex that moved then has
-// left, which is all the return rule needs to know.
+// snapshot captures the state an iteration may need to roll back: the
+// community of every endpoint (ci: local vertices, then ghosts) and the owned
+// community table. It is taken after the sweep, which writes none of it, so
+// that its ghost half is the view the iteration started from, and during the
+// sweep its local half is still where the PREVIOUS iteration started: the
+// community a vertex that moved then has left, which is all the return rule
+// needs to know.
 type snapshot struct {
-	comm  []int32
+	ci    []int32
 	cA    []float64
 	cSize []int64
 }
 
 // snapshot copies the state into s; reset sizes st.snap's arrays.
 func (st *phaseState) snapshot(s *snapshot) {
-	copy(s.comm, st.comm)
+	copy(s.ci, st.ci)
 	copy(s.cA, st.cA) // the owned prefix: s.cA is LocalN long
 	copy(s.cSize, st.cSize)
 }
 
+// restore puts back the state s holds: owners and ghost holders revert the
+// same iteration, so every ghost entry again matches its owner's vertex.
 func (st *phaseState) restore(s *snapshot) {
 	st.rowsStale = true // the reverted vertices are marked nowhere
-	copy(st.comm, s.comm)
+	copy(st.ci, s.ci)
 	copy(st.cA, s.cA)
 	copy(st.cSize, s.cSize)
 	st.recountRefs()
@@ -502,28 +502,17 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		st.tr().SetPos(st.phase, stat.Iterations)
 		isp := st.tr().Begin(obsv.KindIteration, "iteration")
 
-		localInactive := st.updateActivity(stat.Iterations)
-		if st.cfg.ETC {
-			// The ETC variant's extra communication: a global count of
-			// inactive vertices; ≥ DefaultETCExit ends the phase.
-			ta := time.Now()
-			globalInactive, err := st.dg.Comm.AllreduceInt64(localInactive, mpi.OpSum)
-			st.steps.Allreduce += time.Since(ta)
-			if err != nil {
-				return stat, fmt.Errorf("core: ETC inactivity allreduce: %w", err)
-			}
-			if globalN > 0 {
-				// Guard the empty-graph case: 0/0 is NaN, and NaN >= the exit
-				// fraction is false, which would silently disable the ETC exit
-				// and poison the reported fraction.
-				stat.InactiveFrac = float64(globalInactive) / float64(globalN)
-			}
-			if stat.InactiveFrac >= DefaultETCExit {
-				stat.Iterations-- // this iteration did not run
-				stat.Exit = ExitETC
-				isp.End()
-				break
-			}
+		// ET's inactive fraction at the start of this iteration, counted by
+		// the previous one's allreduce (0 in a fresh phase; empty graph: no
+		// 0/0). Under ETC, ≥ DefaultETCExit ends the phase.
+		if globalN > 0 {
+			stat.InactiveFrac = float64(st.globalInactive) / float64(globalN)
+		}
+		if st.cfg.ETC && stat.InactiveFrac >= DefaultETCExit {
+			stat.Iterations-- // this iteration did not run
+			stat.Exit = ExitETC
+			isp.End()
+			break
 		}
 
 		// (ii-prep) pull (A_c, size) for referenced remote communities.
@@ -567,7 +556,9 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 			return stat, err
 		}
 
-		// (iv) global modularity (+ the iteration's migration count).
+		// (iv) global modularity, with the iteration's migration count and
+		// the inactive count ET's decay leaves for the next iteration.
+		st.updateActivity()
 		q, globalMoves, err := st.modularityAndMoves(int64(len(moves)))
 		if err != nil {
 			return stat, err
@@ -584,8 +575,8 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		if q-prevQ <= tau {
 			if !math.IsInf(prevQ, -1) && q < prevQ {
 				// Joint moves decreased Q; every rank reverts this
-				// iteration (the decision derives from the allreduced q,
-				// so all ranks agree).
+				// iteration, ghosts included (the decision derives from the
+				// allreduced q, so all ranks agree).
 				st.restore(&st.snap)
 			} else {
 				prevQ = q
@@ -602,40 +593,8 @@ func (st *phaseState) iterate(tau float64) (PhaseStat, error) {
 		}
 		isp.End()
 	}
-
-	if math.IsInf(prevQ, -1) {
-		// Zero completed iterations (e.g. immediate ETC exit): measure
-		// the current assignment.
-		q, err := st.modularity()
-		if err != nil {
-			return stat, err
-		}
-		prevQ = q
-	}
+	// Iteration 1 always completes (its inactive count is 0), so prevQ is
+	// the Q of the assignment st.comm holds.
 	stat.Modularity = prevQ
-
-	if st.cfg.Alpha > 0 && !st.cfg.ETC {
-		// Plain ET never counts inactives during the run (that is ETC's
-		// extra communication step); gather the figure once per phase for
-		// reporting, outside the algorithm's decision path.
-		var localInactive int64
-		for _, in := range st.inactive {
-			if in {
-				localInactive++
-			}
-		}
-		globalInactive, err := st.dg.Comm.AllreduceInt64(localInactive, mpi.OpSum)
-		if err != nil {
-			return stat, fmt.Errorf("core: inactivity allreduce: %w", err)
-		}
-		if globalN > 0 {
-			stat.InactiveFrac = float64(globalInactive) / float64(globalN)
-		}
-	}
-
-	// Rebuild needs current ghost communities for edge relabeling.
-	if err := st.exchangeGhostComm(); err != nil {
-		return stat, err
-	}
 	return stat, nil
 }

@@ -102,7 +102,7 @@ func (st *phaseState) evaluateVertexRef(lv int64, scratch map[int64]float64) (mv
 	}
 	// Damped: no way back to the community left one iteration ago unless its
 	// label is the smaller one.
-	if left := st.gidOf(st.snap.comm[lv]); st.damped && best == left && best > cv {
+	if left := st.gidOf(st.snap.ci[lv]); st.damped && best == left && best > cv {
 		return move{}, false, true
 	}
 	to, _ := st.findSlot(best) // infoOf found it
@@ -133,7 +133,7 @@ func (st *phaseState) sweepRangeRef(w, lo, hi int, ids []int64, iter int) {
 		switch {
 		case ok:
 			st.moveBufs[w] = append(st.moveBufs[w], mv)
-			if st.gidOf(mv.to) == st.gidOf(st.snap.comm[lv]) {
+			if st.gidOf(mv.to) == st.gidOf(st.snap.ci[lv]) {
 				st.returnsBufs[w]++
 			}
 		case refused:

@@ -199,14 +199,12 @@ func checkSums(t *testing.T, label string, m2 float64, sums [][]fetchSums, cov *
 
 // checkResult is properties 1 and 4 on one result, and returns the labels'
 // certificate. The labels are the dense renumbering of the last kept phase's
-// communities, and the reported Q is computed from the final coarse graph,
-// whose self loops and degrees are those communities' E_c and A_c, so it is
-// the Q of the labels bit for bit (seq.Check): every sum is an exact integer,
-// whatever its order. A phase that ends below the kept one is discarded, so
-// no recorded phase — kept or discarded — ends above the reported Q: the kept
-// phase's Q and the final one are the same exact sums, formed alike
-// (seq.ModularityOf). That is the precise form of "kept phases never lose": a
-// discarded phase stays listed with its lower Q.
+// communities, and the reported Q is that phase's Q, whose E_c and A_c are the
+// final coarse graph's self loops and degrees, so it is the Q of the labels
+// bit for bit (seq.Check): every sum is an exact integer, whatever its order.
+// A phase that ends below the kept one is discarded, so no recorded phase —
+// kept or discarded — ends above the reported Q. That is the precise form of
+// "kept phases never lose": a discarded phase stays listed with its lower Q.
 func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) seq.Certificate {
 	t.Helper()
 	cert, err := seq.Check(g.N, g.Stream(), res.GlobalComm, res.Modularity, res.Communities)

@@ -10,7 +10,6 @@ import (
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
-	"distlouvain/internal/seq"
 )
 
 // runState is the complete driver position of a multi-phase run between
@@ -26,7 +25,7 @@ type runState struct {
 	res   *Result           // accumulating result; LocalComm is origComm
 
 	phase       int     // next phase index to execute
-	prevQ       float64 // modularity after the last completed phase
+	prevQ       float64 // modularity after the last kept phase
 	forcedFinal bool    // TC: the forced lowest-threshold pass has been entered
 
 	steps *StepTimes
@@ -208,20 +207,9 @@ func (rs *runState) runLoop() (*Result, error) {
 		psp.End()
 	}
 
-	// Exact final modularity from the final coarse graph: with the
-	// identity partition, E_c is vertex c's self loop and A_c its degree.
-	var sums [1 + seq.SquareLimbs]float64
-	var aSq seq.SquareSum
-	for lv := int64(0); lv < rs.cur.LocalN; lv++ {
-		sums[0] += rs.cur.SelfLoop[lv]
-		aSq.Add(rs.cur.K[lv])
-	}
-	aSq.Limbs(sums[1:])
-	out, err := c.AllreduceFloat64s(sums[:], mpi.OpSum)
-	if err != nil {
-		return nil, fmt.Errorf("final modularity allreduce: %w", err)
-	}
-	res.Modularity = seq.ModularityOf(out[0], rs.cur.M2, seq.SquareSumOfLimbs(out[1:]))
+	// The final Q is the last kept phase's: under exact sums the final coarse
+	// graph's self loops and degrees are that phase's E_c and A_c.
+	res.Modularity = rs.prevQ
 
 	if cfg.GatherOutput {
 		gsp := tr.Begin(obsv.KindP2P, "gather-output")

@@ -157,8 +157,8 @@ func (st *phaseState) setGhost(g int32, gid int64) error {
 	return nil
 }
 
-// recountRefs recomputes refs from ci in one pass (after restore rewrote the
-// local half wholesale).
+// recountRefs recomputes refs from ci in one pass (after restore rewrote it
+// wholesale).
 func (st *phaseState) recountRefs() {
 	clear(st.refs)
 	for _, c := range st.ci {

@@ -115,22 +115,27 @@ type phaseState struct {
 
 	// Per-iteration sweep counters: touchedBufs[w] counts worker w's ΔQ
 	// evaluations, returnsBufs[w] its moves back into the community the vertex
-	// left one iteration earlier; iterTouched/iterFrontier/iterReturns are the
+	// left one iteration earlier; iterTouched/iterFrontier/iterReturns, and
+	// iterInactive (updateActivity's count for the next iteration), are the
 	// rank-local sums that ride the modularity allreduce;
-	// globalTouched/globalFrontier/globalReturns hold the allreduced figures
-	// the phase trajectory records.
+	// globalTouched/globalFrontier/globalReturns/globalInactive hold the
+	// allreduced figures the phase records.
 	touchedBufs, returnsBufs               []int64
 	iterTouched, iterFrontier, iterReturns int64
+	iterInactive                           int64
 	globalTouched                          int64
 	globalFrontier                         int64
 	globalReturns                          int64
+	globalInactive                         int64
 
-	// lanes is the vector step (iv)'s allreduce carries (modularityAndMoves).
-	lanes [5 + seq.SquareLimbs]float64
+	// lanes is the vector step (iv)'s allreduce carries (modularityAndMoves):
+	// the last lane, ET's inactive count, only when Alpha > 0.
+	lanes [6 + seq.SquareLimbs]float64
 
 	// snap is the rollback snapshot, taken after each sweep; until the next one
-	// its comm is where the previous iteration started (see snapshot). damped
-	// says the return rule is in force for the rest of the phase (iterate).
+	// its local half is where the previous iteration started (see snapshot).
+	// damped says the return rule is in force for the rest of the phase
+	// (iterate).
 	snap   snapshot
 	damped bool
 
@@ -219,7 +224,7 @@ func (st *phaseState) reset(dg *dgraph.DistGraph, phaseIdx int) error {
 		touchedBufs: old.touchedBufs,
 		returnsBufs: old.returnsBufs,
 		snap: snapshot{
-			comm:  reslice(old.snap.comm, int(n)),
+			ci:    reslice(old.snap.ci, slots),
 			cA:    reslice(old.snap.cA, int(n)),
 			cSize: reslice(old.snap.cSize, int(n)),
 		},
@@ -679,9 +684,9 @@ func (st *phaseState) recomputeRow(lv int64) {
 // squared incident weights of its owned communities; one allreduce yields
 // the global Q. Every lane is an integer sum, exact in any order: E, the
 // limbs of the 128-bit Σ A_c² (seq.SquareSum), and — so that the
-// per-iteration migration rate costs no extra collective — the local move
-// count and the sweep's touched-vertex, frontier-size and return counters
-// (stale outside the iteration loop, where the results are simply unread).
+// per-iteration migration rate and ETC's count cost no extra collective —
+// the local move count, the sweep's touched-vertex, frontier-size and return
+// counters and, under ET, the inactive count.
 func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, error) {
 	msp := st.tr().Begin(obsv.KindStep, "modularity-compute")
 	tc := time.Now()
@@ -694,9 +699,15 @@ func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, erro
 	msp.End()
 
 	ta := time.Now()
+	const inactiveLane = 5 + seq.SquareLimbs
 	st.lanes = [len(st.lanes)]float64{eSum, float64(localMoves), float64(st.iterTouched), float64(st.iterFrontier), float64(st.iterReturns)}
-	aSq.Limbs(st.lanes[5:])
-	out, err := st.dg.Comm.AllreduceFloat64s(st.lanes[:], mpi.OpSum)
+	aSq.Limbs(st.lanes[5:inactiveLane])
+	lanes := st.lanes[:inactiveLane]
+	if st.cfg.Alpha > 0 {
+		st.lanes[inactiveLane] = float64(st.iterInactive)
+		lanes = st.lanes[:]
+	}
+	out, err := st.dg.Comm.AllreduceFloat64s(lanes, mpi.OpSum)
 	st.steps.Allreduce += time.Since(ta)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: modularity allreduce: %w", err)
@@ -705,12 +716,8 @@ func (st *phaseState) modularityAndMoves(localMoves int64) (float64, int64, erro
 	st.globalTouched = int64(out[2])
 	st.globalFrontier = int64(out[3])
 	st.globalReturns = int64(out[4])
-	return seq.ModularityOf(out[0], st.dg.M2, seq.SquareSumOfLimbs(out[5:])), moves, nil
-}
-
-// modularity is modularityAndMoves without a move count (used outside the
-// iteration loop).
-func (st *phaseState) modularity() (float64, error) {
-	q, _, err := st.modularityAndMoves(0)
-	return q, err
+	if st.cfg.Alpha > 0 {
+		st.globalInactive = int64(out[inactiveLane])
+	}
+	return seq.ModularityOf(out[0], st.dg.M2, seq.SquareSumOfLimbs(out[5:inactiveLane])), moves, nil
 }

@@ -100,7 +100,7 @@ func TestStaleRankFencedTypedNotHung(t *testing.T) {
 
 	recvErr := make(chan error, 1)
 	go func() {
-		_, err := old[0].Recv(1, 7) // nothing will ever send this
+		_, err := old[0].RecvTimeout(1, 7, 0) // nothing will ever send this
 		recvErr <- err
 	}()
 	select {
@@ -221,7 +221,7 @@ func TestMeshRejectsStaleFenceDialer(t *testing.T) {
 			if err := res.tp.SendSegments(1, 3, [][]byte{[]byte("ok")}); err != nil {
 				t.Fatalf("send: %v", err)
 			}
-			if msg, err := tp1.Recv(0, 3); err != nil || string(msg.Data) != "ok" {
+			if msg, err := tp1.RecvTimeout(0, 3, 0); err != nil || string(msg.Data) != "ok" {
 				t.Fatalf("recv: %v %q", err, msg.Data)
 			}
 		})
@@ -273,7 +273,7 @@ func TestGarbageDialerDoesNotCorruptRendezvous(t *testing.T) {
 	if err := res.tp.SendSegments(1, 1, [][]byte{[]byte("x")}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if _, err := tp1.Recv(0, 1); err != nil {
+	if _, err := tp1.RecvTimeout(0, 1, 0); err != nil {
 		t.Fatalf("recv: %v", err)
 	}
 	res.tp.Close()

@@ -71,10 +71,6 @@ func (f *FaultTransport) SendSegments(to, tag int, segs [][]byte) error {
 	return f.inner.SendSegments(to, tag, segs)
 }
 
-func (f *FaultTransport) Recv(from, tag int) (Message, error) {
-	return f.RecvTimeout(from, tag, 0)
-}
-
 func (f *FaultTransport) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
 	if f.killed.Load() {
 		return Message{}, ErrKilled

@@ -69,10 +69,6 @@ func (e *inprocEndpoint) Release(data []byte) { e.world.queues[e.rank].release(d
 
 func (e *inprocEndpoint) acquire(n int) []byte { return e.world.queues[e.rank].acquire(n) }
 
-func (e *inprocEndpoint) Recv(from, tag int) (Message, error) {
-	return e.RecvTimeout(from, tag, 0)
-}
-
 func (e *inprocEndpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
 	if from != AnySource {
 		if err := checkPeer(from, e.world.size, "Recv"); err != nil {

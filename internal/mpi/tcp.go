@@ -508,10 +508,6 @@ func (e *tcpEndpoint) Release(data []byte) { e.queue.release(data) }
 
 func (e *tcpEndpoint) acquire(n int) []byte { return e.queue.acquire(n) }
 
-func (e *tcpEndpoint) Recv(from, tag int) (Message, error) {
-	return e.RecvTimeout(from, tag, 0)
-}
-
 func (e *tcpEndpoint) RecvTimeout(from, tag int, timeout time.Duration) (Message, error) {
 	if from != AnySource {
 		if err := checkPeer(from, e.size, "Recv"); err != nil {

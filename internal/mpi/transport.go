@@ -108,7 +108,7 @@ type Message struct {
 
 // Transport is the byte-level rank-to-rank messaging substrate. Send must be
 // asynchronous (never block waiting for the receiver) so that collectives
-// built from symmetric send/recv exchanges cannot deadlock. Recv blocks
+// built from symmetric send/recv exchanges cannot deadlock. RecvTimeout blocks
 // until a matching message arrives.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
@@ -122,13 +122,11 @@ type Transport interface {
 	// pool, when one fits — so the caller may reuse them at once, and no
 	// receiver ever holds bytes a sender can still write.
 	SendSegments(to, tag int, segs [][]byte) error
-	// Recv blocks until a message matching (from, tag) is available and
-	// returns it. from may be AnySource and tag may be AnyTag. Messages
+	// RecvTimeout blocks until a message matching (from, tag) is available
+	// and returns it. from may be AnySource and tag may be AnyTag. Messages
 	// from the same sender with the same tag are delivered in send order.
-	Recv(from, tag int) (Message, error)
-	// RecvTimeout is Recv with a per-call deadline: when no matching
-	// message arrives within timeout it returns an error wrapping
-	// os.ErrDeadlineExceeded. timeout <= 0 means no deadline (plain Recv).
+	// When no matching message arrives within timeout it returns an error
+	// wrapping os.ErrDeadlineExceeded; timeout <= 0 means no deadline.
 	RecvTimeout(from, tag int, timeout time.Duration) (Message, error)
 	// Release hands back the storage of a received Message.Data the caller
 	// has finished with: a later message to this rank may be delivered in

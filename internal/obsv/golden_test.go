@@ -73,6 +73,7 @@ func goldenVariants() map[string]core.Config {
 	return map[string]core.Config{
 		"baseline": core.Baseline(),
 		"tc":       core.ThresholdCycling(),
+		"et":       core.ET(0.25),
 		"etc":      core.ETC(0.25),
 	}
 }

@@ -109,8 +109,9 @@ type Phase struct {
 	MovesTrajectory []int64
 	// Tau is the threshold the phase ran with (varies under cycling).
 	Tau float64
-	// InactiveFrac is the global fraction of inactive vertices at phase
-	// end (early-termination variants).
+	// InactiveFrac is the global fraction of inactive vertices the phase's
+	// last iteration started with, or, after ETC's exit, the iteration it
+	// skipped (early-termination variants).
 	InactiveFrac float64
 	// Exit tells why the phase ended: "tau", "etc" or "maxiter".
 	Exit string
