@@ -76,23 +76,21 @@ test-chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Checkpoint|Supervisor|Supervise|TCPLocal|Interrupt|Detector|Backoff|Beacon|StartDecides|ResumeConsent' \
 		./internal/core/... ./cmd/dlouvain/...
 
-# The frontier differential suite under the race detector: the shipped sweep
-# (and, as pinned by the tests' oracle value, each representation of its
-# active set) must reproduce the full-scan oracle bit-for-bit on every
-# graph × variant × rank-count combination (trajectories, modularity bits,
-# final assignment), including kill→resume and thread-count interplay,
-# plus the frontier.Set unit/property tests and the slot /
-# row-cache differential (slots_test.go: reference kernels by global ID, every
-# iteration's Q against the gathered labels, two pinned trajectory digests),
-# and the Step-5 aggregator's differential (coarsen_test.go: the map oracle's
-# arcs at every thread count, each pair once per rank, allocation ceiling),
-# and the tie rule's properties (tierule_test.go: relabelling, quality floor,
-# ET on the mesh), and the return rule's (oscillation_test.go: no plateau on
-# LFR, the swap gadget), and the property suite (property_test.go: rank /
-# thread / transport / restart independence, exact sums and the reported Q on
-# graphs from every generator — the race detector's smaller corpus), and the
-# settle test's margin at a zero bound (TestSettle…) and the frontier.Set unit
-# tests (TestSet…, NextAbsent among them: rule (d)'s pull walk).
+# The frontier differential suite under the race detector: the property suite
+# (property_test.go: rank / thread / transport / restart independence, and
+# the shipped sweep, each representation of its active set and the reference
+# kernels held to the full-scan oracle bit for bit, on graphs from every
+# generator — the race detector's smaller corpus — and the gadgets), the
+# frontier tests (counters, rule (d)'s cases and walks, the invariant that a
+# vertex left out would stay), the slot / row-cache checks (slots_test.go:
+# every iteration's Q against the gathered labels, two pinned trajectory
+# digests), the Step-5 aggregator's differential (coarsen_test.go: the map
+# oracle's arcs at every thread count, each pair once per rank, allocation
+# ceiling), the tie rule's properties (tierule_test.go: relabelling, quality
+# floor, ET on the mesh), the return rule's (oscillation_test.go: no plateau
+# on LFR, the swap gadget), the settle test's margin at a zero bound
+# (TestSettle…) and the frontier.Set unit tests (TestSet…, NextAbsent among
+# them: rule (d)'s pull walk).
 test-frontier:
 	$(GO) test -race -count=1 -run 'Frontier|CoarseArcs|TieRule|Oscillation|Propert|Settle|^TestSet' ./internal/core/... ./internal/frontier/...
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distlouvain/internal/coord"
+	"distlouvain/internal/core"
 	"distlouvain/internal/supervisor"
 )
 
@@ -50,7 +51,7 @@ func TestRouteBeaconsOnlyToCurrentEpoch(t *testing.T) {
 	<-routed
 
 	// The rank is the coordinator's tag, not the payload's claim.
-	want := fmt.Sprint([]supervisor.Beacon{{Rank: 1, Kind: supervisor.KindPhaseStart, Phase: 1}})
+	want := fmt.Sprint([]supervisor.Beacon{{Rank: 1, Kind: core.ProgressPhaseStart, Phase: 1}})
 	if got := fmt.Sprint(sunk); got != want {
 		t.Errorf("supervisor sink got %s, want %s", got, want)
 	}

@@ -96,7 +96,7 @@ func (c chaosSpec) inject() supervisor.Inject {
 	var mu sync.Mutex
 	fired := make(map[[2]int]bool) // (attempt, rank) already struck
 	return func(attempt int, b supervisor.Beacon) supervisor.Fault {
-		if (attempt > 0 && !c.every) || (b.Kind != supervisor.KindPhaseStart && b.Kind != supervisor.KindIteration) {
+		if (attempt > 0 && !c.every) || (b.Kind != core.ProgressPhaseStart && b.Kind != core.ProgressIteration) {
 			return supervisor.FaultNone
 		}
 		for _, p := range c.points {
@@ -153,7 +153,7 @@ func drive(l supervisor.Launcher, np int, supervised bool, opts supOptions, reg 
 	}
 	sopts.OnBeacon = func(b supervisor.Beacon) {
 		mu.Lock()
-		if relaunch != nil && b.Rank == 0 && b.Kind == supervisor.KindPhaseStart {
+		if relaunch != nil && b.Rank == 0 && b.Kind == core.ProgressPhaseStart {
 			relaunch["resume"] = float64(min(b.Phase, 1))
 			reg.RecordEvent("restart", "relaunch", relaunch)
 			relaunch = nil

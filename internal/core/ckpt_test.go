@@ -59,52 +59,6 @@ func sameOutcome(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestCheckpointResumeMatchesUninterrupted is the no-failure equivalence
-// check: a checkpointing run leaves a committed snapshot, and resuming it —
-// at the original AND at different rank counts — retraces the uninterrupted
-// run's trajectory exactly.
-func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
-	n, edges := gen.ErdosRenyi(300, 1500, 5)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"baseline", Baseline()},
-		{"et+tc", ETWithTC(0.25)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := RunOnEdges(3, n, edges, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Phases) < 2 {
-				t.Fatalf("run converged in %d phase(s); no phase boundary to checkpoint", len(want.Phases))
-			}
-
-			dir := t.TempDir()
-			ckptCfg := tc.cfg
-			ckptCfg.CheckpointDir = dir
-			got, err := RunOnEdges(3, n, edges, ckptCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameOutcome(t, "checkpointing run", got, want)
-
-			man, err := ckpt.ReadManifest(dir)
-			if err != nil {
-				t.Fatalf("no committed checkpoint after multi-phase run: %v", err)
-			}
-			if man.Phase < 1 || man.WorldSize != 3 {
-				t.Fatalf("manifest phase=%d world=%d", man.Phase, man.WorldSize)
-			}
-
-			for _, p := range []int{3, 2, 5} {
-				sameOutcome(t, "resume p="+string(rune('0'+p)), resumeInproc(t, p, dir, tc.cfg), want)
-			}
-		})
-	}
-}
-
 // runCkptChaosTCP is runChaosTCP's sibling for resumed runs: p TCP ranks
 // call Resume on dir, with the doomed rank's transport on the given fault
 // plan. Returns per-rank errors, rank 0's Result and the doomed rank's

@@ -92,37 +92,24 @@ func (o *slotOracle) needed() map[int64]struct{} {
 	return needed
 }
 
-// ownerTables gathers every rank's owned (A_c, size) table (a collective) and
-// returns it indexed by global community ID.
+// ownerTables gathers every rank's owned (A_c, size) table (two collectives:
+// each rank fills its own range of a zeroed global table, and the sum is the
+// union) and returns it indexed by global community ID.
 func (o *slotOracle) ownerTables() ([]cinfo, error) {
 	st := o.st
-	n := st.dg.LocalN
-	buf := mpi.AppendInt64(nil, st.dg.Base)
-	buf = mpi.AppendFloat64s(buf, st.cA[:n])
-	buf = mpi.AppendInt64s(buf, st.cSize[:n])
-	blocks, err := st.dg.Comm.Allgather(buf)
+	as, sizes := make([]float64, st.dg.GlobalN), make([]int64, st.dg.GlobalN)
+	copy(as[st.dg.Base:], st.cA[:st.dg.LocalN])
+	copy(sizes[st.dg.Base:], st.cSize[:st.dg.LocalN])
+	as, err := st.dg.Comm.AllreduceFloat64s(as, mpi.OpSum)
 	if err != nil {
 		return nil, err
 	}
+	if sizes, err = st.dg.Comm.AllreduceInt64s(sizes, mpi.OpSum); err != nil {
+		return nil, err
+	}
 	table := make([]cinfo, st.dg.GlobalN)
-	for _, b := range blocks {
-		d := mpi.NewDecoder(b)
-		base, err := d.Int64()
-		if err != nil {
-			return nil, err
-		}
-		k := d.Remaining() / 16
-		as, err := d.Float64s(k)
-		if err != nil {
-			return nil, err
-		}
-		sizes, err := d.Int64s(k)
-		if err != nil {
-			return nil, err
-		}
-		for i := range as {
-			table[base+int64(i)] = cinfo{a: as[i], size: sizes[i]}
-		}
+	for c := range table {
+		table[c] = cinfo{a: as[c], size: sizes[c]}
 	}
 	return table, nil
 }

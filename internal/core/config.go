@@ -255,7 +255,7 @@ type ProgressEvent struct {
 	Kind       ProgressKind
 	Phase      int     // phase index the event belongs to
 	Iteration  int     // 1-based within the phase; 0 for non-iteration events
-	Modularity float64 // latest globally agreed modularity (NaN before the first)
+	Modularity float64 // latest globally agreed modularity (−∞ before the first phase ends)
 	Vertices   int64   // global coarse-graph size at the phase start
 	// Communities is the final global community count, populated only on
 	// ProgressDone (0 on every other milestone) so streaming consumers can

@@ -15,19 +15,18 @@ import (
 	"distlouvain/internal/mpi"
 )
 
-// The frontier differential harness: the full scan (oracle.fullScan) is the
-// oracle, and the frontier under every representation must retrace it
-// move-for-move and bit-for-bit — the same proof standard the flat kernels and the wire diet
-// are held to. The matrix covers the paper variants whose activity
-// machinery interacts with the frontier (baseline, TC, ETC), rank counts
-// (ghost-delta marking across partitions), representation modes, thread
-// counts, and kill→resume.
+// The frontier's own tests. That the frontier under every representation
+// retraces the full scan (oracle.fullScan) bit for bit, at every rank and
+// thread count and across restarts, is property 2 of TestRunProperties; these
+// pin what a trajectory cannot show: the counters, the sweep it saves, rule
+// (d)'s cases and walks, and the invariant that every vertex it leaves out
+// would stay.
 
-// frontierGraphs are the differential inputs: an Erdős–Rényi graph, a
-// banded mesh (the workload class the frontier targets), a float-weighted
-// graph, which Build scales to integers, the LFR of lightVertexWeights, whose
-// light vertices have weight 0, and sizeOnlyGadget, on which rule (d) marks
-// one way and, every copy twice, not at all
+// frontierGraphs are the inputs of TestFrontierPullMarksWhatPushMarks: an
+// Erdős–Rényi graph, a banded mesh (the workload class the frontier targets),
+// a float-weighted graph, which Build scales to integers, the LFR of
+// lightVertexWeights, whose light vertices have weight 0, and sizeOnlyGadget,
+// on which rule (d) marks one way and, every copy twice, not at all
 // (TestFrontierDirectionalRuleHasCases counts them).
 func frontierGraphs() []struct {
 	name  string
@@ -63,69 +62,6 @@ func frontierVariants() []struct {
 		{"baseline", Baseline()},
 		{"tc", ThresholdCycling()},
 		{"etc", ETC(0.25)},
-	}
-}
-
-// TestFrontierMatchesFullScan is the core differential: 5 graphs × 3
-// variants × {1,2,4} ranks × {dense, sparse, auto} against the full-scan
-// oracle at the same rank count.
-func TestFrontierMatchesFullScan(t *testing.T) {
-	modes := []struct {
-		name string
-		rep  frontier.Rep
-	}{
-		{"dense", frontier.RepDense},
-		{"sparse", frontier.RepSparse},
-		{"auto", frontier.RepAuto},
-	}
-	for _, g := range frontierGraphs() {
-		for _, v := range frontierVariants() {
-			t.Run(g.name+"/"+v.name, func(t *testing.T) {
-				for _, ranks := range []int{1, 2, 4} {
-					ref := v.cfg
-					ref.Threads = 2
-					ref.oracle.fullScan = true
-					want, err := RunOnEdges(ranks, g.n, g.edges, ref)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, m := range modes {
-						cfg := v.cfg
-						cfg.Threads = 2
-						cfg.oracle.rep = m.rep
-						got, err := RunOnEdges(ranks, g.n, g.edges, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameTrajectory(t, fmt.Sprintf("ranks=%d mode=%s", ranks, m.name), got, want)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestFrontierThreadInvariance: with integer weights the trajectory is
-// thread-count invariant, so every (mode, threads) pair must reproduce the
-// single-threaded full scan exactly — the frontier's chunked id-list and
-// bitmap scans preserve ascending evaluation order per worker.
-func TestFrontierThreadInvariance(t *testing.T) {
-	n, edges := gen.ErdosRenyi(300, 1500, 5)
-	ref := ETC(0.25)
-	ref.Threads = 1
-	ref.oracle.fullScan = true
-	want, err := RunOnEdges(2, n, edges, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, threads := range []int{1, 2, 4} {
-		cfg := ETC(0.25)
-		cfg.Threads = threads
-		got, err := RunOnEdges(2, n, edges, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTrajectory(t, fmt.Sprintf("threads=%d", threads), got, want)
 	}
 }
 
@@ -273,8 +209,9 @@ func sizeOnlyGadget() (int64, []graph.RawEdge) {
 }
 
 // TestFrontierDirectionalRuleHasCases: rule (d) marks by the sign of ΔA_c and
-// ignores a size that changes away from {0, 1}; TestFrontierMatchesFullScan
-// holds it to the full scan on sizeOnlyGadget. (An Erdős–Rényi graph does not
+// ignores a size that changes away from {0, 1};
+// TestFrontierUnmarkedVerticesWouldStay holds it to its invariant on
+// sizeOnlyGadget. (An Erdős–Rényi graph does not
 // serve: its phases end after two iterations, every community still at size
 // ≤ 1, where the rule marks both ways as before.) Every weight is an integer,
 // so A stays put while the size moves only when the weights moving in and out
@@ -282,8 +219,8 @@ func sizeOnlyGadget() (int64, []graph.RawEdge) {
 // Watts–Strogatz and grid inputs, which is why the gadget is built for it.
 // This test drives phase 0 of the gadget by hand and counts, on the owned
 // tables, the changes the rule marks one way only and the ones it skips (size
-// moved, A did not), so the differential cannot quietly stop covering what it
-// is there for.
+// moved, A did not), so that check cannot quietly stop covering what it is
+// there for.
 func TestFrontierDirectionalRuleHasCases(t *testing.T) {
 	n, edges := sizeOnlyGadget()
 	type counts struct{ sizeOnly, oneWay, both int }
@@ -351,6 +288,8 @@ func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 	inputs = append(inputs, input{"grid", n, edges})
 	n, edges = gen.BandedMesh(600, 4)
 	inputs = append(inputs, input{"band", n, edges})
+	n, edges = sizeOnlyGadget()
+	inputs = append(inputs, input{"size-only", n, edges})
 	n, edges, _, err := gen.LFR(gen.DefaultLFR(1000, 0.3, 23))
 	if err != nil {
 		t.Fatal(err)
@@ -434,8 +373,8 @@ func TestFrontierUnmarkedVerticesWouldStay(t *testing.T) {
 }
 
 // TestFrontierPullMarksWhatPushMarks: rule (d) by pull marks exactly the
-// vertices push marks. At every iteration of runs over the differential
-// graphs, variants and 1, 2 and 4 ranks, the probe applies markChanged pinned
+// vertices push marks. At every iteration of runs over frontierGraphs,
+// frontierVariants and 1, 2 and 4 ranks, the probe applies markChanged pinned
 // to push, then pinned to pull, each to its own copy of next as the previous
 // iteration left it, and the by-cost choice to a third; the three sets must be
 // equal, and rule (d) must have marked something in some iteration. By cost,

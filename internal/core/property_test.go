@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"distlouvain/internal/ckpt"
+	"distlouvain/internal/frontier"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
@@ -20,12 +22,14 @@ import (
 // under every paper variant (DESIGN §8 "What a result promises" lists them).
 // Each promise lives in one helper whose comment says why it holds: 1, a valid
 // result, and 4, the reported Q is the best recorded phase (checkResult); 2,
-// bit-identity across rank and thread counts, scans and transports (checkDraw)
-// and restarts (checkRestart), for every input, its weights made integers as
-// they enter (graph.Weights.Scale); 3, exact sums (checkSums); 5, a quality
-// floor (checkQuality). TestRunProperties runs a fixed corpus and fails when
-// it stops exercising what the properties are about; FuzzRunProperties draws
-// more.
+// bit-identity across rank and thread counts, scans, kernels, frontier
+// representations and transports (checkDraw) and restarts (checkRestart), for
+// every input, its weights made integers as they enter (graph.Weights.Scale);
+// 3, exact sums (checkSums); 5, a quality floor (checkQuality). A few gadgets,
+// fixed graphs whose construction determines the result, run through the same
+// checks and are held to that result (propGadgets). TestRunProperties runs a
+// fixed corpus and fails when it stops exercising what the properties are
+// about; FuzzRunProperties draws more.
 
 // propDraw is one input of the suite and the variant it runs.
 type propDraw struct {
@@ -34,6 +38,9 @@ type propDraw struct {
 	edges []graph.RawEdge
 	truth []int64 // the planted partition; nil for the other generators
 	cfg   Config
+	// A gadget's rank counts beyond checkDraw's own, and its known result.
+	ranks  []int
+	expect func(*Result) error
 }
 
 // propFamilies is the number of generators a draw picks from.
@@ -105,7 +112,9 @@ type propCoverage struct {
 	etcExit          int // phases ended by ETC's inactivity exit
 	tcForced         int // forced final phases of a threshold cycle
 	discarded        int // phases that ended below the kept one and were discarded
+	rolledBack       int // phases whose last iteration lowered Q and was restored
 	multiPhaseResume int // interrupted runs that went on for 2+ phases after resuming
+	resumeP5         int // resumes at 5 ranks
 	emptyRank        int // probes of a rank that owned no vertex
 }
 
@@ -126,6 +135,9 @@ func (cov *propCoverage) observe(cfg Config, res *Result) {
 			cov.discarded++
 		} else {
 			kept = ph.Modularity
+		}
+		if k := len(ph.QTrajectory); k >= 2 && ph.QTrajectory[k-1] < ph.QTrajectory[k-2] {
+			cov.rolledBack++
 		}
 	}
 }
@@ -205,7 +217,11 @@ func checkSums(t *testing.T, label string, m2 float64, sums [][]fetchSums, cov *
 // A phase that ends below the kept one is discarded, so no recorded phase —
 // kept or discarded — ends above the reported Q. That is the precise form of
 // "kept phases never lose": a discarded phase stays listed with its lower Q.
-func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) seq.Certificate {
+// The record has its shape: one trajectory entry per iteration (a snapshot
+// carries Q and moves only, so the first restored phases of a resumed run
+// have no others), an ETC exit at or above DefaultETCExit, and a positive
+// runtime, step total and collective count.
+func checkResult(t *testing.T, label string, g *graph.CSR, res *Result, restored int) seq.Certificate {
 	t.Helper()
 	cert, err := seq.Check(g.N, g.Stream(), res.GlobalComm, res.Modularity, res.Communities)
 	if err != nil {
@@ -215,6 +231,21 @@ func checkResult(t *testing.T, label string, g *graph.CSR, res *Result) seq.Cert
 		if ph.Modularity > res.Modularity {
 			t.Fatalf("%s: phase %d ended at Q = %.17g, above the reported %.17g", label, i, ph.Modularity, res.Modularity)
 		}
+		lens := []int{len(ph.QTrajectory), len(ph.MovesTrajectory)}
+		if i >= restored {
+			lens = append(lens, len(ph.ReturnsTrajectory), len(ph.TouchedTrajectory), len(ph.FrontierTrajectory))
+		}
+		for _, n := range lens {
+			if n != ph.Iterations {
+				t.Fatalf("%s: phase %d ran %d iterations, its trajectories have %v entries", label, i, ph.Iterations, lens)
+			}
+		}
+		if ph.Exit == ExitETC && ph.InactiveFrac < DefaultETCExit {
+			t.Fatalf("%s: phase %d: ETC exit at InactiveFrac %v", label, i, ph.InactiveFrac)
+		}
+	}
+	if res.Runtime <= 0 || res.Steps.Total <= 0 || res.Traffic.CollectiveOps <= 0 {
+		t.Fatalf("%s: runtime %v, step total %v, %d collectives", label, res.Runtime, res.Steps.Total, res.Traffic.CollectiveOps)
 	}
 	return cert
 }
@@ -255,7 +286,7 @@ func (r *drawRun) run(label string, p, threads int, mod func(*Config)) (*Result,
 	}
 	res, err := RunOnEdges(p, r.d.n, r.d.edges, cfg)
 	if err == nil {
-		checkResult(r.t, label, r.g, res)
+		checkResult(r.t, label, r.g, res, 0)
 		checkSums(r.t, label, r.g.TotalWeight(), sums, r.cov)
 	}
 	return res, err
@@ -270,15 +301,19 @@ func (r *drawRun) mustRun(label string, p, threads int, mod func(*Config)) *Resu
 }
 
 // checkDraw runs d at every rank count 1..4 × thread count 1..3 (a diagonal of
-// it under the race detector), under the full scan, with checkpoints and
-// through an interrupt and a resume, and over a static-address TCP world when
-// tcp is set, and asserts properties 1–5 of every result. Every weight is an
-// integer once Build has scaled it, so every sum is exact and every decision
-// depends on global IDs and allreduced values only (the ET coin and the tie
-// hash key on global IDs, remote deltas and Step-5 partials add up to the
-// same integers in any order, Σ A_c² crosses ranks as exact limbs): every
-// run must retrace the 1-rank run bit for bit, float draws included. cov,
-// when non-nil, accumulates what the draw exercised.
+// it under the race detector), then once in each lane below and at d's extra
+// rank counts, with checkpoints and through an interrupt and a resume, and over
+// a static-address TCP world when tcp is set, and asserts properties 1–5 of
+// every result. Every weight is an integer once Build has scaled it, so every
+// sum is exact and every decision depends on global IDs and allreduced values
+// only (the ET coin and the tie hash key on global IDs, remote deltas and
+// Step-5 partials add up to the same integers in any order, Σ A_c² crosses
+// ranks as exact limbs): every run must retrace the 1-rank run bit for bit,
+// float draws included. The lanes hold the other paths to it: 5 ranks, 4
+// threads, the full scan, the reference kernels (targets resolved by global
+// ID; under the full scan or not, by seed) and the frontier pinned to one
+// representation. A gadget's result must be the one it knows. cov, when
+// non-nil, accumulates what the draw exercised.
 func checkDraw(t *testing.T, d propDraw, tcp bool, cov *propCoverage) {
 	r := &drawRun{t: t, d: d, g: gen.Build(d.n, d.edges), cov: cov}
 	var want *Result // the first run, which every other retraces
@@ -302,10 +337,37 @@ func checkDraw(t *testing.T, d propDraw, tcp bool, cov *propCoverage) {
 
 	seed := d.cfg.Seed
 	pa, ta, tb := 1+int(seed%4), 1+int(seed%3), 1+int((seed+1)%3)
-	label := fmt.Sprintf("%s p=%d T=%d full scan", d.name, pa, tb)
-	sameTrajectory(t, label, r.mustRun(label, pa, tb, func(c *Config) { c.oracle.fullScan = true }), want)
+	k := seed / 2 % 2 // which representation the pinned frontier lane takes
+	type lane struct {
+		name       string
+		p, threads int
+		o          oracle
+	}
+	lanes := []lane{
+		{"", 5, ta, oracle{}},
+		{"", pa, 4, oracle{}},
+		{"full scan", pa, tb, oracle{fullScan: true}},
+		{"reference kernels", 1 + int((seed+2)%4), ta, oracle{refKernels: true, fullScan: seed%2 == 1}},
+		{[2]string{"dense frontier", "sparse frontier"}[k], 1 + int((seed+1)%4), tb, oracle{rep: [2]frontier.Rep{frontier.RepDense, frontier.RepSparse}[k]}},
+	}
+	for _, p := range d.ranks {
+		lanes = append(lanes, lane{"", p, ta, oracle{}})
+	}
+	for _, l := range lanes {
+		label := strings.TrimSpace(fmt.Sprintf("%s p=%d T=%d %s", d.name, l.p, l.threads, l.name))
+		res := r.mustRun(label, l.p, l.threads, func(c *Config) {
+			l.o.afterFetch = c.oracle.afterFetch
+			c.oracle = l.o
+		})
+		sameTrajectory(t, label, res, want)
+	}
 	if d.truth != nil {
 		checkQuality(t, d.name, r.g, d.truth, want)
+	}
+	if d.expect != nil {
+		if err := d.expect(want); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
 	}
 	if tcp {
 		p := 2 + int(seed%3)
@@ -316,29 +378,36 @@ func checkDraw(t *testing.T, d propDraw, tcp bool, cov *propCoverage) {
 		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		checkResult(t, label, r.g, res)
+		checkResult(t, label, r.g, res, 0)
 		sameTrajectory(t, label, res, want)
 	}
 	r.checkRestart(want, pa, ta, tb)
 }
 
-// checkRestart is the restart half of property 2. A snapshot holds the coarse graph, the labels and
-// the driver position at a phase boundary, and the frontier and the ET state
-// start afresh at every phase, so a run resumed from a snapshot continues the
-// very trajectory the snapshot was cut from, at any rank count (the resume
-// here moves to another). A run that checkpoints at pa ranks retraces the
-// plain one (want); resuming its last snapshot and resuming an interrupted
-// run both end on want's bits, and the phases run after the resume match it
-// move for move and return for return (the snapshot does not carry the
-// earlier phases' counts).
+// checkRestart is the restart half of property 2. A snapshot holds the coarse
+// graph, the labels and the driver position at a phase boundary, and the
+// frontier and the ET state start afresh at every phase, so a run resumed from
+// a snapshot continues the very trajectory the snapshot was cut from, at any
+// rank count (the resume here moves to another, 1..5 by seed). A run that
+// checkpoints at pa ranks retraces the plain one (want); resuming its last
+// snapshot and resuming an interrupted run both end on want's bits, and the
+// phases run after the resume match it move for move and return for return
+// (the snapshot does not carry the earlier phases' counts).
 func (r *drawRun) checkRestart(want *Result, pa, ta, tb int) {
 	t, d := r.t, r.d
-	pr := 1 + pa%4 // the rank count a resume runs at
+	pr := 1 + (pa+int(d.cfg.Seed/2%4))%5 // the rank count a resume runs at
 	resume := func(label, dir string) *Result {
+		man, err := ckpt.ReadManifest(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 		cfg, _ := probed(d, pr, tb)
 		res := resumeInproc(t, pr, dir, cfg)
-		checkResult(t, label, r.g, res)
+		checkResult(t, label, r.g, res, man.Phase)
 		sameOutcome(t, label, res, want)
+		if r.cov != nil && pr == 5 {
+			r.cov.resumeP5++
+		}
 		return res
 	}
 
@@ -384,10 +453,80 @@ func (r *drawRun) checkRestart(want *Result, pa, ta, tb int) {
 	}
 }
 
+// propGadgets are the draws of small graphs whose results are known exactly,
+// which checkDraw holds them to: two 4-cliques joined by one edge (also at 12
+// ranks, more than its vertices), a 64-leaf star (at 8 ranks too, its leaves
+// on every rank), a chain whose pairs weigh 10⁶ and whose links 10⁻³, six
+// disjoint 5-cliques, 7 vertices and no edge, 2 vertices with self loops only,
+// and two triangles bridged by an edge of weight 10, which serial Louvain
+// decides. All run the baseline.
+func propGadgets() []propDraw {
+	cliques := func(k, size int64) []graph.RawEdge {
+		var edges []graph.RawEdge
+		for base := int64(0); base < k*size; base += size {
+			for i := base; i < base+size; i++ {
+				for j := i + 1; j < base+size; j++ {
+					edges = append(edges, graph.RawEdge{U: i, V: j, W: 1})
+				}
+			}
+		}
+		return edges
+	}
+	var star, chain []graph.RawEdge
+	for v := int64(1); v < 64; v++ {
+		star = append(star, graph.RawEdge{U: 0, V: v, W: 1})
+	}
+	for v := int64(0); v < 39; v++ {
+		chain = append(chain, graph.RawEdge{U: v, V: v + 1, W: []float64{1e6, 1e-3}[v%2]})
+	}
+	triangles := []graph.RawEdge{
+		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1},
+		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 3, V: 5, W: 1},
+		{U: 2, V: 3, W: 10},
+	}
+	serialQ := seq.Run(gen.Build(6, triangles), seq.Options{}).Modularity
+
+	// exactly wants k communities (any count at 0) and, unless q is NaN, Q
+	// within 10⁻⁹ of q.
+	exactly := func(k int64, q float64) func(*Result) error {
+		return func(res *Result) error {
+			if k > 0 && res.Communities != k || !(math.IsNaN(q) || math.Abs(res.Modularity-q) <= 1e-9) {
+				return fmt.Errorf("%d communities at Q = %.17g, want %d at %.17g", res.Communities, res.Modularity, k, q)
+			}
+			return nil
+		}
+	}
+	pairsMerged := func(res *Result) error {
+		for v := 0; v+1 < len(res.GlobalComm); v += 2 {
+			if res.GlobalComm[v] != res.GlobalComm[v+1] {
+				return fmt.Errorf("heavy pair (%d, %d) split", v, v+1)
+			}
+		}
+		return nil
+	}
+	gadgets := []propDraw{
+		{name: "two-cliques", n: 8, edges: append(cliques(2, 4), graph.RawEdge{U: 3, V: 4, W: 1}), ranks: []int{12}, expect: exactly(2, 24.0/26.0-0.5)},
+		{name: "star", n: 64, edges: star, ranks: []int{8}, expect: exactly(1, 0)},
+		{name: "heavy-chain", n: 40, edges: chain, expect: pairsMerged},
+		{name: "disjoint-cliques", n: 30, edges: cliques(6, 5), expect: exactly(6, 1-1.0/6)},
+		{name: "no-edges", n: 7, expect: exactly(7, 0)},
+		{name: "self-loops", n: 2, edges: []graph.RawEdge{{U: 0, V: 0, W: 2}, {U: 1, V: 1, W: 3}}, expect: exactly(2, math.NaN())},
+		{name: "bridged-triangles", n: 6, edges: triangles, expect: exactly(0, serialQ)},
+	}
+	for i := range gadgets {
+		g := &gadgets[i]
+		g.name = "gadget/" + g.name
+		g.cfg = Baseline()
+		g.cfg.Seed = uint64(i + 1) // varies the lanes' rank and thread counts
+	}
+	return gadgets
+}
+
 // TestRunProperties checks properties 1–5 on a fixed corpus: every generator ×
 // weight kind, two seeds each (the first under the race detector), the variant
-// cycling through the five. It then requires the corpus to have exercised every
-// case below at least once, so that no property passes on nothing.
+// cycling through the five, and the gadgets, each held to its known result. It
+// then requires the corpus to have exercised every case below at least once,
+// so that no property passes on nothing.
 func TestRunProperties(t *testing.T) {
 	seeds := 2
 	if raceEnabled {
@@ -407,6 +546,10 @@ func TestRunProperties(t *testing.T) {
 			}
 		}
 	}
+	for _, d := range propGadgets() {
+		checkDraw(t, d, true, &cov)
+		draws++
+	}
 	t.Logf("%d draws; coverage %+v", draws, cov)
 	for _, c := range []struct {
 		name  string
@@ -416,7 +559,9 @@ func TestRunProperties(t *testing.T) {
 		{"an ETC exit", cov.etcExit},
 		{"a TC-forced final phase", cov.tcForced},
 		{"a discarded losing phase", cov.discarded},
+		{"a rolled-back iteration", cov.rolledBack},
 		{"a multi-phase resume", cov.multiPhaseResume},
+		{"a resume at 5 ranks", cov.resumeP5},
 		{"a rank that owns no vertex", cov.emptyRank},
 	} {
 		if c.count == 0 {

@@ -22,10 +22,11 @@ import (
 // rowIntra for "how much of this row is intra-community" — so both are held
 // to a path that stores neither: the reference kernels resolve every target
 // by global ID, and the full scan recomputes every row every iteration.
+// TestRunProperties runs both lanes on every draw; the tests here check the
+// slots and the cached rows themselves.
 
-// slotGraphs: the integer-weighted graph takes the rollback branch (asserted
-// below); the float weights make any change of summation order show in the
-// bits.
+// slotGraphs: the integer-weighted graph takes the rollback branch (the tests
+// that read its slots assert it); Build scales the float weights to integers.
 type slotGraph struct {
 	name  string
 	n     int64
@@ -39,73 +40,6 @@ func slotGraphs() []slotGraph {
 	return []slotGraph{
 		{"er-int", in, iEdges, false},
 		{"er-float", fn, floatWeights(fEdges), true},
-	}
-}
-
-// rolledBack reports whether some phase ended on an iteration that lowered Q,
-// i.e. took iterate's restore branch.
-func rolledBack(res *Result) bool {
-	for _, st := range res.Phases {
-		if k := len(st.QTrajectory); k >= 2 && st.QTrajectory[k-1] < st.QTrajectory[k-2] {
-			return true
-		}
-	}
-	return false
-}
-
-// TestFrontierSlotPathsAgree: frontier default (cached rows, slot reads), the
-// full scan (every row recomputed) and the reference kernels (targets resolved
-// by global ID, with and without a frontier) must retrace one another bit for
-// bit, for the baseline and the ET and ETC variants, at 1/2/4
-// ranks × 1/2 threads, integer and float weights alike.
-func TestFrontierSlotPathsAgree(t *testing.T) {
-	variants := []struct {
-		name string
-		cfg  Config
-	}{
-		{"baseline", Baseline()},
-		{"et", ET(0.25)},
-		{"etc", ETC(0.25)},
-	}
-	paths := []struct {
-		name string
-		o    oracle
-	}{
-		{"frontier", oracle{}},
-		{"ref-kernels", oracle{refKernels: true}},
-		{"ref-kernels-full-scan", oracle{refKernels: true, fullScan: true}},
-	}
-	for _, g := range slotGraphs() {
-		for _, v := range variants {
-			t.Run(g.name+"/"+v.name, func(t *testing.T) {
-				sawRollback := false
-				for _, ranks := range []int{1, 2, 4} {
-					for _, threads := range []int{1, 2} {
-						ref := v.cfg
-						ref.Threads = threads
-						ref.oracle.fullScan = true
-						want, err := RunOnEdges(ranks, g.n, g.edges, ref)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sawRollback = sawRollback || rolledBack(want)
-						for _, p := range paths {
-							cfg := v.cfg
-							cfg.Threads = threads
-							cfg.oracle = p.o
-							got, err := RunOnEdges(ranks, g.n, g.edges, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							sameTrajectory(t, fmt.Sprintf("ranks=%d threads=%d %s", ranks, threads, p.name), got, want)
-						}
-					}
-				}
-				if !g.float && v.name == "baseline" && !sawRollback {
-					t.Fatal("no phase took the rollback branch; pick a graph that does")
-				}
-			})
-		}
 	}
 }
 

@@ -226,7 +226,7 @@ func TestScaleRule(t *testing.T) {
 		}
 		return out
 	}
-	// TestHeavyWeightsAcrossRanks' chain: 78 arcs, Σ⌈w⌉ = 40 000 038 < 2²⁶.
+	// The chain of core's heavy-chain gadget: 78 arcs, Σ⌈w⌉ = 40 000 038 < 2²⁶.
 	var chain []float64
 	for v := 0; v < 39; v++ {
 		chain = append(chain, [2]float64{1e6, 1e-3}[v%2])

@@ -303,34 +303,6 @@ func (c *Comm) ExscanInt64(v int64) (int64, error) {
 	return result, nil
 }
 
-// Allgather collects each rank's buffer at every rank, indexed by rank.
-func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	sp := c.span("allgather")
-	sp.SetBytes(int64(len(data) * (c.size - 1)))
-	defer sp.End()
-	tag := c.collTag()
-	out := make([][]byte, c.size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	out[c.rank] = cp
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
-		}
-		if err := c.collSend(r, tag, c.whole(data)); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < c.size-1; i++ {
-		msg, err := c.collRecv(AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[msg.From] = msg.Data
-	}
-	return out, nil
-}
-
 // Gatherv collects every rank's buffer at root. Root receives a per-rank
 // slice; other ranks receive nil.
 func (c *Comm) Gatherv(root int, data []byte) ([][]byte, error) {

@@ -437,27 +437,6 @@ func TestAllOK(t *testing.T) {
 	}
 }
 
-func TestAllgather(t *testing.T) {
-	const p = 6
-	results, err := RunCollect(p, func(c *Comm) ([][]byte, error) {
-		return c.Allgather(EncodeInt64s([]int64{int64(c.Rank() * c.Rank())}))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, blocks := range results {
-		if len(blocks) != p {
-			t.Fatalf("rank %d: allgather returned %d blocks, want %d", r, len(blocks), p)
-		}
-		for q, b := range blocks {
-			got, err := DecodeInt64s(b)
-			if err != nil || len(got) != 1 || got[0] != int64(q*q) {
-				t.Fatalf("rank %d: allgather[%d]=%v (%v) want [%d]", r, q, got, err, q*q)
-			}
-		}
-	}
-}
-
 func TestGatherv(t *testing.T) {
 	const p, root = 5, 2
 	err := Run(p, func(c *Comm) error {

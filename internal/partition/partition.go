@@ -1,11 +1,10 @@
 // Package partition implements the 1-D decomposition of the vertex (and
-// community) ID space across ranks. The paper distributes vertices and
-// their edge lists so that "each process receives roughly the same number
-// of edges; no clever graph partitioning is performed" — both the
-// vertex-balanced and the edge-balanced variants are provided (the latter is
-// what the paper uses for input loading, the former for rebuilt graphs,
-// whose step 6 redistributes "so that every process owns an equal number of
-// vertices").
+// community) ID space across ranks. The paper loads its input so that "each
+// process receives roughly the same number of edges; no clever graph
+// partitioning is performed", and redistributes each rebuilt graph "so that
+// every process owns an equal number of vertices". Only the vertex-balanced
+// split is provided (ByVertexCount), for the input and every rebuilt graph
+// alike: results do not depend on the cut points (DESIGN §2).
 package partition
 
 import (

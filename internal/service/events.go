@@ -94,8 +94,8 @@ func (h *hub) subscribe() (s *hubSub, cancel func()) {
 	}
 }
 
-// sanitizeFloat maps NaN/Inf (core reports NaN modularity before the first
-// iteration) to 0 so every event and view is valid JSON.
+// sanitizeFloat maps NaN/Inf (core reports −∞ modularity before the first
+// phase ends) to 0 so every event and view is valid JSON.
 func sanitizeFloat(f float64) float64 {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0

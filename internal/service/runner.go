@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"distlouvain/internal/core"
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
@@ -91,17 +92,17 @@ func (s *Service) onBeacon(j *Job, b supervisor.Beacon) {
 		return
 	}
 	switch b.Kind {
-	case supervisor.KindPhaseStart:
+	case core.ProgressPhaseStart:
 		j.mu.Lock()
 		j.resumed = j.resumed || !j.phaseSeen && b.Phase > 0
 		j.phaseSeen = true
 		j.mu.Unlock()
 		j.setProgress(b.Phase, 0, b.Modularity)
 		j.events.publish(Event{Kind: "phase-start", Phase: b.Phase, Modularity: b.Modularity})
-	case supervisor.KindIteration:
+	case core.ProgressIteration:
 		j.setProgress(b.Phase, b.Iteration, b.Modularity)
 		j.events.publish(Event{Kind: "iteration", Phase: b.Phase, Iteration: b.Iteration, Modularity: b.Modularity})
-	case supervisor.KindCheckpoint:
+	case core.ProgressCheckpoint:
 		j.events.publish(Event{Kind: "checkpoint", Phase: b.Phase, Modularity: b.Modularity})
 	}
 }

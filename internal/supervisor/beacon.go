@@ -22,36 +22,47 @@
 package supervisor
 
 import (
+	"encoding/json"
+	"math"
+
 	"distlouvain/internal/core"
 	"distlouvain/internal/obsv"
 )
 
-// Kind labels one beacon event.
-type Kind string
-
-// Beacon kinds, in the order a healthy rank emits them.
-const (
-	KindHello      Kind = "hello"       // the rank's world is up; no progress yet
-	KindPhaseStart Kind = "phase-start" // a phase's iteration loop is about to run
-	KindIteration  Kind = "iteration"   // one Louvain iteration completed
-	KindCheckpoint Kind = "checkpoint"  // a phase snapshot committed world-wide
-	KindDone       Kind = "done"        // the rank's run finished cleanly
-)
+// KindHello is the one beacon kind core does not emit: the rank's world is
+// up, and it has made no progress yet. Every other beacon carries the
+// core.ProgressKind of the milestone it reports.
+const KindHello core.ProgressKind = "hello"
 
 // Beacon is one lightweight progress report from a rank. Everything except
 // Rank mirrors core.ProgressEvent; the struct is kept flat and small because
 // it crosses a process boundary as one JSON payload per event.
 type Beacon struct {
-	Rank       int     `json:"rank"`
-	Kind       Kind    `json:"kind"`
-	Phase      int     `json:"phase"`
-	Iteration  int     `json:"iter,omitempty"`
-	Modularity float64 `json:"q"`
+	Rank       int               `json:"rank"`
+	Kind       core.ProgressKind `json:"kind"`
+	Phase      int               `json:"phase"`
+	Iteration  int               `json:"iter,omitempty"`
+	Modularity float64           `json:"q"`
 	// Span is the rank's open span path at emission time (e.g.
 	// "run/phase[1]/iteration[3]/community-fetch"), present when the rank
 	// runs with a tracer. It tells the supervisor WHERE the rank last was,
 	// not just how far it got — the hang detector's diagnosis names it.
 	Span string `json:"span,omitempty"`
+}
+
+// MarshalJSON encodes b with "q" absent when its Q is not finite, which JSON
+// cannot carry: core reports −∞ before a run's first phase ends. A decoder
+// reads an absent Q as 0.
+func (b Beacon) MarshalJSON() ([]byte, error) {
+	type plain Beacon
+	w := struct {
+		plain
+		Q *float64 `json:"q,omitempty"` // shadows plain's "q"
+	}{plain: plain(b)}
+	if !math.IsInf(b.Modularity, 0) && !math.IsNaN(b.Modularity) {
+		w.Q = &b.Modularity
+	}
+	return json.Marshal(w)
 }
 
 // CoreProgressTraced adapts a beacon sink to core's Progress hook: install
@@ -62,20 +73,7 @@ type Beacon struct {
 // the rank runs with.
 func CoreProgressTraced(rank int, tr *obsv.Tracer, emit func(Beacon)) func(core.ProgressEvent) {
 	return func(ev core.ProgressEvent) {
-		var k Kind
-		switch ev.Kind {
-		case core.ProgressPhaseStart:
-			k = KindPhaseStart
-		case core.ProgressIteration:
-			k = KindIteration
-		case core.ProgressCheckpoint:
-			k = KindCheckpoint
-		case core.ProgressDone:
-			k = KindDone
-		default:
-			return // unknown milestone from a newer core: not a liveness signal
-		}
-		b := Beacon{Rank: rank, Kind: k, Phase: ev.Phase, Iteration: ev.Iteration, Modularity: ev.Modularity}
+		b := Beacon{Rank: rank, Kind: ev.Kind, Phase: ev.Phase, Iteration: ev.Iteration, Modularity: ev.Modularity}
 		if tr != nil {
 			b.Span = tr.Path()
 		}

@@ -99,7 +99,7 @@ func (rig *chaosRig) options(t *testing.T) supervisor.Options {
 			rig.mu.Unlock()
 		},
 		OnBeacon: func(b supervisor.Beacon) {
-			if b.Rank != 0 || b.Kind != supervisor.KindPhaseStart {
+			if b.Rank != 0 || b.Kind != core.ProgressPhaseStart {
 				return
 			}
 			rig.mu.Lock()
@@ -202,7 +202,7 @@ func chaosGraph(t *testing.T) (int64, []graph.RawEdge, *core.Result) {
 
 // firstIteration reports whether b is rank's first iteration of phase.
 func firstIteration(b supervisor.Beacon, rank, phase int) bool {
-	return b.Rank == rank && b.Kind == supervisor.KindIteration && b.Phase == phase && b.Iteration == 1
+	return b.Rank == rank && b.Kind == core.ProgressIteration && b.Phase == phase && b.Iteration == 1
 }
 
 // TestChaosKillMidPhase SIGKILL-equivalent: one rank's transport dies at a
@@ -250,7 +250,7 @@ func TestChaosHangAtCollective(t *testing.T) {
 
 	var hung atomic.Bool
 	got, specs := superviseChaos(t, 3, cfg, n, edges, func(attempt int, b supervisor.Beacon) supervisor.Fault {
-		if attempt == 0 && b.Rank == 2 && b.Kind == supervisor.KindPhaseStart && b.Phase == 2 {
+		if attempt == 0 && b.Rank == 2 && b.Kind == core.ProgressPhaseStart && b.Phase == 2 {
 			hung.Store(true)
 			return supervisor.FaultHang
 		}
@@ -325,7 +325,7 @@ func TestChaosPostMortemNamesDeathSite(t *testing.T) {
 
 	var hung atomic.Bool
 	rig := newChaosRig(n, edges, cfg, true, func(attempt int, b supervisor.Beacon) supervisor.Fault {
-		if attempt == 0 && b.Rank == 2 && b.Kind == supervisor.KindPhaseStart && b.Phase == 2 {
+		if attempt == 0 && b.Rank == 2 && b.Kind == core.ProgressPhaseStart && b.Phase == 2 {
 			hung.Store(true)
 			return supervisor.FaultHang
 		}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"distlouvain/internal/core"
 )
 
 // LaunchSpec describes one attempt the supervisor asks a Launcher to start.
@@ -303,7 +305,7 @@ func (s *Supervisor) observe(gen int, b Beacon) {
 	s.last[b.Rank] = b
 	s.mu.Unlock()
 	now := time.Now()
-	if b.Kind == KindDone {
+	if b.Kind == core.ProgressDone {
 		s.det.Done(b.Rank, now)
 	} else {
 		s.det.Observe(b.Rank, now)

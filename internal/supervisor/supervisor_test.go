@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"distlouvain/internal/core"
 )
 
 // transientError states its own verdict, so supervisor.Retryable retries
@@ -221,7 +223,7 @@ func TestSupervisorBeaconsKeepSlowWorldAlive(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		l.mu.Lock()
 		if len(l.sinks) > 0 {
-			l.sinks[0](Beacon{Rank: 0, Kind: KindIteration, Iteration: i})
+			l.sinks[0](Beacon{Rank: 0, Kind: core.ProgressIteration, Iteration: i})
 		}
 		l.mu.Unlock()
 	}
@@ -257,7 +259,7 @@ func TestSupervisorLostBeaconsKeepWorldAlive(t *testing.T) {
 		if len(l.sinks) > 0 {
 			for r := 0; r < 3; r++ {
 				if r != 1 || i < 5 {
-					l.sinks[0](Beacon{Rank: r, Kind: KindIteration, Iteration: i})
+					l.sinks[0](Beacon{Rank: r, Kind: core.ProgressIteration, Iteration: i})
 				}
 			}
 		}
@@ -288,7 +290,7 @@ func TestSupervisorSlowStartKeepsWorldAlive(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- sup.Run(3) }()
-	beacon := func(kind Kind, i int) {
+	beacon := func(kind core.ProgressKind, i int) {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		for r := 0; r < 3 && len(l.sinks) > 0; r++ {
@@ -301,7 +303,7 @@ func TestSupervisorSlowStartKeepsWorldAlive(t *testing.T) {
 	beacon(KindHello, 0)
 	time.Sleep(10 * opt.Hang)
 	for i := 0; i < 10; i++ {
-		beacon(KindIteration, i)
+		beacon(core.ProgressIteration, i)
 		time.Sleep(5 * time.Millisecond)
 	}
 	start.open() // a hang kill may already have released it
