@@ -14,7 +14,6 @@ import (
 	"distlouvain/internal/gen"
 	"distlouvain/internal/quality"
 	"distlouvain/internal/seq"
-	"distlouvain/internal/shared"
 )
 
 // benchGraph caches one modest input per structural family.
@@ -43,15 +42,15 @@ func initBenchInputs() {
 
 // BenchmarkTable1_ET_Alpha measures the shared-memory ET sweep endpoints
 // (α = 0 baseline vs α = 1 most aggressive) on the banded input, where the
-// paper reports the largest savings.
+// paper reports the largest savings: one rank, as Table I runs it.
 func BenchmarkTable1_ET_Alpha(b *testing.B) {
 	initBenchInputs()
-	g := gen.Build(benchInputs.meshN, benchInputs.mesh)
+	edges := gen.Build(benchInputs.meshN, benchInputs.mesh).UndirectedEdges()
 	for _, alpha := range []float64{0, 1} {
 		b.Run(fmt.Sprintf("alpha=%.0f", alpha), func(b *testing.B) {
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res, err := shared.Run(g, shared.Options{Threads: 1, Alpha: alpha, Seed: 42})
+				res, err := core.RunOnEdges(1, benchInputs.meshN, edges, core.Config{Threads: 1, Alpha: alpha, Seed: 42})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -92,7 +91,7 @@ func BenchmarkTable2_Graphs(b *testing.B) {
 // 4 ranks × 1 thread against 1 rank × 4 threads.
 func BenchmarkTable3_DistVsShared(b *testing.B) {
 	initBenchInputs()
-	g := gen.Build(benchInputs.socialN, benchInputs.social)
+	edges := gen.Build(benchInputs.socialN, benchInputs.social).UndirectedEdges()
 	b.Run("distributed-4ranks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.RunOnEdges(4, benchInputs.socialN, benchInputs.social, core.Baseline()); err != nil {
@@ -102,7 +101,7 @@ func BenchmarkTable3_DistVsShared(b *testing.B) {
 	})
 	b.Run("shared-4threads", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := shared.Run(g, shared.Options{Threads: 4}); err != nil {
+			if _, err := core.RunOnEdges(1, benchInputs.socialN, edges, core.Config{Threads: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,7 +46,7 @@ func TestGhostDeltaSwitchBothDirections(t *testing.T) {
 		want := make([]int64, n)
 		round := func(k int64, pick func(lv int64) bool) error {
 			for g := int64(0); g < n; g++ {
-				if pick(dg.Part.ToLocal(dg.Part.Owner(g), g)) {
+				if lo, _ := dg.Part.Range(dg.Part.Owner(g)); pick(g - lo) {
 					want[g] = g + k*n
 				}
 			}

@@ -509,7 +509,7 @@ func oracleAssemble(part *partition.Partition, rank int, sent [][]oracleArc) *or
 		if to == from {
 			og.SelfLoop[lv] += w
 		}
-		if !part.Owns(rank, to) {
+		if part.Owner(to) != rank {
 			if _, seen := ghostIndex[to]; !seen {
 				ghostIndex[to] = -1
 				og.Ghosts = append(og.Ghosts, to)
@@ -529,7 +529,7 @@ func oracleAssemble(part *partition.Partition, rank int, sent [][]oracleArc) *or
 	// The slot contract, stated through the map the shipped code no longer has.
 	for _, e := range og.Edges {
 		og.LocalW += e.W
-		if part.Owns(rank, e.To) {
+		if part.Owner(e.To) == rank {
 			og.Slot = append(og.Slot, int32(e.To-base))
 		} else {
 			og.Slot = append(og.Slot, int32(og.LocalN)+ghostIndex[e.To])

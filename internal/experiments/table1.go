@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"time"
 
+	"distlouvain/internal/core"
 	"distlouvain/internal/gen"
 	"distlouvain/internal/graph"
-	"distlouvain/internal/shared"
 )
 
 // Table1 reproduces the paper's Table I: the adaptive early-termination α
-// sweep on the shared-memory multithreaded implementation (shared.Run), over
-// a small-world (CNR-like) and a banded (Channel-like) input. Columns per
-// input: modularity, wall time, total iterations, and ΔQ evaluations (the
-// vertices the sweeps found active) — the work ET exists to save.
+// sweep on the shared-memory multithreaded implementation (core at one rank
+// with a worker team of threads), over a small-world (CNR-like) and a banded
+// (Channel-like) input. Columns per input: modularity, wall time, total
+// iterations, and ΔQ evaluations (the vertices the sweeps found active) — the
+// work ET exists to save.
 //
 // Expected shape (paper): as α rises 0→1 iterations and time fall sharply —
 // mildly on the small-world input (paper: 5.42s→2.25s, ~2.4x) and
@@ -24,8 +25,9 @@ import (
 func Table1(s Scale, threads int) (*Table, error) {
 	cnr := CNRLike(s)
 	channel := ChannelLike(s)
-	gCNR := gen.Build(cnr.N, cnr.Edges)
-	gChan := gen.Build(channel.N, channel.Edges)
+	// Each input runs as its CSR's edge list, duplicate edges merged.
+	eCNR := gen.Build(cnr.N, cnr.Edges).UndirectedEdges()
+	eChan := gen.Build(channel.N, channel.Edges).UndirectedEdges()
 
 	t := &Table{
 		ID:     "Table I",
@@ -39,9 +41,9 @@ func Table1(s Scale, threads int) (*Table, error) {
 		iters int
 		evals int64
 	}
-	runOne := func(g *graph.CSR, alpha float64) (row, error) {
+	runOne := func(n int64, edges []graph.RawEdge, alpha float64) (row, error) {
 		start := time.Now()
-		res, err := shared.Run(g, shared.Options{Threads: threads, Alpha: alpha, Seed: 42})
+		res, err := core.RunOnEdges(1, n, edges, core.Config{Threads: threads, Alpha: alpha, Seed: 42})
 		if err != nil {
 			return row{}, err
 		}
@@ -56,11 +58,11 @@ func Table1(s Scale, threads int) (*Table, error) {
 	var base0, base1 row
 	var top0, top1 row
 	for _, a := range alphas {
-		r0, err := runOne(gCNR, a)
+		r0, err := runOne(cnr.N, eCNR, a)
 		if err != nil {
 			return nil, err
 		}
-		r1, err := runOne(gChan, a)
+		r1, err := runOne(channel.N, eChan, a)
 		if err != nil {
 			return nil, err
 		}

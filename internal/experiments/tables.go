@@ -9,7 +9,6 @@ import (
 	"distlouvain/internal/gen"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/seq"
-	"distlouvain/internal/shared"
 )
 
 // distRun runs one distributed configuration over in-process ranks and
@@ -70,15 +69,17 @@ func Table2(s Scale) (*Table, error) {
 // Table3 reproduces Table III: distributed vs shared memory on one node as
 // concurrency grows, on the friendster analogue. Both columns run the same
 // engine: concurrency c is c ranks × 1 thread against 1 rank × c threads
-// (shared.Run), so the gap is the cost of ranks — ghosts, message rounds,
-// distributed rebuilds — over threads sharing one rank's tables.
+// (the shared-memory comparator), so the gap is the cost of ranks — ghosts,
+// message rounds, distributed rebuilds — over threads sharing one rank's
+// tables.
 //
 // Expected shape (paper): the distributed version pays a constant-factor
 // overhead versus pure shared memory at equal concurrency (paper: ~2.3x at
 // 32 cores) but scales further with rank count.
 func Table3(s Scale) (*Table, error) {
 	w := FriendsterLike(s)
-	g := gen.Build(w.N, w.Edges)
+	// The shared column runs on the input's CSR edge list, duplicates merged.
+	sharedEdges := gen.Build(w.N, w.Edges).UndirectedEdges()
 	t := &Table{
 		ID:     "Table III",
 		Title:  "Distributed vs shared memory runtime on one host (friendster analogue)",
@@ -90,12 +91,11 @@ func Table3(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		sres, err := shared.Run(g, shared.Options{Threads: c})
+		cfg.Threads = c
+		sres, sdur, err := distRun(1, w.N, sharedEdges, cfg)
 		if err != nil {
 			return nil, err
 		}
-		sdur := time.Since(start)
 		t.AddRow(fmt.Sprintf("%d", c),
 			fmt.Sprintf("%.3f", ddur.Seconds()), fmt.Sprintf("%.4f", dres.Modularity),
 			fmt.Sprintf("%.3f", sdur.Seconds()), fmt.Sprintf("%.4f", sres.Modularity))

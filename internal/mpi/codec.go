@@ -16,11 +16,6 @@ import (
 // fixed64 everywhere: varints cannot shorten them and bit-exactness is
 // non-negotiable.
 
-// AppendUint64 appends v to buf.
-func AppendUint64(buf []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
-}
-
 // AppendInt64 appends v to buf.
 func AppendInt64(buf []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(v))
@@ -248,11 +243,6 @@ func DecodeDeltaInt64s(buf []byte) ([]int64, error) {
 		return nil, fmt.Errorf("mpi: %d trailing bytes after delta stream", d.Remaining())
 	}
 	return vs, nil
-}
-
-// EncodeFloat64s serializes vs into a fresh buffer.
-func EncodeFloat64s(vs []float64) []byte {
-	return AppendFloat64s(make([]byte, 0, 8*len(vs)), vs)
 }
 
 // DecodeFloat64s deserializes a buffer holding only float64s.

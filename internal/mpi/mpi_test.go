@@ -701,7 +701,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	floats := []float64{0, 1.5, -2.25, math.Inf(1), math.SmallestNonzeroFloat64}
-	gf, err := DecodeFloat64s(EncodeFloat64s(floats))
+	gf, err := DecodeFloat64s(AppendFloat64s(nil, floats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +713,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecNaNRoundTrip(t *testing.T) {
-	gf, err := DecodeFloat64s(EncodeFloat64s([]float64{math.NaN()}))
+	gf, err := DecodeFloat64s(AppendFloat64s(nil, []float64{math.NaN()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -739,7 +739,7 @@ func TestDecoderSequential(t *testing.T) {
 	var buf []byte
 	buf = AppendInt64(buf, -7)
 	buf = AppendFloat64(buf, 3.5)
-	buf = AppendUint64(buf, 99)
+	buf = AppendInt64(buf, 99)
 	d := NewDecoder(buf)
 	if v, err := d.Int64(); err != nil || v != -7 {
 		t.Fatalf("Int64 = %d, %v", v, err)

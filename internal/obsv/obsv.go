@@ -119,9 +119,10 @@ type openRef struct {
 
 // Tracer records spans for one rank. All methods are safe on a nil
 // receiver (no-ops) and safe for concurrent use. The scope stack that
-// determines parentage is intended to be driven by the rank's driver
-// goroutine via Begin/End; worker goroutines use BeginDetached, which
-// parents under the current scope without touching the stack.
+// determines parentage is driven by the rank's driver goroutine via
+// Begin/End, the only goroutine that opens spans; another goroutine may
+// record an Event, which parents under the current scope without touching
+// the stack, or read Path.
 type Tracer struct {
 	rank  int
 	epoch time.Time
@@ -157,9 +158,6 @@ func NewTracer(rank, capacity int) *Tracer {
 	}
 }
 
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Rank returns the rank this tracer records for (0 when disabled).
 func (t *Tracer) Rank() int {
 	if t == nil {
@@ -181,10 +179,10 @@ func (t *Tracer) SetPos(phase, iter int) {
 	t.mu.Unlock()
 }
 
-// SpanScope is the handle returned by Begin/BeginDetached. It is a plain
-// value: keep it on the stack and call End exactly once (deferred Ends run
-// during error unwinding, which is what makes the ring tail useful as
-// post-mortem evidence). End on a zero or already-ended scope is a no-op.
+// SpanScope is the handle returned by Begin. It is a plain value: keep it on
+// the stack and call End exactly once (deferred Ends run during error
+// unwinding, which is what makes the ring tail useful as post-mortem
+// evidence). End on a zero or already-ended scope is a no-op.
 type SpanScope struct {
 	t           *Tracer
 	id          uint64
@@ -195,24 +193,12 @@ type SpanScope struct {
 	start       int64
 	bytes       int64
 	count       int64
-	scoped      bool
 }
 
 // Begin opens a scoped span: it is parented under the innermost open span
 // and becomes the parent of spans begun before its End. Driver-goroutine
 // use only.
 func (t *Tracer) Begin(kind Kind, name string) SpanScope {
-	return t.begin(kind, name, true)
-}
-
-// BeginDetached opens a span parented under the current scope without
-// entering the scope stack, so concurrent worker goroutines can emit spans
-// without corrupting driver nesting.
-func (t *Tracer) BeginDetached(kind Kind, name string) SpanScope {
-	return t.begin(kind, name, false)
-}
-
-func (t *Tracer) begin(kind Kind, name string, scoped bool) SpanScope {
 	if t == nil {
 		return SpanScope{}
 	}
@@ -225,13 +211,11 @@ func (t *Tracer) begin(kind Kind, name string, scoped bool) SpanScope {
 		parent = t.open[len(t.open)-1].id
 	}
 	phase, iter := t.phase, t.iter
-	if scoped {
-		t.open = append(t.open, openRef{id: id, kind: kind, name: name, phase: phase, iter: iter})
-	}
+	t.open = append(t.open, openRef{id: id, kind: kind, name: name, phase: phase, iter: iter})
 	t.mu.Unlock()
 	return SpanScope{
 		t: t, id: id, parent: parent, kind: kind, name: name,
-		phase: phase, iter: iter, start: start, scoped: scoped,
+		phase: phase, iter: iter, start: start,
 	}
 }
 
@@ -262,12 +246,10 @@ func (s *SpanScope) End() {
 	}
 	end := t.now()
 	t.mu.Lock()
-	if s.scoped {
-		for i := len(t.open) - 1; i >= 0; i-- {
-			if t.open[i].id == s.id {
-				t.open = append(t.open[:i], t.open[i+1:]...)
-				break
-			}
+	for i := len(t.open) - 1; i >= 0; i-- {
+		if t.open[i].id == s.id {
+			t.open = append(t.open[:i], t.open[i+1:]...)
+			break
 		}
 	}
 	t.record(Span{

@@ -1,6 +1,8 @@
 package obsv
 
 import (
+	"maps"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -29,8 +31,9 @@ type counterSource struct {
 //
 // Counter sources are cumulative over the life of the process, which is
 // exactly why per-generation figures under a supervisor must be computed by
-// snapshot-and-delta: BeginGeneration snapshots every source, and
-// GenerationDelta reports only what accrued since. Without that, traffic
+// snapshot-and-delta: BeginGeneration snapshots every source, and the
+// generation's figures (RecordGenerationCounters, the snapshot's
+// generation_delta) report only what accrued since. Without that, traffic
 // from a killed generation bleeds into the next one's numbers.
 //
 // All methods are nil-receiver safe and concurrency safe.
@@ -76,8 +79,8 @@ func (r *Registry) AttachCounters(name string, read func() map[string]int64) {
 }
 
 // BeginGeneration starts a new supervisor generation: every counter source
-// is re-snapshotted so subsequent GenerationDelta calls report only this
-// generation's increments. Returns the new generation number.
+// is re-snapshotted so that the generation's figures report only its own
+// increments. Returns the new generation number.
 func (r *Registry) BeginGeneration() int {
 	if r == nil {
 		return 0
@@ -90,41 +93,6 @@ func (r *Registry) BeginGeneration() int {
 	}
 	r.addRecordLocked("generation", "begin", nil)
 	return r.gen
-}
-
-// Generation returns the current generation number (0 before the first
-// BeginGeneration).
-func (r *Registry) Generation() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
-}
-
-// GenerationDelta returns the named source's counters minus the snapshot
-// taken at the current generation's start. Unknown names return nil.
-func (r *Registry) GenerationDelta(name string) map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	src, ok := r.sources[name]
-	var base map[string]int64
-	if ok {
-		base = src.base
-	}
-	r.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	cur := src.read()
-	out := make(map[string]int64, len(cur))
-	for k, v := range cur {
-		out[k] = v - base[k]
-	}
-	return out
 }
 
 // RecordEvent appends a discrete record to the timeline, stamped with the
@@ -154,13 +122,24 @@ func (r *Registry) RecordGenerationCounters() {
 	sort.Strings(names)
 	for _, name := range names {
 		src := r.sources[name]
-		cur := src.read()
-		fields := make(map[string]float64, len(cur))
-		for k, v := range cur {
-			fields[k] = float64(v - src.base[k])
+		_, d := src.delta(src.base)
+		fields := make(map[string]float64, len(d))
+		for k, v := range d {
+			fields[k] = float64(v)
 		}
 		r.addRecordLocked("counters", name, fields)
 	}
+}
+
+// delta reads the source and returns its counters and their increase over
+// base, the snapshot taken at the generation's start.
+func (s *counterSource) delta(base map[string]int64) (cur, d map[string]int64) {
+	cur = s.read()
+	d = make(map[string]int64, len(cur))
+	for k, v := range cur {
+		d[k] = v - base[k]
+	}
+	return cur, d
 }
 
 // addRecordLocked appends under r.mu, halving the buffer when full so the
@@ -171,8 +150,23 @@ func (r *Registry) addRecordLocked(kind, name string, fields map[string]float64)
 		r.records = append(r.records[:0], r.records[len(r.records)-keep:]...)
 	}
 	r.records = append(r.records, Record{
-		T: time.Since(r.epoch), Gen: r.gen, Kind: kind, Name: name, Fields: fields,
+		T: time.Since(r.epoch), Gen: r.gen, Kind: kind, Name: name, Fields: finite(fields),
 	})
+}
+
+// finite returns fields without the ±Inf and NaN values JSON cannot encode:
+// such a field is absent, as Beacon.MarshalJSON leaves out a −∞ Q, so that
+// ExpvarSnapshot always marshals. The caller's map is copied, not changed.
+func finite(fields map[string]float64) map[string]float64 {
+	nonFinite := func(_ string, v float64) bool { return math.IsInf(v, 0) || math.IsNaN(v) }
+	for k, v := range fields {
+		if nonFinite(k, v) {
+			fields = maps.Clone(fields)
+			maps.DeleteFunc(fields, nonFinite)
+			break
+		}
+	}
+	return fields
 }
 
 // Records returns a copy of the event timeline, oldest first.
@@ -217,13 +211,7 @@ func (r *Registry) ExpvarSnapshot() any {
 		src := r.sources[name]
 		base := src.base
 		r.mu.Unlock()
-		cur := src.read()
-		counters[name] = cur
-		d := make(map[string]int64, len(cur))
-		for k, v := range cur {
-			d[k] = v - base[k]
-		}
-		deltas[name] = d
+		counters[name], deltas[name] = src.delta(base)
 	}
 	return map[string]any{
 		"rank":             r.rank,

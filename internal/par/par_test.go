@@ -51,12 +51,6 @@ func TestReduceInt64(t *testing.T) {
 	}
 }
 
-func TestDefaultThreadsPositive(t *testing.T) {
-	if DefaultThreads() < 1 {
-		t.Fatal("DefaultThreads < 1")
-	}
-}
-
 func TestSplitMix64Deterministic(t *testing.T) {
 	a, b := NewSplitMix64(42), NewSplitMix64(42)
 	for i := 0; i < 100; i++ {

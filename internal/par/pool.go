@@ -1,20 +1,6 @@
 package par
 
-import (
-	"runtime"
-	"sync"
-)
-
-// DefaultThreads is the worker-team size used when a caller passes a
-// non-positive thread count. It mirrors OMP_NUM_THREADS defaulting to the
-// hardware concurrency.
-func DefaultThreads() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+import "sync"
 
 // For runs body(worker, lo, hi) on nworkers goroutines, statically splitting
 // [0, n) into nworkers near-equal contiguous chunks, and waits for all of

@@ -44,16 +44,6 @@ func (pt *Partition) Owner(v int64) int {
 	return r
 }
 
-// Owns reports whether rank owns v.
-func (pt *Partition) Owns(rank int, v int64) bool {
-	return v >= pt.Bounds[rank] && v < pt.Bounds[rank+1]
-}
-
-// ToLocal converts a global vertex owned by rank to its local index.
-func (pt *Partition) ToLocal(rank int, v int64) int64 {
-	return v - pt.Bounds[rank]
-}
-
 // Validate checks structural sanity.
 func (pt *Partition) Validate() error {
 	if len(pt.Bounds) < 2 {

@@ -37,15 +37,9 @@ func TestOwnerAndLocality(t *testing.T) {
 	pt := ByVertexCount(100, 7)
 	for v := int64(0); v < 100; v++ {
 		r := pt.Owner(v)
-		if !pt.Owns(r, v) {
-			t.Fatalf("owner(%d)=%d but Owns is false", v, r)
-		}
 		lo, hi := pt.Range(r)
 		if v < lo || v >= hi {
 			t.Fatalf("v=%d outside range [%d,%d) of owner %d", v, lo, hi, r)
-		}
-		if lv := pt.ToLocal(r, v); lv != v-lo {
-			t.Fatalf("ToLocal(%d, %d) = %d, want %d", r, v, lv, v-lo)
 		}
 	}
 }
@@ -94,7 +88,7 @@ func TestQuickPartitionCoverage(t *testing.T) {
 		}
 		step := n/97 + 1
 		for v := int64(0); v < n; v += step {
-			if !pt.Owns(pt.Owner(v), v) {
+			if lo, hi := pt.Range(pt.Owner(v)); v < lo || v >= hi {
 				return false
 			}
 		}

@@ -1,9 +1,10 @@
 // Package distlouvain is a Go implementation of the distributed-memory
 // parallel Louvain method for graph community detection of Ghosh et al.
-// (IPDPS 2018), together with the serial and shared-memory (Grappolo-style)
-// implementations it is evaluated against, the synthetic workload
-// generators used in the paper's experiments, and ground-truth quality
-// metrics.
+// (IPDPS 2018), together with the serial implementation it is evaluated
+// against, the synthetic workload generators used in the paper's
+// experiments, and ground-truth quality metrics. The shared-memory
+// (Grappolo-style) comparator is Detect at one rank with a worker team of
+// Threads.
 //
 // The top-level API runs the distributed algorithm on in-process ranks —
 // goroutines exchanging serialized messages through the package's
@@ -26,7 +27,6 @@ import (
 	"distlouvain/internal/graph"
 	"distlouvain/internal/quality"
 	"distlouvain/internal/seq"
-	"distlouvain/internal/shared"
 )
 
 // Edge is one undirected input edge with endpoints U, V and weight W.
@@ -133,7 +133,7 @@ type Result struct {
 	// Runtime is the end-to-end wall time.
 	Runtime time.Duration
 	// BytesCommunicated counts payload bytes rank 0 sent during a
-	// distributed run (0 for serial/shared runs).
+	// distributed run (0 for serial runs).
 	BytesCommunicated int64
 }
 
@@ -192,19 +192,13 @@ func Detect(n int64, edges []Edge, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := fromCore(res)
-	out.BytesCommunicated = res.Traffic.TotalBytes()
-	return out, nil
-}
-
-// fromCore converts a core result gathered at rank 0 into the public record.
-func fromCore(res *core.Result) *Result {
 	out := &Result{
-		Communities:     res.GlobalComm,
-		NumCommunities:  res.Communities,
-		Modularity:      res.Modularity,
-		TotalIterations: res.TotalIterations,
-		Runtime:         res.Runtime,
+		Communities:       res.GlobalComm,
+		NumCommunities:    res.Communities,
+		Modularity:        res.Modularity,
+		TotalIterations:   res.TotalIterations,
+		Runtime:           res.Runtime,
+		BytesCommunicated: res.Traffic.TotalBytes(),
 	}
 	for _, ph := range res.Phases {
 		out.Phases = append(out.Phases, Phase{
@@ -218,7 +212,7 @@ func fromCore(res *core.Result) *Result {
 			Exit:            string(ph.Exit),
 		})
 	}
-	return out
+	return out, nil
 }
 
 // DetectSerial runs the reference serial Louvain method (Algorithm 1).
@@ -243,39 +237,6 @@ func DetectSerial(n int64, edges []Edge, tau float64) (*Result, error) {
 		out.Phases = append(out.Phases, Phase{Vertices: ph.Vertices, Iterations: ph.Iterations, Modularity: ph.Modularity})
 	}
 	return out, nil
-}
-
-// SharedOptions configures DetectShared, the Grappolo-style shared-memory
-// comparator.
-type SharedOptions struct {
-	Threads         int // ≤0 selects GOMAXPROCS
-	Tau             float64
-	Alpha           float64 // early-termination decay; 0 disables
-	VertexFollowing bool    // pre-merge degree-1 vertices
-	Seed            uint64
-	MaxPhases       int
-	MaxIterations   int
-}
-
-// DetectShared runs the shared-memory multithreaded Louvain method: the
-// distributed engine on one rank with a Threads-sized worker team, after an
-// optional vertex-following pre-merge. Its phases are reported as Detect's.
-func DetectShared(n int64, edges []Edge, opt SharedOptions) (*Result, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("distlouvain: negative vertex count")
-	}
-	g, _, err := graph.FromRawEdgesScaled(n, edges)
-	if err != nil {
-		return nil, err
-	}
-	res, err := shared.Run(g, shared.Options{
-		Threads: opt.Threads, Tau: opt.Tau, Alpha: opt.Alpha, VertexFollowing: opt.VertexFollowing,
-		Seed: opt.Seed, MaxPhases: opt.MaxPhases, MaxIterations: opt.MaxIterations,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fromCore(res), nil
 }
 
 // Certificate is what Certify establishes about an assignment: its Newman
