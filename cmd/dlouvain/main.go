@@ -253,7 +253,7 @@ func buildGraph(path string, n int64, verbose bool) func(c *mpi.Comm) (*dgraph.D
 		if err != nil {
 			return nil, err
 		}
-		dg, err := dgraph.BuildStream(c, n, m, edges, nil)
+		dg, err := dgraph.BuildStream(c, n, m, edges)
 		if err == nil && c.Rank() == 0 && verbose {
 			fmt.Fprintf(os.Stderr, "rank 0: read and built %d edges in %v\n", m, time.Since(start))
 		}

@@ -2,10 +2,12 @@
 // full socket mesh — the same wire protocol cmd/dlouvain uses across OS
 // processes or machines — from a single demonstration binary.
 //
-// Each rank dials/accepts its peers, reads its segment of the shared input,
-// builds its partition of the distributed graph, and runs the SPMD
-// algorithm; all coordination happens through length-prefixed frames on the
-// sockets, never through shared memory.
+// The ranks meet through a coordinator started in this process — the
+// rendezvous dlouvain's TCP transports use — each listening on a port the
+// kernel picks and publishing it there. Each rank then reads its segment of
+// the shared input, builds its share of the distributed graph, and runs the
+// SPMD algorithm; all coordination happens through length-prefixed frames on
+// the sockets, never through shared memory.
 //
 //	go run ./examples/distributed-tcp
 package main
@@ -13,11 +15,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"distlouvain/internal/coord"
 	"distlouvain/internal/core"
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/gen"
@@ -45,16 +47,11 @@ func main() {
 	}
 	fmt.Printf("input: %d vertices, %d edges at %s\n", n, len(edges), path)
 
-	// Reserve one loopback port per rank.
-	addrs := make([]string, ranks)
-	for r := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		addrs[r] = ln.Addr().String()
-		ln.Close()
+	srv, err := coord.Serve("127.0.0.1:0", coord.ServerConfig{})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer srv.Close()
 
 	var wg sync.WaitGroup
 	results := make([]*core.Result, ranks)
@@ -64,7 +61,7 @@ func main() {
 		go func(r int) {
 			defer wg.Done()
 			errs[r] = func() error {
-				tp, err := mpi.DialTCPWorld(mpi.TCPWorldConfig{Rank: r, Addrs: addrs})
+				tp, err := mpi.DialCoordWorld(mpi.CoordWorldConfig{Coord: srv.Addr(), Job: "example", Epoch: 1, Rank: r, Size: ranks})
 				if err != nil {
 					return err
 				}
@@ -74,7 +71,7 @@ func main() {
 				if err != nil {
 					return err
 				}
-				dg, err := dgraph.BuildStream(c, n, m, edges, nil)
+				dg, err := dgraph.BuildStream(c, n, m, edges)
 				if err != nil {
 					return err
 				}

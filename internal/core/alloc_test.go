@@ -87,11 +87,7 @@ func TestRebuildsCutFromHeldSegments(t *testing.T) {
 		if len(held[r]) > st.phase {
 			return nil
 		}
-		sh, err := st.dg.Reshuffle(st.dg.GlobalN, st.dg.Part, 1, true)
-		if err != nil {
-			return err
-		}
-		held[r] = append(held[r], sh.Allocated())
+		held[r] = append(held[r], st.dg.Reshuffle(st.dg.GlobalN, 1, true).Allocated())
 		return nil
 	}
 	if _, err := RunOnEdges(p, n, edges, cfg); err != nil {

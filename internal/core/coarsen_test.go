@@ -11,7 +11,6 @@ import (
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 )
 
 // The Step-5 differential harness: coarseArcs (grouped by source community,
@@ -47,24 +46,20 @@ func sameCoarseGraph(got, want *dgraph.DistGraph) error {
 }
 
 // checkCoarseGraph runs the shipped Step-5 kernel on st into a shuffle over
-// the coarse graph's even partition and exchanges it, builds the map oracle's
-// arcs with BuildFromArcs over the same partition (both collective), and
-// holds the first graph to the second. The kernel must also count exactly the
-// oracle's arcs: each coarse pair leaves the rank once.
+// the coarse graph's vertex space and exchanges it, builds the map oracle's
+// arcs with BuildFromArcs (both collective), and holds the first graph to the
+// second. The kernel must also count exactly the oracle's arcs: each coarse
+// pair leaves the rank once.
 func checkCoarseGraph(st *phaseState, bySlot []int64, coarseN int64) error {
 	c := st.dg.Comm
-	part := partition.ByVertexCount(coarseN, c.Size())
-	sh, err := dgraph.NewShuffle(c, coarseN, part, st.cfg.Threads, true)
-	if err != nil {
-		return err
-	}
+	sh := dgraph.NewShuffle(c, coarseN, st.cfg.Threads, true)
 	wrote := st.coarseArcs(bySlot, sh)
 	got, err := sh.Exchange(nil)
 	if err != nil {
 		return err
 	}
 	oracle := st.coarseArcsMap(bySlot)
-	want, err := dgraph.BuildFromArcs(c, coarseN, part, oracle)
+	want, err := dgraph.BuildFromArcs(c, coarseN, oracle)
 	if err != nil {
 		return err
 	}

@@ -164,7 +164,7 @@ func (o *slotOracle) afterFetch() error {
 			return fmt.Errorf("%s: request list for rank %d is unsorted or out of step with its slots", when, q)
 		}
 		for i, cid := range gids {
-			if live[cid] != st.reqSlots[q][i] || st.dg.Part.Owner(cid) != q {
+			if live[cid] != st.reqSlots[q][i] || st.dg.Owner(cid) != q {
 				return fmt.Errorf("%s: request list for rank %d names community %d, slot %d", when, q, cid, st.reqSlots[q][i])
 			}
 		}

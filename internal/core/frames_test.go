@@ -255,7 +255,7 @@ func FuzzGhostFrame(f *testing.F) {
 		if err := recv.decodeGhostDelta(1, data); err != nil && !errors.Is(err, ErrMalformedFrame) {
 			t.Fatalf("untyped rejection: %v", err)
 		}
-		for _, slot := range recv.ghostSlots[2] {
+		for slot := recv.ghostRuns[2]; slot < recv.ghostRuns[3]; slot++ {
 			if recv.gidOf(recv.ghostComm[slot]) != untouched {
 				t.Fatalf("frame from rank 1 wrote rank 2's ghost slot %d", slot)
 			}
@@ -264,7 +264,7 @@ func FuzzGhostFrame(f *testing.F) {
 		// Round trip. The first len(push) bytes script what the peer holds
 		// (a sparse frame is relative to that), the next len(push) what the
 		// owner holds now; where the input runs out the entry is unchanged.
-		slots, push := recv.ghostSlots[1], sender.pushList[0]
+		first, push := recv.ghostRuns[1], sender.pushList[0]
 		for i, lv := range push {
 			held := int64(-1)
 			if i < len(data) {
@@ -276,14 +276,14 @@ func FuzzGhostFrame(f *testing.F) {
 			}
 			sender.setCommGID(lv, held)
 			sender.lastSent[0][i] = sender.comm[lv]
-			recv.mustSetGhost(slots[i], held)
+			recv.mustSetGhost(first+int32(i), held)
 			sender.setCommGID(lv, now)
 		}
 		if err := recv.decodeGhostDelta(1, sender.encodeGhostDelta(nil, 0)); err != nil {
 			t.Fatalf("encoder output rejected: %v", err)
 		}
 		for i, lv := range push {
-			if got, want := recv.gidOf(recv.ghostComm[slots[i]]), sender.gidOf(sender.comm[lv]); got != want {
+			if got, want := recv.gidOf(recv.ghostComm[first+int32(i)]), sender.gidOf(sender.comm[lv]); got != want {
 				t.Fatalf("ghost %d holds %d, owner holds %d", i, got, want)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"distlouvain/internal/dgraph"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 )
 
 // KernelBench drives the two hot kernels — the ΔQ sweep and the Step-5
@@ -23,12 +22,11 @@ import (
 // Sweep and CoarseArcs are read-only with respect to the community state:
 // repeated calls do identical work.
 type KernelBench struct {
-	world      *mpi.InprocWorld
-	st         *phaseState
-	bySlot     []int64              // the new community of every live slot, as renumber would give it
-	coarseN    int64                // communities that survive: the coarse graph's vertex count
-	coarsePart *partition.Partition // the coarse graph's one-rank partition
-	steps      StepTimes
+	world   *mpi.InprocWorld
+	st      *phaseState
+	bySlot  []int64 // the new community of every live slot, as renumber would give it
+	coarseN int64   // communities that survive: the coarse graph's vertex count
+	steps   StepTimes
 }
 
 // NewKernelBench builds the bench state for an n-vertex edge list.
@@ -71,7 +69,6 @@ func NewKernelBench(n int64, edges []graph.RawEdge, threads int, useRef bool) (*
 	// rank has no non-owned community, so its surviving communities in
 	// ascending ID order, renumbered from 0, are all of it.
 	kb.bySlot, kb.coarseN = st.renumberOwned()
-	kb.coarsePart = partition.ByVertexCount(kb.coarseN, 1)
 	if err := st.fetchCommunityInfo(); err != nil {
 		world.Close()
 		return nil, fmt.Errorf("kernelbench warm-up: %w", err)
@@ -103,10 +100,7 @@ func (kb *KernelBench) CoarseArcs() int {
 	if kb.st.cfg.oracle.refKernels {
 		return len(kb.st.coarseArcsMap(kb.bySlot))
 	}
-	sh, err := dgraph.NewShuffle(kb.st.dg.Comm, kb.coarseN, kb.coarsePart, kb.st.cfg.Threads, true)
-	if err != nil {
-		panic(err)
-	}
+	sh := dgraph.NewShuffle(kb.st.dg.Comm, kb.coarseN, kb.st.cfg.Threads, true)
 	return kb.st.coarseArcs(kb.bySlot, sh)
 }
 

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"distlouvain/internal/dgraph"
+	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
 	"distlouvain/internal/par"
-	"distlouvain/internal/partition"
 )
 
 // renumberOwned is Steps 1–2 of rebuild: a table addressed like st.refs in
@@ -37,8 +37,7 @@ func (st *phaseState) renumberOwned() ([]int64, int64) {
 // live community slot (bySlot, addressed like st.refs; a dead slot's entry is
 // meaningless), which flatten hands on to the original vertices. Outside the
 // map oracle, the coarse graph is assembled into st.dg's arrays: on return
-// st.dg keeps only its partition and scalar fields, which is all flatten
-// reads of it.
+// st.dg keeps only its scalar fields, which is all flatten reads of it.
 //
 // Steps (numbering as in the paper):
 //  1. count surviving local communities and renumber them from 0;
@@ -67,23 +66,18 @@ func (st *phaseState) rebuild() (*dgraph.DistGraph, []int64, error) {
 	// depends on the fine graph and the rank count, never on the thread count
 	// or the emission order within a rank.
 	//
-	// Steps 6–7: redistribute to an even vertex partition and rebuild the CSR
+	// Steps 6–7: redistribute to an even vertex split and rebuild the CSR
 	// (the shuffle routes each arc to the owner of its source). Once Step 5
 	// has written its frames nothing reads the fine graph's arrays again —
-	// flatten reads only its partition and st.comm — so the coarse graph is
-	// assembled into them, and the shuffle is the one that assembled the
+	// flatten reads only its scalar fields and st.comm — so the coarse graph
+	// is assembled into them, and the shuffle is the one that assembled the
 	// fine graph — dgraph.Build's, BuildFromArcs' or the previous rebuild's —
 	// segment buffers and assembly scratch included.
-	c := st.dg.Comm
-	part := partition.ByVertexCount(totalNew, c.Size())
 	if st.cfg.oracle.refKernels {
-		ndg, err := dgraph.BuildFromArcs(c, totalNew, part, st.coarseArcsMap(bySlot))
+		ndg, err := dgraph.BuildFromArcs(st.dg.Comm, totalNew, st.coarseArcsMap(bySlot))
 		return ndg, bySlot, err
 	}
-	sh, err := st.dg.Reshuffle(totalNew, part, st.cfg.Threads, true)
-	if err != nil {
-		return nil, nil, err
-	}
+	sh := st.dg.Reshuffle(totalNew, st.cfg.Threads, true)
 	st.coarseArcs(bySlot, sh)
 	ndg, err := sh.Exchange(st.dg)
 	if err != nil {
@@ -187,7 +181,7 @@ func (st *phaseState) flatten(bySlot, labels []int64) error {
 	cs.remote = refs
 	reqs := truncateEach(cs.byOwner, st.dg.Comm.Size())
 	cs.byOwner = reqs
-	remote := sortedRemote(st.dg.Part, refs, reqs)
+	remote := sortedRemote(st.dg.GlobalN, refs, reqs)
 	replies, err := st.askOwners("comm-lookup", reqs, func(_ int, lcs []int64, buf []byte) ([]byte, error) {
 		for _, lc := range lcs {
 			buf = mpi.AppendVarint(buf, bySlot[st.comm[lc]])
@@ -225,19 +219,23 @@ func (st *phaseState) flatten(bySlot, labels []int64) error {
 }
 
 // sortedRemote sorts and dedupes ids (none owned by this rank) in place and
-// cuts the result into per-owner request lists, written into byOwner (one
-// entry per rank): ownership ranges are contiguous, so each rank's share is
-// one ascending run.
-func sortedRemote(part *partition.Partition, ids []int64, byOwner [][]int64) []int64 {
+// cuts the result into per-owner request lists (cutByOwner).
+func sortedRemote(n int64, ids []int64, byOwner [][]int64) []int64 {
 	slices.Sort(ids)
 	all := slices.Compact(ids)
-	rest := all
-	for q := range byOwner {
-		_, hi := part.Range(q)
-		k, _ := slices.BinarySearch(rest, hi)
-		byOwner[q], rest = rest[:k], rest[k:]
-	}
+	cutByOwner(n, all, byOwner)
 	return all
+}
+
+// cutByOwner cuts the ascending IDs of [0, n) into per-owner lists, written
+// into byOwner (one entry per rank): ownership ranges are contiguous, so each
+// rank's share is one run of ids.
+func cutByOwner(n int64, ids []int64, byOwner [][]int64) {
+	for q := range byOwner {
+		_, hi := gio.SegmentRange(n, q, len(byOwner))
+		k, _ := slices.BinarySearch(ids, hi)
+		byOwner[q], ids = ids[:k], ids[k:]
+	}
 }
 
 // coarseArcs is Step 5 grouped by source community, written into the frames

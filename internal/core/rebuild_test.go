@@ -13,25 +13,32 @@ import (
 	"distlouvain/internal/gen"
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 )
 
 func TestSortedRemoteCutsByOwner(t *testing.T) {
-	// Ranks own [0,4) [4,4) [4,9) [9,12): rank 1 is empty.
-	part := &partition.Partition{Bounds: []int64{0, 4, 4, 9, 12}}
-	byOwner := make([][]int64, part.Size())
-	all := sortedRemote(part, []int64{11, 2, 9, 2, 0, 11, 3, 10}, byOwner)
-	if want := []int64{0, 2, 3, 9, 10, 11}; !slices.Equal(all, want) {
-		t.Fatalf("all = %v, want %v", all, want)
-	}
-	want := [][]int64{{0, 2, 3}, {}, {}, {9, 10, 11}}
-	for q := range want {
-		if !slices.Equal(byOwner[q], want[q]) {
-			t.Fatalf("byOwner[%d] = %v, want %v", q, byOwner[q], want[q])
+	for _, tc := range []struct {
+		n    int64
+		ids  []int64
+		want [][]int64
+	}{
+		// Ranks own [0,3) [3,6) [6,8) [8,10): ranks 1 and 2 are asked nothing.
+		{10, []int64{9, 2, 8, 2, 0, 9, 1}, [][]int64{{0, 1, 2}, {}, {}, {8, 9}}},
+		// Ranks own [0,1) [1,2) [2,3) and nothing: ranks 3 and 4 are empty.
+		{3, []int64{2, 0, 2}, [][]int64{{0}, {}, {2}, {}, {}}},
+	} {
+		byOwner := make([][]int64, len(tc.want))
+		all := sortedRemote(tc.n, slices.Clone(tc.ids), byOwner)
+		if want := slices.Concat(tc.want...); !slices.Equal(all, want) {
+			t.Fatalf("n=%d: all = %v, want %v", tc.n, all, want)
 		}
-	}
-	if all := sortedRemote(part, nil, byOwner); len(all) != 0 || slices.ContainsFunc(byOwner, func(l []int64) bool { return len(l) != 0 }) {
-		t.Fatalf("empty input: %v %v", all, byOwner)
+		for q := range tc.want {
+			if !slices.Equal(byOwner[q], tc.want[q]) {
+				t.Fatalf("n=%d: byOwner[%d] = %v, want %v", tc.n, q, byOwner[q], tc.want[q])
+			}
+		}
+		if all := sortedRemote(tc.n, nil, byOwner); len(all) != 0 || slices.ContainsFunc(byOwner, func(l []int64) bool { return len(l) != 0 }) {
+			t.Fatalf("n=%d: empty input: %v %v", tc.n, all, byOwner)
+		}
 	}
 }
 
@@ -154,7 +161,7 @@ func TestRebuildRecyclesReplacedGraph(t *testing.T) {
 					if dg.Index != nil || dg.Slot != nil || dg.W != nil || dg.K != nil || dg.Ghosts != nil {
 						return fmt.Errorf("phase %d: the replaced graph kept its arrays", phase)
 					}
-					if dg.Base != had.Base || dg.LocalN != had.LocalN || dg.Part != had.Part {
+					if dg.Base != had.Base || dg.LocalN != had.LocalN || dg.GlobalN != had.GlobalN {
 						return fmt.Errorf("phase %d: the replaced graph lost its shape", phase)
 					}
 					if &ndg.Index[0] != &had.Index[0] || &ndg.Slot[0] != &had.Slot[0] || &ndg.W[0] != &had.W[0] || &ndg.K[0] != &had.K[0] {
@@ -274,13 +281,10 @@ func TestFirstRebuildKeepsBuildsShuffle(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			built, err := dg.Reshuffle(n, dg.Part, 1, true)
-			if err != nil {
-				return err
-			}
+			built := dg.Reshuffle(n, 1, true)
 			if !keep {
-				dg = &dgraph.DistGraph{Comm: dg.Comm, Part: dg.Part, GlobalN: dg.GlobalN, M2: dg.M2, Base: dg.Base, LocalN: dg.LocalN,
-					Index: dg.Index, Slot: dg.Slot, W: dg.W, K: dg.K, SelfLoop: dg.SelfLoop, Ghosts: dg.Ghosts, GhostOwner: dg.GhostOwner}
+				dg = &dgraph.DistGraph{Comm: dg.Comm, GlobalN: dg.GlobalN, M2: dg.M2, Base: dg.Base, LocalN: dg.LocalN,
+					Index: dg.Index, Slot: dg.Slot, W: dg.W, K: dg.K, SelfLoop: dg.SelfLoop, Ghosts: dg.Ghosts}
 			}
 			cfg := Baseline()
 			cfg.Threads = 2
@@ -302,9 +306,8 @@ func TestFirstRebuildKeepsBuildsShuffle(t *testing.T) {
 			}
 			allocated = after.TotalAlloc - before.TotalAlloc
 			frame = 1 + 16*len(ndg.Slot) // one rank: every coarse pair is put once, weighted
-			again, err := ndg.Reshuffle(ndg.GlobalN, ndg.Part, 1, true)
-			kept = again == built
-			return err
+			kept = ndg.Reshuffle(ndg.GlobalN, 1, true) == built
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
 	"distlouvain/internal/obsv"
-	"distlouvain/internal/partition"
 )
 
 // Start is how every rank of a run on an n-vertex input begins, and the one
@@ -216,10 +215,9 @@ func resume(c *mpi.Comm, dir string, cfg Config, man *ckpt.Manifest, lsp obsv.Sp
 	}
 
 	// Replay the coarse graph through the arc shuffle onto the new world.
-	// The rebuilt partition is exactly what a fresh p-rank run's rebuild
+	// The rebuilt split is exactly what a fresh p-rank run's rebuild
 	// would have produced at this phase boundary.
-	part := partition.ByVertexCount(coarseN, p)
-	ndg, err := dgraph.BuildFromArcs(c, coarseN, part, arcs)
+	ndg, err := dgraph.BuildFromArcs(c, coarseN, arcs)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: rebuilding coarse graph: %w", err)
 	}
@@ -369,18 +367,17 @@ func decodeRankSnapshot(snap *ckpt.Snapshot, oldRank, oldWorld, completed int, o
 }
 
 // redistributeOrigComm routes contiguous assignment segments (in old-world
-// ownership ranges) to the new even vertex partition via one all-to-all.
+// ownership ranges) to the new even vertex split via one all-to-all.
 // Every new rank verifies its range is covered exactly once.
 func redistributeOrigComm(c *mpi.Comm, origN int64, segs []origSeg) (int64, []int64, error) {
 	p := c.Size()
-	part := partition.ByVertexCount(origN, p)
 	send := make([][]byte, p)
 	for _, s := range segs {
 		v := s.base
 		end := s.base + int64(len(s.vals))
 		for v < end {
-			q := part.Owner(v)
-			_, qhi := part.Range(q)
+			q := gio.SegmentOwner(origN, v, p)
+			_, qhi := gio.SegmentRange(origN, q, p)
 			stop := min(end, qhi)
 			chunk := s.vals[v-s.base : stop-s.base]
 			send[q] = mpi.AppendInt64(send[q], v)
@@ -393,7 +390,7 @@ func redistributeOrigComm(c *mpi.Comm, origN int64, segs []origSeg) (int64, []in
 	if err != nil {
 		return 0, nil, err
 	}
-	base, hiB := part.Range(c.Rank())
+	base, hiB := gio.SegmentRange(origN, c.Rank(), p)
 	out := make([]int64, hiB-base)
 	filled := make([]bool, len(out))
 	nFilled := 0

@@ -37,8 +37,8 @@ type runState struct {
 //
 // Run takes ownership of dg: each phase's coarse graph is assembled into the
 // arrays of the graph it replaces, the input's included, so once Run is
-// called the caller must not read dg's arrays (Index, Edges, Slot, K,
-// SelfLoop, Ghosts, GhostOwner) again. Its scalar fields stay as they were.
+// called the caller must not read dg's arrays (Index, Slot, W, K, SelfLoop,
+// Ghosts) again. Its scalar fields stay as they were.
 //
 // The returned assignment labels are dense global community IDs in
 // [0, Communities); Result.LocalComm indexes them by original local vertex.

@@ -219,7 +219,7 @@ func (st *phaseState) rebuildRequests() {
 	for q := range st.reqGIDs {
 		k := len(live)
 		if q < len(st.reqGIDs)-1 {
-			_, hi := st.dg.Part.Range(q)
+			_, hi := st.dg.Range(q)
 			k, _ = slices.BinarySearchFunc(live, hi, func(r liveRef, hi int64) int { return cmp.Compare(r.gid, hi) })
 		}
 		gids, slots := slices.Grow(st.reqGIDs[q][:0], k), slices.Grow(st.reqSlots[q][:0], k)

@@ -253,7 +253,7 @@ func requestsMatchFullSort(st *phaseState) error {
 	wantGIDs := make([][]int64, len(st.reqGIDs))
 	wantSlots := make([][]int32, len(st.reqGIDs))
 	for _, r := range live {
-		q := st.dg.Part.Owner(r.gid)
+		q := st.dg.Owner(r.gid)
 		wantGIDs[q] = append(wantGIDs[q], r.gid)
 		wantSlots[q] = append(wantSlots[q], r.slot)
 	}

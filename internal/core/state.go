@@ -16,7 +16,7 @@ import (
 
 // phaseState holds one rank's working set for a single Louvain phase. The
 // community ID space coincides with the current graph's vertex ID space and
-// shares its partition: rank owner(c) maintains the authoritative (A_c,
+// shares its split: rank owner(c) maintains the authoritative (A_c,
 // size) entry for community c.
 type phaseState struct {
 	dg    *dgraph.DistGraph
@@ -62,11 +62,12 @@ type phaseState struct {
 
 	// Ghost-exchange plumbing, built once per phase:
 	// pushList[q] lists local vertex indices whose community rank q wants
-	// every iteration; ghostSlots[q] lists the positions in dg.Ghosts that
-	// rank q's reply fills (same order as the request this rank sent).
-	pushList   [][]int64
-	ghostSlots [][]int32
-	lastSent   [][]int32 // per pushList entry, last transmitted community slot (−1: none)
+	// every iteration; rank q's reply fills the positions
+	// ghostRuns[q] ≤ i < ghostRuns[q+1] of dg.Ghosts, in order: each owner's
+	// ghosts are one run of the sorted dg.Ghosts, and its request was that run.
+	pushList  [][]int64
+	ghostRuns []int32
+	lastSent  [][]int32 // per pushList entry, last transmitted community slot (−1: none)
 	// ghostDenseFrames / ghostSparseFrames count the non-empty refresh
 	// frames this rank encoded in each direction of the ghost refresh's
 	// dense/sparse switch (diagnostics and the switch tests).
@@ -204,7 +205,7 @@ func (st *phaseState) reset(dg *dgraph.DistGraph, phaseIdx int) error {
 		tailBuf:     old.tailBuf,
 		ownerLcs:    old.ownerLcs,
 		pushList:    truncateEach(old.pushList, p),
-		ghostSlots:  truncateEach(old.ghostSlots, p),
+		ghostRuns:   old.ghostRuns,
 		lastSent:    truncateEach(old.lastSent, p),
 		prob:        reslice(old.prob, int(n)),
 		inactive:    reslice(old.inactive, int(n)),
@@ -287,19 +288,11 @@ func truncateEach[T any](lists [][]T, p int) [][]T {
 func (st *phaseState) setupGhostLists() error {
 	sp := st.tr().Begin(obsv.KindP2P, "ghost-setup")
 	defer sp.End()
-	// dg.Ghosts is sorted ascending and ownership ranges are contiguous, so
-	// each owner's ghosts are one run of it: its request is a window of
-	// dg.Ghosts ending at the ghost at hand. Every list below is sized from
-	// the request it mirrors before it is filled.
 	reqs := make([][]int64, st.dg.Comm.Size())
-	for i, o := range st.dg.GhostOwner {
-		reqs[o] = st.dg.Ghosts[i-len(reqs[o]) : i+1]
-	}
+	cutByOwner(st.dg.GlobalN, st.dg.Ghosts, reqs)
+	st.ghostRuns = append(st.ghostRuns[:0], 0)
 	for o, req := range reqs {
-		st.ghostSlots[o] = slices.Grow(st.ghostSlots[o], len(req))
-	}
-	for i, o := range st.dg.GhostOwner {
-		st.ghostSlots[o] = append(st.ghostSlots[o], int32(i))
+		st.ghostRuns = append(st.ghostRuns, st.ghostRuns[o]+int32(len(req)))
 	}
 	return st.tellOwners("ghost-list", reqs, func(q int, lcs []int64) error {
 		st.pushList[q] = append(st.pushList[q], lcs...)
@@ -414,17 +407,17 @@ func (st *phaseState) encodeGhostDelta(buf []byte, q int) []byte {
 
 // decodeGhostDelta applies one refresh frame from peer q.
 func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
-	slots := st.ghostSlots[q]
+	first, end := st.ghostRuns[q], st.ghostRuns[q+1]
 	if len(data) == 0 {
-		if len(slots) != 0 {
-			return malformed("ghost frame", q, "empty, want %d entries", len(slots))
+		if end != first {
+			return malformed("ghost frame", q, "empty, want %d entries", end-first)
 		}
 		return nil
 	}
 	d := mpi.NewDecoder(data[1:])
 	switch data[0] {
 	case ghostFrameDense:
-		for _, slot := range slots {
+		for slot := first; slot < end; slot++ {
 			v, err := d.Varint()
 			if err != nil {
 				return malformed("ghost frame", q, "dense: %v", err)
@@ -449,10 +442,10 @@ func (st *phaseState) decodeGhostDelta(q int, data []byte) error {
 			if err != nil {
 				return malformed("ghost frame", q, "sparse: %v", err)
 			}
-			if pos < 0 || pos >= int64(len(slots)) {
-				return malformed("ghost frame", q, "sparse: position %d outside [0,%d)", pos, len(slots))
+			if pos < 0 || pos >= int64(end-first) {
+				return malformed("ghost frame", q, "sparse: position %d outside [0,%d)", pos, end-first)
 			}
-			if err := st.setGhost(slots[pos], v); err != nil {
+			if err := st.setGhost(first+int32(pos), v); err != nil {
 				return err
 			}
 		}
@@ -566,7 +559,7 @@ func (st *phaseState) pushDeltas(deltas []commDelta, moves []move) error {
 		if st.dg.IsLocal(d.cid) {
 			continue // folded below
 		}
-		o := st.dg.Part.Owner(d.cid)
+		o := st.dg.Owner(d.cid)
 		if bufs[o] == nil {
 			bufs[o] = st.arena.Grab()
 		}

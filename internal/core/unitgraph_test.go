@@ -15,10 +15,7 @@ import (
 // arc travels with its weight and the graph keeps W even when every weight is
 // 1.
 func buildWeightedFrames(c *mpi.Comm, n int64, chunk []graph.RawEdge) (*dgraph.DistGraph, error) {
-	s, err := dgraph.NewShuffle(c, n, nil, 1, true)
-	if err != nil {
-		return nil, err
-	}
+	s := dgraph.NewShuffle(c, n, 1, true)
 	w := s.Writer(0)
 	for _, e := range chunk {
 		w.Put(s.Owner(e.U), e.U, e.V, e.W)

@@ -14,21 +14,19 @@ import (
 	"testing"
 
 	"distlouvain/internal/gen"
+	"distlouvain/internal/gio"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 )
 
 // againstOracle runs build on p in-process ranks and compares every rank's
 // result with the sort-based oracle fed sent[q], the arcs rank q emits.
-func againstOracle(p int, n int64, part *partition.Partition, sent [][]oracleArc, build func(c *mpi.Comm) (*DistGraph, error)) error {
-	if part == nil {
-		part = partition.ByVertexCount(n, p)
-	}
+func againstOracle(p int, n int64, sent [][]oracleArc, build func(c *mpi.Comm) (*DistGraph, error)) error {
 	var total float64
 	want := make([]*oracleGraph, p)
 	for r := range want {
-		want[r] = oracleAssemble(part, r, sent)
+		lo, hi := gio.SegmentRange(n, r, p)
+		want[r] = oracleAssemble(lo, hi, sent)
 		total += want[r].LocalW
 	}
 	var mu sync.Mutex
@@ -65,7 +63,7 @@ func againstOracle(p int, n int64, part *partition.Partition, sent [][]oracleArc
 
 // buildAgainstOracle is againstOracle for Build over the chunks, whose weights
 // the oracle scales by the rule (graph.Weights.Scale) first.
-func buildAgainstOracle(n int64, chunks [][]graph.RawEdge, part *partition.Partition) error {
+func buildAgainstOracle(n int64, chunks [][]graph.RawEdge) error {
 	var f graph.Weights
 	for _, chunk := range chunks {
 		for _, e := range chunk {
@@ -85,14 +83,14 @@ func buildAgainstOracle(n int64, chunks [][]graph.RawEdge, part *partition.Parti
 			}
 		}
 	}
-	return againstOracle(len(chunks), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
-		return Build(c, n, chunks[c.Rank()], part)
+	return againstOracle(len(chunks), n, sent, func(c *mpi.Comm) (*DistGraph, error) {
+		return Build(c, n, chunks[c.Rank()], nil)
 	})
 }
 
 // arcsAgainstOracle is againstOracle for BuildFromArcs over the arcs, whose
 // weights the oracle scales by the rule (graph.Weights.Scale) first.
-func arcsAgainstOracle(n int64, perRank [][]Arc, part *partition.Partition) error {
+func arcsAgainstOracle(n int64, perRank [][]Arc) error {
 	var f graph.Weights
 	for _, arcs := range perRank {
 		for _, a := range arcs {
@@ -109,8 +107,8 @@ func arcsAgainstOracle(n int64, perRank [][]Arc, part *partition.Partition) erro
 			sent[q] = append(sent[q], oracleArc{a.From, a.To, graph.Quantize(a.W, s)})
 		}
 	}
-	return againstOracle(len(perRank), n, part, sent, func(c *mpi.Comm) (*DistGraph, error) {
-		return BuildFromArcs(c, n, part, perRank[c.Rank()])
+	return againstOracle(len(perRank), n, sent, func(c *mpi.Comm) (*DistGraph, error) {
+		return BuildFromArcs(c, n, perRank[c.Rank()])
 	})
 }
 
@@ -219,20 +217,13 @@ func differentialGraphs(t testing.TB) []graphCase {
 
 // TestBuildMatchesSortOracle is the differential suite: the counting-sort
 // assembly must reproduce the sort-based oracle field by field — weights bit
-// for bit — for every graph, rank count, scattering of the chunks and
-// partition (even split, skewed, and one with an empty middle rank).
+// for bit — for every graph, rank count and scattering of the chunks.
 func TestBuildMatchesSortOracle(t *testing.T) {
 	for _, gc := range differentialGraphs(t) {
 		for p := 1; p <= 4; p++ {
-			parts := map[string]*partition.Partition{"even": nil, "skewed": skewedPartition(gc.n, p)}
-			if p == 3 {
-				parts["empty-middle"] = &partition.Partition{Bounds: []int64{0, gc.n / 2, gc.n / 2, gc.n}}
-			}
-			for pname, part := range parts {
-				for sname, chunks := range scatterings(gc.edges, p, int64(p)) {
-					if err := buildAgainstOracle(gc.n, chunks, part); err != nil {
-						t.Fatalf("%s p=%d partition=%s chunks=%s: %v", gc.name, p, pname, sname, err)
-					}
+			for sname, chunks := range scatterings(gc.edges, p, int64(p)) {
+				if err := buildAgainstOracle(gc.n, chunks); err != nil {
+					t.Fatalf("%s p=%d chunks=%s: %v", gc.name, p, sname, err)
 				}
 			}
 		}
@@ -252,7 +243,7 @@ func TestBuildFromArcsMatchesSortOracle(t *testing.T) {
 				r := rng.Intn(p)
 				perRank[r] = append(perRank[r], Arc{From: a.from, To: a.to, W: a.w})
 			}
-			if err := arcsAgainstOracle(gc.n, perRank, nil); err != nil {
+			if err := arcsAgainstOracle(gc.n, perRank); err != nil {
 				t.Fatalf("%s p=%d: %v", gc.name, p, err)
 			}
 		}
@@ -280,17 +271,14 @@ func TestAssembleIntoRecycledStorage(t *testing.T) {
 			}
 		}
 		err := mpi.Run(p, func(c *mpi.Comm) error {
-			kept, err := NewShuffle(c, 1, nil, 1, false)
-			if err != nil {
-				return err
-			}
+			kept := NewShuffle(c, 1, 1, false)
 			var prev *DistGraph
 			for i, gc := range cases {
 				arcs := perRank[i][c.Rank()]
 				if err := recycledMatchesFresh(c, gc.n, arcs); err != nil {
 					return fmt.Errorf("%s: %w", gc.name, err)
 				}
-				fresh, err := BuildFromArcs(c, gc.n, nil, arcs)
+				fresh, err := BuildFromArcs(c, gc.n, arcs)
 				if err != nil {
 					return err
 				}
@@ -316,7 +304,7 @@ func TestAssembleIntoRecycledStorage(t *testing.T) {
 // one (collective). Slot and W must be the recycled arrays unless merging
 // left fewer than half of the arcs placed, when they are copied out.
 func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
-	fresh, err := BuildFromArcs(c, n, nil, arcs)
+	fresh, err := BuildFromArcs(c, n, arcs)
 	if err != nil {
 		return err
 	}
@@ -325,17 +313,14 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 	}
 	sent := make([]int64, c.Size())
 	for _, a := range arcs {
-		sent[fresh.Part.Owner(a.From)]++
+		sent[fresh.Owner(a.From)]++
 	}
 	placed, err := c.AllreduceInt64s(sent, mpi.OpSum)
 	if err != nil {
 		return err
 	}
 	cloned := len(fresh.Slot) < int(placed[c.Rank()])/2
-	s, err := NewShuffle(c, n, nil, 1, false)
-	if err != nil {
-		return err
-	}
+	s := NewShuffle(c, n, 1, false)
 	for _, short := range []bool{false, true} {
 		spare := sentinelSpare(fresh, short)
 		had := *spare
@@ -349,10 +334,10 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 		if err := sameGraph(got, fresh); err != nil {
 			return fmt.Errorf("short=%v: %w", short, err)
 		}
-		if spare.Index != nil || spare.Slot != nil || spare.W != nil || spare.K != nil || spare.SelfLoop != nil || spare.Ghosts != nil || spare.GhostOwner != nil {
+		if spare.Index != nil || spare.Slot != nil || spare.W != nil || spare.K != nil || spare.SelfLoop != nil || spare.Ghosts != nil {
 			return fmt.Errorf("short=%v: the recycled graph kept arrays", short)
 		}
-		if spare.Base != had.Base || spare.LocalN != had.LocalN || spare.GlobalN != had.GlobalN || spare.Part != had.Part {
+		if spare.Base != had.Base || spare.LocalN != had.LocalN || spare.GlobalN != had.GlobalN {
 			return fmt.Errorf("short=%v: the recycled graph lost its shape", short)
 		}
 		if short {
@@ -368,7 +353,6 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 			{"Slot", cloned || sameArray(got.Slot, had.Slot)},
 			{"W", cloned || sameArray(got.W, had.W)},
 			{"Ghosts", sameArray(got.Ghosts, had.Ghosts)},
-			{"GhostOwner", sameArray(got.GhostOwner, had.GhostOwner)},
 		} {
 			if !same.ok {
 				return fmt.Errorf("%s was reallocated although the recycled one had room", same.name)
@@ -381,9 +365,7 @@ func recycledMatchesFresh(c *mpi.Comm, n int64, arcs []Arc) error {
 // shuffleInto is BuildFromArcs on a kept shuffle: s is Reset to [0, n),
 // filled with arcs and exchanged into recycle.
 func shuffleInto(s *Shuffle, n int64, arcs []Arc, recycle *DistGraph) (*DistGraph, error) {
-	if err := s.Reset(n, nil, 1, false); err != nil {
-		return nil, err
-	}
+	s.Reset(n, 1, false)
 	w := s.Writer(0)
 	for _, a := range arcs {
 		w.Put(s.Owner(a.From), a.From, a.To, a.W)
@@ -393,7 +375,7 @@ func shuffleInto(s *Shuffle, n int64, arcs []Arc, recycle *DistGraph) (*DistGrap
 
 // sentinelSpare returns a graph of g's shape for the assembly to recycle,
 // every array filled with sentinel garbage — NaN weights and degrees, −1
-// slots, ghosts and owners, row offsets past any arc — and sized two entries
+// slots and ghosts, row offsets past any arc — and sized two entries
 // for each of g's plus seven, or, when short, half of g's (the placement
 // arrays the assembly needs are at least as long as g's Slot and W).
 func sentinelSpare(g *DistGraph, short bool) *DistGraph {
@@ -405,14 +387,13 @@ func sentinelSpare(g *DistGraph, short bool) *DistGraph {
 	}
 	nan := math.NaN()
 	return &DistGraph{
-		Comm: g.Comm, Part: g.Part, GlobalN: g.GlobalN, M2: nan, Base: g.Base, LocalN: g.LocalN,
-		Index:      filled(size(len(g.Index)), int64(math.MaxInt64)),
-		Slot:       filled(size(len(g.Slot)), int32(-1)),
-		W:          filled(size(len(g.W)), nan),
-		K:          filled(size(len(g.K)), nan),
-		SelfLoop:   filled(size(len(g.SelfLoop)), nan),
-		Ghosts:     filled(size(len(g.Ghosts)), int64(-1)),
-		GhostOwner: filled(size(len(g.GhostOwner)), -1),
+		Comm: g.Comm, GlobalN: g.GlobalN, M2: nan, Base: g.Base, LocalN: g.LocalN,
+		Index:    filled(size(len(g.Index)), int64(math.MaxInt64)),
+		Slot:     filled(size(len(g.Slot)), int32(-1)),
+		W:        filled(size(len(g.W)), nan),
+		K:        filled(size(len(g.K)), nan),
+		SelfLoop: filled(size(len(g.SelfLoop)), nan),
+		Ghosts:   filled(size(len(g.Ghosts)), int64(-1)),
 	}
 }
 
@@ -432,12 +413,12 @@ func sameArray[T any](got, recycled []T) bool {
 // sameGraph compares two assemblies of one input field for field, weights
 // bit for bit.
 func sameGraph(got, want *DistGraph) error {
-	if got.GlobalN != want.GlobalN || math.Float64bits(got.M2) != math.Float64bits(want.M2) || !slices.Equal(got.Part.Bounds, want.Part.Bounds) {
-		return fmt.Errorf("GlobalN %d, M2 %v, bounds %v; want %d, %v, %v", got.GlobalN, got.M2, got.Part.Bounds, want.GlobalN, want.M2, want.Part.Bounds)
+	if got.GlobalN != want.GlobalN || math.Float64bits(got.M2) != math.Float64bits(want.M2) {
+		return fmt.Errorf("GlobalN %d, M2 %v; want %d, %v", got.GlobalN, got.M2, want.GlobalN, want.M2)
 	}
 	og := &oracleGraph{
 		Base: want.Base, LocalN: want.LocalN, Index: want.Index, Edges: arcsOf(want), K: want.K, SelfLoop: want.SelfLoop,
-		Ghosts: want.Ghosts, GhostOwner: want.GhostOwner, Slot: want.Slot,
+		Ghosts: want.Ghosts, Slot: want.Slot,
 	}
 	return og.diff(got)
 }
@@ -507,10 +488,7 @@ func TestAssembleRowsInGlobalOrder(t *testing.T) {
 				for _, a := range expandChunk(chunkEdges(quantized(tc.edges), c.Rank(), p)) {
 					arcs = append(arcs, Arc{From: a.from, To: a.to, W: a.w})
 				}
-				kept, err := NewShuffle(c, n, nil, 1, false)
-				if err != nil {
-					return err
-				}
+				kept := NewShuffle(c, n, 1, false)
 				for round := 1; round <= 2; round++ {
 					if dg, err = shuffleInto(kept, n, arcs, dg); err != nil {
 						return err
@@ -587,7 +565,7 @@ func TestParallelArcSummationOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := buildAgainstOracle(4, tc.chunks, nil); err != nil {
+		if err := buildAgainstOracle(4, tc.chunks); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
@@ -669,7 +647,7 @@ func TestGhostTableCornerCases(t *testing.T) {
 			for r := range chunks {
 				chunks[r] = chunkEdges(edges, r, p)
 			}
-			if err := buildAgainstOracle(80, chunks, nil); err != nil {
+			if err := buildAgainstOracle(80, chunks); err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
 		}
@@ -716,11 +694,13 @@ func frame(layout byte, arcs ...oracleArc) []byte {
 }
 
 // assembleAtRank0 hands a copy of recv (the assembly consumes its frames) to
-// the assembly of rank 0 in a 2-rank world split by part, recycling spare
-// (nil: nothing to recycle); rank 1 holds no arcs and only joins rank 0's
-// allreduces — M2's and, when its lanes call for the scale rule, scaleOf's
-// and the merged M2's — so a frame rank 0 refuses fails the run in them.
-func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *DistGraph) (*DistGraph, error) {
+// the assembly of rank 0 in a 2-rank world, as the owner of [0, hi),
+// recycling spare (nil: nothing to recycle); rank 1 holds no arcs and only
+// joins rank 0's allreduces — M2's and, when its lanes call for the scale
+// rule, scaleOf's and the merged M2's — so a frame rank 0 refuses fails the
+// run in them. An owned range shorter than the even split's is what lets a
+// vertex space past 2³² reach the 64-bit layout in a test.
+func assembleAtRank0(n, hi int64, recv [][]byte, spare *DistGraph) (*DistGraph, error) {
 	recv = slices.Clone(recv)
 	for q, f := range recv {
 		recv[q] = slices.Clone(f)
@@ -745,10 +725,7 @@ func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *D
 			}
 			return nil
 		}
-		s, err := NewShuffle(c, n, part, 1, false)
-		if err != nil {
-			return err
-		}
+		s := NewShuffle(c, n, 1, false)
 		if spare == nil {
 			spare = &DistGraph{}
 		}
@@ -756,7 +733,8 @@ func assembleAtRank0(n int64, part *partition.Partition, recv [][]byte, spare *D
 		for q := range recv {
 			frames[q] = recv[q : q+1]
 		}
-		dg, err = s.assemble(frames, spare)
+		var err error
+		dg, err = s.assemble(0, hi, frames, spare)
 		return err
 	})
 	return dg, err
@@ -803,8 +781,7 @@ func TestAssembleRejectsMalformedBuffers(t *testing.T) {
 		{"target past 2^32 vertices", wide, [][]byte{nil, frame(arcs64, good[0], oracleArc{0, wide, 1})}, 1},
 	}
 	for _, tc := range cases {
-		part := &partition.Partition{Bounds: []int64{0, 4, tc.n}}
-		_, err := assembleAtRank0(tc.n, part, tc.recv, nil)
+		_, err := assembleAtRank0(tc.n, 4, tc.recv, nil)
 		if !errors.Is(err, ErrMalformedArcs) {
 			t.Errorf("%s: got %v, want ErrMalformedArcs", tc.name, err)
 		} else if want := fmt.Sprintf("from rank %d", tc.sender); !strings.Contains(err.Error(), want) {
@@ -822,20 +799,20 @@ func TestAssembleRejectsMalformedBuffers(t *testing.T) {
 func TestFrameLayouts(t *testing.T) {
 	unit := []oracleArc{{0, 3, 1}, {1, 2, 1}, {5, 0, 1}, {1, 2, 1}}
 	mixed := []oracleArc{{6, 1, 1}, {2, 4, 3}, {4, 4, 1}}
+	// Rank 0 owns [0, 4), rank 1 the rest: Put takes the owner, and
+	// assembleAtRank0 the owned range, so that a vertex space past 2³² fits a
+	// test.
+	owner := func(v int64) int { return min(int(v/4), 1) }
 	for _, n := range []int64{8, 1<<32 - 1, 1 << 32, 1<<33 + 5} {
-		part := &partition.Partition{Bounds: []int64{0, 4, n}}
 		var frames [2][]byte
 		err := mpi.Run(2, func(c *mpi.Comm) error {
 			if c.Rank() != 0 {
 				return nil
 			}
-			s, err := NewShuffle(c, n, part, 2, false)
-			if err != nil {
-				return err
-			}
+			s := NewShuffle(c, n, 2, false)
 			ws := []*ArcWriter{s.Writer(0), s.Writer(1)}
 			for i, a := range append(unit, mixed...) {
-				ws[i%2].Put(s.Owner(a.from), a.from, a.to, a.w)
+				ws[i%2].Put(owner(a.from), a.from, a.to, a.w)
 			}
 			for q, segs := range s.frames() {
 				frames[q] = slices.Concat(segs...)
@@ -851,7 +828,7 @@ func TestFrameLayouts(t *testing.T) {
 		for w := 0; w < 2; w++ {
 			for i, a := range append(unit, mixed...) {
 				if i%2 == w {
-					q := part.Owner(a.from)
+					q := owner(a.from)
 					want[q] = append(want[q], a)
 				}
 			}
@@ -865,11 +842,11 @@ func TestFrameLayouts(t *testing.T) {
 				t.Fatalf("n=%d: frame for rank %d is %v, want %v", n, q, frames[q], f)
 			}
 		}
-		dg, err := assembleAtRank0(n, part, [][]byte{frames[0], nil}, nil)
+		dg, err := assembleAtRank0(n, 4, [][]byte{frames[0], nil}, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if err := oracleAssemble(part, 0, [][]oracleArc{want[0]}).diff(dg); err != nil {
+		if err := oracleAssemble(0, 4, [][]oracleArc{want[0]}).diff(dg); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -888,7 +865,7 @@ func TestFrameLayouts(t *testing.T) {
 func TestShuffleBytesPerArc(t *testing.T) {
 	n, edges := gen.ErdosRenyi(500, 3000, 4)
 	const p = 3
-	part := partition.ByVertexCount(n, p)
+	owner := func(v int64) int { return gio.SegmentOwner(n, v, p) }
 	// wireBytes is what the frames of the chunks must weigh at width(q) bytes
 	// per arc for owner q: every arc whose owner is not its sender's rank,
 	// plus one layout byte per non-empty frame.
@@ -897,7 +874,7 @@ func TestShuffleBytesPerArc(t *testing.T) {
 		for r := 0; r < p; r++ {
 			arcs := make([]int64, p)
 			for _, a := range expandChunk(chunkEdges(edges, r, p)) {
-				arcs[part.Owner(a.from)]++
+				arcs[owner(a.from)]++
 			}
 			for q, k := range arcs {
 				if q != r && k > 0 {
@@ -922,7 +899,7 @@ func TestShuffleBytesPerArc(t *testing.T) {
 				}
 			}
 			mid := c.Stats().Snapshot()
-			if _, err := Build(c, n, weights(chunkEdges(edges, c.Rank(), p)), part); err != nil {
+			if _, err := Build(c, n, weights(chunkEdges(edges, c.Rank(), p)), nil); err != nil {
 				return err
 			}
 			after := c.Stats().Snapshot()
@@ -946,7 +923,7 @@ func TestShuffleBytesPerArc(t *testing.T) {
 	lastRange := func(chunk []graph.RawEdge) []graph.RawEdge {
 		out := slices.Clone(chunk)
 		for i, e := range out {
-			if part.Owner(e.U) == p-1 && part.Owner(e.V) == p-1 {
+			if owner(e.U) == p-1 && owner(e.V) == p-1 {
 				out[i].W = 2.5
 			}
 		}
@@ -982,8 +959,7 @@ func TestValidateCatchesBrokenInvariants(t *testing.T) {
 		"short W":             func(dg *DistGraph) { dg.W = dg.W[:len(dg.W)-1] },
 		"negative slot":       func(dg *DistGraph) { dg.Slot[0] = -1 },
 		"negative weight":     func(dg *DistGraph) { dg.W[0] = -1 },
-		"missing ghost slot":  func(dg *DistGraph) { dg.Ghosts, dg.GhostOwner = dg.Ghosts[:1], dg.GhostOwner[:1] },
-		"ghost owner":         func(dg *DistGraph) { dg.GhostOwner[0] = 0 },
+		"missing ghost slot":  func(dg *DistGraph) { dg.Ghosts = dg.Ghosts[:1] },
 		"index overruns":      func(dg *DistGraph) { dg.Index[dg.LocalN]++ },
 		"short K":             func(dg *DistGraph) { dg.K = dg.K[:1] },
 		// A unit graph: the same arcs, every weight 1, so W is nil.
@@ -1116,7 +1092,7 @@ func FuzzBuildFromArcs(f *testing.F) {
 			}
 			perRank[r] = append(perRank[r], Arc{From: from % n, To: to % n, W: w})
 		}
-		err := arcsAgainstOracle(n, perRank, nil)
+		err := arcsAgainstOracle(n, perRank)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1140,10 +1116,7 @@ func FuzzBuildFromArcs(f *testing.F) {
 // assembles must be the one those one-segment frames assemble to, field for
 // field.
 func segmentedMatchesWhole(c *mpi.Comm, n int64, arcs []Arc, pick []byte) error {
-	s, err := NewShuffle(c, n, nil, 2, false)
-	if err != nil {
-		return err
-	}
+	s := NewShuffle(c, n, 2, false)
 	var byWriter [2][][]oracleArc // [writer][owner]
 	for i := range byWriter {
 		byWriter[i] = make([][]oracleArc, c.Size())
@@ -1191,11 +1164,9 @@ func segmentedMatchesWhole(c *mpi.Comm, n int64, arcs []Arc, pick []byte) error 
 	for q := range recv {
 		frames[q] = recv[q : q+1]
 	}
-	one, err := NewShuffle(c, n, nil, 1, false)
-	if err != nil {
-		return err
-	}
-	want, err := one.assemble(frames, &DistGraph{})
+	one := NewShuffle(c, n, 1, false)
+	lo, hi := gio.SegmentRange(n, c.Rank(), c.Size())
+	want, err := one.assemble(lo, hi, frames, &DistGraph{})
 	if err != nil {
 		return err
 	}
@@ -1206,15 +1177,14 @@ func segmentedMatchesWhole(c *mpi.Comm, n int64, arcs []Arc, pick []byte) error 
 // rank 1.
 func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 	n := int64(shape%16) + 1
-	part := partition.ByVertexCount(n, 2)
+	_, hi := gio.SegmentRange(n, 0, 2)
 	if shape&0x80 != 0 {
-		n = 1<<33 + int64(shape&0x7f)
-		part = &partition.Partition{Bounds: []int64{0, 8, n}}
+		n, hi = 1<<33+int64(shape&0x7f), 8
 	}
 	if len(f) > 1+24*512 {
 		return
 	}
-	dg, err := assembleAtRank0(n, part, [][]byte{nil, f}, nil)
+	dg, err := assembleAtRank0(n, hi, [][]byte{nil, f}, nil)
 	if err != nil {
 		if !errors.Is(err, ErrMalformedArcs) && !errors.Is(err, ErrWeight) {
 			t.Fatalf("refused with %v, want ErrMalformedArcs or ErrWeight", err)
@@ -1222,7 +1192,7 @@ func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 		return
 	}
 	for _, short := range []bool{false, true} {
-		got, err := assembleAtRank0(n, part, [][]byte{nil, f}, sentinelSpare(dg, short))
+		got, err := assembleAtRank0(n, hi, [][]byte{nil, f}, sentinelSpare(dg, short))
 		if err == nil {
 			err = sameGraph(got, dg)
 		}
@@ -1244,7 +1214,7 @@ func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 		default:
 			a, b = oracleArc{int64(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:])), math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))}, b[24:]
 		}
-		if a.from < 0 || a.from >= 8 || a.from >= n || a.to < 0 || a.to >= n {
+		if a.from < 0 || a.from >= hi || a.to < 0 || a.to >= n {
 			t.Fatalf("accepted arc (%d,%d) outside rank 0's sources or the vertex space of %d", a.from, a.to, n)
 		}
 		weights.Add(a.w, 1)
@@ -1257,7 +1227,7 @@ func fuzzRawFrame(t *testing.T, shape byte, f []byte) {
 	for i := range arcs {
 		arcs[i].w = graph.Quantize(arcs[i].w, s)
 	}
-	if err := oracleAssemble(part, 0, [][]oracleArc{nil, arcs}).diff(dg); err != nil {
+	if err := oracleAssemble(0, hi, [][]oracleArc{nil, arcs}).diff(dg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -1298,7 +1268,7 @@ func BenchmarkBuildFromArcs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := mpi.Run(2, func(c *mpi.Comm) error {
-			_, err := BuildFromArcs(c, n, nil, perRank[c.Rank()])
+			_, err := BuildFromArcs(c, n, perRank[c.Rank()])
 			return err
 		})
 		if err != nil {

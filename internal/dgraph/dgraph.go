@@ -53,15 +53,16 @@ import (
 	"slices"
 
 	"distlouvain/internal/flat"
+	"distlouvain/internal/gio"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 )
 
-// DistGraph is one rank's share of the distributed graph.
+// DistGraph is one rank's share of the distributed graph. Its vertices are
+// the rank's even share of [0, GlobalN) (gio.SegmentRange); Owner and Range
+// compute any rank's share from GlobalN and the world size.
 type DistGraph struct {
 	Comm *mpi.Comm
-	Part *partition.Partition
 
 	// GlobalN is the global vertex count; M2 the global doubled edge
 	// weight (identical at every rank).
@@ -93,10 +94,9 @@ type DistGraph struct {
 	SelfLoop []float64
 
 	// Ghosts lists (sorted) the global IDs of vertices referenced by local
-	// edges but owned by other ranks; GhostOwner[i] is the owner of
-	// Ghosts[i].
-	Ghosts     []int64
-	GhostOwner []int
+	// edges but owned by other ranks. Ownership ranges are contiguous, so
+	// each owner's ghosts are one run of it.
+	Ghosts []int64
 
 	// shuffle is the Shuffle that assembled the graph, its buffers and
 	// scratch kept for the next one (Reshuffle).
@@ -142,29 +142,32 @@ func checkSlotSpace(localN int64, ghosts int) error {
 // scale rule (graph.Weights.Scale), each arc's before parallel arcs merge,
 // so every weight sum of the graph — K, SelfLoop, M2 — is an exact integer
 // below 2⁵³; an input the rule refuses fails with ErrWeight on every rank.
-// The vertex space is split with the given partition; passing nil selects
-// the even vertex split. Parallel edges — within a chunk or across chunks and
-// ranks — merge by weight.
-func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, part *partition.Partition) (*DistGraph, error) {
-	return BuildStream(c, n, int64(len(localChunk)), graph.Edges(localChunk), part)
+// The vertex space is split evenly (gio.SegmentRange). Parallel edges —
+// within a chunk or across chunks and ranks — merge by weight.
+//
+// The last argument is always nil: it is where a partition used to be passed,
+// kept only because the benchmark's checked-in driver still passes nil there.
+// Its type cannot be named outside this package, so nothing else can be.
+func Build(c *mpi.Comm, n int64, localChunk []graph.RawEdge, _ *noPartition) (*DistGraph, error) {
+	return BuildStream(c, n, int64(len(localChunk)), graph.Edges(localChunk))
 }
+
+// noPartition is the type of Build's always-nil last argument.
+type noPartition struct{}
 
 // BuildStream is Build over the rank's chunk as a stream of m edges — a file
 // segment (gio.Segment) read in small pieces — put on the shuffle as each
 // piece arrives, so the rank never holds its chunk whole. m sizes the
 // shuffle's buffers. An error of the stream, or an edge Build refuses, fails
 // the rank before the exchange; its peers return once its world closes.
-func BuildStream(c *mpi.Comm, n, m int64, edges graph.EdgeStream, part *partition.Partition) (*DistGraph, error) {
-	s, err := NewShuffle(c, n, part, 1, false)
-	if err != nil {
-		return nil, err
-	}
+func BuildStream(c *mpi.Comm, n, m int64, edges graph.EdgeStream) (*DistGraph, error) {
+	s := NewShuffle(c, n, 1, false)
 	// Each undirected edge expands into its two directed arcs, routed to the
 	// owner of the source vertex; a self loop is a single arc. Two 8-byte
 	// records per edge hold a unit-weight chunk's frames in one buffer.
 	s.buffers.grow(int(16 * m))
 	w := s.Writer(0)
-	err = edges(func(chunk []graph.RawEdge) error {
+	err := edges(func(chunk []graph.RawEdge) error {
 		for _, e := range chunk {
 			if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 				return fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
@@ -194,11 +197,8 @@ func BuildStream(c *mpi.Comm, n, m int64, edges graph.EdgeStream, part *partitio
 // otherwise). Its weights take Build's scale rule, which leaves them as they
 // are when they are integers with 2m below 2⁵³, as Build made them; an input
 // the rule refuses fails with ErrWeight on every rank.
-func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) (*DistGraph, error) {
-	s, err := NewShuffle(c, n, part, 1, false)
-	if err != nil {
-		return nil, err
-	}
+func BuildFromArcs(c *mpi.Comm, n int64, arcs []Arc) (*DistGraph, error) {
+	s := NewShuffle(c, n, 1, false)
 	s.buffers.grow(8 * len(arcs))
 	w := s.Writer(0)
 	for _, a := range arcs {
@@ -219,11 +219,12 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 // pass 1 validates every frame, histograms the sources, interns every target
 // this rank does not own and rewrites each record in place as its row and
 // its target's local index or ghost number (placer) — nothing is written to
-// the CSR until all of them are known good. The interned targets, sorted, are
-// Ghosts, and a prefix sum turns the histogram into Index. Pass 2 places each
-// arc in its row, in (sender rank, send order), as its target's sort key
-// (slotKeys) and, unless every frame is unit-weight, its weight. Rows are then
-// sorted by key (stably, and only when not already ascending), parallel arcs
+// the CSR until all of them are known good. The rank owns [base, hi) of the
+// vertex space: its even share, as Exchange passes it. The interned targets,
+// sorted, are Ghosts, and a prefix sum turns the histogram into Index. Pass 2
+// places each arc in its row, in (sender rank, send order), as its target's
+// sort key (slotKeys) and, unless every frame is unit-weight, its weight. Rows
+// are then sorted by key (stably, and only when not already ascending), parallel arcs
 // are summed left to right — i.e. in that arrival order — or, without placed
 // weights, counted, and the CSR is compacted in place, every key turned into
 // its slot. A graph whose merged arcs all weigh 1 keeps W nil; the first
@@ -242,16 +243,14 @@ func BuildFromArcs(c *mpi.Comm, n int64, part *partition.Partition, arcs []Arc) 
 // (spare is the zero graph when there is nothing to recycle), and the row
 // cursors, sort scratch and ghost index are s's. Every array is written in
 // full before it is read, except the source histogram, which is cleared.
-func (s *Shuffle) assemble(frames [][][]byte, spare *DistGraph) (*DistGraph, error) {
-	c, n, part, sc := s.c, s.n, s.part, &s.scratch
-	rank := c.Rank()
-	base, hi := part.Range(rank)
+func (s *Shuffle) assemble(base, hi int64, frames [][][]byte, spare *DistGraph) (*DistGraph, error) {
+	c, n, sc := s.c, s.n, &s.scratch
 	localN := hi - base
 	if err := checkSlotSpace(localN, 0); err != nil {
 		return nil, err
 	}
 	dg := &DistGraph{
-		Comm: c, Part: part, GlobalN: n,
+		Comm: c, GlobalN: n,
 		Base: base, LocalN: localN,
 		Index:    resize(spare.Index, int(localN)+1),
 		K:        resize(spare.K, int(localN)),
@@ -284,7 +283,7 @@ func (s *Shuffle) assemble(frames [][][]byte, spare *DistGraph) (*DistGraph, err
 			}
 			a := arcAt(layout, b, bad)
 			if a.From < base || a.From >= hi {
-				return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d has a source rank %d does not own", ErrMalformedArcs, a.From, a.To, q, rank)
+				return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d has a source rank %d does not own", ErrMalformedArcs, a.From, a.To, q, c.Rank())
 			}
 			return nil, fmt.Errorf("%w: arc (%d,%d) from rank %d targets outside [0,%d)", ErrMalformedArcs, a.From, a.To, q, n)
 		}
@@ -465,7 +464,7 @@ func (s *Shuffle) scaleOf(frames [][][]byte, sum, fractional float64) (int, erro
 	return graph.Weights{Arcs: v[0], Sum: sum, CeilSum: v[1], Max: wmax, Fractional: fractional}.Scale()
 }
 
-// setGhosts fills Ghosts and GhostOwner from the targets pass 1 interned in
+// setGhosts fills Ghosts from the targets pass 1 interned in
 // sc.ghosts, maps each ghost's first-interned number to its key in
 // sc.ghostKey, and returns the key map of the slot space.
 func (dg *DistGraph) setGhosts(spare *DistGraph, sc *assembly) slotKeys {
@@ -479,11 +478,9 @@ func (dg *DistGraph) setGhosts(spare *DistGraph, sc *assembly) slotKeys {
 	nLow, _ := slices.BinarySearch(dg.Ghosts, dg.Base)
 	keys := slotKeys{nLow: int32(nLow), localN: int32(dg.LocalN)}
 	sc.ghostKey = resize(sc.ghostKey, len(dg.Ghosts))
-	dg.GhostOwner = resize(spare.GhostOwner, len(dg.Ghosts))
 	for i, g := range dg.Ghosts {
 		num, _ := x.Find(g)
 		sc.ghostKey[num] = keys.ghost(i)
-		dg.GhostOwner[i] = dg.Part.Owner(g)
 	}
 	return keys
 }
@@ -703,6 +700,14 @@ func (dg *DistGraph) Target(s int32) int64 {
 // Global converts a local vertex index to its global ID.
 func (dg *DistGraph) Global(lv int64) int64 { return dg.Base + lv }
 
+// Owner returns the rank that owns global vertex (or community) v.
+func (dg *DistGraph) Owner(v int64) int { return gio.SegmentOwner(dg.GlobalN, v, dg.Comm.Size()) }
+
+// Range returns the global vertices [lo, hi) rank q owns.
+func (dg *DistGraph) Range(q int) (lo, hi int64) {
+	return gio.SegmentRange(dg.GlobalN, q, dg.Comm.Size())
+}
+
 // IsLocal reports whether global vertex g is owned by this rank.
 func (dg *DistGraph) IsLocal(g int64) bool {
 	return g >= dg.Base && g < dg.Base+dg.LocalN
@@ -720,7 +725,7 @@ func (dg *DistGraph) GhostSlot(g int64) (int, bool) {
 // the longest row), every slot inside the slot
 // space, rows strictly ascending by target (sorted, parallel arcs merged),
 // degree and self-loop caches that match the rows bit for bit, and a ghost
-// table that is sorted, owned elsewhere and correctly attributed.
+// table that is sorted and owned elsewhere.
 func (dg *DistGraph) Validate() error {
 	if int64(len(dg.Index)) != dg.LocalN+1 || int64(len(dg.K)) != dg.LocalN || int64(len(dg.SelfLoop)) != dg.LocalN {
 		return fmt.Errorf("dgraph: index/K/SelfLoop lengths %d/%d/%d, want %d/%d/%d",
@@ -743,9 +748,6 @@ func (dg *DistGraph) Validate() error {
 	if dg.W == nil && slices.ContainsFunc(dg.ones, func(w float64) bool { return w != 1 }) {
 		return fmt.Errorf("dgraph: a unit graph's weights are not all 1")
 	}
-	if len(dg.GhostOwner) != len(dg.Ghosts) {
-		return fmt.Errorf("dgraph: %d ghosts but %d owners", len(dg.Ghosts), len(dg.GhostOwner))
-	}
 	if err := checkSlotSpace(dg.LocalN, len(dg.Ghosts)); err != nil {
 		return err
 	}
@@ -755,9 +757,6 @@ func (dg *DistGraph) Validate() error {
 		}
 		if i > 0 && dg.Ghosts[i-1] >= g {
 			return fmt.Errorf("dgraph: ghosts not sorted/unique at %d", i)
-		}
-		if dg.GhostOwner[i] != dg.Part.Owner(g) {
-			return fmt.Errorf("dgraph: ghost %d has wrong owner", g)
 		}
 	}
 	slots := dg.LocalN + int64(len(dg.Ghosts))
@@ -792,37 +791,34 @@ func (dg *DistGraph) Validate() error {
 
 // GatherToRoot reconstructs the whole graph at rank 0 (as an in-memory CSR)
 // for verification; other ranks return nil. Intended for tests and small
-// graphs only. It is a shuffle to a partition in which rank 0 owns every
-// vertex: each row arrives whole, from its one owner, already merged and
-// sorted, so the assembly reproduces it arc for arc.
+// graphs only. Every rank sends its rows to rank 0 as global (source, target,
+// weight) records (mpi.Comm.Gatherv); ranks own ascending ranges and each row
+// is ascending by target, so in rank order the records are the CSR's arcs in
+// order.
 func (dg *DistGraph) GatherToRoot() (*graph.CSR, error) {
-	bounds := make([]int64, dg.Comm.Size()+1)
-	for r := 1; r < len(bounds); r++ {
-		bounds[r] = dg.GlobalN
-	}
-	s, err := NewShuffle(dg.Comm, dg.GlobalN, &partition.Partition{Bounds: bounds}, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	s.buffers.grow(8 * len(dg.Slot))
-	w := s.Writer(0)
+	buf := make([]byte, 0, 24*len(dg.Slot))
 	for lv := int64(0); lv < dg.LocalN; lv++ {
 		row, ws := dg.Row(lv)
 		for i, t := range row {
-			w.Put(0, dg.Global(lv), dg.Target(t), ws[i])
+			buf = mpi.AppendInt64(buf, dg.Global(lv))
+			buf = mpi.AppendInt64(buf, dg.Target(t))
+			buf = mpi.AppendFloat64(buf, ws[i])
 		}
 	}
-	all, err := s.Exchange(nil)
-	if err != nil || dg.Comm.Rank() != 0 {
+	rows, err := dg.Comm.Gatherv(0, buf)
+	if err != nil || rows == nil {
 		return nil, err
 	}
-	// Rank 0 owns every vertex of the gathered graph: a slot is a global ID.
-	edges := make([]graph.Edge, 0, len(all.Slot))
-	for v := int64(0); v < all.LocalN; v++ {
-		row, ws := all.Row(v)
-		for i, t := range row {
-			edges = append(edges, graph.Edge{To: int64(t), W: ws[i]})
+	g := &graph.CSR{N: dg.GlobalN, Index: make([]int64, dg.GlobalN+1)}
+	for _, b := range rows {
+		for ; len(b) >= 24; b = b[24:] {
+			g.Index[1+int64(binary.LittleEndian.Uint64(b))]++
+			to, w := int64(binary.LittleEndian.Uint64(b[8:])), math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+			g.Edges = append(g.Edges, graph.Edge{To: to, W: w})
 		}
 	}
-	return &graph.CSR{N: all.GlobalN, Index: all.Index, Edges: edges}, nil
+	for v := int64(0); v < g.N; v++ {
+		g.Index[v+1] += g.Index[v]
+	}
+	return g, nil
 }

@@ -13,7 +13,6 @@ import (
 	"distlouvain/internal/gio"
 	"distlouvain/internal/graph"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 	"distlouvain/internal/seq"
 )
 
@@ -86,12 +85,12 @@ func TestBuildGhostTables(t *testing.T) {
 	buildDistributed(t, 2, 4, edges, func(dg *DistGraph) error {
 		switch dg.Comm.Rank() {
 		case 0:
-			if len(dg.Ghosts) != 1 || dg.Ghosts[0] != 2 || dg.GhostOwner[0] != 1 {
-				return fmt.Errorf("rank 0 ghosts: %v owners %v", dg.Ghosts, dg.GhostOwner)
+			if len(dg.Ghosts) != 1 || dg.Ghosts[0] != 2 || dg.Owner(2) != 1 {
+				return fmt.Errorf("rank 0 ghosts: %v", dg.Ghosts)
 			}
 		case 1:
-			if len(dg.Ghosts) != 1 || dg.Ghosts[0] != 1 || dg.GhostOwner[0] != 0 {
-				return fmt.Errorf("rank 1 ghosts: %v owners %v", dg.Ghosts, dg.GhostOwner)
+			if len(dg.Ghosts) != 1 || dg.Ghosts[0] != 1 || dg.Owner(1) != 0 {
+				return fmt.Errorf("rank 1 ghosts: %v", dg.Ghosts)
 			}
 		}
 		return nil
@@ -192,7 +191,7 @@ func TestBuildRejectsBadWeights(t *testing.T) {
 						for i, e := range bad {
 							arcs[i] = Arc{From: e.U, To: e.V, W: e.W}
 						}
-						_, err = BuildFromArcs(c, 4, nil, arcs)
+						_, err = BuildFromArcs(c, 4, arcs)
 					} else {
 						_, err = Build(c, 4, bad, nil)
 					}
@@ -303,52 +302,6 @@ func TestScaleRule(t *testing.T) {
 	}
 }
 
-// skewedPartition splits [0, n) into p contiguous ranges of growing size
-// (quadratic bounds): an uneven split for the tests that need one.
-func skewedPartition(n int64, p int) *partition.Partition {
-	bounds := make([]int64, p+1)
-	for r := range bounds {
-		bounds[r] = n * int64(r*r) / int64(p*p)
-	}
-	return &partition.Partition{Bounds: bounds}
-}
-
-func TestBuildWithCustomPartition(t *testing.T) {
-	n, edges := gen.ErdosRenyi(60, 200, 3)
-	p := 3
-	part := skewedPartition(n, p)
-	err := mpi.Run(p, func(c *mpi.Comm) error {
-		dg, err := Build(c, n, chunkEdges(edges, c.Rank(), p), part)
-		if err != nil {
-			return err
-		}
-		if err := dg.Validate(); err != nil {
-			return err
-		}
-		lo, hi := part.Range(c.Rank())
-		if dg.Base != lo || dg.LocalN != hi-lo {
-			return fmt.Errorf("rank %d range [%d,%d) vs dg [%d,%d)", c.Rank(), lo, hi, dg.Base, dg.Base+dg.LocalN)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuildPartitionShapeMismatch(t *testing.T) {
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := Build(c, 10, nil, partition.ByVertexCount(5, 2))
-		if err == nil {
-			return fmt.Errorf("expected shape mismatch error")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGatherToRootRoundTrip(t *testing.T) {
 	n, edges := gen.ErdosRenyi(50, 150, 5)
 	ref := gen.Build(n, edges)
@@ -413,7 +366,7 @@ func TestBuildFromBinaryFileSegments(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		dg, err := BuildStream(c, n, m, edges, nil)
+		dg, err := BuildStream(c, n, m, edges)
 		if err != nil {
 			return err
 		}
@@ -451,7 +404,6 @@ type oracleGraph struct {
 	Edges        []graph.Edge
 	K, SelfLoop  []float64
 	Ghosts       []int64
-	GhostOwner   []int
 	Slot         []int32
 	LocalW       float64
 }
@@ -469,13 +421,14 @@ func expandChunk(chunk []graph.RawEdge) []oracleArc {
 	return out
 }
 
-// oracleAssemble builds rank's share from sent[q], the arcs rank q emits in
-// order (to whichever owner).
-func oracleAssemble(part *partition.Partition, rank int, sent [][]oracleArc) *oracleGraph {
+// oracleAssemble builds the share of the rank that owns [base, hi) from
+// sent[q], the arcs rank q emits in order (to whichever owner).
+func oracleAssemble(base, hi int64, sent [][]oracleArc) *oracleGraph {
+	owned := func(v int64) bool { return v >= base && v < hi }
 	var mine []oracleArc
 	for _, arcs := range sent {
 		for _, a := range arcs {
-			if part.Owner(a.from) == rank {
+			if owned(a.from) {
 				mine = append(mine, a)
 			}
 		}
@@ -486,7 +439,6 @@ func oracleAssemble(part *partition.Partition, rank int, sent [][]oracleArc) *or
 		}
 		return mine[i].to < mine[j].to
 	})
-	base, hi := part.Range(rank)
 	og := &oracleGraph{
 		Base: base, LocalN: hi - base,
 		Index:    make([]int64, hi-base+1),
@@ -509,7 +461,7 @@ func oracleAssemble(part *partition.Partition, rank int, sent [][]oracleArc) *or
 		if to == from {
 			og.SelfLoop[lv] += w
 		}
-		if part.Owner(to) != rank {
+		if !owned(to) {
 			if _, seen := ghostIndex[to]; !seen {
 				ghostIndex[to] = -1
 				og.Ghosts = append(og.Ghosts, to)
@@ -521,15 +473,13 @@ func oracleAssemble(part *partition.Partition, rank int, sent [][]oracleArc) *or
 		og.Index[lv+1] += og.Index[lv]
 	}
 	sort.Slice(og.Ghosts, func(i, j int) bool { return og.Ghosts[i] < og.Ghosts[j] })
-	og.GhostOwner = make([]int, len(og.Ghosts))
 	for i, g := range og.Ghosts {
 		ghostIndex[g] = int32(i)
-		og.GhostOwner[i] = part.Owner(g)
 	}
 	// The slot contract, stated through the map the shipped code no longer has.
 	for _, e := range og.Edges {
 		og.LocalW += e.W
-		if part.Owner(e.To) == rank {
+		if owned(e.To) {
 			og.Slot = append(og.Slot, int32(e.To-base))
 		} else {
 			og.Slot = append(og.Slot, int32(og.LocalN)+ghostIndex[e.To])
@@ -553,7 +503,6 @@ func (og *oracleGraph) diff(dg *DistGraph) error {
 		firstDiff("K", dg.K, og.K, sameBits),
 		firstDiff("SelfLoop", dg.SelfLoop, og.SelfLoop, sameBits),
 		firstDiff("Ghosts", dg.Ghosts, og.Ghosts, sameInt),
-		firstDiff("GhostOwner", dg.GhostOwner, og.GhostOwner, func(a, b int) bool { return a == b }),
 		firstDiff("Slot", dg.Slot, og.Slot, func(a, b int32) bool { return a == b }),
 	} {
 		if err != nil {

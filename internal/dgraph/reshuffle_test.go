@@ -38,10 +38,7 @@ func TestBuildHandsOnItsShuffle(t *testing.T) {
 				half = append(half, e)
 			}
 		}
-		sh, err := dg.Reshuffle(n, dg.Part, 2, false)
-		if err != nil {
-			return err
-		}
+		sh := dg.Reshuffle(n, 2, false)
 		if sh != s {
 			return fmt.Errorf("Reshuffle made a new shuffle although the graph kept one")
 		}

@@ -8,8 +8,8 @@ import (
 	"sync"
 
 	"distlouvain/internal/flat"
+	"distlouvain/internal/gio"
 	"distlouvain/internal/mpi"
-	"distlouvain/internal/partition"
 )
 
 // Arc record layouts. Every non-empty shuffle frame starts with one of these
@@ -61,7 +61,6 @@ const (
 type Shuffle struct {
 	c       *mpi.Comm
 	n       int64
-	part    *partition.Partition
 	writers []ArcWriter
 	out     [][][]byte // out[q]: the frame for rank q, as segments (frames)
 	in      [][][]byte // in[q]: the frame from rank q, as segments (Exchange)
@@ -69,45 +68,36 @@ type Shuffle struct {
 	scratch assembly
 }
 
-// NewShuffle starts a shuffle over the vertex space [0, n) split by part (nil
-// selects the even vertex split), filled by the given number of writers.
-// weighted says that every record is to carry its weight from the start, as
-// core's coarse arcs do, whose weights are rarely 1.0; otherwise the records
-// travel without weights until a weight other than 1.0 reaches them.
-func NewShuffle(c *mpi.Comm, n int64, part *partition.Partition, writers int, weighted bool) (*Shuffle, error) {
+// NewShuffle starts a shuffle over the vertex space [0, n), split evenly
+// (gio.SegmentRange), filled by the given number of writers. weighted says
+// that every record is to carry its weight from the start, as core's coarse
+// arcs do, whose weights are rarely 1.0; otherwise the records travel without
+// weights until a weight other than 1.0 reaches them.
+func NewShuffle(c *mpi.Comm, n int64, writers int, weighted bool) *Shuffle {
 	s := &Shuffle{c: c, out: make([][][]byte, c.Size()), in: make([][][]byte, c.Size())}
-	if err := s.Reset(n, part, writers, weighted); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.Reset(n, writers, weighted)
+	return s
 }
 
-// Reshuffle returns the shuffle that assembled dg, Reset over [0, n) split by
-// part with the given number of writers, or a new shuffle when dg has none
-// (a graph not built by Exchange). The graph's arrays are not the shuffle's,
-// so dg stays intact until an Exchange recycles it.
-func (dg *DistGraph) Reshuffle(n int64, part *partition.Partition, writers int, weighted bool) (*Shuffle, error) {
+// Reshuffle returns the shuffle that assembled dg, Reset over [0, n) with the
+// given number of writers, or a new shuffle when dg has none (a graph not
+// built by Exchange). The graph's arrays are not the shuffle's, so dg stays
+// intact until an Exchange recycles it.
+func (dg *DistGraph) Reshuffle(n int64, writers int, weighted bool) *Shuffle {
 	if dg.shuffle == nil {
-		return NewShuffle(dg.Comm, n, part, writers, weighted)
+		return NewShuffle(dg.Comm, n, writers, weighted)
 	}
-	return dg.shuffle, dg.shuffle.Reset(n, part, writers, weighted)
+	dg.shuffle.Reset(n, writers, weighted)
+	return dg.shuffle
 }
 
-// Reset starts the next shuffle on s, over the vertex space [0, n) split by
-// part (nil selects the even vertex split), with the same communicator, for
-// the given number of writers, weighted as NewShuffle says. The buffers and
-// the assembly's scratch keep their memory whatever the writer count; no
-// graph an Exchange returned refers to it.
-func (s *Shuffle) Reset(n int64, part *partition.Partition, writers int, weighted bool) error {
+// Reset starts the next shuffle on s, over the vertex space [0, n), with the
+// same communicator, for the given number of writers, weighted as NewShuffle
+// says. The buffers and the assembly's scratch keep their memory whatever the
+// writer count; no graph an Exchange returned refers to it.
+func (s *Shuffle) Reset(n int64, writers int, weighted bool) {
 	p := s.c.Size()
-	if part == nil {
-		part = partition.ByVertexCount(n, p)
-	}
-	if part.N() != n || part.Size() != p {
-		return fmt.Errorf("dgraph: partition shape (N=%d, p=%d) does not match n=%d, p=%d",
-			part.N(), part.Size(), n, p)
-	}
-	s.n, s.part = n, part
+	s.n = n
 	start := byte(arcsUnit32) // the layout every writer's records start in
 	switch {
 	case wideIDs(n):
@@ -130,11 +120,10 @@ func (s *Shuffle) Reset(n int64, part *partition.Partition, writers int, weighte
 		}
 	}
 	s.buffers.next, s.buffers.off, s.buffers.open = 0, 0, writers*p
-	return nil
 }
 
 // Owner returns the rank an arc leaving v is routed to.
-func (s *Shuffle) Owner(v int64) int { return s.part.Owner(v) }
+func (s *Shuffle) Owner(v int64) int { return gio.SegmentOwner(s.n, v, s.c.Size()) }
 
 // Writer returns writer i. Writers can fill one shuffle in parallel: each
 // appends to segments of its own, and a frame holds the writers' segments in
@@ -329,13 +318,13 @@ func (s *Shuffle) frames() [][][]byte {
 // recycle, when not nil, is a graph the caller gives up — in core, the graph
 // this one replaces. The assembly builds into its arrays wherever their
 // capacity allows and allocates only the ones that must grow. On return
-// recycle keeps its scalar fields (Comm, Part, GlobalN, M2, Base, LocalN) and
+// recycle keeps its scalar fields (Comm, GlobalN, M2, Base, LocalN) and
 // no arrays and no shuffle, whether or not Exchange succeeded.
 func (s *Shuffle) Exchange(recycle *DistGraph) (*DistGraph, error) {
 	var spare DistGraph
 	if recycle != nil {
 		spare = *recycle
-		*recycle = DistGraph{Comm: spare.Comm, Part: spare.Part, GlobalN: spare.GlobalN, M2: spare.M2, Base: spare.Base, LocalN: spare.LocalN}
+		*recycle = DistGraph{Comm: spare.Comm, GlobalN: spare.GlobalN, M2: spare.M2, Base: spare.Base, LocalN: spare.LocalN}
 	}
 	rank := s.c.Rank()
 	out := s.frames()
@@ -350,7 +339,8 @@ func (s *Shuffle) Exchange(recycle *DistGraph) (*DistGraph, error) {
 		s.in[q] = recv[q : q+1]
 	}
 	s.in[rank] = self
-	dg, err := s.assemble(s.in, &spare)
+	base, hi := gio.SegmentRange(s.n, rank, s.c.Size())
+	dg, err := s.assemble(base, hi, s.in, &spare)
 	s.c.Release(recv...)
 	if err != nil {
 		return nil, err

@@ -61,7 +61,7 @@ func streamMatchesSlice(c *mpi.Comm, n int64, chunk []graph.RawEdge, cut func(in
 		return err
 	}
 	mid := c.Stats().Snapshot()
-	got, err := BuildStream(c, n, int64(len(chunk)), cutStream(chunk, cut), nil)
+	got, err := BuildStream(c, n, int64(len(chunk)), cutStream(chunk, cut))
 	if err != nil {
 		return err
 	}
@@ -164,7 +164,7 @@ func TestSegmentErrorReturnsEveryRank(t *testing.T) {
 			runErr = mpi.Run(p, func(c *mpi.Comm) error {
 				m, edges, err := gio.Segment(path, c.Rank(), p)
 				if err == nil {
-					_, err = BuildStream(c, n, m, edges, nil)
+					_, err = BuildStream(c, n, m, edges)
 				}
 				errs[c.Rank()] = err
 				return err
@@ -230,7 +230,7 @@ func TestBuildSegmentAllocations(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return BuildStream(c, n, m, edges, nil)
+		return BuildStream(c, n, m, edges)
 	})
 	// Measured: 1 643 664 bytes, 1 647 792 under the race detector.
 	const readBuffers, ceiling = p * (2*1024*24 + 4096), 1_810_000
@@ -260,7 +260,7 @@ func BenchmarkBuildSegment(b *testing.B) {
 			if err != nil {
 				return err
 			}
-			_, err = BuildStream(c, n, m, edges, nil)
+			_, err = BuildStream(c, n, m, edges)
 			return err
 		})
 		if err != nil {

@@ -14,10 +14,7 @@ import (
 // every arc travels with its weight, 1.0 included, so the assembly places
 // weights and the graph keeps W.
 func buildWeighted(c *mpi.Comm, n int64, chunk []graph.RawEdge) (*DistGraph, error) {
-	s, err := NewShuffle(c, n, nil, 1, true)
-	if err != nil {
-		return nil, err
-	}
+	s := NewShuffle(c, n, 1, true)
 	w := s.Writer(0)
 	for _, e := range chunk {
 		w.Put(s.Owner(e.U), e.U, e.V, e.W)
@@ -138,7 +135,7 @@ func TestUnitParallelArcsMaterialiseW(t *testing.T) {
 
 // TestUnitFramesMatchWeightedFrames: one unweighted edge list assembled
 // through unit frames and through frames that carry every weight gives the
-// same graph — Index, Slot, K, SelfLoop, Ghosts, GhostOwner and Row's
+// same graph — Index, Slot, K, SelfLoop, Ghosts and Row's
 // weights, bit for bit — whether or not parallel arcs make the unit graph
 // keep W, at 1 to 3 ranks.
 func TestUnitFramesMatchWeightedFrames(t *testing.T) {

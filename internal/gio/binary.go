@@ -13,7 +13,10 @@
 // Each undirected edge is stored once. The fixed record size is what makes
 // the segmented parallel read trivial: rank r of p seeks straight to its
 // record range, exactly like the MPI_File_read_at_all decomposition in the
-// paper (whose I/O takes 1–2% of total time).
+// paper (whose I/O takes 1–2% of total time). That record range is the even
+// split of [0, edges) (SegmentRange), the split by which every distributed
+// graph also gives each rank its vertices: the paper's "every process owns an
+// equal number of vertices" (SegmentOwner is its inverse).
 package gio
 
 import (
@@ -135,18 +138,29 @@ func ReadBinary(path string) (int64, []graph.RawEdge, error) {
 	return h.Vertices, edges, nil
 }
 
-// SegmentRange returns the half-open record range [lo, hi) that rank r of p
-// reads: records are split as evenly as possible, the first (edges % p)
-// ranks receiving one extra.
-func SegmentRange(edges int64, rank, size int) (lo, hi int64) {
-	per := edges / int64(size)
-	rem := edges % int64(size)
-	lo = int64(rank)*per + min(int64(rank), rem)
+// SegmentRange returns the half-open range [lo, hi) of [0, n) that rank r of
+// p holds: the even split, the first n%p ranks holding one ID more. It is the
+// one split of the system: a rank's records of the file, and its vertices and
+// communities of every graph (DESIGN §2).
+func SegmentRange(n int64, rank, size int) (lo, hi int64) {
+	per, rem, r := n/int64(size), n%int64(size), int64(rank)
+	lo = r*per + min(r, rem)
 	hi = lo + per
-	if int64(rank) < rem {
+	if r < rem {
 		hi++
 	}
 	return lo, hi
+}
+
+// SegmentOwner is SegmentRange's inverse: the rank of p whose range of [0, n)
+// holds id, for id in [0, n). The first cut = (n%p)·(n/p+1) IDs lie in ranges
+// of n/p+1, the rest in ranges of n/p.
+func SegmentOwner(n, id int64, size int) int {
+	per, rem := n/int64(size), n%int64(size)
+	if cut := rem * (per + 1); id >= cut {
+		return int(rem + (id-cut)/per)
+	}
+	return int(id / (per + 1))
 }
 
 // Segment is rank's record range of the file: its record count, and its

@@ -1,13 +1,18 @@
 package par
 
-import "sync"
+import (
+	"sync"
+
+	"distlouvain/internal/gio"
+)
 
 // For runs body(worker, lo, hi) on nworkers goroutines, statically splitting
-// [0, n) into nworkers near-equal contiguous chunks, and waits for all of
-// them. It is the moral equivalent of "#pragma omp parallel for schedule(static)".
+// [0, n) into nworkers near-equal contiguous chunks — the even split ranks
+// use (gio.SegmentRange) — and waits for all of them. It is the moral
+// equivalent of "#pragma omp parallel for schedule(static)".
 //
-// A worker whose chunk is empty is not spawned. With nworkers <= 1 the body
-// runs inline, which keeps single-threaded configurations allocation-free.
+// At most n workers are spawned, so no chunk is empty. With nworkers <= 1 the
+// body runs inline, which keeps single-threaded configurations allocation-free.
 func For(n, nworkers int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -20,22 +25,13 @@ func For(n, nworkers int, body func(worker, lo, hi int)) {
 		nworkers = n
 	}
 	var wg sync.WaitGroup
-	chunk := n / nworkers
-	rem := n % nworkers
-	lo := 0
+	wg.Add(nworkers)
 	for w := 0; w < nworkers; w++ {
-		hi := lo + chunk
-		if w < rem {
-			hi++
-		}
-		if hi > lo {
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				body(w, lo, hi)
-			}(w, lo, hi)
-		}
-		lo = hi
+		lo, hi := gio.SegmentRange(int64(n), w, nworkers)
+		go func() {
+			defer wg.Done()
+			body(w, int(lo), int(hi))
+		}()
 	}
 	wg.Wait()
 }

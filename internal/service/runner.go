@@ -30,7 +30,7 @@ func (s *Service) runJob(j *Job) {
 			if err != nil {
 				return nil, err
 			}
-			return dgraph.BuildStream(c, j.vertices, m, edges, nil)
+			return dgraph.BuildStream(c, j.vertices, m, edges)
 		},
 	}
 

@@ -369,8 +369,17 @@ func (s *Service) cacheKey(j *Job) resultKey {
 
 // settleFromCache completes a job instantly from a cached result: the
 // computing job's result, certificate included, with this job's own
-// bookkeeping.
+// bookkeeping. Before the job turns done it gets its own result.labels, so
+// that its assignment outlives a restart: a hard link to the computing job's
+// file (persist's directory fsync makes it durable) or, when that directory is
+// gone (pruned past KeepJobs), the cached assignment written anew.
 func (s *Service) settleFromCache(j *Job, hit *cachedResult) {
+	labels := filepath.Join(j.dir, "result.labels")
+	if os.Link(filepath.Join(s.jobsDir(), hit.SourceJob, "result.labels"), labels) != nil {
+		if err := ckpt.WriteFile(labels, gio.AppendGroundTruth(nil, hit.Assignment)); err != nil {
+			s.logf("job %s: persist assignment: %v", j.ID, err)
+		}
+	}
 	now := time.Now()
 	res := hit.Result
 	res.RuntimeMS, res.CacheHit, res.Resumed = 0, true, false

@@ -45,7 +45,7 @@ func refRun(t *testing.T, path string, n int64, cfg core.Config) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := dgraph.BuildStream(c, n, m, edges, nil)
+	dg, err := dgraph.BuildStream(c, n, m, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,6 +505,69 @@ func TestServiceRecoveryAfterRestart(t *testing.T) {
 	}
 	if got := s2.Stats().WorldsLaunched; got != launched {
 		t.Errorf("cache hit launched a world after restart")
+	}
+}
+
+// TestCacheHitKeepsAssignmentAcrossRestart: a job served from the cache keeps
+// its assignment across a daemon restart — through a link to the computing
+// job's labels, and, once the computing job's directory is gone, through the
+// cached assignment written anew.
+func TestCacheHitKeepsAssignmentAcrossRestart(t *testing.T) {
+	path, _ := writeGraph(t, 200, 900, 7)
+	dir := t.TempDir()
+	opt := Options{DataDir: dir, RankBudget: 2, Hang: quietHang}
+	s1, err := New(opt)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	spec := JobSpec{GraphPath: path, Ranks: 2}
+	v1, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s1, v1.ID, StateDone)
+	want, err := s1.Result(v1.ID, true)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	var hits []string
+	for i := 0; i < 2; i++ {
+		if i == 1 { // the computing job's directory pruned
+			if err := os.RemoveAll(filepath.Join(dir, "jobs", v1.ID)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := s1.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit dup: %v", err)
+		}
+		if v.State != StateDone || !v.CacheHit {
+			t.Fatalf("duplicate not served from cache: state=%s hit=%v", v.State, v.CacheHit)
+		}
+		if i == 0 {
+			src, err1 := os.Stat(filepath.Join(dir, "jobs", v1.ID, "result.labels"))
+			dst, err2 := os.Stat(filepath.Join(dir, "jobs", v.ID, "result.labels"))
+			if err1 != nil || err2 != nil || !os.SameFile(src, dst) {
+				t.Fatalf("the hit's labels are not a link to the computing job's: %v, %v", err1, err2)
+			}
+		}
+		hits = append(hits, v.ID)
+	}
+	s1.Close()
+
+	s2, err := New(opt)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	for _, id := range hits {
+		res, err := s2.Result(id, true)
+		if err != nil {
+			t.Fatalf("cache hit %s after restart: %v", id, err)
+		}
+		if !equalAssignments(res.Assignment, want.Assignment) {
+			t.Errorf("cache hit %s: assignment after restart differs from the computing job's", id)
+		}
 	}
 }
 

@@ -159,7 +159,6 @@ type Supervisor struct {
 	cur      Attempt
 	gen      int // attempt generation; stale beacon sinks are ignored
 	stopping bool
-	aborting bool           // hard abort: kill, don't wait for a checkpoint
 	last     map[int]Beacon // latest beacon per rank, current attempt only
 }
 
@@ -184,25 +183,6 @@ func (s *Supervisor) Interrupt() {
 	s.logf("supervisor: interrupt requested; stopping after the current attempt")
 	if att != nil {
 		att.Interrupt()
-	}
-}
-
-// Abort hard-stops the supervised run: the current attempt is killed without
-// waiting for a phase boundary and no further restarts happen. Run returns
-// the killed attempt's error. Unlike Interrupt, Abort does not leave a fresh
-// checkpoint — whatever the run last committed is what a later resume gets.
-// Job schedulers use it to reclaim a world's ranks immediately (a queued job
-// is waiting for them); operators cancelling a run they still want to finish
-// later should prefer Interrupt.
-func (s *Supervisor) Abort() {
-	s.mu.Lock()
-	s.stopping = true
-	s.aborting = true
-	att := s.cur
-	s.mu.Unlock()
-	s.logf("supervisor: abort requested; killing the current attempt")
-	if att != nil {
-		att.Kill()
 	}
 }
 
@@ -245,11 +225,9 @@ func (s *Supervisor) Run(ranks int) error {
 		} else {
 			s.mu.Lock()
 			s.cur = att
-			stopping, aborting := s.stopping, s.aborting
+			stopping := s.stopping
 			s.mu.Unlock()
-			if aborting {
-				att.Kill() // abort raced the launch; re-deliver
-			} else if stopping {
+			if stopping {
 				att.Interrupt() // interrupt raced the launch; re-deliver
 			}
 			aerr = s.monitor(att)

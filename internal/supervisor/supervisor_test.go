@@ -350,45 +350,10 @@ func TestSupervisorInterruptStopsRestarting(t *testing.T) {
 	}
 }
 
-func TestSupervisorAbortKillsAndStopsRestarting(t *testing.T) {
-	// The attempt would fail retryably when killed; without the abort the
-	// supervisor would relaunch it from the checkpoint.
-	att := &fakeAttempt{release: make(chan struct{}), killErr: errTransient}
-	l := &fakeLauncher{attempts: []*fakeAttempt{att}}
-	opt := fastOptions()
-	sup := New(l, opt)
-
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(2) }()
-	for {
-		l.mu.Lock()
-		n := len(l.specs)
-		l.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sup.Abort()
-	err := <-done
-	if !errors.Is(err, errTransient) {
-		t.Fatalf("err = %v, want the killed attempt's error surfaced", err)
-	}
-	if !att.killed.Load() {
-		t.Fatal("abort never killed the attempt")
-	}
-	if att.interrupted.Load() {
-		t.Fatal("abort must kill, not gracefully interrupt")
-	}
-	if n := len(l.launched()); n != 1 {
-		t.Fatalf("aborted run relaunched %d times", n)
-	}
-}
-
-func TestSupervisorAbortBeforeLaunchKillsOnArrival(t *testing.T) {
-	// Abort lands before the (slow) launch completes: the supervisor must
-	// re-deliver the kill to the attempt it was handed.
-	att := &fakeAttempt{release: make(chan struct{}), killErr: errTransient}
+func TestSupervisorInterruptBeforeLaunchInterruptsOnArrival(t *testing.T) {
+	// Interrupt lands before the (slow) launch completes: the supervisor
+	// must re-deliver it to the attempt it was handed.
+	att := &fakeAttempt{release: make(chan struct{}), err: errTransient}
 	launchStarted := make(chan struct{})
 	launchGate := make(chan struct{})
 	l := &gatedLauncher{att: att, started: launchStarted, gate: launchGate}
@@ -397,13 +362,15 @@ func TestSupervisorAbortBeforeLaunchKillsOnArrival(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- sup.Run(2) }()
 	<-launchStarted
-	sup.Abort() // current attempt is still nil; only the flag is set
+	sup.Interrupt() // current attempt is still nil; only the flag is set
 	close(launchGate)
-	if err := <-done; !errors.Is(err, errTransient) {
-		t.Fatalf("err = %v, want the killed attempt's error", err)
-	}
-	if !att.killed.Load() {
-		t.Fatal("abort flag set before launch was not re-delivered as a kill")
+	select {
+	case err := <-done:
+		if !errors.Is(err, errTransient) || !att.interrupted.Load() {
+			t.Fatalf("err = %v, interrupted = %v: want the interrupted attempt's error", err, att.interrupted.Load())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("interrupt requested before launch was not re-delivered: the attempt still runs")
 	}
 }
 

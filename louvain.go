@@ -81,8 +81,8 @@ type Options struct {
 	Threads int
 	// Variant picks the heuristic configuration.
 	Variant Variant
-	// Alpha is the early-termination decay in [0,1]; required (>0) for
-	// the EarlyTermination* variants. The paper evaluates 0.25 and 0.75.
+	// Alpha is the early-termination decay, required in (0, 1] for the
+	// EarlyTermination* variants. The paper evaluates 0.25 and 0.75.
 	Alpha float64
 	// Tau is the convergence threshold τ (≤0 selects 1e-6).
 	Tau float64
@@ -137,30 +137,23 @@ type Result struct {
 	BytesCommunicated int64
 }
 
+// variantNames is each Variant's name for core.ParseVariant, the parser the
+// command-line tools and the daemon use too.
+var variantNames = [...]string{
+	Baseline:           "baseline",
+	ThresholdCycling:   "tc",
+	EarlyTermination:   "et",
+	EarlyTerminationC:  "etc",
+	EarlyTerminationTC: "ettc",
+}
+
 func (o Options) toConfig() (core.Config, error) {
-	var cfg core.Config
-	switch o.Variant {
-	case Baseline:
-		cfg = core.Baseline()
-	case ThresholdCycling:
-		cfg = core.ThresholdCycling()
-	case EarlyTermination:
-		if o.Alpha <= 0 {
-			return cfg, fmt.Errorf("distlouvain: EarlyTermination requires Alpha > 0")
-		}
-		cfg = core.ET(o.Alpha)
-	case EarlyTerminationC:
-		if o.Alpha <= 0 {
-			return cfg, fmt.Errorf("distlouvain: EarlyTerminationC requires Alpha > 0")
-		}
-		cfg = core.ETC(o.Alpha)
-	case EarlyTerminationTC:
-		if o.Alpha <= 0 {
-			return cfg, fmt.Errorf("distlouvain: EarlyTerminationTC requires Alpha > 0")
-		}
-		cfg = core.ETWithTC(o.Alpha)
-	default:
-		return cfg, fmt.Errorf("distlouvain: unknown variant %d", int(o.Variant))
+	if o.Variant < 0 || int(o.Variant) >= len(variantNames) {
+		return core.Config{}, fmt.Errorf("distlouvain: unknown variant %d", int(o.Variant))
+	}
+	cfg, err := core.ParseVariant(variantNames[o.Variant], o.Alpha)
+	if err != nil {
+		return cfg, fmt.Errorf("distlouvain: %w", err)
 	}
 	cfg.Tau = o.Tau
 	cfg.Threads = o.Threads

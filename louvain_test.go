@@ -90,6 +90,9 @@ func TestDetectVariantValidation(t *testing.T) {
 	if _, err := Detect(n, edges, Options{Variant: EarlyTermination}); err == nil {
 		t.Fatal("expected Alpha validation error")
 	}
+	if _, err := Detect(n, edges, Options{Variant: EarlyTerminationC, Alpha: 1.5}); err == nil {
+		t.Fatal("expected alpha = 1.5, outside (0, 1], to be refused")
+	}
 	if _, err := Detect(n, edges, Options{Variant: Variant(99)}); err == nil {
 		t.Fatal("expected unknown-variant error")
 	}
