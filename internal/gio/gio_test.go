@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -107,70 +106,6 @@ func TestSegmentRangesPartitionRecords(t *testing.T) {
 			if total != edges || prevHi != edges {
 				t.Fatalf("edges=%d p=%d: covered %d", edges, p, total)
 			}
-		}
-	}
-}
-
-// splitOracle is the even split as a table of bounds, the first n%p ranks
-// one longer, and its owner lookup a binary search over them: the form the
-// closed-form SegmentRange and SegmentOwner replace.
-type splitOracle []int64
-
-func byVertexCount(n int64, p int) splitOracle {
-	bounds := make(splitOracle, p+1)
-	per, rem := n/int64(p), n%int64(p)
-	for r := 0; r < p; r++ {
-		extra := int64(0)
-		if int64(r) < rem {
-			extra = 1
-		}
-		bounds[r+1] = bounds[r] + per + extra
-	}
-	return bounds
-}
-
-func (b splitOracle) owner(v int64) int {
-	return sort.Search(len(b)-1, func(i int) bool { return b[i+1] > v })
-}
-
-// TestSegmentOwnerMatchesOracle: SegmentRange gives the oracle's bounds and
-// SegmentOwner its owner of every ID, for every n in [0, 300] and p in
-// [1, 17]; and, for n near 2³² and 2⁴⁰, every rank's bounds and the owner of
-// the IDs at and next to every bound.
-func TestSegmentOwnerMatchesOracle(t *testing.T) {
-	check := func(n int64, p int, ids func(lo, hi int64) []int64) {
-		b := byVertexCount(n, p)
-		for r := 0; r < p; r++ {
-			lo, hi := SegmentRange(n, r, p)
-			if lo != b[r] || hi != b[r+1] {
-				t.Fatalf("n=%d p=%d: rank %d holds [%d,%d), the oracle [%d,%d)", n, p, r, lo, hi, b[r], b[r+1])
-			}
-			for _, v := range ids(lo, hi) {
-				if v < 0 || v >= n {
-					continue
-				}
-				if got, want := SegmentOwner(n, v, p), b.owner(v); got != want {
-					t.Fatalf("n=%d p=%d: SegmentOwner(%d) = %d, the oracle %d", n, p, v, got, want)
-				}
-			}
-		}
-	}
-	every := func(lo, hi int64) []int64 {
-		var out []int64
-		for v := lo; v < hi; v++ {
-			out = append(out, v)
-		}
-		return out
-	}
-	nearBounds := func(lo, hi int64) []int64 { return []int64{lo - 1, lo, lo + 1, hi - 2, hi - 1, hi} }
-	for n := int64(0); n <= 300; n++ {
-		for p := 1; p <= 17; p++ {
-			check(n, p, every)
-		}
-	}
-	for _, n := range []int64{1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<32 + 16, 1<<40 - 1, 1 << 40, 1<<40 + 5} {
-		for p := 1; p <= 17; p++ {
-			check(n, p, nearBounds)
 		}
 	}
 }
